@@ -326,30 +326,40 @@ func BenchmarkFusedAggregate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := experiments.FusedAggQuery()
-	for _, bc := range []struct {
-		name string
-		run  func(string) (int64, error)
+	// Q1: the low-cardinality cached-Q1 shape; Q2a: a string-function key
+	// with ~10^5 groups, where the table, exchange and result rows dominate.
+	for _, shape := range []struct {
+		name   string
+		q      string
+		native func() int64
 	}{
-		{"RowAtATime", study.RunRow},
-		{"Vectorized", study.RunVec},
-		{"Fused", study.RunFused},
+		{"Q1", experiments.FusedAggQuery(), study.NativeAgg},
+		{"Q2a", experiments.FusedKeyedAggQuery(), study.NativeKeyedAgg},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bc.run(q); err != nil {
-					b.Fatal(err)
+		for _, bc := range []struct {
+			name string
+			run  func(string) (int64, error)
+		}{
+			{"RowAtATime", study.RunRow},
+			{"Vectorized", study.RunVec},
+			{"Fused", study.RunFused},
+		} {
+			b.Run(shape.name+"/"+bc.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := bc.run(shape.q); err != nil {
+						b.Fatal(err)
+					}
 				}
+			})
+		}
+		b.Run(shape.name+"/Native", func(b *testing.B) {
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				sink = shape.native()
 			}
+			_ = sink
 		})
 	}
-	b.Run("Native", func(b *testing.B) {
-		var sink int64
-		for i := 0; i < b.N; i++ {
-			sink = study.NativeAgg()
-		}
-		_ = sink
-	})
 }
 
 // Whole-stage fusion of the broadcast-join probe: the same pipeline probing

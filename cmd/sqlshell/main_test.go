@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,9 +21,10 @@ func capture(t *testing.T, f func()) string {
 	os.Stdout = w
 	done := make(chan string)
 	go func() {
-		buf := make([]byte, 1<<16)
-		n, _ := r.Read(buf)
-		done <- string(buf[:n])
+		// Read to EOF: one Read returns only the first write, which made
+		// multi-line output flaky under load.
+		out, _ := io.ReadAll(r)
+		done <- string(out)
 	}()
 	f()
 	w.Close()

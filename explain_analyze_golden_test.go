@@ -46,7 +46,7 @@ func normalizeAnalyze(s string) string {
 // = 5 fact rows, so the join (and everything above it) carries 15*5 = 75
 // rows; the build sides materialize 15 (filtered dim2) and 20 (dim1) rows.
 func TestExplainAnalyzeStarSchemaGolden(t *testing.T) {
-	ctx := starSchemaContext(t, DefaultConfig())
+	ctx := starSchemaContext(t, goldenConfig())
 	analyzeStarSchema(t, ctx)
 	raw := analyzeText(t, ctx)
 	got := normalizeAnalyze(raw)
@@ -117,7 +117,7 @@ func TestExplainAnalyzeStarSchemaGolden(t *testing.T) {
 // fresh execution: actuals reflect exactly one run and do not accumulate
 // across invocations.
 func TestExplainAnalyzeFreshPerRun(t *testing.T) {
-	ctx := starSchemaContext(t, DefaultConfig())
+	ctx := starSchemaContext(t, goldenConfig())
 	analyzeStarSchema(t, ctx)
 	first := normalizeAnalyze(analyzeText(t, ctx))
 	second := normalizeAnalyze(analyzeText(t, ctx))
@@ -133,7 +133,7 @@ func TestExplainAnalyzeFreshPerRun(t *testing.T) {
 // ANALYZE returns the same row count the plain query produces, for a few
 // shapes beyond the star schema (aggregate, vectorizable scan).
 func TestExplainAnalyzeMatchesCollect(t *testing.T) {
-	ctx := starSchemaContext(t, DefaultConfig())
+	ctx := starSchemaContext(t, goldenConfig())
 	analyzeStarSchema(t, ctx)
 	for _, q := range []string{
 		"SELECT d1_k, count(*) AS n FROM fact GROUP BY d1_k",

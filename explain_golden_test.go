@@ -12,6 +12,17 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// goldenConfig is DefaultConfig with the fan-out pinned: Parallelism and
+// ShufflePartitions default to GOMAXPROCS, and partition counts show in
+// EXPLAIN (adaptive coalescing annotations), so an unpinned golden only
+// matches on hosts with the core count it was generated on.
+func goldenConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Parallelism = 4
+	cfg.ShufflePartitions = 4
+	return cfg
+}
+
 // starSchemaContext registers a deterministic 3-table star schema: a fact
 // table and two dimensions, where dim1 is small (20 rows) and dim2 is much
 // larger (1000 rows) but the test query filters dim2 down to one name.
@@ -112,7 +123,7 @@ func normalizePlan(s string) string { return attrIDs.ReplaceAllString(s, "#N") }
 // filtered dim2 — estimated at a handful of rows via 1/NDV equality
 // selectivity — before the 20-row dim1).
 func TestExplainStarSchemaGolden(t *testing.T) {
-	ctx := starSchemaContext(t, DefaultConfig())
+	ctx := starSchemaContext(t, goldenConfig())
 	analyzeStarSchema(t, ctx)
 	got := normalizePlan(explainText(t, ctx))
 
@@ -159,9 +170,9 @@ func TestExplainStarSchemaGolden(t *testing.T) {
 // with collected statistics the join order changes relative to the
 // reorder-disabled plan, while the query result stays byte-identical.
 func TestJoinReorderChangesPlanNotResults(t *testing.T) {
-	on := starSchemaContext(t, DefaultConfig())
+	on := starSchemaContext(t, goldenConfig())
 	analyzeStarSchema(t, on)
-	cfgOff := DefaultConfig()
+	cfgOff := goldenConfig()
 	cfgOff.JoinReorder = false
 	off := starSchemaContext(t, cfgOff)
 	analyzeStarSchema(t, off)

@@ -2,9 +2,13 @@ package sparksql
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/rdd"
 )
 
 // Whole-stage fusion property tests. These extend the spill harness in
@@ -119,8 +123,8 @@ var fusedExactQueries = []string{
 	"SELECT name, val FROM events WHERE grp = 7 ORDER BY name",
 }
 
-// fusedCanonQueries are compared as sorted row sets (aggregate emission order
-// is map-random on the row path). Together they hit every group-table and
+// fusedCanonQueries are compared as sorted row sets (exact emission order is
+// TestFusedPartialBlocks' property). Together they hit every group-table and
 // probe-table specialization, the generic fallbacks, and the string/date
 // kernels feeding a fused sink.
 var fusedCanonQueries = []string{
@@ -226,6 +230,155 @@ func TestFusedPipelineByteIdentical(t *testing.T) {
 	}
 }
 
+// setupBlockTables adds the inputs the partial-block boundary is tested on:
+// `mb` (strings with multi-byte runes, empties and NULLs for SUBSTR keys),
+// `fl` (DOUBLE inputs including NaN, -0.0 and NULL) and `tiny` (1200 cached
+// partitions of five rows — the many-small-commits shape, where a partial
+// block's fixed cost is everything).
+func setupBlockTables(t testing.TB, ctx *Context) {
+	t.Helper()
+	texts := []any{"héllo wörld", "日本語テキスト", "naïve café", "", "plain ascii text", nil, "ab", "héllo again"}
+	mb := make([]Row, 600)
+	for i := range mb {
+		mb[i] = Row{int32(i), texts[(i*7)%len(texts)]}
+	}
+	cacheTempTable(t, ctx, StructType{}.Add("id", IntType, false).Add("s", StringType, true), mb, "mb")
+
+	doubles := []any{math.NaN(), math.Copysign(0, -1), 0.0, 1.5, nil, -2.25, math.Inf(1)}
+	fl := make([]Row, 700)
+	for i := range fl {
+		fl[i] = Row{int32(i % 9), doubles[(i*5+i/7)%len(doubles)]}
+	}
+	cacheTempTable(t, ctx, StructType{}.Add("k", IntType, false).Add("x", DoubleType, true), fl, "fl")
+
+	schema := StructType{}.Add("k", LongType, false).Add("s", StringType, false).Add("x", DoubleType, false)
+	tiny := make([]Row, 6000)
+	for i := range tiny {
+		tiny[i] = Row{int64(i * 7), fmt.Sprintf("%c%d", 'a'+i%7, i), float64(i%13) / 4}
+	}
+	df, err := ctx.CreateDataFrameFromRDD(schema, rdd.Parallelize(ctx.RDDContext(), tiny, 1200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := df.Cache(); err != nil {
+		t.Fatal(err)
+	}
+	df.RegisterTempTable("tiny")
+}
+
+// blockQueries cross the typed partial-block boundary in every shape: each
+// must match the row path byte for byte INCLUDING emission order (both phase
+// 1s emit first-seen order and partition by the same typed-key hash).
+func blockQueries() []string {
+	qs := []string{
+		// Every aggregate across the 4-reducer exchange, typed and boxed lanes.
+		"SELECT grp, count(*), count(val), sum(val), avg(val), min(val), max(val), sum(id), min(day), max(name), first(name), count(DISTINCT word) FROM events GROUP BY grp",
+		// NULL keys in each group table: i64, str, pair, generic, and the
+		// global table over all-NULL and over empty input.
+		"SELECT grp, count(*), first(word) FROM events GROUP BY grp",
+		"SELECT word, count(*), max(val) FROM events GROUP BY word",
+		"SELECT grp, sub, count(*), min(name) FROM events GROUP BY grp, sub",
+		"SELECT val, count(*) FROM events GROUP BY val",
+		"SELECT word, grp, sum(val) FROM events GROUP BY word, grp",
+		"SELECT count(*), count(val), sum(val), avg(val), min(val), first(val) FROM events WHERE val IS NULL",
+		"SELECT count(*), sum(val), max(name), count(DISTINCT word) FROM events WHERE id < 0",
+		// NaN, -0.0 and infinities as aggregate inputs and as generic keys.
+		"SELECT k, count(x), sum(x), avg(x), min(x), max(x), first(x) FROM fl GROUP BY k",
+		"SELECT x, count(*), sum(k) FROM fl GROUP BY x",
+		// 1200 map partitions x <= 10 groups.
+		"SELECT k % 10, sum(x), count(*), min(s) FROM tiny GROUP BY k % 10",
+		"SELECT substr(s, 1, 1), avg(x), count(DISTINCT k % 3) FROM tiny GROUP BY substr(s, 1, 1)",
+		// A key with no kernel (boxed fallback into the generic table).
+		"SELECT upper(word), count(*), sum(val) FROM events GROUP BY upper(word)",
+	}
+	// SUBSTR keys: pos <= 0, length past the end, start past the end,
+	// non-positive lengths, NULL and multi-byte input (byte semantics).
+	for _, a := range [][2]int{{1, 4}, {0, 3}, {-2, 5}, {3, 100}, {50, 2}, {2, 0}, {2, -1}, {7, 2}} {
+		qs = append(qs, fmt.Sprintf("SELECT substr(s, %d, %d), count(*), min(id) FROM mb GROUP BY substr(s, %d, %d)", a[0], a[1], a[0], a[1]))
+	}
+	// Seeded random shapes: key expression, aggregate list, selectivity.
+	rng := rand.New(rand.NewSource(0xB10C))
+	keys := []string{"grp", "word", "grp, sub", "val", "substr(name, 2, 3)", "word, sub", "year(day)"}
+	aggs := []string{"count(*)", "sum(val)", "avg(val)", "min(name)", "max(day)", "first(name)", "count(DISTINCT sub)"}
+	for i := 0; i < 6; i++ {
+		k := keys[rng.Intn(len(keys))]
+		qs = append(qs, fmt.Sprintf("SELECT %s, %s, %s FROM events WHERE id < %d GROUP BY %s",
+			k, aggs[rng.Intn(len(aggs))], aggs[rng.Intn(len(aggs))], rng.Intn(spillRows), k))
+	}
+	return qs
+}
+
+// TestFusedPartialBlocks is the property suite for the columnar partial ->
+// final boundary: fused and row phase 1 produce byte-identical results in
+// identical order, at an unbounded budget, at 64 KB and at one byte, and no
+// spill file outlives a query.
+func TestFusedPartialBlocks(t *testing.T) {
+	queries := blockQueries()
+	golden := NewContextWithConfig(fusedConfig(0, false))
+	setupFusedTables(t, golden)
+	setupBlockTables(t, golden)
+	want := make(map[string]string, len(queries))
+	for _, q := range queries {
+		want[q] = rowsText(spillCollect(t, golden, q))
+	}
+	for _, budget := range []int64{0, 64 << 10, 1} {
+		for _, vectorized := range []bool{true, false} {
+			t.Run(fmt.Sprintf("budget=%d/fused=%v", budget, vectorized), func(t *testing.T) {
+				if budget == 1 && testing.Short() {
+					t.Skip("one-byte budget spills per row; skipped in -short")
+				}
+				ctx := NewContextWithConfig(fusedConfig(budget, vectorized))
+				setupFusedTables(t, ctx)
+				setupBlockTables(t, ctx)
+				ctx.SpillFS().WriteNanosPerByte = 0
+				ctx.SpillFS().ReadNanosPerByte = 0
+				for _, q := range queries {
+					if got := rowsText(spillCollect(t, ctx, q)); got != want[q] {
+						t.Errorf("%q diverged from the unbudgeted row path:\n got %.300q\nwant %.300q", q, got, want[q])
+					}
+					if nf := ctx.SpillFS().NumFiles(); nf != 0 {
+						t.Fatalf("%q left %d spill files", q, nf)
+					}
+				}
+				if budget > 0 {
+					if n := ctx.Metrics().Counter("memory.spill.count").Load(); n == 0 {
+						t.Fatalf("budget %d forced no spills", budget)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFusedAggregateAllocs is the deterministic guard on the boundary's
+// boxing: a Q2a-shaped query (cached uservisits, SUBSTR(sourceIP, 1, 8) key,
+// 100 000 rows -> 73 332 groups, ~3/4 of the rows distinct) may allocate at
+// most half of what the parent commit did per output group. Measured with
+// this exact test body: the parent (boxed aggPartial records, GroupKey
+// strings, per-record bucketize) allocated 22.28 times per output group; the
+// typed block path allocates 3.41 (the decoded key strings, and each output
+// row's boxed key and sum).
+func TestFusedAggregateAllocs(t *testing.T) {
+	const n, parentAllocsPerGroup = 100000, 22.28
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = datagen.UserVisitRow(11, int64(i), n/3)
+	}
+	ctx := NewContextWithConfig(fusedConfig(0, true))
+	cacheTempTable(t, ctx, datagen.UserVisitsSchema(), rows, "uservisits")
+	const q = "SELECT SUBSTR(sourceIP, 1, 8), SUM(adRevenue) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 8)"
+	groups := len(spillCollect(t, ctx, q))
+	if groups < n/2 {
+		t.Fatalf("only %d groups over %d rows: not the high-cardinality Q2a shape", groups, n)
+	}
+	perGroup := testing.AllocsPerRun(5, func() { spillCollect(t, ctx, q) }) / float64(groups)
+	t.Logf("%d groups, %.2f allocs per group", groups, perGroup)
+	if perGroup > parentAllocsPerGroup/2 {
+		t.Fatalf("%.2f allocations per output group, limit %.2f (half the parent's %.2f)",
+			perGroup, parentAllocsPerGroup/2, parentAllocsPerGroup)
+	}
+}
+
 // TestFusionExplain pins the observability contract: fused plans announce
 // themselves (operator name + `fused: true`), the Fusion knob removes them,
 // and EXPLAIN ANALYZE annotates the fused operators with actuals.
@@ -250,6 +403,27 @@ func TestFusionExplain(t *testing.T) {
 	if !strings.Contains(agg, "FusedHashAggregate") || !strings.Contains(agg, "(fused: true)") {
 		t.Fatalf("aggregate plan not fused:\n%s", agg)
 	}
+	// The note says what actually runs: the group table and how many key /
+	// aggregate-input kernels are native. A SUBSTR key is a string-lane
+	// kernel; a key with no kernel is named, and its rows are counted.
+	if q2 := mustExplain("SELECT substr(name, 1, 3), sum(val) FROM events GROUP BY substr(name, 1, 3)"); !strings.Contains(q2, "(fused: true, table=str, kernels 2/2 native)") {
+		t.Fatalf("SUBSTR-keyed aggregate not on the native string table:\n%s", q2)
+	}
+	boxed := mustExplain("SELECT upper(word), sum(val) FROM events GROUP BY upper(word)")
+	if !strings.Contains(boxed, "table=generic, kernels 1/2 native, fallback: upper(word#") {
+		t.Fatalf("fallback key not reported by name:\n%s", boxed)
+	}
+	fallbackRows := ctx.Metrics().Counter("vec.fallback.rows")
+	before := fallbackRows.Load()
+	spillCollect(t, ctx, "SELECT upper(word), sum(val) FROM events GROUP BY upper(word)")
+	if got := fallbackRows.Load() - before; got != spillRows {
+		t.Fatalf("vec.fallback.rows rose by %d over a %d-row fallback key, want one count per row", got, spillRows)
+	}
+	spillCollect(t, ctx, "SELECT substr(name, 1, 3), sum(val) FROM events GROUP BY substr(name, 1, 3)")
+	if got := fallbackRows.Load() - before; got != spillRows {
+		t.Fatalf("an all-native aggregate moved vec.fallback.rows (%d)", got-spillRows)
+	}
+
 	join := mustExplain("SELECT e.name, d.label FROM events e JOIN dim d ON e.grp = d.grp")
 	if !strings.Contains(join, "FusedBroadcastHashJoin") {
 		t.Fatalf("broadcast join plan not fused:\n%s", join)

@@ -2,7 +2,9 @@ package columnar
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/row"
 	"repro/internal/types"
 )
 
@@ -117,6 +119,114 @@ func NewConstVector(t types.DataType, value any, n int) *Vector {
 		v.nulls = []uint64{1}
 	}
 	return v
+}
+
+// WrapVector builds a vector over caller-owned typed data without copying:
+// data is a []int64, []float64, []string or []any lane (selecting the kind),
+// and valid, when non-nil, marks the non-NULL positions (it is no longer
+// than data). Aggregation state
+// lanes become result columns this way.
+func WrapVector(t types.DataType, data any, valid []bool) *Vector {
+	v := &Vector{Type: t}
+	switch d := data.(type) {
+	case []int64:
+		v.Kind, v.I64, v.n = KindInt64, d, len(d)
+	case []float64:
+		v.Kind, v.F64, v.n = KindFloat64, d, len(d)
+	case []string:
+		v.Kind, v.Str, v.n = KindString, d, len(d)
+	case []any:
+		v.Kind, v.Any, v.n = KindAny, d, len(d)
+	default:
+		panic(fmt.Sprintf("columnar: cannot wrap %T as a vector", data))
+	}
+	for i, ok := range valid {
+		if !ok {
+			v.SetNull(i)
+		}
+	}
+	return v
+}
+
+// Append grows a (non-constant) vector by one row holding src's value at
+// position i, NULL included. Matching kinds copy lane to lane; anything else
+// converts through the boxed value, so a boxed fallback vector can feed a
+// typed one. Group tables build their key columns with it.
+func (v *Vector) Append(src *Vector, i int) {
+	at := v.n
+	v.n++
+	switch v.Kind {
+	case KindInt64:
+		v.I64 = GrowLane(v.I64, v.n)
+	case KindFloat64:
+		v.F64 = GrowLane(v.F64, v.n)
+	case KindString:
+		v.Str = GrowLane(v.Str, v.n)
+	case KindBool:
+		v.Bool = GrowLane(v.Bool, v.n)
+	default:
+		v.Any = GrowLane(v.Any, v.n)
+	}
+	if v.nulls != nil && at/64 >= len(v.nulls) {
+		v.nulls = append(v.nulls, 0)
+	}
+	if src.IsNull(i) {
+		v.SetNull(at)
+		return
+	}
+	if src.Kind != v.Kind {
+		v.Set(at, src.Get(i))
+		return
+	}
+	i &= src.Mask()
+	switch v.Kind {
+	case KindInt64:
+		v.I64[at] = src.I64[i]
+	case KindFloat64:
+		v.F64[at] = src.F64[i]
+	case KindString:
+		v.Str[at] = src.Str[i]
+	case KindBool:
+		v.Bool[at] = src.Bool[i]
+	default:
+		v.Any[at] = src.Any[i]
+	}
+}
+
+// GrowLane extends a typed lane to n zero values, at least doubling the
+// backing array when it must move: append alone grows large slices by 1.25x,
+// which re-copies a key column or an aggregation state lane five times over
+// on its way to 10^5 groups.
+func GrowLane[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		s = slices.Grow(s, max(n, 2*cap(s))-len(s))
+	}
+	return s[:n]
+}
+
+// HashAt folds the value at position i into a running row hash, reading the
+// typed lane directly: the result equals hashing the boxed value, so a key
+// hashes the same whichever representation carried it.
+func (v *Vector) HashAt(h row.Hasher, i int) row.Hasher {
+	if v.IsNull(i) {
+		return h.Null()
+	}
+	i &= v.Mask()
+	switch v.Kind {
+	case KindInt64:
+		return h.Int64(v.I64[i])
+	case KindFloat64:
+		return h.Float64(v.F64[i])
+	case KindString:
+		return h.String(v.Str[i])
+	case KindBool:
+		return h.Value(v.Bool[i])
+	default:
+		return h.Value(v.Any[i])
+	}
 }
 
 // Len returns the row count.

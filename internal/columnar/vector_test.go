@@ -288,3 +288,50 @@ func TestDecodeDateRoundTrip(t *testing.T) {
 	}
 	decodeCheck(t, types.Date, withNulls(runs, 6), 0)
 }
+
+// Append builds a column one value at a time from typed, constant and boxed
+// sources (NULLs included, the null bitmap growing past word boundaries);
+// HashAt over any representation equals hashing the boxed value; WrapVector
+// views caller-owned lanes with a validity mask.
+func TestVectorAppendHashAtWrap(t *testing.T) {
+	vals := make([]any, 200)
+	for i := range vals {
+		switch {
+		case i%7 == 3:
+			vals[i] = nil
+		default:
+			vals[i] = int32(i * 31)
+		}
+	}
+	typed, boxed := NewVector(types.Int, len(vals)), NewAnyVector(types.Int, len(vals))
+	for i, v := range vals {
+		typed.Set(i, v)
+		boxed.Set(i, v)
+	}
+	konst := NewConstVector(types.Int, int32(9), 4)
+	for name, src := range map[string]*Vector{"typed": typed, "boxed": boxed} {
+		dst := NewVector(types.Int, 0)
+		for i := range vals {
+			dst.Append(src, i)
+		}
+		dst.Append(konst, 3)
+		if dst.Len() != len(vals)+1 || dst.Get(len(vals)) != int32(9) {
+			t.Fatalf("%s: appended %d rows, last %v", name, dst.Len(), dst.Get(len(vals)))
+		}
+		for i, want := range vals {
+			if got := dst.Get(i); got != want {
+				t.Fatalf("%s row %d: %v, want %v", name, i, got, want)
+			}
+			if dst.HashAt(row.NewHasher(), i).Sum() != row.HashValue(want) || src.HashAt(row.NewHasher(), i).Sum() != row.HashValue(want) {
+				t.Fatalf("%s row %d: lane hash differs from the boxed value's", name, i)
+			}
+		}
+	}
+	strs := WrapVector(types.String, []string{"a", "", "c"}, []bool{true, false, true})
+	if strs.Len() != 3 || strs.Get(0) != "a" || strs.Get(1) != nil || strs.Get(2) != "c" {
+		t.Fatalf("wrapped strings: %v %v %v", strs.Get(0), strs.Get(1), strs.Get(2))
+	}
+	if f := WrapVector(types.Double, []float64{1.5}, nil); f.HasNulls() || f.HashAt(row.NewHasher(), 0).Sum() != row.HashValue(1.5) {
+		t.Fatal("wrapped double lane: spurious NULL or wrong hash")
+	}
+}

@@ -22,6 +22,7 @@ type FusionStudy struct {
 	FusedCtx *sparksql.Context // Vectorized on, Fusion on
 	N        int64
 
+	urls      []string
 	ranks     []int32
 	durations []int32
 }
@@ -32,6 +33,15 @@ type FusionStudy struct {
 func FusedAggQuery() string {
 	return "SELECT avgDuration, count(*), sum(pageRank), avg(pageRank) " +
 		"FROM rankings WHERE pageRank > 1 GROUP BY avgDuration"
+}
+
+// FusedKeyedAggQuery is the Q2a shape the low-cardinality query above cannot
+// stand in for: a string-function key with ~10^5 groups (every pageURL's
+// numeric suffix is distinct), where the cost is the group table, the
+// partial -> final exchange and the result rows rather than the scan. It is
+// gated on running the native string table, not merely on "fused: true".
+func FusedKeyedAggQuery() string {
+	return "SELECT SUBSTR(pageURL, 5, 9), SUM(pageRank) FROM rankings GROUP BY SUBSTR(pageURL, 5, 9)"
 }
 
 // FusedJoinQuery probes a sparse broadcast dimension (every fifth duration)
@@ -47,11 +57,13 @@ func FusedJoinQuery() string {
 func NewFusionStudy(n int64) (*FusionStudy, error) {
 	s := &FusionStudy{N: n}
 	rows := make([]row.Row, n)
+	s.urls = make([]string, n)
 	s.ranks = make([]int32, n)
 	s.durations = make([]int32, n)
 	for i := int64(0); i < n; i++ {
 		r := datagen.RankingRow(42, i)
 		rows[i] = r
+		s.urls[i] = r[0].(string)
 		s.ranks[i] = r[1].(int32)
 		s.durations[i] = r[2].(int32)
 	}
@@ -124,11 +136,22 @@ func (s *FusionStudy) NativeAgg() int64 {
 	return groups
 }
 
-// Verify asserts all three engines produce identical result sets for both
-// shapes (sorted comparison: aggregate emission order is map-random on the
-// row path), and that the aggregate matches the native group count.
+// NativeKeyedAgg is the hand-written ceiling for the keyed shape: one pass
+// slicing each URL into a string-keyed map.
+func (s *FusionStudy) NativeKeyedAgg() int64 {
+	sums := make(map[string]int64, len(s.urls))
+	for i, u := range s.urls {
+		sums[u[4:13]] += int64(s.ranks[i])
+	}
+	return int64(len(sums))
+}
+
+// Verify asserts all three engines produce identical result sets for every
+// shape (compared as sorted sets: emission order is the property suite's
+// concern, in fusion_test.go), and that the aggregates match the native
+// group counts.
 func (s *FusionStudy) Verify() error {
-	for _, q := range []string{FusedAggQuery(), FusedJoinQuery()} {
+	for _, q := range []string{FusedAggQuery(), FusedKeyedAggQuery(), FusedJoinQuery()} {
 		rowRes, err := collectSorted(s.RowCtx, q)
 		if err != nil {
 			return err
@@ -155,6 +178,13 @@ func (s *FusionStudy) Verify() error {
 	if aggRows != s.NativeAgg() {
 		return fmt.Errorf("fusion: fused agg %d groups, native %d", aggRows, s.NativeAgg())
 	}
+	keyedRows, err := s.RunFused(FusedKeyedAggQuery())
+	if err != nil {
+		return err
+	}
+	if keyedRows != s.NativeKeyedAgg() {
+		return fmt.Errorf("fusion: fused keyed agg %d groups, native %d", keyedRows, s.NativeKeyedAgg())
+	}
 	return nil
 }
 
@@ -171,22 +201,13 @@ func collectSorted(ctx *sparksql.Context, q string) (string, error) {
 	return formatRows(rows), nil
 }
 
-// FusedPlans returns the fused engine's EXPLAIN output for both shapes, so
-// callers can assert fusion actually engaged before timing it.
-func (s *FusionStudy) FusedPlans() (agg, join string, err error) {
-	adf, err := s.FusedCtx.SQL(FusedAggQuery())
+// FusedPlan returns the fused engine's EXPLAIN output for a query, so
+// callers can assert fusion actually engaged — and on which group table —
+// before timing it.
+func (s *FusionStudy) FusedPlan(q string) (string, error) {
+	df, err := s.FusedCtx.SQL(q)
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	if agg, err = adf.Explain(); err != nil {
-		return "", "", err
-	}
-	jdf, err := s.FusedCtx.SQL(FusedJoinQuery())
-	if err != nil {
-		return "", "", err
-	}
-	if join, err = jdf.Explain(); err != nil {
-		return "", "", err
-	}
-	return agg, join, nil
+	return df.Explain()
 }

@@ -23,6 +23,7 @@ import (
 	sparksql "repro"
 	"repro/internal/cluster"
 	"repro/internal/cluster/sqlwire"
+	"repro/internal/datagen"
 	"repro/internal/rdd"
 	"repro/internal/row"
 	"repro/internal/types"
@@ -397,4 +398,95 @@ func RunMultiprocChaos(cfg MultiprocConfig) (*MultiprocResult, error) {
 		return nil, fmt.Errorf("multiproc: no task ever completed on a worker process")
 	}
 	return res, nil
+}
+
+// RunMultiprocHashExchange is the regression for process-independent
+// hashing: two worker processes, two reduce partitions, and statements whose
+// hash exchanges therefore have their reduce partitions computed in
+// different processes — plain Q2a (an aggregate exchange) and a shuffled
+// join. Each worker recomputes the map side and keeps only its own reduce
+// partition, so a key is counted once only if every process buckets it
+// identically; with a per-process hash seed Q2a returned more groups than
+// exist. Every answer must equal a local run's exactly, every task must run
+// on a worker (cluster.fallback stays 0), and both workers must have served.
+// With cached tables the same statements also pin plan-hash parity: column
+// NDV sketches hash values too, so per-process seeds gave coordinator and
+// workers different estimates, a different Q3b plan, and a refused task.
+func RunMultiprocHashExchange(visits int64, cached bool) error {
+	cfg := sparksql.DefaultConfig()
+	cfg.Parallelism = 2
+	cfg.ShufflePartitions = 2
+	// Keep both reduce partitions (no adaptive coalescing to one) and keep
+	// the join shuffled rather than broadcast.
+	cfg.TargetPartitionBytes = 16 << 10
+	cfg.BroadcastThreshold = 1
+	load := func(ctx *sparksql.Context) error {
+		rows := make([]row.Row, visits)
+		for i := range rows {
+			rows[i] = datagen.UserVisitRow(42, int64(i), visits/3)
+		}
+		df, err := ctx.CreateDataFrame(datagen.UserVisitsSchema(), rows)
+		if err != nil {
+			return err
+		}
+		if cached {
+			if _, err := df.Cache(); err != nil {
+				return err
+			}
+		}
+		df.RegisterTempTable("uservisits")
+		return loadRankings(ctx, visits/3, cached)
+	}
+	queries := []string{
+		Q2(8),
+		Q3(Q3Params[1]),
+		"SELECT r.pageURL, r.pageRank, v.adRevenue FROM rankings r JOIN uservisits v ON r.pageURL = v.destURL WHERE v.adRevenue > 50",
+	}
+
+	local := sparksql.NewContextWithConfig(cfg)
+	defer local.Close()
+	if err := load(local); err != nil {
+		return err
+	}
+	cfg.Cluster = &sparksql.ClusterOptions{}
+	dist := sparksql.NewContextWithConfig(cfg)
+	defer dist.Close()
+	if err := load(dist); err != nil {
+		return err
+	}
+	for i := 0; i < 2; i++ {
+		p, err := spawnWorker(dist.ClusterAddr(), fmt.Sprintf("hx-w%d", i))
+		if err != nil {
+			return fmt.Errorf("multiproc hash exchange: spawn: %w", err)
+		}
+		defer p.kill()
+	}
+	if err := waitWorkers(dist, 2, 10*time.Second); err != nil {
+		return err
+	}
+	for _, q := range queries {
+		want, err := collectSQL(local, q)
+		if err != nil {
+			return fmt.Errorf("multiproc hash exchange local %q: %w", q, err)
+		}
+		got, err := collectSQL(dist, q)
+		if err != nil {
+			return fmt.Errorf("multiproc hash exchange %q: %w", q, err)
+		}
+		if len(got) != len(want) {
+			return fmt.Errorf("multiproc hash exchange: %q returned %d rows across 2 workers, %d locally", q, len(got), len(want))
+		}
+		if formatRows(got) != formatRows(want) {
+			return fmt.Errorf("multiproc hash exchange: %q diverged from the local answer", q)
+		}
+	}
+	if n := dist.RDDContext().RemoteFallbacks(); n != 0 {
+		return fmt.Errorf("multiproc hash exchange: %d tasks fell back to local compute", n)
+	}
+	for i := 0; i < 2; i++ {
+		if dist.Metrics().Counter(fmt.Sprintf("cluster.tasks.worker.hx-w%d", i)).Load() == 0 {
+			return fmt.Errorf("multiproc hash exchange: worker hx-w%d served no task", i)
+		}
+	}
+	return nil
 }

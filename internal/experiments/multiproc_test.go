@@ -42,6 +42,20 @@ func TestMultiprocChaos(t *testing.T) {
 		res.Queries, res.RemoteTasks, res.FailedDispatches, res.Fallbacks, res.Kills, res.RecoveryMillis)
 }
 
+// TestMultiprocHashExchange fails at any commit where row hashing is seeded
+// per process: reduce partitions computed in different worker processes
+// then disagree on which keys they own.
+func TestMultiprocHashExchange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process suite in -short mode")
+	}
+	for _, cached := range []bool{false, true} {
+		if err := experiments.RunMultiprocHashExchange(6000, cached); err != nil {
+			t.Fatalf("cached=%v: %v", cached, err)
+		}
+	}
+}
+
 func TestMultiprocSpill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process spill suite in -short mode")

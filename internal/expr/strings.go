@@ -259,21 +259,25 @@ func (s *Substring) Eval(r row.Row) any {
 	if pv == nil || lv == nil {
 		return nil
 	}
-	str := sv.(string)
-	pos := int(asInt64(pv))
-	n := int(asInt64(lv))
+	return substr(sv.(string), asInt64(pv), asInt64(lv))
+}
+
+// substr is SUBSTR's byte-offset slice, shared by the interpreter and the
+// vector kernel: positions below 1 clamp to 1, a non-positive length or a
+// start past the end yields "", and the end clamps to the string. The result
+// aliases s.
+func substr(s string, pos, n int64) string {
 	if pos < 1 {
 		pos = 1
 	}
 	start := pos - 1
-	if start >= len(str) || n <= 0 {
+	if start >= int64(len(s)) || n <= 0 {
 		return ""
 	}
-	end := start + n
-	if end > len(str) {
-		end = len(str)
+	if n > int64(len(s))-start {
+		n = int64(len(s)) - start
 	}
-	return str[start:end]
+	return s[start : start+n]
 }
 
 // Concat concatenates string operands; NULL in, NULL out.

@@ -3,26 +3,37 @@ package expr
 import (
 	"math"
 
+	"repro/internal/columnar"
 	"repro/internal/row"
 	"repro/internal/types"
 )
 
-// This file holds the batch-native aggregation updaters behind the fused
-// pipeline sink (physical.FusedAggregateExec): one VecAggregator per
-// aggregate function accumulates directly out of decoded column vectors
-// into dense per-group typed state, deferring all boxing to the partial
-// flush. The state converts into the exact buffers the scalar
-// AggregateFunc implementations use, so the shuffle, the final merge, and
-// the grace-partitioned spill path downstream are shared bit-for-bit with
-// the row-at-a-time phase 1.
+// This file holds the aggregation state lanes behind both phases of grouped
+// aggregation (physical.HashAggregateExec / FusedAggregateExec): one
+// VecAggregator per aggregate function keeps dense per-group state in typed
+// slices — COUNT an []int64, SUM a value lane plus a seen lane, AVG sum and
+// count lanes, MIN/MAX a typed value lane plus a seen lane, and a boxed
+// buffer lane for FIRST, COUNT(DISTINCT) and unknown aggregates. Phase 1
+// fills the lanes (from column vectors on the fused path, from boxed rows on
+// the row path); the lanes themselves are what crosses the exchange; the
+// reducer merges lanes into lanes and turns them into result columns. Boxed
+// scalar buffers exist only behind Buffer, the per-group view the
+// spill-to-disk merge consumes.
 
-// VecAggregator accumulates one aggregate over selected batch rows into
-// dense per-group state.
+// VecAggregator accumulates one aggregate into dense per-group state lanes.
 type VecAggregator interface {
 	// Update folds a batch into the group state: sel lists the selected
 	// batch positions, gidx[k] is the dense group index of sel[k], and n is
 	// the current total group count (state grows to n).
 	Update(b *VecBatch, sel []int32, gidx []int32, n int)
+	// Merge folds src's groups sel[k] into this accumulator's groups
+	// gidx[k], growing to n groups. src must come from the same constructor
+	// over the same aggregate; it is only read.
+	Merge(src VecAggregator, sel []int32, gidx []int32, n int)
+	// Result returns the aggregate's value column over groups [0, n),
+	// growing to n first (so an empty accumulator yields the empty-input
+	// value). The column may alias the lanes; the accumulator is spent.
+	Result(n int) *columnar.Vector
 	// Buffer returns group g's state as a standard aggregation buffer —
 	// exactly what fn.Merge and fn.Result accept.
 	Buffer(g int) any
@@ -34,67 +45,45 @@ type VecAggregator interface {
 // values back out of the fallback vector), and unknown aggregate types get
 // a per-row scalar escape hatch.
 func NewVecAggregator(fn AggregateFunc) (VecAggregator, bool) {
+	nativeClass := func(child Expression) (VecEval, int, bool) {
+		ev, native := CompileVec(child)
+		if !native {
+			return ev, classNone, false
+		}
+		return ev, vecClass(child.DataType()), true
+	}
 	switch x := fn.(type) {
 	case *Count:
 		child, native := CompileVec(x.Child)
 		return &vecCount{child: child}, native
 	case *Sum:
-		child, native := CompileVec(x.Child)
-		cls := classNone
-		if native {
-			cls = vecClass(x.Child.DataType())
-		}
-		return &vecSum{kind: x.kind(), child: child, cls: cls}, native
+		child, cls, native := nativeClass(x.Child)
+		return &vecSum{fn: x, kind: x.kind(), child: child, cls: cls}, native
 	case *Avg:
-		child, native := CompileVec(x.Child)
-		cls := classNone
-		if native {
-			cls = vecClass(x.Child.DataType())
-		}
+		child, cls, native := nativeClass(x.Child)
 		return &vecAvg{child: child, cls: cls}, native
 	case *MinMax:
-		child, native := CompileVec(x.Child)
-		cls := classNone
-		if native {
-			cls = vecClass(x.Child.DataType())
-		}
-		return &vecMinMax{child: child, cls: cls, isMax: x.IsMax, t: x.Child.DataType()}, native
+		child, cls, native := nativeClass(x.Child)
+		return &vecMinMax{fn: x, child: child, cls: cls}, native
 	case *First:
 		child, native := CompileVec(x.Child)
-		return &vecFirst{child: child}, native
+		return &vecFirst{BoxedAggregator{fn: fn}, child}, native
 	case *CountDistinct:
 		child, native := CompileVec(x.Child)
-		return &vecDistinct{child: child}, native
+		return &vecDistinct{BoxedAggregator{fn: fn}, child}, native
 	}
-	return &vecRowAgg{fn: fn}, false
+	return NewBoxedAggregator(fn), false
 }
 
-func growI64(s []int64, n int) []int64 {
-	for len(s) < n {
-		s = append(s, 0)
+// boxedResult builds a result column through the scalar buffers — the route
+// for state with no typed result lane (decimal sums, boxed extrema, boxed
+// buffer lanes).
+func boxedResult(fn AggregateFunc, a VecAggregator, n int) *columnar.Vector {
+	out := NewClassVector(fn.DataType(), n)
+	for g := 0; g < n; g++ {
+		out.Set(g, fn.Result(a.Buffer(g)))
 	}
-	return s
-}
-
-func growF64(s []float64, n int) []float64 {
-	for len(s) < n {
-		s = append(s, 0)
-	}
-	return s
-}
-
-func growBool(s []bool, n int) []bool {
-	for len(s) < n {
-		s = append(s, false)
-	}
-	return s
-}
-
-func growAny(s []any, n int) []any {
-	for len(s) < n {
-		s = append(s, nil)
-	}
-	return s
+	return out
 }
 
 // vecCount counts non-NULL child values per group (COUNT(*)'s child is a
@@ -105,7 +94,7 @@ type vecCount struct {
 }
 
 func (a *vecCount) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
-	a.counts = growI64(a.counts, n)
+	a.counts = columnar.GrowLane(a.counts, n)
 	v := a.child(b, sel)
 	if !v.HasNulls() {
 		for k := range sel {
@@ -119,39 +108,81 @@ func (a *vecCount) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
 		}
 	}
 }
+func (a *vecCount) Merge(src VecAggregator, sel []int32, gidx []int32, n int) {
+	s := src.(*vecCount)
+	a.counts = columnar.GrowLane(a.counts, n)
+	for k, i := range sel {
+		a.counts[gidx[k]] += s.counts[i]
+	}
+}
+func (a *vecCount) Result(n int) *columnar.Vector {
+	a.counts = columnar.GrowLane(a.counts, n)
+	return columnar.WrapVector(types.Long, a.counts[:n], nil)
+}
 func (a *vecCount) Buffer(g int) any { return a.counts[g] }
 
 // vecSum accumulates integral sums in int64, float sums in float64, and
 // decimal sums through boxed Decimal addition.
 type vecSum struct {
+	fn    *Sum
 	kind  int // Sum.kind(): 0 integral, 1 float, 2 decimal
 	child VecEval
 	cls   int
 	seen  []bool
 	i     []int64
 	f     []float64
-	d     []types.Decimal
+	d     []any // types.Decimal partial sums (nil = zero)
+}
+
+// grow extends the seen lane and the kind's value lane to n groups.
+func (a *vecSum) grow(n int) {
+	a.seen = columnar.GrowLane(a.seen, n)
+	switch a.kind {
+	case 0:
+		a.i = columnar.GrowLane(a.i, n)
+	case 1:
+		a.f = columnar.GrowLane(a.f, n)
+	default:
+		a.d = columnar.GrowLane(a.d, n)
+	}
 }
 
 func (a *vecSum) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
-	a.seen = growBool(a.seen, n)
-	v := a.child(b, sel)
-	switch a.kind {
-	case 0:
-		a.i = growI64(a.i, n)
-		if a.cls == classI64 {
-			m := v.Mask()
-			for k, i := range sel {
-				ii := int(i)
-				if v.IsNull(ii) {
-					continue
-				}
-				g := gidx[k]
-				a.seen[g] = true
-				a.i[g] += v.I64[ii&m]
+	a.fold(a.child(b, sel), a.cls, sel, gidx, n)
+}
+
+// Merge: the sum of partial sums is the sum, so src's partials fold in as
+// one more input column (whose class is the sum lane's own).
+func (a *vecSum) Merge(src VecAggregator, sel []int32, gidx []int32, n int) {
+	a.fold(src.(*vecSum).partials(), [...]int{classI64, classF64, classNone}[a.kind], sel, gidx, n)
+}
+
+// fold adds column v (of value class cls) into the groups.
+func (a *vecSum) fold(v *columnar.Vector, cls int, sel []int32, gidx []int32, n int) {
+	a.grow(n)
+	m := v.Mask()
+	switch {
+	case a.kind == 0 && cls == classI64:
+		for k, i := range sel {
+			ii := int(i)
+			if v.IsNull(ii) {
+				continue
 			}
-			return
+			g := gidx[k]
+			a.seen[g] = true
+			a.i[g] += v.I64[ii&m]
 		}
+	case a.kind == 1 && cls == classF64:
+		for k, i := range sel {
+			ii := int(i)
+			if v.IsNull(ii) {
+				continue
+			}
+			g := gidx[k]
+			a.seen[g] = true
+			a.f[g] += v.F64[ii&m]
+		}
+	default: // boxed input: fallback kernels, FLOAT / SMALLINT children, decimals
 		for k, i := range sel {
 			val := v.Get(int(i))
 			if val == nil {
@@ -159,47 +190,38 @@ func (a *vecSum) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
 			}
 			g := gidx[k]
 			a.seen[g] = true
-			a.i[g] += asInt64(val)
-		}
-	case 1:
-		a.f = growF64(a.f, n)
-		if a.cls == classF64 {
-			m := v.Mask()
-			for k, i := range sel {
-				ii := int(i)
-				if v.IsNull(ii) {
-					continue
-				}
-				g := gidx[k]
-				a.seen[g] = true
-				a.f[g] += v.F64[ii&m]
+			switch a.kind {
+			case 0:
+				a.i[g] += asInt64(val)
+			case 1:
+				f, _ := toFloat(val)
+				a.f[g] += f
+			default:
+				cur, _ := a.d[g].(types.Decimal)
+				a.d[g] = cur.Add(val.(types.Decimal))
 			}
-			return
-		}
-		for k, i := range sel {
-			val := v.Get(int(i))
-			if val == nil {
-				continue
-			}
-			g := gidx[k]
-			a.seen[g] = true
-			f, _ := toFloat(val)
-			a.f[g] += f
-		}
-	default:
-		for len(a.d) < n {
-			a.d = append(a.d, types.Decimal{})
-		}
-		for k, i := range sel {
-			val := v.Get(int(i))
-			if val == nil {
-				continue
-			}
-			g := gidx[k]
-			a.seen[g] = true
-			a.d[g] = a.d[g].Add(val.(types.Decimal))
 		}
 	}
+}
+
+// partials views the sum lanes as a column, NULL where nothing was summed.
+// It only reads the lanes (reducers merge one map output concurrently).
+func (a *vecSum) partials() *columnar.Vector {
+	switch a.kind {
+	case 0:
+		return columnar.WrapVector(types.Long, a.i, a.seen)
+	case 1:
+		return columnar.WrapVector(types.Double, a.f, a.seen)
+	}
+	return columnar.WrapVector(a.fn.DataType(), a.d, a.seen)
+}
+
+func (a *vecSum) Result(n int) *columnar.Vector {
+	a.grow(n)
+	if a.kind == 2 {
+		return boxedResult(a.fn, a, n) // rescales
+	}
+	return a.partials()
 }
 
 func (a *vecSum) Buffer(g int) any {
@@ -210,7 +232,7 @@ func (a *vecSum) Buffer(g int) any {
 	case 1:
 		buf.f = a.f[g]
 	default:
-		buf.d = a.d[g]
+		buf.d, _ = a.d[g].(types.Decimal)
 	}
 	return buf
 }
@@ -225,8 +247,8 @@ type vecAvg struct {
 }
 
 func (a *vecAvg) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
-	a.sums = growF64(a.sums, n)
-	a.counts = growI64(a.counts, n)
+	a.sums = columnar.GrowLane(a.sums, n)
+	a.counts = columnar.GrowLane(a.counts, n)
 	v := a.child(b, sel)
 	m := v.Mask()
 	switch a.cls {
@@ -264,6 +286,29 @@ func (a *vecAvg) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
 	}
 }
 
+func (a *vecAvg) Merge(src VecAggregator, sel []int32, gidx []int32, n int) {
+	s := src.(*vecAvg)
+	a.sums = columnar.GrowLane(a.sums, n)
+	a.counts = columnar.GrowLane(a.counts, n)
+	for k, i := range sel {
+		a.sums[gidx[k]] += s.sums[i]
+		a.counts[gidx[k]] += s.counts[i]
+	}
+}
+
+func (a *vecAvg) Result(n int) *columnar.Vector {
+	a.sums = columnar.GrowLane(a.sums, n)
+	a.counts = columnar.GrowLane(a.counts, n)
+	valid := make([]bool, n)
+	for g, c := range a.counts[:n] {
+		if c > 0 {
+			a.sums[g] /= float64(c)
+			valid[g] = true
+		}
+	}
+	return columnar.WrapVector(types.Double, a.sums[:n], valid)
+}
+
 func (a *vecAvg) Buffer(g int) any {
 	return &avgBuffer{sum: a.sums[g], count: a.counts[g]}
 }
@@ -281,13 +326,12 @@ func f64Less(a, b float64) bool {
 }
 
 // vecMinMax keeps typed extrema for the int64/float64/string classes and
-// boxes once per group at flush; other child types fold boxed values with
-// the interpreter's own comparison.
+// boxes only behind Buffer; other child types fold boxed values with the
+// interpreter's own comparison.
 type vecMinMax struct {
+	fn    *MinMax
 	child VecEval
 	cls   int
-	isMax bool
-	t     types.DataType
 	has   []bool
 	vi    []int64
 	vf    []float64
@@ -295,68 +339,103 @@ type vecMinMax struct {
 	va    []any // classNone fallback state
 }
 
-func (a *vecMinMax) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
-	a.has = growBool(a.has, n)
-	v := a.child(b, sel)
-	m := v.Mask()
+// grow extends the seen lane and the class's value lane to n groups.
+func (a *vecMinMax) grow(n int) {
+	a.has = columnar.GrowLane(a.has, n)
 	switch a.cls {
 	case classI64:
-		a.vi = growI64(a.vi, n)
-		for k, i := range sel {
-			ii := int(i)
-			if v.IsNull(ii) {
-				continue
-			}
-			g := gidx[k]
-			x := v.I64[ii&m]
-			if !a.has[g] || (a.isMax && x > a.vi[g]) || (!a.isMax && x < a.vi[g]) {
-				a.vi[g] = x
-			}
-			a.has[g] = true
-		}
+		a.vi = columnar.GrowLane(a.vi, n)
 	case classF64:
-		a.vf = growF64(a.vf, n)
+		a.vf = columnar.GrowLane(a.vf, n)
+	case classStr:
+		a.vs = columnar.GrowLane(a.vs, n)
+	default:
+		a.va = columnar.GrowLane(a.va, n)
+	}
+}
+
+func (a *vecMinMax) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
+	a.fold(a.child(b, sel), sel, gidx, n)
+}
+
+// Merge: the extremum of partial extrema is the extremum, so src's partials
+// fold in as one more input column.
+func (a *vecMinMax) Merge(src VecAggregator, sel []int32, gidx []int32, n int) {
+	a.fold(src.(*vecMinMax).partials(), sel, gidx, n)
+}
+
+// foldOrdered folds a typed lane under Update's rule: a strictly better value
+// replaces, a tie keeps the first.
+func foldOrdered[T int64 | string](lane []T, has []bool, data []T, v *columnar.Vector, sel, gidx []int32, isMax bool) {
+	m := v.Mask()
+	for k, i := range sel {
+		ii := int(i)
+		if v.IsNull(ii) {
+			continue
+		}
+		g, x := gidx[k], data[ii&m]
+		if !has[g] || (isMax && x > lane[g]) || (!isMax && x < lane[g]) {
+			lane[g] = x
+		}
+		has[g] = true
+	}
+}
+
+func (a *vecMinMax) fold(v *columnar.Vector, sel []int32, gidx []int32, n int) {
+	a.grow(n)
+	isMax := a.fn.IsMax
+	switch a.cls {
+	case classI64:
+		foldOrdered(a.vi, a.has, v.I64, v, sel, gidx, isMax)
+	case classStr:
+		foldOrdered(a.vs, a.has, v.Str, v, sel, gidx, isMax)
+	case classF64:
+		m := v.Mask()
 		for k, i := range sel {
 			ii := int(i)
 			if v.IsNull(ii) {
 				continue
 			}
-			g := gidx[k]
-			x := v.F64[ii&m]
-			if !a.has[g] || (a.isMax && f64Less(a.vf[g], x)) || (!a.isMax && f64Less(x, a.vf[g])) {
+			g, x := gidx[k], v.F64[ii&m]
+			if !a.has[g] || (isMax && f64Less(a.vf[g], x)) || (!isMax && f64Less(x, a.vf[g])) {
 				a.vf[g] = x
 			}
 			a.has[g] = true
 		}
-	case classStr:
-		for len(a.vs) < n {
-			a.vs = append(a.vs, "")
-		}
-		for k, i := range sel {
-			ii := int(i)
-			if v.IsNull(ii) {
-				continue
-			}
-			g := gidx[k]
-			x := v.Str[ii&m]
-			if !a.has[g] || (a.isMax && x > a.vs[g]) || (!a.isMax && x < a.vs[g]) {
-				a.vs[g] = x
-			}
-			a.has[g] = true
-		}
 	default:
-		a.va = growAny(a.va, n)
-		mm := MinMax{IsMax: a.isMax}
 		for k, i := range sel {
 			val := v.Get(int(i))
 			if val == nil {
 				continue
 			}
 			g := gidx[k]
-			a.va[g] = mm.pick(a.va[g], val)
+			a.va[g] = a.fn.pick(a.va[g], val)
 			a.has[g] = true
 		}
 	}
+}
+
+// partials views the extrema lane as a column, NULL where nothing was seen.
+// It only reads the lanes (reducers merge one map output concurrently).
+func (a *vecMinMax) partials() *columnar.Vector {
+	t := a.fn.Child.DataType()
+	switch a.cls {
+	case classI64:
+		return columnar.WrapVector(t, a.vi, a.has)
+	case classF64:
+		return columnar.WrapVector(t, a.vf, a.has)
+	case classStr:
+		return columnar.WrapVector(t, a.vs, a.has)
+	}
+	return columnar.WrapVector(t, a.va, a.has)
+}
+
+func (a *vecMinMax) Result(n int) *columnar.Vector {
+	a.grow(n)
+	if a.cls == classNone {
+		return boxedResult(a.fn, a, n) // lands class-typed values in a typed lane
+	}
+	return a.partials()
 }
 
 func (a *vecMinMax) Buffer(g int) any {
@@ -365,7 +444,7 @@ func (a *vecMinMax) Buffer(g int) any {
 	}
 	switch a.cls {
 	case classI64:
-		if a.t.Equals(types.Int) || a.t.Equals(types.Date) {
+		if t := a.fn.Child.DataType(); t.Equals(types.Int) || t.Equals(types.Date) {
 			return &minmaxBuffer{v: int32(a.vi[g])}
 		}
 		return &minmaxBuffer{v: a.vi[g]}
@@ -378,66 +457,36 @@ func (a *vecMinMax) Buffer(g int) any {
 	}
 }
 
-// vecFirst boxes at most once per group: the first non-NULL child value in
-// batch order, matching the scalar First exactly.
-type vecFirst struct {
-	child VecEval
-	vals  []any
-}
-
-func (a *vecFirst) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
-	a.vals = growAny(a.vals, n)
-	v := a.child(b, sel)
-	for k, i := range sel {
-		g := gidx[k]
-		if a.vals[g] != nil {
-			continue
-		}
-		ii := int(i)
-		if !v.IsNull(ii) {
-			a.vals[g] = v.Get(ii)
-		}
-	}
-}
-func (a *vecFirst) Buffer(g int) any { return &firstBuffer{v: a.vals[g]} }
-
-// vecDistinct mirrors CountDistinct's per-group key sets (values box to
-// compute the injective GroupKey encoding, exactly as the scalar path does).
-type vecDistinct struct {
-	child VecEval
-	sets  []map[string]struct{}
-}
-
-var ord0 = []int{0}
-
-func (a *vecDistinct) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
-	for len(a.sets) < n {
-		a.sets = append(a.sets, map[string]struct{}{})
-	}
-	v := a.child(b, sel)
-	for k, i := range sel {
-		ii := int(i)
-		if v.IsNull(ii) {
-			continue
-		}
-		a.sets[gidx[k]][row.GroupKey(row.New(v.Get(ii)), ord0)] = struct{}{}
-	}
-}
-func (a *vecDistinct) Buffer(g int) any { return &distinctBuffer{seen: a.sets[g]} }
-
-// vecRowAgg is the escape hatch for aggregate types this file does not
-// know: it boxes each selected row into a reused scratch and runs the
-// scalar Update — correct for any AggregateFunc, never fast.
-type vecRowAgg struct {
+// BoxedAggregator is the boxed buffer lane: one scalar aggregation buffer
+// per group, folded through the aggregate's own Update / Merge / Result. It
+// is the whole accumulator on the row-at-a-time phase 1 (UpdateRow) and for
+// aggregate types this file does not know, and the state behind FIRST and
+// COUNT(DISTINCT), whose buffers have no typed form.
+type BoxedAggregator struct {
 	fn      AggregateFunc
 	bufs    []any
 	scratch row.Row
 }
 
-func (a *vecRowAgg) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
+// NewBoxedAggregator builds the boxed lane for any aggregate.
+func NewBoxedAggregator(fn AggregateFunc) *BoxedAggregator { return &BoxedAggregator{fn: fn} }
+
+func (a *BoxedAggregator) grow(n int) {
 	for len(a.bufs) < n {
 		a.bufs = append(a.bufs, a.fn.NewBuffer())
 	}
+}
+
+// UpdateRow folds one boxed input row into group g.
+func (a *BoxedAggregator) UpdateRow(g int, r row.Row) {
+	a.grow(g + 1)
+	a.bufs[g] = a.fn.Update(a.bufs[g], r)
+}
+
+// Update boxes each selected row into a reused scratch and runs the scalar
+// Update — correct for any AggregateFunc, never fast.
+func (a *BoxedAggregator) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
+	a.grow(n)
 	if len(a.scratch) != len(b.Cols) {
 		a.scratch = make(row.Row, len(b.Cols))
 	}
@@ -446,4 +495,58 @@ func (a *vecRowAgg) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
 		a.bufs[g] = a.fn.Update(a.bufs[g], b.RowInto(int(i), a.scratch))
 	}
 }
-func (a *vecRowAgg) Buffer(g int) any { return a.bufs[g] }
+
+// Merge always folds into this lane's own buffers (never adopts src's), so a
+// retried or speculative reduce task re-reads an unmodified map output.
+func (a *BoxedAggregator) Merge(src VecAggregator, sel []int32, gidx []int32, n int) {
+	a.grow(n)
+	for k, i := range sel {
+		g := gidx[k]
+		a.bufs[g] = a.fn.Merge(a.bufs[g], src.Buffer(int(i)))
+	}
+}
+
+func (a *BoxedAggregator) Result(n int) *columnar.Vector {
+	a.grow(n)
+	return boxedResult(a.fn, a, n)
+}
+func (a *BoxedAggregator) Buffer(g int) any { return a.bufs[g] }
+
+// vecFirst fills the boxed lane from the child vector: the first non-NULL
+// child value in batch order, matching the scalar First exactly.
+type vecFirst struct {
+	BoxedAggregator
+	child VecEval
+}
+
+func (a *vecFirst) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
+	a.grow(n)
+	v := a.child(b, sel)
+	for k, i := range sel {
+		buf := a.bufs[gidx[k]].(*firstBuffer)
+		if ii := int(i); buf.v == nil && !v.IsNull(ii) {
+			buf.v = v.Get(ii)
+		}
+	}
+}
+
+// vecDistinct mirrors CountDistinct's per-group key sets (values box to
+// compute the injective GroupKey encoding, exactly as the scalar path does).
+type vecDistinct struct {
+	BoxedAggregator
+	child VecEval
+}
+
+var ord0 = []int{0}
+
+func (a *vecDistinct) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
+	a.grow(n)
+	v := a.child(b, sel)
+	for k, i := range sel {
+		ii := int(i)
+		if v.IsNull(ii) {
+			continue
+		}
+		a.bufs[gidx[k]].(*distinctBuffer).seen[row.GroupKey(row.New(v.Get(ii)), ord0)] = struct{}{}
+	}
+}

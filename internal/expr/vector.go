@@ -120,16 +120,61 @@ func CompileVec(e Expression) (VecEval, bool) {
 
 	case *DatePart:
 		return compileVecDatePart(x)
+
+	case *Substring:
+		return compileVecSubstring(x)
 	}
 	return vecFallbackEval(e), false
+}
+
+// NewClassVector allocates the vector a boxed value stream of type t lands
+// in: the typed lane when t belongs to a kernel value class — native kernels
+// read such columns lane-direct, so the kind must match the type — and boxed
+// verbatim storage otherwise (FLOAT, BOOLEAN, decimals, nested types keep
+// the exact values the scalar path produced).
+func NewClassVector(t types.DataType, n int) *columnar.Vector {
+	if vecClass(t) != classNone {
+		return columnar.NewVector(t, n)
+	}
+	return columnar.NewAnyVector(t, n)
+}
+
+// compileVecSubstring slices the string lane without copying: the output
+// strings alias the input's bytes. Semantics are Substring.Eval's (shared
+// substr helper); NULL in any operand yields NULL.
+func compileVecSubstring(x *Substring) (VecEval, bool) {
+	str, sok := CompileVec(x.Str)
+	pos, pok := CompileVec(x.Pos)
+	ln, lok := CompileVec(x.Len)
+	if !sok || !pok || !lok || vecClass(x.Pos.DataType()) != classI64 || vecClass(x.Len.DataType()) != classI64 {
+		return vecFallbackEval(x), false
+	}
+	return func(b *VecBatch, sel []int32) *columnar.Vector {
+		sv, pv, lv := str(b, sel), pos(b, sel), ln(b, sel)
+		out := columnar.NewVector(types.String, b.N)
+		sm, pm, lm := sv.Mask(), pv.Mask(), lv.Mask()
+		nulls := sv.HasNulls() || pv.HasNulls() || lv.HasNulls()
+		for _, i := range sel {
+			ii := int(i)
+			if nulls && (sv.IsNull(ii) || pv.IsNull(ii) || lv.IsNull(ii)) {
+				out.SetNull(ii)
+				continue
+			}
+			out.Str[ii] = substr(sv.Str[ii&sm], pv.I64[ii&pm], lv.I64[ii&lm])
+		}
+		return out
+	}, true
 }
 
 // vecFallbackEval boxes each selected row and evaluates the scalar compiled
 // closure — the "call into the interpreter" escape hatch of §4.3.4, one
 // level up.
-func vecFallbackEval(e Expression) VecEval {
-	ev := Compile(e)
-	t := e.DataType()
+func vecFallbackEval(e Expression) VecEval { return VecFromScalar(Compile(e), e.DataType()) }
+
+// VecFromScalar lifts a per-row evaluator of result type t into a batch
+// kernel (the fallback's body; exported so an operator honoring the codegen
+// knob can lift the tree-walking interpreter the same way).
+func VecFromScalar(ev func(row.Row) any, t types.DataType) VecEval {
 	return func(b *VecBatch, sel []int32) *columnar.Vector {
 		// KindAny storage keeps the scalar path's boxed representation
 		// exactly, whatever the declared type says.

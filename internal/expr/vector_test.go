@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -181,10 +183,10 @@ func TestVecArithEdgeCases(t *testing.T) {
 	batch := rowsToBatch(rows)
 	sel := []int32{0, 1, 2, 3}
 	exprs := []Expression{
-		Div(a, Lit(int32(0))),           // NULL
+		Div(a, Lit(int32(0))),                      // NULL
 		&BinaryArith{Op: OpMod, Left: b, Right: b}, // 0%0 -> NULL at row 0
-		Add(a, Lit(int32(1))),           // int32 wraparound at row 1
-		Mul(a, a),                       // wraps through int32
+		Add(a, Lit(int32(1))),                      // int32 wraparound at row 1
+		Mul(a, a),                                  // wraps through int32
 		Div(b, Lit(int64(2))),
 	}
 	for _, e := range exprs {
@@ -360,5 +362,134 @@ func BenchmarkVecFallbackPred(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		pred(batch, sel)
+	}
+}
+
+// SUBSTR kernel vs interpreter: pos < 1, non-positive and overlong lengths,
+// starts past the end, multi-byte input (byte semantics), empty strings and
+// NULL in any operand — and the output aliases the input (no copy).
+func TestVecSubstringMatchesInterpreter(t *testing.T) {
+	strs := []any{"héllo wörld", "日本語", "", "abcdefghij", nil, "x"}
+	nums := []any{int32(-3), int32(0), int32(1), int32(2), int32(4), int32(11), int32(1000), nil}
+	var rows []row.Row
+	for _, s := range strs {
+		for _, p := range nums {
+			for _, l := range nums {
+				rows = append(rows, row.Row{s, p, l})
+			}
+		}
+	}
+	n := len(rows)
+	sv, pv, lv := columnar.NewVector(types.String, n), columnar.NewVector(types.Int, n), columnar.NewVector(types.Int, n)
+	sel := make([]int32, n)
+	for i, r := range rows {
+		sv.Set(i, r[0])
+		pv.Set(i, r[1])
+		lv.Set(i, r[2])
+		sel[i] = int32(i)
+	}
+	batch := &VecBatch{Cols: []*columnar.Vector{sv, pv, lv}, N: n}
+	s := &BoundReference{Ordinal: 0, Type: types.String, Null: true}
+	for _, e := range []Expression{
+		&Substring{Str: s, Pos: &BoundReference{Ordinal: 1, Type: types.Int, Null: true}, Len: &BoundReference{Ordinal: 2, Type: types.Int, Null: true}},
+		&Substring{Str: s, Pos: Lit(int32(1)), Len: Lit(int32(8))},
+		&Substring{Str: s, Pos: Lit(int64(3)), Len: Lit(int64(1) << 62)},
+	} {
+		ev, ok := CompileVec(e)
+		if !ok {
+			t.Fatalf("%s should compile natively", e)
+		}
+		out := ev(batch, sel)
+		for i, r := range rows {
+			if got, want := out.Get(i), e.Eval(r); !row.Equal(got, want) {
+				t.Fatalf("%s over %v: vector=%q, interpreter=%q", e, r, got, want)
+			}
+		}
+	}
+	if _, ok := CompileVec(&Substring{Str: Upper(s), Pos: Lit(int32(1)), Len: Lit(int32(2))}); ok {
+		t.Error("SUBSTR over a fallback child must report fallback")
+	}
+}
+
+// Aggregate state lanes: updating two accumulators over halves of the input
+// and merging them (through a permuted group mapping) must give the column
+// the scalar Update/Merge/Result path gives, for every aggregate, over typed
+// and boxed children, NULLs, NaN and -0.0 — and Buffer must stay the scalar
+// buffer view the spill merge consumes.
+func TestVecAggregatorLanesMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n, groups = 400, 7
+	doubles := []any{math.NaN(), math.Copysign(0, -1), 0.0, 1.5, nil, -2.25, 1e300}
+	rows := make([]row.Row, n)
+	gidx := make([]int32, n)
+	for i := range rows {
+		var a any = int32(rng.Intn(50) - 25)
+		if rng.Intn(6) == 0 {
+			a = nil
+		}
+		rows[i] = row.Row{a, doubles[rng.Intn(len(doubles))], fmt.Sprintf("s%02d", rng.Intn(30)), float32(rng.Intn(9)) / 2}
+		gidx[i] = int32(rng.Intn(groups))
+	}
+	schema := []types.DataType{types.Int, types.Double, types.String, types.Float}
+	cols := make([]*columnar.Vector, len(schema))
+	for j, dt := range schema {
+		cols[j] = NewClassVector(dt, n)
+		for i, r := range rows {
+			cols[j].Set(i, r[j])
+		}
+	}
+	batch := &VecBatch{Cols: cols, N: n}
+	ref := func(j int) Expression { return &BoundReference{Ordinal: j, Type: schema[j], Null: true} }
+	perm := []int32{3, 0, 6, 1, 5, 2, 4} // reducer group of map-side group g
+	for _, fn := range []AggregateFunc{
+		NewCountStar(), &Count{Child: ref(0)}, &Sum{Child: ref(0)}, &Sum{Child: ref(1)}, &Sum{Child: ref(3)},
+		&Avg{Child: ref(0)}, &Avg{Child: ref(1)}, NewMin(ref(0)), NewMax(ref(1)), NewMin(ref(1)), NewMax(ref(2)),
+		NewMin(ref(3)), &First{Child: ref(2)}, &CountDistinct{Child: ref(0)}, NewMax(Upper(ref(2))),
+	} {
+		halves := make([]VecAggregator, 2)
+		scalar := make([]any, groups)
+		for g := range scalar {
+			scalar[g] = fn.NewBuffer()
+		}
+		for h := range halves {
+			halves[h], _ = NewVecAggregator(fn)
+			var sel, gi []int32
+			for i := h * n / 2; i < (h+1)*n/2; i++ {
+				sel, gi = append(sel, int32(i)), append(gi, gidx[i])
+			}
+			halves[h].Update(batch, sel, gi, groups)
+		}
+		for h := range halves { // scalar: same association — per-half partials, merged in order
+			part := make([]any, groups)
+			for g := range part {
+				part[g] = fn.NewBuffer()
+			}
+			for i := h * n / 2; i < (h+1)*n/2; i++ {
+				part[gidx[i]] = fn.Update(part[gidx[i]], rows[i])
+			}
+			for g := range part {
+				if want, got := fn.Result(part[g]), fn.Result(halves[h].Buffer(g)); !row.Equal(got, want) {
+					t.Fatalf("%s half %d group %d: Buffer view=%v, scalar=%v", fn, h, g, got, want)
+				}
+				scalar[perm[g]] = fn.Merge(scalar[perm[g]], part[g])
+			}
+		}
+		merged, _ := NewVecAggregator(fn)
+		all := make([]int32, groups)
+		for g := range all {
+			all[g] = int32(g)
+		}
+		for _, half := range halves {
+			merged.Merge(half, all, perm, groups)
+		}
+		out := merged.Result(groups + 1) // one group nothing ever reached
+		for g := 0; g < groups; g++ {
+			if got, want := out.Get(g), fn.Result(scalar[g]); !row.Equal(got, want) || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s group %d: lanes=%v (%T), scalar=%v (%T)", fn, g, got, got, want, want)
+			}
+		}
+		if got, want := out.Get(groups), fn.Result(fn.NewBuffer()); !row.Equal(got, want) {
+			t.Fatalf("%s empty group: lanes=%v, scalar=%v", fn, got, want)
+		}
 	}
 }

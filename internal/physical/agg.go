@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/rdd"
 	"repro/internal/row"
@@ -54,13 +55,9 @@ func (h *HashAggregateExec) SimpleString() string {
 }
 func (h *HashAggregateExec) String() string { return Format(h) }
 
-// aggPartial is a per-group partial state record flowing through the
-// shuffle.
-type aggPartial struct {
-	key       string
-	groupVals row.Row
-	buffers   []any
-}
+// rowChunk is how many input rows the row-at-a-time phase 1 transposes into
+// key vectors per group-table probe.
+const rowChunk = 1024
 
 func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	input := h.Child.Output()
@@ -70,211 +67,222 @@ func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	for i, g := range h.Grouping {
 		groupEvals[i] = ctx.evaluator(bind(g, input))
 	}
-
 	// Extract aggregate functions (bound to input) and build result
 	// expressions over the synthetic [groups..., aggValues...] row.
-	fns, resultExprs := h.splitAggregates(input)
-	resultEvals := make([]func(row.Row) any, len(resultExprs))
-	for i, e := range resultExprs {
-		resultEvals[i] = ctx.evaluator(e)
+	unbound, resultExprs := h.splitAggregates()
+	fns := bindFns(unbound, input)
+	newLanes := func() []expr.VecAggregator {
+		lanes := make([]expr.VecAggregator, len(fns))
+		for i, fn := range fns {
+			lanes[i] = expr.NewBoxedAggregator(fn)
+		}
+		return lanes
 	}
+	keyTypes := h.keyTypes()
+	numPart := h.reducers(ctx)
 
-	keyOrdinals := make([]int, len(h.Grouping))
-	for i := range keyOrdinals {
-		keyOrdinals[i] = i
+	// Phase 1: partial aggregation per partition, emitting the same columnar
+	// blocks as the fused phase 1 (with boxed state lanes). Rows are probed a
+	// chunk at a time: the chunk's keys transpose into vectors, so with
+	// codegen the type-specialized group tables hash raw integers and strings
+	// and skip per-row key-string allocation — the "avoids expensive
+	// allocation of key-value pairs" specialization the paper credits for the
+	// Figure 9 DataFrame win. The interpreted baseline keeps boxed keys and
+	// the generic table.
+	var native []bool
+	newKeyVec := expr.NewClassVector
+	if !ctx.Codegen {
+		native = make([]bool, len(keyTypes))
+		newKeyVec = columnar.NewAnyVector
 	}
+	blocks := rdd.MapPartitions(h.Child.Execute(ctx), func(_ int, in []row.Row) []aggBlock {
+		groups, _ := newGroupIndexer(keyTypes, native, 0)
+		lanes := newLanes()
+		kvecs := make([]*columnar.Vector, len(groupEvals))
+		ident := identitySel(min(rowChunk, len(in)))
+		var gidx []int32
+		for off := 0; off < len(in); off += rowChunk {
+			rows := in[off:min(off+rowChunk, len(in))]
+			for j, ev := range groupEvals {
+				kvecs[j] = newKeyVec(keyTypes[j], len(rows))
+				for i, r := range rows {
+					kvecs[j].Set(i, ev(r))
+				}
+			}
+			gidx = groups.indexBatch(kvecs, ident[:len(rows)], gidx[:0])
+			for i, r := range rows {
+				for _, l := range lanes {
+					l.(*expr.BoxedAggregator).UpdateRow(int(gidx[i]), r)
+				}
+			}
+		}
+		return splitGroups(groups, lanes, numPart)
+	})
 
-	// Phase 1: partial aggregation per partition. With codegen enabled and
-	// a single integral grouping key, the generated path hashes the raw
-	// integer and skips per-row group-row and key-string allocation — the
-	// "avoids expensive allocation of key-value pairs" specialization the
-	// paper credits for the Figure 9 DataFrame win.
-	var partials *rdd.RDD[aggPartial]
-	if ctx.Codegen && len(h.Grouping) == 1 && types.IsIntegral(h.Grouping[0].DataType()) && !h.Grouping[0].Nullable() {
-		groupEval := groupEvals[0]
-		partials = rdd.MapPartitions(h.Child.Execute(ctx), func(_ int, in []row.Row) []aggPartial {
-			groups := make(map[int64]*aggPartial, 64)
-			for _, r := range in {
-				kv := groupEval(r)
-				var key int64
-				if i32, ok := kv.(int32); ok {
-					key = int64(i32)
-				} else {
-					key = kv.(int64)
-				}
-				g, ok := groups[key]
-				if !ok {
-					bufs := make([]any, len(fns))
-					for i, fn := range fns {
-						bufs[i] = fn.NewBuffer()
-					}
-					g = &aggPartial{groupVals: row.Row{kv}, buffers: bufs}
-					groups[key] = g
-				}
-				for i, fn := range fns {
-					g.buffers[i] = fn.Update(g.buffers[i], r)
-				}
-			}
-			out := make([]aggPartial, 0, len(groups))
-			for _, g := range groups {
-				// The string key is only needed across the shuffle.
-				g.key = row.GroupKey(g.groupVals, keyOrdinals)
-				out = append(out, *g)
-			}
-			return out
-		})
-	} else {
-		partials = rdd.MapPartitions(h.Child.Execute(ctx), func(_ int, in []row.Row) []aggPartial {
-			groups := make(map[string]*aggPartial, 64)
-			for _, r := range in {
-				gv := make(row.Row, len(groupEvals))
-				for i, ev := range groupEvals {
-					gv[i] = ev(r)
-				}
-				key := row.GroupKey(gv, keyOrdinals)
-				g, ok := groups[key]
-				if !ok {
-					bufs := make([]any, len(fns))
-					for i, fn := range fns {
-						bufs[i] = fn.NewBuffer()
-					}
-					g = &aggPartial{key: key, groupVals: gv, buffers: bufs}
-					groups[key] = g
-				}
-				for i, fn := range fns {
-					g.buffers[i] = fn.Update(g.buffers[i], r)
-				}
-			}
-			out := make([]aggPartial, 0, len(groups))
-			for _, g := range groups {
-				out = append(out, *g)
-			}
-			return out
-		})
-	}
-
-	return h.finalMerge(ctx, h.EnableMetrics(ctx.Metrics), partials, fns, resultEvals)
+	return h.finalMerge(ctx, h.EnableMetrics(ctx.Metrics), blocks, numPart, fns, newLanes, resultExprs)
 }
 
-// finalMerge is phase 2 shared by the row-at-a-time and fused phase-1
-// implementations: hash-exchange the partials on the group key, then merge
-// per reducer and evaluate result expressions over the synthetic row.
-// Keeping one implementation here is what guarantees the fused path inherits
-// the grace-partitioned spill behavior (and its tests) unchanged.
-func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, partials *rdd.RDD[aggPartial], fns []expr.AggregateFunc, resultEvals []func(row.Row) any) *rdd.RDD[row.Row] {
-	// Global aggregation collapses to one partition; grouped aggregation
-	// hash-exchanges on the key.
-	numPart := ctx.ShufflePartitions
-	if h.Partitions > 0 && h.Partitions < numPart {
-		numPart = h.Partitions
+func (h *HashAggregateExec) keyTypes() []types.DataType {
+	out := make([]types.DataType, len(h.Grouping))
+	for i, g := range h.Grouping {
+		out[i] = g.DataType()
 	}
-	if len(h.Grouping) == 0 {
-		numPart = 1
-	}
-	shuffled := rdd.PartitionByHash(partials, numPart, func(p aggPartial) uint64 {
-		return row.HashValue(p.key)
-	})
+	return out
+}
 
-	// Phase 2: final merge + result evaluation. Under a memory budget (and
-	// when every aggregate can round-trip its buffer through the spill
-	// codec — all built-ins can) the merge map is a grace hash aggregation
-	// that partitions itself to disk instead of growing unbounded.
-	if fnsS := spillableFns(fns); ctx.SpillEnabled() && fnsS != nil {
-		return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, p int, in []aggPartial) ([]row.Row, error) {
-			start := time.Now()
-			g := newSpillableGroups(ctx, "agg", fnsS)
-			defer g.Close()
-			for i := range in {
-				part := &in[i]
-				err := g.upsert(part.key, part.groupVals, func(st *aggState) {
-					for j, fn := range fns {
-						st.buffers[j] = fn.Merge(st.buffers[j], part.buffers[j])
-					}
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-			states, err := g.Finish()
-			if err != nil {
+// reducers is the exchange's reduce partition count: the session default
+// capped by the planner's / adaptive override; a global aggregation collapses
+// to one partition.
+func (h *HashAggregateExec) reducers(ctx *ExecContext) int {
+	if len(h.Grouping) == 0 {
+		return 1
+	}
+	return max(1, effectiveParts(ctx.ShufflePartitions, h.Partitions))
+}
+
+// finalMerge is phase 2, shared by the row-at-a-time and fused phase-1
+// implementations: exchange the partial blocks (already split by reducer, so
+// the exchange only transposes them), merge state lanes into state lanes per
+// reducer through the same group tables phase 1 uses, evaluate the result
+// expressions as vector kernels over [key columns..., aggregate result
+// columns...], and box each output row exactly once. newLanes must build the
+// accumulators the same way phase 1 did. Keeping one implementation here is
+// what guarantees the fused path inherits the grace-partitioned spill
+// behavior (and its tests) unchanged.
+func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, blocks *rdd.RDD[aggBlock], numPart int,
+	fns []expr.AggregateFunc, newLanes func() []expr.VecAggregator, resultExprs []expr.Expression) *rdd.RDD[row.Row] {
+	shuffled := rdd.ExchangePresplit(blocks, numPart, aggBlock.groups)
+	keyTypes := h.keyTypes()
+	resultEvals := make([]expr.VecEval, len(resultExprs))
+	for i, e := range resultExprs {
+		if resultEvals[i] = expr.VecFromScalar(e.Eval, e.DataType()); ctx.Codegen {
+			resultEvals[i], _ = expr.CompileVec(e)
+		}
+	}
+	// Under a memory budget (and when every aggregate can round-trip its
+	// buffer through the spill codec — all built-ins can) the merge state is
+	// a grace hash aggregation that partitions itself to disk instead of
+	// growing unbounded.
+	fnsS := spillableFns(fns)
+	spill := ctx.SpillEnabled() && fnsS != nil
+
+	return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, p int, in []aggBlock) ([]row.Row, error) {
+		start := time.Now()
+		var cols []*columnar.Vector // [key columns..., aggregate result columns...]
+		var n int
+		if spill && len(in) > 0 { // nothing to merge needs no budget (and is the empty global case below)
+			var err error
+			if cols, n, err = h.mergeSpilling(ctx, om, in, fnsS); err != nil {
 				return nil, err
 			}
-			// A global aggregate over an empty input still emits one row.
-			if len(h.Grouping) == 0 && len(states) == 0 && p == 0 {
-				bufs := make([]any, len(fns))
-				for i, fn := range fns {
-					bufs[i] = fn.NewBuffer()
-				}
-				states = append(states, &aggState{buffers: bufs})
+		} else {
+			// The largest block is a lower bound on the reducer's group count.
+			hint := 0
+			for _, b := range in {
+				hint = max(hint, len(b.sel))
 			}
-			out := make([]row.Row, 0, len(states))
-			for _, st := range states {
-				synthetic := make(row.Row, len(h.Grouping)+len(fns))
-				copy(synthetic, st.groupVals)
-				for i, fn := range fns {
-					synthetic[len(h.Grouping)+i] = fn.Result(st.buffers[i])
+			groups, _ := newGroupIndexer(keyTypes, nil, hint)
+			lanes := newLanes()
+			var gidx []int32
+			for _, b := range in {
+				gidx = groups.indexBatch(b.keys, b.sel, gidx[:0])
+				for j, l := range lanes {
+					l.Merge(b.lanes[j], b.sel, gidx, groups.count())
 				}
-				result := make(row.Row, len(resultEvals))
-				for i, ev := range resultEvals {
-					result[i] = ev(synthetic)
-				}
-				out = append(out, result)
 			}
-			om.RecordPartition(len(out), time.Since(start))
-			om.RecordSpill(g.Stats())
-			return out, nil
-		})
-	}
-	return rdd.MapPartitions(shuffled, func(p int, in []aggPartial) []row.Row {
-		start := time.Now()
-		groups := make(map[string]*aggPartial, len(in))
-		order := make([]string, 0, len(in))
-		for i := range in {
-			g, ok := groups[in[i].key]
-			if !ok {
-				cp := in[i]
-				groups[cp.key] = &cp
-				order = append(order, cp.key)
-				continue
+			// A global aggregate over an empty input still emits one row
+			// (SELECT count(*) FROM empty => 0).
+			if n = groups.count(); n == 0 && len(h.Grouping) == 0 && p == 0 {
+				n = 1
 			}
-			for j, fn := range fns {
-				g.buffers[j] = fn.Merge(g.buffers[j], in[i].buffers[j])
+			cols = append(cols, groups.keys()...)
+			for _, l := range lanes {
+				cols = append(cols, l.Result(n))
 			}
 		}
-		// A global aggregate over an empty input still emits one row
-		// (SELECT count(*) FROM empty => 0).
-		if len(h.Grouping) == 0 && len(order) == 0 && p == 0 {
-			bufs := make([]any, len(fns))
-			for i, fn := range fns {
-				bufs[i] = fn.NewBuffer()
-			}
-			groups[""] = &aggPartial{buffers: bufs}
-			order = append(order, "")
-		}
-		out := make([]row.Row, 0, len(order))
-		for _, key := range order {
-			g := groups[key]
-			synthetic := make(row.Row, len(h.Grouping)+len(fns))
-			copy(synthetic, g.groupVals)
-			for i, fn := range fns {
-				synthetic[len(h.Grouping)+i] = fn.Result(g.buffers[i])
-			}
-			result := make(row.Row, len(resultEvals))
-			for i, ev := range resultEvals {
-				result[i] = ev(synthetic)
-			}
-			out = append(out, result)
-		}
+		out := boxResultRows(cols, n, resultEvals)
 		om.RecordPartition(len(out), time.Since(start))
-		return out
+		return out, nil
 	})
+}
+
+// mergeSpilling is the reducer under a memory budget: each partial group is
+// read through its boxed per-group view (key values, scalar buffers) into
+// the grace hash aggregation, whose first-seen-ordered states load back into
+// columns — so spilling, emission order and byte-identity at any budget are
+// spillableGroups' own.
+func (h *HashAggregateExec) mergeSpilling(ctx *ExecContext, om *OperatorMetrics, in []aggBlock, fns []expr.SpillableAggregate) ([]*columnar.Vector, int, error) {
+	g := newSpillableGroups(ctx, "agg", fns)
+	defer g.Close()
+	ords := ordinalsUpTo(len(h.Grouping))
+	for _, b := range in {
+		for _, i := range b.sel {
+			gv := make(row.Row, len(b.keys))
+			for j, kc := range b.keys {
+				gv[j] = kc.Get(int(i))
+			}
+			err := g.upsert(row.GroupKey(gv, ords), gv, func(st *aggState) {
+				for j, fn := range fns {
+					st.buffers[j] = fn.Merge(st.buffers[j], b.lanes[j].Buffer(int(i)))
+				}
+			})
+			if err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	states, err := g.Finish()
+	if err != nil {
+		return nil, 0, err
+	}
+	om.RecordSpill(g.Stats())
+	cols := make([]*columnar.Vector, 0, len(h.Grouping)+len(fns))
+	for j, t := range h.keyTypes() {
+		kc := expr.NewClassVector(t, len(states))
+		for i, st := range states {
+			kc.Set(i, st.groupVals[j])
+		}
+		cols = append(cols, kc)
+	}
+	for j, fn := range fns {
+		rc := expr.NewClassVector(fn.DataType(), len(states))
+		for i, st := range states {
+			rc.Set(i, fn.Result(st.buffers[j]))
+		}
+		cols = append(cols, rc)
+	}
+	return cols, len(states), nil
+}
+
+// boxResultRows evaluates the result expressions over the n merged groups
+// and materializes the operator's output rows — the one place aggregation
+// boxes a row. The rows share one backing array (capacity-clipped, so an
+// append to one never reaches the next).
+func boxResultRows(cols []*columnar.Vector, n int, resultEvals []expr.VecEval) []row.Row {
+	batch := &expr.VecBatch{Cols: cols, N: n}
+	sel := identitySel(n)
+	w := len(resultEvals)
+	outCols := make([]*columnar.Vector, w)
+	for j, ev := range resultEvals {
+		outCols[j] = ev(batch, sel)
+	}
+	flat := make([]any, n*w)
+	out := make([]row.Row, n)
+	for i := range out {
+		r := flat[i*w : (i+1)*w : (i+1)*w]
+		for j, c := range outCols {
+			r[j] = c.Get(i)
+		}
+		out[i] = r
+	}
+	return out
 }
 
 // splitAggregates extracts the distinct aggregate functions from the result
-// expressions (binding their children to the input schema) and rewrites the
-// result expressions over the synthetic row layout
+// expressions (still unbound: bindFns binds them to an input schema) and
+// rewrites the result expressions over the synthetic row layout
 // [group0..groupG-1, agg0..aggN-1].
-func (h *HashAggregateExec) splitAggregates(input []*expr.AttributeReference) ([]expr.AggregateFunc, []expr.Expression) {
+func (h *HashAggregateExec) splitAggregates() ([]expr.AggregateFunc, []expr.Expression) {
 	var fns []expr.AggregateFunc
 	fnKeys := make(map[string]int)
 
@@ -300,8 +308,7 @@ func (h *HashAggregateExec) splitAggregates(input []*expr.AttributeReference) ([
 				if !seen {
 					idx = len(fns)
 					fnKeys[key] = idx
-					bound := bind(fn, input).(expr.AggregateFunc)
-					fns = append(fns, bound)
+					fns = append(fns, fn)
 				}
 				return &expr.BoundReference{
 					Ordinal: len(h.Grouping) + idx,
@@ -323,6 +330,14 @@ func (h *HashAggregateExec) splitAggregates(input []*expr.AttributeReference) ([
 		}
 	}
 	return fns, results
+}
+
+func bindFns(fns []expr.AggregateFunc, input []*expr.AttributeReference) []expr.AggregateFunc {
+	out := make([]expr.AggregateFunc, len(fns))
+	for i, fn := range fns {
+		out[i] = bind(fn, input).(expr.AggregateFunc)
+	}
+	return out
 }
 
 // DistinctExec removes duplicate rows via a hash exchange.

@@ -69,13 +69,7 @@ func newSpillableGroups(ctx *ExecContext, op string, fns []expr.SpillableAggrega
 // stateKey is the canonical grouping key of a group-values row — the same
 // key the aggregation phases compute, recomputed on disk reads so spilled
 // records need not carry the string.
-func stateKey(gv row.Row) string {
-	ords := make([]int, len(gv))
-	for i := range ords {
-		ords[i] = i
-	}
-	return row.GroupKey(gv, ords)
-}
+func stateKey(gv row.Row) string { return row.GroupKey(gv, ordinalsUpTo(len(gv))) }
 
 // groupSize approximates one group's in-memory footprint: the grouping
 // values plus a flat allowance per aggregation buffer. Buffer growth after

@@ -16,7 +16,8 @@ import (
 // EXPLAIN can show exactly what got fused and why the rest did not.
 
 // FusionNote records the Fuse rule's decision on a physical operator
-// ("fused: true" or "fallback: <reason>"). Operators embed it; EXPLAIN and
+// ("fused: true" — a fused aggregate adds its group table and how many of
+// its key / aggregate-input kernels are native — or "fallback: <reason>"). Operators embed it; EXPLAIN and
 // EXPLAIN ANALYZE print it through the FusionAnnotated interface.
 type FusionNote struct{ note string }
 
@@ -61,8 +62,8 @@ func Fuse(p SparkPlan) SparkPlan {
 			n.SetFusion("fallback: input not vectorized")
 			return p
 		}
-		f := &FusedAggregateExec{Agg: n, Pipe: vp}
-		f.SetFusion("fused: true")
+		f := &FusedAggregateExec{Agg: n, Pipe: vp, sink: n.compileSink(vp.Output())}
+		f.SetFusion(f.sink.note(n.keyTypes()))
 		return transferEstimate(f, n)
 	case *BroadcastHashJoinExec:
 		if reason := joinFuseBlocker(n); reason != "" {

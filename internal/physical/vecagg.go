@@ -2,11 +2,13 @@ package physical
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/rdd"
 	"repro/internal/row"
+	"repro/internal/types"
 )
 
 // FusedAggregateExec is the whole-stage fusion of a vectorized pipeline
@@ -14,22 +16,26 @@ import (
 // hash-aggregate update without ever materializing intermediate rows. The
 // phase-1 group tables are type-specialized on the common key shapes
 // (single int64, single string, (int64, int64)) so grouping never boxes or
-// builds key strings on the hot path; everything after the partial flush —
-// the shuffle, the final merge, and the grace-partitioned spill path — is
-// HashAggregateExec's own phase 2, shared verbatim.
+// builds key strings on the hot path, and the partial state leaves as typed
+// columnar blocks (aggBlock); everything after the partial flush — the
+// exchange, the final merge, and the grace-partitioned spill path — is
+// HashAggregateExec's own phase 2, shared verbatim with the row phase 1.
 type FusedAggregateExec struct {
 	PlanEstimate
 	PlanMetrics
 	FusionNote
 	Agg  *HashAggregateExec // grouping/aggs/partition cap; Child is unused here
 	Pipe *VectorizedPipelineExec
+	// sink is the compiled sink the Fuse rule built to describe this node;
+	// Execute reuses it (nil after the pipeline was swapped: recompiled).
+	sink *aggSink
 }
 
 func (f *FusedAggregateExec) Children() []SparkPlan { return []SparkPlan{f.Pipe} }
 func (f *FusedAggregateExec) WithNewChildren(children []SparkPlan) SparkPlan {
 	if vp, ok := children[0].(*VectorizedPipelineExec); ok {
 		c := *f
-		c.Pipe = vp
+		c.Pipe, c.sink = vp, nil
 		return &c
 	}
 	// The pipeline degraded (e.g. the leaf stopped being a cache scan):
@@ -57,166 +63,218 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		return agg.Execute(ctx)
 	}
 
-	input := f.Pipe.Output()
-	groupBound := bindAll(h.Grouping, input)
-	fns, resultExprs := h.splitAggregates(input)
-	resultEvals := make([]func(row.Row) any, len(resultExprs))
-	for i, e := range resultExprs {
-		resultEvals[i] = ctx.evaluator(e)
+	k := f.sink
+	if k == nil {
+		k = h.compileSink(f.Pipe.Output())
 	}
-	keyOrdinals := make([]int, len(h.Grouping))
-	for i := range keyOrdinals {
-		keyOrdinals[i] = i
-	}
+	vp := f.Pipe.compile(ctx, om, k.refs)
+	keyTypes := h.keyTypes()
+	numPart := h.reducers(ctx)
+	boxedKernels := int64(len(k.fallbacks))
 
-	scan := f.Pipe.Scan
-	scanOM := scan.EnableMetrics(ctx.Metrics)
-	stages, used, _ := compileVecStages(f.Pipe.Stages, scan.Attrs)
-	// Without a projection stage the pipeline's own decode set is "every
-	// column" (rows would materialize in full); fused, the only consumers
-	// are the filters, the group keys, and the aggregate children — so
-	// narrow the decode set to exactly those.
-	if !stagesProject(f.Pipe.Stages) {
-		for j := range used {
-			used[j] = false
-		}
-		for _, st := range f.Pipe.Stages {
-			if st.isFilter {
-				markBoundRefs(bind(st.cond, scan.Attrs), used)
-			}
-		}
-		for _, g := range groupBound {
-			markBoundRefs(g, used)
-		}
-		for _, fn := range fns {
-			markBoundRefs(fn, used)
-		}
-	}
-
-	groupVecs := make([]expr.VecEval, len(groupBound))
-	groupNative := make([]bool, len(groupBound))
-	for i, g := range groupBound {
-		groupVecs[i], groupNative[i] = expr.CompileVec(g)
-	}
-
-	eff, colTypes := scanDecodePlan(scan, used)
-
-	table, keep := scan.Table, scan.Keep
-	partials := rdd.Generate(ctx.RDD, "fusedAgg", len(table.Partitions), func(p int) []aggPartial {
-		// Per-partition mutable state: the group index table and one typed
-		// accumulator per aggregate.
-		groups := newGroupIndexer(groupBound, groupNative)
-		ups := make([]expr.VecAggregator, len(fns))
-		for i, fn := range fns {
-			ups[i], _ = expr.NewVecAggregator(fn)
-		}
+	blocks := rdd.Generate(ctx.RDD, "fusedAgg", len(f.Pipe.Scan.Table.Partitions), func(p int) []aggBlock {
+		// Per-partition mutable state: the group index table and one set of
+		// typed state lanes per aggregate.
+		groups, _ := newGroupIndexer(keyTypes, k.native, 0)
+		lanes := k.newLanes()
 		var gidx []int32
-		var gvecs []*columnar.Vector
-		for _, b := range table.Partitions[p] {
-			if keep != nil && !keep(b.Stats) {
-				continue
-			}
-			scanOM.RecordBatch(b.NumRows)
-			if om != nil {
-				om.Batches.Add(1)
-			}
-			batch := &expr.VecBatch{Cols: b.DecodeBatch(colTypes, eff), N: b.NumRows}
-			live := make([]int32, b.NumRows)
-			for i := range live {
-				live[i] = int32(i)
-			}
-			for _, st := range stages {
-				if st.isFilter {
-					live = st.pred(batch, live)
-					if len(live) == 0 {
-						break
-					}
-					continue
-				}
-				cols := make([]*columnar.Vector, len(st.evals))
-				for j, ev := range st.evals {
-					cols[j] = ev(batch, live)
-				}
-				batch = &expr.VecBatch{Cols: cols, N: b.NumRows}
-			}
-			if len(live) == 0 {
-				continue
-			}
-			gvecs = gvecs[:0]
-			for _, gv := range groupVecs {
-				gvecs = append(gvecs, gv(batch, live))
+		gvecs := make([]*columnar.Vector, len(k.keyEvals))
+		vp.each(p, func(batch *expr.VecBatch, live []int32) {
+			for i, gv := range k.keyEvals {
+				gvecs[i] = gv(batch, live)
 			}
 			gidx = groups.indexBatch(gvecs, live, gidx[:0])
 			n := groups.count()
-			for _, up := range ups {
-				up.Update(batch, live, gidx, n)
+			for _, l := range lanes {
+				l.Update(batch, live, gidx, n)
 			}
-		}
-		rows := groups.groupRows()
-		out := make([]aggPartial, len(rows))
-		for g, gv := range rows {
-			bufs := make([]any, len(ups))
-			for i, up := range ups {
-				bufs[i] = up.Buffer(g)
+			if boxedKernels > 0 {
+				vp.fallbackRows.Add(int64(len(live)) * boxedKernels)
 			}
-			out[g] = aggPartial{key: row.GroupKey(gv, keyOrdinals), groupVals: gv, buffers: bufs}
-		}
-		return out
+		})
+		return splitGroups(groups, lanes, numPart)
 	})
 
-	return h.finalMerge(ctx, om, partials, fns, resultEvals)
+	return h.finalMerge(ctx, om, blocks, numPart, k.fns, k.newLanes, k.results)
 }
 
-// stagesProject reports whether any stage is a projection (which resets the
-// batch schema and therefore the decode set).
-func stagesProject(stages []stage) bool {
-	for _, st := range stages {
-		if !st.isFilter {
-			return true
+// aggSink is a fused aggregate's compiled sink: the group-key kernels and
+// the aggregate state lanes, with a record of which of them run natively.
+type aggSink struct {
+	keys     []expr.Expression // grouping expressions bound to the pipeline output
+	keyEvals []expr.VecEval
+	native   []bool // per key: compiled to a native kernel
+	fns      []expr.AggregateFunc
+	results  []expr.Expression // result expressions over [keys..., aggregates...]
+	refs     []expr.Expression // everything the sink evaluates per batch
+	// fallbacks names every key and aggregate input that runs through the
+	// boxed scalar fallback instead of a native kernel.
+	fallbacks []string
+}
+
+func (h *HashAggregateExec) compileSink(input []*expr.AttributeReference) *aggSink {
+	k := &aggSink{keys: bindAll(h.Grouping, input)}
+	unbound, results := h.splitAggregates()
+	k.fns, k.results = bindFns(unbound, input), results
+	k.keyEvals = make([]expr.VecEval, len(k.keys))
+	k.native = make([]bool, len(k.keys))
+	k.refs = append(k.refs, k.keys...)
+	for i, g := range k.keys {
+		if k.keyEvals[i], k.native[i] = expr.CompileVec(g); !k.native[i] {
+			k.fallbacks = append(k.fallbacks, h.Grouping[i].String())
 		}
 	}
-	return false
+	for i, fn := range k.fns {
+		k.refs = append(k.refs, fn)
+		if _, native := expr.NewVecAggregator(fn); !native {
+			// Name the input that has no kernel (the aggregate itself when
+			// it is not a unary built-in).
+			var src expr.Expression = unbound[i]
+			if c := src.Children(); len(c) == 1 {
+				src = c[0]
+			}
+			k.fallbacks = append(k.fallbacks, src.String())
+		}
+	}
+	return k
+}
+
+func (k *aggSink) newLanes() []expr.VecAggregator {
+	lanes := make([]expr.VecAggregator, len(k.fns))
+	for i, fn := range k.fns {
+		lanes[i], _ = expr.NewVecAggregator(fn)
+	}
+	return lanes
+}
+
+// note is the EXPLAIN annotation: what actually runs, not just that the
+// operators fused.
+func (k *aggSink) note(keyTypes []types.DataType) string {
+	_, table := newGroupIndexer(keyTypes, k.native, 0)
+	s := fmt.Sprintf("fused: true, table=%s, kernels %d/%d native",
+		table, len(k.refs)-len(k.fallbacks), len(k.refs))
+	if len(k.fallbacks) > 0 {
+		s += ", fallback: " + strings.Join(k.fallbacks, ", ")
+	}
+	return s
+}
+
+// ---------------------------------------------------------------------------
+// Partial blocks
+
+// aggBlock is partial aggregation state in columnar form — what phase 1
+// hands the exchange instead of one boxed record per group: a dense key
+// column per grouping expression, one state lane set per aggregate, and the
+// selection of group positions bound for one reducer. The blocks a map
+// partition emits (one per reducer) are views over the same columns and
+// lanes; nothing is copied or boxed to split them.
+type aggBlock struct {
+	keys  []*columnar.Vector
+	lanes []expr.VecAggregator
+	sel   []int32
+}
+
+func (b aggBlock) groups() int64 { return int64(len(b.sel)) }
+
+// splitGroups flushes a phase-1 group table into one block per reducer,
+// partitioning by the process-independent hash of the typed key (equal to
+// the hash of the boxed key, so it does not matter which phase 1 ran). An
+// empty table emits nothing.
+func splitGroups(groups groupIndexer, lanes []expr.VecAggregator, numPart int) []aggBlock {
+	n, keys := groups.count(), groups.keys()
+	if n == 0 {
+		return nil
+	}
+	out := make([]aggBlock, numPart)
+	dest := make([]int32, n)
+	counts := make([]int, numPart)
+	if numPart > 1 {
+		for g := range dest {
+			h := row.NewHasher()
+			for _, kc := range keys {
+				h = kc.HashAt(h, g)
+			}
+			dest[g] = int32(h.Sum() % uint64(numPart))
+		}
+	}
+	for _, d := range dest {
+		counts[d]++
+	}
+	for r := range out {
+		out[r] = aggBlock{keys: keys, lanes: lanes, sel: make([]int32, 0, counts[r])}
+	}
+	for g, d := range dest {
+		out[d].sel = append(out[d].sel, int32(g))
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
 // Group index tables
 
 // groupIndexer maps each live row's group-key values (read out of the key
-// vectors) to a dense group index, creating — and boxing, exactly once — the
-// group's value row on first sight. indexBatch appends one index per live
-// row to gidx; the per-implementation loop keeps the map access monomorphic
-// instead of paying an interface dispatch per row. First-seen order is
-// preserved so the partial stream matches the row path's per-partition
-// semantics.
+// vectors) to a dense group index, appending the key to the table's key
+// columns on first sight. indexBatch appends one index per live row to gidx;
+// the per-implementation loop keeps the map access monomorphic instead of
+// paying an interface dispatch per row. First-seen order is preserved. The
+// same tables serve phase 1 (over pipeline batches or chunks of input rows)
+// and the reducer (over the key columns of partial blocks).
 type groupIndexer interface {
 	indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32
 	count() int
-	groupRows() []row.Row
+	keys() []*columnar.Vector
 }
 
-// newGroupIndexer picks the specialization for the bound grouping
-// expressions: single int64-class key, single string key, or an
-// (int64, int64) pair run without boxing or key-string building; anything
-// else — or keys whose kernels fell back — uses the generic boxed table.
-func newGroupIndexer(bound []expr.Expression, native []bool) groupIndexer {
+// keyCols is the key storage every table embeds: one growing column per
+// grouping expression, typed when the type has a kernel value class.
+type keyCols []*columnar.Vector
+
+func newKeyCols(keyTypes []types.DataType) keyCols {
+	cols := make(keyCols, len(keyTypes))
+	for i, t := range keyTypes {
+		cols[i] = expr.NewClassVector(t, 0)
+	}
+	return cols
+}
+
+// add appends row i's key values as a new group and returns its index.
+func (c keyCols) add(vecs []*columnar.Vector, i int) int32 {
+	g := int32(c[0].Len())
+	for j, v := range vecs {
+		c[j].Append(v, i)
+	}
+	return g
+}
+func (c keyCols) count() int               { return c[0].Len() }
+func (c keyCols) keys() []*columnar.Vector { return c }
+
+// newGroupIndexer picks the table for the grouping key types and names it:
+// a single int64-class key, a single string key, or an (int64, int64) pair
+// run without boxing or key-string building; anything else — or keys whose
+// kernels fell back to boxed vectors — uses the generic table. A nil native
+// means every key column is typed (the reducer's input always is). The table
+// is pre-sized for sizeHint groups (0 = grow on demand: a phase-1 table over
+// a tiny partition must not pay for capacity it never uses).
+func newGroupIndexer(keyTypes []types.DataType, native []bool, sizeHint int) (groupIndexer, string) {
 	cls := func(i int) int {
-		if !native[i] {
-			return -1
+		if native != nil && !native[i] {
+			return expr.VecClassNone
 		}
-		return expr.VecClassOf(bound[i].DataType())
+		return expr.VecClassOf(keyTypes[i])
 	}
+	cols := newKeyCols(keyTypes)
 	switch {
-	case len(bound) == 0:
-		return &globalGroups{}
-	case len(bound) == 1 && cls(0) == expr.VecClassI64:
-		return &i64Groups{m: make(map[int64]int32, 64), nullIdx: -1}
-	case len(bound) == 1 && cls(0) == expr.VecClassStr:
-		return &strGroups{m: make(map[string]int32, 64), nullIdx: -1}
-	case len(bound) == 2 && cls(0) == expr.VecClassI64 && cls(1) == expr.VecClassI64:
-		return &pairGroups{m: make(map[[3]int64]int32, 64)}
-	default:
-		return &genericGroups{m: make(map[string]int32, 64), kv: make(row.Row, len(bound)), ords: ordinalsUpTo(len(bound))}
+	case len(keyTypes) == 0:
+		return &globalGroups{}, "global"
+	case len(keyTypes) == 1 && cls(0) == expr.VecClassI64:
+		return &i64Groups{keyCols: cols, m: make(map[int64]int32, sizeHint), nullIdx: -1}, "i64"
+	case len(keyTypes) == 1 && cls(0) == expr.VecClassStr:
+		return &strGroups{keyCols: cols, m: make(map[string]int32, sizeHint), nullIdx: -1}, "str"
+	case len(keyTypes) == 2 && cls(0) == expr.VecClassI64 && cls(1) == expr.VecClassI64:
+		return &pairGroups{keyCols: cols, m: make(map[[3]int64]int32, sizeHint)}, "pair"
 	}
+	return &genericGroups{keyCols: cols, m: make(map[string]int32, sizeHint),
+		kv: make(row.Row, len(keyTypes)), ords: ordinalsUpTo(len(keyTypes))}, "generic"
 }
 
 func ordinalsUpTo(n int) []int {
@@ -229,27 +287,28 @@ func ordinalsUpTo(n int) []int {
 
 // globalGroups is the degenerate no-GROUP-BY table: one group, created on
 // the first row (an empty partition emits no partial, like the row path).
-type globalGroups struct {
-	rows []row.Row
-}
+type globalGroups struct{ seen bool }
 
 func (t *globalGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32 {
-	if len(live) > 0 && len(t.rows) == 0 {
-		t.rows = append(t.rows, row.Row{})
-	}
+	t.seen = t.seen || len(live) > 0
 	for range live {
 		gidx = append(gidx, 0)
 	}
 	return gidx
 }
-func (t *globalGroups) count() int           { return len(t.rows) }
-func (t *globalGroups) groupRows() []row.Row { return t.rows }
+func (t *globalGroups) count() int {
+	if t.seen {
+		return 1
+	}
+	return 0
+}
+func (t *globalGroups) keys() []*columnar.Vector { return nil }
 
 // i64Groups hashes raw int64 keys (INT/BIGINT/DATE/TIMESTAMP group-bys).
 type i64Groups struct {
+	keyCols
 	m       map[int64]int32
 	nullIdx int32
-	rows    []row.Row
 }
 
 func (t *i64Groups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32 {
@@ -259,8 +318,7 @@ func (t *i64Groups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []in
 		ii := int(i)
 		if v.IsNull(ii) {
 			if t.nullIdx < 0 {
-				t.nullIdx = int32(len(t.rows))
-				t.rows = append(t.rows, row.Row{nil})
+				t.nullIdx = t.add(vecs, ii)
 			}
 			gidx = append(gidx, t.nullIdx)
 			continue
@@ -268,22 +326,19 @@ func (t *i64Groups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []in
 		k := v.I64[ii&mask]
 		g, ok := t.m[k]
 		if !ok {
-			g = int32(len(t.rows))
+			g = t.add(vecs, ii)
 			t.m[k] = g
-			t.rows = append(t.rows, row.Row{v.Get(ii)})
 		}
 		gidx = append(gidx, g)
 	}
 	return gidx
 }
-func (t *i64Groups) count() int           { return len(t.rows) }
-func (t *i64Groups) groupRows() []row.Row { return t.rows }
 
 // strGroups hashes string keys without re-encoding them per row.
 type strGroups struct {
+	keyCols
 	m       map[string]int32
 	nullIdx int32
-	rows    []row.Row
 }
 
 func (t *strGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32 {
@@ -293,8 +348,7 @@ func (t *strGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []in
 		ii := int(i)
 		if v.IsNull(ii) {
 			if t.nullIdx < 0 {
-				t.nullIdx = int32(len(t.rows))
-				t.rows = append(t.rows, row.Row{nil})
+				t.nullIdx = t.add(vecs, ii)
 			}
 			gidx = append(gidx, t.nullIdx)
 			continue
@@ -302,22 +356,19 @@ func (t *strGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []in
 		k := v.Str[ii&mask]
 		g, ok := t.m[k]
 		if !ok {
-			g = int32(len(t.rows))
+			g = t.add(vecs, ii)
 			t.m[k] = g
-			t.rows = append(t.rows, row.Row{k})
 		}
 		gidx = append(gidx, g)
 	}
 	return gidx
 }
-func (t *strGroups) count() int           { return len(t.rows) }
-func (t *strGroups) groupRows() []row.Row { return t.rows }
 
 // pairGroups hashes (int64, int64) key pairs; the third array slot packs
 // the NULL bits so (NULL, 0) and (0, NULL) and (0, 0) stay distinct.
 type pairGroups struct {
-	m    map[[3]int64]int32
-	rows []row.Row
+	keyCols
+	m map[[3]int64]int32
 }
 
 func (t *pairGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32 {
@@ -338,25 +389,22 @@ func (t *pairGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []i
 		}
 		g, ok := t.m[k]
 		if !ok {
-			g = int32(len(t.rows))
+			g = t.add(vecs, ii)
 			t.m[k] = g
-			t.rows = append(t.rows, row.Row{v0.Get(ii), v1.Get(ii)})
 		}
 		gidx = append(gidx, g)
 	}
 	return gidx
 }
-func (t *pairGroups) count() int           { return len(t.rows) }
-func (t *pairGroups) groupRows() []row.Row { return t.rows }
 
 // genericGroups boxes the key values and hashes their injective GroupKey
 // encoding — the shape-agnostic fallback, still batch-native (no full-row
-// materialization, one boxed key row per NEW group).
+// materialization).
 type genericGroups struct {
+	keyCols
 	m    map[string]int32
 	kv   row.Row
 	ords []int
-	rows []row.Row
 }
 
 func (t *genericGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32 {
@@ -368,13 +416,10 @@ func (t *genericGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) 
 		key := row.GroupKey(t.kv, t.ords)
 		g, ok := t.m[key]
 		if !ok {
-			g = int32(len(t.rows))
+			g = t.add(vecs, ii)
 			t.m[key] = g
-			t.rows = append(t.rows, append(row.Row(nil), t.kv...))
 		}
 		gidx = append(gidx, g)
 	}
 	return gidx
 }
-func (t *genericGroups) count() int           { return len(t.rows) }
-func (t *genericGroups) groupRows() []row.Row { return t.rows }

@@ -74,16 +74,12 @@ func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	nRight := len(rightOut)
 	leftOuter := j.Type == plan.LeftOuterJoin
 
-	scan := f.Pipe.Scan
-	scanOM := scan.EnableMetrics(ctx.Metrics)
-	stages, used, _ := compileVecStages(f.Pipe.Stages, scan.Attrs)
-	eff, colTypes := scanDecodePlan(scan, used)
+	vp := f.Pipe.compile(ctx, om, nil)
 
 	build := j.Right.Execute(ctx)
 	lazy := &lazyBuild[probeTable]{}
 	strKey := len(j.LeftKeys) == 1 && expr.VecClassOf(j.LeftKeys[0].DataType()) == expr.VecClassStr
-	table, keep := scan.Table, scan.Keep
-	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", len(table.Partitions), func(jc context.Context, p int) ([]row.Row, error) {
+	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", len(f.Pipe.Scan.Table.Partitions), func(jc context.Context, p int) ([]row.Row, error) {
 		ht, err := lazy.get(jc, func(jc context.Context) (probeTable, error) {
 			rows, err := build.CollectContext(jc)
 			if err != nil {
@@ -100,36 +96,7 @@ func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		start := time.Now()
 		var out []row.Row
 		kvecs := make([]*columnar.Vector, len(probeVecs))
-		for _, b := range table.Partitions[p] {
-			if keep != nil && !keep(b.Stats) {
-				continue
-			}
-			scanOM.RecordBatch(b.NumRows)
-			if om != nil {
-				om.Batches.Add(1)
-			}
-			batch := &expr.VecBatch{Cols: b.DecodeBatch(colTypes, eff), N: b.NumRows}
-			live := make([]int32, b.NumRows)
-			for i := range live {
-				live[i] = int32(i)
-			}
-			for _, st := range stages {
-				if st.isFilter {
-					live = st.pred(batch, live)
-					if len(live) == 0 {
-						break
-					}
-					continue
-				}
-				cols := make([]*columnar.Vector, len(st.evals))
-				for jj, ev := range st.evals {
-					cols[jj] = ev(batch, live)
-				}
-				batch = &expr.VecBatch{Cols: cols, N: b.NumRows}
-			}
-			if len(live) == 0 {
-				continue
-			}
+		vp.each(p, func(batch *expr.VecBatch, live []int32) {
 			for i, kv := range probeVecs {
 				kvecs[i] = kv(batch, live)
 			}
@@ -147,19 +114,10 @@ func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 					out = append(out, concatRows(l, r))
 				}
 			}
-		}
+		})
 		om.RecordPartition(len(out), time.Since(start))
 		return out, nil
 	})
-}
-
-// boxBatchRow materializes one probe row from the pipeline's final batch.
-func boxBatchRow(b *expr.VecBatch, i int) row.Row {
-	r := make(row.Row, len(b.Cols))
-	for j, c := range b.Cols {
-		r[j] = c.Get(i)
-	}
-	return r
 }
 
 // ---------------------------------------------------------------------------

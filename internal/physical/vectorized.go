@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/columnar"
 	"repro/internal/expr"
+	"repro/internal/metrics"
 	"repro/internal/rdd"
 	"repro/internal/row"
 	"repro/internal/types"
@@ -132,56 +132,138 @@ func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		pipe.PlanMetrics.m = v.EnableMetrics(ctx.Metrics)
 		return pipe.Execute(ctx)
 	}
-	scan := v.Scan
 	om := v.EnableMetrics(ctx.Metrics)
-	scanOM := scan.EnableMetrics(ctx.Metrics)
-	stages, used, _ := compileVecStages(v.Stages, scan.Attrs)
-	eff, colTypes := scanDecodePlan(scan, used)
-
-	table, keep := scan.Table, scan.Keep
-	return rdd.Generate(ctx.RDD, "cacheScanVec", len(table.Partitions), func(p int) []row.Row {
+	vp := v.compile(ctx, om, nil)
+	return rdd.Generate(ctx.RDD, "cacheScanVec", len(v.Scan.Table.Partitions), func(p int) []row.Row {
 		start := time.Now()
 		var out []row.Row
-		for _, b := range table.Partitions[p] {
-			if keep != nil && !keep(b.Stats) {
-				continue
-			}
-			// The scan's rows are never materialized on this path; credit it
-			// with the batches and decoded row counts it fed the pipeline.
-			scanOM.RecordBatch(b.NumRows)
-			if om != nil {
-				om.Batches.Add(1)
-			}
-			batch := &expr.VecBatch{Cols: b.DecodeBatch(colTypes, eff), N: b.NumRows}
-			live := make([]int32, b.NumRows)
-			for i := range live {
-				live[i] = int32(i)
-			}
-			for _, st := range stages {
-				if st.isFilter {
-					live = st.pred(batch, live)
-					if len(live) == 0 {
-						break
-					}
-					continue
-				}
-				cols := make([]*columnar.Vector, len(st.evals))
-				for j, ev := range st.evals {
-					cols[j] = ev(batch, live)
-				}
-				batch = &expr.VecBatch{Cols: cols, N: b.NumRows}
-			}
+		vp.each(p, func(batch *expr.VecBatch, live []int32) {
 			for _, i := range live {
-				r := make(row.Row, len(batch.Cols))
-				for j, c := range batch.Cols {
-					r[j] = c.Get(int(i))
-				}
-				out = append(out, r)
+				out = append(out, boxBatchRow(batch, int(i)))
 			}
-		}
+		})
 		om.RecordPartition(len(out), time.Since(start))
 		return out
 	})
+}
+
+// vecPipe is a vectorized pipeline compiled for execution: the batch loop
+// shared by the pipeline itself and by the fused sinks that absorb it.
+type vecPipe struct {
+	scan         *InMemoryScanExec
+	om, scanOM   *OperatorMetrics
+	stages       []vecStage
+	eff          []int
+	colTypes     []types.DataType
+	fallbackRows *metrics.Counter // vec.fallback.rows
+}
+
+// compile binds the stage chain for execution. sink, when non-nil, lists the
+// bound expressions a fused sink evaluates over the pipeline's output: with
+// no projection stage the pipeline's own decode set is "every column" (rows
+// would materialize in full), but fused, the only consumers are the filters
+// and the sink — so the decode set narrows to exactly those.
+func (v *VectorizedPipelineExec) compile(ctx *ExecContext, om *OperatorMetrics, sink []expr.Expression) *vecPipe {
+	scan := v.Scan
+	stages, used, _ := compileVecStages(v.Stages, scan.Attrs)
+	if sink != nil && !stagesProject(v.Stages) {
+		for j := range used {
+			used[j] = false
+		}
+		for _, st := range v.Stages {
+			markBoundRefs(bind(st.cond, scan.Attrs), used)
+		}
+		for _, e := range sink {
+			markBoundRefs(e, used)
+		}
+	}
+	vp := &vecPipe{scan: scan, om: om, scanOM: scan.EnableMetrics(ctx.Metrics), stages: stages,
+		fallbackRows: ctx.RDD.Metrics().Counter("vec.fallback.rows")}
+	vp.eff, vp.colTypes = scanDecodePlan(scan, used)
+	return vp
+}
+
+// stagesProject reports whether any stage is a projection (which resets the
+// batch schema and therefore the decode set).
+func stagesProject(stages []stage) bool {
+	for _, st := range stages {
+		if !st.isFilter {
+			return true
+		}
+	}
+	return false
+}
+
+// each runs partition p's batches through the stages and hands every batch
+// with surviving rows to fn as (final batch, selection). The identity
+// selection and the batch headers are per-partition scratch reused across
+// batches: fn must not retain either past its return. Rows a stage ran
+// through the boxed scalar fallback are counted once per batch.
+func (vp *vecPipe) each(p int, fn func(batch *expr.VecBatch, live []int32)) {
+	var ident []int32
+	var in expr.VecBatch
+	staged := make([]expr.VecBatch, len(vp.stages))
+	for _, b := range vp.scan.Table.Partitions[p] {
+		if vp.scan.Keep != nil && !vp.scan.Keep(b.Stats) {
+			continue
+		}
+		// The scan's rows are never materialized on this path; credit it
+		// with the batches and decoded row counts it fed the pipeline.
+		vp.scanOM.RecordBatch(b.NumRows)
+		if vp.om != nil {
+			vp.om.Batches.Add(1)
+		}
+		if have := len(ident); have < b.NumRows {
+			ident = append(ident, make([]int32, b.NumRows-have)...)
+			for i := have; i < b.NumRows; i++ {
+				ident[i] = int32(i)
+			}
+		}
+		in = expr.VecBatch{Cols: b.DecodeBatch(vp.colTypes, vp.eff), N: b.NumRows}
+		batch, live := &in, ident[:b.NumRows]
+		var boxed int
+		for i, st := range vp.stages {
+			if !st.native {
+				boxed += len(live)
+			}
+			if st.isFilter {
+				if live = st.pred(batch, live); len(live) == 0 {
+					break
+				}
+				continue
+			}
+			next := &staged[i]
+			next.Cols, next.N = next.Cols[:0], b.NumRows
+			for _, ev := range st.evals {
+				next.Cols = append(next.Cols, ev(batch, live))
+			}
+			batch = next
+		}
+		if boxed > 0 {
+			vp.fallbackRows.Add(int64(boxed))
+		}
+		if len(live) > 0 {
+			fn(batch, live)
+		}
+	}
+}
+
+// identitySel is the selection of all n rows.
+func identitySel(n int) []int32 {
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}
+
+// boxBatchRow materializes one row of a batch.
+func boxBatchRow(b *expr.VecBatch, i int) row.Row {
+	r := make(row.Row, len(b.Cols))
+	for j, c := range b.Cols {
+		r[j] = c.Get(i)
+	}
+	return r
 }
 
 // scanDecodePlan maps each scan output position to the cached column

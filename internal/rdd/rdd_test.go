@@ -3,6 +3,8 @@ package rdd
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -584,7 +586,7 @@ func TestPartitionByHashCoLocation(t *testing.T) {
 	ctx := NewContext(4)
 	data := intsUpTo(200)
 	r := Parallelize(ctx, data, 8)
-	hashed := PartitionByHash(r, 4, func(x int) uint64 { return uint64(x % 10) })
+	hashed := PartitionByHashCodec(r, 4, func(x int) uint64 { return uint64(x % 10) }, nil)
 	// Values with equal hash must land in the same partition.
 	partOf := map[int]int{}
 	foreachPartition(t, hashed, func(p int, xs []int) {
@@ -703,5 +705,36 @@ func TestParallelBucketingPanicBecomesError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "boom in map side") {
 		t.Fatalf("root cause lost: %v", err)
+	}
+}
+
+// ExchangePresplit only transposes: reduce partition r receives element r of
+// every map partition, in map-partition order; empty elements and empty map
+// partitions contribute nothing; shuffle.records counts what records reports.
+func TestExchangePresplitTransposes(t *testing.T) {
+	ctx := NewContext(4)
+	// Map partition m emits {"m:0", "", "m:2"} (nothing for reducer 1);
+	// partition 2 emits nothing at all.
+	maps := Generate(ctx, "presplit", 4, func(m int) []string {
+		if m == 2 {
+			return nil
+		}
+		return []string{fmt.Sprintf("%d:0", m), "", fmt.Sprintf("%d:2", m)}
+	})
+	before := ctx.ShuffleRecords()
+	out := ExchangePresplit(maps, 3, func(s string) int64 { return int64(len(s)) })
+	got := make([][]string, 3)
+	foreachPartition(t, out, func(p int, xs []string) { got[p] = xs })
+	want := [][]string{{"0:0", "1:0", "3:0"}, nil, {"0:2", "1:2", "3:2"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("transpose = %v, want %v", got, want)
+	}
+	if n := ctx.ShuffleRecords() - before; n != 18 {
+		t.Fatalf("shuffle.records rose by %d, want 18 (6 elements x 3 records)", n)
+	}
+
+	ragged := Generate(ctx, "ragged", 2, func(int) []string { return []string{"x", "y"} })
+	if _, err := ExchangePresplit(ragged, 3, func(string) int64 { return 1 }).Collect(); err == nil {
+		t.Fatal("a map partition not split for 3 reducers must fail the exchange")
 	}
 }

@@ -106,7 +106,6 @@ func bucketize[T any](jc context.Context, ctx *Context, parts [][]T, numPartitio
 				local[b] = append(local[b], v)
 			}
 			locals[pi] = local
-			ctx.shuffleRecords.Add(int64(len(parts[pi])))
 		}(pi)
 	}
 	wg.Wait()
@@ -205,28 +204,65 @@ type Codec[T any] struct {
 
 // shuffled builds the reduce-side RDD over a lazily materialized map side.
 func shuffled[T any](parent *RDD[T], name string, numPartitions int, bucket func(T) int) *RDD[T] {
-	return shuffledPrep(parent, name, numPartitions, func([][]T) func(T) int { return bucket })
+	return shuffledPrepCodec(parent, name, numPartitions, func([][]T) func(T) int { return bucket }, nil)
 }
 
-// shuffledPrep is shuffled with a late-bound bucket function: prep sees the
-// fully materialized map-side partitions (in partition order) and returns
-// the bucket function — the hook range partitioning uses to sample key
-// boundaries from the actual data before bucketing, Spark's
-// RangePartitioner two-pass shape collapsed onto one materialization.
-func shuffledPrep[T any](parent *RDD[T], name string, numPartitions int, prep func(parts [][]T) func(T) int) *RDD[T] {
-	return shuffledPrepCodec(parent, name, numPartitions, prep, nil)
+// shuffledPrepCodec is shuffled with a late-bound bucket function and optional
+// cross-worker bucket exchange: prep sees the fully materialized map-side
+// partitions (in partition order) and returns the bucket function — the hook
+// range partitioning uses to sample key boundaries from the actual data
+// before bucketing, Spark's RangePartitioner two-pass shape collapsed onto
+// one materialization.
+func shuffledPrepCodec[T any](parent *RDD[T], name string, numPartitions int, prep func(parts [][]T) func(T) int, codec *Codec[T]) *RDD[T] {
+	return shuffledScatter(parent, name, numPartitions, func(jc context.Context, parts [][]T) ([][]T, int64, error) {
+		var records int64
+		for _, part := range parts {
+			records += int64(len(part))
+		}
+		buckets, err := bucketize(jc, parent.ctx, parts, numPartitions, prep(parts))
+		return buckets, records, err
+	}, codec)
 }
 
-// shuffledPrepCodec is shuffledPrep with optional cross-worker bucket
-// exchange. With a codec and an installed ShuffleService, a reduce task
-// first tries to fetch its bucket from a peer that already ran this
+// ExchangePresplit is the exchange for map output that is already split by
+// reducer: every parent partition holds either nothing or exactly
+// numPartitions records, record r bound for reduce partition r. There is no
+// per-record bucketing left to do — the exchange only transposes map × reduce
+// into reduce × map, preserving map-partition order within each reduce
+// partition. records reports how many logical shuffle records one element
+// carries (what shuffle.records and the shuffle span count); elements
+// carrying none are dropped.
+func ExchangePresplit[T any](r *RDD[T], numPartitions int, records func(T) int64) *RDD[T] {
+	return shuffledScatter(r, r.name+".exchange", numPartitions, func(_ context.Context, parts [][]T) ([][]T, int64, error) {
+		buckets := make([][]T, numPartitions)
+		var total int64
+		for pi, part := range parts {
+			if len(part) != 0 && len(part) != numPartitions {
+				return nil, 0, fmt.Errorf("rdd: pre-split map partition %d holds %d records for %d reducers", pi, len(part), numPartitions)
+			}
+			for b, v := range part {
+				if n := records(v); n > 0 {
+					buckets[b] = append(buckets[b], v)
+					total += n
+				}
+			}
+		}
+		return buckets, total, nil
+	}, nil)
+}
+
+// shuffledScatter builds the reduce-side RDD over a lazily materialized map
+// side; scatter turns the materialized map partitions into one bucket per
+// reduce partition and reports the records it moved. With a codec and an
+// installed ShuffleService, a reduce task first tries to fetch its bucket
+// from a peer that already ran this
 // shuffle's map side; a miss (nobody ran it, the owner died, the block was
 // evicted, the bytes do not decode) falls back to the local materialize
 // path — exactly the lineage-recompute story, so a lost shuffle output
 // costs recompute time, never correctness. After a local materialization
 // the buckets are published (best effort) for peers working other
 // partitions of the same query.
-func shuffledPrepCodec[T any](parent *RDD[T], name string, numPartitions int, prep func(parts [][]T) func(T) int, codec *Codec[T]) *RDD[T] {
+func shuffledScatter[T any](parent *RDD[T], name string, numPartitions int, scatter func(jc context.Context, parts [][]T) ([][]T, int64, error), codec *Codec[T]) *RDD[T] {
 	st := &shuffleState[T]{}
 	shuffleID := ""
 	var svc ShuffleService
@@ -250,20 +286,20 @@ func shuffledPrepCodec[T any](parent *RDD[T], name string, numPartitions int, pr
 				return nil, err
 			}
 			start := time.Now()
-			bucket := prep(parts)
-			buckets, berr := bucketize(jc, parent.ctx, parts, numPartitions, bucket)
+			buckets, records, berr := scatter(jc, parts)
+			if berr == nil {
+				parent.ctx.shuffleRecords.Add(records)
+			}
 			if parent.ctx.Trace() != nil || traceSink(jc) != nil {
 				span := metrics.Span{
-					Kind:  metrics.SpanShuffle,
-					Name:  name,
-					Start: metrics.Since(start),
-					DurNS: time.Since(start).Nanoseconds(),
-					Bytes: sampledSize(parts),
+					Kind:    metrics.SpanShuffle,
+					Name:    name,
+					Start:   metrics.Since(start),
+					DurNS:   time.Since(start).Nanoseconds(),
+					Bytes:   sampledSize(parts),
+					Records: records,
 				}
 				span.Job, _ = jobIDFrom(jc)
-				for _, part := range parts {
-					span.Records += int64(len(part))
-				}
 				parent.ctx.shuffleBytes.Add(span.Bytes)
 				if berr != nil {
 					span.Err = berr.Error()
@@ -357,16 +393,12 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RDD
 	})
 }
 
-// PartitionByHash hash-partitions arbitrary records by a caller-supplied
-// hash — the physical layer's Exchange operator uses this with row hashes.
-func PartitionByHash[T any](r *RDD[T], numPartitions int, hash func(T) uint64) *RDD[T] {
-	return PartitionByHashCodec(r, numPartitions, hash, nil)
-}
-
-// PartitionByHashCodec is PartitionByHash with cross-worker bucket
-// exchange for codec-capable record types (the physical layer passes the
-// row codec so workers fetch each other's map outputs instead of
-// recomputing the map side per reduce partition).
+// PartitionByHashCodec hash-partitions arbitrary records by a
+// caller-supplied hash — the physical layer's row exchanges use this with
+// row hashes — with cross-worker bucket exchange for codec-capable record
+// types (the physical layer passes the row codec so workers fetch each
+// other's map outputs instead of recomputing the map side per reduce
+// partition; a nil codec keeps the exchange process-local).
 func PartitionByHashCodec[T any](r *RDD[T], numPartitions int, hash func(T) uint64, codec *Codec[T]) *RDD[T] {
 	if numPartitions < 1 {
 		numPartitions = r.ctx.parallelism

@@ -12,7 +12,6 @@ package row
 import (
 	"bytes"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"strings"
 
@@ -213,79 +212,115 @@ func cmpOrdered[T int | int32 | int64 | float32 | float64](a, b T) int {
 	return 0
 }
 
-var hashSeed = maphash.MakeSeed()
+// Hasher is the running state of the engine's one value hash: a
+// deterministic 64-bit mix over value classes (no per-process seed), so a hash
+// exchange, the spill fan-out and the NDV sketches bucket a key identically
+// in every process — the property a multi-process exchange depends on. It is
+// consistent with Equal: INT and BIGINT of equal value hash alike, as do
+// FLOAT and DOUBLE, whether the value arrives boxed (Value) or straight off a
+// typed vector lane (Int64 / Float64 / String).
+type Hasher uint64
 
-// Hash computes a hash of a projection of the row (the fields at ordinals),
-// consistent with Equal: used by hash aggregation, hash joins and the
-// shuffle partitioner.
-func Hash(r Row, ordinals []int) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	for _, i := range ordinals {
-		hashValue(&h, r[i])
+// NewHasher returns the initial state.
+func NewHasher() Hasher { return 0x9E3779B97F4A7C15 }
+
+// word folds one tagged 64-bit word into the state (two multiply-xorshift
+// rounds: every input bit reaches both the low bits `% partitions` reads and
+// the high bits the sketches read).
+func (h Hasher) word(tag byte, u uint64) Hasher {
+	x := (uint64(h) ^ uint64(tag)) * 0x9E3779B97F4A7C15
+	x ^= u
+	x ^= x >> 32
+	x *= 0xD6E8FEB86659FD93
+	x ^= x >> 32
+	x *= 0xD6E8FEB86659FD93
+	x ^= x >> 32
+	return Hasher(x)
+}
+
+// Null folds SQL NULL.
+func (h Hasher) Null() Hasher { return h.word(0, 0) }
+
+// Int64 folds an int64-class value (INT, BIGINT, DATE, TIMESTAMP).
+func (h Hasher) Int64(x int64) Hasher { return h.word(3, uint64(x)) }
+
+// Float64 folds a float-class value (FLOAT widened, DOUBLE).
+func (h Hasher) Float64(f float64) Hasher { return h.word(4, math.Float64bits(f)) }
+
+// String folds a string: its length, then eight bytes per round.
+func (h Hasher) String(s string) Hasher {
+	h = h.word(5, uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h = h.word(5, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
 	}
-	return h.Sum64()
+	if len(s) > 0 {
+		var u uint64
+		for i := 0; i < len(s); i++ {
+			u |= uint64(s[i]) << (8 * i)
+		}
+		h = h.word(5, u)
+	}
+	return h
 }
 
-// HashValue hashes a single SQL value.
-func HashValue(v any) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	hashValue(&h, v)
-	return h.Sum64()
-}
-
-func hashValue(h *maphash.Hash, v any) {
+// Value folds a boxed SQL value.
+func (h Hasher) Value(v any) Hasher {
 	switch x := v.(type) {
 	case nil:
-		h.WriteByte(0)
+		return h.Null()
 	case bool:
 		if x {
-			h.WriteByte(2)
-		} else {
-			h.WriteByte(1)
+			return h.word(1, 1)
 		}
+		return h.word(1, 0)
 	case int32:
-		writeU64(h, 3, uint64(int64(x)))
+		return h.Int64(int64(x))
 	case int64:
-		writeU64(h, 3, uint64(x)) // int32/int64 of equal value hash alike
+		return h.Int64(x)
 	case float32:
-		writeU64(h, 4, math.Float64bits(float64(x)))
+		return h.Float64(float64(x))
 	case float64:
-		writeU64(h, 4, math.Float64bits(x))
+		return h.Float64(x)
 	case string:
-		h.WriteByte(5)
-		h.WriteString(x)
+		return h.String(x)
 	case types.Decimal:
-		n := x.Rescale(x.Scale) // normalize? scale is identity; hash fields
-		writeU64(h, 6, uint64(n.Unscaled))
-		writeU64(h, 6, uint64(int64(n.Scale)))
+		return h.word(6, uint64(x.Unscaled)).word(6, uint64(int64(x.Scale)))
 	case []byte:
-		h.WriteByte(7)
-		h.Write(x)
+		return h.word(7, 0).String(string(x))
 	case Row:
-		h.WriteByte(8)
+		h = h.word(8, uint64(len(x)))
 		for _, e := range x {
-			hashValue(h, e)
+			h = h.Value(e)
 		}
+		return h
 	case []any:
-		h.WriteByte(9)
+		h = h.word(9, uint64(len(x)))
 		for _, e := range x {
-			hashValue(h, e)
+			h = h.Value(e)
 		}
+		return h
 	default:
 		panic(fmt.Sprintf("row: unhashable value of type %T", v))
 	}
 }
 
-func writeU64(h *maphash.Hash, tag byte, u uint64) {
-	var buf [9]byte
-	buf[0] = tag
-	for i := 0; i < 8; i++ {
-		buf[i+1] = byte(u >> (8 * i))
+// Sum returns the hash.
+func (h Hasher) Sum() uint64 { return uint64(h) }
+
+// Hash computes a hash of a projection of the row (the fields at ordinals),
+// consistent with Equal: used by hash aggregation, hash joins and the
+// shuffle partitioner.
+func Hash(r Row, ordinals []int) uint64 {
+	h := NewHasher()
+	for _, i := range ordinals {
+		h = h.Value(r[i])
 	}
-	h.Write(buf[:])
+	return h.Sum()
 }
+
+// HashValue hashes a single SQL value.
+func HashValue(v any) uint64 { return NewHasher().Value(v).Sum() }
 
 // GroupKey renders the projected fields as a comparable key string for use
 // in Go maps (composite grouping keys). It is injective for the supported

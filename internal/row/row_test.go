@@ -179,3 +179,32 @@ func TestFormatValue(t *testing.T) {
 		}
 	}
 }
+
+// The hash must not depend on the process (a hash exchange's reduce
+// partitions can run in different worker processes) nor on whether a key
+// arrives boxed or off a typed lane: the pinned constants fail on any
+// per-process seed, the equalities on any lane/boxed divergence.
+func TestHashProcessIndependent(t *testing.T) {
+	if got := HashValue("sourceIP"); got != 0x65ee3af2ad797a1b {
+		t.Errorf("HashValue(\"sourceIP\") = %#x: the hash changed (or is seeded)", got)
+	}
+	if got := Hash(Row{int32(7), nil, 2.5}, []int{0, 1, 2}); got != 0x52d297594a166c13 {
+		t.Errorf("Hash(row) = %#x: the hash changed (or is seeded)", got)
+	}
+	h := NewHasher()
+	for name, eq := range map[string]bool{
+		"int32 lane":   HashValue(int32(-9)) == h.Int64(-9).Sum(),
+		"int64 lane":   HashValue(int64(1)<<40) == h.Int64(1<<40).Sum(),
+		"float32 lane": HashValue(float32(1.5)) == h.Float64(1.5).Sum(),
+		"float64 lane": HashValue(-0.0) == h.Float64(-0.0).Sum(),
+		"string lane":  HashValue("123.45.6") == h.String("123.45.6").Sum(),
+		"null":         HashValue(nil) == h.Null().Sum(),
+	} {
+		if !eq {
+			t.Errorf("%s: typed and boxed hashes differ", name)
+		}
+	}
+	if HashValue("ab") == HashValue("ab\x00") || HashValue(int64(0)) == HashValue(0.0) || HashValue(nil) == HashValue(int64(0)) {
+		t.Error("values of different length or class collide trivially")
+	}
+}

@@ -17,7 +17,9 @@ go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
 PERF_GATE=1 go test -run '^TestMetricsOverheadGate$' -v -timeout 10m ./internal/experiments/
 # Whole-stage fusion gate: fused aggregation must hold its 2x speedup over
-# the unfused vectorized path on the cached Q1 aggregate shape.
+# the unfused vectorized path on the cached Q1 aggregate shape, and run the
+# Q2a shape (string-function key, ~10^5 groups) on the native string table
+# at >= 1.5x.
 PERF_GATE=1 go test -run '^TestFusionGate$' -v -timeout 10m ./internal/experiments/
 
 # Fusion property suite: every fused shape byte-identical to the row path,
