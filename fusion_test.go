@@ -4,17 +4,21 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/datasource/colfile"
 	"repro/internal/rdd"
 )
 
 // Whole-stage fusion property tests. These extend the spill harness in
-// spill_test.go (spillConfig, rowsText, canonText, spillCollect) with CACHED
-// tables — fusion only engages over a columnar cache scan — and compare every
-// fused shape against the row-at-a-time path: group-key specializations
+// spill_test.go (spillConfig, rowsText, canonText, spillCollect) with tables
+// behind a batch-producing leaf — fusion only engages over one: the columnar
+// cache, or a colfile cut into row groups that coincide with the cache's
+// partitions — and compare every fused shape on every leaf against the
+// row-at-a-time path over the cache: group-key specializations
 // (int64, string, (int64,int64) pair, generic, global), every aggregate
 // function, broadcast-join probes on int, string, and pair keys under INNER
 // and LEFT OUTER, string/date kernels in the pipeline, and memory budgets
@@ -30,11 +34,41 @@ func fusedConfig(budget int64, vectorized bool) Config {
 	return cfg
 }
 
-// setupFusedTables mirrors setupSpillTables but caches every table and adds
-// what the fused shapes need: a low-cardinality string key (word), a second
-// int key (sub) for pair grouping and pair-key joins, a DATE column for the
-// date kernels, and NULLs sprinkled through every key column.
-func setupFusedTables(t testing.TB, ctx *Context) {
+// engineModes are the three ways one plan can run: fused batch operators,
+// compiled row-at-a-time operators, and the interpreted (Shark-style) row
+// operators.
+var engineModes = []struct {
+	name   string
+	config func(budget int64) Config
+}{
+	{"fused", func(b int64) Config { return fusedConfig(b, true) }},
+	{"row", func(b int64) Config { return fusedConfig(b, false) }},
+	{"interpreted", func(b int64) Config {
+		cfg := fusedConfig(b, false)
+		cfg.Codegen = false
+		return cfg
+	}},
+}
+
+// A tableLeaf registers rows as a temp table behind one kind of leaf, split
+// into parts equal partitions (0 = the session's parallelism, 4).
+type tableLeaf func(t testing.TB, ctx *Context, schema StructType, rows []Row, name string, parts int)
+
+// batchLeaves are the leaves the vectorized and fused operators run over.
+var batchLeaves = []struct {
+	name     string
+	register tableLeaf
+}{
+	{"cache", cacheTempTable},
+	{"colfile", colfileTempTable},
+}
+
+// setupFusedTables mirrors setupSpillTables but puts every table behind a
+// batch-producing leaf and adds what the fused shapes need: a
+// low-cardinality string key (word), a second int key (sub) for pair
+// grouping and pair-key joins, a DATE column for the date kernels, and NULLs
+// sprinkled through every key column.
+func setupFusedTables(t testing.TB, ctx *Context, register tableLeaf) {
 	t.Helper()
 	events := StructType{}.
 		Add("id", IntType, false).
@@ -68,7 +102,7 @@ func setupFusedTables(t testing.TB, ctx *Context) {
 		}
 		rows[i] = r
 	}
-	cacheTempTable(t, ctx, events, rows, "events")
+	register(t, ctx, events, rows, "events", 0)
 
 	dim := StructType{}.
 		Add("grp", IntType, false).
@@ -77,7 +111,7 @@ func setupFusedTables(t testing.TB, ctx *Context) {
 	for g := 0; g < 80; g += 2 {
 		drows = append(drows, Row{int32(g), fmt.Sprintf("label%02d", g)})
 	}
-	cacheTempTable(t, ctx, dim, drows, "dim")
+	register(t, ctx, dim, drows, "dim", 0)
 
 	// Two of the six words are missing so inner string joins drop rows and
 	// LEFT OUTER null-extends them.
@@ -88,7 +122,7 @@ func setupFusedTables(t testing.TB, ctx *Context) {
 	for _, w := range words[:4] {
 		wrows = append(wrows, Row{w, "W:" + w})
 	}
-	cacheTempTable(t, ctx, dimw, wrows, "dimw")
+	register(t, ctx, dimw, wrows, "dimw", 0)
 
 	// Sparse (grp, sub) pairs for the pair-key probe table.
 	dimp := StructType{}.
@@ -101,16 +135,40 @@ func setupFusedTables(t testing.TB, ctx *Context) {
 			prows = append(prows, Row{int32(g), int32(s), fmt.Sprintf("p%02d-%d", g, s)})
 		}
 	}
-	cacheTempTable(t, ctx, dimp, prows, "dimp")
+	register(t, ctx, dimp, prows, "dimp", 0)
 }
 
-func cacheTempTable(t testing.TB, ctx *Context, schema StructType, rows []Row, name string) {
+func cacheTempTable(t testing.TB, ctx *Context, schema StructType, rows []Row, name string, parts int) {
 	t.Helper()
 	df, err := ctx.CreateDataFrame(schema, rows)
+	if parts > 0 {
+		df, err = ctx.CreateDataFrameFromRDD(schema, rdd.Parallelize(ctx.RDDContext(), rows, parts))
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := df.Cache(); err != nil {
+		t.Fatal(err)
+	}
+	df.RegisterTempTable(name)
+}
+
+// colfileTempTable writes rows to a columnar file whose row groups are the
+// partitions cacheTempTable would cut, and registers the file.
+func colfileTempTable(t testing.TB, ctx *Context, schema StructType, rows []Row, name string, parts int) {
+	t.Helper()
+	if parts == 0 {
+		parts = 4
+	}
+	if len(rows)%parts != 0 {
+		t.Fatalf("%s: %d rows do not cut into %d equal row groups", name, len(rows), parts)
+	}
+	path := filepath.Join(t.TempDir(), name+".gcf")
+	if err := colfile.Write(path, schema, rows, max(len(rows)/parts, 1)); err != nil {
+		t.Fatal(err)
+	}
+	df, err := ctx.Read().ColFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	df.RegisterTempTable(name)
@@ -152,6 +210,12 @@ var fusedCanonQueries = []string{
 	"SELECT e.name, w.wlabel FROM events e LEFT JOIN dimw w ON e.word = w.word WHERE e.id < 500",
 	"SELECT e.name, p.plabel FROM events e JOIN dimp p ON e.grp = p.grp AND e.sub = p.sub",
 	"SELECT e.name, p.plabel FROM events e LEFT JOIN dimp p ON e.grp = p.grp AND e.sub = p.sub WHERE e.id < 500",
+	// the small side on the left: the probe runs from the right pipeline
+	// (inner), or the row join stays (outer).
+	"SELECT d.label, e.name FROM dim d JOIN events e ON d.grp = e.grp WHERE e.id < 1500",
+	"SELECT w.wlabel, e.name FROM dimw w JOIN events e ON w.word = e.word WHERE e.id < 1500",
+	"SELECT p.plabel, e.name FROM dimp p JOIN events e ON p.grp = e.grp AND p.sub = e.sub",
+	"SELECT d.label, e.name FROM dim d RIGHT JOIN events e ON d.grp = e.grp WHERE e.id < 500",
 	// aggregate above a join: the probe fuses, the sink sits higher.
 	"SELECT d.label, count(*) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label",
 }
@@ -179,7 +243,7 @@ func TestFusedPipelineByteIdentical(t *testing.T) {
 	canonQueries := append(append([]string{}, fusedCanonQueries...), randomFusedQueries()...)
 
 	golden := NewContextWithConfig(fusedConfig(0, false))
-	setupFusedTables(t, golden)
+	setupFusedTables(t, golden, cacheTempTable)
 	wantExact := make(map[string]string, len(fusedExactQueries))
 	for _, q := range fusedExactQueries {
 		wantExact[q] = rowsText(spillCollect(t, golden, q))
@@ -195,38 +259,40 @@ func TestFusedPipelineByteIdentical(t *testing.T) {
 		budgets = append(budgets, 1+rng.Int63n(16<<10))
 	}
 
-	for _, budget := range budgets {
-		budget := budget
-		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			if budget == 1 && testing.Short() {
-				t.Skip("one-byte budget spills per row; skipped in -short")
-			}
-			ctx := NewContextWithConfig(fusedConfig(budget, true))
-			setupFusedTables(t, ctx)
-			ctx.SpillFS().WriteNanosPerByte = 0
-			ctx.SpillFS().ReadNanosPerByte = 0
-			for _, q := range fusedExactQueries {
-				if got := rowsText(spillCollect(t, ctx, q)); got != wantExact[q] {
-					t.Errorf("%q diverged from the row path at budget %d", q, budget)
+	for _, leaf := range batchLeaves {
+		for _, budget := range budgets {
+			budget := budget
+			t.Run(fmt.Sprintf("%s/budget=%d", leaf.name, budget), func(t *testing.T) {
+				if budget == 1 && testing.Short() {
+					t.Skip("one-byte budget spills per row; skipped in -short")
 				}
-				if nf := ctx.SpillFS().NumFiles(); nf != 0 {
-					t.Fatalf("%q left %d spill files at budget %d", q, nf, budget)
+				ctx := NewContextWithConfig(fusedConfig(budget, true))
+				setupFusedTables(t, ctx, leaf.register)
+				ctx.SpillFS().WriteNanosPerByte = 0
+				ctx.SpillFS().ReadNanosPerByte = 0
+				for _, q := range fusedExactQueries {
+					if got := rowsText(spillCollect(t, ctx, q)); got != wantExact[q] {
+						t.Errorf("%q diverged from the row path at budget %d", q, budget)
+					}
+					if nf := ctx.SpillFS().NumFiles(); nf != 0 {
+						t.Fatalf("%q left %d spill files at budget %d", q, nf, budget)
+					}
 				}
-			}
-			for _, q := range canonQueries {
-				if got := canonText(spillCollect(t, ctx, q)); got != wantCanon[q] {
-					t.Errorf("%q diverged from the row path at budget %d", q, budget)
+				for _, q := range canonQueries {
+					if got := canonText(spillCollect(t, ctx, q)); got != wantCanon[q] {
+						t.Errorf("%q diverged from the row path at budget %d", q, budget)
+					}
+					if nf := ctx.SpillFS().NumFiles(); nf != 0 {
+						t.Fatalf("%q left %d spill files at budget %d", q, nf, budget)
+					}
 				}
-				if nf := ctx.SpillFS().NumFiles(); nf != 0 {
-					t.Fatalf("%q left %d spill files at budget %d", q, nf, budget)
+				if budget > 0 {
+					if n := ctx.Metrics().Counter("memory.spill.count").Load(); n == 0 {
+						t.Fatalf("budget %d forced no spills over %d-row inputs", budget, spillRows)
+					}
 				}
-			}
-			if budget > 0 {
-				if n := ctx.Metrics().Counter("memory.spill.count").Load(); n == 0 {
-					t.Fatalf("budget %d forced no spills over %d-row inputs", budget, spillRows)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -235,35 +301,28 @@ func TestFusedPipelineByteIdentical(t *testing.T) {
 // `fl` (DOUBLE inputs including NaN, -0.0 and NULL) and `tiny` (1200 cached
 // partitions of five rows — the many-small-commits shape, where a partial
 // block's fixed cost is everything).
-func setupBlockTables(t testing.TB, ctx *Context) {
+func setupBlockTables(t testing.TB, ctx *Context, register tableLeaf) {
 	t.Helper()
 	texts := []any{"héllo wörld", "日本語テキスト", "naïve café", "", "plain ascii text", nil, "ab", "héllo again"}
 	mb := make([]Row, 600)
 	for i := range mb {
 		mb[i] = Row{int32(i), texts[(i*7)%len(texts)]}
 	}
-	cacheTempTable(t, ctx, StructType{}.Add("id", IntType, false).Add("s", StringType, true), mb, "mb")
+	register(t, ctx, StructType{}.Add("id", IntType, false).Add("s", StringType, true), mb, "mb", 0)
 
 	doubles := []any{math.NaN(), math.Copysign(0, -1), 0.0, 1.5, nil, -2.25, math.Inf(1)}
 	fl := make([]Row, 700)
 	for i := range fl {
 		fl[i] = Row{int32(i % 9), doubles[(i*5+i/7)%len(doubles)]}
 	}
-	cacheTempTable(t, ctx, StructType{}.Add("k", IntType, false).Add("x", DoubleType, true), fl, "fl")
+	register(t, ctx, StructType{}.Add("k", IntType, false).Add("x", DoubleType, true), fl, "fl", 0)
 
 	schema := StructType{}.Add("k", LongType, false).Add("s", StringType, false).Add("x", DoubleType, false)
 	tiny := make([]Row, 6000)
 	for i := range tiny {
 		tiny[i] = Row{int64(i * 7), fmt.Sprintf("%c%d", 'a'+i%7, i), float64(i%13) / 4}
 	}
-	df, err := ctx.CreateDataFrameFromRDD(schema, rdd.Parallelize(ctx.RDDContext(), tiny, 1200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := df.Cache(); err != nil {
-		t.Fatal(err)
-	}
-	df.RegisterTempTable("tiny")
+	register(t, ctx, schema, tiny, "tiny", 1200)
 }
 
 // blockQueries cross the typed partial-block boundary in every shape: each
@@ -308,44 +367,70 @@ func blockQueries() []string {
 	return qs
 }
 
+// probeOrderQueries are broadcast joins probed from either side. While the
+// build side fits the budget their output order is the row join's: probe
+// rows in stream order, matches in build-collect order, left cells first.
+// (At a one-byte budget the planner makes them sort-merge joins, and only
+// the row set is comparable.)
+var probeOrderQueries = []string{
+	"SELECT e.id, e.name, d.label FROM events e JOIN dim d ON e.grp = d.grp WHERE e.id % 3 = 0",
+	"SELECT d.label, e.id, e.name FROM dim d JOIN events e ON d.grp = e.grp WHERE e.id % 3 = 0",
+	"SELECT w.wlabel, e.id FROM dimw w JOIN events e ON w.word = e.word",
+	"SELECT p.plabel, e.id, e.val FROM dimp p JOIN events e ON p.grp = e.grp AND p.sub = e.sub",
+	"SELECT d.label, e.id FROM dim d RIGHT JOIN events e ON d.grp = e.grp WHERE e.id < 300",
+}
+
 // TestFusedPartialBlocks is the property suite for the columnar partial ->
-// final boundary: fused and row phase 1 produce byte-identical results in
-// identical order, at an unbounded budget, at 64 KB and at one byte, and no
-// spill file outlives a query.
+// final boundary and for the batch leaves under it: over the cache and over
+// colfile, the fused, row and interpreted engines produce byte-identical
+// results in identical order — the order of the row path over the cache — at
+// an unbounded budget, at 64 KB and at one byte, and no spill file outlives a
+// query.
 func TestFusedPartialBlocks(t *testing.T) {
-	queries := blockQueries()
+	queries := append(blockQueries(), probeOrderQueries...)
 	golden := NewContextWithConfig(fusedConfig(0, false))
-	setupFusedTables(t, golden)
-	setupBlockTables(t, golden)
+	setupFusedTables(t, golden, cacheTempTable)
+	setupBlockTables(t, golden, cacheTempTable)
 	want := make(map[string]string, len(queries))
 	for _, q := range queries {
 		want[q] = rowsText(spillCollect(t, golden, q))
 	}
-	for _, budget := range []int64{0, 64 << 10, 1} {
-		for _, vectorized := range []bool{true, false} {
-			t.Run(fmt.Sprintf("budget=%d/fused=%v", budget, vectorized), func(t *testing.T) {
-				if budget == 1 && testing.Short() {
-					t.Skip("one-byte budget spills per row; skipped in -short")
-				}
-				ctx := NewContextWithConfig(fusedConfig(budget, vectorized))
-				setupFusedTables(t, ctx)
-				setupBlockTables(t, ctx)
-				ctx.SpillFS().WriteNanosPerByte = 0
-				ctx.SpillFS().ReadNanosPerByte = 0
-				for _, q := range queries {
-					if got := rowsText(spillCollect(t, ctx, q)); got != want[q] {
-						t.Errorf("%q diverged from the unbudgeted row path:\n got %.300q\nwant %.300q", q, got, want[q])
+	wantCanon := make(map[string]string, len(probeOrderQueries))
+	for _, q := range probeOrderQueries {
+		wantCanon[q] = canonText(spillCollect(t, golden, q))
+	}
+	for _, leaf := range batchLeaves {
+		for _, budget := range []int64{0, 64 << 10, 1} {
+			for _, mode := range engineModes {
+				t.Run(fmt.Sprintf("%s/budget=%d/%s", leaf.name, budget, mode.name), func(t *testing.T) {
+					if budget == 1 && testing.Short() {
+						t.Skip("one-byte budget spills per row; skipped in -short")
 					}
-					if nf := ctx.SpillFS().NumFiles(); nf != 0 {
-						t.Fatalf("%q left %d spill files", q, nf)
+					ctx := NewContextWithConfig(mode.config(budget))
+					setupFusedTables(t, ctx, leaf.register)
+					setupBlockTables(t, ctx, leaf.register)
+					ctx.SpillFS().WriteNanosPerByte = 0
+					ctx.SpillFS().ReadNanosPerByte = 0
+					for _, q := range queries {
+						rows := spillCollect(t, ctx, q)
+						got, exp := rowsText(rows), want[q]
+						if canon, ok := wantCanon[q]; ok && budget == 1 {
+							got, exp = canonText(rows), canon
+						}
+						if got != exp {
+							t.Errorf("%q diverged from the unbudgeted row path:\n got %.300q\nwant %.300q", q, got, exp)
+						}
+						if nf := ctx.SpillFS().NumFiles(); nf != 0 {
+							t.Fatalf("%q left %d spill files", q, nf)
+						}
 					}
-				}
-				if budget > 0 {
-					if n := ctx.Metrics().Counter("memory.spill.count").Load(); n == 0 {
-						t.Fatalf("budget %d forced no spills", budget)
+					if budget > 0 {
+						if n := ctx.Metrics().Counter("memory.spill.count").Load(); n == 0 {
+							t.Fatalf("budget %d forced no spills", budget)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -365,7 +450,7 @@ func TestFusedAggregateAllocs(t *testing.T) {
 		rows[i] = datagen.UserVisitRow(11, int64(i), n/3)
 	}
 	ctx := NewContextWithConfig(fusedConfig(0, true))
-	cacheTempTable(t, ctx, datagen.UserVisitsSchema(), rows, "uservisits")
+	cacheTempTable(t, ctx, datagen.UserVisitsSchema(), rows, "uservisits", 0)
 	const q = "SELECT SUBSTR(sourceIP, 1, 8), SUM(adRevenue) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 8)"
 	groups := len(spillCollect(t, ctx, q))
 	if groups < n/2 {
@@ -384,7 +469,7 @@ func TestFusedAggregateAllocs(t *testing.T) {
 // and EXPLAIN ANALYZE annotates the fused operators with actuals.
 func TestFusionExplain(t *testing.T) {
 	ctx := NewContextWithConfig(fusedConfig(0, true))
-	setupFusedTables(t, ctx)
+	setupFusedTables(t, ctx, cacheTempTable)
 
 	mustExplain := func(q string) string {
 		t.Helper()
@@ -425,8 +510,17 @@ func TestFusionExplain(t *testing.T) {
 	}
 
 	join := mustExplain("SELECT e.name, d.label FROM events e JOIN dim d ON e.grp = d.grp")
-	if !strings.Contains(join, "FusedBroadcastHashJoin") {
+	if !strings.Contains(join, "FusedBroadcastHashJoin Inner build=right") {
 		t.Fatalf("broadcast join plan not fused:\n%s", join)
+	}
+	// The smaller side on the left: an inner join probes from the right
+	// pipeline and prints its real build side; an outer join keeps the row
+	// operator and says why.
+	if left := mustExplain("SELECT d.label, e.name FROM dim d JOIN events e ON d.grp = e.grp"); !strings.Contains(left, "FusedBroadcastHashJoin Inner build=left") {
+		t.Fatalf("build-left inner join not fused:\n%s", left)
+	}
+	if outer := mustExplain("SELECT d.label, e.name FROM dim d RIGHT JOIN events e ON d.grp = e.grp"); !strings.Contains(outer, "build=left") || !strings.Contains(outer, "(fallback: build side not right)") {
+		t.Fatalf("build-left outer join must stay a row join and say why:\n%s", outer)
 	}
 
 	df, err := ctx.SQL("SELECT grp, count(*) FROM events WHERE id < 2000 GROUP BY grp")
@@ -445,7 +539,7 @@ func TestFusionExplain(t *testing.T) {
 	cfg := fusedConfig(0, true)
 	cfg.Fusion = false
 	off := NewContextWithConfig(cfg)
-	setupFusedTables(t, off)
+	setupFusedTables(t, off, cacheTempTable)
 	odf, err := off.SQL("SELECT grp, count(*) FROM events GROUP BY grp")
 	if err != nil {
 		t.Fatal(err)

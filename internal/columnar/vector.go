@@ -122,12 +122,25 @@ func NewConstVector(t types.DataType, value any, n int) *Vector {
 }
 
 // WrapVector builds a vector over caller-owned typed data without copying:
-// data is a []int64, []float64, []string or []any lane (selecting the kind),
-// and valid, when non-nil, marks the non-NULL positions (it is no longer
-// than data). Aggregation state
-// lanes become result columns this way.
+// data is a []int64, []float64, []string, []bool or []any lane (selecting
+// the kind), and valid, when non-nil, marks the non-NULL positions (it is no
+// longer than data). Aggregation state lanes become result columns this way.
 func WrapVector(t types.DataType, data any, valid []bool) *Vector {
-	v := &Vector{Type: t}
+	v := WrapLanes(t, data, nil)
+	for i, ok := range valid {
+		if !ok {
+			v.SetNull(i)
+		}
+	}
+	return v
+}
+
+// WrapLanes is WrapVector for a caller that already holds the NULLs as a
+// bitmap: bit i of nulls set means position i is NULL, nil means no NULLs,
+// and bits past the lane's length are ignored. Neither slice is copied. A
+// columnar file scan hands its decoded chunks to the engine this way.
+func WrapLanes(t types.DataType, data any, nulls []uint64) *Vector {
+	v := &Vector{Type: t, nulls: nulls}
 	switch d := data.(type) {
 	case []int64:
 		v.Kind, v.I64, v.n = KindInt64, d, len(d)
@@ -135,15 +148,12 @@ func WrapVector(t types.DataType, data any, valid []bool) *Vector {
 		v.Kind, v.F64, v.n = KindFloat64, d, len(d)
 	case []string:
 		v.Kind, v.Str, v.n = KindString, d, len(d)
+	case []bool:
+		v.Kind, v.Bool, v.n = KindBool, d, len(d)
 	case []any:
 		v.Kind, v.Any, v.n = KindAny, d, len(d)
 	default:
 		panic(fmt.Sprintf("columnar: cannot wrap %T as a vector", data))
-	}
-	for i, ok := range valid {
-		if !ok {
-			v.SetNull(i)
-		}
 	}
 	return v
 }

@@ -5,6 +5,16 @@
 // pruning (only requested chunks are decoded) and filter pushdown with
 // row-group skipping. Filters are evaluated exactly, so the engine drops
 // residual predicates (ExactFilterScan).
+//
+// The primary read path is the batch scan (datasource.ColumnarScan): chunks
+// decode into typed column vectors and the pushed filters run on those
+// lanes, so no value is boxed inside this package. The row scan is the
+// batch scan with the surviving rows boxed.
+//
+// A Relation holds the file's bytes for as long as it lives and never
+// modifies them. Every string a scan or StringColumn returns aliases those
+// bytes instead of copying them: decoding a string allocates nothing, and
+// any retained string keeps the whole file image reachable.
 package colfile
 
 import (
@@ -97,6 +107,10 @@ func Write(path string, schema types.StructType, rows []row.Row, rowGroupSize in
 }
 
 func writeAll(w io.Writer, schema types.StructType, rows []row.Row, rowGroupSize int) error {
+	if len(schema.Fields) == 0 {
+		// Rows without columns would take no bytes; Open rejects them.
+		return fmt.Errorf("colfile: schema has no columns")
+	}
 	if _, err := w.Write(magic[:]); err != nil {
 		return err
 	}

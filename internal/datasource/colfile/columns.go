@@ -9,87 +9,55 @@ import (
 // Typed whole-column readers. These are the access path a hand-written
 // native engine (the evaluation's Impala stand-in) uses: decode one column
 // across all row groups into a typed slice, paying decode cost per query
-// like any engine reading a columnar file, but with no per-row boxing.
+// like any engine reading a columnar file, but with no per-row boxing. They
+// run the same per-type chunk decoders as the scans.
 
 // Int32Column decodes an INT/DATE column. valid[i] is false for NULL.
 func (rel *Relation) Int32Column(name string) (values []int32, valid []bool, err error) {
-	j, t, err := rel.columnOf(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !t.Equals(types.Int) && !t.Equals(types.Date) {
-		return nil, nil, fmt.Errorf("colfile: column %q is %s, not INT/DATE", name, t.Name())
-	}
-	for _, g := range rel.groups {
-		c := g.chunks[j]
-		r := &reader{data: c.data}
-		for i := 0; i < g.numRows; i++ {
-			if c.bitmap[i/8]&(1<<(uint(i)%8)) == 0 {
-				values = append(values, 0)
-				valid = append(valid, false)
-				continue
-			}
-			values = append(values, int32(r.u32()))
-			valid = append(valid, true)
-		}
-	}
-	return values, valid, nil
+	return readColumn(rel, name, "INT/DATE", decodeI32[int32], types.Int, types.Date)
 }
 
 // Float64Column decodes a DOUBLE column.
 func (rel *Relation) Float64Column(name string) (values []float64, valid []bool, err error) {
-	j, t, err := rel.columnOf(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !t.Equals(types.Double) {
-		return nil, nil, fmt.Errorf("colfile: column %q is %s, not DOUBLE", name, t.Name())
-	}
-	for _, g := range rel.groups {
-		c := g.chunks[j]
-		r := &reader{data: c.data}
-		for i := 0; i < g.numRows; i++ {
-			if c.bitmap[i/8]&(1<<(uint(i)%8)) == 0 {
-				values = append(values, 0)
-				valid = append(valid, false)
-				continue
-			}
-			values = append(values, r.value(types.Double).(float64))
-			valid = append(valid, true)
-		}
-	}
-	return values, valid, nil
+	return readColumn(rel, name, "DOUBLE", decodeF64, types.Double)
 }
 
-// StringColumn decodes a STRING column; NULLs decode as "".
+// StringColumn decodes a STRING column; NULLs decode as "". The strings
+// alias the file image (see the package comment).
 func (rel *Relation) StringColumn(name string) (values []string, valid []bool, err error) {
-	j, t, err := rel.columnOf(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !t.Equals(types.String) {
-		return nil, nil, fmt.Errorf("colfile: column %q is %s, not STRING", name, t.Name())
-	}
-	for _, g := range rel.groups {
-		c := g.chunks[j]
-		r := &reader{data: c.data}
-		for i := 0; i < g.numRows; i++ {
-			if c.bitmap[i/8]&(1<<(uint(i)%8)) == 0 {
-				values = append(values, "")
-				valid = append(valid, false)
-				continue
-			}
-			values = append(values, r.str())
-			valid = append(valid, true)
-		}
-	}
-	return values, valid, nil
+	return readColumn(rel, name, "STRING", decodeStr, types.String)
 }
 
-func (rel *Relation) columnOf(name string) (int, types.DataType, error) {
+// readColumn runs one chunk decoder over every row group of the named
+// column, which must have one of the accepted types.
+func readColumn[T any](rel *Relation, name, want string, decode func(c *chunk, n int, sel []int32, dst []T),
+	accept ...types.DataType) ([]T, []bool, error) {
 	j := rel.schema.FieldIndex(name)
 	if j < 0 {
-		return 0, nil, fmt.Errorf("colfile: unknown column %q", name)
+		return nil, nil, fmt.Errorf("colfile: unknown column %q", name)
 	}
-	return j, rel.schema.Fields[j].Type, nil
+	t := rel.schema.Fields[j].Type
+	ok := false
+	for _, a := range accept {
+		ok = ok || t.Equals(a)
+	}
+	if !ok {
+		return nil, nil, fmt.Errorf("colfile: column %q is %s, not %s", name, t.Name(), want)
+	}
+	total := 0
+	for i := range rel.groups {
+		total += rel.groups[i].numRows
+	}
+	values, valid := make([]T, total), make([]bool, total)
+	at := 0
+	for i := range rel.groups {
+		g := &rel.groups[i]
+		c := &g.chunks[j]
+		decode(c, g.numRows, nil, values[at:at+g.numRows])
+		for r := range valid[at : at+g.numRows] {
+			valid[at+r] = c.valid(r)
+		}
+		at += g.numRows
+	}
+	return values, valid, nil
 }

@@ -2,15 +2,19 @@
 // relations loaded by name with key-value options, exposing progressively
 // smarter scan interfaces — TableScan, PrunedScan, PrunedFilteredScan and
 // CatalystScan — that let the optimizer push column pruning and predicates
-// into the source. Concrete sources (CSV, JSON, the columnar file format,
+// into the source, plus ColumnarScan, this repository's extension of those
+// four: the same pruning and filters, answered with typed column batches
+// instead of rows. Concrete sources (CSV, JSON, the columnar file format,
 // and the federated in-memory database) live in subpackages and in
 // internal/memdb.
 package datasource
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
+	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/row"
 	"repro/internal/types"
@@ -71,6 +75,70 @@ type PrunedFilteredScan interface {
 type CatalystScan interface {
 	Relation
 	ScanCatalyst(columns []string, predicates []expr.Expression) (Scan, error)
+}
+
+// ColumnarScan is PrunedFilteredScan for a source that already stores its
+// data by column: the same pruning and filter pushdown, but the answer is
+// typed column vectors plus a selection vector, so the vectorized engine
+// reads the source's columns directly and only rows that survive the
+// pipeline are ever boxed. It is not one of the paper's four interfaces.
+type ColumnarScan interface {
+	Relation
+	ScanColumnar(columns []string, filters []Filter) (BatchScan, error)
+}
+
+// BatchScan is partitioned columnar output from a relation.
+type BatchScan struct {
+	NumPartitions int
+	// Partition produces the batches of partition p, in order, under Scan's
+	// concurrency contract, and reports what it left out. A batch whose rows
+	// all fail the filters is still produced, with an empty Sel; a batch the
+	// source skips without decoding is not.
+	Partition func(p int) ([]Batch, BatchStats)
+}
+
+// Batch is a run of rows held by column.
+type Batch struct {
+	// Cols holds one vector per requested column. Vectors index by position
+	// within the batch and are defined at the positions in Sel only; with an
+	// empty Sel they may be nil.
+	Cols []*columnar.Vector
+	// N is the number of rows the batch was decoded from.
+	N int
+	// Sel lists, ascending, the positions that pass every filter. It may be
+	// shared between batches and must not be written to.
+	Sel []int32
+}
+
+// BatchStats is what one partition of a BatchScan did not hand over.
+type BatchStats struct {
+	// GroupsSkipped counts batches ruled out by statistics, undecoded.
+	GroupsSkipped int
+	// RowsPruned counts decoded rows the filters dropped.
+	RowsPruned int
+}
+
+// Rows is the scan as rows: every selected position boxed, in order. A
+// columnar source implements its row interfaces with it.
+func (b BatchScan) Rows() Scan {
+	return Scan{
+		NumPartitions: b.NumPartitions,
+		Partition: func(p int) []row.Row {
+			var out []row.Row
+			batches, _ := b.Partition(p)
+			for _, batch := range batches {
+				out = slices.Grow(out, len(batch.Sel))
+				for _, i := range batch.Sel {
+					r := make(row.Row, len(batch.Cols))
+					for j, c := range batch.Cols {
+						r[j] = c.Get(int(i))
+					}
+					out = append(out, r)
+				}
+			}
+			return out
+		},
+	}
 }
 
 // ExactFilterScan marks a PrunedFilteredScan whose filter evaluation is

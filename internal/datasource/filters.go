@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/expr"
 	"repro/internal/row"
 	"repro/internal/types"
 )
@@ -121,6 +122,41 @@ func (f StringStartsWith) Matches(v any) bool {
 	return ok && strings.HasPrefix(s, f.Prefix)
 }
 func (f StringStartsWith) String() string { return fmt.Sprintf("%s LIKE '%s%%'", f.Col, f.Prefix) }
+
+// BindFilter rewrites f as a Catalyst predicate over input position ord of
+// type t, so a columnar source can evaluate it on typed lanes through
+// expr.CompileVecPredicate. The predicate selects exactly the rows Matches
+// accepts.
+func BindFilter(f Filter, ord int, t types.DataType) (expr.Expression, error) {
+	ref := &expr.BoundReference{Ordinal: ord, Type: t, Null: true}
+	lit := func(v any) expr.Expression { return &expr.Literal{Value: v, Type: t} }
+	cmp := func(op expr.CmpOp, v any) expr.Expression {
+		return &expr.Comparison{Op: op, Left: ref, Right: lit(v)}
+	}
+	switch x := f.(type) {
+	case EqualTo:
+		return cmp(expr.OpEQ, x.Value), nil
+	case GreaterThan:
+		return cmp(expr.OpGT, x.Value), nil
+	case GreaterOrEqual:
+		return cmp(expr.OpGE, x.Value), nil
+	case LessThan:
+		return cmp(expr.OpLT, x.Value), nil
+	case LessOrEqual:
+		return cmp(expr.OpLE, x.Value), nil
+	case In:
+		list := make([]expr.Expression, len(x.Values))
+		for i, v := range x.Values {
+			list[i] = lit(v)
+		}
+		return &expr.In{Value: ref, List: list}, nil
+	case IsNotNull:
+		return &expr.IsNotNull{Child: ref}, nil
+	case StringStartsWith:
+		return expr.StartsWith(ref, lit(x.Prefix)), nil
+	}
+	return nil, fmt.Errorf("datasource: no columnar form for filter %s (%T)", f, f)
+}
 
 // ApplyFilters evaluates all filters against a row under the given schema —
 // the helper sources use to honor pushdown.

@@ -529,11 +529,7 @@ func (d *adaptiveDriver) promotion(from string, t plan.JoinType, path []int, lef
 // when the observed build blows past the broadcast limit the static
 // planner believed it fit under.
 func (d *adaptiveDriver) adaptBroadcastJoin(n *BroadcastHashJoinExec, path []int) (SparkPlan, error) {
-	buildChild := n.Right
-	if !n.BuildRight {
-		buildChild = n.Left
-	}
-	stage, err := d.materialize(buildChild)
+	stage, err := d.materialize(n.buildSide())
 	if err != nil {
 		return nil, err
 	}

@@ -33,12 +33,13 @@ type FusionAnnotated interface{ Fusion() string }
 
 // Fuse is the preparation rule, run after Vectorize, that absorbs an
 // aggregation or a broadcast-hash-join probe into the vectorized pipeline
-// feeding it. Aggregations always fuse over a vectorized (or bare cached)
-// input — the generic group table and the per-row aggregate escape hatch
-// cover every key and function shape. Join probes fuse only for the shapes
-// the batch probe loop reproduces byte-identically (build right; inner or
-// left-outer; no residual; 1×int64, 1×string, or 2×int64 keys with native
-// probe kernels); everything else keeps the row operator and says why.
+// feeding it. Aggregations always fuse over a vectorized (or bare batch
+// scan) input — the generic group table and the per-row aggregate escape
+// hatch cover every key and function shape. Join probes fuse only for the
+// shapes the batch probe loop reproduces byte-identically (build right,
+// inner or left-outer, or build left, inner; no residual; 1×int64,
+// 1×string, or 2×int64 keys with native probe kernels); everything else
+// keeps the row operator and says why.
 func Fuse(p SparkPlan) SparkPlan {
 	children := p.Children()
 	if len(children) > 0 {
@@ -70,16 +71,19 @@ func Fuse(p SparkPlan) SparkPlan {
 			n.SetFusion("fallback: " + reason)
 			return p
 		}
-		f := &FusedBroadcastJoinExec{Join: n, Pipe: fusablePipe(n.Left)}
+		f := &FusedBroadcastJoinExec{Join: n, Pipe: fusablePipe(n.probeSide())}
 		f.SetFusion("fused: true")
 		return transferEstimate(f, n)
 	case *VectorizedPipelineExec:
 		n.SetFusion("fused: true")
 	case *PipelineExec:
-		if _, ok := n.Child.(*InMemoryScanExec); ok {
+		switch _, batches := n.Child.(BatchScan); {
+		case batches:
 			n.SetFusion("fallback: no native kernels")
-		} else {
+		case len(n.Child.Children()) == 0:
 			n.SetFusion("fallback: scan not columnar")
+		default:
+			n.SetFusion("fallback: input not a scan")
 		}
 	}
 	return p
@@ -87,13 +91,13 @@ func Fuse(p SparkPlan) SparkPlan {
 
 // fusablePipe returns the vectorized pipeline a sink can absorb: the child
 // itself when it already vectorized, or a synthesized zero-stage pipeline
-// when the sink sits directly on a cached scan (a bare GROUP BY with no
+// when the sink sits directly on a batch scan (a bare GROUP BY with no
 // filter still deserves the batch-native update loop).
 func fusablePipe(p SparkPlan) *VectorizedPipelineExec {
 	switch c := p.(type) {
 	case *VectorizedPipelineExec:
 		return c
-	case *InMemoryScanExec:
+	case BatchScan:
 		vp := &VectorizedPipelineExec{Scan: c}
 		vp.SetFusion("fused: true")
 		transferEstimate(vp, c)
@@ -106,7 +110,9 @@ func fusablePipe(p SparkPlan) *VectorizedPipelineExec {
 // path ("" = fusable). The conditions mirror exactly what
 // FusedBroadcastJoinExec.Execute handles.
 func joinFuseBlocker(j *BroadcastHashJoinExec) string {
-	if !j.BuildRight {
+	if !j.BuildRight && j.Type != plan.InnerJoin {
+		// Probing from the right null-extends and orders an outer join's
+		// output differently; only the inner join is reproduced.
 		return "build side not right"
 	}
 	if j.Type != plan.InnerJoin && j.Type != plan.LeftOuterJoin {
@@ -115,14 +121,15 @@ func joinFuseBlocker(j *BroadcastHashJoinExec) string {
 	if j.Residual != nil {
 		return "residual predicate"
 	}
-	vp := fusablePipe(j.Left)
+	vp := fusablePipe(j.probeSide())
 	if vp == nil {
 		return "probe side not vectorized"
 	}
 	if r := keyShapeBlocker(j.LeftKeys, j.RightKeys); r != "" {
 		return r
 	}
-	for _, k := range bindAll(j.LeftKeys, vp.Output()) {
+	probeKeys, _ := j.probeBuildKeys()
+	for _, k := range bindAll(probeKeys, vp.Output()) {
 		if _, ok := expr.CompileVec(k); !ok {
 			return "probe key not native"
 		}

@@ -157,48 +157,52 @@ func (j *BroadcastHashJoinExec) SimpleString() string {
 }
 func (j *BroadcastHashJoinExec) String() string { return Format(j) }
 
+// probeSide is the input a broadcast join streams; buildSide the one it
+// collects into the hash table.
+func (j *BroadcastHashJoinExec) probeSide() SparkPlan {
+	if j.BuildRight {
+		return j.Left
+	}
+	return j.Right
+}
+func (j *BroadcastHashJoinExec) buildSide() SparkPlan {
+	if j.BuildRight {
+		return j.Right
+	}
+	return j.Left
+}
+func (j *BroadcastHashJoinExec) probeBuildKeys() (probe, build []expr.Expression) {
+	if j.BuildRight {
+		return j.LeftKeys, j.RightKeys
+	}
+	return j.RightKeys, j.LeftKeys
+}
+
+// sides orders (probe, build) as the join's (left, right).
+func (j *BroadcastHashJoinExec) sides(probe, build SparkPlan) (left, right SparkPlan) {
+	if j.BuildRight {
+		return probe, build
+	}
+	return build, probe
+}
+
 func (j *BroadcastHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	leftOut, rightOut := j.Left.Output(), j.Right.Output()
 	match := residualPred(ctx, j.Residual, leftOut, rightOut)
 	om := j.EnableMetrics(ctx.Metrics)
 
-	if j.BuildRight {
-		buildKey := keyFunc(bindKeys(ctx, j.RightKeys, rightOut))
-		probeKey := keyFunc(bindKeys(ctx, j.LeftKeys, leftOut))
-		build := j.Right.Execute(ctx)
-		lazy := &lazyBuild[map[string][]row.Row]{}
-		nRight := len(rightOut)
-		return rdd.MapPartitionsCtx(j.Left.Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
-			table, err := lazy.get(jc, func(jc context.Context) (map[string][]row.Row, error) {
-				rows, err := build.CollectContext(jc)
-				if err != nil {
-					return nil, err
-				}
-				if om != nil {
-					om.RecordBuild(len(rows), rowsSize(rows))
-				}
-				return buildHashTable(rows, buildKey), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			var out []row.Row
-			for _, l := range in {
-				out = appendProbeRight(out, l, table, probeKey, match, j.Type, nRight)
-			}
-			om.RecordPartition(len(out), time.Since(start))
-			return out, nil
-		})
+	// Build one side, stream the other (right-outer joins stream the right).
+	probePlan, buildPlan := j.probeSide(), j.buildSide()
+	probeKeys, buildKeys := j.probeBuildKeys()
+	probeKey := keyFunc(bindKeys(ctx, probeKeys, probePlan.Output()))
+	buildKey := keyFunc(bindKeys(ctx, buildKeys, buildPlan.Output()))
+	appendProbe, nBuild := appendProbeRight, len(rightOut)
+	if !j.BuildRight {
+		appendProbe, nBuild = appendProbeLeft, len(leftOut)
 	}
-
-	// Build left, probe right (right-outer joins stream the right side).
-	buildKey := keyFunc(bindKeys(ctx, j.LeftKeys, leftOut))
-	probeKey := keyFunc(bindKeys(ctx, j.RightKeys, rightOut))
-	build := j.Left.Execute(ctx)
+	build := buildPlan.Execute(ctx)
 	lazy := &lazyBuild[map[string][]row.Row]{}
-	nLeft := len(leftOut)
-	return rdd.MapPartitionsCtx(j.Right.Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
+	return rdd.MapPartitionsCtx(probePlan.Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
 		table, err := lazy.get(jc, func(jc context.Context) (map[string][]row.Row, error) {
 			rows, err := build.CollectContext(jc)
 			if err != nil {
@@ -215,7 +219,7 @@ func (j *BroadcastHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		start := time.Now()
 		var out []row.Row
 		for _, r := range in {
-			out = appendProbeLeft(out, r, table, probeKey, match, j.Type, nLeft)
+			out = appendProbe(out, r, table, probeKey, match, j.Type, nBuild)
 		}
 		om.RecordPartition(len(out), time.Since(start))
 		return out, nil

@@ -19,6 +19,7 @@ type OperatorMetrics struct {
 	OutputRows atomic.Int64 // rows the operator produced
 	Partitions atomic.Int64 // partition closures observed
 	Batches    atomic.Int64 // columnar batches scanned (vectorized path)
+	Decoded    atomic.Int64 // rows decoded into those batches (batch scans)
 	WallNanos  atomic.Int64 // summed wall time inside the operator's closures
 	BuildRows  atomic.Int64 // build-side rows collected (joins)
 	BuildBytes atomic.Int64 // estimated build-side bytes (joins)
@@ -36,13 +37,15 @@ func (m *OperatorMetrics) RecordPartition(rows int, elapsed time.Duration) {
 	m.WallNanos.Add(elapsed.Nanoseconds())
 }
 
-// RecordBatch records one columnar batch scanned with its decoded row count.
-func (m *OperatorMetrics) RecordBatch(rows int) {
+// RecordBatch records one columnar batch a scan handed over: the rows it
+// decoded into the batch, and those of them its own filters selected.
+func (m *OperatorMetrics) RecordBatch(decoded, selected int) {
 	if m == nil {
 		return
 	}
 	m.Batches.Add(1)
-	m.OutputRows.Add(int64(rows))
+	m.Decoded.Add(int64(decoded))
+	m.OutputRows.Add(int64(selected))
 }
 
 // RecordBuild records a join's materialized build side.
@@ -74,6 +77,9 @@ func (m *OperatorMetrics) ActualString() string {
 	}
 	if n := m.Batches.Load(); n > 0 {
 		s += fmt.Sprintf(", %d batches", n)
+	}
+	if d := m.Decoded.Load(); d > 0 {
+		s += fmt.Sprintf(", %d rows decoded", d)
 	}
 	if r := m.SpillRuns.Load(); r > 0 {
 		s += fmt.Sprintf(", spilled: %d B, %d runs", m.SpillBytes.Load(), r)

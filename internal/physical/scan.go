@@ -9,6 +9,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/rdd"
 	"repro/internal/row"
+	"repro/internal/types"
 )
 
 // ScanExec is the generic leaf: it wraps a partition-producing function for
@@ -39,6 +40,31 @@ func (s *ScanExec) SimpleString() string {
 	return fmt.Sprintf("Scan %s %s", s.Name, attrsString(s.Attrs))
 }
 func (s *ScanExec) String() string { return Format(s) }
+
+// BatchScan is the one batch-producing leaf contract: the columnar cache and
+// columnar data sources implement it, and the vectorized pipeline and the
+// fused sinks are written against it alone.
+type BatchScan interface {
+	SparkPlan
+	// OpenBatches starts one execution of the scan. used marks the output
+	// positions some consumer reads; the scan need not decode the others.
+	OpenBatches(ctx *ExecContext, used []bool) BatchSource
+}
+
+// BatchSource is an opened BatchScan.
+type BatchSource struct {
+	NumPartitions int
+	// Batches opens partition p. Each call of the function it returns
+	// yields the partition's next batch, and false after the last: Cols[j]
+	// is output position j as a typed vector (nil where used[j] was false),
+	// N the batch's row count, and Sel the ascending positions that survive
+	// the scan's own filters — all N of them when it has none. Vectors index
+	// by position within the batch and are defined at the positions in Sel
+	// only; an empty Sel may come with nil vectors. A batch is valid until
+	// the next call, and its Sel must not be written to. The scan records
+	// its own metrics (batches, rows decoded, rows selected).
+	Batches func(p int) func() (datasource.Batch, bool)
+}
 
 // NewLocalScan scans in-memory rows, splitting them across the default
 // parallelism.
@@ -108,8 +134,19 @@ func NewRangeScan(attr *expr.AttributeReference, start, end, step int64, partiti
 }
 
 // NewSourceScan scans a data source relation through the smartest interface
-// it offers, passing pushed columns and filters (paper §4.4.1).
+// it offers, passing pushed columns and filters (paper §4.4.1). A relation
+// that also implements datasource.ColumnarScan gets a leaf that is a
+// BatchScan as well.
 func NewSourceScan(name string, attrs []*expr.AttributeReference, rel datasource.Relation,
+	cols []string, filters []datasource.Filter, predicates []expr.Expression) SparkPlan {
+	s := newSourceRowScan(name, attrs, rel, cols, filters, predicates)
+	if columnarRel, ok := rel.(datasource.ColumnarScan); ok {
+		return &SourceBatchScanExec{ScanExec: s, source: name, rel: columnarRel, filters: filters}
+	}
+	return s
+}
+
+func newSourceRowScan(name string, attrs []*expr.AttributeReference, rel datasource.Relation,
 	cols []string, filters []datasource.Filter, predicates []expr.Expression) *ScanExec {
 	detail := ""
 	if len(cols) > 0 {
@@ -161,11 +198,63 @@ func openScan(rel datasource.Relation, attrs []*expr.AttributeReference,
 	return datasource.Scan{}, fmt.Errorf("relation %T implements no scan interface", rel)
 }
 
+// SourceBatchScanExec is the leaf over a data source that implements
+// datasource.ColumnarScan. Executed as a row operator (a bare scan, or with
+// vectorization off) it is the embedded source scan; under a vectorized
+// pipeline it hands over the source's typed batches and selection vectors.
+type SourceBatchScanExec struct {
+	*ScanExec
+	source  string // provider name, prefix of the scan's counters
+	rel     datasource.ColumnarScan
+	filters []datasource.Filter
+}
+
+func (s *SourceBatchScanExec) WithNewChildren(children []SparkPlan) SparkPlan { return s }
+func (s *SourceBatchScanExec) String() string                                 { return Format(s) }
+
+// OpenBatches implements BatchScan: it asks the source for the used columns
+// only — a column that just a pushed filter reads is never materialised —
+// and spreads the answer back over the output positions.
+func (s *SourceBatchScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSource {
+	om := s.EnableMetrics(ctx.Metrics)
+	var names []string
+	var at []int
+	for j, a := range s.Attrs {
+		if used[j] {
+			names, at = append(names, a.Name), append(at, j)
+		}
+	}
+	scan, err := s.rel.ScanColumnar(names, s.filters)
+	if err != nil {
+		panic(fmt.Sprintf("physical: opening scan of %s: %v", s.source, err))
+	}
+	skipped := ctx.RDD.Metrics().Counter(s.source + ".groups.skipped")
+	pruned := ctx.RDD.Metrics().Counter(s.source + ".rows.pruned")
+	return BatchSource{NumPartitions: scan.NumPartitions, Batches: func(p int) func() (datasource.Batch, bool) {
+		batches, stats := scan.Partition(p)
+		skipped.Add(int64(stats.GroupsSkipped))
+		pruned.Add(int64(stats.RowsPruned))
+		out := make([]*columnar.Vector, len(used))
+		return func() (datasource.Batch, bool) {
+			if len(batches) == 0 {
+				return datasource.Batch{}, false
+			}
+			b := batches[0]
+			batches = batches[1:]
+			om.RecordBatch(b.N, len(b.Sel))
+			for k, j := range at {
+				out[j] = b.Cols[k]
+			}
+			b.Cols = out
+			return b, true
+		}
+	}}
+}
+
 // InMemoryScanExec scans the columnar cache with optional column pruning
 // and batch skipping (paper §3.6). Unlike the other leaves it is a concrete
-// struct rather than a closure-configured ScanExec: the Vectorize
-// preparation rule needs access to the table and pruning to swap in the
-// batch-at-a-time path.
+// struct rather than a closure-configured ScanExec: its row path and its
+// batch path share the table, the pruning and the batch-skipping predicate.
 type InMemoryScanExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -198,6 +287,52 @@ func (s *InMemoryScanExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		om.RecordPartition(len(out), time.Since(t0))
 		return out
 	})
+}
+
+// OpenBatches implements BatchScan: each kept cache batch decodes its used
+// columns once, and every row is selected.
+func (s *InMemoryScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSource {
+	om := s.EnableMetrics(ctx.Metrics)
+	// Map each output position to the cached column to decode (-1 when no
+	// consumer references it) and its type.
+	ords := make([]int, len(s.Attrs))
+	colTypes := make([]types.DataType, len(s.Attrs))
+	for j := range s.Attrs {
+		ord := j
+		if s.Ordinals != nil {
+			ord = s.Ordinals[j]
+		}
+		colTypes[j] = s.Table.Schema.Fields[ord].Type
+		if used[j] {
+			ords[j] = ord
+		} else {
+			ords[j] = -1
+		}
+	}
+	// Every batch selects all of its rows: one identity selection, as long
+	// as the longest batch, serves them all.
+	longest := 0
+	for _, part := range s.Table.Partitions {
+		for _, b := range part {
+			longest = max(longest, b.NumRows)
+		}
+	}
+	ident := identitySel(longest)
+	return BatchSource{NumPartitions: len(s.Table.Partitions), Batches: func(p int) func() (datasource.Batch, bool) {
+		rest := s.Table.Partitions[p]
+		return func() (datasource.Batch, bool) {
+			for len(rest) > 0 {
+				b := rest[0]
+				rest = rest[1:]
+				if s.Keep != nil && !s.Keep(b.Stats) {
+					continue
+				}
+				om.RecordBatch(b.NumRows, b.NumRows)
+				return datasource.Batch{Cols: b.DecodeBatch(colTypes, ords), N: b.NumRows, Sel: ident[:b.NumRows:b.NumRows]}, true
+			}
+			return datasource.Batch{}, false
+		}
+	}}
 }
 func (s *InMemoryScanExec) SimpleString() string {
 	if s.Ordinals != nil {

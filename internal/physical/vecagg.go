@@ -38,7 +38,7 @@ func (f *FusedAggregateExec) WithNewChildren(children []SparkPlan) SparkPlan {
 		c.Pipe, c.sink = vp, nil
 		return &c
 	}
-	// The pipeline degraded (e.g. the leaf stopped being a cache scan):
+	// The pipeline degraded (e.g. the leaf stopped producing batches):
 	// fall back to the plain two-phase aggregate.
 	agg := *f.Agg
 	agg.Child = children[0]
@@ -72,7 +72,7 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	numPart := h.reducers(ctx)
 	boxedKernels := int64(len(k.fallbacks))
 
-	blocks := rdd.Generate(ctx.RDD, "fusedAgg", len(f.Pipe.Scan.Table.Partitions), func(p int) []aggBlock {
+	blocks := rdd.Generate(ctx.RDD, "fusedAgg", vp.src.NumPartitions, func(p int) []aggBlock {
 		// Per-partition mutable state: the group index table and one set of
 		// typed state lanes per aggregate.
 		groups, _ := newGroupIndexer(keyTypes, k.native, 0)

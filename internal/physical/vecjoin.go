@@ -17,40 +17,41 @@ import (
 // type-specialized hash table (int64, string, or (int64, int64) keys — the
 // shapes the Fuse rule admits), and the probe loop reads join keys straight
 // off the decoded column vectors, boxing a probe row only when it actually
-// matches (or needs null-extension under LEFT OUTER). The emitted row order
-// is byte-identical to BroadcastHashJoinExec: probe rows in pipeline order,
-// matches in build-collect order.
+// matches (or needs null-extension under LEFT OUTER). The probe pipeline is
+// the join's left input when the build side is the right one, and its right
+// input for an inner join that builds left; either way the emitted rows are
+// byte-identical to BroadcastHashJoinExec's: left cells before right cells,
+// probe rows in pipeline order, matches in build-collect order.
 type FusedBroadcastJoinExec struct {
 	PlanEstimate
 	PlanMetrics
 	FusionNote
-	Join *BroadcastHashJoinExec // key/type config; its Left is unused here
+	Join *BroadcastHashJoinExec // key/type/build-side config; its probe-side child is unused here
 	Pipe *VectorizedPipelineExec
 }
 
-func (f *FusedBroadcastJoinExec) Children() []SparkPlan { return []SparkPlan{f.Pipe, f.Join.Right} }
+func (f *FusedBroadcastJoinExec) Children() []SparkPlan {
+	l, r := f.Join.sides(f.Pipe, f.Join.buildSide())
+	return []SparkPlan{l, r}
+}
 func (f *FusedBroadcastJoinExec) WithNewChildren(children []SparkPlan) SparkPlan {
 	j := *f.Join
-	j.Right = children[1]
-	if vp, ok := children[0].(*VectorizedPipelineExec); ok {
+	j.Left, j.Right = children[0], children[1]
+	if vp, ok := j.probeSide().(*VectorizedPipelineExec); ok {
 		c := *f
 		c.Join = &j
 		c.Pipe = vp
 		return &c
 	}
 	// The probe pipeline degraded: fall back to the row join.
-	j.Left = children[0]
 	return transferEstimate(&j, f)
 }
 func (f *FusedBroadcastJoinExec) Output() []*expr.AttributeReference {
-	return joinOutput(f.Join.Type, f.Pipe.Output(), f.Join.Right.Output())
+	l, r := f.Join.sides(f.Pipe, f.Join.buildSide())
+	return joinOutput(f.Join.Type, l.Output(), r.Output())
 }
-func (f *FusedBroadcastJoinExec) SimpleString() string {
-	j := f.Join
-	return fmt.Sprintf("FusedBroadcastHashJoin %s build=right keys=[%s]=[%s]",
-		j.Type, exprListString(j.LeftKeys), exprListString(j.RightKeys))
-}
-func (f *FusedBroadcastJoinExec) String() string { return Format(f) }
+func (f *FusedBroadcastJoinExec) SimpleString() string { return "Fused" + f.Join.SimpleString() }
+func (f *FusedBroadcastJoinExec) String() string       { return Format(f) }
 
 func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	j := f.Join
@@ -59,27 +60,33 @@ func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		// Runtime knob off: run the identical row join, sharing this node's
 		// metrics so EXPLAIN ANALYZE annotates the printed tree.
 		jr := *j
-		jr.Left = f.Pipe
+		jr.Left, jr.Right = j.sides(f.Pipe, j.buildSide())
 		jr.PlanMetrics.m = om
 		return jr.Execute(ctx)
 	}
 
-	leftOut, rightOut := f.Pipe.Output(), j.Right.Output()
-	buildEvals := bindKeys(ctx, j.RightKeys, rightOut)
-	probeVecs := make([]expr.VecEval, len(j.LeftKeys))
-	for i, k := range bindAll(j.LeftKeys, leftOut) {
+	buildPlan := j.buildSide()
+	probeKeys, buildKeys := j.probeBuildKeys()
+	buildEvals := bindKeys(ctx, buildKeys, buildPlan.Output())
+	probeVecs := make([]expr.VecEval, len(probeKeys))
+	for i, k := range bindAll(probeKeys, f.Pipe.Output()) {
 		// The Fuse rule only admits keys that compile natively.
 		probeVecs[i], _ = expr.CompileVec(k)
 	}
-	nRight := len(rightOut)
+	nProbe, nBuild := len(f.Pipe.Output()), len(buildPlan.Output())
+	// Probe cells land after the build cells when the build side is the left.
+	probeAt, buildAt := 0, nProbe
+	if !j.BuildRight {
+		probeAt, buildAt = nBuild, 0
+	}
 	leftOuter := j.Type == plan.LeftOuterJoin
 
 	vp := f.Pipe.compile(ctx, om, nil)
 
-	build := j.Right.Execute(ctx)
+	build := buildPlan.Execute(ctx)
 	lazy := &lazyBuild[probeTable]{}
-	strKey := len(j.LeftKeys) == 1 && expr.VecClassOf(j.LeftKeys[0].DataType()) == expr.VecClassStr
-	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", len(f.Pipe.Scan.Table.Partitions), func(jc context.Context, p int) ([]row.Row, error) {
+	strKey := len(probeKeys) == 1 && expr.VecClassOf(probeKeys[0].DataType()) == expr.VecClassStr
+	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", vp.src.NumPartitions, func(jc context.Context, p int) ([]row.Row, error) {
 		ht, err := lazy.get(jc, func(jc context.Context) (probeTable, error) {
 			rows, err := build.CollectContext(jc)
 			if err != nil {
@@ -96,22 +103,29 @@ func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		start := time.Now()
 		var out []row.Row
 		kvecs := make([]*columnar.Vector, len(probeVecs))
+		// emit joins probe row i with one build row (nil null-extends): the
+		// probe cells are boxed straight into the output row.
+		emit := func(batch *expr.VecBatch, i int, b row.Row) {
+			r := make(row.Row, nProbe+nBuild)
+			for c, v := range batch.Cols {
+				r[probeAt+c] = v.Get(i)
+			}
+			copy(r[buildAt:], b)
+			out = append(out, r)
+		}
 		vp.each(p, func(batch *expr.VecBatch, live []int32) {
 			for i, kv := range probeVecs {
 				kvecs[i] = kv(batch, live)
 			}
 			for _, i := range live {
 				ii := int(i)
-				bucket, keyOK := ht.bucket(kvecs, ii)
-				if !keyOK || len(bucket) == 0 {
-					if leftOuter {
-						out = append(out, concatRows(boxBatchRow(batch, ii), nullRow(nRight)))
-					}
-					continue
+				// A NULL probe key has no bucket, like a key nothing matches.
+				bucket, _ := ht.bucket(kvecs, ii)
+				if leftOuter && len(bucket) == 0 {
+					emit(batch, ii, nil)
 				}
-				l := boxBatchRow(batch, ii)
-				for _, r := range bucket {
-					out = append(out, concatRows(l, r))
+				for _, b := range bucket {
+					emit(batch, ii, b)
 				}
 			}
 		})

@@ -8,19 +8,19 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rdd"
 	"repro/internal/row"
-	"repro/internal/types"
 )
 
 // VectorizedPipelineExec runs a fused filter/project pipeline batch-at-a-time
-// directly over the columnar cache: each batch's referenced columns are
-// decoded ONCE into typed vectors, predicates narrow a selection vector, and
-// rows are materialized only at the pipeline boundary for the surviving
+// directly over a batch-producing leaf (the columnar cache or a columnar
+// data source): each batch's referenced columns are decoded ONCE into typed
+// vectors, predicates narrow the selection vector the leaf starts it with,
+// and rows are materialized only at the pipeline boundary for the surviving
 // positions. This removes the per-row boxing and interface dispatch that the
-// row-at-a-time path pays between the cache and the first operator — the gap
+// row-at-a-time path pays between the leaf and the first operator — the gap
 // EXPERIMENTS.md measures against the native baseline.
 //
-// The Vectorize preparation rule swaps it in for PipelineExec over an
-// InMemoryColumnar scan when at least one stage compiles to native kernels;
+// The Vectorize preparation rule swaps it in for PipelineExec over a
+// BatchScan when at least one stage compiles to native kernels;
 // ExecContext.Vectorized gates execution at runtime (off = identical
 // row-at-a-time semantics through PipelineExec).
 type VectorizedPipelineExec struct {
@@ -29,7 +29,7 @@ type VectorizedPipelineExec struct {
 	FusionNote
 	// Stages are listed bottom (first applied) to top, as in PipelineExec.
 	Stages []stage
-	Scan   *InMemoryScanExec
+	Scan   BatchScan
 	// Native counts stages that compiled to native batch kernels (the rest
 	// run through the per-row scalar fallback inside the batch loop).
 	Native int
@@ -37,12 +37,12 @@ type VectorizedPipelineExec struct {
 
 func (v *VectorizedPipelineExec) Children() []SparkPlan { return []SparkPlan{v.Scan} }
 func (v *VectorizedPipelineExec) WithNewChildren(children []SparkPlan) SparkPlan {
-	if scan, ok := children[0].(*InMemoryScanExec); ok {
+	if scan, ok := children[0].(BatchScan); ok {
 		c := *v
 		c.Scan = scan
 		return &c
 	}
-	// The leaf is no longer a cache scan: degrade to the row pipeline.
+	// The leaf no longer produces batches: degrade to the row pipeline.
 	return transferEstimate(&PipelineExec{Stages: v.Stages, Child: children[0]}, v)
 }
 func (v *VectorizedPipelineExec) Output() []*expr.AttributeReference {
@@ -134,7 +134,7 @@ func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	}
 	om := v.EnableMetrics(ctx.Metrics)
 	vp := v.compile(ctx, om, nil)
-	return rdd.Generate(ctx.RDD, "cacheScanVec", len(v.Scan.Table.Partitions), func(p int) []row.Row {
+	return rdd.Generate(ctx.RDD, "cacheScanVec", vp.src.NumPartitions, func(p int) []row.Row {
 		start := time.Now()
 		var out []row.Row
 		vp.each(p, func(batch *expr.VecBatch, live []int32) {
@@ -150,11 +150,9 @@ func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 // vecPipe is a vectorized pipeline compiled for execution: the batch loop
 // shared by the pipeline itself and by the fused sinks that absorb it.
 type vecPipe struct {
-	scan         *InMemoryScanExec
-	om, scanOM   *OperatorMetrics
+	src          BatchSource
+	om           *OperatorMetrics
 	stages       []vecStage
-	eff          []int
-	colTypes     []types.DataType
 	fallbackRows *metrics.Counter // vec.fallback.rows
 }
 
@@ -164,23 +162,21 @@ type vecPipe struct {
 // would materialize in full), but fused, the only consumers are the filters
 // and the sink — so the decode set narrows to exactly those.
 func (v *VectorizedPipelineExec) compile(ctx *ExecContext, om *OperatorMetrics, sink []expr.Expression) *vecPipe {
-	scan := v.Scan
-	stages, used, _ := compileVecStages(v.Stages, scan.Attrs)
+	attrs := v.Scan.Output()
+	stages, used, _ := compileVecStages(v.Stages, attrs)
 	if sink != nil && !stagesProject(v.Stages) {
 		for j := range used {
 			used[j] = false
 		}
 		for _, st := range v.Stages {
-			markBoundRefs(bind(st.cond, scan.Attrs), used)
+			markBoundRefs(bind(st.cond, attrs), used)
 		}
 		for _, e := range sink {
 			markBoundRefs(e, used)
 		}
 	}
-	vp := &vecPipe{scan: scan, om: om, scanOM: scan.EnableMetrics(ctx.Metrics), stages: stages,
+	return &vecPipe{src: v.Scan.OpenBatches(ctx, used), om: om, stages: stages,
 		fallbackRows: ctx.RDD.Metrics().Counter("vec.fallback.rows")}
-	vp.eff, vp.colTypes = scanDecodePlan(scan, used)
-	return vp
 }
 
 // stagesProject reports whether any stage is a projection (which resets the
@@ -194,33 +190,26 @@ func stagesProject(stages []stage) bool {
 	return false
 }
 
-// each runs partition p's batches through the stages and hands every batch
-// with surviving rows to fn as (final batch, selection). The identity
-// selection and the batch headers are per-partition scratch reused across
-// batches: fn must not retain either past its return. Rows a stage ran
-// through the boxed scalar fallback are counted once per batch.
+// each runs partition p's batches through the stages, starting from the
+// selection the scan hands over, and passes every batch with surviving rows
+// to fn as (final batch, selection). The batch headers are per-partition
+// scratch reused across batches and the selection may be the scan's: fn must
+// not retain either past its return. Rows a stage ran through the boxed
+// scalar fallback are counted once per batch.
 func (vp *vecPipe) each(p int, fn func(batch *expr.VecBatch, live []int32)) {
-	var ident []int32
 	var in expr.VecBatch
 	staged := make([]expr.VecBatch, len(vp.stages))
-	for _, b := range vp.scan.Table.Partitions[p] {
-		if vp.scan.Keep != nil && !vp.scan.Keep(b.Stats) {
-			continue
-		}
-		// The scan's rows are never materialized on this path; credit it
-		// with the batches and decoded row counts it fed the pipeline.
-		vp.scanOM.RecordBatch(b.NumRows)
+	next := vp.src.Batches(p)
+	for b, ok := next(); ok; b, ok = next() {
 		if vp.om != nil {
 			vp.om.Batches.Add(1)
 		}
-		if have := len(ident); have < b.NumRows {
-			ident = append(ident, make([]int32, b.NumRows-have)...)
-			for i := have; i < b.NumRows; i++ {
-				ident[i] = int32(i)
-			}
+		live, n := b.Sel, b.N
+		if len(live) == 0 {
+			continue
 		}
-		in = expr.VecBatch{Cols: b.DecodeBatch(vp.colTypes, vp.eff), N: b.NumRows}
-		batch, live := &in, ident[:b.NumRows]
+		in = expr.VecBatch{Cols: b.Cols, N: n}
+		batch := &in
 		var boxed int
 		for i, st := range vp.stages {
 			if !st.native {
@@ -233,7 +222,7 @@ func (vp *vecPipe) each(p int, fn func(batch *expr.VecBatch, live []int32)) {
 				continue
 			}
 			next := &staged[i]
-			next.Cols, next.N = next.Cols[:0], b.NumRows
+			next.Cols, next.N = next.Cols[:0], n
 			for _, ev := range st.evals {
 				next.Cols = append(next.Cols, ev(batch, live))
 			}
@@ -266,26 +255,6 @@ func boxBatchRow(b *expr.VecBatch, i int) row.Row {
 	return r
 }
 
-// scanDecodePlan maps each scan output position to the cached column
-// ordinal to decode (-1 when no consumer references it) and its type.
-func scanDecodePlan(scan *InMemoryScanExec, used []bool) ([]int, []types.DataType) {
-	eff := make([]int, len(scan.Attrs))
-	colTypes := make([]types.DataType, len(scan.Attrs))
-	for j := range scan.Attrs {
-		ord := j
-		if scan.Ordinals != nil {
-			ord = scan.Ordinals[j]
-		}
-		colTypes[j] = scan.Table.Schema.Fields[ord].Type
-		if used[j] {
-			eff[j] = ord
-		} else {
-			eff[j] = -1
-		}
-	}
-	return eff, colTypes
-}
-
 // stageAttrs is the output schema of a projection stage.
 func stageAttrs(st stage) []*expr.AttributeReference {
 	out := make([]*expr.AttributeReference, len(st.list))
@@ -307,9 +276,9 @@ func stagesOutput(stages []stage, attrs []*expr.AttributeReference) []*expr.Attr
 
 // Vectorize is the preparation rule (run after Collapse) that swaps
 // PipelineExec for VectorizedPipelineExec wherever the pipeline sits
-// directly on an InMemoryColumnar scan and at least one fused stage
-// compiles to native batch kernels — otherwise vectorization is pure
-// decode overhead and the row pipeline is kept.
+// directly on a BatchScan and at least one fused stage compiles to native
+// batch kernels — otherwise vectorization is pure decode overhead and the
+// row pipeline is kept.
 func Vectorize(p SparkPlan) SparkPlan {
 	children := p.Children()
 	if len(children) > 0 {
@@ -330,11 +299,11 @@ func Vectorize(p SparkPlan) SparkPlan {
 	if !ok {
 		return p
 	}
-	scan, ok := pipe.Child.(*InMemoryScanExec)
+	scan, ok := pipe.Child.(BatchScan)
 	if !ok {
 		return p
 	}
-	_, _, native := compileVecStages(pipe.Stages, scan.Attrs)
+	_, _, native := compileVecStages(pipe.Stages, scan.Output())
 	if native == 0 {
 		return p
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
+	"repro/internal/plan"
 	"repro/internal/row"
 	"repro/internal/types"
 )
@@ -208,4 +209,60 @@ func TestVectorizedExecEmptyTable(t *testing.T) {
 		Child: NewInMemoryScan(attrs, table, nil, nil),
 	}))
 	runBoth(t, p, "empty")
+}
+
+// The fused probe runs from whichever pipeline the join streams: for either
+// build side it matches the row join row for row (runBoth), prints its real
+// build side, survives a WithNewChildren round trip, and degrades to the row
+// join when its probe child stops being a vectorized pipeline. An outer join
+// that builds left is never fused, and says why.
+func TestFusedBroadcastJoinEitherBuildSide(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	big, bigAttrs := cachedTableForTest(rng, 1500, 3, 128)
+	small, smallAttrs := cachedTableForTest(rng, 40, 1, 64)
+	pipe := func(table *columnar.CachedTable, attrs []*expr.AttributeReference) SparkPlan {
+		return &FilterExec{Cond: expr.GT(attrs[1], expr.Lit(int32(100))), Child: NewInMemoryScan(attrs, table, nil, nil)}
+	}
+	prepare := func(p SparkPlan) SparkPlan { return Fuse(Vectorize(Collapse(p))) }
+	for _, buildRight := range []bool{true, false} {
+		j := &BroadcastHashJoinExec{
+			Left: pipe(big, bigAttrs), Right: pipe(small, smallAttrs),
+			LeftKeys: []expr.Expression{bigAttrs[2]}, RightKeys: []expr.Expression{smallAttrs[2]},
+			Type: plan.InnerJoin, BuildRight: buildRight,
+		}
+		if !buildRight {
+			j.Left, j.Right = j.Right, j.Left
+			j.LeftKeys, j.RightKeys = j.RightKeys, j.LeftKeys
+		}
+		p := prepare(j)
+		f, ok := p.(*FusedBroadcastJoinExec)
+		if !ok {
+			t.Fatalf("buildRight=%v: not fused: %s", buildRight, p)
+		}
+		if want := j.SimpleString(); f.SimpleString() != "Fused"+want {
+			t.Fatalf("fused join prints %q, want it to name the row join's build side: %q", f.SimpleString(), want)
+		}
+		runBoth(t, f, f.SimpleString())
+		if again := f.WithNewChildren(f.Children()); again.String() != f.String() {
+			t.Fatalf("WithNewChildren(Children()) changed the tree:\n%s\nvs\n%s", again, f)
+		}
+		kids := f.Children()
+		probeAt := 0
+		if !buildRight {
+			probeAt = 1
+		}
+		kids[probeAt] = NewLocalScan(kids[probeAt].Output(), nil)
+		if _, isRow := f.WithNewChildren(kids).(*BroadcastHashJoinExec); !isRow {
+			t.Fatalf("buildRight=%v: a non-vectorized probe child must degrade to the row join", buildRight)
+		}
+	}
+	outer := prepare(&BroadcastHashJoinExec{
+		Left: pipe(small, smallAttrs), Right: pipe(big, bigAttrs),
+		LeftKeys: []expr.Expression{smallAttrs[2]}, RightKeys: []expr.Expression{bigAttrs[2]},
+		Type: plan.RightOuterJoin,
+	})
+	if j, ok := outer.(*BroadcastHashJoinExec); !ok || j.Fusion() != "fallback: build side not right" {
+		t.Fatalf("a right outer join that builds left must stay a row join and say why: %s", outer)
+	}
+	runBoth(t, outer, "right outer, build left")
 }

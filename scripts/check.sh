@@ -23,8 +23,14 @@ PERF_GATE=1 go test -run '^TestMetricsOverheadGate$' -v -timeout 10m ./internal/
 PERF_GATE=1 go test -run '^TestFusionGate$' -v -timeout 10m ./internal/experiments/
 
 # Fusion property suite: every fused shape byte-identical to the row path,
-# at budgets down to one byte.
-go test -race -v -run '^TestFused|^TestFusion' -timeout 10m .
+# at budgets down to one byte, over both batch leaves (the columnar cache
+# and colfile), with the vectorized battery and the colfile leaf's
+# observability contract.
+go test -race -v -run '^TestFused|^TestFusion|^TestVectorized|^TestColfileLeaf' -timeout 10m .
+
+# colfile.Open reads bytes from outside the process: fuzz it, and the scans
+# over whatever opens, for a short fixed time.
+go test -run '^$' -fuzz=FuzzOpen -fuzztime=15s -timeout 5m ./internal/datasource/colfile/
 
 # Small-budget spill suite, explicitly: every blocking operator must stay
 # byte-identical to the in-memory path while spilling under tiny memory

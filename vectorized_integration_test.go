@@ -2,89 +2,200 @@ package sparksql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
-	"repro/internal/row"
+	"repro/internal/datagen"
+	"repro/internal/rdd"
 	"repro/internal/types"
 )
 
-// vecTestContext builds a context with the vectorized knob set, caches a
-// rankings-like table with NULLs under it, and registers a UDF, so the
-// battery below exercises native kernels and scalar fallbacks alike.
-func vecTestContext(t *testing.T, vectorized bool) *Context {
+// rowsTempTable registers rows as a plain row RDD cut into parts equal
+// partitions: the leaf with no batch code anywhere on its path, cut like
+// cacheTempTable and colfileTempTable cut theirs.
+func rowsTempTable(t testing.TB, ctx *Context, schema StructType, rows []Row, name string, parts int) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Vectorized = vectorized
+	if parts == 0 {
+		parts = 4
+	}
+	df, err := ctx.CreateDataFrameFromRDD(schema, rdd.Parallelize(ctx.RDDContext(), rows, parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	df.RegisterTempTable(name)
+}
+
+// vecTestContext builds a context with the given config and registers, behind
+// the given leaf: `pages`, a rankings-like table with every type colfile
+// stores, NULLs in every nullable column, two row groups whose `hole` chunk is
+// all NULL, and DOUBLE NaN, -0.0 and +Inf; `empty`, a table without rows; and
+// small `rankings` and `uservisits` tables for the paper's Q1-Q4. It also
+// registers the UDFs the scalar-fallback shapes call.
+func vecTestContext(t *testing.T, cfg Config, register tableLeaf) *Context {
+	t.Helper()
 	ctx := NewContextWithConfig(cfg)
 	if err := ctx.RegisterUDF("twice", func(x int32) int32 { return 2 * x }); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.RegisterUDF("url_key", func(url string) string { return fmt.Sprintf("k%02d", len(url)%7) }); err != nil {
 		t.Fatal(err)
 	}
 	schema := StructType{}.
 		Add("url", StringType, true).
 		Add("rank", IntType, true).
 		Add("dur", LongType, true).
-		Add("rev", DoubleType, true)
+		Add("rev", DoubleType, true).
+		Add("seq", IntType, false).
+		Add("flag", BooleanType, true).
+		Add("day", DateType, false).
+		Add("ts", TimestampType, true).
+		Add("x", DoubleType, true).
+		Add("hole", IntType, true)
 	rows := make([]Row, 3000)
 	words := []string{"alpha", "beta", "gamma", "delta"}
+	doubles := []any{math.NaN(), math.Copysign(0, -1), 0.0, 1.5, nil, -2.25, math.Inf(1)}
 	for i := range rows {
 		r := Row{
 			fmt.Sprintf("url_%s_%04d", words[i%len(words)], i%50),
 			int32((i * 37) % 1000),
 			int64(i % 17),
 			float64(i%400) / 4.0,
+			int32(i),
+			i%3 == 0,
+			int32(16071 + i%400),
+			int64(i) * 1_000_000,
+			doubles[(i*5+i/7)%len(doubles)],
+			nil,
 		}
 		if i%13 == 0 {
 			r[i%4] = nil
 		}
+		if i%11 == 0 {
+			r[5] = nil
+		}
+		if i%17 == 0 {
+			r[7] = nil
+		}
+		if i >= 1000 && i%5 != 0 {
+			r[9] = int32(i % 5)
+		}
 		rows[i] = r
 	}
-	df, err := ctx.CreateDataFrame(schema, rows)
-	if err != nil {
-		t.Fatal(err)
+	register(t, ctx, schema, rows, "pages", 6)
+	register(t, ctx, StructType{}.Add("a", IntType, true).Add("s", StringType, true), nil, "empty", 1)
+
+	rankings := make([]Row, 2000)
+	for i := range rankings {
+		rankings[i] = datagen.RankingRow(7, int64(i))
 	}
-	if _, err := df.Cache(); err != nil {
-		t.Fatal(err)
+	register(t, ctx, datagen.RankingsSchema(), rankings, "rankings", 4)
+	visits := make([]Row, 4000)
+	for i := range visits {
+		visits[i] = datagen.UserVisitRow(8, int64(i), int64(len(rankings)))
 	}
-	df.RegisterTempTable("pages")
+	register(t, ctx, datagen.UserVisitsSchema(), visits, "uservisits", 4)
 	return ctx
 }
 
-// The acceptance contract: every query returns byte-identical results with
-// Vectorized on and off, across native kernels, scalar fallbacks, and
-// operators above the pipeline.
-func TestVectorizedResultsByteIdentical(t *testing.T) {
-	rowCtx := vecTestContext(t, false)
-	vecCtx := vecTestContext(t, true)
-	queries := []string{
-		"SELECT url, rank FROM pages WHERE rank > 500",
-		"SELECT rank + 10, dur * 3 FROM pages WHERE rank >= 990",
-		"SELECT url FROM pages WHERE rank > 100 AND rank < 120",
-		"SELECT url FROM pages WHERE rank < 5 OR rank > 995",
-		"SELECT url FROM pages WHERE rank IS NULL",
-		"SELECT rank FROM pages WHERE url IS NOT NULL AND rank IS NOT NULL",
-		"SELECT dur FROM pages WHERE dur IN (3, 5, 16)",
-		"SELECT url FROM pages WHERE url LIKE 'url_alpha%'",     // fallback kernel
-		"SELECT twice(rank) FROM pages WHERE rank > 700",        // UDF fallback
-		"SELECT rev * 2.0 FROM pages WHERE rev >= 90.0",
-		"SELECT rank / 0 FROM pages WHERE rank > 900",           // NULL division
-		"SELECT url, rank FROM pages WHERE NOT (rank > 10)",     // 3-valued NOT
-		"SELECT COUNT(*), SUM(rank), AVG(rev) FROM pages WHERE rank > 250",
-		"SELECT url, COUNT(*) FROM pages WHERE rank > 300 GROUP BY url ORDER BY url LIMIT 20",
-	}
-	for _, q := range queries {
-		rowRes := mustRunRows(t, rowCtx, q)
-		vecRes := mustRunRows(t, vecCtx, q)
-		if len(rowRes) != len(vecRes) {
-			t.Fatalf("%s\nrow-path %d rows, vectorized %d", q, len(rowRes), len(vecRes))
+// vecQueries is the battery every leaf and engine mode must answer
+// identically: native kernels, scalar fallbacks, operators above the
+// pipeline, and — over a colfile leaf — every pushed filter shape.
+var vecQueries = []string{
+	"SELECT url, rank FROM pages WHERE rank > 500",
+	"SELECT rank + 10, dur * 3 FROM pages WHERE rank >= 990",
+	"SELECT url FROM pages WHERE rank > 100 AND rank < 120",
+	"SELECT url FROM pages WHERE rank < 5 OR rank > 995",
+	"SELECT url FROM pages WHERE rank IS NULL",
+	"SELECT rank FROM pages WHERE url IS NOT NULL AND rank IS NOT NULL",
+	"SELECT dur FROM pages WHERE dur IN (3, 5, 16)",
+	"SELECT url FROM pages WHERE url LIKE 'url_alpha%'", // fallback kernel
+	"SELECT twice(rank) FROM pages WHERE rank > 700",    // UDF fallback
+	"SELECT rev * 2.0 FROM pages WHERE rev >= 90.0",
+	"SELECT rank / 0 FROM pages WHERE rank > 900",       // NULL division
+	"SELECT url, rank FROM pages WHERE NOT (rank > 10)", // 3-valued NOT
+	"SELECT COUNT(*), SUM(rank), AVG(rev) FROM pages WHERE rank > 250",
+	"SELECT url, COUNT(*) FROM pages WHERE rank > 300 GROUP BY url ORDER BY url LIMIT 20",
+	// Every stored type, projected bare (no pipeline above the scan).
+	"SELECT * FROM pages",
+	"SELECT flag, day, ts, x, hole FROM pages WHERE seq < 1200",
+	// =, <, <=, >, >= pushed; a monotone column so statistics skip groups; a
+	// filter column that is not projected; several filters on one column; a
+	// filter that empties groups the statistics admit.
+	"SELECT url FROM pages WHERE seq >= 2500",
+	"SELECT url, day FROM pages WHERE seq > 650 AND seq < 700 AND seq <= 690",
+	"SELECT seq FROM pages WHERE rank = 5",
+	"SELECT seq, url FROM pages WHERE rank <= 3 AND dur < 9",
+	"SELECT seq FROM pages WHERE flag = true AND seq < 100", // BOOLEAN filter: scalar fallback inside the scan
+	"SELECT seq, day FROM pages WHERE day >= '2015-01-20'",
+	"SELECT seq, ts FROM pages WHERE ts IS NOT NULL AND seq > 2950",
+	"SELECT ts, count(*) FROM pages WHERE seq < 40 GROUP BY ts ORDER BY ts",
+	// DOUBLE ordering: NaN is the greatest value and equals itself, -0.0 = 0.0.
+	"SELECT seq, x FROM pages WHERE x > 1.0 AND seq < 200",
+	"SELECT seq, x FROM pages WHERE x <= 0.0 AND seq < 200",
+	"SELECT seq, x FROM pages WHERE x = 0.0 AND seq < 200",
+	// All-NULL chunks: IS NOT NULL prunes the group, IS NULL is a residual.
+	"SELECT seq, hole FROM pages WHERE hole IS NOT NULL AND seq < 1100",
+	"SELECT seq FROM pages WHERE hole IS NULL AND seq > 900 AND seq < 1010",
+	"SELECT seq, hole FROM pages WHERE hole >= 3 AND seq < 1020",
+	// Residual predicates stacked on pushed ones.
+	"SELECT url FROM pages WHERE rank > 100 AND rank % 7 = 3 AND url LIKE '%alpha%'",
+	"SELECT seq FROM pages WHERE seq >= 2900 AND twice(rank) > 1500",
+	// A table without rows.
+	"SELECT a, s FROM empty WHERE a > 0",
+	"SELECT count(*), max(s) FROM empty",
+	// The paper's Q1a-c, Q2a, Q3a-c and Q4's UDF shape.
+	"SELECT pageURL, pageRank FROM rankings WHERE pageRank > 1000",
+	"SELECT pageURL, pageRank FROM rankings WHERE pageRank > 100",
+	"SELECT pageURL, pageRank FROM rankings WHERE pageRank > 10",
+	"SELECT SUBSTR(sourceIP, 1, 8), SUM(adRevenue) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 8)",
+	vecQ3("1980-04-01"), vecQ3("1980-07-01"), vecQ3("1981-01-01"),
+	"SELECT url_key(destURL), count(*) FROM uservisits GROUP BY url_key(destURL)",
+}
+
+func vecQ3(cutoff string) string {
+	return `SELECT sourceIP, SUM(adRevenue) AS totalRevenue, AVG(pageRank) AS avgPageRank
+		FROM rankings R JOIN uservisits UV ON R.pageURL = UV.destURL
+		WHERE UV.visitDate >= '1980-01-01' AND UV.visitDate <= '` + cutoff + `'
+		GROUP BY sourceIP ORDER BY totalRevenue DESC LIMIT 1`
+}
+
+// typedText renders rows with each cell's Go type, so an INT that came back
+// as int64, or a -0.0 that came back as 0.0, is a difference.
+func typedText(rows []Row) string {
+	var sb strings.Builder
+	for _, r := range rows {
+		for _, v := range r {
+			fmt.Fprintf(&sb, "%T(%v)\t", v, v)
 		}
-		for i := range rowRes {
-			for j := range rowRes[i] {
-				if !row.Equal(rowRes[i][j], vecRes[i][j]) {
-					t.Fatalf("%s\nrow %d col %d: row-path=%v (%T), vectorized=%v (%T)",
-						q, i, j, rowRes[i][j], rowRes[i][j], vecRes[i][j], vecRes[i][j])
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// The acceptance contract: over the cache and over colfile, the fused, row
+// and interpreted engines return every query's rows byte-identical and in
+// the order the compiled row engine returns them over plain row partitions —
+// the path that runs no batch leaf and that this engine has always had.
+func TestVectorizedResultsByteIdentical(t *testing.T) {
+	ref := vecTestContext(t, fusedConfig(0, false), rowsTempTable)
+	want := make(map[string]string, len(vecQueries))
+	for _, q := range vecQueries {
+		want[q] = typedText(mustRunRows(t, ref, q))
+	}
+	if !strings.Contains(want["SELECT seq, x FROM pages WHERE x <= 0.0 AND seq < 200"], "float64(-0)") {
+		t.Fatal("the reference lost -0.0: the battery would not notice a leaf that does")
+	}
+	for _, leaf := range batchLeaves {
+		for _, mode := range engineModes {
+			t.Run(leaf.name+"/"+mode.name, func(t *testing.T) {
+				ctx := vecTestContext(t, mode.config(0), leaf.register)
+				for _, q := range vecQueries {
+					if got := typedText(mustRunRows(t, ctx, q)); got != want[q] {
+						t.Errorf("%s\n got %.400q\nwant %.400q", q, got, want[q])
+					}
 				}
-			}
+			})
 		}
 	}
 }
@@ -102,26 +213,64 @@ func mustRunRows(t *testing.T, ctx *Context, q string) []Row {
 	return rows
 }
 
-// EXPLAIN must show the vectorized operator when the knob is on (proving the
-// fast path actually runs) and the row pipeline when off.
+// EXPLAIN must show the vectorized operator over both batch leaves when the
+// knob is on (proving the fast path actually runs) and the row pipeline when
+// off; a leaf that produces no batches keeps the row pipeline and says so.
 func TestVectorizedExplain(t *testing.T) {
 	const q = "SELECT url, rank + 1 FROM pages WHERE rank > 500"
-	for _, vectorized := range []bool{true, false} {
-		ctx := vecTestContext(t, vectorized)
-		df, err := ctx.SQL(q)
+	explain := func(cfg Config, leaf tableLeaf) string {
+		df, err := vecTestContext(t, cfg, leaf).SQL(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		explain, err := df.Explain()
+		out, err := df.Explain()
 		if err != nil {
 			t.Fatal(err)
 		}
-		hasVec := strings.Contains(explain, "VectorizedPipeline")
-		if vectorized && !hasVec {
-			t.Fatalf("vectorized on: plan lacks VectorizedPipeline:\n%s", explain)
+		return out
+	}
+	for _, leaf := range batchLeaves {
+		if on := explain(fusedConfig(0, true), leaf.register); !strings.Contains(on, "VectorizedPipeline") || !strings.Contains(on, "(fused: true)") {
+			t.Fatalf("%s, vectorized on: plan lacks a fused VectorizedPipeline:\n%s", leaf.name, on)
 		}
-		if !vectorized && hasVec {
-			t.Fatalf("vectorized off: plan still vectorized:\n%s", explain)
+		if off := explain(fusedConfig(0, false), leaf.register); strings.Contains(off, "VectorizedPipeline") {
+			t.Fatalf("%s, vectorized off: plan still vectorized:\n%s", leaf.name, off)
+		}
+	}
+	if rows := explain(fusedConfig(0, true), rowsTempTable); !strings.Contains(rows, "WholeStagePipeline") || !strings.Contains(rows, "(fallback: scan not columnar)") {
+		t.Fatalf("a row leaf must keep the row pipeline and say why:\n%s", rows)
+	}
+}
+
+// The colfile leaf is observable: EXPLAIN ANALYZE's scan line carries both
+// the rows decoded into batches and the rows the pushed filters let through,
+// and the groups skipped and rows pruned land in counters SHOW METRICS lists.
+func TestColfileLeafObservability(t *testing.T) {
+	ctx := vecTestContext(t, fusedConfig(0, true), colfileTempTable)
+	// seq >= 2500 skips 5 of the 6 row groups by statistics; rank > 500 then
+	// drops rows from the one group that is decoded.
+	df, err := ctx.SQL("SELECT url FROM pages WHERE seq >= 2500 AND rank > 500")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := df.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyzed, err := df.ExplainAnalyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanLine := fmt.Sprintf("(actual: %d rows, ", kept)
+	if !strings.Contains(analyzed, "Scan Source colfile") || !strings.Contains(analyzed, scanLine) ||
+		!strings.Contains(analyzed, ", 1 batches, 500 rows decoded)") {
+		t.Fatalf("scan line must show %d rows emitted out of 500 decoded in 1 batch:\n%s", kept, analyzed)
+	}
+	metrics := typedText(mustRunRows(t, ctx, "SHOW METRICS LIKE 'colfile.*'"))
+	// Two executions (Count, ExplainAnalyze), each skipping 5 groups.
+	for _, want := range []string{"colfile.groups.skipped)\tstring(10)", fmt.Sprintf("colfile.rows.pruned)\tstring(%d)", 2*(500-kept))} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("SHOW METRICS lacks %q:\n%s", want, metrics)
 		}
 	}
 }
