@@ -218,6 +218,10 @@ var fusedCanonQueries = []string{
 	"SELECT d.label, e.name FROM dim d RIGHT JOIN events e ON d.grp = e.grp WHERE e.id < 500",
 	// aggregate above a join: the probe fuses, the sink sits higher.
 	"SELECT d.label, count(*) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label",
+	// DISTINCT is a grouping with no aggregates: two columns (pair table)
+	// and a NULL-bearing string column.
+	"SELECT DISTINCT grp, sub FROM events",
+	"SELECT DISTINCT word FROM events",
 }
 
 // randomFusedQueries derives extra grouped-aggregate shapes from a fixed

@@ -1,6 +1,8 @@
 package columnar
 
 import (
+	"slices"
+
 	"repro/internal/row"
 	"repro/internal/types"
 )
@@ -39,8 +41,9 @@ func buildColumn(t types.DataType, values []any) (Column, ColStats) {
 		return plain, stats
 
 	default:
-		// Decimals, nested and user types fall back to boxed storage.
-		return &boxedColumn{data: values}, stats
+		// Decimals, nested and user types fall back to boxed storage (a copy:
+		// the caller reuses values for the batch's next column).
+		return &boxedColumn{data: slices.Clone(values)}, stats
 	}
 }
 

@@ -165,7 +165,7 @@ func WrapLanes(t types.DataType, data any, nulls []uint64) *Vector {
 func (v *Vector) Append(src *Vector, i int) {
 	at := v.n
 	v.n++
-	switch v.Kind {
+	switch v.Kind { // inline, not growLane: task stacks are shallow and this is their deepest path
 	case KindInt64:
 		v.I64 = GrowLane(v.I64, v.n)
 	case KindFloat64:
@@ -200,6 +200,36 @@ func (v *Vector) Append(src *Vector, i int) {
 		v.Bool[at] = src.Bool[i]
 	default:
 		v.Any[at] = src.Any[i]
+	}
+}
+
+// Reset makes a (non-constant) vector hold n rows, none of them NULL, keeping
+// its lanes' backing arrays: a caller that fills one chunk after another with
+// Set reuses one vector instead of allocating per chunk. Positions not Set
+// afterwards hold stale values.
+func (v *Vector) Reset(n int) {
+	v.growLane(n)
+	if len(v.nulls) < (n+63)/64 {
+		v.nulls = nil
+	} else {
+		clear(v.nulls)
+	}
+}
+
+// growLane sets the row count to n, extending the vector's lane to hold it.
+func (v *Vector) growLane(n int) {
+	v.n = n
+	switch v.Kind {
+	case KindInt64:
+		v.I64 = GrowLane(v.I64, n)
+	case KindFloat64:
+		v.F64 = GrowLane(v.F64, n)
+	case KindString:
+		v.Str = GrowLane(v.Str, n)
+	case KindBool:
+		v.Bool = GrowLane(v.Bool, n)
+	default:
+		v.Any = GrowLane(v.Any, n)
 	}
 }
 

@@ -231,7 +231,6 @@ func (e *Engine) ExecContext() *physical.ExecContext {
 	ec := &physical.ExecContext{
 		RDD:               e.RDDCtx,
 		Codegen:           e.Cfg.Codegen,
-		Vectorized:        e.Cfg.Planner.Vectorize,
 		ShufflePartitions: e.Cfg.ShufflePartitions,
 		Metrics:           e.Cfg.Metrics,
 	}

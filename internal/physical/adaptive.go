@@ -192,11 +192,6 @@ func applyDecision(p SparkPlan, d Decision) (SparkPlan, error) {
 			c.Partitions = d.Parts
 			c.SetAdapted(d.Note)
 			return &c, nil
-		case *DistinctExec:
-			c := *n
-			c.Partitions = d.Parts
-			c.SetAdapted(d.Note)
-			return &c, nil
 		case *SortExec:
 			c := *n
 			c.Partitions = d.Parts
@@ -221,32 +216,17 @@ func applyDecision(p SparkPlan, d Decision) (SparkPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("physical: demote decision on %T", p)
 		}
-		smj := &SortMergeJoinExec{
-			Left: n.Left, Right: n.Right,
-			LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
-			Type: n.Type, Residual: n.Residual,
-			Partitions: d.Parts,
-		}
+		smj := &SortMergeJoinExec{EquiJoin: n.EquiJoin, Partitions: d.Parts}
 		transferEstimate(smj, n)
 		smj.SetAdapted(d.Note)
 		return smj, nil
 	case "promote":
-		var bhj *BroadcastHashJoinExec
+		bhj := &BroadcastHashJoinExec{BuildRight: d.BuildRight}
 		switch n := p.(type) {
 		case *ShuffledHashJoinExec:
-			bhj = &BroadcastHashJoinExec{
-				Left: n.Left, Right: n.Right,
-				LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
-				Type: n.Type, Residual: n.Residual,
-				BuildRight: d.BuildRight,
-			}
+			bhj.EquiJoin = n.EquiJoin
 		case *SortMergeJoinExec:
-			bhj = &BroadcastHashJoinExec{
-				Left: n.Left, Right: n.Right,
-				LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
-				Type: n.Type, Residual: n.Residual,
-				BuildRight: d.BuildRight,
-			}
+			bhj.EquiJoin = n.EquiJoin
 		default:
 			return nil, fmt.Errorf("physical: promote decision on %T", p)
 		}
@@ -291,7 +271,7 @@ type adaptiveDriver struct {
 func transparent(p SparkPlan) bool {
 	switch p.(type) {
 	case *ProjectExec, *FilterExec, *SortExec, *LimitExec, *UnionExec, *SampleExec,
-		*DistinctExec, *HashAggregateExec, *ShuffledHashJoinExec, *SortMergeJoinExec,
+		*HashAggregateExec, *ShuffledHashJoinExec, *SortMergeJoinExec,
 		*BroadcastHashJoinExec, *NestedLoopJoinExec:
 		return true
 	}
@@ -366,23 +346,12 @@ func (d *adaptiveDriver) adaptNode(p SparkPlan, path []int) (SparkPlan, error) {
 			// to re-plan, and materializing its input buys nothing.
 			return p, nil
 		}
-		return d.adaptCoalesceOnly(p, path, n.Child, n.Partitions,
-			func(q SparkPlan, stage *QueryStageExec) SparkPlan {
-				return q.WithNewChildren([]SparkPlan{stage})
-			})
-	case *DistinctExec:
-		return d.adaptCoalesceOnly(p, path, n.Child, n.Partitions,
-			func(q SparkPlan, stage *QueryStageExec) SparkPlan {
-				return q.WithNewChildren([]SparkPlan{stage})
-			})
+		return d.adaptCoalesceOnly(p, path, n.Child, n.Partitions)
 	case *SortExec:
 		if !n.Global {
 			return p, nil
 		}
-		return d.adaptCoalesceOnly(p, path, n.Child, n.Partitions,
-			func(q SparkPlan, stage *QueryStageExec) SparkPlan {
-				return q.WithNewChildren([]SparkPlan{stage})
-			})
+		return d.adaptCoalesceOnly(p, path, n.Child, n.Partitions)
 	case *BroadcastHashJoinExec:
 		return d.adaptBroadcastJoin(n, path)
 	}
@@ -393,8 +362,7 @@ func (d *adaptiveDriver) adaptNode(p SparkPlan, path []int) (SparkPlan, error) {
 // downstream partition count from observed bytes. Coalescing is strictly
 // conservative: it only ever shrinks below the statically chosen count,
 // so accurate estimates see zero adaptations.
-func (d *adaptiveDriver) adaptCoalesceOnly(p SparkPlan, path []int, child SparkPlan,
-	current int, rewrap func(SparkPlan, *QueryStageExec) SparkPlan) (SparkPlan, error) {
+func (d *adaptiveDriver) adaptCoalesceOnly(p SparkPlan, path []int, child SparkPlan, current int) (SparkPlan, error) {
 	stage, err := d.materialize(child)
 	if err != nil {
 		return nil, err
@@ -410,31 +378,39 @@ func (d *adaptiveDriver) adaptCoalesceOnly(p SparkPlan, path []int, child SparkP
 			return nil, err
 		}
 	}
-	return rewrap(p, stage), nil
+	return p.WithNewChildren([]SparkPlan{stage}), nil
 }
 
 func coalesceNote(parts int, bytes int64) string {
 	return fmt.Sprintf("adapted: shuffle exchange -> %d partitions (observed %d B)", parts, bytes)
 }
 
-// adaptShuffledJoin materializes both shuffle inputs and re-plans: promote
-// to broadcast when a buildable side turns out tiny, otherwise coalesce
-// the reducer count from observed bytes and split skewed reduce buckets.
-func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) (SparkPlan, error) {
-	ls, err := d.materialize(n.Left)
-	if err != nil {
-		return nil, err
+// materializeJoin runs both inputs of a shuffled join as stages and, when a
+// buildable side turns out to fit the broadcast limit, promotes the join to a
+// broadcast hash join (promoted is then non-nil).
+func (d *adaptiveDriver) materializeJoin(p SparkPlan, from string, j *EquiJoin, path []int) (ls, rs *QueryStageExec, promoted SparkPlan, err error) {
+	if ls, err = d.materialize(j.Left); err != nil {
+		return nil, nil, nil, err
 	}
-	rs, err := d.materialize(n.Right)
-	if err != nil {
-		return nil, err
+	if rs, err = d.materialize(j.Right); err != nil {
+		return nil, nil, nil, err
 	}
-	if dec, ok := d.promotion("ShuffledHashJoin", n.Type, path, ls.Bytes, rs.Bytes); ok {
-		p, err := d.record(n, dec)
-		if err != nil {
-			return nil, err
+	if dec, ok := d.promotion(from, j.Type, path, ls.Bytes, rs.Bytes); ok {
+		if promoted, err = d.record(p, dec); err != nil {
+			return nil, nil, nil, err
 		}
-		return p.WithNewChildren([]SparkPlan{ls, rs}), nil
+		promoted = promoted.WithNewChildren([]SparkPlan{ls, rs})
+	}
+	return ls, rs, promoted, nil
+}
+
+// adaptShuffledJoin re-plans a shuffled hash join from its materialized
+// inputs: promote, otherwise coalesce the reducer count from observed bytes
+// and split skewed reduce buckets.
+func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) (SparkPlan, error) {
+	ls, rs, promoted, err := d.materializeJoin(n, "ShuffledHashJoin", &n.EquiJoin, path)
+	if err != nil || promoted != nil {
+		return promoted, err
 	}
 
 	eff := effectiveParts(d.ctx.ShufflePartitions, n.Partitions)
@@ -471,20 +447,9 @@ func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) 
 // key-ordered, so skew splits (which reorder nothing but chunk by input
 // position) do not apply.
 func (d *adaptiveDriver) adaptSortMergeJoin(n *SortMergeJoinExec, path []int) (SparkPlan, error) {
-	ls, err := d.materialize(n.Left)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := d.materialize(n.Right)
-	if err != nil {
-		return nil, err
-	}
-	if dec, ok := d.promotion("SortMergeJoin", n.Type, path, ls.Bytes, rs.Bytes); ok {
-		p, err := d.record(n, dec)
-		if err != nil {
-			return nil, err
-		}
-		return p.WithNewChildren([]SparkPlan{ls, rs}), nil
+	ls, rs, promoted, err := d.materializeJoin(n, "SortMergeJoin", &n.EquiJoin, path)
+	if err != nil || promoted != nil {
+		return promoted, err
 	}
 	var p SparkPlan = n
 	eff := effectiveParts(d.ctx.ShufflePartitions, n.Partitions)
@@ -507,22 +472,20 @@ func (d *adaptiveDriver) promotion(from string, t plan.JoinType, path []int, lef
 	if bcast <= 0 {
 		return Decision{}, false
 	}
+	buildRight, bytes := true, rightBytes
 	switch {
 	case canRight && rightBytes <= bcast &&
 		(rightBytes <= leftBytes || !canLeft || leftBytes > bcast):
-		return Decision{
-			Path: path, Kind: "promote", BuildRight: true,
-			Note: fmt.Sprintf("adapted: %s -> BroadcastHashJoin (build side %d B observed under %d B limit)",
-				from, rightBytes, bcast),
-		}, true
 	case canLeft && leftBytes <= bcast:
-		return Decision{
-			Path: path, Kind: "promote", BuildRight: false,
-			Note: fmt.Sprintf("adapted: %s -> BroadcastHashJoin (build side %d B observed under %d B limit)",
-				from, leftBytes, bcast),
-		}, true
+		buildRight, bytes = false, leftBytes
+	default:
+		return Decision{}, false
 	}
-	return Decision{}, false
+	return Decision{
+		Path: path, Kind: "promote", BuildRight: buildRight,
+		Note: fmt.Sprintf("adapted: %s -> BroadcastHashJoin (build side %d B observed under %d B limit)",
+			from, bytes, bcast),
+	}, true
 }
 
 // adaptBroadcastJoin materializes the build side and demotes to sort-merge
@@ -554,8 +517,8 @@ func (d *adaptiveDriver) adaptBroadcastJoin(n *BroadcastHashJoinExec, path []int
 	return p.WithNewChildren(kids), nil
 }
 
-// detectSkew simulates the exchange's exact bucketing (hash % n, the same
-// formula PartitionByHashCodec uses) over the materialized probe side and
+// detectSkew simulates the exchange's exact bucketing (keyHash % n, as
+// PartitionByHashCodec applies it) over the materialized probe side and
 // proposes per-bucket splits when the largest bucket exceeds
 // skewFactor x mean. Only join types whose reduce output is exactly
 // probe-input order are splittable (Inner/LeftOuter/LeftSemi): chunked
@@ -565,17 +528,13 @@ func (d *adaptiveDriver) detectSkew(n *ShuffledHashJoinExec, left *QueryStageExe
 	if eff <= 1 || !skewSplittable(n.Type) {
 		return nil, 0, 0
 	}
-	leftKey := keyFunc(bindKeys(d.ctx, n.LeftKeys, n.Left.Output()))
+	hash := keyHash(bindKeys(d.ctx, n.LeftKeys, n.Left.Output()))
 	bytes := make([]int64, eff)
 	var total int64
-	for _, part := range left.stagePartitions() {
+	for _, part := range left.parts {
 		for _, r := range part {
-			var h uint64
-			if k, ok := leftKey(r); ok {
-				h = row.HashValue(k)
-			}
 			sz := r.ObjectSize()
-			bytes[int(h%uint64(eff))] += sz
+			bytes[int(hash(r)%uint64(eff))] += sz
 			total += sz
 		}
 	}
@@ -586,34 +545,25 @@ func (d *adaptiveDriver) detectSkew(n *ShuffledHashJoinExec, left *QueryStageExe
 	factor := d.cfg.skewFactor()
 	threshold := int64(factor * float64(mean))
 	splits = make([]int, eff)
-	var max int64
 	any := false
 	for i, b := range bytes {
-		if b > max {
-			max = b
-		}
+		maxBytes = max(maxBytes, b)
 		splits[i] = 1
 		if b > threshold {
-			s := int((b + mean - 1) / mean)
-			if s > maxSkewSplits {
-				s = maxSkewSplits
-			}
-			if s > 1 {
-				splits[i] = s
-				any = true
-			}
+			splits[i] = max(1, min(int((b+mean-1)/mean), maxSkewSplits))
+			any = any || splits[i] > 1
 		}
 	}
 	if !any {
 		return nil, 0, 0
 	}
-	return splits, max, mean
+	return splits, maxBytes, mean
 }
 
 // skewSplittable reports whether a join type's shuffled-hash reduce output
 // is exactly probe-side input order, making contiguous chunk splits
-// order-preserving. RightOuter re-probes from the right side and FullOuter
-// appends map-ordered unmatched rows — never split those.
+// order-preserving. RightOuter probes from the right side and FullOuter
+// appends the unmatched build rows — never split those.
 func skewSplittable(t plan.JoinType) bool {
 	switch t {
 	case plan.InnerJoin, plan.CrossJoin, plan.LeftOuterJoin, plan.LeftSemiJoin:
@@ -621,9 +571,6 @@ func skewSplittable(t plan.JoinType) bool {
 	}
 	return false
 }
-
-// stagePartitions exposes the materialized partitions to the driver.
-func (q *QueryStageExec) stagePartitions() [][]row.Row { return q.parts }
 
 // Execute serves the already-computed stage output as a partition leaf.
 func (q *QueryStageExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {

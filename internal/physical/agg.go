@@ -55,9 +55,64 @@ func (h *HashAggregateExec) SimpleString() string {
 }
 func (h *HashAggregateExec) String() string { return Format(h) }
 
-// rowChunk is how many input rows the row-at-a-time phase 1 transposes into
-// key vectors per group-table probe.
+// rowChunk is how many input rows a row-at-a-time operator transposes into
+// key vectors per group-table call.
 const rowChunk = 1024
+
+// keyChunk is how the row-at-a-time operators (aggregation phase 1, the hash
+// joins' build and probe) reach the group tables the batch operators use: it
+// evaluates the keys of up to rowChunk rows into one reused vector per key.
+// Typed — with codegen — the vectors are class lanes, so the specialized
+// tables hash raw integers and strings and skip per-row key-string
+// allocation: the "avoids expensive allocation of key-value pairs"
+// specialization the paper credits for the Figure 9 DataFrame win. The
+// interpreted baseline keeps the evaluators' boxed values and, with them, the
+// generic table.
+type keyChunk struct {
+	evals []func(row.Row) any
+	types []types.DataType
+	typed bool
+	vecs  []*columnar.Vector
+	ident []int32
+}
+
+// newKeyChunk sizes the chunk vectors for an input of the given row count.
+func newKeyChunk(evals []func(row.Row) any, keyTypes []types.DataType, typed bool, rows int) *keyChunk {
+	n := min(rowChunk, rows)
+	c := &keyChunk{evals: evals, types: keyTypes, typed: typed,
+		vecs: make([]*columnar.Vector, len(evals)), ident: identitySel(n)}
+	newVec := columnar.NewAnyVector
+	if typed {
+		newVec = expr.NewClassVector
+	}
+	for j, t := range keyTypes {
+		c.vecs[j] = newVec(t, n)
+	}
+	return c
+}
+
+// keyTable builds the group table that indexes a keyChunk's vectors.
+func keyTable(keyTypes []types.DataType, typed bool, sizeHint int) (groupIndexer, string) {
+	var native []bool
+	if !typed {
+		native = make([]bool, len(keyTypes))
+	}
+	return newGroupIndexer(keyTypes, native, sizeHint)
+}
+
+// load evaluates the keys of rows (at most rowChunk of them) and returns the
+// key vectors with the selection of every row; both are overwritten by the
+// next load.
+func (c *keyChunk) load(rows []row.Row) ([]*columnar.Vector, []int32) {
+	for j, ev := range c.evals {
+		v := c.vecs[j]
+		v.Reset(len(rows))
+		for i, r := range rows {
+			v.Set(i, ev(r))
+		}
+	}
+	return c.vecs, c.ident[:len(rows)]
+}
 
 func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	input := h.Child.Output()
@@ -83,33 +138,16 @@ func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 
 	// Phase 1: partial aggregation per partition, emitting the same columnar
 	// blocks as the fused phase 1 (with boxed state lanes). Rows are probed a
-	// chunk at a time: the chunk's keys transpose into vectors, so with
-	// codegen the type-specialized group tables hash raw integers and strings
-	// and skip per-row key-string allocation — the "avoids expensive
-	// allocation of key-value pairs" specialization the paper credits for the
-	// Figure 9 DataFrame win. The interpreted baseline keeps boxed keys and
-	// the generic table.
-	var native []bool
-	newKeyVec := expr.NewClassVector
-	if !ctx.Codegen {
-		native = make([]bool, len(keyTypes))
-		newKeyVec = columnar.NewAnyVector
-	}
+	// key chunk at a time.
 	blocks := rdd.MapPartitions(h.Child.Execute(ctx), func(_ int, in []row.Row) []aggBlock {
-		groups, _ := newGroupIndexer(keyTypes, native, 0)
+		keys := newKeyChunk(groupEvals, keyTypes, ctx.Codegen, len(in))
+		groups, _ := keyTable(keyTypes, ctx.Codegen, 0)
 		lanes := newLanes()
-		kvecs := make([]*columnar.Vector, len(groupEvals))
-		ident := identitySel(min(rowChunk, len(in)))
 		var gidx []int32
 		for off := 0; off < len(in); off += rowChunk {
 			rows := in[off:min(off+rowChunk, len(in))]
-			for j, ev := range groupEvals {
-				kvecs[j] = newKeyVec(keyTypes[j], len(rows))
-				for i, r := range rows {
-					kvecs[j].Set(i, ev(r))
-				}
-			}
-			gidx = groups.indexBatch(kvecs, ident[:len(rows)], gidx[:0])
+			kvecs, all := keys.load(rows)
+			gidx = groups.indexBatch(kvecs, all, gidx[:0], true)
 			for i, r := range rows {
 				for _, l := range lanes {
 					l.(*expr.BoxedAggregator).UpdateRow(int(gidx[i]), r)
@@ -122,10 +160,12 @@ func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	return h.finalMerge(ctx, h.EnableMetrics(ctx.Metrics), blocks, numPart, fns, newLanes, resultExprs)
 }
 
-func (h *HashAggregateExec) keyTypes() []types.DataType {
-	out := make([]types.DataType, len(h.Grouping))
-	for i, g := range h.Grouping {
-		out[i] = g.DataType()
+func (h *HashAggregateExec) keyTypes() []types.DataType { return exprTypes(h.Grouping) }
+
+func exprTypes(exprs []expr.Expression) []types.DataType {
+	out := make([]types.DataType, len(exprs))
+	for i, e := range exprs {
+		out[i] = e.DataType()
 	}
 	return out
 }
@@ -185,7 +225,7 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, bl
 			lanes := newLanes()
 			var gidx []int32
 			for _, b := range in {
-				gidx = groups.indexBatch(b.keys, b.sel, gidx[:0])
+				gidx = groups.indexBatch(b.keys, b.sel, gidx[:0], true)
 				for j, l := range lanes {
 					l.Merge(b.lanes[j], b.sel, gidx, groups.count())
 				}
@@ -212,16 +252,15 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, bl
 // columns — so spilling, emission order and byte-identity at any budget are
 // spillableGroups' own.
 func (h *HashAggregateExec) mergeSpilling(ctx *ExecContext, om *OperatorMetrics, in []aggBlock, fns []expr.SpillableAggregate) ([]*columnar.Vector, int, error) {
-	g := newSpillableGroups(ctx, "agg", fns)
+	g := newSpillableGroups(ctx, "agg", len(h.Grouping), fns)
 	defer g.Close()
-	ords := ordinalsUpTo(len(h.Grouping))
 	for _, b := range in {
 		for _, i := range b.sel {
 			gv := make(row.Row, len(b.keys))
 			for j, kc := range b.keys {
 				gv[j] = kc.Get(int(i))
 			}
-			err := g.upsert(row.GroupKey(gv, ords), gv, func(st *aggState) {
+			err := g.upsert(gv, func(st *aggState) {
 				for j, fn := range fns {
 					st.buffers[j] = fn.Merge(st.buffers[j], b.lanes[j].Buffer(int(i)))
 				}
@@ -339,80 +378,3 @@ func bindFns(fns []expr.AggregateFunc, input []*expr.AttributeReference) []expr.
 	}
 	return out
 }
-
-// DistinctExec removes duplicate rows via a hash exchange.
-type DistinctExec struct {
-	PlanEstimate
-	PlanMetrics
-	AdaptiveNote
-	Child SparkPlan
-	// Partitions, when positive, caps the exchange's reducer count below
-	// the session default.
-	Partitions int
-}
-
-func (d *DistinctExec) Children() []SparkPlan { return []SparkPlan{d.Child} }
-func (d *DistinctExec) WithNewChildren(children []SparkPlan) SparkPlan {
-	c := *d
-	c.Child = children[0]
-	return &c
-}
-func (d *DistinctExec) Output() []*expr.AttributeReference { return d.Child.Output() }
-func (d *DistinctExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	n := len(d.Child.Output())
-	ords := make([]int, n)
-	for i := range ords {
-		ords[i] = i
-	}
-	numPart := ctx.ShufflePartitions
-	if d.Partitions > 0 && d.Partitions < numPart {
-		numPart = d.Partitions
-	}
-	shuffled := rdd.PartitionByHashCodec(d.Child.Execute(ctx), numPart, func(r row.Row) uint64 {
-		return row.Hash(r, ords)
-	}, rowShuffleCodec)
-	om := d.EnableMetrics(ctx.Metrics)
-	// Under a memory budget the dedup map is the aggregation machinery with
-	// zero aggregate buffers: grace-partitioned to disk, re-merged on read,
-	// emitted in first-seen order.
-	if ctx.SpillEnabled() {
-		return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, _ int, in []row.Row) ([]row.Row, error) {
-			start := time.Now()
-			g := newSpillableGroups(ctx, "distinct", nil)
-			defer g.Close()
-			for _, r := range in {
-				if err := g.upsert(row.GroupKey(r, ords), r, func(*aggState) {}); err != nil {
-					return nil, err
-				}
-			}
-			states, err := g.Finish()
-			if err != nil {
-				return nil, err
-			}
-			out := make([]row.Row, 0, len(states))
-			for _, st := range states {
-				out = append(out, st.groupVals)
-			}
-			om.RecordPartition(len(out), time.Since(start))
-			om.RecordSpill(g.Stats())
-			return out, nil
-		})
-	}
-	return rdd.MapPartitions(shuffled, func(_ int, in []row.Row) []row.Row {
-		start := time.Now()
-		seen := make(map[string]struct{}, len(in))
-		out := make([]row.Row, 0, len(in))
-		for _, r := range in {
-			k := row.GroupKey(r, ords)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out = append(out, r)
-		}
-		om.RecordPartition(len(out), time.Since(start))
-		return out
-	})
-}
-func (d *DistinctExec) SimpleString() string { return "Distinct" }
-func (d *DistinctExec) String() string       { return Format(d) }

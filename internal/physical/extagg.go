@@ -12,7 +12,7 @@ import (
 )
 
 // Grace hash aggregation: the disk-backed final-merge state under
-// HashAggregateExec and DistinctExec. Groups accumulate in an in-memory
+// HashAggregateExec. Groups accumulate in an in-memory
 // map whose bytes are reserved from the query's memory pool; when a
 // reservation fails (or the pool picks this map as its largest victim)
 // every group record is encoded and appended to one of aggSpillFanout
@@ -36,7 +36,7 @@ type aggState struct {
 }
 
 // spillableGroups is a key → aggState map that degrades to grace hash
-// partitioning on disk under memory pressure. fns may be empty (Distinct:
+// partitioning on disk under memory pressure. fns may be empty (DISTINCT:
 // groups with no aggregation buffers). All methods are called by the
 // owning task; the pool's spill callback may fire concurrently from any
 // goroutine and is serialized through mu.
@@ -44,6 +44,7 @@ type spillableGroups struct {
 	ctx  *ExecContext
 	op   string
 	fns  []expr.SpillableAggregate
+	ords []int // 0..number of grouping keys, for key
 	cons *memory.Consumer
 
 	mu       sync.Mutex
@@ -58,18 +59,17 @@ type spillableGroups struct {
 	spillRuns    int64
 }
 
-func newSpillableGroups(ctx *ExecContext, op string, fns []expr.SpillableAggregate) *spillableGroups {
-	g := &spillableGroups{ctx: ctx, op: op, fns: fns, groups: make(map[string]*aggState)}
+func newSpillableGroups(ctx *ExecContext, op string, numKeys int, fns []expr.SpillableAggregate) *spillableGroups {
+	g := &spillableGroups{ctx: ctx, op: op, fns: fns, ords: ordinalsUpTo(numKeys), groups: make(map[string]*aggState)}
 	if ctx.SpillEnabled() {
 		g.cons = ctx.Pool.NewConsumer(op, g.poolSpill)
 	}
 	return g
 }
 
-// stateKey is the canonical grouping key of a group-values row — the same
-// key the aggregation phases compute, recomputed on disk reads so spilled
-// records need not carry the string.
-func stateKey(gv row.Row) string { return row.GroupKey(gv, ordinalsUpTo(len(gv))) }
+// key is the canonical map key of a group-values row, recomputed on disk
+// reads so spilled records need not carry the string.
+func (g *spillableGroups) key(gv row.Row) string { return row.GroupKey(gv, g.ords) }
 
 // groupSize approximates one group's in-memory footprint: the grouping
 // values plus a flat allowance per aggregation buffer. Buffer growth after
@@ -79,10 +79,11 @@ func groupSize(gv row.Row, numFns int) int64 {
 	return gv.ObjectSize() + 48*int64(numFns) + 64
 }
 
-// upsert folds one occurrence of (key, gv) into the map: apply runs under
+// upsert folds one occurrence of the group gv into the map: apply runs under
 // the internal mutex with the group's state, freshly created (NewBuffer
-// per aggregate) if the key is absent. The key must equal stateKey(gv).
-func (g *spillableGroups) upsert(key string, gv row.Row, apply func(st *aggState)) error {
+// per aggregate) if the group is absent.
+func (g *spillableGroups) upsert(gv row.Row, apply func(st *aggState)) error {
+	key := g.key(gv)
 	g.mu.Lock()
 	if g.spillErr != nil {
 		err := g.spillErr
@@ -278,7 +279,7 @@ func (g *spillableGroups) Finish() ([]*aggState, error) {
 				if err != nil {
 					return nil, err
 				}
-				key := stateKey(st.groupVals)
+				key := g.key(st.groupVals)
 				ex, ok := merged[key]
 				if !ok {
 					merged[key] = st

@@ -16,9 +16,10 @@ import (
 // EXPLAIN can show exactly what got fused and why the rest did not.
 
 // FusionNote records the Fuse rule's decision on a physical operator
-// ("fused: true" — a fused aggregate adds its group table and how many of
-// its key / aggregate-input kernels are native — or "fallback: <reason>"). Operators embed it; EXPLAIN and
-// EXPLAIN ANALYZE print it through the FusionAnnotated interface.
+// ("fused: true" — a fused aggregate or join adds its group table, an
+// aggregate also how many of its key / aggregate-input kernels are native —
+// or "fallback: <reason>"). Operators embed it; EXPLAIN and EXPLAIN ANALYZE
+// print it through the FusionAnnotated interface.
 type FusionNote struct{ note string }
 
 // SetFusion records the fusion decision.
@@ -72,7 +73,9 @@ func Fuse(p SparkPlan) SparkPlan {
 			return p
 		}
 		f := &FusedBroadcastJoinExec{Join: n, Pipe: fusablePipe(n.probeSide())}
-		f.SetFusion("fused: true")
+		_, buildKeys := n.probeBuildKeys()
+		_, table := newGroupIndexer(exprTypes(buildKeys), nil, 0)
+		f.SetFusion("fused: true, table=" + table)
 		return transferEstimate(f, n)
 	case *VectorizedPipelineExec:
 		n.SetFusion("fused: true")
@@ -137,9 +140,10 @@ func joinFuseBlocker(j *BroadcastHashJoinExec) string {
 	return ""
 }
 
-// keyShapeBlocker admits the key shapes the specialized build tables cover:
-// a single int64-class key, a single string key, or an (int64, int64) pair
-// — with matching classes on both sides.
+// keyShapeBlocker admits the key shapes that index without boxing: a single
+// int64-class key, a single string key, or an (int64, int64) pair — with
+// matching classes on both sides. (The generic table would serve any shape;
+// no workload has measured the fused probe over it yet.)
 func keyShapeBlocker(l, r []expr.Expression) string {
 	cls := func(e expr.Expression) int { return expr.VecClassOf(e.DataType()) }
 	switch len(l) {

@@ -2,14 +2,18 @@ package physical
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
+	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/rdd"
 	"repro/internal/row"
+	"repro/internal/types"
 )
 
 // rowsSize sums the approximate in-memory size of a materialized build
@@ -22,26 +26,77 @@ func rowsSize(rows []row.Row) int64 {
 	return n
 }
 
-// lazyBuild memoizes a per-query build-side materialization (broadcast
+// LazyBuild memoizes a per-query build-side materialization (broadcast
 // hash table, collected rows, interval tree, ...) that runs as a nested
 // job inside the first probe task — so build-side failures and
 // cancellation flow through the task path instead of panicking at
-// plan-build time.
-type lazyBuild[T any] struct {
-	once sync.Once
+// plan-build time. A terminal failure is memoized, a context cancellation is
+// not: workers keep the built RDD per SQL text, and a task that timed out
+// must not poison a later run.
+type LazyBuild[T any] struct {
+	mu   sync.Mutex
+	done bool
 	val  T
 	err  error
 }
 
-func (b *lazyBuild[T]) get(jc context.Context, build func(context.Context) (T, error)) (T, error) {
-	b.once.Do(func() { b.val, b.err = build(jc) })
-	return b.val, b.err
+// Get runs build under the mutex on first use and serves the memoized
+// result afterwards.
+func (b *LazyBuild[T]) Get(jc context.Context, build func(context.Context) (T, error)) (T, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.done {
+		return b.val, b.err
+	}
+	val, err := build(jc)
+	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		return val, err // retryable by the next task
+	}
+	b.done, b.val, b.err = true, val, err
+	return val, err
+}
+
+// collectBuild materializes a join's build side and records its size.
+func collectBuild(jc context.Context, build *rdd.RDD[row.Row], om *OperatorMetrics) ([]row.Row, error) {
+	rows, err := build.CollectContext(jc)
+	if err != nil {
+		return nil, err
+	}
+	if om != nil {
+		om.RecordBuild(len(rows), rowsSize(rows))
+	}
+	return rows, nil
 }
 
 // Join execution. The planner extracts equi-join keys from the join
 // condition; the residual (non-equi) condition is evaluated on each
 // candidate pair. Broadcast-vs-shuffled selection is the planner's
 // cost-based decision (paper §4.3.3).
+
+// EquiJoin is what the equi-join operators (broadcast hash, shuffled hash,
+// sort-merge) all carry: the two inputs, the key pairs the planner extracted
+// from the join condition, the join type and the residual condition.
+type EquiJoin struct {
+	Left, Right         SparkPlan
+	LeftKeys, RightKeys []expr.Expression
+	Type                plan.JoinType
+	Residual            expr.Expression
+}
+
+func (j *EquiJoin) Children() []SparkPlan { return []SparkPlan{j.Left, j.Right} }
+func (j *EquiJoin) Output() []*expr.AttributeReference {
+	return joinOutput(j.Type, j.Left.Output(), j.Right.Output())
+}
+
+// describe renders a shuffled join for EXPLAIN: name, type, key pairs, and the
+// exchange's partition cap when one is set.
+func (j *EquiJoin) describe(name string, parts int) string {
+	s := fmt.Sprintf("%s %s keys=[%s]=[%s]", name, j.Type, exprListString(j.LeftKeys), exprListString(j.RightKeys))
+	if parts > 0 {
+		s += fmt.Sprintf(" parts=%d", parts)
+	}
+	return s
+}
 
 // joinOutput computes the output attributes for a join type.
 func joinOutput(t plan.JoinType, left, right []*expr.AttributeReference) []*expr.AttributeReference {
@@ -67,31 +122,55 @@ func nullable(attrs []*expr.AttributeReference) []*expr.AttributeReference {
 	return out
 }
 
-// keyFunc builds the grouping key of a row under bound key evaluators.
-func keyFunc(evals []func(row.Row) any) func(row.Row) (string, bool) {
-	ords := make([]int, len(evals))
-	for i := range ords {
-		ords[i] = i
-	}
-	return func(r row.Row) (string, bool) {
-		kv := make(row.Row, len(evals))
-		for i, ev := range evals {
-			v := ev(r)
-			if v == nil {
-				return "", false // NULL keys never match in equi-joins
-			}
-			kv[i] = v
-		}
-		return row.GroupKey(kv, ords), true
-	}
-}
-
+// bindKeys binds a join side's key expressions to its input. Equality says
+// NaN = NaN and -0.0 = 0.0 while hashes read the bits, so floating-point keys
+// are canonicalized here, once, for the tables, the exchange and the merge.
 func bindKeys(ctx *ExecContext, keys []expr.Expression, input []*expr.AttributeReference) []func(row.Row) any {
 	out := make([]func(row.Row) any, len(keys))
 	for i, k := range keys {
-		out[i] = ctx.evaluator(bind(k, input))
+		ev := ctx.evaluator(bind(k, input))
+		if columnar.KindOf(k.DataType()) == columnar.KindFloat64 {
+			raw := ev
+			ev = func(r row.Row) any { return canonFloat(raw(r)) }
+		}
+		out[i] = ev
 	}
 	return out
+}
+
+func canonFloat(v any) any {
+	switch x := v.(type) {
+	case float64:
+		if x == 0 {
+			return float64(0)
+		} else if x != x {
+			return math.NaN()
+		}
+	case float32:
+		if x == 0 {
+			return float32(0)
+		} else if x != x {
+			return float32(math.NaN())
+		}
+	}
+	return v
+}
+
+// keyHash is the join exchanges' partitioning hash: the engine's
+// process-independent value hash over the evaluated keys. A NULL key matches
+// nothing, so where it lands is irrelevant: 0.
+func keyHash(evals []func(row.Row) any) func(row.Row) uint64 {
+	return func(r row.Row) uint64 {
+		h := row.NewHasher()
+		for _, ev := range evals {
+			v := ev(r)
+			if v == nil {
+				return 0
+			}
+			h = h.Value(v)
+		}
+		return h.Sum()
+	}
 }
 
 // residualPred binds the residual condition over the concatenated
@@ -130,22 +209,15 @@ type BroadcastHashJoinExec struct {
 	PlanMetrics
 	FusionNote
 	AdaptiveNote
-	Left, Right         SparkPlan
-	LeftKeys, RightKeys []expr.Expression
-	Type                plan.JoinType
-	Residual            expr.Expression
+	EquiJoin
 	// BuildRight marks which side is collected (true = right).
 	BuildRight bool
 }
 
-func (j *BroadcastHashJoinExec) Children() []SparkPlan { return []SparkPlan{j.Left, j.Right} }
 func (j *BroadcastHashJoinExec) WithNewChildren(children []SparkPlan) SparkPlan {
 	c := *j
 	c.Left, c.Right = children[0], children[1]
 	return &c
-}
-func (j *BroadcastHashJoinExec) Output() []*expr.AttributeReference {
-	return joinOutput(j.Type, j.Left.Output(), j.Right.Output())
 }
 func (j *BroadcastHashJoinExec) SimpleString() string {
 	side := "left"
@@ -187,92 +259,120 @@ func (j *BroadcastHashJoinExec) sides(probe, build SparkPlan) (left, right Spark
 }
 
 func (j *BroadcastHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	leftOut, rightOut := j.Left.Output(), j.Right.Output()
-	match := residualPred(ctx, j.Residual, leftOut, rightOut)
 	om := j.EnableMetrics(ctx.Metrics)
-
 	// Build one side, stream the other (right-outer joins stream the right).
-	probePlan, buildPlan := j.probeSide(), j.buildSide()
-	probeKeys, buildKeys := j.probeBuildKeys()
-	probeKey := keyFunc(bindKeys(ctx, probeKeys, probePlan.Output()))
-	buildKey := keyFunc(bindKeys(ctx, buildKeys, buildPlan.Output()))
-	appendProbe, nBuild := appendProbeRight, len(rightOut)
-	if !j.BuildRight {
-		appendProbe, nBuild = appendProbeLeft, len(leftOut)
-	}
-	build := buildPlan.Execute(ctx)
-	lazy := &lazyBuild[map[string][]row.Row]{}
-	return rdd.MapPartitionsCtx(probePlan.Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
-		table, err := lazy.get(jc, func(jc context.Context) (map[string][]row.Row, error) {
-			rows, err := build.CollectContext(jc)
-			if err != nil {
-				return nil, err
-			}
-			if om != nil {
-				om.RecordBuild(len(rows), rowsSize(rows))
-			}
-			return buildHashTable(rows, buildKey), nil
-		})
+	hj := newHashJoin(ctx, om, &j.EquiJoin, j.probeSide(), j.BuildRight, ctx.Codegen)
+	hj.broadcast = j.buildSide().Execute(ctx)
+	return rdd.MapPartitionsCtx(j.probeSide().Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
+		table, err := hj.broadcastTable(jc)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		var out []row.Row
-		for _, r := range in {
-			out = appendProbe(out, r, table, probeKey, match, j.Type, nBuild)
-		}
+		out := hj.probe(table, in)
 		om.RecordPartition(len(out), time.Since(start))
 		return out, nil
 	})
 }
 
-func buildHashTable(rows []row.Row, key func(row.Row) (string, bool)) map[string][]row.Row {
-	t := make(map[string][]row.Row, len(rows))
-	for _, r := range rows {
-		if k, ok := key(r); ok {
-			t[k] = append(t[k], r)
-		}
-	}
-	return t
+// hashJoin is a hash join bound for execution — what the broadcast, shuffled
+// and fused operators share: both sides' bound keys, the output layout, and
+// the build and probe steps over a joinTable.
+type hashJoin struct {
+	jt                     plan.JoinType
+	om                     *OperatorMetrics
+	probeEvals, buildEvals []func(row.Row) any
+	// keyTypes (the build keys') types the key vectors of both sides: the
+	// analyzer has made the two sides of every key equality one type.
+	keyTypes []types.DataType
+	typed    bool // class-lane key vectors and the specialized tables; false = boxed keys, generic table
+	// An output row is width cells: the probe row's at probeAt, the build
+	// row's at buildAt (left cells first).
+	width, probeAt, buildAt int
+	residual                func(row.Row) bool // over the joined row; nil = none
+
+	// A broadcast join's build side, collected and indexed once per query.
+	broadcast *rdd.RDD[row.Row]
+	lazy      LazyBuild[*joinTable]
 }
 
-// appendProbeRight joins probe row l (left) against a right-side hash table.
-func appendProbeRight(out []row.Row, l row.Row, table map[string][]row.Row,
-	probeKey func(row.Row) (string, bool), match func(l, r row.Row) bool,
-	t plan.JoinType, nRight int) []row.Row {
-	matched := false
-	if k, ok := probeKey(l); ok {
-		for _, r := range table[k] {
-			if match(l, r) {
-				matched = true
-				if t == plan.LeftSemiJoin {
-					return append(out, l)
-				}
-				out = append(out, concatRows(l, r))
-			}
+// newHashJoin binds j with the given probe input (the join's own, or the
+// pipeline fused under it) against the side buildRight names, and tells
+// EXPLAIN ANALYZE which group table the build side will use.
+func newHashJoin(ctx *ExecContext, om *OperatorMetrics, j *EquiJoin, probe SparkPlan, buildRight, typed bool) *hashJoin {
+	build, probeKeys, buildKeys := j.Right, j.LeftKeys, j.RightKeys
+	if !buildRight {
+		build, probeKeys, buildKeys = j.Left, j.RightKeys, j.LeftKeys
+	}
+	probeOut, buildOut := probe.Output(), build.Output()
+	h := &hashJoin{jt: j.Type, om: om, typed: typed, keyTypes: exprTypes(buildKeys),
+		probeEvals: bindKeys(ctx, probeKeys, probeOut), buildEvals: bindKeys(ctx, buildKeys, buildOut),
+		width: len(probeOut) + len(buildOut), buildAt: len(probeOut)}
+	left, right := probeOut, buildOut
+	if !buildRight {
+		h.probeAt, h.buildAt = len(buildOut), 0
+		left, right = buildOut, probeOut
+	}
+	if j.Residual != nil {
+		h.residual = ctx.predicate(bind(j.Residual, append(append([]*expr.AttributeReference{}, left...), right...)))
+	}
+	if om != nil {
+		_, om.Table = keyTable(h.keyTypes, typed, 0)
+	}
+	return h
+}
+
+func (h *hashJoin) build(rows []row.Row) *joinTable {
+	return newJoinTable(rows, newKeyChunk(h.buildEvals, h.keyTypes, h.typed, len(rows)))
+}
+
+// broadcastTable materializes the broadcast build side inside the first probe
+// task that asks.
+func (h *hashJoin) broadcastTable(jc context.Context) (*joinTable, error) {
+	return h.lazy.Get(jc, func(jc context.Context) (*joinTable, error) {
+		rows, err := collectBuild(jc, h.broadcast, h.om)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if !matched && t == plan.LeftOuterJoin {
-		out = append(out, concatRows(l, nullRow(nRight)))
-	}
+		return h.build(rows), nil
+	})
+}
+
+// joined lays a probe row and a build row out as one output row; a nil side
+// is all NULL.
+func (h *hashJoin) joined(probe, build row.Row) row.Row {
+	out := make(row.Row, h.width)
+	copy(out[h.probeAt:], probe)
+	copy(out[h.buildAt:], build)
 	return out
 }
 
-// appendProbeLeft joins probe row r (right) against a left-side hash table.
-func appendProbeLeft(out []row.Row, r row.Row, table map[string][]row.Row,
-	probeKey func(row.Row) (string, bool), match func(l, r row.Row) bool,
-	t plan.JoinType, nLeft int) []row.Row {
-	matched := false
-	if k, ok := probeKey(r); ok {
-		for _, l := range table[k] {
-			if match(l, r) {
-				matched = true
-				out = append(out, concatRows(l, r))
-			}
-		}
+// probe streams one partition of probe rows through the table, a key chunk
+// at a time: probe rows in input order, each one's matches in build-collect
+// order, then (FULL OUTER) the build rows nothing matched.
+func (h *hashJoin) probe(t *joinTable, in []row.Row) []row.Row {
+	var out []row.Row
+	var rows []row.Row // the chunk being probed
+	var residual func(i int, b row.Row) bool
+	if h.residual != nil {
+		residual = func(i int, b row.Row) bool { return h.residual(h.joined(rows[i], b)) }
 	}
-	if !matched && t == plan.RightOuterJoin {
-		out = append(out, concatRows(nullRow(nLeft), r))
+	p := t.newProbe(h.jt, residual, func(i int, b row.Row) {
+		if h.jt == plan.LeftSemiJoin {
+			out = append(out, rows[i])
+		} else {
+			out = append(out, h.joined(rows[i], b))
+		}
+	})
+	keys := newKeyChunk(h.probeEvals, h.keyTypes, h.typed, len(in))
+	for off := 0; off < len(in); off += rowChunk {
+		rows = in[off:min(off+rowChunk, len(in))]
+		p.batch(keys.load(rows))
+	}
+	for o, hit := range p.matched {
+		if !hit {
+			out = append(out, h.joined(nil, t.rows[o]))
+		}
 	}
 	return out
 }
@@ -284,10 +384,7 @@ type ShuffledHashJoinExec struct {
 	PlanEstimate
 	PlanMetrics
 	AdaptiveNote
-	Left, Right         SparkPlan
-	LeftKeys, RightKeys []expr.Expression
-	Type                plan.JoinType
-	Residual            expr.Expression
+	EquiJoin
 	// Partitions, when positive, caps the exchange's reducer count below
 	// the session default (chosen by the planner from the estimated input
 	// size).
@@ -302,141 +399,62 @@ type ShuffledHashJoinExec struct {
 	SkewSplits []int
 }
 
-func (j *ShuffledHashJoinExec) Children() []SparkPlan { return []SparkPlan{j.Left, j.Right} }
 func (j *ShuffledHashJoinExec) WithNewChildren(children []SparkPlan) SparkPlan {
 	c := *j
 	c.Left, c.Right = children[0], children[1]
 	return &c
 }
-func (j *ShuffledHashJoinExec) Output() []*expr.AttributeReference {
-	return joinOutput(j.Type, j.Left.Output(), j.Right.Output())
-}
 func (j *ShuffledHashJoinExec) SimpleString() string {
-	s := fmt.Sprintf("ShuffledHashJoin %s keys=[%s]=[%s]",
-		j.Type, exprListString(j.LeftKeys), exprListString(j.RightKeys))
-	if j.Partitions > 0 {
-		s += fmt.Sprintf(" parts=%d", j.Partitions)
-	}
-	return s
+	return j.describe("ShuffledHashJoin", j.Partitions)
 }
 func (j *ShuffledHashJoinExec) String() string { return Format(j) }
 
 func (j *ShuffledHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	leftOut, rightOut := j.Left.Output(), j.Right.Output()
-	leftKey := keyFunc(bindKeys(ctx, j.LeftKeys, leftOut))
-	rightKey := keyFunc(bindKeys(ctx, j.RightKeys, rightOut))
-	match := residualPred(ctx, j.Residual, leftOut, rightOut)
-	n := ctx.ShufflePartitions
-	if j.Partitions > 0 && j.Partitions < n {
-		n = j.Partitions
-	}
-
-	leftShuf := rdd.PartitionByHashCodec(j.Left.Execute(ctx), n, func(r row.Row) uint64 {
-		k, ok := leftKey(r)
-		if !ok {
-			return 0
-		}
-		return row.HashValue(k)
-	}, rowShuffleCodec)
-	rightShuf := rdd.PartitionByHashCodec(j.Right.Execute(ctx), n, func(r row.Row) uint64 {
-		k, ok := rightKey(r)
-		if !ok {
-			return 0
-		}
-		return row.HashValue(k)
-	}, rowShuffleCodec)
-
-	nLeft, nRight := len(leftOut), len(rightOut)
-	t := j.Type
 	om := j.EnableMetrics(ctx.Metrics)
-	probe := func(ls, rs []row.Row) []row.Row {
+	// The right side builds and the left side probes, except under RIGHT
+	// OUTER, which preserves the right rows: there the roles swap.
+	buildRight := j.Type != plan.RightOuterJoin
+	probePlan, buildPlan := j.Left, j.Right
+	if !buildRight {
+		probePlan, buildPlan = j.Right, j.Left
+	}
+	hj := newHashJoin(ctx, om, &j.EquiJoin, probePlan, buildRight, ctx.Codegen)
+	n := effectiveParts(ctx.ShufflePartitions, j.Partitions)
+	probeShuf := rdd.PartitionByHashCodec(probePlan.Execute(ctx), n, keyHash(hj.probeEvals), rowShuffleCodec)
+	buildShuf := rdd.PartitionByHashCodec(buildPlan.Execute(ctx), n, keyHash(hj.buildEvals), rowShuffleCodec)
+
+	probe := func(ps, bs []row.Row) []row.Row {
 		start := time.Now()
 		if om != nil {
-			om.RecordBuild(len(rs), rowsSize(rs))
+			om.RecordBuild(len(bs), rowsSize(bs))
 		}
-		table := buildHashTable(rs, rightKey)
-		var out []row.Row
-		rightMatched := make(map[string][]bool)
-		if t == plan.FullOuterJoin {
-			for k, rows := range table {
-				rightMatched[k] = make([]bool, len(rows))
-			}
-			// NULL-key right rows never enter the hash table but must
-			// still appear null-extended in a full outer join.
-			for _, r := range rs {
-				if _, ok := rightKey(r); !ok {
-					out = append(out, concatRows(nullRow(nLeft), r))
-				}
-			}
-		}
-		for _, l := range ls {
-			matched := false
-			if k, ok := leftKey(l); ok {
-				for i, r := range table[k] {
-					if match(l, r) {
-						matched = true
-						if t == plan.LeftSemiJoin {
-							break
-						}
-						if t == plan.FullOuterJoin {
-							rightMatched[k][i] = true
-						}
-						out = append(out, concatRows(l, r))
-					}
-				}
-			}
-			switch {
-			case t == plan.LeftSemiJoin && matched:
-				out = append(out, l)
-			case !matched && (t == plan.LeftOuterJoin || t == plan.FullOuterJoin):
-				out = append(out, concatRows(l, nullRow(nRight)))
-			}
-		}
-		if t == plan.RightOuterJoin {
-			// Re-probe from the right for unmatched right rows.
-			ltable := buildHashTable(ls, leftKey)
-			out = out[:0]
-			for _, r := range rs {
-				out = appendProbeLeft(out, r, ltable, rightKey, match, t, nLeft)
-			}
-		}
-		if t == plan.FullOuterJoin {
-			for k, rows := range table {
-				for i, r := range rows {
-					if !rightMatched[k][i] {
-						out = append(out, concatRows(nullRow(nLeft), r))
-					}
-				}
-			}
-		}
+		out := hj.probe(hj.build(bs), ps)
 		om.RecordPartition(len(out), time.Since(start))
 		return out
 	}
 
-	if refs := skewChunks(j.SkewSplits, n, t); refs != nil {
+	if refs := skewChunks(j.SkewSplits, n, j.Type); refs != nil {
 		// Skew-split execution: each chunk of an oversized probe bucket
 		// joins against that bucket's full build side as its own task, so
 		// one hot key no longer serializes behind a single reducer. The
 		// memoized shuffles compute their map sides once; chunks fetch.
 		return rdd.GenerateCtx(ctx.RDD, "skewjoin", len(refs), func(jc context.Context, q int) ([]row.Row, error) {
 			ref := refs[q]
-			ls, err := leftShuf.PartitionContext(jc, ref.part)
+			ps, err := probeShuf.PartitionContext(jc, ref.part)
 			if err != nil {
 				return nil, err
 			}
-			rs, err := rightShuf.PartitionContext(jc, ref.part)
+			bs, err := buildShuf.PartitionContext(jc, ref.part)
 			if err != nil {
 				return nil, err
 			}
-			lo := len(ls) * ref.idx / ref.of
-			hi := len(ls) * (ref.idx + 1) / ref.of
-			return probe(ls[lo:hi], rs), nil
+			lo := len(ps) * ref.idx / ref.of
+			hi := len(ps) * (ref.idx + 1) / ref.of
+			return probe(ps[lo:hi], bs), nil
 		})
 	}
 
-	zipped, err := rdd.ZipPartitions(leftShuf, rightShuf, func(_ int, ls, rs []row.Row) []row.Row {
-		return probe(ls, rs)
-	})
+	zipped, err := rdd.ZipPartitions(probeShuf, buildShuf, func(_ int, ps, bs []row.Row) []row.Row { return probe(ps, bs) })
 	if err != nil {
 		// Both sides are hash-partitioned to n above; unequal counts here
 		// are a planner bug, not a runtime task failure.
@@ -458,18 +476,14 @@ func skewChunks(splits []int, n int, t plan.JoinType) []chunkRef {
 	if len(splits) != n || !skewSplittable(t) {
 		return nil
 	}
-	any := false
 	total := 0
 	for _, s := range splits {
 		if s < 1 {
 			return nil
 		}
-		if s > 1 {
-			any = true
-		}
 		total += s
 	}
-	if !any {
+	if total == n { // every partition in one chunk: nothing is split
 		return nil
 	}
 	refs := make([]chunkRef, 0, total)
@@ -510,20 +524,13 @@ func (j *NestedLoopJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	leftOut, rightOut := j.Left.Output(), j.Right.Output()
 	match := residualPred(ctx, j.Cond, leftOut, rightOut)
 	build := j.Right.Execute(ctx)
-	lazy := &lazyBuild[[]row.Row]{}
+	lazy := &LazyBuild[[]row.Row]{}
 	nRight := len(rightOut)
 	t := j.Type
 	om := j.EnableMetrics(ctx.Metrics)
 	return rdd.MapPartitionsCtx(j.Left.Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
-		rightRows, err := lazy.get(jc, func(jc context.Context) ([]row.Row, error) {
-			rows, err := build.CollectContext(jc)
-			if err != nil {
-				return nil, err
-			}
-			if om != nil {
-				om.RecordBuild(len(rows), rowsSize(rows))
-			}
-			return rows, nil
+		rightRows, err := lazy.Get(jc, func(jc context.Context) ([]row.Row, error) {
+			return collectBuild(jc, build, om)
 		})
 		if err != nil {
 			return nil, err

@@ -25,6 +25,9 @@ type OperatorMetrics struct {
 	BuildBytes atomic.Int64 // estimated build-side bytes (joins)
 	SpillBytes atomic.Int64 // bytes written to spill files
 	SpillRuns  atomic.Int64 // spill events (sorted runs / hash-partition flushes)
+	// Table names the group table a hash join builds (i64, str, pair or
+	// generic). Execute sets it before any task runs.
+	Table string
 }
 
 // RecordPartition records one partition's output and elapsed wall time.
@@ -74,6 +77,9 @@ func (m *OperatorMetrics) ActualString() string {
 		m.OutputRows.Load(), float64(m.WallNanos.Load())/1e6)
 	if b := m.BuildRows.Load(); b > 0 {
 		s += fmt.Sprintf(", build=%d rows", b)
+		if m.Table != "" {
+			s += ", table=" + m.Table
+		}
 	}
 	if n := m.Batches.Load(); n > 0 {
 		s += fmt.Sprintf(", %d batches", n)

@@ -1,11 +1,13 @@
 package physical
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/rdd"
@@ -175,128 +177,199 @@ func TestAggregateWithExpressionOverAggs(t *testing.T) {
 }
 
 // referenceJoin is a straightforward nested-loop implementation used as the
-// oracle for the hash join property tests.
-func referenceJoin(left, right []row.Row, jt plan.JoinType, key func(row.Row) any, match func(l, r row.Row) bool) []row.Row {
+// oracle for the hash join property tests. A side's key function returns nil
+// for a row whose key has a NULL component.
+func referenceJoin(left, right []row.Row, nLeft, nRight int, jt plan.JoinType,
+	lkey, rkey func(row.Row) row.Row, match func(l, r row.Row) bool) []row.Row {
 	var out []row.Row
 	rightMatched := make([]bool, len(right))
 	for _, l := range left {
 		matched := false
 		for ri, r := range right {
-			lk, rk := key(l), key(r)
+			lk, rk := lkey(l), rkey(r)
 			if lk == nil || rk == nil || !row.Equal(lk, rk) || !match(l, r) {
 				continue
 			}
 			matched = true
 			rightMatched[ri] = true
 			if jt != plan.LeftSemiJoin {
-				joined := append(append(row.Row{}, l...), r...)
-				out = append(out, joined)
+				out = append(out, append(append(row.Row{}, l...), r...))
 			}
 		}
 		switch {
 		case jt == plan.LeftSemiJoin && matched:
 			out = append(out, l)
 		case !matched && (jt == plan.LeftOuterJoin || jt == plan.FullOuterJoin):
-			out = append(out, append(append(row.Row{}, l...), make(row.Row, len(right[0]))...))
+			out = append(out, append(append(row.Row{}, l...), make(row.Row, nRight)...))
 		}
 	}
 	if jt == plan.RightOuterJoin || jt == plan.FullOuterJoin {
 		for ri, r := range right {
 			if !rightMatched[ri] {
-				out = append(out, append(make(row.Row, len(left[0])), r...))
-			}
-		}
-	}
-	if jt == plan.RightOuterJoin {
-		// inner pairs plus unmatched right; rebuild inner pairs.
-		out = nil
-		for _, l := range left {
-			for _, r := range right {
-				lk, rk := key(l), key(r)
-				if lk != nil && rk != nil && row.Equal(lk, rk) && match(l, r) {
-					out = append(out, append(append(row.Row{}, l...), r...))
-				}
-			}
-		}
-		for ri, r := range right {
-			if !rightMatched[ri] {
-				out = append(out, append(make(row.Row, len(left[0])), r...))
+				out = append(out, append(make(row.Row, nLeft), r...))
 			}
 		}
 	}
 	return out
 }
 
-func randomJoinData(rng *rand.Rand, n int) []row.Row {
+// joinShape is one join-key shape of the property test: the key column types
+// of each side and a generator of one (non-NULL) key. Rows are
+// [key columns..., id INT].
+type joinShape struct {
+	name        string
+	left, right []types.DataType
+	key         func(rng *rand.Rand) row.Row
+	fusable     bool // a shape the Fuse rule admits
+}
+
+var decimalKey = types.DecimalType{Precision: 10, Scale: 2}
+
+var joinShapes = []joinShape{
+	{"int=bigint", []types.DataType{types.Int}, []types.DataType{types.Long}, func(rng *rand.Rand) row.Row {
+		return row.Row{int32(rng.Intn(6))}
+	}, true},
+	{"string", []types.DataType{types.String}, []types.DataType{types.String}, func(rng *rand.Rand) row.Row {
+		return row.Row{[]string{"", "a", "b", "ab", "héllo"}[rng.Intn(5)]}
+	}, true},
+	{"(int,int)", []types.DataType{types.Int, types.Int}, []types.DataType{types.Int, types.Int}, func(rng *rand.Rand) row.Row {
+		return row.Row{int32(rng.Intn(3)), int32(rng.Intn(3))}
+	}, true},
+	{"(int,string,int)", []types.DataType{types.Int, types.String, types.Int}, []types.DataType{types.Int, types.String, types.Int}, func(rng *rand.Rand) row.Row {
+		return row.Row{int32(rng.Intn(2)), []string{"x", "y"}[rng.Intn(2)], int32(rng.Intn(2))}
+	}, false},
+	{"double", []types.DataType{types.Double}, []types.DataType{types.Double}, func(rng *rand.Rand) row.Row {
+		// NaN equals NaN and -0.0 equals 0.0, whichever side holds which.
+		return row.Row{[]float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2.25, math.Inf(1)}[rng.Intn(6)]}
+	}, false},
+	{"decimal", []types.DataType{decimalKey}, []types.DataType{decimalKey}, func(rng *rand.Rand) row.Row {
+		return row.Row{types.NewDecimal(int64(rng.Intn(5))*25, 2)}
+	}, false},
+}
+
+// joinSide generates n rows with the given key column types: small key
+// domains give duplicate keys, and one key component in eight is NULL.
+func (s joinShape) joinSide(rng *rand.Rand, n int, keyTypes []types.DataType) []row.Row {
 	out := make([]row.Row, n)
 	for i := range out {
-		var k any
-		if rng.Intn(8) == 0 {
-			k = nil // NULL keys never match
-		} else {
-			k = int32(rng.Intn(6))
+		k := s.key(rng)
+		for c, v := range k {
+			if x, ok := v.(int32); ok && keyTypes[c].Equals(types.Long) {
+				k[c] = int64(x)
+			}
+			if rng.Intn(8) == 0 {
+				k[c] = nil
+			}
 		}
-		out[i] = row.Row{k, int32(i)}
+		out[i] = append(k, int32(i))
 	}
 	return out
 }
 
-// Property: broadcast and shuffled hash joins agree with the nested-loop
-// oracle for every join type, including NULL keys.
+// oracleKey reads a row's key for referenceJoin: nil if any component is
+// NULL, integers widened so INT and BIGINT sides compare equal.
+func oracleKey(width int) func(row.Row) row.Row {
+	return func(r row.Row) row.Row {
+		k := make(row.Row, width)
+		for c := range k {
+			switch v := r[c].(type) {
+			case nil:
+				return nil
+			case int32:
+				k[c] = int64(v)
+			default:
+				k[c] = v
+			}
+		}
+		return k
+	}
+}
+
+func sideAttrs(prefix string, keyTypes []types.DataType) []*expr.AttributeReference {
+	var names []string
+	for c := range keyTypes {
+		names = append(names, prefix+"k"+string(rune('0'+c)))
+	}
+	return attrsOf(append(names, prefix+"id"), append(append([]types.DataType{}, keyTypes...), types.Int))
+}
+
+// cachedScan puts rows behind the columnar cache, the leaf fused operators
+// run over.
+func cachedScan(attrs []*expr.AttributeReference, rows []row.Row) SparkPlan {
+	schema := types.StructType{}
+	for _, a := range attrs {
+		schema = schema.Add(a.Name, a.DataType(), true)
+	}
+	return NewInMemoryScan(attrs, columnar.BuildTable(schema, [][]row.Row{rows[:len(rows)/2], rows[len(rows)/2:]}, 8), nil, nil)
+}
+
+// Property: the shuffled, broadcast (either legal build side) and fused hash
+// joins agree with the nested-loop oracle for every key shape and join type,
+// compiled and interpreted, with and without a residual predicate — NULL
+// keys on both sides, duplicate build keys and empty sides included. The
+// shuffled joins run a 3-reducer exchange with SkewSplits unset.
 func TestHashJoinsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
 	joinTypes := []plan.JoinType{
 		plan.InnerJoin, plan.LeftOuterJoin, plan.RightOuterJoin,
 		plan.FullOuterJoin, plan.LeftSemiJoin,
 	}
-	for trial := 0; trial < 20; trial++ {
-		leftRows := randomJoinData(rng, 1+rng.Intn(30))
-		rightRows := randomJoinData(rng, 1+rng.Intn(30))
-		leftAttrs := attrsOf([]string{"lk", "lv"}, []types.DataType{types.Int, types.Int})
-		rightAttrs := attrsOf([]string{"rk", "rv"}, []types.DataType{types.Int, types.Int})
-		leftScan := NewLocalScan(leftAttrs, leftRows)
-		rightScan := NewLocalScan(rightAttrs, rightRows)
-
-		for _, jt := range joinTypes {
-			want := referenceJoin(leftRows, rightRows, jt,
-				func(r row.Row) any { return r[0] },
-				func(l, r row.Row) bool { return true })
-
-			shuffled := &ShuffledHashJoinExec{
-				Left: leftScan, Right: rightScan,
-				LeftKeys:  []expr.Expression{leftAttrs[0]},
-				RightKeys: []expr.Expression{rightAttrs[0]},
-				Type:      jt,
-			}
-			got := collect(t, shuffled, execCtx(true))
-			if !rowsEqual(got, append([]row.Row{}, want...)) {
-				t.Fatalf("trial %d %s shuffled: got %d rows, want %d\n%v\n%v",
-					trial, jt, len(got), len(want), got, want)
-			}
-
-			// Broadcast variants where supported.
-			if jt == plan.InnerJoin || jt == plan.LeftOuterJoin || jt == plan.LeftSemiJoin {
-				bc := &BroadcastHashJoinExec{
-					Left: leftScan, Right: rightScan,
-					LeftKeys:  []expr.Expression{leftAttrs[0]},
-					RightKeys: []expr.Expression{rightAttrs[0]},
-					Type:      jt, BuildRight: true,
-				}
-				got := collect(t, bc, execCtx(true))
-				if !rowsEqual(got, append([]row.Row{}, want...)) {
-					t.Fatalf("trial %d %s broadcast-right mismatch", trial, jt)
-				}
-			}
-			if jt == plan.InnerJoin || jt == plan.RightOuterJoin {
-				bc := &BroadcastHashJoinExec{
-					Left: leftScan, Right: rightScan,
-					LeftKeys:  []expr.Expression{leftAttrs[0]},
-					RightKeys: []expr.Expression{rightAttrs[0]},
-					Type:      jt, BuildRight: false,
-				}
-				got := collect(t, bc, execCtx(true))
-				if !rowsEqual(got, append([]row.Row{}, want...)) {
-					t.Fatalf("trial %d %s broadcast-left mismatch", trial, jt)
+	sizes := [][2]int{{0, 7}, {9, 0}, {1, 1}, {30, 12}, {14, 30}, {25, 25}}
+	for _, shape := range joinShapes {
+		rng := rand.New(rand.NewSource(42))
+		leftAttrs, rightAttrs := sideAttrs("l", shape.left), sideAttrs("r", shape.right)
+		nk := len(shape.left)
+		lid, rid := leftAttrs[nk], rightAttrs[nk]
+		for _, size := range sizes {
+			leftRows, rightRows := shape.joinSide(rng, size[0], shape.left), shape.joinSide(rng, size[1], shape.right)
+			for _, jt := range joinTypes {
+				for _, residual := range []bool{false, true} {
+					match := func(l, r row.Row) bool { return true }
+					var cond expr.Expression
+					if residual {
+						match = func(l, r row.Row) bool { return l[nk].(int32) < r[nk].(int32) }
+						cond = expr.LT(lid, rid)
+					}
+					want := referenceJoin(leftRows, rightRows, nk+1, nk+1, jt, oracleKey(nk), oracleKey(nk), match)
+					check := func(label string, p SparkPlan) {
+						t.Helper()
+						for _, codegen := range []bool{true, false} {
+							got := collect(t, p, execCtx(codegen))
+							if !rowsEqual(got, append([]row.Row{}, want...)) {
+								t.Fatalf("%s %s %dx%d residual=%v codegen=%v %s: got %d rows, want %d\n%v\n%v",
+									shape.name, jt, size[0], size[1], residual, codegen, label, len(got), len(want), got, want)
+							}
+						}
+					}
+					leftScan, rightScan := NewLocalScan(leftAttrs, leftRows), NewLocalScan(rightAttrs, rightRows)
+					ej := EquiJoin{
+						Left: leftScan, Right: rightScan,
+						LeftKeys: plan.AttrExprs(leftAttrs[:nk]), RightKeys: plan.AttrExprs(rightAttrs[:nk]),
+						Type: jt, Residual: cond,
+					}
+					check("shuffled", &ShuffledHashJoinExec{EquiJoin: ej})
+					canRight, canLeft := canBuildSides(jt)
+					for _, buildRight := range []bool{true, false} {
+						if (buildRight && !canRight) || (!buildRight && !canLeft) {
+							continue
+						}
+						check("broadcast", &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: buildRight})
+						// The same join probing from a cached leaf: fused for
+						// the shapes and types the Fuse rule admits.
+						cached := ej
+						if buildRight {
+							cached.Left = cachedScan(leftAttrs, leftRows)
+						} else {
+							cached.Right = cachedScan(rightAttrs, rightRows)
+						}
+						p := Fuse(Vectorize(Collapse(&BroadcastHashJoinExec{EquiJoin: cached, BuildRight: buildRight})))
+						admitted := shape.fusable && !residual &&
+							(jt == plan.InnerJoin || (jt == plan.LeftOuterJoin && buildRight))
+						if _, fused := p.(*FusedBroadcastJoinExec); fused != admitted {
+							t.Fatalf("%s %s buildRight=%v residual=%v: fused=%v, want %v\n%s",
+								shape.name, jt, buildRight, residual, fused, admitted, p)
+						}
+						check("over cache", p)
+					}
 				}
 			}
 		}
@@ -308,14 +381,14 @@ func TestJoinResidualCondition(t *testing.T) {
 	rightAttrs := attrsOf([]string{"rk", "rv"}, []types.DataType{types.Int, types.Int})
 	leftRows := []row.Row{{int32(1), int32(5)}, {int32(1), int32(50)}}
 	rightRows := []row.Row{{int32(1), int32(10)}}
-	j := &ShuffledHashJoinExec{
+	j := &ShuffledHashJoinExec{EquiJoin: EquiJoin{
 		Left:      NewLocalScan(leftAttrs, leftRows),
 		Right:     NewLocalScan(rightAttrs, rightRows),
 		LeftKeys:  []expr.Expression{leftAttrs[0]},
 		RightKeys: []expr.Expression{rightAttrs[0]},
 		Type:      plan.InnerJoin,
 		Residual:  expr.LT(leftAttrs[1], rightAttrs[1]), // lv < rv
-	}
+	}}
 	got := collect(t, j, execCtx(true))
 	if len(got) != 1 || got[0][1] != int32(5) {
 		t.Fatalf("residual filter wrong: %v", got)
@@ -373,15 +446,38 @@ func TestLimitAndUnionExec(t *testing.T) {
 	}
 }
 
-func TestDistinctExec(t *testing.T) {
+// DISTINCT has no operator of its own: it plans as a grouping on every output
+// column with no aggregate functions, and so fuses over a cached table like
+// any other aggregation.
+func TestDistinctPlansAsAggregate(t *testing.T) {
 	attrs := attrsOf([]string{"a", "b"}, []types.DataType{types.Int, types.String})
 	rows := []row.Row{
 		{int32(1), "x"}, {int32(1), "x"}, {int32(1), "y"}, {nil, "x"}, {nil, "x"},
 	}
-	d := &DistinctExec{Child: NewLocalScan(attrs, rows)}
-	got := collect(t, d, execCtx(true))
-	if len(got) != 3 {
-		t.Fatalf("distinct = %v", got)
+	local, err := plannerFor(1 << 20).Plan(&plan.Distinct{Child: &plan.LocalRelation{Attrs: attrs, Rows: rows}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, ok := local.(*HashAggregateExec)
+	if !ok || attrsString(agg.Output()) != attrsString(attrs) {
+		t.Fatalf("DISTINCT must plan as a HashAggregate with the child's output:\n%s", local)
+	}
+	scan := cachedScan(attrs, rows).(*InMemoryScanExec)
+	cached, err := plannerFor(1 << 20).Plan(&plan.Distinct{Child: &plan.InMemoryRelation{Attrs: attrs, Table: scan.Table}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(cached.String(), "FusedHashAggregate") || !strings.Contains(cached.String(), "fused: true, table=generic") {
+		t.Fatalf("DISTINCT over a cached table must fuse and name its table:\n%s", cached)
+	}
+	for _, p := range []SparkPlan{local, cached} {
+		for _, codegen := range []bool{true, false} {
+			got := collect(t, p, execCtx(codegen))
+			want := []row.Row{{int32(1), "x"}, {int32(1), "y"}, {nil, "x"}}
+			if !rowsEqual(got, want) {
+				t.Fatalf("codegen=%v distinct = %v\n%s", codegen, got, p)
+			}
+		}
 	}
 }
 

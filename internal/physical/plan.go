@@ -27,10 +27,6 @@ type ExecContext struct {
 	// Codegen selects compiled closures (true) or the tree-walking
 	// interpreter (false) for expression evaluation — the Figure 4 knob.
 	Codegen bool
-	// Vectorized enables batch-at-a-time execution over the columnar cache
-	// (VectorizedPipelineExec); off, those nodes run the identical
-	// row-at-a-time pipeline.
-	Vectorized bool
 	// ShufflePartitions is the reducer count for exchanges.
 	ShufflePartitions int
 	// Metrics enables per-operator instrumentation: each exec node attaches

@@ -178,7 +178,13 @@ func (pl *Planner) translateNode(lp plan.LogicalPlan) (SparkPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DistinctExec{Child: child, Partitions: pl.partitionsFor(plan.Stats(n.Child).SizeInBytes)}, nil
+		// DISTINCT is a grouping on every output column with no aggregate
+		// functions (Spark's ReplaceDistinctWithAggregate).
+		cols := plan.AttrExprs(n.Child.Output())
+		return &HashAggregateExec{
+			Grouping: cols, Aggs: cols, Child: child,
+			Partitions: pl.partitionsFor(plan.Stats(n.Child).SizeInBytes),
+		}, nil
 	case *plan.Sample:
 		child, err := pl.translate(n.Child)
 		if err != nil {
@@ -300,20 +306,13 @@ func (pl *Planner) planJoin(j *plan.Join) (SparkPlan, error) {
 	canBuildRight, canBuildLeft := canBuildSides(j.Type)
 	bcast := BroadcastLimit(pl.Cfg.BroadcastThreshold, pl.Cfg.MemoryBudget)
 
+	ej := EquiJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, Type: j.Type, Residual: residual}
 	switch {
 	case canBuildRight && rightSize <= bcast &&
 		(rightSize <= leftSize || !canBuildLeft || leftSize > bcast):
-		return &BroadcastHashJoinExec{
-			Left: left, Right: right,
-			LeftKeys: leftKeys, RightKeys: rightKeys,
-			Type: j.Type, Residual: residual, BuildRight: true,
-		}, nil
+		return &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: true}, nil
 	case canBuildLeft && leftSize <= bcast:
-		return &BroadcastHashJoinExec{
-			Left: left, Right: right,
-			LeftKeys: leftKeys, RightKeys: rightKeys,
-			Type: j.Type, Residual: residual, BuildRight: false,
-		}, nil
+		return &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: false}, nil
 	default:
 		parts := pl.partitionsFor(addKnownSizes(leftSize, rightSize))
 		// Under a memory budget, a shuffled hash join whose build side
@@ -322,19 +321,9 @@ func (pl *Planner) planJoin(j *plan.Join) (SparkPlan, error) {
 		// tables cannot.
 		if b := pl.Cfg.MemoryBudget; b > 0 &&
 			(rightSize >= plan.UnknownSizeInBytes || rightSize > b/2) {
-			return &SortMergeJoinExec{
-				Left: left, Right: right,
-				LeftKeys: leftKeys, RightKeys: rightKeys,
-				Type: j.Type, Residual: residual,
-				Partitions: parts,
-			}, nil
+			return &SortMergeJoinExec{EquiJoin: ej, Partitions: parts}, nil
 		}
-		return &ShuffledHashJoinExec{
-			Left: left, Right: right,
-			LeftKeys: leftKeys, RightKeys: rightKeys,
-			Type: j.Type, Residual: residual,
-			Partitions: parts,
-		}, nil
+		return &ShuffledHashJoinExec{EquiJoin: ej, Partitions: parts}, nil
 	}
 }
 

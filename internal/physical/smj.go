@@ -2,10 +2,8 @@ package physical
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/rdd"
 	"repro/internal/row"
@@ -23,31 +21,19 @@ type SortMergeJoinExec struct {
 	PlanEstimate
 	PlanMetrics
 	AdaptiveNote
-	Left, Right         SparkPlan
-	LeftKeys, RightKeys []expr.Expression
-	Type                plan.JoinType
-	Residual            expr.Expression
+	EquiJoin
 	// Partitions, when positive, caps the exchange's reducer count below
 	// the session default.
 	Partitions int
 }
 
-func (j *SortMergeJoinExec) Children() []SparkPlan { return []SparkPlan{j.Left, j.Right} }
 func (j *SortMergeJoinExec) WithNewChildren(children []SparkPlan) SparkPlan {
 	c := *j
 	c.Left, c.Right = children[0], children[1]
 	return &c
 }
-func (j *SortMergeJoinExec) Output() []*expr.AttributeReference {
-	return joinOutput(j.Type, j.Left.Output(), j.Right.Output())
-}
 func (j *SortMergeJoinExec) SimpleString() string {
-	s := fmt.Sprintf("SortMergeJoin %s keys=[%s]=[%s]",
-		j.Type, exprListString(j.LeftKeys), exprListString(j.RightKeys))
-	if j.Partitions > 0 {
-		s += fmt.Sprintf(" parts=%d", j.Partitions)
-	}
-	return s
+	return j.describe("SortMergeJoin", j.Partitions)
 }
 func (j *SortMergeJoinExec) String() string { return Format(j) }
 
@@ -91,30 +77,12 @@ func sameKeyPrefix(a, b row.Row, k int) bool {
 
 func (j *SortMergeJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	leftOut, rightOut := j.Left.Output(), j.Right.Output()
-	leftKey := keyFunc(bindKeys(ctx, j.LeftKeys, leftOut))
-	rightKey := keyFunc(bindKeys(ctx, j.RightKeys, rightOut))
-	leftKeyRow := keyRowFunc(bindKeys(ctx, j.LeftKeys, leftOut))
-	rightKeyRow := keyRowFunc(bindKeys(ctx, j.RightKeys, rightOut))
+	leftEvals, rightEvals := bindKeys(ctx, j.LeftKeys, leftOut), bindKeys(ctx, j.RightKeys, rightOut)
+	leftKeyRow, rightKeyRow := keyRowFunc(leftEvals), keyRowFunc(rightEvals)
 	match := residualPred(ctx, j.Residual, leftOut, rightOut)
-	n := ctx.ShufflePartitions
-	if j.Partitions > 0 && j.Partitions < n {
-		n = j.Partitions
-	}
-
-	leftShuf := rdd.PartitionByHashCodec(j.Left.Execute(ctx), n, func(r row.Row) uint64 {
-		k, ok := leftKey(r)
-		if !ok {
-			return 0
-		}
-		return row.HashValue(k)
-	}, rowShuffleCodec)
-	rightShuf := rdd.PartitionByHashCodec(j.Right.Execute(ctx), n, func(r row.Row) uint64 {
-		k, ok := rightKey(r)
-		if !ok {
-			return 0
-		}
-		return row.HashValue(k)
-	}, rowShuffleCodec)
+	n := effectiveParts(ctx.ShufflePartitions, j.Partitions)
+	leftShuf := rdd.PartitionByHashCodec(j.Left.Execute(ctx), n, keyHash(leftEvals), rowShuffleCodec)
+	rightShuf := rdd.PartitionByHashCodec(j.Right.Execute(ctx), n, keyHash(rightEvals), rowShuffleCodec)
 
 	nLeft, nRight := len(leftOut), len(rightOut)
 	k := len(j.LeftKeys)

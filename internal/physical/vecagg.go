@@ -54,15 +54,6 @@ func (f *FusedAggregateExec) String() string { return Format(f) }
 func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	h := f.Agg
 	om := f.EnableMetrics(ctx.Metrics)
-	if !ctx.Vectorized {
-		// Runtime knob off: run the identical row-at-a-time plan, sharing
-		// this node's metrics so EXPLAIN ANALYZE annotates the printed tree.
-		agg := *h
-		agg.Child = f.Pipe
-		agg.PlanMetrics.m = om
-		return agg.Execute(ctx)
-	}
-
 	k := f.sink
 	if k == nil {
 		k = h.compileSink(f.Pipe.Output())
@@ -83,7 +74,7 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 			for i, gv := range k.keyEvals {
 				gvecs[i] = gv(batch, live)
 			}
-			gidx = groups.indexBatch(gvecs, live, gidx[:0])
+			gidx = groups.indexBatch(gvecs, live, gidx[:0], true)
 			n := groups.count()
 			for _, l := range lanes {
 				l.Update(batch, live, gidx, n)
@@ -212,15 +203,19 @@ func splitGroups(groups groupIndexer, lanes []expr.VecAggregator, numPart int) [
 // ---------------------------------------------------------------------------
 // Group index tables
 
-// groupIndexer maps each live row's group-key values (read out of the key
-// vectors) to a dense group index, appending the key to the table's key
-// columns on first sight. indexBatch appends one index per live row to gidx;
-// the per-implementation loop keeps the map access monomorphic instead of
-// paying an interface dispatch per row. First-seen order is preserved. The
-// same tables serve phase 1 (over pipeline batches or chunks of input rows)
-// and the reducer (over the key columns of partial blocks).
+// groupIndexer is the executor's one keyed hash table: it maps each live
+// row's key values (read out of the key vectors) to a dense group index.
+// indexBatch appends one index per live row to gidx; the per-implementation
+// loop keeps the map access monomorphic instead of paying an interface
+// dispatch per row. With insert, a key is appended to the table's key columns
+// on first sight (first-seen order is preserved, and NULL is a key like any
+// other); without, the table is only read — safe from concurrent tasks — and
+// a key never inserted indexes as -1. The same tables serve aggregation phase
+// 1 (over pipeline batches or chunks of input rows), the reducer (over the key
+// columns of partial blocks), DISTINCT, and the build and probe sides of the
+// hash joins (joinTable).
 type groupIndexer interface {
-	indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32
+	indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32
 	count() int
 	keys() []*columnar.Vector
 }
@@ -229,16 +224,23 @@ type groupIndexer interface {
 // grouping expression, typed when the type has a kernel value class.
 type keyCols []*columnar.Vector
 
-func newKeyCols(keyTypes []types.DataType) keyCols {
+// newKeyCols allocates empty key columns whose lanes are pre-grown for
+// sizeHint groups.
+func newKeyCols(keyTypes []types.DataType, sizeHint int) keyCols {
 	cols := make(keyCols, len(keyTypes))
 	for i, t := range keyTypes {
-		cols[i] = expr.NewClassVector(t, 0)
+		cols[i] = expr.NewClassVector(t, sizeHint)
+		cols[i].Reset(0)
 	}
 	return cols
 }
 
-// add appends row i's key values as a new group and returns its index.
-func (c keyCols) add(vecs []*columnar.Vector, i int) int32 {
+// add appends row i's key values as a new group and returns its index, or
+// returns -1 when the caller is only looking up.
+func (c keyCols) add(vecs []*columnar.Vector, i int, insert bool) int32 {
+	if !insert {
+		return -1
+	}
 	g := int32(c[0].Len())
 	for j, v := range vecs {
 		c[j].Append(v, i)
@@ -248,13 +250,13 @@ func (c keyCols) add(vecs []*columnar.Vector, i int) int32 {
 func (c keyCols) count() int               { return c[0].Len() }
 func (c keyCols) keys() []*columnar.Vector { return c }
 
-// newGroupIndexer picks the table for the grouping key types and names it:
-// a single int64-class key, a single string key, or an (int64, int64) pair
-// run without boxing or key-string building; anything else — or keys whose
-// kernels fell back to boxed vectors — uses the generic table. A nil native
-// means every key column is typed (the reducer's input always is). The table
-// is pre-sized for sizeHint groups (0 = grow on demand: a phase-1 table over
-// a tiny partition must not pay for capacity it never uses).
+// newGroupIndexer picks the table for the key types and names it: a single
+// int64-class key, a single string key, or an (int64, int64) pair run without
+// boxing or key-string building; anything else — or keys whose vectors hold
+// boxed values — uses the generic table. A nil native means every key column
+// is typed (the reducer's input always is). The table is pre-sized for
+// sizeHint groups (0 = grow on demand: a phase-1 table over a tiny partition
+// must not pay for capacity it never uses).
 func newGroupIndexer(keyTypes []types.DataType, native []bool, sizeHint int) (groupIndexer, string) {
 	cls := func(i int) int {
 		if native != nil && !native[i] {
@@ -262,7 +264,7 @@ func newGroupIndexer(keyTypes []types.DataType, native []bool, sizeHint int) (gr
 		}
 		return expr.VecClassOf(keyTypes[i])
 	}
-	cols := newKeyCols(keyTypes)
+	cols := newKeyCols(keyTypes, sizeHint)
 	switch {
 	case len(keyTypes) == 0:
 		return &globalGroups{}, "global"
@@ -273,8 +275,7 @@ func newGroupIndexer(keyTypes []types.DataType, native []bool, sizeHint int) (gr
 	case len(keyTypes) == 2 && cls(0) == expr.VecClassI64 && cls(1) == expr.VecClassI64:
 		return &pairGroups{keyCols: cols, m: make(map[[3]int64]int32, sizeHint)}, "pair"
 	}
-	return &genericGroups{keyCols: cols, m: make(map[string]int32, sizeHint),
-		kv: make(row.Row, len(keyTypes)), ords: ordinalsUpTo(len(keyTypes))}, "generic"
+	return &genericGroups{keyCols: cols, m: make(map[string]int32, sizeHint), ords: ordinalsUpTo(len(keyTypes))}, "generic"
 }
 
 func ordinalsUpTo(n int) []int {
@@ -289,8 +290,8 @@ func ordinalsUpTo(n int) []int {
 // the first row (an empty partition emits no partial, like the row path).
 type globalGroups struct{ seen bool }
 
-func (t *globalGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32 {
-	t.seen = t.seen || len(live) > 0
+func (t *globalGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32 {
+	t.seen = t.seen || (insert && len(live) > 0)
 	for range live {
 		gidx = append(gidx, 0)
 	}
@@ -304,21 +305,21 @@ func (t *globalGroups) count() int {
 }
 func (t *globalGroups) keys() []*columnar.Vector { return nil }
 
-// i64Groups hashes raw int64 keys (INT/BIGINT/DATE/TIMESTAMP group-bys).
+// i64Groups hashes raw int64 keys (INT/BIGINT/DATE/TIMESTAMP).
 type i64Groups struct {
 	keyCols
 	m       map[int64]int32
 	nullIdx int32
 }
 
-func (t *i64Groups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32 {
+func (t *i64Groups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32 {
 	v := vecs[0]
 	mask := v.Mask()
 	for _, i := range live {
 		ii := int(i)
 		if v.IsNull(ii) {
-			if t.nullIdx < 0 {
-				t.nullIdx = t.add(vecs, ii)
+			if t.nullIdx < 0 && insert {
+				t.nullIdx = t.add(vecs, ii, insert)
 			}
 			gidx = append(gidx, t.nullIdx)
 			continue
@@ -326,8 +327,9 @@ func (t *i64Groups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []in
 		k := v.I64[ii&mask]
 		g, ok := t.m[k]
 		if !ok {
-			g = t.add(vecs, ii)
-			t.m[k] = g
+			if g = t.add(vecs, ii, insert); insert {
+				t.m[k] = g
+			}
 		}
 		gidx = append(gidx, g)
 	}
@@ -341,14 +343,14 @@ type strGroups struct {
 	nullIdx int32
 }
 
-func (t *strGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32 {
+func (t *strGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32 {
 	v := vecs[0]
 	mask := v.Mask()
 	for _, i := range live {
 		ii := int(i)
 		if v.IsNull(ii) {
-			if t.nullIdx < 0 {
-				t.nullIdx = t.add(vecs, ii)
+			if t.nullIdx < 0 && insert {
+				t.nullIdx = t.add(vecs, ii, insert)
 			}
 			gidx = append(gidx, t.nullIdx)
 			continue
@@ -356,8 +358,9 @@ func (t *strGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []in
 		k := v.Str[ii&mask]
 		g, ok := t.m[k]
 		if !ok {
-			g = t.add(vecs, ii)
-			t.m[k] = g
+			if g = t.add(vecs, ii, insert); insert {
+				t.m[k] = g
+			}
 		}
 		gidx = append(gidx, g)
 	}
@@ -371,7 +374,7 @@ type pairGroups struct {
 	m map[[3]int64]int32
 }
 
-func (t *pairGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32 {
+func (t *pairGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32 {
 	v0, v1 := vecs[0], vecs[1]
 	m0, m1 := v0.Mask(), v1.Mask()
 	for _, i := range live {
@@ -389,8 +392,9 @@ func (t *pairGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []i
 		}
 		g, ok := t.m[k]
 		if !ok {
-			g = t.add(vecs, ii)
-			t.m[k] = g
+			if g = t.add(vecs, ii, insert); insert {
+				t.m[k] = g
+			}
 		}
 		gidx = append(gidx, g)
 	}
@@ -403,21 +407,22 @@ func (t *pairGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []i
 type genericGroups struct {
 	keyCols
 	m    map[string]int32
-	kv   row.Row
 	ords []int
 }
 
-func (t *genericGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32) []int32 {
+func (t *genericGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32 {
+	kv := make(row.Row, len(vecs)) // per call: lookups run concurrently
 	for _, i := range live {
 		ii := int(i)
 		for j, v := range vecs {
-			t.kv[j] = v.Get(ii)
+			kv[j] = v.Get(ii)
 		}
-		key := row.GroupKey(t.kv, t.ords)
+		key := row.GroupKey(kv, t.ords)
 		g, ok := t.m[key]
 		if !ok {
-			g = t.add(vecs, ii)
-			t.m[key] = g
+			if g = t.add(vecs, ii, insert); insert {
+				t.m[key] = g
+			}
 		}
 		gidx = append(gidx, g)
 	}

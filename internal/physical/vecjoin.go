@@ -2,7 +2,7 @@ package physical
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/columnar"
@@ -14,10 +14,9 @@ import (
 
 // FusedBroadcastJoinExec is the whole-stage fusion of a vectorized pipeline
 // with a broadcast-hash-join probe: the build side is loaded once into a
-// type-specialized hash table (int64, string, or (int64, int64) keys — the
-// shapes the Fuse rule admits), and the probe loop reads join keys straight
-// off the decoded column vectors, boxing a probe row only when it actually
-// matches (or needs null-extension under LEFT OUTER). The probe pipeline is
+// joinTable, and the probe loop reads join keys straight off the decoded
+// column vectors, boxing a probe row only when it actually matches (or needs
+// null-extension under LEFT OUTER). The probe pipeline is
 // the join's left input when the build side is the right one, and its right
 // input for an inner join that builds left; either way the emitted rows are
 // byte-identical to BroadcastHashJoinExec's: left cells before right cells,
@@ -56,78 +55,42 @@ func (f *FusedBroadcastJoinExec) String() string       { return Format(f) }
 func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	j := f.Join
 	om := f.EnableMetrics(ctx.Metrics)
-	if !ctx.Vectorized {
-		// Runtime knob off: run the identical row join, sharing this node's
-		// metrics so EXPLAIN ANALYZE annotates the printed tree.
-		jr := *j
-		jr.Left, jr.Right = j.sides(f.Pipe, j.buildSide())
-		jr.PlanMetrics.m = om
-		return jr.Execute(ctx)
-	}
-
-	buildPlan := j.buildSide()
-	probeKeys, buildKeys := j.probeBuildKeys()
-	buildEvals := bindKeys(ctx, buildKeys, buildPlan.Output())
+	// The probe kernels hand over typed lanes whatever the Codegen setting, so
+	// the build keys are always typed too.
+	hj := newHashJoin(ctx, om, &j.EquiJoin, f.Pipe, j.BuildRight, true)
+	hj.broadcast = j.buildSide().Execute(ctx)
+	probeKeys, _ := j.probeBuildKeys()
 	probeVecs := make([]expr.VecEval, len(probeKeys))
 	for i, k := range bindAll(probeKeys, f.Pipe.Output()) {
 		// The Fuse rule only admits keys that compile natively.
 		probeVecs[i], _ = expr.CompileVec(k)
 	}
-	nProbe, nBuild := len(f.Pipe.Output()), len(buildPlan.Output())
-	// Probe cells land after the build cells when the build side is the left.
-	probeAt, buildAt := 0, nProbe
-	if !j.BuildRight {
-		probeAt, buildAt = nBuild, 0
-	}
-	leftOuter := j.Type == plan.LeftOuterJoin
-
 	vp := f.Pipe.compile(ctx, om, nil)
-
-	build := buildPlan.Execute(ctx)
-	lazy := &lazyBuild[probeTable]{}
-	strKey := len(probeKeys) == 1 && expr.VecClassOf(probeKeys[0].DataType()) == expr.VecClassStr
 	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", vp.src.NumPartitions, func(jc context.Context, p int) ([]row.Row, error) {
-		ht, err := lazy.get(jc, func(jc context.Context) (probeTable, error) {
-			rows, err := build.CollectContext(jc)
-			if err != nil {
-				return nil, err
-			}
-			if om != nil {
-				om.RecordBuild(len(rows), rowsSize(rows))
-			}
-			return buildProbeTable(rows, buildEvals, strKey), nil
-		})
+		ht, err := hj.broadcastTable(jc)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
 		var out []row.Row
-		kvecs := make([]*columnar.Vector, len(probeVecs))
+		var batch *expr.VecBatch
 		// emit joins probe row i with one build row (nil null-extends): the
 		// probe cells are boxed straight into the output row.
-		emit := func(batch *expr.VecBatch, i int, b row.Row) {
-			r := make(row.Row, nProbe+nBuild)
+		probe := ht.newProbe(j.Type, nil, func(i int, b row.Row) {
+			r := make(row.Row, hj.width)
 			for c, v := range batch.Cols {
-				r[probeAt+c] = v.Get(i)
+				r[hj.probeAt+c] = v.Get(i)
 			}
-			copy(r[buildAt:], b)
+			copy(r[hj.buildAt:], b)
 			out = append(out, r)
-		}
-		vp.each(p, func(batch *expr.VecBatch, live []int32) {
+		})
+		kvecs := make([]*columnar.Vector, len(probeVecs))
+		vp.each(p, func(b *expr.VecBatch, live []int32) {
 			for i, kv := range probeVecs {
-				kvecs[i] = kv(batch, live)
+				kvecs[i] = kv(b, live)
 			}
-			for _, i := range live {
-				ii := int(i)
-				// A NULL probe key has no bucket, like a key nothing matches.
-				bucket, _ := ht.bucket(kvecs, ii)
-				if leftOuter && len(bucket) == 0 {
-					emit(batch, ii, nil)
-				}
-				for _, b := range bucket {
-					emit(batch, ii, b)
-				}
-			}
+			batch = b
+			probe.batch(kvecs, live)
 		})
 		om.RecordPartition(len(out), time.Since(start))
 		return out, nil
@@ -135,95 +98,128 @@ func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 }
 
 // ---------------------------------------------------------------------------
-// Specialized build-side tables
+// The hash joins' build side and probe loop
 
-// probeTable buckets build rows by join key. bucket returns the rows whose
-// key equals probe row i's key (in build-collect order, matching the row
-// path) and whether the probe key was non-NULL — a NULL key never matches.
-type probeTable interface {
-	bucket(keys []*columnar.Vector, i int) ([]row.Row, bool)
+// joinTable is a hash join's build side: a groupIndexer over the build keys
+// and the build rows bucketed by group index (CSR: group g's rows are
+// ords[offsets[g]:offsets[g+1]], in build-collect order). Rows with a NULL
+// key component are never indexed — NULL matches nothing in an equi-join — so
+// a probe's NULL key looks up as a miss like any other absent key. Once built
+// the table is only read: concurrent probe tasks share it.
+type joinTable struct {
+	groups  groupIndexer
+	rows    []row.Row
+	offsets []int32
+	ords    []int32
 }
 
-// buildProbeTable loads the collected build side into the specialized table
-// for the plan's key shape. Build keys evaluate through the scalar path —
-// the build side is small (it broadcast) and arbitrary expressions stay
-// supported — and normalize to the probe lanes' representation.
-func buildProbeTable(rows []row.Row, keyEvals []func(row.Row) any, strKey bool) probeTable {
-	switch {
-	case strKey:
-		t := &strTable{m: make(map[string][]row.Row, len(rows))}
-		for _, r := range rows {
-			v := keyEvals[0](r)
-			if v == nil {
-				continue
+// newJoinTable indexes the collected build side, reading its keys a chunk at
+// a time through keys.
+func newJoinTable(rows []row.Row, keys *keyChunk) *joinTable {
+	t := &joinTable{rows: rows}
+	t.groups, _ = keyTable(keys.types, keys.typed, len(rows))
+	group := make([]int32, len(rows)) // per build row; -1 = NULL key
+	var gidx, live []int32
+	for off := 0; off < len(rows); off += rowChunk {
+		vecs, all := keys.load(rows[off:min(off+rowChunk, len(rows))])
+		live = live[:0]
+		for _, i := range all {
+			if anyNull(vecs, int(i)) {
+				group[off+int(i)] = -1
+			} else {
+				live = append(live, i)
 			}
-			k := v.(string)
-			t.m[k] = append(t.m[k], r)
 		}
-		return t
-	case len(keyEvals) == 1:
-		t := &i64Table{m: make(map[int64][]row.Row, len(rows))}
-		for _, r := range rows {
-			v := keyEvals[0](r)
-			if v == nil {
-				continue
+		gidx = t.groups.indexBatch(vecs, live, gidx[:0], true)
+		for k, i := range live {
+			group[off+int(i)] = gidx[k]
+		}
+	}
+	n := t.groups.count()
+	t.offsets = make([]int32, n+1)
+	for _, g := range group {
+		if g >= 0 {
+			t.offsets[g+1]++
+		}
+	}
+	for g := 0; g < n; g++ {
+		t.offsets[g+1] += t.offsets[g]
+	}
+	t.ords = make([]int32, t.offsets[n])
+	next := slices.Clone(t.offsets[:n])
+	for o, g := range group {
+		if g >= 0 {
+			t.ords[next[g]] = int32(o)
+			next[g]++
+		}
+	}
+	return t
+}
+
+func anyNull(vecs []*columnar.Vector, i int) bool {
+	for _, v := range vecs {
+		if v.IsNull(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// joinProbe is one task's probe of a joinTable — the one probe loop behind
+// the broadcast, shuffled and fused hash joins, for every join type. The
+// join type is read from the probe side: an outer join preserves the probe
+// rows (LEFT OUTER probes from the left, RIGHT OUTER from the right, FULL
+// OUTER additionally tracks which build rows matched), and LEFT SEMI emits a
+// probe row once if anything matches.
+type joinProbe struct {
+	t           *joinTable
+	outer, semi bool
+	// residual, when non-nil, must also hold for probe row i to match build
+	// row b.
+	residual func(i int, b row.Row) bool
+	// emit receives each output pair: probe row i with build row b, or with
+	// nil for a probe row that goes out alone (null-extended, or semi-joined).
+	emit func(i int, b row.Row)
+	// matched (FULL OUTER only) marks the build rows some probe row matched;
+	// the rest — NULL-keyed ones included — are the join's remainder.
+	matched []bool
+	gidx    []int32
+}
+
+func (t *joinTable) newProbe(jt plan.JoinType, residual func(i int, b row.Row) bool, emit func(i int, b row.Row)) *joinProbe {
+	p := &joinProbe{t: t, residual: residual, emit: emit, semi: jt == plan.LeftSemiJoin,
+		outer: jt == plan.LeftOuterJoin || jt == plan.RightOuterJoin || jt == plan.FullOuterJoin}
+	if jt == plan.FullOuterJoin {
+		p.matched = make([]bool, len(t.rows))
+	}
+	return p
+}
+
+// batch probes the live rows of one batch of key vectors, in order; a probe
+// row's matches come out in build-collect order.
+func (p *joinProbe) batch(kvecs []*columnar.Vector, live []int32) {
+	t := p.t
+	p.gidx = t.groups.indexBatch(kvecs, live, p.gidx[:0], false)
+	for k, i := range live {
+		matched := false
+		if g := p.gidx[k]; g >= 0 {
+			for _, o := range t.ords[t.offsets[g]:t.offsets[g+1]] {
+				b := t.rows[o]
+				if p.residual != nil && !p.residual(int(i), b) {
+					continue
+				}
+				matched = true
+				if p.semi {
+					break
+				}
+				if p.matched != nil {
+					p.matched[o] = true
+				}
+				p.emit(int(i), b)
 			}
-			k := normI64(v)
-			t.m[k] = append(t.m[k], r)
 		}
-		return t
-	default:
-		t := &pairTable{m: make(map[[2]int64][]row.Row, len(rows))}
-		for _, r := range rows {
-			v0, v1 := keyEvals[0](r), keyEvals[1](r)
-			if v0 == nil || v1 == nil {
-				continue
-			}
-			k := [2]int64{normI64(v0), normI64(v1)}
-			t.m[k] = append(t.m[k], r)
+		if (p.semi && matched) || (p.outer && !matched) {
+			p.emit(int(i), nil)
 		}
-		return t
 	}
-}
-
-// normI64 widens a boxed int64-class value (INT/DATE box as int32,
-// BIGINT/TIMESTAMP as int64) to the vector lane representation.
-func normI64(v any) int64 {
-	switch x := v.(type) {
-	case int32:
-		return int64(x)
-	case int64:
-		return x
-	}
-	panic(fmt.Sprintf("physical: non-integral build key %T escaped the fusion gate", v))
-}
-
-type i64Table struct{ m map[int64][]row.Row }
-
-func (t *i64Table) bucket(keys []*columnar.Vector, i int) ([]row.Row, bool) {
-	v := keys[0]
-	if v.IsNull(i) {
-		return nil, false
-	}
-	return t.m[v.I64[i&v.Mask()]], true
-}
-
-type strTable struct{ m map[string][]row.Row }
-
-func (t *strTable) bucket(keys []*columnar.Vector, i int) ([]row.Row, bool) {
-	v := keys[0]
-	if v.IsNull(i) {
-		return nil, false
-	}
-	return t.m[v.Str[i&v.Mask()]], true
-}
-
-type pairTable struct{ m map[[2]int64][]row.Row }
-
-func (t *pairTable) bucket(keys []*columnar.Vector, i int) ([]row.Row, bool) {
-	v0, v1 := keys[0], keys[1]
-	if v0.IsNull(i) || v1.IsNull(i) {
-		return nil, false
-	}
-	return t.m[[2]int64{v0.I64[i&v0.Mask()], v1.I64[i&v1.Mask()]}], true
 }

@@ -20,9 +20,8 @@ import (
 // EXPERIMENTS.md measures against the native baseline.
 //
 // The Vectorize preparation rule swaps it in for PipelineExec over a
-// BatchScan when at least one stage compiles to native kernels;
-// ExecContext.Vectorized gates execution at runtime (off = identical
-// row-at-a-time semantics through PipelineExec).
+// BatchScan when at least one stage compiles to native kernels; with the rule
+// off (PlannerConfig.Vectorize) plans keep the row-at-a-time PipelineExec.
 type VectorizedPipelineExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -124,14 +123,6 @@ func markBoundRefs(e expr.Expression, used []bool) {
 }
 
 func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	if !ctx.Vectorized {
-		// The knob is off: run the exact row-at-a-time pipeline, sharing
-		// this node's metrics so EXPLAIN ANALYZE annotates the tree it
-		// printed rather than the transient fallback node.
-		pipe := &PipelineExec{Stages: v.Stages, Child: v.Scan}
-		pipe.PlanMetrics.m = v.EnableMetrics(ctx.Metrics)
-		return pipe.Execute(ctx)
-	}
 	om := v.EnableMetrics(ctx.Metrics)
 	vp := v.compile(ctx, om, nil)
 	return rdd.Generate(ctx.RDD, "cacheScanVec", vp.src.NumPartitions, func(p int) []row.Row {

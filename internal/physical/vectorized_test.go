@@ -34,16 +34,13 @@ func cachedTableForTest(rng *rand.Rand, nRows, parts, batchSize int) (*columnar.
 	return table, attrs
 }
 
-// runBoth executes the plan with the vectorized knob off and on and asserts
-// the results are identical including row order — the byte-identical
-// contract of the acceptance criteria.
+// runBoth plans p twice — preparation rules Vectorize and Fuse off, then on —
+// and asserts the results are identical including row order: the
+// byte-identical contract of the acceptance criteria.
 func runBoth(t *testing.T, p SparkPlan, label string) {
 	t.Helper()
-	rowCtx := execCtx(true)
-	vecCtx := execCtx(true)
-	vecCtx.Vectorized = true
-	rowRes := collect(t, p, rowCtx)
-	vecRes := collect(t, p, vecCtx)
+	rowRes := collect(t, Collapse(p), execCtx(true))
+	vecRes := collect(t, Fuse(Vectorize(Collapse(p))), execCtx(true))
 	if len(rowRes) != len(vecRes) {
 		t.Fatalf("%s: row path %d rows, vectorized %d", label, len(rowRes), len(vecRes))
 	}
@@ -171,8 +168,7 @@ func TestVectorizedExecMatchesRowPath(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		p := Vectorize(Collapse(tc.build()))
-		runBoth(t, p, tc.label)
+		runBoth(t, tc.build(), tc.label)
 	}
 }
 
@@ -190,12 +186,12 @@ func TestVectorizedExecWithPrunedOrdinalsAndBatchSkip(t *testing.T) {
 		return row.Compare(stats[1].Max, int32(400)) >= 0
 	}
 	scan := NewInMemoryScan(pruned, table, ordinals, keep)
-	p := Vectorize(Collapse(&ProjectExec{
+	p := &ProjectExec{
 		List:  []expr.Expression{pruned[1]},
 		Child: &FilterExec{Cond: expr.GT(pruned[0], expr.Lit(int32(400))), Child: scan},
-	}))
-	if _, ok := p.(*VectorizedPipelineExec); !ok {
-		t.Fatalf("expected vectorized plan, got %T", p)
+	}
+	if v, ok := Vectorize(Collapse(p)).(*VectorizedPipelineExec); !ok {
+		t.Fatalf("expected vectorized plan, got %T", v)
 	}
 	runBoth(t, p, "pruned+batchskip")
 }
@@ -204,17 +200,17 @@ func TestVectorizedExecEmptyTable(t *testing.T) {
 	schema := types.StructType{}.Add("x", types.Int, true)
 	table := columnar.BuildTable(schema, [][]row.Row{nil, {}}, 16)
 	attrs := []*expr.AttributeReference{expr.NewAttribute("x", types.Int, true)}
-	p := Vectorize(Collapse(&FilterExec{
+	runBoth(t, &FilterExec{
 		Cond:  expr.GT(attrs[0], expr.Lit(int32(0))),
 		Child: NewInMemoryScan(attrs, table, nil, nil),
-	}))
-	runBoth(t, p, "empty")
+	}, "empty")
 }
 
 // The fused probe runs from whichever pipeline the join streams: for either
 // build side it matches the row join row for row (runBoth), prints its real
-// build side, survives a WithNewChildren round trip, and degrades to the row
-// join when its probe child stops being a vectorized pipeline. An outer join
+// build side and group table, survives a WithNewChildren round trip, and
+// degrades to the row join when its probe child stops being a vectorized
+// pipeline. An outer join
 // that builds left is never fused, and says why.
 func TestFusedBroadcastJoinEitherBuildSide(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -225,11 +221,11 @@ func TestFusedBroadcastJoinEitherBuildSide(t *testing.T) {
 	}
 	prepare := func(p SparkPlan) SparkPlan { return Fuse(Vectorize(Collapse(p))) }
 	for _, buildRight := range []bool{true, false} {
-		j := &BroadcastHashJoinExec{
+		j := &BroadcastHashJoinExec{BuildRight: buildRight, EquiJoin: EquiJoin{
 			Left: pipe(big, bigAttrs), Right: pipe(small, smallAttrs),
 			LeftKeys: []expr.Expression{bigAttrs[2]}, RightKeys: []expr.Expression{smallAttrs[2]},
-			Type: plan.InnerJoin, BuildRight: buildRight,
-		}
+			Type: plan.InnerJoin,
+		}}
 		if !buildRight {
 			j.Left, j.Right = j.Right, j.Left
 			j.LeftKeys, j.RightKeys = j.RightKeys, j.LeftKeys
@@ -242,7 +238,10 @@ func TestFusedBroadcastJoinEitherBuildSide(t *testing.T) {
 		if want := j.SimpleString(); f.SimpleString() != "Fused"+want {
 			t.Fatalf("fused join prints %q, want it to name the row join's build side: %q", f.SimpleString(), want)
 		}
-		runBoth(t, f, f.SimpleString())
+		if f.Fusion() != "fused: true, table=str" {
+			t.Fatalf("fused join note %q does not name the string table", f.Fusion())
+		}
+		runBoth(t, j, f.SimpleString())
 		if again := f.WithNewChildren(f.Children()); again.String() != f.String() {
 			t.Fatalf("WithNewChildren(Children()) changed the tree:\n%s\nvs\n%s", again, f)
 		}
@@ -256,13 +255,13 @@ func TestFusedBroadcastJoinEitherBuildSide(t *testing.T) {
 			t.Fatalf("buildRight=%v: a non-vectorized probe child must degrade to the row join", buildRight)
 		}
 	}
-	outer := prepare(&BroadcastHashJoinExec{
+	outer := &BroadcastHashJoinExec{EquiJoin: EquiJoin{
 		Left: pipe(small, smallAttrs), Right: pipe(big, bigAttrs),
 		LeftKeys: []expr.Expression{smallAttrs[2]}, RightKeys: []expr.Expression{bigAttrs[2]},
 		Type: plan.RightOuterJoin,
-	})
-	if j, ok := outer.(*BroadcastHashJoinExec); !ok || j.Fusion() != "fallback: build side not right" {
-		t.Fatalf("a right outer join that builds left must stay a row join and say why: %s", outer)
+	}}
+	if j, ok := prepare(outer).(*BroadcastHashJoinExec); !ok || j.Fusion() != "fallback: build side not right" {
+		t.Fatalf("a right outer join that builds left must stay a row join and say why: %s", prepare(outer))
 	}
 	runBoth(t, outer, "right outer, build left")
 }

@@ -157,7 +157,7 @@ func Stats(p LogicalPlan) Statistics {
 		if s.RowCount == 0 {
 			return s
 		}
-		rows := groupCount(s, attrExprs(n.Output()))
+		rows := groupCount(s, AttrExprs(n.Output()))
 		return Statistics{
 			SizeInBytes: scaledSize(s, rows),
 			RowCount:    rows,
@@ -288,7 +288,8 @@ func capNDV(cols map[expr.ID]*ColumnStat, rows int64) map[expr.ID]*ColumnStat {
 	return out
 }
 
-func attrExprs(attrs []*expr.AttributeReference) []expr.Expression {
+// AttrExprs views attributes as expressions: DISTINCT is a grouping on them.
+func AttrExprs(attrs []*expr.AttributeReference) []expr.Expression {
 	out := make([]expr.Expression, len(attrs))
 	for i, a := range attrs {
 		out[i] = a

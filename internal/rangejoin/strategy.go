@@ -3,7 +3,6 @@ package rangejoin
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/physical"
@@ -171,27 +170,21 @@ func (e *IntervalJoinExec) Execute(ctx *physical.ExecContext) *rdd.RDD[row.Row] 
 		tree *Tree
 		rows []row.Row
 	}
-	var buildOnce sync.Once
-	var built builtTree
-	var buildErr error
+	var lazy physical.LazyBuild[builtTree]
 	load := func(jc context.Context) (builtTree, error) {
-		buildOnce.Do(func() {
-			leftRows, err := buildSide.CollectContext(jc)
-			if err != nil {
-				buildErr = err
-				return
+		leftRows, err := buildSide.CollectContext(jc)
+		if err != nil {
+			return builtTree{}, err
+		}
+		intervals := make([]Interval, 0, len(leftRows))
+		for i, r := range leftRows {
+			s, en := startEval.Eval(r), endEval.Eval(r)
+			if s == nil || en == nil {
+				continue
 			}
-			intervals := make([]Interval, 0, len(leftRows))
-			for i, r := range leftRows {
-				s, en := startEval.Eval(r), endEval.Eval(r)
-				if s == nil || en == nil {
-					continue
-				}
-				intervals = append(intervals, Interval{Start: asLong(s), End: asLong(en), Payload: i})
-			}
-			built = builtTree{tree: Build(intervals), rows: leftRows}
-		})
-		return built, buildErr
+			intervals = append(intervals, Interval{Start: asLong(s), End: asLong(en), Payload: i})
+		}
+		return builtTree{tree: Build(intervals), rows: leftRows}, nil
 	}
 
 	var residual func(l, r row.Row) bool
@@ -208,7 +201,7 @@ func (e *IntervalJoinExec) Execute(ctx *physical.ExecContext) *rdd.RDD[row.Row] 
 	}
 
 	return rdd.MapPartitionsCtx(e.Right.Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
-		b, err := load(jc)
+		b, err := lazy.Get(jc, load)
 		if err != nil {
 			return nil, err
 		}

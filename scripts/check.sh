@@ -13,6 +13,16 @@ cd "$(dirname "$0")/.."
 
 go vet ./...
 go build ./...
+
+# One keyed hash table in the executor: only the generic group table
+# (vecagg.go) and the grace-spill map (extagg.go) build key strings, and
+# smj.go may. A GroupKey/keyFunc caller anywhere else in internal/physical
+# is a second table family coming back.
+if grep -n 'row\.GroupKey(\|keyFunc(' $(ls internal/physical/*.go | grep -v '_test\.go$\|/vecagg\.go$\|/extagg\.go$\|/smj\.go$'); then
+	echo "internal/physical: key strings outside vecagg.go, extagg.go and smj.go" >&2
+	exit 1
+fi
+echo "internal/physical non-test lines: $(find internal/physical -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
 PERF_GATE=1 go test -run '^TestMetricsOverheadGate$' -v -timeout 10m ./internal/experiments/

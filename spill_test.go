@@ -201,6 +201,22 @@ func TestSpillExplainAnalyze(t *testing.T) {
 	if nf := ctx.SpillFS().NumFiles(); nf != 0 {
 		t.Fatalf("EXPLAIN ANALYZE left %d spill files", nf)
 	}
+	// DISTINCT is a grouping with no aggregate functions: its reducer takes
+	// the same grace-spill merge.
+	const distinct = "SELECT DISTINCT grp FROM events" // 20 groups per reducer
+	tight := NewContextWithConfig(spillConfig(256))
+	setupSpillTables(t, tight)
+	ddf, err := tight.SQL(distinct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dout, err := ddf.ExplainAnalyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(dout, "HashAggregate") || !strings.Contains(dout, "spilled:") {
+		t.Fatalf("%q under a budget must merge through the spilling HashAggregate:\n%s", distinct, dout)
+	}
 	// An unbudgeted run must not mention spilling.
 	g := NewContextWithConfig(spillConfig(0))
 	setupSpillTables(t, g)
