@@ -33,7 +33,7 @@ func BenchmarkFig4(b *testing.B) {
 		}
 	})
 	b.Run("GeneratedUnboxed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < b.N; i += experiments.Fig4BatchRows { // one call evaluates a batch
 			sink = f.GeneratedUnboxed(int64(i))
 		}
 	})
@@ -364,28 +364,31 @@ func BenchmarkFusedAggregate(b *testing.B) {
 
 // Whole-stage fusion of the broadcast-join probe: the same pipeline probing
 // a sparse broadcast dimension, where the fused probe reads keys off the
-// column vectors and only materializes matching rows.
+// column vectors and only materializes matching rows — for the inner join and
+// for each shape that used to keep the row join above the vectorized pipeline
+// (which is what the Vectorized engine still runs).
 func BenchmarkFusedJoinProbe(b *testing.B) {
 	study, err := experiments.NewFusionStudy(200_000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := experiments.FusedJoinQuery()
-	for _, bc := range []struct {
-		name string
-		run  func(string) (int64, error)
-	}{
-		{"RowAtATime", study.RunRow},
-		{"Vectorized", study.RunVec},
-		{"Fused", study.RunFused},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bc.run(q); err != nil {
-					b.Fatal(err)
+	for _, shape := range experiments.FusedJoinShapes {
+		for _, bc := range []struct {
+			name string
+			run  func(string) (int64, error)
+		}{
+			{"RowAtATime", study.RunRow},
+			{"Vectorized", study.RunVec},
+			{"Fused", study.RunFused},
+		} {
+			b.Run(shape.Name+"/"+bc.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := bc.run(shape.Query); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

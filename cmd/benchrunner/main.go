@@ -76,17 +76,18 @@ func fig4() {
 	f := experiments.NewFig4()
 	n := 5_000_000 * *scale
 	var sink int64
-	measure := func(fn func(int64) int64) time.Duration {
+	// perCall is how many evaluations one call of fn performs.
+	measure := func(fn func(int64) int64, perCall int) time.Duration {
 		start := time.Now()
-		for i := 0; i < n; i++ {
+		for i := 0; i < n; i += perCall {
 			sink = fn(int64(i))
 		}
 		return time.Since(start) / time.Duration(n)
 	}
-	interp := measure(f.Interpreted)
-	gen := measure(f.Generated)
-	unboxed := measure(f.GeneratedUnboxed)
-	hand := measure(f.HandWritten)
+	interp := measure(f.Interpreted, 1)
+	gen := measure(f.Generated, 1)
+	unboxed := measure(f.GeneratedUnboxed, experiments.Fig4BatchRows)
+	hand := measure(f.HandWritten, 1)
 	_ = sink
 	fmt.Printf("%-22s %12s %10s\n", "strategy", "ns/eval", "vs hand")
 	for _, r := range []struct {
@@ -95,7 +96,7 @@ func fig4() {
 	}{
 		{"interpreted", interp},
 		{"codegen (boxed)", gen},
-		{"codegen (unboxed)", unboxed},
+		{"codegen (batch kernel)", unboxed},
 		{"hand-written", hand},
 	} {
 		fmt.Printf("%-22s %12.1f %9.1fx\n", r.name,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -20,10 +21,10 @@ import (
 // partitions — and compare every fused shape on every leaf against the
 // row-at-a-time path over the cache: group-key specializations
 // (int64, string, (int64,int64) pair, generic, global), every aggregate
-// function, broadcast-join probes on int, string, and pair keys under INNER
-// and LEFT OUTER, string/date kernels in the pipeline, and memory budgets
-// down to one byte (the fused aggregate's partials feed the same
-// grace-partitioned spill merge as the row path's).
+// function, broadcast-join probes on int, string, pair and generic keys under
+// every join type a join may broadcast, string/date kernels in the pipeline,
+// and memory budgets down to one byte (the fused aggregate's partials feed the
+// same grace-partitioned spill merge as the row path's).
 
 // fusedConfig is spillConfig plus the row/vectorized switch: vectorized=false
 // is the golden row-at-a-time engine, vectorized=true runs the fused plans
@@ -210,12 +211,14 @@ var fusedCanonQueries = []string{
 	"SELECT e.name, w.wlabel FROM events e LEFT JOIN dimw w ON e.word = w.word WHERE e.id < 500",
 	"SELECT e.name, p.plabel FROM events e JOIN dimp p ON e.grp = p.grp AND e.sub = p.sub",
 	"SELECT e.name, p.plabel FROM events e LEFT JOIN dimp p ON e.grp = p.grp AND e.sub = p.sub WHERE e.id < 500",
-	// the small side on the left: the probe runs from the right pipeline
-	// (inner), or the row join stays (outer).
+	// the small side on the left: the probe runs from the right pipeline.
 	"SELECT d.label, e.name FROM dim d JOIN events e ON d.grp = e.grp WHERE e.id < 1500",
 	"SELECT w.wlabel, e.name FROM dimw w JOIN events e ON w.word = e.word WHERE e.id < 1500",
 	"SELECT p.plabel, e.name FROM dimp p JOIN events e ON p.grp = e.grp AND p.sub = e.sub",
 	"SELECT d.label, e.name FROM dim d RIGHT JOIN events e ON d.grp = e.grp WHERE e.id < 500",
+	// generic-table probes: a three-column key, and a key with no kernel.
+	"SELECT e.name, p.plabel FROM events e JOIN dimp p ON e.grp = p.grp AND e.sub = p.sub AND e.sub + e.grp = p.grp + p.sub",
+	"SELECT e.name, w.wlabel FROM events e LEFT JOIN dimw w ON upper(e.word) = upper(w.word) WHERE e.id < 500",
 	// aggregate above a join: the probe fuses, the sink sits higher.
 	"SELECT d.label, count(*) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label",
 	// DISTINCT is a grouping with no aggregates: two columns (pair table)
@@ -382,6 +385,12 @@ var probeOrderQueries = []string{
 	"SELECT w.wlabel, e.id FROM dimw w JOIN events e ON w.word = e.word",
 	"SELECT p.plabel, e.id, e.val FROM dimp p JOIN events e ON p.grp = e.grp AND p.sub = e.sub",
 	"SELECT d.label, e.id FROM dim d RIGHT JOIN events e ON d.grp = e.grp WHERE e.id < 300",
+	// LEFT SEMI, a residual over the joined row, and both under a RIGHT OUTER
+	// join that builds left.
+	"SELECT e.id, e.name FROM events e LEFT SEMI JOIN dimp p ON e.grp = p.grp AND e.sub = p.sub",
+	"SELECT e.id, d.label FROM events e JOIN dim d ON e.grp = d.grp AND e.sub * 10 < d.grp WHERE e.id % 3 = 0",
+	"SELECT e.id FROM events e LEFT SEMI JOIN dim d ON e.grp = d.grp AND e.sub * 10 < d.grp",
+	"SELECT p.plabel, e.id FROM dimp p RIGHT JOIN events e ON p.grp = e.grp AND p.sub < e.sub WHERE e.id < 300",
 }
 
 // TestFusedPartialBlocks is the property suite for the columnar partial ->
@@ -475,7 +484,7 @@ func TestFusionExplain(t *testing.T) {
 	ctx := NewContextWithConfig(fusedConfig(0, true))
 	setupFusedTables(t, ctx, cacheTempTable)
 
-	mustExplain := func(q string) string {
+	explainIn := func(ctx *Context, q string) string {
 		t.Helper()
 		df, err := ctx.SQL(q)
 		if err != nil {
@@ -487,6 +496,7 @@ func TestFusionExplain(t *testing.T) {
 		}
 		return out
 	}
+	mustExplain := func(q string) string { t.Helper(); return explainIn(ctx, q) }
 
 	agg := mustExplain("SELECT grp, count(*), sum(val) FROM events GROUP BY grp")
 	if !strings.Contains(agg, "FusedHashAggregate") || !strings.Contains(agg, "(fused: true)") {
@@ -517,14 +527,52 @@ func TestFusionExplain(t *testing.T) {
 	if !strings.Contains(join, "FusedBroadcastHashJoin Inner build=right") {
 		t.Fatalf("broadcast join plan not fused:\n%s", join)
 	}
-	// The smaller side on the left: an inner join probes from the right
-	// pipeline and prints its real build side; an outer join keeps the row
-	// operator and says why.
+	// The smaller side on the left: the join probes from the right pipeline
+	// and prints its real build side, inner or outer (probeOrderQueries holds
+	// both to the row join's order).
 	if left := mustExplain("SELECT d.label, e.name FROM dim d JOIN events e ON d.grp = e.grp"); !strings.Contains(left, "FusedBroadcastHashJoin Inner build=left") {
 		t.Fatalf("build-left inner join not fused:\n%s", left)
 	}
-	if outer := mustExplain("SELECT d.label, e.name FROM dim d RIGHT JOIN events e ON d.grp = e.grp"); !strings.Contains(outer, "build=left") || !strings.Contains(outer, "(fallback: build side not right)") {
-		t.Fatalf("build-left outer join must stay a row join and say why:\n%s", outer)
+	// Admission is "the probe side is a batch pipeline": every join type a
+	// join may broadcast, a residual, and keys only the generic table or the
+	// boxed fallback can serve all fuse, over the cache and over colfile.
+	fusedJoins := map[string]string{
+		"SELECT e.id FROM events e LEFT SEMI JOIN dim d ON e.grp = d.grp":                                            "FusedBroadcastHashJoin LeftSemi build=right keys=[grp#N]=[grp#N]  (fused: true, table=i64, kernels 1/1 native)",
+		"SELECT d.label, e.name FROM dim d RIGHT JOIN events e ON d.grp = e.grp":                                     "FusedBroadcastHashJoin RightOuter build=left keys=[grp#N]=[grp#N]  (fused: true, table=i64, kernels 1/1 native)",
+		"SELECT e.id, d.label FROM events e JOIN dim d ON e.grp = d.grp AND e.sub * 10 < d.grp":                      "FusedBroadcastHashJoin Inner build=right keys=[grp#N]=[grp#N]  (fused: true, table=i64, kernels 1/1 native)",
+		"SELECT e.id FROM events e JOIN dimp p ON e.grp = p.grp AND e.sub = p.sub AND e.sub + e.grp = p.grp + p.sub": "  (fused: true, table=generic, kernels 3/3 native)",
+		"SELECT e.id FROM events e JOIN dim d ON CAST(e.grp AS DECIMAL(10,2)) = CAST(d.grp AS DECIMAL(10,2))":        "  (fused: true, table=generic, kernels 0/1 native, fallback: CAST(grp#N AS DECIMAL(10,2)))",
+		"SELECT e.name, w.wlabel FROM events e LEFT JOIN dimw w ON upper(e.word) = upper(w.word)":                    "FusedBroadcastHashJoin LeftOuter build=right keys=[upper(word#N)]=[upper(word#N)]  (fused: true, table=generic, kernels 0/1 native, fallback: upper(word#N))",
+	}
+	// The fallbacks that remain, each with a plan shape that produces it.
+	fallbacks := map[string]string{
+		// an aggregate over a join's row output
+		"SELECT d.label, count(*) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label": "HashAggregate keys=[label#N] results=[label#N, count(*) AS count(*)#N]  (fallback: input not vectorized)",
+		// a join probing an aggregate's row output
+		"SELECT a.n, d.label FROM (SELECT grp, count(*) AS n FROM events GROUP BY grp) a JOIN dim d ON a.grp = d.grp": "BroadcastHashJoin Inner build=right keys=[grp#N]=[grp#N]  (fallback: probe side not vectorized)",
+		// a pipeline over a batch leaf none of whose stages has a kernel
+		"SELECT upper(word) FROM events": "WholeStagePipeline (1 stages)  (fallback: no native kernels)",
+		// a pipeline over a leaf that produces rows
+		"SELECT id FROM plain WHERE id > 1": "  (fallback: scan not columnar)",
+		// a pipeline over an operator
+		"SELECT e.id + d.grp FROM events e JOIN dim d ON e.grp = d.grp": "WholeStagePipeline (1 stages)  (fallback: input not a scan)",
+	}
+	exprID := regexp.MustCompile(`#\d+`)
+	for _, leaf := range batchLeaves {
+		lctx := NewContextWithConfig(fusedConfig(0, true))
+		setupFusedTables(t, lctx, leaf.register)
+		plain, err := lctx.CreateDataFrame(StructType{}.Add("id", IntType, false), []Row{{int32(1)}, {int32(2)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain.RegisterTempTable("plain")
+		for _, pinned := range []map[string]string{fusedJoins, fallbacks} {
+			for q, want := range pinned {
+				if got := exprID.ReplaceAllString(explainIn(lctx, q), "#N"); !strings.Contains(got, want) {
+					t.Errorf("%s: %q: plan lacks %q:\n%s", leaf.name, q, want, got)
+				}
+			}
+		}
 	}
 
 	df, err := ctx.SQL("SELECT grp, count(*) FROM events WHERE id < 2000 GROUP BY grp")

@@ -291,35 +291,13 @@ func TypeName(t types.DataType) (string, bool) {
 	return "", false
 }
 
-// TypeFromName is the inverse of TypeName.
+// TypeFromName is the inverse of TypeName: every type a name parses to ships.
 func TypeFromName(name string) (types.DataType, error) {
-	switch name {
-	case "NULL":
-		return types.Null, nil
-	case "BOOLEAN":
-		return types.Boolean, nil
-	case "INT":
-		return types.Int, nil
-	case "BIGINT":
-		return types.Long, nil
-	case "FLOAT":
-		return types.Float, nil
-	case "DOUBLE":
-		return types.Double, nil
-	case "STRING":
-		return types.String, nil
-	case "BINARY":
-		return types.Binary, nil
-	case "DATE":
-		return types.Date, nil
-	case "TIMESTAMP":
-		return types.Timestamp, nil
+	t, ok := types.ParseName(name)
+	if !ok {
+		return nil, fmt.Errorf("sqlwire: unsupported type name %q", name)
 	}
-	var p, s int
-	if n, err := fmt.Sscanf(name, "DECIMAL(%d,%d)", &p, &s); err == nil && n == 2 {
-		return types.DecimalType{Precision: p, Scale: s}, nil
-	}
-	return nil, fmt.Errorf("sqlwire: unsupported type name %q", name)
+	return t, nil
 }
 
 // Schema converts shipped field specs back into a schema.

@@ -77,10 +77,13 @@ func referenceScan(rel *Relation, columns []string, filters []datasource.Filter)
 	for i, f := range filters {
 		ords[i] = rel.schema.FieldIndex(f.Attribute())
 	}
+groups:
 	for p := range rel.groups {
 		g := &rel.groups[p]
-		if !groupMayMatch(g, filters, ords) {
-			continue
+		for i, f := range filters {
+			if c := &g.chunks[ords[i]]; !datasource.MayMatch(f, c.mn, c.mx) {
+				continue groups
+			}
 		}
 		cols := make(map[string][]any)
 		for _, name := range columns {

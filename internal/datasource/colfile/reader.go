@@ -12,7 +12,6 @@ import (
 	"repro/internal/columnar"
 	"repro/internal/datasource"
 	"repro/internal/expr"
-	"repro/internal/row"
 	"repro/internal/types"
 )
 
@@ -223,8 +222,10 @@ func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter)
 		NumPartitions: len(rel.groups),
 		Partition: func(p int) ([]datasource.Batch, datasource.BatchStats) {
 			g := &rel.groups[p]
-			if !groupMayMatch(g, filters, filterOrds) {
-				return nil, datasource.BatchStats{GroupsSkipped: 1}
+			for i, f := range filters { // min/max skipping, per chunk
+				if c := &g.chunks[filterOrds[i]]; !datasource.MayMatch(f, c.mn, c.mx) {
+					return nil, datasource.BatchStats{GroupsSkipped: 1}
+				}
 			}
 			n := g.numRows
 			batch := expr.VecBatch{Cols: make([]*columnar.Vector, len(decode)), N: n}
@@ -254,44 +255,6 @@ func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter)
 				datasource.BatchStats{RowsPruned: n - len(sel)}
 		},
 	}, nil
-}
-
-// groupMayMatch tests each filter against the min/max statistics of the
-// chunk at its schema ordinal.
-func groupMayMatch(g *rowGroup, filters []datasource.Filter, ords []int) bool {
-	for i, f := range filters {
-		c := &g.chunks[ords[i]]
-		if c.mn == nil || c.mx == nil {
-			// All-NULL chunk: only IS NOT NULL filters prune it.
-			if _, ok := f.(datasource.IsNotNull); ok {
-				return false
-			}
-			continue
-		}
-		switch x := f.(type) {
-		case datasource.EqualTo:
-			if row.Compare(x.Value, c.mn) < 0 || row.Compare(x.Value, c.mx) > 0 {
-				return false
-			}
-		case datasource.GreaterThan:
-			if row.Compare(c.mx, x.Value) <= 0 {
-				return false
-			}
-		case datasource.GreaterOrEqual:
-			if row.Compare(c.mx, x.Value) < 0 {
-				return false
-			}
-		case datasource.LessThan:
-			if row.Compare(c.mn, x.Value) >= 0 {
-				return false
-			}
-		case datasource.LessOrEqual:
-			if row.Compare(c.mn, x.Value) > 0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------

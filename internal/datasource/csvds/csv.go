@@ -224,35 +224,15 @@ func ParseSchema(s string) (types.StructType, error) {
 		if len(fields) < 2 {
 			return types.StructType{}, fmt.Errorf("csv: invalid schema fragment %q", part)
 		}
-		t, err := typeByName(strings.ToUpper(fields[1]))
-		if err != nil {
-			return types.StructType{}, err
+		// The types a cell can be parsed into: no DECIMAL, NULL or BINARY.
+		name := strings.ToUpper(fields[1])
+		t, ok := types.ParseName(name)
+		if _, decimal := t.(types.DecimalType); !ok || decimal || t.Equals(types.Null) || t.Equals(types.Binary) {
+			return types.StructType{}, fmt.Errorf("csv: unknown type %q in schema", name)
 		}
 		schema = schema.Add(fields[0], t, true)
 	}
 	return schema, nil
-}
-
-func typeByName(name string) (types.DataType, error) {
-	switch name {
-	case "INT", "INTEGER":
-		return types.Int, nil
-	case "BIGINT", "LONG":
-		return types.Long, nil
-	case "DOUBLE":
-		return types.Double, nil
-	case "FLOAT":
-		return types.Float, nil
-	case "STRING", "VARCHAR", "TEXT":
-		return types.String, nil
-	case "BOOLEAN", "BOOL":
-		return types.Boolean, nil
-	case "DATE":
-		return types.Date, nil
-	case "TIMESTAMP":
-		return types.Timestamp, nil
-	}
-	return nil, fmt.Errorf("csv: unknown type %q in schema", name)
 }
 
 // inferSchema guesses column types from the data: INT widening to BIGINT

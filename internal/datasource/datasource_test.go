@@ -35,6 +35,41 @@ func TestFilterAlgebra(t *testing.T) {
 	}
 }
 
+// MayMatch over a run spanning [10, 20], and over an all-NULL run.
+func TestMayMatch(t *testing.T) {
+	lo, hi := int32(10), int32(20)
+	cases := []struct {
+		f    Filter
+		want bool
+	}{
+		{EqualTo{"c", int32(10)}, true},
+		{EqualTo{"c", int32(21)}, false},
+		{GreaterThan{"c", int32(19)}, true},
+		{GreaterThan{"c", int32(20)}, false},
+		{GreaterOrEqual{"c", int32(20)}, true},
+		{GreaterOrEqual{"c", int32(21)}, false},
+		{LessThan{"c", int32(11)}, true},
+		{LessThan{"c", int32(10)}, false},
+		{LessOrEqual{"c", int32(10)}, true},
+		{LessOrEqual{"c", int32(9)}, false},
+		{In{"c", []any{int32(1), int32(15)}}, true},
+		{In{"c", []any{int32(1), int32(30)}}, false},
+		{In{"c", nil}, false},
+		{IsNotNull{"c"}, true},
+		{StringStartsWith{"c", "ab"}, true}, // no range reading: never prunes
+	}
+	for _, c := range cases {
+		if got := MayMatch(c.f, lo, hi); got != c.want {
+			t.Errorf("MayMatch(%s, 10, 20) = %v, want %v", c.f, got, c.want)
+		}
+		// All NULL: only IS NOT NULL prunes.
+		_, isNotNull := c.f.(IsNotNull)
+		if got := MayMatch(c.f, nil, nil); got == isNotNull {
+			t.Errorf("MayMatch(%s) over an all-NULL run = %v", c.f, got)
+		}
+	}
+}
+
 func TestApplyFilters(t *testing.T) {
 	schema := types.StructType{}.
 		Add("a", types.Int, false).

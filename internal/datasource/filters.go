@@ -2,6 +2,7 @@ package datasource
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -122,6 +123,34 @@ func (f StringStartsWith) Matches(v any) bool {
 	return ok && strings.HasPrefix(s, f.Prefix)
 }
 func (f StringStartsWith) String() string { return fmt.Sprintf("%s LIKE '%s%%'", f.Col, f.Prefix) }
+
+// MayMatch is the min/max test behind every statistics-based skip (cached
+// batches, colfile row groups): whether a run of values whose non-NULL members
+// span [min, max] can hold one that f matches. A nil bound means the run is
+// all NULL, which only IsNotNull rules out; a filter with no range reading
+// never rules anything out.
+func MayMatch(f Filter, min, max any) bool {
+	if min == nil || max == nil {
+		_, isNotNull := f.(IsNotNull)
+		return !isNotNull
+	}
+	within := func(v any) bool { return row.Compare(v, min) >= 0 && row.Compare(v, max) <= 0 }
+	switch x := f.(type) {
+	case EqualTo:
+		return within(x.Value)
+	case GreaterThan:
+		return row.Compare(max, x.Value) > 0
+	case GreaterOrEqual:
+		return row.Compare(max, x.Value) >= 0
+	case LessThan:
+		return row.Compare(min, x.Value) < 0
+	case LessOrEqual:
+		return row.Compare(min, x.Value) <= 0
+	case In:
+		return slices.ContainsFunc(x.Values, within)
+	}
+	return true
+}
 
 // BindFilter rewrites f as a Catalyst predicate over input position ord of
 // type t, so a columnar source can evaluate it on typed lanes through

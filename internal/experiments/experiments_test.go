@@ -204,13 +204,16 @@ func TestFusionStudyVerify(t *testing.T) {
 }
 
 // fusedPlanMarks is what each study shape's EXPLAIN must show before its
-// timing means anything: the fused operator, and for the aggregates the group
-// table with every kernel native (a string-function key once ran the generic
-// boxed table under a bare "fused: true").
+// timing means anything: the fused operator, and the group table with every
+// kernel native (a string-function key once ran the generic boxed table under
+// a bare "fused: true").
 var fusedPlanMarks = map[string]string{
-	FusedAggQuery():      "FusedHashAggregate keys=[avgDuration#",
-	FusedKeyedAggQuery(): "(fused: true, table=str, kernels 2/2 native)",
-	FusedJoinQuery():     "FusedBroadcastHashJoin",
+	FusedAggQuery():          "FusedHashAggregate keys=[avgDuration#",
+	FusedKeyedAggQuery():     "(fused: true, table=str, kernels 2/2 native)",
+	FusedJoinShapes[0].Query: "FusedBroadcastHashJoin Inner build=right",
+	FusedJoinShapes[1].Query: "(fused: true, table=generic, kernels 3/3 native)",
+	FusedJoinShapes[2].Query: "FusedBroadcastHashJoin LeftSemi build=right",
+	FusedJoinShapes[3].Query: "(fused: true, table=i64, kernels 1/1 native)",
 }
 
 // TestFusionGate is the perf gate wired into scripts/check.sh: with

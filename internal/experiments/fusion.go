@@ -52,6 +52,21 @@ func FusedJoinQuery() string {
 		"JOIN durdim d ON r.avgDuration = d.avgDuration WHERE r.pageRank > 1"
 }
 
+// FusedJoinShapes are the probes BenchmarkFusedJoinProbe and benchrunner time
+// row-vs-fused: the sparse inner join above, then one join per admission
+// condition the Fuse rule once had and no longer has — a three-column key
+// (the generic group table), LEFT SEMI, and a residual over the joined row —
+// each of which ran the row join over the vectorized pipeline before.
+var FusedJoinShapes = []struct{ Name, Query string }{
+	{"inner", FusedJoinQuery()},
+	{"generic-key", "SELECT r.pageURL, d.bucket FROM rankings r JOIN durdim d " +
+		"ON r.avgDuration = d.avgDuration AND r.pageRank % 2 = d.parity AND SUBSTR(r.pageURL, 1, 4) = d.prefix WHERE r.pageRank > 1"},
+	{"left-semi", "SELECT r.pageURL FROM rankings r LEFT SEMI JOIN durdim d " +
+		"ON r.avgDuration = d.avgDuration WHERE r.pageRank > 1"},
+	{"residual", "SELECT r.pageURL, d.bucket FROM rankings r JOIN durdim d " +
+		"ON r.avgDuration = d.avgDuration AND r.pageRank < d.avgDuration WHERE r.pageRank > 1"},
+}
+
 // NewFusionStudy builds and caches n rankings rows (plus a sparse duration
 // dimension) under all three engines.
 func NewFusionStudy(n int64) (*FusionStudy, error) {
@@ -69,10 +84,12 @@ func NewFusionStudy(n int64) (*FusionStudy, error) {
 	}
 	dimSchema := sparksql.StructType{}.
 		Add("avgDuration", sparksql.IntType, false).
-		Add("bucket", sparksql.StringType, false)
+		Add("bucket", sparksql.StringType, false).
+		Add("parity", sparksql.IntType, false).
+		Add("prefix", sparksql.StringType, false)
 	var dimRows []row.Row
 	for d := int32(5); d <= 99; d += 5 {
-		dimRows = append(dimRows, row.Row{d, fmt.Sprintf("bucket%02d", d/10)})
+		dimRows = append(dimRows, row.Row{d, fmt.Sprintf("bucket%02d", d/10), d / 5 % 2, "url_"})
 	}
 	mk := func(vectorized, fusion bool) (*sparksql.Context, error) {
 		cfg := sparksql.DefaultConfig()
@@ -151,7 +168,11 @@ func (s *FusionStudy) NativeKeyedAgg() int64 {
 // concern, in fusion_test.go), and that the aggregates match the native
 // group counts.
 func (s *FusionStudy) Verify() error {
-	for _, q := range []string{FusedAggQuery(), FusedKeyedAggQuery(), FusedJoinQuery()} {
+	queries := []string{FusedAggQuery(), FusedKeyedAggQuery()}
+	for _, shape := range FusedJoinShapes {
+		queries = append(queries, shape.Query)
+	}
+	for _, q := range queries {
 		rowRes, err := collectSorted(s.RowCtx, q)
 		if err != nil {
 			return err

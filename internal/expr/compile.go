@@ -550,41 +550,3 @@ func CompilePredicate(e Expression) Predicate {
 	ev := Compile(e)
 	return func(r row.Row) bool { return ev(r) == true }
 }
-
-// CompileLong compiles an expression over non-null BIGINT inputs into an
-// unboxed closure. This is the fully specialized path used by the Figure 4
-// benchmark: like generated bytecode, it avoids boxing entirely. It
-// supports literals, bound references and arithmetic; other nodes are
-// rejected.
-func CompileLong(e Expression) (func(r []int64) int64, bool) {
-	switch x := e.(type) {
-	case *Literal:
-		if v, ok := x.Value.(int64); ok {
-			return func([]int64) int64 { return v }, true
-		}
-		if v, ok := x.Value.(int32); ok {
-			v64 := int64(v)
-			return func([]int64) int64 { return v64 }, true
-		}
-	case *BoundReference:
-		i := x.Ordinal
-		return func(r []int64) int64 { return r[i] }, true
-	case *Alias:
-		return CompileLong(x.Child)
-	case *BinaryArith:
-		l, okL := CompileLong(x.Left)
-		r, okR := CompileLong(x.Right)
-		if !okL || !okR {
-			return nil, false
-		}
-		switch x.Op {
-		case OpAdd:
-			return func(in []int64) int64 { return l(in) + r(in) }, true
-		case OpSub:
-			return func(in []int64) int64 { return l(in) - r(in) }, true
-		case OpMul:
-			return func(in []int64) int64 { return l(in) * r(in) }, true
-		}
-	}
-	return nil, false
-}

@@ -147,25 +147,6 @@ func TestCompilePredicateNullIsFalse(t *testing.T) {
 	}
 }
 
-func TestCompileLongPaths(t *testing.T) {
-	x := &BoundReference{Ordinal: 0, Type: types.Long, Null: false}
-	e := Add(Mul(x, Lit(int64(3))), Sub(x, Lit(int64(1))))
-	fn, ok := CompileLong(e)
-	if !ok {
-		t.Fatal("CompileLong should handle +-* over longs")
-	}
-	if got := fn([]int64{5}); got != 19 {
-		t.Errorf("compiled long = %d, want 19", got)
-	}
-	// Unsupported shapes are rejected, not miscompiled.
-	if _, ok := CompileLong(Div(x, Lit(int64(2)))); ok {
-		t.Error("division must fall back (NULL semantics need boxing)")
-	}
-	if _, ok := CompileLong(Upper(Lit("x"))); ok {
-		t.Error("strings are not CompileLong-able")
-	}
-}
-
 // Property: LikeMatch agrees with regexp-based matching for random
 // patterns built from literals, % and _.
 func TestLikeMatchAgainstRegexp(t *testing.T) {

@@ -243,25 +243,22 @@ func (j *BroadcastHashJoinExec) buildSide() SparkPlan {
 	}
 	return j.Left
 }
-func (j *BroadcastHashJoinExec) probeBuildKeys() (probe, build []expr.Expression) {
-	if j.BuildRight {
-		return j.LeftKeys, j.RightKeys
-	}
-	return j.RightKeys, j.LeftKeys
-}
 
-// sides orders (probe, build) as the join's (left, right).
-func (j *BroadcastHashJoinExec) sides(probe, build SparkPlan) (left, right SparkPlan) {
-	if j.BuildRight {
-		return probe, build
+// withProbeSide is the join over a different probe input.
+func (j *BroadcastHashJoinExec) withProbeSide(p SparkPlan) *BroadcastHashJoinExec {
+	c := *j
+	if c.BuildRight {
+		c.Left = p
+	} else {
+		c.Right = p
 	}
-	return build, probe
+	return &c
 }
 
 func (j *BroadcastHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	om := j.EnableMetrics(ctx.Metrics)
 	// Build one side, stream the other (right-outer joins stream the right).
-	hj := newHashJoin(ctx, om, &j.EquiJoin, j.probeSide(), j.BuildRight, ctx.Codegen)
+	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, ctx.Codegen)
 	hj.broadcast = j.buildSide().Execute(ctx)
 	return rdd.MapPartitionsCtx(j.probeSide().Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
 		table, err := hj.broadcastTable(jc)
@@ -296,13 +293,12 @@ type hashJoin struct {
 	lazy      LazyBuild[*joinTable]
 }
 
-// newHashJoin binds j with the given probe input (the join's own, or the
-// pipeline fused under it) against the side buildRight names, and tells
-// EXPLAIN ANALYZE which group table the build side will use.
-func newHashJoin(ctx *ExecContext, om *OperatorMetrics, j *EquiJoin, probe SparkPlan, buildRight, typed bool) *hashJoin {
-	build, probeKeys, buildKeys := j.Right, j.LeftKeys, j.RightKeys
+// newHashJoin binds j to build the side buildRight names and probe from the
+// other, and tells EXPLAIN ANALYZE which group table the build side will use.
+func newHashJoin(ctx *ExecContext, om *OperatorMetrics, j *EquiJoin, buildRight, typed bool) *hashJoin {
+	probe, build, probeKeys, buildKeys := j.Left, j.Right, j.LeftKeys, j.RightKeys
 	if !buildRight {
-		build, probeKeys, buildKeys = j.Left, j.RightKeys, j.LeftKeys
+		probe, build, probeKeys, buildKeys = j.Right, j.Left, j.RightKeys, j.LeftKeys
 	}
 	probeOut, buildOut := probe.Output(), build.Output()
 	h := &hashJoin{jt: j.Type, om: om, typed: typed, keyTypes: exprTypes(buildKeys),
@@ -338,43 +334,18 @@ func (h *hashJoin) broadcastTable(jc context.Context) (*joinTable, error) {
 	})
 }
 
-// joined lays a probe row and a build row out as one output row; a nil side
-// is all NULL.
-func (h *hashJoin) joined(probe, build row.Row) row.Row {
-	out := make(row.Row, h.width)
-	copy(out[h.probeAt:], probe)
-	copy(out[h.buildAt:], build)
-	return out
-}
-
 // probe streams one partition of probe rows through the table, a key chunk
 // at a time: probe rows in input order, each one's matches in build-collect
 // order, then (FULL OUTER) the build rows nothing matched.
 func (h *hashJoin) probe(t *joinTable, in []row.Row) []row.Row {
-	var out []row.Row
 	var rows []row.Row // the chunk being probed
-	var residual func(i int, b row.Row) bool
-	if h.residual != nil {
-		residual = func(i int, b row.Row) bool { return h.residual(h.joined(rows[i], b)) }
-	}
-	p := t.newProbe(h.jt, residual, func(i int, b row.Row) {
-		if h.jt == plan.LeftSemiJoin {
-			out = append(out, rows[i])
-		} else {
-			out = append(out, h.joined(rows[i], b))
-		}
-	})
+	p := h.newProbe(t, func(i int, dst row.Row) { copy(dst, rows[i]) })
 	keys := newKeyChunk(h.probeEvals, h.keyTypes, h.typed, len(in))
 	for off := 0; off < len(in); off += rowChunk {
 		rows = in[off:min(off+rowChunk, len(in))]
 		p.batch(keys.load(rows))
 	}
-	for o, hit := range p.matched {
-		if !hit {
-			out = append(out, h.joined(nil, t.rows[o]))
-		}
-	}
-	return out
+	return p.finish()
 }
 
 // ShuffledHashJoinExec hash-partitions both sides on the join keys and
@@ -418,7 +389,7 @@ func (j *ShuffledHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	if !buildRight {
 		probePlan, buildPlan = j.Right, j.Left
 	}
-	hj := newHashJoin(ctx, om, &j.EquiJoin, probePlan, buildRight, ctx.Codegen)
+	hj := newHashJoin(ctx, om, &j.EquiJoin, buildRight, ctx.Codegen)
 	n := effectiveParts(ctx.ShufflePartitions, j.Partitions)
 	probeShuf := rdd.PartitionByHashCodec(probePlan.Execute(ctx), n, keyHash(hj.probeEvals), rowShuffleCodec)
 	buildShuf := rdd.PartitionByHashCodec(buildPlan.Execute(ctx), n, keyHash(hj.buildEvals), rowShuffleCodec)

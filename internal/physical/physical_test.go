@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -220,7 +221,7 @@ type joinShape struct {
 	name        string
 	left, right []types.DataType
 	key         func(rng *rand.Rand) row.Row
-	fusable     bool // a shape the Fuse rule admits
+	table       string // the group table its join builds when the keys are typed
 }
 
 var decimalKey = types.DecimalType{Precision: 10, Scale: 2}
@@ -228,23 +229,23 @@ var decimalKey = types.DecimalType{Precision: 10, Scale: 2}
 var joinShapes = []joinShape{
 	{"int=bigint", []types.DataType{types.Int}, []types.DataType{types.Long}, func(rng *rand.Rand) row.Row {
 		return row.Row{int32(rng.Intn(6))}
-	}, true},
+	}, "i64"},
 	{"string", []types.DataType{types.String}, []types.DataType{types.String}, func(rng *rand.Rand) row.Row {
 		return row.Row{[]string{"", "a", "b", "ab", "héllo"}[rng.Intn(5)]}
-	}, true},
+	}, "str"},
 	{"(int,int)", []types.DataType{types.Int, types.Int}, []types.DataType{types.Int, types.Int}, func(rng *rand.Rand) row.Row {
 		return row.Row{int32(rng.Intn(3)), int32(rng.Intn(3))}
-	}, true},
+	}, "pair"},
 	{"(int,string,int)", []types.DataType{types.Int, types.String, types.Int}, []types.DataType{types.Int, types.String, types.Int}, func(rng *rand.Rand) row.Row {
 		return row.Row{int32(rng.Intn(2)), []string{"x", "y"}[rng.Intn(2)], int32(rng.Intn(2))}
-	}, false},
+	}, "generic"},
 	{"double", []types.DataType{types.Double}, []types.DataType{types.Double}, func(rng *rand.Rand) row.Row {
 		// NaN equals NaN and -0.0 equals 0.0, whichever side holds which.
 		return row.Row{[]float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2.25, math.Inf(1)}[rng.Intn(6)]}
-	}, false},
+	}, "generic"},
 	{"decimal", []types.DataType{decimalKey}, []types.DataType{decimalKey}, func(rng *rand.Rand) row.Row {
 		return row.Row{types.NewDecimal(int64(rng.Intn(5))*25, 2)}
-	}, false},
+	}, "generic"},
 }
 
 // joinSide generates n rows with the given key column types: small key
@@ -304,9 +305,10 @@ func cachedScan(attrs []*expr.AttributeReference, rows []row.Row) SparkPlan {
 }
 
 // Property: the shuffled, broadcast (either legal build side) and fused hash
-// joins agree with the nested-loop oracle for every key shape and join type,
-// compiled and interpreted, with and without a residual predicate — NULL
-// keys on both sides, duplicate build keys and empty sides included. The
+// joins agree with the nested-loop oracle for every key shape and join type
+// (the fused one for every type a join may broadcast), compiled and
+// interpreted, with and without a residual predicate — NULL keys on both
+// sides, duplicate build keys and empty sides included. The
 // shuffled joins run a 3-reducer exchange with SkewSplits unset.
 func TestHashJoinsMatchReference(t *testing.T) {
 	joinTypes := []plan.JoinType{
@@ -353,8 +355,9 @@ func TestHashJoinsMatchReference(t *testing.T) {
 							continue
 						}
 						check("broadcast", &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: buildRight})
-						// The same join probing from a cached leaf: fused for
-						// the shapes and types the Fuse rule admits.
+						// The same join probing from a cached leaf: always
+						// fused, the keys read by kernels — NaN and -0.0, the
+						// DECIMAL and the three-column key included.
 						cached := ej
 						if buildRight {
 							cached.Left = cachedScan(leftAttrs, leftRows)
@@ -362,11 +365,10 @@ func TestHashJoinsMatchReference(t *testing.T) {
 							cached.Right = cachedScan(rightAttrs, rightRows)
 						}
 						p := Fuse(Vectorize(Collapse(&BroadcastHashJoinExec{EquiJoin: cached, BuildRight: buildRight})))
-						admitted := shape.fusable && !residual &&
-							(jt == plan.InnerJoin || (jt == plan.LeftOuterJoin && buildRight))
-						if _, fused := p.(*FusedBroadcastJoinExec); fused != admitted {
-							t.Fatalf("%s %s buildRight=%v residual=%v: fused=%v, want %v\n%s",
-								shape.name, jt, buildRight, residual, fused, admitted, p)
+						note := fmt.Sprintf("fused: true, table=%s, kernels %d/%d native", shape.table, nk, nk)
+						if f, fused := p.(*FusedBroadcastJoinExec); !fused || f.Fusion() != note {
+							t.Fatalf("%s %s buildRight=%v residual=%v: want a fused join noting %q\n%s",
+								shape.name, jt, buildRight, residual, note, p)
 						}
 						check("over cache", p)
 					}

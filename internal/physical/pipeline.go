@@ -178,30 +178,17 @@ func (p *PipelineExec) String() string { return Format(p) }
 // Collapse is the physical preparation rule fusing adjacent Project/Filter
 // operators into PipelineExec nodes, bottom-up.
 func Collapse(p SparkPlan) SparkPlan {
-	children := p.Children()
-	if len(children) > 0 {
-		newChildren := make([]SparkPlan, len(children))
-		changed := false
-		for i, c := range children {
-			nc := Collapse(c)
-			newChildren[i] = nc
-			if nc != c {
-				changed = true
-			}
+	return transformUp(p, func(p SparkPlan) SparkPlan {
+		switch n := p.(type) {
+		case *ProjectExec:
+			// The fused pipeline produces the top operator's output, so it
+			// inherits that operator's estimate.
+			return transferEstimate(fuse(stage{list: n.List}, n.Child), n)
+		case *FilterExec:
+			return transferEstimate(fuse(stage{isFilter: true, cond: n.Cond}, n.Child), n)
 		}
-		if changed {
-			p = p.WithNewChildren(newChildren)
-		}
-	}
-	switch n := p.(type) {
-	case *ProjectExec:
-		// The fused pipeline produces the top operator's output, so it
-		// inherits that operator's estimate.
-		return transferEstimate(fuse(stage{list: n.List}, n.Child), n)
-	case *FilterExec:
-		return transferEstimate(fuse(stage{isFilter: true, cond: n.Cond}, n.Child), n)
-	}
-	return p
+		return p
+	})
 }
 
 func fuse(top stage, child SparkPlan) SparkPlan {

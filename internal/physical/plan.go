@@ -131,6 +131,23 @@ type SparkPlan interface {
 	String() string
 }
 
+// transformUp rewrites a plan bottom-up: children first, then fn on the node
+// (rebuilt over its new children when any changed). The preparation rules
+// Collapse, Vectorize and Fuse are each one fn.
+func transformUp(p SparkPlan, fn func(SparkPlan) SparkPlan) SparkPlan {
+	children := p.Children()
+	newChildren := make([]SparkPlan, len(children))
+	changed := false
+	for i, c := range children {
+		newChildren[i] = transformUp(c, fn)
+		changed = changed || newChildren[i] != c
+	}
+	if changed {
+		p = p.WithNewChildren(newChildren)
+	}
+	return fn(p)
+}
+
 // Format renders a physical plan subtree with indentation.
 func Format(p SparkPlan) string {
 	var sb strings.Builder

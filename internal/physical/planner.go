@@ -8,6 +8,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/row"
+	"repro/internal/types"
 )
 
 // PlannerConfig carries the knobs of physical planning.
@@ -226,8 +227,8 @@ func (pl *Planner) batchPredicate(cond expr.Expression, mem *plan.InMemoryRelati
 			continue
 		}
 		ord := mem.Table.Schema.FieldIndex(df.Attribute())
-		if ord < 0 {
-			continue
+		if ord < 0 || !types.IsOrdered(mem.Table.Schema.Fields[ord].Type) {
+			continue // no such column, or one the cache tracks no range for
 		}
 		checks = append(checks, check{ord: ord, f: df})
 	}
@@ -236,43 +237,10 @@ func (pl *Planner) batchPredicate(cond expr.Expression, mem *plan.InMemoryRelati
 	}
 	return func(stats []columnar.ColStats) bool {
 		for _, c := range checks {
-			if !batchMayMatch(stats[c.ord], c.f) {
+			if s := stats[c.ord]; !datasource.MayMatch(c.f, s.Min, s.Max) {
 				return false
 			}
 		}
-		return true
-	}
-}
-
-// batchMayMatch tests a simple filter against a column's min/max range.
-func batchMayMatch(s columnar.ColStats, f datasource.Filter) bool {
-	if s.Min == nil || s.Max == nil {
-		// No range tracked (all NULL or unordered type): only IS NOT NULL
-		// can prune an all-NULL batch.
-		if _, isNotNull := f.(datasource.IsNotNull); isNotNull {
-			return s.Min != nil
-		}
-		return true
-	}
-	switch x := f.(type) {
-	case datasource.EqualTo:
-		return row.Compare(x.Value, s.Min) >= 0 && row.Compare(x.Value, s.Max) <= 0
-	case datasource.GreaterThan:
-		return row.Compare(s.Max, x.Value) > 0
-	case datasource.GreaterOrEqual:
-		return row.Compare(s.Max, x.Value) >= 0
-	case datasource.LessThan:
-		return row.Compare(s.Min, x.Value) < 0
-	case datasource.LessOrEqual:
-		return row.Compare(s.Min, x.Value) <= 0
-	case datasource.In:
-		for _, v := range x.Values {
-			if row.Compare(v, s.Min) >= 0 && row.Compare(v, s.Max) <= 0 {
-				return true
-			}
-		}
-		return false
-	default:
 		return true
 	}
 }

@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
@@ -33,16 +32,9 @@ type FusedAggregateExec struct {
 
 func (f *FusedAggregateExec) Children() []SparkPlan { return []SparkPlan{f.Pipe} }
 func (f *FusedAggregateExec) WithNewChildren(children []SparkPlan) SparkPlan {
-	if vp, ok := children[0].(*VectorizedPipelineExec); ok {
-		c := *f
-		c.Pipe, c.sink = vp, nil
-		return &c
-	}
-	// The pipeline degraded (e.g. the leaf stopped producing batches):
-	// fall back to the plain two-phase aggregate.
-	agg := *f.Agg
-	agg.Child = children[0]
-	return transferEstimate(&agg, f)
+	c := *f
+	c.Pipe, c.sink = children[0].(*VectorizedPipelineExec), nil
+	return &c
 }
 func (f *FusedAggregateExec) Output() []*expr.AttributeReference { return f.Agg.Output() }
 func (f *FusedAggregateExec) SimpleString() string {
@@ -92,7 +84,6 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 // aggSink is a fused aggregate's compiled sink: the group-key kernels and
 // the aggregate state lanes, with a record of which of them run natively.
 type aggSink struct {
-	keys     []expr.Expression // grouping expressions bound to the pipeline output
 	keyEvals []expr.VecEval
 	native   []bool // per key: compiled to a native kernel
 	fns      []expr.AggregateFunc
@@ -104,17 +95,10 @@ type aggSink struct {
 }
 
 func (h *HashAggregateExec) compileSink(input []*expr.AttributeReference) *aggSink {
-	k := &aggSink{keys: bindAll(h.Grouping, input)}
+	k := &aggSink{refs: bindAll(h.Grouping, input)}
 	unbound, results := h.splitAggregates()
 	k.fns, k.results = bindFns(unbound, input), results
-	k.keyEvals = make([]expr.VecEval, len(k.keys))
-	k.native = make([]bool, len(k.keys))
-	k.refs = append(k.refs, k.keys...)
-	for i, g := range k.keys {
-		if k.keyEvals[i], k.native[i] = expr.CompileVec(g); !k.native[i] {
-			k.fallbacks = append(k.fallbacks, h.Grouping[i].String())
-		}
-	}
+	k.keyEvals, k.native, k.fallbacks = keyKernels(h.Grouping, input)
 	for i, fn := range k.fns {
 		k.refs = append(k.refs, fn)
 		if _, native := expr.NewVecAggregator(fn); !native {
@@ -138,16 +122,10 @@ func (k *aggSink) newLanes() []expr.VecAggregator {
 	return lanes
 }
 
-// note is the EXPLAIN annotation: what actually runs, not just that the
-// operators fused.
+// note is the EXPLAIN annotation.
 func (k *aggSink) note(keyTypes []types.DataType) string {
 	_, table := newGroupIndexer(keyTypes, k.native, 0)
-	s := fmt.Sprintf("fused: true, table=%s, kernels %d/%d native",
-		table, len(k.refs)-len(k.fallbacks), len(k.refs))
-	if len(k.fallbacks) > 0 {
-		s += ", fallback: " + strings.Join(k.fallbacks, ", ")
-	}
-	return s
+	return fusedNote(table, len(k.refs), k.fallbacks)
 }
 
 // ---------------------------------------------------------------------------

@@ -14,84 +14,108 @@ import (
 
 // FusedBroadcastJoinExec is the whole-stage fusion of a vectorized pipeline
 // with a broadcast-hash-join probe: the build side is loaded once into a
-// joinTable, and the probe loop reads join keys straight off the decoded
-// column vectors, boxing a probe row only when it actually matches (or needs
-// null-extension under LEFT OUTER). The probe pipeline is
-// the join's left input when the build side is the right one, and its right
-// input for an inner join that builds left; either way the emitted rows are
-// byte-identical to BroadcastHashJoinExec's: left cells before right cells,
-// probe rows in pipeline order, matches in build-collect order.
+// joinTable, and the probe loop reads join keys straight off the pipeline's
+// column vectors, boxing a probe row only when it reaches the output (a match,
+// a null-extension, a residual's candidate). The probe pipeline is whichever
+// input BroadcastHashJoinExec would stream — the left when the build side is
+// the right one, the right otherwise — and the emitted rows are byte-identical
+// to the row join's, for every join type, key shape and residual: left cells
+// before right cells, probe rows in pipeline order, matches in build-collect
+// order.
 type FusedBroadcastJoinExec struct {
 	PlanEstimate
 	PlanMetrics
 	FusionNote
-	Join *BroadcastHashJoinExec // key/type/build-side config; its probe-side child is unused here
-	Pipe *VectorizedPipelineExec
+	// Join is the row join this node runs, its probe side replaced by the
+	// vectorized pipeline the probe is fused into.
+	Join *BroadcastHashJoinExec
 }
 
-func (f *FusedBroadcastJoinExec) Children() []SparkPlan {
-	l, r := f.Join.sides(f.Pipe, f.Join.buildSide())
-	return []SparkPlan{l, r}
-}
+func (f *FusedBroadcastJoinExec) Children() []SparkPlan { return f.Join.Children() }
 func (f *FusedBroadcastJoinExec) WithNewChildren(children []SparkPlan) SparkPlan {
-	j := *f.Join
-	j.Left, j.Right = children[0], children[1]
-	if vp, ok := j.probeSide().(*VectorizedPipelineExec); ok {
-		c := *f
-		c.Join = &j
-		c.Pipe = vp
-		return &c
+	c := *f
+	c.Join = f.Join.WithNewChildren(children).(*BroadcastHashJoinExec)
+	return &c
+}
+func (f *FusedBroadcastJoinExec) Output() []*expr.AttributeReference { return f.Join.Output() }
+func (f *FusedBroadcastJoinExec) SimpleString() string               { return "Fused" + f.Join.SimpleString() }
+func (f *FusedBroadcastJoinExec) String() string                     { return Format(f) }
+
+// probeKeys is a fused join's probe side compiled over the pipeline output.
+type probeKeys struct {
+	evals []expr.VecEval
+	// typed: every key is a native kernel over a value class, so the probe
+	// hands over class lanes and the build side must index the same; otherwise
+	// both sides go through boxed values and the generic table.
+	typed bool
+	boxed int // keys left on the boxed scalar fallback
+	note  string
+}
+
+func (j *BroadcastHashJoinExec) compileProbeKeys(input []*expr.AttributeReference) probeKeys {
+	keys, buildKeys := j.LeftKeys, j.RightKeys
+	if !j.BuildRight {
+		keys, buildKeys = buildKeys, keys
 	}
-	// The probe pipeline degraded: fall back to the row join.
-	return transferEstimate(&j, f)
+	evals, native, fallbacks := keyKernels(keys, input)
+	k := probeKeys{evals: evals, typed: true, boxed: len(fallbacks)}
+	for i, key := range keys {
+		k.typed = k.typed && native[i] && expr.VecClassOf(key.DataType()) != expr.VecClassNone
+		if columnar.KindOf(key.DataType()) == columnar.KindFloat64 {
+			k.evals[i] = canonFloatKernel(evals[i])
+		}
+	}
+	_, table := keyTable(exprTypes(buildKeys), k.typed, 0)
+	k.note = fusedNote(table, len(keys), fallbacks)
+	return k
 }
-func (f *FusedBroadcastJoinExec) Output() []*expr.AttributeReference {
-	l, r := f.Join.sides(f.Pipe, f.Join.buildSide())
-	return joinOutput(f.Join.Type, l.Output(), r.Output())
+
+// canonFloatKernel is bindKeys' floating-point canonicalization for a key
+// that arrives as a kernel's vector instead of a row evaluator's value.
+func canonFloatKernel(ev expr.VecEval) expr.VecEval {
+	return func(b *expr.VecBatch, sel []int32) *columnar.Vector {
+		v := ev(b, sel)
+		out := columnar.NewAnyVector(v.Type, b.N)
+		for _, i := range sel {
+			out.Set(int(i), canonFloat(v.Get(int(i))))
+		}
+		return out
+	}
 }
-func (f *FusedBroadcastJoinExec) SimpleString() string { return "Fused" + f.Join.SimpleString() }
-func (f *FusedBroadcastJoinExec) String() string       { return Format(f) }
 
 func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	j := f.Join
+	pipe := j.probeSide().(*VectorizedPipelineExec)
 	om := f.EnableMetrics(ctx.Metrics)
-	// The probe kernels hand over typed lanes whatever the Codegen setting, so
-	// the build keys are always typed too.
-	hj := newHashJoin(ctx, om, &j.EquiJoin, f.Pipe, j.BuildRight, true)
+	k := j.compileProbeKeys(pipe.Output())
+	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, k.typed)
 	hj.broadcast = j.buildSide().Execute(ctx)
-	probeKeys, _ := j.probeBuildKeys()
-	probeVecs := make([]expr.VecEval, len(probeKeys))
-	for i, k := range bindAll(probeKeys, f.Pipe.Output()) {
-		// The Fuse rule only admits keys that compile natively.
-		probeVecs[i], _ = expr.CompileVec(k)
-	}
-	vp := f.Pipe.compile(ctx, om, nil)
+	vp := pipe.compile(ctx, om, nil)
 	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", vp.src.NumPartitions, func(jc context.Context, p int) ([]row.Row, error) {
 		ht, err := hj.broadcastTable(jc)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		var out []row.Row
 		var batch *expr.VecBatch
-		// emit joins probe row i with one build row (nil null-extends): the
-		// probe cells are boxed straight into the output row.
-		probe := ht.newProbe(j.Type, nil, func(i int, b row.Row) {
-			r := make(row.Row, hj.width)
+		// The probe cells are boxed straight into the output row.
+		probe := hj.newProbe(ht, func(i int, dst row.Row) {
 			for c, v := range batch.Cols {
-				r[hj.probeAt+c] = v.Get(i)
+				dst[c] = v.Get(i)
 			}
-			copy(r[hj.buildAt:], b)
-			out = append(out, r)
 		})
-		kvecs := make([]*columnar.Vector, len(probeVecs))
+		kvecs := make([]*columnar.Vector, len(k.evals))
 		vp.each(p, func(b *expr.VecBatch, live []int32) {
-			for i, kv := range probeVecs {
+			for i, kv := range k.evals {
 				kvecs[i] = kv(b, live)
+			}
+			if k.boxed > 0 {
+				vp.fallbackRows.Add(int64(len(live) * k.boxed))
 			}
 			batch = b
 			probe.batch(kvecs, live)
 		})
+		out := probe.finish()
 		om.RecordPartition(len(out), time.Since(start))
 		return out, nil
 	})
@@ -165,61 +189,94 @@ func anyNull(vecs []*columnar.Vector, i int) bool {
 	return false
 }
 
-// joinProbe is one task's probe of a joinTable — the one probe loop behind
-// the broadcast, shuffled and fused hash joins, for every join type. The
-// join type is read from the probe side: an outer join preserves the probe
-// rows (LEFT OUTER probes from the left, RIGHT OUTER from the right, FULL
+// joinProbe is one task's probe of a joinTable — the one probe loop, and the
+// one place a joined row is laid out, null-extended, semi-joined or tested
+// against the residual, behind the broadcast, shuffled and fused hash joins.
+// The join type is read from the probe side: an outer join preserves the
+// probe rows (LEFT OUTER probes from the left, RIGHT OUTER from the right, FULL
 // OUTER additionally tracks which build rows matched), and LEFT SEMI emits a
 // probe row once if anything matches.
 type joinProbe struct {
-	t           *joinTable
-	outer, semi bool
-	// residual, when non-nil, must also hold for probe row i to match build
-	// row b.
-	residual func(i int, b row.Row) bool
-	// emit receives each output pair: probe row i with build row b, or with
-	// nil for a probe row that goes out alone (null-extended, or semi-joined).
-	emit func(i int, b row.Row)
+	h *hashJoin
+	t *joinTable
+	// fill writes probe row i's cells into dst, the probe columns of an output
+	// row: a copy for a row input, the boxing of a batch position for a fused
+	// pipeline.
+	fill func(i int, dst row.Row)
+	out  []row.Row
 	// matched (FULL OUTER only) marks the build rows some probe row matched;
 	// the rest — NULL-keyed ones included — are the join's remainder.
 	matched []bool
 	gidx    []int32
 }
 
-func (t *joinTable) newProbe(jt plan.JoinType, residual func(i int, b row.Row) bool, emit func(i int, b row.Row)) *joinProbe {
-	p := &joinProbe{t: t, residual: residual, emit: emit, semi: jt == plan.LeftSemiJoin,
-		outer: jt == plan.LeftOuterJoin || jt == plan.RightOuterJoin || jt == plan.FullOuterJoin}
-	if jt == plan.FullOuterJoin {
+func (h *hashJoin) newProbe(t *joinTable, fill func(i int, dst row.Row)) *joinProbe {
+	p := &joinProbe{h: h, t: t, fill: fill}
+	if h.jt == plan.FullOuterJoin {
 		p.matched = make([]bool, len(t.rows))
 	}
 	return p
 }
 
+// candidate starts an output row: probe row i's cells in place, the build
+// side's NULL.
+func (p *joinProbe) candidate(i int32) row.Row {
+	r := make(row.Row, p.h.width)
+	p.fill(int(i), r[p.h.probeAt:])
+	return r
+}
+
 // batch probes the live rows of one batch of key vectors, in order; a probe
-// row's matches come out in build-collect order.
+// row's matches come out in build-collect order. Each match is written into a
+// candidate output row, which the residual then accepts — it is emitted as is —
+// or rejects, leaving it for the probe row's next match.
 func (p *joinProbe) batch(kvecs []*columnar.Vector, live []int32) {
-	t := p.t
+	h, t := p.h, p.t
+	semi := h.jt == plan.LeftSemiJoin
+	outer := h.jt == plan.LeftOuterJoin || h.jt == plan.RightOuterJoin || h.jt == plan.FullOuterJoin
 	p.gidx = t.groups.indexBatch(kvecs, live, p.gidx[:0], false)
 	for k, i := range live {
+		var cand row.Row
 		matched := false
 		if g := p.gidx[k]; g >= 0 {
 			for _, o := range t.ords[t.offsets[g]:t.offsets[g+1]] {
-				b := t.rows[o]
-				if p.residual != nil && !p.residual(int(i), b) {
+				if cand == nil {
+					cand = p.candidate(i)
+				}
+				copy(cand[h.buildAt:], t.rows[o])
+				if h.residual != nil && !h.residual(cand) {
 					continue
 				}
 				matched = true
-				if p.semi {
+				if semi {
 					break
 				}
 				if p.matched != nil {
 					p.matched[o] = true
 				}
-				p.emit(int(i), b)
+				p.out = append(p.out, cand)
+				cand = nil
 			}
 		}
-		if (p.semi && matched) || (p.outer && !matched) {
-			p.emit(int(i), nil)
+		switch {
+		case semi && matched:
+			// LEFT SEMI builds right: the left row is the candidate's prefix.
+			p.out = append(p.out, cand[:h.buildAt:h.buildAt])
+		case outer && !matched:
+			p.out = append(p.out, p.candidate(i)) // not cand: a rejected one holds build cells
 		}
 	}
+}
+
+// finish appends FULL OUTER's remainder — the build rows nothing matched,
+// null-extended — and returns the task's output.
+func (p *joinProbe) finish() []row.Row {
+	for o, hit := range p.matched {
+		if !hit {
+			r := make(row.Row, p.h.width)
+			copy(r[p.h.buildAt:], p.t.rows[o])
+			p.out = append(p.out, r)
+		}
+	}
+	return p.out
 }

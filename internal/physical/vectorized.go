@@ -36,13 +36,9 @@ type VectorizedPipelineExec struct {
 
 func (v *VectorizedPipelineExec) Children() []SparkPlan { return []SparkPlan{v.Scan} }
 func (v *VectorizedPipelineExec) WithNewChildren(children []SparkPlan) SparkPlan {
-	if scan, ok := children[0].(BatchScan); ok {
-		c := *v
-		c.Scan = scan
-		return &c
-	}
-	// The leaf no longer produces batches: degrade to the row pipeline.
-	return transferEstimate(&PipelineExec{Stages: v.Stages, Child: children[0]}, v)
+	c := *v
+	c.Scan = children[0].(BatchScan)
+	return &c
 }
 func (v *VectorizedPipelineExec) Output() []*expr.AttributeReference {
 	return stagesOutput(v.Stages, v.Scan.Output())
@@ -271,32 +267,19 @@ func stagesOutput(stages []stage, attrs []*expr.AttributeReference) []*expr.Attr
 // batch kernels — otherwise vectorization is pure decode overhead and the
 // row pipeline is kept.
 func Vectorize(p SparkPlan) SparkPlan {
-	children := p.Children()
-	if len(children) > 0 {
-		newChildren := make([]SparkPlan, len(children))
-		changed := false
-		for i, c := range children {
-			nc := Vectorize(c)
-			newChildren[i] = nc
-			if nc != c {
-				changed = true
-			}
+	return transformUp(p, func(p SparkPlan) SparkPlan {
+		pipe, ok := p.(*PipelineExec)
+		if !ok {
+			return p
 		}
-		if changed {
-			p = p.WithNewChildren(newChildren)
+		scan, ok := pipe.Child.(BatchScan)
+		if !ok {
+			return p
 		}
-	}
-	pipe, ok := p.(*PipelineExec)
-	if !ok {
-		return p
-	}
-	scan, ok := pipe.Child.(BatchScan)
-	if !ok {
-		return p
-	}
-	_, _, native := compileVecStages(pipe.Stages, scan.Output())
-	if native == 0 {
-		return p
-	}
-	return transferEstimate(&VectorizedPipelineExec{Stages: pipe.Stages, Scan: scan, Native: native}, pipe)
+		_, _, native := compileVecStages(pipe.Stages, scan.Output())
+		if native == 0 {
+			return p
+		}
+		return transferEstimate(&VectorizedPipelineExec{Stages: pipe.Stages, Scan: scan, Native: native}, pipe)
+	})
 }

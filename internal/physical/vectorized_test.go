@@ -207,11 +207,10 @@ func TestVectorizedExecEmptyTable(t *testing.T) {
 }
 
 // The fused probe runs from whichever pipeline the join streams: for either
-// build side it matches the row join row for row (runBoth), prints its real
-// build side and group table, survives a WithNewChildren round trip, and
-// degrades to the row join when its probe child stops being a vectorized
-// pipeline. An outer join
-// that builds left is never fused, and says why.
+// build side, and for the outer join and the key without a kernel that once
+// kept the row operator, it matches the row join row for row (runBoth), prints
+// its real build side, group table and kernel census, and survives a
+// WithNewChildren round trip.
 func TestFusedBroadcastJoinEitherBuildSide(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	big, bigAttrs := cachedTableForTest(rng, 1500, 3, 128)
@@ -219,7 +218,23 @@ func TestFusedBroadcastJoinEitherBuildSide(t *testing.T) {
 	pipe := func(table *columnar.CachedTable, attrs []*expr.AttributeReference) SparkPlan {
 		return &FilterExec{Cond: expr.GT(attrs[1], expr.Lit(int32(100))), Child: NewInMemoryScan(attrs, table, nil, nil)}
 	}
-	prepare := func(p SparkPlan) SparkPlan { return Fuse(Vectorize(Collapse(p))) }
+	fusedAs := func(j *BroadcastHashJoinExec, note string) {
+		t.Helper()
+		f, ok := Fuse(Vectorize(Collapse(j))).(*FusedBroadcastJoinExec)
+		if !ok {
+			t.Fatalf("not fused: %s", j)
+		}
+		if want := j.SimpleString(); f.SimpleString() != "Fused"+want {
+			t.Fatalf("fused join prints %q, want it to name the row join's build side: %q", f.SimpleString(), want)
+		}
+		if f.Fusion() != note {
+			t.Fatalf("%s: fused join note %q, want %q", f.SimpleString(), f.Fusion(), note)
+		}
+		runBoth(t, j, f.SimpleString())
+		if again := f.WithNewChildren(f.Children()); again.String() != f.String() {
+			t.Fatalf("WithNewChildren(Children()) changed the tree:\n%s\nvs\n%s", again, f)
+		}
+	}
 	for _, buildRight := range []bool{true, false} {
 		j := &BroadcastHashJoinExec{BuildRight: buildRight, EquiJoin: EquiJoin{
 			Left: pipe(big, bigAttrs), Right: pipe(small, smallAttrs),
@@ -230,38 +245,19 @@ func TestFusedBroadcastJoinEitherBuildSide(t *testing.T) {
 			j.Left, j.Right = j.Right, j.Left
 			j.LeftKeys, j.RightKeys = j.RightKeys, j.LeftKeys
 		}
-		p := prepare(j)
-		f, ok := p.(*FusedBroadcastJoinExec)
-		if !ok {
-			t.Fatalf("buildRight=%v: not fused: %s", buildRight, p)
-		}
-		if want := j.SimpleString(); f.SimpleString() != "Fused"+want {
-			t.Fatalf("fused join prints %q, want it to name the row join's build side: %q", f.SimpleString(), want)
-		}
-		if f.Fusion() != "fused: true, table=str" {
-			t.Fatalf("fused join note %q does not name the string table", f.Fusion())
-		}
-		runBoth(t, j, f.SimpleString())
-		if again := f.WithNewChildren(f.Children()); again.String() != f.String() {
-			t.Fatalf("WithNewChildren(Children()) changed the tree:\n%s\nvs\n%s", again, f)
-		}
-		kids := f.Children()
-		probeAt := 0
-		if !buildRight {
-			probeAt = 1
-		}
-		kids[probeAt] = NewLocalScan(kids[probeAt].Output(), nil)
-		if _, isRow := f.WithNewChildren(kids).(*BroadcastHashJoinExec); !isRow {
-			t.Fatalf("buildRight=%v: a non-vectorized probe child must degrade to the row join", buildRight)
-		}
+		fusedAs(j, "fused: true, table=str, kernels 1/1 native")
 	}
-	outer := &BroadcastHashJoinExec{EquiJoin: EquiJoin{
+	fusedAs(&BroadcastHashJoinExec{EquiJoin: EquiJoin{
 		Left: pipe(small, smallAttrs), Right: pipe(big, bigAttrs),
 		LeftKeys: []expr.Expression{smallAttrs[2]}, RightKeys: []expr.Expression{bigAttrs[2]},
 		Type: plan.RightOuterJoin,
-	}}
-	if j, ok := prepare(outer).(*BroadcastHashJoinExec); !ok || j.Fusion() != "fallback: build side not right" {
-		t.Fatalf("a right outer join that builds left must stay a row join and say why: %s", prepare(outer))
-	}
-	runBoth(t, outer, "right outer, build left")
+	}}, "fused: true, table=str, kernels 1/1 native")
+	// A probe key with no kernel takes the boxed fallback, and with it both
+	// sides of the table take boxed keys.
+	fusedAs(&BroadcastHashJoinExec{BuildRight: true, EquiJoin: EquiJoin{
+		Left: pipe(big, bigAttrs), Right: pipe(small, smallAttrs),
+		LeftKeys:  []expr.Expression{expr.Upper(bigAttrs[2]), bigAttrs[1]},
+		RightKeys: []expr.Expression{expr.Upper(smallAttrs[2]), smallAttrs[1]},
+		Type:      plan.LeftOuterJoin,
+	}}, "fused: true, table=generic, kernels 1/2 native, fallback: "+expr.Upper(bigAttrs[2]).String())
 }

@@ -1162,24 +1162,7 @@ func (p *parser) parseDataType() (types.DataType, error) {
 		return nil, p.errorf("expected a type name, found %q", t.text)
 	}
 	p.advance()
-	switch t.text {
-	case "INT", "INTEGER":
-		return types.Int, nil
-	case "BIGINT", "LONG":
-		return types.Long, nil
-	case "DOUBLE":
-		return types.Double, nil
-	case "FLOAT":
-		return types.Float, nil
-	case "STRING":
-		return types.String, nil
-	case "BOOLEAN":
-		return types.Boolean, nil
-	case "DATE":
-		return types.Date, nil
-	case "TIMESTAMP":
-		return types.Timestamp, nil
-	case "DECIMAL":
+	if t.text == "DECIMAL" {
 		prec, scale := 10, 0
 		if p.accept(tokOp, "(") {
 			pt, err := p.expect(tokNumber, "")
@@ -1199,6 +1182,10 @@ func (p *parser) parseDataType() (types.DataType, error) {
 			}
 		}
 		return types.DecimalType{Precision: prec, Scale: scale}, nil
+	}
+	// NULL and BINARY are type names too, but not ones SQL text may declare.
+	if dt, ok := types.ParseName(t.text); ok && !dt.Equals(types.Null) && !dt.Equals(types.Binary) {
+		return dt, nil
 	}
 	return nil, p.errorf("unknown type %q", t.text)
 }

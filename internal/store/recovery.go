@@ -67,7 +67,7 @@ func (s *Store) loadCheckpoint(m manifest) error {
 	for _, mt := range m.Tables {
 		fields := make([]types.StructField, 0, len(mt.Cols))
 		for _, c := range mt.Cols {
-			dt, err := parseTypeName(c.Type)
+			dt, err := columnType(c.Type)
 			if err != nil {
 				return fmt.Errorf("store: manifest table %q: %w", mt.Name, err)
 			}

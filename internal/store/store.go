@@ -239,7 +239,7 @@ func (s *Store) CreateTable(name string, schema types.StructType, ifNotExists bo
 		return fmt.Errorf("store: CREATE TABLE %q: no columns", name)
 	}
 	for _, f := range schema.Fields {
-		if _, err := parseTypeName(f.Type.Name()); err != nil {
+		if _, err := columnType(f.Type.Name()); err != nil {
 			return fmt.Errorf("store: CREATE TABLE %q: column %q: %w", name, f.Name, err)
 		}
 	}

@@ -9,8 +9,6 @@ package store
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
@@ -167,43 +165,14 @@ func valueFits(v any, t types.DataType) bool {
 // schemas as (name, type-name, nullable) triples using the row codec; type
 // names are the SQL spellings DESCRIBE prints.
 
-// parseTypeName inverts DataType.Name() for the storable column types.
-func parseTypeName(name string) (types.DataType, error) {
-	switch name {
-	case "INT":
-		return types.Int, nil
-	case "BIGINT":
-		return types.Long, nil
-	case "FLOAT":
-		return types.Float, nil
-	case "DOUBLE":
-		return types.Double, nil
-	case "STRING":
-		return types.String, nil
-	case "BOOLEAN":
-		return types.Boolean, nil
-	case "DATE":
-		return types.Date, nil
-	case "TIMESTAMP":
-		return types.Timestamp, nil
+// columnType reads a storable column type back from its name: every type a
+// name parses to except NULL and BINARY, which no segment encodes.
+func columnType(name string) (types.DataType, error) {
+	t, ok := types.ParseName(name)
+	if !ok || t.Equals(types.Null) || t.Equals(types.Binary) {
+		return nil, fmt.Errorf("store: unsupported column type %q", name)
 	}
-	if rest, ok := strings.CutPrefix(name, "DECIMAL("); ok {
-		body, ok := strings.CutSuffix(rest, ")")
-		if !ok {
-			return nil, fmt.Errorf("store: bad type name %q", name)
-		}
-		ps, ss, ok := strings.Cut(body, ",")
-		if !ok {
-			return nil, fmt.Errorf("store: bad type name %q", name)
-		}
-		p, err1 := strconv.Atoi(ps)
-		s, err2 := strconv.Atoi(ss)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("store: bad type name %q", name)
-		}
-		return types.DecimalType{Precision: p, Scale: s}, nil
-	}
-	return nil, fmt.Errorf("store: unsupported column type %q", name)
+	return t, nil
 }
 
 func encodeCreate(name string, schema types.StructType) ([]byte, error) {
@@ -229,7 +198,7 @@ func decodeCreate(payload []byte) (string, types.StructType, error) {
 		cn, _ := r[0].(string)
 		tn, _ := r[1].(string)
 		nullable, _ := r[2].(bool)
-		dt, err := parseTypeName(tn)
+		dt, err := columnType(tn)
 		if err != nil {
 			return "", types.StructType{}, err
 		}

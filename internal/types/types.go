@@ -59,6 +59,31 @@ var (
 	Timestamp DataType = atomic{name: "TIMESTAMP"} // microseconds since Unix epoch, int64
 )
 
+// typeAliases are the spellings ParseName accepts beside Name()'s own.
+var typeAliases = map[string]DataType{
+	"INTEGER": Int, "LONG": Long, "VARCHAR": String, "TEXT": String, "BOOL": Boolean,
+}
+
+// ParseName is the inverse of DataType.Name for the atomic types and
+// DECIMAL(p,s) — every type a schema can be written down with, in a WAL
+// record, a wire frame, a CSV schema option or a SQL column definition — plus
+// a few common aliases. Callers narrow the result to what they store or ship.
+func ParseName(name string) (DataType, bool) {
+	for _, t := range []DataType{Null, Boolean, Int, Long, Float, Double, String, Binary, Date, Timestamp} {
+		if t.Name() == name {
+			return t, true
+		}
+	}
+	if t, ok := typeAliases[name]; ok {
+		return t, true
+	}
+	var d DecimalType
+	if n, err := fmt.Sscanf(name, "DECIMAL(%d,%d)", &d.Precision, &d.Scale); err == nil && n == 2 && d.Name() == name {
+		return d, true
+	}
+	return nil, false
+}
+
 // DecimalType is a fixed-precision decimal. Values are represented as
 // Decimal structs holding an unscaled int64 (the paper's DecimalAggregates
 // rule, §4.3.2, depends on small-precision decimals fitting in a LONG).

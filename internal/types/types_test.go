@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -190,5 +191,32 @@ func TestMostSpecificSupertypeTotal(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: ParseName inverts Name for every atomic type and for decimals of
+// random precision and scale, names the aliases, and rejects what Name never
+// prints — near-misses of DECIMAL(p,s) and the nested types included.
+func TestParseNameRoundTrip(t *testing.T) {
+	all := []DataType{Null, Boolean, Int, Long, Float, Double, String, Binary, Date, Timestamp}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		all = append(all, DecimalType{Precision: rng.Intn(39), Scale: rng.Intn(39)})
+	}
+	for _, dt := range all {
+		if back, ok := ParseName(dt.Name()); !ok || !back.Equals(dt) {
+			t.Fatalf("ParseName(%q) = %v, %v", dt.Name(), back, ok)
+		}
+	}
+	for alias, want := range map[string]DataType{"INTEGER": Int, "LONG": Long, "VARCHAR": String, "TEXT": String, "BOOL": Boolean} {
+		if got, ok := ParseName(alias); !ok || !got.Equals(want) {
+			t.Fatalf("ParseName(%q) = %v, %v, want %v", alias, got, ok, want)
+		}
+	}
+	for _, bad := range []string{"", "int", "WIBBLE", "DECIMAL", "DECIMAL(10)", "DECIMAL(10, 2)", "DECIMAL(10,2) ", "DECIMAL(+1,2)", "DECIMAL(10,2)x",
+		ArrayType{Elem: Int}.Name(), MapType{Key: String, Value: Int}.Name(), NewStruct(StructField{Name: "a", Type: Int}).Name()} {
+		if got, ok := ParseName(bad); ok {
+			t.Fatalf("ParseName(%q) accepted as %v", bad, got)
+		}
 	}
 }

@@ -22,7 +22,14 @@ if grep -n 'row\.GroupKey(\|keyFunc(' $(ls internal/physical/*.go | grep -v '_te
 	echo "internal/physical: key strings outside vecagg.go, extagg.go and smj.go" >&2
 	exit 1
 fi
-echo "internal/physical non-test lines: $(find internal/physical -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+# Fusion has one admission rule ("the input is a batch pipeline"): the key
+# shape test and the five fallback reason strings that went with it must not
+# come back.
+if grep -n 'keyShapeBlocker\|build side not right"\|join type %\|residual predicate"\|key shape"\|probe key not native"' $(ls internal/physical/*.go | grep -v '_test\.go$'); then
+	echo "internal/physical: a deleted fusion admission condition is back" >&2
+	exit 1
+fi
+echo "internal/physical + internal/expr non-test lines: $(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) (ROADMAP target: <= 7835)"
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
 PERF_GATE=1 go test -run '^TestMetricsOverheadGate$' -v -timeout 10m ./internal/experiments/

@@ -273,6 +273,16 @@ func TestColfileLeafObservability(t *testing.T) {
 			t.Fatalf("SHOW METRICS lacks %q:\n%s", want, metrics)
 		}
 	}
+	// An IN list is a range test too: every member lies in the last group, so
+	// the other five are skipped undecoded.
+	skipped := ctx.Metrics().Counter("colfile.groups.skipped")
+	before := skipped.Load()
+	if got := mustRunRows(t, ctx, "SELECT url FROM pages WHERE seq IN (2600, 2700, 9000)"); len(got) != 2 {
+		t.Fatalf("IN query returned %d rows, want 2", len(got))
+	}
+	if got := skipped.Load() - before; got != 5 {
+		t.Fatalf("an IN list inside one row group skipped %d groups, want 5", got)
+	}
 }
 
 // The UDT cache path (BOXED columns) must keep working under vectorization:
@@ -283,10 +293,14 @@ func TestVectorizedBoxedColumns(t *testing.T) {
 	ctx := NewContextWithConfig(cfg)
 	schema := StructType{}.
 		Add("id", IntType, false).
-		Add("d", DecimalType(10, 2), true)
+		Add("d", DecimalType(10, 2), true).
+		Add("loc", StructType{}.Add("lat", DoubleType, false), true)
 	rows := make([]Row, 300)
 	for i := range rows {
-		rows[i] = Row{int32(i), types.NewDecimal(int64(i*100+i), 2)}
+		rows[i] = Row{int32(i), types.NewDecimal(int64(i*100+i), 2), nil}
+		if i%2 == 0 {
+			rows[i][2] = Row{float64(i)}
+		}
 	}
 	df, err := ctx.CreateDataFrame(schema, rows)
 	if err != nil {
@@ -302,5 +316,10 @@ func TestVectorizedBoxedColumns(t *testing.T) {
 	}
 	if got[0][0].(types.Decimal).String() != "293.91" {
 		t.Fatalf("decimal value = %v", got[0][0])
+	}
+	// The cache tracks no min/max for an unordered type, which must not read
+	// as "all NULL" to the batch-skipping test.
+	if got := mustRunRows(t, ctx, "SELECT id FROM dec WHERE loc IS NOT NULL"); len(got) != 150 {
+		t.Fatalf("IS NOT NULL over a struct column kept %d rows, want 150", len(got))
 	}
 }
