@@ -85,8 +85,9 @@ func explainAnalyze(t *testing.T, ctx *Context, query string) string {
 
 // checkAblation runs query under cfg twice — adaptive on and off — and
 // demands byte-identical results, then asserts the adaptive run's
-// EXPLAIN ANALYZE carries the expected `adapted:` marker.
-func checkAblation(t *testing.T, cfg Config, setup func(testing.TB, *Context), query, marker string) {
+// EXPLAIN ANALYZE carries the expected markers (the `adapted:` one, and what
+// else the case pins).
+func checkAblation(t *testing.T, cfg Config, setup func(testing.TB, *Context), query string, markers ...string) {
 	t.Helper()
 	on := cfg
 	on.Adaptive = true
@@ -112,8 +113,10 @@ func checkAblation(t *testing.T, cfg Config, setup func(testing.TB, *Context), q
 	ctxEA := NewContextWithConfig(on)
 	setup(t, ctxEA)
 	ea := explainAnalyze(t, ctxEA, query)
-	if !strings.Contains(ea, marker) {
-		t.Fatalf("EXPLAIN ANALYZE for %q missing %q:\n%s", query, marker, ea)
+	for _, marker := range markers {
+		if !strings.Contains(ea, marker) {
+			t.Fatalf("EXPLAIN ANALYZE for %q missing %q:\n%s", query, marker, ea)
+		}
 	}
 	offEA := explainAnalyze(t, ctxOff, query)
 	if strings.Contains(offEA, "adapted:") {
@@ -130,6 +133,11 @@ func TestAdaptiveCoalesce(t *testing.T) {
 	checkAblation(t, adaptiveConfig(), setup,
 		"SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k ORDER BY k",
 		"adapted: shuffle exchange ->")
+	// ORDER BY ... LIMIT n is a TopK, which has no exchange of its own and is
+	// transparent to the re-planner: the aggregate under it still coalesces.
+	checkAblation(t, adaptiveConfig(), setup,
+		"SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k ORDER BY k LIMIT 5",
+		"adapted: shuffle exchange ->", "TopK n=5 [k#", "50 rows in, 5 kept")
 }
 
 // TestAdaptivePromote: a shuffled join over estimate-free inputs whose
@@ -263,10 +271,17 @@ func TestAdaptiveSkewProperty(t *testing.T) {
 // second embedded `adapted:` segment), a worker hashes its replayed
 // plan (which need not carry any note), and the two must agree.
 func TestPlanHashStripsAdaptedAnnotations(t *testing.T) {
+	// The second plan has a TopK over the adapted join.
+	for _, query := range []string{skewJoinQuery, skewJoinQuery + " LIMIT 9"} {
+		testPlanHashStripsAdaptedAnnotations(t, query)
+	}
+}
+
+func testPlanHashStripsAdaptedAnnotations(t *testing.T, query string) {
 	cfg := skewConfig()
 	ctx := NewContextWithConfig(cfg)
 	setupSkewTables(t, ctx)
-	df, err := ctx.SQL(skewJoinQuery)
+	df, err := ctx.SQL(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +300,9 @@ func TestPlanHashStripsAdaptedAnnotations(t *testing.T) {
 	if !strings.Contains(annotated, "(adapted:") {
 		t.Fatalf("executed plan carries no adapted annotation:\n%s", annotated)
 	}
+	if strings.Contains(query, "LIMIT") != strings.HasPrefix(annotated, "TopK n=9 [") {
+		t.Fatalf("%q: only ORDER BY ... LIMIT plans as a TopK:\n%s", query, annotated)
+	}
 	h := q.PlanHash()
 
 	// Worker-style replay: adaptive off, same decisions but with the
@@ -294,7 +312,7 @@ func TestPlanHashStripsAdaptedAnnotations(t *testing.T) {
 	wcfg.Adaptive = false
 	wctx := NewContextWithConfig(wcfg)
 	setupSkewTables(t, wctx)
-	wdf, err := wctx.SQL(skewJoinQuery)
+	wdf, err := wctx.SQL(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,23 +346,31 @@ func TestAdaptiveOffMatchesDefaultPlans(t *testing.T) {
 	cfg.Adaptive = false
 	ctx := NewContextWithConfig(cfg)
 	registerRDDTable(t, ctx, "t", kvRows(500, func(i int) int64 { return int64(i % 10) }), 4)
-	df, err := ctx.SQL("SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	qe, err := df.queryExecution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := qe.q.(*core.QueryExecution)
-	before := q.PlanHash()
-	if _, err := q.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if q.Executed != nil || len(q.Decisions) != 0 {
-		t.Fatalf("Adaptive off still adapted: %d decisions", len(q.Decisions))
-	}
-	if after := q.PlanHash(); after != before {
-		t.Fatalf("plan hash changed across execution with Adaptive off: %x -> %x", before, after)
+	for _, query := range []string{
+		"SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k",
+		"SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k LIMIT 3", // a TopK
+	} {
+		df, err := ctx.SQL(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qe, err := df.queryExecution()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := qe.q.(*core.QueryExecution)
+		before := q.PlanHash()
+		if _, err := q.Collect(); err != nil {
+			t.Fatal(err)
+		}
+		if q.Executed != nil || len(q.Decisions) != 0 {
+			t.Fatalf("Adaptive off still adapted: %d decisions", len(q.Decisions))
+		}
+		if after := q.PlanHash(); after != before {
+			t.Fatalf("plan hash changed across execution with Adaptive off: %x -> %x", before, after)
+		}
+		if strings.Contains(query, "LIMIT") != strings.HasPrefix(q.Physical.String(), "TopK n=3 [") {
+			t.Fatalf("%q: only ORDER BY ... LIMIT plans as a TopK:\n%s", query, q.Physical)
+		}
 	}
 }

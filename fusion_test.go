@@ -219,8 +219,19 @@ var fusedCanonQueries = []string{
 	// generic-table probes: a three-column key, and a key with no kernel.
 	"SELECT e.name, p.plabel FROM events e JOIN dimp p ON e.grp = p.grp AND e.sub = p.sub AND e.sub + e.grp = p.grp + p.sub",
 	"SELECT e.name, w.wlabel FROM events e LEFT JOIN dimw w ON upper(e.word) = upper(w.word) WHERE e.id < 500",
-	// aggregate above a join: the probe fuses, the sink sits higher.
+	// aggregate above a join: the join hands its batches to the fused sink —
+	// build-side, probe-side and expression keys, NULL-extended build cells,
+	// a residual, a LEFT SEMI probe, and a join over a join under the sink.
 	"SELECT d.label, count(*) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label",
+	"SELECT e.word, count(*), sum(e.val), min(d.label) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY e.word",
+	"SELECT w.wlabel, count(*), avg(e.val), max(e.name) FROM events e LEFT JOIN dimw w ON e.word = w.word GROUP BY w.wlabel",
+	"SELECT d.label, e.sub, count(*) FROM dim d RIGHT JOIN events e ON d.grp = e.grp AND e.sub * 10 < d.grp GROUP BY d.label, e.sub",
+	"SELECT e.grp % 5, count(*), min(e.name) FROM events e LEFT SEMI JOIN dimp p ON e.grp = p.grp AND e.sub = p.sub GROUP BY e.grp % 5",
+	"SELECT w.wlabel, d.label, count(*), sum(e.val) FROM events e JOIN dim d ON e.grp = d.grp JOIN dimw w ON e.word = w.word GROUP BY w.wlabel, d.label",
+	"SELECT count(*), sum(e.val), max(d.label) FROM events e JOIN dim d ON e.grp = d.grp WHERE e.id < 1500",
+	// ORDER BY ... LIMIT n over fused operators: a top-K, on a total order.
+	"SELECT d.label, sum(e.val) AS total FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label ORDER BY total DESC, d.label LIMIT 1",
+	"SELECT e.id, e.name, d.label FROM events e JOIN dim d ON e.grp = d.grp ORDER BY d.label DESC, e.id LIMIT 7",
 	// DISTINCT is a grouping with no aggregates: two columns (pair table)
 	// and a NULL-bearing string column.
 	"SELECT DISTINCT grp, sub FROM events",
@@ -391,6 +402,15 @@ var probeOrderQueries = []string{
 	"SELECT e.id, d.label FROM events e JOIN dim d ON e.grp = d.grp AND e.sub * 10 < d.grp WHERE e.id % 3 = 0",
 	"SELECT e.id FROM events e LEFT SEMI JOIN dim d ON e.grp = d.grp AND e.sub * 10 < d.grp",
 	"SELECT p.plabel, e.id FROM dimp p RIGHT JOIN events e ON p.grp = e.grp AND p.sub < e.sub WHERE e.id < 300",
+	// The same probes handing batches on: to a fused aggregate (groups come
+	// out in the order the probe's output first shows them), to a pipeline,
+	// to another fused join — and a top-K, on a total order, over them.
+	"SELECT e.grp, count(*), sum(e.val), min(d.label) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY e.grp",
+	"SELECT d.label, e.word, count(*), max(e.name) FROM dim d RIGHT JOIN events e ON d.grp = e.grp WHERE e.id < 900 GROUP BY d.label, e.word",
+	"SELECT e.id + d.grp, upper(d.label) FROM events e JOIN dim d ON e.grp = d.grp WHERE e.id % 3 = 0",
+	"SELECT e.id, d.label, w.wlabel FROM events e JOIN dim d ON e.grp = d.grp LEFT JOIN dimw w ON e.word = w.word WHERE e.id % 5 = 0",
+	"SELECT e.grp, sum(e.val) AS total FROM events e JOIN dim d ON e.grp = d.grp GROUP BY e.grp ORDER BY total DESC, e.grp LIMIT 3",
+	"SELECT e.id, d.label FROM events e JOIN dim d ON e.grp = d.grp ORDER BY d.label DESC, e.id DESC LIMIT 10",
 }
 
 // TestFusedPartialBlocks is the property suite for the columnar partial ->
@@ -544,18 +564,32 @@ func TestFusionExplain(t *testing.T) {
 		"SELECT e.id FROM events e JOIN dim d ON CAST(e.grp AS DECIMAL(10,2)) = CAST(d.grp AS DECIMAL(10,2))":        "  (fused: true, table=generic, kernels 0/1 native, fallback: CAST(grp#N AS DECIMAL(10,2)))",
 		"SELECT e.name, w.wlabel FROM events e LEFT JOIN dimw w ON upper(e.word) = upper(w.word)":                    "FusedBroadcastHashJoin LeftOuter build=right keys=[upper(word#N)]=[upper(word#N)]  (fused: true, table=generic, kernels 0/1 native, fallback: upper(word#N))",
 	}
+	// A fused join is a batch scan to whatever sits on it: an aggregate, a
+	// pipeline and another join consume its batches, fused themselves, and
+	// `input not a scan` never shows over one. Each entry lists, top down, the
+	// operators its physical plan must hold.
+	handoffs := map[string][]string{
+		"SELECT d.label, count(*) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label": {
+			"FusedHashAggregate keys=[label#N]", "(fused: true, table=str, kernels 2/2 native)", "VectorizedPipeline (1 stages, 1 native)  (fused: true)", "FusedBroadcastHashJoin Inner build=right"},
+		"SELECT e.id + d.grp FROM events e JOIN dim d ON e.grp = d.grp": {
+			"VectorizedPipeline (1 stages, 1 native)  (fused: true)", "FusedBroadcastHashJoin Inner build=right"},
+		"SELECT e.id, d.label, w.wlabel FROM events e JOIN dim d ON e.grp = d.grp LEFT JOIN dimw w ON e.word = w.word": {
+			"FusedBroadcastHashJoin LeftOuter build=right keys=[word#N]=[word#N]  (fused: true, table=str, kernels 1/1 native)", "FusedBroadcastHashJoin Inner build=right keys=[grp#N]=[grp#N]"},
+		"SELECT d.label, sum(e.val) AS total FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label ORDER BY total DESC LIMIT 1": {
+			"TopK n=1 [total#N DESC]", "FusedHashAggregate keys=[label#N]", "FusedBroadcastHashJoin Inner build=right"},
+	}
 	// The fallbacks that remain, each with a plan shape that produces it.
 	fallbacks := map[string]string{
-		// an aggregate over a join's row output
-		"SELECT d.label, count(*) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label": "HashAggregate keys=[label#N] results=[label#N, count(*) AS count(*)#N]  (fallback: input not vectorized)",
+		// an aggregate over an aggregate's row output
+		"SELECT a.n, count(*) FROM (SELECT grp, count(*) AS n FROM events GROUP BY grp) a GROUP BY a.n": "HashAggregate keys=[n#N] results=[n#N, count(*) AS count(*)#N]  (fallback: input not vectorized)",
 		// a join probing an aggregate's row output
 		"SELECT a.n, d.label FROM (SELECT grp, count(*) AS n FROM events GROUP BY grp) a JOIN dim d ON a.grp = d.grp": "BroadcastHashJoin Inner build=right keys=[grp#N]=[grp#N]  (fallback: probe side not vectorized)",
 		// a pipeline over a batch leaf none of whose stages has a kernel
 		"SELECT upper(word) FROM events": "WholeStagePipeline (1 stages)  (fallback: no native kernels)",
 		// a pipeline over a leaf that produces rows
 		"SELECT id FROM plain WHERE id > 1": "  (fallback: scan not columnar)",
-		// a pipeline over an operator
-		"SELECT e.id + d.grp FROM events e JOIN dim d ON e.grp = d.grp": "WholeStagePipeline (1 stages)  (fallback: input not a scan)",
+		// a pipeline over an operator that produces rows
+		"SELECT a.n + 1 FROM (SELECT grp, count(*) AS n FROM events GROUP BY grp) a": "WholeStagePipeline (1 stages)  (fallback: input not a scan)",
 	}
 	exprID := regexp.MustCompile(`#\d+`)
 	for _, leaf := range batchLeaves {
@@ -573,6 +607,21 @@ func TestFusionExplain(t *testing.T) {
 				}
 			}
 		}
+		for q, ops := range handoffs {
+			got := exprID.ReplaceAllString(explainIn(lctx, q), "#N")
+			rest := got[strings.Index(got, "== Physical Plan =="):]
+			if strings.Contains(rest, "fallback:") {
+				t.Errorf("%s: %q: a fallback over a fused join:\n%s", leaf.name, q, got)
+			}
+			for _, op := range ops {
+				at := strings.Index(rest, op)
+				if at < 0 {
+					t.Errorf("%s: %q: plan lacks %q (or holds it out of order):\n%s", leaf.name, q, op, got)
+					break
+				}
+				rest = rest[at+len(op):]
+			}
+		}
 	}
 
 	df, err := ctx.SQL("SELECT grp, count(*) FROM events WHERE id < 2000 GROUP BY grp")
@@ -585,6 +634,27 @@ func TestFusionExplain(t *testing.T) {
 	}
 	if !strings.Contains(analyzed, "FusedHashAggregate") || !strings.Contains(analyzed, "actual:") {
 		t.Fatalf("EXPLAIN ANALYZE missing fused actuals:\n%s", analyzed)
+	}
+	// A fused join says what it handed its consumer, a top-K what it read and
+	// what its heaps kept: 80 grp values, 40 of them in dim, one label each.
+	for q, wants := range map[string][]string{
+		"SELECT * FROM events e JOIN dim d ON e.grp = d.grp": {", emits rows"},
+		"SELECT d.label, sum(e.val) AS total FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label ORDER BY total DESC LIMIT 3": {
+			", emits batches", "TopK n=3 [total#", ", 40 rows in, "},
+	} {
+		df, err := ctx.SQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		analyzed, err := df.ExplainAnalyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range wants {
+			if !strings.Contains(analyzed, want) {
+				t.Errorf("%q: EXPLAIN ANALYZE lacks %q:\n%s", q, want, analyzed)
+			}
+		}
 	}
 
 	// The knob: Fusion=false keeps vectorized pipelines but no fused sinks.

@@ -412,14 +412,19 @@ func RunMultiprocChaos(cfg MultiprocConfig) (*MultiprocResult, error) {
 // With cached tables the same statements also pin plan-hash parity: column
 // NDV sketches hash values too, so per-process seeds gave coordinator and
 // workers different estimates, a different Q3b plan, and a refused task.
-func RunMultiprocHashExchange(visits int64, cached bool) error {
+// With broadcast set the joins broadcast instead of shuffling, so over cached
+// tables Q3b is batches from the fused probe through the fused aggregate to
+// its top-K, planned and run by every process.
+func RunMultiprocHashExchange(visits int64, cached, broadcast bool) error {
 	cfg := sparksql.DefaultConfig()
 	cfg.Parallelism = 2
 	cfg.ShufflePartitions = 2
-	// Keep both reduce partitions (no adaptive coalescing to one) and keep
-	// the join shuffled rather than broadcast.
+	// Keep both reduce partitions (no adaptive coalescing to one) and, unless
+	// asked otherwise, keep the join shuffled rather than broadcast.
 	cfg.TargetPartitionBytes = 16 << 10
-	cfg.BroadcastThreshold = 1
+	if !broadcast {
+		cfg.BroadcastThreshold = 1
+	}
 	load := func(ctx *sparksql.Context) error {
 		rows := make([]row.Row, visits)
 		for i := range rows {
@@ -478,6 +483,21 @@ func RunMultiprocHashExchange(visits int64, cached bool) error {
 		}
 		if formatRows(got) != formatRows(want) {
 			return fmt.Errorf("multiproc hash exchange: %q diverged from the local answer", q)
+		}
+	}
+	if cached && broadcast {
+		df, err := dist.SQL(Q3(Q3Params[1]))
+		if err != nil {
+			return err
+		}
+		plan, err := df.Explain()
+		if err != nil {
+			return err
+		}
+		for _, op := range []string{"TopK n=1 [", "FusedHashAggregate", "FusedBroadcastHashJoin"} {
+			if !strings.Contains(plan, op) {
+				return fmt.Errorf("multiproc hash exchange: Q3b's plan lacks %s:\n%s", op, plan)
+			}
 		}
 	}
 	if n := dist.RDDContext().RemoteFallbacks(); n != 0 {

@@ -49,9 +49,9 @@ func TestMultiprocHashExchange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process suite in -short mode")
 	}
-	for _, cached := range []bool{false, true} {
-		if err := experiments.RunMultiprocHashExchange(6000, cached); err != nil {
-			t.Fatalf("cached=%v: %v", cached, err)
+	for _, c := range []struct{ cached, broadcast bool }{{false, false}, {true, false}, {true, true}} {
+		if err := experiments.RunMultiprocHashExchange(6000, c.cached, c.broadcast); err != nil {
+			t.Fatalf("cached=%v broadcast=%v: %v", c.cached, c.broadcast, err)
 		}
 	}
 }

@@ -176,29 +176,21 @@ func rewriteAt(p SparkPlan, path []int, f func(SparkPlan) (SparkPlan, error)) (S
 func applyDecision(p SparkPlan, d Decision) (SparkPlan, error) {
 	switch d.Kind {
 	case "coalesce":
-		switch n := p.(type) {
+		c := p.WithNewChildren(p.Children()) // a copy
+		switch n := c.(type) {
 		case *ShuffledHashJoinExec:
-			c := *n
-			c.Partitions = d.Parts
-			c.SetAdapted(d.Note)
-			return &c, nil
+			n.Partitions = d.Parts
 		case *SortMergeJoinExec:
-			c := *n
-			c.Partitions = d.Parts
-			c.SetAdapted(d.Note)
-			return &c, nil
+			n.Partitions = d.Parts
 		case *HashAggregateExec:
-			c := *n
-			c.Partitions = d.Parts
-			c.SetAdapted(d.Note)
-			return &c, nil
+			n.Partitions = d.Parts
 		case *SortExec:
-			c := *n
-			c.Partitions = d.Parts
-			c.SetAdapted(d.Note)
-			return &c, nil
+			n.Partitions = d.Parts
+		default:
+			return nil, fmt.Errorf("physical: coalesce decision on %T", p)
 		}
-		return nil, fmt.Errorf("physical: coalesce decision on %T", p)
+		c.(AdaptiveAnnotated).SetAdapted(d.Note)
+		return c, nil
 	case "skew":
 		n, ok := p.(*ShuffledHashJoinExec)
 		if !ok {
@@ -270,7 +262,7 @@ type adaptiveDriver struct {
 // *inputs* above them).
 func transparent(p SparkPlan) bool {
 	switch p.(type) {
-	case *ProjectExec, *FilterExec, *SortExec, *LimitExec, *UnionExec, *SampleExec,
+	case *ProjectExec, *FilterExec, *SortExec, *LimitExec, *TopKExec, *UnionExec, *SampleExec,
 		*HashAggregateExec, *ShuffledHashJoinExec, *SortMergeJoinExec,
 		*BroadcastHashJoinExec, *NestedLoopJoinExec:
 		return true

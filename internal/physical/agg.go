@@ -42,13 +42,7 @@ func (h *HashAggregateExec) WithNewChildren(children []SparkPlan) SparkPlan {
 	c.Child = children[0]
 	return &c
 }
-func (h *HashAggregateExec) Output() []*expr.AttributeReference {
-	out := make([]*expr.AttributeReference, len(h.Aggs))
-	for i, e := range h.Aggs {
-		out[i] = e.(expr.Named).ToAttribute()
-	}
-	return out
-}
+func (h *HashAggregateExec) Output() []*expr.AttributeReference { return namedAttrs(h.Aggs) }
 func (h *HashAggregateExec) SimpleString() string {
 	return fmt.Sprintf("HashAggregate keys=[%s] results=[%s]",
 		exprListString(h.Grouping), exprListString(h.Aggs))

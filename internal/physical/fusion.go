@@ -35,12 +35,14 @@ type FusionAnnotated interface{ Fusion() string }
 // Fuse is the preparation rule, run after Vectorize, that absorbs an
 // aggregation or a broadcast-hash-join probe into the batch pipeline feeding
 // it. Admission is one condition — the input (a join's probe side) is a
-// vectorized pipeline or a bare batch scan — because the sinks cover every
-// shape: the generic group table serves any key, a key or aggregate input
-// without a native kernel runs through the boxed per-row fallback, and the
-// probe loop is the row join's own, for every join type and residual.
+// vectorized pipeline or a bare batch scan, and a fused join is itself a
+// batch scan to whatever sits on it — because the sinks cover every shape:
+// the generic group table serves any key, a key or aggregate input without a
+// native kernel runs through the boxed per-row fallback, and the probe loop
+// is the row join's own, for every join type and residual.
 func Fuse(p SparkPlan) SparkPlan {
 	return transformUp(p, func(p SparkPlan) SparkPlan {
+		p = vectorize(p) // a pipeline over a join just fused sits on a batch scan only now
 		switch n := p.(type) {
 		case *HashAggregateExec:
 			vp := fusablePipe(n.Child)

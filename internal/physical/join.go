@@ -138,20 +138,22 @@ func bindKeys(ctx *ExecContext, keys []expr.Expression, input []*expr.AttributeR
 	return out
 }
 
+// canonF64 is the one representative of the float64s equality calls equal.
+func canonF64(x float64) float64 {
+	if x == 0 {
+		return 0
+	} else if x != x {
+		return math.NaN()
+	}
+	return x
+}
+
 func canonFloat(v any) any {
 	switch x := v.(type) {
 	case float64:
-		if x == 0 {
-			return float64(0)
-		} else if x != x {
-			return math.NaN()
-		}
+		return canonF64(x)
 	case float32:
-		if x == 0 {
-			return float32(0)
-		} else if x != x {
-			return float32(math.NaN())
-		}
+		return float32(canonF64(float64(x)))
 	}
 	return v
 }

@@ -1,8 +1,10 @@
 package physical
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,23 +39,27 @@ func (s *SortExec) WithNewChildren(children []SparkPlan) SparkPlan {
 }
 func (s *SortExec) Output() []*expr.AttributeReference { return s.Child.Output() }
 func (s *SortExec) SimpleString() string {
-	os := make([]expr.Expression, len(s.Orders))
-	for i, o := range s.Orders {
-		os[i] = o
-	}
-	return fmt.Sprintf("Sort [%s] global=%v", exprListString(os), s.Global)
+	return fmt.Sprintf("Sort [%s] global=%v", ordersString(s.Orders), s.Global)
 }
 func (s *SortExec) String() string { return Format(s) }
 
-func (s *SortExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	input := s.Child.Output()
-	evals := make([]func(row.Row) any, len(s.Orders))
-	desc := make([]bool, len(s.Orders))
-	for i, o := range s.Orders {
+func ordersString(orders []*expr.SortOrder) string {
+	os := make([]expr.Expression, len(orders))
+	for i, o := range orders {
+		os[i] = o
+	}
+	return exprListString(os)
+}
+
+// sortLess binds a sort order over rows of input.
+func sortLess(ctx *ExecContext, orders []*expr.SortOrder, input []*expr.AttributeReference) func(a, b row.Row) bool {
+	evals := make([]func(row.Row) any, len(orders))
+	desc := make([]bool, len(orders))
+	for i, o := range orders {
 		evals[i] = ctx.evaluator(bind(o.Child, input))
 		desc[i] = o.Descending
 	}
-	less := func(a, b row.Row) bool {
+	return func(a, b row.Row) bool {
 		for i, ev := range evals {
 			c := row.Compare(ev(a), ev(b))
 			if desc[i] {
@@ -65,6 +71,10 @@ func (s *SortExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		}
 		return false
 	}
+}
+
+func (s *SortExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
+	less := sortLess(ctx, s.Orders, s.Child.Output())
 	child := s.Child.Execute(ctx)
 	if s.Global {
 		child = rangePartition(ctx, child, less, s.Partitions)
@@ -131,6 +141,81 @@ func (l *LimitExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		}
 		return out, err
 	})
+}
+
+// topKMax is the largest LIMIT that plans, directly over a global ORDER BY, as
+// a TopKExec: its n candidates per child partition are held outside the memory
+// budget, harmless up to here; past it SortExec, whose runs spill, keeps the job.
+const topKMax = 1000
+
+// TopKExec is ORDER BY ... LIMIT n for n up to topKMax: every child partition
+// keeps its n first rows under the sort order in a bounded heap, and one task
+// merges the partitions' candidates — no sampling exchange, no full sort. Ties
+// break on (child partition, input position): the order the stable
+// range-partitioned sort and the limit over it produce.
+type TopKExec struct {
+	PlanEstimate
+	PlanMetrics
+	N      int
+	Orders []*expr.SortOrder
+	Child  SparkPlan
+}
+
+func (t *TopKExec) Children() []SparkPlan { return []SparkPlan{t.Child} }
+func (t *TopKExec) WithNewChildren(children []SparkPlan) SparkPlan {
+	c := *t
+	c.Child = children[0]
+	return &c
+}
+func (t *TopKExec) Output() []*expr.AttributeReference { return t.Child.Output() }
+func (t *TopKExec) SimpleString() string {
+	return fmt.Sprintf("TopK n=%d [%s]", t.N, ordersString(t.Orders))
+}
+func (t *TopKExec) String() string { return Format(t) }
+
+func (t *TopKExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
+	less := sortLess(ctx, t.Orders, t.Child.Output())
+	om := t.EnableMetrics(ctx.Metrics)
+	tops := rdd.MapPartitions(t.Child.Execute(ctx), func(_ int, in []row.Row) []row.Row {
+		out := topRows(in, t.N, less)
+		if om != nil {
+			om.InputRows.Add(int64(len(in)))
+			om.KeptRows.Add(int64(len(out)))
+		}
+		return out
+	})
+	// Lazy, like the limit: the child runs as a nested job inside the merge task.
+	return rdd.GenerateCtx(ctx.RDD, "topK", 1, func(jc context.Context, _ int) ([]row.Row, error) {
+		start := time.Now()
+		parts, err := tops.CollectPartitionsContext(jc)
+		if err != nil {
+			return nil, err
+		}
+		out := topRows(slices.Concat(parts...), t.N, less)
+		om.RecordPartition(len(out), time.Since(start))
+		return out, nil
+	})
+}
+
+// topRows returns the n first rows of in under less, sorted, equal rows in
+// input order. The heap is the external sort's merge heap under the reversed
+// order with the negated position as tie-break, so its root is the worst row
+// kept: a row that does not beat it is dropped, one that does replaces it.
+func topRows(in []row.Row, n int, less func(a, b row.Row) bool) []row.Row {
+	h := &mergeHeap{less: func(a, b row.Row) bool { return less(b, a) }}
+	for i, r := range in {
+		if len(h.items) < n {
+			heap.Push(h, &runCursor{head: r, idx: -i})
+		} else if worst := h.items[0]; less(r, worst.head) {
+			worst.head, worst.idx = r, -i
+			heap.Fix(h, 0)
+		}
+	}
+	out := make([]row.Row, len(h.items))
+	for k := len(out) - 1; k >= 0; k-- {
+		out[k] = heap.Pop(h).(*runCursor).head
+	}
+	return out
 }
 
 // UnionExec concatenates children partitions.

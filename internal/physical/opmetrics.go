@@ -25,9 +25,12 @@ type OperatorMetrics struct {
 	BuildBytes atomic.Int64 // estimated build-side bytes (joins)
 	SpillBytes atomic.Int64 // bytes written to spill files
 	SpillRuns  atomic.Int64 // spill events (sorted runs / hash-partition flushes)
+	InputRows  atomic.Int64 // rows a top-K read
+	KeptRows   atomic.Int64 // rows its per-partition heaps kept for the merge
 	// Table names the group table a hash join builds (i64, str, pair or
-	// generic). Execute sets it before any task runs.
-	Table string
+	// generic), Emits what a fused join hands its consumer (rows or batches).
+	// Execute sets them before any task runs.
+	Table, Emits string
 }
 
 // RecordPartition records one partition's output and elapsed wall time.
@@ -80,6 +83,12 @@ func (m *OperatorMetrics) ActualString() string {
 		if m.Table != "" {
 			s += ", table=" + m.Table
 		}
+	}
+	if m.Emits != "" {
+		s += ", emits " + m.Emits
+	}
+	if in := m.InputRows.Load(); in > 0 {
+		s += fmt.Sprintf(", %d rows in, %d kept", in, m.KeptRows.Load())
 	}
 	if n := m.Batches.Load(); n > 0 {
 		s += fmt.Sprintf(", %d batches", n)

@@ -309,7 +309,10 @@ func cachedScan(attrs []*expr.AttributeReference, rows []row.Row) SparkPlan {
 // (the fused one for every type a join may broadcast), compiled and
 // interpreted, with and without a residual predicate — NULL keys on both
 // sides, duplicate build keys and empty sides included. The
-// shuffled joins run a 3-reducer exchange with SkewSplits unset.
+// shuffled joins run a 3-reducer exchange with SkewSplits unset. The fused
+// join runs for a row consumer and for two batch consumers: a fused aggregate
+// grouping on every output column (its groups are the join's rows, which the
+// id columns keep distinct), and a second fused join probing from its output.
 func TestHashJoinsMatchReference(t *testing.T) {
 	joinTypes := []plan.JoinType{
 		plan.InnerJoin, plan.LeftOuterJoin, plan.RightOuterJoin,
@@ -332,7 +335,7 @@ func TestHashJoinsMatchReference(t *testing.T) {
 						cond = expr.LT(lid, rid)
 					}
 					want := referenceJoin(leftRows, rightRows, nk+1, nk+1, jt, oracleKey(nk), oracleKey(nk), match)
-					check := func(label string, p SparkPlan) {
+					check := func(label string, p SparkPlan, want []row.Row) {
 						t.Helper()
 						for _, codegen := range []bool{true, false} {
 							got := collect(t, p, execCtx(codegen))
@@ -348,13 +351,13 @@ func TestHashJoinsMatchReference(t *testing.T) {
 						LeftKeys: plan.AttrExprs(leftAttrs[:nk]), RightKeys: plan.AttrExprs(rightAttrs[:nk]),
 						Type: jt, Residual: cond,
 					}
-					check("shuffled", &ShuffledHashJoinExec{EquiJoin: ej})
+					check("shuffled", &ShuffledHashJoinExec{EquiJoin: ej}, want)
 					canRight, canLeft := canBuildSides(jt)
 					for _, buildRight := range []bool{true, false} {
 						if (buildRight && !canRight) || (!buildRight && !canLeft) {
 							continue
 						}
-						check("broadcast", &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: buildRight})
+						check("broadcast", &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: buildRight}, want)
 						// The same join probing from a cached leaf: always
 						// fused, the keys read by kernels — NaN and -0.0, the
 						// DECIMAL and the three-column key included.
@@ -370,7 +373,7 @@ func TestHashJoinsMatchReference(t *testing.T) {
 							t.Fatalf("%s %s buildRight=%v residual=%v: want a fused join noting %q\n%s",
 								shape.name, jt, buildRight, residual, note, p)
 						}
-						check("over cache", p)
+						check("over cache", p, want)
 					}
 				}
 			}

@@ -23,33 +23,9 @@ func (p *ProjectExec) WithNewChildren(children []SparkPlan) SparkPlan {
 	c.Child = children[0]
 	return &c
 }
-func (p *ProjectExec) Output() []*expr.AttributeReference {
-	out := make([]*expr.AttributeReference, len(p.List))
-	for i, e := range p.List {
-		out[i] = e.(expr.Named).ToAttribute()
-	}
-	return out
-}
+func (p *ProjectExec) Output() []*expr.AttributeReference { return namedAttrs(p.List) }
 func (p *ProjectExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	bound := bindAll(p.List, p.Child.Output())
-	evals := make([]func(row.Row) any, len(bound))
-	for i, e := range bound {
-		evals[i] = ctx.evaluator(e)
-	}
-	om := p.EnableMetrics(ctx.Metrics)
-	return rdd.MapPartitions(p.Child.Execute(ctx), func(_ int, in []row.Row) []row.Row {
-		start := time.Now()
-		out := make([]row.Row, len(in))
-		for i, r := range in {
-			o := make(row.Row, len(evals))
-			for j, ev := range evals {
-				o[j] = ev(r)
-			}
-			out[i] = o
-		}
-		om.RecordPartition(len(out), time.Since(start))
-		return out
-	})
+	return runStage(ctx, &p.PlanMetrics, stage{list: p.List}, p.Child)
 }
 func (p *ProjectExec) SimpleString() string { return "Project [" + exprListString(p.List) + "]" }
 func (p *ProjectExec) String() string       { return Format(p) }
@@ -70,22 +46,17 @@ func (f *FilterExec) WithNewChildren(children []SparkPlan) SparkPlan {
 }
 func (f *FilterExec) Output() []*expr.AttributeReference { return f.Child.Output() }
 func (f *FilterExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	pred := ctx.predicate(bind(f.Cond, f.Child.Output()))
-	om := f.EnableMetrics(ctx.Metrics)
-	return rdd.MapPartitions(f.Child.Execute(ctx), func(_ int, in []row.Row) []row.Row {
-		start := time.Now()
-		out := make([]row.Row, 0, len(in))
-		for _, r := range in {
-			if pred(r) {
-				out = append(out, r)
-			}
-		}
-		om.RecordPartition(len(out), time.Since(start))
-		return out
-	})
+	return runStage(ctx, &f.PlanMetrics, stage{isFilter: true, cond: f.Cond}, f.Child)
 }
 func (f *FilterExec) SimpleString() string { return fmt.Sprintf("Filter %s", f.Cond) }
 func (f *FilterExec) String() string       { return Format(f) }
+
+// runStage executes an uncollapsed projection or filter as a one-stage
+// pipeline that records into the operator's own metrics.
+func runStage(ctx *ExecContext, pm *PlanMetrics, st stage, child SparkPlan) *rdd.RDD[row.Row] {
+	pm.EnableMetrics(ctx.Metrics)
+	return (&PipelineExec{PlanMetrics: *pm, Stages: []stage{st}, Child: child}).Execute(ctx)
+}
 
 // stage is one step of a fused pipeline.
 type stage struct {
@@ -139,11 +110,7 @@ func (p *PipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 			evals[j] = ctx.evaluator(e)
 		}
 		stages[i] = compiledStage{evals: evals}
-		out := make([]*expr.AttributeReference, len(st.list))
-		for j, e := range st.list {
-			out[j] = e.(expr.Named).ToAttribute()
-		}
-		attrs = out
+		attrs = namedAttrs(st.list)
 	}
 	om := p.EnableMetrics(ctx.Metrics)
 	return rdd.MapPartitions(p.Child.Execute(ctx), func(_ int, in []row.Row) []row.Row {

@@ -163,6 +163,10 @@ func (pl *Planner) translateNode(lp plan.LogicalPlan) (SparkPlan, error) {
 		if err != nil {
 			return nil, err
 		}
+		// ORDER BY ... LIMIT n, for a small n, is a top-K.
+		if s, ok := child.(*SortExec); ok && s.Global && 0 < n.N && n.N <= topKMax {
+			return &TopKExec{N: n.N, Orders: s.Orders, Child: s.Child}, nil
+		}
 		return &LimitExec{N: n.N, Child: child}, nil
 	case *plan.Union:
 		kids := make([]SparkPlan, len(n.Kids))

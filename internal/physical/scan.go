@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -54,7 +55,9 @@ type BatchScan interface {
 // BatchSource is an opened BatchScan.
 type BatchSource struct {
 	NumPartitions int
-	// Batches opens partition p. Each call of the function it returns
+	// Batches opens partition p under the task's context: a fused join runs
+	// its build and probe there, which can fail or be cancelled (a leaf scan
+	// returns no error). Each call of the function it returns
 	// yields the partition's next batch, and false after the last: Cols[j]
 	// is output position j as a typed vector (nil where used[j] was false),
 	// N the batch's row count, and Sel the ascending positions that survive
@@ -63,7 +66,7 @@ type BatchSource struct {
 	// only; an empty Sel may come with nil vectors. A batch is valid until
 	// the next call, and its Sel must not be written to. The scan records
 	// its own metrics (batches, rows decoded, rows selected).
-	Batches func(p int) func() (datasource.Batch, bool)
+	Batches func(jc context.Context, p int) (func() (datasource.Batch, bool), error)
 }
 
 // NewLocalScan scans in-memory rows, splitting them across the default
@@ -230,7 +233,7 @@ func (s *SourceBatchScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSo
 	}
 	skipped := ctx.RDD.Metrics().Counter(s.source + ".groups.skipped")
 	pruned := ctx.RDD.Metrics().Counter(s.source + ".rows.pruned")
-	return BatchSource{NumPartitions: scan.NumPartitions, Batches: func(p int) func() (datasource.Batch, bool) {
+	return BatchSource{NumPartitions: scan.NumPartitions, Batches: func(_ context.Context, p int) (func() (datasource.Batch, bool), error) {
 		batches, stats := scan.Partition(p)
 		skipped.Add(int64(stats.GroupsSkipped))
 		pruned.Add(int64(stats.RowsPruned))
@@ -247,7 +250,7 @@ func (s *SourceBatchScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSo
 			}
 			b.Cols = out
 			return b, true
-		}
+		}, nil
 	}}
 }
 
@@ -318,7 +321,7 @@ func (s *InMemoryScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSourc
 		}
 	}
 	ident := identitySel(longest)
-	return BatchSource{NumPartitions: len(s.Table.Partitions), Batches: func(p int) func() (datasource.Batch, bool) {
+	return BatchSource{NumPartitions: len(s.Table.Partitions), Batches: func(_ context.Context, p int) (func() (datasource.Batch, bool), error) {
 		rest := s.Table.Partitions[p]
 		return func() (datasource.Batch, bool) {
 			for len(rest) > 0 {
@@ -331,7 +334,7 @@ func (s *InMemoryScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSourc
 				return datasource.Batch{Cols: b.DecodeBatch(colTypes, ords), N: b.NumRows, Sel: ident[:b.NumRows:b.NumRows]}, true
 			}
 			return datasource.Batch{}, false
-		}
+		}, nil
 	}}
 }
 func (s *InMemoryScanExec) SimpleString() string {

@@ -1,7 +1,7 @@
 package physical
 
 import (
-	"fmt"
+	"context"
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
@@ -11,13 +11,13 @@ import (
 )
 
 // FusedAggregateExec is the whole-stage fusion of a vectorized pipeline
-// with its aggregation sink: batches flow scan → filter → project →
-// hash-aggregate update without ever materializing intermediate rows. The
-// phase-1 group tables are type-specialized on the common key shapes
-// (single int64, single string, (int64, int64)) so grouping never boxes or
-// builds key strings on the hot path, and the partial state leaves as typed
-// columnar blocks (aggBlock); everything after the partial flush — the
-// exchange, the final merge, and the grace-partitioned spill path — is
+// with its aggregation sink: batches flow scan (or fused join probe) → filter
+// → project → hash-aggregate update without ever materializing intermediate
+// rows. The phase-1 group tables are type-specialized on the common key
+// shapes (single int64, single string, (int64, int64)) so grouping never
+// boxes or builds key strings on the hot path, and the partial state leaves
+// as typed columnar blocks (aggBlock); everything after the partial flush —
+// the exchange, the final merge, and the grace-partitioned spill path — is
 // HashAggregateExec's own phase 2, shared verbatim with the row phase 1.
 type FusedAggregateExec struct {
 	PlanEstimate
@@ -37,11 +37,8 @@ func (f *FusedAggregateExec) WithNewChildren(children []SparkPlan) SparkPlan {
 	return &c
 }
 func (f *FusedAggregateExec) Output() []*expr.AttributeReference { return f.Agg.Output() }
-func (f *FusedAggregateExec) SimpleString() string {
-	return fmt.Sprintf("FusedHashAggregate keys=[%s] results=[%s]",
-		exprListString(f.Agg.Grouping), exprListString(f.Agg.Aggs))
-}
-func (f *FusedAggregateExec) String() string { return Format(f) }
+func (f *FusedAggregateExec) SimpleString() string               { return "Fused" + f.Agg.SimpleString() }
+func (f *FusedAggregateExec) String() string                     { return Format(f) }
 
 func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	h := f.Agg
@@ -55,14 +52,14 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	numPart := h.reducers(ctx)
 	boxedKernels := int64(len(k.fallbacks))
 
-	blocks := rdd.Generate(ctx.RDD, "fusedAgg", vp.src.NumPartitions, func(p int) []aggBlock {
+	blocks := rdd.GenerateCtx(ctx.RDD, "fusedAgg", vp.src.NumPartitions, func(jc context.Context, p int) ([]aggBlock, error) {
 		// Per-partition mutable state: the group index table and one set of
 		// typed state lanes per aggregate.
 		groups, _ := newGroupIndexer(keyTypes, k.native, 0)
 		lanes := k.newLanes()
 		var gidx []int32
 		gvecs := make([]*columnar.Vector, len(k.keyEvals))
-		vp.each(p, func(batch *expr.VecBatch, live []int32) {
+		err := vp.each(jc, p, func(batch *expr.VecBatch, live []int32) {
 			for i, gv := range k.keyEvals {
 				gvecs[i] = gv(batch, live)
 			}
@@ -75,7 +72,7 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 				vp.fallbackRows.Add(int64(len(live)) * boxedKernels)
 			}
 		})
-		return splitGroups(groups, lanes, numPart)
+		return splitGroups(groups, lanes, numPart), err
 	})
 
 	return h.finalMerge(ctx, om, blocks, numPart, k.fns, k.newLanes, k.results)

@@ -2,26 +2,29 @@ package physical
 
 import (
 	"context"
+	"math"
 	"slices"
 	"time"
 
 	"repro/internal/columnar"
+	"repro/internal/datasource"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/rdd"
 	"repro/internal/row"
+	"repro/internal/types"
 )
 
 // FusedBroadcastJoinExec is the whole-stage fusion of a vectorized pipeline
 // with a broadcast-hash-join probe: the build side is loaded once into a
 // joinTable, and the probe loop reads join keys straight off the pipeline's
-// column vectors, boxing a probe row only when it reaches the output (a match,
-// a null-extension, a residual's candidate). The probe pipeline is whichever
-// input BroadcastHashJoinExec would stream — the left when the build side is
-// the right one, the right otherwise — and the emitted rows are byte-identical
-// to the row join's, for every join type, key shape and residual: left cells
-// before right cells, probe rows in pipeline order, matches in build-collect
-// order.
+// column vectors. The probe pipeline is whichever input BroadcastHashJoinExec
+// would stream — the left when the build side is the right one, the right
+// otherwise. It is a BatchScan too: a pipeline, a fused aggregate or another
+// fused join on top takes the output as columns and no row is boxed; a row
+// consumer gets rows. Either way the output is the row join's, for every join
+// type, key shape and residual: left cells before right cells, probe rows in
+// pipeline order, matches in build-collect order.
 type FusedBroadcastJoinExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -71,27 +74,83 @@ func (j *BroadcastHashJoinExec) compileProbeKeys(input []*expr.AttributeReferenc
 }
 
 // canonFloatKernel is bindKeys' floating-point canonicalization for a key
-// that arrives as a kernel's vector instead of a row evaluator's value.
+// that arrives as a kernel's vector instead of a row evaluator's value: on the
+// float64 lane, copied once a -0.0 or NaN turns up in it (it may be the
+// scan's own), or over the boxed values of a key on the scalar fallback.
 func canonFloatKernel(ev expr.VecEval) expr.VecEval {
 	return func(b *expr.VecBatch, sel []int32) *columnar.Vector {
 		v := ev(b, sel)
-		out := columnar.NewAnyVector(v.Type, b.N)
+		if v.Kind != columnar.KindFloat64 {
+			out := columnar.NewAnyVector(v.Type, b.N)
+			for _, i := range sel {
+				out.Set(int(i), canonFloat(v.Get(int(i))))
+			}
+			return out
+		}
+		out, mask := v, v.Mask()
 		for _, i := range sel {
-			out.Set(int(i), canonFloat(v.Get(int(i))))
+			at := int(i) & mask
+			if c := canonF64(v.F64[at]); math.Float64bits(c) != math.Float64bits(v.F64[at]) {
+				if out == v {
+					cp := *v
+					cp.F64 = slices.Clone(v.F64)
+					out = &cp
+				}
+				out.F64[at] = c
+			}
 		}
 		return out
 	}
 }
 
 func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
+	parts, probe := f.open(ctx, nil)
+	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", parts, func(jc context.Context, p int) ([]row.Row, error) {
+		pr, err := probe(jc, p)
+		if err != nil {
+			return nil, err
+		}
+		return pr.finish(), nil
+	})
+}
+
+// OpenBatches implements BatchScan: a partition's output is one batch, every
+// position selected, holding the columns the consumer marked used.
+func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) BatchSource {
+	parts, probe := f.open(ctx, used)
+	return BatchSource{NumPartitions: parts, Batches: func(jc context.Context, p int) (func() (datasource.Batch, bool), error) {
+		pr, err := probe(jc, p)
+		if err != nil {
+			return nil, err
+		}
+		b, more := datasource.Batch{Cols: pr.cols, N: len(pr.bo), Sel: identitySel(len(pr.bo))}, true
+		return func() (datasource.Batch, bool) {
+			ok := more
+			more = false
+			return b, ok
+		}, nil
+	}}
+}
+
+// open binds the join for one execution and returns its partition count and
+// the probe of one partition. used marks the output positions a batch
+// consumer reads; nil asks for rows.
+func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, func(context.Context, int) (*joinProbe, error)) {
 	j := f.Join
 	pipe := j.probeSide().(*VectorizedPipelineExec)
 	om := f.EnableMetrics(ctx.Metrics)
+	if om != nil {
+		om.Emits = "rows"
+		if used != nil {
+			om.Emits = "batches"
+		}
+	}
 	k := j.compileProbeKeys(pipe.Output())
 	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, k.typed)
 	hj.broadcast = j.buildSide().Execute(ctx)
 	vp := pipe.compile(ctx, om, nil)
-	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", vp.src.NumPartitions, func(jc context.Context, p int) ([]row.Row, error) {
+	out := f.Output()
+	return vp.src.NumPartitions, func(jc context.Context, p int) (*joinProbe, error) {
 		ht, err := hj.broadcastTable(jc)
 		if err != nil {
 			return nil, err
@@ -99,13 +158,17 @@ func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		start := time.Now()
 		var batch *expr.VecBatch
 		// The probe cells are boxed straight into the output row.
-		probe := hj.newProbe(ht, func(i int, dst row.Row) {
-			for c, v := range batch.Cols {
-				dst[c] = v.Get(i)
+		probe := hj.newProbe(ht, func(i int, dst row.Row) { batch.RowInto(i, dst) })
+		if used != nil { // the probe columns: gather appends to them batch by batch
+			probe.cols = make([]*columnar.Vector, len(used))
+			for c := range pipe.Output() {
+				if at := hj.probeAt + c; used[at] {
+					probe.cols[at] = expr.NewClassVector(out[at].DataType(), 0)
+				}
 			}
-		})
+		}
 		kvecs := make([]*columnar.Vector, len(k.evals))
-		vp.each(p, func(b *expr.VecBatch, live []int32) {
+		err = vp.each(jc, p, func(b *expr.VecBatch, live []int32) {
 			for i, kv := range k.evals {
 				kvecs[i] = kv(b, live)
 			}
@@ -114,11 +177,16 @@ func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 			}
 			batch = b
 			probe.batch(kvecs, live)
+			probe.gather(b.Cols)
 		})
-		out := probe.finish()
-		om.RecordPartition(len(out), time.Since(start))
-		return out, nil
-	})
+		for c := range used { // the build columns: the rest of the used ones
+			if used[c] && probe.cols[c] == nil {
+				probe.cols[c] = probe.buildColumn(c-hj.buildAt, out[c].DataType())
+			}
+		}
+		om.RecordPartition(len(probe.bo)+len(probe.out), time.Since(start))
+		return probe, err
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -190,12 +258,14 @@ func anyNull(vecs []*columnar.Vector, i int) bool {
 }
 
 // joinProbe is one task's probe of a joinTable — the one probe loop, and the
-// one place a joined row is laid out, null-extended, semi-joined or tested
-// against the residual, behind the broadcast, shuffled and fused hash joins.
-// The join type is read from the probe side: an outer join preserves the
-// probe rows (LEFT OUTER probes from the left, RIGHT OUTER from the right, FULL
-// OUTER additionally tracks which build rows matched), and LEFT SEMI emits a
-// probe row once if anything matches.
+// one place a joined row is null-extended, semi-joined or tested against the
+// residual, behind the broadcast, shuffled and fused hash joins. It yields
+// (probe position, build ordinal) pairs: emit boxes one into an output row for
+// a row consumer, or keeps it for a batch consumer's columns. The join type is
+// read from the probe side: an outer join preserves the probe rows (LEFT OUTER
+// probes from the left, RIGHT OUTER from the right, FULL OUTER additionally
+// tracks which build rows matched), and LEFT SEMI emits a probe row once if
+// anything matches.
 type joinProbe struct {
 	h *hashJoin
 	t *joinTable
@@ -204,6 +274,12 @@ type joinProbe struct {
 	// pipeline.
 	fill func(i int, dst row.Row)
 	out  []row.Row
+	// cols, when non-nil, are the output columns of a batch consumer (nil
+	// where it reads none). bo holds the build ordinal of every output pair of
+	// the partition, -1 where there is no build row, and pi the probe position
+	// of those of the batch being probed, until gather.
+	cols   []*columnar.Vector
+	pi, bo []int32
 	// matched (FULL OUTER only) marks the build rows some probe row matched;
 	// the rest — NULL-keyed ones included — are the join's remainder.
 	matched []bool
@@ -227,9 +303,10 @@ func (p *joinProbe) candidate(i int32) row.Row {
 }
 
 // batch probes the live rows of one batch of key vectors, in order; a probe
-// row's matches come out in build-collect order. Each match is written into a
-// candidate output row, which the residual then accepts — it is emitted as is —
-// or rejects, leaving it for the probe row's next match.
+// row's matches come out in build-collect order. With a residual each match
+// is first written into a candidate output row, which the residual accepts —
+// a row consumer gets it as is — or rejects, leaving it for the probe row's
+// next match.
 func (p *joinProbe) batch(kvecs []*columnar.Vector, live []int32) {
 	h, t := p.h, p.t
 	semi := h.jt == plan.LeftSemiJoin
@@ -240,12 +317,14 @@ func (p *joinProbe) batch(kvecs []*columnar.Vector, live []int32) {
 		matched := false
 		if g := p.gidx[k]; g >= 0 {
 			for _, o := range t.ords[t.offsets[g]:t.offsets[g+1]] {
-				if cand == nil {
-					cand = p.candidate(i)
-				}
-				copy(cand[h.buildAt:], t.rows[o])
-				if h.residual != nil && !h.residual(cand) {
-					continue
+				if h.residual != nil {
+					if cand == nil {
+						cand = p.candidate(i)
+					}
+					copy(cand[h.buildAt:], t.rows[o])
+					if !h.residual(cand) {
+						continue
+					}
 				}
 				matched = true
 				if semi {
@@ -254,18 +333,64 @@ func (p *joinProbe) batch(kvecs []*columnar.Vector, live []int32) {
 				if p.matched != nil {
 					p.matched[o] = true
 				}
-				p.out = append(p.out, cand)
-				cand = nil
+				cand = p.emit(i, o, cand)
 			}
 		}
-		switch {
+		switch { // both pair the probe row with no build row
 		case semi && matched:
-			// LEFT SEMI builds right: the left row is the candidate's prefix.
-			p.out = append(p.out, cand[:h.buildAt:h.buildAt])
+			p.emit(i, -1, cand)
 		case outer && !matched:
-			p.out = append(p.out, p.candidate(i)) // not cand: a rejected one holds build cells
+			p.emit(i, -1, nil) // not cand: a rejected one holds build cells
 		}
 	}
+}
+
+// emit outputs probe row i joined to build row o, or to none when o is -1. A
+// batch consumer gets the pair and cand, the residual's scratch row if there is
+// one, stays with the caller; a row consumer gets cand, or a fresh row.
+func (p *joinProbe) emit(i, o int32, cand row.Row) row.Row {
+	if p.cols != nil {
+		p.pi, p.bo = append(p.pi, i), append(p.bo, o)
+		return cand
+	}
+	if cand == nil {
+		if cand = p.candidate(i); o >= 0 {
+			copy(cand[p.h.buildAt:], p.t.rows[o])
+		}
+	}
+	if p.h.jt == plan.LeftSemiJoin {
+		// LEFT SEMI builds right: the left row is the candidate's prefix.
+		cand = cand[:p.h.buildAt:p.h.buildAt]
+	}
+	p.out = append(p.out, cand)
+	return nil
+}
+
+// gather appends the probe cells of the batch just probed, through its pairs'
+// positions, to a batch consumer's columns: until the last batch all probe ones.
+func (p *joinProbe) gather(probeCols []*columnar.Vector) {
+	for c, out := range p.cols {
+		if out != nil {
+			for _, i := range p.pi {
+				out.Append(probeCols[c-p.h.probeAt], int(i))
+			}
+		}
+	}
+	p.pi = p.pi[:0]
+}
+
+// buildColumn is build column c of the partition's output pairs: the boxed
+// build cells unboxed into a lane through the ordinals.
+func (p *joinProbe) buildColumn(c int, t types.DataType) *columnar.Vector {
+	v := expr.NewClassVector(t, len(p.bo))
+	for k, o := range p.bo {
+		if o >= 0 {
+			v.Set(k, p.t.rows[o][c])
+		} else {
+			v.SetNull(k)
+		}
+	}
+	return v
 }
 
 // finish appends FULL OUTER's remainder — the build rows nothing matched,

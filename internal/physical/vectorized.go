@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -58,11 +59,13 @@ type vecStage struct {
 
 // compileVecStages binds and compiles the stage chain against the scan
 // output. It returns the compiled stages, which scan output positions the
-// first batch must decode (everything a stage references before the first
-// projection replaces the batch — or every column when no projection exists,
-// since all of them survive to materialization), and how many stages
-// compiled natively.
-func compileVecStages(stages []stage, attrs []*expr.AttributeReference) ([]vecStage, []bool, int) {
+// first batch must decode, and how many stages compiled natively. The decode
+// set is everything a stage references before the first projection replaces
+// the batch; with no projection the scan's columns are the pipeline's output,
+// and it adds what the consumer reads of them: the bound expressions sink
+// lists for a fused sink, or, sink being nil, every column — rows materialize
+// in full.
+func compileVecStages(stages []stage, attrs []*expr.AttributeReference, sink []expr.Expression) ([]vecStage, []bool, int) {
 	used := make([]bool, len(attrs))
 	out := make([]vecStage, len(stages))
 	native := 0
@@ -97,11 +100,14 @@ func compileVecStages(stages []stage, attrs []*expr.AttributeReference) ([]vecSt
 			native++
 		}
 		projected = true
-		cur = stageAttrs(st)
+		cur = namedAttrs(st.list)
 	}
 	if !projected {
+		for _, e := range sink {
+			markBoundRefs(e, used)
+		}
 		for j := range used {
-			used[j] = true
+			used[j] = used[j] || sink == nil
 		}
 	}
 	return out, used, native
@@ -121,16 +127,16 @@ func markBoundRefs(e expr.Expression, used []bool) {
 func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	om := v.EnableMetrics(ctx.Metrics)
 	vp := v.compile(ctx, om, nil)
-	return rdd.Generate(ctx.RDD, "cacheScanVec", vp.src.NumPartitions, func(p int) []row.Row {
+	return rdd.GenerateCtx(ctx.RDD, "cacheScanVec", vp.src.NumPartitions, func(jc context.Context, p int) ([]row.Row, error) {
 		start := time.Now()
 		var out []row.Row
-		vp.each(p, func(batch *expr.VecBatch, live []int32) {
+		err := vp.each(jc, p, func(batch *expr.VecBatch, live []int32) {
 			for _, i := range live {
-				out = append(out, boxBatchRow(batch, int(i)))
+				out = append(out, batch.Row(int(i)))
 			}
 		})
 		om.RecordPartition(len(out), time.Since(start))
-		return out
+		return out, err
 	})
 }
 
@@ -143,38 +149,11 @@ type vecPipe struct {
 	fallbackRows *metrics.Counter // vec.fallback.rows
 }
 
-// compile binds the stage chain for execution. sink, when non-nil, lists the
-// bound expressions a fused sink evaluates over the pipeline's output: with
-// no projection stage the pipeline's own decode set is "every column" (rows
-// would materialize in full), but fused, the only consumers are the filters
-// and the sink — so the decode set narrows to exactly those.
+// compile binds the stage chain for execution; sink is compileVecStages'.
 func (v *VectorizedPipelineExec) compile(ctx *ExecContext, om *OperatorMetrics, sink []expr.Expression) *vecPipe {
-	attrs := v.Scan.Output()
-	stages, used, _ := compileVecStages(v.Stages, attrs)
-	if sink != nil && !stagesProject(v.Stages) {
-		for j := range used {
-			used[j] = false
-		}
-		for _, st := range v.Stages {
-			markBoundRefs(bind(st.cond, attrs), used)
-		}
-		for _, e := range sink {
-			markBoundRefs(e, used)
-		}
-	}
+	stages, used, _ := compileVecStages(v.Stages, v.Scan.Output(), sink)
 	return &vecPipe{src: v.Scan.OpenBatches(ctx, used), om: om, stages: stages,
 		fallbackRows: ctx.RDD.Metrics().Counter("vec.fallback.rows")}
-}
-
-// stagesProject reports whether any stage is a projection (which resets the
-// batch schema and therefore the decode set).
-func stagesProject(stages []stage) bool {
-	for _, st := range stages {
-		if !st.isFilter {
-			return true
-		}
-	}
-	return false
 }
 
 // each runs partition p's batches through the stages, starting from the
@@ -183,10 +162,13 @@ func stagesProject(stages []stage) bool {
 // scratch reused across batches and the selection may be the scan's: fn must
 // not retain either past its return. Rows a stage ran through the boxed
 // scalar fallback are counted once per batch.
-func (vp *vecPipe) each(p int, fn func(batch *expr.VecBatch, live []int32)) {
+func (vp *vecPipe) each(jc context.Context, p int, fn func(batch *expr.VecBatch, live []int32)) error {
 	var in expr.VecBatch
 	staged := make([]expr.VecBatch, len(vp.stages))
-	next := vp.src.Batches(p)
+	next, err := vp.src.Batches(jc, p)
+	if err != nil {
+		return err
+	}
 	for b, ok := next(); ok; b, ok = next() {
 		if vp.om != nil {
 			vp.om.Batches.Add(1)
@@ -222,6 +204,7 @@ func (vp *vecPipe) each(p int, fn func(batch *expr.VecBatch, live []int32)) {
 			fn(batch, live)
 		}
 	}
+	return nil
 }
 
 // identitySel is the selection of all n rows.
@@ -233,19 +216,11 @@ func identitySel(n int) []int32 {
 	return sel
 }
 
-// boxBatchRow materializes one row of a batch.
-func boxBatchRow(b *expr.VecBatch, i int) row.Row {
-	r := make(row.Row, len(b.Cols))
-	for j, c := range b.Cols {
-		r[j] = c.Get(i)
-	}
-	return r
-}
-
-// stageAttrs is the output schema of a projection stage.
-func stageAttrs(st stage) []*expr.AttributeReference {
-	out := make([]*expr.AttributeReference, len(st.list))
-	for i, e := range st.list {
+// namedAttrs is the output schema of a list of named expressions (a
+// projection's, an aggregation's results).
+func namedAttrs(list []expr.Expression) []*expr.AttributeReference {
+	out := make([]*expr.AttributeReference, len(list))
+	for i, e := range list {
 		out[i] = e.(expr.Named).ToAttribute()
 	}
 	return out
@@ -255,7 +230,7 @@ func stageAttrs(st stage) []*expr.AttributeReference {
 func stagesOutput(stages []stage, attrs []*expr.AttributeReference) []*expr.AttributeReference {
 	for _, st := range stages {
 		if !st.isFilter {
-			attrs = stageAttrs(st)
+			attrs = namedAttrs(st.list)
 		}
 	}
 	return attrs
@@ -266,20 +241,20 @@ func stagesOutput(stages []stage, attrs []*expr.AttributeReference) []*expr.Attr
 // directly on a BatchScan and at least one fused stage compiles to native
 // batch kernels — otherwise vectorization is pure decode overhead and the
 // row pipeline is kept.
-func Vectorize(p SparkPlan) SparkPlan {
-	return transformUp(p, func(p SparkPlan) SparkPlan {
-		pipe, ok := p.(*PipelineExec)
-		if !ok {
-			return p
-		}
-		scan, ok := pipe.Child.(BatchScan)
-		if !ok {
-			return p
-		}
-		_, _, native := compileVecStages(pipe.Stages, scan.Output())
-		if native == 0 {
-			return p
-		}
-		return transferEstimate(&VectorizedPipelineExec{Stages: pipe.Stages, Scan: scan, Native: native}, pipe)
-	})
+func Vectorize(p SparkPlan) SparkPlan { return transformUp(p, vectorize) }
+
+func vectorize(p SparkPlan) SparkPlan {
+	pipe, ok := p.(*PipelineExec)
+	if !ok {
+		return p
+	}
+	scan, ok := pipe.Child.(BatchScan)
+	if !ok {
+		return p
+	}
+	_, _, native := compileVecStages(pipe.Stages, scan.Output(), nil)
+	if native == 0 {
+		return p
+	}
+	return transferEstimate(&VectorizedPipelineExec{Stages: pipe.Stages, Scan: scan, Native: native}, pipe)
 }

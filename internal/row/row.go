@@ -300,6 +300,13 @@ func (h Hasher) Value(v any) Hasher {
 			h = h.Value(e)
 		}
 		return h
+	case map[any]any:
+		// A map's entries have no order: their hashes fold commutatively.
+		var sum uint64
+		for k, e := range x {
+			sum += NewHasher().Value(k).Value(e).Sum()
+		}
+		return h.word(10, uint64(len(x))).word(10, sum)
 	default:
 		panic(fmt.Sprintf("row: unhashable value of type %T", v))
 	}

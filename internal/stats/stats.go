@@ -99,6 +99,7 @@ func (d *distinctSketch) Estimate() int64 {
 
 // colAcc accumulates one column's statistics.
 type colAcc struct {
+	ordered    bool // the type has an order: min and max are tracked
 	min, max   any
 	nullCount  int64
 	totalWidth int64
@@ -113,13 +114,16 @@ func (c *colAcc) add(v any) {
 	}
 	c.nonNull++
 	c.totalWidth += row.FlatSize(v)
+	c.distinct.Add(row.HashValue(v))
+	if !c.ordered {
+		return // ARRAY, MAP, STRUCT: row.Compare has no order for them
+	}
 	if c.min == nil || row.Compare(v, c.min) < 0 {
 		c.min = v
 	}
 	if c.max == nil || row.Compare(v, c.max) > 0 {
 		c.max = v
 	}
-	c.distinct.Add(row.HashValue(v))
 }
 
 func (c *colAcc) finish() *Column {
@@ -152,7 +156,7 @@ func NewCollector(schema types.StructType) *Collector {
 	}
 	for i, f := range schema.Fields {
 		c.names[i] = strings.ToLower(f.Name)
-		c.cols[i] = &colAcc{distinct: newDistinctSketch()}
+		c.cols[i] = &colAcc{ordered: types.IsOrdered(f.Type), distinct: newDistinctSketch()}
 	}
 	return c
 }

@@ -32,6 +32,15 @@ fi
 echo "internal/physical + internal/expr non-test lines: $(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) (ROADMAP target: <= 7835)"
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
+# The repository's benchmark over tiny tables: every workload's operations are
+# checked against its hand-written oracle, so a wrong answer on any of the
+# seven fails the gate here (the run itself exits 0 and reports the count).
+smoke=$(go run ./bench -smoke -seconds 0.2)
+case "$smoke" in *'"ops_failed": '[1-9]*)
+	echo "bench -smoke: an oracle rejected an answer" >&2
+	exit 1
+	;;
+esac
 PERF_GATE=1 go test -run '^TestMetricsOverheadGate$' -v -timeout 10m ./internal/experiments/
 # Whole-stage fusion gate: fused aggregation must hold its 2x speedup over
 # the unfused vectorized path on the cached Q1 aggregate shape, and run the

@@ -78,6 +78,30 @@ var spillExactQueries = []string{
 	"SELECT grp, val FROM events ORDER BY grp", // tie-heavy: stability must survive spilling
 }
 
+// spillLimits are appended, as LIMIT n, to every spillExactQueries entry: the
+// result must be the first n rows of the un-limited sort, ties included. The
+// first three plan as a TopK (1000 is the largest that does, and as long as a
+// partition of events), the last — past the row count — as Sort + Limit.
+var spillLimits = []int{1, 7, 1000, spillRows + 1000}
+
+// checkLimits runs every spillExactQueries entry under every spillLimits
+// entry against the un-limited result it must be a prefix of.
+func checkLimits(t *testing.T, ctx *Context, wantExact map[string]string) {
+	t.Helper()
+	for _, q := range spillExactQueries {
+		sorted := strings.Split(wantExact[q], "\n")
+		for _, n := range spillLimits {
+			want := strings.Join(sorted[:min(n, len(sorted))], "\n")
+			if got := rowsText(spillCollect(t, ctx, fmt.Sprintf("%s LIMIT %d", q, n))); got != want {
+				t.Errorf("%q LIMIT %d is not the prefix of the un-limited sort", q, n)
+			}
+			if nf := ctx.SpillFS().NumFiles(); nf != 0 {
+				t.Fatalf("%q LIMIT %d left %d spill files", q, n, nf)
+			}
+		}
+	}
+}
+
 // spillCanonQueries are compared as sorted row sets. Aggregation and
 // DISTINCT emission order is nondeterministic even fully in memory (the
 // partial-aggregation phase iterates a Go map), and the budget switches the
@@ -139,6 +163,7 @@ func TestSpillPropertyRandomBudgets(t *testing.T) {
 	for _, q := range spillCanonQueries {
 		wantCanon[q] = canonText(spillCollect(t, golden, q))
 	}
+	checkLimits(t, golden, wantExact)
 
 	budgets := []int64{1, 127, 1 << 10, 16 << 10}
 	rng := rand.New(rand.NewSource(0x5B111))
@@ -164,6 +189,7 @@ func TestSpillPropertyRandomBudgets(t *testing.T) {
 					t.Fatalf("%q left %d spill files at budget %d", q, nf, budget)
 				}
 			}
+			checkLimits(t, ctx, wantExact)
 			for _, q := range spillCanonQueries {
 				if got := canonText(spillCollect(t, ctx, q)); got != wantCanon[q] {
 					t.Errorf("%q diverged from in-memory run at budget %d", q, budget)
