@@ -301,3 +301,21 @@ func TestDMLErrors(t *testing.T) {
 		t.Fatal("SHOW TABLES lost the table")
 	}
 }
+
+// storeTempTable is a tableLeaf: rows committed to a store table in parts
+// transactions, a segment — and so a scan partition — each.
+func storeTempTable(t testing.TB, ctx *Context, schema StructType, rows []Row, name string, parts int) {
+	t.Helper()
+	if err := ctx.Store().CreateTable(name, schema, false); err != nil {
+		t.Fatal(err)
+	}
+	for per := len(rows) / parts; len(rows) > 0; rows = rows[per:] {
+		if _, err := ctx.Store().Insert(name, rows[:per]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A store table built from 300 commits equals the row path through every batch
+// consumer, run as a few tasks.
+func TestSQLManyCommits(t *testing.T) { checkManyPartitions(t, storeTempTable) }

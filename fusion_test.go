@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/datasource/colfile"
@@ -677,3 +678,120 @@ func TestFusionExplain(t *testing.T) {
 		t.Fatalf("Fusion=false lost vectorization:\n%s", oout)
 	}
 }
+
+// manyPartitionQueries run over `many`, a table of 300 ten-row partitions —
+// the many-small-commits shape, which a batch pipeline runs as a few tasks of
+// adjacent partitions — through every consumer of one: the fused aggregate on
+// each group table, a fused join handing rows and handing batches, and the
+// bare pipeline with and without a projection. Sums are over quarters, so no
+// association of them rounds.
+var manyPartitionQueries = []string{
+	"SELECT g, sum(x), count(*), min(s), first(s) FROM many GROUP BY g",
+	"SELECT substr(s, 1, 1), avg(x), count(DISTINCT g) FROM many GROUP BY substr(s, 1, 1)",
+	"SELECT count(*), sum(x), max(s) FROM many WHERE k % 7 > 2",
+	"SELECT k, s, x * 2 FROM many WHERE k % 3 = 0",
+	"SELECT * FROM many WHERE x > 1",
+	"SELECT m.k, m.s, d.label FROM many m JOIN fewdim d ON m.g = d.g",
+	"SELECT m.k, d.label FROM many m LEFT JOIN fewdim d ON m.g = d.g AND m.x > 1 WHERE m.k % 2 = 0",
+	"SELECT d.label, count(*), sum(m.x), min(m.s) FROM many m JOIN fewdim d ON m.g = d.g GROUP BY d.label",
+}
+
+// checkManyPartitions registers `many` (300 partitions) and `fewdim` behind
+// register and holds the fused engine to the row engine over the same leaf,
+// byte for byte and in order: as configured by default, with adaptive
+// execution off, at a one-byte budget (where a broadcast join plans as a
+// sort-merge join and only its row set compares), and with a third of all
+// tasks failing their first attempt.
+func checkManyPartitions(t *testing.T, register tableLeaf) {
+	const parts = 300
+	setup := func(cfg Config) *Context {
+		ctx := NewContextWithConfig(cfg)
+		rows := make([]Row, 10*parts)
+		for i := range rows {
+			rows[i] = Row{int64(i * 7), int64(i % 10), fmt.Sprintf("%c%d", 'a'+i%7, i), float64(i%13) / 4}
+		}
+		register(t, ctx, StructType{}.Add("k", LongType, false).Add("g", LongType, false).Add("s", StringType, false).Add("x", DoubleType, false), rows, "many", parts)
+		var dim []Row
+		for g := 0; g < 7; g++ {
+			dim = append(dim, Row{int64(g), fmt.Sprintf("label%d", g)})
+		}
+		register(t, ctx, StructType{}.Add("g", LongType, false).Add("label", StringType, false), dim, "fewdim", 1)
+		ctx.SpillFS().WriteNanosPerByte = 0
+		ctx.SpillFS().ReadNanosPerByte = 0
+		return ctx
+	}
+	golden := setup(fusedConfig(0, false))
+	for _, v := range []struct {
+		name   string
+		config func() Config
+		canon  bool // joins compare as row sets
+		flaky  bool
+	}{
+		{name: "default", config: func() Config { return fusedConfig(0, true) }},
+		{name: "adaptive off", config: func() Config { cfg := fusedConfig(0, true); cfg.Adaptive = false; return cfg }},
+		{name: "budget=1", config: func() Config { return fusedConfig(1, true) }, canon: true},
+		{name: "task failures", config: func() Config { return fusedConfig(0, true) }, flaky: true},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			if v.canon && testing.Short() {
+				t.Skip("one-byte budget spills per row; skipped in -short")
+			}
+			ctx := setup(v.config())
+			if v.flaky {
+				rc := ctx.RDDContext()
+				rc.SetBackoff(time.Microsecond, 10*time.Microsecond)
+				rc.SetFailureHook(func(name string, p, attempt int) error {
+					if attempt == 1 && (len(name)+p)%3 == 0 {
+						return fmt.Errorf("injected failure of %s[%d]", name, p)
+					}
+					return nil
+				})
+			}
+			tasks, coalesced := ctx.Metrics().Counter("rdd.tasks.run"), ctx.Metrics().Counter("scan.partitions.coalesced")
+			for i, q := range manyPartitionQueries {
+				ran, cut := tasks.Load(), coalesced.Load()
+				got, want := spillCollect(t, ctx, q), spillCollect(t, golden, q)
+				text, replanned := rowsText, v.canon && strings.Contains(q, "JOIN")
+				if replanned {
+					text = canonText
+				}
+				if text(got) != text(want) {
+					t.Errorf("%q diverged from the row path:\n got %.300q\nwant %.300q", q, text(got), text(want))
+				}
+				if cut == coalesced.Load() && !replanned { // a sort-merge join may have no batch pipeline under it
+					t.Errorf("%q: a 300-partition leaf was not cut into runs", q)
+				}
+				// The first query is one leaf stage and one reduce stage on 4
+				// slots: a handful of tasks, where the row engine runs 304.
+				if ran = tasks.Load() - ran; i == 0 && !v.flaky && ran > 2*4+2 {
+					t.Errorf("%q ran %d tasks, want at most 10", q, ran)
+				}
+			}
+			if v.flaky && ctx.RDDContext().TaskRetries() == 0 {
+				t.Fatal("no task attempt failed: the schedule injected nothing")
+			}
+			if v.name != "default" {
+				return
+			}
+			df, err := ctx.SQL(manyPartitionQueries[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			analyzed, err := df.ExplainAnalyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !regexp.MustCompile(`Scan InMemoryColumnar .*tasks: 300 partitions in [4-6] runs`).MatchString(analyzed) {
+				t.Fatalf("EXPLAIN ANALYZE does not show the leaf's task runs:\n%s", analyzed)
+			}
+			events := ctx.EventLog().Events()
+			if stages := events[len(events)-1].Stages; len(stages) == 0 || stages[0].Tasks < 4 || stages[0].Tasks > 6 {
+				t.Fatalf("event log stages %+v: want the leaf stage's run count", stages)
+			}
+		})
+	}
+}
+
+// A cached table of 300 partitions equals the row path through every batch
+// consumer, run as a few tasks.
+func TestFusedManyPartitions(t *testing.T) { checkManyPartitions(t, cacheTempTable) }

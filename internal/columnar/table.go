@@ -45,10 +45,16 @@ func (b *Batch) RowPruned(i int, ordinals []int) row.Row {
 	return r
 }
 
-// CachedTable is a cached DataFrame: per-partition batch lists.
+// CachedTable is a cached DataFrame: per-partition batch lists. It is
+// immutable once built.
 type CachedTable struct {
 	Schema     types.StructType
 	Partitions [][]*Batch
+	// PartBytes is each partition's encoded footprint and LongestBatch the row
+	// count of the longest batch: what a scan needs on every execution,
+	// measured once by whoever assembles Partitions.
+	PartBytes    []int64
+	LongestBatch int
 	// Stats are table-level statistics (row count, size, per-column
 	// min/max/NDV/null counts/widths) collected as a side effect of the
 	// build — the cheap collection path of the cost-based optimizer.
@@ -62,15 +68,15 @@ func BuildTable(schema types.StructType, partitions [][]row.Row, batchSize int) 
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	t := &CachedTable{Schema: schema, Partitions: make([][]*Batch, len(partitions))}
+	t := &CachedTable{Schema: schema, Partitions: make([][]*Batch, len(partitions)), PartBytes: make([]int64, len(partitions))}
 	acc := stats.NewCollector(schema)
 	for p, rows := range partitions {
 		for lo := 0; lo < len(rows); lo += batchSize {
 			hi := min(lo+batchSize, len(rows))
-			t.Partitions[p] = append(t.Partitions[p], buildBatch(schema, rows[lo:hi], acc))
-		}
-		if len(rows) == 0 {
-			t.Partitions[p] = nil
+			b := buildBatch(schema, rows[lo:hi], acc)
+			t.Partitions[p] = append(t.Partitions[p], b)
+			t.PartBytes[p] += b.SizeBytes()
+			t.LongestBatch = max(t.LongestBatch, b.NumRows)
 		}
 	}
 	t.Stats = acc.Finish(t.SizeBytes())
@@ -98,10 +104,8 @@ func buildBatch(schema types.StructType, rows []row.Row, acc *stats.Collector) *
 // SizeBytes is the whole table's encoded footprint.
 func (t *CachedTable) SizeBytes() int64 {
 	var s int64
-	for _, part := range t.Partitions {
-		for _, b := range part {
-			s += b.SizeBytes()
-		}
+	for _, b := range t.PartBytes {
+		s += b
 	}
 	return s
 }

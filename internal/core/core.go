@@ -229,17 +229,17 @@ func (e *Engine) ExecuteResolved(logical, analyzed plan.LogicalPlan) (*QueryExec
 // Collect/Count/ExplainAnalyze defer.
 func (e *Engine) ExecContext() *physical.ExecContext {
 	ec := &physical.ExecContext{
-		RDD:               e.RDDCtx,
-		Codegen:           e.Cfg.Codegen,
-		ShufflePartitions: e.Cfg.ShufflePartitions,
-		Metrics:           e.Cfg.Metrics,
+		RDD:                  e.RDDCtx,
+		Codegen:              e.Cfg.Codegen,
+		ShufflePartitions:    e.Cfg.ShufflePartitions,
+		TargetPartitionBytes: e.Cfg.Planner.TargetPartitionBytes,
+		Metrics:              e.Cfg.Metrics,
 	}
 	if e.Cfg.Adaptive {
 		ec.Adaptive = &physical.AdaptiveConfig{
-			BroadcastThreshold:   e.Cfg.Planner.BroadcastThreshold,
-			TargetPartitionBytes: e.Cfg.Planner.TargetPartitionBytes,
-			MemoryBudget:         e.Cfg.MemoryBudget,
-			SkewFactor:           e.Cfg.SkewFactor,
+			BroadcastThreshold: e.Cfg.Planner.BroadcastThreshold,
+			MemoryBudget:       e.Cfg.MemoryBudget,
+			SkewFactor:         e.Cfg.SkewFactor,
 		}
 	}
 	if e.Cfg.MemoryBudget > 0 {

@@ -18,7 +18,10 @@ import (
 
 // StageActual is one stage's observed output, lifted from its trace span.
 type StageActual struct {
-	Name   string  `json:"name"`
+	Name string `json:"name"`
+	// Tasks is how many tasks the stage ran: for a batch leaf cut into runs
+	// of small partitions, the run count.
+	Tasks  int     `json:"tasks,omitempty"`
 	Rows   int64   `json:"rows"`
 	Millis float64 `json:"millis"`
 	Err    string  `json:"err,omitempty"`

@@ -107,6 +107,7 @@ func stageActuals(spans []metrics.Span) []StageActual {
 		}
 		out = append(out, StageActual{
 			Name:   s.Name,
+			Tasks:  s.Tasks,
 			Rows:   s.Records,
 			Millis: float64(s.DurNS) / 1e6,
 			Err:    s.Err,

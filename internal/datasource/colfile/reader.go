@@ -50,6 +50,9 @@ type Relation struct {
 	schema types.StructType
 	groups []rowGroup
 	size   int64
+	// groupBytes is each row group's stored size (bitmaps and value blocks).
+	// Shared and read-only.
+	groupBytes []int64
 	// identity is 0, 1, 2, ... up to the largest group's row count: the
 	// selection every batch starts from. Shared and read-only.
 	identity []int32
@@ -118,6 +121,7 @@ func openImage(path string, data []byte) (*Relation, error) {
 			return corrupt(r.err)
 		}
 		rg := rowGroup{numRows: numRows, chunks: make([]chunk, nFields)}
+		var stored int64
 		for j := range rg.chunks {
 			t := schema.Fields[j].Type
 			c := chunk{bitmap: r.bytes((numRows + 7) / 8)}
@@ -133,8 +137,10 @@ func openImage(path string, data []byte) (*Relation, error) {
 				return corrupt(r.err)
 			}
 			rg.chunks[j] = c
+			stored += int64(len(c.bitmap) + len(c.data))
 		}
 		rel.groups = append(rel.groups, rg)
+		rel.groupBytes = append(rel.groupBytes, stored)
 		for i := len(rel.identity); i < numRows; i++ {
 			rel.identity = append(rel.identity, int32(i))
 		}
@@ -219,7 +225,8 @@ func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter)
 	}
 
 	return datasource.BatchScan{
-		NumPartitions: len(rel.groups),
+		NumPartitions:  len(rel.groups),
+		PartitionBytes: rel.groupBytes,
 		Partition: func(p int) ([]datasource.Batch, datasource.BatchStats) {
 			g := &rel.groups[p]
 			for i, f := range filters { // min/max skipping, per chunk

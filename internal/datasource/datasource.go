@@ -90,6 +90,9 @@ type ColumnarScan interface {
 // BatchScan is partitioned columnar output from a relation.
 type BatchScan struct {
 	NumPartitions int
+	// PartitionBytes is each partition's stored size, when the source knows
+	// it without decoding (nil otherwise).
+	PartitionBytes []int64
 	// Partition produces the batches of partition p, in order, under Scan's
 	// concurrency contract, and reports what it left out. A batch whose rows
 	// all fail the filters is still produced, with an empty Sel; a batch the

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -180,6 +181,18 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if h.Min != 0 || h.Max != iters-1 {
 		t.Fatalf("histogram min/max = %d/%d", h.Min, h.Max)
+	}
+}
+
+// Every statement's event record copies the whole ring (Snapshot), so eight
+// more bytes a span are 32 KB more allocation a statement: a new field has to
+// find its room inside the struct.
+func TestSpanSizePinned(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned size is the 64-bit layout's")
+	}
+	if got := unsafe.Sizeof(Span{}); got != 168 {
+		t.Fatalf("Span is %d bytes, want 168", got)
 	}
 }
 

@@ -23,13 +23,16 @@ const (
 // mirroring the per-task and per-stage records of the Spark event log that
 // feed its web UI.
 type Span struct {
-	Kind        SpanKind `json:"kind"`
-	Name        string   `json:"name"`
-	Job         int64    `json:"job,omitempty"`
-	Partition   int      `json:"partition,omitempty"`
-	Attempt     int      `json:"attempt,omitempty"`
-	Speculative bool     `json:"speculative,omitempty"`
-	Worker      string   `json:"worker,omitempty"` // remote worker id; "" = local
+	Kind      SpanKind `json:"kind"`
+	Name      string   `json:"name"`
+	Job       int64    `json:"job,omitempty"`
+	Partition int      `json:"partition,omitempty"`
+	// Attempt and Speculative share a word, which is what leaves room for
+	// Tasks: every statement's event record copies the whole ring
+	// (Snapshot), so a span must not grow.
+	Attempt     int32  `json:"attempt,omitempty"`
+	Speculative bool   `json:"speculative,omitempty"`
+	Worker      string `json:"worker,omitempty"` // remote worker id; "" = local
 	// Trace is the query/trace id propagated Dapper-style across process
 	// boundaries: every span of one distributed query — coordinator- and
 	// worker-side — carries the same id. Parent is the id of the
@@ -40,6 +43,7 @@ type Span struct {
 	Start    int64  `json:"start_us"`            // microseconds since process-start reference (origin process's clock for merged spans)
 	QueuedNS int64  `json:"queued_ns,omitempty"` // time waiting for an executor slot
 	DurNS    int64  `json:"dur_ns"`
+	Tasks    int    `json:"tasks,omitempty"` // stage spans: partitions the stage ran, one task each
 	Records  int64  `json:"records,omitempty"`
 	Bytes    int64  `json:"bytes,omitempty"`
 	Err      string `json:"err,omitempty"`

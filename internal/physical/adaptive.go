@@ -39,8 +39,6 @@ import (
 type AdaptiveConfig struct {
 	// BroadcastThreshold mirrors the planner's broadcast size cap.
 	BroadcastThreshold int64
-	// TargetPartitionBytes sizes coalesced exchanges from observed bytes.
-	TargetPartitionBytes int64
 	// MemoryBudget mirrors the query memory budget: the broadcast limit is
 	// min(BroadcastThreshold, MemoryBudget/2), exactly as in static
 	// planning, so promotion never builds a hash table the budget forbids.
@@ -68,8 +66,10 @@ func (c *AdaptiveConfig) broadcastLimit() int64 {
 	return BroadcastLimit(c.BroadcastThreshold, c.MemoryBudget)
 }
 
-func (c *AdaptiveConfig) partitionsFor(sizeInBytes int64) int {
-	return PartitionsForSize(c.TargetPartitionBytes, sizeInBytes)
+// partitionsFor sizes a coalesced exchange from observed bytes, by the
+// context's target.
+func (d *adaptiveDriver) partitionsFor(sizeInBytes int64) int {
+	return PartitionsForSize(d.ctx.TargetPartitionBytes, sizeInBytes)
 }
 
 // AdaptiveNote carries the `adapted: ...` annotation onto a physical
@@ -360,7 +360,7 @@ func (d *adaptiveDriver) adaptCoalesceOnly(p SparkPlan, path []int, child SparkP
 		return nil, err
 	}
 	eff := effectiveParts(d.ctx.ShufflePartitions, current)
-	if parts := d.cfg.partitionsFor(stage.Bytes); parts > 0 && parts < eff {
+	if parts := d.partitionsFor(stage.Bytes); parts > 0 && parts < eff {
 		dec := Decision{
 			Path: path, Kind: "coalesce", Parts: parts,
 			Note: coalesceNote(parts, stage.Bytes),
@@ -407,7 +407,7 @@ func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) 
 
 	eff := effectiveParts(d.ctx.ShufflePartitions, n.Partitions)
 	newParts := 0
-	if parts := d.cfg.partitionsFor(ls.Bytes + rs.Bytes); parts > 0 && parts < eff {
+	if parts := d.partitionsFor(ls.Bytes + rs.Bytes); parts > 0 && parts < eff {
 		newParts = parts
 		eff = parts
 	}
@@ -445,7 +445,7 @@ func (d *adaptiveDriver) adaptSortMergeJoin(n *SortMergeJoinExec, path []int) (S
 	}
 	var p SparkPlan = n
 	eff := effectiveParts(d.ctx.ShufflePartitions, n.Partitions)
-	if parts := d.cfg.partitionsFor(ls.Bytes + rs.Bytes); parts > 0 && parts < eff {
+	if parts := d.partitionsFor(ls.Bytes + rs.Bytes); parts > 0 && parts < eff {
 		dec := Decision{Path: path, Kind: "coalesce", Parts: parts,
 			Note: coalesceNote(parts, ls.Bytes+rs.Bytes)}
 		if p, err = d.record(n, dec); err != nil {
@@ -492,7 +492,7 @@ func (d *adaptiveDriver) adaptBroadcastJoin(n *BroadcastHashJoinExec, path []int
 	if bcast := d.cfg.broadcastLimit(); stage.Bytes > bcast {
 		dec := Decision{
 			Path: path, Kind: "demote",
-			Parts: d.cfg.partitionsFor(stage.Bytes),
+			Parts: d.partitionsFor(stage.Bytes),
 			Note: fmt.Sprintf("adapted: BroadcastHashJoin -> SortMergeJoin (build side %d B observed over %d B limit)",
 				stage.Bytes, bcast),
 		}

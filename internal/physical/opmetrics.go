@@ -31,6 +31,9 @@ type OperatorMetrics struct {
 	// generic), Emits what a fused join hands its consumer (rows or batches).
 	// Execute sets them before any task runs.
 	Table, Emits string
+	// RunPartitions and Runs are set on a batch leaf whose partitions the
+	// pipeline cut into fewer tasks: how many partitions, in how many runs.
+	RunPartitions, Runs int
 }
 
 // RecordPartition records one partition's output and elapsed wall time.
@@ -98,6 +101,9 @@ func (m *OperatorMetrics) ActualString() string {
 	}
 	if r := m.SpillRuns.Load(); r > 0 {
 		s += fmt.Sprintf(", spilled: %d B, %d runs", m.SpillBytes.Load(), r)
+	}
+	if m.Runs > 0 {
+		s += fmt.Sprintf(", tasks: %d partitions in %d runs", m.RunPartitions, m.Runs)
 	}
 	return s
 }

@@ -29,6 +29,11 @@ type ExecContext struct {
 	Codegen bool
 	// ShufflePartitions is the reducer count for exchanges.
 	ShufflePartitions int
+	// TargetPartitionBytes is the planner's exchange-sizing target: the
+	// adaptive driver coalesces exchanges to it from observed bytes, and a
+	// batch pipeline cuts its leaf's small partitions into task runs by it
+	// (0 = neither).
+	TargetPartitionBytes int64
 	// Metrics enables per-operator instrumentation: each exec node attaches
 	// an OperatorMetrics (via its PlanMetrics embed) and records rows,
 	// batches and wall time per partition. EXPLAIN ANALYZE reads them back.

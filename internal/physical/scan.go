@@ -55,6 +55,10 @@ type BatchScan interface {
 // BatchSource is an opened BatchScan.
 type BatchSource struct {
 	NumPartitions int
+	// PartitionBytes is each partition's encoded size, nil when the source
+	// does not know it (a fused join's output): what the pipeline cuts a
+	// task's run of partitions by.
+	PartitionBytes []int64
 	// Batches opens partition p under the task's context: a fused join runs
 	// its build and probe there, which can fail or be cancelled (a leaf scan
 	// returns no error). Each call of the function it returns
@@ -233,7 +237,7 @@ func (s *SourceBatchScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSo
 	}
 	skipped := ctx.RDD.Metrics().Counter(s.source + ".groups.skipped")
 	pruned := ctx.RDD.Metrics().Counter(s.source + ".rows.pruned")
-	return BatchSource{NumPartitions: scan.NumPartitions, Batches: func(_ context.Context, p int) (func() (datasource.Batch, bool), error) {
+	return BatchSource{NumPartitions: scan.NumPartitions, PartitionBytes: scan.PartitionBytes, Batches: func(_ context.Context, p int) (func() (datasource.Batch, bool), error) {
 		batches, stats := scan.Partition(p)
 		skipped.Add(int64(stats.GroupsSkipped))
 		pruned.Add(int64(stats.RowsPruned))
@@ -314,14 +318,8 @@ func (s *InMemoryScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSourc
 	}
 	// Every batch selects all of its rows: one identity selection, as long
 	// as the longest batch, serves them all.
-	longest := 0
-	for _, part := range s.Table.Partitions {
-		for _, b := range part {
-			longest = max(longest, b.NumRows)
-		}
-	}
-	ident := identitySel(longest)
-	return BatchSource{NumPartitions: len(s.Table.Partitions), Batches: func(_ context.Context, p int) (func() (datasource.Batch, bool), error) {
+	ident := identitySel(s.Table.LongestBatch)
+	return BatchSource{NumPartitions: len(s.Table.Partitions), PartitionBytes: s.Table.PartBytes, Batches: func(_ context.Context, p int) (func() (datasource.Batch, bool), error) {
 		rest := s.Table.Partitions[p]
 		return func() (datasource.Batch, bool) {
 			for len(rest) > 0 {

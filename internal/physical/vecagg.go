@@ -52,8 +52,8 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	numPart := h.reducers(ctx)
 	boxedKernels := int64(len(k.fallbacks))
 
-	blocks := rdd.GenerateCtx(ctx.RDD, "fusedAgg", vp.src.NumPartitions, func(jc context.Context, p int) ([]aggBlock, error) {
-		// Per-partition mutable state: the group index table and one set of
+	blocks := rdd.GenerateCtx(ctx.RDD, "fusedAgg", vp.tasks(), func(jc context.Context, p int) ([]aggBlock, error) {
+		// Per-task mutable state: the group index table and one set of
 		// typed state lanes per aggregate.
 		groups, _ := newGroupIndexer(keyTypes, k.native, 0)
 		lanes := k.newLanes()

@@ -114,8 +114,9 @@ func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	})
 }
 
-// OpenBatches implements BatchScan: a partition's output is one batch, every
-// position selected, holding the columns the consumer marked used.
+// OpenBatches implements BatchScan: a probe task's output is one partition of
+// one batch, every position selected, holding the columns the consumer marked
+// used.
 func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) BatchSource {
 	parts, probe := f.open(ctx, used)
 	return BatchSource{NumPartitions: parts, Batches: func(jc context.Context, p int) (func() (datasource.Batch, bool), error) {
@@ -148,9 +149,9 @@ func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, func(
 	k := j.compileProbeKeys(pipe.Output())
 	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, k.typed)
 	hj.broadcast = j.buildSide().Execute(ctx)
-	vp := pipe.compile(ctx, om, nil)
+	vp := pipe.compile(ctx, om, f.probeReads(hj, used))
 	out := f.Output()
-	return vp.src.NumPartitions, func(jc context.Context, p int) (*joinProbe, error) {
+	return vp.tasks(), func(jc context.Context, p int) (*joinProbe, error) {
 		ht, err := hj.broadcastTable(jc)
 		if err != nil {
 			return nil, err
@@ -187,6 +188,34 @@ func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, func(
 		om.RecordPartition(len(probe.bo)+len(probe.out), time.Since(start))
 		return probe, err
 	}
+}
+
+// probeReads is what the join reads of its probe pipeline's output, as the
+// pipeline's sink: for a batch consumer the probe columns it marked used, the
+// probe keys and the probe columns the residual tests; nil — every column —
+// for a row consumer, whose rows box them all.
+func (f *FusedBroadcastJoinExec) probeReads(hj *hashJoin, used []bool) []expr.Expression {
+	if used == nil {
+		return nil
+	}
+	j := f.Join
+	probeOut, keys := j.Left.Output(), j.LeftKeys
+	if !j.BuildRight {
+		probeOut, keys = j.Right.Output(), j.RightKeys
+	}
+	reads := make([]bool, hj.width)
+	copy(reads, used)
+	if j.Residual != nil {
+		joined := append(append([]*expr.AttributeReference{}, j.Left.Output()...), j.Right.Output()...)
+		markBoundRefs(bind(j.Residual, joined), reads)
+	}
+	sink := bindAll(keys, probeOut)
+	for c, a := range probeOut {
+		if reads[hj.probeAt+c] {
+			sink = append(sink, bind(a, probeOut))
+		}
+	}
+	return sink
 }
 
 // ---------------------------------------------------------------------------

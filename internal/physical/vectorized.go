@@ -3,6 +3,7 @@ package physical
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/expr"
@@ -127,14 +128,20 @@ func markBoundRefs(e expr.Expression, used []bool) {
 func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	om := v.EnableMetrics(ctx.Metrics)
 	vp := v.compile(ctx, om, nil)
-	return rdd.GenerateCtx(ctx.RDD, "cacheScanVec", vp.src.NumPartitions, func(jc context.Context, p int) ([]row.Row, error) {
+	return rdd.GenerateCtx(ctx.RDD, "cacheScanVec", vp.tasks(), func(jc context.Context, p int) ([]row.Row, error) {
 		start := time.Now()
-		var out []row.Row
+		// Each batch boxes into a slice of its own size and the task's output
+		// is their concatenation: appending row by row to one slice would copy
+		// a run's worth of rows through every growth step.
+		var chunks [][]row.Row
 		err := vp.each(jc, p, func(batch *expr.VecBatch, live []int32) {
-			for _, i := range live {
-				out = append(out, batch.Row(int(i)))
+			rows := make([]row.Row, len(live))
+			for k, i := range live {
+				rows[k] = batch.Row(int(i))
 			}
+			chunks = append(chunks, rows)
 		})
+		out := slices.Concat(chunks...)
 		om.RecordPartition(len(out), time.Since(start))
 		return out, err
 	})
@@ -143,65 +150,120 @@ func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 // vecPipe is a vectorized pipeline compiled for execution: the batch loop
 // shared by the pipeline itself and by the fused sinks that absorb it.
 type vecPipe struct {
-	src          BatchSource
+	src BatchSource
+	// runs cuts the source's partitions into tasks: task t pulls the batches
+	// of partitions runs[t] .. runs[t+1]-1, in order.
+	runs         []int
 	om           *OperatorMetrics
 	stages       []vecStage
 	fallbackRows *metrics.Counter // vec.fallback.rows
 }
 
-// compile binds the stage chain for execution; sink is compileVecStages'.
+// compile binds the stage chain for execution — the one place a BatchSource is
+// opened, so the pipeline and the fused sinks that absorb it all run the same
+// tasks; sink is compileVecStages'. A source that knows its partitions' sizes
+// and has more of them than task slots is cut into runs of small adjacent
+// partitions: a task per hundred-row partition costs more in goroutine, group
+// table and partial block than the rows in it. Partition order, and with it
+// first-seen group order and every result, is the uncut plan's.
 func (v *VectorizedPipelineExec) compile(ctx *ExecContext, om *OperatorMetrics, sink []expr.Expression) *vecPipe {
 	stages, used, _ := compileVecStages(v.Stages, v.Scan.Output(), sink)
-	return &vecPipe{src: v.Scan.OpenBatches(ctx, used), om: om, stages: stages,
+	vp := &vecPipe{src: v.Scan.OpenBatches(ctx, used), om: om, stages: stages,
 		fallbackRows: ctx.RDD.Metrics().Counter("vec.fallback.rows")}
+	n, slots := vp.src.NumPartitions, ctx.RDD.Parallelism()
+	vp.runs = ordinalsUpTo(n + 1) // a task per partition
+	if vp.src.PartitionBytes != nil && ctx.TargetPartitionBytes > 0 && n > slots {
+		vp.runs = cutRuns(vp.src.PartitionBytes, ctx.TargetPartitionBytes, slots)
+	}
+	if vp.tasks() < n {
+		ctx.RDD.Metrics().Counter("scan.partitions.coalesced").Add(int64(n - vp.tasks()))
+		if leaf := v.Scan.(MetricsAnnotated).Runtime(); leaf != nil {
+			leaf.RunPartitions, leaf.Runs = n, vp.tasks()
+		}
+	}
+	return vp
 }
 
-// each runs partition p's batches through the stages, starting from the
-// selection the scan hands over, and passes every batch with surviving rows
-// to fn as (final batch, selection). The batch headers are per-partition
-// scratch reused across batches and the selection may be the scan's: fn must
-// not retain either past its return. Rows a stage ran through the boxed
-// scalar fallback are counted once per batch.
-func (vp *vecPipe) each(jc context.Context, p int, fn func(batch *expr.VecBatch, live []int32)) error {
+// cutRuns cuts partitions of the given sizes into contiguous runs for tasks on
+// the given number of slots, and returns where each run starts, then
+// len(bytes). A run closes before the partition that would take it past the
+// cap, so only a run of one partition can exceed it. The cap is the target
+// shrunk to an even share of the total over a whole number of rounds of the
+// slots — a last round that fills only some of them idles the rest — and there
+// are at least min(slots, len(bytes)) runs: a run also closes while every run
+// still owed has a partition left to start with.
+func cutRuns(bytes []int64, target int64, slots int) []int {
+	n := len(bytes)
+	minRuns := min(slots, n)
+	var total int64
+	for _, b := range bytes {
+		total += b
+	}
+	if rounds := (total + target*int64(slots) - 1) / (target * int64(slots)); rounds > 0 {
+		target = (total + rounds*int64(slots) - 1) / (rounds * int64(slots))
+	}
+	cuts := []int{0}
+	var sum int64
+	for p, b := range bytes {
+		if p > cuts[len(cuts)-1] && (sum+b > target || n-p <= minRuns-len(cuts)) {
+			cuts, sum = append(cuts, p), 0
+		}
+		sum += b
+	}
+	return append(cuts, n)
+}
+
+// tasks is how many tasks the pipeline runs as.
+func (vp *vecPipe) tasks() int { return len(vp.runs) - 1 }
+
+// each runs the batches of task t's partitions through the stages, starting
+// from the selection the scan hands over, and passes every batch with
+// surviving rows to fn as (final batch, selection). The batch headers are
+// per-task scratch reused across batches and the selection may be the scan's:
+// fn must not retain either past its return. Rows a stage ran through the
+// boxed scalar fallback are counted once per batch.
+func (vp *vecPipe) each(jc context.Context, t int, fn func(batch *expr.VecBatch, live []int32)) error {
 	var in expr.VecBatch
 	staged := make([]expr.VecBatch, len(vp.stages))
-	next, err := vp.src.Batches(jc, p)
-	if err != nil {
-		return err
-	}
-	for b, ok := next(); ok; b, ok = next() {
-		if vp.om != nil {
-			vp.om.Batches.Add(1)
+	for p := vp.runs[t]; p < vp.runs[t+1]; p++ {
+		next, err := vp.src.Batches(jc, p)
+		if err != nil {
+			return err
 		}
-		live, n := b.Sel, b.N
-		if len(live) == 0 {
-			continue
-		}
-		in = expr.VecBatch{Cols: b.Cols, N: n}
-		batch := &in
-		var boxed int
-		for i, st := range vp.stages {
-			if !st.native {
-				boxed += len(live)
+		for b, ok := next(); ok; b, ok = next() {
+			if vp.om != nil {
+				vp.om.Batches.Add(1)
 			}
-			if st.isFilter {
-				if live = st.pred(batch, live); len(live) == 0 {
-					break
-				}
+			live, n := b.Sel, b.N
+			if len(live) == 0 {
 				continue
 			}
-			next := &staged[i]
-			next.Cols, next.N = next.Cols[:0], n
-			for _, ev := range st.evals {
-				next.Cols = append(next.Cols, ev(batch, live))
+			in = expr.VecBatch{Cols: b.Cols, N: n}
+			batch := &in
+			var boxed int
+			for i, st := range vp.stages {
+				if !st.native {
+					boxed += len(live)
+				}
+				if st.isFilter {
+					if live = st.pred(batch, live); len(live) == 0 {
+						break
+					}
+					continue
+				}
+				next := &staged[i]
+				next.Cols, next.N = next.Cols[:0], n
+				for _, ev := range st.evals {
+					next.Cols = append(next.Cols, ev(batch, live))
+				}
+				batch = next
 			}
-			batch = next
-		}
-		if boxed > 0 {
-			vp.fallbackRows.Add(int64(boxed))
-		}
-		if len(live) > 0 {
-			fn(batch, live)
+			if boxed > 0 {
+				vp.fallbackRows.Add(int64(boxed))
+			}
+			if len(live) > 0 {
+				fn(batch, live)
+			}
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package physical
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/columnar"
@@ -260,4 +262,122 @@ func TestFusedBroadcastJoinEitherBuildSide(t *testing.T) {
 		RightKeys: []expr.Expression{expr.Upper(smallAttrs[2]), smallAttrs[1]},
 		Type:      plan.LeftOuterJoin,
 	}}, "fused: true, table=generic, kernels 1/2 native, fallback: "+expr.Upper(bigAttrs[2]).String())
+}
+
+// cutRuns hands tasks contiguous runs that cover every partition once, never
+// fewer than min(slots, partitions) of them, and only a run of one partition may
+// exceed the target.
+func TestCutRuns(t *testing.T) {
+	fill := func(n int, b int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = b
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(9))
+	random := make([]int64, 500)
+	for i := range random {
+		random[i] = rng.Int63n(3000)
+	}
+	huge := fill(40, 10)
+	huge[17] = 1 << 30
+	for _, c := range []struct {
+		name          string
+		bytes         []int64
+		target        int64
+		slots         int
+		minRuns, runs int // runs: exact count expected, 0 = only the lower bound
+	}{
+		{"trickle", fill(2000, 3800), 4 << 20, 2, 2, 2},
+		{"trickle over two rounds", fill(2000, 3800), 2 << 20, 2, 2, 4},
+		{"eight slots", fill(2000, 3800), 4 << 20, 8, 8, 8},
+		{"all empty", fill(300, 0), 4 << 20, 4, 4, 4},
+		{"single huge", huge, 4 << 20, 2, 2, 3},
+		{"huge first", append([]int64{1 << 30}, fill(5, 1)...), 1 << 20, 4, 4, 0},
+		{"huge last", append(fill(5, 1), 1<<30), 1 << 20, 4, 4, 0},
+		{"every partition over target", fill(9, 5<<20), 4 << 20, 2, 2, 9},
+		{"fewer partitions than slots", fill(3, 10), 4 << 20, 8, 3, 3},
+		{"one partition", fill(1, 10), 4 << 20, 8, 1, 1},
+		{"random sizes", random, 64 << 10, 3, 3, 0},
+		{"tiny target", random, 1, 3, 3, 0},
+	} {
+		cuts := cutRuns(c.bytes, c.target, c.slots)
+		n := len(cuts) - 1
+		if cuts[0] != 0 || cuts[n] != len(c.bytes) {
+			t.Fatalf("%s: cuts %v do not span 0..%d", c.name, cuts, len(c.bytes))
+		}
+		if n < c.minRuns || (c.runs > 0 && n != c.runs) {
+			t.Fatalf("%s: %d runs, want at least %d (exactly %d when non-zero)", c.name, n, c.minRuns, c.runs)
+		}
+		for r := 0; r < n; r++ {
+			if cuts[r] >= cuts[r+1] {
+				t.Fatalf("%s: run %d is empty or out of order: %v", c.name, r, cuts)
+			}
+			var sum int64
+			for _, b := range c.bytes[cuts[r]:cuts[r+1]] {
+				sum += b
+			}
+			if cuts[r+1]-cuts[r] > 1 && sum > c.target {
+				t.Fatalf("%s: run %d holds %d partitions and %d bytes, over the %d target", c.name, r, cuts[r+1]-cuts[r], sum, c.target)
+			}
+		}
+	}
+}
+
+// usedRecorder is a cache leaf that notes which columns its consumer asked it
+// to decode.
+type usedRecorder struct {
+	*InMemoryScanExec
+	used []bool
+}
+
+func (s *usedRecorder) OpenBatches(ctx *ExecContext, used []bool) BatchSource {
+	s.used = append([]bool(nil), used...)
+	return s.InMemoryScanExec.OpenBatches(ctx, used)
+}
+
+// A fused join over a projection-free probe scan decodes, for a batch
+// consumer, the probe columns that consumer reads plus its own key and
+// residual columns; a row consumer still gets every column.
+func TestFusedJoinProbeDecodesWhatIsRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	big, bigAttrs := cachedTableForTest(rng, 900, 3, 128)
+	small, smallAttrs := cachedTableForTest(rng, 40, 1, 64)
+	leaf := &usedRecorder{InMemoryScanExec: NewInMemoryScan(bigAttrs, big, nil, nil)}
+	join := func(residual expr.Expression) *FusedBroadcastJoinExec {
+		j := &BroadcastHashJoinExec{BuildRight: true, EquiJoin: EquiJoin{
+			Left: leaf, Right: NewInMemoryScan(smallAttrs, small, nil, nil),
+			LeftKeys: []expr.Expression{bigAttrs[2]}, RightKeys: []expr.Expression{smallAttrs[2]},
+			Type: plan.InnerJoin, Residual: residual,
+		}}
+		return Fuse(Vectorize(Collapse(j))).(*FusedBroadcastJoinExec)
+	}
+	reads := make([]bool, 8)
+	reads[0], reads[5] = true, true // probe id, build score
+	for _, c := range []struct {
+		name     string
+		residual expr.Expression
+		used     []bool
+		want     []bool
+	}{
+		{"batch consumer", nil, reads, []bool{true, false, true, false}},
+		{"batch consumer, residual", expr.GT(bigAttrs[3], smallAttrs[3]), reads, []bool{true, false, true, true}},
+		{"row consumer", nil, nil, []bool{true, true, true, true}},
+	} {
+		f := join(c.residual)
+		if c.used == nil {
+			collect(t, f, execCtx(true))
+		} else {
+			src := f.OpenBatches(execCtx(true), c.used)
+			for p := 0; p < src.NumPartitions; p++ {
+				if _, err := src.Batches(context.Background(), p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !slices.Equal(leaf.used, c.want) {
+			t.Fatalf("%s: probe scan decoded columns %v, want %v", c.name, leaf.used, c.want)
+		}
+	}
 }

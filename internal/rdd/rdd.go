@@ -458,7 +458,7 @@ func (r *RDD[T]) runTask(jc context.Context, p, firstAttempt int) ([]T, error) {
 				Name:        r.name,
 				Job:         jobID,
 				Partition:   p,
-				Attempt:     attempt,
+				Attempt:     int32(attempt),
 				Speculative: firstAttempt > maxTaskAttempts,
 				Worker:      worker,
 				Start:       metrics.Since(start),
@@ -558,77 +558,73 @@ func (rec *runRecorder) median() (time.Duration, bool) {
 	return sorted[len(sorted)/2], true
 }
 
-// computeAll materializes all partitions in parallel under the context's
-// parallelism bound, fail-fast: the first terminal task failure cancels
-// all in-flight tasks (via the derived run context) and stops admitting
-// pending partitions, and the error is returned to the caller. With
+// runStage runs task(i) for every i in [0, n) on min(parallelism, n) worker
+// goroutines that pull the next index from a shared counter, so a stack grows
+// once per worker per stage, not once per task. It is fail-fast: the first
+// error cancels the context the tasks run under and no further index is
+// picked up. The workers belong to the stage, not to the Context: a reduce
+// task materializes its shuffle's map side — a nested stage — from inside its
+// own slot, which a shared fixed pool would deadlock on. queued is how long
+// the stage had an index pending while every worker was busy (zero when
+// n <= parallelism).
+func (c *Context) runStage(jc context.Context, n int, task func(runCtx context.Context, i int) error) (queued time.Duration, err error) {
+	runCtx, cancel := context.WithCancel(jc)
+	defer cancel()
+	workers := min(c.parallelism, n)
+	var next, waited atomic.Int64 // waited: when the last index that had to wait was picked up
+	var failOnce sync.Once
+	start := time.Now()
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for runCtx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if i >= workers {
+					waited.Store(int64(time.Since(start)))
+				}
+				if terr := task(runCtx, i); terr != nil {
+					failOnce.Do(func() { err = terr })
+					cancel() // fail fast: tear down siblings, stop pick-ups
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err == nil {
+		err = jc.Err()
+	}
+	return time.Duration(waited.Load()), err
+}
+
+// computeAll materializes all partitions on the stage runner, fail-fast: the
+// first terminal task failure cancels all in-flight tasks and stops pending
+// partitions being picked up, and the error is returned to the caller. With
 // speculation enabled, partitions running far beyond the median completed
 // time get a backup attempt, first finisher wins.
 func (r *RDD[T]) computeAll(jc context.Context) ([][]T, error) {
 	jc, jobID, _ := r.ctx.beginJob(jc)
-	runCtx, cancel := context.WithCancel(jc)
-	defer cancel()
-
 	stageStart := time.Now()
-	var queuedNS atomic.Int64 // total time partitions waited for a slot
 	out := make([][]T, r.numPart)
-	sem := make(chan struct{}, r.ctx.parallelism)
-	var wg sync.WaitGroup
-	var failMu sync.Mutex
-	var firstErr error
 	rec := &runRecorder{}
-
-	fail := func(err error) {
-		failMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		failMu.Unlock()
-		cancel() // fail fast: tear down siblings, stop admissions
-	}
-
-	for p := 0; p < r.numPart; p++ {
-		// Stop admitting pending partitions once the job is doomed.
-		if runCtx.Err() != nil {
-			break
-		}
-		semWait := time.Now()
-		select {
-		case sem <- struct{}{}:
-		case <-runCtx.Done():
-		}
-		queuedNS.Add(time.Since(semWait).Nanoseconds())
-		if runCtx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			data, err := r.runPartition(runCtx, p, rec)
-			if err != nil {
-				fail(err)
-				return
-			}
-			out[p] = data
-		}(p)
-	}
-	wg.Wait()
-
-	failMu.Lock()
-	err := firstErr
-	failMu.Unlock()
-	if err == nil {
-		err = jc.Err()
-	}
+	queued, err := r.ctx.runStage(jc, r.numPart, func(runCtx context.Context, p int) (err error) {
+		out[p], err = r.runPartition(runCtx, p, rec)
+		return err
+	})
 	if r.ctx.Trace() != nil || traceSink(jc) != nil {
 		span := metrics.Span{
 			Kind:     metrics.SpanStage,
 			Name:     r.name,
 			Job:      jobID,
 			Start:    metrics.Since(stageStart),
-			QueuedNS: queuedNS.Load(),
+			QueuedNS: queued.Nanoseconds(),
 			DurNS:    time.Since(stageStart).Nanoseconds(),
+			Tasks:    r.numPart,
 		}
 		if err != nil {
 			span.Err = err.Error()

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -736,5 +738,150 @@ func TestExchangePresplitTransposes(t *testing.T) {
 	ragged := Generate(ctx, "ragged", 2, func(int) []string { return []string{"x", "y"} })
 	if _, err := ExchangePresplit(ragged, 3, func(string) int64 { return 1 }).Collect(); err == nil {
 		t.Fatal("a map partition not split for 3 reducers must fail the exchange")
+	}
+}
+
+// goroutineID reads the running goroutine's id off its stack header — for
+// telling task goroutines apart, nothing else.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// The stage runner: a stage's tasks run on min(parallelism, partitions) worker
+// goroutines that live as long as the stage, failure and cancellation stop
+// further partitions being picked up, and a stage nested inside a task gets
+// workers of its own.
+func TestStageRunner(t *testing.T) {
+	t.Run("2000 partitions on 4 goroutines", func(t *testing.T) {
+		ctx := NewContext(4)
+		before := runtime.NumGoroutine()
+		var mu sync.Mutex
+		ids := map[string]bool{}
+		var most atomic.Int64
+		r := Generate(ctx, "many", 2000, func(p int) []int {
+			if n := int64(runtime.NumGoroutine()); n > most.Load() {
+				most.Store(n) // racy max: a lost update only lowers it
+			}
+			id := goroutineID()
+			mu.Lock()
+			ids[id] = true
+			mu.Unlock()
+			return []int{p}
+		})
+		if got := collect(t, r); len(got) != 2000 || got[1999] != 1999 {
+			t.Fatalf("collected %d elements", len(got))
+		}
+		if most.Load() > int64(before+4) {
+			t.Fatalf("%d goroutines alive inside a task, %d before the stage: more than 4 task goroutines", most.Load(), before)
+		}
+		if len(ids) > 4 {
+			t.Fatalf("2000 tasks ran on %d distinct goroutines, want at most 4", len(ids))
+		}
+	})
+
+	t.Run("a terminal failure stops pick-ups", func(t *testing.T) {
+		ctx := NewContext(1)
+		ctx.SetBackoff(time.Microsecond, 10*time.Microsecond)
+		var computed []int
+		r := Generate(ctx, "doomed", 100, func(p int) []int {
+			computed = append(computed, p) // one worker: no race
+			return nil
+		})
+		ctx.SetFailureHook(func(_ string, p, _ int) error {
+			if p == 3 {
+				return errors.New("always")
+			}
+			return nil
+		})
+		_, err := r.Collect()
+		var je *JobError
+		if !errors.As(err, &je) || je.Partition != 3 {
+			t.Fatalf("want partition 3's JobError, got %v", err)
+		}
+		if !reflect.DeepEqual(computed, []int{0, 1, 2}) {
+			t.Fatalf("partitions computed around the failure: %v, want 0 1 2 and none after it", computed)
+		}
+	})
+
+	t.Run("cancellation returns promptly", func(t *testing.T) {
+		ctx := NewContext(2)
+		var started atomic.Int64
+		r := GenerateCtx(ctx, "blocker", 2000, func(jc context.Context, p int) ([]int, error) {
+			started.Add(1)
+			<-jc.Done()
+			return nil, jc.Err()
+		})
+		jc, cancel := context.WithCancel(context.Background())
+		go func() {
+			for started.Load() < 2 {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+		}()
+		start := time.Now()
+		if _, err := r.CollectContext(jc); !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("cancellation not prompt: %v", elapsed)
+		}
+		if started.Load() != 2 {
+			t.Fatalf("%d tasks started before the cancel took, want the 2 in flight", started.Load())
+		}
+	})
+
+	t.Run("a panicking compute is retried", func(t *testing.T) {
+		ctx := NewContext(2)
+		ctx.SetBackoff(time.Microsecond, 10*time.Microsecond)
+		var panicked [50]atomic.Bool
+		r := Generate(ctx, "panicky", 50, func(p int) []int {
+			if p%7 == 0 && panicked[p].CompareAndSwap(false, true) { // 8 partitions, first attempt each
+				panic("transient kaboom")
+			}
+			return []int{p}
+		})
+		if got := collect(t, r); len(got) != 50 {
+			t.Fatalf("collect after panic retries = %v", got)
+		}
+		if ctx.TaskRetries() != 8 {
+			t.Fatalf("retries = %d, want 8", ctx.TaskRetries())
+		}
+	})
+
+	t.Run("a nested stage completes with one slot", func(t *testing.T) {
+		ctx := NewContext(1)
+		pairs := Map(Parallelize(ctx, intsUpTo(400), 8), func(i int) Pair[int, int] { return Pair[int, int]{Key: i % 10, Value: 1} })
+		done := make(chan error, 1)
+		var got []Pair[int, int]
+		go func() {
+			var err error
+			got, err = ReduceByKey(pairs, func(a, b int) int { return a + b }, 4).Collect()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a reduce task computing its map side from inside the only slot never finished")
+		}
+		if len(got) != 10 || got[0].Value != 40 {
+			t.Fatalf("reduced to %v", got)
+		}
+	})
+}
+
+func BenchmarkComputeAllManyPartitions(b *testing.B) {
+	ctx := NewContext(2)
+	ctx.SetTracing(false)
+	r := Generate(ctx, "trivial", 2000, func(p int) []int { return nil })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Count(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

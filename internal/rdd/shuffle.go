@@ -54,68 +54,31 @@ func fnvHash(s string) uint64 {
 	return h
 }
 
-// bucketize runs the shuffle map side in parallel: each map partition is
-// bucketed by its own goroutine (bounded by the context's parallelism) into
-// per-partition local buckets, which are then concatenated per reducer in
-// partition order, so output order is identical to a sequential pass. A
-// panicking bucket function fails the stage with an error (fail-fast, like
-// computeAll).
+// bucketize runs the shuffle map side on the stage runner: each map partition
+// is bucketed into per-partition local buckets, which are then concatenated
+// per reducer in partition order, so output order is identical to a
+// sequential pass. A panicking bucket function fails the stage with an error
+// (fail-fast, like computeAll).
 func bucketize[T any](jc context.Context, ctx *Context, parts [][]T, numPartitions int, bucket func(T) int) ([][]T, error) {
 	if jc == nil {
 		jc = context.Background()
 	}
-	runCtx, cancel := context.WithCancel(jc)
-	defer cancel()
-
 	locals := make([][][]T, len(parts))
-	sem := make(chan struct{}, ctx.parallelism)
-	var wg sync.WaitGroup
-	var failMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		failMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		failMu.Unlock()
-		cancel()
-	}
-	for pi := range parts {
-		if runCtx.Err() != nil {
-			break
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-runCtx.Done():
-		}
-		if runCtx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if rec := recover(); rec != nil {
-					fail(fmt.Errorf("rdd: panic in shuffle map side: %v", rec))
-				}
-			}()
-			local := make([][]T, numPartitions)
-			for _, v := range parts[pi] {
-				b := bucket(v)
-				local[b] = append(local[b], v)
+	_, err := ctx.runStage(jc, len(parts), func(_ context.Context, pi int) (err error) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				err = fmt.Errorf("rdd: panic in shuffle map side: %v", rec)
 			}
-			locals[pi] = local
-		}(pi)
-	}
-	wg.Wait()
-	failMu.Lock()
-	err := firstErr
-	failMu.Unlock()
+		}()
+		local := make([][]T, numPartitions)
+		for _, v := range parts[pi] {
+			b := bucket(v)
+			local[b] = append(local[b], v)
+		}
+		locals[pi] = local
+		return nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := jc.Err(); err != nil {
 		return nil, err
 	}
 

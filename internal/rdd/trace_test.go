@@ -44,8 +44,22 @@ func TestTraceSpansForCollect(t *testing.T) {
 	if n := len(byKind[metrics.SpanStage]); n != 1 {
 		t.Fatalf("want 1 stage span, got %d", n)
 	}
-	if stage := byKind[metrics.SpanStage][0]; stage.Records != 100 || stage.Job != job.Job {
+	stage := byKind[metrics.SpanStage][0]
+	if stage.Records != 100 || stage.Job != job.Job || stage.Tasks != 4 {
 		t.Fatalf("stage span = %+v", stage)
+	}
+	// Four partitions on two workers: two of them waited for a worker. With a
+	// worker each, nothing queues.
+	if stage.QueuedNS <= 0 {
+		t.Fatalf("4 partitions on 2 workers queued for %d ns, want > 0", stage.QueuedNS)
+	}
+	ctx.SetTracing(false)
+	ctx.SetTracing(true) // an empty buffer
+	if _, err := Parallelize(ctx, intsUpTo(100), 2).Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if unqueued := spansByKind(ctx.Trace().Snapshot())[metrics.SpanStage][0]; unqueued.QueuedNS != 0 || unqueued.Tasks != 2 {
+		t.Fatalf("2 partitions on 2 workers: stage span = %+v, want no queueing", unqueued)
 	}
 	tasks := byKind[metrics.SpanTask]
 	if len(tasks) != 4 {

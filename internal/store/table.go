@@ -27,13 +27,15 @@ type Segment struct {
 	Batches []*columnar.Batch
 	Rows    int64
 	Bytes   int64
+	// longest is the row count of the longest batch.
+	longest int
 }
 
 // newSegment encodes rows into a segment (empty rows yield a segment with
 // no batches; callers avoid creating those).
 func newSegment(id int64, schema types.StructType, rows []row.Row) *Segment {
 	ct := columnar.BuildTable(schema, [][]row.Row{rows}, 0)
-	return &Segment{ID: id, Batches: ct.Partitions[0], Rows: int64(len(rows)), Bytes: ct.SizeBytes()}
+	return &Segment{ID: id, Batches: ct.Partitions[0], Rows: int64(len(rows)), Bytes: ct.PartBytes[0], longest: ct.LongestBatch}
 }
 
 // decode materializes the segment's rows in order.
@@ -92,9 +94,11 @@ func (t *Table) allRows() []row.Row {
 // partition per segment, fresh attribute IDs (each version is a distinct
 // plan leaf), and the stats-epoch statistics.
 func (t *Table) buildRel() *plan.InMemoryRelation {
-	parts := make([][]*columnar.Batch, len(t.segs))
+	table := &columnar.CachedTable{Schema: t.Schema, Stats: t.relStats,
+		Partitions: make([][]*columnar.Batch, len(t.segs)), PartBytes: make([]int64, len(t.segs))}
 	for i, g := range t.segs {
-		parts[i] = g.Batches
+		table.Partitions[i], table.PartBytes[i] = g.Batches, g.Bytes
+		table.LongestBatch = max(table.LongestBatch, g.longest)
 	}
 	attrs := make([]*expr.AttributeReference, len(t.Schema.Fields))
 	for i, f := range t.Schema.Fields {
@@ -102,7 +106,7 @@ func (t *Table) buildRel() *plan.InMemoryRelation {
 	}
 	return &plan.InMemoryRelation{
 		Attrs:       attrs,
-		Table:       &columnar.CachedTable{Schema: t.Schema, Partitions: parts, Stats: t.relStats},
+		Table:       table,
 		SizeInBytes: t.relBytes,
 		RowCount:    t.relRows,
 		TableStats:  t.relStats,

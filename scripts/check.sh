@@ -48,10 +48,18 @@ PERF_GATE=1 go test -run '^TestMetricsOverheadGate$' -v -timeout 10m ./internal/
 # at >= 1.5x.
 PERF_GATE=1 go test -run '^TestFusionGate$' -v -timeout 10m ./internal/experiments/
 
+# Stage runner: a stage's tasks on per-stage worker goroutines — the
+# goroutine bound over 2 000 partitions, fail-fast, cancellation, panic
+# retry, a nested stage on one slot, the stage span's queueing time —
+# repeated, since the race detector sees only the interleavings a run takes.
+go test -race -count=10 -run '^TestStageRunner$|^TestTraceSpansForCollect$' -timeout 5m ./internal/rdd/
+
 # Fusion property suite: every fused shape byte-identical to the row path,
 # at budgets down to one byte, over both batch leaves (the columnar cache
 # and colfile), with the vectorized battery and the colfile leaf's
-# observability contract.
+# observability contract; TestFusedManyPartitions (and TestSQLManyCommits in
+# the durable-table suite below) hold a 300-partition leaf run as a few tasks
+# to the row path.
 go test -race -v -run '^TestFused|^TestFusion|^TestVectorized|^TestColfileLeaf' -timeout 10m .
 
 # colfile.Open reads bytes from outside the process: fuzz it, and the scans
