@@ -129,6 +129,38 @@ func TestExplainAnalyzeFreshPerRun(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeGroupTable pins the group table's line in EXPLAIN ANALYZE.
+// fact's d1_k takes 20 values in each of the 4 partitions: phase 1 holds
+// 4 × 20 partial groups in tables that start at 16 slots and double on their
+// 9th and 17th group, and the pre-sized reducers never grow. A join whose 40
+// build rows share 20 keys says so; one whose build keys are its build rows
+// (the golden's joins) says nothing more than build=.
+func TestExplainAnalyzeGroupTable(t *testing.T) {
+	ctx := starSchemaContext(t, goldenConfig())
+	analyzeStarSchema(t, ctx)
+	for q, want := range map[string]string{
+		"SELECT d1_k, count(*) AS n FROM fact GROUP BY d1_k":                         "actual: 20 rows, T ms, groups=80 grows=8)",
+		"SELECT f.f_id FROM fact f JOIN fact g ON f.d1_k = g.d1_k WHERE g.f_id < 40": "build=40 rows, table=i64, groups=20 grows=0)",
+		"SELECT f.f_id FROM fact f JOIN dim1 d ON f.d1_k = d.d1_k WHERE f.f_id < 40": "build=20 rows, table=i64)",
+	} {
+		df, err := ctx.SQL("EXPLAIN ANALYZE " + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := df.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, r := range rows {
+			sb.WriteString(r[0].(string) + "\n")
+		}
+		if got := normalizeAnalyze(sb.String()); !strings.Contains(got, want) {
+			t.Errorf("%s: no %q in\n%s", q, want, got)
+		}
+	}
+}
+
 // TestExplainAnalyzeMatchesCollect pins that running a query under EXPLAIN
 // ANALYZE returns the same row count the plain query produces, for a few
 // shapes beyond the star schema (aggregate, vectorizable scan).

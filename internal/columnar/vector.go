@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/row"
@@ -164,19 +165,7 @@ func WrapLanes(t types.DataType, data any, nulls []uint64) *Vector {
 // typed one. Group tables build their key columns with it.
 func (v *Vector) Append(src *Vector, i int) {
 	at := v.n
-	v.n++
-	switch v.Kind { // inline, not growLane: task stacks are shallow and this is their deepest path
-	case KindInt64:
-		v.I64 = GrowLane(v.I64, v.n)
-	case KindFloat64:
-		v.F64 = GrowLane(v.F64, v.n)
-	case KindString:
-		v.Str = GrowLane(v.Str, v.n)
-	case KindBool:
-		v.Bool = GrowLane(v.Bool, v.n)
-	default:
-		v.Any = GrowLane(v.Any, v.n)
-	}
+	v.growLane(at + 1)
 	if v.nulls != nil && at/64 >= len(v.nulls) {
 		v.nulls = append(v.nulls, 0)
 	}
@@ -266,6 +255,57 @@ func (v *Vector) HashAt(h row.Hasher, i int) row.Hasher {
 		return h.Value(v.Bool[i])
 	default:
 		return h.Value(v.Any[i])
+	}
+}
+
+// HashInto is HashAt a column at a time: it folds the value at every live
+// position i into the running row hash dst[i] (absolute indexing, like a
+// kernel's output). A group table hashes a batch's keys with one call per key
+// column, into scratch its caller owns.
+func (v *Vector) HashInto(dst []uint64, live []int32) {
+	mask := v.Mask()
+	switch {
+	case v.nulls == nil && v.Kind == KindInt64:
+		for _, i := range live {
+			dst[i] = row.Hasher(dst[i]).Int64(v.I64[int(i)&mask]).Sum()
+		}
+	case v.nulls == nil && v.Kind == KindFloat64:
+		for _, i := range live {
+			dst[i] = row.Hasher(dst[i]).Float64(v.F64[int(i)&mask]).Sum()
+		}
+	case v.nulls == nil && v.Kind == KindString:
+		for _, i := range live {
+			dst[i] = row.Hasher(dst[i]).String(v.Str[int(i)&mask]).Sum()
+		}
+	default:
+		for _, i := range live {
+			dst[i] = v.HashAt(row.Hasher(dst[i]), int(i)).Sum()
+		}
+	}
+}
+
+// EqualAt reports whether position i holds the same grouping key as position
+// j of o: NULL equals NULL, and values are equal exactly when row.GroupKey
+// encodes them alike (doubles by bit pattern, INT and BIGINT by value), so
+// equal positions hash alike under HashAt. Matching kinds compare lane to
+// lane; a boxed vector against a typed one compares the boxed values.
+func (v *Vector) EqualAt(i int, o *Vector, j int) bool {
+	if vn, on := v.IsNull(i), o.IsNull(j); vn || on {
+		return vn == on
+	}
+	if v.Kind != o.Kind || v.Kind == KindAny {
+		return row.KeyEqual(v.Get(i), o.Get(j))
+	}
+	i, j = i&v.Mask(), j&o.Mask()
+	switch v.Kind {
+	case KindInt64:
+		return v.I64[i] == o.I64[j]
+	case KindFloat64:
+		return math.Float64bits(v.F64[i]) == math.Float64bits(o.F64[j])
+	case KindString:
+		return v.Str[i] == o.Str[j]
+	default:
+		return v.Bool[i] == o.Bool[j]
 	}
 }
 

@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -333,5 +334,64 @@ func TestVectorAppendHashAtWrap(t *testing.T) {
 	}
 	if f := WrapVector(types.Double, []float64{1.5}, nil); f.HasNulls() || f.HashAt(row.NewHasher(), 0).Sum() != row.HashValue(1.5) {
 		t.Fatal("wrapped double lane: spurious NULL or wrong hash")
+	}
+}
+
+// HashInto folds a column into running hashes exactly as HashAt does a
+// position at a time, and EqualAt agrees with GroupKey equality of the boxed
+// values — across typed, boxed and constant representations, NULLs included.
+func TestVectorHashIntoEqualAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 150
+	build := func(typ types.DataType, boxed bool, value func() any) *Vector {
+		v := NewVector(typ, n)
+		if boxed {
+			v = NewAnyVector(typ, n)
+		}
+		for i := 0; i < n; i++ {
+			if rng.Intn(6) > 0 {
+				v.Set(i, value())
+			} else {
+				v.SetNull(i)
+			}
+		}
+		return v
+	}
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001), 2.5}
+	ints := func() any { return int32(rng.Intn(5)) }
+	longs := func() any { return int64(rng.Intn(5)) }
+	vecs := []*Vector{
+		build(types.Int, false, ints), build(types.Long, true, ints), build(types.Long, true, longs),
+		build(types.Double, false, func() any { return floats[rng.Intn(len(floats))] }),
+		build(types.Double, true, func() any { return floats[rng.Intn(len(floats))] }),
+		build(types.String, false, func() any { return string(rune('a' + rng.Intn(3))) }),
+		build(types.String, true, func() any { return string(rune('a' + rng.Intn(3))) }),
+		build(types.Boolean, false, func() any { return rng.Intn(2) == 0 }),
+		NewConstVector(types.Long, int64(3), n), NewConstVector(types.String, nil, n),
+	}
+	var live []int32
+	for i := 0; i < n; i += 1 + rng.Intn(3) {
+		live = append(live, int32(i))
+	}
+	for _, v := range vecs {
+		dst := make([]uint64, n)
+		for _, i := range live {
+			dst[i] = uint64(i) * 0x9E3779B97F4A7C15
+		}
+		v.HashInto(dst, live)
+		for _, i := range live {
+			if want := v.HashAt(row.Hasher(uint64(i)*0x9E3779B97F4A7C15), int(i)).Sum(); dst[i] != want {
+				t.Fatalf("%v vector, position %d: HashInto %x, HashAt %x", v.Type, i, dst[i], want)
+			}
+		}
+		for _, o := range vecs {
+			for k := 0; k < 200; k++ {
+				i, j := rng.Intn(n), rng.Intn(n)
+				want := row.GroupKey(row.Row{v.Get(i), o.Get(j)}, []int{0}) == row.GroupKey(row.Row{v.Get(i), o.Get(j)}, []int{1})
+				if got := v.EqualAt(i, o, j); got != want {
+					t.Fatalf("EqualAt(%#v, %#v) = %v, GroupKey equality says %v", v.Get(i), o.Get(j), got, want)
+				}
+			}
+		}
 	}
 }

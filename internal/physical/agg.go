@@ -86,12 +86,12 @@ func newKeyChunk(evals []func(row.Row) any, keyTypes []types.DataType, typed boo
 }
 
 // keyTable builds the group table that indexes a keyChunk's vectors.
-func keyTable(keyTypes []types.DataType, typed bool, sizeHint int) (groupIndexer, string) {
+func keyTable(keyTypes []types.DataType, typed bool, sizeHint int) *groupTable {
 	var native []bool
 	if !typed {
 		native = make([]bool, len(keyTypes))
 	}
-	return newGroupIndexer(keyTypes, native, sizeHint)
+	return newGroupTable(keyTypes, native, sizeHint)
 }
 
 // load evaluates the keys of rows (at most rowChunk of them) and returns the
@@ -129,29 +129,31 @@ func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	}
 	keyTypes := h.keyTypes()
 	numPart := h.reducers(ctx)
+	om := h.EnableMetrics(ctx.Metrics)
 
 	// Phase 1: partial aggregation per partition, emitting the same columnar
 	// blocks as the fused phase 1 (with boxed state lanes). Rows are probed a
 	// key chunk at a time.
 	blocks := rdd.MapPartitions(h.Child.Execute(ctx), func(_ int, in []row.Row) []aggBlock {
 		keys := newKeyChunk(groupEvals, keyTypes, ctx.Codegen, len(in))
-		groups, _ := keyTable(keyTypes, ctx.Codegen, 0)
+		groups := keyTable(keyTypes, ctx.Codegen, 0)
 		lanes := newLanes()
-		var gidx []int32
+		var probe groupProbe
 		for off := 0; off < len(in); off += rowChunk {
 			rows := in[off:min(off+rowChunk, len(in))]
 			kvecs, all := keys.load(rows)
-			gidx = groups.indexBatch(kvecs, all, gidx[:0], true)
+			gidx := groups.indexBatch(kvecs, all, &probe, true)
 			for i, r := range rows {
 				for _, l := range lanes {
 					l.(*expr.BoxedAggregator).UpdateRow(int(gidx[i]), r)
 				}
 			}
 		}
+		om.RecordTable(groups.count(), groups.grows)
 		return splitGroups(groups, lanes, numPart)
 	})
 
-	return h.finalMerge(ctx, h.EnableMetrics(ctx.Metrics), blocks, numPart, fns, newLanes, resultExprs)
+	return h.finalMerge(ctx, om, blocks, numPart, fns, newLanes, resultExprs)
 }
 
 func (h *HashAggregateExec) keyTypes() []types.DataType { return exprTypes(h.Grouping) }
@@ -210,16 +212,16 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, bl
 				return nil, err
 			}
 		} else {
-			// The largest block is a lower bound on the reducer's group count.
+			// The blocks' group counts sum to an upper bound: the table never grows.
 			hint := 0
 			for _, b := range in {
-				hint = max(hint, len(b.sel))
+				hint += len(b.sel)
 			}
-			groups, _ := newGroupIndexer(keyTypes, nil, hint)
+			groups := newGroupTable(keyTypes, nil, hint)
 			lanes := newLanes()
 			var gidx []int32
 			for _, b := range in {
-				gidx = groups.indexBatch(b.keys, b.sel, gidx[:0], true)
+				gidx = groups.indexHashed(b.keys, b.hashes, b.sel, gidx[:0], true)
 				for j, l := range lanes {
 					l.Merge(b.lanes[j], b.sel, gidx, groups.count())
 				}
@@ -229,7 +231,8 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, bl
 			if n = groups.count(); n == 0 && len(h.Grouping) == 0 && p == 0 {
 				n = 1
 			}
-			cols = append(cols, groups.keys()...)
+			om.RecordTable(0, groups.grows)
+			cols = append(cols, groups.cols...)
 			for _, l := range lanes {
 				cols = append(cols, l.Result(n))
 			}

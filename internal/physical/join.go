@@ -315,13 +315,15 @@ func newHashJoin(ctx *ExecContext, om *OperatorMetrics, j *EquiJoin, buildRight,
 		h.residual = ctx.predicate(bind(j.Residual, append(append([]*expr.AttributeReference{}, left...), right...)))
 	}
 	if om != nil {
-		_, om.Table = keyTable(h.keyTypes, typed, 0)
+		om.Table = keyTable(h.keyTypes, typed, 0).cmp.String()
 	}
 	return h
 }
 
 func (h *hashJoin) build(rows []row.Row) *joinTable {
-	return newJoinTable(rows, newKeyChunk(h.buildEvals, h.keyTypes, h.typed, len(rows)))
+	t := newJoinTable(rows, newKeyChunk(h.buildEvals, h.keyTypes, h.typed, len(rows)))
+	h.om.RecordTable(t.groups.count(), t.groups.grows)
+	return t
 }
 
 // broadcastTable materializes the broadcast build side inside the first probe

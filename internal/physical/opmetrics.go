@@ -27,8 +27,10 @@ type OperatorMetrics struct {
 	SpillRuns  atomic.Int64 // spill events (sorted runs / hash-partition flushes)
 	InputRows  atomic.Int64 // rows a top-K read
 	KeptRows   atomic.Int64 // rows its per-partition heaps kept for the merge
-	// Table names the group table a hash join builds (i64, str, pair or
-	// generic), Emits what a fused join hands its consumer (rows or batches).
+	Groups     atomic.Int64 // groups in its group tables: an aggregate's partial groups, a join's distinct build keys
+	Grows      atomic.Int64 // times those tables (and an aggregate's reducers') doubled their slots
+	// Table names the key comparison a hash join's group table runs (i64, str,
+	// pair or generic), Emits what a fused join hands its consumer (rows or batches).
 	// Execute sets them before any task runs.
 	Table, Emits string
 	// RunPartitions and Runs are set on a batch leaf whose partitions the
@@ -66,6 +68,16 @@ func (m *OperatorMetrics) RecordBuild(rows int, bytes int64) {
 	m.BuildBytes.Add(bytes)
 }
 
+// RecordTable records a finished group table: its groups (an aggregate's
+// reducers pass none: theirs are the output rows) and how often it grew.
+func (m *OperatorMetrics) RecordTable(groups, grows int) {
+	if m == nil {
+		return
+	}
+	m.Groups.Add(int64(groups))
+	m.Grows.Add(int64(grows))
+}
+
 // RecordSpill records bytes written to spill files over some number of
 // spill events (sorted runs or aggregation partition flushes).
 func (m *OperatorMetrics) RecordSpill(bytes int64, runs int64) {
@@ -86,6 +98,10 @@ func (m *OperatorMetrics) ActualString() string {
 		if m.Table != "" {
 			s += ", table=" + m.Table
 		}
+	}
+	// build= says it all when a join's build keys are distinct and non-NULL.
+	if g, w := m.Groups.Load(), m.Grows.Load(); g > 0 && (g != m.BuildRows.Load() || w > 0) {
+		s += fmt.Sprintf(", groups=%d grows=%d", g, w)
 	}
 	if m.Emits != "" {
 		s += ", emits " + m.Emits

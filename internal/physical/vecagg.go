@@ -2,6 +2,7 @@ package physical
 
 import (
 	"context"
+	"math/bits"
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
@@ -55,15 +56,15 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	blocks := rdd.GenerateCtx(ctx.RDD, "fusedAgg", vp.tasks(), func(jc context.Context, p int) ([]aggBlock, error) {
 		// Per-task mutable state: the group index table and one set of
 		// typed state lanes per aggregate.
-		groups, _ := newGroupIndexer(keyTypes, k.native, 0)
+		groups := newGroupTable(keyTypes, k.native, 0)
 		lanes := k.newLanes()
-		var gidx []int32
+		var probe groupProbe
 		gvecs := make([]*columnar.Vector, len(k.keyEvals))
 		err := vp.each(jc, p, func(batch *expr.VecBatch, live []int32) {
 			for i, gv := range k.keyEvals {
 				gvecs[i] = gv(batch, live)
 			}
-			gidx = groups.indexBatch(gvecs, live, gidx[:0], true)
+			gidx := groups.indexBatch(gvecs, live, &probe, true)
 			n := groups.count()
 			for _, l := range lanes {
 				l.Update(batch, live, gidx, n)
@@ -72,6 +73,7 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 				vp.fallbackRows.Add(int64(len(live)) * boxedKernels)
 			}
 		})
+		om.RecordTable(groups.count(), groups.grows)
 		return splitGroups(groups, lanes, numPart), err
 	})
 
@@ -121,8 +123,7 @@ func (k *aggSink) newLanes() []expr.VecAggregator {
 
 // note is the EXPLAIN annotation.
 func (k *aggSink) note(keyTypes []types.DataType) string {
-	_, table := newGroupIndexer(keyTypes, k.native, 0)
-	return fusedNote(table, len(k.refs), k.fallbacks)
+	return fusedNote(keyCmpFor(keyTypes, k.native).String(), len(k.refs), k.fallbacks)
 }
 
 // ---------------------------------------------------------------------------
@@ -130,44 +131,38 @@ func (k *aggSink) note(keyTypes []types.DataType) string {
 
 // aggBlock is partial aggregation state in columnar form — what phase 1
 // hands the exchange instead of one boxed record per group: a dense key
-// column per grouping expression, one state lane set per aggregate, and the
-// selection of group positions bound for one reducer. The blocks a map
-// partition emits (one per reducer) are views over the same columns and
-// lanes; nothing is copied or boxed to split them.
+// column per grouping expression with the keys' row hashes beside them, one
+// state lane set per aggregate, and the selection of group positions bound for
+// one reducer. The blocks a map partition emits (one per reducer) are views
+// over the same columns and lanes; nothing is copied or boxed to split them,
+// and the reducer probes with the hashes instead of hashing a key again.
 type aggBlock struct {
-	keys  []*columnar.Vector
-	lanes []expr.VecAggregator
-	sel   []int32
+	keys   []*columnar.Vector
+	hashes []uint64
+	lanes  []expr.VecAggregator
+	sel    []int32
 }
 
 func (b aggBlock) groups() int64 { return int64(len(b.sel)) }
 
 // splitGroups flushes a phase-1 group table into one block per reducer,
-// partitioning by the process-independent hash of the typed key (equal to
-// the hash of the boxed key, so it does not matter which phase 1 ran). An
-// empty table emits nothing.
-func splitGroups(groups groupIndexer, lanes []expr.VecAggregator, numPart int) []aggBlock {
-	n, keys := groups.count(), groups.keys()
+// partitioning by the hash the table stored: the process-independent hash of
+// the typed key (equal to the hash of the boxed key, so it does not matter
+// which phase 1 ran). An empty table emits nothing.
+func splitGroups(groups *groupTable, lanes []expr.VecAggregator, numPart int) []aggBlock {
+	n := groups.count()
 	if n == 0 {
 		return nil
 	}
 	out := make([]aggBlock, numPart)
 	dest := make([]int32, n)
 	counts := make([]int, numPart)
-	if numPart > 1 {
-		for g := range dest {
-			h := row.NewHasher()
-			for _, kc := range keys {
-				h = kc.HashAt(h, g)
-			}
-			dest[g] = int32(h.Sum() % uint64(numPart))
-		}
-	}
-	for _, d := range dest {
-		counts[d]++
+	for g, h := range groups.hashes {
+		dest[g] = int32(h % uint64(numPart))
+		counts[dest[g]]++
 	}
 	for r := range out {
-		out[r] = aggBlock{keys: keys, lanes: lanes, sel: make([]int32, 0, counts[r])}
+		out[r] = aggBlock{keys: groups.cols, hashes: groups.hashes, lanes: lanes, sel: make([]int32, 0, counts[r])}
 	}
 	for g, d := range dest {
 		out[d].sel = append(out[d].sel, int32(g))
@@ -176,134 +171,155 @@ func splitGroups(groups groupIndexer, lanes []expr.VecAggregator, numPart int) [
 }
 
 // ---------------------------------------------------------------------------
-// Group index tables
+// The group table
 
-// groupIndexer is the executor's one keyed hash table: it maps each live
-// row's key values (read out of the key vectors) to a dense group index.
-// indexBatch appends one index per live row to gidx; the per-implementation
-// loop keeps the map access monomorphic instead of paying an interface
-// dispatch per row. With insert, a key is appended to the table's key columns
-// on first sight (first-seen order is preserved, and NULL is a key like any
-// other); without, the table is only read — safe from concurrent tasks — and
-// a key never inserted indexes as -1. The same tables serve aggregation phase
-// 1 (over pipeline batches or chunks of input rows), the reducer (over the key
-// columns of partial blocks), DISTINCT, and the build and probe sides of the
-// hash joins (joinTable).
-type groupIndexer interface {
-	indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32
-	count() int
-	keys() []*columnar.Vector
+// groupTable is the executor's one keyed hash table: it maps each live row's
+// key values (read out of the key vectors) to a dense group index. A key is
+// stored once, in first-seen order, as a row of the key columns beside its
+// row hash — the exchange's: row.NewHasher folded with Vector.HashAt per key
+// column, NULL included, so NULL is a key like any other. slots indexes those
+// rows by open addressing: a pointer-free power-of-two array of (low 32 hash
+// bits << 32 | group index + 1), 0 = empty, linear probing, at most half full;
+// key columns are read only on a tag hit. The home slot is the hash's HIGH
+// bits, because a reducer only sees hashes that agree in the low bits
+// `% numPart` consumed. Growing doubles the slots and re-places the groups
+// from their stored hashes, touching no key.
+//
+// It serves aggregation phase 1 (over pipeline batches or chunks of input
+// rows), the reducer (over partial blocks, probing with the hashes phase 1
+// stored), DISTINCT, and the build and probe sides of the hash joins
+// (joinTable). Without insert it is only read — safe from concurrent tasks,
+// each hashing into its own groupProbe — and an absent key indexes as -1.
+type groupTable struct {
+	cols   []*columnar.Vector
+	hashes []uint64
+	slots  []uint64
+	shift  uint // home slot of hash h: h >> shift
+	cmp    keyCmp
+	grows  int
 }
 
-// keyCols is the key storage every table embeds: one growing column per
-// grouping expression, typed when the type has a kernel value class.
-type keyCols []*columnar.Vector
+// keyCmp names the key comparison a table runs on a tag hit.
+type keyCmp uint8
 
-// newKeyCols allocates empty key columns whose lanes are pre-grown for
-// sizeHint groups.
-func newKeyCols(keyTypes []types.DataType, sizeHint int) keyCols {
-	cols := make(keyCols, len(keyTypes))
-	for i, t := range keyTypes {
-		cols[i] = expr.NewClassVector(t, sizeHint)
-		cols[i].Reset(0)
-	}
-	return cols
+const (
+	cmpGlobal  keyCmp = iota // no key: one group
+	cmpI64                   // one int64-class lane (INT/BIGINT/DATE/TIMESTAMP)
+	cmpStr                   // one string lane
+	cmpPair                  // two int64-class lanes
+	cmpGeneric               // any columns, typed or boxed: Vector.EqualAt
+)
+
+func (c keyCmp) String() string {
+	return [...]string{"global", "i64", "str", "pair", "generic"}[c]
 }
 
-// add appends row i's key values as a new group and returns its index, or
-// returns -1 when the caller is only looking up.
-func (c keyCols) add(vecs []*columnar.Vector, i int, insert bool) int32 {
-	if !insert {
-		return -1
-	}
-	g := int32(c[0].Len())
-	for j, v := range vecs {
-		c[j].Append(v, i)
-	}
-	return g
+// groupProbe is the scratch one caller of indexBatch reuses from batch to
+// batch: the row hashes and the group indexes of the batch in hand.
+type groupProbe struct {
+	hash []uint64
+	gidx []int32
 }
-func (c keyCols) count() int               { return c[0].Len() }
-func (c keyCols) keys() []*columnar.Vector { return c }
 
-// newGroupIndexer picks the table for the key types and names it: a single
-// int64-class key, a single string key, or an (int64, int64) pair run without
-// boxing or key-string building; anything else — or keys whose vectors hold
-// boxed values — uses the generic table. A nil native means every key column
-// is typed (the reducer's input always is). The table is pre-sized for
-// sizeHint groups (0 = grow on demand: a phase-1 table over a tiny partition
-// must not pay for capacity it never uses).
-func newGroupIndexer(keyTypes []types.DataType, native []bool, sizeHint int) (groupIndexer, string) {
+// newGroupTable builds the table for the key types: a single int64-class key,
+// a single string key and an (int64, int64) pair compare lane to lane; anything
+// else — or keys whose vectors hold boxed values — column-wise through EqualAt.
+// A nil native means every key column is typed (the reducer's input always
+// is). sizeHint pre-sizes it (0 = grow on demand: a phase-1 table over a tiny
+// partition must not pay for capacity it never uses).
+func newGroupTable(keyTypes []types.DataType, native []bool, sizeHint int) *groupTable {
+	t := &groupTable{cols: make([]*columnar.Vector, len(keyTypes)), hashes: make([]uint64, 0, sizeHint), cmp: keyCmpFor(keyTypes, native)}
+	for i, kt := range keyTypes {
+		t.cols[i] = expr.NewClassVector(kt, sizeHint)
+		t.cols[i].Reset(0)
+	}
+	t.resize(2 * sizeHint)
+	return t
+}
+
+func keyCmpFor(keyTypes []types.DataType, native []bool) keyCmp {
 	cls := func(i int) int {
 		if native != nil && !native[i] {
 			return expr.VecClassNone
 		}
 		return expr.VecClassOf(keyTypes[i])
 	}
-	cols := newKeyCols(keyTypes, sizeHint)
 	switch {
 	case len(keyTypes) == 0:
-		return &globalGroups{}, "global"
+		return cmpGlobal
 	case len(keyTypes) == 1 && cls(0) == expr.VecClassI64:
-		return &i64Groups{keyCols: cols, m: make(map[int64]int32, sizeHint), nullIdx: -1}, "i64"
+		return cmpI64
 	case len(keyTypes) == 1 && cls(0) == expr.VecClassStr:
-		return &strGroups{keyCols: cols, m: make(map[string]int32, sizeHint), nullIdx: -1}, "str"
+		return cmpStr
 	case len(keyTypes) == 2 && cls(0) == expr.VecClassI64 && cls(1) == expr.VecClassI64:
-		return &pairGroups{keyCols: cols, m: make(map[[3]int64]int32, sizeHint)}, "pair"
+		return cmpPair
 	}
-	return &genericGroups{keyCols: cols, m: make(map[string]int32, sizeHint), ords: ordinalsUpTo(len(keyTypes))}, "generic"
+	return cmpGeneric
 }
 
-func ordinalsUpTo(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+func (t *groupTable) count() int { return len(t.hashes) }
 
-// globalGroups is the degenerate no-GROUP-BY table: one group, created on
-// the first row (an empty partition emits no partial, like the row path).
-type globalGroups struct{ seen bool }
-
-func (t *globalGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32 {
-	t.seen = t.seen || (insert && len(live) > 0)
-	for range live {
-		gidx = append(gidx, 0)
-	}
-	return gidx
-}
-func (t *globalGroups) count() int {
-	if t.seen {
-		return 1
-	}
-	return 0
-}
-func (t *globalGroups) keys() []*columnar.Vector { return nil }
-
-// i64Groups hashes raw int64 keys (INT/BIGINT/DATE/TIMESTAMP).
-type i64Groups struct {
-	keyCols
-	m       map[int64]int32
-	nullIdx int32
-}
-
-func (t *i64Groups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32 {
-	v := vecs[0]
-	mask := v.Mask()
-	for _, i := range live {
-		ii := int(i)
-		if v.IsNull(ii) {
-			if t.nullIdx < 0 && insert {
-				t.nullIdx = t.add(vecs, ii, insert)
-			}
-			gidx = append(gidx, t.nullIdx)
-			continue
+// indexBatch appends to p.gidx[:0] the group index of every live row of the
+// key vectors, hashing them a column at a time into p.hash first. With insert
+// a key not seen before becomes the next group.
+func (t *groupTable) indexBatch(vecs []*columnar.Vector, live []int32, p *groupProbe, insert bool) []int32 {
+	if len(vecs) > 0 {
+		p.hash = columnar.GrowLane(p.hash, vecs[0].Len())
+		for _, i := range live {
+			p.hash[i] = row.NewHasher().Sum()
 		}
-		k := v.I64[ii&mask]
-		g, ok := t.m[k]
-		if !ok {
-			if g = t.add(vecs, ii, insert); insert {
-				t.m[k] = g
+		for _, v := range vecs {
+			v.HashInto(p.hash, live)
+		}
+	}
+	p.gidx = t.indexHashed(vecs, p.hash, live, p.gidx[:0], insert)
+	return p.gidx
+}
+
+// indexHashed is indexBatch for rows whose hashes the caller already holds:
+// hashes[i] is the row hash of position i. This is the one probe loop.
+func (t *groupTable) indexHashed(vecs []*columnar.Vector, hashes []uint64, live, gidx []int32, insert bool) []int32 {
+	if t.cmp == cmpGlobal { // one group, created on the first row (an empty partition emits no partial, like the row path)
+		if insert && len(live) > 0 && len(t.hashes) == 0 {
+			t.hashes = append(t.hashes, row.NewHasher().Sum())
+		}
+		for range live {
+			gidx = append(gidx, int32(len(t.hashes))-1)
+		}
+		return gidx
+	}
+	// A single typed key with no NULL on either side compares inline.
+	v, c, lane := vecs[0], t.cols[0], cmpGeneric
+	if (t.cmp == cmpI64 || t.cmp == cmpStr) && !v.HasNulls() && !c.HasNulls() {
+		lane = t.cmp
+	}
+	vm := v.Mask()
+	for _, i := range live {
+		h := hashes[i]
+		g := int32(-1)
+		for s := h >> t.shift; ; s = (s + 1) & uint64(len(t.slots)-1) {
+			e := t.slots[s]
+			if e == 0 {
+				if insert {
+					g = t.add(vecs, int(i), h, s)
+				}
+				break
+			}
+			if uint32(e>>32) != uint32(h) {
+				continue
+			}
+			at, eq := int(uint32(e))-1, false
+			switch lane {
+			case cmpI64:
+				eq = v.I64[int(i)&vm] == c.I64[at]
+			case cmpStr:
+				eq = v.Str[int(i)&vm] == c.Str[at]
+			default:
+				eq = t.equal(vecs, int(i), at)
+			}
+			if eq {
+				g = int32(at)
+				break
 			}
 		}
 		gidx = append(gidx, g)
@@ -311,95 +327,50 @@ func (t *i64Groups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, inse
 	return gidx
 }
 
-// strGroups hashes string keys without re-encoding them per row.
-type strGroups struct {
-	keyCols
-	m       map[string]int32
-	nullIdx int32
-}
-
-func (t *strGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32 {
-	v := vecs[0]
-	mask := v.Mask()
-	for _, i := range live {
-		ii := int(i)
-		if v.IsNull(ii) {
-			if t.nullIdx < 0 && insert {
-				t.nullIdx = t.add(vecs, ii, insert)
-			}
-			gidx = append(gidx, t.nullIdx)
-			continue
+// equal compares row i of the key vectors with group g's stored key.
+func (t *groupTable) equal(vecs []*columnar.Vector, i, g int) bool {
+	if t.cmp == cmpPair {
+		v, c, w, d := vecs[0], t.cols[0], vecs[1], t.cols[1]
+		if !v.HasNulls() && !c.HasNulls() && !w.HasNulls() && !d.HasNulls() {
+			return v.I64[i&v.Mask()] == c.I64[g] && w.I64[i&w.Mask()] == d.I64[g]
 		}
-		k := v.Str[ii&mask]
-		g, ok := t.m[k]
-		if !ok {
-			if g = t.add(vecs, ii, insert); insert {
-				t.m[k] = g
-			}
-		}
-		gidx = append(gidx, g)
 	}
-	return gidx
-}
-
-// pairGroups hashes (int64, int64) key pairs; the third array slot packs
-// the NULL bits so (NULL, 0) and (0, NULL) and (0, 0) stay distinct.
-type pairGroups struct {
-	keyCols
-	m map[[3]int64]int32
-}
-
-func (t *pairGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32 {
-	v0, v1 := vecs[0], vecs[1]
-	m0, m1 := v0.Mask(), v1.Mask()
-	for _, i := range live {
-		ii := int(i)
-		var k [3]int64
-		if v0.IsNull(ii) {
-			k[2] |= 1
-		} else {
-			k[0] = v0.I64[ii&m0]
+	for j, v := range vecs {
+		if !v.EqualAt(i, t.cols[j], g) {
+			return false
 		}
-		if v1.IsNull(ii) {
-			k[2] |= 2
-		} else {
-			k[1] = v1.I64[ii&m1]
-		}
-		g, ok := t.m[k]
-		if !ok {
-			if g = t.add(vecs, ii, insert); insert {
-				t.m[k] = g
-			}
-		}
-		gidx = append(gidx, g)
 	}
-	return gidx
+	return true
 }
 
-// genericGroups boxes the key values and hashes their injective GroupKey
-// encoding — the shape-agnostic fallback, still batch-native (no full-row
-// materialization).
-type genericGroups struct {
-	keyCols
-	m    map[string]int32
-	ords []int
-}
-
-func (t *genericGroups) indexBatch(vecs []*columnar.Vector, live, gidx []int32, insert bool) []int32 {
-	kv := make(row.Row, len(vecs)) // per call: lookups run concurrently
-	for _, i := range live {
-		ii := int(i)
-		for j, v := range vecs {
-			kv[j] = v.Get(ii)
-		}
-		key := row.GroupKey(kv, t.ords)
-		g, ok := t.m[key]
-		if !ok {
-			if g = t.add(vecs, ii, insert); insert {
-				t.m[key] = g
-			}
-		}
-		gidx = append(gidx, g)
+// add appends row i's key and hash as a new group in the empty slot s its
+// probe ended on, growing the table when that fills it past half, and returns
+// the group's index.
+func (t *groupTable) add(vecs []*columnar.Vector, i int, h, s uint64) int32 {
+	g := len(t.hashes)
+	for j, v := range vecs {
+		t.cols[j].Append(v, i)
 	}
-	return gidx
+	t.hashes = columnar.GrowLane(t.hashes, g+1)
+	t.hashes[g] = h
+	if t.slots[s] = h<<32 | uint64(g+1); 2*(g+1) > len(t.slots) {
+		t.resize(2 * len(t.slots))
+		t.grows++
+	}
+	return int32(g)
+}
+
+// resize makes the slot array the power of two holding at least n slots (and
+// 16) and places every group in it, by its stored hash.
+func (t *groupTable) resize(n int) {
+	lg := max(4, bits.Len(uint(max(n, 1)-1)))
+	t.slots, t.shift = make([]uint64, 1<<lg), uint(64-lg)
+	mask := uint64(len(t.slots) - 1)
+	for g, h := range t.hashes {
+		s := h >> t.shift
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = h<<32 | uint64(g+1)
+	}
 }

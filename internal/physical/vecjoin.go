@@ -68,8 +68,7 @@ func (j *BroadcastHashJoinExec) compileProbeKeys(input []*expr.AttributeReferenc
 			k.evals[i] = canonFloatKernel(evals[i])
 		}
 	}
-	_, table := keyTable(exprTypes(buildKeys), k.typed, 0)
-	k.note = fusedNote(table, len(keys), fallbacks)
+	k.note = fusedNote(keyTable(exprTypes(buildKeys), k.typed, 0).cmp.String(), len(keys), fallbacks)
 	return k
 }
 
@@ -221,14 +220,14 @@ func (f *FusedBroadcastJoinExec) probeReads(hj *hashJoin, used []bool) []expr.Ex
 // ---------------------------------------------------------------------------
 // The hash joins' build side and probe loop
 
-// joinTable is a hash join's build side: a groupIndexer over the build keys
+// joinTable is a hash join's build side: a groupTable over the build keys
 // and the build rows bucketed by group index (CSR: group g's rows are
 // ords[offsets[g]:offsets[g+1]], in build-collect order). Rows with a NULL
 // key component are never indexed — NULL matches nothing in an equi-join — so
 // a probe's NULL key looks up as a miss like any other absent key. Once built
 // the table is only read: concurrent probe tasks share it.
 type joinTable struct {
-	groups  groupIndexer
+	groups  *groupTable
 	rows    []row.Row
 	offsets []int32
 	ords    []int32
@@ -238,9 +237,10 @@ type joinTable struct {
 // a time through keys.
 func newJoinTable(rows []row.Row, keys *keyChunk) *joinTable {
 	t := &joinTable{rows: rows}
-	t.groups, _ = keyTable(keys.types, keys.typed, len(rows))
+	t.groups = keyTable(keys.types, keys.typed, len(rows))
 	group := make([]int32, len(rows)) // per build row; -1 = NULL key
-	var gidx, live []int32
+	var probe groupProbe
+	var live []int32
 	for off := 0; off < len(rows); off += rowChunk {
 		vecs, all := keys.load(rows[off:min(off+rowChunk, len(rows))])
 		live = live[:0]
@@ -251,7 +251,7 @@ func newJoinTable(rows []row.Row, keys *keyChunk) *joinTable {
 				live = append(live, i)
 			}
 		}
-		gidx = t.groups.indexBatch(vecs, live, gidx[:0], true)
+		gidx := t.groups.indexBatch(vecs, live, &probe, true)
 		for k, i := range live {
 			group[off+int(i)] = gidx[k]
 		}
@@ -312,7 +312,7 @@ type joinProbe struct {
 	// matched (FULL OUTER only) marks the build rows some probe row matched;
 	// the rest — NULL-keyed ones included — are the join's remainder.
 	matched []bool
-	gidx    []int32
+	keys    groupProbe
 }
 
 func (h *hashJoin) newProbe(t *joinTable, fill func(i int, dst row.Row)) *joinProbe {
@@ -340,11 +340,11 @@ func (p *joinProbe) batch(kvecs []*columnar.Vector, live []int32) {
 	h, t := p.h, p.t
 	semi := h.jt == plan.LeftSemiJoin
 	outer := h.jt == plan.LeftOuterJoin || h.jt == plan.RightOuterJoin || h.jt == plan.FullOuterJoin
-	p.gidx = t.groups.indexBatch(kvecs, live, p.gidx[:0], false)
+	gidx := t.groups.indexBatch(kvecs, live, &p.keys, false)
 	for k, i := range live {
 		var cand row.Row
 		matched := false
-		if g := p.gidx[k]; g >= 0 {
+		if g := gidx[k]; g >= 0 {
 			for _, o := range t.ords[t.offsets[g]:t.offsets[g+1]] {
 				if h.residual != nil {
 					if cand == nil {

@@ -278,6 +278,14 @@ func identitySel(n int) []int32 {
 	return sel
 }
 
+func ordinalsUpTo(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // namedAttrs is the output schema of a list of named expressions (a
 // projection's, an aggregation's results).
 func namedAttrs(list []expr.Expression) []*expr.AttributeReference {

@@ -340,6 +340,57 @@ func GroupKey(r Row, ordinals []int) string {
 	return sb.String()
 }
 
+// KeyEqual reports whether two values (nil = NULL) are the same grouping key,
+// that is whether GroupKey encodes them alike, without building either string
+// for the atomic types: INT equals BIGINT of the same value and FLOAT its
+// DOUBLE widening, doubles compare by bit pattern (NaN equals itself, -0.0
+// differs from 0.0), decimals by unscaled value and scale. Equal keys hash
+// alike under Hasher.Value.
+func KeyEqual(a, b any) bool {
+	switch x := a.(type) {
+	case nil:
+		return b == nil
+	case bool:
+		y, ok := b.(bool)
+		return ok && x == y
+	case int32:
+		return keyInt(b, int64(x))
+	case int64:
+		return keyInt(b, x)
+	case float32:
+		return keyFloat(b, float64(x))
+	case float64:
+		return keyFloat(b, x)
+	case string:
+		y, ok := b.(string)
+		return ok && x == y
+	case types.Decimal:
+		y, ok := b.(types.Decimal)
+		return ok && x == y
+	}
+	return GroupKey(Row{a, b}, []int{0}) == GroupKey(Row{a, b}, []int{1})
+}
+
+func keyInt(b any, x int64) bool {
+	switch y := b.(type) {
+	case int32:
+		return x == int64(y)
+	case int64:
+		return x == y
+	}
+	return false
+}
+
+func keyFloat(b any, x float64) bool {
+	switch y := b.(type) {
+	case float32:
+		return math.Float64bits(x) == math.Float64bits(float64(y))
+	case float64:
+		return math.Float64bits(x) == math.Float64bits(y)
+	}
+	return false
+}
+
 func appendKeyValue(sb *strings.Builder, v any) {
 	switch x := v.(type) {
 	case nil:

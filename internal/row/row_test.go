@@ -1,6 +1,7 @@
 package row
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,27 @@ func TestGroupKeyInjective(t *testing.T) {
 			}
 		}
 		seen[k] = r
+	}
+}
+
+// KeyEqual is GroupKey equality without the strings, and equal keys hash
+// alike: every pair of a pool that crosses widths, NaN payloads, signed zeros,
+// decimal scales and nested values.
+func TestKeyEqualIsGroupKeyEquality(t *testing.T) {
+	pool := []any{nil, true, false, int32(0), int64(0), int32(7), int64(7), int64(1) << 40,
+		float32(1.5), 1.5, 0.0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001),
+		"", "a", "7", types.NewDecimal(150, 2), types.NewDecimal(15, 1), types.NewDecimal(150, 2),
+		Row{int32(1), "x"}, Row{int64(1), "x"}, Row{int32(1)}, []any{int32(1), "x"}, []any{}}
+	for _, a := range pool {
+		for _, b := range pool {
+			want := GroupKey(Row{a}, []int{0}) == GroupKey(Row{b}, []int{0})
+			if got := KeyEqual(a, b); got != want {
+				t.Errorf("KeyEqual(%#v, %#v) = %v, GroupKey equality says %v", a, b, got, want)
+			}
+			if want && HashValue(a) != HashValue(b) {
+				t.Errorf("%#v and %#v are one key but hash apart", a, b)
+			}
+		}
 	}
 }
 
