@@ -525,36 +525,51 @@ func BenchmarkJoinReorder(b *testing.B) {
 }
 
 // Spill benchmarks: the same sort and aggregation with and without a
-// memory budget. The budgeted runs pay encoding plus simulated spill-disk
-// I/O; the gap is the price of bounded memory (Spark's external sort /
-// spillable hash aggregation trade-off).
+// memory budget. Budgeted runs reserve far more than the data needs and must
+// not spill: the gap to InMemory is the price of *having* a budget. Spilling
+// runs get 1% of the data size and pay encoding plus simulated spill-disk I/O:
+// the price of *hitting* it (Spark's external sort / spillable hash
+// aggregation trade-off).
 
-func spillBenchContexts(b *testing.B) (unlimited, budgeted *sparksql.Context) {
+func spillBenchContexts(b *testing.B, n int64) (unlimited, roomy, tight *sparksql.Context) {
 	b.Helper()
-	s, err := experiments.NewSpillStudy(20_000)
+	s, err := experiments.NewSpillStudy(n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if unlimited, err = s.Context(0); err != nil {
-		b.Fatal(err)
+	ctxs := make([]*sparksql.Context, 3)
+	for i, budget := range []int64{0, 8 << 30, s.DataBytes / 100} {
+		if ctxs[i], err = s.Context(budget); err != nil {
+			b.Fatal(err)
+		}
 	}
-	// 1% of the data size: every blocking operator spills heavily.
-	if budgeted, err = s.Context(s.DataBytes / 100); err != nil {
-		b.Fatal(err)
-	}
-	return unlimited, budgeted
+	return ctxs[0], ctxs[1], ctxs[2]
+}
+
+// benchBudgets runs q unbudgeted, under a budget it never hits (checked: no
+// spill) and under one it hits.
+func benchBudgets(b *testing.B, n int64, q string) {
+	unlimited, roomy, tight := spillBenchContexts(b, n)
+	b.Run("InMemory", func(b *testing.B) { benchSQL(b, unlimited, q) })
+	b.Run("Budgeted", func(b *testing.B) {
+		benchSQL(b, roomy, q)
+		if n := roomy.Metrics().Counter("memory.spill.count").Load(); n != 0 {
+			b.Fatalf("%d spills under an 8 GiB budget", n)
+		}
+	})
+	b.Run("Spilling", func(b *testing.B) { benchSQL(b, tight, q) })
 }
 
 func BenchmarkExternalSort(b *testing.B) {
-	q := "SELECT pageURL, pageRank FROM rankings ORDER BY pageRank, pageURL"
-	unlimited, budgeted := spillBenchContexts(b)
-	b.Run("InMemory", func(b *testing.B) { benchSQL(b, unlimited, q) })
-	b.Run("Spilling", func(b *testing.B) { benchSQL(b, budgeted, q) })
+	benchBudgets(b, 20_000, "SELECT pageURL, pageRank FROM rankings ORDER BY pageRank, pageURL")
 }
 
+// BenchmarkSpillAggregate has two shapes: a few hundred groups, where the
+// reducers' state is small whatever the budget, and one group per input row
+// (FusedKeyedAggQuery), where the merged state is the data.
 func BenchmarkSpillAggregate(b *testing.B) {
-	q := "SELECT pageRank, COUNT(*), SUM(avgDuration), AVG(avgDuration) FROM rankings GROUP BY pageRank"
-	unlimited, budgeted := spillBenchContexts(b)
-	b.Run("InMemory", func(b *testing.B) { benchSQL(b, unlimited, q) })
-	b.Run("Spilling", func(b *testing.B) { benchSQL(b, budgeted, q) })
+	b.Run("LowCard", func(b *testing.B) {
+		benchBudgets(b, 20_000, "SELECT pageRank, COUNT(*), SUM(avgDuration), AVG(avgDuration) FROM rankings GROUP BY pageRank")
+	})
+	b.Run("HighCard", func(b *testing.B) { benchBudgets(b, 200_000, experiments.FusedKeyedAggQuery()) })
 }

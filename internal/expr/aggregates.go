@@ -24,6 +24,11 @@ type AggregateFunc interface {
 	Merge(a, b any) any
 	// Result extracts the aggregate value from a buffer.
 	Result(buf any) any
+	// EncodeBuffer flattens a buffer into a Row of spill-codec values — the
+	// buffer's form in a spilled group record — and DecodeBuffer rebuilds an
+	// equivalent buffer from it.
+	EncodeBuffer(buf any) row.Row
+	DecodeBuffer(r row.Row) any
 }
 
 // ContainsAggregate reports whether e has an AggregateFunc anywhere in its
@@ -42,18 +47,6 @@ func ContainsAggregate(e Expression) bool {
 
 func aggEvalPanic(e Expression) any {
 	panic(fmt.Sprintf("expr: aggregate %s evaluated as a row expression; use buffers", e))
-}
-
-// SpillableAggregate is implemented by aggregates whose buffers round-trip
-// through the row spill codec: EncodeBuffer flattens a buffer into a Row of
-// codec-supported values and DecodeBuffer rebuilds an equivalent buffer.
-// The spillable hash aggregation requires every aggregate in the query to
-// implement it (all built-ins do); a custom aggregate without it simply
-// keeps that query on the unbounded in-memory path.
-type SpillableAggregate interface {
-	AggregateFunc
-	EncodeBuffer(buf any) row.Row
-	DecodeBuffer(r row.Row) any
 }
 
 // ---------------------------------------------------------------------------

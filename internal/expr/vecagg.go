@@ -17,8 +17,8 @@ import (
 // fills the lanes (from column vectors on the fused path, from boxed rows on
 // the row path); the lanes themselves are what crosses the exchange; the
 // reducer merges lanes into lanes and turns them into result columns. Boxed
-// scalar buffers exist only behind Buffer, the per-group view the
-// spill-to-disk merge consumes.
+// scalar buffers exist only behind Buffer and SetBuffer: the per-group view a
+// reducer encodes into a spilled group record, and its way back into a lane.
 
 // VecAggregator accumulates one aggregate into dense per-group state lanes.
 type VecAggregator interface {
@@ -35,8 +35,12 @@ type VecAggregator interface {
 	// value). The column may alias the lanes; the accumulator is spent.
 	Result(n int) *columnar.Vector
 	// Buffer returns group g's state as a standard aggregation buffer —
-	// exactly what fn.Merge and fn.Result accept.
+	// exactly what fn.Merge, fn.Result and fn.EncodeBuffer accept.
 	Buffer(g int) any
+	// SetBuffer is Buffer's inverse: it grows to g+1 groups and makes group
+	// g's state the buffer's, so a decoded block of spilled group records is a
+	// lane Merge accepts as src.
+	SetBuffer(g int, buf any)
 }
 
 // NewVecAggregator builds a batch-native updater for a bound aggregate.
@@ -120,6 +124,10 @@ func (a *vecCount) Result(n int) *columnar.Vector {
 	return columnar.WrapVector(types.Long, a.counts[:n], nil)
 }
 func (a *vecCount) Buffer(g int) any { return a.counts[g] }
+func (a *vecCount) SetBuffer(g int, buf any) {
+	a.counts = columnar.GrowLane(a.counts, g+1)
+	a.counts[g] = buf.(int64)
+}
 
 // vecSum accumulates integral sums in int64, float sums in float64, and
 // decimal sums through boxed Decimal addition.
@@ -237,6 +245,20 @@ func (a *vecSum) Buffer(g int) any {
 	return buf
 }
 
+func (a *vecSum) SetBuffer(g int, buf any) {
+	b := buf.(*sumBuffer)
+	a.grow(g + 1)
+	a.seen[g] = b.seen
+	switch a.kind {
+	case 0:
+		a.i[g] = b.i
+	case 1:
+		a.f[g] = b.f
+	default:
+		a.d[g] = b.d
+	}
+}
+
 // vecAvg keeps (sum, count) pairs, reading the numeric lanes directly when
 // the child vectorized.
 type vecAvg struct {
@@ -311,6 +333,12 @@ func (a *vecAvg) Result(n int) *columnar.Vector {
 
 func (a *vecAvg) Buffer(g int) any {
 	return &avgBuffer{sum: a.sums[g], count: a.counts[g]}
+}
+
+func (a *vecAvg) SetBuffer(g int, buf any) {
+	b := buf.(*avgBuffer)
+	a.sums, a.counts = columnar.GrowLane(a.sums, g+1), columnar.GrowLane(a.counts, g+1)
+	a.sums[g], a.counts[g] = b.sum, b.count
 }
 
 // f64Less orders float64 the way row.Compare does: NaN sorts greatest.
@@ -457,6 +485,16 @@ func (a *vecMinMax) Buffer(g int) any {
 	}
 }
 
+// SetBuffer clears group g and folds the buffer's value in as a one-row
+// column, so it lands in the typed lane under fold's own conversions.
+func (a *vecMinMax) SetBuffer(g int, buf any) {
+	a.grow(g + 1)
+	a.has[g] = false
+	v := NewClassVector(a.fn.Child.DataType(), 1)
+	v.Set(0, buf.(*minmaxBuffer).v)
+	a.fold(v, []int32{0}, []int32{int32(g)}, g+1)
+}
+
 // BoxedAggregator is the boxed buffer lane: one scalar aggregation buffer
 // per group, folded through the aggregate's own Update / Merge / Result. It
 // is the whole accumulator on the row-at-a-time phase 1 (UpdateRow) and for
@@ -511,6 +549,13 @@ func (a *BoxedAggregator) Result(n int) *columnar.Vector {
 	return boxedResult(a.fn, a, n)
 }
 func (a *BoxedAggregator) Buffer(g int) any { return a.bufs[g] }
+func (a *BoxedAggregator) SetBuffer(g int, buf any) {
+	if a.grow(g); g == len(a.bufs) {
+		a.bufs = append(a.bufs, buf)
+	} else {
+		a.bufs[g] = buf
+	}
+}
 
 // vecFirst fills the boxed lane from the child vector: the first non-NULL
 // child value in batch order, matching the scalar First exactly.

@@ -493,3 +493,78 @@ func TestVecAggregatorLanesMatchScalar(t *testing.T) {
 		}
 	}
 }
+
+// A state lane must survive a reducer's spill file: for every lane type,
+// Buffer -> EncodeBuffer -> the row spill codec -> DecodeBuffer -> SetBuffer
+// rebuilds a lane that merges into a fresh accumulator exactly as the original
+// lane does — typed and boxed lanes alike, never-reached groups included.
+func TestVecAggregatorBufferRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const n, groups = 300, 6 // group 5 is never reached
+	dec := types.DecimalType{Precision: 10, Scale: 2}
+	schema := []types.DataType{types.Int, types.Double, types.String, types.Float, dec, types.Long}
+	cols := make([]*columnar.Vector, len(schema))
+	for j, dt := range schema {
+		cols[j] = NewClassVector(dt, n)
+	}
+	rows := make([]row.Row, n)
+	sel, gidx := make([]int32, n), make([]int32, n)
+	for i := range rows {
+		rows[i] = row.Row{int32(rng.Intn(50) - 25), float64(rng.Intn(40)) / 4, fmt.Sprintf("s%02d", rng.Intn(30)),
+			float32(rng.Intn(9)) / 2, types.NewDecimal(int64(rng.Intn(2000)-1000), 2), int64(rng.Intn(1 << 40))}
+		for j := range rows[i] {
+			if rng.Intn(7) == 0 {
+				rows[i][j] = nil
+			}
+			cols[j].Set(i, rows[i][j])
+		}
+		sel[i], gidx[i] = int32(i), int32(rng.Intn(groups-1))
+	}
+	batch := &VecBatch{Cols: cols, N: n}
+	ref := func(j int) Expression { return &BoundReference{Ordinal: j, Type: schema[j], Null: true} }
+	fns := []AggregateFunc{
+		NewCountStar(), &Count{Child: ref(2)}, // vecCount
+		&Sum{Child: ref(0)}, &Sum{Child: ref(1)}, &Sum{Child: ref(4)}, // vecSum: integral, float, decimal
+		&Avg{Child: ref(1)},                                                                            // vecAvg
+		NewMin(ref(0)), NewMax(ref(5)), NewMax(ref(1)), NewMin(ref(2)), NewMax(ref(4)), NewMin(ref(3)), // vecMinMax: i64 (INT narrows), f64, str, boxed
+		&First{Child: ref(2)}, &CountDistinct{Child: ref(0)}, // boxed lanes
+	}
+	perm := []int32{4, 2, 0, 5, 1, 3}
+	all := []int32{0, 1, 2, 3, 4, 5}
+	for _, fn := range fns {
+		for _, lane := range []func() VecAggregator{
+			func() VecAggregator { a, _ := NewVecAggregator(fn); return a },
+			func() VecAggregator { return NewBoxedAggregator(fn) },
+		} {
+			orig := lane()
+			orig.Update(batch, sel, gidx, groups)
+			recs := make([]row.Row, groups)
+			for g := range recs {
+				recs[g] = row.Row{fn.EncodeBuffer(orig.Buffer(g))}
+			}
+			enc, err := row.EncodeRows(recs)
+			if err != nil {
+				t.Fatalf("%s: %v", fn, err)
+			}
+			if recs, err = row.DecodeRows(enc); err != nil {
+				t.Fatalf("%s: %v", fn, err)
+			}
+			back := lane()
+			for g := groups - 1; g >= 0; g-- { // any order: SetBuffer grows to g+1
+				back.SetBuffer(g, fn.DecodeBuffer(recs[g][0].(row.Row)))
+			}
+			want, got := lane(), lane()
+			for round := 0; round < 2; round++ { // merging twice exercises merge into non-empty state
+				want.Merge(orig, all, perm, groups)
+				got.Merge(back, all, perm, groups)
+			}
+			wantCol, gotCol := want.Result(groups), got.Result(groups)
+			for g := 0; g < groups; g++ {
+				w, r := wantCol.Get(g), gotCol.Get(g)
+				if !row.Equal(r, w) || fmt.Sprintf("%T", r) != fmt.Sprintf("%T", w) {
+					t.Fatalf("%s (%T) group %d: round-tripped lane merges to %v (%T), original to %v (%T)", fn, orig, g, r, r, w, w)
+				}
+			}
+		}
+	}
+}

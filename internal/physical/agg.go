@@ -3,6 +3,7 @@ package physical
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/columnar"
@@ -179,12 +180,10 @@ func (h *HashAggregateExec) reducers(ctx *ExecContext) int {
 // finalMerge is phase 2, shared by the row-at-a-time and fused phase-1
 // implementations: exchange the partial blocks (already split by reducer, so
 // the exchange only transposes them), merge state lanes into state lanes per
-// reducer through the same group tables phase 1 uses, evaluate the result
-// expressions as vector kernels over [key columns..., aggregate result
+// reducer through the same group tables phase 1 uses (aggMerge), evaluate the
+// result expressions as vector kernels over [key columns..., aggregate result
 // columns...], and box each output row exactly once. newLanes must build the
-// accumulators the same way phase 1 did. Keeping one implementation here is
-// what guarantees the fused path inherits the grace-partitioned spill
-// behavior (and its tests) unchanged.
+// accumulators the same way phase 1 did.
 func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, blocks *rdd.RDD[aggBlock], numPart int,
 	fns []expr.AggregateFunc, newLanes func() []expr.VecAggregator, resultExprs []expr.Expression) *rdd.RDD[row.Row] {
 	shuffled := rdd.ExchangePresplit(blocks, numPart, aggBlock.groups)
@@ -195,99 +194,213 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, bl
 			resultEvals[i], _ = expr.CompileVec(e)
 		}
 	}
-	// Under a memory budget (and when every aggregate can round-trip its
-	// buffer through the spill codec — all built-ins can) the merge state is
-	// a grace hash aggregation that partitions itself to disk instead of
-	// growing unbounded.
-	fnsS := spillableFns(fns)
-	spill := ctx.SpillEnabled() && fnsS != nil
 
-	return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, p int, in []aggBlock) ([]row.Row, error) {
+	return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, _ int, in []aggBlock) ([]row.Row, error) {
 		start := time.Now()
-		var cols []*columnar.Vector // [key columns..., aggregate result columns...]
-		var n int
-		if spill && len(in) > 0 { // nothing to merge needs no budget (and is the empty global case below)
-			var err error
-			if cols, n, err = h.mergeSpilling(ctx, om, in, fnsS); err != nil {
+		// The blocks' group counts sum to an upper bound: the table never grows.
+		hint := 0
+		for _, b := range in {
+			hint += len(b.sel)
+		}
+		m := newAggMerge(ctx, keyTypes, fns, newLanes, hint)
+		defer m.Close()
+		for _, b := range in {
+			if err := m.merge(b); err != nil {
 				return nil, err
 			}
-		} else {
-			// The blocks' group counts sum to an upper bound: the table never grows.
-			hint := 0
-			for _, b := range in {
-				hint += len(b.sel)
-			}
-			groups := newGroupTable(keyTypes, nil, hint)
-			lanes := newLanes()
-			var gidx []int32
-			for _, b := range in {
-				gidx = groups.indexHashed(b.keys, b.hashes, b.sel, gidx[:0], true)
-				for j, l := range lanes {
-					l.Merge(b.lanes[j], b.sel, gidx, groups.count())
-				}
-			}
-			// A global aggregate over an empty input still emits one row
-			// (SELECT count(*) FROM empty => 0).
-			if n = groups.count(); n == 0 && len(h.Grouping) == 0 && p == 0 {
-				n = 1
-			}
-			om.RecordTable(0, groups.grows)
-			cols = append(cols, groups.cols...)
-			for _, l := range lanes {
-				cols = append(cols, l.Result(n))
-			}
 		}
+		cols, n, err := m.finish() // [key columns..., aggregate result columns...]
+		if err != nil {
+			return nil, err
+		}
+		om.RecordTable(0, m.grows)
+		om.RecordSpill(m.Stats())
 		out := boxResultRows(cols, n, resultEvals)
 		om.RecordPartition(len(out), time.Since(start))
 		return out, nil
 	})
 }
 
-// mergeSpilling is the reducer under a memory budget: each partial group is
-// read through its boxed per-group view (key values, scalar buffers) into
-// the grace hash aggregation, whose first-seen-ordered states load back into
-// columns — so spilling, emission order and byte-identity at any budget are
-// spillableGroups' own.
-func (h *HashAggregateExec) mergeSpilling(ctx *ExecContext, om *OperatorMetrics, in []aggBlock, fns []expr.SpillableAggregate) ([]*columnar.Vector, int, error) {
-	g := newSpillableGroups(ctx, "agg", len(h.Grouping), fns)
-	defer g.Close()
-	for _, b := range in {
-		for _, i := range b.sel {
-			gv := make(row.Row, len(b.keys))
-			for j, kc := range b.keys {
-				gv[j] = kc.Get(int(i))
-			}
-			err := g.upsert(gv, func(st *aggState) {
-				for j, fn := range fns {
-					st.buffers[j] = fn.Merge(st.buffers[j], b.lanes[j].Buffer(int(i)))
-				}
-			})
+// ---------------------------------------------------------------------------
+// The reducer
+
+// aggTable is merged aggregation state: a group table and one state lane per
+// aggregate over its groups.
+type aggTable struct {
+	groups *groupTable
+	lanes  []expr.VecAggregator
+	gidx   []int32
+}
+
+// fold merges one partial block into the table: the one merge body, run on
+// the exchange's blocks and on blocks read back from the spill log alike.
+func (t *aggTable) fold(b aggBlock) {
+	t.gidx = t.groups.indexHashed(b.keys, b.hashes, b.sel, t.gidx[:0], true)
+	for j, l := range t.lanes {
+		l.Merge(b.lanes[j], b.sel, t.gidx, t.groups.count())
+	}
+}
+
+// aggMerge is one reducer's merge of partial blocks: an aggTable, plus — when
+// the query has a memory pool — a reservation for it (spillState): one
+// Acquire per incoming block for as many groups as the block could add, what
+// its already-present groups did not need released after the fold. When the
+// pool runs dry, or picks this reducer as its victim, the table is appended
+// to the reducer's spill log as blocks of group records [key values...,
+// encoded buffers...] in group order, and an empty table takes over. finish
+// re-merges the log through the same fold into one table: a key's records
+// meet in flush order, so order-sensitive state (FIRST, DOUBLE sums) resolves
+// as it does in memory, and a key's first record is the first the log holds
+// of it, so the table's first-seen order is the order an unspilled merge
+// would have had — results are byte-identical at any budget. The re-merge is
+// not reserved: its table is the reducer's output, which is materialized
+// whatever the budget.
+type aggMerge struct {
+	spillState
+	keyTypes   []types.DataType
+	fns        []expr.AggregateFunc
+	newLanes   func() []expr.VecAggregator
+	groupBytes int64     // reserved per group
+	cur        *aggTable // guarded by mu under a budget; nil once finished
+	log        string    // spill file
+	blocks     int       // blocks appended to it
+	grows      int       // slot doublings of the tables retired so far
+}
+
+func newAggMerge(ctx *ExecContext, keyTypes []types.DataType, fns []expr.AggregateFunc,
+	newLanes func() []expr.VecAggregator, hint int) *aggMerge {
+	// A group is reserved as the boxed key row and buffers it would be: a flat
+	// allowance per key and per aggregate, never re-measured (COUNT DISTINCT
+	// sets grow).
+	m := &aggMerge{keyTypes: keyTypes, fns: fns, newLanes: newLanes,
+		groupBytes: 100 + 32*int64(len(keyTypes)) + 48*int64(len(fns))}
+	m.init(ctx, "agg", m.flushTable)
+	if m.cons != nil && ctx.Pool.Budget() > 0 {
+		hint = min(hint, int(ctx.Pool.Budget()/m.groupBytes)) // more groups than that never share a table
+	}
+	m.cur = m.newTable(hint)
+	return m
+}
+
+func (m *aggMerge) newTable(hint int) *aggTable {
+	return &aggTable{groups: newGroupTable(m.keyTypes, nil, hint), lanes: m.newLanes()}
+}
+
+// merge folds one of the exchange's blocks into the current table.
+func (m *aggMerge) merge(b aggBlock) error {
+	if m.cons == nil {
+		m.cur.fold(b)
+		return nil
+	}
+	return m.add(int64(len(b.sel))*m.groupBytes, func() int64 {
+		before := m.cur.groups.count()
+		m.cur.fold(b)
+		return int64(m.cur.groups.count()-before) * m.groupBytes
+	})
+}
+
+// flushTable appends the current table's groups to the spill log and starts
+// an empty table (spillState.flush).
+func (m *aggMerge) flushTable() (int64, error) {
+	t := m.cur
+	if t == nil || t.groups.count() == 0 {
+		return 0, nil
+	}
+	// One block of boxed records at a time: this runs when memory is short.
+	var bytes int64
+	recs := make([]row.Row, 0, spillBlockRows)
+	for g, n := 0, t.groups.count(); g < n; g++ {
+		rec := make(row.Row, 0, len(m.keyTypes)+len(m.fns))
+		for _, kc := range t.groups.cols {
+			rec = append(rec, kc.Get(g))
+		}
+		for j, fn := range m.fns {
+			rec = append(rec, fn.EncodeBuffer(t.lanes[j].Buffer(g)))
+		}
+		if recs = append(recs, rec); len(recs) == spillBlockRows || g == n-1 {
+			log, blocks, wrote, err := m.writeRun("groups", recs)
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
+			m.log, m.blocks, bytes, recs = log, m.blocks+blocks, bytes+wrote, recs[:0]
 		}
 	}
-	states, err := g.Finish()
+	m.grows += t.groups.grows
+	m.cur = m.newTable(0)
+	return bytes, nil
+}
+
+// readBlock reads block i of the spill log back as a partial block.
+func (m *aggMerge) readBlock(i int) (b aggBlock, err error) {
+	enc, err := m.ctx.SpillFS.ReadBlock(m.log, i)
 	if err != nil {
-		return nil, 0, err
+		return b, err
 	}
-	om.RecordSpill(g.Stats())
-	cols := make([]*columnar.Vector, 0, len(h.Grouping)+len(fns))
-	for j, t := range h.keyTypes() {
-		kc := expr.NewClassVector(t, len(states))
-		for i, st := range states {
-			kc.Set(i, st.groupVals[j])
+	recs, err := row.DecodeRows(enc)
+	if err != nil {
+		return b, err
+	}
+	n, nk := len(recs), len(m.keyTypes)
+	b = aggBlock{keys: make([]*columnar.Vector, nk), hashes: make([]uint64, n), lanes: m.newLanes(), sel: identitySel(n)}
+	for j, kt := range m.keyTypes {
+		b.keys[j] = expr.NewClassVector(kt, n)
+	}
+	for i, rec := range recs {
+		if len(rec) != nk+len(m.fns) {
+			return b, fmt.Errorf("physical: spilled group record has %d fields, want %d+%d", len(rec), nk, len(m.fns))
 		}
-		cols = append(cols, kc)
-	}
-	for j, fn := range fns {
-		rc := expr.NewClassVector(fn.DataType(), len(states))
-		for i, st := range states {
-			rc.Set(i, fn.Result(st.buffers[j]))
+		h := row.NewHasher()
+		for j, v := range rec[:nk] {
+			b.keys[j].Set(i, v)
+			h = h.Value(v)
 		}
-		cols = append(cols, rc)
+		b.hashes[i] = h.Sum()
+		for j, fn := range m.fns {
+			buf, ok := rec[nk+j].(row.Row)
+			if !ok {
+				return b, fmt.Errorf("physical: spilled %s buffer is %T, not a row", fn, rec[nk+j])
+			}
+			b.lanes[j].SetBuffer(i, fn.DecodeBuffer(buf))
+		}
 	}
-	return cols, len(states), nil
+	return b, nil
+}
+
+// finish returns the merged groups as [key columns..., aggregate result
+// columns...] and their number, in first-seen order. With nothing spilled
+// that is the current table; otherwise the remainder is flushed too and the
+// whole log re-merged into the empty table that leaves.
+func (m *aggMerge) finish() ([]*columnar.Vector, int, error) {
+	if m.cons != nil {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	if m.err != nil {
+		return nil, 0, m.err
+	}
+	if m.blocks > 0 {
+		if _, err := m.spillLocked(); err != nil {
+			return nil, 0, err
+		}
+	}
+	t := m.cur
+	m.cur = nil // a victim callback from here on finds nothing to flush
+	for i := 0; i < m.blocks; i++ {
+		b, err := m.readBlock(i)
+		if err != nil {
+			return nil, 0, err
+		}
+		t.fold(b)
+	}
+	m.grows += t.groups.grows
+	cols, n := slices.Clone(t.groups.cols), t.groups.count()
+	if len(cols) == 0 {
+		n = 1 // a global aggregate's one reducer emits its row over an empty input too (SELECT count(*) FROM empty => 0)
+	}
+	for _, l := range t.lanes {
+		cols = append(cols, l.Result(n))
+	}
+	return cols, n, nil
 }
 
 // boxResultRows evaluates the result expressions over the n merged groups
@@ -320,7 +433,6 @@ func boxResultRows(cols []*columnar.Vector, n int, resultEvals []expr.VecEval) [
 // [group0..groupG-1, agg0..aggN-1].
 func (h *HashAggregateExec) splitAggregates() ([]expr.AggregateFunc, []expr.Expression) {
 	var fns []expr.AggregateFunc
-	fnKeys := make(map[string]int)
 
 	// Grouping expressions map to synthetic ordinals by structural match.
 	groupRefs := make([]expr.Expression, len(h.Grouping))
@@ -340,10 +452,9 @@ func (h *HashAggregateExec) splitAggregates() ([]expr.AggregateFunc, []expr.Expr
 			}
 			if fn, ok := x.(expr.AggregateFunc); ok {
 				key := fn.String()
-				idx, seen := fnKeys[key]
-				if !seen {
+				idx := slices.IndexFunc(fns, func(f expr.AggregateFunc) bool { return f.String() == key })
+				if idx < 0 {
 					idx = len(fns)
-					fnKeys[key] = idx
 					fns = append(fns, fn)
 				}
 				return &expr.BoundReference{

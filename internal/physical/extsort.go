@@ -2,44 +2,28 @@ package physical
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/dfs"
-	"repro/internal/memory"
 	"repro/internal/rdd"
 	"repro/internal/row"
 )
 
 // External merge sort: the disk-backed sort under SortExec and
 // SortMergeJoinExec. Rows accumulate in an in-memory buffer whose bytes are
-// reserved from the query's memory pool; when a reservation fails (or the
-// pool picks this sorter as its largest victim) the buffer is stable-sorted
-// and written to the spill DFS as one encoded run, and the reservation is
-// released. Finishing k-way merges the spilled runs with the final
-// in-memory run through a loser heap that breaks comparison ties by run
+// reserved from the query's memory pool (spillState); when a reservation
+// fails (or the pool picks this sorter as its largest victim) the buffer is
+// stable-sorted and written to the spill DFS as one encoded run, and the
+// reservation is released. Finishing k-way merges the spilled runs with the
+// final in-memory run through a loser heap that breaks comparison ties by run
 // index — runs are created in input order, so the merged output is exactly
 // the stable sort of the input: byte-identical to the in-memory path.
-
-// spillBlockRows is how many rows one spill block holds; blocks are the
-// unit of streaming reads during the merge phase.
-const spillBlockRows = 256
-
 type externalSorter struct {
-	ctx  *ExecContext
+	spillState
 	less func(a, b row.Row) bool
-	cons *memory.Consumer
-
-	mu       sync.Mutex
-	buf      []row.Row
-	bufBytes int64
-	prefix   string // lazily reserved on first spill
-	runs     []spillRun
-	spillErr error // first spill failure (surfaced on the next Add/Finish)
-
-	spilledBytes int64
+	buf  []row.Row  // guarded by mu under a budget
+	runs []spillRun // likewise
 }
 
 type spillRun struct {
@@ -47,104 +31,43 @@ type spillRun struct {
 	blocks int
 }
 
-// newExternalSorter creates a sorter; with spilling disabled on ctx it
-// degrades to an in-memory stable sort with zero overhead beyond the
-// buffer append.
+// newExternalSorter creates a sorter; without a memory pool on ctx it is an
+// in-memory stable sort: one buffer, no lock, no reservation.
 func newExternalSorter(ctx *ExecContext, op string, less func(a, b row.Row) bool) *externalSorter {
-	s := &externalSorter{ctx: ctx, less: less}
-	if ctx.SpillEnabled() {
-		s.cons = ctx.Pool.NewConsumer(op, s.poolSpill)
-	}
+	s := &externalSorter{less: less}
+	s.init(ctx, op, s.flushRun)
 	return s
 }
 
-// poolSpill is the memory pool's victim callback; it may run on any
-// goroutine while the owning task is between Adds.
-func (s *externalSorter) poolSpill() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	freed := s.bufBytes
-	if err := s.spillLocked(); err != nil {
-		if s.spillErr == nil {
-			s.spillErr = err
-		}
-		return 0
-	}
-	return freed
-}
-
-// spillLocked sorts and writes the current buffer as one run, releasing its
-// reservation. Caller holds s.mu.
-func (s *externalSorter) spillLocked() error {
+// flushRun sorts and writes the current buffer as one run (spillState.flush).
+func (s *externalSorter) flushRun() (int64, error) {
 	if len(s.buf) == 0 {
-		return nil
-	}
-	if s.prefix == "" {
-		s.prefix = s.ctx.newSpillPrefix("sort")
+		return 0, nil
 	}
 	sort.SliceStable(s.buf, func(i, j int) bool { return s.less(s.buf[i], s.buf[j]) })
-	path := fmt.Sprintf("%s/run%d", s.prefix, len(s.runs))
-	blocks := 0
-	var runBytes int64
-	for off := 0; off < len(s.buf); off += spillBlockRows {
-		end := off + spillBlockRows
-		if end > len(s.buf) {
-			end = len(s.buf)
-		}
-		enc, err := row.EncodeRows(s.buf[off:end])
-		if err != nil {
-			return err
-		}
-		if err := s.ctx.SpillFS.AppendBlock(path, enc); err != nil {
-			return err
-		}
-		runBytes += int64(len(enc))
-		blocks++
+	path, blocks, bytes, err := s.writeRun(fmt.Sprintf("run%d", len(s.runs)), s.buf)
+	if err != nil {
+		return 0, err
 	}
 	s.runs = append(s.runs, spillRun{path: path, blocks: blocks})
-	s.spilledBytes += runBytes
-	s.ctx.Pool.RecordSpill(runBytes)
 	s.buf = nil
-	freed := s.bufBytes
-	s.bufBytes = 0
-	s.cons.Release(freed)
-	return nil
+	return bytes, nil
 }
 
-// Add appends one row, reserving its bytes first; an exhausted pool
-// triggers a self-spill of the current buffer.
-func (s *externalSorter) Add(r row.Row) error {
-	var n int64
-	if s.cons != nil {
-		n = r.ObjectSize()
-		if err := s.cons.Acquire(n); err != nil {
-			if !errors.Is(err, memory.ErrNoMemory) {
-				return err
-			}
-			s.mu.Lock()
-			err = s.spillLocked()
-			s.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			s.cons.Grow(n)
+// Add appends rows (the caller keeps its slice): one copy when nothing is
+// reserved, and under a budget row by row, each row's bytes reserved first.
+func (s *externalSorter) Add(rows ...row.Row) error {
+	if s.cons == nil {
+		s.buf = append(s.buf, rows...)
+		return nil
+	}
+	for _, r := range rows {
+		n := r.ObjectSize()
+		if err := s.add(n, func() int64 { s.buf = append(s.buf, r); return n }); err != nil {
+			return err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.spillErr != nil {
-		return s.spillErr
-	}
-	s.buf = append(s.buf, r)
-	s.bufBytes += n
 	return nil
-}
-
-// Stats returns the bytes spilled and the number of runs written.
-func (s *externalSorter) Stats() (bytes int64, runs int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spilledBytes, int64(len(s.runs))
 }
 
 // Finish returns the fully sorted input. With no spilled runs this is the
@@ -153,8 +76,8 @@ func (s *externalSorter) Stats() (bytes int64, runs int64) {
 func (s *externalSorter) Finish() ([]row.Row, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.spillErr != nil {
-		return nil, s.spillErr
+	if s.err != nil {
+		return nil, s.err
 	}
 	sort.SliceStable(s.buf, func(i, j int) bool { return s.less(s.buf[i], s.buf[j]) })
 	if len(s.runs) == 0 {
@@ -173,7 +96,7 @@ func (s *externalSorter) Finish() ([]row.Row, error) {
 
 	h := &mergeHeap{less: s.less}
 	for _, c := range cursors {
-		ok, err := c.prime()
+		ok, err := c.advance()
 		if err != nil {
 			return nil, err
 		}
@@ -199,23 +122,6 @@ func (s *externalSorter) Finish() ([]row.Row, error) {
 	return out, nil
 }
 
-// Close releases the memory reservation and deletes this sorter's spill
-// files; tasks defer it so retries, panics and cancellation all clean up.
-func (s *externalSorter) Close() {
-	s.mu.Lock()
-	prefix := s.prefix
-	s.prefix = ""
-	s.buf = nil
-	s.bufBytes = 0
-	s.mu.Unlock()
-	if s.cons != nil {
-		s.cons.Free()
-	}
-	if prefix != "" {
-		s.ctx.releaseSpillPrefix(prefix)
-	}
-}
-
 // runCursor streams one run: block-by-block from the spill DFS, or directly
 // over the final in-memory run.
 type runCursor struct {
@@ -228,8 +134,6 @@ type runCursor struct {
 	pos   int
 	block int // next block to read
 }
-
-func (c *runCursor) prime() (bool, error) { return c.advance() }
 
 func (c *runCursor) advance() (bool, error) {
 	for c.pos >= len(c.rows) {
@@ -270,8 +174,8 @@ func (h *mergeHeap) Less(i, j int) bool {
 	}
 	return a.idx < b.idx
 }
-func (h *mergeHeap) Swap(i, j int)   { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x any)      { h.items = append(h.items, x.(*runCursor)) }
+func (h *mergeHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *mergeHeap) Push(x any)    { h.items = append(h.items, x.(*runCursor)) }
 func (h *mergeHeap) Pop() any {
 	old := h.items
 	n := len(old)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/expr"
@@ -16,8 +15,8 @@ import (
 // SortExec orders rows. A global sort range-partitions the input on
 // sampled sort-key boundaries (Spark's range-partitioned sort) so every
 // partition sorts in parallel and partition order is total order; a local
-// sort orders within each partition. Under a memory budget each
-// partition's sort is an external merge sort spilling runs to the DFS.
+// sort orders within each partition, through the external sorter: in memory
+// without a memory budget, spilling runs to the DFS under one.
 type SortExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -80,24 +79,12 @@ func (s *SortExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		child = rangePartition(ctx, child, less, s.Partitions)
 	}
 	om := s.EnableMetrics(ctx.Metrics)
-	if !ctx.SpillEnabled() {
-		return rdd.MapPartitions(child, func(_ int, in []row.Row) []row.Row {
-			start := time.Now()
-			out := make([]row.Row, len(in))
-			copy(out, in)
-			sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
-			om.RecordPartition(len(out), time.Since(start))
-			return out
-		})
-	}
 	return rdd.MapPartitionsCtx(child, func(_ context.Context, _ int, in []row.Row) ([]row.Row, error) {
 		start := time.Now()
 		sorter := newExternalSorter(ctx, "sort", less)
 		defer sorter.Close()
-		for _, r := range in {
-			if err := sorter.Add(r); err != nil {
-				return nil, err
-			}
+		if err := sorter.Add(in...); err != nil {
+			return nil, err
 		}
 		out, err := sorter.Finish()
 		if err != nil {

@@ -58,11 +58,6 @@ type ExecContext struct {
 	spillPrefixes map[string]struct{}
 }
 
-// SpillEnabled reports whether operators should run their spilling paths.
-func (ctx *ExecContext) SpillEnabled() bool {
-	return ctx.Pool != nil && ctx.SpillFS != nil
-}
-
 // newSpillPrefix reserves a query-unique DFS path prefix for one spill
 // scope (one operator instance in one task attempt) and registers it for
 // end-of-query cleanup.

@@ -96,7 +96,7 @@ func (j *SortMergeJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		// NULL-keyed rows never merge: outer sides null-extend them up
 		// front (in input order), inner/semi sides drop them.
 		sortRows := func(op string, in []row.Row, keyRow func(row.Row) (row.Row, bool),
-			keep func(row.Row)) ([]row.Row, int64, int64, error) {
+			keep func(row.Row)) ([]row.Row, error) {
 			sorter := newExternalSorter(ctx, op, less)
 			defer sorter.Close()
 			for _, r := range in {
@@ -111,15 +111,12 @@ func (j *SortMergeJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 				copy(comp, kv)
 				copy(comp[k:], r)
 				if err := sorter.Add(comp); err != nil {
-					return nil, 0, 0, err
+					return nil, err
 				}
 			}
 			sorted, err := sorter.Finish()
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			bytes, runs := sorter.Stats()
-			return sorted, bytes, runs, nil
+			om.RecordSpill(sorter.Stats())
+			return sorted, err
 		}
 
 		var keepL, keepR func(row.Row)
@@ -129,15 +126,14 @@ func (j *SortMergeJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		if t == plan.RightOuterJoin || t == plan.FullOuterJoin {
 			keepR = func(r row.Row) { out = append(out, concatRows(nullRow(nLeft), r)) }
 		}
-		sortedL, bL, rL, err := sortRows("smj.left", ls, leftKeyRow, keepL)
+		sortedL, err := sortRows("smj.left", ls, leftKeyRow, keepL)
 		if err != nil {
 			return nil, err
 		}
-		sortedR, bR, rR, err := sortRows("smj.right", rs, rightKeyRow, keepR)
+		sortedR, err := sortRows("smj.right", rs, rightKeyRow, keepR)
 		if err != nil {
 			return nil, err
 		}
-		om.RecordSpill(bL+bR, rL+rR)
 
 		out = mergeJoin(out, sortedL, sortedR, k, nLeft, nRight, t, match)
 		om.RecordPartition(len(out), time.Since(start))

@@ -18,8 +18,8 @@ import (
 // shapes (single int64, single string, (int64, int64)) so grouping never
 // boxes or builds key strings on the hot path, and the partial state leaves
 // as typed columnar blocks (aggBlock); everything after the partial flush —
-// the exchange, the final merge, and the grace-partitioned spill path — is
-// HashAggregateExec's own phase 2, shared verbatim with the row phase 1.
+// the exchange and the final merge, reserved and spilled under a memory budget
+// — is HashAggregateExec's own phase 2, shared verbatim with the row phase 1.
 type FusedAggregateExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -135,7 +135,8 @@ func (k *aggSink) note(keyTypes []types.DataType) string {
 // state lane set per aggregate, and the selection of group positions bound for
 // one reducer. The blocks a map partition emits (one per reducer) are views
 // over the same columns and lanes; nothing is copied or boxed to split them,
-// and the reducer probes with the hashes instead of hashing a key again.
+// and the reducer probes with the hashes instead of hashing a key again. A
+// reducer that spills reads its spill log back as blocks of the same form.
 type aggBlock struct {
 	keys   []*columnar.Vector
 	hashes []uint64

@@ -15,16 +15,16 @@ go vet ./...
 go build ./...
 
 # One keyed hash table in the executor: the group table (vecagg.go) is a slot
-# array over typed key columns — no Go map, no key strings — and only the
-# grace-spill map (extagg.go) builds key strings; smj.go may. A GroupKey/keyFunc
-# caller anywhere else in internal/physical, or a map in vecagg.go, is a second
+# array over typed key columns, and the reducer (agg.go) merges and spills
+# partial blocks through it — no Go map, no key strings. A GroupKey/keyFunc
+# caller anywhere in internal/physical, or a map in either file, is a second
 # table family coming back.
-if grep -n 'row\.GroupKey(\|keyFunc(' $(ls internal/physical/*.go | grep -v '_test\.go$\|/extagg\.go$\|/smj\.go$'); then
-	echo "internal/physical: key strings outside extagg.go and smj.go" >&2
+if grep -n 'row\.GroupKey(\|keyFunc(' $(ls internal/physical/*.go | grep -v '_test\.go$'); then
+	echo "internal/physical: key strings are back" >&2
 	exit 1
 fi
-if grep -n 'map\[' internal/physical/vecagg.go; then
-	echo "internal/physical/vecagg.go: a Go map is back in the group table's file" >&2
+if grep -n 'map\[' internal/physical/vecagg.go internal/physical/agg.go; then
+	echo "internal/physical: a Go map is back in the group table's or the reducer's file" >&2
 	exit 1
 fi
 # Fusion has one admission rule ("the input is a batch pipeline"): the key

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -55,6 +56,16 @@ func setupSpillTables(t testing.TB, ctx *Context) {
 		t.Fatal(err)
 	}
 	df.RegisterTempTable("events")
+	// The same rows behind the columnar cache: aggregates over cevents run the
+	// fused phase 1, so the typed state lanes are what spills.
+	cdf, err := ctx.CreateDataFrame(events, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cdf.Cache(); err != nil {
+		t.Fatal(err)
+	}
+	cdf.RegisterTempTable("cevents")
 
 	dim := StructType{}.
 		Add("grp", IntType, false).
@@ -72,16 +83,31 @@ func setupSpillTables(t testing.TB, ctx *Context) {
 
 // spillExactQueries must match the golden run row for row, in order —
 // including the relative order of ORDER BY ties, which only survives
-// spilling because the external sort is stable end to end.
+// spilling because the external sort is stable end to end, and the
+// first-seen group order of aggregation and DISTINCT, which a spilling reducer
+// gets back by re-merging its spill log front to back. Between them the aggregates send every
+// state lane type through a spill file — boxed lanes over events, typed ones
+// over cevents: counts, DOUBLE / BIGINT / DECIMAL sums, avg, string and INT
+// extrema (boxed back as int32), first (whose VALUE depends on merge order)
+// and COUNT DISTINCT sets — under INT, NULLable and no grouping keys.
 var spillExactQueries = []string{
 	"SELECT name, grp, val FROM events ORDER BY grp, name",
 	"SELECT grp, val FROM events ORDER BY grp", // tie-heavy: stability must survive spilling
+	"SELECT grp, count(*), sum(val), avg(val), min(name), max(name) FROM events GROUP BY grp",
+	"SELECT grp, first(name) FROM events GROUP BY grp",
+	"SELECT DISTINCT grp FROM events",
+	"SELECT grp, count(DISTINCT name), min(id), max(id), sum(id), sum(CAST(val AS DECIMAL(12,2))) FROM events GROUP BY grp",
+	"SELECT CASE WHEN grp % 3 = 0 THEN NULL ELSE grp END, count(*), min(id), first(name) FROM events GROUP BY CASE WHEN grp % 3 = 0 THEN NULL ELSE grp END",
+	"SELECT grp, count(*), sum(val), avg(val), min(name), max(name), first(name) FROM cevents GROUP BY grp",
+	"SELECT grp, count(DISTINCT name), min(id), max(id), sum(id), sum(CAST(val AS DECIMAL(12,2))) FROM cevents GROUP BY grp",
+	"SELECT CASE WHEN grp % 3 = 0 THEN NULL ELSE grp END, count(*), min(id) FROM cevents GROUP BY CASE WHEN grp % 3 = 0 THEN NULL ELSE grp END",
+	"SELECT count(*), max(id), count(DISTINCT grp) FROM cevents",
 }
 
 // spillLimits are appended, as LIMIT n, to every spillExactQueries entry: the
-// result must be the first n rows of the un-limited sort, ties included. The
-// first three plan as a TopK (1000 is the largest that does, and as long as a
-// partition of events), the last — past the row count — as Sort + Limit.
+// result must be the first n rows of the un-limited query, ties included. Over
+// a sort the first three plan as a TopK (1000 is the largest that does, and as
+// long as a partition of events), the last — past the row count — as Sort + Limit.
 var spillLimits = []int{1, 7, 1000, spillRows + 1000}
 
 // checkLimits runs every spillExactQueries entry under every spillLimits
@@ -102,17 +128,11 @@ func checkLimits(t *testing.T, ctx *Context, wantExact map[string]string) {
 	}
 }
 
-// spillCanonQueries are compared as sorted row sets. Aggregation and
-// DISTINCT emission order is nondeterministic even fully in memory (the
-// partial-aggregation phase iterates a Go map), and the budget switches the
-// join's physical plan to a sort-merge join — so for these the contract is
-// set equality plus deterministic values. first(name) still checks
-// order-sensitivity: its per-group VALUE depends on merge order, which the
-// spill path must reproduce exactly.
+// spillCanonQueries are compared as sorted row sets: the budget switches the
+// join's physical plan to a sort-merge join, whose emission order is not the
+// hash join's — so for these the contract is set equality plus deterministic
+// values.
 var spillCanonQueries = []string{
-	"SELECT grp, count(*), sum(val), avg(val), min(name), max(name) FROM events GROUP BY grp",
-	"SELECT grp, first(name) FROM events GROUP BY grp",
-	"SELECT DISTINCT grp FROM events",
 	"SELECT e.name, e.grp, d.label FROM events e JOIN dim d ON e.grp = d.grp",
 	"SELECT e.name, d.label FROM events e LEFT JOIN dim d ON e.grp = d.grp WHERE e.id < 500",
 }
@@ -148,10 +168,16 @@ func canonText(rows []Row) string {
 	return strings.Join(lines, "\n")
 }
 
+// spillRoomyBudget is far above the data size: every operator reserves its
+// state and none may spill.
+const spillRoomyBudget = 1 << 30
+
 // TestSpillPropertyRandomBudgets runs the workload at fixed and seeded
 // random budgets — from one byte to 16 KB against hundreds of KB of data —
 // and checks every result against an unbudgeted golden run, that spilling
-// actually occurred, and that no spill file survives any query.
+// actually occurred, and that no spill file survives any query; then once
+// more under spillRoomyBudget, where the same reservations are taken and
+// nothing may be flushed.
 func TestSpillPropertyRandomBudgets(t *testing.T) {
 	golden := NewContextWithConfig(spillConfig(0))
 	setupSpillTables(t, golden)
@@ -170,6 +196,7 @@ func TestSpillPropertyRandomBudgets(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		budgets = append(budgets, 1+rng.Int63n(16<<10))
 	}
+	budgets = append(budgets, spillRoomyBudget)
 
 	for _, budget := range budgets {
 		budget := budget
@@ -198,15 +225,31 @@ func TestSpillPropertyRandomBudgets(t *testing.T) {
 					t.Fatalf("%q left %d spill files at budget %d", q, nf, budget)
 				}
 			}
-			if n := ctx.Metrics().Counter("memory.spill.count").Load(); n == 0 {
+			switch n := ctx.Metrics().Counter("memory.spill.count").Load(); {
+			case budget == spillRoomyBudget && n != 0:
+				t.Fatalf("%d spills under a budget far above the data size", n)
+			case budget != spillRoomyBudget && n == 0:
 				t.Fatalf("budget %d forced no spills over %d-row inputs", budget, spillRows)
 			}
 		})
 	}
 }
 
+// aggregateLine returns the HashAggregate line of an EXPLAIN ANALYZE output.
+func aggregateLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "HashAggregate") && strings.Contains(line, "actual:") {
+			return line
+		}
+	}
+	t.Fatalf("no executed HashAggregate in:\n%s", out)
+	return ""
+}
+
 // TestSpillExplainAnalyze checks the observability contract: a budgeted run
-// annotates spilling operators with `spilled: N B, R runs`, and the analyze
+// annotates spilling operators with `spilled: N B, R runs`, a budgeted
+// reducer reports its table growth like an unbudgeted one, and the analyze
 // run itself leaves no spill files behind.
 func TestSpillExplainAnalyze(t *testing.T) {
 	ctx := NewContextWithConfig(spillConfig(2 << 10))
@@ -223,6 +266,11 @@ func TestSpillExplainAnalyze(t *testing.T) {
 	}
 	if !strings.Contains(out, "spilled:") {
 		t.Fatalf("EXPLAIN ANALYZE missing spill annotation:\n%s", out)
+	}
+	// 20 groups of ~230 reserved bytes per block against 2 KB: the reducers
+	// themselves flush, and still count their tables' doublings.
+	if agg := aggregateLine(t, out); !strings.Contains(agg, "spilled:") || !strings.Contains(agg, "grows=") {
+		t.Fatalf("a spilling reducer must report both spilled: and grows=:\n%s", agg)
 	}
 	if nf := ctx.SpillFS().NumFiles(); nf != 0 {
 		t.Fatalf("EXPLAIN ANALYZE left %d spill files", nf)
@@ -256,6 +304,22 @@ func TestSpillExplainAnalyze(t *testing.T) {
 	}
 	if strings.Contains(gout, "spilled:") {
 		t.Fatalf("unbudgeted EXPLAIN ANALYZE mentions spilling:\n%s", gout)
+	}
+	// A budget that is never hit runs the same tables: same groups, same
+	// growth, no spill.
+	roomy := NewContextWithConfig(spillConfig(spillRoomyBudget))
+	setupSpillTables(t, roomy)
+	rdf, err := roomy.SQL("SELECT grp, count(*), sum(val) FROM events GROUP BY grp ORDER BY grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rout, err := rdf.ExplainAnalyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := regexp.MustCompile(`groups=\d+ grows=\d+.*`)
+	if got, want := tables.FindString(aggregateLine(t, rout)), tables.FindString(aggregateLine(t, gout)); got != want || want == "" {
+		t.Fatalf("reducer under a roomy budget reports %q, unbudgeted %q", got, want)
 	}
 }
 
