@@ -397,6 +397,87 @@ func (v *Vector) Get(i int) any {
 	}
 }
 
+// BoxInto is Get a column at a time: the k-th position of sel is boxed into
+// dst[k*stride], so a caller laying rows out back to back in one []any (stride
+// cells each) fills one column of all of them per call, in a loop over the
+// typed lane. dst holds nil at those cells beforehand. A constant is boxed
+// once and shared.
+func (v *Vector) BoxInto(dst []any, stride int, sel []int32) {
+	switch {
+	case v.isConst:
+		val := v.Get(0)
+		for k := range sel {
+			dst[k*stride] = val
+		}
+	case v.nulls != nil || v.Kind == KindAny:
+		for k, i := range sel {
+			dst[k*stride] = v.Get(int(i))
+		}
+	case v.Kind == KindInt64 && narrowInt(v.Type):
+		for k, i := range sel {
+			dst[k*stride] = int32(v.I64[i])
+		}
+	case v.Kind == KindInt64:
+		for k, i := range sel {
+			dst[k*stride] = v.I64[i]
+		}
+	case v.Kind == KindFloat64:
+		for k, i := range sel {
+			dst[k*stride] = v.F64[i]
+		}
+	case v.Kind == KindString:
+		for k, i := range sel {
+			dst[k*stride] = v.Str[i]
+		}
+	default:
+		for k, i := range sel {
+			dst[k*stride] = v.Bool[i]
+		}
+	}
+}
+
+// Gather returns a new (non-constant) vector holding v's positions sel, in
+// order — a copy of all of v when sel is nil. It shares no lane and no NULL
+// bitmap with v: a scan that decodes into scratch it reuses hands over the
+// surviving positions this way.
+func (v *Vector) Gather(sel []int32) *Vector {
+	out := &Vector{Kind: v.Kind, Type: v.Type, n: len(sel)}
+	if sel == nil {
+		out.n, out.nulls = v.n, slices.Clone(v.nulls)
+	}
+	switch v.Kind {
+	case KindInt64:
+		out.I64 = gatherLane(v.I64[:v.n], sel)
+	case KindFloat64:
+		out.F64 = gatherLane(v.F64[:v.n], sel)
+	case KindString:
+		out.Str = gatherLane(v.Str[:v.n], sel)
+	case KindBool:
+		out.Bool = gatherLane(v.Bool[:v.n], sel)
+	default:
+		out.Any = gatherLane(v.Any[:v.n], sel)
+	}
+	if v.nulls != nil {
+		for o, i := range sel {
+			if v.IsNull(int(i)) {
+				out.SetNull(o)
+			}
+		}
+	}
+	return out
+}
+
+func gatherLane[T any](src []T, sel []int32) []T {
+	if sel == nil {
+		return slices.Clone(src)
+	}
+	out := make([]T, len(sel))
+	for o, i := range sel {
+		out[o] = src[i]
+	}
+	return out
+}
+
 // narrowInt reports whether the type boxes as int32.
 func narrowInt(t types.DataType) bool {
 	return t.Equals(types.Int) || t.Equals(types.Date)

@@ -338,8 +338,9 @@ func TestVectorAppendHashAtWrap(t *testing.T) {
 }
 
 // HashInto folds a column into running hashes exactly as HashAt does a
-// position at a time, and EqualAt agrees with GroupKey equality of the boxed
-// values — across typed, boxed and constant representations, NULLs included.
+// position at a time, BoxInto and Gather agree with Get the same way, and
+// EqualAt agrees with GroupKey equality of the boxed values — across typed,
+// boxed and constant representations, NULLs included.
 func TestVectorHashIntoEqualAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 150
@@ -382,6 +383,42 @@ func TestVectorHashIntoEqualAt(t *testing.T) {
 		for _, i := range live {
 			if want := v.HashAt(row.Hasher(uint64(i)*0x9E3779B97F4A7C15), int(i)).Sum(); dst[i] != want {
 				t.Fatalf("%v vector, position %d: HashInto %x, HashAt %x", v.Type, i, dst[i], want)
+			}
+		}
+		// BoxInto is Get over a selection, strided into a shared arena; Gather
+		// is the selection as a vector of its own (of every position, for nil).
+		const stride = 3
+		arena := make([]any, stride*len(live))
+		v.BoxInto(arena[1:], stride, live)
+		for k, i := range live {
+			if got, want := arena[k*stride+1], v.Get(int(i)); fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) || arena[k*stride] != nil || arena[k*stride+2] != nil {
+				t.Fatalf("%v vector, position %d: BoxInto %#v, Get %#v", v.Type, i, got, want)
+			}
+		}
+		if !v.IsConst() {
+			for _, sel := range [][]int32{live, nil, {}} {
+				g := v.Gather(sel)
+				if sel == nil {
+					sel = make([]int32, n)
+					for i := range sel {
+						sel[i] = int32(i)
+					}
+				}
+				if g.Len() != len(sel) || g.Kind != v.Kind {
+					t.Fatalf("%v vector: gathered %d of %d positions as kind %d", v.Type, g.Len(), len(sel), g.Kind)
+				}
+				for o, i := range sel {
+					if got, want := g.Get(o), v.Get(int(i)); fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+						t.Fatalf("%v vector: gathered position %d is %#v, source %d is %#v", v.Type, o, got, i, want)
+					}
+				}
+				if len(sel) > 0 { // the copy's lanes and NULL bits are its own
+					before := fmt.Sprintf("%#v", v.Get(int(sel[0])))
+					g.Set(0, nil)
+					if after := fmt.Sprintf("%#v", v.Get(int(sel[0]))); after != before {
+						t.Fatalf("%v vector: a write to the gathered copy reached the source", v.Type)
+					}
+				}
 			}
 		}
 		for _, o := range vecs {

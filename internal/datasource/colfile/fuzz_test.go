@@ -3,13 +3,17 @@ package colfile
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/datasource"
+	"repro/internal/expr"
 	"repro/internal/row"
 	"repro/internal/types"
 )
@@ -167,50 +171,66 @@ func sameRows(t *testing.T, what string, got, want [][]row.Row) {
 	}
 }
 
-// checkScans drives the batch scan and the row scan over rel and holds both
-// to the reference scan: all columns unfiltered, then every filter kind on
-// every column with that column left out of the projection.
+// checkScan drives the batch scan and the row scan over rel for one
+// projection and filter set and holds both to the reference scan. The batch
+// scan must answer under the dense contract: a batch is its group's survivors
+// and nothing else — lanes and NULL bits as long as the selection, which is
+// the identity — and the statistics account for every row of the group.
+func checkScan(t *testing.T, rel *Relation, columns []string, filters []datasource.Filter) {
+	t.Helper()
+	want := referenceScan(rel, columns, filters)
+	batches, err := rel.ScanColumnar(columns, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := rel.ScanPrunedFiltered(columns, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batches.NumPartitions != len(want) || rows.NumPartitions != len(want) {
+		t.Fatalf("%d batch and %d row partitions, want %d", batches.NumPartitions, rows.NumPartitions, len(want))
+	}
+	boxed, fromRows := make([][]row.Row, len(want)), make([][]row.Row, len(want))
+	for p := range want {
+		part, stats := batches.Partition(p)
+		for _, b := range part {
+			if b.N != len(want[p]) || len(b.Sel) != b.N || len(b.Cols) != len(columns) {
+				t.Fatalf("%v: batch of %d rows, %d selected, %d columns; want %d, %d and %d", filters, b.N, len(b.Sel), len(b.Cols), len(want[p]), len(want[p]), len(columns))
+			}
+			for j, c := range b.Cols {
+				if b.N > 0 && c.Len() != b.N {
+					t.Fatalf("%v: column %s is %d long in a batch of %d survivors", filters, columns[j], c.Len(), b.N)
+				}
+			}
+			for o, i := range b.Sel {
+				if int(i) != o {
+					t.Fatalf("%v: selection[%d] = %d in a dense batch", filters, o, i)
+				}
+				r := make(row.Row, len(b.Cols))
+				for j, c := range b.Cols {
+					r[j] = c.Get(o)
+				}
+				boxed[p] = append(boxed[p], r)
+			}
+		}
+		read := rel.groups[p].numRows * len(part)
+		if len(part)+stats.GroupsSkipped != 1 || stats.RowsRead != read || stats.RowsPruned != read-len(boxed[p]) {
+			t.Fatalf("%v: partition %d of %d rows reports %d batches, %+v; %d rows survive", filters, p, rel.groups[p].numRows, len(part), stats, len(boxed[p]))
+		}
+		fromRows[p] = rows.Partition(p)
+	}
+	sameRows(t, fmt.Sprint("batch scan ", columns, filters), boxed, want)
+	sameRows(t, fmt.Sprint("row scan ", columns, filters), fromRows, want)
+}
+
+// checkScans runs checkScan over rel: all columns unfiltered, then every
+// filter kind on every column with that column left out of the projection,
+// several filters on one projected column, and filters on two columns.
 func checkScans(t *testing.T, rel *Relation) {
 	t.Helper()
 	all := rel.schema.FieldNames()
-	check := func(columns []string, filters []datasource.Filter) {
-		t.Helper()
-		want := referenceScan(rel, columns, filters)
-		batches, err := rel.ScanColumnar(columns, filters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := rel.ScanPrunedFiltered(columns, filters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batches.NumPartitions != len(want) || rows.NumPartitions != len(want) {
-			t.Fatalf("%d batch and %d row partitions, want %d", batches.NumPartitions, rows.NumPartitions, len(want))
-		}
-		boxed, fromRows := make([][]row.Row, len(want)), make([][]row.Row, len(want))
-		for p := range want {
-			part, stats := batches.Partition(p)
-			for _, b := range part {
-				if b.N != rel.groups[p].numRows || len(b.Cols) != len(columns) {
-					t.Fatalf("batch of %d rows and %d columns, want %d and %d", b.N, len(b.Cols), rel.groups[p].numRows, len(columns))
-				}
-				for _, i := range b.Sel {
-					r := make(row.Row, len(b.Cols))
-					for j, c := range b.Cols {
-						r[j] = c.Get(int(i))
-					}
-					boxed[p] = append(boxed[p], r)
-				}
-			}
-			if len(part)+stats.GroupsSkipped != 1 || stats.GroupsSkipped == 0 && stats.RowsPruned != rel.groups[p].numRows-len(boxed[p]) {
-				t.Fatalf("partition %d reports %d rows pruned, dropped %d", p, stats.RowsPruned, rel.groups[p].numRows-len(boxed[p]))
-			}
-			fromRows[p] = rows.Partition(p)
-		}
-		sameRows(t, "batch scan", boxed, want)
-		sameRows(t, "row scan", fromRows, want)
-	}
-	check(all, nil)
+	checkScan(t, rel, all, nil)
+	var prev []datasource.Filter
 	for j, f := range rel.schema.Fields {
 		if rel.schema.FieldIndex(f.Name) != j {
 			continue // a hostile schema repeated a name; names resolve to the first
@@ -218,9 +238,13 @@ func checkScans(t *testing.T, rel *Relation) {
 		others := append(append([]string{}, all[:j]...), all[j+1:]...)
 		fs := filtersOver(f)
 		for _, filter := range fs {
-			check(others, []datasource.Filter{filter})
+			checkScan(t, rel, others, []datasource.Filter{filter})
 		}
-		check(all, fs[:min(3, len(fs))]) // several filters on one projected column
+		checkScan(t, rel, all, fs[:min(3, len(fs))]) // several filters on one projected column
+		if prev != nil {                             // two columns: one projected, one not
+			checkScan(t, rel, others, []datasource.Filter{prev[0], fs[len(fs)-1]})
+		}
+		prev = fs
 	}
 }
 
@@ -271,7 +295,9 @@ func FuzzOpen(f *testing.F) {
 
 // TestScansMatchReference is FuzzOpen's property on files big enough to
 // have NULL-free, mixed and all-NULL chunks, groups a filter empties and
-// groups the statistics skip.
+// groups the statistics skip — and then, over a file with a nullable column
+// of every type, every shape a selection takes against the 64-row words of a
+// NULL bitmap, with the filter columns in and out of the projection.
 func TestScansMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, c := range []struct{ rows, group int }{{0, 8}, {700, 64}, {257, 1000}} {
@@ -281,6 +307,53 @@ func TestScansMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkScans(t, rel)
+	}
+
+	// at is twice the row's position in its group, so an odd value is in range
+	// of the statistics and absent; null marks the rows whose every typed cell
+	// is NULL. Groups of 200 rows have three full NULL words and a partial one;
+	// the last group is shorter.
+	const rows, group = 700, 200
+	schema := fuzzSchema().Add("at", types.Int, false).Add("null", types.Int, false)
+	data := fuzzRows(rng, rows)
+	for i, r := range data {
+		null := int32(0)
+		if i%7 == 3 {
+			clear(r)
+			null = 1
+		}
+		data[i] = append(r, int32(2*(i%group)), null)
+	}
+	image, _ := encode(t, schema, data, group)
+	rel, err := openImage("selections", image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(v int) any { return int32(2 * v) }
+	var alternate []any
+	for i := 0; i < group; i += 2 {
+		alternate = append(alternate, at(i))
+	}
+	selections := map[string][]datasource.Filter{
+		"none":             {datasource.EqualTo{Col: "at", Value: int32(11)}},
+		"one row":          {datasource.EqualTo{Col: "at", Value: at(5)}},
+		"every other row":  {datasource.In{Col: "at", Values: alternate}},
+		"all rows":         {datasource.GreaterOrEqual{Col: "at", Value: at(0)}},
+		"only NULL rows":   {datasource.EqualTo{Col: "null", Value: int32(1)}},
+		"across a word":    {datasource.GreaterOrEqual{Col: "at", Value: at(60)}, datasource.LessOrEqual{Col: "at", Value: at(70)}},
+		"last row":         {datasource.In{Col: "at", Values: []any{at(group - 1), at((rows - 1) % group)}}},
+		"NULL rows' tail":  {datasource.EqualTo{Col: "null", Value: int32(1)}, datasource.GreaterThan{Col: "at", Value: at(128)}},
+		"a typed column's": {datasource.LessThan{Col: "at", Value: at(66)}, datasource.IsNotNull{Col: "s"}},
+	}
+	typed := fuzzSchema().FieldNames()
+	for name, filters := range selections {
+		t.Run(name, func(t *testing.T) {
+			checkScan(t, rel, typed, filters)                   // filter columns not requested
+			checkScan(t, rel, rel.schema.FieldNames(), filters) // and requested
+			// a second filter on the same column, then one on another column
+			checkScan(t, rel, typed, append(filters[:len(filters):len(filters)], datasource.GreaterOrEqual{Col: filters[0].Attribute(), Value: int32(0)}))
+			checkScan(t, rel, append(typed[:len(typed):len(typed)], "null"), append(filters[:len(filters):len(filters)], datasource.LessOrEqual{Col: "null", Value: int32(1)}, datasource.IsNotNull{Col: "ts"}))
+		})
 	}
 }
 
@@ -328,12 +401,10 @@ func TestOpenHostileCounts(t *testing.T) {
 	}
 }
 
-// TestBatchScanMaterialisesSurvivorsOnly: a string column that no filter
-// names is decoded at the surviving positions and nowhere else, and the
-// partition's allocations are its lanes and vectors — a constant, not a
-// count of rows, decoded or surviving.
-func TestBatchScanMaterialisesSurvivorsOnly(t *testing.T) {
-	const n, every = 4096, 16
+// survivorsFile is one group of n rows (k INT, s STRING, both NULL-free) of
+// which the filter k = 0 keeps every every-th.
+func survivorsFile(t testing.TB, n, every int) (*Relation, []row.Row, []datasource.Filter) {
+	t.Helper()
 	schema := types.StructType{}.Add("k", types.Int, false).Add("s", types.String, false)
 	rows := make([]row.Row, n)
 	for i := range rows {
@@ -344,30 +415,191 @@ func TestBatchScanMaterialisesSurvivorsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := rel.ScanColumnar([]string{"s"}, []datasource.Filter{datasource.EqualTo{Col: "k", Value: int32(3)}})
+	return rel, rows, []datasource.Filter{datasource.EqualTo{Col: "k", Value: int32(0)}}
+}
+
+// TestBatchScanMaterialisesSurvivorsOnly: what a filtered partition hands over
+// is as long as its survivors, and what it allocates is a constant plus a few
+// bytes per survivor — whatever the number of rows it read, because the lanes
+// the filter ran over and the selections it cut are the scan's to reuse.
+func TestBatchScanMaterialisesSurvivorsOnly(t *testing.T) {
+	const survivors = 256
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the scan's scratch pool
+	for _, n := range []int{4096, 16384} {
+		rel, rows, filters := survivorsFile(t, n, n/survivors)
+		scan, err := rel.ScanColumnar([]string{"s", "k"}, filters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, _ := scan.Partition(0)
+		b := batches[0]
+		if b.N != survivors || len(b.Sel) != survivors || len(b.Cols[0].Str) != survivors || len(b.Cols[1].I64) != survivors {
+			t.Fatalf("%d rows, %d selected, lanes of %d and %d; want %d survivors of %d rows throughout",
+				b.N, len(b.Sel), len(b.Cols[0].Str), len(b.Cols[1].I64), survivors, n)
+		}
+		for o, s := range b.Cols[0].Str {
+			if want := rows[o*(n/survivors)]; s != want[1] || b.Cols[1].I64[o] != 0 {
+				t.Fatalf("survivor %d decoded as (%q, %d), want %v", o, s, b.Cols[1].I64[o], want)
+			}
+		}
+		// The least of a few calls: under the race detector a sync.Pool drops
+		// some of what is put back, and that call decodes into fresh scratch.
+		grew := uint64(math.MaxUint64)
+		for range 10 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			scan.Partition(0)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		// A string header and an int64 per survivor, two vectors, the batch.
+		if bound := uint64(2048 + 32*survivors); grew > bound {
+			t.Errorf("a partition of %d rows and %d survivors allocated %d bytes, want at most %d", n, survivors, grew, bound)
+		}
+		// Lanes, vectors, the batch header: nowhere near one per survivor.
+		if allocs, bound := testing.AllocsPerRun(20, func() { scan.Partition(0) }), float64(survivors)/8; allocs > bound {
+			t.Errorf("%v allocations for one partition of %d rows and %d survivors, want at most %v", allocs, n, survivors, bound)
+		}
+	}
+}
+
+// TestBatchScanScratchStaysBehind: a batch is not the scan's scratch. Partition
+// 0's batch is kept while two goroutines run every other partition — decoding
+// into, and cutting selections from, whatever partition 0 left behind — and
+// still holds, cell by cell, the rows ApplyFilters keeps.
+func TestBatchScanScratchStaysBehind(t *testing.T) {
+	const group = 128
+	rows := fuzzRows(rand.New(rand.NewSource(18)), 20*group-40) // a short last group
+	for i, r := range rows {
+		if r[2] == nil {
+			r[2] = int64(i) // "l" is NULL-free: no NULL bit stands in for a missing value
+		}
+	}
+	image, _ := encode(t, fuzzSchema(), rows, group)
+	rel, err := openImage("test", image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, _ := scan.Partition(0)
-	sel := batches[0].Sel
-	survivors, next := len(sel), 0
-	for i, s := range batches[0].Cols[0].Str {
-		if next < len(sel) && int(sel[next]) == i {
-			if s != rows[i][1] {
-				t.Fatalf("survivor %d decoded as %q, want %q", i, s, rows[i][1])
+	// Filter columns requested (gathered from scratch) and a NULL-bearing
+	// column no filter reads; "when" is NULL in some rows, so its filter drops them.
+	columns := rel.schema.FieldNames()
+	filters := []datasource.Filter{datasource.GreaterThan{Col: "l", Value: int64(20000)}, datasource.GreaterOrEqual{Col: "when", Value: int32(16100)}, datasource.IsNotNull{Col: "s"}}
+	scan, err := rel.ScanColumnar(columns, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, _ := scan.Partition(0)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := 1 + w; p < scan.NumPartitions; p += 2 {
+				scan.Partition(p)
+				scan.Partition(p) // again, into the scratch the first call left
 			}
-			next++
-		} else if s != "" {
-			t.Fatalf("row %d failed the filter but its string was materialised: %q", i, s)
+		}()
+	}
+	wg.Wait()
+	var want []row.Row
+	for _, r := range rows[:group] {
+		if datasource.ApplyFilters(filters, rel.schema, r) {
+			want = append(want, r)
 		}
 	}
-	if survivors != n/every {
-		t.Fatalf("%d survivors, want %d", survivors, n/every)
+	if len(want) == 0 || len(want) == group {
+		t.Fatalf("the filters keep %d of %d rows: not a selection", len(want), group)
 	}
-	allocs := testing.AllocsPerRun(20, func() { scan.Partition(0) })
-	// Two lanes, two vectors, the batch header, the filter's constant and
-	// selection: nowhere near one per survivor, let alone one per row.
-	if bound := float64(survivors) / 8; allocs > bound {
-		t.Fatalf("%v allocations for one partition of %d rows and %d survivors, want at most %v", allocs, n, survivors, bound)
+	got := expr.BoxRows(kept[0].Cols, kept[0].Sel)
+	sameRows(t, "partition 0, after the others ran", [][]row.Row{got}, [][]row.Row{want})
+
+	// The scratch outlives the scan. One of another shape — its filter boxed,
+	// so it reads a row across every position, over lanes a shorter group of
+	// other columns was last decoded into — sees only what it decoded itself.
+	scan.Partition(scan.NumPartitions - 1)
+	checkScan(t, rel, []string{"i", "d", "ts", "when", "l"}, []datasource.Filter{datasource.EqualTo{Col: "flag", Value: true}})
+}
+
+// TestPushedFilterKernels pins, for every filter kind over every stored type,
+// whether the scan evaluates it on the typed lane or boxes each row for the
+// scalar predicate. A pair that moves to the boxed side is a slowdown nobody
+// asked for; one that moves off it should shrink the list here.
+func TestPushedFilterKernels(t *testing.T) {
+	boxed := map[string]bool{
+		"BOOLEAN =": true, "BOOLEAN >": true, "BOOLEAN >=": true, "BOOLEAN <": true, "BOOLEAN <=": true, "BOOLEAN IN": true,
+		"DOUBLE IN": true,
+	}
+	rows := fuzzRows(rand.New(rand.NewSource(19)), 64)
+	image, _ := encode(t, fuzzSchema(), rows, 64)
+	rel, err := openImage("test", image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, f := range rel.schema.Fields {
+		lo, hi := rel.groups[0].chunks[j].mn, rel.groups[0].chunks[j].mx // no statistic rules these out
+		kinds := map[string]datasource.Filter{
+			"=":           datasource.EqualTo{Col: f.Name, Value: lo},
+			">":           datasource.GreaterThan{Col: f.Name, Value: lo},
+			">=":          datasource.GreaterOrEqual{Col: f.Name, Value: lo},
+			"<":           datasource.LessThan{Col: f.Name, Value: hi},
+			"<=":          datasource.LessOrEqual{Col: f.Name, Value: hi},
+			"IN":          datasource.In{Col: f.Name, Values: []any{hi}},
+			"IS NOT NULL": datasource.IsNotNull{Col: f.Name},
+		}
+		if f.Type.Equals(types.String) {
+			kinds["LIKE"] = datasource.StringStartsWith{Col: f.Name, Prefix: "h"}
+		}
+		for kind, filter := range kinds {
+			scan, err := rel.ScanColumnar(nil, []datasource.Filter{filter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stats := scan.Partition(0)
+			if stats.GroupsSkipped > 0 {
+				t.Fatalf("%s: the statistics skipped the group, nothing was tested", filter)
+			}
+			pair := f.Type.Name() + " " + kind
+			if got := stats.FallbackRows > 0; got != boxed[pair] {
+				t.Errorf("%s: boxed = %v (%d of %d rows), pinned as %v", pair, got, stats.FallbackRows, stats.RowsRead, boxed[pair])
+			}
+			delete(boxed, pair)
+		}
+	}
+	for pair := range boxed {
+		t.Errorf("%s is pinned as boxed and was never tested", pair)
+	}
+}
+
+// BenchmarkColfileScan is one partition of a filtered batch scan at the
+// selectivities between "almost nothing survives" and "everything does", with
+// and without a string column beside the filtered one. B/survivor is what a
+// row that passes costs to hand over.
+func BenchmarkColfileScan(b *testing.B) {
+	const n = 1 << 14
+	for _, c := range []struct {
+		name  string
+		every int
+	}{{"0.1%", 1024}, {"9%", 11}, {"50%", 2}, {"100%", 1}} {
+		for _, columns := range [][]string{{"k"}, {"k", "s"}} {
+			b.Run(fmt.Sprintf("%s/%d cols", c.name, len(columns)), func(b *testing.B) {
+				rel, _, filters := survivorsFile(b, n, c.every)
+				scan, err := rel.ScanColumnar(columns, filters)
+				if err != nil {
+					b.Fatal(err)
+				}
+				survivors := 0
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					batches, _ := scan.Partition(0)
+					survivors += batches[0].N
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(survivors), "B/survivor")
+			})
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"os"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"repro/internal/columnar"
@@ -56,6 +57,9 @@ type Relation struct {
 	// identity is 0, 1, 2, ... up to the largest group's row count: the
 	// selection every batch starts from. Shared and read-only.
 	identity []int32
+	// scratch holds the *scratch values batch scans of this file work in,
+	// from one query to the next.
+	scratch sync.Pool
 }
 
 var (
@@ -191,8 +195,10 @@ func (rel *Relation) ScanPrunedFiltered(columns []string, filters []datasource.F
 // ScanColumnar implements datasource.ColumnarScan. Each row group is one
 // partition and one batch. A group whose statistics rule the filters out is
 // skipped. Otherwise the columns the filters name are decoded whole into
-// typed lanes, the filters narrow a selection vector over those lanes, and
-// every other requested column is decoded at the selected positions only.
+// scratch lanes, the filters narrow a selection over those lanes, and every
+// requested column is then produced at the length of that selection: gathered
+// from its scratch lane when a filter read it, decoded from the file at the
+// selected rows when none did. The batch is the survivors and nothing else.
 func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter) (datasource.BatchScan, error) {
 	// decode lists the schema ordinal behind each batch position: the
 	// requested columns first, then the columns only filters read.
@@ -205,6 +211,7 @@ func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter)
 	filterOrds := make([]int, len(filters))
 	filtered := make([]bool, len(decode), len(decode)+len(filters))
 	preds := make([]expr.VecPred, len(filters))
+	native := make([]bool, len(filters))
 	for i, f := range filters {
 		j := rel.schema.FieldIndex(f.Attribute())
 		if j < 0 {
@@ -221,7 +228,7 @@ func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter)
 		if err != nil {
 			return datasource.BatchScan{}, err
 		}
-		preds[i], _ = expr.CompileVecPredicate(bound)
+		preds[i], native[i] = expr.CompileVecPredicate(bound)
 	}
 
 	return datasource.BatchScan{
@@ -235,93 +242,164 @@ func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter)
 				}
 			}
 			n := g.numRows
-			batch := expr.VecBatch{Cols: make([]*columnar.Vector, len(decode)), N: n}
+			stats := datasource.BatchStats{RowsRead: n}
+			// Partition calls run concurrently, a task's one after another: each
+			// works in a scratch of its own and leaves it for the next.
+			sc, _ := rel.scratch.Get().(*scratch)
+			if sc == nil || len(sc.lanes) < len(decode) {
+				sc = &scratch{lanes: make([]lane, len(decode))}
+			}
+			defer rel.scratch.Put(sc)
+			sc.sels.Reset()
+			lanes := expr.VecBatch{Cols: make([]*columnar.Vector, len(decode)), N: n, Sels: &sc.sels}
 			for pos, j := range decode {
 				if filtered[pos] {
-					batch.Cols[pos] = rel.decodeChunk(g, j, nil)
+					lanes.Cols[pos] = rel.decodeChunk(g, j, nil, &sc.lanes[pos])
 				}
 			}
 			sel := rel.identity[:n:n]
-			for _, pred := range preds {
-				if sel = pred(&batch, sel); len(sel) == 0 {
+			for i, pred := range preds {
+				if !native[i] {
+					stats.FallbackRows += len(sel)
+				}
+				if sel = pred(&lanes, sel); len(sel) == 0 {
 					break
 				}
 			}
-			at := sel
-			if len(sel) == n {
-				at = nil // every row survives: the dense decoders apply
+			kept := len(sel)
+			stats.RowsPruned = n - kept
+			if kept == n {
+				sel = nil // every row survives: decoded as it is stored
 			}
-			if len(sel) > 0 {
+			cols := make([]*columnar.Vector, len(columns))
+			if kept > 0 {
 				for pos, j := range decode[:len(columns)] {
-					if !filtered[pos] {
-						batch.Cols[pos] = rel.decodeChunk(g, j, at)
+					if filtered[pos] {
+						cols[pos] = lanes.Cols[pos].Gather(sel)
+					} else {
+						cols[pos] = rel.decodeChunk(g, j, sel, nil)
 					}
 				}
 			}
-			return []datasource.Batch{{Cols: batch.Cols[:len(columns)], N: n, Sel: sel}},
-				datasource.BatchStats{RowsPruned: n - len(sel)}
+			return []datasource.Batch{{Cols: cols, N: kept, Sel: rel.identity[:kept:kept]}}, stats
 		},
 	}, nil
+}
+
+// scratch is what one Partition call of a batch scan works in and nothing it
+// returns refers to: the lanes the filters' columns are decoded into, by
+// batch position, and the slab their selections are cut from.
+type scratch struct {
+	lanes []lane
+	sels  expr.SelSlab
+}
+
+// lane is reusable backing for one decoded chunk; a chunk uses the slice of
+// its type and the NULL words.
+type lane struct {
+	b     []bool
+	i64   []int64
+	f64   []float64
+	str   []string
+	nulls []uint64
+}
+
+// sized is *buf at length n, in its own array when that is long enough, and
+// zeroed if asked: a fresh array is zero as it comes.
+func sized[T any](buf *[]T, n int, zero bool) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+		return *buf
+	}
+	*buf = (*buf)[:n]
+	if zero {
+		clear(*buf)
+	}
+	return *buf
 }
 
 // ---------------------------------------------------------------------------
 // Chunk decoders: one per physical type, shared by the batch scan (and the
 // row scan built on it) and the typed whole-column readers.
 
-// decodeChunk decodes column j of group g into a typed vector of the
-// group's length: at the positions in sel, or at every position when sel is
-// nil. NULL and unselected positions hold the zero value.
-func (rel *Relation) decodeChunk(g *rowGroup, j int, sel []int32) *columnar.Vector {
+// decodeChunk decodes column j of group g into a typed vector: position o
+// holds row sel[o], or, sel being nil, every row is decoded to its own
+// position. NULL positions hold the zero value. The vector is laid over into
+// when that is given — scratch the caller decodes the next group into — and
+// over memory of its own otherwise.
+func (rel *Relation) decodeChunk(g *rowGroup, j int, sel []int32, into *lane) *columnar.Vector {
 	t, c, n := rel.schema.Fields[j].Type, &g.chunks[j], g.numRows
-	var lane any
+	if into == nil {
+		into = &lane{}
+	}
+	out, holes := n, c.nonNull < n // positions no decoder writes
+	if sel != nil {
+		out = len(sel)
+	}
+	var data any
 	switch {
 	case t.Equals(types.Boolean):
-		dst := make([]bool, n)
+		dst := sized(&into.b, out, holes)
 		decodeBool(c, n, sel, dst)
-		lane = dst
+		data = dst
 	case t.Equals(types.Int), t.Equals(types.Date):
-		dst := make([]int64, n)
+		dst := sized(&into.i64, out, holes)
 		decodeI32(c, n, sel, dst)
-		lane = dst
+		data = dst
 	case t.Equals(types.Long), t.Equals(types.Timestamp):
-		dst := make([]int64, n)
+		dst := sized(&into.i64, out, holes)
 		decodeI64(c, n, sel, dst)
-		lane = dst
+		data = dst
 	case t.Equals(types.Double):
-		dst := make([]float64, n)
+		dst := sized(&into.f64, out, holes)
 		decodeF64(c, n, sel, dst)
-		lane = dst
+		data = dst
 	default: // STRING: typeOf admits nothing else
-		dst := make([]string, n)
+		dst := sized(&into.str, out, holes)
 		decodeStr(c, n, sel, dst)
-		lane = dst
+		data = dst
 	}
-	return columnar.WrapLanes(t, lane, c.nulls(n))
+	return columnar.WrapLanes(t, data, c.nulls(n, sel, &into.nulls))
 }
 
-// nulls is the chunk's validity bitmap inverted into the vector layout (bit
-// set = NULL), or nil when no row is NULL. Bits past n come out set; the
-// vector never reads them.
-func (c *chunk) nulls(n int) []uint64 {
+// nulls is the chunk's validity bitmap as the NULL bitmap (bit set = NULL) of
+// the vector decodeChunk lays out for sel, or nil when none of its rows is
+// NULL. Decoding every row it is the stored bitmap inverted: bits past n come
+// out set, and the vector never reads them.
+func (c *chunk) nulls(n int, sel []int32, buf *[]uint64) []uint64 {
 	if c.nonNull == n {
 		return nil
 	}
-	words := make([]uint64, (n+63)/64)
-	for i, b := range c.bitmap {
-		words[i/8] |= uint64(b) << (8 * (i % 8))
+	if sel == nil {
+		words := sized(buf, (n+63)/64, true)
+		for i, b := range c.bitmap {
+			words[i/8] |= uint64(b) << (8 * (i % 8))
+		}
+		for i := range words {
+			words[i] = ^words[i]
+		}
+		return words
 	}
-	for i := range words {
-		words[i] = ^words[i]
+	words, found := sized(buf, (len(sel)+63)/64, true), false
+	for o, i := range sel {
+		if !c.valid(int(i)) {
+			words[o/64] |= 1 << (o % 64)
+			found = true
+		}
+	}
+	if !found {
+		return nil
 	}
 	return words
 }
 
 func (c *chunk) valid(i int) bool { return c.bitmap[i/8]&(1<<(uint(i)%8)) != 0 }
 
-// walk calls fn(i, k) for every non-NULL row i among sel (among all n rows
-// when sel is nil), ascending, where k counts the non-NULL rows before i —
-// the index of row i's value among the chunk's stored values.
-func (c *chunk) walk(n int, sel []int32, fn func(i, k int)) {
+// walk calls fn(o, k) for every non-NULL row i among sel (among all n rows
+// when sel is nil), ascending, where o is the row's position in sel (i itself
+// when sel is nil) and k counts the non-NULL rows before i — the index of row
+// i's value among the chunk's stored values.
+func (c *chunk) walk(n int, sel []int32, fn func(o, k int)) {
 	if c.nonNull == n {
 		if sel == nil {
 			for i := 0; i < n; i++ {
@@ -329,13 +407,13 @@ func (c *chunk) walk(n int, sel []int32, fn func(i, k int)) {
 			}
 			return
 		}
-		for _, i := range sel {
-			fn(int(i), int(i))
+		for o, i := range sel {
+			fn(o, int(i))
 		}
 		return
 	}
 	at, k := 0, 0 // k non-NULL rows lie before row at
-	visit := func(i int) {
+	visit := func(o, i int) {
 		for at < i {
 			if at%8 == 0 && i-at >= 8 {
 				k += bits.OnesCount8(c.bitmap[at/8])
@@ -348,22 +426,22 @@ func (c *chunk) walk(n int, sel []int32, fn func(i, k int)) {
 			at++
 		}
 		if c.valid(i) {
-			fn(i, k)
+			fn(o, k)
 		}
 	}
 	if sel == nil {
 		for i := 0; i < n; i++ {
-			visit(i)
+			visit(i, i)
 		}
 		return
 	}
-	for _, i := range sel {
-		visit(int(i))
+	for o, i := range sel {
+		visit(o, int(i))
 	}
 }
 
 func decodeBool(c *chunk, n int, sel []int32, dst []bool) {
-	c.walk(n, sel, func(i, k int) { dst[i] = c.data[k] == 1 })
+	c.walk(n, sel, func(o, k int) { dst[o] = c.data[k] == 1 })
 }
 
 // decodeI32 decodes 4-byte INT/DATE values, into int32 for the typed reader
@@ -375,7 +453,7 @@ func decodeI32[T int32 | int64](c *chunk, n int, sel []int32, dst []T) {
 		}
 		return
 	}
-	c.walk(n, sel, func(i, k int) { dst[i] = T(int32(binary.LittleEndian.Uint32(c.data[4*k:]))) })
+	c.walk(n, sel, func(o, k int) { dst[o] = T(int32(binary.LittleEndian.Uint32(c.data[4*k:]))) })
 }
 
 func decodeI64(c *chunk, n int, sel []int32, dst []int64) {
@@ -385,7 +463,7 @@ func decodeI64(c *chunk, n int, sel []int32, dst []int64) {
 		}
 		return
 	}
-	c.walk(n, sel, func(i, k int) { dst[i] = int64(binary.LittleEndian.Uint64(c.data[8*k:])) })
+	c.walk(n, sel, func(o, k int) { dst[o] = int64(binary.LittleEndian.Uint64(c.data[8*k:])) })
 }
 
 func decodeF64(c *chunk, n int, sel []int32, dst []float64) {
@@ -395,7 +473,7 @@ func decodeF64(c *chunk, n int, sel []int32, dst []float64) {
 		}
 		return
 	}
-	c.walk(n, sel, func(i, k int) { dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.data[8*k:])) })
+	c.walk(n, sel, func(o, k int) { dst[o] = math.Float64frombits(binary.LittleEndian.Uint64(c.data[8*k:])) })
 }
 
 // decodeStr walks the length prefixes once, front to back, and makes a
@@ -403,14 +481,16 @@ func decodeF64(c *chunk, n int, sel []int32, dst []float64) {
 // (see the package comment), so a survivor costs no allocation.
 func decodeStr(c *chunk, n int, sel []int32, dst []string) {
 	pos, next := 0, 0 // value number next starts at byte pos
-	c.walk(n, sel, func(i, k int) {
+	c.walk(n, sel, func(o, k int) {
 		for ; next < k; next++ {
 			pos += 4 + int(binary.LittleEndian.Uint32(c.data[pos:]))
 		}
 		end := pos + 4 + int(binary.LittleEndian.Uint32(c.data[pos:]))
+		s := ""
 		if end > pos+4 {
-			dst[i] = unsafe.String(&c.data[pos+4], end-pos-4)
+			s = unsafe.String(&c.data[pos+4], end-pos-4)
 		}
+		dst[o] = s // the empty string too: dst may be scratch that held another group's
 		pos, next = end, k+1
 	})
 }

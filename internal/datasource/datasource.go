@@ -11,7 +11,6 @@ package datasource
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/columnar"
@@ -79,9 +78,9 @@ type CatalystScan interface {
 
 // ColumnarScan is PrunedFilteredScan for a source that already stores its
 // data by column: the same pruning and filter pushdown, but the answer is
-// typed column vectors plus a selection vector, so the vectorized engine
-// reads the source's columns directly and only rows that survive the
-// pipeline are ever boxed. It is not one of the paper's four interfaces.
+// the surviving rows as typed column vectors, so the vectorized engine reads
+// the source's columns directly and only rows that survive the pipeline are
+// ever boxed. It is not one of the paper's four interfaces.
 type ColumnarScan interface {
 	Relation
 	ScanColumnar(columns []string, filters []Filter) (BatchScan, error)
@@ -94,31 +93,38 @@ type BatchScan struct {
 	// it without decoding (nil otherwise).
 	PartitionBytes []int64
 	// Partition produces the batches of partition p, in order, under Scan's
-	// concurrency contract, and reports what it left out. A batch whose rows
-	// all fail the filters is still produced, with an empty Sel; a batch the
-	// source skips without decoding is not.
+	// concurrency contract, and reports what it read and left out. A batch
+	// whose rows all fail the filters is still produced, empty; a batch the
+	// source skips without decoding is not. Nothing reachable from a returned
+	// batch is written again: whatever the source reuses between calls — the
+	// lanes its filters read, their selections — stays behind.
 	Partition func(p int) ([]Batch, BatchStats)
 }
 
-// Batch is a run of rows held by column.
+// Batch is a run of rows held by column: the rows that passed the scan's
+// filters and no others.
 type Batch struct {
-	// Cols holds one vector per requested column. Vectors index by position
-	// within the batch and are defined at the positions in Sel only; with an
-	// empty Sel they may be nil.
+	// Cols holds one vector per requested column, N long: position i of each
+	// is the batch's row i. In an empty batch they may be nil.
 	Cols []*columnar.Vector
-	// N is the number of rows the batch was decoded from.
+	// N is the number of rows in the batch.
 	N int
-	// Sel lists, ascending, the positions that pass every filter. It may be
-	// shared between batches and must not be written to.
+	// Sel is the selection of all N rows, 0 … N-1: what a consumer's kernels
+	// start from. It may be shared between batches and must not be written to.
 	Sel []int32
 }
 
-// BatchStats is what one partition of a BatchScan did not hand over.
+// BatchStats is what one partition of a BatchScan read to produce its batches
+// and did not hand over.
 type BatchStats struct {
 	// GroupsSkipped counts batches ruled out by statistics, undecoded.
 	GroupsSkipped int
-	// RowsPruned counts decoded rows the filters dropped.
-	RowsPruned int
+	// RowsRead counts the rows the filters ran over: the batches' rows plus
+	// RowsPruned, the rows the filters dropped.
+	RowsRead, RowsPruned int
+	// FallbackRows counts rows a filter tested boxed, one at a time, for want
+	// of a kernel over the column's lane.
+	FallbackRows int
 }
 
 // Rows is the scan as rows: every selected position boxed, in order. A
@@ -130,14 +136,7 @@ func (b BatchScan) Rows() Scan {
 			var out []row.Row
 			batches, _ := b.Partition(p)
 			for _, batch := range batches {
-				out = slices.Grow(out, len(batch.Sel))
-				for _, i := range batch.Sel {
-					r := make(row.Row, len(batch.Cols))
-					for j, c := range batch.Cols {
-						r[j] = c.Get(int(i))
-					}
-					out = append(out, r)
-				}
+				out = append(out, expr.BoxRows(batch.Cols, batch.Sel)...)
 			}
 			return out
 		},

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"math"
-	"strings"
 
 	"repro/internal/row"
 	"repro/internal/types"
@@ -482,15 +481,7 @@ func compileStringMatch(x *StringMatch) Evaluator {
 		if rv == nil {
 			return nil
 		}
-		s, sub := lv.(string), rv.(string)
-		switch kind {
-		case matchStartsWith:
-			return strings.HasPrefix(s, sub)
-		case matchEndsWith:
-			return strings.HasSuffix(s, sub)
-		default:
-			return strings.Contains(s, sub)
-		}
+		return kind.match(lv.(string), rv.(string))
 	}
 }
 

@@ -219,16 +219,20 @@ func (m *StringMatch) Eval(r row.Row) any {
 	if rv == nil {
 		return nil
 	}
-	s, sub := l.(string), rv.(string)
-	switch m.Kind {
+	return m.Kind.match(l.(string), rv.(string))
+}
+
+// match is the kind's test of s against its operand: the one place the three
+// evaluators (interpreted, compiled, vectorized) read a kind.
+func (k strMatchKind) match(s, sub string) bool {
+	switch k {
 	case matchStartsWith:
 		return strings.HasPrefix(s, sub)
 	case matchEndsWith:
 		return strings.HasSuffix(s, sub)
-	case matchContains:
+	default:
 		return strings.Contains(s, sub)
 	}
-	panic("expr: unknown string match kind")
 }
 
 // Substring is SUBSTR(str, pos, len) with SQL 1-based positions.

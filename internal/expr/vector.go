@@ -1,8 +1,6 @@
 package expr
 
 import (
-	"strings"
-
 	"repro/internal/columnar"
 	"repro/internal/row"
 	"repro/internal/types"
@@ -24,17 +22,40 @@ type VecBatch struct {
 	Cols []*columnar.Vector
 	// N is the number of rows in the batch.
 	N int
+	// Sels, when set, is where predicate kernels cut their output selections
+	// from instead of allocating one each; nil allocates.
+	Sels *SelSlab
 }
 
-// Row boxes row i of the batch for scalar-fallback evaluation; nil vectors
-// contribute NULL (they are unreferenced by the expression being evaluated).
-func (b *VecBatch) Row(i int) row.Row {
-	return b.RowInto(i, make(row.Row, len(b.Cols)))
+// SelSlab is selection-vector storage for one batch at a time. Its owner
+// resets it before each batch, which takes back every selection cut from it:
+// none may be read after that, so a batch's consumer must not retain one.
+type SelSlab struct{ buf []int32 } // buf[len(buf):] is free
+
+// Reset takes back every selection cut since the last Reset.
+func (s *SelSlab) Reset() { s.buf = s.buf[:0] }
+
+// newSel returns an empty selection with room for n positions that aliases no
+// other selection of the batch (an OR kernel reads its input selection after
+// its left branch has written an output). A slab that runs out is replaced by
+// one twice the size; the pieces cut from the old one stay with their holders.
+func (b *VecBatch) newSel(n int) []int32 {
+	s := b.Sels
+	if s == nil {
+		return make([]int32, 0, n)
+	}
+	if cap(s.buf)-len(s.buf) < n {
+		s.buf = make([]int32, 0, max(n, 2*cap(s.buf)))
+	}
+	at := len(s.buf)
+	s.buf = s.buf[:at+n]
+	return s.buf[at : at : at+n]
 }
 
 // RowInto boxes row i of the batch into a caller-owned scratch row, so hot
-// fallback loops reuse one allocation per batch instead of one per row. The
-// scratch must not be retained past the next RowInto call.
+// fallback loops reuse one allocation per batch instead of one per row; nil
+// vectors contribute NULL (they are unreferenced by the expression being
+// evaluated). The scratch must not be retained past the next RowInto call.
 func (b *VecBatch) RowInto(i int, r row.Row) row.Row {
 	for j, v := range b.Cols {
 		if v != nil {
@@ -44,6 +65,29 @@ func (b *VecBatch) RowInto(i int, r row.Row) row.Row {
 		}
 	}
 	return r
+}
+
+// BoxRows materializes the positions sel of a batch's columns as rows — the
+// one routine behind every edge where batches become rows. It boxes column by
+// column, each in a loop over its typed lane, into one []any arena; the rows
+// are capacity-clipped pieces of it, so an append to one never reaches the
+// next. Nil columns contribute NULL.
+func BoxRows(cols []*columnar.Vector, sel []int32) []row.Row {
+	out := make([]row.Row, len(sel))
+	if len(sel) == 0 {
+		return out
+	}
+	w := len(cols)
+	flat := make([]any, len(sel)*w)
+	for j, c := range cols {
+		if c != nil {
+			c.BoxInto(flat[j:], w, sel)
+		}
+	}
+	for k := range out {
+		out[k] = flat[k*w : (k+1)*w : (k+1)*w]
+	}
+	return out
 }
 
 // VecEval computes a value vector for the selected positions of a batch.
@@ -392,7 +436,7 @@ func CompileVecPredicate(e Expression) (VecPred, bool) {
 		l, lok := CompileVecPredicate(x.Left)
 		r, rok := CompileVecPredicate(x.Right)
 		return func(b *VecBatch, sel []int32) []int32 {
-			return unionSel(l(b, sel), r(b, sel))
+			return unionSel(l(b, sel), r(b, sel), b)
 		}, lok || rok
 
 	case *IsNull:
@@ -405,7 +449,7 @@ func CompileVecPredicate(e Expression) (VecPred, bool) {
 			if !v.HasNulls() {
 				return nil
 			}
-			out := make([]int32, 0, len(sel))
+			out := b.newSel(len(sel))
 			for _, i := range sel {
 				if v.IsNull(int(i)) {
 					out = append(out, i)
@@ -424,7 +468,7 @@ func CompileVecPredicate(e Expression) (VecPred, bool) {
 			if !v.HasNulls() {
 				return sel
 			}
-			out := make([]int32, 0, len(sel))
+			out := b.newSel(len(sel))
 			for _, i := range sel {
 				if !v.IsNull(int(i)) {
 					out = append(out, i)
@@ -437,10 +481,10 @@ func CompileVecPredicate(e Expression) (VecPred, bool) {
 		return compileVecIn(x)
 
 	case *StringMatch:
-		return compileVecStrMatch(x)
+		return compileVecStrPred(x, x.Left, x.Right, x.Kind.match)
 
 	case *Like:
-		return compileVecLike(x)
+		return compileVecStrPred(x, x.Left, x.Pattern, LikeMatch)
 
 	case *Literal:
 		if x.Value == true {
@@ -453,7 +497,7 @@ func CompileVecPredicate(e Expression) (VecPred, bool) {
 			ord := x.Ordinal
 			return func(b *VecBatch, sel []int32) []int32 {
 				v := b.Cols[ord]
-				out := make([]int32, 0, len(sel))
+				out := b.newSel(len(sel))
 				for _, i := range sel {
 					ii := int(i)
 					if !v.IsNull(ii) && v.Bool[ii] {
@@ -471,7 +515,7 @@ func CompileVecPredicate(e Expression) (VecPred, bool) {
 func vecFallbackPred(e Expression) VecPred {
 	pred := CompilePredicate(e)
 	return func(b *VecBatch, sel []int32) []int32 {
-		out := make([]int32, 0, len(sel))
+		out := b.newSel(len(sel))
 		scratch := make(row.Row, len(b.Cols))
 		for _, i := range sel {
 			if pred(b.RowInto(int(i), scratch)) {
@@ -482,69 +526,28 @@ func vecFallbackPred(e Expression) VecPred {
 	}
 }
 
-// compileVecStrMatch vectorizes StartsWith/EndsWith/Contains — the targets
-// the SimplifyLike rule lowers prefix/suffix/substring LIKE patterns into —
-// as direct loops over the string lanes (no boxing, no per-row dispatch).
-func compileVecStrMatch(x *StringMatch) (VecPred, bool) {
-	if vecClass(x.Left.DataType()) != classStr || vecClass(x.Right.DataType()) != classStr {
+// compileVecStrPred vectorizes a test of one string against another as a
+// direct loop over the string lanes (no boxing, no per-row dispatch on the
+// node): StartsWith/EndsWith/Contains — the targets the SimplifyLike rule
+// lowers prefix/suffix/substring LIKE patterns into — and general LIKE, whose
+// backtracking matcher still runs per row.
+func compileVecStrPred(x, left, right Expression, match func(s, operand string) bool) (VecPred, bool) {
+	if vecClass(left.DataType()) != classStr || vecClass(right.DataType()) != classStr {
 		return vecFallbackPred(x), false
 	}
-	l, lok := CompileVec(x.Left)
-	r, rok := CompileVec(x.Right)
+	l, lok := CompileVec(left)
+	r, rok := CompileVec(right)
 	if !lok || !rok {
 		return vecFallbackPred(x), false
 	}
-	kind := x.Kind
 	return func(b *VecBatch, sel []int32) []int32 {
 		lv, rv := l(b, sel), r(b, sel)
-		out := make([]int32, 0, len(sel))
+		out := b.newSel(len(sel))
 		lm, rm := lv.Mask(), rv.Mask()
 		ld, rd := lv.Str, rv.Str
 		for _, i := range sel {
 			ii := int(i)
-			if lv.IsNull(ii) || rv.IsNull(ii) {
-				continue
-			}
-			s, sub := ld[ii&lm], rd[ii&rm]
-			var hit bool
-			switch kind {
-			case matchStartsWith:
-				hit = strings.HasPrefix(s, sub)
-			case matchEndsWith:
-				hit = strings.HasSuffix(s, sub)
-			default:
-				hit = strings.Contains(s, sub)
-			}
-			if hit {
-				out = append(out, i)
-			}
-		}
-		return out
-	}, true
-}
-
-// compileVecLike vectorizes general LIKE: the backtracking matcher still
-// runs per row, but the operands come straight off the string lanes.
-func compileVecLike(x *Like) (VecPred, bool) {
-	if vecClass(x.Left.DataType()) != classStr || vecClass(x.Pattern.DataType()) != classStr {
-		return vecFallbackPred(x), false
-	}
-	l, lok := CompileVec(x.Left)
-	p, pok := CompileVec(x.Pattern)
-	if !lok || !pok {
-		return vecFallbackPred(x), false
-	}
-	return func(b *VecBatch, sel []int32) []int32 {
-		lv, pv := l(b, sel), p(b, sel)
-		out := make([]int32, 0, len(sel))
-		lm, pm := lv.Mask(), pv.Mask()
-		ld, pd := lv.Str, pv.Str
-		for _, i := range sel {
-			ii := int(i)
-			if lv.IsNull(ii) || pv.IsNull(ii) {
-				continue
-			}
-			if LikeMatch(ld[ii&lm], pd[ii&pm]) {
+			if !lv.IsNull(ii) && !rv.IsNull(ii) && match(ld[ii&lm], rd[ii&rm]) {
 				out = append(out, i)
 			}
 		}
@@ -554,14 +557,14 @@ func compileVecLike(x *Like) (VecPred, bool) {
 
 // unionSel merges two ordered selections (each a subsequence of the same
 // input selection) preserving row order.
-func unionSel(a, b []int32) []int32 {
+func unionSel(a, b []int32, batch *VecBatch) []int32 {
 	if len(a) == 0 {
 		return b
 	}
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]int32, 0, len(a)+len(b))
+	out := batch.newSel(len(a) + len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -598,9 +601,9 @@ func compileVecCmp(x *Comparison) (VecPred, bool) {
 	return func(b *VecBatch, sel []int32) []int32 {
 		lv, rv := l(b, sel), r(b, sel)
 		if cls == classI64 && !lv.IsConst() && !lv.HasNulls() && rv.IsConst() && !rv.HasNulls() {
-			return i64FilterConst(op, lv.I64, rv.I64[0], sel)
+			return i64FilterConst(op, lv.I64, rv.I64[0], sel, b.newSel(len(sel)))
 		}
-		out := make([]int32, 0, len(sel))
+		out := b.newSel(len(sel))
 		lm, rm := lv.Mask(), rv.Mask()
 		switch cls {
 		case classI64:
@@ -643,8 +646,7 @@ func compileVecCmp(x *Comparison) (VecPred, bool) {
 
 // i64FilterConst is the fully unrolled hot path: a null-free int64 column
 // against a constant — one branch per row, no calls, no boxing.
-func i64FilterConst(op CmpOp, data []int64, c int64, sel []int32) []int32 {
-	out := make([]int32, 0, len(sel))
+func i64FilterConst(op CmpOp, data []int64, c int64, sel, out []int32) []int32 {
 	switch op {
 	case OpEQ:
 		for _, i := range sel {
@@ -721,7 +723,7 @@ func compileVecIn(x *In) (VecPred, bool) {
 	}
 	return func(b *VecBatch, sel []int32) []int32 {
 		v := val(b, sel)
-		out := make([]int32, 0, len(sel))
+		out := b.newSel(len(sel))
 		m := v.Mask()
 		if cls == classI64 {
 			for _, i := range sel {

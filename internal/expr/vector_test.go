@@ -53,9 +53,10 @@ func randomSel(rng *rand.Rand, n int) []int32 {
 
 // Property: for any predicate the vector kernel (native or fallback) selects
 // exactly the rows the scalar predicate keeps, without mutating the input
-// selection.
+// selection — whether its selections are allocated or cut from a SelSlab.
 func TestVecPredicateMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var slab SelSlab
 	for trial := 0; trial < 800; trial++ {
 		e := randomExpr(rng, 3, types.Boolean)
 		rows := randomVecRows(rng, rng.Intn(120))
@@ -63,8 +64,16 @@ func TestVecPredicateMatchesInterpreter(t *testing.T) {
 		sel := randomSel(rng, len(rows))
 		selCopy := append([]int32(nil), sel...)
 
+		// Every other trial cuts its selections from a slab, and runs the
+		// kernel once more before looking: a second run must not land on the
+		// first one's output.
+		if trial%2 == 1 {
+			batch.Sels = &slab
+			slab.Reset()
+		}
 		pred, _ := CompileVecPredicate(e)
 		got := pred(batch, sel)
+		pred(batch, sel)
 
 		var want []int32
 		for _, i := range selCopy {
@@ -101,13 +110,26 @@ func TestVecEvalMatchesInterpreter(t *testing.T) {
 
 		ev, _ := CompileVec(e)
 		v := ev(batch, sel)
-		for _, i := range sel {
+		// BoxRows is RowInto over the selection, a column at a time: the input
+		// columns, the kernel's output (typed, boxed or constant) and one that
+		// was never decoded.
+		cols := append(batch.Cols[:len(batch.Cols):len(batch.Cols)], v, nil)
+		boxed := BoxRows(cols, sel)
+		if len(boxed) != len(sel) {
+			t.Fatalf("trial %d: BoxRows made %d rows of %d positions", trial, len(boxed), len(sel))
+		}
+		for k, i := range sel {
 			want := e.Eval(rows[i])
 			got := v.Get(int(i))
 			if !row.Equal(got, want) {
 				t.Fatalf("trial %d: %s\nrow %d: vector=%v (%T), interpreter=%v (%T)",
 					trial, e, i, got, got, want, want)
 			}
+			r := (&VecBatch{Cols: cols}).RowInto(int(i), make(row.Row, len(cols)))
+			if fmt.Sprintf("%#v", boxed[k]) != fmt.Sprintf("%#v", r) {
+				t.Fatalf("trial %d: %s\nrow %d boxed as %#v, RowInto gives %#v", trial, e, i, boxed[k], r)
+			}
+			_ = append(boxed[k], "x") // rows are capacity-clipped: this must not reach row k+1
 		}
 	}
 }

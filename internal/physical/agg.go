@@ -405,26 +405,15 @@ func (m *aggMerge) finish() ([]*columnar.Vector, int, error) {
 
 // boxResultRows evaluates the result expressions over the n merged groups
 // and materializes the operator's output rows — the one place aggregation
-// boxes a row. The rows share one backing array (capacity-clipped, so an
-// append to one never reaches the next).
+// boxes a row.
 func boxResultRows(cols []*columnar.Vector, n int, resultEvals []expr.VecEval) []row.Row {
 	batch := &expr.VecBatch{Cols: cols, N: n}
 	sel := identitySel(n)
-	w := len(resultEvals)
-	outCols := make([]*columnar.Vector, w)
+	outCols := make([]*columnar.Vector, len(resultEvals))
 	for j, ev := range resultEvals {
 		outCols[j] = ev(batch, sel)
 	}
-	flat := make([]any, n*w)
-	out := make([]row.Row, n)
-	for i := range out {
-		r := flat[i*w : (i+1)*w : (i+1)*w]
-		for j, c := range outCols {
-			r[j] = c.Get(i)
-		}
-		out[i] = r
-	}
-	return out
+	return expr.BoxRows(outCols, sel)
 }
 
 // splitAggregates extracts the distinct aggregate functions from the result

@@ -64,12 +64,11 @@ type BatchSource struct {
 	// returns no error). Each call of the function it returns
 	// yields the partition's next batch, and false after the last: Cols[j]
 	// is output position j as a typed vector (nil where used[j] was false),
-	// N the batch's row count, and Sel the ascending positions that survive
-	// the scan's own filters — all N of them when it has none. Vectors index
-	// by position within the batch and are defined at the positions in Sel
-	// only; an empty Sel may come with nil vectors. A batch is valid until
-	// the next call, and its Sel must not be written to. The scan records
-	// its own metrics (batches, rows decoded, rows selected).
+	// N the batch's row count, and Sel the selection of all N: a scan with
+	// filters of its own hands over the rows that passed them and no others.
+	// An empty batch may come with nil vectors. A batch is valid until the
+	// next call, and its Sel must not be written to. The scan records its
+	// own metrics (batches, rows decoded, rows selected).
 	Batches func(jc context.Context, p int) (func() (datasource.Batch, bool), error)
 }
 
@@ -208,7 +207,7 @@ func openScan(rel datasource.Relation, attrs []*expr.AttributeReference,
 // SourceBatchScanExec is the leaf over a data source that implements
 // datasource.ColumnarScan. Executed as a row operator (a bare scan, or with
 // vectorization off) it is the embedded source scan; under a vectorized
-// pipeline it hands over the source's typed batches and selection vectors.
+// pipeline it hands over the source's typed batches.
 type SourceBatchScanExec struct {
 	*ScanExec
 	source  string // provider name, prefix of the scan's counters
@@ -237,10 +236,13 @@ func (s *SourceBatchScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSo
 	}
 	skipped := ctx.RDD.Metrics().Counter(s.source + ".groups.skipped")
 	pruned := ctx.RDD.Metrics().Counter(s.source + ".rows.pruned")
+	fallback := ctx.RDD.Metrics().Counter("vec.fallback.rows")
 	return BatchSource{NumPartitions: scan.NumPartitions, PartitionBytes: scan.PartitionBytes, Batches: func(_ context.Context, p int) (func() (datasource.Batch, bool), error) {
 		batches, stats := scan.Partition(p)
 		skipped.Add(int64(stats.GroupsSkipped))
 		pruned.Add(int64(stats.RowsPruned))
+		fallback.Add(int64(stats.FallbackRows))
+		read := stats.RowsRead // what the batches were decoded from, counted with the first
 		out := make([]*columnar.Vector, len(used))
 		return func() (datasource.Batch, bool) {
 			if len(batches) == 0 {
@@ -248,7 +250,8 @@ func (s *SourceBatchScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSo
 			}
 			b := batches[0]
 			batches = batches[1:]
-			om.RecordBatch(b.N, len(b.Sel))
+			om.RecordBatch(read, b.N)
+			read = 0
 			for k, j := range at {
 				out[j] = b.Cols[k]
 			}

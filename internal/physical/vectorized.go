@@ -135,11 +135,7 @@ func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		// a run's worth of rows through every growth step.
 		var chunks [][]row.Row
 		err := vp.each(jc, p, func(batch *expr.VecBatch, live []int32) {
-			rows := make([]row.Row, len(live))
-			for k, i := range live {
-				rows[k] = batch.Row(int(i))
-			}
-			chunks = append(chunks, rows)
+			chunks = append(chunks, expr.BoxRows(batch.Cols, live))
 		})
 		out := slices.Concat(chunks...)
 		om.RecordPartition(len(out), time.Since(start))
@@ -218,12 +214,14 @@ func (vp *vecPipe) tasks() int { return len(vp.runs) - 1 }
 
 // each runs the batches of task t's partitions through the stages, starting
 // from the selection the scan hands over, and passes every batch with
-// surviving rows to fn as (final batch, selection). The batch headers are
-// per-task scratch reused across batches and the selection may be the scan's:
-// fn must not retain either past its return. Rows a stage ran through the
-// boxed scalar fallback are counted once per batch.
+// surviving rows to fn as (final batch, selection). The batch headers and the
+// slab the filters cut their selections from are per-task scratch reused
+// across batches, and the selection may be the scan's: fn must not retain
+// either past its return. Rows a stage ran through the boxed scalar fallback
+// are counted once per batch.
 func (vp *vecPipe) each(jc context.Context, t int, fn func(batch *expr.VecBatch, live []int32)) error {
 	var in expr.VecBatch
+	var sels expr.SelSlab
 	staged := make([]expr.VecBatch, len(vp.stages))
 	for p := vp.runs[t]; p < vp.runs[t+1]; p++ {
 		next, err := vp.src.Batches(jc, p)
@@ -238,7 +236,8 @@ func (vp *vecPipe) each(jc context.Context, t int, fn func(batch *expr.VecBatch,
 			if len(live) == 0 {
 				continue
 			}
-			in = expr.VecBatch{Cols: b.Cols, N: n}
+			sels.Reset()
+			in = expr.VecBatch{Cols: b.Cols, N: n, Sels: &sels}
 			batch := &in
 			var boxed int
 			for i, st := range vp.stages {
@@ -252,7 +251,7 @@ func (vp *vecPipe) each(jc context.Context, t int, fn func(batch *expr.VecBatch,
 					continue
 				}
 				next := &staged[i]
-				next.Cols, next.N = next.Cols[:0], n
+				next.Cols, next.N, next.Sels = next.Cols[:0], n, &sels
 				for _, ev := range st.evals {
 					next.Cols = append(next.Cols, ev(batch, live))
 				}

@@ -34,6 +34,19 @@ if grep -n 'keyShapeBlocker\|build side not right"\|join type %\|residual predic
 	echo "internal/physical: a deleted fusion admission condition is back" >&2
 	exit 1
 fi
+# One boxing routine: where batches become rows — the vectorized pipeline's
+# output, a batch scan read as rows, an aggregate's results — expr.BoxRows
+# boxes column by column into one arena per batch. A per-row make(row.Row) or
+# Row(int(i)) at those edges, or a Get loop of boxResultRows' own, is the
+# second routine coming back (agg.go keeps its spill records' make).
+if grep -n 'make(row\.Row\|\.Row(int(' internal/physical/vectorized.go internal/datasource/datasource.go; then
+	echo "a per-row boxing loop is back at a result edge" >&2
+	exit 1
+fi
+if sed -n '/^func boxResultRows/,/^}/p' internal/physical/agg.go | grep -n '\.Get('; then
+	echo "internal/physical/agg.go: boxResultRows boxes cells itself again" >&2
+	exit 1
+fi
 echo "internal/physical + internal/expr non-test lines: $(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) (ROADMAP target: <= 7835)"
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...

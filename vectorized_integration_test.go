@@ -141,6 +141,12 @@ var vecQueries = []string{
 	// Residual predicates stacked on pushed ones.
 	"SELECT url FROM pages WHERE rank > 100 AND rank % 7 = 3 AND url LIKE '%alpha%'",
 	"SELECT seq FROM pages WHERE seq >= 2900 AND twice(rank) > 1500",
+	// A fused join probing a filtered side: the probe columns are as long as
+	// the scan's survivors, nullable ones included, whether or not the filter
+	// column is projected beside them. Which side builds is the leaf's size
+	// estimate's to say, so the order is the query's.
+	"SELECT P.seq, P.url, P.hole, P.x, R.pageURL FROM pages P JOIN rankings R ON P.seq = R.pageRank WHERE P.rank > 700 ORDER BY P.seq, R.pageURL",
+	"SELECT P.seq, P.rank, P.dur, P.ts, R.pageURL FROM pages P JOIN rankings R ON P.seq = R.pageRank WHERE P.rank > 300 AND P.dur < 9 AND P.flag IS NOT NULL ORDER BY P.seq, R.pageURL",
 	// A table without rows.
 	"SELECT a, s FROM empty WHERE a > 0",
 	"SELECT count(*), max(s) FROM empty",
@@ -244,7 +250,8 @@ func TestVectorizedExplain(t *testing.T) {
 
 // The colfile leaf is observable: EXPLAIN ANALYZE's scan line carries both
 // the rows decoded into batches and the rows the pushed filters let through,
-// and the groups skipped and rows pruned land in counters SHOW METRICS lists.
+// and the groups skipped, rows pruned and rows tested boxed land in counters
+// SHOW METRICS lists.
 func TestColfileLeafObservability(t *testing.T) {
 	ctx := vecTestContext(t, fusedConfig(0, true), colfileTempTable)
 	// seq >= 2500 skips 5 of the 6 row groups by statistics; rank > 500 then
@@ -282,6 +289,19 @@ func TestColfileLeafObservability(t *testing.T) {
 	}
 	if got := skipped.Load() - before; got != 5 {
 		t.Fatalf("an IN list inside one row group skipped %d groups, want 5", got)
+	}
+	// A pushed filter with no kernel over its column's lane tests rows boxed,
+	// inside the scan: they are counted where the pipeline's own fallbacks are.
+	// flag = true runs over the one 500-row group that seq < 100 admits.
+	fallback := ctx.Metrics().Counter("vec.fallback.rows")
+	before = fallback.Load()
+	mustRunRows(t, ctx, "SELECT seq FROM pages WHERE flag = true AND seq < 100")
+	if got := fallback.Load() - before; got != 500 {
+		t.Fatalf("a BOOLEAN filter inside the scan moved vec.fallback.rows by %d, want 500", got)
+	}
+	mustRunRows(t, ctx, "SELECT url FROM pages WHERE seq >= 2500 AND rank > 500")
+	if got := fallback.Load() - before; got != 500 {
+		t.Fatalf("filters with kernels moved vec.fallback.rows (%d)", got-500)
 	}
 }
 
