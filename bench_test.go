@@ -524,6 +524,41 @@ func BenchmarkJoinReorder(b *testing.B) {
 	b.Run("ReorderOn", func(b *testing.B) { benchSQL(b, on, q) })
 }
 
+// BenchmarkPlanLocalJoin plans (never runs) a self-join over an in-memory
+// table: a relation's size is taken from its rows once per relation, so
+// planning costs the same at 1 000 rows and at 100 000.
+func BenchmarkPlanLocalJoin(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		rows int
+	}{{"1k", 1_000}, {"100k", 100_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := sparksql.NewContext()
+			rows := make([]sparksql.Row, c.rows)
+			for i := range rows {
+				rows[i] = sparksql.Row{int64(i), fmt.Sprintf("v%d", i%100)}
+			}
+			df, err := ctx.CreateDataFrame(sparksql.StructType{}.
+				Add("k", sparksql.LongType, false).
+				Add("v", sparksql.StringType, false), rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			df.RegisterTempTable("t")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q, err := ctx.SQL("SELECT a.v, COUNT(*) FROM t a JOIN t b ON a.k = b.k GROUP BY a.v")
+				if err == nil {
+					_, err = q.Explain()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // Spill benchmarks: the same sort and aggregation with and without a
 // memory budget. Budgeted runs reserve far more than the data needs and must
 // not spill: the gap to InMemory is the price of *having* a budget. Spilling

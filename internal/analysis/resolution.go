@@ -633,7 +633,9 @@ func freshenPlan(p plan.LogicalPlan, taken expr.AttributeSet) (plan.LogicalPlan,
 			if !changed {
 				return nil, false
 			}
-			return &plan.LocalRelation{Attrs: attrs, Rows: leaf.Rows, TableStats: leaf.TableStats}, true
+			c := *leaf // the rows, the statistics and the flat-size cell ride along
+			c.Attrs = attrs
+			return &c, true
 		case *plan.LogicalRDD:
 			attrs, changed := freshenAttrs(leaf.Attrs, taken, mapping)
 			if !changed {

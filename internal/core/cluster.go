@@ -68,13 +68,16 @@ type ClusterRuntime struct {
 
 	mu        sync.Mutex
 	template  sqlwire.SessionSpec
+	stale     bool // a template knob changed since fp was taken
 	sessionID string
 	epoch     uint64
 	fp        uint64
 	specBytes []byte
 	shippable bool
-	inited    map[string]uint64      // workerID → epoch it holds
-	initLocks map[string]*sync.Mutex // serializes init per worker
+	status    string                  // tail of the summary's session line
+	tables    map[string]shippedTable // by catalog name
+	inited    map[string]uint64       // workerID → epoch it holds
+	initLocks map[string]*sync.Mutex  // serializes init per worker
 
 	// Federated observability: the latest counter samples harvested from
 	// (or piggybacked by) each worker, keyed worker id → metric name →
@@ -108,6 +111,8 @@ func EnableCluster(e *Engine, opts ClusterOptions) (*ClusterRuntime, error) {
 		coord:      coord,
 		template:   opts.Session,
 		sessionID:  fmt.Sprintf("s%d-%d", os.Getpid(), sessionSeq.Add(1)),
+		stale:      true,
+		tables:     make(map[string]shippedTable),
 		inited:     make(map[string]uint64),
 		initLocks:  make(map[string]*sync.Mutex),
 		obsWorkers: make(map[string]map[string]int64),
@@ -146,6 +151,7 @@ func (rt *ClusterRuntime) Close() error {
 func (rt *ClusterRuntime) SetChaos(c sqlwire.ChaosSpec) {
 	rt.mu.Lock()
 	rt.template.Chaos = c
+	rt.stale = true
 	rt.mu.Unlock()
 }
 
@@ -155,92 +161,117 @@ func (rt *ClusterRuntime) SetWorkerBackoff(base, max time.Duration, seed uint64)
 	rt.template.BackoffBaseNS = int64(base)
 	rt.template.BackoffMaxNS = int64(max)
 	rt.template.BackoffSeed = seed
+	rt.stale = true
 	rt.mu.Unlock()
 }
 
-// RefreshSession rebuilds the shipped session spec from the catalog. If
-// anything changed since the last refresh the epoch advances and every
-// worker is re-initialized before its next task. Failures only mark the
-// session unshippable — queries then run locally, never wrongly.
-func (rt *ClusterRuntime) RefreshSession() {
-	tables := rt.collectTables()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	spec := rt.template
-	spec.ID = rt.sessionID
-	spec.Epoch = 0
-	spec.Tables = tables
-	probe, err := sqlwire.EncodeSession(&spec)
-	if err != nil {
-		rt.shippable = false
-		return
-	}
-	h := fnv.New64a()
-	h.Write(probe)
-	fp := h.Sum64()
-	if fp != rt.fp || rt.specBytes == nil {
-		rt.epoch++
-		rt.fp = fp
-		spec.Epoch = rt.epoch
-		if rt.specBytes, err = sqlwire.EncodeSession(&spec); err != nil {
-			rt.shippable = false
-			return
-		}
-		rt.inited = make(map[string]uint64)
-	}
-	rt.shippable = len(rt.specBytes) <= maxSpecBytes
+// shippedTable is what one catalog relation encodes to: its wire spec (nil
+// when it cannot ship) and the spec's hash. A relation is immutable — a store
+// commit or a RegisterTable publishes a new pointer — so it holds while rel does.
+type shippedTable struct {
+	rel  plan.LogicalPlan
+	spec *sqlwire.TableSpec
+	hash uint64
 }
 
-// collectTables converts every shippable catalog table into a TableSpec.
-// Tables whose plan or schema cannot ship (views, data sources, exotic
-// column types) are skipped: queries referencing them fail analysis on
-// the worker and fall back to local compute.
-func (rt *ClusterRuntime) collectTables() []sqlwire.TableSpec {
+// RefreshSession brings the shipped session up to date with the catalog:
+// relations the catalog replaced since the last call are re-encoded, and when
+// the fingerprint (the knobs, each table's name and hash) moves, the spec is
+// marshalled again, the epoch advances and every worker is re-initialized
+// before its next task. Failures only mark the session unshippable — queries
+// then run locally, never wrongly.
+func (rt *ClusterRuntime) RefreshSession() {
 	names := rt.e.Catalog.TableNames()
-	sort.Strings(names)
-	var out []sqlwire.TableSpec
+	reg := rt.e.RDDCtx.Metrics()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	changed := rt.stale
 	for _, name := range names {
-		lp, ok := rt.e.Catalog.LookupTable(name)
-		if !ok {
-			continue
-		}
-		switch t := lp.(type) {
-		case *plan.LocalRelation:
-			fields, ok := attrFields(t.Attrs)
-			if !ok {
-				continue
-			}
-			blk, err := row.EncodeRows(t.Rows)
-			if err != nil {
-				continue
-			}
-			out = append(out, sqlwire.TableSpec{
-				Name: name, Fields: fields, Partitions: [][]byte{blk},
-			})
-		case *plan.InMemoryRelation:
-			fields, ok := sqlwire.Fields(t.Table.Schema)
-			if !ok {
-				continue
-			}
-			parts := make([][]byte, len(t.Table.Partitions))
-			shippable := true
-			for p := range t.Table.Partitions {
-				blk, err := row.EncodeRows(t.Table.ScanPartition(p, nil, nil))
-				if err != nil {
-					shippable = false
-					break
-				}
-				parts[p] = blk
-			}
-			if !shippable {
-				continue
-			}
-			out = append(out, sqlwire.TableSpec{
-				Name: name, Cached: true, Fields: fields, Partitions: parts,
-			})
+		lp, _ := rt.e.Catalog.LookupTable(name)
+		if t, ok := rt.tables[name]; !ok || t.rel != lp {
+			rt.tables[name] = encodeTable(name, lp, reg)
+			changed = true
 		}
 	}
-	return out
+	if len(rt.tables) > len(names) { // some names left the catalog
+		for name := range rt.tables {
+			if i := sort.SearchStrings(names, name); i == len(names) || names[i] != name {
+				delete(rt.tables, name)
+			}
+		}
+		changed = true
+	}
+	if !changed {
+		return
+	}
+	spec, skipped := rt.template, ""
+	spec.ID = rt.sessionID
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", spec)
+	for _, name := range names {
+		if t := rt.tables[name]; t.spec != nil {
+			spec.Tables = append(spec.Tables, *t.spec)
+			fmt.Fprintf(h, " %s=%x", name, t.hash)
+		} else {
+			skipped += ", " + name
+		}
+	}
+	rt.stale = false
+	var err error
+	if fp := h.Sum64(); fp != rt.fp || rt.specBytes == nil {
+		spec.Epoch = rt.epoch + 1
+		if rt.specBytes, err = sqlwire.EncodeSession(&spec); err == nil {
+			rt.epoch, rt.fp, rt.inited = spec.Epoch, fp, make(map[string]uint64)
+			reg.Gauge("cluster.session.epoch").Set(int64(rt.epoch))
+		}
+	}
+	if err == nil && len(rt.specBytes) > maxSpecBytes {
+		err = fmt.Errorf("the spec exceeds a frame's %d bytes", maxSpecBytes)
+	}
+	rt.shippable = err == nil
+	rt.status = fmt.Sprintf(", %d tables, %d bytes", len(spec.Tables), len(rt.specBytes))
+	if err != nil {
+		rt.status += ", not shippable: " + err.Error()
+	}
+	if skipped != "" {
+		rt.status += ", skipped: " + skipped[2:]
+	}
+}
+
+// encodeTable converts one catalog relation into a TableSpec. A plan or
+// schema that cannot ship (views, data sources, exotic column types) gets
+// an entry without one: queries referencing the table fail analysis on
+// the worker and fall back to local compute.
+func encodeTable(name string, lp plan.LogicalPlan, reg *metrics.Registry) shippedTable {
+	spec := sqlwire.TableSpec{Name: name}
+	var ok bool
+	var err error
+	switch t := lp.(type) {
+	case *plan.LocalRelation:
+		spec.Partitions = make([][]byte, 1)
+		if spec.Fields, ok = attrFields(t.Attrs); ok {
+			spec.Partitions[0], err = row.EncodeRows(t.Rows)
+		}
+	case *plan.InMemoryRelation:
+		spec.Cached = true
+		spec.Fields, ok = sqlwire.Fields(t.Table.Schema)
+		spec.Partitions = make([][]byte, len(t.Table.Partitions))
+		for p := 0; ok && err == nil && p < len(spec.Partitions); p++ {
+			spec.Partitions[p], err = row.EncodeRows(t.Table.ScanPartition(p, nil, nil))
+		}
+	}
+	if !ok || err != nil {
+		reg.Counter("cluster.session.tables.skipped").Inc()
+		return shippedTable{rel: lp}
+	}
+	reg.Counter("cluster.session.tables.encoded").Inc()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v %v", spec.Cached, spec.Fields)
+	for _, p := range spec.Partitions {
+		fmt.Fprintf(h, " %d:", len(p))
+		h.Write(p)
+	}
+	return shippedTable{rel: lp, spec: &spec, hash: h.Sum64()}
 }
 
 func attrFields(attrs []*expr.AttributeReference) ([]sqlwire.FieldSpec, bool) {
@@ -310,6 +341,7 @@ func (rt *ClusterRuntime) RunTask(jc context.Context, kind string, partition int
 	shippable := rt.shippable
 	rt.mu.Unlock()
 	if !shippable {
+		rt.e.RDDCtx.Metrics().Counter("cluster.session.unshippable").Inc()
 		return nil, "", rdd.ErrRemoteFallback
 	}
 	workerID, err := rt.coord.Pick(partition)
@@ -526,6 +558,9 @@ func (rt *ClusterRuntime) ClusterSummaryFor(traceID string) string {
 	reg := rt.e.RDDCtx.Metrics()
 	fmt.Fprintf(&sb, "fallbacks: %d tasks computed locally\n",
 		reg.Counter("cluster.fallback").Load())
+	rt.mu.Lock()
+	fmt.Fprintf(&sb, "session: epoch %d%s\n", rt.epoch, rt.status)
+	rt.mu.Unlock()
 	byWorker := make(map[string]WorkerActual)
 	spans := rt.e.RDDCtx.Trace().Snapshot()
 	if traceID != "" {

@@ -144,10 +144,16 @@ func runUnshippablePhase(dist *sparksql.Context, res *MultiprocResult) error {
 	if !fallbackLine.MatchString(ea) {
 		return fmt.Errorf("multiproc: cluster section does not report fallbacks:\n%s", ea)
 	}
+	if !skippedLine.MatchString(ea) {
+		return fmt.Errorf("multiproc: cluster section does not name the table it could not ship:\n%s", ea)
+	}
 	return nil
 }
 
-var fallbackLine = regexp.MustCompile(`fallbacks: [1-9]\d* tasks computed locally`)
+var (
+	fallbackLine = regexp.MustCompile(`fallbacks: [1-9]\d* tasks computed locally`)
+	skippedLine  = regexp.MustCompile(`session: epoch [1-9]\d*, \d+ tables, \d+ bytes, skipped: unshippable\n`)
+)
 
 // workerProc is one spawned worker process.
 type workerProc struct {
@@ -195,6 +201,25 @@ func waitWorkers(ctx *sparksql.Context, n int, timeout time.Duration) error {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	return nil
+}
+
+// loadUserVisits registers n generated uservisits rows over n/3 URLs.
+func loadUserVisits(ctx *sparksql.Context, seed uint64, n int64, cached bool) error {
+	rows := make([]row.Row, n)
+	for i := range rows {
+		rows[i] = datagen.UserVisitRow(seed, int64(i), n/3)
+	}
+	df, err := ctx.CreateDataFrame(datagen.UserVisitsSchema(), rows)
+	if err != nil {
+		return err
+	}
+	if cached {
+		if _, err := df.Cache(); err != nil {
+			return err
+		}
+	}
+	df.RegisterTempTable("uservisits")
 	return nil
 }
 
@@ -426,20 +451,9 @@ func RunMultiprocHashExchange(visits int64, cached, broadcast bool) error {
 		cfg.BroadcastThreshold = 1
 	}
 	load := func(ctx *sparksql.Context) error {
-		rows := make([]row.Row, visits)
-		for i := range rows {
-			rows[i] = datagen.UserVisitRow(42, int64(i), visits/3)
-		}
-		df, err := ctx.CreateDataFrame(datagen.UserVisitsSchema(), rows)
-		if err != nil {
+		if err := loadUserVisits(ctx, 42, visits, cached); err != nil {
 			return err
 		}
-		if cached {
-			if _, err := df.Cache(); err != nil {
-				return err
-			}
-		}
-		df.RegisterTempTable("uservisits")
 		return loadRankings(ctx, visits/3, cached)
 	}
 	queries := []string{
@@ -506,6 +520,113 @@ func RunMultiprocHashExchange(visits int64, cached, broadcast bool) error {
 	for i := 0; i < 2; i++ {
 		if dist.Metrics().Counter(fmt.Sprintf("cluster.tasks.worker.hx-w%d", i)).Load() == 0 {
 			return fmt.Errorf("multiproc hash exchange: worker hx-w%d served no task", i)
+		}
+	}
+	return nil
+}
+
+// RunMultiprocCatalogChange changes the catalog between statements on 2
+// worker processes: the coordinator ships a table's blocks once per relation
+// and re-ships what the catalog replaced, so uservisits is replaced between
+// two runs of Q2a while rankings stays, and a durable table takes a commit
+// between two reads. Every answer must equal a local run's over the same
+// catalog, each change must cost exactly the encode of the table that
+// changed, and no task may fall back.
+func RunMultiprocCatalogChange(visits int64) error {
+	cfg := sparksql.DefaultConfig()
+	cfg.Parallelism = 2
+	cfg.ShufflePartitions = 2
+	cfg.TargetPartitionBytes = 16 << 10 // keep both reduce partitions, one per worker
+	local := sparksql.NewContextWithConfig(cfg)
+	defer local.Close()
+	cfg.Cluster = &sparksql.ClusterOptions{}
+	dist := sparksql.NewContextWithConfig(cfg)
+	defer dist.Close()
+	both := func(step func(*sparksql.Context) error) error {
+		if err := step(local); err != nil {
+			return err
+		}
+		return step(dist)
+	}
+	loadVisits := func(seed uint64, n int64) func(*sparksql.Context) error {
+		return func(ctx *sparksql.Context) error { return loadUserVisits(ctx, seed, n, false) }
+	}
+	run := func(sql string) func(*sparksql.Context) error {
+		return func(ctx *sparksql.Context) error {
+			_, err := ctx.SQL(sql)
+			return err
+		}
+	}
+	commit := func(from, n int) func(*sparksql.Context) error {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("(%d, 'v%d')", (from+i)%97, from+i)
+		}
+		return run("INSERT INTO events VALUES " + strings.Join(vals, ", "))
+	}
+	for i := 0; i < 2; i++ {
+		p, err := spawnWorker(dist.ClusterAddr(), fmt.Sprintf("cc-w%d", i))
+		if err != nil {
+			return fmt.Errorf("multiproc catalog change: spawn: %w", err)
+		}
+		defer p.kill()
+	}
+	if err := waitWorkers(dist, 2, 10*time.Second); err != nil {
+		return err
+	}
+	encoded := dist.Metrics().Counter("cluster.session.tables.encoded")
+	epoch := dist.Metrics().Gauge("cluster.session.epoch")
+	steps := []struct {
+		name    string
+		change  func(*sparksql.Context) error
+		query   string
+		encodes int64
+	}{
+		{"first catalog", func(ctx *sparksql.Context) error {
+			if err := loadRankings(ctx, visits/3, false); err != nil {
+				return err
+			}
+			return loadVisits(42, visits)(ctx)
+		}, Q2(8), 2},
+		{"unchanged catalog", func(*sparksql.Context) error { return nil }, Q2(8), 0},
+		{"uservisits replaced", loadVisits(43, visits+visits/2), Q2(8), 1},
+		{"durable table created", func(ctx *sparksql.Context) error {
+			if err := run("CREATE TABLE events (k BIGINT NOT NULL, v STRING)")(ctx); err != nil {
+				return err
+			}
+			return commit(0, 2000)(ctx)
+		}, "SELECT k, COUNT(*) FROM events GROUP BY k", 1}, // the version the statement sees, not each commit
+		{"durable table committed", commit(2000, 1500), "SELECT k, COUNT(*) FROM events GROUP BY k", 1},
+	}
+	for _, st := range steps {
+		enc0, ep0 := encoded.Load(), epoch.Load()
+		if err := both(st.change); err != nil {
+			return fmt.Errorf("multiproc catalog change, %s: %w", st.name, err)
+		}
+		want, err := collectSQL(local, st.query)
+		if err != nil {
+			return fmt.Errorf("multiproc catalog change, %s, local: %w", st.name, err)
+		}
+		got, err := collectSQL(dist, st.query)
+		if err != nil {
+			return fmt.Errorf("multiproc catalog change, %s: %w", st.name, err)
+		}
+		if len(want) == 0 || formatRows(got) != formatRows(want) {
+			return fmt.Errorf("multiproc catalog change, %s: %d rows across 2 workers diverged from the %d local ones", st.name, len(got), len(want))
+		}
+		if n := encoded.Load() - enc0; n != st.encodes {
+			return fmt.Errorf("multiproc catalog change, %s: %d tables encoded, want %d", st.name, n, st.encodes)
+		}
+		if moved := epoch.Load() != ep0; moved != (st.encodes > 0) {
+			return fmt.Errorf("multiproc catalog change, %s: epoch %d → %d after %d encodes", st.name, ep0, epoch.Load(), st.encodes)
+		}
+		if n := dist.RDDContext().RemoteFallbacks(); n != 0 {
+			return fmt.Errorf("multiproc catalog change, %s: %d tasks fell back to local compute", st.name, n)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if dist.Metrics().Counter(fmt.Sprintf("cluster.tasks.worker.cc-w%d", i)).Load() == 0 {
+			return fmt.Errorf("multiproc catalog change: worker cc-w%d served no task", i)
 		}
 	}
 	return nil

@@ -56,6 +56,17 @@ func TestMultiprocHashExchange(t *testing.T) {
 	}
 }
 
+// TestMultiprocCatalogChange: workers hold what the catalog holds now, not
+// what it held when they were first shipped a session.
+func TestMultiprocCatalogChange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process suite in -short mode")
+	}
+	if err := experiments.RunMultiprocCatalogChange(6000); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMultiprocSpill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process spill suite in -short mode")

@@ -76,11 +76,7 @@ func Stats(p LogicalPlan) Statistics {
 		if n.TableStats != nil {
 			return leafStats(n.TableStats, n.Attrs)
 		}
-		var size int64
-		for _, r := range n.Rows {
-			size += r.FlatSize()
-		}
-		return Statistics{SizeInBytes: size, RowCount: int64(len(n.Rows))}
+		return Statistics{SizeInBytes: n.flatSize(), RowCount: int64(len(n.Rows))}
 	case *DataSourceRelation:
 		if n.TableStats != nil {
 			return leafStats(n.TableStats, n.Attrs)

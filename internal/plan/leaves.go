@@ -3,6 +3,8 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/columnar"
 	"repro/internal/datasource"
@@ -66,27 +68,53 @@ func (u *UnresolvedTableFunction) SimpleString() string {
 func (u *UnresolvedTableFunction) String() string { return Format(u) }
 
 // LocalRelation is an in-memory table of rows — what ctx.CreateDataFrame
-// and constant test fixtures produce.
+// and constant test fixtures produce. Rows is immutable once the relation
+// exists: its flat size, and the blocks a cluster ships, are derived once.
 type LocalRelation struct {
 	Attrs []*expr.AttributeReference
 	Rows  []row.Row
 	// TableStats carries ANALYZE-collected statistics (nil until analyzed).
 	TableStats *stats.Table
+	// size memoizes Rows' flat size in a cell the constructors create and
+	// struct copies share; a bare literal has none and walks every time.
+	size *flatSizeMemo
 }
 
+type flatSizeMemo struct {
+	once  sync.Once
+	bytes int64
+}
+
+var flatSizeWalks atomic.Int64 // walks over a relation's rows, for tests
+
 // NewLocalRelation builds a local relation from a schema (allocating fresh
-// attribute IDs) and rows.
+// attribute IDs) and rows, which it adopts: no copy, immutable from then on.
 func NewLocalRelation(schema types.StructType, rows []row.Row) *LocalRelation {
 	attrs := make([]*expr.AttributeReference, len(schema.Fields))
 	for i, f := range schema.Fields {
 		attrs[i] = expr.NewAttribute(f.Name, f.Type, f.Nullable)
 	}
-	return &LocalRelation{Attrs: attrs, Rows: rows}
+	return NewLocalRelationFromAttrs(attrs, rows)
 }
 
 // NewLocalRelationFromAttrs builds a local relation over existing attrs.
 func NewLocalRelationFromAttrs(attrs []*expr.AttributeReference, rows []row.Row) *LocalRelation {
-	return &LocalRelation{Attrs: attrs, Rows: rows}
+	return &LocalRelation{Attrs: attrs, Rows: rows, size: new(flatSizeMemo)}
+}
+
+// flatSize sums the rows' flat sizes, at most once per cell.
+func (l *LocalRelation) flatSize() int64 {
+	m := l.size
+	if m == nil {
+		m = new(flatSizeMemo)
+	}
+	m.once.Do(func() {
+		flatSizeWalks.Add(1)
+		for _, r := range l.Rows {
+			m.bytes += r.FlatSize()
+		}
+	})
+	return m.bytes
 }
 
 func (l *LocalRelation) Children() []LogicalPlan { return nil }

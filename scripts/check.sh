@@ -47,6 +47,19 @@ if sed -n '/^func boxResultRows/,/^}/p' internal/physical/agg.go | grep -n '\.Ge
 	echo "internal/physical/agg.go: boxResultRows boxes cells itself again" >&2
 	exit 1
 fi
+# A statement pays for what changed in the catalog: the cluster runtime
+# re-encodes a table only where the catalog published a new relation, and a
+# LocalRelation's flat size comes from its memo cell. An unconditional
+# collectTables() in RefreshSession, or a row loop in plan.Stats' leaf case,
+# is the per-statement walk over every row coming back.
+if sed -n '/^func (rt \*ClusterRuntime) RefreshSession/,/^}/p' internal/core/cluster.go | grep -n 'collectTables()\|EncodeRows('; then
+	echo "internal/core/cluster.go: RefreshSession encodes the catalog on every statement again" >&2
+	exit 1
+fi
+if sed -n '/^	case \*LocalRelation:/,/^	case \*DataSourceRelation:/p' internal/plan/estimation.go | grep -n 'range n\.Rows'; then
+	echo "internal/plan/estimation.go: plan.Stats walks a LocalRelation's rows again" >&2
+	exit 1
+fi
 echo "internal/physical + internal/expr non-test lines: $(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) (ROADMAP target: <= 7835)"
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
@@ -107,6 +120,17 @@ go test -race -v -run '^TestAdaptive|^TestPlanHash' -timeout 10m .
 # frames — every answer byte-identical to a local fault-free run. The
 # schedule is seeded (deterministic) and the 5m timeout bounds wall time.
 go test -race -v -run '^TestMultiproc' -timeout 5m ./internal/experiments/
+
+# Session memo: written by RefreshSession, read by concurrent RunTasks and
+# summaries while the catalog changes — the invalidation contract (what a
+# changed, re-registered, dropped or committed table costs) and the
+# concurrent hammer, repeated for the interleavings.
+go test -race -count=5 -run '^TestSessionInvalidation$|^TestSessionRefreshConcurrent$' -timeout 5m ./internal/core/
+
+# The session, task and reply decoders read bytes from another process: fuzz
+# the session decoder for a short fixed time (no panic; decode-encode-decode
+# is a fixed point); the other two run their seed corpora with the tests.
+go test -run '^$' -fuzz=FuzzDecodeSession -fuzztime=10s -timeout 5m ./internal/cluster/sqlwire/
 
 # Cluster observability suite: merged-trace golden (worker spans carrying
 # the coordinator's trace id, stable normalized ordering), federation

@@ -680,7 +680,12 @@ func (c *Context) Table(name string) (*DataFrame, error) {
 
 // CreateDataFrame builds a DataFrame from a schema and rows. Row values
 // must match the declared types (INT→int32, BIGINT→int64, DOUBLE→float64,
-// STRING→string, ...).
+// STRING→string, ...). The rows slice is adopted, not copied, and is
+// immutable from then on, as the paper's DataFrames are: the planner sizes
+// the relation from its rows once and a cluster coordinator ships their
+// encoding once, so a later write to the slice would be seen by local scans
+// and by neither of those. To change a table, build a new DataFrame and
+// register it under the same name.
 func (c *Context) CreateDataFrame(schema StructType, rows []Row) (*DataFrame, error) {
 	return c.newDataFrame(plan.NewLocalRelation(schema, rows))
 }
