@@ -9,10 +9,14 @@ package sparksql_test
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
 	sparksql "repro"
+	"repro/internal/datagen"
+	"repro/internal/datasource/colfile"
 	"repro/internal/experiments"
 )
 
@@ -389,6 +393,63 @@ func BenchmarkFusedJoinProbe(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// The result edge: what Collect allocates per result row when a batch top
+// ends the plan — Q1c over a 50 000-row colfile (a vectorized pipeline) and
+// Q2a over a cached 50 000-row uservisits (a fused aggregate's reducers). A
+// row's values are boxed once, in the task that produced them, and its header
+// is cut once: B/row and allocs/row track both.
+func BenchmarkCollectEdge(b *testing.B) {
+	const n = 50_000
+	rankings, visits := make([]sparksql.Row, n), make([]sparksql.Row, n)
+	for i := range rankings {
+		rankings[i], visits[i] = datagen.RankingRow(5, int64(i)), datagen.UserVisitRow(5, int64(i), n)
+	}
+	path := filepath.Join(b.TempDir(), "rankings.gcf")
+	if err := colfile.Write(path, datagen.RankingsSchema(), rankings, 8192); err != nil {
+		b.Fatal(err)
+	}
+	ctx := sparksql.NewContext()
+	rdf, err := ctx.Read().ColFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rdf.RegisterTempTable("rankings")
+	vdf, err := ctx.CreateDataFrame(datagen.UserVisitsSchema(), visits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := vdf.Cache(); err != nil {
+		b.Fatal(err)
+	}
+	vdf.RegisterTempTable("uservisits")
+	for _, c := range []struct{ name, q string }{
+		{"pipeline", experiments.Q1(experiments.Q1Params[2])},
+		{"aggregate", experiments.Q2(experiments.Q2Params[0])},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			df, err := ctx.SQL(c.q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows, err := df.Collect()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				if _, err := df.Collect(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perRow := float64(b.N) * float64(len(rows))
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perRow, "B/row")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perRow, "allocs/row")
+		})
 	}
 }
 

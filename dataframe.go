@@ -325,7 +325,9 @@ func (df *DataFrame) distributable() bool {
 // Config.MemoryBudget the query executes against a per-query memory pool —
 // blocking operators spill to the engine's DFS when it is exhausted — and
 // every spill file is deleted before Collect returns, whether the query
-// completes, fails or is cancelled.
+// completes, fails or is cancelled. The rows of one task share one value
+// arena and each row is capacity-clipped, so appending to a row copies it and
+// never reaches the next one.
 func (df *DataFrame) Collect() ([]Row, error) {
 	return df.CollectContext(context.Background())
 }

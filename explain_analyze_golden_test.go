@@ -163,13 +163,15 @@ func TestExplainAnalyzeGroupTable(t *testing.T) {
 
 // TestExplainAnalyzeMatchesCollect pins that running a query under EXPLAIN
 // ANALYZE returns the same row count the plain query produces, for a few
-// shapes beyond the star schema (aggregate, vectorizable scan).
+// shapes beyond the star schema (aggregate, vectorizable scan), and says how
+// the result left the engine: an aggregate's reducers box it in their tasks,
+// a row pipeline's rows are copied.
 func TestExplainAnalyzeMatchesCollect(t *testing.T) {
 	ctx := starSchemaContext(t, goldenConfig())
 	analyzeStarSchema(t, ctx)
-	for _, q := range []string{
-		"SELECT d1_k, count(*) AS n FROM fact GROUP BY d1_k",
-		"SELECT f_id FROM fact WHERE amount > 40",
+	for q, path := range map[string]string{
+		"SELECT d1_k, count(*) AS n FROM fact GROUP BY d1_k": ", boxed in 1 tasks", // adaptive execution coalesced its 4 reducers
+		"SELECT f_id FROM fact WHERE amount > 40":            ", copied from WholeStagePipeline rows",
 	} {
 		df, err := ctx.SQL(q)
 		if err != nil {
@@ -193,8 +195,8 @@ func TestExplainAnalyzeMatchesCollect(t *testing.T) {
 			text.WriteByte('\n')
 		}
 		want := fmt.Sprintf("result: %d rows", len(rows))
-		if !strings.Contains(text.String(), want) {
-			t.Fatalf("EXPLAIN ANALYZE of %q lacks %q:\n%s", q, want, text.String())
+		if !strings.Contains(text.String(), want) || !strings.Contains(normalizeAnalyze(text.String()), want+" in T ms"+path) {
+			t.Fatalf("EXPLAIN ANALYZE of %q lacks %q…%q:\n%s", q, want, path, text.String())
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dfs"
+	"repro/internal/expr"
 	"repro/internal/memory"
 	"repro/internal/optimizer"
 	"repro/internal/physical"
@@ -315,21 +316,53 @@ func (q *QueryExecution) Collect() ([]row.Row, error) {
 // CollectContext is Collect under a caller context: cancelling it (or the
 // engine's QueryTimeout expiring) tears down all in-flight and pending
 // tasks and returns the context error.
-func (q *QueryExecution) CollectContext(ctx context.Context) ([]row.Row, error) {
+func (q *QueryExecution) CollectContext(ctx context.Context) (rows []row.Row, err error) {
+	_, err = q.action(ctx, "collect", func(jc context.Context, ec *physical.ExecContext, p physical.SparkPlan) (int64, error) {
+		rows, _, err = q.collect(jc, ec, p)
+		return int64(len(rows)), err
+	})
+	return rows, err
+}
+
+// action runs an action over the executing plan with a fresh ExecContext
+// (metrics on for EXPLAIN ANALYZE), the timeout, the event log and cleanup.
+func (q *QueryExecution) action(ctx context.Context, name string,
+	run func(jc context.Context, ec *physical.ExecContext, p physical.SparkPlan) (int64, error)) (int64, error) {
 	ec := q.engine.ExecContext()
+	ec.Metrics = ec.Metrics || name == "explain-analyze"
 	defer ec.CleanupSpills()
 	jc, cancel := q.engine.queryContext(ctx)
 	defer cancel()
 	jc, tid := q.engine.beginQuery(jc)
 	start := time.Now()
 	p, err := q.prepare(jc, ec)
-	if err != nil {
-		q.finishEvent(tid, "collect", start, 0, err)
-		return nil, err
+	var n int64
+	if err == nil {
+		n, err = run(jc, ec, p)
 	}
-	rows, err := p.Execute(ec).CollectContext(jc)
-	q.finishEvent(tid, "collect", start, int64(len(rows)), err)
-	return rows, err
+	q.finishEvent(tid, name, start, n, err)
+	return n, err
+}
+
+// collect runs the executing plan p and returns its rows and how many tasks
+// boxed them — a batch top's, each output batch into an arena, the headers
+// cut here once — or -1 when they were copied from another top's Execute.
+func (q *QueryExecution) collect(jc context.Context, ec *physical.ExecContext, p physical.SparkPlan) ([]row.Row, int, error) {
+	reg := q.engine.RDDCtx.Metrics()
+	top, ok := p.(physical.BatchTop)
+	if !ok {
+		rows, err := p.Execute(ec).CollectContext(jc)
+		reg.Counter("result.rows.copied").Add(int64(len(rows)))
+		return rows, -1, err
+	}
+	r := top.Results(ec, physical.BoxSink)
+	arenas, err := r.CollectContext(jc)
+	if err != nil {
+		return nil, 0, err
+	}
+	rows := expr.CutRows(arenas)
+	reg.Counter("result.rows.boxed").Add(int64(len(rows)))
+	return rows, r.NumPartitions(), nil
 }
 
 // Count counts result rows without materializing them centrally.
@@ -337,22 +370,14 @@ func (q *QueryExecution) Count() (int64, error) {
 	return q.CountContext(context.Background())
 }
 
-// CountContext is Count under a caller context.
+// CountContext is Count under a caller context; a batch top boxes nothing.
 func (q *QueryExecution) CountContext(ctx context.Context) (int64, error) {
-	ec := q.engine.ExecContext()
-	defer ec.CleanupSpills()
-	jc, cancel := q.engine.queryContext(ctx)
-	defer cancel()
-	jc, tid := q.engine.beginQuery(jc)
-	start := time.Now()
-	p, err := q.prepare(jc, ec)
-	if err != nil {
-		q.finishEvent(tid, "count", start, 0, err)
-		return 0, err
-	}
-	n, err := p.Execute(ec).CountContext(jc)
-	q.finishEvent(tid, "count", start, n, err)
-	return n, err
+	return q.action(ctx, "count", func(jc context.Context, ec *physical.ExecContext, p physical.SparkPlan) (int64, error) {
+		if top, ok := p.(physical.BatchTop); ok {
+			return top.Results(ec, physical.CountSink).CountContext(jc)
+		}
+		return p.Execute(ec).CountContext(jc)
+	})
 }
 
 // Explain renders all plan phases.
@@ -381,31 +406,21 @@ func (q *QueryExecution) ExplainAnalyze() (string, error) {
 // node — the feedback loop that confronts estimates with reality — plus a
 // runtime summary of the result cardinality and wall time.
 func (q *QueryExecution) ExplainAnalyzeContext(ctx context.Context) (string, error) {
-	ec := q.engine.ExecContext()
-	ec.Metrics = true
-	defer ec.CleanupSpills()
-	jc, cancel := q.engine.queryContext(ctx)
-	defer cancel()
-	jc, tid := q.engine.beginQuery(jc)
-	start := time.Now()
-	p, err := q.prepare(jc, ec)
-	if err != nil {
-		q.finishEvent(tid, "explain-analyze", start, 0, err)
-		return "", err
-	}
-	rows, err := p.Execute(ec).CollectContext(jc)
-	q.finishEvent(tid, "explain-analyze", start, int64(len(rows)), err)
-	if err != nil {
-		return "", err
-	}
-	elapsed := time.Since(start)
 	var sb strings.Builder
-	sb.WriteString("== Optimized Plan ==\n")
-	sb.WriteString(plan.FormatEstimated(q.Optimized))
-	sb.WriteString("== Physical Plan ==\n")
-	sb.WriteString(p.String())
-	fmt.Fprintf(&sb, "== Runtime ==\nresult: %d rows in %.1f ms\n",
-		len(rows), float64(elapsed.Microseconds())/1e3)
+	start := time.Now()
+	_, err := q.action(ctx, "explain-analyze", func(jc context.Context, ec *physical.ExecContext, p physical.SparkPlan) (int64, error) {
+		rows, tasks, err := q.collect(jc, ec, p)
+		how := fmt.Sprintf("boxed in %d tasks", tasks)
+		if tasks < 0 {
+			how = "copied from " + strings.Fields(p.SimpleString())[0] + " rows"
+		}
+		fmt.Fprintf(&sb, "== Optimized Plan ==\n%s== Physical Plan ==\n%s== Runtime ==\nresult: %d rows in %.1f ms, %s\n",
+			plan.FormatEstimated(q.Optimized), p, len(rows), float64(time.Since(start).Microseconds())/1e3, how)
+		return int64(len(rows)), err
+	})
+	if err != nil {
+		return "", err
+	}
 	if q.engine.cluster != nil {
 		sb.WriteString("== Cluster ==\n")
 		sb.WriteString(q.engine.cluster.ClusterSummary())

@@ -510,7 +510,10 @@ func TestBatchScanScratchStaysBehind(t *testing.T) {
 	if len(want) == 0 || len(want) == group {
 		t.Fatalf("the filters keep %d of %d rows: not a selection", len(want), group)
 	}
-	got := expr.BoxRows(kept[0].Cols, kept[0].Sel)
+	a := expr.Arena{N: len(kept[0].Sel), W: len(kept[0].Cols)}
+	a.Cells = make([]any, a.N*a.W)
+	expr.BoxValues(kept[0].Cols, kept[0].Sel, a.Cells)
+	got := expr.CutRows([]expr.Arena{a})
 	sameRows(t, "partition 0, after the others ran", [][]row.Row{got}, [][]row.Row{want})
 
 	// The scratch outlives the scan. One of another shape — its filter boxed,

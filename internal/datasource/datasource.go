@@ -128,17 +128,26 @@ type BatchStats struct {
 }
 
 // Rows is the scan as rows: every selected position boxed, in order. A
-// columnar source implements its row interfaces with it.
+// columnar source implements its row interfaces with it. A partition's values
+// share one arena and its rows one header slice, each sized once.
 func (b BatchScan) Rows() Scan {
 	return Scan{
 		NumPartitions: b.NumPartitions,
 		Partition: func(p int) []row.Row {
-			var out []row.Row
 			batches, _ := b.Partition(p)
+			a := expr.Arena{}
 			for _, batch := range batches {
-				out = append(out, expr.BoxRows(batch.Cols, batch.Sel)...)
+				if len(batch.Sel) > 0 {
+					a.N, a.W = a.N+len(batch.Sel), len(batch.Cols)
+				}
 			}
-			return out
+			a.Cells = make([]any, a.N*a.W)
+			at := 0
+			for _, batch := range batches {
+				expr.BoxValues(batch.Cols, batch.Sel, a.Cells[at:])
+				at += len(batch.Sel) * len(batch.Cols)
+			}
+			return expr.CutRows([]expr.Arena{a})
 		},
 	}
 }

@@ -67,25 +67,38 @@ func (b *VecBatch) RowInto(i int, r row.Row) row.Row {
 	return r
 }
 
-// BoxRows materializes the positions sel of a batch's columns as rows — the
-// one routine behind every edge where batches become rows. It boxes column by
-// column, each in a loop over its typed lane, into one []any arena; the rows
-// are capacity-clipped pieces of it, so an append to one never reaches the
-// next. Nil columns contribute NULL.
-func BoxRows(cols []*columnar.Vector, sel []int32) []row.Row {
-	out := make([]row.Row, len(sel))
-	if len(sel) == 0 {
-		return out
-	}
-	w := len(cols)
-	flat := make([]any, len(sel)*w)
+// BoxValues boxes the positions sel of a batch's columns into dst row-major,
+// with no row headers (row k is dst[k*len(cols):(k+1)*len(cols)]), a column at
+// a time over its typed lane; dst holds nil there and nil columns leave NULL.
+func BoxValues(cols []*columnar.Vector, sel []int32, dst []any) {
 	for j, c := range cols {
-		if c != nil {
-			c.BoxInto(flat[j:], w, sel)
+		if c != nil && len(sel) > 0 {
+			c.BoxInto(dst[j:], len(cols), sel)
 		}
 	}
-	for k := range out {
-		out[k] = flat[k*w : (k+1)*w : (k+1)*w]
+}
+
+// Arena is Records() = N rows of W cells boxed back to back in Cells, with no
+// row headers (Cells is nil when the rows were only counted).
+type Arena struct {
+	Cells []any
+	N, W  int
+}
+
+func (a *Arena) Records() int { return a.N }
+
+// CutRows cuts the rows of arenas, in order, into one exactly sized slice;
+// each row is capacity-clipped, so appending to one never reaches the next.
+func CutRows(arenas []Arena) []row.Row {
+	n := 0
+	for _, a := range arenas {
+		n += a.N
+	}
+	out := make([]row.Row, 0, n)
+	for _, a := range arenas {
+		for k := 0; k < a.N; k++ {
+			out = append(out, a.Cells[k*a.W:(k+1)*a.W:(k+1)*a.W])
+		}
 	}
 	return out
 }

@@ -110,13 +110,17 @@ func TestVecEvalMatchesInterpreter(t *testing.T) {
 
 		ev, _ := CompileVec(e)
 		v := ev(batch, sel)
-		// BoxRows is RowInto over the selection, a column at a time: the input
-		// columns, the kernel's output (typed, boxed or constant) and one that
-		// was never decoded.
+		// BoxValues is RowInto over the selection, a column at a time: the
+		// input columns, the kernel's output (typed, boxed or constant) and one
+		// that was never decoded. Its arena, cut in two, reads as one.
 		cols := append(batch.Cols[:len(batch.Cols):len(batch.Cols)], v, nil)
-		boxed := BoxRows(cols, sel)
-		if len(boxed) != len(sel) {
-			t.Fatalf("trial %d: BoxRows made %d rows of %d positions", trial, len(boxed), len(sel))
+		w, half := len(cols), len(sel)/2
+		cells := make([]any, len(sel)*w)
+		BoxValues(cols, sel[:half], cells)
+		BoxValues(cols, sel[half:], cells[half*w:])
+		boxed := CutRows([]Arena{{Cells: cells[:half*w], N: half, W: w}, {Cells: cells[half*w:], N: len(sel) - half, W: w}})
+		if len(boxed) != len(sel) || cap(boxed) != len(sel) {
+			t.Fatalf("trial %d: CutRows made %d rows (capacity %d) of %d positions", trial, len(boxed), cap(boxed), len(sel))
 		}
 		for k, i := range sel {
 			want := e.Eval(rows[i])
@@ -129,7 +133,14 @@ func TestVecEvalMatchesInterpreter(t *testing.T) {
 			if fmt.Sprintf("%#v", boxed[k]) != fmt.Sprintf("%#v", r) {
 				t.Fatalf("trial %d: %s\nrow %d boxed as %#v, RowInto gives %#v", trial, e, i, boxed[k], r)
 			}
-			_ = append(boxed[k], "x") // rows are capacity-clipped: this must not reach row k+1
+		}
+		// Rows are capacity-clipped: an append to one never reaches the next.
+		for k := 0; k+1 < len(boxed); k++ {
+			next := fmt.Sprintf("%#v", boxed[k+1])
+			_ = append(boxed[k], "x")
+			if got := fmt.Sprintf("%#v", boxed[k+1]); got != next {
+				t.Fatalf("trial %d: appending to row %d changed row %d from %s to %s", trial, k, k+1, next, got)
+			}
 		}
 	}
 }

@@ -109,7 +109,10 @@ func (c *keyChunk) load(rows []row.Row) ([]*columnar.Vector, []int32) {
 	return c.vecs, c.ident[:len(rows)]
 }
 
-func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
+func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] { return boxedRows(h, ctx) }
+
+// Results implements BatchTop: the reducers' results go to sink.
+func (h *HashAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Arena] {
 	input := h.Child.Output()
 
 	// Bind grouping expressions.
@@ -154,7 +157,7 @@ func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		return splitGroups(groups, lanes, numPart)
 	})
 
-	return h.finalMerge(ctx, om, blocks, numPart, fns, newLanes, resultExprs)
+	return h.finalMerge(ctx, om, blocks, numPart, fns, newLanes, resultExprs, sink)
 }
 
 func (h *HashAggregateExec) keyTypes() []types.DataType { return exprTypes(h.Grouping) }
@@ -182,10 +185,10 @@ func (h *HashAggregateExec) reducers(ctx *ExecContext) int {
 // the exchange only transposes them), merge state lanes into state lanes per
 // reducer through the same group tables phase 1 uses (aggMerge), evaluate the
 // result expressions as vector kernels over [key columns..., aggregate result
-// columns...], and box each output row exactly once. newLanes must build the
-// accumulators the same way phase 1 did.
+// columns...], and hand the result columns to sink, the result edge. newLanes
+// must build the accumulators the same way phase 1 did.
 func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, blocks *rdd.RDD[aggBlock], numPart int,
-	fns []expr.AggregateFunc, newLanes func() []expr.VecAggregator, resultExprs []expr.Expression) *rdd.RDD[row.Row] {
+	fns []expr.AggregateFunc, newLanes func() []expr.VecAggregator, resultExprs []expr.Expression, sink ResultSink) *rdd.RDD[expr.Arena] {
 	shuffled := rdd.ExchangePresplit(blocks, numPart, aggBlock.groups)
 	keyTypes := h.keyTypes()
 	resultEvals := make([]expr.VecEval, len(resultExprs))
@@ -195,7 +198,7 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, bl
 		}
 	}
 
-	return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, _ int, in []aggBlock) ([]row.Row, error) {
+	return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, _ int, in []aggBlock) ([]expr.Arena, error) {
 		start := time.Now()
 		// The blocks' group counts sum to an upper bound: the table never grows.
 		hint := 0
@@ -215,9 +218,13 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, bl
 		}
 		om.RecordTable(0, m.grows)
 		om.RecordSpill(m.Stats())
-		out := boxResultRows(cols, n, resultEvals)
-		om.RecordPartition(len(out), time.Since(start))
-		return out, nil
+		batch, sel := &expr.VecBatch{Cols: cols, N: n}, identitySel(n)
+		out := make([]*columnar.Vector, len(resultEvals))
+		for j, ev := range resultEvals {
+			out[j] = ev(batch, sel)
+		}
+		om.RecordPartition(n, time.Since(start))
+		return []expr.Arena{sink(out, sel)}, nil
 	})
 }
 
@@ -401,19 +408,6 @@ func (m *aggMerge) finish() ([]*columnar.Vector, int, error) {
 		cols = append(cols, l.Result(n))
 	}
 	return cols, n, nil
-}
-
-// boxResultRows evaluates the result expressions over the n merged groups
-// and materializes the operator's output rows — the one place aggregation
-// boxes a row.
-func boxResultRows(cols []*columnar.Vector, n int, resultEvals []expr.VecEval) []row.Row {
-	batch := &expr.VecBatch{Cols: cols, N: n}
-	sel := identitySel(n)
-	outCols := make([]*columnar.Vector, len(resultEvals))
-	for j, ev := range resultEvals {
-		outCols[j] = ev(batch, sel)
-	}
-	return expr.BoxRows(outCols, sel)
 }
 
 // splitAggregates extracts the distinct aggregate functions from the result

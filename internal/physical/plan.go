@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/columnar"
 	"repro/internal/dfs"
 	"repro/internal/expr"
 	"repro/internal/memory"
@@ -131,6 +132,34 @@ type SparkPlan interface {
 	String() string
 }
 
+// BatchTop is an operator whose tasks end holding columns: a vectorized
+// pipeline, an aggregate's reducers, a fused join. Results runs its one task
+// body handing each output batch to sink while the batch's lanes are live, a
+// partition being one task's arenas in batch order; its row Execute is the
+// BoxSink instance with each task's row headers cut in the task (boxedRows).
+type BatchTop interface {
+	SparkPlan
+	Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Arena]
+}
+
+// ResultSink turns one output batch — its columns and selected positions —
+// into what the task keeps of it, retaining neither.
+type ResultSink func(cols []*columnar.Vector, sel []int32) expr.Arena
+
+// BoxSink boxes the batch into an arena of its own.
+func BoxSink(cols []*columnar.Vector, sel []int32) expr.Arena {
+	a := expr.Arena{Cells: make([]any, len(sel)*len(cols)), N: len(sel), W: len(cols)}
+	expr.BoxValues(cols, sel, a.Cells)
+	return a
+}
+
+// CountSink keeps the batch's row count only.
+func CountSink(_ []*columnar.Vector, sel []int32) expr.Arena { return expr.Arena{N: len(sel)} }
+
+func boxedRows(top BatchTop, ctx *ExecContext) *rdd.RDD[row.Row] {
+	return rdd.MapOutput(top.Results(ctx, BoxSink), expr.CutRows)
+}
+
 // transformUp rewrites a plan bottom-up: children first, then fn on the node
 // (rebuilt over its new children when any changed). The preparation rules
 // Collapse, Vectorize and Fuse are each one fn.
@@ -168,33 +197,26 @@ func writeTree(sb *strings.Builder, p SparkPlan, depth int) {
 		sb.WriteString("  ")
 	}
 	sb.WriteString(p.SimpleString())
-	if fa, ok := p.(FusionAnnotated); ok {
-		if note := fa.Fusion(); note != "" {
+	note := func(s string) {
+		if s != "" {
 			sb.WriteString("  (")
-			sb.WriteString(note)
+			sb.WriteString(s)
 			sb.WriteString(")")
 		}
+	}
+	if fa, ok := p.(FusionAnnotated); ok {
+		note(fa.Fusion())
 	}
 	if ca, ok := p.(CostAnnotated); ok {
 		if est, has := ca.Estimate(); has {
-			sb.WriteString("  (")
-			sb.WriteString(est.EstString())
-			sb.WriteString(")")
+			note(est.EstString())
 		}
 	}
-	if ma, ok := p.(MetricsAnnotated); ok {
-		if m := ma.Runtime(); m != nil {
-			sb.WriteString("  (")
-			sb.WriteString(m.ActualString())
-			sb.WriteString(")")
-		}
+	if ma, ok := p.(MetricsAnnotated); ok && ma.Runtime() != nil {
+		note(ma.Runtime().ActualString())
 	}
 	if aa, ok := p.(AdaptiveAnnotated); ok {
-		if note := aa.Adapted(); note != "" {
-			sb.WriteString("  (")
-			sb.WriteString(note)
-			sb.WriteString(")")
-		}
+		note(aa.Adapted())
 	}
 	sb.WriteByte('\n')
 	for _, c := range p.Children() {

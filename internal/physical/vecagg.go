@@ -41,7 +41,10 @@ func (f *FusedAggregateExec) Output() []*expr.AttributeReference { return f.Agg.
 func (f *FusedAggregateExec) SimpleString() string               { return "Fused" + f.Agg.SimpleString() }
 func (f *FusedAggregateExec) String() string                     { return Format(f) }
 
-func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
+func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] { return boxedRows(f, ctx) }
+
+// Results implements BatchTop: the reducers' results go to sink.
+func (f *FusedAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Arena] {
 	h := f.Agg
 	om := f.EnableMetrics(ctx.Metrics)
 	k := f.sink
@@ -77,7 +80,7 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		return splitGroups(groups, lanes, numPart), err
 	})
 
-	return h.finalMerge(ctx, om, blocks, numPart, k.fns, k.newLanes, k.results)
+	return h.finalMerge(ctx, om, blocks, numPart, k.fns, k.newLanes, k.results, sink)
 }
 
 // aggSink is a fused aggregate's compiled sink: the group-key kernels and

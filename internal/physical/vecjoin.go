@@ -22,9 +22,10 @@ import (
 // would stream — the left when the build side is the right one, the right
 // otherwise. It is a BatchScan too: a pipeline, a fused aggregate or another
 // fused join on top takes the output as columns and no row is boxed; a row
-// consumer gets rows. Either way the output is the row join's, for every join
-// type, key shape and residual: left cells before right cells, probe rows in
-// pipeline order, matches in build-collect order.
+// consumer, or the result edge, gets the same columns boxed. Either way the
+// output is the row join's, for every join type a join may broadcast, key
+// shape and residual: left cells before right cells, probe rows in pipeline
+// order, matches in build-collect order.
 type FusedBroadcastJoinExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -103,14 +104,16 @@ func canonFloatKernel(ev expr.VecEval) expr.VecEval {
 }
 
 func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	parts, probe := f.open(ctx, nil)
-	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", parts, func(jc context.Context, p int) ([]row.Row, error) {
-		pr, err := probe(jc, p)
-		if err != nil {
-			return nil, err
-		}
-		return pr.finish(), nil
-	})
+	return boxedRows(f, ctx)
+}
+
+// Results implements BatchTop through the bare pipeline fusion puts on a scan.
+func (f *FusedBroadcastJoinExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Arena] {
+	r := fusablePipe(f).Results(ctx, sink)
+	if om := f.Runtime(); om != nil {
+		om.Emits = "rows" // boxed, where a batch consumer would not box them
+	}
+	return r
 }
 
 // OpenBatches implements BatchScan: a probe task's output is one partition of
@@ -133,17 +136,13 @@ func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) Batc
 }
 
 // open binds the join for one execution and returns its partition count and
-// the probe of one partition. used marks the output positions a batch
-// consumer reads; nil asks for rows.
+// the probe of one partition, whose output is the columns used marks.
 func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, func(context.Context, int) (*joinProbe, error)) {
 	j := f.Join
 	pipe := j.probeSide().(*VectorizedPipelineExec)
 	om := f.EnableMetrics(ctx.Metrics)
 	if om != nil {
-		om.Emits = "rows"
-		if used != nil {
-			om.Emits = "batches"
-		}
+		om.Emits = "batches"
 	}
 	k := j.compileProbeKeys(pipe.Output())
 	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, k.typed)
@@ -157,14 +156,12 @@ func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, func(
 		}
 		start := time.Now()
 		var batch *expr.VecBatch
-		// The probe cells are boxed straight into the output row.
+		// A residual tests the probe cells boxed into a candidate row.
 		probe := hj.newProbe(ht, func(i int, dst row.Row) { batch.RowInto(i, dst) })
-		if used != nil { // the probe columns: gather appends to them batch by batch
-			probe.cols = make([]*columnar.Vector, len(used))
-			for c := range pipe.Output() {
-				if at := hj.probeAt + c; used[at] {
-					probe.cols[at] = expr.NewClassVector(out[at].DataType(), 0)
-				}
+		probe.cols = make([]*columnar.Vector, len(used)) // the probe columns: gather appends to them batch by batch
+		for c := range pipe.Output() {
+			if at := hj.probeAt + c; used[at] {
+				probe.cols[at] = expr.NewClassVector(out[at].DataType(), 0)
 			}
 		}
 		kvecs := make([]*columnar.Vector, len(k.evals))
@@ -190,13 +187,9 @@ func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, func(
 }
 
 // probeReads is what the join reads of its probe pipeline's output, as the
-// pipeline's sink: for a batch consumer the probe columns it marked used, the
-// probe keys and the probe columns the residual tests; nil — every column —
-// for a row consumer, whose rows box them all.
+// pipeline's sink: the probe columns its consumer marked used, the probe keys
+// and the probe columns the residual tests.
 func (f *FusedBroadcastJoinExec) probeReads(hj *hashJoin, used []bool) []expr.Expression {
-	if used == nil {
-		return nil
-	}
 	j := f.Join
 	probeOut, keys := j.Left.Output(), j.LeftKeys
 	if !j.BuildRight {
@@ -299,8 +292,8 @@ type joinProbe struct {
 	h *hashJoin
 	t *joinTable
 	// fill writes probe row i's cells into dst, the probe columns of an output
-	// row: a copy for a row input, the boxing of a batch position for a fused
-	// pipeline.
+	// row: a copy for a row input, the boxing of a batch position into the
+	// candidate a residual tests for a fused pipeline.
 	fill func(i int, dst row.Row)
 	out  []row.Row
 	// cols, when non-nil, are the output columns of a batch consumer (nil

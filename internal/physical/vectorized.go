@@ -3,7 +3,6 @@ package physical
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/expr"
@@ -126,19 +125,20 @@ func markBoundRefs(e expr.Expression, used []bool) {
 }
 
 func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
+	return boxedRows(v, ctx)
+}
+
+// Results implements BatchTop: each batch with survivors goes to sink.
+func (v *VectorizedPipelineExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Arena] {
 	om := v.EnableMetrics(ctx.Metrics)
 	vp := v.compile(ctx, om, nil)
-	return rdd.GenerateCtx(ctx.RDD, "cacheScanVec", vp.tasks(), func(jc context.Context, p int) ([]row.Row, error) {
-		start := time.Now()
-		// Each batch boxes into a slice of its own size and the task's output
-		// is their concatenation: appending row by row to one slice would copy
-		// a run's worth of rows through every growth step.
-		var chunks [][]row.Row
+	return rdd.GenerateCtx(ctx.RDD, "cacheScanVec", vp.tasks(), func(jc context.Context, p int) ([]expr.Arena, error) {
+		start, rows := time.Now(), 0
+		var out []expr.Arena
 		err := vp.each(jc, p, func(batch *expr.VecBatch, live []int32) {
-			chunks = append(chunks, expr.BoxRows(batch.Cols, live))
+			out, rows = append(out, sink(batch.Cols, live)), rows+len(live)
 		})
-		out := slices.Concat(chunks...)
-		om.RecordPartition(len(out), time.Since(start))
+		om.RecordPartition(rows, time.Since(start))
 		return out, err
 	})
 }

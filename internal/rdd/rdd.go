@@ -463,7 +463,7 @@ func (r *RDD[T]) runTask(jc context.Context, p, firstAttempt int) ([]T, error) {
 				Worker:      worker,
 				Start:       metrics.Since(start),
 				DurNS:       time.Since(start).Nanoseconds(),
-				Records:     int64(len(out)),
+				Records:     records(out),
 			}
 			if err != nil {
 				span.Err = err.Error()
@@ -630,7 +630,7 @@ func (r *RDD[T]) computeAll(jc context.Context) ([][]T, error) {
 			span.Err = err.Error()
 		} else {
 			for _, part := range out {
-				span.Records += int64(len(part))
+				span.Records += records(part)
 			}
 		}
 		r.ctx.emitSpan(jc, span)
@@ -728,12 +728,30 @@ func (r *RDD[T]) emitJobSpan(jc context.Context, job int64, action string, start
 		DurNS: time.Since(start).Nanoseconds(),
 	}
 	for _, p := range parts {
-		span.Records += int64(len(p))
+		span.Records += records(p)
 	}
 	if err != nil {
 		span.Err = err.Error()
 	}
 	r.ctx.emitSpan(jc, span)
+}
+
+// Batched is implemented by a pointer to an element that stands for several
+// records — a task's output boxed a batch at a time — so spans count its
+// records.
+type Batched interface{ Records() int }
+
+// records is how many records a partition holds: its elements, or their
+// records when they are batches.
+func records[T any](part []T) int64 {
+	if _, ok := any((*T)(nil)).(Batched); !ok {
+		return int64(len(part))
+	}
+	var n int64
+	for i := range part {
+		n += int64(any(&part[i]).(Batched).Records())
+	}
+	return n
 }
 
 // CollectContext is Collect under a job context: cancelling jc (or its
@@ -777,7 +795,8 @@ func (r *RDD[T]) CollectPartitionsContext(jc context.Context) ([][]T, error) {
 	return parts, nil
 }
 
-// Count returns the number of elements.
+// Count returns the number of records: elements, or the records of Batched
+// ones.
 func (r *RDD[T]) Count() (int64, error) {
 	return r.CountContext(context.Background())
 }
@@ -795,7 +814,7 @@ func (r *RDD[T]) CountContext(jc context.Context) (int64, error) {
 	}
 	var n int64
 	for _, p := range parts {
-		n += int64(len(p))
+		n += records(p)
 	}
 	return n, nil
 }

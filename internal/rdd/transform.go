@@ -85,6 +85,20 @@ func MapPartitionsCtx[T, U any](r *RDD[T], f func(jc context.Context, p int, in 
 	})
 }
 
+// MapOutput is r with f applied to what each of its tasks returns, inside the
+// same task attempt: one task per partition under r's name, not a task over a
+// task, so f's work retries, is traced and fails with r's. r must not be
+// cached — its tasks run only as part of this RDD's.
+func MapOutput[T, U any](r *RDD[T], f func(out []T) []U) *RDD[U] {
+	return newRDD(r.ctx, r.name, r.numPart, func(jc context.Context, p int) ([]U, error) {
+		out, err := r.compute(jc, p)
+		if err != nil {
+			return nil, err
+		}
+		return f(out), nil
+	})
+}
+
 // Union concatenates the partitions of two RDDs.
 func Union[T any](a, b *RDD[T]) *RDD[T] {
 	return newRDD(a.ctx, "union", a.numPart+b.numPart, func(jc context.Context, p int) ([]T, error) {

@@ -136,7 +136,23 @@ type parser struct {
 	toks  []token
 	pos   int
 	input string
+	depth int // nesting levels entered (enter)
 }
+
+// maxNesting bounds how deep subqueries, parentheses, NOT and unary minus
+// nest: deeper input is an error, not a stack overflow.
+const maxNesting = 1000
+
+// enter counts one more level of nesting, failing past maxNesting; the caller
+// defers p.leave().
+func (p *parser) enter() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errorf("nested deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
@@ -374,6 +390,10 @@ func (p *parser) parseCreateTempTable() (Statement, error) {
 
 // parseSelect handles UNION ALL chains plus trailing ORDER BY / LIMIT.
 func (p *parser) parseSelect() (plan.LogicalPlan, error) {
+	defer p.leave()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	lp, err := p.parseQueryTerm()
 	if err != nil {
 		return nil, err
@@ -703,7 +723,13 @@ func (p *parser) parseTableFactor() (plan.LogicalPlan, error) {
 // ---------------------------------------------------------------------------
 // Expressions (precedence climbing)
 
-func (p *parser) parseExpr() (expr.Expression, error) { return p.parseOr() }
+func (p *parser) parseExpr() (expr.Expression, error) {
+	defer p.leave()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() (expr.Expression, error) {
 	left, err := p.parseAnd()
@@ -738,6 +764,10 @@ func (p *parser) parseAnd() (expr.Expression, error) {
 
 func (p *parser) parseNot() (expr.Expression, error) {
 	if p.acceptKeyword("NOT") {
+		defer p.leave()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -981,6 +1011,10 @@ func (p *parser) parseMultiplicative() (expr.Expression, error) {
 
 func (p *parser) parseUnary() (expr.Expression, error) {
 	if p.accept(tokOp, "-") {
+		defer p.leave()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseUnary()
 		if err != nil {
 			return nil, err

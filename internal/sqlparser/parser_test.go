@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -333,6 +334,66 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(sql); err == nil {
 			t.Errorf("Parse(%q) should fail", sql)
 		}
+	}
+}
+
+// Parser and analyzer reject different statements, and each says so itself:
+// what the grammar refuses fails in Parse; what parses but names a column or
+// table that does not exist, or mixes types, parses and fails in Analyze.
+func TestParserAndAnalyzerRejectApart(t *testing.T) {
+	cat := analysis.NewCatalog()
+	cat.RegisterTable("t", plan.NewLocalRelation(types.NewStruct(
+		types.StructField{Name: "a", Type: types.Int, Nullable: false},
+		types.StructField{Name: "b", Type: types.String, Nullable: true},
+	), nil))
+	for _, sql := range []string{
+		"SELECT a FROM t WHERE",
+		"SELECT a b c FROM t",
+		"SELECT a FROM t GROUP a",
+		"SELECT (a FROM t",
+		"SELECT a FROM t WHERE a IN ()",
+		"SELECT CAST(a AS) FROM t",
+	} {
+		if _, err := Parse(sql); err == nil || !strings.HasPrefix(err.Error(), "sql: at offset") {
+			t.Errorf("Parse(%q) = %v, want a parser error", sql, err)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT nosuch FROM t",
+		"SELECT a FROM missing",
+		"SELECT a FROM t WHERE b",
+		"SELECT a, count(*) FROM t GROUP BY b",
+		"SELECT x.a FROM t",
+	} {
+		lp, err := ParseQuery(sql)
+		if err != nil {
+			t.Errorf("ParseQuery(%q): %v — the analyzer's to reject", sql, err)
+			continue
+		}
+		if _, err := analysis.Analyze(cat, lp); err == nil {
+			t.Errorf("Analyze(%q) accepted it", sql)
+		}
+	}
+}
+
+// Nesting past maxNesting — parentheses, subqueries, NOT and unary minus —
+// is a parser error, not a stack overflow; nesting under it parses.
+func TestParseNestingBounded(t *testing.T) {
+	deep := func(open, inner, close string, n int) string {
+		return strings.Repeat(open, n) + inner + strings.Repeat(close, n)
+	}
+	for _, q := range []string{
+		"SELECT " + deep("(", "1", ")", 100000),
+		"SELECT " + deep("NOT ", "TRUE", "", 100000),
+		"SELECT " + deep("- ", "1", "", 100000),
+		deep("SELECT * FROM (", "SELECT 1", ") s", 100000),
+	} {
+		if _, err := Parse(q); err == nil || !strings.Contains(err.Error(), "nested deeper than 1000 levels") {
+			t.Errorf("Parse(%.30q…) = %v", q, err)
+		}
+	}
+	if _, err := Parse("SELECT " + deep("(", "1", ")", maxNesting-2)); err != nil {
+		t.Fatal(err)
 	}
 }
 

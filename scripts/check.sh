@@ -34,17 +34,18 @@ if grep -n 'keyShapeBlocker\|build side not right"\|join type %\|residual predic
 	echo "internal/physical: a deleted fusion admission condition is back" >&2
 	exit 1
 fi
-# One boxing routine: where batches become rows — the vectorized pipeline's
-# output, a batch scan read as rows, an aggregate's results — expr.BoxRows
-# boxes column by column into one arena per batch. A per-row make(row.Row) or
-# Row(int(i)) at those edges, or a Get loop of boxResultRows' own, is the
-# second routine coming back (agg.go keeps its spill records' make).
+# One boxing routine: where batches become rows — a batch top's result sink, a
+# batch scan read as rows — expr.BoxValues boxes column by column into a
+# header-less arena, and the row headers are cut once, where rows are needed.
+# A per-row make(row.Row) or Row(int(i)) at those edges is a second routine
+# coming back (agg.go keeps its spill records' make); a slices.Concat in the
+# pipeline or an expr.BoxRows( in the aggregate is the per-batch header copy.
 if grep -n 'make(row\.Row\|\.Row(int(' internal/physical/vectorized.go internal/datasource/datasource.go; then
 	echo "a per-row boxing loop is back at a result edge" >&2
 	exit 1
 fi
-if sed -n '/^func boxResultRows/,/^}/p' internal/physical/agg.go | grep -n '\.Get('; then
-	echo "internal/physical/agg.go: boxResultRows boxes cells itself again" >&2
+if grep -n 'slices\.Concat' internal/physical/vectorized.go || grep -n 'expr\.BoxRows(' internal/physical/agg.go; then
+	echo "internal/physical: a batch top copies row headers in its tasks again" >&2
 	exit 1
 fi
 # A statement pays for what changed in the catalog: the cluster runtime
@@ -92,6 +93,15 @@ go test -race -count=10 -run '^TestStageRunner$|^TestTraceSpansForCollect$' -tim
 # the durable-table suite below) hold a 300-partition leaf run as a few tasks
 # to the row path.
 go test -race -v -run '^TestFused|^TestFusion|^TestVectorized|^TestColfileLeaf' -timeout 10m .
+
+# The result edge: Collect through a batch top's sink byte-identical to its row
+# Execute and to the interpreted engine, a task retried after boxing part of
+# its output, and Count boxing nothing — repeated for the interleavings.
+go test -race -count=3 -run '^TestVectorizedResultsByteIdentical$|^TestResultEdgeTaskRetry$|^TestCountDoesNotBox$' -timeout 10m .
+
+# The SQL text a client sends is parsed first: fuzz the lexer and parser for a
+# short fixed time (no panic, no stack overflow; a statement or an error).
+go test -run '^$' -fuzz=FuzzParse -fuzztime=10s -timeout 5m ./internal/sqlparser/
 
 # colfile.Open reads bytes from outside the process: fuzz it, and the scans
 # over whatever opens, for a short fixed time.

@@ -3,8 +3,11 @@ package sparksql
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/rdd"
@@ -179,31 +182,228 @@ func typedText(rows []Row) string {
 	return sb.String()
 }
 
+// edgeQueries put each batch top at the result edge with nothing above it —
+// a fused join probed from either side, a fused aggregate over NULL-bearing
+// inputs — and the column shapes an edge boxes: NULL bitmaps, constant
+// vectors, a filter column left out of the output, an empty result from rows
+// that exist, and ARRAY, MAP and STRUCT columns (`nested`, always behind the
+// cache: colfile stores no nested type). A top's columns are all its output,
+// so a nil (undecoded) column reaches BoxValues only in the vector property
+// test. Which side of a join builds is each leaf's size estimate's to say, so
+// a join's rows compare with the reference as a set.
+var edgeQueries = []string{
+	"SELECT P.seq, P.url, P.hole, R.pageURL FROM pages P JOIN rankings R ON P.seq = R.pageRank WHERE P.rank > 700",
+	"SELECT R.pageURL, P.seq, P.ts FROM rankings R JOIN pages P ON R.pageRank = P.seq WHERE P.dur < 3",
+	"SELECT dur, count(*), min(url), max(rev), sum(hole) FROM pages GROUP BY dur",
+	"SELECT url, 7, 'k', rank * 0 FROM pages WHERE rank > 990",
+	"SELECT url FROM pages WHERE rank > 5000",
+	"SELECT id, tags, attrs, loc FROM nested WHERE id % 3 <> 1",
+	"SELECT loc, id FROM nested WHERE attrs IS NOT NULL",
+}
+
+// registerNested registers `nested` behind leaf, or behind the cache where
+// leaf is colfile.
+func registerNested(t *testing.T, ctx *Context, leaf string, register tableLeaf) {
+	t.Helper()
+	if leaf == "colfile" {
+		register = cacheTempTable
+	}
+	schema := StructType{}.
+		Add("id", IntType, false).
+		Add("tags", ArrayType(StringType, true), true).
+		Add("attrs", types.MapType{Key: StringType, Value: IntType}, true).
+		Add("loc", StructType{}.Add("lat", DoubleType, true), true)
+	rows := make([]Row, 400)
+	for i := range rows {
+		rows[i] = Row{int32(i), []any{fmt.Sprint("t", i%5), nil}, map[any]any{"k": int32(i % 7)}, Row{float64(i) / 8}}
+		switch i % 4 {
+		case 1:
+			rows[i][1], rows[i][3] = nil, Row{nil}
+		case 2:
+			rows[i][2] = nil
+		}
+	}
+	register(t, ctx, schema, rows, "nested", 4)
+}
+
+// canonTypedText is typedText as a sorted set of lines.
+func canonTypedText(rows []Row) string {
+	lines := strings.Split(typedText(rows), "\n")
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
 // The acceptance contract: over the cache and over colfile, the fused, row
 // and interpreted engines return every query's rows byte-identical and in
 // the order the compiled row engine returns them over plain row partitions —
-// the path that runs no batch leaf and that this engine has always had.
+// the path that runs no batch leaf and that this engine has always had — at
+// an unbounded and a one-byte budget. What Collect cuts at the result edge
+// is, byte for byte, what the executing plan's row Execute returns (ToRDD).
 func TestVectorizedResultsByteIdentical(t *testing.T) {
+	queries := append(append([]string{}, vecQueries...), edgeQueries...)
 	ref := vecTestContext(t, fusedConfig(0, false), rowsTempTable)
-	want := make(map[string]string, len(vecQueries))
-	for _, q := range vecQueries {
-		want[q] = typedText(mustRunRows(t, ref, q))
+	registerNested(t, ref, "rows", rowsTempTable)
+	want, wantRows := make(map[string]string, len(queries)), make(map[string][]Row, len(queries))
+	for _, q := range queries {
+		wantRows[q] = mustRunRows(t, ref, q)
+		want[q] = typedText(wantRows[q])
 	}
 	if !strings.Contains(want["SELECT seq, x FROM pages WHERE x <= 0.0 AND seq < 200"], "float64(-0)") {
 		t.Fatal("the reference lost -0.0: the battery would not notice a leaf that does")
 	}
+	check := func(t *testing.T, leaf string, register tableLeaf, cfg Config) {
+		ctx := vecTestContext(t, cfg, register)
+		registerNested(t, ctx, leaf, register)
+		ctx.SpillFS().WriteNanosPerByte, ctx.SpillFS().ReadNanosPerByte = 0, 0
+		for _, q := range queries {
+			got, exp, text := mustRunRows(t, ctx, q), want[q], typedText
+			if strings.Contains(q, "JOIN") && !strings.Contains(q, "ORDER BY") {
+				exp, text = canonTypedText(wantRows[q]), canonTypedText
+			}
+			if text(got) != exp {
+				t.Errorf("%s\n got %.400q\nwant %.400q", q, text(got), exp)
+			}
+			if exec := typedText(rddRows(t, ctx, q)); exec != typedText(got) {
+				t.Errorf("%s: Collect differs from the plan's row Execute\n got %.400q\nwant %.400q", q, typedText(got), exec)
+			}
+		}
+	}
 	for _, leaf := range batchLeaves {
 		for _, mode := range engineModes {
 			t.Run(leaf.name+"/"+mode.name, func(t *testing.T) {
-				ctx := vecTestContext(t, mode.config(0), leaf.register)
-				for _, q := range vecQueries {
-					if got := typedText(mustRunRows(t, ctx, q)); got != want[q] {
-						t.Errorf("%s\n got %.400q\nwant %.400q", q, got, want[q])
+				check(t, leaf.name, leaf.register, mode.config(0))
+				t.Run("budget=1", func(t *testing.T) {
+					if testing.Short() {
+						t.Skip("one-byte budget spills per row; skipped in -short")
 					}
-				}
+					check(t, leaf.name, leaf.register, mode.config(1))
+				})
 			})
 		}
 	}
+}
+
+// Count is len(Collect) for every query, and a batch top's Count boxes
+// nothing: result.rows.boxed — which its Collect moves by every row — stays
+// put, and a pipeline's Count allocates per batch, not per row.
+func TestCountDoesNotBox(t *testing.T) {
+	for _, leaf := range batchLeaves {
+		t.Run(leaf.name, func(t *testing.T) {
+			ctx := vecTestContext(t, fusedConfig(0, true), leaf.register)
+			registerNested(t, ctx, leaf.name, leaf.register)
+			boxed := ctx.Metrics().Counter("result.rows.boxed")
+			for _, q := range append(append([]string{}, vecQueries...), edgeQueries...) {
+				df, err := ctx.SQL(q)
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				rows, err := df.Collect()
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				before := boxed.Load()
+				if n, err := df.Count(); err != nil || n != int64(len(rows)) {
+					t.Errorf("%s: Count = %d, %v; Collect returned %d rows", q, n, err, len(rows))
+				}
+				if moved := boxed.Load() - before; moved != 0 {
+					t.Errorf("%s: Count boxed %d rows", q, moved)
+				}
+			}
+			// The same pipeline keeping every row and keeping none: what the
+			// rows cost Collect, and what they cost Count.
+			allocs := func(q string, action func(*DataFrame)) float64 {
+				df, err := ctx.SQL(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return testing.AllocsPerRun(3, func() { action(df) })
+			}
+			collect := func(df *DataFrame) { df.Collect() }
+			count := func(df *DataFrame) { df.Count() }
+			const all, none = "SELECT rank + 1000, dur FROM pages WHERE seq >= 0", "SELECT rank + 1000, dur FROM pages WHERE seq < 0"
+			before := boxed.Load()
+			if rows := mustRunRows(t, ctx, all); len(rows) != 3000 || boxed.Load()-before != 3000 {
+				t.Fatalf("%s: %d rows, %d boxed at the edge: not a batch top", all, len(rows), boxed.Load()-before)
+			}
+			perRowCollect := (allocs(all, collect) - allocs(none, collect)) / 3000
+			perRowCount := (allocs(all, count) - allocs(none, count)) / 3000
+			t.Logf("allocations per row: %.3f to collect, %.3f to count", perRowCollect, perRowCount)
+			if perRowCount > 0.2 || perRowCollect < 1 { // six batches cost Count ~0.06 a row
+				t.Fatalf("Count allocated %.3f times per row (Collect: %.3f)", perRowCount, perRowCollect)
+			}
+		})
+	}
+}
+
+// A batch top's task that fails — before its first batch, or after it boxed
+// some — is retried from lineage, and the result holds each row once: a
+// failed attempt's arenas leave with it. `many` is 40 partitions of 25 rows,
+// which a pipeline runs as a few tasks of many batches each; the UDF fails
+// once, on the table's last row.
+func TestResultEdgeTaskRetry(t *testing.T) {
+	queries := append([]string{
+		"SELECT k, once(k), s FROM many WHERE k % 3 <> 1",
+		"SELECT g, count(*), sum(once(k)), min(s) FROM many GROUP BY g",
+	}, edgeQueries...)
+	setup := func(t *testing.T, cfg Config, register tableLeaf, leaf string) *Context {
+		ctx := vecTestContext(t, cfg, register)
+		registerNested(t, ctx, leaf, register)
+		var failed atomic.Bool
+		if err := ctx.RegisterUDF("once", func(k int64) int64 {
+			if k == 999 && !failed.Swap(true) {
+				panic("injected failure after the task's first batches")
+			}
+			return k
+		}); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]Row, 1000)
+		for i := range rows {
+			rows[i] = Row{int64(i), int64(i % 9), fmt.Sprint("s", i%13)}
+		}
+		register(t, ctx, StructType{}.Add("k", LongType, false).Add("g", LongType, false).Add("s", StringType, false), rows, "many", 40)
+		return ctx
+	}
+	ref := setup(t, fusedConfig(0, false), rowsTempTable, "rows")
+	for _, leaf := range batchLeaves {
+		t.Run(leaf.name, func(t *testing.T) {
+			ctx := setup(t, fusedConfig(0, true), leaf.register, leaf.name)
+			rc := ctx.RDDContext()
+			rc.SetBackoff(time.Microsecond, 10*time.Microsecond)
+			rc.SetFailureHook(func(name string, p, attempt int) error {
+				if attempt == 1 && p%2 == 0 {
+					return fmt.Errorf("injected failure of %s[%d]", name, p)
+				}
+				return nil
+			})
+			for _, q := range queries {
+				if got, want := canonTypedText(mustRunRows(t, ctx, q)), canonTypedText(mustRunRows(t, ref, q)); got != want {
+					t.Errorf("%s after retries\n got %.400q\nwant %.400q", q, got, want)
+				}
+			}
+			if rc.TaskRetries() == 0 {
+				t.Fatal("no task attempt failed: the schedule injected nothing")
+			}
+		})
+	}
+}
+
+// rddRows collects q through its plan's row Execute (DataFrame.ToRDD).
+func rddRows(t *testing.T, ctx *Context, q string) []Row {
+	t.Helper()
+	df, err := ctx.SQL(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	r, err := df.ToRDD()
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	rows, err := r.Collect()
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return rows
 }
 
 func mustRunRows(t *testing.T, ctx *Context, q string) []Row {
