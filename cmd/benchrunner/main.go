@@ -23,27 +23,44 @@ var (
 	figSel = flag.String("fig", "4,8,9,10,extra", "comma-separated figures to run")
 )
 
+// figures are the -fig names, in the order they run.
+var figures = []struct {
+	name string
+	run  func()
+}{{"4", fig4}, {"8", fig8}, {"9", fig9}, {"10", fig10}, {"extra", extras}}
+
 func main() {
 	flag.Parse()
+	runs, err := selected(*figSel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+		os.Exit(2)
+	}
+	for _, run := range runs {
+		run()
+	}
+}
+
+// selected returns the figures a -fig list names, in run order, or an error
+// naming an unknown entry and listing the valid names.
+func selected(sel string) ([]func(), error) {
 	want := map[string]bool{}
-	for _, f := range strings.Split(*figSel, ",") {
+	for _, f := range strings.Split(sel, ",") {
 		want[strings.TrimSpace(f)] = true
 	}
-	if want["4"] {
-		fig4()
+	var runs []func()
+	var names []string
+	for _, fig := range figures {
+		if want[fig.name] {
+			runs = append(runs, fig.run)
+		}
+		delete(want, fig.name)
+		names = append(names, fig.name)
 	}
-	if want["8"] {
-		fig8()
+	for f := range want {
+		return nil, fmt.Errorf("unknown -fig %q; valid names: %s", f, strings.Join(names, ","))
 	}
-	if want["9"] {
-		fig9()
-	}
-	if want["10"] {
-		fig10()
-	}
-	if want["extra"] {
-		extras()
-	}
+	return runs, nil
 }
 
 func header(title string) {

@@ -1,7 +1,7 @@
 // Package sqlexec is the worker-process side of distributed SQL: it
 // registers the "sql.init" and "sql.partition" task handlers on a cluster
 // worker. Init rebuilds the coordinator's SQL context from a shipped
-// sqlwire.SessionSpec (tables, config knobs, chaos schedule); partition
+// sqlwire.SessionSpec (tables, resolved Config, chaos schedule); partition
 // plans the task's SQL text locally — the planner is deterministic, so
 // every process derives the same physical plan, partition numbering and
 // shuffle ids — and computes exactly one partition of the result, serving
@@ -99,25 +99,13 @@ func (e *Executor) handleInit(w *cluster.Worker, payload []byte) ([]byte, error)
 }
 
 // buildContext materializes a SQL context from a session spec — the same
-// constructor path the coordinator used, fed the same inputs.
+// constructor path the coordinator used, fed the same inputs: the shipped
+// knobs over DefaultConfig, whose values the process-local ones keep.
 func buildContext(w *cluster.Worker, spec *sqlwire.SessionSpec) (*sparksql.Context, error) {
 	cfg := sparksql.DefaultConfig()
-	cfg.Codegen = spec.Codegen
-	cfg.LogicalOptimization = spec.LogicalOptimization
-	cfg.SourcePushdown = spec.SourcePushdown
-	cfg.JoinReorder = spec.JoinReorder
-	cfg.PipelineCollapse = spec.PipelineCollapse
-	cfg.Vectorized = spec.Vectorized
-	cfg.Fusion = spec.Fusion
-	if spec.BroadcastThreshold > 0 {
-		cfg.BroadcastThreshold = spec.BroadcastThreshold
+	if err := sqlwire.DecodeConfig(spec.Config, &cfg); err != nil {
+		return nil, fmt.Errorf("config: %w", err)
 	}
-	if spec.TargetPartitionBytes > 0 {
-		cfg.TargetPartitionBytes = spec.TargetPartitionBytes
-	}
-	cfg.ShufflePartitions = spec.ShufflePartitions
-	cfg.Parallelism = spec.Parallelism
-	cfg.MemoryBudget = spec.MemoryBudget
 	// Workers never adapt: the coordinator materializes stages, takes every
 	// adaptive decision once, and ships the decision list in each task —
 	// this worker replays the rewrites over its statically planned tree. A

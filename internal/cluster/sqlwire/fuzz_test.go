@@ -2,6 +2,7 @@ package sqlwire
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/metrics"
@@ -42,7 +43,8 @@ var garbageSeeds = [][]byte{nil, []byte("{"), []byte(`{"id":1}`), []byte(`{"id":
 
 func FuzzDecodeSession(f *testing.F) {
 	seed, err := EncodeSession(&SessionSpec{
-		ID: "s1", Epoch: 3, Codegen: true, Vectorized: true, ShufflePartitions: 4, Parallelism: 4,
+		ID: "s1", Epoch: 3,
+		Config:        json.RawMessage(`{"Codegen":true,"Vectorized":true,"BroadcastThreshold":10485760,"ShufflePartitions":4,"Parallelism":4}`),
 		BackoffBaseNS: 1000, BackoffSeed: 42,
 		Chaos: ChaosSpec{Enabled: true, Seed: 7, FailureRate: 0.1, FailedAttempts: 2},
 		Tables: []TableSpec{{
@@ -56,6 +58,7 @@ func FuzzDecodeSession(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte(`{"id":"s","tables":[{"name":"t","partitions":[null,""]}],"chaos":{"failureRate":1e-9}}`))
+	f.Add([]byte(`{"id":"s","config":{ "Codegen" : true, "x":"<&>"},"tables":null}`))
 	for _, g := range garbageSeeds {
 		f.Add(g)
 	}

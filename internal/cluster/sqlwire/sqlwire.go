@@ -62,22 +62,11 @@ type SessionSpec struct {
 	ID    string `json:"id"`
 	Epoch uint64 `json:"epoch"`
 
-	// Engine knobs, mirroring sparksql.Config: plans must come out
-	// identical on every process or partition numbering diverges.
-	Codegen             bool  `json:"codegen"`
-	LogicalOptimization bool  `json:"logicalOptimization"`
-	SourcePushdown      bool  `json:"sourcePushdown"`
-	JoinReorder         bool  `json:"joinReorder"`
-	PipelineCollapse    bool  `json:"pipelineCollapse"`
-	Vectorized          bool  `json:"vectorized"`
-	Fusion              bool  `json:"fusion"`
-	BroadcastThreshold  int64 `json:"broadcastThreshold"`
-	// TargetPartitionBytes feeds static exchange sizing, so it must match
-	// the coordinator's value for plan-hash parity.
-	TargetPartitionBytes int64 `json:"targetPartitionBytes,omitempty"`
-	ShufflePartitions    int   `json:"shufflePartitions"`
-	Parallelism          int   `json:"parallelism"`
-	MemoryBudget         int64 `json:"memoryBudget"`
+	// Config is the coordinator's resolved engine configuration minus its
+	// process-local knobs, opaque to this package: plans must come out
+	// identical on every process or partition numbering diverges. The
+	// worker reads it with DecodeConfig.
+	Config json.RawMessage `json:"config"`
 
 	// Retry shaping, so worker-side internal retries are as deterministic
 	// as the coordinator's.
@@ -149,6 +138,10 @@ func DecodeSession(b []byte) (*SessionSpec, error) {
 	}
 	return &s, nil
 }
+
+// DecodeConfig strictly unmarshals a session's Config over v, leaving the
+// fields it does not carry as v had them.
+func DecodeConfig(raw json.RawMessage, v any) error { return strictUnmarshal(raw, v) }
 
 // EncodeQuery marshals a query task.
 func EncodeQuery(q *QueryTask) ([]byte, error) { return json.Marshal(q) }

@@ -1,6 +1,7 @@
 package sqlwire
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/types"
@@ -8,15 +9,12 @@ import (
 
 func TestSessionRoundTrip(t *testing.T) {
 	spec := &SessionSpec{
-		ID:                "s1",
-		Epoch:             3,
-		Codegen:           true,
-		Vectorized:        true,
-		ShufflePartitions: 4,
-		Parallelism:       4,
-		BackoffBaseNS:     1000,
-		BackoffSeed:       42,
-		Chaos:             ChaosSpec{Enabled: true, Seed: 7, FailureRate: 0.1, FailedAttempts: 2},
+		ID:            "s1",
+		Epoch:         3,
+		Config:        json.RawMessage(`{"Codegen":true,"Vectorized":true,"ShufflePartitions":4,"Parallelism":4}`),
+		BackoffBaseNS: 1000,
+		BackoffSeed:   42,
+		Chaos:         ChaosSpec{Enabled: true, Seed: 7, FailureRate: 0.1, FailedAttempts: 2},
 		Tables: []TableSpec{{
 			Name:       "rankings",
 			Cached:     true,
@@ -37,6 +35,16 @@ func TestSessionRoundTrip(t *testing.T) {
 		string(got.Tables[0].Partitions[0]) != string([]byte{1, 2}) ||
 		!got.Chaos.Enabled || got.Chaos.FailedAttempts != 2 {
 		t.Fatalf("round trip mangled spec: %+v", got)
+	}
+	var knobs struct {
+		Codegen, Vectorized bool
+		Parallelism         int
+	}
+	if err := DecodeConfig(got.Config, &knobs); err != nil || !knobs.Codegen || !knobs.Vectorized || knobs.Parallelism != 4 {
+		t.Fatalf("config round trip: %+v, %v", knobs, err)
+	}
+	if err := DecodeConfig(json.RawMessage(`{"Codegen":true} {}`), &knobs); err == nil {
+		t.Fatal("DecodeConfig accepted trailing data")
 	}
 }
 

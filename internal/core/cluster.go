@@ -12,6 +12,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -33,25 +34,25 @@ import (
 	"repro/internal/types"
 )
 
-// ClusterOptions configures distributed execution for an engine.
+// ClusterOptions tunes distributed execution (see Config.Cluster). The
+// zero value listens on an ephemeral localhost port with the cluster
+// package's default timeouts.
 type ClusterOptions struct {
-	// Listen is the coordinator's TCP listen address ("" = 127.0.0.1:0).
+	// Listen is the coordinator's TCP address ("" = 127.0.0.1:0).
 	Listen string
-	// HeartbeatTimeout, TaskTimeout, BlacklistThreshold and
-	// BlacklistCooldown forward to cluster.CoordinatorConfig (zero =
-	// that package's defaults).
-	HeartbeatTimeout   time.Duration
-	TaskTimeout        time.Duration
+	// HeartbeatTimeout evicts a worker silent for this long (0 = 5s).
+	HeartbeatTimeout time.Duration
+	// TaskTimeout declares a dispatched task's worker hung after this
+	// long (0 = 2m).
+	TaskTimeout time.Duration
+	// BlacklistThreshold is the consecutive-failure count that benches a
+	// worker (0 = 3); BlacklistCooldown is for how long (0 = 5s).
 	BlacklistThreshold int
 	BlacklistCooldown  time.Duration
-	// Session is the config-knob template shipped to workers; the caller
-	// (sparksql) fills it from its Config so worker contexts plan
-	// identically. ID, Epoch and Tables are overwritten by the runtime.
-	Session sqlwire.SessionSpec
-	// HarvestInterval, when positive, starts a background federation
-	// harvester that pulls every live worker's metrics registry over the
-	// task protocol on this period. Zero leaves harvesting on-demand
-	// (Harvest is called by SHOW CLUSTER and the /metrics endpoint).
+	// HarvestInterval, when positive, runs the metrics-federation
+	// harvester on this period (pulling every live worker's registry over
+	// the task protocol). Zero harvests on demand only — SHOW CLUSTER and
+	// the /metrics endpoint trigger a pull themselves.
 	HarvestInterval time.Duration
 }
 
@@ -90,8 +91,13 @@ type ClusterRuntime struct {
 }
 
 // EnableCluster starts a coordinator for the engine and installs the
-// runtime as the rdd layer's remote dispatcher.
+// runtime as the rdd layer's remote dispatcher. The session it ships carries
+// the engine's resolved Config, so worker contexts plan identically.
 func EnableCluster(e *Engine, opts ClusterOptions) (*ClusterRuntime, error) {
+	knobs, err := json.Marshal(e.Cfg.Config)
+	if err != nil {
+		return nil, fmt.Errorf("core: cluster session config: %w", err)
+	}
 	coord := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		HeartbeatTimeout:   opts.HeartbeatTimeout,
 		TaskTimeout:        opts.TaskTimeout,
@@ -109,7 +115,7 @@ func EnableCluster(e *Engine, opts ClusterOptions) (*ClusterRuntime, error) {
 	rt := &ClusterRuntime{
 		e:          e,
 		coord:      coord,
-		template:   opts.Session,
+		template:   sqlwire.SessionSpec{Config: knobs},
 		sessionID:  fmt.Sprintf("s%d-%d", os.Getpid(), sessionSeq.Add(1)),
 		stale:      true,
 		tables:     make(map[string]shippedTable),
@@ -537,11 +543,7 @@ func (q *QueryExecution) ApplyDecisions(ds []physical.Decision) error {
 // ExecutedRDD lazily builds the result RDD of the executed (adapted when
 // present) plan — what a worker runs partitions of.
 func (q *QueryExecution) ExecutedRDD() *rdd.RDD[row.Row] {
-	ec := q.engine.ExecContext()
-	ec.Pool = nil
-	ec.SpillFS = nil
-	ec.Adaptive = nil
-	return q.executedPlan().Execute(ec)
+	return q.executedPlan().Execute(q.engine.lazyExecContext())
 }
 
 // ClusterSummary renders current membership and per-worker task counts —

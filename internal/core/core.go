@@ -1,9 +1,12 @@
 // Package core ties the Catalyst phases together (paper Figure 3): a
 // QueryExecution carries a query from logical plan through analysis,
 // logical optimization and physical planning to RDD execution. The Engine
-// owns the catalog, the RDD execution context and the configuration knobs
-// that the evaluation section's baselines toggle (code generation, logical
-// optimization, pipelining, pushdown).
+// owns the catalog and the RDD execution context. Config declares every
+// engine knob — the ones the evaluation section's baselines toggle (code
+// generation, pipelining, pushdown) and the rest — once: package sparksql
+// re-exports it, Engine.Cfg holds it resolved with the optimizer's and the
+// planner's views derived from it, and a cluster session ships it to the
+// workers as is.
 package core
 
 import (
@@ -27,97 +30,202 @@ import (
 	"repro/internal/row"
 )
 
-// Config selects an engine operating mode.
+// Config selects the engine's operating mode and declares every engine knob
+// once. The zero value is invalid; start from DefaultConfig (everything on)
+// or SharkConfig (the paper's baseline). A cluster coordinator ships its
+// resolved Config to the workers: a field ships unless tagged `json:"-"`.
 type Config struct {
-	// Codegen compiles expressions to fused closures (the paper's §4.3.4
-	// code generation); false falls back to the tree-walking interpreter.
+	// Codegen compiles expressions to fused closures (paper §4.3.4).
 	Codegen bool
-	// Optimizer toggles logical optimization groups.
-	Optimizer optimizer.Config
-	// Planner carries physical-planning knobs (broadcast threshold,
-	// pipeline collapse).
-	Planner physical.PlannerConfig
-	// ShufflePartitions is the reducer count for exchanges.
+	// LogicalOptimization enables the Catalyst optimizer rule batches.
+	LogicalOptimization bool
+	// SourcePushdown enables projection/filter pushdown into data sources.
+	SourcePushdown bool
+	// JoinReorder enables cost-based reordering of inner-join chains by
+	// estimated output size (uses statistics collected by Cache() or
+	// ANALYZE TABLE; without them plans come out unchanged).
+	JoinReorder bool
+	// PipelineCollapse fuses adjacent projects/filters into one map stage.
+	PipelineCollapse bool
+	// Vectorized runs fused pipelines over the columnar cache batch-at-a-time
+	// with typed vectors and selection vectors instead of row-at-a-time; it
+	// requires PipelineCollapse (vectorization applies to fused pipelines).
+	Vectorized bool
+	// Fusion extends vectorization to whole-stage fusion: aggregation
+	// updates and broadcast-join probes run inside the batch pipeline over
+	// type-specialized hash tables, never materializing intermediate rows.
+	// Requires Vectorized; results are byte-identical either way, and
+	// EXPLAIN annotates each candidate operator with `fused: true` or
+	// `fallback: <reason>`.
+	Fusion bool
+	// BroadcastThreshold is the max estimated bytes for a broadcast join
+	// side (paper §4.3.3). 0 means the planner default (10 MB).
+	BroadcastThreshold int64
+	// TargetPartitionBytes is the per-reduce-partition size the planner
+	// aims for when it sizes shuffle exchanges from estimated (and, with
+	// Adaptive, observed) input bytes. 0 means the planner default (4 MB).
+	TargetPartitionBytes int64
+	// ShufflePartitions is the reducer count; Parallelism the worker count.
+	// 0 resolves to GOMAXPROCS (ShufflePartitions to Parallelism) when the
+	// engine is built, and workers receive the resolved counts.
 	ShufflePartitions int
-	// Parallelism is the task concurrency (defaults to GOMAXPROCS).
-	Parallelism int
-	// QueryTimeout, when positive, bounds each query execution; a query
-	// exceeding it is cancelled (all in-flight and pending tasks torn
-	// down) and returns context.DeadlineExceeded.
-	QueryTimeout time.Duration
-	// Speculation enables straggler mitigation: a task running longer
-	// than SpeculationMultiplier × the job's median completed-task time
-	// gets a backup attempt, and the first finisher wins.
-	Speculation bool
-	// SpeculationMultiplier is the straggler threshold (0 = default 3x).
-	SpeculationMultiplier float64
-	// SpeculationMin is the minimum elapsed time before a task may be
-	// considered a straggler (0 = default).
-	SpeculationMin time.Duration
-	// Metrics enables per-operator instrumentation: every physical exec
-	// node records rows, batches, build sizes and wall time per partition
-	// into its PlanMetrics embed, which EXPLAIN ANALYZE reads back. The
-	// recording cost is a few atomic adds per partition (never per row),
-	// cheap enough to leave on; EXPLAIN ANALYZE forces it on regardless.
-	Metrics bool
-	// MemoryBudget bounds each query's execution memory (bytes; zero =
-	// unlimited). When set, every query runs under a memory pool: blocking
-	// operators (sort, aggregation, sort-merge join, distinct) reserve
-	// their buffered state through it and spill encoded runs/partitions to
-	// the engine's spill DFS when the pool is exhausted, with results
-	// byte-identical to the unbounded path.
+	Parallelism       int
+	// MemoryBudget bounds each query's execution memory in bytes (0 =
+	// unlimited, the default). When set, blocking operators — sort,
+	// aggregation, distinct, and the sort-merge join the planner selects
+	// for oversized build sides — reserve their buffered state from a
+	// per-query pool and spill encoded runs/partitions to the engine's
+	// simulated DFS when it is exhausted. Results are byte-identical to
+	// the unbounded path at any budget; EXPLAIN ANALYZE reports
+	// `spilled: N B, R runs` per operator.
 	MemoryBudget int64
-	// Adaptive enables adaptive query execution: plans split into a stage
-	// DAG at their exchanges, stages materialize bottom-up, and observed
-	// output statistics drive re-planning (partition coalescing,
-	// broadcast promotion/demotion, skew-split). Off, plans and results
-	// are byte-identical to static execution.
-	Adaptive bool
+
+	// The knobs below are process-local: they shape how this process runs
+	// its queries, not which plan a query gets, and never ship.
+
+	// QueryTimeout, when positive, bounds every query execution under this
+	// context: a query exceeding it is cancelled (all in-flight and
+	// pending tasks torn down) and returns context.DeadlineExceeded.
+	QueryTimeout time.Duration `json:"-"`
+	// Speculation enables straggler mitigation: a task running longer than
+	// SpeculationMultiplier × the job's median completed-task time gets a
+	// backup attempt and the first finisher wins. Off by default — backup
+	// attempts recompute partitions, which perturbs task-count metrics.
+	Speculation bool `json:"-"`
+	// SpeculationMultiplier is the straggler threshold (0 = default 3x).
+	SpeculationMultiplier float64 `json:"-"`
+	// Metrics enables per-operator instrumentation (rows, batches, build
+	// sizes, wall time per exec node) read back by EXPLAIN ANALYZE. The
+	// cost is a few atomic adds per partition — never per row — so it is
+	// on by default; EXPLAIN ANALYZE forces it on for its own run even
+	// when disabled here.
+	Metrics bool `json:"-"`
+	// Adaptive enables adaptive query execution (Spark 3.x AQE): plans are
+	// split at their exchanges into a stage DAG, each stage's observed
+	// output statistics feed a re-planning step — shuffle partition counts
+	// coalesce to the observed data size, broadcast joins demote when the
+	// build side blows past its estimate (and shuffled joins promote when
+	// an input turns out tiny), and skewed reduce partitions split into
+	// parallel chunks. On by default; results are byte-identical with it
+	// on or off, and off reproduces today's static plans exactly. EXPLAIN
+	// ANALYZE records every decision as `adapted: <from> -> <to> (<reason>)`.
+	// Workers never adapt: they replay the coordinator's decisions.
+	Adaptive bool `json:"-"`
 	// SkewFactor is the multiple of the mean reduce-bucket size above which
 	// adaptive execution splits a skewed partition (0 = default 4x).
-	SkewFactor float64
-	// Observability enables distributed query observability: each action
-	// gets a trace id threaded through its job context (and, under a
-	// cluster, shipped in task specs so worker spans merge back with
-	// attribution), and completed actions append to the engine's query
-	// event log. Off, task payloads and replies are byte-identical to an
-	// engine without this layer.
-	Observability bool
+	SkewFactor float64 `json:"-"`
+	// Observability enables distributed query observability (on by
+	// default): every query action gets a trace id threaded through its
+	// spans, completed actions append to the query event log (SHOW
+	// HISTORY, /history), and under a cluster the id ships in task specs
+	// so worker-side spans and counters merge back with attribution. Off,
+	// the wire protocol and all results are byte-identical to an engine
+	// without this layer.
+	Observability bool `json:"-"`
+	// DataDir, when set, makes persistent tables durable: the table store's
+	// write-ahead log and checkpoints mirror to this host directory, and a
+	// new context on the same directory recovers every committed
+	// transaction (crash recovery replays the WAL past the last
+	// checkpoint). Empty means persistent tables live for the process only.
+	DataDir string `json:"-"`
+	// StatsRefreshRows is the minimum DML row-delta before a commit to a
+	// persistent table automatically recomputes its optimizer statistics
+	// (0 = default 256; negative = only ANALYZE TABLE refreshes). Large
+	// tables additionally require ~12.5% drift so sustained ingest never
+	// goes quadratic on stats recomputes.
+	StatsRefreshRows int64 `json:"-"`
+	// CheckpointBytes bounds WAL growth for persistent tables: once a
+	// segment exceeds this many bytes the store checkpoints and truncates
+	// the log (0 = default 4 MB; negative = never automatically).
+	CheckpointBytes int64 `json:"-"`
+	// Cluster, when non-nil, starts a coordinator for multi-process
+	// distributed execution: worker processes (cmd/sqlworker, or any
+	// process calling sqlexec.RunWorker) register over TCP and SQL query
+	// partitions are dispatched to them, with worker loss recovered
+	// through the rdd layer's ordinary retry/lineage machinery. With no
+	// workers registered — or Cluster nil — execution is byte-identical
+	// to the purely local engine.
+	Cluster *ClusterOptions `json:"-"`
 }
 
-// DefaultConfig is the full Spark SQL feature set.
+// DefaultConfig enables the full Spark SQL feature set.
 func DefaultConfig() Config {
 	return Config{
-		Codegen:           true,
-		Optimizer:         optimizer.DefaultConfig(),
-		Planner:           physical.DefaultPlannerConfig(),
-		ShufflePartitions: runtime.GOMAXPROCS(0),
-		Parallelism:       runtime.GOMAXPROCS(0),
-		Metrics:           true,
-		Adaptive:          true,
-		Observability:     true,
+		Codegen:             true,
+		LogicalOptimization: true,
+		SourcePushdown:      true,
+		JoinReorder:         true,
+		PipelineCollapse:    true,
+		Vectorized:          true,
+		Fusion:              true,
+		BroadcastThreshold:  10 << 20,
+		Metrics:             true,
+		Adaptive:            true,
+		Observability:       true,
 	}
 }
 
-// SharkConfig models the paper's Shark baseline: same engine and storage,
-// but no Catalyst code generation, no whole-stage pipelining, and no
-// pushdown into data sources — the features §6.1 credits for Spark SQL's
-// win over Shark.
+// SharkConfig models the paper's Shark baseline, the one Figures 4 and 8
+// measure: same engine and storage, but no Catalyst code generation, no
+// pipelining or vectorization, and no pushdown into data sources — the
+// features §6.1 credits for Spark SQL's win over Shark. The other logical
+// optimizations, DecimalAggregates among them, stay on.
 func SharkConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Codegen = false
-	cfg.Planner.CollapsePipelines = false
-	cfg.Planner.Vectorize = false
-	cfg.Optimizer.SourcePushdown = false
-	cfg.Optimizer.DecimalAggregates = false
+	cfg.SourcePushdown = false
+	cfg.PipelineCollapse = false
+	cfg.Vectorized = false
+	cfg.Fusion = false
 	return cfg
+}
+
+// Resolved is a Config with its defaults filled in (the resolved
+// Parallelism and ShufflePartitions) plus the two per-layer views derived
+// from it, which the optimizer and the physical planner read.
+type Resolved struct {
+	Config
+	Optimizer optimizer.Config
+	Planner   physical.PlannerConfig
+}
+
+// resolve fills in c's defaults and derives the optimizer's and the
+// planner's views from the flat knobs — the one place that does.
+func (c Config) resolve() Resolved {
+	if c.Parallelism <= 0 {
+		c.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	if c.ShufflePartitions <= 0 {
+		c.ShufflePartitions = c.Parallelism
+	}
+	opt := optimizer.DefaultConfig()
+	if !c.LogicalOptimization {
+		opt.ExpressionOptimization = false
+		opt.PlanOptimization = false
+		opt.DecimalAggregates = false
+	}
+	opt.SourcePushdown = c.SourcePushdown && c.LogicalOptimization
+	opt.JoinReorder = c.JoinReorder && c.LogicalOptimization
+	pcfg := physical.DefaultPlannerConfig()
+	pcfg.CollapsePipelines = c.PipelineCollapse
+	pcfg.Vectorize = c.Vectorized && c.PipelineCollapse
+	pcfg.Fuse = c.Fusion && c.Vectorized && c.PipelineCollapse
+	if c.BroadcastThreshold > 0 {
+		pcfg.BroadcastThreshold = c.BroadcastThreshold
+	}
+	if c.TargetPartitionBytes > 0 {
+		pcfg.TargetPartitionBytes = c.TargetPartitionBytes
+	}
+	pcfg.MemoryBudget = c.MemoryBudget
+	pcfg.SkewFactor = c.SkewFactor
+	return Resolved{Config: c, Optimizer: opt, Planner: pcfg}
 }
 
 // Engine is the shared query-execution machinery under a Context.
 type Engine struct {
 	Catalog *analysis.Catalog
 	RDDCtx  *rdd.Context
-	Cfg     Config
+	Cfg     Resolved
 	// SpillFS receives operator spill files when MemoryBudget is set — a
 	// simulated DFS shared by all queries so spill I/O is metered and
 	// fault-injectable like any other file traffic.
@@ -136,19 +244,13 @@ type Engine struct {
 }
 
 // NewEngine builds an engine with the given configuration.
-func NewEngine(cfg Config) *Engine {
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ShufflePartitions <= 0 {
-		cfg.ShufflePartitions = cfg.Parallelism
-	}
-	cfg.Planner.MemoryBudget = cfg.MemoryBudget
+func NewEngine(flat Config) *Engine {
+	cfg := flat.resolve()
 	pl := physical.NewPlanner(cfg.Planner)
 	pl.TranslateFilter = optimizer.TranslateFilter
 	rddCtx := rdd.NewContext(cfg.Parallelism)
 	if cfg.Speculation {
-		rddCtx.SetSpeculation(true, cfg.SpeculationMultiplier, cfg.SpeculationMin)
+		rddCtx.SetSpeculation(true, cfg.SpeculationMultiplier, 0)
 	}
 	return &Engine{
 		Catalog: analysis.NewCatalog(),
@@ -230,18 +332,12 @@ func (e *Engine) ExecuteResolved(logical, analyzed plan.LogicalPlan) (*QueryExec
 // Collect/Count/ExplainAnalyze defer.
 func (e *Engine) ExecContext() *physical.ExecContext {
 	ec := &physical.ExecContext{
-		RDD:                  e.RDDCtx,
-		Codegen:              e.Cfg.Codegen,
-		ShufflePartitions:    e.Cfg.ShufflePartitions,
-		TargetPartitionBytes: e.Cfg.Planner.TargetPartitionBytes,
-		Metrics:              e.Cfg.Metrics,
-	}
-	if e.Cfg.Adaptive {
-		ec.Adaptive = &physical.AdaptiveConfig{
-			BroadcastThreshold: e.Cfg.Planner.BroadcastThreshold,
-			MemoryBudget:       e.Cfg.MemoryBudget,
-			SkewFactor:         e.Cfg.SkewFactor,
-		}
+		RDD:               e.RDDCtx,
+		Codegen:           e.Cfg.Codegen,
+		ShufflePartitions: e.Cfg.ShufflePartitions,
+		Planner:           e.Cfg.Planner,
+		Metrics:           e.Cfg.Metrics,
+		Adaptive:          e.Cfg.Adaptive,
 	}
 	if e.Cfg.MemoryBudget > 0 {
 		ec.Pool = memory.NewPool(e.Cfg.MemoryBudget, e.RDDCtx.Metrics().Scoped("memory"))
@@ -250,18 +346,20 @@ func (e *Engine) ExecContext() *physical.ExecContext {
 	return ec
 }
 
-// RDD lazily builds the result RDD. The context it executes under has no
-// memory pool: spill lifecycle needs a query scope to clean up after, which
-// a bare RDD handed to arbitrary caller code does not have. Operators run
-// their unbounded in-memory paths, exactly as before memory management.
+// RDD lazily builds the result RDD under lazyExecContext.
 func (q *QueryExecution) RDD() *rdd.RDD[row.Row] {
-	ec := q.engine.ExecContext()
-	ec.Pool = nil
-	ec.SpillFS = nil
-	// Adaptation is eager (it materializes stages under a job context); a
-	// lazy RDD handle executes the static plan.
-	ec.Adaptive = nil
-	return q.Physical.Execute(ec)
+	return q.Physical.Execute(q.engine.lazyExecContext())
+}
+
+// lazyExecContext is the context a lazy RDD handle executes under. It has no
+// memory pool: spill lifecycle needs a query scope to clean up after, which a
+// bare RDD handed to arbitrary caller code does not have, so operators run
+// their unbounded in-memory paths. It does not adapt either: adaptation is
+// eager (it materializes stages under a job context).
+func (e *Engine) lazyExecContext() *physical.ExecContext {
+	ec := e.ExecContext()
+	ec.Pool, ec.SpillFS, ec.Adaptive = nil, nil, false
+	return ec
 }
 
 // prepare resolves the plan a query action executes: with adaptation off it
@@ -270,7 +368,7 @@ func (q *QueryExecution) RDD() *rdd.RDD[row.Row] {
 // statistics. The adapted tree and its decision list are memoized so every
 // action of this QueryExecution (and the cluster path) runs one plan.
 func (q *QueryExecution) prepare(jc context.Context, ec *physical.ExecContext) (physical.SparkPlan, error) {
-	if ec.Adaptive == nil {
+	if !ec.Adaptive {
 		return q.Physical, nil
 	}
 	if q.Executed != nil {

@@ -39,24 +39,58 @@ func TestExplainShowsAllPhases(t *testing.T) {
 
 func TestConfigKnobsChangePhysicalPlans(t *testing.T) {
 	rel := usersRelation()
-	build := func(cfg Config) string {
+	cached := cachedRelation(sessionRows(100, "c"))
+	build := func(cfg Config, lp plan.LogicalPlan) string {
 		e := NewEngine(cfg)
-		qe, err := e.Execute(&plan.Project{
-			List:  []expr.Expression{rel.Attrs[0]},
-			Child: &plan.Filter{Cond: expr.GT(rel.Attrs[1], expr.Lit(int32(20))), Child: rel},
-		})
+		qe, err := e.Execute(lp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return qe.Physical.String()
 	}
-	full := build(DefaultConfig())
+	project := &plan.Project{
+		List:  []expr.Expression{rel.Attrs[0]},
+		Child: &plan.Filter{Cond: expr.GT(rel.Attrs[1], expr.Lit(int32(20))), Child: rel},
+	}
+	// Over the columnar cache the default config vectorizes a filter and
+	// fuses the aggregate above it.
+	aggregate := &plan.Aggregate{
+		Grouping: []expr.Expression{cached.Attrs[1]},
+		Aggs:     []expr.Expression{cached.Attrs[1], expr.NewAlias(expr.NewCountStar(), "n")},
+		Child:    &plan.Filter{Cond: expr.GT(cached.Attrs[0], expr.Lit(int64(10))), Child: cached},
+	}
+	full := build(DefaultConfig(), project)
 	if !strings.Contains(full, "WholeStagePipeline") {
 		t.Errorf("default config should fuse pipelines:\n%s", full)
 	}
-	shark := build(SharkConfig())
-	if strings.Contains(shark, "WholeStagePipeline") {
-		t.Errorf("shark config must not fuse pipelines:\n%s", shark)
+	if full := build(DefaultConfig(), aggregate); !strings.Contains(full, "VectorizedPipeline") || !strings.Contains(full, "Fused") {
+		t.Errorf("default config should vectorize and fuse over the cache:\n%s", full)
+	}
+	for _, lp := range []plan.LogicalPlan{project, aggregate} {
+		shark := build(SharkConfig(), lp)
+		for _, op := range []string{"WholeStagePipeline", "VectorizedPipeline", "Fused"} {
+			if strings.Contains(shark, op) {
+				t.Errorf("shark config must not plan a %s operator:\n%s", op, shark)
+			}
+		}
+	}
+
+	// Shark keeps the logical optimizations other than source pushdown: the
+	// DecimalAggregates rewrite sums the unscaled LONGs under both configs.
+	amounts := plan.NewLocalRelation(types.NewStruct(
+		types.StructField{Name: "amount", Type: types.DecimalType{Precision: 5, Scale: 2}, Nullable: true},
+	), []row.Row{{types.NewDecimal(1050, 2)}, {types.NewDecimal(-151, 2)}})
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "shark": SharkConfig()} {
+		qe, err := NewEngine(cfg).Execute(&plan.Aggregate{
+			Aggs:  []expr.Expression{expr.NewAlias(&expr.Sum{Child: amounts.Attrs[0]}, "s")},
+			Child: amounts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := qe.Optimized.String(); !strings.Contains(s, "unscaled(") {
+			t.Errorf("%s config: DecimalAggregates did not fire:\n%s", name, s)
+		}
 	}
 }
 

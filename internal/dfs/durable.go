@@ -86,24 +86,29 @@ func loadFrames(osPath string) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var blocks [][]byte
-	valid := 0
-	rest := data
-	for len(rest) >= 4 {
-		n := binary.BigEndian.Uint32(rest[:4])
-		if uint64(len(rest)-4) < uint64(n) {
-			break // torn tail from a crash mid-append
-		}
-		blocks = append(blocks, append([]byte(nil), rest[4:4+n]...))
-		rest = rest[4+n:]
-		valid = len(data) - len(rest)
-	}
+	blocks, valid := parseFrames(data)
 	if valid < len(data) {
 		if err := os.Truncate(osPath, int64(valid)); err != nil {
 			return nil, err
 		}
 	}
 	return blocks, nil
+}
+
+// parseFrames splits a mirrored file's bytes into the payloads of its whole
+// frames (copies) and the length of the prefix they cover; what follows is
+// a torn tail from a crash mid-append.
+func parseFrames(data []byte) (blocks [][]byte, valid int) {
+	rest := data
+	for len(rest) >= 4 {
+		n := binary.BigEndian.Uint32(rest[:4])
+		if uint64(len(rest)-4) < uint64(n) {
+			break
+		}
+		blocks = append(blocks, append([]byte(nil), rest[4:4+n]...))
+		rest = rest[4+n:]
+	}
+	return blocks, len(data) - len(rest)
 }
 
 func frame(block []byte) []byte {

@@ -11,8 +11,8 @@ import (
 	"repro/internal/plan"
 )
 
-// Config toggles optimization groups — the knobs the benchmark harness uses
-// to build the "Shark mode" baseline (logical optimizations off).
+// Config toggles optimization groups. It is a view derived from core.Config
+// (the Shark baseline turns SourcePushdown off and keeps the rest).
 type Config struct {
 	// ConstantFolding et al. (pure expression rewrites).
 	ExpressionOptimization bool

@@ -33,21 +33,6 @@ import (
 	"repro/internal/row"
 )
 
-// AdaptiveConfig carries the runtime re-planning knobs onto the
-// ExecContext; nil disables adaptation entirely (plans and results are
-// byte-identical to static execution).
-type AdaptiveConfig struct {
-	// BroadcastThreshold mirrors the planner's broadcast size cap.
-	BroadcastThreshold int64
-	// MemoryBudget mirrors the query memory budget: the broadcast limit is
-	// min(BroadcastThreshold, MemoryBudget/2), exactly as in static
-	// planning, so promotion never builds a hash table the budget forbids.
-	MemoryBudget int64
-	// SkewFactor is the multiple of the mean reduce-bucket size above
-	// which a bucket is split (0 = DefaultSkewFactor).
-	SkewFactor float64
-}
-
 // DefaultSkewFactor splits a reduce partition observed at more than 4x the
 // mean bucket size — Spark's skewedPartitionFactor default.
 const DefaultSkewFactor = 4.0
@@ -55,21 +40,10 @@ const DefaultSkewFactor = 4.0
 // maxSkewSplits bounds how many chunks one skewed bucket splits into.
 const maxSkewSplits = 16
 
-func (c *AdaptiveConfig) skewFactor() float64 {
-	if c.SkewFactor > 0 {
-		return c.SkewFactor
-	}
-	return DefaultSkewFactor
-}
-
-func (c *AdaptiveConfig) broadcastLimit() int64 {
-	return BroadcastLimit(c.BroadcastThreshold, c.MemoryBudget)
-}
-
 // partitionsFor sizes a coalesced exchange from observed bytes, by the
-// context's target.
+// planner's target.
 func (d *adaptiveDriver) partitionsFor(sizeInBytes int64) int {
-	return PartitionsForSize(d.ctx.TargetPartitionBytes, sizeInBytes)
+	return PartitionsForSize(d.cfg.TargetPartitionBytes, sizeInBytes)
 }
 
 // AdaptiveNote carries the `adapted: ...` annotation onto a physical
@@ -235,12 +209,12 @@ func applyDecision(p SparkPlan, d Decision) (SparkPlan, error) {
 // to stage execution exactly as to final execution), and re-plans each
 // exchange from the observed statistics. It returns the executed tree
 // (stage leaves in place, zero recompute) and the decision list to ship
-// to workers. With ctx.Adaptive == nil the plan is returned untouched.
+// to workers. With ctx.Adaptive off the plan is returned untouched.
 func AdaptPlan(jc context.Context, ctx *ExecContext, p SparkPlan) (SparkPlan, []Decision, error) {
-	if ctx.Adaptive == nil {
+	if !ctx.Adaptive {
 		return p, nil, nil
 	}
-	d := &adaptiveDriver{jc: jc, ctx: ctx, cfg: ctx.Adaptive}
+	d := &adaptiveDriver{jc: jc, ctx: ctx, cfg: &ctx.Planner}
 	out, err := d.adapt(p, nil)
 	if err != nil {
 		return nil, nil, err
@@ -251,7 +225,7 @@ func AdaptPlan(jc context.Context, ctx *ExecContext, p SparkPlan) (SparkPlan, []
 type adaptiveDriver struct {
 	jc        context.Context
 	ctx       *ExecContext
-	cfg       *AdaptiveConfig
+	cfg       *PlannerConfig
 	decisions []Decision
 }
 

@@ -17,7 +17,7 @@ import (
 )
 
 func execCtx(codegen bool) *ExecContext {
-	return &ExecContext{RDD: rdd.NewContext(4), Codegen: codegen, ShufflePartitions: 3, TargetPartitionBytes: 4 << 20}
+	return &ExecContext{RDD: rdd.NewContext(4), Codegen: codegen, ShufflePartitions: 3, Planner: PlannerConfig{TargetPartitionBytes: 4 << 20}}
 }
 
 func attrsOf(names []string, ts []types.DataType) []*expr.AttributeReference {

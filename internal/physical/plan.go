@@ -30,19 +30,18 @@ type ExecContext struct {
 	Codegen bool
 	// ShufflePartitions is the reducer count for exchanges.
 	ShufflePartitions int
-	// TargetPartitionBytes is the planner's exchange-sizing target: the
-	// adaptive driver coalesces exchanges to it from observed bytes, and a
-	// batch pipeline cuts its leaf's small partitions into task runs by it
-	// (0 = neither).
-	TargetPartitionBytes int64
+	// Planner is the config the plan was made under: adaptive re-planning
+	// prices from it, and a batch pipeline cuts its leaf's small partitions
+	// into task runs by its TargetPartitionBytes (0 = no runs).
+	Planner PlannerConfig
 	// Metrics enables per-operator instrumentation: each exec node attaches
 	// an OperatorMetrics (via its PlanMetrics embed) and records rows,
 	// batches and wall time per partition. EXPLAIN ANALYZE reads them back.
 	Metrics bool
 	// Adaptive enables stage-graph re-planning from runtime statistics
-	// (AdaptPlan); nil executes the static plan unchanged, byte-identical
+	// (AdaptPlan); false executes the static plan unchanged, byte-identical
 	// to pre-adaptive behavior.
-	Adaptive *AdaptiveConfig
+	Adaptive bool
 	// Pool is the query's memory budget; when non-nil (and SpillFS is set)
 	// the blocking operators reserve memory through it and spill sorted
 	// runs / hash partitions to SpillFS instead of buffering unbounded.

@@ -37,6 +37,9 @@ type PlannerConfig struct {
 	// too large to hash within the budget plan as sort-merge joins, whose
 	// state spills gracefully instead of holding a full hash table.
 	MemoryBudget int64
+	// SkewFactor is the multiple of the mean reduce-bucket size above which
+	// adaptive execution splits a bucket (0 = DefaultSkewFactor).
+	SkewFactor float64
 }
 
 // DefaultPlannerConfig mirrors Spark's defaults.
@@ -276,7 +279,7 @@ func (pl *Planner) planJoin(j *plan.Join) (SparkPlan, error) {
 	leftSize := plan.Stats(j.Left).SizeInBytes
 	rightSize := plan.Stats(j.Right).SizeInBytes
 	canBuildRight, canBuildLeft := canBuildSides(j.Type)
-	bcast := BroadcastLimit(pl.Cfg.BroadcastThreshold, pl.Cfg.MemoryBudget)
+	bcast := pl.Cfg.broadcastLimit()
 
 	ej := EquiJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, Type: j.Type, Residual: residual}
 	switch {
@@ -318,17 +321,25 @@ func canBuildSides(t plan.JoinType) (canRight, canLeft bool) {
 	return canRight, canLeft
 }
 
-// BroadcastLimit is the size cap for broadcasting a join side: the
+// broadcastLimit is the size cap for broadcasting a join side: the
 // configured threshold, halved-budget-capped. A broadcast hash table is
 // unbounded memory too — under a memory budget, only sides expected to
 // hash within half of it broadcast. The same rule prices broadcasts from
 // estimates (static planning) and from observed bytes (adaptive
 // promotion), so the two can never disagree about legality.
-func BroadcastLimit(threshold, memoryBudget int64) int64 {
-	if memoryBudget > 0 && memoryBudget/2 < threshold {
-		return memoryBudget / 2
+func (c PlannerConfig) broadcastLimit() int64 {
+	if c.MemoryBudget > 0 && c.MemoryBudget/2 < c.BroadcastThreshold {
+		return c.MemoryBudget / 2
 	}
-	return threshold
+	return c.BroadcastThreshold
+}
+
+// skewFactor is SkewFactor with its default applied.
+func (c PlannerConfig) skewFactor() float64 {
+	if c.SkewFactor > 0 {
+		return c.SkewFactor
+	}
+	return DefaultSkewFactor
 }
 
 // PartitionsForSize derives a reducer count from an exchange's input

@@ -168,8 +168,8 @@ func (v *VectorizedPipelineExec) compile(ctx *ExecContext, om *OperatorMetrics, 
 		fallbackRows: ctx.RDD.Metrics().Counter("vec.fallback.rows")}
 	n, slots := vp.src.NumPartitions, ctx.RDD.Parallelism()
 	vp.runs = ordinalsUpTo(n + 1) // a task per partition
-	if vp.src.PartitionBytes != nil && ctx.TargetPartitionBytes > 0 && n > slots {
-		vp.runs = cutRuns(vp.src.PartitionBytes, ctx.TargetPartitionBytes, slots)
+	if vp.src.PartitionBytes != nil && ctx.Planner.TargetPartitionBytes > 0 && n > slots {
+		vp.runs = cutRuns(vp.src.PartitionBytes, ctx.Planner.TargetPartitionBytes, slots)
 	}
 	if vp.tasks() < n {
 		ctx.RDD.Metrics().Counter("scan.partitions.coalesced").Add(int64(n - vp.tasks()))

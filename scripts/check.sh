@@ -61,6 +61,25 @@ if sed -n '/^	case \*LocalRelation:/,/^	case \*DataSourceRelation:/p' internal/p
 	echo "internal/plan/estimation.go: plan.Stats walks a LocalRelation's rows again" >&2
 	exit 1
 fi
+# A knob is declared once: core.Config carries every engine knob and
+# core.ClusterOptions the cluster's; optimizer.Config and
+# physical.PlannerConfig are the views derived from them. A knob field in a
+# struct anywhere else, a second ClusterOptions or an AdaptiveConfig is a
+# hand-copied mirror coming back; so is a knob field in the session spec or a
+# spec.<Knob> copy in the worker's buildContext (the spec carries the
+# coordinator's Config whole).
+knobs='Codegen|LogicalOptimization|SourcePushdown|JoinReorder|PipelineCollapse|Vectorized|Fusion|BroadcastThreshold|TargetPartitionBytes|ShufflePartitions'
+gofiles=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/core/*' ! -path './internal/optimizer/*' ! -path './internal/physical/*')
+if grep -nE "^[[:space:]]+($knobs)[[:space:]]+(bool|int|int64)\b" $gofiles ||
+	grep -n 'type ClusterOptions struct' $gofiles || grep -rn 'AdaptiveConfig' --include='*.go' .; then
+	echo "an engine knob is declared outside internal/core's Config again" >&2
+	exit 1
+fi
+if grep -nE "^[[:space:]]+($knobs|Parallelism|MemoryBudget)[[:space:]]" internal/cluster/sqlwire/sqlwire.go ||
+	sed -n '/^func buildContext/,/^}/p' internal/cluster/sqlexec/sqlexec.go | grep -nE "spec\.($knobs|Parallelism|MemoryBudget)"; then
+	echo "the session spec carries knobs one by one again" >&2
+	exit 1
+fi
 echo "internal/physical + internal/expr non-test lines: $(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) (ROADMAP target: <= 7835)"
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
@@ -141,6 +160,16 @@ go test -race -count=5 -run '^TestSessionInvalidation$|^TestSessionRefreshConcur
 # the session decoder for a short fixed time (no panic; decode-encode-decode
 # is a fixed point); the other two run their seed corpora with the tests.
 go test -run '^$' -fuzz=FuzzDecodeSession -fuzztime=10s -timeout 5m ./internal/cluster/sqlwire/
+
+# Knob parity: every Config field, walked by reflection, reaches a worker
+# through EncodeSession -> DecodeSession -> buildContext as the coordinator
+# resolved it, or at DefaultConfig's value when it is process-local.
+go test -race -count=3 -run '^TestConfigParity$' -timeout 5m ./internal/cluster/sqlexec/
+
+# The durable file loader reads bytes from the host disk: fuzz it (no panic;
+# the kept blocks are the valid prefix; the file is truncated to it; a second
+# load is a fixed point).
+go test -run '^$' -fuzz=FuzzLoadFrames -fuzztime=10s -timeout 5m ./internal/dfs/
 
 # Cluster observability suite: merged-trace golden (worker spans carrying
 # the coordinator's trace id, stable normalized ordering), federation

@@ -21,10 +21,8 @@ package sparksql
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/cluster/sqlwire"
 	"repro/internal/core"
 	"repro/internal/datasource"
 	"repro/internal/datasource/colfile"
@@ -33,8 +31,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/expr"
 	"repro/internal/metrics"
-	"repro/internal/optimizer"
-	"repro/internal/physical"
 	"repro/internal/plan"
 	"repro/internal/rdd"
 	"repro/internal/row"
@@ -82,201 +78,20 @@ func ArrayType(elem DataType, containsNull bool) DataType {
 	return types.ArrayType{Elem: elem, ContainsNull: containsNull}
 }
 
-// Config selects the engine's operating mode. The zero value is invalid;
-// start from DefaultConfig (everything on) or SharkConfig (the paper's
-// baseline: no codegen, no pipelining, no source pushdown).
-type Config struct {
-	// Codegen compiles expressions to fused closures (paper §4.3.4).
-	Codegen bool
-	// LogicalOptimization enables the Catalyst optimizer rule batches.
-	LogicalOptimization bool
-	// SourcePushdown enables projection/filter pushdown into data sources.
-	SourcePushdown bool
-	// JoinReorder enables cost-based reordering of inner-join chains by
-	// estimated output size (uses statistics collected by Cache() or
-	// ANALYZE TABLE; without them plans come out unchanged).
-	JoinReorder bool
-	// PipelineCollapse fuses adjacent projects/filters into one map stage.
-	PipelineCollapse bool
-	// Vectorized runs fused pipelines over the columnar cache batch-at-a-time
-	// with typed vectors and selection vectors instead of row-at-a-time; it
-	// requires PipelineCollapse (vectorization applies to fused pipelines).
-	Vectorized bool
-	// Fusion extends vectorization to whole-stage fusion: aggregation
-	// updates and broadcast-join probes run inside the batch pipeline over
-	// type-specialized hash tables, never materializing intermediate rows.
-	// Requires Vectorized; results are byte-identical either way, and
-	// EXPLAIN annotates each candidate operator with `fused: true` or
-	// `fallback: <reason>`.
-	Fusion bool
-	// BroadcastThreshold is the max estimated bytes for a broadcast join
-	// side (paper §4.3.3).
-	BroadcastThreshold int64
-	// TargetPartitionBytes is the per-reduce-partition size the planner
-	// aims for when it sizes shuffle exchanges from estimated (and, with
-	// Adaptive, observed) input bytes. 0 means the planner default (4 MB).
-	TargetPartitionBytes int64
-	// ShufflePartitions is the reducer count; Parallelism the worker count.
-	ShufflePartitions int
-	Parallelism       int
-	// QueryTimeout, when positive, bounds every query execution under this
-	// context: a query exceeding it is cancelled (all in-flight and
-	// pending tasks torn down) and returns context.DeadlineExceeded.
-	QueryTimeout time.Duration
-	// Speculation enables straggler mitigation: a task running longer than
-	// SpeculationMultiplier × the job's median completed-task time gets a
-	// backup attempt and the first finisher wins. Off by default — backup
-	// attempts recompute partitions, which perturbs task-count metrics.
-	Speculation bool
-	// SpeculationMultiplier is the straggler threshold (0 = default 3x).
-	SpeculationMultiplier float64
-	// Metrics enables per-operator instrumentation (rows, batches, build
-	// sizes, wall time per exec node) read back by EXPLAIN ANALYZE. The
-	// cost is a few atomic adds per partition — never per row — so it is
-	// on by default; EXPLAIN ANALYZE forces it on for its own run even
-	// when disabled here.
-	Metrics bool
-	// MemoryBudget bounds each query's execution memory in bytes (0 =
-	// unlimited, the default). When set, blocking operators — sort,
-	// aggregation, distinct, and the sort-merge join the planner selects
-	// for oversized build sides — reserve their buffered state from a
-	// per-query pool and spill encoded runs/partitions to the engine's
-	// simulated DFS when it is exhausted. Results are byte-identical to
-	// the unbounded path at any budget; EXPLAIN ANALYZE reports
-	// `spilled: N B, R runs` per operator.
-	MemoryBudget int64
-	// Adaptive enables adaptive query execution (Spark 3.x AQE): plans are
-	// split at their exchanges into a stage DAG, each stage's observed
-	// output statistics feed a re-planning step — shuffle partition counts
-	// coalesce to the observed data size, broadcast joins demote when the
-	// build side blows past its estimate (and shuffled joins promote when
-	// an input turns out tiny), and skewed reduce partitions split into
-	// parallel chunks. On by default; results are byte-identical with it
-	// on or off, and off reproduces today's static plans exactly. EXPLAIN
-	// ANALYZE records every decision as `adapted: <from> -> <to> (<reason>)`.
-	Adaptive bool
-	// SkewFactor is the multiple of the mean reduce-bucket size above which
-	// adaptive execution splits a skewed partition (0 = default 4x).
-	SkewFactor float64
-	// Observability enables distributed query observability (on by
-	// default): every query action gets a trace id threaded through its
-	// spans, completed actions append to the query event log (SHOW
-	// HISTORY, /history), and under a cluster the id ships in task specs
-	// so worker-side spans and counters merge back with attribution. Off,
-	// the wire protocol and all results are byte-identical to an engine
-	// without this layer.
-	Observability bool
-	// DataDir, when set, makes persistent tables durable: the table store's
-	// write-ahead log and checkpoints mirror to this host directory, and a
-	// new context on the same directory recovers every committed
-	// transaction (crash recovery replays the WAL past the last
-	// checkpoint). Empty means persistent tables live for the process only.
-	DataDir string
-	// StatsRefreshRows is the minimum DML row-delta before a commit to a
-	// persistent table automatically recomputes its optimizer statistics
-	// (0 = default 256; negative = only ANALYZE TABLE refreshes). Large
-	// tables additionally require ~12.5% drift so sustained ingest never
-	// goes quadratic on stats recomputes.
-	StatsRefreshRows int64
-	// CheckpointBytes bounds WAL growth for persistent tables: once a
-	// segment exceeds this many bytes the store checkpoints and truncates
-	// the log (0 = default 4 MB; negative = never automatically).
-	CheckpointBytes int64
-	// Cluster, when non-nil, starts a coordinator for multi-process
-	// distributed execution: worker processes (cmd/sqlworker, or any
-	// process calling sqlexec.RunWorker) register over TCP and SQL query
-	// partitions are dispatched to them, with worker loss recovered
-	// through the rdd layer's ordinary retry/lineage machinery. With no
-	// workers registered — or Cluster nil — execution is byte-identical
-	// to the purely local engine.
-	Cluster *ClusterOptions
-}
-
-// ClusterOptions tunes distributed execution (see Config.Cluster). The
-// zero value listens on an ephemeral localhost port with the cluster
-// package's default timeouts.
-type ClusterOptions struct {
-	// Listen is the coordinator's TCP address ("" = 127.0.0.1:0).
-	Listen string
-	// HeartbeatTimeout evicts a worker silent for this long (0 = 5s).
-	HeartbeatTimeout time.Duration
-	// TaskTimeout declares a dispatched task's worker hung after this
-	// long (0 = 2m).
-	TaskTimeout time.Duration
-	// BlacklistThreshold is the consecutive-failure count that benches a
-	// worker (0 = 3); BlacklistCooldown is for how long (0 = 5s).
-	BlacklistThreshold int
-	BlacklistCooldown  time.Duration
-	// HarvestInterval, when positive, runs the metrics-federation
-	// harvester on this period (pulling every live worker's registry over
-	// the task protocol). Zero harvests on demand only — SHOW CLUSTER and
-	// the /metrics endpoint trigger a pull themselves.
-	HarvestInterval time.Duration
-}
+// Config selects the engine's operating mode; ClusterOptions tunes
+// distributed execution (Config.Cluster). Both are declared once, with
+// every knob's documentation, in internal/core.
+type (
+	Config         = core.Config
+	ClusterOptions = core.ClusterOptions
+)
 
 // DefaultConfig enables the full Spark SQL feature set.
-func DefaultConfig() Config {
-	return Config{
-		Codegen:             true,
-		LogicalOptimization: true,
-		SourcePushdown:      true,
-		JoinReorder:         true,
-		PipelineCollapse:    true,
-		Vectorized:          true,
-		Fusion:              true,
-		BroadcastThreshold:  10 << 20,
-		Metrics:             true,
-		Adaptive:            true,
-		Observability:       true,
-	}
-}
+func DefaultConfig() Config { return core.DefaultConfig() }
 
-// SharkConfig approximates the paper's Shark baseline.
-func SharkConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Codegen = false
-	cfg.SourcePushdown = false
-	cfg.PipelineCollapse = false
-	cfg.Vectorized = false
-	cfg.Fusion = false
-	return cfg
-}
-
-func (c Config) toCore() core.Config {
-	opt := optimizer.DefaultConfig()
-	if !c.LogicalOptimization {
-		opt.ExpressionOptimization = false
-		opt.PlanOptimization = false
-		opt.DecimalAggregates = false
-	}
-	opt.SourcePushdown = c.SourcePushdown && c.LogicalOptimization
-	opt.JoinReorder = c.JoinReorder && c.LogicalOptimization
-	pcfg := physical.DefaultPlannerConfig()
-	pcfg.CollapsePipelines = c.PipelineCollapse
-	pcfg.Vectorize = c.Vectorized && c.PipelineCollapse
-	pcfg.Fuse = c.Fusion && c.Vectorized && c.PipelineCollapse
-	if c.BroadcastThreshold > 0 {
-		pcfg.BroadcastThreshold = c.BroadcastThreshold
-	}
-	if c.TargetPartitionBytes > 0 {
-		pcfg.TargetPartitionBytes = c.TargetPartitionBytes
-	}
-	return core.Config{
-		Codegen:               c.Codegen,
-		Optimizer:             opt,
-		Planner:               pcfg,
-		ShufflePartitions:     c.ShufflePartitions,
-		Parallelism:           c.Parallelism,
-		QueryTimeout:          c.QueryTimeout,
-		Speculation:           c.Speculation,
-		SpeculationMultiplier: c.SpeculationMultiplier,
-		Metrics:               c.Metrics,
-		MemoryBudget:          c.MemoryBudget,
-		Adaptive:              c.Adaptive,
-		SkewFactor:            c.SkewFactor,
-		Observability:         c.Observability,
-	}
-}
+// SharkConfig is the paper's Shark baseline, the one Figures 4 and 8
+// measure: no codegen, no pipelining, no source pushdown.
+func SharkConfig() Config { return core.SharkConfig() }
 
 // Context is the entry point — the paper's SQLContext/HiveContext. It owns
 // the catalog of temp tables, registered UDFs/UDTs, the data source
@@ -299,7 +114,7 @@ func NewContext() *Context { return NewContextWithConfig(DefaultConfig()) }
 // with an invalid regexp, and this constructor has no error return.
 func NewContextWithConfig(cfg Config) *Context {
 	ctx := &Context{
-		engine:  core.NewEngine(cfg.toCore()),
+		engine:  core.NewEngine(cfg),
 		sources: datasource.NewRegistry(),
 	}
 	// Built-in data sources (paper §4.4.1's CSV / JSON / columnar file).
@@ -337,32 +152,7 @@ func NewContextWithConfig(cfg Config) *Context {
 	}
 	ctx.store = st
 	if cfg.Cluster != nil {
-		ecfg := ctx.engine.Cfg
-		if _, err := core.EnableCluster(ctx.engine, core.ClusterOptions{
-			Listen:             cfg.Cluster.Listen,
-			HeartbeatTimeout:   cfg.Cluster.HeartbeatTimeout,
-			TaskTimeout:        cfg.Cluster.TaskTimeout,
-			BlacklistThreshold: cfg.Cluster.BlacklistThreshold,
-			BlacklistCooldown:  cfg.Cluster.BlacklistCooldown,
-			HarvestInterval:    cfg.Cluster.HarvestInterval,
-			Session: sqlwire.SessionSpec{
-				Codegen:              cfg.Codegen,
-				LogicalOptimization:  cfg.LogicalOptimization,
-				SourcePushdown:       cfg.SourcePushdown,
-				JoinReorder:          cfg.JoinReorder,
-				PipelineCollapse:     cfg.PipelineCollapse,
-				Vectorized:           cfg.Vectorized,
-				Fusion:               cfg.Fusion,
-				BroadcastThreshold:   cfg.BroadcastThreshold,
-				TargetPartitionBytes: cfg.TargetPartitionBytes,
-				// Ship the engine's *resolved* parallelism: zero values
-				// default to the local GOMAXPROCS, and workers must plan
-				// with the same counts, not their own.
-				ShufflePartitions: ecfg.ShufflePartitions,
-				Parallelism:       ecfg.Parallelism,
-				MemoryBudget:      cfg.MemoryBudget,
-			},
-		}); err != nil {
+		if _, err := core.EnableCluster(ctx.engine, *cfg.Cluster); err != nil {
 			panic(fmt.Sprintf("sparksql: Config.Cluster: %v", err))
 		}
 	}
