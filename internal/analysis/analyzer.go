@@ -10,25 +10,14 @@ import (
 type Analyzer struct {
 	catalog *Catalog
 	errs    []error
+	// Exec runs the resolution batch; the engine hooks its OnMaxIterations.
+	Exec *catalyst.RuleExecutor[plan.LogicalPlan]
 }
 
 // NewAnalyzer builds an analyzer over the catalog.
 func NewAnalyzer(catalog *Catalog) *Analyzer {
-	return &Analyzer{catalog: catalog}
-}
-
-// Analyze runs the resolution rule batch to fixed point and then the
-// analysis checks, returning the resolved plan or the first error. This is
-// what DataFrames call eagerly on construction (paper §3.4) so invalid
-// column names or types fail immediately, while execution stays lazy.
-func Analyze(catalog *Catalog, p plan.LogicalPlan) (plan.LogicalPlan, error) {
-	return NewAnalyzer(catalog).Analyze(p)
-}
-
-// Analyze resolves the plan.
-func (a *Analyzer) Analyze(p plan.LogicalPlan) (plan.LogicalPlan, error) {
-	a.errs = nil
-	exec := &catalyst.RuleExecutor[plan.LogicalPlan]{
+	a := &Analyzer{catalog: catalog}
+	a.Exec = &catalyst.RuleExecutor[plan.LogicalPlan]{
 		Batches: []catalyst.Batch[plan.LogicalPlan]{
 			{
 				Name: "Resolution",
@@ -47,7 +36,21 @@ func (a *Analyzer) Analyze(p plan.LogicalPlan) (plan.LogicalPlan, error) {
 			},
 		},
 	}
-	out, err := exec.Execute(p)
+	return a
+}
+
+// Analyze runs the resolution rule batch to fixed point and then the
+// analysis checks, returning the resolved plan or the first error. This is
+// what DataFrames call eagerly on construction (paper §3.4) so invalid
+// column names or types fail immediately, while execution stays lazy.
+func Analyze(catalog *Catalog, p plan.LogicalPlan) (plan.LogicalPlan, error) {
+	return NewAnalyzer(catalog).Analyze(p)
+}
+
+// Analyze resolves the plan.
+func (a *Analyzer) Analyze(p plan.LogicalPlan) (plan.LogicalPlan, error) {
+	a.errs = nil
+	out, err := a.Exec.Execute(p)
 	if err != nil {
 		return nil, err
 	}

@@ -63,17 +63,8 @@ func CheckAnalysis(p plan.LogicalPlan) error {
 
 func firstUnresolved(e expr.Expression) (expr.Expression, bool) {
 	return catalyst.Find[expr.Expression](e, func(x expr.Expression) bool {
-		return !x.Resolved() && allChildrenResolved(x)
+		return !x.Resolved() && expr.ChildrenResolved(x)
 	})
-}
-
-func allChildrenResolved(e expr.Expression) bool {
-	for _, c := range e.Children() {
-		if !c.Resolved() {
-			return false
-		}
-	}
-	return true
 }
 
 func describe(e expr.Expression) string {

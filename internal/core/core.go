@@ -252,6 +252,11 @@ func NewEngine(flat Config) *Engine {
 	if cfg.Speculation {
 		rddCtx.SetSpeculation(true, cfg.SpeculationMultiplier, 0)
 	}
+	// A rule batch that stops at its iteration bound without a fixed point,
+	// the optimizer's or an analyzer's (newAnalyzer), is counted.
+	opt := optimizer.New(cfg.Optimizer)
+	unconverged := rddCtx.Metrics().Counter("catalyst.batches.unconverged")
+	opt.Exec.OnMaxIterations = func(string, int) { unconverged.Add(1) }
 	return &Engine{
 		Catalog: analysis.NewCatalog(),
 		RDDCtx:  rddCtx,
@@ -259,8 +264,15 @@ func NewEngine(flat Config) *Engine {
 		SpillFS: dfs.New(),
 		Events:  NewEventLog(),
 		planner: pl,
-		opt:     optimizer.New(cfg.Optimizer),
+		opt:     opt,
 	}
+}
+
+// newAnalyzer is the analyzer of one Analyze call.
+func (e *Engine) newAnalyzer() *analysis.Analyzer {
+	a := analysis.NewAnalyzer(e.Catalog)
+	a.Exec.OnMaxIterations = e.opt.Exec.OnMaxIterations
+	return a
 }
 
 // AddStrategy registers a custom planner strategy (the §7 extension point).
@@ -270,7 +282,7 @@ func (e *Engine) AddStrategy(s physical.Strategy) {
 
 // Analyze resolves a logical plan against the catalog.
 func (e *Engine) Analyze(lp plan.LogicalPlan) (plan.LogicalPlan, error) {
-	return analysis.Analyze(e.Catalog, lp)
+	return e.newAnalyzer().Analyze(lp)
 }
 
 // QueryExecution is the Figure 3 pipeline for one query, with every

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalyst"
 	"repro/internal/expr"
 	"repro/internal/physical"
 	"repro/internal/plan"
@@ -34,6 +35,55 @@ func TestExplainShowsAllPhases(t *testing.T) {
 	// All four plan snapshots are retained.
 	if qe.Logical == nil || qe.Analyzed == nil || qe.Optimized == nil || qe.Physical == nil {
 		t.Fatal("QueryExecution must retain every phase")
+	}
+}
+
+// A rule batch that stops at its iteration bound without a fixed point is not
+// silent: the analyzer's and the optimizer's batches count it in
+// catalyst.batches.unconverged, which the metrics text (SHOW METRICS, /metrics)
+// lists from the start.
+func TestUnconvergedBatchesAreCounted(t *testing.T) {
+	e := NewEngine(DefaultConfig())
+	metricsText := func() string {
+		var sb strings.Builder
+		e.RDDCtx.Metrics().WriteTextFiltered(&sb, "catalyst.*")
+		return sb.String()
+	}
+	if got := metricsText(); got != "catalyst.batches.unconverged 0\n" {
+		t.Fatalf("metrics before any query:\n%s", got)
+	}
+	// flip wraps the plan in an alias and unwraps it on its next application,
+	// so a batch holding it never reaches a fixed point.
+	flip := catalyst.Rule[plan.LogicalPlan]{Name: "Flip", Apply: func(p plan.LogicalPlan) plan.LogicalPlan {
+		if sq, ok := p.(*plan.SubqueryAlias); ok {
+			return sq.Child
+		}
+		return &plan.SubqueryAlias{Name: "flip", Child: p}
+	}}
+	rel := usersRelation()
+	if _, err := e.Execute(rel); err != nil || metricsText() != "catalyst.batches.unconverged 0\n" {
+		t.Fatalf("a converging query: %v\n%s", err, metricsText())
+	}
+
+	a := e.newAnalyzer()
+	a.Exec.Batches[0].Rules = append(a.Exec.Batches[0].Rules, flip)
+	if _, err := a.Analyze(rel); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range e.opt.Exec.Batches {
+		if b.Name == "Operator Optimization" {
+			e.opt.Exec.Batches[i].Rules = append(b.Rules, flip)
+		}
+	}
+	qe, err := e.Execute(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricsText(); got != "catalyst.batches.unconverged 2\n" {
+		t.Fatalf("after one unconverged analyzer batch and one optimizer batch:\n%s", got)
+	}
+	if rows, err := qe.Collect(); err != nil || len(rows) != len(rel.Rows) {
+		t.Fatalf("the plan a bounded batch left: %d rows, %v", len(rows), err)
 	}
 }
 

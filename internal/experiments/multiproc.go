@@ -517,6 +517,9 @@ func RunMultiprocHashExchange(visits int64, cached, broadcast bool) error {
 	if n := dist.RDDContext().RemoteFallbacks(); n != 0 {
 		return fmt.Errorf("multiproc hash exchange: %d tasks fell back to local compute", n)
 	}
+	if n := dist.Metrics().Counter("rdd.stages.nested").Load(); n != 0 {
+		return fmt.Errorf("multiproc hash exchange: the coordinator ran %d stages from inside a task", n)
+	}
 	for i := 0; i < 2; i++ {
 		if dist.Metrics().Counter(fmt.Sprintf("cluster.tasks.worker.hx-w%d", i)).Load() == 0 {
 			return fmt.Errorf("multiproc hash exchange: worker hx-w%d served no task", i)

@@ -68,7 +68,7 @@ func (c *Count) WithNewChildren(children []Expression) Expression {
 }
 func (c *Count) DataType() types.DataType { return types.Long }
 func (c *Count) Nullable() bool           { return false }
-func (c *Count) Resolved() bool           { return childrenResolved(c) }
+func (c *Count) Resolved() bool           { return ChildrenResolved(c) }
 func (c *Count) String() string {
 	if c.IsStar {
 		return "count(*)"
@@ -116,7 +116,7 @@ func (s *Sum) DataType() types.DataType {
 }
 func (s *Sum) Nullable() bool { return true } // empty group sums to NULL
 func (s *Sum) Resolved() bool {
-	return childrenResolved(s) && types.IsNumeric(s.Child.DataType())
+	return ChildrenResolved(s) && types.IsNumeric(s.Child.DataType())
 }
 func (s *Sum) String() string     { return fmt.Sprintf("sum(%s)", s.Child) }
 func (s *Sum) Eval(r row.Row) any { return aggEvalPanic(s) }
@@ -209,7 +209,7 @@ func (a *Avg) WithNewChildren(children []Expression) Expression {
 func (a *Avg) DataType() types.DataType { return types.Double }
 func (a *Avg) Nullable() bool           { return true }
 func (a *Avg) Resolved() bool {
-	return childrenResolved(a) && types.IsNumeric(a.Child.DataType())
+	return ChildrenResolved(a) && types.IsNumeric(a.Child.DataType())
 }
 func (a *Avg) String() string     { return fmt.Sprintf("avg(%s)", a.Child) }
 func (a *Avg) Eval(r row.Row) any { return aggEvalPanic(a) }
@@ -275,7 +275,7 @@ func (m *MinMax) WithNewChildren(children []Expression) Expression {
 func (m *MinMax) DataType() types.DataType { return m.Child.DataType() }
 func (m *MinMax) Nullable() bool           { return true }
 func (m *MinMax) Resolved() bool {
-	return childrenResolved(m) && types.IsOrdered(m.Child.DataType())
+	return ChildrenResolved(m) && types.IsOrdered(m.Child.DataType())
 }
 func (m *MinMax) String() string {
 	if m.IsMax {
@@ -334,7 +334,7 @@ func (f *First) WithNewChildren(children []Expression) Expression {
 }
 func (f *First) DataType() types.DataType { return f.Child.DataType() }
 func (f *First) Nullable() bool           { return true }
-func (f *First) Resolved() bool           { return childrenResolved(f) }
+func (f *First) Resolved() bool           { return ChildrenResolved(f) }
 func (f *First) String() string           { return fmt.Sprintf("first(%s)", f.Child) }
 func (f *First) Eval(r row.Row) any       { return aggEvalPanic(f) }
 
@@ -374,7 +374,7 @@ func (c *CountDistinct) WithNewChildren(children []Expression) Expression {
 }
 func (c *CountDistinct) DataType() types.DataType { return types.Long }
 func (c *CountDistinct) Nullable() bool           { return false }
-func (c *CountDistinct) Resolved() bool           { return childrenResolved(c) }
+func (c *CountDistinct) Resolved() bool           { return ChildrenResolved(c) }
 func (c *CountDistinct) String() string           { return fmt.Sprintf("count(DISTINCT %s)", c.Child) }
 func (c *CountDistinct) Eval(r row.Row) any       { return aggEvalPanic(c) }
 

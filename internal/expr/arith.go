@@ -42,6 +42,7 @@ func (op ArithOp) String() string {
 type BinaryArith struct {
 	Op          ArithOp
 	Left, Right Expression
+	memo        typeMemo
 }
 
 // Add builds left + right.
@@ -73,19 +74,31 @@ func (b *BinaryArith) Children() []Expression { return []Expression{b.Left, b.Ri
 func (b *BinaryArith) WithNewChildren(children []Expression) Expression {
 	return &BinaryArith{Op: b.Op, Left: children[0], Right: children[1]}
 }
-func (b *BinaryArith) DataType() types.DataType { return b.Left.DataType() }
+func (b *BinaryArith) DataType() types.DataType {
+	if _, t := b.shape(); t != nil {
+		return t
+	}
+	return b.Left.DataType()
+}
 func (b *BinaryArith) Nullable() bool {
 	// Division/modulo can produce NULL on zero divisors.
 	return anyNullable(b.Left, b.Right) || b.Op == OpDiv || b.Op == OpMod
 }
-func (b *BinaryArith) Resolved() bool {
-	if !childrenResolved(b) {
-		return false
-	}
-	return types.IsNumeric(b.Left.DataType()) && b.Left.DataType().Equals(b.Right.DataType())
+func (b *BinaryArith) Resolved() bool { ok, _ := b.shape(); return ok }
+
+// shape is both operands' type, resolved when they are one numeric type.
+func (b *BinaryArith) shape() (bool, types.DataType) {
+	return b.memo.get(func() (bool, types.DataType) {
+		if !ChildrenResolved(b) {
+			return false, nil
+		}
+		t := b.Left.DataType()
+		return types.IsNumeric(t) && t.Equals(b.Right.DataType()), t
+	})
 }
-func (b *BinaryArith) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.Left, b.Op, b.Right)
+func (b *BinaryArith) String() string { return infixString(b) }
+func (b *BinaryArith) infix() (Expression, string, Expression) {
+	return b.Left, b.Op.String(), b.Right
 }
 
 func (b *BinaryArith) Eval(r row.Row) any {
@@ -187,7 +200,7 @@ func (n *Negate) WithNewChildren(children []Expression) Expression {
 func (n *Negate) DataType() types.DataType { return n.Child.DataType() }
 func (n *Negate) Nullable() bool           { return n.Child.Nullable() }
 func (n *Negate) Resolved() bool {
-	return childrenResolved(n) && types.IsNumeric(n.Child.DataType())
+	return ChildrenResolved(n) && types.IsNumeric(n.Child.DataType())
 }
 func (n *Negate) String() string { return fmt.Sprintf("(-%s)", n.Child) }
 func (n *Negate) Eval(r row.Row) any {
@@ -222,7 +235,7 @@ func (a *Abs) WithNewChildren(children []Expression) Expression {
 func (a *Abs) DataType() types.DataType { return a.Child.DataType() }
 func (a *Abs) Nullable() bool           { return a.Child.Nullable() }
 func (a *Abs) Resolved() bool {
-	return childrenResolved(a) && types.IsNumeric(a.Child.DataType())
+	return ChildrenResolved(a) && types.IsNumeric(a.Child.DataType())
 }
 func (a *Abs) String() string { return fmt.Sprintf("abs(%s)", a.Child) }
 func (a *Abs) Eval(r row.Row) any {

@@ -27,7 +27,7 @@ func (s *SortOrder) WithNewChildren(children []Expression) Expression {
 func (s *SortOrder) DataType() types.DataType { return s.Child.DataType() }
 func (s *SortOrder) Nullable() bool           { return s.Child.Nullable() }
 func (s *SortOrder) Resolved() bool {
-	return childrenResolved(s) && types.IsOrdered(s.Child.DataType())
+	return ChildrenResolved(s) && types.IsOrdered(s.Child.DataType())
 }
 func (s *SortOrder) String() string {
 	if s.Descending {

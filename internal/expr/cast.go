@@ -35,7 +35,7 @@ func (c *Cast) Nullable() bool {
 	}
 	return c.Child.Nullable()
 }
-func (c *Cast) Resolved() bool { return childrenResolved(c) }
+func (c *Cast) Resolved() bool { return ChildrenResolved(c) }
 func (c *Cast) String() string { return fmt.Sprintf("CAST(%s AS %s)", c.Child, c.To.Name()) }
 func (c *Cast) Eval(r row.Row) any {
 	v := c.Child.Eval(r)
@@ -273,7 +273,7 @@ func (d *DatePart) WithNewChildren(children []Expression) Expression {
 func (d *DatePart) DataType() types.DataType { return types.Int }
 func (d *DatePart) Nullable() bool           { return d.Child.Nullable() }
 func (d *DatePart) Resolved() bool {
-	return childrenResolved(d) && d.Child.DataType().Equals(types.Date)
+	return ChildrenResolved(d) && d.Child.DataType().Equals(types.Date)
 }
 func (d *DatePart) String() string { return fmt.Sprintf("%s(%s)", d.name(), d.Child) }
 func (d *DatePart) Eval(r row.Row) any {

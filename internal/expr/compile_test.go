@@ -54,9 +54,9 @@ func randomExpr(rng *rand.Rand, depth int, want types.DataType) Expression {
 	case want.Equals(types.Boolean):
 		switch rng.Intn(8) {
 		case 0:
-			return &And{sub(types.Boolean), sub(types.Boolean)}
+			return &And{Left: sub(types.Boolean), Right: sub(types.Boolean)}
 		case 1:
-			return &Or{sub(types.Boolean), sub(types.Boolean)}
+			return &Or{Left: sub(types.Boolean), Right: sub(types.Boolean)}
 		case 2:
 			return &Not{sub(types.Boolean)}
 		case 3:

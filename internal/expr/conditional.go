@@ -70,7 +70,7 @@ func (c *CaseWhen) Nullable() bool {
 	return c.ElseValue().Nullable()
 }
 func (c *CaseWhen) Resolved() bool {
-	if !childrenResolved(c) {
+	if !ChildrenResolved(c) {
 		return false
 	}
 	vt := c.kids[1].DataType()
@@ -127,7 +127,7 @@ func (c *Coalesce) Nullable() bool {
 	return true
 }
 func (c *Coalesce) Resolved() bool {
-	if !childrenResolved(c) || len(c.Args) == 0 {
+	if !ChildrenResolved(c) || len(c.Args) == 0 {
 		return false
 	}
 	t := c.Args[0].DataType()
@@ -189,7 +189,7 @@ func (g *GetField) Nullable() bool {
 	return i < 0 || st.Fields[i].Nullable || g.Child.Nullable()
 }
 func (g *GetField) Resolved() bool {
-	if !childrenResolved(g) {
+	if !ChildrenResolved(g) {
 		return false
 	}
 	st, ok := g.structType()
@@ -220,7 +220,7 @@ func (g *GetArrayItem) DataType() types.DataType {
 }
 func (g *GetArrayItem) Nullable() bool { return true }
 func (g *GetArrayItem) Resolved() bool {
-	if !childrenResolved(g) {
+	if !ChildrenResolved(g) {
 		return false
 	}
 	_, isArr := g.Child.DataType().(types.ArrayType)
@@ -256,7 +256,7 @@ func (a *ArraySize) WithNewChildren(children []Expression) Expression {
 func (a *ArraySize) DataType() types.DataType { return types.Int }
 func (a *ArraySize) Nullable() bool           { return a.Child.Nullable() }
 func (a *ArraySize) Resolved() bool {
-	if !childrenResolved(a) {
+	if !ChildrenResolved(a) {
 		return false
 	}
 	_, isArr := a.Child.DataType().(types.ArrayType)

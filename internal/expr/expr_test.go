@@ -119,15 +119,15 @@ func TestThreeValuedLogic(t *testing.T) {
 		e    Expression
 		want any
 	}{
-		{&And{tr, tr}, true},
-		{&And{tr, fa}, false},
-		{&And{fa, nu}, false}, // false AND NULL = false
-		{&And{nu, fa}, false},
-		{&And{tr, nu}, nil},
-		{&Or{fa, fa}, false},
-		{&Or{tr, nu}, true}, // true OR NULL = true
-		{&Or{nu, tr}, true},
-		{&Or{fa, nu}, nil},
+		{&And{Left: tr, Right: tr}, true},
+		{&And{Left: tr, Right: fa}, false},
+		{&And{Left: fa, Right: nu}, false}, // false AND NULL = false
+		{&And{Left: nu, Right: fa}, false},
+		{&And{Left: tr, Right: nu}, nil},
+		{&Or{Left: fa, Right: fa}, false},
+		{&Or{Left: tr, Right: nu}, true}, // true OR NULL = true
+		{&Or{Left: nu, Right: tr}, true},
+		{&Or{Left: fa, Right: nu}, nil},
 		{&Not{tr}, false},
 		{&Not{nu}, nil},
 	}

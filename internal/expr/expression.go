@@ -8,6 +8,8 @@ package expr
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/row"
@@ -289,23 +291,65 @@ func (b *BoundReference) String() string           { return fmt.Sprintf("input[%
 // ---------------------------------------------------------------------------
 // Helpers shared across the package
 
-// Resolved reports whether all expressions in the slice are resolved.
-func AllResolved(exprs []Expression) bool {
-	for _, e := range exprs {
-		if !e.Resolved() {
-			return false
-		}
-	}
-	return true
-}
-
-func childrenResolved(e Expression) bool {
+// ChildrenResolved reports whether every child of e is resolved.
+func ChildrenResolved(e Expression) bool {
 	for _, c := range e.Children() {
 		if !c.Resolved() {
 			return false
 		}
 	}
 	return true
+}
+
+// typeMemo holds a binary operator's resolution and type, pure functions of
+// children that never change once it is built, worked out once per node:
+// recomputed per call, a left-deep chain of n operators re-walks its spine at
+// each of the n nodes the analyzer visits, O(n^3) in all.
+type typeMemo struct {
+	once     sync.Once
+	resolved bool
+	typ      types.DataType // nil while a child is unresolved
+}
+
+func (m *typeMemo) get(shape func() (bool, types.DataType)) (bool, types.DataType) {
+	m.once.Do(func() { m.resolved, m.typ = shape() })
+	return m.resolved, m.typ
+}
+
+// boolean is the resolution of a connective over BOOLEAN operands.
+func (m *typeMemo) boolean(e, l, r Expression) bool {
+	ok, _ := m.get(func() (bool, types.DataType) {
+		return ChildrenResolved(e) && l.DataType().Equals(types.Boolean) && r.DataType().Equals(types.Boolean), types.Boolean
+	})
+	return ok
+}
+
+// infixOp is a binary operator printed as "(left op right)".
+type infixOp interface {
+	Expression
+	infix() (left Expression, op string, right Expression)
+}
+
+// infixString prints e into one builder, recursing down its left operands:
+// formatting each level from its left operand's string would copy a left-deep
+// chain of n operators O(n^2) bytes.
+func infixString(e infixOp) string {
+	var sb strings.Builder
+	writeInfix(&sb, e)
+	return sb.String()
+}
+
+func writeInfix(sb *strings.Builder, e infixOp) {
+	l, op, r := e.infix()
+	sb.WriteByte('(')
+	if li, ok := l.(infixOp); ok {
+		writeInfix(sb, li)
+	} else {
+		sb.WriteString(l.String())
+	}
+	sb.WriteString(" " + op + " ")
+	sb.WriteString(r.String())
+	sb.WriteByte(')')
 }
 
 func anyNullable(exprs ...Expression) bool {

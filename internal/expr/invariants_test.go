@@ -28,7 +28,7 @@ func everyExpr() []Expression {
 		Add(i, i), Sub(l, l), Mul(d, d), Div(i, i), Mod(l, l),
 		&Negate{Child: i}, &Abs{Child: d},
 		EQ(i, i), NEQ(s, s), LT(l, l), LE(d, d), GT(i, i), GE(i, i),
-		&And{b, b}, &Or{b, b}, &Not{b},
+		&And{Left: b, Right: b}, &Or{Left: b, Right: b}, &Not{b},
 		&IsNull{i}, &IsNotNull{s},
 		&In{Value: i, List: []Expression{Lit(int32(1)), Lit(int32(2))}},
 		&Like{Left: s, Pattern: Lit("%x%")},

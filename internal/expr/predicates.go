@@ -70,10 +70,11 @@ func (c *Comparison) WithNewChildren(children []Expression) Expression {
 func (c *Comparison) DataType() types.DataType { return types.Boolean }
 func (c *Comparison) Nullable() bool           { return anyNullable(c.Left, c.Right) }
 func (c *Comparison) Resolved() bool {
-	return childrenResolved(c) && c.Left.DataType().Equals(c.Right.DataType())
+	return ChildrenResolved(c) && c.Left.DataType().Equals(c.Right.DataType())
 }
-func (c *Comparison) String() string {
-	return fmt.Sprintf("(%s %s %s)", c.Left, c.Op, c.Right)
+func (c *Comparison) String() string { return infixString(c) }
+func (c *Comparison) infix() (Expression, string, Expression) {
+	return c.Left, c.Op.String(), c.Right
 }
 func (c *Comparison) Eval(r row.Row) any {
 	l := c.Left.Eval(r)
@@ -108,19 +109,18 @@ func compare(op CmpOp, l, r any) bool {
 // And is SQL conjunction with three-valued logic: false && NULL = false.
 type And struct {
 	Left, Right Expression
+	memo        typeMemo
 }
 
 func (a *And) Children() []Expression { return []Expression{a.Left, a.Right} }
 func (a *And) WithNewChildren(children []Expression) Expression {
 	return &And{Left: children[0], Right: children[1]}
 }
-func (a *And) DataType() types.DataType { return types.Boolean }
-func (a *And) Nullable() bool           { return anyNullable(a.Left, a.Right) }
-func (a *And) Resolved() bool {
-	return childrenResolved(a) && a.Left.DataType().Equals(types.Boolean) &&
-		a.Right.DataType().Equals(types.Boolean)
-}
-func (a *And) String() string { return fmt.Sprintf("(%s AND %s)", a.Left, a.Right) }
+func (a *And) DataType() types.DataType                { return types.Boolean }
+func (a *And) Nullable() bool                          { return anyNullable(a.Left, a.Right) }
+func (a *And) Resolved() bool                          { return a.memo.boolean(a, a.Left, a.Right) }
+func (a *And) String() string                          { return infixString(a) }
+func (a *And) infix() (Expression, string, Expression) { return a.Left, "AND", a.Right }
 func (a *And) Eval(r row.Row) any {
 	l := a.Left.Eval(r)
 	if l == false {
@@ -139,19 +139,18 @@ func (a *And) Eval(r row.Row) any {
 // Or is SQL disjunction with three-valued logic: true || NULL = true.
 type Or struct {
 	Left, Right Expression
+	memo        typeMemo
 }
 
 func (o *Or) Children() []Expression { return []Expression{o.Left, o.Right} }
 func (o *Or) WithNewChildren(children []Expression) Expression {
 	return &Or{Left: children[0], Right: children[1]}
 }
-func (o *Or) DataType() types.DataType { return types.Boolean }
-func (o *Or) Nullable() bool           { return anyNullable(o.Left, o.Right) }
-func (o *Or) Resolved() bool {
-	return childrenResolved(o) && o.Left.DataType().Equals(types.Boolean) &&
-		o.Right.DataType().Equals(types.Boolean)
-}
-func (o *Or) String() string { return fmt.Sprintf("(%s OR %s)", o.Left, o.Right) }
+func (o *Or) DataType() types.DataType                { return types.Boolean }
+func (o *Or) Nullable() bool                          { return anyNullable(o.Left, o.Right) }
+func (o *Or) Resolved() bool                          { return o.memo.boolean(o, o.Left, o.Right) }
+func (o *Or) String() string                          { return infixString(o) }
+func (o *Or) infix() (Expression, string, Expression) { return o.Left, "OR", o.Right }
 func (o *Or) Eval(r row.Row) any {
 	l := o.Left.Eval(r)
 	if l == true {
@@ -179,7 +178,7 @@ func (n *Not) WithNewChildren(children []Expression) Expression {
 func (n *Not) DataType() types.DataType { return types.Boolean }
 func (n *Not) Nullable() bool           { return n.Child.Nullable() }
 func (n *Not) Resolved() bool {
-	return childrenResolved(n) && n.Child.DataType().Equals(types.Boolean)
+	return ChildrenResolved(n) && n.Child.DataType().Equals(types.Boolean)
 }
 func (n *Not) String() string { return fmt.Sprintf("(NOT %s)", n.Child) }
 func (n *Not) Eval(r row.Row) any {
@@ -201,7 +200,7 @@ func (i *IsNull) WithNewChildren(children []Expression) Expression {
 }
 func (i *IsNull) DataType() types.DataType { return types.Boolean }
 func (i *IsNull) Nullable() bool           { return false }
-func (i *IsNull) Resolved() bool           { return childrenResolved(i) }
+func (i *IsNull) Resolved() bool           { return ChildrenResolved(i) }
 func (i *IsNull) String() string           { return fmt.Sprintf("(%s IS NULL)", i.Child) }
 func (i *IsNull) Eval(r row.Row) any       { return i.Child.Eval(r) == nil }
 
@@ -216,7 +215,7 @@ func (i *IsNotNull) WithNewChildren(children []Expression) Expression {
 }
 func (i *IsNotNull) DataType() types.DataType { return types.Boolean }
 func (i *IsNotNull) Nullable() bool           { return false }
-func (i *IsNotNull) Resolved() bool           { return childrenResolved(i) }
+func (i *IsNotNull) Resolved() bool           { return ChildrenResolved(i) }
 func (i *IsNotNull) String() string           { return fmt.Sprintf("(%s IS NOT NULL)", i.Child) }
 func (i *IsNotNull) Eval(r row.Row) any       { return i.Child.Eval(r) != nil }
 
@@ -238,7 +237,7 @@ func (in *In) WithNewChildren(children []Expression) Expression {
 func (in *In) DataType() types.DataType { return types.Boolean }
 func (in *In) Nullable() bool           { return true }
 func (in *In) Resolved() bool {
-	if !childrenResolved(in) {
+	if !ChildrenResolved(in) {
 		return false
 	}
 	for _, e := range in.List {

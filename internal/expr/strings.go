@@ -25,7 +25,7 @@ func (l *Like) WithNewChildren(children []Expression) Expression {
 func (l *Like) DataType() types.DataType { return types.Boolean }
 func (l *Like) Nullable() bool           { return anyNullable(l.Left, l.Pattern) }
 func (l *Like) Resolved() bool {
-	return childrenResolved(l) && l.Left.DataType().Equals(types.String) &&
+	return ChildrenResolved(l) && l.Left.DataType().Equals(types.String) &&
 		l.Pattern.DataType().Equals(types.String)
 }
 func (l *Like) String() string { return fmt.Sprintf("(%s LIKE %s)", l.Left, l.Pattern) }
@@ -123,7 +123,7 @@ func (f *StringFn) DataType() types.DataType {
 }
 func (f *StringFn) Nullable() bool { return f.Child.Nullable() }
 func (f *StringFn) Resolved() bool {
-	return childrenResolved(f) && f.Child.DataType().Equals(types.String)
+	return ChildrenResolved(f) && f.Child.DataType().Equals(types.String)
 }
 func (f *StringFn) String() string { return fmt.Sprintf("%s(%s)", f.name(), f.Child) }
 func (f *StringFn) Eval(r row.Row) any {
@@ -206,7 +206,7 @@ func (m *StringMatch) WithNewChildren(children []Expression) Expression {
 func (m *StringMatch) DataType() types.DataType { return types.Boolean }
 func (m *StringMatch) Nullable() bool           { return anyNullable(m.Left, m.Right) }
 func (m *StringMatch) Resolved() bool {
-	return childrenResolved(m) && m.Left.DataType().Equals(types.String) &&
+	return ChildrenResolved(m) && m.Left.DataType().Equals(types.String) &&
 		m.Right.DataType().Equals(types.String)
 }
 func (m *StringMatch) String() string { return fmt.Sprintf("%s(%s, %s)", m.name(), m.Left, m.Right) }
@@ -247,7 +247,7 @@ func (s *Substring) WithNewChildren(children []Expression) Expression {
 func (s *Substring) DataType() types.DataType { return types.String }
 func (s *Substring) Nullable() bool           { return anyNullable(s.Str, s.Pos, s.Len) }
 func (s *Substring) Resolved() bool {
-	return childrenResolved(s) && s.Str.DataType().Equals(types.String) &&
+	return ChildrenResolved(s) && s.Str.DataType().Equals(types.String) &&
 		types.IsIntegral(s.Pos.DataType()) && types.IsIntegral(s.Len.DataType())
 }
 func (s *Substring) String() string {
@@ -296,7 +296,7 @@ func (c *Concat) WithNewChildren(children []Expression) Expression {
 func (c *Concat) DataType() types.DataType { return types.String }
 func (c *Concat) Nullable() bool           { return anyNullable(c.Args...) }
 func (c *Concat) Resolved() bool {
-	if !childrenResolved(c) {
+	if !ChildrenResolved(c) {
 		return false
 	}
 	for _, a := range c.Args {

@@ -63,7 +63,7 @@ func (u *ScalarUDF) WithNewChildren(children []Expression) Expression {
 func (u *ScalarUDF) DataType() types.DataType { return u.Ret }
 func (u *ScalarUDF) Nullable() bool           { return true }
 func (u *ScalarUDF) Resolved() bool {
-	if !childrenResolved(u) || len(u.Args) != len(u.In) {
+	if !ChildrenResolved(u) || len(u.Args) != len(u.In) {
 		return false
 	}
 	for i, a := range u.Args {
@@ -103,7 +103,7 @@ func (u *UnscaledValue) WithNewChildren(children []Expression) Expression {
 func (u *UnscaledValue) DataType() types.DataType { return types.Long }
 func (u *UnscaledValue) Nullable() bool           { return u.Child.Nullable() }
 func (u *UnscaledValue) Resolved() bool {
-	if !childrenResolved(u) {
+	if !ChildrenResolved(u) {
 		return false
 	}
 	_, ok := u.Child.DataType().(types.DecimalType)
@@ -135,7 +135,7 @@ func (m *MakeDecimal) DataType() types.DataType {
 }
 func (m *MakeDecimal) Nullable() bool { return m.Child.Nullable() }
 func (m *MakeDecimal) Resolved() bool {
-	return childrenResolved(m) && m.Child.DataType().Equals(types.Long)
+	return ChildrenResolved(m) && m.Child.DataType().Equals(types.Long)
 }
 func (m *MakeDecimal) String() string {
 	return fmt.Sprintf("makedecimal(%s, %d, %d)", m.Child, m.Precision, m.Scale)
@@ -165,7 +165,7 @@ func (s *SerializeUDT) WithNewChildren(children []Expression) Expression {
 }
 func (s *SerializeUDT) DataType() types.DataType { return s.UDT.SQLType() }
 func (s *SerializeUDT) Nullable() bool           { return s.Child.Nullable() }
-func (s *SerializeUDT) Resolved() bool           { return childrenResolved(s) }
+func (s *SerializeUDT) Resolved() bool           { return ChildrenResolved(s) }
 func (s *SerializeUDT) String() string {
 	return fmt.Sprintf("serialize_%s(%s)", s.UDT.TypeName(), s.Child)
 }
@@ -193,7 +193,7 @@ func (d *DeserializeUDT) WithNewChildren(children []Expression) Expression {
 }
 func (d *DeserializeUDT) DataType() types.DataType { return types.UDTType{UDT: d.UDT} }
 func (d *DeserializeUDT) Nullable() bool           { return d.Child.Nullable() }
-func (d *DeserializeUDT) Resolved() bool           { return childrenResolved(d) }
+func (d *DeserializeUDT) Resolved() bool           { return ChildrenResolved(d) }
 func (d *DeserializeUDT) String() string {
 	return fmt.Sprintf("deserialize_%s(%s)", d.UDT.TypeName(), d.Child)
 }

@@ -157,8 +157,8 @@ func TestVecNativeCoverage(t *testing.T) {
 		GT(a, Lit(int32(3))),
 		&Comparison{Op: OpLE, Left: d, Right: Lit(2.5)},
 		&Comparison{Op: OpEQ, Left: s, Right: Lit("foo")},
-		&And{GT(a, Lit(int32(0))), &Comparison{Op: OpLT, Left: b, Right: Lit(int64(9))}},
-		&Or{GT(a, Lit(int32(7))), &IsNull{Child: s}},
+		&And{Left: GT(a, Lit(int32(0))), Right: &Comparison{Op: OpLT, Left: b, Right: Lit(int64(9))}},
+		&Or{Left: GT(a, Lit(int32(7))), Right: &IsNull{Child: s}},
 		&IsNotNull{Child: a},
 		&In{Value: b, List: []Expression{Lit(int64(1)), Lit(int64(2))}},
 		&In{Value: s, List: []Expression{Lit("foo"), Lit("bar")}},
@@ -252,7 +252,7 @@ func TestVecOrUnionOrder(t *testing.T) {
 		sel[i] = int32(i)
 	}
 	// i < 20 OR i%2-ish overlap via i > 10.
-	e := &Or{&Comparison{Op: OpLT, Left: a, Right: Lit(int32(20))}, GT(a, Lit(int32(10)))}
+	e := &Or{Left: &Comparison{Op: OpLT, Left: a, Right: Lit(int32(20))}, Right: GT(a, Lit(int32(10)))}
 	pred, ok := CompileVecPredicate(e)
 	if !ok {
 		t.Fatal("OR of native comparisons should be native")

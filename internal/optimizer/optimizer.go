@@ -42,8 +42,9 @@ func DefaultConfig() Config {
 
 // Optimizer rewrites resolved logical plans.
 type Optimizer struct {
-	cfg  Config
-	exec *catalyst.RuleExecutor[plan.LogicalPlan]
+	cfg Config
+	// Exec runs the batches; the engine hooks its OnMaxIterations.
+	Exec *catalyst.RuleExecutor[plan.LogicalPlan]
 }
 
 // New builds an optimizer with the given configuration.
@@ -117,12 +118,12 @@ func New(cfg Config) *Optimizer {
 			},
 		})
 	}
-	return &Optimizer{cfg: cfg, exec: &catalyst.RuleExecutor[plan.LogicalPlan]{Batches: batches}}
+	return &Optimizer{cfg: cfg, Exec: &catalyst.RuleExecutor[plan.LogicalPlan]{Batches: batches}}
 }
 
 // Optimize rewrites the plan.
 func (o *Optimizer) Optimize(p plan.LogicalPlan) (plan.LogicalPlan, error) {
-	return o.exec.Execute(p)
+	return o.Exec.Execute(p)
 }
 
 func eliminateSubqueryAliases(p plan.LogicalPlan) plan.LogicalPlan {

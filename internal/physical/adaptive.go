@@ -1,11 +1,12 @@
 package physical
 
-// Adaptive query execution (ROADMAP item 5, Spark 3.x AQE): instead of
-// executing the statically planned operator tree in one shot, the plan is
-// split at its exchanges into a stage DAG. Stages execute bottom-up; each
-// completed stage's observed output (rows and bytes, measured from the
-// materialized partitions) feeds a re-planning step that re-enters the
-// planner's cost rules over actuals instead of estimates:
+// Adaptive query execution (Spark 3.x AQE): instead of executing the
+// statically planned operator tree in one shot, the plan is split at its
+// exchanges into a stage DAG. Each exchange input runs bottom-up as an rdd
+// Stage — the same stage type a shuffle's map side and a join's build side
+// are — and its observed output (rows and bytes, measured once from the
+// stage's partitions) feeds a re-planning step that re-enters the planner's
+// cost rules over actuals instead of estimates:
 //
 //   - exchange partition counts coalesce to ceil(observedBytes/target)
 //     when that is below the statically chosen count,
@@ -24,6 +25,7 @@ package physical
 // records each decision as `adapted: <from> -> <to> (<reason>)`.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -88,18 +90,18 @@ type Decision struct {
 }
 
 // QueryStageExec is a materialization barrier: the subtree below an
-// exchange, already executed by the adaptive driver, held as its computed
-// partitions. It prints as its child — the barrier is an execution
-// detail, which keeps plan strings (and so the cluster plan-hash parity
-// check) identical between the coordinator's stage-materialized tree and
-// a worker's decision-applied live tree — and executes as a partition
-// leaf, so downstream operators never recompute stage output.
+// exchange, already run by the adaptive driver as a stage that holds its
+// partitions. It prints as its child — the barrier is an execution detail,
+// which keeps plan strings (and so the cluster plan-hash parity check)
+// identical between the coordinator's stage-materialized tree and a worker's
+// decision-applied live tree — and executes as the stage's partitions, so
+// downstream operators never recompute stage output.
 type QueryStageExec struct {
 	PlanEstimate
 	Child SparkPlan
 	// Rows and Bytes are the stage's observed output statistics.
 	Rows, Bytes int64
-	parts       [][]row.Row
+	stage       *rdd.Stage[[][]row.Row]
 }
 
 func (q *QueryStageExec) Children() []SparkPlan { return []SparkPlan{q.Child} }
@@ -204,8 +206,8 @@ func applyDecision(p SparkPlan, d Decision) (SparkPlan, error) {
 }
 
 // AdaptPlan is the stage-graph driver: it walks the static plan bottom-up,
-// materializes each exchange input as a QueryStageExec (through the rdd
-// layer's ordinary job path, so retry, speculation and cancellation apply
+// runs each exchange input as a stage held by a QueryStageExec (through the
+// rdd layer's ordinary job path, so retry, speculation and cancellation apply
 // to stage execution exactly as to final execution), and re-plans each
 // exchange from the observed statistics. It returns the executed tree
 // (stage leaves in place, zero recompute) and the decision list to ship
@@ -272,23 +274,22 @@ func (d *adaptiveDriver) adapt(p SparkPlan, path []int) (SparkPlan, error) {
 	return d.adaptNode(p, path)
 }
 
-// materialize executes one exchange input as a stage and wraps the result.
+// materialize runs one exchange input as a stage and wraps it.
 func (d *adaptiveDriver) materialize(child SparkPlan) (*QueryStageExec, error) {
 	if qs, ok := child.(*QueryStageExec); ok {
 		return qs, nil
 	}
-	parts, err := child.Execute(d.ctx).CollectPartitionsContext(d.jc)
-	if err != nil {
+	qs := &QueryStageExec{Child: child}
+	qs.stage = rdd.NewStage(child.Execute(d.ctx), func(_ context.Context, parts [][]row.Row) ([][]row.Row, error) {
+		for _, pr := range parts {
+			qs.Rows += int64(len(pr))
+			qs.Bytes += rowsSize(pr)
+		}
+		return parts, nil
+	})
+	if _, err := qs.stage.Value(d.jc); err != nil {
 		return nil, err
 	}
-	var rows, bytes int64
-	for _, pr := range parts {
-		rows += int64(len(pr))
-		for _, r := range pr {
-			bytes += r.ObjectSize()
-		}
-	}
-	qs := &QueryStageExec{Child: child, Rows: rows, Bytes: bytes, parts: parts}
 	transferEstimate(qs, child)
 	return qs, nil
 }
@@ -325,26 +326,34 @@ func (d *adaptiveDriver) adaptNode(p SparkPlan, path []int) (SparkPlan, error) {
 }
 
 // adaptCoalesceOnly materializes a single exchange input and re-sizes the
-// downstream partition count from observed bytes. Coalescing is strictly
-// conservative: it only ever shrinks below the statically chosen count,
-// so accurate estimates see zero adaptations.
+// downstream partition count from observed bytes.
 func (d *adaptiveDriver) adaptCoalesceOnly(p SparkPlan, path []int, child SparkPlan, current int) (SparkPlan, error) {
 	stage, err := d.materialize(child)
 	if err != nil {
 		return nil, err
 	}
-	eff := effectiveParts(d.ctx.ShufflePartitions, current)
-	if parts := d.partitionsFor(stage.Bytes); parts > 0 && parts < eff {
-		dec := Decision{
-			Path: path, Kind: "coalesce", Parts: parts,
-			Note: coalesceNote(parts, stage.Bytes),
-		}
-		p, err = d.record(p, dec)
-		if err != nil {
-			return nil, err
-		}
+	if p, err = d.coalesce(p, path, d.coalesced(current, stage.Bytes), stage.Bytes); err != nil {
+		return nil, err
 	}
 	return p.WithNewChildren([]SparkPlan{stage}), nil
+}
+
+// coalesced is the reducer count observed bytes call for, or 0 when that is
+// not below what the exchange has: coalescing only ever shrinks the
+// statically chosen count, so accurate estimates see no adaptation.
+func (d *adaptiveDriver) coalesced(current int, bytes int64) int {
+	if parts := d.partitionsFor(bytes); parts > 0 && parts < effectiveParts(d.ctx.ShufflePartitions, current) {
+		return parts
+	}
+	return 0
+}
+
+// coalesce records p's exchange coalesced to parts, if parts is set.
+func (d *adaptiveDriver) coalesce(p SparkPlan, path []int, parts int, bytes int64) (SparkPlan, error) {
+	if parts == 0 {
+		return p, nil
+	}
+	return d.record(p, Decision{Path: path, Kind: "coalesce", Parts: parts, Note: coalesceNote(parts, bytes)})
 }
 
 func coalesceNote(parts int, bytes int64) string {
@@ -378,33 +387,22 @@ func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) 
 	if err != nil || promoted != nil {
 		return promoted, err
 	}
-
-	eff := effectiveParts(d.ctx.ShufflePartitions, n.Partitions)
-	newParts := 0
-	if parts := d.partitionsFor(ls.Bytes + rs.Bytes); parts > 0 && parts < eff {
-		newParts = parts
-		eff = parts
-	}
-	splits, maxBytes, meanBytes := d.detectSkew(n, ls, eff)
-
-	var p SparkPlan = n
-	switch {
-	case splits != nil:
+	bytes := ls.Bytes + rs.Bytes
+	newParts := d.coalesced(n.Partitions, bytes)
+	splits, maxBytes, meanBytes := d.detectSkew(n, ls, cmp.Or(newParts, effectiveParts(d.ctx.ShufflePartitions, n.Partitions)))
+	var p SparkPlan
+	if splits == nil {
+		p, err = d.coalesce(n, path, newParts, bytes)
+	} else {
 		note := fmt.Sprintf("adapted: uniform reduce -> skew-split buckets (max bucket %d B over %.1fx mean %d B)",
 			maxBytes, d.cfg.skewFactor(), meanBytes)
 		if newParts > 0 {
-			note += "  " + coalesceNote(newParts, ls.Bytes+rs.Bytes)
+			note += "  " + coalesceNote(newParts, bytes)
 		}
-		dec := Decision{Path: path, Kind: "skew", Parts: newParts, Splits: splits, Note: note}
-		if p, err = d.record(n, dec); err != nil {
-			return nil, err
-		}
-	case newParts > 0:
-		dec := Decision{Path: path, Kind: "coalesce", Parts: newParts,
-			Note: coalesceNote(newParts, ls.Bytes+rs.Bytes)}
-		if p, err = d.record(n, dec); err != nil {
-			return nil, err
-		}
+		p, err = d.record(n, Decision{Path: path, Kind: "skew", Parts: newParts, Splits: splits, Note: note})
+	}
+	if err != nil {
+		return nil, err
 	}
 	return p.WithNewChildren([]SparkPlan{ls, rs}), nil
 }
@@ -417,14 +415,9 @@ func (d *adaptiveDriver) adaptSortMergeJoin(n *SortMergeJoinExec, path []int) (S
 	if err != nil || promoted != nil {
 		return promoted, err
 	}
-	var p SparkPlan = n
-	eff := effectiveParts(d.ctx.ShufflePartitions, n.Partitions)
-	if parts := d.partitionsFor(ls.Bytes + rs.Bytes); parts > 0 && parts < eff {
-		dec := Decision{Path: path, Kind: "coalesce", Parts: parts,
-			Note: coalesceNote(parts, ls.Bytes+rs.Bytes)}
-		if p, err = d.record(n, dec); err != nil {
-			return nil, err
-		}
+	p, err := d.coalesce(n, path, d.coalesced(n.Partitions, ls.Bytes+rs.Bytes), ls.Bytes+rs.Bytes)
+	if err != nil {
+		return nil, err
 	}
 	return p.WithNewChildren([]SparkPlan{ls, rs}), nil
 }
@@ -495,9 +488,10 @@ func (d *adaptiveDriver) detectSkew(n *ShuffledHashJoinExec, left *QueryStageExe
 		return nil, 0, 0
 	}
 	hash := keyHash(bindKeys(d.ctx, n.LeftKeys, n.Left.Output()))
+	parts, _ := left.stage.Value(d.jc) // memoized: it ran when left was made
 	bytes := make([]int64, eff)
 	var total int64
-	for _, part := range left.parts {
+	for _, part := range parts {
 		for _, r := range part {
 			sz := r.ObjectSize()
 			bytes[int(hash(r)%uint64(eff))] += sz
@@ -538,9 +532,9 @@ func skewSplittable(t plan.JoinType) bool {
 	return false
 }
 
-// Execute serves the already-computed stage output as a partition leaf.
+// Execute serves the stage's partitions.
 func (q *QueryStageExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	return rdd.FromPartitions(ctx.RDD, q.parts)
+	return rdd.FromStage(q.stage)
 }
 
 func (q *QueryStageExec) SimpleString() string {

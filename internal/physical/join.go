@@ -2,10 +2,9 @@ package physical
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/columnar"
@@ -26,46 +25,17 @@ func rowsSize(rows []row.Row) int64 {
 	return n
 }
 
-// LazyBuild memoizes a per-query build-side materialization (broadcast
-// hash table, collected rows, interval tree, ...) that runs as a nested
-// job inside the first probe task — so build-side failures and
-// cancellation flow through the task path instead of panicking at
-// plan-build time. A terminal failure is memoized, a context cancellation is
-// not: workers keep the built RDD per SQL text, and a task that timed out
-// must not poison a later run.
-type LazyBuild[T any] struct {
-	mu   sync.Mutex
-	done bool
-	val  T
-	err  error
-}
-
-// Get runs build under the mutex on first use and serves the memoized
-// result afterwards.
-func (b *LazyBuild[T]) Get(jc context.Context, build func(context.Context) (T, error)) (T, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.done {
-		return b.val, b.err
-	}
-	val, err := build(jc)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return val, err // retryable by the next task
-	}
-	b.done, b.val, b.err = true, val, err
-	return val, err
-}
-
-// collectBuild materializes a join's build side and records its size.
-func collectBuild(jc context.Context, build *rdd.RDD[row.Row], om *OperatorMetrics) ([]row.Row, error) {
-	rows, err := build.CollectContext(jc)
-	if err != nil {
-		return nil, err
-	}
-	if om != nil {
-		om.RecordBuild(len(rows), rowsSize(rows))
-	}
-	return rows, nil
+// BuildStage is a join's build side run as a stage: collected once per query,
+// before any probe task starts, its size recorded for the build metric, and
+// turned by index into the value the probe tasks read.
+func BuildStage[V any](build *rdd.RDD[row.Row], om *OperatorMetrics, index func(rows []row.Row) V) *rdd.Stage[V] {
+	return rdd.NewStage(build, func(_ context.Context, parts [][]row.Row) (V, error) {
+		rows := slices.Concat(parts...)
+		if om != nil {
+			om.RecordBuild(len(rows), rowsSize(rows))
+		}
+		return index(rows), nil
+	})
 }
 
 // Join execution. The planner extracts equi-join keys from the join
@@ -261,17 +231,17 @@ func (j *BroadcastHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	om := j.EnableMetrics(ctx.Metrics)
 	// Build one side, stream the other (right-outer joins stream the right).
 	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, ctx.Codegen)
-	hj.broadcast = j.buildSide().Execute(ctx)
+	table := BuildStage(j.buildSide().Execute(ctx), om, hj.build)
 	return rdd.MapPartitionsCtx(j.probeSide().Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
-		table, err := hj.broadcastTable(jc)
+		t, err := table.Value(jc)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		out := hj.probe(table, in)
+		out := hj.probe(t, in)
 		om.RecordPartition(len(out), time.Since(start))
 		return out, nil
-	})
+	}).Reads(table)
 }
 
 // hashJoin is a hash join bound for execution — what the broadcast, shuffled
@@ -289,10 +259,6 @@ type hashJoin struct {
 	// row's at buildAt (left cells first).
 	width, probeAt, buildAt int
 	residual                func(row.Row) bool // over the joined row; nil = none
-
-	// A broadcast join's build side, collected and indexed once per query.
-	broadcast *rdd.RDD[row.Row]
-	lazy      LazyBuild[*joinTable]
 }
 
 // newHashJoin binds j to build the side buildRight names and probe from the
@@ -324,18 +290,6 @@ func (h *hashJoin) build(rows []row.Row) *joinTable {
 	t := newJoinTable(rows, newKeyChunk(h.buildEvals, h.keyTypes, h.typed, len(rows)))
 	h.om.RecordTable(t.groups.count(), t.groups.grows)
 	return t
-}
-
-// broadcastTable materializes the broadcast build side inside the first probe
-// task that asks.
-func (h *hashJoin) broadcastTable(jc context.Context) (*joinTable, error) {
-	return h.lazy.Get(jc, func(jc context.Context) (*joinTable, error) {
-		rows, err := collectBuild(jc, h.broadcast, h.om)
-		if err != nil {
-			return nil, err
-		}
-		return h.build(rows), nil
-	})
 }
 
 // probe streams one partition of probe rows through the table, a key chunk
@@ -408,34 +362,15 @@ func (j *ShuffledHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		return out
 	}
 
-	if refs := skewChunks(j.SkewSplits, n, j.Type); refs != nil {
-		// Skew-split execution: each chunk of an oversized probe bucket
-		// joins against that bucket's full build side as its own task, so
-		// one hot key no longer serializes behind a single reducer. The
-		// memoized shuffles compute their map sides once; chunks fetch.
-		return rdd.GenerateCtx(ctx.RDD, "skewjoin", len(refs), func(jc context.Context, q int) ([]row.Row, error) {
+	// Skew-split execution: each chunk of an oversized probe bucket joins
+	// against that bucket's full build side as its own task, so one hot key no
+	// longer serializes behind a single reducer.
+	refs := skewChunks(j.SkewSplits, n, j.Type)
+	return rdd.ZipAt(probeShuf, buildShuf, len(refs), func(q int) int { return refs[q].part },
+		func(_ context.Context, q int, ps, bs []row.Row) ([]row.Row, error) {
 			ref := refs[q]
-			ps, err := probeShuf.PartitionContext(jc, ref.part)
-			if err != nil {
-				return nil, err
-			}
-			bs, err := buildShuf.PartitionContext(jc, ref.part)
-			if err != nil {
-				return nil, err
-			}
-			lo := len(ps) * ref.idx / ref.of
-			hi := len(ps) * (ref.idx + 1) / ref.of
-			return probe(ps[lo:hi], bs), nil
+			return probe(ps[len(ps)*ref.idx/ref.of:len(ps)*(ref.idx+1)/ref.of], bs), nil
 		})
-	}
-
-	zipped, err := rdd.ZipPartitions(probeShuf, buildShuf, func(_ int, ps, bs []row.Row) []row.Row { return probe(ps, bs) })
-	if err != nil {
-		// Both sides are hash-partitioned to n above; unequal counts here
-		// are a planner bug, not a runtime task failure.
-		panic(err)
-	}
-	return zipped
 }
 
 // chunkRef addresses one probe-side chunk of one reduce partition.
@@ -443,28 +378,22 @@ type chunkRef struct {
 	part, idx, of int
 }
 
-// skewChunks expands a per-partition split vector into the ordered chunk
-// list, or nil when splitting does not apply (no splits, a count mismatch
-// from a diverged config, or a join type whose reduce output is not
+// skewChunks is a shuffled join's task list: reduce partition p cut into
+// splits[p] contiguous probe-side chunks, in (partition, chunk) order, or one
+// task per partition when splitting does not apply (no splits, a count
+// mismatch from a diverged config, or a join type whose reduce output is not
 // probe-input-ordered).
 func skewChunks(splits []int, n int, t plan.JoinType) []chunkRef {
-	if len(splits) != n || !skewSplittable(t) {
-		return nil
-	}
-	total := 0
-	for _, s := range splits {
-		if s < 1 {
-			return nil
+	if len(splits) != n || !skewSplittable(t) || slices.ContainsFunc(splits, func(s int) bool { return s < 1 }) {
+		splits = make([]int, n)
+		for p := range splits {
+			splits[p] = 1
 		}
-		total += s
 	}
-	if total == n { // every partition in one chunk: nothing is split
-		return nil
-	}
-	refs := make([]chunkRef, 0, total)
-	for p, s := range splits {
-		for c := 0; c < s; c++ {
-			refs = append(refs, chunkRef{part: p, idx: c, of: s})
+	refs := make([]chunkRef, 0, n)
+	for p, of := range splits {
+		for c := 0; c < of; c++ {
+			refs = append(refs, chunkRef{part: p, idx: c, of: of})
 		}
 	}
 	return refs
@@ -498,15 +427,12 @@ func (j *NestedLoopJoinExec) String() string { return Format(j) }
 func (j *NestedLoopJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	leftOut, rightOut := j.Left.Output(), j.Right.Output()
 	match := residualPred(ctx, j.Cond, leftOut, rightOut)
-	build := j.Right.Execute(ctx)
-	lazy := &LazyBuild[[]row.Row]{}
 	nRight := len(rightOut)
 	t := j.Type
 	om := j.EnableMetrics(ctx.Metrics)
+	build := BuildStage(j.Right.Execute(ctx), om, func(rows []row.Row) []row.Row { return rows })
 	return rdd.MapPartitionsCtx(j.Left.Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
-		rightRows, err := lazy.Get(jc, func(jc context.Context) ([]row.Row, error) {
-			return collectBuild(jc, build, om)
-		})
+		rightRows, err := build.Value(jc)
 		if err != nil {
 			return nil, err
 		}
@@ -532,5 +458,5 @@ func (j *NestedLoopJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		}
 		om.RecordPartition(len(out), time.Since(start))
 		return out, nil
-	})
+	}).Reads(build)
 }

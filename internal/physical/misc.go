@@ -117,8 +117,9 @@ func (l *LimitExec) String() string                     { return Format(l) }
 func (l *LimitExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	child := l.Child.Execute(ctx)
 	n := l.N
-	// Lazy: the scan runs as a nested job inside the limit's single task,
-	// so child failures and cancellation propagate through the task path.
+	// The limit's single task reads the child's partitions in order until it
+	// has n rows — a narrow read, like a coalesce, so the child's stages are
+	// its stages and have run when it starts.
 	om := l.EnableMetrics(ctx.Metrics)
 	return rdd.GenerateCtx(ctx.RDD, "limit", 1, func(jc context.Context, _ int) ([]row.Row, error) {
 		start := time.Now()
@@ -127,7 +128,7 @@ func (l *LimitExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 			om.RecordPartition(len(out), time.Since(start))
 		}
 		return out, err
-	})
+	}).Reads(child.Stages()...)
 }
 
 // topKMax is the largest LIMIT that plans, directly over a global ORDER BY, as
@@ -171,17 +172,20 @@ func (t *TopKExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		}
 		return out
 	})
-	// Lazy, like the limit: the child runs as a nested job inside the merge task.
+	// The partitions' candidates are a stage; one task merges them.
+	cands := rdd.NewStage(tops, func(_ context.Context, parts [][]row.Row) ([]row.Row, error) {
+		return slices.Concat(parts...), nil
+	})
 	return rdd.GenerateCtx(ctx.RDD, "topK", 1, func(jc context.Context, _ int) ([]row.Row, error) {
 		start := time.Now()
-		parts, err := tops.CollectPartitionsContext(jc)
+		in, err := cands.Value(jc)
 		if err != nil {
 			return nil, err
 		}
-		out := topRows(slices.Concat(parts...), t.N, less)
+		out := topRows(in, t.N, less)
 		om.RecordPartition(len(out), time.Since(start))
 		return out, nil
-	})
+	}).Reads(cands)
 }
 
 // topRows returns the n first rows of in under less, sorted, equal rows in

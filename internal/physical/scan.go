@@ -60,8 +60,8 @@ type BatchSource struct {
 	// task's run of partitions by.
 	PartitionBytes []int64
 	// Batches opens partition p under the task's context: a fused join runs
-	// its build and probe there, which can fail or be cancelled (a leaf scan
-	// returns no error). Each call of the function it returns
+	// its probe there, which can fail or be cancelled (a leaf scan returns no
+	// error). Each call of the function it returns
 	// yields the partition's next batch, and false after the last: Cols[j]
 	// is output position j as a typed vector (nil where used[j] was false),
 	// N the batch's row count, and Sel the selection of all N: a scan with
@@ -70,6 +70,9 @@ type BatchSource struct {
 	// next call, and its Sel must not be written to. The scan records its
 	// own metrics (batches, rows decoded, rows selected).
 	Batches func(jc context.Context, p int) (func() (datasource.Batch, bool), error)
+	// Stages are the stages Batches reads (a fused join's build sides), which
+	// the RDD whose tasks open the partitions reads in turn.
+	Stages []rdd.Dep
 }
 
 // NewLocalScan scans in-memory rows, splitting them across the default

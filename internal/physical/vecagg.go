@@ -78,7 +78,7 @@ func (f *FusedAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD
 		})
 		om.RecordTable(groups.count(), groups.grows)
 		return splitGroups(groups, lanes, numPart), err
-	})
+	}).Reads(vp.src.Stages...)
 
 	return h.finalMerge(ctx, om, blocks, numPart, k.fns, k.newLanes, k.results, sink)
 }

@@ -120,8 +120,8 @@ func (f *FusedBroadcastJoinExec) Results(ctx *ExecContext, sink ResultSink) *rdd
 // one batch, every position selected, holding the columns the consumer marked
 // used.
 func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) BatchSource {
-	parts, probe := f.open(ctx, used)
-	return BatchSource{NumPartitions: parts, Batches: func(jc context.Context, p int) (func() (datasource.Batch, bool), error) {
+	parts, stages, probe := f.open(ctx, used)
+	return BatchSource{NumPartitions: parts, Stages: stages, Batches: func(jc context.Context, p int) (func() (datasource.Batch, bool), error) {
 		pr, err := probe(jc, p)
 		if err != nil {
 			return nil, err
@@ -135,9 +135,10 @@ func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) Batc
 	}}
 }
 
-// open binds the join for one execution and returns its partition count and
-// the probe of one partition, whose output is the columns used marks.
-func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, func(context.Context, int) (*joinProbe, error)) {
+// open binds the join for one execution and returns its partition count, the
+// stages its probe reads — the probe pipeline's and the build side — and the
+// probe of one partition, whose output is the columns used marks.
+func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, []rdd.Dep, func(context.Context, int) (*joinProbe, error)) {
 	j := f.Join
 	pipe := j.probeSide().(*VectorizedPipelineExec)
 	om := f.EnableMetrics(ctx.Metrics)
@@ -146,11 +147,11 @@ func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, func(
 	}
 	k := j.compileProbeKeys(pipe.Output())
 	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, k.typed)
-	hj.broadcast = j.buildSide().Execute(ctx)
+	table := BuildStage(j.buildSide().Execute(ctx), om, hj.build)
 	vp := pipe.compile(ctx, om, f.probeReads(hj, used))
 	out := f.Output()
-	return vp.tasks(), func(jc context.Context, p int) (*joinProbe, error) {
-		ht, err := hj.broadcastTable(jc)
+	return vp.tasks(), append(slices.Clip(vp.src.Stages), table), func(jc context.Context, p int) (*joinProbe, error) {
+		ht, err := table.Value(jc)
 		if err != nil {
 			return nil, err
 		}

@@ -140,7 +140,7 @@ func (v *VectorizedPipelineExec) Results(ctx *ExecContext, sink ResultSink) *rdd
 		})
 		om.RecordPartition(rows, time.Since(start))
 		return out, err
-	})
+	}).Reads(vp.src.Stages...)
 }
 
 // vecPipe is a vectorized pipeline compiled for execution: the batch loop

@@ -162,20 +162,12 @@ func (e *IntervalJoinExec) Execute(ctx *physical.ExecContext) *rdd.RDD[row.Row] 
 	endEval := expr.MustBind(e.LeftEnd, leftOut)
 	pointEval := expr.MustBind(e.RightPoint, e.Right.Output())
 
-	// The build side materializes lazily, as a nested job inside the first
-	// probe task, so build failures and cancellation propagate through the
-	// task path instead of panicking at plan-build time.
-	buildSide := e.Left.Execute(ctx)
+	// The build side is a stage: collected once, before any probe task.
 	type builtTree struct {
 		tree *Tree
 		rows []row.Row
 	}
-	var lazy physical.LazyBuild[builtTree]
-	load := func(jc context.Context) (builtTree, error) {
-		leftRows, err := buildSide.CollectContext(jc)
-		if err != nil {
-			return builtTree{}, err
-		}
+	build := physical.BuildStage(e.Left.Execute(ctx), nil, func(leftRows []row.Row) builtTree {
 		intervals := make([]Interval, 0, len(leftRows))
 		for i, r := range leftRows {
 			s, en := startEval.Eval(r), endEval.Eval(r)
@@ -184,8 +176,8 @@ func (e *IntervalJoinExec) Execute(ctx *physical.ExecContext) *rdd.RDD[row.Row] 
 			}
 			intervals = append(intervals, Interval{Start: asLong(s), End: asLong(en), Payload: i})
 		}
-		return builtTree{tree: Build(intervals), rows: leftRows}, nil
-	}
+		return builtTree{tree: Build(intervals), rows: leftRows}
+	})
 
 	var residual func(l, r row.Row) bool
 	if e.Residual != nil {
@@ -201,7 +193,7 @@ func (e *IntervalJoinExec) Execute(ctx *physical.ExecContext) *rdd.RDD[row.Row] 
 	}
 
 	return rdd.MapPartitionsCtx(e.Right.Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
-		b, err := lazy.Get(jc, load)
+		b, err := build.Value(jc)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +217,7 @@ func (e *IntervalJoinExec) Execute(ctx *physical.ExecContext) *rdd.RDD[row.Row] 
 			}
 		}
 		return out, nil
-	})
+	}).Reads(build)
 }
 
 func asLong(v any) int64 {

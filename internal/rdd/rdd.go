@@ -9,6 +9,13 @@
 // shuffle materialization, the DAGScheduler's fail-fast job abort — follows
 // the Spark model.
 //
+// Scheduling: an action is a DAG of stages cut where a task would otherwise
+// wait on another job — a shuffle's map side, a join's build side (Stage).
+// Every RDD records the stages its tasks read; narrow transforms inherit their
+// parents'. An action runs those stages first, each after the stages its own
+// parent reads, so the schedule is bottom-up and a task only ever reads a
+// stage that has finished.
+//
 // Failure semantics: a compute panic or error is one failed task attempt,
 // retried up to maxTaskAttempts with deterministic exponential backoff.
 // The first terminal failure cancels all in-flight and pending sibling
@@ -56,6 +63,9 @@ type Context struct {
 	// ErrRemoteFallback and that were computed locally instead; registered
 	// under the "cluster." scope because it measures the cluster layer.
 	remoteFallbacks *metrics.Counter
+	// stagesNested counts stages run from inside a task because no action ran
+	// them first: a worker computing one partition (PartitionContext).
+	stagesNested *metrics.Counter
 	// traceDropped counts spans the fixed-capacity trace ring evicted
 	// unexported ("trace.dropped") so truncation is observable.
 	traceDropped *metrics.Counter
@@ -119,6 +129,7 @@ func NewContext(parallelism int) *Context {
 		shuffleBytes:        s.Counter("shuffle.bytes"),
 		speculativeLaunches: s.Counter("speculation.launches"),
 		speculativeWins:     s.Counter("speculation.wins"),
+		stagesNested:        s.Counter("stages.nested"),
 		remoteFallbacks:     reg.Scoped("cluster").Counter("fallback"),
 		backoffBase:         defaultBackoffBase,
 		backoffMax:          defaultBackoffMax,
@@ -180,9 +191,6 @@ func (c *Context) beginJob(jc context.Context) (context.Context, int64, bool) {
 	return context.WithValue(jc, jobIDKey{}, id), id, true
 }
 
-// TasksRun returns the number of task executions (including retries).
-func (c *Context) TasksRun() int64 { return c.tasksRun.Load() }
-
 // TaskRetries returns how many task attempts failed and were retried.
 func (c *Context) TaskRetries() int64 { return c.taskRetries.Load() }
 
@@ -196,10 +204,6 @@ func (c *Context) Recomputes() int64 { return c.recomputes.Load() }
 
 // ShuffleRecords returns the number of records moved through shuffles.
 func (c *Context) ShuffleRecords() int64 { return c.shuffleRecords.Load() }
-
-// ShuffleBytes returns the estimated (sampled) bytes moved through
-// shuffles; zero when the record type cannot report sizes.
-func (c *Context) ShuffleBytes() int64 { return c.shuffleBytes.Load() }
 
 // SpeculativeLaunches returns how many backup task attempts were started
 // for suspected stragglers.
@@ -313,6 +317,9 @@ type RDD[T any] struct {
 	numPart int
 	// compute rebuilds partition p from lineage under a job context.
 	compute func(jc context.Context, p int) ([]T, error)
+	// stages are the stages compute reads, run by an action before its first
+	// task, in order.
+	stages []Dep
 
 	// cache state; nil when not cached.
 	cacheMu   sync.Mutex
@@ -346,13 +353,6 @@ func Parallelize[T any](ctx *Context, data []T, numPartitions int) *RDD[T] {
 		out := make([]T, hi-lo)
 		copy(out, data[lo:hi])
 		return out, nil
-	})
-}
-
-// FromPartitions builds an RDD from pre-partitioned data.
-func FromPartitions[T any](ctx *Context, parts [][]T) *RDD[T] {
-	return newRDD(ctx, "fromPartitions", len(parts), func(_ context.Context, p int) ([]T, error) {
-		return parts[p], nil
 	})
 }
 
@@ -562,9 +562,11 @@ func (rec *runRecorder) median() (time.Duration, bool) {
 // goroutines that pull the next index from a shared counter, so a stack grows
 // once per worker per stage, not once per task. It is fail-fast: the first
 // error cancels the context the tasks run under and no further index is
-// picked up. The workers belong to the stage, not to the Context: a reduce
-// task materializes its shuffle's map side — a nested stage — from inside its
-// own slot, which a shared fixed pool would deadlock on. queued is how long
+// picked up. The workers belong to the stage, not to the Context; since an
+// action runs the stages its tasks read before the tasks (computeAll), only a
+// task run outside an action — a worker's PartitionContext — can still start a
+// stage from inside its slot, and a shared fixed pool would deadlock on that
+// one. queued is how long
 // the stage had an index pending while every worker was busy (zero when
 // n <= parallelism).
 func (c *Context) runStage(jc context.Context, n int, task func(runCtx context.Context, i int) error) (queued time.Duration, err error) {
@@ -602,13 +604,16 @@ func (c *Context) runStage(jc context.Context, n int, task func(runCtx context.C
 	return time.Duration(waited.Load()), err
 }
 
-// computeAll materializes all partitions on the stage runner, fail-fast: the
-// first terminal task failure cancels all in-flight tasks and stops pending
-// partitions being picked up, and the error is returned to the caller. With
-// speculation enabled, partitions running far beyond the median completed
-// time get a backup attempt, first finisher wins.
+// computeAll materializes all partitions on the stage runner, after the
+// stages they read, fail-fast: the first terminal task failure cancels all
+// in-flight tasks and stops pending partitions being picked up, and the error
+// is returned to the caller. With speculation enabled, partitions running far
+// beyond the median completed time get a backup attempt, first finisher wins.
 func (r *RDD[T]) computeAll(jc context.Context) ([][]T, error) {
 	jc, jobID, _ := r.ctx.beginJob(jc)
+	if err := runStages(jc, r.stages); err != nil {
+		return nil, err
+	}
 	stageStart := time.Now()
 	out := make([][]T, r.numPart)
 	rec := &runRecorder{}
@@ -715,15 +720,19 @@ func (r *RDD[T]) Collect() ([]T, error) {
 	return r.CollectContext(context.Background())
 }
 
-// emitJobSpan records the end-to-end span of one top-level action.
-func (r *RDD[T]) emitJobSpan(jc context.Context, job int64, action string, start time.Time, parts [][]T, err error) {
-	if r.ctx.Trace() == nil && traceSink(jc) == nil {
-		return
+// action computes every partition of r for the action named name, and records
+// the end-to-end job span when it is the top-level action.
+func (r *RDD[T]) action(jc context.Context, name string) ([][]T, error) {
+	jc, jobID, top := r.ctx.beginJob(jc)
+	start := time.Now()
+	parts, err := r.computeAll(jc)
+	if !top || r.ctx.Trace() == nil && traceSink(jc) == nil {
+		return parts, err
 	}
 	span := metrics.Span{
 		Kind:  metrics.SpanJob,
-		Name:  action + ":" + r.name,
-		Job:   job,
+		Name:  name + ":" + r.name,
+		Job:   jobID,
 		Start: metrics.Since(start),
 		DurNS: time.Since(start).Nanoseconds(),
 	}
@@ -734,6 +743,7 @@ func (r *RDD[T]) emitJobSpan(jc context.Context, job int64, action string, start
 		span.Err = err.Error()
 	}
 	r.ctx.emitSpan(jc, span)
+	return parts, err
 }
 
 // Batched is implemented by a pointer to an element that stands for several
@@ -758,12 +768,7 @@ func records[T any](part []T) int64 {
 // deadline expiring) cancels the job's pending and in-flight tasks and
 // returns the context's error.
 func (r *RDD[T]) CollectContext(jc context.Context) ([]T, error) {
-	jc, jobID, top := r.ctx.beginJob(jc)
-	start := time.Now()
-	parts, err := r.computeAll(jc)
-	if top {
-		r.emitJobSpan(jc, jobID, "collect", start, parts, err)
-	}
+	parts, err := r.action(jc, "collect")
 	if err != nil {
 		return nil, err
 	}
@@ -778,23 +783,6 @@ func (r *RDD[T]) CollectContext(jc context.Context) ([]T, error) {
 	return out, nil
 }
 
-// CollectPartitionsContext materializes the RDD preserving partition
-// boundaries — the adaptive executor's stage action. It shares
-// CollectContext's retry, cancellation and tracing semantics; only the
-// shape of the result differs.
-func (r *RDD[T]) CollectPartitionsContext(jc context.Context) ([][]T, error) {
-	jc, jobID, top := r.ctx.beginJob(jc)
-	start := time.Now()
-	parts, err := r.computeAll(jc)
-	if top {
-		r.emitJobSpan(jc, jobID, "stage", start, parts, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return parts, nil
-}
-
 // Count returns the number of records: elements, or the records of Batched
 // ones.
 func (r *RDD[T]) Count() (int64, error) {
@@ -803,12 +791,7 @@ func (r *RDD[T]) Count() (int64, error) {
 
 // CountContext is Count under a job context.
 func (r *RDD[T]) CountContext(jc context.Context) (int64, error) {
-	jc, jobID, top := r.ctx.beginJob(jc)
-	start := time.Now()
-	parts, err := r.computeAll(jc)
-	if top {
-		r.emitJobSpan(jc, jobID, "count", start, parts, err)
-	}
+	parts, err := r.action(jc, "count")
 	if err != nil {
 		return 0, err
 	}
@@ -827,12 +810,7 @@ func (r *RDD[T]) ForeachPartition(f func(p int, data []T)) error {
 
 // ForeachPartitionContext is ForeachPartition under a job context.
 func (r *RDD[T]) ForeachPartitionContext(jc context.Context, f func(p int, data []T)) error {
-	jc, jobID, top := r.ctx.beginJob(jc)
-	start := time.Now()
-	parts, err := r.computeAll(jc)
-	if top {
-		r.emitJobSpan(jc, jobID, "foreach", start, parts, err)
-	}
+	parts, err := r.action(jc, "foreach")
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -13,6 +14,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 func intsUpTo(n int) []int {
@@ -222,12 +225,12 @@ func TestZipPartitions(t *testing.T) {
 	ctx := NewContext(2)
 	a := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
 	b := Parallelize(ctx, []string{"a", "b", "c", "d"}, 2)
-	zipped, err := ZipPartitions(a, b, func(p int, xs []int, ys []string) []string {
+	zipped, err := ZipPartitionsCtx(a, b, func(_ context.Context, p int, xs []int, ys []string) ([]string, error) {
 		out := make([]string, len(xs))
 		for i := range xs {
 			out[i] = ys[i]
 		}
-		return out
+		return out, nil
 	})
 	if err != nil {
 		t.Fatalf("zip: %v", err)
@@ -242,7 +245,7 @@ func TestZipPartitions(t *testing.T) {
 func TestZipPartitionsMismatchedCounts(t *testing.T) {
 	ctx := NewContext(2)
 	a := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
-	_, err := ZipPartitions(a, Parallelize(ctx, []int{1}, 1), func(int, []int, []int) []int { return nil })
+	_, err := ZipPartitionsCtx(a, Parallelize(ctx, []int{1}, 1), func(context.Context, int, []int, []int) ([]int, error) { return nil, nil })
 	if err == nil {
 		t.Fatal("mismatched partition counts must return an error")
 	}
@@ -849,28 +852,80 @@ func TestStageRunner(t *testing.T) {
 		}
 	})
 
-	t.Run("a nested stage completes with one slot", func(t *testing.T) {
+	t.Run("a stage waits on its parents", func(t *testing.T) {
 		ctx := NewContext(1)
-		pairs := Map(Parallelize(ctx, intsUpTo(400), 8), func(i int) Pair[int, int] { return Pair[int, int]{Key: i % 10, Value: 1} })
-		done := make(chan error, 1)
-		var got []Pair[int, int]
-		go func() {
-			var err error
-			got, err = ReduceByKey(pairs, func(a, b int) int { return a + b }, 4).Collect()
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+		var most atomic.Int64
+		before := 0
+		peak := func() {
+			n := runtime.NumGoroutine()
+			// The worker of the stage before may still be exiting after its
+			// stage returned: wait that out, not a worker that stays.
+			for try := 0; n > before+1 && try < 20; try++ {
+				time.Sleep(10 * time.Microsecond)
+				n = runtime.NumGoroutine()
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("a reduce task computing its map side from inside the only slot never finished")
+			if int64(n) > most.Load() {
+				most.Store(int64(n)) // one slot: tasks do not race
+			}
+		}
+		pairs := Map(Parallelize(ctx, intsUpTo(400), 8), func(i int) Pair[int, int] {
+			peak()
+			return Pair[int, int]{Key: i % 10, Value: 1}
+		})
+		sum := func(a, b int) int { peak(); return a + b }
+		before = runtime.NumGoroutine()
+		got, err := ReduceByKey(pairs, sum, 4).Collect()
+		if err != nil {
+			t.Fatal(err)
 		}
 		if len(got) != 10 || got[0].Value != 40 {
 			t.Fatalf("reduced to %v", got)
 		}
+		if most.Load() > int64(before+1) {
+			t.Fatalf("%d goroutines alive inside a task, %d before the action: a reduce slot ran its map side on a worker of its own", most.Load(), before)
+		}
+		var mapEnd, reduceStart int64 = 0, math.MaxInt64
+		for _, sp := range ctx.Trace().Snapshot() {
+			switch {
+			case sp.Kind != metrics.SpanTask:
+			case strings.Contains(sp.Name, ".shuffle"):
+				reduceStart = min(reduceStart, sp.Start)
+			default:
+				mapEnd = max(mapEnd, sp.Start+sp.DurNS/1000)
+			}
+		}
+		if mapEnd == 0 || mapEnd > reduceStart {
+			t.Fatalf("the map stage's last task ended at %d us, the first reduce task started at %d us", mapEnd, reduceStart)
+		}
+		if n := ctx.registry.Counter("rdd.stages.nested").Load(); n != 0 {
+			t.Fatalf("rdd.stages.nested = %d after an action", n)
+		}
 	})
+}
+
+// The one place a task still runs a stage from inside its slot: a partition
+// computed outside an action, as a cluster worker computes the one partition
+// it was sent. It runs the map side once and rdd.stages.nested says so; an
+// action over the same graph afterwards finds the stage done.
+func TestPartitionContextRunsNestedStage(t *testing.T) {
+	ctx := NewContext(2)
+	pairs := Map(Parallelize(ctx, intsUpTo(40), 4), func(i int) Pair[int, int] { return Pair[int, int]{Key: i % 5, Value: i} })
+	r := PartitionByKey(pairs, 3)
+	nested := ctx.registry.Counter("rdd.stages.nested")
+	for p := 0; p < 3; p++ {
+		if _, err := r.PartitionContext(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := nested.Load(); n != 1 {
+		t.Fatalf("rdd.stages.nested = %d after three partitions of one shuffle, want 1", n)
+	}
+	if out := collect(t, r); len(out) != 40 || nested.Load() != 1 {
+		t.Fatalf("collected %d records, rdd.stages.nested = %d", len(out), nested.Load())
+	}
+	if n := collect(t, PartitionByKey(pairs, 3)); len(n) != 40 || nested.Load() != 1 {
+		t.Fatalf("an action counted a nested stage: %d", nested.Load())
+	}
 }
 
 func BenchmarkComputeAllManyPartitions(b *testing.B) {

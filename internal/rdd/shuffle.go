@@ -2,20 +2,18 @@ package rdd
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
 )
 
-// Wide (shuffle) dependencies. A shuffle materializes the map side once —
-// bucketing every parent partition's records by hash of key — and then
-// serves reduce-side partitions from the buckets, the same two-stage
-// structure as Spark's shuffle. Map-side task failures are retried by the
-// map tasks' own runTask loops; a terminal map-stage failure surfaces to
-// every reduce task as the map stage's JobError.
+// Wide (shuffle) dependencies. A shuffle's map side is a Stage — every parent
+// partition's records bucketed by hash of key, once — that an action runs
+// before any reduce task, which then serves its partition from the buckets:
+// the two-stage structure of Spark's shuffle. Map-side task failures are
+// retried by the map tasks' own runTask loops; a terminal map-stage failure
+// fails the action as the map stage's JobError.
 
 // Pair is a key-value record for the byKey operations.
 type Pair[K comparable, V any] struct {
@@ -60,9 +58,6 @@ func fnvHash(s string) uint64 {
 // sequential pass. A panicking bucket function fails the stage with an error
 // (fail-fast, like computeAll).
 func bucketize[T any](jc context.Context, ctx *Context, parts [][]T, numPartitions int, bucket func(T) int) ([][]T, error) {
-	if jc == nil {
-		jc = context.Background()
-	}
 	locals := make([][][]T, len(parts))
 	_, err := ctx.runStage(jc, len(parts), func(_ context.Context, pi int) (err error) {
 		defer func() {
@@ -95,34 +90,6 @@ func bucketize[T any](jc context.Context, ctx *Context, parts [][]T, numPartitio
 		buckets[b] = merged
 	}
 	return buckets, nil
-}
-
-// shuffleState materializes the map-side buckets exactly once per shuffle.
-// Terminal failures are memoized (the stage is dead for this job run), but
-// context-cancellation errors are NOT: a query that timed out must not
-// poison a later run of the same shuffle.
-type shuffleState[T any] struct {
-	mu      sync.Mutex
-	done    bool
-	buckets [][]T
-	err     error
-}
-
-// materialize runs build under the mutex on first use and serves the
-// memoized result afterwards.
-func (st *shuffleState[T]) materialize(jc context.Context, build func(context.Context) ([][]T, error)) ([][]T, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.done {
-		return st.buckets, st.err
-	}
-	buckets, err := build(jc)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return nil, err // retryable on the next job run
-	}
-	st.done = true
-	st.buckets, st.err = buckets, err
-	return st.buckets, st.err
 }
 
 // objectSized is implemented by record types that can report an
@@ -163,11 +130,6 @@ func sampledSize[T any](parts [][]T) int64 {
 type Codec[T any] struct {
 	Encode func([]T) ([]byte, error)
 	Decode func([]byte) ([]T, error)
-}
-
-// shuffled builds the reduce-side RDD over a lazily materialized map side.
-func shuffled[T any](parent *RDD[T], name string, numPartitions int, bucket func(T) int) *RDD[T] {
-	return shuffledPrepCodec(parent, name, numPartitions, func([][]T) func(T) int { return bucket }, nil)
 }
 
 // shuffledPrepCodec is shuffled with a late-bound bucket function and optional
@@ -214,19 +176,16 @@ func ExchangePresplit[T any](r *RDD[T], numPartitions int, records func(T) int64
 	}, nil)
 }
 
-// shuffledScatter builds the reduce-side RDD over a lazily materialized map
-// side; scatter turns the materialized map partitions into one bucket per
-// reduce partition and reports the records it moved. With a codec and an
-// installed ShuffleService, a reduce task first tries to fetch its bucket
-// from a peer that already ran this
-// shuffle's map side; a miss (nobody ran it, the owner died, the block was
-// evicted, the bytes do not decode) falls back to the local materialize
-// path — exactly the lineage-recompute story, so a lost shuffle output
-// costs recompute time, never correctness. After a local materialization
-// the buckets are published (best effort) for peers working other
-// partitions of the same query.
+// shuffledScatter builds the reduce-side RDD over the map stage; scatter
+// turns the map partitions into one bucket per reduce partition and reports
+// the records it moved. With a codec and an installed ShuffleService, the map
+// stage publishes its buckets (best effort) for peers working other partitions
+// of the same query, and a reduce task first tries to fetch its bucket from a
+// peer that already ran this shuffle's map side; a miss (nobody ran it, the
+// owner died, the block was evicted, the bytes do not decode) falls back to
+// the map stage — exactly the lineage-recompute story, so a lost shuffle
+// output costs recompute time, never correctness.
 func shuffledScatter[T any](parent *RDD[T], name string, numPartitions int, scatter func(jc context.Context, parts [][]T) ([][]T, int64, error), codec *Codec[T]) *RDD[T] {
-	st := &shuffleState[T]{}
 	shuffleID := ""
 	var svc ShuffleService
 	if codec != nil {
@@ -234,7 +193,39 @@ func shuffledScatter[T any](parent *RDD[T], name string, numPartitions int, scat
 			shuffleID = parent.ctx.nextShuffleID()
 		}
 	}
-	var publishOnce sync.Once
+	mapSide := NewStage(parent, func(jc context.Context, parts [][]T) ([][]T, error) {
+		start := time.Now()
+		buckets, records, err := scatter(jc, parts)
+		if err == nil {
+			parent.ctx.shuffleRecords.Add(records)
+		}
+		if parent.ctx.Trace() != nil || traceSink(jc) != nil {
+			span := metrics.Span{
+				Kind:    metrics.SpanShuffle,
+				Name:    name,
+				Start:   metrics.Since(start),
+				DurNS:   time.Since(start).Nanoseconds(),
+				Bytes:   sampledSize(parts),
+				Records: records,
+			}
+			span.Job, _ = jobIDFrom(jc)
+			parent.ctx.shuffleBytes.Add(span.Bytes)
+			if err != nil {
+				span.Err = err.Error()
+			}
+			parent.ctx.emitSpan(jc, span)
+		}
+		if err == nil && shuffleID != "" {
+			enc := make([][]byte, len(buckets))
+			for i, b := range buckets {
+				if enc[i], err = codec.Encode(b); err != nil {
+					return buckets, nil // unencodable records: peers recompute instead
+				}
+			}
+			svc.Publish(jc, shuffleID, enc)
+		}
+		return buckets, err
+	})
 	return newRDD(parent.ctx, name, numPartitions, func(jc context.Context, p int) ([]T, error) {
 		if shuffleID != "" {
 			if data, ok, ferr := svc.FetchBucket(jc, shuffleID, p); ferr == nil && ok {
@@ -243,52 +234,12 @@ func shuffledScatter[T any](parent *RDD[T], name string, numPartitions int, scat
 				}
 			}
 		}
-		buckets, err := st.materialize(jc, func(jc context.Context) ([][]T, error) {
-			parts, err := parent.computeAll(jc)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			buckets, records, berr := scatter(jc, parts)
-			if berr == nil {
-				parent.ctx.shuffleRecords.Add(records)
-			}
-			if parent.ctx.Trace() != nil || traceSink(jc) != nil {
-				span := metrics.Span{
-					Kind:    metrics.SpanShuffle,
-					Name:    name,
-					Start:   metrics.Since(start),
-					DurNS:   time.Since(start).Nanoseconds(),
-					Bytes:   sampledSize(parts),
-					Records: records,
-				}
-				span.Job, _ = jobIDFrom(jc)
-				parent.ctx.shuffleBytes.Add(span.Bytes)
-				if berr != nil {
-					span.Err = berr.Error()
-				}
-				parent.ctx.emitSpan(jc, span)
-			}
-			return buckets, berr
-		})
+		buckets, err := mapSide.Value(jc)
 		if err != nil {
 			return nil, err
 		}
-		if shuffleID != "" {
-			publishOnce.Do(func() {
-				enc := make([][]byte, len(buckets))
-				for i, b := range buckets {
-					data, eerr := codec.Encode(b)
-					if eerr != nil {
-						return // unencodable records: peers recompute instead
-					}
-					enc[i] = data
-				}
-				svc.Publish(jc, shuffleID, enc)
-			})
-		}
 		return buckets[p], nil
-	})
+	}).Reads(mapSide)
 }
 
 // PartitionByKey hash-partitions a pair RDD into numPartitions partitions
@@ -298,15 +249,14 @@ func PartitionByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) 
 	if numPartitions < 1 {
 		numPartitions = r.ctx.parallelism
 	}
-	return shuffled(r, r.name+".shuffle", numPartitions, func(kv Pair[K, V]) int {
-		return hashKey(kv.Key, numPartitions)
-	})
+	bucket := func(kv Pair[K, V]) int { return hashKey(kv.Key, numPartitions) }
+	return shuffledPrepCodec(r, r.name+".shuffle", numPartitions, func([][]Pair[K, V]) func(Pair[K, V]) int { return bucket }, nil)
 }
 
 // ReduceByKey merges values per key with f, combining map-side first
 // (Spark's combiner) so the shuffle moves one record per key per partition.
 func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(V, V) V, numPartitions int) *RDD[Pair[K, V]] {
-	combined := MapPartitions(r, func(_ int, in []Pair[K, V]) []Pair[K, V] {
+	combine := func(_ int, in []Pair[K, V]) []Pair[K, V] {
 		m := make(map[K]V, len(in))
 		for _, kv := range in {
 			if cur, ok := m[kv.Key]; ok {
@@ -320,23 +270,8 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], f func(V, V) V, numPar
 			out = append(out, Pair[K, V]{Key: k, Value: v})
 		}
 		return out
-	})
-	shuffledKV := PartitionByKey(combined, numPartitions)
-	return MapPartitions(shuffledKV, func(_ int, in []Pair[K, V]) []Pair[K, V] {
-		m := make(map[K]V, len(in))
-		for _, kv := range in {
-			if cur, ok := m[kv.Key]; ok {
-				m[kv.Key] = f(cur, kv.Value)
-			} else {
-				m[kv.Key] = kv.Value
-			}
-		}
-		out := make([]Pair[K, V], 0, len(m))
-		for k, v := range m {
-			out = append(out, Pair[K, V]{Key: k, Value: v})
-		}
-		return out
-	})
+	}
+	return MapPartitions(PartitionByKey(MapPartitions(r, combine), numPartitions), combine)
 }
 
 // GroupByKey gathers all values per key (no combiner — the expensive
@@ -373,18 +308,13 @@ func PartitionByHashCodec[T any](r *RDD[T], numPartitions int, hash func(T) uint
 	}, codec)
 }
 
-// PartitionByFunc partitions records by a bucket function derived from the
-// materialized map side: prep receives every parent partition (in order)
-// and returns the bucket assignment. The physical layer's range exchange
-// uses it to sample sort-key boundaries before bucketing, so a global sort
-// parallelizes instead of coalescing onto one partition. Bucket values are
-// clamped into [0, numPartitions).
-func PartitionByFunc[T any](r *RDD[T], numPartitions int, prep func(parts [][]T) func(T) int) *RDD[T] {
-	return PartitionByFuncCodec(r, numPartitions, prep, nil)
-}
-
-// PartitionByFuncCodec is PartitionByFunc with cross-worker bucket
-// exchange (see PartitionByHashCodec).
+// PartitionByFuncCodec partitions records by a bucket function derived from
+// the map side: prep receives every parent partition (in order) and returns
+// the bucket assignment. The physical layer's range exchange uses it to
+// sample sort-key boundaries before bucketing, so a global sort parallelizes
+// instead of coalescing onto one partition. Bucket values are clamped into
+// [0, numPartitions). The codec enables cross-worker bucket exchange (see
+// PartitionByHashCodec).
 func PartitionByFuncCodec[T any](r *RDD[T], numPartitions int, prep func(parts [][]T) func(T) int, codec *Codec[T]) *RDD[T] {
 	if numPartitions < 1 {
 		numPartitions = r.ctx.parallelism

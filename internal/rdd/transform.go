@@ -7,16 +7,24 @@ import (
 
 // Transformations are package-level functions because Go methods cannot
 // introduce new type parameters. All are lazy: they build a new RDD whose
-// compute function pulls from the parent (a narrow dependency), except the
-// shuffle-based operations in shuffle.go.
+// compute function pulls from the parent (a narrow dependency) and that reads
+// the parent's stages, except the shuffle-based operations in shuffle.go.
 
-// Map applies f to every element.
-func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
-	return newRDD(r.ctx, r.name+".map", r.numPart, func(jc context.Context, p int) ([]U, error) {
+// narrow is r with f applied to each of its partitions, in a task of its own
+// named r's name plus suffix, reading r's stages.
+func narrow[T, U any](r *RDD[T], suffix string, f func(jc context.Context, p int, in []T) ([]U, error)) *RDD[U] {
+	return newRDD(r.ctx, r.name+suffix, r.numPart, func(jc context.Context, p int) ([]U, error) {
 		in, err := r.partition(jc, p)
 		if err != nil {
 			return nil, err
 		}
+		return f(jc, p, in)
+	}).Reads(r.stages...)
+}
+
+// Map applies f to every element.
+func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
+	return narrow(r, ".map", func(_ context.Context, _ int, in []T) ([]U, error) {
 		out := make([]U, len(in))
 		for i, v := range in {
 			out[i] = f(v)
@@ -27,11 +35,7 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 
 // Filter keeps elements satisfying pred.
 func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
-	return newRDD(r.ctx, r.name+".filter", r.numPart, func(jc context.Context, p int) ([]T, error) {
-		in, err := r.partition(jc, p)
-		if err != nil {
-			return nil, err
-		}
+	return narrow(r, ".filter", func(_ context.Context, _ int, in []T) ([]T, error) {
 		out := make([]T, 0, len(in)/2)
 		for _, v := range in {
 			if pred(v) {
@@ -44,11 +48,7 @@ func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
 
 // FlatMap applies f and concatenates the results.
 func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	return newRDD(r.ctx, r.name+".flatMap", r.numPart, func(jc context.Context, p int) ([]U, error) {
-		in, err := r.partition(jc, p)
-		if err != nil {
-			return nil, err
-		}
+	return narrow(r, ".flatMap", func(_ context.Context, _ int, in []T) ([]U, error) {
 		var out []U
 		for _, v := range in {
 			out = append(out, f(v)...)
@@ -62,27 +62,15 @@ func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
 // (paper §4.3.3, "pipelining projections or filters into one Spark map
 // operation").
 func MapPartitions[T, U any](r *RDD[T], f func(p int, in []T) []U) *RDD[U] {
-	return newRDD(r.ctx, r.name+".mapPartitions", r.numPart, func(jc context.Context, p int) ([]U, error) {
-		in, err := r.partition(jc, p)
-		if err != nil {
-			return nil, err
-		}
-		return f(p, in), nil
-	})
+	return narrow(r, ".mapPartitions", func(_ context.Context, p int, in []T) ([]U, error) { return f(p, in), nil })
 }
 
 // MapPartitionsCtx is MapPartitions for partition functions that observe
-// the job context or fail with an error — operators that run nested jobs
-// inside a task (a broadcast build side, a limit's scan) use it so nested
-// failures and cancellation propagate instead of panicking.
+// the job context or fail with an error — operators that read a stage's value
+// inside a task (a broadcast join's table) use it so the stage's failure or
+// cancellation propagates instead of panicking.
 func MapPartitionsCtx[T, U any](r *RDD[T], f func(jc context.Context, p int, in []T) ([]U, error)) *RDD[U] {
-	return newRDD(r.ctx, r.name+".mapPartitions", r.numPart, func(jc context.Context, p int) ([]U, error) {
-		in, err := r.partition(jc, p)
-		if err != nil {
-			return nil, err
-		}
-		return f(jc, p, in)
-	})
+	return narrow(r, ".mapPartitions", f)
 }
 
 // MapOutput is r with f applied to what each of its tasks returns, inside the
@@ -96,7 +84,7 @@ func MapOutput[T, U any](r *RDD[T], f func(out []T) []U) *RDD[U] {
 			return nil, err
 		}
 		return f(out), nil
-	})
+	}).Reads(r.stages...)
 }
 
 // Union concatenates the partitions of two RDDs.
@@ -106,7 +94,7 @@ func Union[T any](a, b *RDD[T]) *RDD[T] {
 			return a.partition(jc, p)
 		}
 		return b.partition(jc, p-a.numPart)
-	})
+	}).Reads(a.stages...).Reads(b.stages...)
 }
 
 // Coalesce reduces the partition count without a shuffle by concatenating
@@ -127,7 +115,7 @@ func Coalesce[T any](r *RDD[T], numPartitions int) *RDD[T] {
 			out = append(out, part...)
 		}
 		return out, nil
-	})
+	}).Reads(r.stages...)
 }
 
 // Reduce folds all elements with f; ok is false for an empty RDD.
@@ -157,6 +145,9 @@ func Take[T any](r *RDD[T], n int) ([]T, error) {
 
 // TakeContext is Take under a job context.
 func TakeContext[T any](jc context.Context, r *RDD[T], n int) ([]T, error) {
+	if err := runStages(jc, r.stages); err != nil {
+		return nil, err
+	}
 	out := make([]T, 0, n)
 	for p := 0; p < r.numPart && len(out) < n; p++ {
 		part, err := r.partition(jc, p)
@@ -173,47 +164,34 @@ func TakeContext[T any](jc context.Context, r *RDD[T], n int) ([]T, error) {
 	return out, nil
 }
 
-// ZipPartitions combines the corresponding partitions of two RDDs with
-// equal partition counts — the primitive under shuffled hash joins (both
-// sides are hash-partitioned the same way, then joined partition-by-
-// partition). Unequal partition counts are a construction error.
-func ZipPartitions[A, B, C any](a *RDD[A], b *RDD[B], f func(p int, left []A, right []B) []C) (*RDD[C], error) {
-	if a.numPart != b.numPart {
-		return nil, fmt.Errorf("rdd: ZipPartitions requires equal partition counts (%d vs %d)",
-			a.numPart, b.numPart)
-	}
-	return newRDD(a.ctx, "zipPartitions", a.numPart, func(jc context.Context, p int) ([]C, error) {
-		left, err := a.partition(jc, p)
-		if err != nil {
-			return nil, err
-		}
-		right, err := b.partition(jc, p)
-		if err != nil {
-			return nil, err
-		}
-		return f(p, left, right), nil
-	}), nil
-}
-
-// ZipPartitionsCtx is ZipPartitions for partition functions that observe
-// the job context or fail with an error — the sort-merge join uses it so
-// spill-file write failures inside a task surface as retryable task errors.
+// ZipPartitionsCtx combines the corresponding partitions of two RDDs with
+// equal partition counts — the primitive under the sort-merge join (both sides
+// are hash-partitioned the same way, then joined partition by partition).
+// Unequal partition counts are a construction error; f's errors (a spill-file
+// write failing) are retryable task errors.
 func ZipPartitionsCtx[A, B, C any](a *RDD[A], b *RDD[B], f func(jc context.Context, p int, left []A, right []B) ([]C, error)) (*RDD[C], error) {
 	if a.numPart != b.numPart {
 		return nil, fmt.Errorf("rdd: ZipPartitions requires equal partition counts (%d vs %d)",
 			a.numPart, b.numPart)
 	}
-	return newRDD(a.ctx, "zipPartitions", a.numPart, func(jc context.Context, p int) ([]C, error) {
-		left, err := a.partition(jc, p)
+	return ZipAt(a, b, a.numPart, func(p int) int { return p }, f), nil
+}
+
+// ZipAt is the zip with n partitions of its own: partition q combines
+// partition at(q) of a with the same partition of b, so several tasks may
+// split one pair of partitions between them — the skew-split join's chunks.
+func ZipAt[A, B, C any](a *RDD[A], b *RDD[B], n int, at func(q int) int, f func(jc context.Context, q int, left []A, right []B) ([]C, error)) *RDD[C] {
+	return newRDD(a.ctx, "zipPartitions", n, func(jc context.Context, q int) ([]C, error) {
+		left, err := a.partition(jc, at(q))
 		if err != nil {
 			return nil, err
 		}
-		right, err := b.partition(jc, p)
+		right, err := b.partition(jc, at(q))
 		if err != nil {
 			return nil, err
 		}
-		return f(jc, p, left, right)
-	}), nil
+		return f(jc, q, left, right)
+	}).Reads(a.stages...).Reads(b.stages...)
 }
 
 // Broadcast is a value shipped once to all tasks (paper §4.3.3's

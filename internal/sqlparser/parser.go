@@ -137,11 +137,17 @@ type parser struct {
 	pos   int
 	input string
 	depth int // nesting levels entered (enter)
+	chain int // operators of the left-deep chains being parsed (link)
 }
 
 // maxNesting bounds how deep subqueries, parentheses, NOT and unary minus
 // nest: deeper input is an error, not a stack overflow.
 const maxNesting = 1000
+
+// maxDepth bounds how deep an expression tree gets: its nesting plus the
+// binary operators a loop chains left-deep (a + b + c is two levels), which
+// cost the parser no stack but every later tree walk a level each.
+const maxDepth = 10000
 
 // enter counts one more level of nesting, failing past maxNesting; the caller
 // defers p.leave().
@@ -149,10 +155,21 @@ func (p *parser) enter() error {
 	if p.depth++; p.depth > maxNesting {
 		return p.errorf("nested deeper than %d levels", maxNesting)
 	}
-	return nil
+	return p.link(0)
 }
 
 func (p *parser) leave() { p.depth-- }
+
+// link counts n more chained operators, failing once the tree would be deeper
+// than maxDepth; the loop that chains them defers p.unlink(p.chain) first.
+func (p *parser) link(n int) error {
+	if p.chain += n; p.depth+p.chain > maxDepth {
+		return p.errorf("expression deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *parser) unlink(chain int) { p.chain = chain }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
@@ -736,7 +753,11 @@ func (p *parser) parseOr() (expr.Expression, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.unlink(p.chain)
 	for p.acceptKeyword("OR") {
+		if err := p.link(1); err != nil {
+			return nil, err
+		}
 		right, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -751,8 +772,12 @@ func (p *parser) parseAnd() (expr.Expression, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.unlink(p.chain)
 	for p.atKeyword("AND") {
 		p.advance()
+		if err := p.link(1); err != nil {
+			return nil, err
+		}
 		right, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -946,66 +971,58 @@ func (p *parser) parseAdditive() (expr.Expression, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.unlink(p.chain)
+	var concat *expr.Concat // the one a || chain so far appends to
 	for {
-		switch {
-		case p.at(tokOp, "+"):
-			p.advance()
-			right, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = expr.Add(left, right)
-		case p.at(tokOp, "-"):
-			p.advance()
-			right, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = expr.Sub(left, right)
-		case p.at(tokOp, "||"):
-			p.advance()
-			right, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = &expr.Concat{Args: []expr.Expression{left, right}}
-		default:
+		op := p.cur().text
+		if p.cur().kind != tokOp || op != "+" && op != "-" && op != "||" {
 			return left, nil
+		}
+		p.advance()
+		if err := p.link(1); err != nil {
+			return nil, err
+		}
+		right, err := p.parseMultiplicative()
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case op == "+":
+			left = expr.Add(left, right)
+		case op == "-":
+			left = expr.Sub(left, right)
+		case left == concat: // a || b || c is one concat(a, b, c)
+			concat.Args = append(concat.Args, right)
+		default:
+			concat = &expr.Concat{Args: []expr.Expression{left, right}}
+			left = concat
 		}
 	}
 }
+
+// mulOps builds the multiplicative operators.
+var mulOps = map[string]func(l, r expr.Expression) *expr.BinaryArith{"*": expr.Mul, "/": expr.Div, "%": expr.Mod}
 
 func (p *parser) parseMultiplicative() (expr.Expression, error) {
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
+	defer p.unlink(p.chain)
 	for {
-		switch {
-		case p.at(tokOp, "*"):
-			p.advance()
-			right, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			left = expr.Mul(left, right)
-		case p.at(tokOp, "/"):
-			p.advance()
-			right, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			left = expr.Div(left, right)
-		case p.at(tokOp, "%"):
-			p.advance()
-			right, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			left = expr.Mod(left, right)
-		default:
+		build, ok := mulOps[p.cur().text]
+		if p.cur().kind != tokOp || !ok {
 			return left, nil
 		}
+		p.advance()
+		if err := p.link(1); err != nil {
+			return nil, err
+		}
+		right, err := p.parseUnary()
+		if err != nil {
+			return nil, err
+		}
+		left = build(left, right)
 	}
 }
 

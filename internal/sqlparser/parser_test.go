@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -394,6 +395,33 @@ func TestParseNestingBounded(t *testing.T) {
 	}
 	if _, err := Parse("SELECT " + deep("(", "1", ")", maxNesting-2)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A left-deep chain costs the parser no stack — a loop builds it — but every
+// later tree walk a level per operator, so past maxDepth operators, nesting
+// included, it is an error too; at the bound it parses, and || chains append
+// to one concat.
+func TestParseChainDepthBounded(t *testing.T) {
+	chain := func(term, op string, n int) string { return strings.Repeat(term+op, n) + term }
+	for _, q := range []string{
+		"SELECT " + chain("1", " + ", maxDepth+1),
+		"SELECT " + chain("a", " * ", 100000),
+		"SELECT 1 WHERE " + chain("a", " OR ", maxDepth+1),
+		"SELECT 1 WHERE " + chain("a", " AND ", maxDepth+1),
+		"SELECT " + strings.Repeat("(", 900) + chain("1", " - ", maxDepth-800) + strings.Repeat(")", 900),
+	} {
+		if _, err := Parse(q); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("expression deeper than %d levels", maxDepth)) {
+			t.Errorf("Parse(%.30q…) = %v", q, err)
+		}
+	}
+	if _, err := Parse("SELECT " + chain("1", " + ", maxDepth-10)); err != nil {
+		t.Fatal(err)
+	}
+	lp := parseQuery(t, "SELECT "+chain("a", " || ", 3)+" + 1 || b FROM t")
+	got := lp.(*plan.Project).List[0].String()
+	if want := "concat((concat('a, 'a, 'a, 'a) + 1), 'b)"; got != want {
+		t.Fatalf("a || a || a || a + 1 || b = %s", got)
 	}
 }
 

@@ -260,11 +260,14 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		s.execute(out, query)
-		s.inflight.Done()
 		if s.ConnTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.ConnTimeout))
 		}
-		if err := out.Flush(); err != nil {
+		// A statement is in flight until its reply is written: Close closes
+		// every connection once none is, and would cut an unflushed reply.
+		err := out.Flush()
+		s.inflight.Done()
+		if err != nil {
 			return
 		}
 	}

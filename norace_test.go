@@ -1,0 +1,5 @@
+//go:build !race
+
+package sparksql
+
+const raceEnabled = false

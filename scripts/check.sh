@@ -80,6 +80,21 @@ if grep -nE "^[[:space:]]+($knobs|Parallelism|MemoryBudget)[[:space:]]" internal
 	echo "the session spec carries knobs one by one again" >&2
 	exit 1
 fi
+# One stage mechanism: a shuffle's map side, a join's build side, top-K's
+# candidates and an adaptive query stage are each an rdd.Stage that an action
+# runs before the tasks that read it. A second memoizer (LazyBuild,
+# shuffleState) or the adaptive driver's partition collector coming back is a
+# second mechanism; a task body in internal/physical or internal/rangejoin
+# that collects or computes another RDD's partition runs a job from inside
+# its slot again.
+if grep -rn 'LazyBuild\|shuffleState\|CollectPartitionsContext' --include='*.go' . | grep -v '_test\.go:'; then
+	echo "a second stage mechanism is back" >&2
+	exit 1
+fi
+if grep -n 'CollectContext(\|PartitionContext(' $(ls internal/physical/*.go internal/rangejoin/*.go | grep -v '_test\.go$'); then
+	echo "internal/physical or internal/rangejoin runs a job from inside a task" >&2
+	exit 1
+fi
 echo "internal/physical + internal/expr non-test lines: $(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) (ROADMAP target: <= 7835)"
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
@@ -101,9 +116,19 @@ PERF_GATE=1 go test -run '^TestFusionGate$' -v -timeout 10m ./internal/experimen
 
 # Stage runner: a stage's tasks on per-stage worker goroutines — the
 # goroutine bound over 2 000 partitions, fail-fast, cancellation, panic
-# retry, a nested stage on one slot, the stage span's queueing time —
-# repeated, since the race detector sees only the interleavings a run takes.
-go test -race -count=10 -run '^TestStageRunner$|^TestTraceSpansForCollect$' -timeout 5m ./internal/rdd/
+# retry, a stage waiting on its parents, the stage span's queueing time —
+# and the stage rule: a worker's PartitionContext is the one place a task
+# runs a stage, and a stage cancelled mid-run (map side, build side, top-K
+# candidates, skew-split join) does not poison the next run; repeated, since
+# the race detector sees only the interleavings a run takes.
+go test -race -count=10 -run '^TestStageRunner$|^TestTraceSpansForCollect$|^TestPartitionContextRunsNestedStage$|^TestStageSurvivesCancelledRun$' -timeout 5m ./internal/rdd/ ./internal/physical/
+
+# An expression chain is linear to analyse and bounded in depth: a left-deep
+# chain of +, OR or || as long as the parser allows is answered in
+# milliseconds (the limits scale under -race), and past the bound it is a
+# parse error.
+go test -race -run 'ChainIsLinear$' -timeout 5m .
+go test -run '^TestParseChainDepthBounded$' -timeout 5m ./internal/sqlparser/
 
 # Fusion property suite: every fused shape byte-identical to the row path,
 # at budgets down to one byte, over both batch leaves (the columnar cache

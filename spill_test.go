@@ -147,7 +147,17 @@ func spillCollect(t *testing.T, ctx *Context, query string) []Row {
 	if err != nil {
 		t.Fatalf("%q: %v", query, err)
 	}
+	noNestedStages(t, ctx)
 	return rows
+}
+
+// noNestedStages fails t when a task of ctx ran a stage from inside its slot:
+// a local action runs every stage its tasks read before the first one starts.
+func noNestedStages(t testing.TB, ctx *Context) {
+	t.Helper()
+	if n := ctx.Metrics().Counter("rdd.stages.nested").Load(); n != 0 {
+		t.Fatalf("rdd.stages.nested = %d: a task ran a stage nobody scheduled", n)
+	}
 }
 
 func rowsText(rows []Row) string {

@@ -403,6 +403,7 @@ func rddRows(t *testing.T, ctx *Context, q string) []Row {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
+	noNestedStages(t, ctx)
 	return rows
 }
 
@@ -416,6 +417,7 @@ func mustRunRows(t *testing.T, ctx *Context, q string) []Row {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
+	noNestedStages(t, ctx)
 	return rows
 }
 
