@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // BlockStore is a worker's in-memory shuffle-block storage: map outputs
@@ -146,10 +148,10 @@ func FetchBlock(addr, key string, timeout time.Duration) ([]byte, error) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	if err := WriteFrame(conn, fBlockGet, encodeString(key)); err != nil {
+	if err := frame.Write(conn, fBlockGet, encodeString(key)); err != nil {
 		return nil, fmt.Errorf("cluster: fetch %q from %s: %w", key, addr, err)
 	}
-	ft, payload, err := ReadFrame(conn)
+	ft, payload, err := frame.Read(conn)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: fetch %q from %s: %w", key, addr, err)
 	}
@@ -171,7 +173,7 @@ func FetchBlock(addr, key string, timeout time.Duration) ([]byte, error) {
 func serveBlocks(conn net.Conn, store *BlockStore) {
 	defer conn.Close()
 	for {
-		ft, payload, err := ReadFrame(conn)
+		ft, payload, err := frame.Read(conn)
 		if err != nil {
 			return
 		}
@@ -188,7 +190,7 @@ func serveBlocks(conn net.Conn, store *BlockStore) {
 		} else {
 			reply = blockDataMsg{Message: fmt.Sprintf("no such block %q", key)}
 		}
-		if err := WriteFrame(conn, fBlockData, encodeBlockData(reply)); err != nil {
+		if err := frame.Write(conn, fBlockData, encodeBlockData(reply)); err != nil {
 			return
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/metrics"
 )
 
@@ -70,7 +71,7 @@ type taskOutcome struct {
 func (w *workerState) send(frameType byte, payload []byte) error {
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
-	return WriteFrame(w.conn, frameType, payload)
+	return frame.Write(w.conn, frameType, payload)
 }
 
 // WorkerInfo is a snapshot row of cluster membership.
@@ -288,7 +289,7 @@ func (c *Coordinator) janitor() {
 // worker — in-flight tasks fail as worker-lost and retry elsewhere.
 func (c *Coordinator) handleConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	ft, payload, err := ReadFrame(conn)
+	ft, payload, err := frame.Read(conn)
 	if err != nil || ft != fRegister {
 		conn.Close()
 		return
@@ -336,7 +337,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 
 func (c *Coordinator) readLoop(w *workerState) {
 	for {
-		ft, payload, err := ReadFrame(w.conn)
+		ft, payload, err := frame.Read(w.conn)
 		if err != nil {
 			c.evict(w, fmt.Sprintf("connection lost: %v", err))
 			return

@@ -7,16 +7,22 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
+
+// The wire's framing: every message is one internal/frame frame whose kind
+// is the message type, written in one call and read back bounded and
+// checksummed.
 
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("abc"), 1000)}
 	for _, p := range payloads {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, fTask, p); err != nil {
+		if err := frame.Write(&buf, fTask, p); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		ft, got, err := ReadFrame(&buf)
+		ft, got, err := frame.Read(&buf)
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -31,85 +37,100 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, fTask, []byte("hello world")); err != nil {
+	if err := frame.Write(&buf, fTask, []byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for n := 0; n < len(full); n++ {
-		_, _, err := ReadFrame(bytes.NewReader(full[:n]))
+		_, _, err := frame.Read(bytes.NewReader(full[:n]))
 		if err == nil {
 			t.Fatalf("truncated frame at %d bytes decoded without error", n)
 		}
 	}
 }
 
+// TestFrameBitFlips: a flipped bit anywhere in a frame is an error, and in
+// the frame type, the checksum or the payload it is a checksum failure — a
+// task frame never arrives as a heartbeat.
 func TestFrameBitFlips(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, fTask, []byte("the quick brown fox")); err != nil {
+	if err := frame.Write(&buf, fTask, []byte("the quick brown fox")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for i := frameHeaderSize; i < len(full); i++ {
+	for i := range full {
 		for bit := 0; bit < 8; bit++ {
 			flipped := append([]byte(nil), full...)
 			flipped[i] ^= 1 << bit
-			_, _, err := ReadFrame(bytes.NewReader(flipped))
-			if !errors.Is(err, ErrFrameCorrupt) {
-				t.Fatalf("payload bit flip at byte %d bit %d: err = %v, want ErrFrameCorrupt", i, bit, err)
+			_, _, err := frame.Read(bytes.NewReader(flipped))
+			if lengthByte := i >= 1 && i < 5; err == nil || !lengthByte && !errors.Is(err, frame.ErrCorrupt) {
+				t.Fatalf("bit flip at byte %d bit %d: err = %v, want ErrCorrupt", i, bit, err)
 			}
 		}
 	}
 }
 
 func TestFrameOversizedLength(t *testing.T) {
-	hdr := make([]byte, frameHeaderSize)
+	hdr := make([]byte, frame.HeaderSize)
 	hdr[0] = fTask
-	binary.BigEndian.PutUint32(hdr[1:5], MaxFrameSize+1)
-	_, _, err := ReadFrame(bytes.NewReader(hdr))
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	binary.BigEndian.PutUint32(hdr[1:5], frame.MaxSize+1)
+	_, _, err := frame.Read(bytes.NewReader(hdr))
+	if !errors.Is(err, frame.ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 	// The bound must trip before allocation: a claimed 4GB-ish payload on a
 	// 9-byte stream must not OOM.
 	binary.BigEndian.PutUint32(hdr[1:5], 0xFFFFFFFF)
-	_, _, err = ReadFrame(bytes.NewReader(hdr))
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	_, _, err = frame.Read(bytes.NewReader(hdr))
+	if !errors.Is(err, frame.ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestWriteFrameTooLarge(t *testing.T) {
-	err := WriteFrame(io.Discard, fTask, make([]byte, MaxFrameSize+1))
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	err := frame.Write(io.Discard, fTask, make([]byte, frame.MaxSize+1))
+	if !errors.Is(err, frame.ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
 
-// FuzzReadFrame asserts the frame decoder never panics and never
-// over-allocates on arbitrary input.
+// FuzzReadFrame drives the wire's inbound path — a frame read off the
+// connection, then the message decoder its type selects — with arbitrary
+// bytes: no panic, no payload past frame.MaxSize, and a frame that reads
+// writes back identically.
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, fTask, []byte("seed payload"))
+	frame.Write(&buf, fTask, encodeTask(taskMsg{TaskID: 7, Kind: "sql.partition", Payload: []byte("p")}))
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{fHeartbeat, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{fTask, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4})
+	decoders := map[byte]func([]byte) error{
+		fRegister:   func(b []byte) error { _, err := decodeRegister(b); return err },
+		fTask:       func(b []byte) error { _, err := decodeTask(b); return err },
+		fTaskResult: func(b []byte) error { _, err := decodeTaskResult(b); return err },
+		fTaskError:  func(b []byte) error { _, err := decodeTaskError(b); return err },
+		fLocate:     func(b []byte) error { _, err := decodeLocate(b); return err },
+		fLocated:    func(b []byte) error { _, err := decodeLocated(b); return err },
+		fBlockData:  func(b []byte) error { _, err := decodeBlockData(b); return err },
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ft, payload, err := ReadFrame(bytes.NewReader(data))
+		ft, payload, err := frame.Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if len(payload) > MaxFrameSize {
-			t.Fatalf("decoded payload of %d bytes exceeds MaxFrameSize", len(payload))
+		if len(payload) > frame.MaxSize {
+			t.Fatalf("decoded payload of %d bytes exceeds MaxSize", len(payload))
 		}
-		// Round-trip what we decoded; it must read back identically.
+		if decode := decoders[ft]; decode != nil {
+			decode(payload)
+		}
 		var out bytes.Buffer
-		if err := WriteFrame(&out, ft, payload); err != nil {
+		if err := frame.Write(&out, ft, payload); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		ft2, payload2, err := ReadFrame(&out)
-		if err != nil || ft2 != ft || !bytes.Equal(payload2, payload) {
-			t.Fatalf("round trip mismatch: %v", err)
+		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatalf("frame does not write back to the bytes it was read from")
 		}
 	})
 }

@@ -23,7 +23,6 @@ import (
 	"repro/internal/cluster/sqlwire"
 	"repro/internal/columnar"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/expr"
 	"repro/internal/metrics"
 	"repro/internal/plan"
@@ -123,12 +122,7 @@ func buildContext(w *cluster.Worker, spec *sqlwire.SessionSpec) (*sparksql.Conte
 		// The same deterministic failure schedule the coordinator would run
 		// in-process: afflicted task attempts fail here too, and recover
 		// through this worker's own retry loop.
-		cc := experiments.ChaosConfig{
-			Seed:           spec.Chaos.Seed,
-			FailureRate:    spec.Chaos.FailureRate,
-			FailedAttempts: spec.Chaos.FailedAttempts,
-		}
-		rc.SetFailureHook(cc.Hook())
+		rc.SetFailureHook(spec.Chaos.Hook())
 	}
 	rc.SetShuffleService(w.Shuffle())
 
@@ -214,8 +208,8 @@ func (e *Executor) handlePartition(jc context.Context, w *cluster.Worker, payloa
 			q.SQL, bq.numPart, bq.planHash, q.NumPartitions, q.PlanHash))
 	}
 	// With a trace id on the task, capture this task's spans in a bounded
-	// sink so they ship back with the rows; without one, execute and reply
-	// byte-identically to the pre-observability protocol.
+	// sink so they ship back with the rows; without one, the reply carries
+	// rows only.
 	var sink *metrics.TraceBuffer
 	if q.TraceID != "" {
 		sink = metrics.NewTraceBuffer(taskSpanCap)
@@ -225,15 +219,13 @@ func (e *Executor) handlePartition(jc context.Context, w *cluster.Worker, payloa
 	if err != nil {
 		return nil, err
 	}
-	block, err := row.EncodeRows(rows)
-	if err != nil || q.TraceID == "" {
-		return block, err
+	reply := &sqlwire.TaskReply{Worker: w.ID()}
+	if reply.Rows, err = row.EncodeRows(rows); err != nil {
+		return nil, err
 	}
-	reply := &sqlwire.TaskReply{
-		Worker:   w.ID(),
-		Rows:     block,
-		Spans:    stampWorker(sink.Snapshot(), w.ID()),
-		Counters: counterSamples(s.ctx.RDDContext().Metrics(), taskCounterAllowlist),
+	if sink != nil {
+		reply.Spans = stampWorker(sink.Snapshot(), w.ID())
+		reply.Counters = counterSamples(s.ctx.RDDContext().Metrics(), taskCounterAllowlist)
 	}
 	return sqlwire.EncodeTaskReply(reply)
 }

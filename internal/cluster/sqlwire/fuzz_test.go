@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/metrics"
 )
 
@@ -104,7 +105,7 @@ func FuzzDecodeTaskReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		fixedPoint(t, in, DecodeTaskReply, EncodeTaskReply)
 		// The row block is framed raw: what decodes is the bytes that were sent.
-		if r, err := DecodeTaskReply(in); err == nil && !bytes.Equal(r.Rows, in[4:4+len(r.Rows)]) {
+		if r, err := DecodeTaskReply(in); err == nil && !bytes.Equal(r.Rows, in[frame.HeaderSize:frame.HeaderSize+len(r.Rows)]) {
 			t.Fatalf("row block mangled: %q", r.Rows)
 		}
 	})

@@ -16,10 +16,12 @@
 package sqlwire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"hash/fnv"
 
+	"repro/internal/frame"
 	"repro/internal/metrics"
 	"repro/internal/types"
 )
@@ -46,13 +48,34 @@ type TableSpec struct {
 	Partitions [][]byte    `json:"partitions"`
 }
 
-// ChaosSpec forwards the coordinator's deterministic fault-injection
-// schedule so workers fail the same task attempts an in-process run would.
+// ChaosSpec is the deterministic fault-injection schedule (see
+// experiments.ChaosConfig): the coordinator forwards it so workers fail the
+// same task attempts an in-process run would.
 type ChaosSpec struct {
 	Enabled        bool    `json:"enabled"`
 	Seed           uint64  `json:"seed"`
 	FailureRate    float64 `json:"failureRate"`
 	FailedAttempts int     `json:"failedAttempts"`
+}
+
+// Afflicted deterministically decides whether the task (name, partition)
+// is hit by the failure schedule.
+func (c ChaosSpec) Afflicted(name string, partition int) bool {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%s|%d", c.Seed, name, partition)
+	return float64(h.Sum64()%10_000) < c.FailureRate*10_000
+}
+
+// Hook returns the rdd failure hook implementing the schedule. Attempts
+// beyond FailedAttempts (including speculative backups, which are numbered
+// past the attempt budget) succeed, so every injected fault is recoverable.
+func (c ChaosSpec) Hook() func(name string, partition, attempt int) error {
+	return func(name string, partition, attempt int) error {
+		if attempt <= c.FailedAttempts && c.Afflicted(name, partition) {
+			return fmt.Errorf("chaos: injected failure of %s[%d] attempt %d", name, partition, attempt)
+		}
+		return nil
+	}
 }
 
 // SessionSpec is everything a worker needs to rebuild the coordinator's
@@ -98,11 +121,9 @@ type QueryTask struct {
 	// without the worker re-materializing stages. Empty = static plan.
 	Decisions []DecisionSpec `json:"decisions,omitempty"`
 	// TraceID propagates the coordinator's query/trace id (Dapper-style):
-	// when set, the worker tags every span it emits for this task with it,
-	// and returns those spans (plus a bounded counter snapshot) wrapped in
-	// a TaskReply instead of raw row blocks. Empty = observability off —
-	// the task encodes and the reply flows byte-identically to before this
-	// field existed.
+	// when set, the worker tags every span it emits for this task with it
+	// and returns those spans, plus a bounded counter snapshot, in its
+	// TaskReply. Empty = observability off: the reply carries rows only.
 	TraceID string `json:"traceID,omitempty"`
 	// ParentSpan is the id of the coordinator-side dispatch span this task
 	// executes under, so merged worker spans parent correctly.
@@ -155,13 +176,11 @@ func DecodeQuery(b []byte) (*QueryTask, error) {
 	return &q, nil
 }
 
-// TaskReply is the observability-enabled result of one query task: the row
-// block the worker computed, plus the spans its execution emitted (tagged
-// with the task's trace id) and a bounded snapshot of its metrics counters,
-// piggybacked so the coordinator merges worker-side observability without
-// extra round trips. Only sent when the QueryTask carried a TraceID; with
-// observability off the worker returns the raw row block, byte-identical
-// to the pre-observability wire format.
+// TaskReply is the result of one query task: the row block the worker
+// computed and, when the QueryTask carried a TraceID, the spans its
+// execution emitted (tagged with that id) and a bounded snapshot of its
+// metrics counters, piggybacked so the coordinator merges worker-side
+// observability without extra round trips.
 type TaskReply struct {
 	Worker   string          `json:"worker"`
 	Rows     []byte          `json:"-"` // framed raw, not JSON — see EncodeTaskReply
@@ -195,39 +214,39 @@ type ObsReply struct {
 	Spans    []metrics.Span  `json:"spans,omitempty"`
 }
 
-// EncodeTaskReply marshals a task reply as a 4-byte big-endian row-block
-// length, the raw row block, then the JSON observability trailer. The row
-// block stays raw bytes — running it through JSON would base64-inflate the
-// result payload by a third, which is exactly the kind of observability tax
-// the ≤5% overhead gate exists to forbid.
+// rowsKind is the frame kind of a task reply's row block.
+const rowsKind byte = 'R'
+
+// EncodeTaskReply marshals a task reply as one frame holding the raw row
+// block, then the JSON observability trailer. The row block stays raw
+// bytes — running it through JSON would base64-inflate the result payload
+// by a third, which is exactly the kind of observability tax the ≤5%
+// overhead gate exists to forbid.
 func EncodeTaskReply(r *TaskReply) ([]byte, error) {
 	meta, err := json.Marshal(r)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, 4+len(r.Rows)+len(meta))
-	out = append(out,
-		byte(len(r.Rows)>>24), byte(len(r.Rows)>>16), byte(len(r.Rows)>>8), byte(len(r.Rows)))
-	out = append(out, r.Rows...)
+	out := frame.Append(make([]byte, 0, frame.HeaderSize+len(r.Rows)+len(meta)), rowsKind, r.Rows)
 	return append(out, meta...), nil
 }
 
 // DecodeTaskReply is the inverse of EncodeTaskReply, rejecting trailing
 // garbage after the JSON trailer.
 func DecodeTaskReply(b []byte) (*TaskReply, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("sqlwire: task reply: truncated length prefix")
+	kind, rows, meta, err := frame.Next(b)
+	if err == nil && kind != rowsKind {
+		err = fmt.Errorf("frame kind %d, want %d", kind, rowsKind)
 	}
-	n := int(b[0])<<24 | int(b[1])<<16 | int(b[2])<<8 | int(b[3])
-	if n < 0 || len(b)-4 < n {
-		return nil, fmt.Errorf("sqlwire: task reply: row block length %d exceeds frame", n)
+	if err != nil {
+		return nil, fmt.Errorf("sqlwire: task reply: row block: %w", err)
 	}
 	var r TaskReply
-	if err := strictUnmarshal(b[4+n:], &r); err != nil {
+	if err := strictUnmarshal(meta, &r); err != nil {
 		return nil, fmt.Errorf("sqlwire: task reply: %w", err)
 	}
-	if n > 0 {
-		r.Rows = b[4 : 4+n]
+	if len(rows) > 0 {
+		r.Rows = rows
 	}
 	return &r, nil
 }
@@ -257,7 +276,7 @@ func DecodeObsReply(b []byte) (*ObsReply, error) {
 }
 
 func strictUnmarshal(b []byte, v any) error {
-	dec := json.NewDecoder(strings.NewReader(string(b)))
+	dec := json.NewDecoder(bytes.NewReader(b))
 	if err := dec.Decode(v); err != nil {
 		return err
 	}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // Handler executes one task kind on a worker. The returned bytes travel
@@ -114,7 +116,7 @@ func (w *Worker) send(frameType byte, payload []byte) error {
 	}
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
-	return WriteFrame(conn, frameType, payload)
+	return frame.Write(conn, frameType, payload)
 }
 
 // Run connects to the coordinator, registers, and serves until ctx is
@@ -147,11 +149,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		BlockAddr: blockLn.Addr().String(),
 		PID:       int64(os.Getpid()),
 	})
-	if err := WriteFrame(conn, fRegister, regPayload); err != nil {
+	if err := frame.Write(conn, fRegister, regPayload); err != nil {
 		return fmt.Errorf("cluster: worker register: %w", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	ft, payload, err := ReadFrame(conn)
+	ft, payload, err := frame.Read(conn)
 	if err != nil {
 		return fmt.Errorf("cluster: worker register ack: %w", err)
 	}
@@ -210,7 +212,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 func (w *Worker) readLoop(ctx context.Context, conn net.Conn, sem chan struct{}) error {
 	for {
-		ft, payload, err := ReadFrame(conn)
+		ft, payload, err := frame.Read(conn)
 		if err != nil {
 			return fmt.Errorf("cluster: worker connection lost: %w", err)
 		}

@@ -26,6 +26,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/sqlwire"
 	"repro/internal/expr"
+	"repro/internal/frame"
 	"repro/internal/metrics"
 	"repro/internal/physical"
 	"repro/internal/plan"
@@ -58,7 +59,7 @@ type ClusterOptions struct {
 
 // maxSpecBytes caps a shipped session: a spec that does not fit well
 // inside one frame marks the session unshippable and queries run locally.
-const maxSpecBytes = cluster.MaxFrameSize - 4096
+const maxSpecBytes = frame.MaxSize - 4096
 
 var sessionSeq atomic.Uint64
 
@@ -427,9 +428,8 @@ func (q *QueryExecution) CountDistributedContext(ctx context.Context, sql string
 // distributed builds the RemoteOrLocal wrapper for this query, or reports
 // ok=false when the query must run locally. With observability on, the
 // returned trace id tags every span of the query (local and remote) and
-// task payloads carry it so worker replies come back as TaskReply
-// envelopes; with it off the trace id is "" and the wire format is
-// byte-identical to the pre-observability protocol.
+// task payloads carry it, so worker replies bring back that task's spans
+// and counters; with it off the trace id is "" and replies carry rows only.
 func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[row.Row], func(), context.Context, string, bool) {
 	rt := q.engine.cluster
 	if rt == nil || sql == "" {
@@ -476,19 +476,16 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 		}
 		return b
 	}
-	decode := row.DecodeRows
-	if traceID != "" {
-		// Traced replies arrive as TaskReply envelopes: unwrap the rows and
-		// merge the worker's spans and counter samples into this
-		// coordinator's observability state.
-		decode = func(data []byte) ([]row.Row, error) {
-			reply, err := sqlwire.DecodeTaskReply(data)
-			if err != nil {
-				return nil, err
-			}
-			rt.absorbReply(reply)
-			return row.DecodeRows(reply.Rows)
+	// Every reply is a TaskReply: unwrap the rows and merge whatever spans
+	// and counter samples the worker sent into this coordinator's
+	// observability state.
+	decode := func(data []byte) ([]row.Row, error) {
+		reply, err := sqlwire.DecodeTaskReply(data)
+		if err != nil {
+			return nil, err
 		}
+		rt.absorbReply(reply)
+		return row.DecodeRows(reply.Rows)
 	}
 	return rdd.RemoteOrLocal(local, "sql.partition", payload, decode), cleanup, jc, traceID, true
 }

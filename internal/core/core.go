@@ -119,8 +119,8 @@ type Config struct {
 	// spans, completed actions append to the query event log (SHOW
 	// HISTORY, /history), and under a cluster the id ships in task specs
 	// so worker-side spans and counters merge back with attribution. Off,
-	// the wire protocol and all results are byte-identical to an engine
-	// without this layer.
+	// no trace id ships, worker replies carry rows only, and every result
+	// is identical.
 	Observability bool `json:"-"`
 	// DataDir, when set, makes persistent tables durable: the table store's
 	// write-ahead log and checkpoints mirror to this host directory, and a

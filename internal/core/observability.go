@@ -16,8 +16,7 @@ import (
 )
 
 // newTraceID allocates a query trace id, or "" with observability off —
-// the empty id keeps every wire payload and span byte-identical to an
-// engine without this layer.
+// the empty id tags no span and asks workers for no spans or counters.
 func (e *Engine) newTraceID() string {
 	if !e.Cfg.Observability {
 		return ""

@@ -30,6 +30,8 @@ type FileSystem struct {
 	// segment on every record.
 	dir     string
 	handles map[string]*os.File
+	// torn holds the paths whose torn or corrupt tail OpenDir cut off.
+	torn map[string]bool
 
 	// protected holds namespace prefixes registered via Protect: files under
 	// them survive DeletePrefix sweeps rooted outside the namespace, so a

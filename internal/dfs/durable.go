@@ -3,24 +3,29 @@
 // table store's write-ahead log and checkpoints need for crash recovery.
 //
 // Layout: each dfs path maps to one OS file whose name is the URL-escaped
-// path, and a file's blocks are stored as length-prefixed frames
-//
-//	[u32 big-endian length][payload] ...
-//
-// Appending a block appends one frame; a crash can therefore leave at most
-// one torn frame at the tail of a file, which the loader detects and drops
-// (the WAL's record CRCs catch anything subtler). Scratch namespaces
-// ("/tmp/", "/spill/") are never mirrored: spills are worthless after a
-// crash and must not be mistaken for durable state.
+// path, and each of a file's blocks is one internal/frame frame of kind
+// blockKind, CRC-checked. Appending a block appends one frame, so a crash
+// leaves at most one torn frame at the tail of a file; the loader keeps the
+// longest prefix of intact frames and cuts a torn or corrupt tail, so no
+// block comes back altered. A file that does not open with a block frame
+// is refused and left untouched. Scratch namespaces ("/tmp/", "/spill/")
+// are never mirrored: spills are worthless after a crash and must not be
+// mistaken for durable state.
 package dfs
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
 	"path/filepath"
+
+	"repro/internal/frame"
 )
+
+// blockKind is the frame kind of a mirrored block: not an ASCII byte, and
+// not the first byte of any file the earlier length-prefixed format wrote.
+const blockKind byte = 0xDB
 
 // memoryOnlyNamespaces are path prefixes that never reach the host disk.
 var memoryOnlyNamespaces = []string{"/tmp/", "/spill/"}
@@ -35,9 +40,10 @@ func memoryOnly(path string) bool {
 }
 
 // OpenDir opens a file system mirrored to dir, creating the directory if
-// needed and loading every file already present (dropping a torn trailing
-// frame per file, the possible residue of a crash mid-append). Durable
-// file systems charge no simulated I/O cost: the host disk is the cost.
+// needed and loading every file already present (cutting a torn or corrupt
+// tail per file, the possible residue of a crash mid-append). A file that
+// is not a block file fails the open, naming it. Durable file systems
+// charge no simulated I/O cost: the host disk is the cost.
 func OpenDir(dir string) (*FileSystem, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dfs: open %q: %w", dir, err)
@@ -45,6 +51,7 @@ func OpenDir(dir string) (*FileSystem, error) {
 	fs := New()
 	fs.dir = dir
 	fs.handles = make(map[string]*os.File)
+	fs.torn = make(map[string]bool)
 	fs.WriteNanosPerByte = 0
 	fs.ReadNanosPerByte = 0
 	entries, err := os.ReadDir(dir)
@@ -59,11 +66,13 @@ func OpenDir(dir string) (*FileSystem, error) {
 		if err != nil {
 			continue // not one of ours
 		}
-		blocks, err := loadFrames(filepath.Join(dir, ent.Name()))
+		osPath := filepath.Join(dir, ent.Name())
+		blocks, torn, err := loadFrames(osPath)
 		if err != nil {
-			return nil, fmt.Errorf("dfs: load %q: %w", path, err)
+			return nil, fmt.Errorf("dfs: load %s: %w", osPath, err)
 		}
 		fs.files[path] = blocks
+		fs.torn[path] = torn
 	}
 	return fs, nil
 }
@@ -77,45 +86,40 @@ func (fs *FileSystem) hostPath(path string) string {
 	return filepath.Join(fs.dir, url.PathEscape(path))
 }
 
-// loadFrames reads a mirrored file's frames, dropping a truncated tail —
-// and truncating the OS file back to the valid prefix, so that later
-// appends land after the last intact frame rather than after crash
-// garbage that would render them unreadable on the next load.
-func loadFrames(osPath string) ([][]byte, error) {
+// errForeign refuses a non-empty file whose first byte is not blockKind.
+var errForeign = errors.New("not a dfs block file")
+
+// loadFrames reads a mirrored file's blocks: the payloads of its longest
+// prefix of intact block frames. A torn or corrupt tail is truncated off
+// the OS file (torn reports it), so that later appends land after the last
+// intact frame rather than after garbage that would hide them on the next
+// load. A file that is not a block file is refused and left as it is.
+func loadFrames(osPath string) (blocks [][]byte, torn bool, err error) {
 	data, err := os.ReadFile(osPath)
-	if err != nil {
-		return nil, err
+	if err != nil || len(data) == 0 {
+		return nil, false, err
 	}
-	blocks, valid := parseFrames(data)
-	if valid < len(data) {
-		if err := os.Truncate(osPath, int64(valid)); err != nil {
-			return nil, err
-		}
+	if data[0] != blockKind {
+		return nil, false, errForeign
 	}
-	return blocks, nil
-}
-
-// parseFrames splits a mirrored file's bytes into the payloads of its whole
-// frames (copies) and the length of the prefix they cover; what follows is
-// a torn tail from a crash mid-append.
-func parseFrames(data []byte) (blocks [][]byte, valid int) {
 	rest := data
-	for len(rest) >= 4 {
-		n := binary.BigEndian.Uint32(rest[:4])
-		if uint64(len(rest)-4) < uint64(n) {
-			break
+	for len(rest) > 0 {
+		kind, payload, next, err := frame.Next(rest)
+		if err != nil || kind != blockKind {
+			return blocks, true, os.Truncate(osPath, int64(len(data)-len(rest)))
 		}
-		blocks = append(blocks, append([]byte(nil), rest[4:4+n]...))
-		rest = rest[4+n:]
+		blocks = append(blocks, payload)
+		rest = next
 	}
-	return blocks, len(data) - len(rest)
+	return blocks, false, nil
 }
 
-func frame(block []byte) []byte {
-	out := make([]byte, 4+len(block))
-	binary.BigEndian.PutUint32(out, uint32(len(block)))
-	copy(out[4:], block)
-	return out
+// TornTail reports whether OpenDir cut a torn or corrupt tail off path's
+// mirrored file and nothing has written the path since.
+func (fs *FileSystem) TornTail(path string) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.torn[path]
 }
 
 // mirrorWrite replaces a path's OS file with the given blocks, atomically
@@ -125,6 +129,7 @@ func (fs *FileSystem) mirrorWrite(path string, blocks [][]byte) error {
 	if fs.dir == "" || memoryOnly(path) {
 		return nil
 	}
+	delete(fs.torn, path)
 	if h, ok := fs.handles[path]; ok {
 		h.Close()
 		delete(fs.handles, path)
@@ -135,8 +140,10 @@ func (fs *FileSystem) mirrorWrite(path string, blocks [][]byte) error {
 	if err != nil {
 		return fmt.Errorf("dfs: mirror %q: %w", path, err)
 	}
+	var buf []byte
 	for _, b := range blocks {
-		if _, err := f.Write(frame(b)); err != nil {
+		buf = frame.Append(buf[:0], blockKind, b)
+		if _, err := f.Write(buf); err != nil {
 			f.Close()
 			return fmt.Errorf("dfs: mirror %q: %w", path, err)
 		}
@@ -161,6 +168,7 @@ func (fs *FileSystem) mirrorAppend(path string, block []byte) error {
 	if fs.dir == "" || memoryOnly(path) {
 		return nil
 	}
+	delete(fs.torn, path)
 	h, ok := fs.handles[path]
 	if !ok {
 		var err error
@@ -170,7 +178,7 @@ func (fs *FileSystem) mirrorAppend(path string, block []byte) error {
 		}
 		fs.handles[path] = h
 	}
-	if _, err := h.Write(frame(block)); err != nil {
+	if _, err := h.Write(frame.Append(nil, blockKind, block)); err != nil {
 		return fmt.Errorf("dfs: append %q: %w", path, err)
 	}
 	return nil
@@ -181,6 +189,7 @@ func (fs *FileSystem) mirrorDelete(path string) {
 	if fs.dir == "" || memoryOnly(path) {
 		return
 	}
+	delete(fs.torn, path)
 	if h, ok := fs.handles[path]; ok {
 		h.Close()
 		delete(fs.handles, path)

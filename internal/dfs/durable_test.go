@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -169,5 +170,31 @@ func TestDurableTornTail(t *testing.T) {
 	re.DeletePrefix("") // broad sweep: store files survive
 	if !re.Exists("store/wal-1") {
 		t.Fatal("broad sweep deleted protected durable file")
+	}
+}
+
+// TestOpenDirRefusesForeignFile: a file in the directory that is not a block
+// file — another program's text, or a WAL segment of the earlier
+// length-prefixed format — fails the open with the file's name, and is left
+// byte for byte as it was, never truncated.
+func TestOpenDirRefusesForeignFile(t *testing.T) {
+	oldWAL := []byte{0, 0, 0, 23, 'S', 'W', 'A', 'L', 0, 0, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0}
+	for name, content := range map[string][]byte{
+		"notes.txt":          []byte("notes on the data directory\n"),
+		"store%2Fwal-000000": oldWAL,
+	} {
+		dir := t.TempDir()
+		osPath := filepath.Join(dir, name)
+		if err := os.WriteFile(osPath, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenDir(dir)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s: OpenDir err = %v, want a refusal naming the file", name, err)
+		}
+		after, err := os.ReadFile(osPath)
+		if err != nil || !bytes.Equal(after, content) {
+			t.Fatalf("%s: file now %q (%v), want it untouched", name, after, err)
+		}
 	}
 }

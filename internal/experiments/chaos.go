@@ -9,6 +9,7 @@ import (
 	"time"
 
 	sparksql "repro"
+	"repro/internal/cluster/sqlwire"
 	"repro/internal/datagen"
 	"repro/internal/dfs"
 	"repro/internal/rdd"
@@ -41,30 +42,11 @@ func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{Seed: 0xC4A05, N: 2000, FailureRate: 0.1, FailedAttempts: 2}
 }
 
-// afflicted deterministically decides whether the task (name, partition)
-// is hit by the failure schedule.
-func (c ChaosConfig) afflicted(name string, partition int) bool {
-	h := fnv64(fmt.Sprintf("%d|%s|%d", c.Seed, name, partition))
-	return float64(h%10_000) < c.FailureRate*10_000
-}
-
-// hook returns the rdd failure hook implementing the schedule. Attempts
-// beyond FailedAttempts (including speculative backups, which are numbered
-// past the attempt budget) succeed, so every injected fault is recoverable.
-func (c ChaosConfig) hook() func(name string, partition, attempt int) error {
-	return func(name string, partition, attempt int) error {
-		if attempt <= c.FailedAttempts && c.afflicted(name, partition) {
-			return fmt.Errorf("chaos: injected failure of %s[%d] attempt %d", name, partition, attempt)
-		}
-		return nil
-	}
-}
-
-// Hook exposes the schedule to other packages: worker processes of the
-// distributed chaos harness install the same deterministic hook so the
-// failure schedule is identical whether a task runs in-process or remote.
-func (c ChaosConfig) Hook() func(name string, partition, attempt int) error {
-	return c.hook()
+// spec is the schedule as the cluster ships it: worker processes install
+// the same deterministic hook, so the failure schedule is identical whether
+// a task runs in-process or remote.
+func (c ChaosConfig) spec() sqlwire.ChaosSpec {
+	return sqlwire.ChaosSpec{Enabled: true, Seed: c.Seed, FailureRate: c.FailureRate, FailedAttempts: c.FailedAttempts}
 }
 
 func fnv64(s string) uint64 {
@@ -180,7 +162,7 @@ func RunSQLChaos(cfg ChaosConfig) (injected int64, err error) {
 		rc := chaotic.RDDContext()
 		rc.SetBackoff(time.Microsecond, 50*time.Microsecond)
 		var faults atomic.Int64
-		base := cfg.hook()
+		base := cfg.spec().Hook()
 		rc.SetFailureHook(func(name string, partition, attempt int) error {
 			if err := base(name, partition, attempt); err != nil {
 				faults.Add(1)
@@ -237,7 +219,7 @@ func RunSpillChaos(cfg ChaosConfig) (injected int64, err error) {
 	rc := chaotic.RDDContext()
 	rc.SetBackoff(time.Microsecond, 50*time.Microsecond)
 	var faults atomic.Int64
-	base := cfg.hook()
+	base := cfg.spec().Hook()
 	rc.SetFailureHook(func(name string, partition, attempt int) error {
 		if err := base(name, partition, attempt); err != nil {
 			faults.Add(1)
@@ -255,7 +237,7 @@ func RunSpillChaos(cfg ChaosConfig) (injected int64, err error) {
 	// fault, and still has a clean attempt inside the engine's budget.
 	var spillFaults atomic.Int64
 	sfs.SetWriteFaultHook(func(path string, attempt int) error {
-		if attempt == 1 && cfg.afflicted("spill|"+path, 0) && spillFaults.Add(1) == 1 {
+		if attempt == 1 && cfg.spec().Afflicted("spill|"+path, 0) && spillFaults.Add(1) == 1 {
 			faults.Add(1)
 			return fmt.Errorf("chaos: injected spill-write failure of %s", path)
 		}
@@ -308,7 +290,7 @@ func RunRDDChaos(cfg ChaosConfig) error {
 		fs.Write(fmt.Sprintf("/chaos/blk%d", p), [][]byte{[]byte(sb.String())})
 	}
 	fs.SetReadFaultHook(func(path string, attempt int) error {
-		if attempt <= cfg.FailedAttempts && cfg.afflicted(path, 0) {
+		if attempt <= cfg.FailedAttempts && cfg.spec().Afflicted(path, 0) {
 			return fmt.Errorf("chaos: injected flaky read of %s", path)
 		}
 		return nil
@@ -340,7 +322,7 @@ func RunRDDChaos(cfg ChaosConfig) error {
 		if dropCached {
 			// Lose some cached partitions; lineage must recover them.
 			for p := 0; p < counted.NumPartitions(); p++ {
-				if cfg.afflicted("dropCache", p) {
+				if cfg.spec().Afflicted("dropCache", p) {
 					counted.DropCachedPartition(p)
 				}
 			}
@@ -363,7 +345,7 @@ func RunRDDChaos(cfg ChaosConfig) error {
 	}
 	chaosCtx := rdd.NewContext(4)
 	chaosCtx.SetBackoff(time.Microsecond, 50*time.Microsecond)
-	chaosCtx.SetFailureHook(cfg.hook())
+	chaosCtx.SetFailureHook(cfg.spec().Hook())
 	got, err := run(chaosCtx, true)
 	if err != nil {
 		return fmt.Errorf("chaos rdd: %w", err)

@@ -59,7 +59,7 @@ func TestChaosStragglerSpeculation(t *testing.T) {
 func TestChaosScheduleDeterministic(t *testing.T) {
 	cfg := DefaultChaosConfig()
 	for p := 0; p < 32; p++ {
-		if cfg.afflicted("x", p) != cfg.afflicted("x", p) {
+		if cfg.spec().Afflicted("x", p) != cfg.spec().Afflicted("x", p) {
 			t.Fatal("schedule must be a pure function of (seed, name, partition)")
 		}
 	}
@@ -67,7 +67,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	other.Seed++
 	same := 0
 	for p := 0; p < 512; p++ {
-		if cfg.afflicted("x", p) == other.afflicted("x", p) {
+		if cfg.spec().Afflicted("x", p) == other.spec().Afflicted("x", p) {
 			same++
 		}
 	}

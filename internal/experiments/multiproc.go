@@ -22,7 +22,6 @@ import (
 
 	sparksql "repro"
 	"repro/internal/cluster"
-	"repro/internal/cluster/sqlwire"
 	"repro/internal/datagen"
 	"repro/internal/rdd"
 	"repro/internal/row"
@@ -265,13 +264,8 @@ func RunMultiprocChaos(cfg MultiprocConfig) (*MultiprocResult, error) {
 	rc := dist.RDDContext()
 	rc.SetBackoff(time.Microsecond, 50*time.Microsecond)
 	if cfg.Chaos.FailureRate > 0 {
-		rc.SetFailureHook(cfg.Chaos.hook())
-		dist.Cluster().SetChaos(sqlwire.ChaosSpec{
-			Enabled:        true,
-			Seed:           cfg.Chaos.Seed,
-			FailureRate:    cfg.Chaos.FailureRate,
-			FailedAttempts: cfg.Chaos.FailedAttempts,
-		})
+		rc.SetFailureHook(cfg.Chaos.spec().Hook())
+		dist.Cluster().SetChaos(cfg.Chaos.spec())
 		dist.Cluster().SetWorkerBackoff(time.Microsecond, 50*time.Microsecond, cfg.Chaos.Seed)
 	}
 
@@ -439,9 +433,11 @@ func RunMultiprocChaos(cfg MultiprocConfig) (*MultiprocResult, error) {
 // workers different estimates, a different Q3b plan, and a refused task.
 // With broadcast set the joins broadcast instead of shuffling, so over cached
 // tables Q3b is batches from the fused probe through the fused aggregate to
-// its top-K, planned and run by every process.
-func RunMultiprocHashExchange(visits int64, cached, broadcast bool) error {
+// its top-K, planned and run by every process. With observe off the engine
+// runs without Observability, so worker replies carry rows and nothing else.
+func RunMultiprocHashExchange(visits int64, cached, broadcast, observe bool) error {
 	cfg := sparksql.DefaultConfig()
+	cfg.Observability = observe
 	cfg.Parallelism = 2
 	cfg.ShufflePartitions = 2
 	// Keep both reduce partitions (no adaptive coalescing to one) and, unless

@@ -1,6 +1,6 @@
-// The multiproc tests live in the external test package so TestMain can
-// import sqlexec (the worker-side executor): package experiments itself
-// must not, because sqlexec imports experiments for the chaos schedule.
+// The multiproc tests live in the external test package, beside the
+// TestMain that imports sqlexec (the worker-side executor), so the figure
+// harnesses in package experiments stay out of the worker's imports.
 package experiments_test
 
 import (
@@ -49,9 +49,11 @@ func TestMultiprocHashExchange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process suite in -short mode")
 	}
-	for _, c := range []struct{ cached, broadcast bool }{{false, false}, {true, false}, {true, true}} {
-		if err := experiments.RunMultiprocHashExchange(6000, c.cached, c.broadcast); err != nil {
-			t.Fatalf("cached=%v broadcast=%v: %v", c.cached, c.broadcast, err)
+	for _, c := range []struct{ cached, broadcast, observe bool }{
+		{false, false, true}, {true, false, true}, {true, true, true}, {false, false, false},
+	} {
+		if err := experiments.RunMultiprocHashExchange(6000, c.cached, c.broadcast, c.observe); err != nil {
+			t.Fatalf("cached=%v broadcast=%v observe=%v: %v", c.cached, c.broadcast, c.observe, err)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 // Crash recovery: rebuild the store from its last checkpoint plus a redo
 // replay of the WAL. Replay applies only transactions whose commit record
 // made it to the log intact, in LSN order, and stops at the first torn or
-// corrupt record — everything after it is by definition uncommitted.
+// corrupt record — everything after it is by definition uncommitted. The
+// file system catches torn and corrupt bytes (a durable one cuts them off
+// each file it loads; see dfs.FileSystem.TornTail); replay stops at the
+// first segment that lost a tail, or at the first malformed record.
 // Replay runs the same apply functions live commits use, so a recovered
 // store is bit-for-bit the state a clean shutdown would have left.
 package store
@@ -152,9 +155,13 @@ func (s *Store) replayWAL(afterLSN uint64) (replayed, dropped int, err error) {
 		if rerr != nil {
 			return replayed, dropped, fmt.Errorf("store: replay %q: %w", path, rerr)
 		}
+		if s.fs.TornTail(path) {
+			dropped++
+			scan = false
+		}
 		for bi, b := range blocks {
-			rec, n, derr := decodeRecord(b)
-			if derr != nil || n != len(b) {
+			rec, derr := decodeRecord(b)
+			if derr != nil {
 				dropped++
 				scan = false
 				break

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dfs"
@@ -308,4 +310,107 @@ func TestCheckpointAutoTrigger(t *testing.T) {
 		t.Fatalf("rows = %v", got)
 	}
 	s2.Close()
+}
+
+// flipIn flips one byte inside the first occurrence of needle in the files
+// of a durable store's directory, returning the file it changed.
+func flipIn(t *testing.T, dir, needle string) string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		path := filepath.Join(dir, ent.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(data, []byte(needle)); i >= 0 {
+			data[i+len(needle)/2] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+	}
+	t.Fatalf("%q is in no file of %s", needle, dir)
+	return ""
+}
+
+// TestRecoverStopsAtCorruptRecord: a flipped byte inside the second of three
+// committed inserts ends the valid log there. Reopening recovers exactly the
+// first insert, counts the drop, cuts the rest away and accepts new commits.
+func TestRecoverStopsAtCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, openDurable(t, dir), Options{CheckpointBytes: -1})
+	if err := s.CreateTable("kv", kvSchema(), false); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []string{"first-insert", "second-insert", "third-insert"} {
+		if _, err := s.Insert("kv", []row.Row{{int64(i + 1), v}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal := flipIn(t, dir, "second-insert")
+	before, _ := os.Stat(wal)
+
+	reg := metrics.NewRegistry()
+	s2 := openStore(t, openDurable(t, dir), Options{CheckpointBytes: -1, Metrics: reg})
+	if got := collect(t, s2, "kv"); !reflect.DeepEqual(got, []row.Row{{int64(1), "first-insert"}}) {
+		t.Fatalf("rows after a corrupt record = %v, want just the first insert", got)
+	}
+	if got := counterValue(reg, "store.recovery.torn_records"); got < 1 {
+		t.Fatalf("torn_records = %d, want the drop counted", got)
+	}
+	if after, err := os.Stat(wal); err != nil || after.Size() >= before.Size() {
+		t.Fatalf("the log was not cut back past the corrupt record (%v)", err)
+	}
+	if _, err := s2.Insert("kv", []row.Row{{int64(4), "after"}}); err != nil {
+		t.Fatal(err)
+	}
+	s3 := reopen(t, s2, dir, Options{CheckpointBytes: -1})
+	want := []row.Row{{int64(1), "first-insert"}, {int64(4), "after"}}
+	if got := collect(t, s3, "kv"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows = %v, want %v", got, want)
+	}
+	s3.Close()
+}
+
+// TestCheckpointCorruptSegmentRefused: a flipped byte inside a string value
+// of a checkpoint segment makes opening the store fail; it never returns
+// the altered rows.
+func TestCheckpointCorruptSegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, openDurable(t, dir), Options{CheckpointBytes: -1})
+	if err := s.CreateTable("kv", kvSchema(), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Insert("kv", []row.Row{{int64(1), "a"}, {int64(2), "checkpointed-value"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	flipIn(t, dir, "checkpointed-value")
+
+	fs, err := dfs.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	s2, err := Open(fs, Options{CheckpointBytes: -1})
+	if err == nil {
+		rows := collect(t, s2, "kv")
+		t.Fatalf("store opened over a corrupt checkpoint segment and returned %v", rows)
+	}
+	if !strings.Contains(err.Error(), "segment") {
+		t.Fatalf("err = %v, want it to name the segment", err)
+	}
 }

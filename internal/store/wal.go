@@ -1,20 +1,20 @@
 // Write-ahead log: every DML transaction appends its mutation records plus
 // a commit marker to the log and syncs before the store's in-memory state
 // (and the catalog) advance — the redo log that makes tables durable
-// across crashes. Records are self-delimiting and CRC-checked:
+// across crashes. One record is one dfs block,
 //
-//	[magic u32][lsn u64][type u8][payload len u32][payload][crc32 u32]
+//	[type u8][lsn u64 big-endian][payload]
 //
-// all fixed fields big-endian, the CRC covering everything before it. One
-// record occupies one dfs block, so a crash tears at most the final
-// record, and recovery (see recovery.go) replays committed transactions in
-// LSN order, stopping at the first torn or corrupt record.
+// and the log frames nothing itself: a durable file system mirrors each
+// block as one CRC-checked frame and cuts a torn or corrupt tail when it
+// loads, and an in-memory one never persists bytes. Recovery (see
+// recovery.go) replays committed transactions in LSN order, stopping at the
+// first record that is missing, cut or malformed.
 package store
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/dfs"
 )
@@ -45,80 +45,31 @@ func (t recType) String() string {
 	return fmt.Sprintf("rec(%d)", uint8(t))
 }
 
-// walMagic opens every record ("SWAL").
-const walMagic uint32 = 0x5357414C
-
-// recHeaderLen is magic + lsn + type + payload length.
-const recHeaderLen = 4 + 8 + 1 + 4
-
 type record struct {
 	lsn     uint64
 	typ     recType
 	payload []byte
 }
 
-// encodeRecord appends the wire form of r to dst.
+// encodeRecord appends r's block form, [type u8][lsn u64 big-endian]
+// [payload], to dst.
 func encodeRecord(dst []byte, r record) []byte {
-	start := len(dst)
-	var hdr [recHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], walMagic)
-	binary.BigEndian.PutUint64(hdr[4:12], r.lsn)
-	hdr[12] = byte(r.typ)
-	binary.BigEndian.PutUint32(hdr[13:17], uint32(len(r.payload)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, r.payload...)
-	crc := crc32.ChecksumIEEE(dst[start:])
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc)
-	return append(dst, tail[:]...)
+	dst = append(dst, byte(r.typ))
+	dst = binary.BigEndian.AppendUint64(dst, r.lsn)
+	return append(dst, r.payload...)
 }
 
-// decodeRecord parses one record from the head of b, returning the record
-// and the bytes consumed. Truncation, a bad magic, an unknown type and a
-// CRC mismatch are all errors — recovery treats any of them as the end of
-// the valid log.
-func decodeRecord(b []byte) (record, int, error) {
-	if len(b) < recHeaderLen+4 {
-		return record{}, 0, fmt.Errorf("store: wal record truncated (%d bytes)", len(b))
+// decodeRecord parses one record block. A short block or an unknown type
+// is an error; recovery treats it as the end of the valid log.
+func decodeRecord(b []byte) (record, error) {
+	if len(b) < 9 {
+		return record{}, fmt.Errorf("store: wal record truncated (%d bytes)", len(b))
 	}
-	if m := binary.BigEndian.Uint32(b[0:4]); m != walMagic {
-		return record{}, 0, fmt.Errorf("store: wal record bad magic %#x", m)
-	}
-	typ := recType(b[12])
+	typ := recType(b[0])
 	if typ < recCreate || typ > recCommit {
-		return record{}, 0, fmt.Errorf("store: wal record unknown type %d", b[12])
+		return record{}, fmt.Errorf("store: wal record unknown type %d", b[0])
 	}
-	n := binary.BigEndian.Uint32(b[13:17])
-	total := recHeaderLen + int(n) + 4
-	if uint64(len(b)) < uint64(recHeaderLen)+uint64(n)+4 {
-		return record{}, 0, fmt.Errorf("store: wal record payload truncated")
-	}
-	want := binary.BigEndian.Uint32(b[total-4 : total])
-	if got := crc32.ChecksumIEEE(b[:total-4]); got != want {
-		return record{}, 0, fmt.Errorf("store: wal record crc mismatch (got %#x want %#x)", got, want)
-	}
-	return record{
-		lsn:     binary.BigEndian.Uint64(b[4:12]),
-		typ:     typ,
-		payload: append([]byte(nil), b[recHeaderLen:total-4]...),
-	}, total, nil
-}
-
-// decodeStream parses consecutive records from a byte stream, returning
-// every record before the first torn or corrupt one — the recovery
-// contract the fuzz test exercises: a valid prefix always decodes intact,
-// whatever garbage follows.
-func decodeStream(b []byte) []record {
-	var recs []record
-	for len(b) > 0 {
-		r, n, err := decodeRecord(b)
-		if err != nil {
-			break
-		}
-		recs = append(recs, r)
-		b = b[n:]
-	}
-	return recs
+	return record{lsn: binary.BigEndian.Uint64(b[1:9]), typ: typ, payload: b[9:]}, nil
 }
 
 // wal is the log writer: an append-only sequence of records over dfs
@@ -146,7 +97,7 @@ func (w *wal) appendTxn(recs []record) (int64, error) {
 	for i := range recs {
 		recs[i].lsn = w.nextLSN
 		w.nextLSN++
-		b := encodeRecord(nil, recs[i])
+		b := encodeRecord(make([]byte, 0, 9+len(recs[i].payload)), recs[i])
 		if err := w.fs.AppendBlock(path, b); err != nil {
 			return total, fmt.Errorf("store: wal append: %w", err)
 		}

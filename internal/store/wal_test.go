@@ -13,44 +13,13 @@ func TestRecordRoundTrip(t *testing.T) {
 		{lsn: 2, typ: recInsert, payload: bytes.Repeat([]byte{0xAB}, 1000)},
 		{lsn: 3, typ: recCommit, payload: nil},
 	}
-	var stream []byte
 	for _, r := range recs {
-		stream = encodeRecord(stream, r)
-	}
-	got := decodeStream(stream)
-	if len(got) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
-	}
-	for i, r := range got {
-		if r.lsn != recs[i].lsn || r.typ != recs[i].typ || !bytes.Equal(r.payload, recs[i].payload) {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, r, recs[i])
+		got, err := decodeRecord(encodeRecord(nil, r))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestDecodeStreamStopsAtCorruption: the valid prefix always survives,
-// whatever happens to the tail — truncation, bit flips, garbage.
-func TestDecodeStreamStopsAtCorruption(t *testing.T) {
-	var stream []byte
-	for lsn := uint64(1); lsn <= 5; lsn++ {
-		stream = encodeRecord(stream, record{lsn: lsn, typ: recInsert, payload: []byte("payload")})
-	}
-	recLen := len(stream) / 5
-
-	// Truncate at every byte boundary of the last record: records 1..4 always decode.
-	for cut := len(stream) - recLen + 1; cut < len(stream); cut++ {
-		got := decodeStream(stream[:cut])
-		if len(got) != 4 {
-			t.Fatalf("truncated at %d: decoded %d records, want 4", cut, len(got))
-		}
-	}
-	// Flip one byte in the middle record: records 1..2 survive, nothing after.
-	for off := 2 * recLen; off < 3*recLen; off += 3 {
-		mut := append([]byte(nil), stream...)
-		mut[off] ^= 0x01
-		got := decodeStream(mut)
-		if len(got) > 2 {
-			t.Fatalf("flip at %d: decoded %d records past the corruption", off, len(got))
+		if got.lsn != r.lsn || got.typ != r.typ || !bytes.Equal(got.payload, r.payload) {
+			t.Fatalf("record mismatch: %+v vs %+v", got, r)
 		}
 	}
 }
@@ -72,8 +41,8 @@ func TestWALAppendAssignsLSNs(t *testing.T) {
 	}
 	want := uint64(1)
 	for _, b := range blocks {
-		rec, n, err := decodeRecord(b)
-		if err != nil || n != len(b) {
+		rec, err := decodeRecord(b)
+		if err != nil {
 			t.Fatalf("block decode: %v", err)
 		}
 		if rec.lsn != want {

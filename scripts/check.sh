@@ -95,6 +95,18 @@ if grep -n 'CollectContext(\|PartitionContext(' $(ls internal/physical/*.go inte
 	echo "internal/physical or internal/rangejoin runs a job from inside a task" >&2
 	exit 1
 fi
+# One framer: internal/frame cuts every record that crosses a process or
+# disk boundary. A second importer of hash/crc32, or a fixed-width length
+# prefix written or read with encoding/binary under the cluster, the store
+# or the durable file system, is a hand-rolled framer coming back.
+if grep -rl '"hash/crc32"' --include='*.go' . | grep -v '_test\.go$' | grep -v '^\./internal/frame/'; then
+	echo "hash/crc32 is imported outside internal/frame" >&2
+	exit 1
+fi
+if grep -rnE 'binary\.(BigEndian|LittleEndian)\.(Put|Append)?Uint(16|32)\(' --include='*.go' internal/cluster internal/store internal/dfs | grep -v '_test\.go:'; then
+	echo "a record is framed by hand outside internal/frame" >&2
+	exit 1
+fi
 echo "internal/physical + internal/expr non-test lines: $(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) (ROADMAP target: <= 7835)"
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
@@ -191,9 +203,13 @@ go test -run '^$' -fuzz=FuzzDecodeSession -fuzztime=10s -timeout 5m ./internal/c
 # resolved it, or at DefaultConfig's value when it is process-local.
 go test -race -count=3 -run '^TestConfigParity$' -timeout 5m ./internal/cluster/sqlexec/
 
-# The durable file loader reads bytes from the host disk: fuzz it (no panic;
-# the kept blocks are the valid prefix; the file is truncated to it; a second
-# load is a fixed point).
+# One framer reads every record that crosses a process or disk boundary:
+# fuzz it (no panic; an accepted frame re-appends to its bytes and survives
+# what follows it; the slice and stream readers agree; a flipped bit is a
+# checksum failure). Then the durable file loader over it (refused and
+# untouched, or the longest intact prefix kept and the file cut to it; a
+# second load is a fixed point).
+go test -run '^$' -fuzz=FuzzFrame -fuzztime=10s -timeout 5m ./internal/frame/
 go test -run '^$' -fuzz=FuzzLoadFrames -fuzztime=10s -timeout 5m ./internal/dfs/
 
 # Cluster observability suite: merged-trace golden (worker spans carrying
