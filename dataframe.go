@@ -336,14 +336,34 @@ func (df *DataFrame) Collect() ([]Row, error) {
 // expired deadline, or the engine's QueryTimeout) cancels all in-flight
 // and pending tasks of the query and returns the context's error.
 func (df *DataFrame) CollectContext(ctx context.Context) ([]Row, error) {
+	_, rows, err := df.collect(ctx, 0)
+	return rows, err
+}
+
+// CollectN is CollectContext capped at n rows when n > 0 — the result's
+// partitions read in order until n rows, as under a LIMIT n, over the frame's
+// own plan — with the PlanHash of the plan that ran (0 if planning failed).
+func (df *DataFrame) CollectN(ctx context.Context, n int) ([]Row, uint64, error) {
+	qe, rows, err := df.collect(ctx, n)
+	if qe.q == nil {
+		return nil, 0, err
+	}
+	return rows, qe.q.PlanHash(), err
+}
+
+// collect runs the frame's one collect, capped at n rows when n > 0.
+func (df *DataFrame) collect(ctx context.Context, n int) (queryExec, []Row, error) {
 	qe, err := df.queryExecution()
 	if err != nil {
-		return nil, err
+		return qe, nil, err
 	}
+	var rows []Row
 	if df.distributable() {
-		return qe.q.CollectDistributedContext(ctx, df.sqlText)
+		rows, err = qe.q.CollectDistributedContext(ctx, df.sqlText, n)
+	} else {
+		rows, err = qe.q.CollectN(ctx, n)
 	}
-	return qe.q.CollectContext(ctx)
+	return qe, rows, err
 }
 
 // Count returns the number of rows.
@@ -365,11 +385,11 @@ func (df *DataFrame) CountContext(ctx context.Context) (int64, error) {
 
 // Take returns up to n leading rows.
 func (df *DataFrame) Take(n int) ([]Row, error) {
-	limited, err := df.Limit(n)
-	if err != nil {
-		return nil, err
+	if n <= 0 {
+		return []Row{}, nil
 	}
-	return limited.Collect()
+	_, rows, err := df.collect(context.Background(), n)
+	return rows, err
 }
 
 // ToRDD exposes the result as an RDD of rows for procedural processing —
@@ -601,15 +621,14 @@ func (g *GroupedData) Min(cols ...string) (*DataFrame, error) {
 // the public API surface.
 type queryExec struct {
 	q interface {
-		Collect() ([]row.Row, error)
-		CollectContext(ctx context.Context) ([]row.Row, error)
+		CollectN(ctx context.Context, n int) ([]row.Row, error)
 		Count() (int64, error)
 		CountContext(ctx context.Context) (int64, error)
 		RDD() *rdd.RDD[row.Row]
 		Explain() string
 		ExplainAnalyzeContext(ctx context.Context) (string, error)
 		PlanHash() uint64
-		CollectDistributedContext(ctx context.Context, sql string) ([]row.Row, error)
+		CollectDistributedContext(ctx context.Context, sql string, n int) ([]row.Row, error)
 		CountDistributedContext(ctx context.Context, sql string) (int64, error)
 		ApplyDecisions(ds []physical.Decision) error
 		ExecutedRDD() *rdd.RDD[row.Row]

@@ -3,6 +3,8 @@ package sqlexec_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"sort"
 	"strings"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/metrics"
 	"repro/internal/row"
+	"repro/internal/sqlserver"
 )
 
 // The in-process end-to-end: a coordinator context plus N workers over
@@ -272,5 +275,70 @@ func TestChaosScheduleShipsToWorkers(t *testing.T) {
 	}
 	if n := dist.Metrics().Counter("cluster.tasks.completed").Load(); n == 0 {
 		t.Fatal("chaos run never completed a remote task")
+	}
+}
+
+// serverReply sends one statement through a sqlserver with the given row cap
+// over ctx and returns the reply's rows.
+func serverReply(t *testing.T, ctx *sparksql.Context, maxRows int, q string) [][]string {
+	t.Helper()
+	srv := sqlserver.New(ctx)
+	srv.MaxRows = maxRows
+	srv.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := sqlserver.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.Query(q)
+	if err != nil {
+		t.Fatalf("%q: %v", q, err)
+	}
+	return res.Rows
+}
+
+// A statement sent through the server to a cluster context runs on the
+// workers, under the server's default row cap too, and answers what a local
+// context answers; an ordered statement capped below its row count returns
+// the same leading rows, in order.
+func TestServerStatementsDistribute(t *testing.T) {
+	dist := sparksql.NewContextWithConfig(clusterConfig())
+	defer dist.Close()
+	loadRankings(t, dist, 600, false)
+	startWorkers(t, dist, 2)
+	local := sparksql.NewContextWithConfig(localConfig())
+	loadRankings(t, local, 600, false)
+
+	sorted := func(rows [][]string) string {
+		lines := make([]string, len(rows))
+		for i, r := range rows {
+			lines[i] = strings.Join(r, "\t")
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	maxRows := sqlserver.New(local).MaxRows
+	for _, q := range queries {
+		if got, want := serverReply(t, dist, maxRows, q), serverReply(t, local, maxRows, q); sorted(got) != sorted(want) {
+			t.Fatalf("%q: the cluster's reply differs from the local one", q)
+		}
+	}
+	completed := dist.Metrics().Counter("cluster.tasks.completed")
+	n := completed.Load()
+	if n == 0 {
+		t.Fatal("no statement sent through the server ran on a worker")
+	}
+	ordered := "SELECT pageURL, pageRank FROM rankings ORDER BY pageRank DESC, pageURL"
+	got, want := serverReply(t, dist, 25, ordered), serverReply(t, local, 25, ordered)
+	if len(got) != 25 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("capped %q: cluster replied %d rows %v, local %d rows %v", ordered, len(got), got, len(want), want)
+	}
+	if completed.Load() == n {
+		t.Fatalf("capped %q did not run on a worker", ordered)
 	}
 }

@@ -396,18 +396,18 @@ func translateTaskErr(rt *ClusterRuntime, workerID string, err error) error {
 
 // --- distributed actions -------------------------------------------------
 
-// CollectDistributedContext is CollectContext, but partitions are
-// dispatched to cluster workers when the engine has one attached and the
-// query arrived as SQL text (the only form we can ship). Every failure
-// mode degrades to the local path; results are identical either way.
-func (q *QueryExecution) CollectDistributedContext(ctx context.Context, sql string) ([]row.Row, error) {
+// CollectDistributedContext is CollectN, but partitions are dispatched to
+// cluster workers when the engine has one attached and the query arrived as
+// SQL text (the only form we can ship). Every failure mode degrades to the
+// local path; results are identical either way.
+func (q *QueryExecution) CollectDistributedContext(ctx context.Context, sql string, n int) ([]row.Row, error) {
 	r, cleanup, jc, tid, ok := q.distributed(ctx, sql)
 	if !ok {
-		return q.CollectContext(ctx)
+		return q.CollectN(ctx, n)
 	}
 	defer cleanup()
 	start := time.Now()
-	rows, err := r.CollectContext(jc)
+	rows, err := take(jc, r, n)
 	q.finishEvent(tid, "collect", start, int64(len(rows)), err)
 	return rows, err
 }
@@ -543,13 +543,13 @@ func (q *QueryExecution) ExecutedRDD() *rdd.RDD[row.Row] {
 	return q.executedPlan().Execute(q.engine.lazyExecContext())
 }
 
-// ClusterSummary renders current membership and per-worker task counts —
-// the "== Cluster ==" section of EXPLAIN ANALYZE under a cluster engine.
+// ClusterSummary renders current membership and per-worker task counts; the
+// "== Cluster ==" section of EXPLAIN ANALYZE is ClusterSummaryFor its trace.
 func (rt *ClusterRuntime) ClusterSummary() string { return rt.ClusterSummaryFor("") }
 
 // ClusterSummaryFor is ClusterSummary with a per-worker rows/bytes/time
-// breakdown derived from merged trace spans; a non-empty trace id restricts
-// the breakdown to that query's spans, "" covers the whole retained trace.
+// breakdown derived from one trace's merged spans; "" covers the spans no
+// trace tagged (every span when Observability is off).
 func (rt *ClusterRuntime) ClusterSummaryFor(traceID string) string {
 	ws := rt.coord.Workers()
 	var sb strings.Builder
@@ -561,11 +561,7 @@ func (rt *ClusterRuntime) ClusterSummaryFor(traceID string) string {
 	fmt.Fprintf(&sb, "session: epoch %d%s\n", rt.epoch, rt.status)
 	rt.mu.Unlock()
 	byWorker := make(map[string]WorkerActual)
-	spans := rt.e.RDDCtx.Trace().Snapshot()
-	if traceID != "" {
-		spans = filterTrace(spans, traceID)
-	}
-	for _, wa := range workerActuals(spans) {
+	for _, wa := range workerActuals(rt.e.RDDCtx.Trace().TraceSpans(traceID)) {
 		byWorker[wa.Worker] = wa
 	}
 	for _, w := range ws {
@@ -586,14 +582,4 @@ func (rt *ClusterRuntime) ClusterSummaryFor(traceID string) string {
 			wa.Tasks, wa.Rows, wa.Bytes, wa.Millis)
 	}
 	return sb.String()
-}
-
-func filterTrace(spans []metrics.Span, traceID string) []metrics.Span {
-	out := spans[:0:0]
-	for _, s := range spans {
-		if s.Trace == traceID {
-			out = append(out, s)
-		}
-	}
-	return out
 }

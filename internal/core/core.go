@@ -303,6 +303,9 @@ type QueryExecution struct {
 	// ships it so workers reproduce the identical adapted plan.
 	Executed  physical.SparkPlan
 	Decisions []physical.Decision
+	// hash is the fingerprint of hashOf, the last executed plan hashed.
+	hashOf physical.SparkPlan
+	hash   uint64
 }
 
 // Execute runs analysis, optimization and physical planning.
@@ -321,6 +324,7 @@ func (e *Engine) Execute(lp plan.LogicalPlan) (*QueryExecution, error) {
 // tables, that pin is what makes reads snapshot-isolated against
 // concurrent DML.
 func (e *Engine) ExecuteResolved(logical, analyzed plan.LogicalPlan) (*QueryExecution, error) {
+	e.RDDCtx.Metrics().Counter("query.planned").Inc()
 	optimized, err := e.opt.Optimize(analyzed)
 	if err != nil {
 		return nil, fmt.Errorf("core: optimization: %w", err)
@@ -420,15 +424,15 @@ func (e *Engine) queryContext(ctx context.Context) (context.Context, context.Can
 // compute panics) surface as a *rdd.JobError; no recover wrapper is needed
 // because no panic crosses the rdd boundary for task failures.
 func (q *QueryExecution) Collect() ([]row.Row, error) {
-	return q.CollectContext(context.Background())
+	return q.CollectN(context.Background(), 0)
 }
 
-// CollectContext is Collect under a caller context: cancelling it (or the
-// engine's QueryTimeout expiring) tears down all in-flight and pending
-// tasks and returns the context error.
-func (q *QueryExecution) CollectContext(ctx context.Context) (rows []row.Row, err error) {
+// CollectN is Collect under a caller context (cancelling it, or QueryTimeout
+// expiring, tears down the query's tasks and returns the context error) and
+// capped at n rows when n > 0: partitions are read in order, as by a LIMIT n.
+func (q *QueryExecution) CollectN(ctx context.Context, n int) (rows []row.Row, err error) {
 	_, err = q.action(ctx, "collect", func(jc context.Context, ec *physical.ExecContext, p physical.SparkPlan) (int64, error) {
-		rows, _, err = q.collect(jc, ec, p)
+		rows, _, err = q.collect(jc, ec, p, n)
 		return int64(len(rows)), err
 	})
 	return rows, err
@@ -454,25 +458,36 @@ func (q *QueryExecution) action(ctx context.Context, name string,
 	return n, err
 }
 
-// collect runs the executing plan p and returns its rows and how many tasks
-// boxed them — a batch top's, each output batch into an arena, the headers
-// cut here once — or -1 when they were copied from another top's Execute.
-func (q *QueryExecution) collect(jc context.Context, ec *physical.ExecContext, p physical.SparkPlan) ([]row.Row, int, error) {
+// collect runs the executing plan p and returns its rows (the first n when
+// n > 0) and how many tasks boxed them — a batch top's, each output batch into
+// an arena, the headers cut here once — or -1 when they were copied.
+func (q *QueryExecution) collect(jc context.Context, ec *physical.ExecContext, p physical.SparkPlan, n int) ([]row.Row, int, error) {
 	reg := q.engine.RDDCtx.Metrics()
 	top, ok := p.(physical.BatchTop)
 	if !ok {
-		rows, err := p.Execute(ec).CollectContext(jc)
+		rows, err := take(jc, p.Execute(ec), n)
 		reg.Counter("result.rows.copied").Add(int64(len(rows)))
 		return rows, -1, err
 	}
 	r := top.Results(ec, physical.BoxSink)
-	arenas, err := r.CollectContext(jc)
+	arenas, err := take(jc, r, n)
 	if err != nil {
 		return nil, 0, err
 	}
 	rows := expr.CutRows(arenas)
+	if n > 0 && len(rows) > n {
+		rows = rows[:n]
+	}
 	reg.Counter("result.rows.boxed").Add(int64(len(rows)))
 	return rows, r.NumPartitions(), nil
+}
+
+// take collects r, or its first n records when n > 0.
+func take[T any](jc context.Context, r *rdd.RDD[T], n int) ([]T, error) {
+	if n > 0 {
+		return rdd.TakeContext(jc, r, n)
+	}
+	return r.CollectContext(jc)
 }
 
 // Count counts result rows without materializing them centrally.
@@ -517,9 +532,11 @@ func (q *QueryExecution) ExplainAnalyze() (string, error) {
 // runtime summary of the result cardinality and wall time.
 func (q *QueryExecution) ExplainAnalyzeContext(ctx context.Context) (string, error) {
 	var sb strings.Builder
+	var tid string
 	start := time.Now()
 	_, err := q.action(ctx, "explain-analyze", func(jc context.Context, ec *physical.ExecContext, p physical.SparkPlan) (int64, error) {
-		rows, tasks, err := q.collect(jc, ec, p)
+		tid = rdd.TraceID(jc)
+		rows, tasks, err := q.collect(jc, ec, p, 0)
 		how := fmt.Sprintf("boxed in %d tasks", tasks)
 		if tasks < 0 {
 			how = "copied from " + strings.Fields(p.SimpleString())[0] + " rows"
@@ -533,7 +550,7 @@ func (q *QueryExecution) ExplainAnalyzeContext(ctx context.Context) (string, err
 	}
 	if q.engine.cluster != nil {
 		sb.WriteString("== Cluster ==\n")
-		sb.WriteString(q.engine.cluster.ClusterSummary())
+		sb.WriteString(q.engine.cluster.ClusterSummaryFor(tid))
 	}
 	return sb.String(), nil
 }
@@ -560,10 +577,19 @@ var planAdapted = regexp.MustCompile(`  \(adapted: (?:[^()]|\([^()]*\))*\)`)
 // are stripped: two runs of one adapted plan shape hash alike even when
 // the observed byte counts in their notes differ.
 func (q *QueryExecution) PlanHash() uint64 {
-	h := fnv.New64a()
-	norm := planIDs.ReplaceAllString(q.executedPlan().String(), "#")
-	norm = planActuals.ReplaceAllString(norm, "")
-	norm = planAdapted.ReplaceAllString(norm, "")
-	h.Write([]byte(norm))
-	return h.Sum64()
+	p := q.executedPlan()
+	return q.planHash(p, p.String)
+}
+
+// planHash is p's fingerprint, rendered by text and hashed once per executed
+// plan: unless p is the plan hashed last.
+func (q *QueryExecution) planHash(p physical.SparkPlan, text func() string) uint64 {
+	if q.hashOf != p {
+		q.engine.RDDCtx.Metrics().Counter("query.plan.hashed").Inc()
+		norm := planActuals.ReplaceAllString(planIDs.ReplaceAllString(text(), "#"), "")
+		h := fnv.New64a()
+		h.Write([]byte(planAdapted.ReplaceAllString(norm, "")))
+		q.hashOf, q.hash = p, h.Sum64()
+	}
+	return q.hash
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/expr"
+	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/row"
 	"repro/internal/types"
@@ -159,5 +162,48 @@ func TestSharkConfigProducesSameResults(t *testing.T) {
 		if len(rows) != 1 || rows[0][0] != int64(76) {
 			t.Fatalf("sum = %v, want 76", rows)
 		}
+	}
+}
+
+// A statement's event pays for its own spans: finishEvent over a full trace
+// ring allocates within 16 KB of the same call over a ring holding only the
+// statement's spans.
+func TestFinishEventCostsOwnSpans(t *testing.T) {
+	e := NewEngine(DefaultConfig())
+	q, err := e.Execute(usersRelation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := e.RDDCtx.Trace()
+	own := func() {
+		for i := 0; i < 12; i++ {
+			tb.Append(metrics.Span{Trace: "q-own", Kind: metrics.SpanTask, Partition: i})
+		}
+	}
+	perEvent := func() int64 {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			q.finishEvent("q-own", "collect", time.Now(), 4, nil)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	own()
+	empty := perEvent()
+	for i := 0; i < metrics.DefaultTraceCapacity; i++ {
+		tb.Append(metrics.Span{Trace: "q-other", Kind: metrics.SpanTask, Partition: i})
+	}
+	own()
+	if tb.Len() != metrics.DefaultTraceCapacity {
+		t.Fatalf("ring holds %d spans, want it full", tb.Len())
+	}
+	if full := perEvent(); full-empty > 16<<10 {
+		t.Fatalf("finishEvent allocates %d B over a full ring, %d B over an empty one", full, empty)
+	}
+	if ev := e.Events.Events(); len(ev[len(ev)-1].Workers) != 1 || ev[len(ev)-1].Workers[0].Tasks != 12 {
+		t.Fatalf("event counts %+v, want the statement's 12 task spans", ev[len(ev)-1].Workers)
 	}
 }

@@ -294,7 +294,7 @@ func TestCollectContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := qe.CollectContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := qe.CollectN(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if _, err := qe.CountContext(ctx); !errors.Is(err, context.Canceled) {

@@ -47,12 +47,14 @@ func (q *QueryExecution) finishEvent(tid, action string, start time.Time, rows i
 	}
 	e := q.engine
 	reg := e.RDDCtx.Metrics()
+	p := q.executedPlan()
+	text := p.String()
 	ev := QueryEvent{
 		ID:          tid,
 		SQL:         q.SQLText,
 		Action:      action,
-		PlanHash:    fmt.Sprintf("%016x", q.PlanHash()),
-		Plan:        q.executedPlan().String(),
+		PlanHash:    fmt.Sprintf("%016x", q.planHash(p, func() string { return text })),
+		Plan:        text,
 		Decisions:   decisionNotes(q),
 		StartUnixMS: start.UnixMilli(),
 		Millis:      float64(time.Since(start).Microseconds()) / 1e3,
@@ -63,7 +65,7 @@ func (q *QueryExecution) finishEvent(tid, action string, start time.Time, rows i
 	if err != nil {
 		ev.Err = err.Error()
 	}
-	spans := traceSpans(e.RDDCtx.Trace(), tid)
+	spans := e.RDDCtx.Trace().TraceSpans(tid)
 	ev.Stages = stageActuals(spans)
 	ev.Workers = workerActuals(spans)
 	e.Events.Record(ev)
@@ -81,17 +83,6 @@ func decisionNotes(q *QueryExecution) []string {
 			out[i] = d.Note
 		} else {
 			out[i] = d.Kind
-		}
-	}
-	return out
-}
-
-// traceSpans snapshots the spans of one trace id.
-func traceSpans(tb *metrics.TraceBuffer, tid string) []metrics.Span {
-	var out []metrics.Span
-	for _, s := range tb.Snapshot() {
-		if s.Trace == tid {
-			out = append(out, s)
 		}
 	}
 	return out

@@ -256,3 +256,50 @@ func TestTraceBufferConcurrency(t *testing.T) {
 		t.Fatalf("len = %d, want 64", tb.Len())
 	}
 }
+
+// TraceSpans copies one trace's spans out of the ring, oldest-first across
+// the wrap, and is safe against concurrent appends.
+func TestTraceBufferTraceSpans(t *testing.T) {
+	tb := NewTraceBuffer(5)
+	for i := 0; i < 8; i++ { // wraps: s3..s7 retained, cursor mid-ring
+		tb.Append(Span{Trace: fmt.Sprintf("q%d", i%2), Name: fmt.Sprintf("s%d", i)})
+	}
+	var names []string
+	for _, s := range tb.TraceSpans("q1") {
+		names = append(names, s.Name)
+	}
+	if got := strings.Join(names, ","); got != "s3,s5,s7" {
+		t.Fatalf("TraceSpans(q1) = %s, want s3,s5,s7", got)
+	}
+	if got := tb.TraceSpans("q9"); got != nil {
+		t.Fatalf("unknown trace id returned %v", got)
+	}
+	var nilBuf *TraceBuffer
+	if got := nilBuf.TraceSpans("q1"); got != nil {
+		t.Fatalf("nil buffer returned %v", got)
+	}
+
+	ring := NewTraceBuffer(64)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := fmt.Sprintf("w%d", w)
+			for i := 0; i < 500; i++ {
+				ring.Append(Span{Trace: id, Partition: i})
+				if i%32 == 0 {
+					last := -1
+					for _, s := range ring.TraceSpans(id) {
+						if s.Trace != id || s.Partition <= last {
+							t.Errorf("%s: span %+v out of order or foreign", id, s)
+							return
+						}
+						last = s.Partition
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

@@ -28,8 +28,8 @@ type Span struct {
 	Job       int64    `json:"job,omitempty"`
 	Partition int      `json:"partition,omitempty"`
 	// Attempt and Speculative share a word, which is what leaves room for
-	// Tasks: every statement's event record copies the whole ring
-	// (Snapshot), so a span must not grow.
+	// Tasks: the ring holds DefaultTraceCapacity of them, so a span must not
+	// grow.
 	Attempt     int32  `json:"attempt,omitempty"`
 	Speculative bool   `json:"speculative,omitempty"`
 	Worker      string `json:"worker,omitempty"` // remote worker id; "" = local
@@ -142,6 +142,23 @@ func (t *TraceBuffer) Snapshot() []Span {
 	out := make([]Span, 0, len(t.buf))
 	out = append(out, t.buf[t.next:]...)
 	out = append(out, t.buf[:t.next]...)
+	return out
+}
+
+// TraceSpans returns the retained spans of one trace id oldest-first, copying
+// only those. Nil-safe; an id with no retained span returns nil.
+func (t *TraceBuffer) TraceSpans(id string) []Span {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []Span
+	for i := range t.buf {
+		if s := &t.buf[(t.next+i)%len(t.buf)]; s.Trace == id {
+			out = append(out, *s)
+		}
+	}
 	return out
 }
 

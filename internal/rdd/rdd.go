@@ -720,12 +720,12 @@ func (r *RDD[T]) Collect() ([]T, error) {
 	return r.CollectContext(context.Background())
 }
 
-// action computes every partition of r for the action named name, and records
-// the end-to-end job span when it is the top-level action.
-func (r *RDD[T]) action(jc context.Context, name string) ([][]T, error) {
+// action runs compute (computeAll: every partition of r) as the job of the
+// action named name, and records the job span when it is the top-level action.
+func (r *RDD[T]) action(jc context.Context, name string, compute func(context.Context) ([][]T, error)) ([][]T, error) {
 	jc, jobID, top := r.ctx.beginJob(jc)
 	start := time.Now()
-	parts, err := r.computeAll(jc)
+	parts, err := compute(jc)
 	if !top || r.ctx.Trace() == nil && traceSink(jc) == nil {
 		return parts, err
 	}
@@ -768,7 +768,7 @@ func records[T any](part []T) int64 {
 // deadline expiring) cancels the job's pending and in-flight tasks and
 // returns the context's error.
 func (r *RDD[T]) CollectContext(jc context.Context) ([]T, error) {
-	parts, err := r.action(jc, "collect")
+	parts, err := r.action(jc, "collect", r.computeAll)
 	if err != nil {
 		return nil, err
 	}
@@ -791,7 +791,7 @@ func (r *RDD[T]) Count() (int64, error) {
 
 // CountContext is Count under a job context.
 func (r *RDD[T]) CountContext(jc context.Context) (int64, error) {
-	parts, err := r.action(jc, "count")
+	parts, err := r.action(jc, "count", r.computeAll)
 	if err != nil {
 		return 0, err
 	}
@@ -810,7 +810,7 @@ func (r *RDD[T]) ForeachPartition(f func(p int, data []T)) error {
 
 // ForeachPartitionContext is ForeachPartition under a job context.
 func (r *RDD[T]) ForeachPartitionContext(jc context.Context, f func(p int, data []T)) error {
-	parts, err := r.action(jc, "foreach")
+	parts, err := r.action(jc, "foreach", r.computeAll)
 	if err != nil {
 		return err
 	}

@@ -940,3 +940,38 @@ func BenchmarkComputeAllManyPartitions(b *testing.B) {
 		}
 	}
 }
+
+type recordBatch struct{ n int }
+
+func (b *recordBatch) Records() int { return b.n }
+
+// TakeContext allocates for the rows it takes, not for the n it was asked
+// for, and counts a Batched element's records toward n.
+func TestTakeContextSizedToRows(t *testing.T) {
+	ctx := NewContext(2)
+	rows := make([][]any, 10)
+	for i := range rows {
+		rows[i] = []any{int64(i)}
+	}
+	r := Parallelize(ctx, rows, 2)
+	if got, err := TakeContext(context.Background(), r, 10_000); err != nil || len(got) != 10 || cap(got) > 16 {
+		t.Fatalf("TakeContext = %d rows (cap %d), %v; want 10 rows in a slice sized for them", len(got), cap(got), err)
+	}
+	var before, after runtime.MemStats
+	const runs = 50
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		TakeContext(context.Background(), r, 10_000)
+	}
+	runtime.ReadMemStats(&after)
+	// A 10 000-slot result would be 240 000 bytes a call.
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 8<<10 {
+		t.Fatalf("TakeContext(10 rows, n=10 000) allocates %d B a call", perCall)
+	}
+
+	batches := Parallelize(ctx, []recordBatch{{3}, {3}, {3}}, 2)
+	if got, err := TakeContext(context.Background(), batches, 5); err != nil || len(got) != 2 {
+		t.Fatalf("TakeContext over batches = %v, %v; want the 2 batches that hold 5 records", got, err)
+	}
+}

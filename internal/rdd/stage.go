@@ -35,7 +35,7 @@ type Dep interface {
 // partition -1.
 func NewStage[T, V any](r *RDD[T], build func(jc context.Context, parts [][]T) (V, error)) *Stage[V] {
 	return &Stage[V]{ctx: r.ctx, numPart: r.numPart, build: func(jc context.Context) (val V, err error) {
-		parts, err := r.action(jc, "stage") // a job of its own only when run outside one, as by AdaptPlan
+		parts, err := r.action(jc, "stage", r.computeAll) // a job of its own only when run outside one, as by AdaptPlan
 		if err != nil {
 			return val, err
 		}

@@ -41,6 +41,12 @@ func traceFrom(jc context.Context) (traceCtx, bool) {
 	return tc, ok
 }
 
+// TraceID is the trace id jc carries, "" for none.
+func TraceID(jc context.Context) string {
+	tc, _ := traceFrom(jc)
+	return tc.id
+}
+
 // traceSink returns the capture sink installed on jc, if any — used by span
 // emission sites to decide whether building a span is worthwhile even when
 // the context-wide trace buffer is disabled.

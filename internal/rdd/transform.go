@@ -3,6 +3,7 @@ package rdd
 import (
 	"context"
 	"fmt"
+	"slices"
 )
 
 // Transformations are package-level functions because Go methods cannot
@@ -143,25 +144,28 @@ func Take[T any](r *RDD[T], n int) ([]T, error) {
 	return TakeContext(context.Background(), r, n)
 }
 
-// TakeContext is Take under a job context.
+// TakeContext is Take under a job context. Over Batched elements it takes
+// whole elements until they hold n records.
 func TakeContext[T any](jc context.Context, r *RDD[T], n int) ([]T, error) {
-	if err := runStages(jc, r.stages); err != nil {
-		return nil, err
-	}
-	out := make([]T, 0, n)
-	for p := 0; p < r.numPart && len(out) < n; p++ {
-		part, err := r.partition(jc, p)
-		if err != nil {
+	parts, err := r.action(jc, "take", func(jc context.Context) ([][]T, error) {
+		if err := runStages(jc, r.stages); err != nil {
 			return nil, err
 		}
-		for _, v := range part {
-			out = append(out, v)
-			if len(out) == n {
-				break
+		var parts [][]T
+		for p, taken := 0, int64(0); p < r.numPart && taken < int64(n); p++ {
+			part, err := r.partition(jc, p)
+			if err != nil {
+				return nil, err
 			}
+			k := 0
+			for ; k < len(part) && taken < int64(n); k++ {
+				taken += records(part[k : k+1])
+			}
+			parts = append(parts, part[:k])
 		}
-	}
-	return out, nil
+		return parts, nil
+	})
+	return slices.Concat(parts...), err
 }
 
 // ZipPartitionsCtx combines the corresponding partitions of two RDDs with

@@ -352,24 +352,13 @@ func (s *Server) runQuery(out *bufio.Writer, query string) (planHash uint64, nro
 		fmt.Fprintf(out, "OK 0 0\n\n")
 		return 0, 0, nil
 	}
-	if planHash, err = df.PlanHash(); err != nil {
-		writeErr(out, err)
-		return 0, 0, err
-	}
-	if s.MaxRows > 0 {
-		df, err = df.Limit(s.MaxRows)
-		if err != nil {
-			writeErr(out, err)
-			return planHash, 0, err
-		}
-	}
 	qc := context.Background()
 	var cancel context.CancelFunc
 	if s.QueryTimeout > 0 {
 		qc, cancel = context.WithTimeout(qc, s.QueryTimeout)
 		defer cancel()
 	}
-	rows, err := df.CollectContext(qc)
+	rows, planHash, err := df.CollectN(qc, s.MaxRows)
 	if err != nil {
 		writeErr(out, err)
 		return planHash, 0, err

@@ -438,6 +438,51 @@ func TestStructuredQueryLog(t *testing.T) {
 	if !strings.Contains(fail.Cause, "poisoned UDF") {
 		t.Fatalf("failure record lacks the root cause: %+v", fail)
 	}
+	// The logged hash is the plan that ran: the statement's SHOW HISTORY
+	// entry carries the same one.
+	hist, err := c.Query("SHOW HISTORY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := map[string]string{}
+	for _, r := range hist.Rows {
+		hashes[r[1]] = r[3]
+	}
+	if got := hashes["SELECT name FROM people"]; got != ok.PlanHash {
+		t.Fatalf("log plan_hash %s, SHOW HISTORY plan_hash %s", ok.PlanHash, got)
+	}
+	if got := hashes["SELECT poison(name) FROM people"]; got != fail.PlanHash {
+		t.Fatalf("failure log plan_hash %s, SHOW HISTORY plan_hash %s", fail.PlanHash, got)
+	}
+}
+
+// A statement through the server is optimised and planned once, and its
+// plan rendered for a fingerprint at most once.
+func TestStatementPlannedOnce(t *testing.T) {
+	srv, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	reg := srv.ctx.Metrics()
+	planned, hashed := reg.Counter("query.planned"), reg.Counter("query.plan.hashed")
+	for _, q := range []string{
+		"SELECT name FROM people WHERE age > 20",
+		"SELECT age % 2, COUNT(*) FROM people GROUP BY age % 2 ORDER BY age % 2",
+		"SELECT shout(name) FROM people ORDER BY name LIMIT 2",
+	} {
+		p0, h0 := planned.Load(), hashed.Load()
+		if _, err := c.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if n := planned.Load() - p0; n != 1 {
+			t.Errorf("%s: planned %d times, want once", q, n)
+		}
+		if n := hashed.Load() - h0; n > 1 {
+			t.Errorf("%s: plan rendered for its hash %d times, want at most once", q, n)
+		}
+	}
 }
 
 // ANALYZE TABLE and EXPLAIN work over the wire: after collecting

@@ -107,6 +107,22 @@ if grep -rnE 'binary\.(BigEndian|LittleEndian)\.(Put|Append)?Uint(16|32)\(' --in
 	echo "a record is framed by hand outside internal/frame" >&2
 	exit 1
 fi
+# A server statement pays only for its own bookkeeping: the event reads its
+# own trace's spans, not a copy of the ring; the server's row cap is the
+# collect's, so the statement is planned once and logs the hash of the plan
+# that ran; and a take is sized to the rows it takes, not to its cap.
+if grep -n 'Trace()\.Snapshot()' internal/core/observability.go internal/core/cluster.go; then
+	echo "internal/core copies the whole trace ring to find one statement's spans" >&2
+	exit 1
+fi
+if grep -n '\.Limit(\|\.PlanHash()' internal/sqlserver/server.go; then
+	echo "internal/sqlserver/server.go plans a statement twice again" >&2
+	exit 1
+fi
+if sed -n '/^func TakeContext/,/^}/p' internal/rdd/transform.go | grep -n 'make(\[\]T, 0, n)'; then
+	echo "rdd.TakeContext sizes its result to n again" >&2
+	exit 1
+fi
 echo "internal/physical + internal/expr non-test lines: $(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) (ROADMAP target: <= 7835)"
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
@@ -186,6 +202,12 @@ go test -race -v -run '^TestAdaptive|^TestPlanHash' -timeout 10m .
 # frames — every answer byte-identical to a local fault-free run. The
 # schedule is seeded (deterministic) and the 5m timeout bounds wall time.
 go test -race -v -run '^TestMultiproc' -timeout 5m ./internal/experiments/
+
+# One statement, one plan: through the server a statement is planned once and
+# rendered for its hash at most once, its logged hash is SHOW HISTORY's, a
+# cluster context runs it on the workers under the row cap, and its event and
+# a take allocate for their own spans and rows only.
+go test -race -count=3 -run '^TestStatementPlannedOnce$|^TestStructuredQueryLog$|^TestServerStatementsDistribute$|^TestTraceBufferTraceSpans$|^TestFinishEventCostsOwnSpans$|^TestTakeContextSizedToRows$' -timeout 5m ./internal/sqlserver/ ./internal/cluster/sqlexec/ ./internal/metrics/ ./internal/core/ ./internal/rdd/
 
 # Session memo: written by RefreshSession, read by concurrent RunTasks and
 # summaries while the catalog changes — the invalidation contract (what a
