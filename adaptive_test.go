@@ -114,6 +114,7 @@ func checkAblation(t *testing.T, cfg Config, setup func(testing.TB, *Context), q
 	setup(t, ctxEA)
 	ea := explainAnalyze(t, ctxEA, query)
 	noNestedStages(t, ctxEA)
+	batchesConverged(t, ctxEA)
 	for _, marker := range markers {
 		if !strings.Contains(ea, marker) {
 			t.Fatalf("EXPLAIN ANALYZE for %q missing %q:\n%s", query, marker, ea)

@@ -50,6 +50,7 @@ func TestExplainAnalyzeStarSchemaGolden(t *testing.T) {
 	analyzeStarSchema(t, ctx)
 	raw := analyzeText(t, ctx)
 	got := normalizeAnalyze(raw)
+	batchesConverged(t, ctx)
 
 	golden := filepath.Join("testdata", "explain_analyze_star_schema.golden")
 	if *updateGolden {

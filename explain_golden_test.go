@@ -126,6 +126,7 @@ func TestExplainStarSchemaGolden(t *testing.T) {
 	ctx := starSchemaContext(t, goldenConfig())
 	analyzeStarSchema(t, ctx)
 	got := normalizePlan(explainText(t, ctx))
+	batchesConverged(t, ctx)
 
 	golden := filepath.Join("testdata", "explain_star_schema.golden")
 	if *updateGolden {

@@ -114,7 +114,7 @@ func (a *Analyzer) resolveReferences(p plan.LogicalPlan) plan.LogicalPlan {
 			return nil, false
 		}
 		input := plan.InputAttributes(n)
-		replaced, ok := transformNodeExprs(n, func(e expr.Expression) (expr.Expression, bool) {
+		replaced, ok := plan.TransformNodeExpressions(n, func(e expr.Expression) (expr.Expression, bool) {
 			u, isUnresolved := e.(*expr.UnresolvedAttribute)
 			if !isUnresolved {
 				return nil, false
@@ -670,7 +670,7 @@ func freshenPlan(p plan.LogicalPlan, taken expr.AttributeSet) (plan.LogicalPlan,
 		default:
 			// Remap expressions and re-alias so derived attribute IDs
 			// (Alias IDs) that collide are also freshened.
-			replaced, changed := transformNodeExprs(n, func(e expr.Expression) (expr.Expression, bool) {
+			replaced, changed := plan.TransformNodeExpressions(n, func(e expr.Expression) (expr.Expression, bool) {
 				switch x := e.(type) {
 				case *expr.AttributeReference:
 					if fresh, ok := mapping[x.ID_]; ok {
@@ -717,26 +717,4 @@ func childrenResolvedPlan(p plan.LogicalPlan) bool {
 		}
 	}
 	return true
-}
-
-// transformNodeExprs rewrites the expressions of a single plan node
-// (not descending into child plans), reporting whether anything changed.
-func transformNodeExprs(n plan.LogicalPlan, f func(expr.Expression) (expr.Expression, bool)) (plan.LogicalPlan, bool) {
-	exprs := n.Expressions()
-	if len(exprs) == 0 {
-		return n, false
-	}
-	newExprs := make([]expr.Expression, len(exprs))
-	changed := false
-	for i, e := range exprs {
-		ne := expr.TransformUp(e, f)
-		newExprs[i] = ne
-		if any(ne) != any(e) {
-			changed = true
-		}
-	}
-	if !changed {
-		return n, false
-	}
-	return n.WithNewExpressions(newExprs), true
 }

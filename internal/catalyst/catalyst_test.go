@@ -3,7 +3,6 @@ package catalyst
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -13,6 +12,7 @@ type node struct {
 	op   string // "lit", "add", "attr"
 	val  int
 	name string
+	mark bool // not rendered by String
 	kids []*node
 }
 
@@ -176,24 +176,7 @@ func TestRuleExecutorMaxIterations(t *testing.T) {
 	}
 }
 
-func TestRuleExecutorTraceAndCheck(t *testing.T) {
-	var traced []string
-	exec := &RuleExecutor[*node]{
-		Batches: []Batch[*node]{{
-			Name:  "fold",
-			Rules: []Rule[*node]{{Name: "constFold", Apply: func(n *node) *node { return TransformUp[*node](n, constFold) }}},
-		}},
-		Trace: func(batch, rule string, before, after *node) {
-			traced = append(traced, fmt.Sprintf("%s/%s: %s -> %s", batch, rule, before, after))
-		},
-	}
-	if _, err := exec.Execute(add(lit(1), lit(2))); err != nil {
-		t.Fatal(err)
-	}
-	if len(traced) == 0 || !strings.Contains(traced[0], "constFold") {
-		t.Errorf("trace = %v", traced)
-	}
-
+func TestRuleExecutorCheck(t *testing.T) {
 	// A failing sanity check surfaces as an error (the paper's per-batch
 	// sanity checks).
 	failing := &RuleExecutor[*node]{
@@ -202,5 +185,98 @@ func TestRuleExecutorTraceAndCheck(t *testing.T) {
 	}
 	if _, err := failing.Execute(lit(1)); err == nil {
 		t.Error("expected check error")
+	}
+}
+
+// A rewrite that changes only what String() leaves out is still a change:
+// the fixed point is node identity, not rendered text. markLits sets the
+// hidden mark on every literal; renameMarked, which runs first in the batch,
+// turns a marked literal into an attribute. Iteration 1 only marks (the tree
+// prints the same), so a batch that compared renderings would stop there and
+// never run renameMarked on a mark.
+func TestRuleExecutorSeesChangesStringOmits(t *testing.T) {
+	markLits := func(n *node) (*node, bool) {
+		if n.op != "lit" || n.mark {
+			return nil, false
+		}
+		c := *n
+		c.mark = true
+		return &c, true
+	}
+	renameMarked := func(n *node) (*node, bool) {
+		if !n.mark {
+			return nil, false
+		}
+		return attr(fmt.Sprintf("m%d", n.val)), true
+	}
+	exec := &RuleExecutor[*node]{
+		Batches: []Batch[*node]{{
+			Name: "hidden",
+			Rules: []Rule[*node]{
+				{Name: "renameMarked", Apply: func(n *node) *node { return TransformUp[*node](n, renameMarked) }},
+				{Name: "markLits", Apply: func(n *node) *node { return TransformUp[*node](n, markLits) }},
+			},
+		}},
+		OnMaxIterations: func(string, int) { t.Error("the batch did not converge") },
+	}
+	got, err := exec.Execute(add(attr("x"), lit(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != "(x+m1)" {
+		t.Fatalf("got %s, want (x+m1): the batch stopped before its fixed point", got)
+	}
+}
+
+// A rule that matches nothing returns its input: the transforms and a batch
+// that has converged hand back the very tree they were given and allocate
+// nothing, so a fixed point costs one walk and no garbage.
+func TestNoMatchReturnsInputWithoutAllocating(t *testing.T) {
+	tree := add(add(attr("x"), attr("y")), add(attr("z"), add(attr("w"), attr("v"))))
+	exec := &RuleExecutor[*node]{
+		Batches: []Batch[*node]{{
+			Name: "fold",
+			Rules: []Rule[*node]{
+				{Name: "constFold", Apply: func(n *node) *node { return TransformUp[*node](n, constFold) }},
+				{Name: "dropZero", Apply: func(n *node) *node { return TransformDown[*node](n, dropZero) }},
+			},
+		}},
+	}
+	for name, run := range map[string]func() *node{
+		"TransformUp":   func() *node { return TransformUp[*node](tree, constFold) },
+		"TransformDown": func() *node { return TransformDown[*node](tree, dropZero) },
+		"Execute": func() *node {
+			got, err := exec.Execute(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		},
+	} {
+		if got := run(); got != tree {
+			t.Errorf("%s rebuilt a tree no rule matches: %s", name, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { run() }); n != 0 {
+			t.Errorf("%s allocated %v times on a tree no rule matches", name, n)
+		}
+	}
+}
+
+func TestMapSliceCopiesOnFirstChange(t *testing.T) {
+	a, b, c := lit(1), lit(2), lit(3)
+	in := []*node{a, b, c}
+	same, changed := MapSlice(in, func(n *node) *node { return n })
+	if changed || &same[0] != &in[0] {
+		t.Fatalf("an identity map must return its input: changed=%v", changed)
+	}
+	d := lit(4)
+	out, changed := MapSlice(in, func(n *node) *node {
+		if n == b {
+			return d
+		}
+		return n
+	})
+	if !changed || &out[0] == &in[0] || out[0] != a || out[1] != d || out[2] != c || in[1] != b {
+		t.Fatalf("MapSlice = %v, %v; input now %v", out, changed, in)
 	}
 }

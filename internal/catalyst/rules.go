@@ -4,7 +4,8 @@ import "fmt"
 
 // Rule is a named tree-to-tree function (paper §4.2). The function may run
 // arbitrary code, but most rules are built from TransformUp/TransformDown
-// with a type-switch body.
+// with a type-switch body. A rule that matches nothing must return its input
+// node itself: the executor reads any other node as a change.
 type Rule[T TreeNode[T]] struct {
 	Name  string
 	Apply func(T) T
@@ -36,9 +37,6 @@ type Batch[T TreeNode[T]] struct {
 // different batches).
 type RuleExecutor[T TreeNode[T]] struct {
 	Batches []Batch[T]
-	// Trace, if non-nil, is called after every rule application that
-	// changed the tree — handy for debugging optimizations.
-	Trace func(batch, rule string, before, after T)
 	// OnMaxIterations, if non-nil, is called when a fixed-point batch hits
 	// its iteration bound without converging.
 	OnMaxIterations func(batch string, iterations int)
@@ -49,7 +47,9 @@ type RuleExecutor[T TreeNode[T]] struct {
 	Check func(T) error
 }
 
-// Execute runs all batches in order and returns the transformed tree.
+// Execute runs all batches in order and returns the transformed tree. A
+// fixed-point batch stops at the first iteration in which every rule returned
+// the very node it was given.
 func (e *RuleExecutor[T]) Execute(tree T) (T, error) {
 	for _, batch := range e.Batches {
 		maxIter := batch.MaxIterations
@@ -58,20 +58,16 @@ func (e *RuleExecutor[T]) Execute(tree T) (T, error) {
 		} else if maxIter <= 0 {
 			maxIter = defaultMaxIterations
 		}
-		prev := tree.String()
 		for i := 0; i < maxIter; i++ {
+			changed := false
 			for _, rule := range batch.Rules {
 				next := rule.Apply(tree)
-				if e.Trace != nil && next.String() != tree.String() {
-					e.Trace(batch.Name, rule.Name, tree, next)
-				}
+				changed = changed || any(next) != any(tree)
 				tree = next
 			}
-			cur := tree.String()
-			if cur == prev {
+			if !changed {
 				break // fixed point reached
 			}
-			prev = cur
 			if i == maxIter-1 && !batch.Once && e.OnMaxIterations != nil {
 				e.OnMaxIterations(batch.Name, maxIter)
 			}

@@ -8,6 +8,10 @@
 // provide the same "applies recursively to all nodes, skipping subtrees
 // that do not match" behaviour, so a rule only reasons about the shapes it
 // rewrites.
+//
+// Node identity is the framework's only notion of change: a transform that
+// matches nothing returns its input without allocating, and a batch's fixed
+// point is an iteration in which every rule did. Nothing here prints a tree.
 package catalyst
 
 // TreeNode is the interface every Catalyst tree node satisfies. The type
@@ -15,17 +19,14 @@ package catalyst
 // Go's substitute for Scala's F-bounded TreeNode[BaseType <: TreeNode[...]].
 //
 // Nodes are immutable: WithNewChildren returns a rebuilt copy. All
-// implementations must be pointer types so that node identity comparisons
-// used by the transform machinery are cheap and meaningful.
+// implementations must be pointer types: identity is how the transforms
+// reuse untouched subtrees and how the executor detects a fixed point.
 type TreeNode[T any] interface {
 	// Children returns the node's direct children in order.
 	Children() []T
 	// WithNewChildren returns a copy of the node with the given children.
 	// len(children) must equal len(Children()).
 	WithNewChildren(children []T) T
-	// String renders the whole subtree; the rule executor uses it to
-	// detect the fixed point of a rule batch.
-	String() string
 }
 
 // PartialFunc is a rule body: it returns the replacement node and true when
@@ -57,23 +58,34 @@ func TransformDown[T TreeNode[T]](node T, f PartialFunc[T]) T {
 // mapChildren rebuilds node with g applied to each child, reusing the node
 // when no child changed.
 func mapChildren[T TreeNode[T]](node T, g func(T) T) T {
-	children := node.Children()
-	if len(children) == 0 {
-		return node
+	if children, changed := MapSlice(node.Children(), g); changed {
+		return node.WithNewChildren(children)
 	}
-	newChildren := make([]T, len(children))
-	changed := false
-	for i, c := range children {
-		nc := g(c)
-		newChildren[i] = nc
-		if any(nc) != any(c) {
-			changed = true
+	return node
+}
+
+// MapSlice applies g to every element of s. While g returns each element
+// itself it allocates nothing, and when it did so for all of them it returns
+// s and false; from the first element g replaced, it builds a new slice and
+// returns it and true. Elements are compared by identity, so they must be
+// pointers or interfaces holding pointers.
+func MapSlice[T any](s []T, g func(T) T) ([]T, bool) {
+	var out []T
+	for i, x := range s {
+		nx := g(x)
+		if out == nil {
+			if any(nx) == any(x) {
+				continue
+			}
+			out = make([]T, len(s))
+			copy(out, s[:i])
 		}
+		out[i] = nx
 	}
-	if !changed {
-		return node
+	if out == nil {
+		return s, false
 	}
-	return node.WithNewChildren(newChildren)
+	return out, true
 }
 
 // Foreach runs visit on every node of the tree, parents first.

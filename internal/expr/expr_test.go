@@ -419,6 +419,6 @@ func TestTreeStringIncludesIDs(t *testing.T) {
 	a := NewAttribute("col", types.Int, false)
 	s := GT(a, Lit(int32(3))).String()
 	if s == "" || s == "(col > 3)" {
-		t.Errorf("attribute IDs must render (got %q) so fixed-point detection is precise", s)
+		t.Errorf("attribute IDs must render (got %q) so printed plans and Equivalent tell attributes apart", s)
 	}
 }

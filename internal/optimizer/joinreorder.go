@@ -34,7 +34,7 @@ func reorderJoins(p plan.LogicalPlan) plan.LogicalPlan {
 		// An identity ordering means statistics gave no reason to move
 		// anything: keep the original tree (including any column-pruning
 		// projects the flattening looked through).
-		if reordered == nil || isIdentity(order) || sameShape(j, reordered) {
+		if reordered == nil || isIdentity(order) {
 			return nil, false
 		}
 		return restoreOutput(j.Output(), reordered), true
@@ -237,12 +237,6 @@ func greedyOrder(items []plan.LogicalPlan, conjuncts []expr.Expression) (plan.Lo
 		}
 	}
 	return current, order
-}
-
-// sameShape reports whether two join trees are structurally identical —
-// used to leave the plan untouched when greedy ordering reproduces it.
-func sameShape(a, b plan.LogicalPlan) bool {
-	return a.String() == b.String()
 }
 
 // restoreOutput wraps a reordered join so its output attribute order (and

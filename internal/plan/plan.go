@@ -32,7 +32,7 @@ type LogicalPlan interface {
 	Resolved() bool
 	// SimpleString is the one-line description of this node alone.
 	SimpleString() string
-	// String renders the whole subtree (used for fixed-point detection).
+	// String renders the whole subtree for printing.
 	String() string
 }
 
@@ -83,28 +83,21 @@ func TransformDown(p LogicalPlan, f catalyst.PartialFunc[LogicalPlan]) LogicalPl
 // of every node in the plan — the paper's transformAllExpressions.
 func TransformExpressionsUp(p LogicalPlan, f catalyst.PartialFunc[expr.Expression]) LogicalPlan {
 	return TransformUp(p, func(n LogicalPlan) (LogicalPlan, bool) {
-		return transformNodeExpressions(n, f)
+		return TransformNodeExpressions(n, f)
 	})
 }
 
-func transformNodeExpressions(n LogicalPlan, f catalyst.PartialFunc[expr.Expression]) (LogicalPlan, bool) {
-	exprs := n.Expressions()
-	if len(exprs) == 0 {
-		return nil, false
-	}
-	newExprs := make([]expr.Expression, len(exprs))
-	changed := false
-	for i, e := range exprs {
-		ne := expr.TransformUp(e, f)
-		newExprs[i] = ne
-		if any(ne) != any(e) {
-			changed = true
-		}
-	}
+// TransformNodeExpressions rewrites the expressions of the one node n, not
+// of its children, and reports whether any changed; when none did it returns
+// nil and false.
+func TransformNodeExpressions(n LogicalPlan, f catalyst.PartialFunc[expr.Expression]) (LogicalPlan, bool) {
+	exprs, changed := catalyst.MapSlice(n.Expressions(), func(e expr.Expression) expr.Expression {
+		return expr.TransformUp(e, f)
+	})
 	if !changed {
 		return nil, false
 	}
-	return n.WithNewExpressions(newExprs), true
+	return n.WithNewExpressions(exprs), true
 }
 
 // InputAttributes returns the union of all children's outputs — what

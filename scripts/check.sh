@@ -123,6 +123,23 @@ if sed -n '/^func TakeContext/,/^}/p' internal/rdd/transform.go | grep -n 'make(
 	echo "rdd.TakeContext sizes its result to n again" >&2
 	exit 1
 fi
+# Catalyst's fixed point is node identity: a rule batch stops at the first
+# iteration in which every rule returned the node it was given. A String()
+# call in the framework, a String() method back in the TreeNode interface, or
+# an optimizer rule comparing renderings is change detection by printed text
+# coming back.
+if grep -n 'String()' $(ls internal/catalyst/*.go | grep -v '_test\.go$'); then
+	echo "internal/catalyst renders a tree again" >&2
+	exit 1
+fi
+if sed -n '/^type TreeNode\[/,/^}/p' internal/catalyst/tree.go | grep -n 'String()'; then
+	echo "catalyst.TreeNode requires String() again" >&2
+	exit 1
+fi
+if grep -rn '\.String() [!=]=' --include='*.go' internal/optimizer | grep -v '_test\.go:'; then
+	echo "internal/optimizer compares plans by their printed text" >&2
+	exit 1
+fi
 echo "internal/physical + internal/expr non-test lines: $(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) (ROADMAP target: <= 7835)"
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
@@ -208,6 +225,13 @@ go test -race -v -run '^TestMultiproc' -timeout 5m ./internal/experiments/
 # cluster context runs it on the workers under the row cap, and its event and
 # a take allocate for their own spans and rows only.
 go test -race -count=3 -run '^TestStatementPlannedOnce$|^TestStructuredQueryLog$|^TestServerStatementsDistribute$|^TestTraceBufferTraceSpans$|^TestFinishEventCostsOwnSpans$|^TestTakeContextSizedToRows$' -timeout 5m ./internal/sqlserver/ ./internal/cluster/sqlexec/ ./internal/metrics/ ./internal/core/ ./internal/rdd/
+
+# Catalyst's change detection: a rewrite String() cannot see still moves the
+# batch to its fixed point, a rule matching nothing allocates nothing and
+# returns its input, and removing any one optimizer rule leaves every answer
+# of the Q1-Q3, star-join, UNION and ORDER BY ... LIMIT set unchanged.
+go test -race -count=3 -timeout 5m ./internal/catalyst/
+go test -race -count=3 -run '^TestRuleOffDifferential$|^TestUnconvergedBatchesAreCounted$' -timeout 5m ./internal/core/
 
 # Session memo: written by RefreshSession, read by concurrent RunTasks and
 # summaries while the catalog changes — the invalidation contract (what a

@@ -148,6 +148,7 @@ func spillCollect(t *testing.T, ctx *Context, query string) []Row {
 		t.Fatalf("%q: %v", query, err)
 	}
 	noNestedStages(t, ctx)
+	batchesConverged(t, ctx)
 	return rows
 }
 
@@ -157,6 +158,16 @@ func noNestedStages(t testing.TB, ctx *Context) {
 	t.Helper()
 	if n := ctx.Metrics().Counter("rdd.stages.nested").Load(); n != 0 {
 		t.Fatalf("rdd.stages.nested = %d: a task ran a stage nobody scheduled", n)
+	}
+}
+
+// batchesConverged fails t when an analyzer or optimizer batch of ctx stopped
+// at its iteration bound: a rule that matches nothing must return its input
+// node, or its batch never reaches a fixed point.
+func batchesConverged(t testing.TB, ctx *Context) {
+	t.Helper()
+	if n := ctx.Metrics().Counter("catalyst.batches.unconverged").Load(); n != 0 {
+		t.Fatalf("catalyst.batches.unconverged = %d: a rule rebuilt a tree it did not change", n)
 	}
 }
 

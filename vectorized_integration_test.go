@@ -404,6 +404,7 @@ func rddRows(t *testing.T, ctx *Context, q string) []Row {
 		t.Fatalf("%s: %v", q, err)
 	}
 	noNestedStages(t, ctx)
+	batchesConverged(t, ctx)
 	return rows
 }
 
@@ -418,6 +419,7 @@ func mustRunRows(t *testing.T, ctx *Context, q string) []Row {
 		t.Fatalf("%s: %v", q, err)
 	}
 	noNestedStages(t, ctx)
+	batchesConverged(t, ctx)
 	return rows
 }
 
