@@ -11,7 +11,7 @@ import (
 )
 
 // Adaptive query execution tests: each re-planning rule (partition
-// coalescing, shuffled->broadcast promotion, broadcast->sort-merge
+// coalescing, shuffled->broadcast promotion, broadcast->shuffled
 // demotion, skew splitting) must both fire — visible as an `adapted:`
 // line in EXPLAIN ANALYZE — and leave query results byte-identical to
 // the static plan.
@@ -157,7 +157,7 @@ func TestAdaptivePromote(t *testing.T) {
 // TestAdaptiveDemote: the optimizer underestimates a filter (default
 // selectivity on `v >= 0`, which actually keeps every row), plans a
 // broadcast join under the threshold, and the observed build side blows
-// past it — the join demotes to sort-merge.
+// past it — the join demotes to a shuffled hash join.
 func TestAdaptiveDemote(t *testing.T) {
 	cfg := adaptiveConfig()
 	cfg.BroadcastThreshold = 8000
@@ -167,7 +167,7 @@ func TestAdaptiveDemote(t *testing.T) {
 	}
 	checkAblation(t, cfg, setup,
 		"SELECT a.k, a.v, b.v FROM a JOIN (SELECT k, v FROM b WHERE v >= 0) b ON a.k = b.k ORDER BY a.v, b.v",
-		"BroadcastHashJoin -> SortMergeJoin (build side")
+		"BroadcastHashJoin -> ShuffledHashJoin (build side")
 }
 
 // skewConfig shapes the skew ablations: a broadcast threshold of one

@@ -389,8 +389,8 @@ func blockQueries() []string {
 // probeOrderQueries are broadcast joins probed from either side. While the
 // build side fits the budget their output order is the row join's: probe
 // rows in stream order, matches in build-collect order, left cells first.
-// (At a one-byte budget the planner makes them sort-merge joins, and only
-// the row set is comparable.)
+// (At a one-byte budget nothing broadcasts: the planner makes them shuffled
+// hash joins, and only the row set is comparable.)
 var probeOrderQueries = []string{
 	"SELECT e.id, e.name, d.label FROM events e JOIN dim d ON e.grp = d.grp WHERE e.id % 3 = 0",
 	"SELECT d.label, e.id, e.name FROM dim d JOIN events e ON d.grp = e.grp WHERE e.id % 3 = 0",
@@ -700,7 +700,7 @@ var manyPartitionQueries = []string{
 // register and holds the fused engine to the row engine over the same leaf,
 // byte for byte and in order: as configured by default, with adaptive
 // execution off, at a one-byte budget (where a broadcast join plans as a
-// sort-merge join and only its row set compares), and with a third of all
+// shuffled hash join and only its row set compares), and with a third of all
 // tasks failing their first attempt.
 func checkManyPartitions(t *testing.T, register tableLeaf) {
 	const parts = 300
@@ -758,7 +758,7 @@ func checkManyPartitions(t *testing.T, register tableLeaf) {
 				if text(got) != text(want) {
 					t.Errorf("%q diverged from the row path:\n got %.300q\nwant %.300q", q, text(got), text(want))
 				}
-				if cut == coalesced.Load() && !replanned { // a sort-merge join may have no batch pipeline under it
+				if cut == coalesced.Load() && !replanned { // a shuffled join may have no batch pipeline under it
 					t.Errorf("%q: a 300-partition leaf was not cut into runs", q)
 				}
 				// The first query is one leaf stage and one reduce stage on 4

@@ -71,13 +71,13 @@ type Config struct {
 	ShufflePartitions int
 	Parallelism       int
 	// MemoryBudget bounds each query's execution memory in bytes (0 =
-	// unlimited, the default). When set, blocking operators — sort,
-	// aggregation, distinct, and the sort-merge join the planner selects
-	// for oversized build sides — reserve their buffered state from a
-	// per-query pool and spill encoded runs/partitions to the engine's
-	// simulated DFS when it is exhausted. Results are byte-identical to
-	// the unbounded path at any budget; EXPLAIN ANALYZE reports
-	// `spilled: N B, R runs` per operator.
+	// unlimited, the default). When set, sorts, aggregation reducers and
+	// DISTINCT reserve their buffered state from a per-query pool and spill
+	// encoded runs/partitions to the engine's simulated DFS when it is
+	// exhausted; EXPLAIN ANALYZE reports `spilled: N B, R runs` per
+	// operator. A shuffled join holds its reduce partition and hash table
+	// unreserved, and a join side broadcasts only under half the budget.
+	// Results are byte-identical to the unbounded path at any budget.
 	MemoryBudget int64
 
 	// The knobs below are process-local: they shape how this process runs

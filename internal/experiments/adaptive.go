@@ -16,17 +16,18 @@ import (
 // runtime statistics). The workload joins an RDD-backed fact table —
 // whose size the planner cannot estimate — against a tiny dim side
 // under a memory budget. Blind to the input sizes, the static planner
-// picks a sort-merge join and sorts both sides; the adaptive driver
+// picks a shuffled hash join and shuffles both sides; the adaptive driver
 // materializes the join's inputs at the exchange barrier, observes a
 // few-KB build side, and promotes the join to broadcast-hash, skipping
-// both sorts. The fact keys come either uniform or Zipf(2)-distributed
+// the exchange. The fact keys come either uniform or Zipf(2)-distributed
 // (the majority of rows on one key), so the same study doubles as the
 // skewed-join ablation.
 type AdaptiveStudy struct {
 	// FactRows is the probe-side size; Keys the dim-side cardinality.
 	FactRows int64
 	Keys     int64
-	// MemoryBudget forces the size-blind static plan to sort-merge.
+	// MemoryBudget runs both plans under a query memory pool, which caps the
+	// broadcast limit at half of it.
 	MemoryBudget int64
 }
 

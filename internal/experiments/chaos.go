@@ -189,9 +189,9 @@ func RunSQLChaos(cfg ChaosConfig) (injected int64, err error) {
 }
 
 // RunSpillChaos combines the task-failure schedule with forced spilling: the
-// chaotic context runs under a memory budget small enough that every blocking
-// operator (sort, aggregation, distinct, sort-merge join) spills to the engine
-// DFS, while ~FailureRate of tasks fail their leading attempts AND a slice of
+// chaotic context runs under a memory budget small enough that every
+// reserving operator (sort, aggregation, distinct) spills to the engine DFS,
+// while ~FailureRate of tasks fail their leading attempts AND a slice of
 // spill-file writes fail transiently too. A failed spill write fails its task;
 // the retried task allocates a fresh spill prefix, so the rewrite lands on new
 // paths and the fault never repeats deterministically. Results must stay

@@ -11,8 +11,8 @@ package physical
 //   - exchange partition counts coalesce to ceil(observedBytes/target)
 //     when that is below the statically chosen count,
 //   - a broadcast hash join whose build side blows past the broadcast
-//     limit demotes to a sort-merge join, and a shuffled join whose input
-//     turns out tiny promotes to a broadcast hash join,
+//     limit demotes to a shuffled hash join, and a shuffled join whose
+//     input turns out tiny promotes to a broadcast hash join,
 //   - a shuffled hash join reduce partition whose observed input exceeds
 //     SkewFactor x the mean bucket size splits into chunks that join
 //     independently against the full build bucket (order-preserving, so
@@ -156,8 +156,6 @@ func applyDecision(p SparkPlan, d Decision) (SparkPlan, error) {
 		switch n := c.(type) {
 		case *ShuffledHashJoinExec:
 			n.Partitions = d.Parts
-		case *SortMergeJoinExec:
-			n.Partitions = d.Parts
 		case *HashAggregateExec:
 			n.Partitions = d.Parts
 		case *SortExec:
@@ -184,21 +182,17 @@ func applyDecision(p SparkPlan, d Decision) (SparkPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("physical: demote decision on %T", p)
 		}
-		smj := &SortMergeJoinExec{EquiJoin: n.EquiJoin, Partitions: d.Parts}
-		transferEstimate(smj, n)
-		smj.SetAdapted(d.Note)
-		return smj, nil
+		shj := &ShuffledHashJoinExec{EquiJoin: n.EquiJoin, Partitions: d.Parts}
+		transferEstimate(shj, n)
+		shj.SetAdapted(d.Note)
+		return shj, nil
 	case "promote":
-		bhj := &BroadcastHashJoinExec{BuildRight: d.BuildRight}
-		switch n := p.(type) {
-		case *ShuffledHashJoinExec:
-			bhj.EquiJoin = n.EquiJoin
-		case *SortMergeJoinExec:
-			bhj.EquiJoin = n.EquiJoin
-		default:
+		n, ok := p.(*ShuffledHashJoinExec)
+		if !ok {
 			return nil, fmt.Errorf("physical: promote decision on %T", p)
 		}
-		transferEstimate(bhj, p)
+		bhj := &BroadcastHashJoinExec{EquiJoin: n.EquiJoin, BuildRight: d.BuildRight}
+		transferEstimate(bhj, n)
 		bhj.SetAdapted(d.Note)
 		return bhj, nil
 	}
@@ -239,8 +233,7 @@ type adaptiveDriver struct {
 func transparent(p SparkPlan) bool {
 	switch p.(type) {
 	case *ProjectExec, *FilterExec, *SortExec, *LimitExec, *TopKExec, *UnionExec, *SampleExec,
-		*HashAggregateExec, *ShuffledHashJoinExec, *SortMergeJoinExec,
-		*BroadcastHashJoinExec, *NestedLoopJoinExec:
+		*HashAggregateExec, *ShuffledHashJoinExec, *BroadcastHashJoinExec, *NestedLoopJoinExec:
 		return true
 	}
 	return false
@@ -305,8 +298,6 @@ func (d *adaptiveDriver) adaptNode(p SparkPlan, path []int) (SparkPlan, error) {
 	switch n := p.(type) {
 	case *ShuffledHashJoinExec:
 		return d.adaptShuffledJoin(n, path)
-	case *SortMergeJoinExec:
-		return d.adaptSortMergeJoin(n, path)
 	case *HashAggregateExec:
 		if len(n.Grouping) == 0 {
 			// A global aggregate always reduces to one partition; nothing
@@ -360,32 +351,25 @@ func coalesceNote(parts int, bytes int64) string {
 	return fmt.Sprintf("adapted: shuffle exchange -> %d partitions (observed %d B)", parts, bytes)
 }
 
-// materializeJoin runs both inputs of a shuffled join as stages and, when a
-// buildable side turns out to fit the broadcast limit, promotes the join to a
-// broadcast hash join (promoted is then non-nil).
-func (d *adaptiveDriver) materializeJoin(p SparkPlan, from string, j *EquiJoin, path []int) (ls, rs *QueryStageExec, promoted SparkPlan, err error) {
-	if ls, err = d.materialize(j.Left); err != nil {
-		return nil, nil, nil, err
-	}
-	if rs, err = d.materialize(j.Right); err != nil {
-		return nil, nil, nil, err
-	}
-	if dec, ok := d.promotion(from, j.Type, path, ls.Bytes, rs.Bytes); ok {
-		if promoted, err = d.record(p, dec); err != nil {
-			return nil, nil, nil, err
-		}
-		promoted = promoted.WithNewChildren([]SparkPlan{ls, rs})
-	}
-	return ls, rs, promoted, nil
-}
-
-// adaptShuffledJoin re-plans a shuffled hash join from its materialized
-// inputs: promote, otherwise coalesce the reducer count from observed bytes
-// and split skewed reduce buckets.
+// adaptShuffledJoin runs both inputs of a shuffled hash join as stages and
+// re-plans it from their observed bytes: promote it to a broadcast hash join
+// when a buildable side fits the broadcast limit, otherwise coalesce the
+// reducer count and split skewed reduce buckets.
 func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) (SparkPlan, error) {
-	ls, rs, promoted, err := d.materializeJoin(n, "ShuffledHashJoin", &n.EquiJoin, path)
-	if err != nil || promoted != nil {
-		return promoted, err
+	ls, err := d.materialize(n.Left)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := d.materialize(n.Right)
+	if err != nil {
+		return nil, err
+	}
+	if dec, ok := d.promotion(n.Type, path, ls.Bytes, rs.Bytes); ok {
+		p, err := d.record(n, dec)
+		if err != nil {
+			return nil, err
+		}
+		return p.WithNewChildren([]SparkPlan{ls, rs}), nil
 	}
 	bytes := ls.Bytes + rs.Bytes
 	newParts := d.coalesced(n.Partitions, bytes)
@@ -407,25 +391,10 @@ func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) 
 	return p.WithNewChildren([]SparkPlan{ls, rs}), nil
 }
 
-// adaptSortMergeJoin: promotion and coalescing only — sort-merge output is
-// key-ordered, so skew splits (which reorder nothing but chunk by input
-// position) do not apply.
-func (d *adaptiveDriver) adaptSortMergeJoin(n *SortMergeJoinExec, path []int) (SparkPlan, error) {
-	ls, rs, promoted, err := d.materializeJoin(n, "SortMergeJoin", &n.EquiJoin, path)
-	if err != nil || promoted != nil {
-		return promoted, err
-	}
-	p, err := d.coalesce(n, path, d.coalesced(n.Partitions, ls.Bytes+rs.Bytes), ls.Bytes+rs.Bytes)
-	if err != nil {
-		return nil, err
-	}
-	return p.WithNewChildren([]SparkPlan{ls, rs}), nil
-}
-
 // promotion decides a shuffled-to-broadcast join switch, mirroring the
 // static planner's side preference and build-legality rules over observed
 // bytes instead of estimates.
-func (d *adaptiveDriver) promotion(from string, t plan.JoinType, path []int, leftBytes, rightBytes int64) (Decision, bool) {
+func (d *adaptiveDriver) promotion(t plan.JoinType, path []int, leftBytes, rightBytes int64) (Decision, bool) {
 	canRight, canLeft := canBuildSides(t)
 	bcast := d.cfg.broadcastLimit()
 	if bcast <= 0 {
@@ -442,13 +411,13 @@ func (d *adaptiveDriver) promotion(from string, t plan.JoinType, path []int, lef
 	}
 	return Decision{
 		Path: path, Kind: "promote", BuildRight: buildRight,
-		Note: fmt.Sprintf("adapted: %s -> BroadcastHashJoin (build side %d B observed under %d B limit)",
-			from, bytes, bcast),
+		Note: fmt.Sprintf("adapted: ShuffledHashJoin -> BroadcastHashJoin (build side %d B observed under %d B limit)",
+			bytes, bcast),
 	}, true
 }
 
-// adaptBroadcastJoin materializes the build side and demotes to sort-merge
-// when the observed build blows past the broadcast limit the static
+// adaptBroadcastJoin materializes the build side and demotes to a shuffled
+// hash join when the observed build blows past the broadcast limit the static
 // planner believed it fit under.
 func (d *adaptiveDriver) adaptBroadcastJoin(n *BroadcastHashJoinExec, path []int) (SparkPlan, error) {
 	stage, err := d.materialize(n.buildSide())
@@ -460,7 +429,7 @@ func (d *adaptiveDriver) adaptBroadcastJoin(n *BroadcastHashJoinExec, path []int
 		dec := Decision{
 			Path: path, Kind: "demote",
 			Parts: d.partitionsFor(stage.Bytes),
-			Note: fmt.Sprintf("adapted: BroadcastHashJoin -> SortMergeJoin (build side %d B observed over %d B limit)",
+			Note: fmt.Sprintf("adapted: BroadcastHashJoin -> ShuffledHashJoin (build side %d B observed over %d B limit)",
 				stage.Bytes, bcast),
 		}
 		if p, err = d.record(n, dec); err != nil {

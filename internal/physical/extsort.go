@@ -10,12 +10,11 @@ import (
 	"repro/internal/row"
 )
 
-// External merge sort: the disk-backed sort under SortExec and
-// SortMergeJoinExec. Rows accumulate in an in-memory buffer whose bytes are
-// reserved from the query's memory pool (spillState); when a reservation
-// fails (or the pool picks this sorter as its largest victim) the buffer is
-// stable-sorted and written to the spill DFS as one encoded run, and the
-// reservation is released. Finishing k-way merges the spilled runs with the
+// External merge sort: the disk-backed sort under SortExec. Rows accumulate
+// in an in-memory buffer whose bytes are reserved from the query's memory
+// pool (spillState); when a reservation fails (or the pool picks this sorter
+// as its largest victim) the buffer is stable-sorted and written to the
+// spill DFS as one encoded run, and the reservation is released. Finishing k-way merges the spilled runs with the
 // final in-memory run through a loser heap that breaks comparison ties by run
 // index — runs are created in input order, so the merged output is exactly
 // the stable sort of the input: byte-identical to the in-memory path.

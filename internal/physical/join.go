@@ -43,8 +43,8 @@ func BuildStage[V any](build *rdd.RDD[row.Row], om *OperatorMetrics, index func(
 // candidate pair. Broadcast-vs-shuffled selection is the planner's
 // cost-based decision (paper §4.3.3).
 
-// EquiJoin is what the equi-join operators (broadcast hash, shuffled hash,
-// sort-merge) all carry: the two inputs, the key pairs the planner extracted
+// EquiJoin is what the equi-join operators (broadcast hash, shuffled hash)
+// both carry: the two inputs, the key pairs the planner extracted
 // from the join condition, the join type and the residual condition.
 type EquiJoin struct {
 	Left, Right         SparkPlan

@@ -561,6 +561,57 @@ func TestPlannerJoinSelection(t *testing.T) {
 	}
 }
 
+// TestPlannerJoinUnderBudget: a memory budget reaches join planning only
+// through the broadcast limit. A join whose build side has unknown size plans
+// as the unbudgeted shuffled hash join, with the same partition cap, at any
+// budget; a build side known to fit in half the budget still broadcasts.
+func TestPlannerJoinUnderBudget(t *testing.T) {
+	probe := &plan.LogicalRDD{Attrs: attrsOf([]string{"a"}, []types.DataType{types.Int})}
+	unknown := &plan.LogicalRDD{Attrs: attrsOf([]string{"b"}, []types.DataType{types.Int})}
+	small := plan.NewLocalRelation(types.NewStruct(
+		types.StructField{Name: "c", Type: types.Int, Nullable: false},
+	), []row.Row{{int32(1)}, {int32(2)}})
+	join := func(build plan.LogicalPlan) *plan.Join {
+		return &plan.Join{
+			Left: probe, Right: build, Type: plan.InnerJoin,
+			Cond: expr.EQ(probe.Attrs[0], build.Output()[0]),
+		}
+	}
+	planWith := func(budget int64, j *plan.Join) SparkPlan {
+		t.Helper()
+		cfg := DefaultPlannerConfig()
+		cfg.MemoryBudget = budget
+		p, err := NewPlanner(cfg).Plan(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	want, ok := planWith(0, join(unknown)).(*ShuffledHashJoinExec)
+	if !ok {
+		t.Fatalf("unbudgeted join over an unknown-size build side: want ShuffledHashJoinExec")
+	}
+	for _, budget := range []int64{1, 64 << 10, 64 << 20} {
+		p := planWith(budget, join(unknown))
+		shj, ok := p.(*ShuffledHashJoinExec)
+		if !ok || shj.Partitions != want.Partitions {
+			t.Fatalf("budget %d: planned %s, want ShuffledHashJoin with parts=%d", budget, p, want.Partitions)
+		}
+	}
+	size := plan.Stats(small).SizeInBytes
+	if p := planWith(2*size, join(small)); !isBroadcast(p) {
+		t.Fatalf("build side of %d B under budget %d: planned %s, want a broadcast", size, 2*size, p)
+	}
+	if p := planWith(2*size-2, join(small)); isBroadcast(p) {
+		t.Fatalf("build side of %d B over half of budget %d broadcast:\n%s", size, 2*size-2, p)
+	}
+}
+
+func isBroadcast(p SparkPlan) bool {
+	_, ok := p.(*BroadcastHashJoinExec)
+	return ok
+}
+
 func TestExtractEquiKeys(t *testing.T) {
 	left := plan.NewLocalRelation(types.NewStruct(
 		types.StructField{Name: "a", Type: types.Int, Nullable: false},

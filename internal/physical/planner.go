@@ -33,9 +33,10 @@ type PlannerConfig struct {
 	// disables stats-based partition sizing.
 	TargetPartitionBytes int64
 	// MemoryBudget is the query execution-memory budget in bytes (zero =
-	// unlimited). When set, shuffled joins whose build side is unknown or
-	// too large to hash within the budget plan as sort-merge joins, whose
-	// state spills gracefully instead of holding a full hash table.
+	// unlimited). Planning sees it only through broadcastLimit: a join side
+	// broadcasts only under half of it. At run time sorts, aggregation
+	// reducers and DISTINCT reserve and spill; a shuffled join holds its
+	// reduce partition and hash table unreserved.
 	MemoryBudget int64
 	// SkewFactor is the multiple of the mean reduce-bucket size above which
 	// adaptive execution splits a bucket (0 = DefaultSkewFactor).
@@ -290,14 +291,6 @@ func (pl *Planner) planJoin(j *plan.Join) (SparkPlan, error) {
 		return &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: false}, nil
 	default:
 		parts := pl.partitionsFor(addKnownSizes(leftSize, rightSize))
-		// Under a memory budget, a shuffled hash join whose build side
-		// (the right) is unknown or cannot hash within half the budget
-		// plans as a sort-merge join: sorts degrade to spilled runs, hash
-		// tables cannot.
-		if b := pl.Cfg.MemoryBudget; b > 0 &&
-			(rightSize >= plan.UnknownSizeInBytes || rightSize > b/2) {
-			return &SortMergeJoinExec{EquiJoin: ej, Partitions: parts}, nil
-		}
 		return &ShuffledHashJoinExec{EquiJoin: ej, Partitions: parts}, nil
 	}
 }

@@ -225,32 +225,15 @@ func TestZipPartitions(t *testing.T) {
 	ctx := NewContext(2)
 	a := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
 	b := Parallelize(ctx, []string{"a", "b", "c", "d"}, 2)
-	zipped, err := ZipPartitionsCtx(a, b, func(_ context.Context, p int, xs []int, ys []string) ([]string, error) {
+	zipped := ZipAt(a, b, 2, func(p int) int { return p }, func(_ context.Context, p int, xs []int, ys []string) ([]string, error) {
 		out := make([]string, len(xs))
 		for i := range xs {
 			out[i] = ys[i]
 		}
 		return out, nil
 	})
-	if err != nil {
-		t.Fatalf("zip: %v", err)
-	}
 	if got := collect(t, zipped); len(got) != 4 || got[0] != "a" {
 		t.Fatalf("zip = %v", got)
-	}
-}
-
-// Satellite: mismatched partition counts are a constructor error, not a
-// panic at execution time.
-func TestZipPartitionsMismatchedCounts(t *testing.T) {
-	ctx := NewContext(2)
-	a := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
-	_, err := ZipPartitionsCtx(a, Parallelize(ctx, []int{1}, 1), func(context.Context, int, []int, []int) ([]int, error) { return nil, nil })
-	if err == nil {
-		t.Fatal("mismatched partition counts must return an error")
-	}
-	if !strings.Contains(err.Error(), "equal partition counts") {
-		t.Fatalf("unhelpful error: %v", err)
 	}
 }
 

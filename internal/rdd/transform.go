@@ -2,7 +2,6 @@ package rdd
 
 import (
 	"context"
-	"fmt"
 	"slices"
 )
 
@@ -168,22 +167,11 @@ func TakeContext[T any](jc context.Context, r *RDD[T], n int) ([]T, error) {
 	return slices.Concat(parts...), err
 }
 
-// ZipPartitionsCtx combines the corresponding partitions of two RDDs with
-// equal partition counts — the primitive under the sort-merge join (both sides
-// are hash-partitioned the same way, then joined partition by partition).
-// Unequal partition counts are a construction error; f's errors (a spill-file
-// write failing) are retryable task errors.
-func ZipPartitionsCtx[A, B, C any](a *RDD[A], b *RDD[B], f func(jc context.Context, p int, left []A, right []B) ([]C, error)) (*RDD[C], error) {
-	if a.numPart != b.numPart {
-		return nil, fmt.Errorf("rdd: ZipPartitions requires equal partition counts (%d vs %d)",
-			a.numPart, b.numPart)
-	}
-	return ZipAt(a, b, a.numPart, func(p int) int { return p }, f), nil
-}
-
-// ZipAt is the zip with n partitions of its own: partition q combines
-// partition at(q) of a with the same partition of b, so several tasks may
-// split one pair of partitions between them — the skew-split join's chunks.
+// ZipAt combines partitions of two RDDs hash-partitioned the same way, as an
+// RDD of n partitions of its own: partition q combines partition at(q) of a
+// with the same partition of b — the shuffled hash join's reduce side. Several
+// tasks may split one pair of partitions between them (the skew-split join's
+// chunks); f's errors are retryable task errors.
 func ZipAt[A, B, C any](a *RDD[A], b *RDD[B], n int, at func(q int) int, f func(jc context.Context, q int, left []A, right []B) ([]C, error)) *RDD[C] {
 	return newRDD(a.ctx, "zipPartitions", n, func(jc context.Context, q int) ([]C, error) {
 		left, err := a.partition(jc, at(q))

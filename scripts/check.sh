@@ -95,6 +95,12 @@ if grep -n 'CollectContext(\|PartitionContext(' $(ls internal/physical/*.go inte
 	echo "internal/physical or internal/rangejoin runs a job from inside a task" >&2
 	exit 1
 fi
+# One shuffled join: ShuffledHashJoinExec at every memory budget. A sort-merge
+# join, or the zip it ran on, coming back is a second shuffled join.
+if grep -rn 'SortMergeJoin\|ZipPartitionsCtx' --include='*.go' .; then
+	echo "a second shuffled join is back" >&2
+	exit 1
+fi
 # One framer: internal/frame cuts every record that crosses a process or
 # disk boundary. A second importer of hash/crc32, or a fixed-width length
 # prefix written or read with encoding/binary under the cluster, the store
@@ -204,8 +210,9 @@ go test -race -v -run '^TestSpill' -timeout 10m .
 go test -race -v -run '^TestChaosSpillWorkload$|^TestSpillStudy$' -timeout 10m ./internal/experiments/
 
 # Adaptive regression gate: adaptive execution no slower than static
-# planning on uniform data, and >= 2x faster on the skewed-join ablation
-# where the size-blind static plan sorts both join inputs.
+# planning (within 1.25x) on uniform data and on the skewed-join ablation,
+# where the size-blind static plan shuffles the join that adaptation
+# promotes to broadcast.
 PERF_GATE=1 go test -run '^TestAdaptiveGate$' -v -timeout 10m ./internal/experiments/
 
 # AQE property suite, explicitly: every adaptation (coalesce, promote,

@@ -128,13 +128,18 @@ func checkLimits(t *testing.T, ctx *Context, wantExact map[string]string) {
 	}
 }
 
-// spillCanonQueries are compared as sorted row sets: the budget switches the
-// join's physical plan to a sort-merge join, whose emission order is not the
-// hash join's — so for these the contract is set equality plus deterministic
-// values.
+// spillCanonQueries are compared as sorted row sets: a budget below twice the
+// dim side's size turns a broadcast join into a shuffled hash join, whose
+// emission order is not the broadcast join's — so for these the contract is
+// set equality plus deterministic values. Between them they cover every join
+// type, with and without a residual condition.
 var spillCanonQueries = []string{
 	"SELECT e.name, e.grp, d.label FROM events e JOIN dim d ON e.grp = d.grp",
 	"SELECT e.name, d.label FROM events e LEFT JOIN dim d ON e.grp = d.grp WHERE e.id < 500",
+	"SELECT e.name, d.grp, d.label FROM (SELECT name, grp FROM events WHERE grp < 40) e RIGHT JOIN dim d ON e.grp = d.grp",
+	"SELECT e.name, e.grp, d.label FROM (SELECT name, grp FROM events WHERE id < 500 AND grp > 20) e FULL JOIN dim d ON e.grp = d.grp",
+	"SELECT e.name, e.grp FROM events e LEFT SEMI JOIN dim d ON e.grp = d.grp",
+	"SELECT e.name, d.label FROM events e JOIN dim d ON e.grp = d.grp AND e.id % 7 < d.grp % 5",
 }
 
 func spillCollect(t *testing.T, ctx *Context, query string) []Row {
@@ -346,22 +351,29 @@ func TestSpillExplainAnalyze(t *testing.T) {
 
 // TestSpillCleanupOnCancel cancels a query mid-spill (slow simulated spill
 // writes guarantee it cannot finish in time) and checks that every spill
-// file is deleted on the cancellation path too.
+// file is deleted on the cancellation path too: a sort alone, and a sort
+// over a shuffled full outer join.
 func TestSpillCleanupOnCancel(t *testing.T) {
 	ctx := NewContextWithConfig(spillConfig(512))
 	setupSpillTables(t, ctx)
 	ctx.SpillFS().WriteNanosPerByte = 2000 // ~0.5 MB/s: spilling dominates the query
 	ctx.SpillFS().ReadNanosPerByte = 0
-	df, err := ctx.SQL("SELECT name, grp, val FROM events ORDER BY grp, name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
-	defer cancel()
-	if _, err := df.CollectContext(cctx); err == nil {
-		t.Fatal("query with a 15ms deadline over ~1s of simulated spill I/O should have been cancelled")
-	}
-	if nf := ctx.SpillFS().NumFiles(); nf != 0 {
-		t.Fatalf("cancelled query left %d spill files", nf)
+	for _, q := range []string{
+		"SELECT name, grp, val FROM events ORDER BY grp, name",
+		"SELECT e.name, d.label FROM events e FULL JOIN dim d ON e.grp = d.grp ORDER BY e.name, d.label",
+	} {
+		df, err := ctx.SQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
+		_, err = df.CollectContext(cctx)
+		cancel()
+		if err == nil {
+			t.Fatalf("%q with a 15ms deadline over ~1s of simulated spill I/O should have been cancelled", q)
+		}
+		if nf := ctx.SpillFS().NumFiles(); nf != 0 {
+			t.Fatalf("cancelled %q left %d spill files", q, nf)
+		}
 	}
 }
