@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/row"
@@ -430,5 +431,76 @@ func TestVectorHashIntoEqualAt(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A string column boxed from one slab: every cell, empty strings included,
+// stays its string after the lane it came from is overwritten (a scan's
+// scratch reused for the next batch) and the collector has run, and behaves
+// as any boxed string does — ==, a map key, row.Compare. NULL cells stay nil,
+// and the call allocates once, not once per cell.
+func TestBoxStringsFromOneSlab(t *testing.T) {
+	const n = 4096
+	lane := make([]string, n)
+	var nulls []uint64
+	for i := range lane {
+		switch {
+		case i%7 == 3:
+			if nulls == nil {
+				nulls = make([]uint64, (n+63)/64)
+			}
+			nulls[i/64] |= 1 << (i % 64)
+		case i%5 != 0:
+			lane[i] = fmt.Sprintf("s%05d", i)
+		} // i%5 == 0: the empty string
+	}
+	want := make([]any, n)
+	for i, s := range lane {
+		if nulls[i/64]&(1<<(i%64)) == 0 {
+			want[i] = string([]byte(s))
+		}
+	}
+	var sel []int32
+	for i := 0; i < n; i += 3 {
+		sel = append(sel, int32(i))
+	}
+	const stride = 2
+	dst := make([]any, len(sel)*stride)
+	WrapLanes(types.String, lane, nulls).BoxInto(dst, stride, sel)
+	for i := range lane {
+		lane[i] = fmt.Sprintf("overwritten %d", i)
+	}
+	runtime.GC()
+	runtime.GC()
+	seen := map[any]int{}
+	for k, i := range sel {
+		cell, w := dst[k*stride], want[i]
+		if cell != w || row.Compare(cell, w) != 0 {
+			t.Fatalf("cell %d (row %d) = %#v, want %#v", k, i, cell, w)
+		}
+		if dst[k*stride+1] != nil {
+			t.Fatalf("cell %d: stride slot written: %#v", k, dst[k*stride+1])
+		}
+		if cell != nil {
+			seen[cell]++
+		}
+	}
+	for k, i := range sel {
+		if w := want[i]; w != nil && seen[w] == 0 {
+			t.Fatalf("cell %d (row %d): %q is not found as a map key", k, i, w)
+		}
+	}
+
+	full := make([]string, n)
+	for i := range full {
+		full[i] = fmt.Sprintf("v%d", i)
+	}
+	v, all := WrapLanes(types.String, full, nil), make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	out := make([]any, n)
+	if allocs := testing.AllocsPerRun(20, func() { v.BoxInto(out, 1, all) }); allocs > 2 {
+		t.Fatalf("boxing %d strings allocated %.0f times", n, allocs)
 	}
 }

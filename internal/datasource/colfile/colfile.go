@@ -15,6 +15,15 @@
 // modifies them. Every string a scan or StringColumn returns aliases those
 // bytes instead of copying them: decoding a string allocates nothing, and
 // any retained string keeps the whole file image reachable.
+//
+// A STRING chunk stores its values as length-prefixed bytes. Open walks
+// those prefixes once, as it must to find where the chunk ends, and keeps
+// each value's offset in an index, so a scan reaches any row's string in
+// constant time rather than by walking the prefixes in front of it. The
+// index costs 4 bytes of memory per stored string for as long as the
+// Relation lives, and the file format does not carry it. Because the
+// offsets are 32-bit, a STRING chunk of 4 GiB or more is refused by both
+// Write and Open; a smaller row group splits such a column.
 package colfile
 
 import (
@@ -33,6 +42,13 @@ var magic = [4]byte{'G', 'C', 'F', '1'}
 
 // DefaultRowGroupSize is the writer's default rows-per-group.
 const DefaultRowGroupSize = 1 << 16
+
+// maxStringChunk is the largest STRING value block, length prefixes
+// included, that Write writes and Open accepts: the offset index Open builds
+// holds its end in a uint32.
+var maxStringChunk int64 = math.MaxUint32
+
+var errStringChunk = fmt.Errorf("a STRING column chunk holds more than %d bytes; write smaller row groups", maxStringChunk)
 
 // type tags in the file format.
 const (
@@ -62,7 +78,7 @@ func tagOf(t types.DataType) (byte, error) {
 	case t.Equals(types.Timestamp):
 		return tagTimestamp, nil
 	}
-	return 0, fmt.Errorf("colfile: unsupported column type %s", t.Name())
+	return 0, fmt.Errorf("unsupported column type %s", t.Name())
 }
 
 func typeOf(tag byte) (types.DataType, error) {
@@ -97,7 +113,7 @@ func Write(path string, schema types.StructType, rows []row.Row, rowGroupSize in
 	w := bufio.NewWriterSize(f, 1<<20)
 	if err := writeAll(w, schema, rows, rowGroupSize); err != nil {
 		f.Close()
-		return err
+		return fmt.Errorf("colfile: %s: %w", path, err)
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
@@ -109,7 +125,7 @@ func Write(path string, schema types.StructType, rows []row.Row, rowGroupSize in
 func writeAll(w io.Writer, schema types.StructType, rows []row.Row, rowGroupSize int) error {
 	if len(schema.Fields) == 0 {
 		// Rows without columns would take no bytes; Open rejects them.
-		return fmt.Errorf("colfile: schema has no columns")
+		return fmt.Errorf("schema has no columns")
 	}
 	if _, err := w.Write(magic[:]); err != nil {
 		return err
@@ -157,10 +173,14 @@ func writeChunk(w io.Writer, t types.DataType, rows []row.Row, col int) error {
 	n := len(rows)
 	bitmap := make([]byte, (n+7)/8)
 	var mn, mx any
+	var size int64 // a STRING chunk's value block
 	for i, r := range rows {
 		v := r[col]
 		if v == nil {
 			continue
+		}
+		if s, ok := v.(string); ok {
+			size += 4 + int64(len(s))
 		}
 		bitmap[i/8] |= 1 << (uint(i) % 8)
 		if mn == nil || row.Compare(v, mn) < 0 {
@@ -169,6 +189,9 @@ func writeChunk(w io.Writer, t types.DataType, rows []row.Row, col int) error {
 		if mx == nil || row.Compare(v, mx) > 0 {
 			mx = v
 		}
+	}
+	if size > maxStringChunk {
+		return errStringChunk
 	}
 	if _, err := w.Write(bitmap); err != nil {
 		return err
@@ -220,7 +243,7 @@ func writeValue(w io.Writer, t types.DataType, v any) error {
 	case t.Equals(types.String):
 		writeString(w, v.(string))
 	default:
-		return fmt.Errorf("colfile: unsupported value type %T", v)
+		return fmt.Errorf("unsupported value type %T", v)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -386,6 +387,9 @@ func TestOpenHostileCounts(t *testing.T) {
 		"string length": bytes.Join([][]byte{oneField, u32(1), u32(1), {1, 0, 0}, u32(huge), make([]byte, 12)}, nil),
 		// 64 rows, none NULL, but no value bytes behind the bitmap.
 		"values": bytes.Join([][]byte{oneField, u32(1), u32(64), bytes.Repeat([]byte{0xff}, 8), {0, 0}}, nil),
+		// 2^15 non-NULL strings with room for 2^10 length prefixes: the
+		// offset index would be 128 KiB.
+		"string index": bytes.Join([][]byte{oneField, u32(1), u32(1 << 15), bytes.Repeat([]byte{0xff}, 1<<12), {0, 0}, make([]byte, 1<<12)}, nil),
 	}
 	for name, image := range cases {
 		var before, after runtime.MemStats
@@ -398,6 +402,39 @@ func TestOpenHostileCounts(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 			t.Errorf("oversized %s: rejecting a %d-byte file allocated %d bytes", name, len(image), grew)
 		}
+	}
+}
+
+// TestStringChunkLimit: a STRING chunk whose value block would not fit the
+// 32-bit offset index is refused by Write and by Open, each naming the file;
+// one at the limit opens and scans.
+func TestStringChunkLimit(t *testing.T) {
+	// 4 096 rows of one shared 1 MiB string: a 4 GiB chunk, 1 MiB of memory.
+	big := strings.Repeat("x", 1<<20)
+	rows := make([]row.Row, 4096)
+	for i := range rows {
+		rows[i] = row.Row{big}
+	}
+	schema := types.StructType{}.Add("s", types.String, false)
+	path := filepath.Join(t.TempDir(), "big.gcf")
+	if err := Write(path, schema, rows, len(rows)); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("writing a 4 GiB string chunk: err = %v, want an error naming %s", err, path)
+	}
+
+	// Open's check, with the limit lowered to a chunk of two 10-byte values.
+	image, _ := encode(t, schema, []row.Row{{"012345"}, {"abcdef"}}, 2)
+	defer func(limit int64) { maxStringChunk = limit }(maxStringChunk)
+	maxStringChunk = 20
+	rel, err := openImage("at-limit.gcf", image)
+	if err != nil {
+		t.Fatalf("a chunk at the limit: %v", err)
+	}
+	if got := scanAll(t, rel, []string{"s"}, nil); len(got) != 2 || got[0][0] != "012345" || got[1][0] != "abcdef" {
+		t.Fatalf("a chunk at the limit scans as %v", got)
+	}
+	maxStringChunk = 19
+	if _, err := openImage("over-limit.gcf", image); err == nil || !strings.Contains(err.Error(), "over-limit.gcf") {
+		t.Fatalf("a chunk over the limit: err = %v, want an error naming the file", err)
 	}
 }
 

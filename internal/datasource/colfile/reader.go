@@ -37,6 +37,10 @@ type chunk struct {
 	bitmap  []byte
 	data    []byte
 	nonNull int
+	// offs indexes a STRING chunk's data: stored value k is the length prefix
+	// at offs[k] and the bytes up to offs[k+1]; the last entry is len(data).
+	// nil for the other types.
+	offs []uint32
 }
 
 // rowGroup holds per-column chunks.
@@ -136,7 +140,7 @@ func openImage(path string, data []byte) (*Relation, error) {
 			if r.byte() == 1 {
 				c.mx = r.value(t)
 			}
-			c.data = r.valueBlock(t, c.nonNull)
+			c.data, c.offs = r.valueBlock(t, c.nonNull)
 			if r.err != nil {
 				return corrupt(r.err)
 			}
@@ -476,22 +480,18 @@ func decodeF64(c *chunk, n int, sel []int32, dst []float64) {
 	c.walk(n, sel, func(o, k int) { dst[o] = math.Float64frombits(binary.LittleEndian.Uint64(c.data[8*k:])) })
 }
 
-// decodeStr walks the length prefixes once, front to back, and makes a
-// string only for the rows walk visits. The strings alias the file image
-// (see the package comment), so a survivor costs no allocation.
+// decodeStr makes a string only for the rows walk visits, each one read
+// through the chunk's offset index, so a survivor costs the same wherever it
+// sits. The strings alias the file image (see the package comment), so a
+// survivor costs no allocation either.
 func decodeStr(c *chunk, n int, sel []int32, dst []string) {
-	pos, next := 0, 0 // value number next starts at byte pos
 	c.walk(n, sel, func(o, k int) {
-		for ; next < k; next++ {
-			pos += 4 + int(binary.LittleEndian.Uint32(c.data[pos:]))
-		}
-		end := pos + 4 + int(binary.LittleEndian.Uint32(c.data[pos:]))
+		start, end := int(c.offs[k])+4, int(c.offs[k+1])
 		s := ""
-		if end > pos+4 {
-			s = unsafe.String(&c.data[pos+4], end-pos-4)
+		if end > start {
+			s = unsafe.String(&c.data[start], end-start)
 		}
 		dst[o] = s // the empty string too: dst may be scratch that held another group's
-		pos, next = end, k+1
 	})
 }
 
@@ -569,9 +569,12 @@ func (r *reader) value(t types.DataType) any {
 	}
 }
 
-// valueBlock slices out the raw bytes for nonNull values of type t.
-func (r *reader) valueBlock(t types.DataType, nonNull int) []byte {
+// valueBlock slices out the raw bytes for nonNull values of type t and, for
+// a STRING chunk, the offset index of its values (see chunk.offs). The index
+// is sized only once the bytes left can hold nonNull length prefixes.
+func (r *reader) valueBlock(t types.DataType, nonNull int) ([]byte, []uint32) {
 	start := r.pos
+	var offs []uint32
 	switch {
 	case t.Equals(types.Boolean):
 		r.bytes(nonNull)
@@ -580,12 +583,21 @@ func (r *reader) valueBlock(t types.DataType, nonNull int) []byte {
 	case t.Equals(types.Long), t.Equals(types.Timestamp), t.Equals(types.Double):
 		r.bytes(8 * nonNull)
 	default: // STRING
+		if r.err == nil && nonNull > r.remaining()/4 {
+			r.err = fmt.Errorf("%d strings at offset %d exceed the %d bytes left", nonNull, r.pos, r.remaining())
+			return nil, nil
+		}
+		offs = make([]uint32, nonNull+1)
 		for i := 0; i < nonNull && r.err == nil; i++ {
 			r.bytes(int(r.u32()))
+			if int64(r.pos-start) > maxStringChunk {
+				r.err = errStringChunk
+			}
+			offs[i+1] = uint32(r.pos - start)
 		}
 	}
 	if r.err != nil {
-		return nil
+		return nil, nil
 	}
-	return r.data[start:r.pos]
+	return r.data[start:r.pos], offs
 }

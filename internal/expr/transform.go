@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"reflect"
+
 	"repro/internal/catalyst"
 )
 
@@ -138,8 +140,29 @@ func JoinConjuncts(conjuncts []Expression) Expression {
 	return out
 }
 
-// Equivalent reports whether two expressions render identically — the cheap
-// structural-equality test used by rules (attribute IDs make it precise).
+// Equivalent reports whether two expressions render identically and have
+// the same shape: the same node type and, where resolved, the same DataType
+// at every node. Attribute IDs make the rendering precise; the shape tells
+// apart what folding prints alike, as a folded CAST(1 AS BIGINT) prints 1.
 func Equivalent(a, b Expression) bool {
-	return a.String() == b.String()
+	return a.String() == b.String() && sameShape(a, b)
+}
+
+func sameShape(a, b Expression) bool {
+	if reflect.TypeOf(a) != reflect.TypeOf(b) {
+		return false
+	}
+	if a.Resolved() && b.Resolved() && !a.DataType().Equals(b.DataType()) {
+		return false
+	}
+	ac, bc := a.Children(), b.Children()
+	if len(ac) != len(bc) {
+		return false
+	}
+	for i := range ac {
+		if !sameShape(ac[i], bc[i]) {
+			return false
+		}
+	}
+	return true
 }

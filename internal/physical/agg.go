@@ -434,8 +434,7 @@ func (h *HashAggregateExec) splitAggregates() ([]expr.AggregateFunc, []expr.Expr
 				}
 			}
 			if fn, ok := x.(expr.AggregateFunc); ok {
-				key := fn.String()
-				idx := slices.IndexFunc(fns, func(f expr.AggregateFunc) bool { return f.String() == key })
+				idx := slices.IndexFunc(fns, func(f expr.AggregateFunc) bool { return expr.Equivalent(f, fn) })
 				if idx < 0 {
 					idx = len(fns)
 					fns = append(fns, fn)

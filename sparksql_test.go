@@ -3,6 +3,7 @@ package sparksql
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -568,5 +569,49 @@ func TestCreateDataFrameFromMaps(t *testing.T) {
 	}
 	if got := rows[0][0].(float64); got < 20.7 || got > 20.8 { // (22+19.5)/2
 		t.Fatalf("avg = %v", got)
+	}
+}
+
+// Aggregate functions that print alike but differ in type — a folded
+// CAST(1 AS BIGINT) prints as 1 — are computed separately, so every cell
+// holds the Go value of the type its column declares.
+func TestAggregateCellsMatchSchema(t *testing.T) {
+	ctx := NewContext()
+	df, err := ctx.CreateDataFrame(StructType{}.Add("a", IntType, true), []Row{{int32(1)}, {int32(2)}, {nil}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	df.RegisterTempTable("t")
+	goType := map[string]reflect.Type{
+		"INT":           reflect.TypeOf(int32(0)),
+		"BIGINT":        reflect.TypeOf(int64(0)),
+		"DOUBLE":        reflect.TypeOf(0.0),
+		"DECIMAL(20,1)": reflect.TypeOf(types.Decimal{}),
+	}
+	for _, q := range []string{
+		"SELECT MAX(1), MAX(CAST(1 AS BIGINT)) FROM t",
+		"SELECT SUM(CAST(1.5 AS DECIMAL(10,1))), SUM(CAST(1.5 AS DOUBLE)) FROM t",
+		"SELECT a, MIN(CAST(2 AS BIGINT)), MIN(2), MIN(CAST(2 AS DOUBLE)) FROM t GROUP BY a",
+	} {
+		res, err := ctx.SQL(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		rows, err := res.Collect()
+		if err != nil || len(rows) == 0 {
+			t.Fatalf("%s: %d rows, %v", q, len(rows), err)
+		}
+		fields := res.Schema().Fields
+		for _, r := range rows {
+			for j, cell := range r {
+				want, ok := goType[fields[j].Type.Name()]
+				if !ok {
+					t.Fatalf("%s: no Go type listed for %s", q, fields[j].Type.Name())
+				}
+				if cell != nil && reflect.TypeOf(cell) != want {
+					t.Errorf("%s: column %s is %s but holds %T %v", q, fields[j].Name, fields[j].Type.Name(), cell, cell)
+				}
+			}
+		}
 	}
 }

@@ -331,6 +331,14 @@ func TestCountDoesNotBox(t *testing.T) {
 			if perRowCount > 0.2 || perRowCollect < 1 { // six batches cost Count ~0.06 a row
 				t.Fatalf("Count allocated %.3f times per row (Collect: %.3f)", perRowCount, perRowCollect)
 			}
+			// A string column, NULLs among its cells, is boxed from one slab a
+			// batch: collecting it costs per batch, not per row.
+			const strs, noStrs = "SELECT url FROM pages WHERE seq >= 0", "SELECT url FROM pages WHERE seq < 0"
+			perRowStrings := (allocs(strs, collect) - allocs(noStrs, collect)) / 3000
+			t.Logf("allocations per row: %.3f to collect a string column", perRowStrings)
+			if perRowStrings > 0.2 {
+				t.Fatalf("collecting a string column allocated %.3f times per row", perRowStrings)
+			}
 		})
 	}
 }
