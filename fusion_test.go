@@ -684,7 +684,11 @@ func TestFusionExplain(t *testing.T) {
 // adjacent partitions — through every consumer of one: the fused aggregate on
 // each group table, a fused join handing rows and handing batches, and the
 // bare pipeline with and without a projection. Sums are over quarters, so no
-// association of them rounds.
+// association of them rounds. The last five hand kernel outputs and literals
+// across batch boundaries — the vectors a task's scratch lends again to the
+// next batch — to each group table (computed keys), to aggregators (FIRST,
+// MIN and MAX over a computed string), to a join probe (a computed key) and
+// to the result edge (computed and literal columns).
 var manyPartitionQueries = []string{
 	"SELECT g, sum(x), count(*), min(s), first(s) FROM many GROUP BY g",
 	"SELECT substr(s, 1, 1), avg(x), count(DISTINCT g) FROM many GROUP BY substr(s, 1, 1)",
@@ -694,6 +698,11 @@ var manyPartitionQueries = []string{
 	"SELECT m.k, m.s, d.label FROM many m JOIN fewdim d ON m.g = d.g",
 	"SELECT m.k, d.label FROM many m LEFT JOIN fewdim d ON m.g = d.g AND m.x > 1 WHERE m.k % 2 = 0",
 	"SELECT d.label, count(*), sum(m.x), min(m.s) FROM many m JOIN fewdim d ON m.g = d.g GROUP BY d.label",
+	"SELECT substr(s, 1, 2), first(substr(s, 2, 3)), min(substr(s, 2, 3)), count(*) FROM many GROUP BY substr(s, 1, 2)",
+	"SELECT g % 7, first(substr(s, 2, 3)), min(substr(s, 2, 3)), sum(x * 2) FROM many GROUP BY g % 7",
+	"SELECT substr(s, 1, 2), g % 7, max(substr(s, 2, 3)), count(*) FROM many GROUP BY substr(s, 1, 2), g % 7",
+	"SELECT m.k, m.s, d.label FROM many m JOIN fewdim d ON m.g + 0 = d.g WHERE m.k % 3 = 1",
+	"SELECT substr(s, 2, 3), x * 2, 'lit', 7, k FROM many WHERE k % 5 > 0",
 }
 
 // checkManyPartitions registers `many` (300 partitions) and `fewdim` behind

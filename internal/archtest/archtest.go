@@ -1,27 +1,31 @@
 // Package archtest holds the repository's architecture invariants as tests
 // over Go syntax rather than greps over text: each check parses source files
 // with go/parser and asserts a design rule over what it finds, and each is
-// also run over a fixture tree under testdata that breaks the rule, so the
-// check provably still fires. The package's code is what the checks share.
+// also run over a fixture that breaks the rule, so the check provably still
+// fires. The package's code is what the checks share.
 package archtest
 
 import (
+	"bytes"
+	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 )
 
-// Importers returns the non-test Go files under root that import path, as
-// slash-separated paths relative to root, sorted. Like the go tool, it skips
-// testdata directories and directories whose names begin with "." or "_".
-func Importers(root, path string) ([]string, error) {
-	var found []string
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+// walkGo calls fn with the path of every Go file under root (test files only
+// when tests is set), relative to root and slash-separated, in lexical order.
+// Like the go tool, it skips testdata directories and directories whose names
+// begin with "." or "_".
+func walkGo(root string, tests bool, fn func(p, rel string) error) error {
+	return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -32,20 +36,74 @@ func Importers(root, path string) ([]string, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") || !tests && strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		return fn(p, filepath.ToSlash(rel))
+	})
+}
+
+// File is a parsed non-test Go file.
+type File struct {
+	Rel  string // slash-separated, relative to the root it was found under
+	Fset *token.FileSet
+	AST  *ast.File
+}
+
+// ParseFiles parses the non-test Go files under root, keeping those keep
+// accepts by their relative path (nil keeps all).
+func ParseFiles(root string, keep func(rel string) bool) ([]File, error) {
+	var files []File
+	fset := token.NewFileSet()
+	err := walkGo(root, false, func(p, rel string) error {
+		if keep != nil && !keep(rel) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, File{Rel: rel, Fset: fset, AST: f})
+		return nil
+	})
+	return files, err
+}
+
+// ImportName is the name f refers to the package imported as importPath by:
+// the import's own name when it renames it, else the path's last element; ""
+// when f does not import it (or imports it as _ or .).
+func (f File) ImportName(importPath string) string {
+	for _, imp := range f.AST.Imports {
+		if v, err := strconv.Unquote(imp.Path.Value); err != nil || v != importPath {
+			continue
+		}
+		if imp.Name == nil {
+			return path.Base(importPath)
+		}
+		if n := imp.Name.Name; n != "_" && n != "." {
+			return n
+		}
+	}
+	return ""
+}
+
+// Importers returns the non-test Go files under root that import importPath,
+// as slash-separated paths relative to root, sorted.
+func Importers(root, importPath string) ([]string, error) {
+	var found []string
+	fset := token.NewFileSet()
+	err := walkGo(root, false, func(p, rel string) error {
 		f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
 		if err != nil {
 			return err
 		}
 		for _, imp := range f.Imports {
-			if v, err := strconv.Unquote(imp.Path.Value); err == nil && v == path {
-				rel, err := filepath.Rel(root, p)
-				if err != nil {
-					return err
-				}
-				found = append(found, filepath.ToSlash(rel))
+			if v, err := strconv.Unquote(imp.Path.Value); err == nil && v == importPath {
+				found = append(found, rel)
 				break
 			}
 		}
@@ -53,4 +111,100 @@ func Importers(root, path string) ([]string, error) {
 	})
 	slices.Sort(found)
 	return found, err
+}
+
+// Unformatted returns the Go files under root, test files included, whose
+// bytes differ from go/format's rendering of them, as gofmt -l lists them.
+func Unformatted(root string) ([]string, error) {
+	var found []string
+	err := walkGo(root, true, func(p, rel string) error {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		if out, err := format.Source(src); err != nil || !bytes.Equal(out, src) {
+			found = append(found, rel)
+		}
+		return nil
+	})
+	return found, err
+}
+
+// Call is a call found in a file.
+type Call struct {
+	File string // the file's relative path
+	Line int
+	// In is the top-level function the call is in: "Name" for a function,
+	// "Recv.Name" for a method (the receiver's type name, pointer or not),
+	// "" at package scope.
+	In string
+}
+
+func (c Call) String() string {
+	if c.In == "" {
+		return c.File + ":" + strconv.Itoa(c.Line)
+	}
+	return c.File + ":" + strconv.Itoa(c.Line) + " in " + c.In
+}
+
+// FindCalls returns the calls in files for which match reports true, in file
+// order.
+func FindCalls(files []File, match func(f File, call *ast.CallExpr) bool) []Call {
+	var found []Call
+	for _, f := range files {
+		for _, decl := range f.AST.Decls {
+			in := ""
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				in = funcName(fn)
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && match(f, call) {
+					found = append(found, Call{File: f.Rel, Line: f.Fset.Position(call.Pos()).Line, In: in})
+				}
+				return true
+			})
+		}
+	}
+	return found
+}
+
+// Calls returns the calls in files to the function name of the package
+// imported as importPath, each file's local name for the import resolved (a
+// renamed import is followed; a dot import is not).
+func Calls(files []File, importPath, name string) []Call {
+	return FindCalls(files, func(f File, call *ast.CallExpr) bool {
+		local := f.ImportName(importPath)
+		return local != "" && IsSelector(call.Fun, local, name)
+	})
+}
+
+// IsSelector reports whether e is the selector x.sel.
+func IsSelector(e ast.Expr, x, sel string) bool {
+	s, ok := e.(*ast.SelectorExpr)
+	if !ok || s.Sel.Name != sel {
+		return false
+	}
+	id, ok := s.X.(*ast.Ident)
+	return ok && id.Name == x
+}
+
+// funcName names a function declaration as Call.In does.
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	t := fn.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr: // a generic receiver, T[P]
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name + "." + fn.Name.Name
+	}
+	return fn.Name.Name
 }

@@ -15,7 +15,7 @@ var stringType = func() unsafe.Pointer {
 }()
 
 // boxStrings boxes lane[i] for the k-th position i of sel into dst[k*stride],
-// skipping the positions nulls marks NULL (nil nulls: none), which stay nil.
+// skipping the positions nulls marks NULL (empty nulls: none), which stay nil.
 // Boxing a string the ordinary way allocates a 16-byte header per cell; here
 // the selected headers are copied into one fresh slab and each cell is an
 // interface whose value pointer is its slab slot, so a call allocates once
@@ -26,7 +26,7 @@ var stringType = func() unsafe.Pointer {
 func boxStrings(dst []any, stride int, lane []string, sel []int32, nulls []uint64) {
 	slab := make([]string, len(sel))
 	for k, i := range sel {
-		if nulls != nil && nulls[i/64]&(1<<(uint(i)%64)) != 0 {
+		if len(nulls) > 0 && nulls[i/64]&(1<<(uint(i)%64)) != 0 {
 			continue
 		}
 		slab[k] = lane[i]

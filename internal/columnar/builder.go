@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"slices"
+	"strings"
 
 	"repro/internal/row"
 	"repro/internal/types"
@@ -140,12 +141,21 @@ func buildDouble(values []any) Column {
 
 func buildString(values []any) Column {
 	c := &stringColumn{offsets: make([]int32, 1, len(values)+1), valid: buildValidity(values)}
+	size := 0
 	for _, v := range values {
 		if s, ok := v.(string); ok {
-			c.bytes = append(c.bytes, s...)
+			size += len(s)
 		}
-		c.offsets = append(c.offsets, int32(len(c.bytes)))
 	}
+	var data strings.Builder
+	data.Grow(size)
+	for _, v := range values {
+		if s, ok := v.(string); ok {
+			data.WriteString(s)
+		}
+		c.offsets = append(c.offsets, int32(data.Len()))
+	}
+	c.data = data.String()
 	return c
 }
 

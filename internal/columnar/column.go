@@ -88,9 +88,14 @@ func (c *boolColumn) Get(i int) any {
 func (c *boolColumn) SizeBytes() int64 { return int64(len(c.bits))*8 + c.valid.sizeBytes() }
 func (c *boolColumn) Encoding() string { return "BITPACK" }
 
+// stringColumn keeps a batch's strings back to back in one immutable string,
+// built once when the batch is cached: value i is data[offsets[i]:offsets[i+1]],
+// so Get and the decode return substrings and copy no cell. A cell kept by
+// a consumer keeps the whole of data reachable, as a colfile string keeps its
+// file image.
 type stringColumn struct {
 	offsets []int32
-	bytes   []byte
+	data    string
 	valid   validity
 }
 
@@ -99,10 +104,10 @@ func (c *stringColumn) Get(i int) any {
 	if !c.valid.get(i) {
 		return nil
 	}
-	return string(c.bytes[c.offsets[i]:c.offsets[i+1]])
+	return c.data[c.offsets[i]:c.offsets[i+1]]
 }
 func (c *stringColumn) SizeBytes() int64 {
-	return int64(len(c.bytes)) + int64(len(c.offsets)*4) + c.valid.sizeBytes()
+	return int64(len(c.data)) + int64(len(c.offsets)*4) + c.valid.sizeBytes()
 }
 func (c *stringColumn) Encoding() string { return "PLAIN" }
 

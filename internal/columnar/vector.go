@@ -65,7 +65,8 @@ type Vector struct {
 	Bool []bool
 	Any  []any
 
-	// nulls has a bit SET for NULL positions; nil means no nulls.
+	// nulls has a bit SET for NULL positions; empty means no nulls (a vector
+	// lent again keeps its words' backing array at length 0).
 	nulls []uint64
 	n     int
 	// constant vectors hold one value at index 0 valid for every row.
@@ -137,7 +138,7 @@ func WrapVector(t types.DataType, data any, valid []bool) *Vector {
 }
 
 // WrapLanes is WrapVector for a caller that already holds the NULLs as a
-// bitmap: bit i of nulls set means position i is NULL, nil means no NULLs,
+// bitmap: bit i of nulls set means position i is NULL, empty means no NULLs,
 // and bits past the lane's length are ignored. Neither slice is copied. A
 // columnar file scan hands its decoded chunks to the engine this way.
 func WrapLanes(t types.DataType, data any, nulls []uint64) *Vector {
@@ -166,7 +167,7 @@ func WrapLanes(t types.DataType, data any, nulls []uint64) *Vector {
 func (v *Vector) Append(src *Vector, i int) {
 	at := v.n
 	v.growLane(at + 1)
-	if v.nulls != nil && at/64 >= len(v.nulls) {
+	if v.HasNulls() && at/64 >= len(v.nulls) {
 		v.nulls = append(v.nulls, 0)
 	}
 	if src.IsNull(i) {
@@ -198,11 +199,20 @@ func (v *Vector) Append(src *Vector, i int) {
 // afterwards hold stale values.
 func (v *Vector) Reset(n int) {
 	v.growLane(n)
-	if len(v.nulls) < (n+63)/64 {
-		v.nulls = nil
-	} else {
-		clear(v.nulls)
+	v.nulls = v.nulls[:0]
+}
+
+// Renew is Reset for a vector lent again for the next batch, which may be of
+// another type of the same kind: it makes v hold n rows of type t, none of
+// them NULL, keeping its kind and its lanes' backing arrays. A constant stays
+// a constant of its one-value lane, whose value is the caller's to Set.
+func (v *Vector) Renew(t types.DataType, n int) {
+	v.Type = t
+	if v.isConst {
+		v.n, v.nulls = n, v.nulls[:0]
+		return
 	}
+	v.Reset(n)
 }
 
 // growLane sets the row count to n, extending the vector's lane to hold it.
@@ -265,15 +275,15 @@ func (v *Vector) HashAt(h row.Hasher, i int) row.Hasher {
 func (v *Vector) HashInto(dst []uint64, live []int32) {
 	mask := v.Mask()
 	switch {
-	case v.nulls == nil && v.Kind == KindInt64:
+	case !v.HasNulls() && v.Kind == KindInt64:
 		for _, i := range live {
 			dst[i] = row.Hasher(dst[i]).Int64(v.I64[int(i)&mask]).Sum()
 		}
-	case v.nulls == nil && v.Kind == KindFloat64:
+	case !v.HasNulls() && v.Kind == KindFloat64:
 		for _, i := range live {
 			dst[i] = row.Hasher(dst[i]).Float64(v.F64[int(i)&mask]).Sum()
 		}
-	case v.nulls == nil && v.Kind == KindString:
+	case !v.HasNulls() && v.Kind == KindString:
 		for _, i := range live {
 			dst[i] = row.Hasher(dst[i]).String(v.Str[int(i)&mask]).Sum()
 		}
@@ -325,11 +335,11 @@ func (v *Vector) Mask() int {
 }
 
 // HasNulls reports whether any position is NULL.
-func (v *Vector) HasNulls() bool { return v.nulls != nil }
+func (v *Vector) HasNulls() bool { return len(v.nulls) > 0 }
 
 // IsNull reports whether position i is NULL.
 func (v *Vector) IsNull(i int) bool {
-	if v.nulls == nil {
+	if len(v.nulls) == 0 {
 		return false
 	}
 	if v.isConst {
@@ -340,12 +350,13 @@ func (v *Vector) IsNull(i int) bool {
 
 // SetNull marks position i NULL.
 func (v *Vector) SetNull(i int) {
-	if v.nulls == nil {
+	if len(v.nulls) == 0 {
 		size := v.n
 		if v.isConst {
 			size = 1
 		}
-		v.nulls = make([]uint64, (size+63)/64)
+		v.nulls = GrowLane(v.nulls, (size+63)/64)
+		clear(v.nulls)
 	}
 	v.nulls[i/64] |= 1 << (uint(i) % 64)
 }
@@ -413,7 +424,7 @@ func (v *Vector) BoxInto(dst []any, stride int, sel []int32) {
 		}
 	case v.Kind == KindString:
 		boxStrings(dst, stride, v.Str, sel, v.nulls)
-	case v.nulls != nil || v.Kind == KindAny:
+	case v.HasNulls() || v.Kind == KindAny:
 		for k, i := range sel {
 			dst[k*stride] = v.Get(int(i))
 		}
@@ -457,7 +468,7 @@ func (v *Vector) Gather(sel []int32) *Vector {
 	default:
 		out.Any = gatherLane(v.Any[:v.n], sel)
 	}
-	if v.nulls != nil {
+	if v.HasNulls() {
 		for o, i := range sel {
 			if v.IsNull(int(i)) {
 				out.SetNull(o)
@@ -504,158 +515,182 @@ func asFloat64(v any) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Typed batch accessors: decode a Column once into a Vector.
+// Typed batch accessors: decode a cached batch's columns into Vectors.
 
-// DecodeColumn decodes an encoded column into a typed vector, with a fast
-// path per encoding (plain slices are shared, dictionaries decode the
-// dictionary once, runs expand linearly) and a generic Get(i) loop for
-// anything else.
-func DecodeColumn(c Column, t types.DataType) *Vector {
+// Decoder is where one task decodes its cache batches, one after another,
+// re-pointing a header per output position for each batch instead of
+// allocating one, so that once its lanes have grown decoding allocates
+// nothing. A plain INT, BIGINT or DOUBLE column is a view of the cache's own
+// lane, a string column's cells are substrings of the cached column's one
+// string, and a boolean, dictionary or run-length column (or any other)
+// expands into a lane the decoder owns. A decoded batch is valid until the
+// next Decode, which re-points its headers and overwrites its lanes: no
+// consumer may keep one of its vectors past the batch. A value read out of
+// one, a string included, is the reader's to keep.
+type Decoder struct {
+	cols  []*Vector
+	slots []decodeSlot
+}
+
+// decodeSlot is one output position's decode target: view is the header a
+// plain column re-points at the cache's lane, own holds the lanes the other
+// encodings expand into, and dict a dictionary's values, unboxed once.
+type decodeSlot struct{ view, own, dict Vector }
+
+// Decode decodes the batch columns at ordinals into vectors of the matching
+// schema types. An ordinal of -1 yields a nil vector: callers pass it for
+// columns no kernel references, so they are never decoded.
+func (d *Decoder) Decode(b *Batch, schema []types.DataType, ordinals []int) []*Vector {
+	if len(d.slots) < len(ordinals) {
+		d.slots = make([]decodeSlot, len(ordinals))
+	}
+	d.cols = GrowLane(d.cols[:0], len(ordinals))
+	for j, ord := range ordinals {
+		d.cols[j] = nil
+		if ord >= 0 {
+			d.cols[j] = d.slots[j].decode(b.Cols[ord], schema[j])
+		}
+	}
+	return d.cols
+}
+
+// decode decodes one column, with a fast path per encoding (plain lanes are
+// shared, dictionaries unbox the dictionary once, runs expand linearly) and
+// a generic Get(i) loop for anything else.
+func (s *decodeSlot) decode(c Column, t types.DataType) *Vector {
 	kind := KindOf(t)
 	switch col := c.(type) {
 	case *longColumn:
 		if kind == KindInt64 {
-			v := &Vector{Kind: KindInt64, Type: t, I64: col.data, n: len(col.data)}
-			v.nulls = invertValidity(col.valid)
-			return v
+			s.view = Vector{Kind: KindInt64, Type: t, I64: col.data, n: len(col.data), nulls: invertValidity(s.view.nulls, col.valid)}
+			return &s.view
 		}
 	case *doubleColumn:
 		if kind == KindFloat64 {
-			v := &Vector{Kind: KindFloat64, Type: t, F64: col.data, n: len(col.data)}
-			v.nulls = invertValidity(col.valid)
-			return v
+			s.view = Vector{Kind: KindFloat64, Type: t, F64: col.data, n: len(col.data), nulls: invertValidity(s.view.nulls, col.valid)}
+			return &s.view
 		}
 	case *stringColumn:
 		if kind == KindString {
-			n := col.Len()
-			v := &Vector{Kind: KindString, Type: t, Str: make([]string, n), n: n}
-			v.nulls = invertValidity(col.valid)
-			for i := 0; i < n; i++ {
-				if !v.IsNull(i) {
-					v.Str[i] = string(col.bytes[col.offsets[i]:col.offsets[i+1]])
+			v := ready(&s.own, t, col.Len())
+			v.nulls = invertValidity(v.nulls, col.valid)
+			for i := range v.n {
+				if v.IsNull(i) {
+					v.Str[i] = ""
+				} else {
+					v.Str[i] = col.data[col.offsets[i]:col.offsets[i+1]]
 				}
 			}
 			return v
 		}
 	case *boolColumn:
 		if kind == KindBool {
-			v := &Vector{Kind: KindBool, Type: t, Bool: make([]bool, col.n), n: col.n}
-			v.nulls = invertValidity(col.valid)
-			for i := 0; i < col.n; i++ {
+			v := ready(&s.own, t, col.n)
+			v.nulls = invertValidity(v.nulls, col.valid)
+			for i := range v.n {
 				v.Bool[i] = col.bits[i/64]&(1<<(uint(i)%64)) != 0
 			}
 			return v
 		}
 	case *dictColumn:
-		return decodeDict(col, t, kind)
+		return s.decodeDict(col, t, kind)
 	case *rleColumn:
-		return decodeRLE(col, t)
+		// Runs expand linearly: no per-row binary search.
+		v := ready(&s.own, t, col.Len())
+		v.zero()
+		start := 0
+		for ri, end := range col.ends {
+			for i := start; i < int(end); i++ {
+				v.Set(i, col.values[ri])
+			}
+			start = int(end)
+		}
+		return v
 	}
-	return decodeGeneric(c, t)
-}
-
-// decodeDict decodes the (small) dictionary once, then fills by code.
-func decodeDict(c *dictColumn, t types.DataType, kind VecKind) *Vector {
-	n := len(c.codes)
-	v := NewVector(t, n)
-	switch kind {
-	case KindInt64:
-		dict := make([]int64, len(c.dict))
-		for i, d := range c.dict {
-			dict[i] = asInt64(d)
-		}
-		for i, code := range c.codes {
-			if code < 0 {
-				v.SetNull(i)
-				continue
-			}
-			v.I64[i] = dict[code]
-		}
-	case KindFloat64:
-		dict := make([]float64, len(c.dict))
-		for i, d := range c.dict {
-			dict[i] = asFloat64(d)
-		}
-		for i, code := range c.codes {
-			if code < 0 {
-				v.SetNull(i)
-				continue
-			}
-			v.F64[i] = dict[code]
-		}
-	case KindString:
-		dict := make([]string, len(c.dict))
-		for i, d := range c.dict {
-			dict[i] = d.(string)
-		}
-		for i, code := range c.codes {
-			if code < 0 {
-				v.SetNull(i)
-				continue
-			}
-			v.Str[i] = dict[code]
-		}
-	default:
-		for i, code := range c.codes {
-			if code < 0 {
-				v.SetNull(i)
-				continue
-			}
-			v.Set(i, c.dict[code])
-		}
-	}
-	return v
-}
-
-// decodeRLE expands runs linearly — no per-row binary search.
-func decodeRLE(c *rleColumn, t types.DataType) *Vector {
-	v := NewVector(t, c.Len())
-	start := 0
-	for ri, end := range c.ends {
-		val := c.values[ri]
-		for i := start; i < int(end); i++ {
-			v.Set(i, val)
-		}
-		start = int(end)
-	}
-	return v
-}
-
-// decodeGeneric is the catch-all: one Get per value (boxed columns, or any
-// future Column implementation).
-func decodeGeneric(c Column, t types.DataType) *Vector {
-	n := c.Len()
-	v := NewVector(t, n)
-	for i := 0; i < n; i++ {
+	// The catch-all: one Get per value (boxed columns, or any future Column
+	// implementation).
+	v := ready(&s.own, t, c.Len())
+	v.zero()
+	for i := range v.n {
 		v.Set(i, c.Get(i))
 	}
 	return v
 }
 
-// invertValidity converts a validity bitmap (bit set = valid, nil = no
-// nulls) into a null bitmap (bit set = NULL, nil = no nulls). Trailing bits
-// beyond the row count are garbage; accessors never index past Len.
-func invertValidity(valid validity) []uint64 {
-	if valid == nil {
-		return nil
+// decodeDict unboxes the (small) dictionary once, then fills by code.
+func (s *decodeSlot) decodeDict(c *dictColumn, t types.DataType, kind VecKind) *Vector {
+	v, dict := ready(&s.own, t, len(c.codes)), ready(&s.dict, t, len(c.dict))
+	switch kind {
+	case KindInt64:
+		for i, d := range c.dict {
+			dict.I64[i] = asInt64(d)
+		}
+		fillByCode(v, v.I64, dict.I64, c.codes)
+	case KindFloat64:
+		for i, d := range c.dict {
+			dict.F64[i] = asFloat64(d)
+		}
+		fillByCode(v, v.F64, dict.F64, c.codes)
+	case KindString:
+		for i, d := range c.dict {
+			dict.Str[i] = d.(string)
+		}
+		fillByCode(v, v.Str, dict.Str, c.codes)
+	default:
+		v.zero()
+		for i, code := range c.codes {
+			if code < 0 {
+				v.SetNull(i)
+			} else {
+				v.Set(i, c.dict[code])
+			}
+		}
 	}
-	nulls := make([]uint64, len(valid))
-	for i, w := range valid {
-		nulls[i] = ^w
-	}
-	return nulls
+	return v
 }
 
-// DecodeBatch decodes the given batch columns (by ordinal) into vectors.
-// Ordinals with a negative value are skipped (nil vector) — callers pass
-// -1 for columns no kernel references so they are never decoded.
-func (b *Batch) DecodeBatch(schema []types.DataType, ordinals []int) []*Vector {
-	out := make([]*Vector, len(ordinals))
-	for j, ord := range ordinals {
-		if ord < 0 {
+// fillByCode writes lane[i] = dict[codes[i]], a negative code marking v's
+// position i NULL (its lane value zero).
+func fillByCode[T any](v *Vector, lane, dict []T, codes []int32) {
+	var zero T
+	for i, code := range codes {
+		if code < 0 {
+			lane[i] = zero
+			v.SetNull(i)
 			continue
 		}
-		out[j] = DecodeColumn(b.Cols[ord], schema[j])
+		lane[i] = dict[code]
 	}
-	return out
+}
+
+// ready makes v, a vector the decoder owns, hold n rows of type t, none of
+// them NULL, in lanes it keeps from batch to batch.
+func ready(v *Vector, t types.DataType, n int) *Vector {
+	if kind := KindOf(t); v.Kind != kind {
+		*v = Vector{Kind: kind}
+	}
+	v.Renew(t, n)
+	return v
+}
+
+// zero clears the vector's lane, so positions nothing writes hold zero values
+// as in a fresh vector.
+func (v *Vector) zero() {
+	clear(v.I64)
+	clear(v.F64)
+	clear(v.Str)
+	clear(v.Bool)
+	clear(v.Any)
+}
+
+// invertValidity writes a validity bitmap (bit set = valid, nil = no nulls)
+// as a null bitmap (bit set = NULL, empty = no nulls) into dst's backing
+// array. Trailing bits beyond the row count are garbage; accessors never index
+// past Len.
+func invertValidity(dst []uint64, valid validity) []uint64 {
+	dst = dst[:0]
+	for _, w := range valid {
+		dst = append(dst, ^w)
+	}
+	return dst
 }

@@ -254,8 +254,8 @@ func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter)
 				sc = &scratch{lanes: make([]lane, len(decode))}
 			}
 			defer rel.scratch.Put(sc)
-			sc.sels.Reset()
-			lanes := expr.VecBatch{Cols: make([]*columnar.Vector, len(decode)), N: n, Sels: &sc.sels}
+			sc.kernels.Reset()
+			lanes := expr.VecBatch{Cols: make([]*columnar.Vector, len(decode)), N: n, Scratch: &sc.kernels}
 			for pos, j := range decode {
 				if filtered[pos] {
 					lanes.Cols[pos] = rel.decodeChunk(g, j, nil, &sc.lanes[pos])
@@ -292,10 +292,11 @@ func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter)
 
 // scratch is what one Partition call of a batch scan works in and nothing it
 // returns refers to: the lanes the filters' columns are decoded into, by
-// batch position, and the slab their selections are cut from.
+// batch position, and the scratch their kernels' selections and vectors are
+// lent from.
 type scratch struct {
-	lanes []lane
-	sels  expr.SelSlab
+	lanes   []lane
+	kernels expr.Scratch
 }
 
 // lane is reusable backing for one decoded chunk; a chunk uses the slice of

@@ -22,34 +22,121 @@ type VecBatch struct {
 	Cols []*columnar.Vector
 	// N is the number of rows in the batch.
 	N int
-	// Sels, when set, is where predicate kernels cut their output selections
-	// from instead of allocating one each; nil allocates.
-	Sels *SelSlab
+	// Scratch, when set, lends the kernels their output selections and
+	// vectors instead of each allocating its own; nil allocates.
+	Scratch *Scratch
 }
 
-// SelSlab is selection-vector storage for one batch at a time. Its owner
-// resets it before each batch, which takes back every selection cut from it:
-// none may be read after that, so a batch's consumer must not retain one.
-type SelSlab struct{ buf []int32 } // buf[len(buf):] is free
+// Scratch is a task's memory for one batch at a time, reused batch after
+// batch: the slab predicate kernels cut their selections from, the vectors
+// value kernels (and each literal) return, the row a scalar fallback boxes
+// into, and the cache decode of the batch itself (Decoder, which a cached
+// scan re-points for each batch it hands over). Its owner resets it before
+// each batch, which takes back every selection and vector lent since: none
+// may be read after that, so a batch's consumer keeps none of them — it
+// copies values out (a group table's Append, a join's gather, a sink's
+// boxing) or only reads them (an aggregator's Update). Values read out of a
+// lent vector, strings included, are the reader's to keep.
+type Scratch struct {
+	sels []int32 // sels[len(sels):] is free
+	// vecs are the vectors lent so far, the first lent of them out this batch.
+	vecs []*columnar.Vector
+	lent int
+	row  row.Row
+	// Decoder is where a cached scan decodes the task's batches.
+	Decoder columnar.Decoder
+}
 
-// Reset takes back every selection cut since the last Reset.
-func (s *SelSlab) Reset() { s.buf = s.buf[:0] }
+// Reset takes back every selection and vector lent since the last Reset.
+func (s *Scratch) Reset() { s.sels, s.lent = s.sels[:0], 0 }
 
 // newSel returns an empty selection with room for n positions that aliases no
 // other selection of the batch (an OR kernel reads its input selection after
 // its left branch has written an output). A slab that runs out is replaced by
 // one twice the size; the pieces cut from the old one stay with their holders.
 func (b *VecBatch) newSel(n int) []int32 {
-	s := b.Sels
+	s := b.Scratch
 	if s == nil {
 		return make([]int32, 0, n)
 	}
-	if cap(s.buf)-len(s.buf) < n {
-		s.buf = make([]int32, 0, max(n, 2*cap(s.buf)))
+	if cap(s.sels)-len(s.sels) < n {
+		s.sels = make([]int32, 0, max(n, 2*cap(s.sels)))
 	}
-	at := len(s.buf)
-	s.buf = s.buf[:at+n]
-	return s.buf[at : at : at+n]
+	at := len(s.sels)
+	s.sels = s.sels[:at+n]
+	return s.sels[at : at : at+n]
+}
+
+// lend is the one place a kernel gets an output vector: n rows of type t in
+// boxed storage when boxed (the scalar fallback's), in the type's typed lane
+// otherwise. A scratch lends its next vector when that has the kind asked
+// for, and renews it: a batch's kernels run in the same order from batch to
+// batch, so each gets back the vector it had, and no two lent in one batch
+// alias. A nil scratch allocates.
+func (s *Scratch) lend(t types.DataType, boxed bool, n int) *columnar.Vector {
+	kind := columnar.KindOf(t)
+	if boxed {
+		kind = columnar.KindAny
+	}
+	if v := s.reuse(kind, false); v != nil {
+		v.Renew(t, n)
+		return v
+	}
+	if boxed {
+		return s.keep(columnar.NewAnyVector(t, n))
+	}
+	return s.keep(columnar.NewVector(t, n))
+}
+
+// lendConst is lend for a literal: a constant vector of value (nil = NULL)
+// over n rows.
+func (s *Scratch) lendConst(t types.DataType, value any, n int) *columnar.Vector {
+	if v := s.reuse(columnar.KindOf(t), true); v != nil {
+		v.Renew(t, n)
+		v.Set(0, value)
+		return v
+	}
+	return s.keep(columnar.NewConstVector(t, value, n))
+}
+
+// reuse lends the scratch's next vector if it is of the kind and constness
+// asked for, and returns nil otherwise.
+func (s *Scratch) reuse(kind columnar.VecKind, konst bool) *columnar.Vector {
+	if s == nil || s.lent == len(s.vecs) {
+		return nil
+	}
+	v := s.vecs[s.lent]
+	if v.Kind != kind || v.IsConst() != konst {
+		return nil
+	}
+	s.lent++
+	return v
+}
+
+// keep lends v, a new vector, in the next vector's place.
+func (s *Scratch) keep(v *columnar.Vector) *columnar.Vector {
+	if s == nil {
+		return v
+	}
+	if s.lent < len(s.vecs) {
+		s.vecs[s.lent] = v
+	} else {
+		s.vecs = append(s.vecs, v)
+	}
+	s.lent++
+	return v
+}
+
+// scratchRow lends the row a scalar fallback boxes each selected position of
+// the batch into: the scalar closures read their input before returning, and
+// no two fallbacks run at once, so one row serves a batch.
+func (b *VecBatch) scratchRow() row.Row {
+	s := b.Scratch
+	if s == nil {
+		return make(row.Row, len(b.Cols))
+	}
+	s.row = columnar.GrowLane(s.row[:0], len(b.Cols))
+	return s.row
 }
 
 // RowInto boxes row i of the batch into a caller-owned scratch row, so hot
@@ -166,7 +253,7 @@ func CompileVec(e Expression) (VecEval, bool) {
 	case *Literal:
 		t, v := x.Type, x.Value
 		return func(b *VecBatch, sel []int32) *columnar.Vector {
-			return columnar.NewConstVector(t, v, b.N)
+			return b.Scratch.lendConst(t, v, b.N)
 		}, true
 
 	case *Alias:
@@ -190,10 +277,7 @@ func CompileVec(e Expression) (VecEval, bool) {
 // verbatim storage otherwise (FLOAT, BOOLEAN, decimals, nested types keep
 // the exact values the scalar path produced).
 func NewClassVector(t types.DataType, n int) *columnar.Vector {
-	if vecClass(t) != classNone {
-		return columnar.NewVector(t, n)
-	}
-	return columnar.NewAnyVector(t, n)
+	return (*Scratch)(nil).lend(t, vecClass(t) == classNone, n)
 }
 
 // compileVecSubstring slices the string lane without copying: the output
@@ -208,7 +292,7 @@ func compileVecSubstring(x *Substring) (VecEval, bool) {
 	}
 	return func(b *VecBatch, sel []int32) *columnar.Vector {
 		sv, pv, lv := str(b, sel), pos(b, sel), ln(b, sel)
-		out := columnar.NewVector(types.String, b.N)
+		out := b.Scratch.lend(types.String, false, b.N)
 		sm, pm, lm := sv.Mask(), pv.Mask(), lv.Mask()
 		nulls := sv.HasNulls() || pv.HasNulls() || lv.HasNulls()
 		for _, i := range sel {
@@ -235,10 +319,8 @@ func VecFromScalar(ev func(row.Row) any, t types.DataType) VecEval {
 	return func(b *VecBatch, sel []int32) *columnar.Vector {
 		// KindAny storage keeps the scalar path's boxed representation
 		// exactly, whatever the declared type says.
-		out := columnar.NewAnyVector(t, b.N)
-		// One scratch row per batch, reused across rows: the scalar closure
-		// reads its inputs before returning, so nothing retains the slice.
-		scratch := make(row.Row, len(b.Cols))
+		out := b.Scratch.lend(t, true, b.N)
+		scratch := b.scratchRow()
 		for _, i := range sel {
 			ii := int(i)
 			if val := ev(b.RowInto(ii, scratch)); val == nil {
@@ -265,7 +347,7 @@ func compileVecDatePart(x *DatePart) (VecEval, bool) {
 	part := x.Part
 	return func(b *VecBatch, sel []int32) *columnar.Vector {
 		v := child(b, sel)
-		out := columnar.NewVector(types.Int, b.N)
+		out := b.Scratch.lend(types.Int, false, b.N)
 		m := v.Mask()
 		for _, i := range sel {
 			ii := int(i)
@@ -308,7 +390,7 @@ func compileVecArith(x *BinaryArith) (VecEval, bool) {
 		narrow := t.Equals(types.Int) || t.Equals(types.Date)
 		return func(b *VecBatch, sel []int32) *columnar.Vector {
 			lv, rv := l(b, sel), r(b, sel)
-			out := columnar.NewVector(t, b.N)
+			out := b.Scratch.lend(t, false, b.N)
 			lm, rm := lv.Mask(), rv.Mask()
 			ld, rd := lv.I64, rv.I64
 			if !lv.HasNulls() && !rv.HasNulls() && op != OpDiv && op != OpMod {
@@ -358,7 +440,7 @@ func compileVecArith(x *BinaryArith) (VecEval, bool) {
 	}
 	return func(b *VecBatch, sel []int32) *columnar.Vector {
 		lv, rv := l(b, sel), r(b, sel)
-		out := columnar.NewVector(t, b.N)
+		out := b.Scratch.lend(t, false, b.N)
 		lm, rm := lv.Mask(), rv.Mask()
 		ld, rd := lv.F64, rv.F64
 		if !lv.HasNulls() && !rv.HasNulls() {
@@ -529,7 +611,7 @@ func vecFallbackPred(e Expression) VecPred {
 	pred := CompilePredicate(e)
 	return func(b *VecBatch, sel []int32) []int32 {
 		out := b.newSel(len(sel))
-		scratch := make(row.Row, len(b.Cols))
+		scratch := b.scratchRow()
 		for _, i := range sel {
 			if pred(b.RowInto(int(i), scratch)) {
 				out = append(out, i)

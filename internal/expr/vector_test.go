@@ -53,10 +53,10 @@ func randomSel(rng *rand.Rand, n int) []int32 {
 
 // Property: for any predicate the vector kernel (native or fallback) selects
 // exactly the rows the scalar predicate keeps, without mutating the input
-// selection — whether its selections are allocated or cut from a SelSlab.
+// selection — whether its selections are allocated or cut from a Scratch.
 func TestVecPredicateMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var slab SelSlab
+	var slab Scratch
 	for trial := 0; trial < 800; trial++ {
 		e := randomExpr(rng, 3, types.Boolean)
 		rows := randomVecRows(rng, rng.Intn(120))
@@ -68,7 +68,7 @@ func TestVecPredicateMatchesInterpreter(t *testing.T) {
 		// kernel once more before looking: a second run must not land on the
 		// first one's output.
 		if trial%2 == 1 {
-			batch.Sels = &slab
+			batch.Scratch = &slab
 			slab.Reset()
 		}
 		pred, _ := CompileVecPredicate(e)
@@ -98,18 +98,38 @@ func TestVecPredicateMatchesInterpreter(t *testing.T) {
 }
 
 // Property: for any value expression the vector kernel produces, at every
-// selected position, exactly the boxed value the interpreter produces.
+// selected position, exactly the boxed value the interpreter produces —
+// whether its vectors are allocated or lent by a Scratch. Every other trial
+// lends them from one Scratch shared by all trials, as a task's is by its
+// batches, and runs the kernel again after a Reset: the second run must get
+// the same vector back, write its values over the first run's, and, when the
+// kernel is native, allocate nothing.
 func TestVecEvalMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	wants := []types.DataType{types.Int, types.Long, types.Double, types.String}
+	var sc Scratch
 	for trial := 0; trial < 800; trial++ {
 		e := randomExpr(rng, 3, wants[rng.Intn(len(wants))])
 		rows := randomVecRows(rng, rng.Intn(120))
 		batch := rowsToBatch(rows)
 		sel := randomSel(rng, len(rows))
 
-		ev, _ := CompileVec(e)
+		ev, native := CompileVec(e)
+		if trial%2 == 1 {
+			batch.Scratch = &sc
+			sc.Reset()
+		}
 		v := ev(batch, sel)
+		if batch.Scratch != nil {
+			sc.Reset()
+			if again := ev(batch, sel); again != v {
+				t.Fatalf("trial %d: %s: a reset scratch lent another vector", trial, e)
+			}
+			allocs := testing.AllocsPerRun(2, func() { sc.Reset(); ev(batch, sel) })
+			if native && allocs > 0 {
+				t.Fatalf("trial %d: %s: a native kernel on lent vectors allocated %.0f times", trial, e, allocs)
+			}
+		}
 		// BoxValues is RowInto over the selection, a column at a time: the
 		// input columns, the kernel's output (typed, boxed or constant) and one
 		// that was never decoded. Its arena, cut in two, reads as one.

@@ -59,17 +59,17 @@ type BatchSource struct {
 	// does not know it (a fused join's output): what the pipeline cuts a
 	// task's run of partitions by.
 	PartitionBytes []int64
-	// Batches opens partition p under the task's context: a fused join runs
-	// its probe there, which can fail or be cancelled (a leaf scan returns no
-	// error). Each call of the function it returns
-	// yields the partition's next batch, and false after the last: Cols[j]
-	// is output position j as a typed vector (nil where used[j] was false),
-	// N the batch's row count, and Sel the selection of all N: a scan with
-	// filters of its own hands over the rows that passed them and no others.
-	// An empty batch may come with nil vectors. A batch is valid until the
-	// next call, and its Sel must not be written to. The scan records its
-	// own metrics (batches, rows decoded, rows selected).
-	Batches func(jc context.Context, p int) (func() (datasource.Batch, bool), error)
+	// Batches runs partition p under the task's context, handing fn its
+	// batches in order: a fused join runs its probe there, which can fail or
+	// be cancelled (a leaf scan returns no error). sc is the task's scratch,
+	// which a scan may decode into (the cached scan does). In a batch, Cols[j] is output position j as a typed vector
+	// (nil where used[j] was false), N the batch's row count, and Sel the
+	// selection of all N: a scan with filters of its own hands over the rows
+	// that passed them and no others. An empty batch may come with nil
+	// vectors. A batch is valid until fn returns, and its Sel must not be
+	// written to. The scan records its own metrics (batches, rows decoded,
+	// rows selected).
+	Batches func(jc context.Context, p int, sc *expr.Scratch, fn func(datasource.Batch)) error
 	// Stages are the stages Batches reads (a fused join's build sides), which
 	// the RDD whose tasks open the partitions reads in turn.
 	Stages []rdd.Dep
@@ -240,27 +240,23 @@ func (s *SourceBatchScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSo
 	skipped := ctx.RDD.Metrics().Counter(s.source + ".groups.skipped")
 	pruned := ctx.RDD.Metrics().Counter(s.source + ".rows.pruned")
 	fallback := ctx.RDD.Metrics().Counter("vec.fallback.rows")
-	return BatchSource{NumPartitions: scan.NumPartitions, PartitionBytes: scan.PartitionBytes, Batches: func(_ context.Context, p int) (func() (datasource.Batch, bool), error) {
+	return BatchSource{NumPartitions: scan.NumPartitions, PartitionBytes: scan.PartitionBytes, Batches: func(_ context.Context, p int, _ *expr.Scratch, fn func(datasource.Batch)) error {
 		batches, stats := scan.Partition(p)
 		skipped.Add(int64(stats.GroupsSkipped))
 		pruned.Add(int64(stats.RowsPruned))
 		fallback.Add(int64(stats.FallbackRows))
 		read := stats.RowsRead // what the batches were decoded from, counted with the first
 		out := make([]*columnar.Vector, len(used))
-		return func() (datasource.Batch, bool) {
-			if len(batches) == 0 {
-				return datasource.Batch{}, false
-			}
-			b := batches[0]
-			batches = batches[1:]
+		for _, b := range batches {
 			om.RecordBatch(read, b.N)
 			read = 0
 			for k, j := range at {
 				out[j] = b.Cols[k]
 			}
 			b.Cols = out
-			return b, true
-		}, nil
+			fn(b)
+		}
+		return nil
 	}}
 }
 
@@ -303,7 +299,7 @@ func (s *InMemoryScanExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 }
 
 // OpenBatches implements BatchScan: each kept cache batch decodes its used
-// columns once, and every row is selected.
+// columns once, into the task scratch's Decoder, and every row is selected.
 func (s *InMemoryScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSource {
 	om := s.EnableMetrics(ctx.Metrics)
 	// Map each output position to the cached column to decode (-1 when no
@@ -325,20 +321,15 @@ func (s *InMemoryScanExec) OpenBatches(ctx *ExecContext, used []bool) BatchSourc
 	// Every batch selects all of its rows: one identity selection, as long
 	// as the longest batch, serves them all.
 	ident := identitySel(s.Table.LongestBatch)
-	return BatchSource{NumPartitions: len(s.Table.Partitions), PartitionBytes: s.Table.PartBytes, Batches: func(_ context.Context, p int) (func() (datasource.Batch, bool), error) {
-		rest := s.Table.Partitions[p]
-		return func() (datasource.Batch, bool) {
-			for len(rest) > 0 {
-				b := rest[0]
-				rest = rest[1:]
-				if s.Keep != nil && !s.Keep(b.Stats) {
-					continue
-				}
-				om.RecordBatch(b.NumRows, b.NumRows)
-				return datasource.Batch{Cols: b.DecodeBatch(colTypes, ords), N: b.NumRows, Sel: ident[:b.NumRows:b.NumRows]}, true
+	return BatchSource{NumPartitions: len(s.Table.Partitions), PartitionBytes: s.Table.PartBytes, Batches: func(_ context.Context, p int, sc *expr.Scratch, fn func(datasource.Batch)) error {
+		for _, b := range s.Table.Partitions[p] {
+			if s.Keep != nil && !s.Keep(b.Stats) {
+				continue
 			}
-			return datasource.Batch{}, false
-		}, nil
+			om.RecordBatch(b.NumRows, b.NumRows)
+			fn(datasource.Batch{Cols: sc.Decoder.Decode(b, colTypes, ords), N: b.NumRows, Sel: ident[:b.NumRows:b.NumRows]})
+		}
+		return nil
 	}}
 }
 func (s *InMemoryScanExec) SimpleString() string {

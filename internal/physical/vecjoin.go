@@ -121,17 +121,13 @@ func (f *FusedBroadcastJoinExec) Results(ctx *ExecContext, sink ResultSink) *rdd
 // used.
 func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) BatchSource {
 	parts, stages, probe := f.open(ctx, used)
-	return BatchSource{NumPartitions: parts, Stages: stages, Batches: func(jc context.Context, p int) (func() (datasource.Batch, bool), error) {
+	return BatchSource{NumPartitions: parts, Stages: stages, Batches: func(jc context.Context, p int, _ *expr.Scratch, fn func(datasource.Batch)) error {
 		pr, err := probe(jc, p)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		b, more := datasource.Batch{Cols: pr.cols, N: len(pr.bo), Sel: identitySel(len(pr.bo))}, true
-		return func() (datasource.Batch, bool) {
-			ok := more
-			more = false
-			return b, ok
-		}, nil
+		fn(datasource.Batch{Cols: pr.cols, N: len(pr.bo), Sel: identitySel(len(pr.bo))})
+		return nil
 	}}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/datasource"
 	"repro/internal/expr"
 	"repro/internal/metrics"
 	"repro/internal/rdd"
@@ -214,55 +215,56 @@ func (vp *vecPipe) tasks() int { return len(vp.runs) - 1 }
 
 // each runs the batches of task t's partitions through the stages, starting
 // from the selection the scan hands over, and passes every batch with
-// surviving rows to fn as (final batch, selection). The batch headers and the
-// slab the filters cut their selections from are per-task scratch reused
-// across batches, and the selection may be the scan's: fn must not retain
-// either past its return. Rows a stage ran through the boxed scalar fallback
-// are counted once per batch.
+// surviving rows to fn as (final batch, selection). Everything a batch is
+// made of is the task's, reused from batch to batch: the batch headers, the
+// expr.Scratch that lends the kernels their selections and output vectors
+// (fn's own kernels included) and that a cached scan decodes into, and the
+// scan's selection. fn must keep none of them — no vector, no header, no
+// selection — past its return; it copies out or boxes what it keeps. Rows a
+// stage ran through the boxed scalar fallback are counted once per batch.
 func (vp *vecPipe) each(jc context.Context, t int, fn func(batch *expr.VecBatch, live []int32)) error {
 	var in expr.VecBatch
-	var sels expr.SelSlab
+	var sc expr.Scratch
 	staged := make([]expr.VecBatch, len(vp.stages))
-	for p := vp.runs[t]; p < vp.runs[t+1]; p++ {
-		next, err := vp.src.Batches(jc, p)
-		if err != nil {
-			return err
+	run := func(b datasource.Batch) {
+		if vp.om != nil {
+			vp.om.Batches.Add(1)
 		}
-		for b, ok := next(); ok; b, ok = next() {
-			if vp.om != nil {
-				vp.om.Batches.Add(1)
+		live, n := b.Sel, b.N
+		if len(live) == 0 {
+			return
+		}
+		sc.Reset()
+		in = expr.VecBatch{Cols: b.Cols, N: n, Scratch: &sc}
+		batch := &in
+		var boxed int
+		for i, st := range vp.stages {
+			if !st.native {
+				boxed += len(live)
 			}
-			live, n := b.Sel, b.N
-			if len(live) == 0 {
+			if st.isFilter {
+				if live = st.pred(batch, live); len(live) == 0 {
+					break
+				}
 				continue
 			}
-			sels.Reset()
-			in = expr.VecBatch{Cols: b.Cols, N: n, Sels: &sels}
-			batch := &in
-			var boxed int
-			for i, st := range vp.stages {
-				if !st.native {
-					boxed += len(live)
-				}
-				if st.isFilter {
-					if live = st.pred(batch, live); len(live) == 0 {
-						break
-					}
-					continue
-				}
-				next := &staged[i]
-				next.Cols, next.N, next.Sels = next.Cols[:0], n, &sels
-				for _, ev := range st.evals {
-					next.Cols = append(next.Cols, ev(batch, live))
-				}
-				batch = next
+			next := &staged[i]
+			next.Cols, next.N, next.Scratch = next.Cols[:0], n, &sc
+			for _, ev := range st.evals {
+				next.Cols = append(next.Cols, ev(batch, live))
 			}
-			if boxed > 0 {
-				vp.fallbackRows.Add(int64(boxed))
-			}
-			if len(live) > 0 {
-				fn(batch, live)
-			}
+			batch = next
+		}
+		if boxed > 0 {
+			vp.fallbackRows.Add(int64(boxed))
+		}
+		if len(live) > 0 {
+			fn(batch, live)
+		}
+	}
+	for p := vp.runs[t]; p < vp.runs[t+1]; p++ {
+		if err := vp.src.Batches(jc, p, &sc, run); err != nil {
+			return err
 		}
 	}
 	return nil

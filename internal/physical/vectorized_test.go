@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/columnar"
+	"repro/internal/datasource"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/row"
@@ -371,7 +372,7 @@ func TestFusedJoinProbeDecodesWhatIsRead(t *testing.T) {
 		} else {
 			src := f.OpenBatches(execCtx(true), c.used)
 			for p := 0; p < src.NumPartitions; p++ {
-				if _, err := src.Batches(context.Background(), p); err != nil {
+				if err := src.Batches(context.Background(), p, new(expr.Scratch), func(datasource.Batch) {}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -112,8 +112,8 @@ func TestSelectivityFromColumnStats(t *testing.T) {
 }
 
 func TestJoinCardinality(t *testing.T) {
-	fact := statRelation(t)       // 1000 rows, k has 100 distinct
-	dim := statRelation(t)        // reused schema; fresh attrs
+	fact := statRelation(t) // 1000 rows, k has 100 distinct
+	dim := statRelation(t)  // reused schema; fresh attrs
 	dimAttrs := make([]*expr.AttributeReference, len(dim.Attrs))
 	for i, a := range dim.Attrs {
 		dimAttrs[i] = a.WithFreshID()

@@ -544,7 +544,7 @@ type manifestSeg struct {
 	Rows int64  `json:"rows"`
 }
 
-func (s *Store) ckptDir(ckpt int64) string  { return fmt.Sprintf("%s/ckpt-%06d", s.root, ckpt) }
+func (s *Store) ckptDir(ckpt int64) string   { return fmt.Sprintf("%s/ckpt-%06d", s.root, ckpt) }
 func (s *Store) manifestPath(n int64) string { return fmt.Sprintf("%s/manifest-%06d", s.root, n) }
 func (s *Store) currentPath() string         { return s.root + "/CURRENT" }
 

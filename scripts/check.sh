@@ -34,20 +34,11 @@ if grep -n 'keyShapeBlocker\|build side not right"\|join type %\|residual predic
 	echo "internal/physical: a deleted fusion admission condition is back" >&2
 	exit 1
 fi
-# One boxing routine: where batches become rows — a batch top's result sink, a
-# batch scan read as rows — expr.BoxValues boxes column by column into a
-# header-less arena, and the row headers are cut once, where rows are needed.
-# A per-row make(row.Row) or Row(int(i)) at those edges is a second routine
-# coming back (agg.go keeps its spill records' make); a slices.Concat in the
-# pipeline or an expr.BoxRows( in the aggregate is the per-batch header copy.
-if grep -n 'make(row\.Row\|\.Row(int(' internal/physical/vectorized.go internal/datasource/datasource.go; then
-	echo "a per-row boxing loop is back at a result edge" >&2
-	exit 1
-fi
-if grep -n 'slices\.Concat' internal/physical/vectorized.go || grep -n 'expr\.BoxRows(' internal/physical/agg.go; then
-	echo "internal/physical: a batch top copies row headers in its tasks again" >&2
-	exit 1
-fi
+# One boxing routine (expr.BoxValues into a header-less arena at every result
+# edge) and kernels that borrow their output vectors from the batch's scratch
+# are AST gates in internal/archtest, which go test ./... runs below:
+# TestNoPerRowBoxingAtResultEdge, TestNoRowHeaderCopyInBatchTop and
+# TestKernelsBorrowVectors, each with a fixture it fires on.
 # A statement pays for what changed in the catalog: the cluster runtime
 # re-encodes a table only where the catalog published a new relation, and a
 # LocalRelation's flat size comes from its memo cell. An unconditional

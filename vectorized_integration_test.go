@@ -343,6 +343,47 @@ func TestCountDoesNotBox(t *testing.T) {
 	}
 }
 
+// A vectorized aggregate over a table of many small commits — a batch of a
+// hundred rows each — allocates per task, not per batch: the kernel output of
+// k % 10, the literal's constant, the decoded column headers and the batch's
+// column slice are the task's scratch, lent again to each next batch. The
+// difference between a table of 300 commits and one of 900, run as the same
+// number of tasks, is 600 batches' worth of allocation.
+func TestLentKernelsAllocatePerTask(t *testing.T) {
+	perOp := func(commits int) (allocs float64, tasks int64) {
+		ctx := NewContextWithConfig(fusedConfig(0, true))
+		rows := make([]Row, 100*commits)
+		for i := range rows {
+			rows[i] = Row{int64(i), float64(i % 17)}
+		}
+		storeTempTable(t, ctx, StructType{}.Add("k", LongType, false).Add("v", DoubleType, false), rows, "trickle", commits)
+		df, err := ctx.SQL("SELECT k % 10, count(*), sum(v) FROM trickle GROUP BY k % 10")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := df.Collect(); err != nil || len(rows) != 10 {
+			t.Fatalf("%d rows, %v", len(rows), err)
+		}
+		if plan, err := df.Explain(); err != nil || !strings.Contains(plan, "FusedHashAggregate") {
+			t.Fatalf("not a fused aggregate (%v):\n%s", err, plan)
+		}
+		ran := ctx.Metrics().Counter("rdd.tasks.run")
+		before := ran.Load()
+		allocs = testing.AllocsPerRun(5, func() { df.Collect() })
+		return allocs, (ran.Load() - before) / 6
+	}
+	small, smallTasks := perOp(300)
+	large, largeTasks := perOp(900)
+	if smallTasks != largeTasks {
+		t.Fatalf("300 commits ran as %d tasks, 900 as %d: the difference is not per batch", smallTasks, largeTasks)
+	}
+	perBatch := (large - small) / 600
+	t.Logf("allocations: %.0f an operation over 300 batches, %.0f over 900: %.3f a batch", small, large, perBatch)
+	if perBatch >= 1 {
+		t.Fatalf("a batch allocates %.3f times", perBatch)
+	}
+}
+
 // A batch top's task that fails — before its first batch, or after it boxed
 // some — is retried from lineage, and the result holds each row once: a
 // failed attempt's arenas leave with it. `many` is 40 partitions of 25 rows,
