@@ -166,13 +166,15 @@ func TestExplainAnalyzeGroupTable(t *testing.T) {
 // ANALYZE returns the same row count the plain query produces, for a few
 // shapes beyond the star schema (aggregate, vectorizable scan), and says how
 // the result left the engine: an aggregate's reducers box it in their tasks,
-// a row pipeline's rows are copied.
+// a row pipeline's rows are copied, and a top-K over the aggregate of a join
+// (Q3's shape) boxes the rows its one merge task keeps.
 func TestExplainAnalyzeMatchesCollect(t *testing.T) {
 	ctx := starSchemaContext(t, goldenConfig())
 	analyzeStarSchema(t, ctx)
 	for q, path := range map[string]string{
 		"SELECT d1_k, count(*) AS n FROM fact GROUP BY d1_k": ", boxed in 1 tasks", // adaptive execution coalesced its 4 reducers
 		"SELECT f_id FROM fact WHERE amount > 40":            ", copied from WholeStagePipeline rows",
+		"SELECT d2_name, sum(amount) AS total, avg(f_id) AS a FROM fact f JOIN dim2 d ON f.d2_k = d.d2_k GROUP BY d2_name ORDER BY total DESC LIMIT 1": ", boxed in 1 tasks",
 	} {
 		df, err := ctx.SQL(q)
 		if err != nil {

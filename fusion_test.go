@@ -688,7 +688,9 @@ func TestFusionExplain(t *testing.T) {
 // across batch boundaries — the vectors a task's scratch lends again to the
 // next batch — to each group table (computed keys), to aggregators (FIRST,
 // MIN and MAX over a computed string), to a join probe (a computed key) and
-// to the result edge (computed and literal columns).
+// to the result edge (computed and literal columns). The last two are top-Ks
+// over the pipeline, whose 10-row batches hold fewer rows than it keeps, and
+// over the aggregate; their keys tie across partitions.
 var manyPartitionQueries = []string{
 	"SELECT g, sum(x), count(*), min(s), first(s) FROM many GROUP BY g",
 	"SELECT substr(s, 1, 1), avg(x), count(DISTINCT g) FROM many GROUP BY substr(s, 1, 1)",
@@ -703,6 +705,8 @@ var manyPartitionQueries = []string{
 	"SELECT substr(s, 1, 2), g % 7, max(substr(s, 2, 3)), count(*) FROM many GROUP BY substr(s, 1, 2), g % 7",
 	"SELECT m.k, m.s, d.label FROM many m JOIN fewdim d ON m.g + 0 = d.g WHERE m.k % 3 = 1",
 	"SELECT substr(s, 2, 3), x * 2, 'lit', 7, k FROM many WHERE k % 5 > 0",
+	"SELECT k, g, x FROM many WHERE k % 3 > 0 ORDER BY g DESC, x LIMIT 40",
+	"SELECT g, count(*) AS n, sum(x) AS total FROM many GROUP BY g ORDER BY n DESC, total LIMIT 4",
 }
 
 // checkManyPartitions registers `many` (300 partitions) and `fewdim` behind

@@ -130,7 +130,7 @@ func Unformatted(root string) ([]string, error) {
 	return found, err
 }
 
-// Call is a call found in a file.
+// Call is a call found in a file, or any node FindNodes matched.
 type Call struct {
 	File string // the file's relative path
 	Line int
@@ -147,9 +147,9 @@ func (c Call) String() string {
 	return c.File + ":" + strconv.Itoa(c.Line) + " in " + c.In
 }
 
-// FindCalls returns the calls in files for which match reports true, in file
-// order.
-func FindCalls(files []File, match func(f File, call *ast.CallExpr) bool) []Call {
+// FindNodes returns where in files the nodes are for which match reports
+// true, in file order.
+func FindNodes(files []File, match func(f File, n ast.Node) bool) []Call {
 	var found []Call
 	for _, f := range files {
 		for _, decl := range f.AST.Decls {
@@ -158,14 +158,23 @@ func FindCalls(files []File, match func(f File, call *ast.CallExpr) bool) []Call
 				in = funcName(fn)
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && match(f, call) {
-					found = append(found, Call{File: f.Rel, Line: f.Fset.Position(call.Pos()).Line, In: in})
+				if n != nil && match(f, n) {
+					found = append(found, Call{File: f.Rel, Line: f.Fset.Position(n.Pos()).Line, In: in})
 				}
 				return true
 			})
 		}
 	}
 	return found
+}
+
+// FindCalls returns the calls in files for which match reports true, in file
+// order.
+func FindCalls(files []File, match func(f File, call *ast.CallExpr) bool) []Call {
+	return FindNodes(files, func(f File, n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		return ok && match(f, call)
+	})
 }
 
 // Calls returns the calls in files to the function name of the package

@@ -11,7 +11,7 @@ import (
 // header-less arena, and the row headers are cut once, where rows are needed.
 
 // resultEdges are the files where batches become rows.
-var resultEdges = []string{"internal/physical/vectorized.go", "internal/datasource/datasource.go"}
+var resultEdges = []string{"internal/physical/vectorized.go", "internal/physical/misc.go", "internal/datasource/datasource.go"}
 
 func parseOnly(t *testing.T, root string, rels ...string) []File {
 	t.Helper()

@@ -1,9 +1,11 @@
 package columnar
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"repro/internal/row"
 	"repro/internal/types"
@@ -246,6 +248,12 @@ func GrowLane[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// ReserveLane makes room in a typed lane for n values without lengthening
+// it: a state lane whose group count is known up front grows in place.
+func ReserveLane[T any](s []T, n int) []T {
+	return slices.Grow(s, max(0, n-len(s)))
+}
+
 // HashAt folds the value at position i into a running row hash, reading the
 // typed lane directly: the result equals hashing the boxed value, so a key
 // hashes the same whichever representation carried it.
@@ -317,6 +325,43 @@ func (v *Vector) EqualAt(i int, o *Vector, j int) bool {
 	default:
 		return v.Bool[i] == o.Bool[j]
 	}
+}
+
+// CompareAt is EqualAt's ordering twin: it orders position i against position
+// j of o as row.Compare orders the boxed values, -1, 0 or 1 — NULL first, NaN
+// greatest and -0.0 equal to 0.0 (row.CompareFloat), strings byte-wise.
+// Matching typed kinds compare lane to lane; a boxed vector (DECIMAL, the
+// types with no lane) or two vectors of different kinds compare the boxed
+// values through row.Compare.
+func (v *Vector) CompareAt(i int, o *Vector, j int) int {
+	if vn, on := v.IsNull(i), o.IsNull(j); vn || on {
+		switch {
+		case vn && on:
+			return 0
+		case vn:
+			return -1
+		}
+		return 1
+	}
+	if v.Kind != o.Kind || v.Kind == KindAny {
+		return row.Compare(v.Get(i), o.Get(j))
+	}
+	i, j = i&v.Mask(), j&o.Mask()
+	switch v.Kind {
+	case KindInt64:
+		return cmp.Compare(v.I64[i], o.I64[j])
+	case KindFloat64:
+		return row.CompareFloat(v.F64[i], o.F64[j])
+	case KindString:
+		return strings.Compare(v.Str[i], o.Str[j])
+	}
+	switch a, b := v.Bool[i], o.Bool[j]; {
+	case a == b:
+		return 0
+	case b:
+		return -1
+	}
+	return 1
 }
 
 // Len returns the row count.

@@ -434,6 +434,60 @@ func TestVectorHashIntoEqualAt(t *testing.T) {
 	}
 }
 
+// CompareAt orders two positions exactly as row.Compare orders their boxed
+// values, over every kind of vector against every vector its values can meet:
+// typed, boxed and constant vectors of one type, NULL on either side, NaN (of
+// two bit patterns), ±0.0 and ±Inf, strings that share prefixes, bools, and
+// DECIMALs of two scales in boxed lanes.
+func TestVectorCompareAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 64
+	fill := func(v *Vector, value func() any) *Vector {
+		for i := 0; i < n; i++ {
+			if rng.Intn(5) > 0 {
+				v.Set(i, value())
+			} else {
+				v.SetNull(i)
+			}
+		}
+		return v
+	}
+	floats := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000001), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1.5, -2.5}
+	strs := []string{"", "a", "ab", "abc", "abd", "abc\x00", "b", "é", "e"}
+	decs := []types.Decimal{types.NewDecimal(150, 2), types.NewDecimal(15, 1), types.NewDecimal(-3, 0), types.NewDecimal(149, 2), types.NewDecimal(0, 3)}
+	dec := types.DecimalType{Precision: 10, Scale: 2}
+	groups := []struct {
+		typ    types.DataType
+		value  func() any
+		consts []any
+	}{
+		{types.Int, func() any { return int32(rng.Intn(7) - 3) }, []any{int32(0), nil}},
+		{types.Long, func() any { return int64(rng.Intn(7)-3) << 40 }, []any{int64(0)}},
+		{types.Double, func() any { return floats[rng.Intn(len(floats))] }, []any{math.NaN(), math.Copysign(0, -1), nil}},
+		{types.String, func() any { return strs[rng.Intn(len(strs))] }, []any{"ab", ""}},
+		{types.Boolean, func() any { return rng.Intn(2) == 0 }, []any{true}},
+		{dec, func() any { return decs[rng.Intn(len(decs))] }, []any{decs[0]}},
+	}
+	for _, g := range groups {
+		vecs := []*Vector{fill(NewVector(g.typ, n), g.value), fill(NewAnyVector(g.typ, n), g.value)}
+		for _, c := range g.consts {
+			vecs = append(vecs, NewConstVector(g.typ, c, n))
+		}
+		for _, v := range vecs {
+			for _, o := range vecs {
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if got, want := v.CompareAt(i, o, j), row.Compare(v.Get(i), o.Get(j)); got != want {
+							t.Fatalf("%v (kind %d vs %d): CompareAt(%#v, %#v) = %d, row.Compare says %d",
+								g.typ, v.Kind, o.Kind, v.Get(i), o.Get(j), got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // A string column boxed from one slab: every cell, empty strings included,
 // stays its string after the lane it came from is overwritten (a scan's
 // scratch reused for the next batch) and the collector has run, and behaves

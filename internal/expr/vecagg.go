@@ -41,6 +41,10 @@ type VecAggregator interface {
 	// g's state the buffer's, so a decoded block of spilled group records is a
 	// lane Merge accepts as src.
 	SetBuffer(g int, buf any)
+	// Reserve makes room for n groups without growing to them: a reducer that
+	// knows its group count up front grows its lanes in place, and Result(m)
+	// is still exactly m long.
+	Reserve(n int)
 }
 
 // NewVecAggregator builds a batch-native updater for a bound aggregate.
@@ -123,6 +127,7 @@ func (a *vecCount) Result(n int) *columnar.Vector {
 	a.counts = columnar.GrowLane(a.counts, n)
 	return columnar.WrapVector(types.Long, a.counts[:n], nil)
 }
+func (a *vecCount) Reserve(n int)    { a.counts = columnar.ReserveLane(a.counts, n) }
 func (a *vecCount) Buffer(g int) any { return a.counts[g] }
 func (a *vecCount) SetBuffer(g int, buf any) {
 	a.counts = columnar.GrowLane(a.counts, g+1)
@@ -152,6 +157,18 @@ func (a *vecSum) grow(n int) {
 		a.f = columnar.GrowLane(a.f, n)
 	default:
 		a.d = columnar.GrowLane(a.d, n)
+	}
+}
+
+func (a *vecSum) Reserve(n int) {
+	a.seen = columnar.ReserveLane(a.seen, n)
+	switch a.kind {
+	case 0:
+		a.i = columnar.ReserveLane(a.i, n)
+	case 1:
+		a.f = columnar.ReserveLane(a.f, n)
+	default:
+		a.d = columnar.ReserveLane(a.d, n)
 	}
 }
 
@@ -268,6 +285,10 @@ type vecAvg struct {
 	counts []int64
 }
 
+func (a *vecAvg) Reserve(n int) {
+	a.sums, a.counts = columnar.ReserveLane(a.sums, n), columnar.ReserveLane(a.counts, n)
+}
+
 func (a *vecAvg) Update(b *VecBatch, sel []int32, gidx []int32, n int) {
 	a.sums = columnar.GrowLane(a.sums, n)
 	a.counts = columnar.GrowLane(a.counts, n)
@@ -379,6 +400,20 @@ func (a *vecMinMax) grow(n int) {
 		a.vs = columnar.GrowLane(a.vs, n)
 	default:
 		a.va = columnar.GrowLane(a.va, n)
+	}
+}
+
+func (a *vecMinMax) Reserve(n int) {
+	a.has = columnar.ReserveLane(a.has, n)
+	switch a.cls {
+	case classI64:
+		a.vi = columnar.ReserveLane(a.vi, n)
+	case classF64:
+		a.vf = columnar.ReserveLane(a.vf, n)
+	case classStr:
+		a.vs = columnar.ReserveLane(a.vs, n)
+	default:
+		a.va = columnar.ReserveLane(a.va, n)
 	}
 }
 
@@ -514,6 +549,8 @@ func (a *BoxedAggregator) grow(n int) {
 		a.bufs = append(a.bufs, a.fn.NewBuffer())
 	}
 }
+
+func (a *BoxedAggregator) Reserve(n int) { a.bufs = columnar.ReserveLane(a.bufs, n) }
 
 // UpdateRow folds one boxed input row into group g.
 func (a *BoxedAggregator) UpdateRow(g int, r row.Row) {

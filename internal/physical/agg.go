@@ -193,14 +193,13 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, bl
 	keyTypes := h.keyTypes()
 	resultEvals := make([]expr.VecEval, len(resultExprs))
 	for i, e := range resultExprs {
-		if resultEvals[i] = expr.VecFromScalar(e.Eval, e.DataType()); ctx.Codegen {
-			resultEvals[i], _ = expr.CompileVec(e)
-		}
+		resultEvals[i] = ctx.vecEvaluator(e)
 	}
 
 	return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, _ int, in []aggBlock) ([]expr.Arena, error) {
 		start := time.Now()
-		// The blocks' group counts sum to an upper bound: the table never grows.
+		// The blocks' group counts sum to an upper bound: neither the table nor
+		// its state lanes ever grow.
 		hint := 0
 		for _, b := range in {
 			hint += len(b.sel)
@@ -242,7 +241,7 @@ type aggTable struct {
 // fold merges one partial block into the table: the one merge body, run on
 // the exchange's blocks and on blocks read back from the spill log alike.
 func (t *aggTable) fold(b aggBlock) {
-	t.gidx = t.groups.indexHashed(b.keys, b.hashes, b.sel, t.gidx[:0], true)
+	t.gidx = t.groups.indexHashed(b.keys, b.hashes, b.sel, slices.Grow(t.gidx[:0], len(b.sel)), true)
 	for j, l := range t.lanes {
 		l.Merge(b.lanes[j], b.sel, t.gidx, t.groups.count())
 	}
@@ -289,8 +288,14 @@ func newAggMerge(ctx *ExecContext, keyTypes []types.DataType, fns []expr.Aggrega
 	return m
 }
 
+// newTable sizes the group table and reserves the state lanes for hint groups,
+// so a table that holds no more never grows either.
 func (m *aggMerge) newTable(hint int) *aggTable {
-	return &aggTable{groups: newGroupTable(m.keyTypes, nil, hint), lanes: m.newLanes()}
+	t := &aggTable{groups: newGroupTable(m.keyTypes, nil, hint), lanes: m.newLanes()}
+	for _, l := range t.lanes {
+		l.Reserve(hint)
+	}
+	return t
 }
 
 // merge folds one of the exchange's blocks into the current table.

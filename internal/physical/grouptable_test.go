@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -313,6 +315,90 @@ func TestReducerProbeLength(t *testing.T) {
 		reducer.indexBatch(vecs, live, &probe, true)
 		if got := meanProbe(reducer); reducer.count() != groups || got > 2*base+0.1 {
 			t.Fatalf("numPart %d: %d groups, mean probe length %.3f against %.3f unconstrained", numPart, reducer.count(), got, base)
+		}
+	}
+}
+
+// mapOutput is one map task's partial block for the LONG keys [from, to):
+// each key's group folds the inputs (key, key % 5, key / 4, "s<key % 97>").
+func mapOutput(newLanes func() []expr.VecAggregator, from, to int) aggBlock {
+	n := to - from
+	cols := []*columnar.Vector{columnar.NewVector(types.Long, n), columnar.NewVector(types.Long, n),
+		columnar.NewVector(types.Double, n), columnar.NewVector(types.String, n)}
+	for i := range n {
+		k := int64(from + i)
+		cols[0].I64[i], cols[1].I64[i], cols[2].F64[i], cols[3].Str[i] = k, k%5, float64(k)/4, fmt.Sprint("s", k%97)
+	}
+	groups, lanes, sel := newGroupTable([]types.DataType{types.Long}, nil, 0), newLanes(), identitySel(n)
+	var probe groupProbe
+	gidx := groups.indexBatch(cols[:1], sel, &probe, true)
+	for _, l := range lanes {
+		l.Update(&expr.VecBatch{Cols: cols, N: n}, sel, gidx, groups.count())
+	}
+	return splitGroups(groups, lanes, 1)[0]
+}
+
+// A reducer is sized once, from its blocks' group counts: merging them grows
+// neither its group table nor any typed state lane. Every block after the
+// first (which sizes the merge's group-index scratch) allocates the same
+// number of times — the per-block views of its partial lanes — where a lane
+// that doubled from empty would reallocate at the second, third and fifth of
+// eight equal blocks; and each result column is exactly as long as the
+// reducer's groups.
+func TestReducerLanesSizedOnce(t *testing.T) {
+	long := &expr.BoundReference{Ordinal: 1, Type: types.Long}
+	dbl := &expr.BoundReference{Ordinal: 2, Type: types.Double}
+	str := &expr.BoundReference{Ordinal: 3, Type: types.String}
+	fns := []expr.AggregateFunc{expr.NewCountStar(), &expr.Sum{Child: long}, &expr.Sum{Child: dbl}, &expr.Avg{Child: long},
+		expr.NewMin(str), &expr.MinMax{Child: dbl, IsMax: true}, expr.NewMin(long)}
+	newLanes := func() []expr.VecAggregator {
+		lanes := make([]expr.VecAggregator, len(fns))
+		for i, fn := range fns {
+			lanes[i], _ = expr.NewVecAggregator(fn)
+		}
+		return lanes
+	}
+	keyTypes := []types.DataType{types.Long}
+	const groups, numBlocks = 8192, 8
+	var blocks []aggBlock
+	for b := range numBlocks {
+		blocks = append(blocks, mapOutput(newLanes, b*groups/numBlocks, (b+1)*groups/numBlocks))
+	}
+	// A collection starting inside a measured merge allocates for itself.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perBlock := make([]uint64, numBlocks)
+	for trial := range 3 {
+		m := newAggMerge(execCtx(true), keyTypes, fns, newLanes, groups)
+		var before, after runtime.MemStats
+		for k, b := range blocks {
+			runtime.ReadMemStats(&before)
+			if err := m.merge(b); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; trial == 0 || n < perBlock[k] {
+				perBlock[k] = n
+			}
+		}
+		cols, n, err := m.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != groups || m.grows != 0 {
+			t.Fatalf("the reducer holds %d of %d groups, its table grew %d times", n, groups, m.grows)
+		}
+		for j, c := range cols {
+			if c.Len() != n {
+				t.Fatalf("result column %d holds %d rows, the reducer %d groups", j, c.Len(), n)
+			}
+		}
+		if got := cols[2].I64[groups-1]; got != int64(groups-1)%5 {
+			t.Fatalf("sum over the last group is %d", got)
+		}
+	}
+	for k := 2; k < numBlocks; k++ {
+		if perBlock[k] != perBlock[1] {
+			t.Fatalf("allocations merging each block: %v — a state lane grew as the reducer merged", perBlock)
 		}
 	}
 }

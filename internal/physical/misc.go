@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/rdd"
 	"repro/internal/row"
@@ -140,7 +141,9 @@ const topKMax = 1000
 // keeps its n first rows under the sort order in a bounded heap, and one task
 // merges the partitions' candidates — no sampling exchange, no full sort. Ties
 // break on (child partition, input position): the order the stable
-// range-partitioned sort and the limit over it produce.
+// range-partitioned sort and the limit over it produce. Over a batch top the
+// heap runs inside the child's tasks, over each output batch's typed lanes
+// (topSink), so only the rows a batch keeps are boxed.
 type TopKExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -161,31 +164,132 @@ func (t *TopKExec) SimpleString() string {
 }
 func (t *TopKExec) String() string { return Format(t) }
 
-func (t *TopKExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
+func (t *TopKExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] { return boxedRows(t, ctx) }
+
+// Results implements BatchTop: the merge task hands its at most N rows to
+// sink as one batch.
+func (t *TopKExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Arena] {
 	less := sortLess(ctx, t.Orders, t.Child.Output())
 	om := t.EnableMetrics(ctx.Metrics)
-	tops := rdd.MapPartitions(t.Child.Execute(ctx), func(_ int, in []row.Row) []row.Row {
+	keep := func(in []row.Row) []row.Row {
 		out := topRows(in, t.N, less)
 		if om != nil {
-			om.InputRows.Add(int64(len(in)))
 			om.KeptRows.Add(int64(len(out)))
 		}
 		return out
-	})
+	}
+	var tops *rdd.RDD[row.Row]
+	if top, ok := t.Child.(BatchTop); ok {
+		// A partition's batches each box their best N rows, which its task
+		// cuts to the partition's best N.
+		tops = rdd.MapOutput(top.Results(ctx, t.topSink(ctx, om)), func(arenas []expr.Arena) []row.Row {
+			return keep(expr.CutRows(arenas))
+		})
+	} else {
+		tops = rdd.MapPartitions(t.Child.Execute(ctx), func(_ int, in []row.Row) []row.Row {
+			if om != nil {
+				om.InputRows.Add(int64(len(in)))
+			}
+			return keep(in)
+		})
+	}
 	// The partitions' candidates are a stage; one task merges them.
 	cands := rdd.NewStage(tops, func(_ context.Context, parts [][]row.Row) ([]row.Row, error) {
 		return slices.Concat(parts...), nil
 	})
-	return rdd.GenerateCtx(ctx.RDD, "topK", 1, func(jc context.Context, _ int) ([]row.Row, error) {
+	attrs := t.Output()
+	return rdd.GenerateCtx(ctx.RDD, "topK", 1, func(jc context.Context, _ int) ([]expr.Arena, error) {
 		start := time.Now()
 		in, err := cands.Value(jc)
 		if err != nil {
 			return nil, err
 		}
 		out := topRows(in, t.N, less)
+		cols := make([]*columnar.Vector, len(attrs))
+		for j, a := range attrs {
+			cols[j] = columnar.NewAnyVector(a.DataType(), len(out))
+			for i, r := range out {
+				cols[j].Set(i, r[j])
+			}
+		}
 		om.RecordPartition(len(out), time.Since(start))
-		return out, nil
+		return []expr.Arena{sink(cols, identitySel(len(out)))}, nil
 	}).Reads(cands)
+}
+
+// topSink is the ResultSink TopK hands a batch child: it evaluates the order
+// keys over the batch as kernels, selects the batch's N first positions under
+// the order in a bounded heap over the keys' lanes, and boxes those alone, in
+// position order.
+func (t *TopKExec) topSink(ctx *ExecContext, om *OperatorMetrics) ResultSink {
+	input := t.Child.Output()
+	keys := make([]expr.VecEval, len(t.Orders))
+	desc := make([]bool, len(t.Orders))
+	for i, o := range t.Orders {
+		keys[i], desc[i] = ctx.vecEvaluator(bind(o.Child, input)), o.Descending
+	}
+	return func(cols []*columnar.Vector, sel []int32) expr.Arena {
+		if om != nil {
+			om.InputRows.Add(int64(len(sel)))
+		}
+		if len(sel) > t.N {
+			batch := &expr.VecBatch{Cols: cols, N: int(sel[len(sel)-1]) + 1}
+			h := &posHeap{keys: make([]*columnar.Vector, len(keys)), desc: desc}
+			for i, ev := range keys {
+				h.keys[i] = ev(batch, sel)
+			}
+			sel = h.top(sel, t.N)
+		}
+		return BoxSink(cols, sel)
+	}
+}
+
+// posHeap holds the batch positions a top-K keeps so far with the worst at
+// its root: the last under the order of the key vectors (desc flips a key),
+// ties broken by position.
+type posHeap struct {
+	keys []*columnar.Vector
+	desc []bool
+	pos  []int32
+}
+
+// before reports whether position a comes before position b.
+func (h *posHeap) before(a, b int32) bool {
+	for k, v := range h.keys {
+		c := v.CompareAt(int(a), v, int(b))
+		if h.desc[k] {
+			c = -c
+		}
+		if c != 0 {
+			return c < 0
+		}
+	}
+	return a < b
+}
+
+func (h *posHeap) Len() int           { return len(h.pos) }
+func (h *posHeap) Less(i, j int) bool { return h.before(h.pos[j], h.pos[i]) }
+func (h *posHeap) Swap(i, j int)      { h.pos[i], h.pos[j] = h.pos[j], h.pos[i] }
+func (h *posHeap) Push(any)           { panic("posHeap is filled in place") }
+func (h *posHeap) Pop() any           { panic("posHeap is filled in place") }
+
+// top returns the n first positions of the ascending selection sel, in
+// ascending order: the first n seed the heap, and each later position
+// replaces the root when it comes before it.
+func (h *posHeap) top(sel []int32, n int) []int32 {
+	if n <= 0 {
+		return nil
+	}
+	h.pos = slices.Clone(sel[:n])
+	heap.Init(h)
+	for _, i := range sel[n:] {
+		if h.before(i, h.pos[0]) {
+			h.pos[0] = i
+			heap.Fix(h, 0)
+		}
+	}
+	slices.Sort(h.pos)
+	return h.pos
 }
 
 // topRows returns the n first rows of in under less, sorted, equal rows in
@@ -193,6 +297,9 @@ func (t *TopKExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 // order with the negated position as tie-break, so its root is the worst row
 // kept: a row that does not beat it is dropped, one that does replaces it.
 func topRows(in []row.Row, n int, less func(a, b row.Row) bool) []row.Row {
+	if n <= 0 {
+		return nil
+	}
 	h := &mergeHeap{less: func(a, b row.Row) bool { return less(b, a) }}
 	for i, r := range in {
 		if len(h.items) < n {

@@ -110,6 +110,16 @@ func (ctx *ExecContext) evaluator(e expr.Expression) func(row.Row) any {
 	return e.Eval
 }
 
+// vecEvaluator builds a batch kernel for a bound expression honoring the
+// codegen setting: the interpreter lifted to batches when it is off.
+func (ctx *ExecContext) vecEvaluator(e expr.Expression) expr.VecEval {
+	if ctx.Codegen {
+		ev, _ := expr.CompileVec(e)
+		return ev
+	}
+	return expr.VecFromScalar(e.Eval, e.DataType())
+}
+
 // predicate builds a filter (NULL = reject) honoring the codegen setting.
 func (ctx *ExecContext) predicate(e expr.Expression) func(row.Row) bool {
 	if ctx.Codegen {

@@ -163,9 +163,9 @@ func Compare(a, b any) int {
 	case int64:
 		return cmpOrdered(x, b.(int64))
 	case float32:
-		return cmpFloatNaN(float64(x), float64(b.(float32)))
+		return CompareFloat(float64(x), float64(b.(float32)))
 	case float64:
-		return cmpFloatNaN(x, b.(float64))
+		return CompareFloat(x, b.(float64))
 	case string:
 		return strings.Compare(x, b.(string))
 	case types.Decimal:
@@ -183,9 +183,9 @@ func Compare(a, b any) int {
 	}
 }
 
-// cmpFloatNaN orders doubles with Spark SQL's convention: NaN is greater
+// CompareFloat orders doubles with Spark SQL's convention: NaN is greater
 // than every other value and equal to itself.
-func cmpFloatNaN(a, b float64) int {
+func CompareFloat(a, b float64) int {
 	an, bn := math.IsNaN(a), math.IsNaN(b)
 	switch {
 	case an && bn:

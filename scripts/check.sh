@@ -14,19 +14,6 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 
-# One keyed hash table in the executor: the group table (vecagg.go) is a slot
-# array over typed key columns, and the reducer (agg.go) merges and spills
-# partial blocks through it — no Go map, no key strings. A GroupKey/keyFunc
-# caller anywhere in internal/physical, or a map in either file, is a second
-# table family coming back.
-if grep -n 'row\.GroupKey(\|keyFunc(' $(ls internal/physical/*.go | grep -v '_test\.go$'); then
-	echo "internal/physical: key strings are back" >&2
-	exit 1
-fi
-if grep -n 'map\[' internal/physical/vecagg.go internal/physical/agg.go; then
-	echo "internal/physical: a Go map is back in the group table's or the reducer's file" >&2
-	exit 1
-fi
 # Fusion has one admission rule ("the input is a batch pipeline"): the key
 # shape test and the five fallback reason strings that went with it must not
 # come back.
@@ -35,10 +22,13 @@ if grep -n 'keyShapeBlocker\|build side not right"\|join type %\|residual predic
 	exit 1
 fi
 # One boxing routine (expr.BoxValues into a header-less arena at every result
-# edge) and kernels that borrow their output vectors from the batch's scratch
-# are AST gates in internal/archtest, which go test ./... runs below:
-# TestNoPerRowBoxingAtResultEdge, TestNoRowHeaderCopyInBatchTop and
-# TestKernelsBorrowVectors, each with a fixture it fires on.
+# edge, TopK's sink included), kernels that borrow their output vectors from
+# the batch's scratch, and one keyed hash table in the executor (no key
+# strings in internal/physical, no Go map in the group table's or the
+# reducer's file) are AST gates in internal/archtest, which go test ./... runs
+# below: TestNoPerRowBoxingAtResultEdge, TestNoRowHeaderCopyInBatchTop,
+# TestKernelsBorrowVectors, TestNoKeyStringsInExecutor and
+# TestNoGoMapInGroupTable, each with a fixture it fires on.
 # A statement pays for what changed in the catalog: the cluster runtime
 # re-encodes a table only where the catalog published a new relation, and a
 # LocalRelation's flat size comes from its memo cell. An unconditional

@@ -3,6 +3,7 @@ package sparksql
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -160,6 +161,23 @@ var vecQueries = []string{
 	"SELECT SUBSTR(sourceIP, 1, 8), SUM(adRevenue) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 8)",
 	vecQ3("1980-04-01"), vecQ3("1980-07-01"), vecQ3("1981-01-01"),
 	"SELECT url_key(destURL), count(*) FROM uservisits GROUP BY url_key(destURL)",
+	// ORDER BY ... LIMIT n is a top-K over each kind of child: an aggregate,
+	// a pipeline, a pipeline over a fused join, a bare fused join, and a
+	// union, which no engine runs as batches. Ties break on (child partition,
+	// input position) — counts tie inside a reducer's batch and across
+	// reducers, keys tie inside a scan batch and across partitions; keys mix
+	// ASC and DESC, one is computed, and x holds NULL, NaN, -0.0 and 0.0.
+	// The limit exceeds the rows (and a partition's batch) and reaches topKMax.
+	"SELECT dur, count(*) AS n, sum(rev) AS total FROM pages GROUP BY dur ORDER BY n DESC LIMIT 5",
+	"SELECT dur, count(*) AS n, min(url) AS u FROM pages GROUP BY dur ORDER BY n, u DESC LIMIT 7",
+	"SELECT seq, x FROM pages ORDER BY x, seq LIMIT 1000",
+	"SELECT seq, x FROM pages WHERE x IS NULL OR x < 1 ORDER BY x DESC LIMIT 40",
+	"SELECT seq, x, rank FROM pages ORDER BY x, rank DESC LIMIT 50",
+	"SELECT url, dur FROM pages WHERE rank > 100 ORDER BY dur * 2 LIMIT 30",
+	"SELECT seq, rev FROM pages WHERE seq < 40 ORDER BY rev DESC LIMIT 100",
+	"SELECT seq, x FROM (SELECT seq, x FROM pages WHERE seq < 30 UNION ALL SELECT seq, x FROM pages WHERE seq > 2980) u ORDER BY x DESC LIMIT 12",
+	"SELECT P.seq, P.x, R.pageURL FROM pages P JOIN rankings R ON P.seq = R.pageRank WHERE P.rank > 300 ORDER BY P.x DESC, P.seq, R.pageURL LIMIT 25",
+	"SELECT * FROM pages P JOIN rankings R ON P.seq = R.pageRank ORDER BY P.x, P.seq, R.pageURL LIMIT 25",
 }
 
 func vecQ3(cutoff string) string {
@@ -384,6 +402,50 @@ func TestLentKernelsAllocatePerTask(t *testing.T) {
 	}
 }
 
+// A top-K over a batch top boxes only the rows each batch keeps: Q3 — the
+// aggregate of a join, ORDER BY its sum, LIMIT 1 — allocates fewer bytes than
+// collecting the same aggregate, whose every group is boxed at the result
+// edge. A top-K that boxed every group before choosing would allocate more.
+// Neither result is copied from row partitions (result.rows.copied).
+func TestTopKBoxesOnlyWhatItKeeps(t *testing.T) {
+	for _, leaf := range batchLeaves {
+		t.Run(leaf.name, func(t *testing.T) {
+			ctx := vecTestContext(t, fusedConfig(0, true), leaf.register)
+			bytesPerOp := func(q string) (float64, int) {
+				df, err := ctx.SQL(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := mustRunRows(t, ctx, q)
+				const runs = 5
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for range runs {
+					if _, err := df.Collect(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				return float64(after.TotalAlloc-before.TotalAlloc) / runs, len(rows)
+			}
+			q3 := vecQ3("1981-01-01")
+			agg, _, _ := strings.Cut(q3, " ORDER BY")
+			copied := ctx.Metrics().Counter("result.rows.copied")
+			before := copied.Load()
+			top, kept := bytesPerOp(q3)
+			all, groups := bytesPerOp(agg)
+			t.Logf("%d of %d groups: %.0f B an operation, %.0f B collecting all", kept, groups, top, all)
+			if kept != 1 || groups < 1000 || top >= all {
+				t.Fatalf("Q3 keeping %d of %d groups allocated %.0f B, collecting them all %.0f B", kept, groups, top, all)
+			}
+			if moved := copied.Load() - before; moved != 0 {
+				t.Fatalf("result.rows.copied moved by %d: a result was copied from row partitions", moved)
+			}
+		})
+	}
+}
+
 // A batch top's task that fails — before its first batch, or after it boxed
 // some — is retried from lineage, and the result holds each row once: a
 // failed attempt's arenas leave with it. `many` is 40 partitions of 25 rows,
@@ -393,6 +455,7 @@ func TestResultEdgeTaskRetry(t *testing.T) {
 	queries := append([]string{
 		"SELECT k, once(k), s FROM many WHERE k % 3 <> 1",
 		"SELECT g, count(*), sum(once(k)), min(s) FROM many GROUP BY g",
+		"SELECT k, once(k), s FROM many WHERE k % 3 <> 1 ORDER BY s DESC, k LIMIT 30",
 	}, edgeQueries...)
 	setup := func(t *testing.T, cfg Config, register tableLeaf, leaf string) *Context {
 		ctx := vecTestContext(t, cfg, register)
