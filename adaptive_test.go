@@ -127,8 +127,18 @@ func checkAblation(t *testing.T, cfg Config, setup func(testing.TB, *Context), q
 }
 
 // TestAdaptiveCoalesce: an exchange statically sized to 8 reducers (the
-// input size is unknown) observes a few hundred KB and coalesces.
+// input size is unknown) observes a few hundred KB and coalesces. A grouped
+// aggregate is re-sized up as well: one whose group count the planner could
+// only guess (no column statistics: RowCount/16 groups, one reduce task)
+// observes its input and splits into the session's 8 buckets, with the same
+// rows in the same order as the static plan's one reducer.
 func TestAdaptiveCoalesce(t *testing.T) {
+	split := adaptiveConfig()
+	split.TargetPartitionBytes = 16 << 10
+	checkAblation(t, split, func(t testing.TB, ctx *Context) {
+		registerLocalTable(t, ctx, "t", kvRows(4000, func(i int) int64 { return int64(i * 7 % 2000) }))
+	}, "SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k", "(est: 250 rows", "adapted: shuffle exchange -> 8 partitions")
+
 	setup := func(t testing.TB, ctx *Context) {
 		registerRDDTable(t, ctx, "t", kvRows(2000, func(i int) int64 { return int64(i % 50) }), 4)
 	}

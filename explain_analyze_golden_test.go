@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/datagen"
 )
 
 // analyzeText runs EXPLAIN ANALYZE <starQuery> through the SQL front end —
@@ -167,16 +169,32 @@ func TestExplainAnalyzeGroupTable(t *testing.T) {
 // shapes beyond the star schema (aggregate, vectorizable scan), and says how
 // the result left the engine: an aggregate's reducers box it in their tasks,
 // a row pipeline's rows are copied, and a top-K over the aggregate of a join
-// (Q3's shape) boxes the rows its one merge task keeps.
+// (Q3's shape) boxes the rows its one merge task keeps. The planner sizes an
+// aggregate's reducers from its estimated output: Q2a (150 000 cached
+// uservisits, ~98 000 groups, estimated at 4.8 MB against the 4 MB target)
+// runs two, where its 3.9 MB input alone would have sized one.
 func TestExplainAnalyzeMatchesCollect(t *testing.T) {
-	ctx := starSchemaContext(t, goldenConfig())
-	analyzeStarSchema(t, ctx)
-	for q, path := range map[string]string{
-		"SELECT d1_k, count(*) AS n FROM fact GROUP BY d1_k": ", boxed in 1 tasks", // adaptive execution coalesced its 4 reducers
-		"SELECT f_id FROM fact WHERE amount > 40":            ", copied from WholeStagePipeline rows",
-		"SELECT d2_name, sum(amount) AS total, avg(f_id) AS a FROM fact f JOIN dim2 d ON f.d2_k = d.d2_k GROUP BY d2_name ORDER BY total DESC LIMIT 1": ", boxed in 1 tasks",
+	star := starSchemaContext(t, goldenConfig())
+	analyzeStarSchema(t, star)
+	cfg := DefaultConfig()
+	cfg.Parallelism, cfg.ShufflePartitions, cfg.Vectorized = 2, 2, true
+	q2 := NewContextWithConfig(cfg)
+	const visits = 150_000
+	rows := make([]Row, visits)
+	for i := range rows {
+		rows[i] = datagen.UserVisitRow(11, int64(i), visits/3)
+	}
+	cacheTempTable(t, q2, datagen.UserVisitsSchema(), rows, "uservisits", 0)
+	for _, c := range []struct {
+		ctx     *Context
+		q, path string
+	}{
+		{star, "SELECT d1_k, count(*) AS n FROM fact GROUP BY d1_k", ", boxed in 1 tasks"}, // 20 estimated groups: one reduce task
+		{star, "SELECT f_id FROM fact WHERE amount > 40", ", copied from WholeStagePipeline rows"},
+		{star, "SELECT d2_name, sum(amount) AS total, avg(f_id) AS a FROM fact f JOIN dim2 d ON f.d2_k = d.d2_k GROUP BY d2_name ORDER BY total DESC LIMIT 1", ", boxed in 1 tasks"},
+		{q2, "SELECT SUBSTR(sourceIP, 1, 8), SUM(adRevenue) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 8)", ", boxed in 2 tasks"},
 	} {
-		df, err := ctx.SQL(q)
+		df, err := c.ctx.SQL(c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +202,7 @@ func TestExplainAnalyzeMatchesCollect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adf, err := ctx.SQL("EXPLAIN ANALYZE " + q)
+		adf, err := c.ctx.SQL("EXPLAIN ANALYZE " + c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +216,8 @@ func TestExplainAnalyzeMatchesCollect(t *testing.T) {
 			text.WriteByte('\n')
 		}
 		want := fmt.Sprintf("result: %d rows", len(rows))
-		if !strings.Contains(text.String(), want) || !strings.Contains(normalizeAnalyze(text.String()), want+" in T ms"+path) {
-			t.Fatalf("EXPLAIN ANALYZE of %q lacks %q…%q:\n%s", q, want, path, text.String())
+		if !strings.Contains(text.String(), want) || !strings.Contains(normalizeAnalyze(text.String()), want+" in T ms"+c.path) {
+			t.Fatalf("EXPLAIN ANALYZE of %q lacks %q…%q:\n%s", c.q, want, c.path, text.String())
 		}
 	}
 }

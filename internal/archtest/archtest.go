@@ -47,7 +47,7 @@ func walkGo(root string, tests bool, fn func(p, rel string) error) error {
 	})
 }
 
-// File is a parsed non-test Go file.
+// File is a parsed Go file.
 type File struct {
 	Rel  string // slash-separated, relative to the root it was found under
 	Fset *token.FileSet
@@ -57,9 +57,14 @@ type File struct {
 // ParseFiles parses the non-test Go files under root, keeping those keep
 // accepts by their relative path (nil keeps all).
 func ParseFiles(root string, keep func(rel string) bool) ([]File, error) {
+	return parseFiles(root, false, keep)
+}
+
+// parseFiles is ParseFiles, test files included when tests is set.
+func parseFiles(root string, tests bool, keep func(rel string) bool) ([]File, error) {
 	var files []File
 	fset := token.NewFileSet()
-	err := walkGo(root, false, func(p, rel string) error {
+	err := walkGo(root, tests, func(p, rel string) error {
 		if keep != nil && !keep(rel) {
 			return nil
 		}
@@ -147,24 +152,56 @@ func (c Call) String() string {
 	return c.File + ":" + strconv.Itoa(c.Line) + " in " + c.In
 }
 
-// FindNodes returns where in files the nodes are for which match reports
-// true, in file order.
-func FindNodes(files []File, match func(f File, n ast.Node) bool) []Call {
-	var found []Call
+// walkNodes calls fn with every syntax node in files, in file order, and the
+// top-level function it is in (as Call.In names it).
+func walkNodes(files []File, fn func(f File, in string, n ast.Node)) {
 	for _, f := range files {
 		for _, decl := range f.AST.Decls {
 			in := ""
-			if fn, ok := decl.(*ast.FuncDecl); ok {
-				in = funcName(fn)
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				in = funcName(fd)
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				if n != nil && match(f, n) {
-					found = append(found, Call{File: f.Rel, Line: f.Fset.Position(n.Pos()).Line, In: in})
+				if n != nil {
+					fn(f, in, n)
 				}
 				return true
 			})
 		}
 	}
+}
+
+// FindNodes returns where in files the nodes are for which match reports
+// true, in file order.
+func FindNodes(files []File, match func(f File, n ast.Node) bool) []Call {
+	var found []Call
+	walkNodes(files, func(f File, in string, n ast.Node) {
+		if match(f, n) {
+			found = append(found, Call{File: f.Rel, Line: f.Fset.Position(n.Pos()).Line, In: in})
+		}
+	})
+	return found
+}
+
+// StructFields returns where in files a struct type declares a field for
+// which match reports true, given the field's name and type: one entry per
+// matching name, in file order. Parameters, results and interface methods are
+// not struct fields.
+func StructFields(files []File, match func(name string, typ ast.Expr) bool) []Call {
+	var found []Call
+	walkNodes(files, func(f File, in string, n ast.Node) {
+		st, ok := n.(*ast.StructType)
+		if !ok {
+			return
+		}
+		for _, field := range st.Fields.List {
+			for _, name := range field.Names {
+				if match(name.Name, field.Type) {
+					found = append(found, Call{File: f.Rel, Line: f.Fset.Position(name.Pos()).Line, In: in})
+				}
+			}
+		}
+	})
 	return found
 }
 

@@ -65,9 +65,11 @@ type Config struct {
 	// aims for when it sizes shuffle exchanges from estimated (and, with
 	// Adaptive, observed) input bytes. 0 means the planner default (4 MB).
 	TargetPartitionBytes int64
-	// ShufflePartitions is the reducer count; Parallelism the worker count.
-	// 0 resolves to GOMAXPROCS (ShufflePartitions to Parallelism) when the
-	// engine is built, and workers receive the resolved counts.
+	// ShufflePartitions is the reducer count, and a grouped aggregate's
+	// hash bucket count (which, unlike its reducer count, decides the
+	// order of its result); Parallelism the worker count. 0 resolves to
+	// GOMAXPROCS (ShufflePartitions to Parallelism) when the engine is
+	// built, and workers receive the resolved counts.
 	ShufflePartitions int
 	Parallelism       int
 	// MemoryBudget bounds each query's execution memory in bytes (0 =

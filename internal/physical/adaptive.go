@@ -9,7 +9,10 @@ package physical
 // cost rules over actuals instead of estimates:
 //
 //   - exchange partition counts coalesce to ceil(observedBytes/target)
-//     when that is below the statically chosen count,
+//     when that is below the statically chosen count; a grouped
+//     aggregate's reduce tasks are re-sized to it up as well as down
+//     (they take ranges of the same hash buckets, so their number never
+//     changes its result or the result's order),
 //   - a broadcast hash join whose build side blows past the broadcast
 //     limit demotes to a shuffled hash join, and a shuffled join whose
 //     input turns out tiny promotes to a broadcast hash join,
@@ -76,7 +79,8 @@ type Decision struct {
 	// the static plan (empty = root). Every rewrite kind preserves tree
 	// shape and child counts, so later paths stay valid.
 	Path []int
-	// Kind is "coalesce", "demote", "promote" or "skew".
+	// Kind is "coalesce" (set an exchange's partition count), "demote",
+	// "promote" or "skew".
 	Kind string
 	// Parts is the new exchange partition count (0 = keep current).
 	Parts int
@@ -304,7 +308,7 @@ func (d *adaptiveDriver) adaptNode(p SparkPlan, path []int) (SparkPlan, error) {
 			// to re-plan, and materializing its input buys nothing.
 			return p, nil
 		}
-		return d.adaptCoalesceOnly(p, path, n.Child, n.Partitions)
+		return d.adaptAggregate(n, path)
 	case *SortExec:
 		if !n.Global {
 			return p, nil
@@ -324,6 +328,28 @@ func (d *adaptiveDriver) adaptCoalesceOnly(p SparkPlan, path []int, child SparkP
 		return nil, err
 	}
 	if p, err = d.coalesce(p, path, d.coalesced(current, stage.Bytes), stage.Bytes); err != nil {
+		return nil, err
+	}
+	return p.WithNewChildren([]SparkPlan{stage}), nil
+}
+
+// adaptAggregate materializes a grouped aggregate's input and re-sizes its
+// reduce tasks from the observed input bytes, up as well as down: the bytes
+// bound what the reducers will hold, where the planner's output estimate may
+// rest on a guessed group count (RowCount/16 for a key without statistics),
+// and a reducer count never changes an aggregate's result, because its
+// reduce tasks take ranges of the same hash buckets.
+func (d *adaptiveDriver) adaptAggregate(n *HashAggregateExec, path []int) (SparkPlan, error) {
+	stage, err := d.materialize(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	parts := min(d.partitionsFor(stage.Bytes), n.buckets(d.ctx))
+	if parts == n.reducers(d.ctx) {
+		parts = 0 // already what the input calls for
+	}
+	p, err := d.coalesce(n, path, parts, stage.Bytes)
+	if err != nil {
 		return nil, err
 	}
 	return p.WithNewChildren([]SparkPlan{stage}), nil

@@ -31,9 +31,10 @@ type HashAggregateExec struct {
 	Grouping []expr.Expression
 	Aggs     []expr.Expression // Named result expressions
 	Child    SparkPlan
-	// Partitions, when positive, caps the exchange's reducer count below
-	// the session default (chosen by the planner from the estimated input
-	// size).
+	// Partitions, when positive, caps the number of reduce tasks below the
+	// session's bucket count (chosen by the planner from the estimated
+	// output size, coalesced by adaptive execution). It never changes which
+	// bucket a group hashes to, so it never changes the result or its order.
 	Partitions int
 }
 
@@ -132,7 +133,7 @@ func (h *HashAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[
 		return lanes
 	}
 	keyTypes := h.keyTypes()
-	numPart := h.reducers(ctx)
+	buckets := h.buckets(ctx)
 	om := h.EnableMetrics(ctx.Metrics)
 
 	// Phase 1: partial aggregation per partition, emitting the same columnar
@@ -154,10 +155,10 @@ func (h *HashAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[
 			}
 		}
 		om.RecordTable(groups.count(), groups.grows)
-		return splitGroups(groups, lanes, numPart)
+		return splitGroups(groups, lanes, buckets)
 	})
 
-	return h.finalMerge(ctx, om, blocks, numPart, fns, newLanes, resultExprs, sink)
+	return h.finalMerge(ctx, om, blocks, fns, newLanes, resultExprs, sink)
 }
 
 func (h *HashAggregateExec) keyTypes() []types.DataType { return exprTypes(h.Grouping) }
@@ -170,26 +171,37 @@ func exprTypes(exprs []expr.Expression) []types.DataType {
 	return out
 }
 
-// reducers is the exchange's reduce partition count: the session default
-// capped by the planner's / adaptive override; a global aggregation collapses
-// to one partition.
-func (h *HashAggregateExec) reducers(ctx *ExecContext) int {
+// buckets is how many hash buckets phase 1 splits its groups into: the
+// session's ShufflePartitions, one for a global aggregate. With the data it
+// alone decides the result's rows and order: a bucket's groups come out in
+// first-seen order, bucket after bucket.
+func (h *HashAggregateExec) buckets(ctx *ExecContext) int {
 	if len(h.Grouping) == 0 {
 		return 1
 	}
-	return max(1, effectiveParts(ctx.ShufflePartitions, h.Partitions))
+	return max(1, ctx.ShufflePartitions)
+}
+
+// reducers is how many reduce tasks merge the buckets, each a contiguous
+// range of them: all of them, capped by the planner's or adaptive
+// execution's Partitions.
+func (h *HashAggregateExec) reducers(ctx *ExecContext) int {
+	return effectiveParts(h.buckets(ctx), h.Partitions)
 }
 
 // finalMerge is phase 2, shared by the row-at-a-time and fused phase-1
-// implementations: exchange the partial blocks (already split by reducer, so
-// the exchange only transposes them), merge state lanes into state lanes per
-// reducer through the same group tables phase 1 uses (aggMerge), evaluate the
-// result expressions as vector kernels over [key columns..., aggregate result
-// columns...], and hand the result columns to sink, the result edge. newLanes
-// must build the accumulators the same way phase 1 did.
-func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, blocks *rdd.RDD[aggBlock], numPart int,
+// implementations: exchange the partial blocks (already split into buckets,
+// so the exchange only hands each reducer its range of buckets), merge state
+// lanes into state lanes per reducer through the same group tables phase 1
+// uses (aggMerge), evaluate the result expressions as vector kernels over
+// [key columns..., aggregate result columns...], and hand the result columns
+// to sink, the result edge. newLanes must build the accumulators the same way
+// phase 1 did. A reducer folds its buckets one after another, and no group is
+// in two buckets, so its output is its buckets' outputs concatenated: the
+// result is the same, in the same order, for every reducer count.
+func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, blocks *rdd.RDD[aggBlock],
 	fns []expr.AggregateFunc, newLanes func() []expr.VecAggregator, resultExprs []expr.Expression, sink ResultSink) *rdd.RDD[expr.Arena] {
-	shuffled := rdd.ExchangePresplit(blocks, numPart, aggBlock.groups)
+	shuffled := rdd.ExchangePresplit(blocks, h.buckets(ctx), h.reducers(ctx), aggBlock.groups)
 	keyTypes := h.keyTypes()
 	resultEvals := make([]expr.VecEval, len(resultExprs))
 	for i, e := range resultExprs {

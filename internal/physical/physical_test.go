@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/columnar"
+	"repro/internal/dfs"
 	"repro/internal/expr"
+	"repro/internal/memory"
 	"repro/internal/plan"
 	"repro/internal/rdd"
 	"repro/internal/row"
@@ -174,6 +177,79 @@ func TestAggregateWithExpressionOverAggs(t *testing.T) {
 	got := collect(t, agg, execCtx(true))
 	if len(got) != 1 || got[0][0] != 16.0 { // 1 + 15
 		t.Fatalf("got %v", got)
+	}
+}
+
+// An aggregate's rows and their order depend only on the data and the
+// session's bucket count: forcing its reduce tasks through every count from 1
+// to the buckets, over the fused and the row phase 1 (compiled and
+// interpreted), at budgets ∞, 64 KB and 1 B, returns the same rows in the same
+// order — the reducers fold whole buckets, one after another.
+func TestAggregateOrderIndependentOfReducers(t *testing.T) {
+	const buckets = 4
+	attrs := attrsOf([]string{"k", "v", "s"}, []types.DataType{types.Long, types.Long, types.String})
+	schema := types.StructType{}
+	for _, a := range attrs {
+		schema = schema.Add(a.Name, a.DataType(), true)
+	}
+	rows := make([]row.Row, 3000)
+	for i := range rows {
+		var k any = int64(i * 7919 % 2003)
+		if i%97 == 0 {
+			k = nil
+		}
+		rows[i] = row.Row{k, int64(i), fmt.Sprintf("s%d", i*31%13)}
+	}
+	var parts [][]row.Row // 5 map partitions of uneven size
+	for lo, n := 0, 400; lo < len(rows); lo, n = lo+n, n+100 {
+		parts = append(parts, rows[lo:min(lo+n, len(rows))])
+	}
+	scan := NewInMemoryScan(attrs, columnar.BuildTable(schema, parts, 256), nil, nil)
+	shapes := map[string][]expr.Expression{
+		"k":      {attrs[0]},
+		"(k, s)": {expr.Mod(attrs[0], expr.Lit(int64(50))), attrs[2]},
+	}
+	for name, keys := range shapes {
+		aggs := append(slices.Clone(keys),
+			expr.NewAlias(&expr.Sum{Child: attrs[1]}, "sum"), expr.NewAlias(expr.NewCountStar(), "n"),
+			expr.NewAlias(expr.NewMin(attrs[2]), "min"), expr.NewAlias(&expr.First{Child: attrs[1]}, "first"))
+		var want string
+		for _, budget := range []int64{0, 64 << 10, 1} {
+			for _, engine := range []string{"fused", "row", "interpreted"} {
+				for reducers := buckets; reducers >= 1; reducers-- {
+					var p SparkPlan = &HashAggregateExec{Grouping: keys, Aggs: aggs, Child: scan, Partitions: reducers}
+					if engine == "fused" {
+						if p = Fuse(Vectorize(p)); !strings.HasPrefix(p.SimpleString(), "FusedHashAggregate") {
+							t.Fatalf("%s: did not fuse: %s", name, p)
+						}
+					}
+					ctx := execCtx(engine != "interpreted")
+					ctx.ShufflePartitions = buckets
+					if budget > 0 {
+						ctx.Pool, ctx.SpillFS = memory.NewPool(budget, nil), dfs.New()
+					}
+					out := p.Execute(ctx)
+					got, err := out.Collect()
+					ctx.CleanupSpills()
+					if err != nil {
+						t.Fatalf("%s %s budget=%d reducers=%d: %v", name, engine, budget, reducers, err)
+					}
+					if out.NumPartitions() != reducers {
+						t.Fatalf("%s %s: %d reduce tasks, want %d", name, engine, out.NumPartitions(), reducers)
+					}
+					if budget == 1 && ctx.Pool.SpillCount() == 0 {
+						t.Fatalf("%s %s: a one-byte budget spilled nothing", name, engine)
+					}
+					text := fmt.Sprint(got)
+					if want == "" {
+						want = text
+					} else if text != want {
+						t.Fatalf("GROUP BY %s, %s phase 1, budget=%d, %d reducers: rows or order differ from %d buckets in %d reducers:\n got %.300s\nwant %.300s",
+							name, engine, budget, reducers, buckets, buckets, text, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -28,7 +28,8 @@ type ExecContext struct {
 	// Codegen selects compiled closures (true) or the tree-walking
 	// interpreter (false) for expression evaluation — the Figure 4 knob.
 	Codegen bool
-	// ShufflePartitions is the reducer count for exchanges.
+	// ShufflePartitions is the reducer count for exchanges, and the number
+	// of hash buckets a grouped aggregate's phase 1 splits its groups into.
 	ShufflePartitions int
 	// Planner is the config the plan was made under: adaptive re-planning
 	// prices from it, and a batch pipeline cuts its leaf's small partitions

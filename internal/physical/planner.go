@@ -26,11 +26,12 @@ type PlannerConfig struct {
 	// (requires Vectorize). Every candidate operator is annotated with the
 	// decision for EXPLAIN.
 	Fuse bool
-	// TargetPartitionBytes sizes shuffle exchanges from statistics: when an
-	// exchange's estimated input is known, the planner asks for
-	// ceil(size/target) reducers instead of the fixed session default
-	// (never more than the default — only small inputs shrink). Zero
-	// disables stats-based partition sizing.
+	// TargetPartitionBytes sizes shuffle exchanges from statistics: when
+	// the estimated size a reducer handles is known (a shuffled join's
+	// inputs, an aggregate's output), the planner asks for ceil(size/target)
+	// reducers instead of the fixed session default (never more than the
+	// default — only small sizes shrink). Zero disables stats-based
+	// partition sizing.
 	TargetPartitionBytes int64
 	// MemoryBudget is the query execution-memory budget in bytes (zero =
 	// unlimited). Planning sees it only through broadcastLimit: a join side
@@ -148,14 +149,7 @@ func (pl *Planner) translateNode(lp plan.LogicalPlan) (SparkPlan, error) {
 	case *plan.Join:
 		return pl.planJoin(n)
 	case *plan.Aggregate:
-		child, err := pl.translate(n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &HashAggregateExec{
-			Grouping: n.Grouping, Aggs: n.Aggs, Child: child,
-			Partitions: pl.partitionsFor(plan.Stats(n.Child).SizeInBytes),
-		}, nil
+		return pl.planAggregate(n, n.Child, n.Grouping, n.Aggs)
 	case *plan.Sort:
 		child, err := pl.translate(n.Child)
 		if err != nil {
@@ -183,17 +177,10 @@ func (pl *Planner) translateNode(lp plan.LogicalPlan) (SparkPlan, error) {
 		}
 		return &UnionExec{Kids: kids}, nil
 	case *plan.Distinct:
-		child, err := pl.translate(n.Child)
-		if err != nil {
-			return nil, err
-		}
 		// DISTINCT is a grouping on every output column with no aggregate
 		// functions (Spark's ReplaceDistinctWithAggregate).
 		cols := plan.AttrExprs(n.Child.Output())
-		return &HashAggregateExec{
-			Grouping: cols, Aggs: cols, Child: child,
-			Partitions: pl.partitionsFor(plan.Stats(n.Child).SizeInBytes),
-		}, nil
+		return pl.planAggregate(n, n.Child, cols, cols)
 	case *plan.Sample:
 		child, err := pl.translate(n.Child)
 		if err != nil {
@@ -203,6 +190,20 @@ func (pl *Planner) translateNode(lp plan.LogicalPlan) (SparkPlan, error) {
 	default:
 		return nil, fmt.Errorf("physical: no strategy for logical operator %T (%s)", lp, lp.SimpleString())
 	}
+}
+
+// planAggregate builds the HashAggregateExec for lp, an Aggregate or a
+// Distinct over child. Its reduce tasks hold and emit the aggregate's output,
+// not its input, so they are sized from lp's own estimate.
+func (pl *Planner) planAggregate(lp, child plan.LogicalPlan, grouping, aggs []expr.Expression) (SparkPlan, error) {
+	c, err := pl.translate(child)
+	if err != nil {
+		return nil, err
+	}
+	est := plan.Stats(lp)
+	h := &HashAggregateExec{Grouping: grouping, Aggs: aggs, Child: c, Partitions: pl.partitionsFor(est.SizeInBytes)}
+	h.SetEstimate(est)
+	return h, nil
 }
 
 // planFilter builds a FilterExec; filters directly over the columnar cache
@@ -335,8 +336,8 @@ func (c PlannerConfig) skewFactor() float64 {
 	return DefaultSkewFactor
 }
 
-// PartitionsForSize derives a reducer count from an exchange's input
-// size: ceil(size/target), at least 1. Returns 0 (keep the session
+// PartitionsForSize derives a reducer count from the size an exchange's
+// reducers handle: ceil(size/target), at least 1. Returns 0 (keep the session
 // default) when sizing is disabled or the size is unknown. This is the
 // re-entrant costing entry point: the static planner feeds it estimates,
 // the adaptive driver feeds it per-stage observed bytes.

@@ -53,7 +53,7 @@ func (f *FusedAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD
 	}
 	vp := f.Pipe.compile(ctx, om, k.refs)
 	keyTypes := h.keyTypes()
-	numPart := h.reducers(ctx)
+	buckets := h.buckets(ctx)
 	boxedKernels := int64(len(k.fallbacks))
 
 	blocks := rdd.GenerateCtx(ctx.RDD, "fusedAgg", vp.tasks(), func(jc context.Context, p int) ([]aggBlock, error) {
@@ -77,10 +77,10 @@ func (f *FusedAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD
 			}
 		})
 		om.RecordTable(groups.count(), groups.grows)
-		return splitGroups(groups, lanes, numPart), err
+		return splitGroups(groups, lanes, buckets), err
 	}).Reads(vp.src.Stages...)
 
-	return h.finalMerge(ctx, om, blocks, numPart, k.fns, k.newLanes, k.results, sink)
+	return h.finalMerge(ctx, om, blocks, k.fns, k.newLanes, k.results, sink)
 }
 
 // aggSink is a fused aggregate's compiled sink: the group-key kernels and
@@ -135,11 +135,12 @@ func (k *aggSink) note(keyTypes []types.DataType) string {
 // aggBlock is partial aggregation state in columnar form — what phase 1
 // hands the exchange instead of one boxed record per group: a dense key
 // column per grouping expression with the keys' row hashes beside them, one
-// state lane set per aggregate, and the selection of group positions bound for
-// one reducer. The blocks a map partition emits (one per reducer) are views
-// over the same columns and lanes; nothing is copied or boxed to split them,
-// and the reducer probes with the hashes instead of hashing a key again. A
-// reducer that spills reads its spill log back as blocks of the same form.
+// state lane set per aggregate, and the selection of group positions in one
+// hash bucket. The blocks a map partition emits (one per bucket) are views
+// over the same columns and lanes, their selections cut from one slice;
+// nothing is copied or boxed to split them, and the reducer probes with the
+// hashes instead of hashing a key again. A reducer that spills reads its spill
+// log back as blocks of the same form.
 type aggBlock struct {
 	keys   []*columnar.Vector
 	hashes []uint64
@@ -149,27 +150,31 @@ type aggBlock struct {
 
 func (b aggBlock) groups() int64 { return int64(len(b.sel)) }
 
-// splitGroups flushes a phase-1 group table into one block per reducer,
+// splitGroups flushes a phase-1 group table into one block per hash bucket,
 // partitioning by the hash the table stored: the process-independent hash of
 // the typed key (equal to the hash of the boxed key, so it does not matter
-// which phase 1 ran). An empty table emits nothing.
-func splitGroups(groups *groupTable, lanes []expr.VecAggregator, numPart int) []aggBlock {
+// which phase 1 ran). The selections are consecutive runs of one slice of the
+// table's n groups, each in ascending group order. An empty table emits
+// nothing.
+func splitGroups(groups *groupTable, lanes []expr.VecAggregator, buckets int) []aggBlock {
 	n := groups.count()
 	if n == 0 {
 		return nil
 	}
-	out := make([]aggBlock, numPart)
-	dest := make([]int32, n)
-	counts := make([]int, numPart)
+	start := make([]int, buckets+1) // start[b]: where bucket b's run begins
+	for _, h := range groups.hashes {
+		start[h%uint64(buckets)+1]++
+	}
+	for b := range buckets {
+		start[b+1] += start[b]
+	}
+	sel, out := make([]int32, n), make([]aggBlock, buckets)
+	for b := range out {
+		out[b] = aggBlock{keys: groups.cols, hashes: groups.hashes, lanes: lanes, sel: sel[start[b]:start[b]:start[b+1]]}
+	}
 	for g, h := range groups.hashes {
-		dest[g] = int32(h % uint64(numPart))
-		counts[dest[g]]++
-	}
-	for r := range out {
-		out[r] = aggBlock{keys: groups.cols, hashes: groups.hashes, lanes: lanes, sel: make([]int32, 0, counts[r])}
-	}
-	for g, d := range dest {
-		out[d].sel = append(out[d].sel, int32(g))
+		b := &out[h%uint64(buckets)]
+		b.sel = append(b.sel, int32(g)) // within the run's capacity: in place
 	}
 	return out
 }
@@ -185,8 +190,8 @@ func splitGroups(groups *groupTable, lanes []expr.VecAggregator, numPart int) []
 // rows by open addressing: a pointer-free power-of-two array of (low 32 hash
 // bits << 32 | group index + 1), 0 = empty, linear probing, at most half full;
 // key columns are read only on a tag hit. The home slot is the hash's HIGH
-// bits, because a reducer only sees hashes that agree in the low bits
-// `% numPart` consumed. Growing doubles the slots and re-places the groups
+// bits, because a reducer only sees hashes whose `% buckets` falls in its
+// bucket range. Growing doubles the slots and re-places the groups
 // from their stored hashes, touching no key.
 //
 // It serves aggregation phase 1 (over pipeline batches or chunks of input

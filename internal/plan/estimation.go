@@ -723,23 +723,15 @@ func satAdd(a, b int64) int64 {
 }
 
 // groupCount estimates the number of distinct groups for a key list as the
-// product of per-key NDVs, clamped to the child row count. Keys without
-// statistics assume ~16 rows per group.
+// product of per-key NDVs (exprNDV), clamped to the child row count. Keys
+// without an estimate assume ~16 rows per group.
 func groupCount(s Statistics, keys []expr.Expression) int64 {
 	if len(keys) == 0 {
 		return 1
 	}
 	prod := 1.0
 	for _, k := range keys {
-		var ndv int64
-		if a, ok := k.(*expr.AttributeReference); ok {
-			if c := s.Columns[a.ID_]; c != nil {
-				ndv = c.NDV
-			}
-		}
-		if _, isLit := k.(*expr.Literal); isLit {
-			ndv = 1
-		}
+		ndv := exprNDV(s, k)
 		if ndv <= 0 {
 			ndv = max64(1, s.RowCount/16)
 		}
@@ -749,6 +741,66 @@ func groupCount(s Statistics, keys []expr.Expression) int64 {
 		}
 	}
 	return max64(1, min64(int64(math.Ceil(prod)), s.RowCount))
+}
+
+// exprNDV estimates the distinct values of one grouping expression, 0 when it
+// cannot: a literal has one; a column its statistics' NDV; SUBSTR(col, …) at
+// most NDV(col), since equal strings have equal substrings; and col % c, for
+// an integer column and a non-zero integer literal c, at most 2|c|−1 values
+// (|c| when the column's min is ≥ 0), and at most NDV(col) when that is known.
+// Any other expression, nested ones included, has no estimate.
+func exprNDV(s Statistics, k expr.Expression) int64 {
+	col := func(e expr.Expression) *ColumnStat {
+		if a, ok := e.(*expr.AttributeReference); ok {
+			return s.Columns[a.ID_]
+		}
+		return nil
+	}
+	switch e := k.(type) {
+	case *expr.Literal:
+		return 1
+	case *expr.AttributeReference:
+		if c := col(e); c != nil {
+			return c.NDV
+		}
+	case *expr.Substring:
+		if c := col(e.Str); c != nil {
+			return c.NDV
+		}
+	case *expr.BinaryArith:
+		a, isAttr := e.Left.(*expr.AttributeReference)
+		m, isInt := intLiteral(e.Right)
+		if e.Op != expr.OpMod || !isAttr || !types.IsIntegral(a.DataType()) || !isInt || m == 0 {
+			return 0
+		}
+		m = max(m, -m)
+		bound := 2*m - 1 // wraps negative, so no estimate, for |c| ≥ 2^62
+		if c := col(a); c != nil {
+			if lo, ok := toFloat(c.Min); ok && lo >= 0 {
+				bound = m
+			}
+			if c.NDV > 0 {
+				bound = min(bound, c.NDV)
+			}
+		}
+		return bound
+	}
+	return 0
+}
+
+// intLiteral is the value of an integer literal.
+func intLiteral(e expr.Expression) (int64, bool) {
+	l, ok := e.(*expr.Literal)
+	if !ok {
+		return 0, false
+	}
+	switch v := l.Value.(type) {
+	case int32:
+		return int64(v), true
+	case int64:
+		return v, true
+	}
+	return 0, false
 }
 
 func aggregateStats(n *Aggregate, s Statistics) Statistics {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/expr"
 	"repro/internal/row"
 	"repro/internal/stats"
@@ -152,6 +153,86 @@ func TestAggregateCardinalityFromNDV(t *testing.T) {
 	}
 	if s := Stats(global); s.RowCount != 1 {
 		t.Fatalf("global aggregate rows = %d, want 1", s.RowCount)
+	}
+}
+
+// Property: a grouping expression's NDV comes from its column where the
+// expression bounds it — SUBSTR(col, …) by NDV(col), col % c by 2|c|−1 (|c|
+// over a non-negative column) and by NDV(col) — and everything else,
+// nested expressions included, keeps the RowCount/16 fallback. No estimate
+// exceeds the child's rows or drops below one.
+func TestAggregateCardinalityFromKeyExpressions(t *testing.T) {
+	rel := statRelation(t) // k: [0,100), 100 distinct; s: 10 distinct
+	k, s := rel.Attrs[0], rel.Attrs[2]
+	// d: [-50,50), 100 distinct, so its remainders take either sign.
+	dSchema := types.NewStruct(types.StructField{Name: "d", Type: types.Long, Nullable: false})
+	var dRows []row.Row
+	for i := 0; i < 1000; i++ {
+		dRows = append(dRows, row.Row{int64(i%100 - 50)})
+	}
+	signed := NewLocalRelation(dSchema, dRows)
+	signed.TableStats = stats.FromRows(dSchema, dRows)
+	d := signed.Attrs[0]
+	// The same rows without statistics: only the row count is known.
+	bare := statRelation(t)
+	bare.TableStats = nil
+	bk, bs := bare.Attrs[0], bare.Attrs[2]
+
+	substr := func(e expr.Expression) expr.Expression {
+		return &expr.Substring{Str: e, Pos: expr.Lit(int32(1)), Len: expr.Lit(int32(1))}
+	}
+	mod := func(e expr.Expression, c int64) expr.Expression { return expr.Mod(e, expr.Lit(c)) }
+	const fallback = 1000 / 16
+	for _, tc := range []struct {
+		name  string
+		child LogicalPlan
+		key   expr.Expression
+		want  int64
+	}{
+		{"substr with stats", rel, substr(s), 10},
+		{"substr without stats", bare, substr(bs), fallback},
+		{"mod over a non-negative column", rel, mod(k, 7), 7},
+		{"mod by a negative literal", rel, mod(k, -7), 7},
+		{"mod with NDV below |c|", rel, mod(k, 1000), 100},
+		{"mod over a signed column", signed, mod(d, 7), 13},
+		{"mod by a negative literal over a signed column", signed, mod(d, -7), 13},
+		{"mod over a signed column with NDV below 2|c|-1", signed, mod(d, 60), 100},
+		{"mod without stats", bare, mod(bk, 7), 13},
+		{"mod by zero", rel, mod(k, 0), fallback},
+		{"nested substr", rel, substr(substr(s)), fallback},
+		{"nested mod", rel, mod(expr.Add(k, expr.Lit(int64(1))), 7), fallback},
+		{"mod by a column", rel, expr.Mod(k, k), fallback},
+	} {
+		agg := &Aggregate{Grouping: []expr.Expression{tc.key}, Aggs: []expr.Expression{expr.NewAlias(tc.key, "g")}, Child: tc.child}
+		got := Stats(agg).RowCount
+		if got != tc.want {
+			t.Errorf("%s: GROUP BY %s estimates %d groups, want %d", tc.name, tc.key, got, tc.want)
+		}
+		if rows := Stats(tc.child).RowCount; got < 1 || got > rows {
+			t.Errorf("%s: %d groups out of [1, %d]", tc.name, got, rows)
+		}
+	}
+}
+
+// Figure 8's Q2a groups 150 000 uservisits by SUBSTR(sourceIP, 1, 8): its
+// estimate is within q-error 4 of the groups it actually has.
+func TestQ2GroupEstimateWithinQError(t *testing.T) {
+	const n = 150_000
+	schema := datagen.UserVisitsSchema()
+	rows := make([]row.Row, n)
+	prefixes := make(map[string]struct{})
+	for i := range rows {
+		rows[i] = datagen.UserVisitRow(7, int64(i), n/3)
+		ip := rows[i][0].(string)
+		prefixes[ip[:min(8, len(ip))]] = struct{}{}
+	}
+	rel := NewLocalRelation(schema, rows)
+	rel.TableStats = stats.FromRows(schema, rows)
+	key := &expr.Substring{Str: rel.Attrs[0], Pos: expr.Lit(int32(1)), Len: expr.Lit(int32(8))}
+	agg := &Aggregate{Grouping: []expr.Expression{key}, Aggs: []expr.Expression{expr.NewAlias(key, "p")}, Child: rel}
+	est, actual := float64(Stats(agg).RowCount), float64(len(prefixes))
+	if q := max(est/actual, actual/est); q > 4 {
+		t.Fatalf("Q2a estimates %.0f groups for %.0f: q-error %.2f > 4", est, actual, q)
 	}
 }
 

@@ -696,34 +696,54 @@ func TestParallelBucketingPanicBecomesError(t *testing.T) {
 	}
 }
 
-// ExchangePresplit only transposes: reduce partition r receives element r of
-// every map partition, in map-partition order; empty elements and empty map
-// partitions contribute nothing; shuffle.records counts what records reports.
+// ExchangePresplit hands each reducer a contiguous range of buckets: with as
+// many reducers as buckets it only transposes (reduce partition r receives
+// element r of every map partition, in map-partition order); with fewer,
+// reducer q receives buckets [q·B/R, (q+1)·B/R) bucket-major, map partitions
+// in order within each bucket, so the reduce partitions concatenate to the
+// same sequence for every reducer count. Empty elements and empty map
+// partitions contribute nothing; shuffle.records counts what records reports;
+// a map partition not split into the buckets, or more reducers than buckets,
+// fails the exchange.
 func TestExchangePresplitTransposes(t *testing.T) {
 	ctx := NewContext(4)
-	// Map partition m emits {"m:0", "", "m:2"} (nothing for reducer 1);
+	// Map partition m emits {"m:0", "", "m:2", "m:3"} (nothing for bucket 1);
 	// partition 2 emits nothing at all.
 	maps := Generate(ctx, "presplit", 4, func(m int) []string {
 		if m == 2 {
 			return nil
 		}
-		return []string{fmt.Sprintf("%d:0", m), "", fmt.Sprintf("%d:2", m)}
+		return []string{fmt.Sprintf("%d:0", m), "", fmt.Sprintf("%d:2", m), fmt.Sprintf("%d:3", m)}
 	})
-	before := ctx.ShuffleRecords()
-	out := ExchangePresplit(maps, 3, func(s string) int64 { return int64(len(s)) })
-	got := make([][]string, 3)
-	foreachPartition(t, out, func(p int, xs []string) { got[p] = xs })
-	want := [][]string{{"0:0", "1:0", "3:0"}, nil, {"0:2", "1:2", "3:2"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("transpose = %v, want %v", got, want)
-	}
-	if n := ctx.ShuffleRecords() - before; n != 18 {
-		t.Fatalf("shuffle.records rose by %d, want 18 (6 elements x 3 records)", n)
+	for _, tc := range []struct {
+		reducers int
+		want     [][]string
+	}{
+		{4, [][]string{{"0:0", "1:0", "3:0"}, nil, {"0:2", "1:2", "3:2"}, {"0:3", "1:3", "3:3"}}},
+		{3, [][]string{{"0:0", "1:0", "3:0"}, nil, {"0:2", "1:2", "3:2", "0:3", "1:3", "3:3"}}},
+		{2, [][]string{{"0:0", "1:0", "3:0"}, {"0:2", "1:2", "3:2", "0:3", "1:3", "3:3"}}},
+		{1, [][]string{{"0:0", "1:0", "3:0", "0:2", "1:2", "3:2", "0:3", "1:3", "3:3"}}},
+	} {
+		before := ctx.ShuffleRecords()
+		out := ExchangePresplit(maps, 4, tc.reducers, func(s string) int64 { return int64(len(s)) })
+		got := make([][]string, tc.reducers)
+		foreachPartition(t, out, func(p int, xs []string) { got[p] = xs })
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%d reducers: exchange = %v, want %v", tc.reducers, got, tc.want)
+		}
+		if n := ctx.ShuffleRecords() - before; n != 27 {
+			t.Fatalf("%d reducers: shuffle.records rose by %d, want 27 (9 elements x 3 records)", tc.reducers, n)
+		}
 	}
 
 	ragged := Generate(ctx, "ragged", 2, func(int) []string { return []string{"x", "y"} })
-	if _, err := ExchangePresplit(ragged, 3, func(string) int64 { return 1 }).Collect(); err == nil {
-		t.Fatal("a map partition not split for 3 reducers must fail the exchange")
+	for _, reducers := range []int{3, 1} {
+		if _, err := ExchangePresplit(ragged, 3, reducers, func(string) int64 { return 1 }).Collect(); err == nil {
+			t.Fatalf("%d reducers: a map partition not split into 3 buckets must fail the exchange", reducers)
+		}
+	}
+	if _, err := ExchangePresplit(ragged, 2, 3, func(string) int64 { return 1 }).Collect(); err == nil {
+		t.Fatal("3 reducers over 2 buckets must fail the exchange")
 	}
 }
 

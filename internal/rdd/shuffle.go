@@ -149,30 +149,54 @@ func shuffledPrepCodec[T any](parent *RDD[T], name string, numPartitions int, pr
 	}, codec)
 }
 
-// ExchangePresplit is the exchange for map output that is already split by
-// reducer: every parent partition holds either nothing or exactly
-// numPartitions records, record r bound for reduce partition r. There is no
-// per-record bucketing left to do — the exchange only transposes map × reduce
-// into reduce × map, preserving map-partition order within each reduce
-// partition. records reports how many logical shuffle records one element
-// carries (what shuffle.records and the shuffle span count); elements
-// carrying none are dropped.
-func ExchangePresplit[T any](r *RDD[T], numPartitions int, records func(T) int64) *RDD[T] {
-	return shuffledScatter(r, r.name+".exchange", numPartitions, func(_ context.Context, parts [][]T) ([][]T, int64, error) {
-		buckets := make([][]T, numPartitions)
-		var total int64
+// ExchangePresplit is the exchange for map output that is already split into
+// buckets: every parent partition holds either nothing or exactly buckets
+// records, record b bound for bucket b. There is no per-record bucketing left
+// to do. Reduce partition q of the reducers (1 ≤ reducers ≤ buckets) receives
+// the contiguous bucket range [q·buckets/reducers, (q+1)·buckets/reducers),
+// bucket-major, map partitions in order within each bucket: the exchange
+// appends the map partitions' records straight into one slice in that order
+// and cuts the reduce partitions out of it. So the reduce partitions
+// concatenate to the same sequence for every reducer count, and with
+// reducers = buckets the exchange is a plain transpose. records reports how
+// many logical shuffle records one element carries (what shuffle.records and
+// the shuffle span count); elements carrying none are dropped.
+func ExchangePresplit[T any](r *RDD[T], buckets, reducers int, records func(T) int64) *RDD[T] {
+	return shuffledScatter(r, r.name+".exchange", reducers, func(_ context.Context, parts [][]T) ([][]T, int64, error) {
+		if reducers < 1 || reducers > buckets {
+			return nil, 0, fmt.Errorf("rdd: %d reducers for %d pre-split buckets", reducers, buckets)
+		}
+		kept := 0
 		for pi, part := range parts {
-			if len(part) != 0 && len(part) != numPartitions {
-				return nil, 0, fmt.Errorf("rdd: pre-split map partition %d holds %d records for %d reducers", pi, len(part), numPartitions)
+			if len(part) != 0 && len(part) != buckets {
+				return nil, 0, fmt.Errorf("rdd: pre-split map partition %d holds %d records for %d buckets", pi, len(part), buckets)
 			}
-			for b, v := range part {
-				if n := records(v); n > 0 {
-					buckets[b] = append(buckets[b], v)
-					total += n
+			for _, v := range part {
+				if records(v) > 0 {
+					kept++
 				}
 			}
 		}
-		return buckets, total, nil
+		all, out := make([]T, 0, kept), make([][]T, reducers)
+		var total int64
+		for q := range out {
+			from := len(all)
+			for b := q * buckets / reducers; b < (q+1)*buckets/reducers; b++ {
+				for _, part := range parts {
+					if len(part) == 0 {
+						continue
+					}
+					if n := records(part[b]); n > 0 {
+						all = append(all, part[b])
+						total += n
+					}
+				}
+			}
+			if len(all) > from {
+				out[q] = all[from:len(all):len(all)]
+			}
+		}
+		return out, total, nil
 	}, nil)
 }
 

@@ -42,25 +42,11 @@ if sed -n '/^	case \*LocalRelation:/,/^	case \*DataSourceRelation:/p' internal/p
 	echo "internal/plan/estimation.go: plan.Stats walks a LocalRelation's rows again" >&2
 	exit 1
 fi
-# A knob is declared once: core.Config carries every engine knob and
-# core.ClusterOptions the cluster's; optimizer.Config and
-# physical.PlannerConfig are the views derived from them. A knob field in a
-# struct anywhere else, a second ClusterOptions or an AdaptiveConfig is a
-# hand-copied mirror coming back; so is a knob field in the session spec or a
-# spec.<Knob> copy in the worker's buildContext (the spec carries the
-# coordinator's Config whole).
-knobs='Codegen|LogicalOptimization|SourcePushdown|JoinReorder|PipelineCollapse|Vectorized|Fusion|BroadcastThreshold|TargetPartitionBytes|ShufflePartitions'
-gofiles=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/core/*' ! -path './internal/optimizer/*' ! -path './internal/physical/*')
-if grep -nE "^[[:space:]]+($knobs)[[:space:]]+(bool|int|int64)\b" $gofiles ||
-	grep -n 'type ClusterOptions struct' $gofiles || grep -rn 'AdaptiveConfig' --include='*.go' .; then
-	echo "an engine knob is declared outside internal/core's Config again" >&2
-	exit 1
-fi
-if grep -nE "^[[:space:]]+($knobs|Parallelism|MemoryBudget)[[:space:]]" internal/cluster/sqlwire/sqlwire.go ||
-	sed -n '/^func buildContext/,/^}/p' internal/cluster/sqlexec/sqlexec.go | grep -nE "spec\.($knobs|Parallelism|MemoryBudget)"; then
-	echo "the session spec carries knobs one by one again" >&2
-	exit 1
-fi
+# A knob is declared once (core.Config; optimizer.Config and
+# physical.PlannerConfig are views derived from it), and the session spec
+# carries the Config whole: AST gates in internal/archtest, run by go test
+# ./... below — TestKnobDeclaredOnce and TestSessionSpecCarriesConfigWhole,
+# fired by TestKnobGatesFire.
 # One stage mechanism: a shuffle's map side, a join's build side, top-K's
 # candidates and an adaptive query stage are each an rdd.Stage that an action
 # runs before the tasks that read it. A second memoizer (LazyBuild,
