@@ -12,7 +12,7 @@ type Rule[T TreeNode[T]] struct {
 }
 
 // FixedPoint and Once are batch execution strategies: a Once batch applies
-// its rules a single time (e.g. physical preparation), while a FixedPoint
+// its rules a single time (e.g. join reordering), while a FixedPoint
 // batch re-runs until the tree stops changing or MaxIterations is reached
 // (paper §4.2: "Catalyst groups rules into batches, and executes each batch
 // until it reaches a fixed point").

@@ -1,7 +1,10 @@
 // Package catalyst implements the core of the Catalyst optimizer framework
 // (paper §4.1–4.2): a general library for representing immutable trees and
 // applying rules to manipulate them. Expression trees, logical plans and
-// physical plans all instantiate this framework.
+// physical plans all instantiate this framework: the analyzer's and the
+// optimizer's batches rewrite logical plans, and the planner's one
+// fixed-point batch, "Preparation" (physical.Planner.Prepare), collapses,
+// vectorizes and fuses physical plans.
 //
 // Where Scala Catalyst rules use pattern matching with partial functions,
 // Go rules are functions containing type switches; the Transform helpers

@@ -22,9 +22,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/sqlwire"
 	"repro/internal/columnar"
-	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/metrics"
+	"repro/internal/physical"
 	"repro/internal/plan"
 	"repro/internal/rdd"
 	"repro/internal/row"
@@ -351,13 +351,19 @@ func (e *Executor) mergedSamples(pattern string) []sqlwire.CounterSample {
 // so reduce tasks can fetch map output that a peer already published. The
 // cache is keyed the same way: the static and adapted builds of one SQL
 // text are different plans with different shuffle graphs.
-func (s *session) query(sessionID, sql string, decisions []sqlwire.DecisionSpec) (*builtQuery, error) {
+func (s *session) query(sessionID, sql string, decisions json.RawMessage) (*builtQuery, error) {
 	dfp := decisionFingerprint(decisions)
 	key := fmt.Sprintf("%s\x00%016x", sql, dfp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if bq, ok := s.built[key]; ok {
 		return bq, nil
+	}
+	var ds []physical.Decision
+	if len(decisions) > 0 {
+		if err := sqlwire.DecodeConfig(decisions, &ds); err != nil {
+			return nil, fmt.Errorf("sqlexec: decisions: %w", err)
+		}
 	}
 	df, err := s.ctx.SQL(sql)
 	if err != nil {
@@ -368,7 +374,7 @@ func (s *session) query(sessionID, sql string, decisions []sqlwire.DecisionSpec)
 	// planning is serialized by s.mu.
 	rc := s.ctx.RDDContext()
 	rc.SetShuffleScope(fmt.Sprintf("%s/e%d/q%016x/d%016x", sessionID, s.epoch, fnv64(sql), dfp))
-	r, hash, err := df.AdaptedQuery(core.DecisionsFromSpecs(decisions))
+	r, hash, err := df.AdaptedQuery(ds)
 	rc.SetShuffleScope("")
 	if err != nil {
 		return nil, err
@@ -378,17 +384,13 @@ func (s *session) query(sessionID, sql string, decisions []sqlwire.DecisionSpec)
 	return bq, nil
 }
 
-// decisionFingerprint hashes a decision list's wire encoding; zero for the
-// static plan (no decisions).
-func decisionFingerprint(ds []sqlwire.DecisionSpec) uint64 {
+// decisionFingerprint hashes a decision list's bytes as shipped; zero for
+// the static plan (no decisions).
+func decisionFingerprint(ds json.RawMessage) uint64 {
 	if len(ds) == 0 {
 		return 0
 	}
-	b, err := json.Marshal(ds)
-	if err != nil {
-		return 0
-	}
-	return fnv64(string(b))
+	return fnv64(string(ds))
 }
 
 func fnv64(s string) uint64 {

@@ -71,7 +71,7 @@ func FuzzDecodeQuery(f *testing.F) {
 		{SessionID: "s", Epoch: 1, SQL: "SELECT 1", Partition: 2, NumPartitions: 4},
 		{SessionID: "s1", Epoch: 3, SQL: "SELECT 1", Partition: 2, NumPartitions: 4, PlanHash: 0xBEEF,
 			TraceID: "q-1-7", ParentSpan: "q-1-7/p2",
-			Decisions: []DecisionSpec{{Path: []int{0, 1}, Kind: "coalesce", Parts: 2, Splits: []int{3}, Note: "n"}}},
+			Decisions: json.RawMessage(`[{"stage":3,"kind":"skew","parts":2,"splits":[3,1],"note":"n"}]`)},
 	} {
 		seed, err := EncodeQuery(q)
 		if err != nil {

@@ -115,11 +115,14 @@ type QueryTask struct {
 	Partition     int    `json:"partition"`
 	NumPartitions int    `json:"numPartitions"`
 	PlanHash      uint64 `json:"planHash"`
-	// Decisions is the coordinator's adaptive re-planning decision list:
-	// the worker replans SQL statically (adaptation off) and replays these
-	// rewrites, so both processes execute the identical adapted plan
-	// without the worker re-materializing stages. Empty = static plan.
-	Decisions []DecisionSpec `json:"decisions,omitempty"`
+	// Decisions is the coordinator's adaptive decision list, a JSON
+	// []physical.Decision addressing nodes by post-order ordinal in the
+	// static plan: the worker replans SQL statically (adaptation off) and
+	// replays it, decoded with DecodeConfig, so both processes execute the
+	// identical adapted plan without the worker re-materializing stages. A
+	// list that fails to decode or to apply refuses the task. Empty =
+	// static plan.
+	Decisions json.RawMessage `json:"decisions,omitempty"`
 	// TraceID propagates the coordinator's query/trace id (Dapper-style):
 	// when set, the worker tags every span it emits for this task with it
 	// and returns those spans, plus a bounded counter snapshot, in its
@@ -128,17 +131,6 @@ type QueryTask struct {
 	// ParentSpan is the id of the coordinator-side dispatch span this task
 	// executes under, so merged worker spans parent correctly.
 	ParentSpan string `json:"parentSpan,omitempty"`
-}
-
-// DecisionSpec mirrors physical.Decision on the wire: one pure rewrite of
-// the statically planned tree, addressed by child-index path.
-type DecisionSpec struct {
-	Path       []int  `json:"path,omitempty"`
-	Kind       string `json:"kind"`
-	Parts      int    `json:"parts,omitempty"`
-	BuildRight bool   `json:"buildRight,omitempty"`
-	Splits     []int  `json:"splits,omitempty"`
-	Note       string `json:"note,omitempty"`
 }
 
 // UninitializedMarker appears in the retryable error a worker returns for
@@ -160,8 +152,8 @@ func DecodeSession(b []byte) (*SessionSpec, error) {
 	return &s, nil
 }
 
-// DecodeConfig strictly unmarshals a session's Config over v, leaving the
-// fields it does not carry as v had them.
+// DecodeConfig strictly unmarshals a session's Config (or a task's
+// decision list) over v, leaving the fields it does not carry as v had them.
 func DecodeConfig(raw json.RawMessage, v any) error { return strictUnmarshal(raw, v) }
 
 // EncodeQuery marshals a query task.

@@ -452,7 +452,13 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 		cleanup()
 		return nil, nil, nil, "", false
 	}
-	decisions := decisionSpecs(q.Decisions)
+	var decisions json.RawMessage
+	if len(q.Decisions) > 0 {
+		if decisions, err = json.Marshal(q.Decisions); err != nil {
+			cleanup()
+			return nil, nil, nil, "", false
+		}
+	}
 	local := pp.Execute(ec)
 	np := local.NumPartitions()
 	planHash := q.PlanHash()
@@ -488,36 +494,6 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 		return row.DecodeRows(reply.Rows)
 	}
 	return rdd.RemoteOrLocal(local, "sql.partition", payload, decode), cleanup, jc, traceID, true
-}
-
-// decisionSpecs converts adaptive decisions to their wire form.
-func decisionSpecs(ds []physical.Decision) []sqlwire.DecisionSpec {
-	if len(ds) == 0 {
-		return nil
-	}
-	out := make([]sqlwire.DecisionSpec, len(ds))
-	for i, d := range ds {
-		out[i] = sqlwire.DecisionSpec{
-			Path: d.Path, Kind: d.Kind, Parts: d.Parts,
-			BuildRight: d.BuildRight, Splits: d.Splits, Note: d.Note,
-		}
-	}
-	return out
-}
-
-// DecisionsFromSpecs is the worker-side inverse of decisionSpecs.
-func DecisionsFromSpecs(ds []sqlwire.DecisionSpec) []physical.Decision {
-	if len(ds) == 0 {
-		return nil
-	}
-	out := make([]physical.Decision, len(ds))
-	for i, d := range ds {
-		out[i] = physical.Decision{
-			Path: d.Path, Kind: d.Kind, Parts: d.Parts,
-			BuildRight: d.BuildRight, Splits: d.Splits, Note: d.Note,
-		}
-	}
-	return out
 }
 
 // ApplyDecisions replays a coordinator's adaptive decision list over this

@@ -255,10 +255,12 @@ func NewEngine(flat Config) *Engine {
 		rddCtx.SetSpeculation(true, cfg.SpeculationMultiplier, 0)
 	}
 	// A rule batch that stops at its iteration bound without a fixed point,
-	// the optimizer's or an analyzer's (newAnalyzer), is counted.
+	// the optimizer's, an analyzer's (newAnalyzer) or the planner's
+	// preparation batch, is counted.
 	opt := optimizer.New(cfg.Optimizer)
 	unconverged := rddCtx.Metrics().Counter("catalyst.batches.unconverged")
 	opt.Exec.OnMaxIterations = func(string, int) { unconverged.Add(1) }
+	pl.Prepare.OnMaxIterations = opt.Exec.OnMaxIterations
 	return &Engine{
 		Catalog: analysis.NewCatalog(),
 		RDDCtx:  rddCtx,

@@ -39,7 +39,7 @@ func TestExplainShowsAllPhases(t *testing.T) {
 }
 
 // A rule batch that stops at its iteration bound without a fixed point is not
-// silent: the analyzer's and the optimizer's batches count it in
+// silent: the analyzer's, the optimizer's and the planner's batches count it in
 // catalyst.batches.unconverged, which the metrics text (SHOW METRICS, /metrics)
 // lists from the start.
 func TestUnconvergedBatchesAreCounted(t *testing.T) {
@@ -75,12 +75,20 @@ func TestUnconvergedBatchesAreCounted(t *testing.T) {
 			e.opt.Exec.Batches[i].Rules = append(b.Rules, flip)
 		}
 	}
+	// The physical flip wraps the plan in a one-input union and unwraps it.
+	e.planner.Prepare.Batches[0].Rules = append(e.planner.Prepare.Batches[0].Rules, catalyst.Rule[physical.SparkPlan]{
+		Name: "Flip", Apply: func(p physical.SparkPlan) physical.SparkPlan {
+			if u, ok := p.(*physical.UnionExec); ok && len(u.Kids) == 1 {
+				return u.Kids[0]
+			}
+			return &physical.UnionExec{Kids: []physical.SparkPlan{p}}
+		}})
 	qe, err := e.Execute(rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricsText(); got != "catalyst.batches.unconverged 2\n" {
-		t.Fatalf("after one unconverged analyzer batch and one optimizer batch:\n%s", got)
+	if got := metricsText(); got != "catalyst.batches.unconverged 3\n" {
+		t.Fatalf("after one unconverged analyzer, optimizer and preparation batch each:\n%s", got)
 	}
 	if rows, err := qe.Collect(); err != nil || len(rows) != len(rel.Rows) {
 		t.Fatalf("the plan a bounded batch left: %d rows, %v", len(rows), err)

@@ -52,21 +52,20 @@ var ruleOffQueries = []struct {
 		LIMIT 5`, ordered: true},
 }
 
-// TestRuleOffDifferential removes one optimizer rule at a time and runs
-// ruleOffQueries: each answer must equal the one with every rule on, and each
-// rule must change the optimized plan of at least one query, so that no rule
-// is in the list without being tested (paper §4.2: rules are independent
-// partial functions; Calcite tests each against the unoptimised plan). The
-// planner needs none of them: every query plans with any one rule removed.
+// TestRuleOffDifferential removes one rule at a time, an optimizer rule or a
+// physical preparation rule, and runs ruleOffQueries: each answer must equal
+// the one with every rule on, and each rule must change the optimized (or the
+// physical) plan of at least one query, so that no rule is in the list
+// without being tested (paper §4.2: rules are independent partial functions;
+// Calcite tests each against the unoptimised plan). The planner needs none of
+// them: every query plans with any one rule removed.
 func TestRuleOffDifferential(t *testing.T) {
 	uservisits := colfileRelation(t)
-	run := func(without string) (answers, plans []string) {
+	run := func(without string) (answers, optPlans, physPlans []string) {
 		e := NewEngine(DefaultConfig())
 		registerRuleOffTables(e, uservisits)
-		for i, b := range e.opt.Exec.Batches {
-			e.opt.Exec.Batches[i].Rules = slices.DeleteFunc(slices.Clone(b.Rules),
-				func(r catalyst.Rule[plan.LogicalPlan]) bool { return r.Name == without })
-		}
+		dropRule(e.opt.Exec, without)
+		dropRule(e.planner.Prepare, without)
 		for _, q := range ruleOffQueries {
 			stmt, err := sqlparser.Parse(q.sql)
 			if err != nil {
@@ -81,24 +80,33 @@ func TestRuleOffDifferential(t *testing.T) {
 				t.Fatalf("without %s: %s: %v", without, q.sql, err)
 			}
 			answers = append(answers, answerText(rows, q.ordered))
-			plans = append(plans, exprIDs.ReplaceAllString(qe.Optimized.String(), "#"))
+			optPlans = append(optPlans, exprIDs.ReplaceAllString(qe.Optimized.String(), "#"))
+			physPlans = append(physPlans, exprIDs.ReplaceAllString(qe.Physical.String(), "#"))
 		}
 		if n := e.RDDCtx.Metrics().Counter("catalyst.batches.unconverged").Load(); n != 0 {
 			t.Fatalf("without %s: catalyst.batches.unconverged = %d", without, n)
 		}
-		return answers, plans
+		return answers, optPlans, physPlans
 	}
 
-	want, allOn := run("")
+	want, allOpt, allPhys := run("")
 	for _, a := range want {
 		if a == "" {
 			t.Fatalf("a query returned no rows; the differential is vacuous:\n%v", want)
 		}
 	}
-	for _, name := range optimizerRuleNames() {
-		got, plans := run(name)
-		if slices.Equal(plans, allOn) {
+	e := NewEngine(DefaultConfig())
+	optRules, physRules := ruleNames(e.opt.Exec), ruleNames(e.planner.Prepare)
+	if !slices.Equal(physRules, []string{"Collapse", "Vectorize", "Fuse"}) {
+		t.Fatalf("physical preparation rules %v, want Collapse, Vectorize and Fuse", physRules)
+	}
+	for _, name := range slices.Concat(optRules, physRules) {
+		got, optPlans, physPlans := run(name)
+		if slices.Contains(optRules, name) && slices.Equal(optPlans, allOpt) {
 			t.Errorf("removing %s changed no optimized plan: the query set does not exercise it", name)
+		}
+		if slices.Contains(physRules, name) && slices.Equal(physPlans, allPhys) {
+			t.Errorf("removing %s changed no physical plan: the query set does not exercise it", name)
 		}
 		for i, q := range ruleOffQueries {
 			if got[i] != want[i] {
@@ -108,13 +116,20 @@ func TestRuleOffDifferential(t *testing.T) {
 	}
 }
 
+// dropRule removes the rule named name from every batch of x.
+func dropRule[T catalyst.TreeNode[T]](x *catalyst.RuleExecutor[T], name string) {
+	for i, b := range x.Batches {
+		x.Batches[i].Rules = slices.DeleteFunc(slices.Clone(b.Rules), func(r catalyst.Rule[T]) bool { return r.Name == name })
+	}
+}
+
 // exprIDs matches the expression ids a plan prints, which differ between
 // analyses of the same text.
 var exprIDs = regexp.MustCompile(`#\d+`)
 
-func optimizerRuleNames() []string {
+func ruleNames[T catalyst.TreeNode[T]](x *catalyst.RuleExecutor[T]) []string {
 	var names []string
-	for _, b := range NewEngine(DefaultConfig()).opt.Exec.Batches {
+	for _, b := range x.Batches {
 		for _, r := range b.Rules {
 			names = append(names, r.Name)
 		}

@@ -435,6 +435,10 @@ func RunMultiprocChaos(cfg MultiprocConfig) (*MultiprocResult, error) {
 // tables Q3b is batches from the fused probe through the fused aggregate to
 // its top-K, planned and run by every process. With observe off the engine
 // runs without Observability, so worker replies carry rows and nothing else.
+// Without broadcast, the outer join of rankings to an empty uservisits
+// filter is planned shuffled and promoted to a broadcast join by the
+// coordinator's adaptive driver: the workers run it only by replaying that
+// shipped decision, so its plan hash matches and no task falls back.
 func RunMultiprocHashExchange(visits int64, cached, broadcast, observe bool) error {
 	cfg := sparksql.DefaultConfig()
 	cfg.Observability = observe
@@ -456,6 +460,7 @@ func RunMultiprocHashExchange(visits int64, cached, broadcast, observe bool) err
 		Q2(8),
 		Q3(Q3Params[1]),
 		"SELECT r.pageURL, r.pageRank, v.adRevenue FROM rankings r JOIN uservisits v ON r.pageURL = v.destURL WHERE v.adRevenue > 50",
+		promoted,
 	}
 
 	local := sparksql.NewContextWithConfig(cfg)
@@ -510,6 +515,19 @@ func RunMultiprocHashExchange(visits int64, cached, broadcast, observe bool) err
 			}
 		}
 	}
+	if !broadcast {
+		df, err := dist.SQL(promoted)
+		if err != nil {
+			return err
+		}
+		out, err := df.ExplainAnalyze()
+		if err != nil {
+			return err
+		}
+		if !strings.Contains(out, "(adapted: ShuffledHashJoin -> BroadcastHashJoin (build side 0 B observed") {
+			return fmt.Errorf("multiproc hash exchange: the outer join was not promoted:\n%s", out)
+		}
+	}
 	if n := dist.RDDContext().RemoteFallbacks(); n != 0 {
 		return fmt.Errorf("multiproc hash exchange: %d tasks fell back to local compute", n)
 	}
@@ -523,6 +541,12 @@ func RunMultiprocHashExchange(visits int64, cached, broadcast, observe bool) err
 	}
 	return nil
 }
+
+// promoted is an outer join whose build side is empty: estimated above a
+// 1-byte broadcast limit, observed at 0 B. It selects the join's whole
+// output, so no pipeline sits above the join to hide it from the driver.
+const promoted = `SELECT * FROM (SELECT pageURL, pageRank FROM rankings) r
+	LEFT JOIN (SELECT destURL, adRevenue FROM uservisits WHERE adRevenue < 0) v ON r.pageURL = v.destURL`
 
 // RunMultiprocCatalogChange changes the catalog between statements on 2
 // worker processes: the coordinator ships a table's blocks once per relation

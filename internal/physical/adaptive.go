@@ -21,9 +21,9 @@ package physical
 //     independently against the full build bucket (order-preserving, so
 //     results are byte-identical to the unsplit plan).
 //
-// Every decision is a pure rewrite of the static tree addressed by a
-// child-index path, so the coordinator can ship its decisions in the task
-// spec and workers derive the identical adapted plan without re-adapting
+// Every decision is a pure rewrite of the static tree addressed by the
+// node's post-order ordinal, so the coordinator can ship its decisions in the
+// task spec and workers derive the identical adapted plan without re-adapting
 // (keeping the cluster plan-hash parity check sound). EXPLAIN ANALYZE
 // records each decision as `adapted: <from> -> <to> (<reason>)`.
 
@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/catalyst"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/rdd"
@@ -75,22 +76,23 @@ type AdaptiveAnnotated interface {
 // of the statically planned tree so the coordinator and every worker
 // derive the identical adapted plan from (static plan, decisions).
 type Decision struct {
-	// Path addresses the rewritten node by child indexes from the root of
-	// the static plan (empty = root). Every rewrite kind preserves tree
-	// shape and child counts, so later paths stay valid.
-	Path []int
+	// Stage is the rewritten node's post-order ordinal in the static plan
+	// (children in order, then the node; the root is last). Every rewrite
+	// kind preserves tree shape and child counts, so ordinals stay valid as
+	// decisions apply.
+	Stage int `json:"stage"`
 	// Kind is "coalesce" (set an exchange's partition count), "demote",
 	// "promote" or "skew".
-	Kind string
+	Kind string `json:"kind"`
 	// Parts is the new exchange partition count (0 = keep current).
-	Parts int
+	Parts int `json:"parts,omitempty"`
 	// BuildRight selects the broadcast build side for "promote".
-	BuildRight bool
+	BuildRight bool `json:"buildRight,omitempty"`
 	// Splits is the per-reduce-partition chunk count for "skew" (length =
 	// the exchange's effective partition count).
-	Splits []int
+	Splits []int `json:"splits,omitempty"`
 	// Note is the EXPLAIN annotation: `adapted: <from> -> <to> (<reason>)`.
-	Note string
+	Note string `json:"note,omitempty"`
 }
 
 // QueryStageExec is a materialization barrier: the subtree below an
@@ -118,38 +120,30 @@ func (q *QueryStageExec) Output() []*expr.AttributeReference { return q.Child.Ou
 
 // ApplyDecisions replays a decision list over the static plan; applying
 // the decisions AdaptPlan returned reproduces its adapted tree exactly —
-// the worker-side half of the coordinator/worker parity contract.
+// the worker-side half of the coordinator/worker parity contract. A
+// decision naming no node, or a node its kind cannot rewrite, is an error.
 func ApplyDecisions(p SparkPlan, ds []Decision) (SparkPlan, error) {
 	var err error
+	ord := 0
+	p = catalyst.TransformUp(p, func(n SparkPlan) (SparkPlan, bool) {
+		static := n
+		for _, d := range ds {
+			if d.Stage == ord && err == nil {
+				n, err = applyDecision(n, d)
+			}
+		}
+		ord++
+		return n, n != static && err == nil
+	})
 	for _, d := range ds {
-		p, err = rewriteAt(p, d.Path, func(node SparkPlan) (SparkPlan, error) {
-			return applyDecision(node, d)
-		})
-		if err != nil {
-			return nil, err
+		if err == nil && (d.Stage < 0 || d.Stage >= ord) {
+			err = fmt.Errorf("physical: %s decision names stage %d of a %d-node plan", d.Kind, d.Stage, ord)
 		}
 	}
-	return p, nil
-}
-
-// rewriteAt replaces the node at path with f(node), copying spine nodes.
-func rewriteAt(p SparkPlan, path []int, f func(SparkPlan) (SparkPlan, error)) (SparkPlan, error) {
-	if len(path) == 0 {
-		return f(p)
-	}
-	kids := p.Children()
-	i := path[0]
-	if i < 0 || i >= len(kids) {
-		return nil, fmt.Errorf("physical: adaptive path index %d out of range on %T", i, p)
-	}
-	nk, err := rewriteAt(kids[i], path[1:], f)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SparkPlan, len(kids))
-	copy(out, kids)
-	out[i] = nk
-	return p.WithNewChildren(out), nil
+	return p, nil
 }
 
 // applyDecision rewrites one node under one decision.
@@ -215,7 +209,7 @@ func AdaptPlan(jc context.Context, ctx *ExecContext, p SparkPlan) (SparkPlan, []
 		return p, nil, nil
 	}
 	d := &adaptiveDriver{jc: jc, ctx: ctx, cfg: &ctx.Planner}
-	out, err := d.adapt(p, nil)
+	out, err := d.adapt(p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,6 +221,9 @@ type adaptiveDriver struct {
 	ctx       *ExecContext
 	cfg       *PlannerConfig
 	decisions []Decision
+	// next is the number of static nodes the walk has finished: one more
+	// than the post-order ordinal of the node being adapted.
+	next int
 }
 
 // transparent reports whether the driver may rewrite p's children. Fused
@@ -251,24 +248,28 @@ func effectiveParts(session, override int) int {
 	return session
 }
 
-func (d *adaptiveDriver) adapt(p SparkPlan, path []int) (SparkPlan, error) {
+// adapt walks p bottom-up, counting the static nodes as it finishes them.
+// It stops at a node that is not transparent, whose whole subtree it counts.
+func (d *adaptiveDriver) adapt(p SparkPlan) (SparkPlan, error) {
 	if !transparent(p) {
+		catalyst.Foreach(p, func(SparkPlan) { d.next++ })
 		return p, nil
 	}
-	kids := p.Children()
-	if len(kids) > 0 {
-		nk := make([]SparkPlan, len(kids))
-		for i, k := range kids {
-			childPath := append(append([]int(nil), path...), i)
-			a, err := d.adapt(k, childPath)
-			if err != nil {
-				return nil, err
-			}
-			nk[i] = a
+	var err error
+	kids, changed := catalyst.MapSlice(p.Children(), func(k SparkPlan) SparkPlan {
+		if err == nil {
+			k, err = d.adapt(k)
 		}
-		p = p.WithNewChildren(nk)
+		return k
+	})
+	if err != nil {
+		return nil, err
 	}
-	return d.adaptNode(p, path)
+	if changed {
+		p = p.WithNewChildren(kids)
+	}
+	d.next++
+	return d.adaptNode(p)
 }
 
 // materialize runs one exchange input as a stage and wraps it.
@@ -291,43 +292,44 @@ func (d *adaptiveDriver) materialize(child SparkPlan) (*QueryStageExec, error) {
 	return qs, nil
 }
 
-// record applies a decision to the node, logs it for shipping, and returns
-// the rewritten node.
+// record addresses a decision to the node being adapted, applies it, logs
+// it for shipping, and returns the rewritten node.
 func (d *adaptiveDriver) record(p SparkPlan, dec Decision) (SparkPlan, error) {
+	dec.Stage = d.next - 1
 	d.decisions = append(d.decisions, dec)
 	return applyDecision(p, dec)
 }
 
-func (d *adaptiveDriver) adaptNode(p SparkPlan, path []int) (SparkPlan, error) {
+func (d *adaptiveDriver) adaptNode(p SparkPlan) (SparkPlan, error) {
 	switch n := p.(type) {
 	case *ShuffledHashJoinExec:
-		return d.adaptShuffledJoin(n, path)
+		return d.adaptShuffledJoin(n)
 	case *HashAggregateExec:
 		if len(n.Grouping) == 0 {
 			// A global aggregate always reduces to one partition; nothing
 			// to re-plan, and materializing its input buys nothing.
 			return p, nil
 		}
-		return d.adaptAggregate(n, path)
+		return d.adaptAggregate(n)
 	case *SortExec:
 		if !n.Global {
 			return p, nil
 		}
-		return d.adaptCoalesceOnly(p, path, n.Child, n.Partitions)
+		return d.adaptCoalesceOnly(p, n.Child, n.Partitions)
 	case *BroadcastHashJoinExec:
-		return d.adaptBroadcastJoin(n, path)
+		return d.adaptBroadcastJoin(n)
 	}
 	return p, nil
 }
 
 // adaptCoalesceOnly materializes a single exchange input and re-sizes the
 // downstream partition count from observed bytes.
-func (d *adaptiveDriver) adaptCoalesceOnly(p SparkPlan, path []int, child SparkPlan, current int) (SparkPlan, error) {
+func (d *adaptiveDriver) adaptCoalesceOnly(p, child SparkPlan, current int) (SparkPlan, error) {
 	stage, err := d.materialize(child)
 	if err != nil {
 		return nil, err
 	}
-	if p, err = d.coalesce(p, path, d.coalesced(current, stage.Bytes), stage.Bytes); err != nil {
+	if p, err = d.coalesce(p, d.coalesced(current, stage.Bytes), stage.Bytes); err != nil {
 		return nil, err
 	}
 	return p.WithNewChildren([]SparkPlan{stage}), nil
@@ -339,7 +341,7 @@ func (d *adaptiveDriver) adaptCoalesceOnly(p SparkPlan, path []int, child SparkP
 // rest on a guessed group count (RowCount/16 for a key without statistics),
 // and a reducer count never changes an aggregate's result, because its
 // reduce tasks take ranges of the same hash buckets.
-func (d *adaptiveDriver) adaptAggregate(n *HashAggregateExec, path []int) (SparkPlan, error) {
+func (d *adaptiveDriver) adaptAggregate(n *HashAggregateExec) (SparkPlan, error) {
 	stage, err := d.materialize(n.Child)
 	if err != nil {
 		return nil, err
@@ -348,7 +350,7 @@ func (d *adaptiveDriver) adaptAggregate(n *HashAggregateExec, path []int) (Spark
 	if parts == n.reducers(d.ctx) {
 		parts = 0 // already what the input calls for
 	}
-	p, err := d.coalesce(n, path, parts, stage.Bytes)
+	p, err := d.coalesce(n, parts, stage.Bytes)
 	if err != nil {
 		return nil, err
 	}
@@ -366,11 +368,11 @@ func (d *adaptiveDriver) coalesced(current int, bytes int64) int {
 }
 
 // coalesce records p's exchange coalesced to parts, if parts is set.
-func (d *adaptiveDriver) coalesce(p SparkPlan, path []int, parts int, bytes int64) (SparkPlan, error) {
+func (d *adaptiveDriver) coalesce(p SparkPlan, parts int, bytes int64) (SparkPlan, error) {
 	if parts == 0 {
 		return p, nil
 	}
-	return d.record(p, Decision{Path: path, Kind: "coalesce", Parts: parts, Note: coalesceNote(parts, bytes)})
+	return d.record(p, Decision{Kind: "coalesce", Parts: parts, Note: coalesceNote(parts, bytes)})
 }
 
 func coalesceNote(parts int, bytes int64) string {
@@ -381,7 +383,7 @@ func coalesceNote(parts int, bytes int64) string {
 // re-plans it from their observed bytes: promote it to a broadcast hash join
 // when a buildable side fits the broadcast limit, otherwise coalesce the
 // reducer count and split skewed reduce buckets.
-func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) (SparkPlan, error) {
+func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec) (SparkPlan, error) {
 	ls, err := d.materialize(n.Left)
 	if err != nil {
 		return nil, err
@@ -390,7 +392,7 @@ func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) 
 	if err != nil {
 		return nil, err
 	}
-	if dec, ok := d.promotion(n.Type, path, ls.Bytes, rs.Bytes); ok {
+	if dec, ok := d.promotion(n.Type, ls.Bytes, rs.Bytes); ok {
 		p, err := d.record(n, dec)
 		if err != nil {
 			return nil, err
@@ -402,14 +404,14 @@ func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) 
 	splits, maxBytes, meanBytes := d.detectSkew(n, ls, cmp.Or(newParts, effectiveParts(d.ctx.ShufflePartitions, n.Partitions)))
 	var p SparkPlan
 	if splits == nil {
-		p, err = d.coalesce(n, path, newParts, bytes)
+		p, err = d.coalesce(n, newParts, bytes)
 	} else {
 		note := fmt.Sprintf("adapted: uniform reduce -> skew-split buckets (max bucket %d B over %.1fx mean %d B)",
 			maxBytes, d.cfg.skewFactor(), meanBytes)
 		if newParts > 0 {
 			note += "  " + coalesceNote(newParts, bytes)
 		}
-		p, err = d.record(n, Decision{Path: path, Kind: "skew", Parts: newParts, Splits: splits, Note: note})
+		p, err = d.record(n, Decision{Kind: "skew", Parts: newParts, Splits: splits, Note: note})
 	}
 	if err != nil {
 		return nil, err
@@ -420,7 +422,7 @@ func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec, path []int) 
 // promotion decides a shuffled-to-broadcast join switch, mirroring the
 // static planner's side preference and build-legality rules over observed
 // bytes instead of estimates.
-func (d *adaptiveDriver) promotion(t plan.JoinType, path []int, leftBytes, rightBytes int64) (Decision, bool) {
+func (d *adaptiveDriver) promotion(t plan.JoinType, leftBytes, rightBytes int64) (Decision, bool) {
 	canRight, canLeft := canBuildSides(t)
 	bcast := d.cfg.broadcastLimit()
 	if bcast <= 0 {
@@ -435,8 +437,7 @@ func (d *adaptiveDriver) promotion(t plan.JoinType, path []int, leftBytes, right
 	default:
 		return Decision{}, false
 	}
-	return Decision{
-		Path: path, Kind: "promote", BuildRight: buildRight,
+	return Decision{Kind: "promote", BuildRight: buildRight,
 		Note: fmt.Sprintf("adapted: ShuffledHashJoin -> BroadcastHashJoin (build side %d B observed under %d B limit)",
 			bytes, bcast),
 	}, true
@@ -445,16 +446,14 @@ func (d *adaptiveDriver) promotion(t plan.JoinType, path []int, leftBytes, right
 // adaptBroadcastJoin materializes the build side and demotes to a shuffled
 // hash join when the observed build blows past the broadcast limit the static
 // planner believed it fit under.
-func (d *adaptiveDriver) adaptBroadcastJoin(n *BroadcastHashJoinExec, path []int) (SparkPlan, error) {
+func (d *adaptiveDriver) adaptBroadcastJoin(n *BroadcastHashJoinExec) (SparkPlan, error) {
 	stage, err := d.materialize(n.buildSide())
 	if err != nil {
 		return nil, err
 	}
 	var p SparkPlan = n
 	if bcast := d.cfg.broadcastLimit(); stage.Bytes > bcast {
-		dec := Decision{
-			Path: path, Kind: "demote",
-			Parts: d.partitionsFor(stage.Bytes),
+		dec := Decision{Kind: "demote", Parts: d.partitionsFor(stage.Bytes),
 			Note: fmt.Sprintf("adapted: BroadcastHashJoin -> ShuffledHashJoin (build side %d B observed over %d B limit)",
 				stage.Bytes, bcast),
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/catalyst"
 	"repro/internal/expr"
 )
 
@@ -39,29 +40,29 @@ type FusionAnnotated interface{ Fusion() string }
 // batch scan to whatever sits on it — because the sinks cover every shape:
 // the generic group table serves any key, a key or aggregate input without a
 // native kernel runs through the boxed per-row fallback, and the probe loop
-// is the row join's own, for every join type and residual.
+// is the row join's own, for every join type and residual. A pipeline over a
+// join fused here vectorizes, and then fuses, in the batch's next iterations.
 func Fuse(p SparkPlan) SparkPlan {
-	return transformUp(p, func(p SparkPlan) SparkPlan {
-		p = vectorize(p) // a pipeline over a join just fused sits on a batch scan only now
+	return catalyst.TransformUp(p, func(p SparkPlan) (SparkPlan, bool) {
 		switch n := p.(type) {
 		case *HashAggregateExec:
 			vp := fusablePipe(n.Child)
 			if vp == nil {
 				n.SetFusion("fallback: input not vectorized")
-				return p
+				return nil, false
 			}
 			f := &FusedAggregateExec{Agg: n, Pipe: vp, sink: n.compileSink(vp.Output())}
 			f.SetFusion(f.sink.note(n.keyTypes()))
-			return transferEstimate(f, n)
+			return transferEstimate(f, n), true
 		case *BroadcastHashJoinExec:
 			vp := fusablePipe(n.probeSide())
 			if vp == nil {
 				n.SetFusion("fallback: probe side not vectorized")
-				return p
+				return nil, false
 			}
 			f := &FusedBroadcastJoinExec{Join: n.withProbeSide(vp)}
 			f.SetFusion(n.compileProbeKeys(vp.Output()).note)
-			return transferEstimate(f, n)
+			return transferEstimate(f, n), true
 		case *VectorizedPipelineExec:
 			n.SetFusion("fused: true")
 		case *PipelineExec:
@@ -74,7 +75,7 @@ func Fuse(p SparkPlan) SparkPlan {
 				n.SetFusion("fallback: input not a scan")
 			}
 		}
-		return p
+		return nil, false
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/catalyst"
 	"repro/internal/expr"
 	"repro/internal/rdd"
 	"repro/internal/row"
@@ -145,16 +146,16 @@ func (p *PipelineExec) String() string { return Format(p) }
 // Collapse is the physical preparation rule fusing adjacent Project/Filter
 // operators into PipelineExec nodes, bottom-up.
 func Collapse(p SparkPlan) SparkPlan {
-	return transformUp(p, func(p SparkPlan) SparkPlan {
+	return catalyst.TransformUp(p, func(p SparkPlan) (SparkPlan, bool) {
 		switch n := p.(type) {
 		case *ProjectExec:
 			// The fused pipeline produces the top operator's output, so it
 			// inherits that operator's estimate.
-			return transferEstimate(fuse(stage{list: n.List}, n.Child), n)
+			return transferEstimate(fuse(stage{list: n.List}, n.Child), n), true
 		case *FilterExec:
-			return transferEstimate(fuse(stage{isFilter: true, cond: n.Cond}, n.Child), n)
+			return transferEstimate(fuse(stage{isFilter: true, cond: n.Cond}, n.Child), n), true
 		}
-		return p
+		return nil, false
 	})
 }
 

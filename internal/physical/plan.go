@@ -1,10 +1,12 @@
 // Package physical implements physical planning and execution (paper
 // §4.3.3): strategies translate an optimized logical plan into physical
 // operators over the RDD engine, with a cost model selecting broadcast
-// versus shuffled hash joins, rule-based physical optimizations that
-// pipeline projections and filters into one map operation, and a choice
-// between compiled (closure-fused) and interpreted expression evaluation
-// (§4.3.4).
+// versus shuffled hash joins, and a choice between compiled (closure-fused)
+// and interpreted expression evaluation (§4.3.4). A SparkPlan is a
+// catalyst.TreeNode: the preparation rules that pipeline projections and
+// filters into one map operation, vectorize it and fuse it into its sink
+// are catalyst.TransformUp bodies, run as one fixed-point batch of the
+// planner's RuleExecutor (Planner.Prepare).
 package physical
 
 import (
@@ -168,23 +170,6 @@ func CountSink(_ []*columnar.Vector, sel []int32) expr.Arena { return expr.Arena
 
 func boxedRows(top BatchTop, ctx *ExecContext) *rdd.RDD[row.Row] {
 	return rdd.MapOutput(top.Results(ctx, BoxSink), expr.CutRows)
-}
-
-// transformUp rewrites a plan bottom-up: children first, then fn on the node
-// (rebuilt over its new children when any changed). The preparation rules
-// Collapse, Vectorize and Fuse are each one fn.
-func transformUp(p SparkPlan, fn func(SparkPlan) SparkPlan) SparkPlan {
-	children := p.Children()
-	newChildren := make([]SparkPlan, len(children))
-	changed := false
-	for i, c := range children {
-		newChildren[i] = transformUp(c, fn)
-		changed = changed || newChildren[i] != c
-	}
-	if changed {
-		p = p.WithNewChildren(newChildren)
-	}
-	return fn(p)
 }
 
 // Format renders a physical plan subtree with indentation.

@@ -3,6 +3,7 @@ package physical
 import (
 	"fmt"
 
+	"repro/internal/catalyst"
 	"repro/internal/columnar"
 	"repro/internal/datasource"
 	"repro/internal/expr"
@@ -72,11 +73,26 @@ type Planner struct {
 	// algebra (wired to the optimizer's translator; kept as a function
 	// value to avoid an import cycle).
 	TranslateFilter func(expr.Expression) (datasource.Filter, bool)
+	// Prepare is physical preparation: one fixed-point batch, "Preparation",
+	// of Collapse, Vectorize and Fuse, each only when its knob is on.
+	Prepare *catalyst.RuleExecutor[SparkPlan]
 }
 
 // NewPlanner builds a planner with the given config.
 func NewPlanner(cfg PlannerConfig) *Planner {
-	return &Planner{Cfg: cfg}
+	var rules []catalyst.Rule[SparkPlan]
+	if cfg.CollapsePipelines {
+		rules = append(rules, catalyst.Rule[SparkPlan]{Name: "Collapse", Apply: Collapse})
+	}
+	if cfg.Vectorize {
+		rules = append(rules, catalyst.Rule[SparkPlan]{Name: "Vectorize", Apply: Vectorize})
+		if cfg.Fuse {
+			rules = append(rules, catalyst.Rule[SparkPlan]{Name: "Fuse", Apply: Fuse})
+		}
+	}
+	return &Planner{Cfg: cfg, Prepare: &catalyst.RuleExecutor[SparkPlan]{
+		Batches: []catalyst.Batch[SparkPlan]{{Name: "Preparation", Rules: rules}},
+	}}
 }
 
 // Plan translates and prepares the physical plan.
@@ -85,16 +101,7 @@ func (pl *Planner) Plan(lp plan.LogicalPlan) (SparkPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pl.Cfg.CollapsePipelines {
-		p = Collapse(p)
-	}
-	if pl.Cfg.Vectorize {
-		p = Vectorize(p)
-		if pl.Cfg.Fuse {
-			p = Fuse(p)
-		}
-	}
-	return p, nil
+	return pl.Prepare.Execute(p)
 }
 
 // translate converts one logical node (recursively) and stamps the result

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/catalyst"
 	"repro/internal/datasource"
 	"repro/internal/expr"
 	"repro/internal/metrics"
@@ -312,20 +313,20 @@ func stagesOutput(stages []stage, attrs []*expr.AttributeReference) []*expr.Attr
 // directly on a BatchScan and at least one fused stage compiles to native
 // batch kernels — otherwise vectorization is pure decode overhead and the
 // row pipeline is kept.
-func Vectorize(p SparkPlan) SparkPlan { return transformUp(p, vectorize) }
+func Vectorize(p SparkPlan) SparkPlan { return catalyst.TransformUp(p, vectorize) }
 
-func vectorize(p SparkPlan) SparkPlan {
+func vectorize(p SparkPlan) (SparkPlan, bool) {
 	pipe, ok := p.(*PipelineExec)
 	if !ok {
-		return p
+		return nil, false
 	}
 	scan, ok := pipe.Child.(BatchScan)
 	if !ok {
-		return p
+		return nil, false
 	}
 	_, _, native := compileVecStages(pipe.Stages, scan.Output(), nil)
 	if native == 0 {
-		return p
+		return nil, false
 	}
-	return transferEstimate(&VectorizedPipelineExec{Stages: pipe.Stages, Scan: scan, Native: native}, pipe)
+	return transferEstimate(&VectorizedPipelineExec{Stages: pipe.Stages, Scan: scan, Native: native}, pipe), true
 }
