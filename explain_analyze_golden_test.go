@@ -172,7 +172,11 @@ func TestExplainAnalyzeGroupTable(t *testing.T) {
 // (Q3's shape) boxes the rows its one merge task keeps. The planner sizes an
 // aggregate's reducers from its estimated output: Q2a (150 000 cached
 // uservisits, ~98 000 groups, estimated at 4.8 MB against the 4 MB target)
-// runs two, where its 3.9 MB input alone would have sized one.
+// runs two, where its 3.9 MB input alone would have sized one. Its keys are
+// mostly distinct, so both map tasks stop partial aggregation after their
+// window, and their group tables stop growing there; a `duration % 10`
+// aggregate over the same table keeps it, and agg.partial.skipped counts only
+// the tasks that skipped.
 func TestExplainAnalyzeMatchesCollect(t *testing.T) {
 	star := starSchemaContext(t, goldenConfig())
 	analyzeStarSchema(t, star)
@@ -185,15 +189,19 @@ func TestExplainAnalyzeMatchesCollect(t *testing.T) {
 		rows[i] = datagen.UserVisitRow(11, int64(i), visits/3)
 	}
 	cacheTempTable(t, q2, datagen.UserVisitsSchema(), rows, "uservisits", 0)
+	skipped := q2.Metrics().Counter("agg.partial.skipped")
 	for _, c := range []struct {
 		ctx     *Context
 		q, path string
+		skips   int64 // map tasks that stop partial aggregation
 	}{
-		{star, "SELECT d1_k, count(*) AS n FROM fact GROUP BY d1_k", ", boxed in 1 tasks"}, // 20 estimated groups: one reduce task
-		{star, "SELECT f_id FROM fact WHERE amount > 40", ", copied from WholeStagePipeline rows"},
-		{star, "SELECT d2_name, sum(amount) AS total, avg(f_id) AS a FROM fact f JOIN dim2 d ON f.d2_k = d.d2_k GROUP BY d2_name ORDER BY total DESC LIMIT 1", ", boxed in 1 tasks"},
-		{q2, "SELECT SUBSTR(sourceIP, 1, 8), SUM(adRevenue) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 8)", ", boxed in 2 tasks"},
+		{star, "SELECT d1_k, count(*) AS n FROM fact GROUP BY d1_k", ", boxed in 1 tasks", 0}, // 20 estimated groups: one reduce task
+		{star, "SELECT f_id FROM fact WHERE amount > 40", ", copied from WholeStagePipeline rows", 0},
+		{star, "SELECT d2_name, sum(amount) AS total, avg(f_id) AS a FROM fact f JOIN dim2 d ON f.d2_k = d.d2_k GROUP BY d2_name ORDER BY total DESC LIMIT 1", ", boxed in 1 tasks", 0},
+		{q2, "SELECT SUBSTR(sourceIP, 1, 8), SUM(adRevenue) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 8)", ", boxed in 2 tasks", 2},
+		{q2, "SELECT duration % 10, SUM(adRevenue) FROM uservisits GROUP BY duration % 10", ", boxed in 1 tasks", 0},
 	} {
+		before := skipped.Load()
 		df, err := c.ctx.SQL(c.q)
 		if err != nil {
 			t.Fatal(err)
@@ -218,6 +226,20 @@ func TestExplainAnalyzeMatchesCollect(t *testing.T) {
 		want := fmt.Sprintf("result: %d rows", len(rows))
 		if !strings.Contains(text.String(), want) || !strings.Contains(normalizeAnalyze(text.String()), want+" in T ms"+c.path) {
 			t.Fatalf("EXPLAIN ANALYZE of %q lacks %q…%q:\n%s", c.q, want, c.path, text.String())
+		}
+		// The plain query and EXPLAIN ANALYZE each ran the map tasks once.
+		if got := skipped.Load() - before; got != 2*c.skips {
+			t.Errorf("%q: agg.partial.skipped rose by %d, want %d", c.q, got, 2*c.skips)
+		}
+		skip := fmt.Sprintf(", partial skipped in %d tasks, ", c.skips)
+		if strings.Contains(text.String(), "partial skipped") != (c.skips > 0) || c.skips > 0 && !strings.Contains(text.String(), skip) {
+			t.Errorf("EXPLAIN ANALYZE of %q: want %q only when tasks skip:\n%s", c.q, skip, text.String())
+		}
+		if c.skips > 0 {
+			var grows int
+			if _, err := fmt.Sscanf(text.String()[strings.Index(text.String(), " grows=")+1:], "grows=%d", &grows); err != nil || grows > 18 {
+				t.Errorf("EXPLAIN ANALYZE of %q: phase-1 tables grew %d times (%v), want at most 18:\n%s", c.q, grows, err, text.String())
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -342,7 +343,50 @@ func setupBlockTables(t testing.TB, ctx *Context, register tableLeaf) {
 		tiny[i] = Row{int64(i * 7), fmt.Sprintf("%c%d", 'a'+i%7, i), float64(i%13) / 4}
 	}
 	register(t, ctx, schema, tiny, "tiny", 1200)
+
+	// wide: two partitions of 9 000 rows, ~90 % of the keys distinct: their
+	// 4 096-row windows hold 3 773 and 4 054 groups, over partialMaxGroups
+	// (3 686), so every map task stops partial aggregation. Every tenth row
+	// repeats a key 13·m: first seen inside the window (m < 410), or after it
+	// (m ≥ 410, rows 4 100..6 990), and again in the second partition; every
+	// 97th key is NULL. x holds eighths, which add exactly in any order; y
+	// does not (see windowInexactQuery).
+	wide := make([]Row, 2*windowPartRows)
+	for i := range wide {
+		var k any = int64(i)
+		switch {
+		case i%97 == 0:
+			k = nil
+		case i%10 == 0:
+			k = int64(i / 10 % 700 * 13)
+		}
+		x := float64(i%1000) / 8
+		wide[i] = Row{k, x, x + 0.1, fmt.Sprintf("s%d", i%37), fmt.Sprintf("t%d", i)}
+	}
+	register(t, ctx, StructType{}.Add("k", LongType, true).Add("x", DoubleType, false).Add("y", DoubleType, false).
+		Add("s", StringType, false).Add("u", StringType, false), wide, "wide", 2)
 }
+
+// windowPartRows is how many rows each of wide's two partitions holds: past
+// the partial-aggregation window twice over.
+const windowPartRows = 9000
+
+// windowQueries group wide's mostly distinct keys — one-row partials over the
+// i64 table, the generic table and the boxed fallback key.
+var windowQueries = []string{
+	"SELECT k, sum(x), avg(x), first(s), count(DISTINCT s), count(*) FROM wide GROUP BY k",
+	"SELECT k, s, sum(x), first(u) FROM wide GROUP BY k, s",
+	"SELECT upper(u), avg(x), count(*) FROM wide GROUP BY upper(u)",
+}
+
+// windowInexactQuery sums values that round differently in another order.
+// Every engine skips at the same rows, so its sums add the same values in the
+// same order and the bytes match the row path's at an unbounded budget. (That
+// order is not a non-skipping aggregate's: the reducer adds a key's passed
+// rows to its running total across map tasks, not to each task's subtotal.
+// And a reducer that spills adds each flush's partial sums apart, so under a
+// budget only sums that are exact in any order — x — compare byte for byte.)
+const windowInexactQuery = "SELECT k, sum(y), avg(y), count(*) FROM wide GROUP BY k"
 
 // blockQueries cross the typed partial-block boundary in every shape: each
 // must match the row path byte for byte INCLUDING emission order (both phase
@@ -369,6 +413,7 @@ func blockQueries() []string {
 		// A key with no kernel (boxed fallback into the generic table).
 		"SELECT upper(word), count(*), sum(val) FROM events GROUP BY upper(word)",
 	}
+	qs = append(qs, windowQueries...)
 	// SUBSTR keys: pos <= 0, length past the end, start past the end,
 	// non-positive lengths, NULL and multi-byte input (byte semantics).
 	for _, a := range [][2]int{{1, 4}, {0, 3}, {-2, 5}, {3, 100}, {50, 2}, {2, 0}, {2, -1}, {7, 2}} {
@@ -419,14 +464,17 @@ var probeOrderQueries = []string{
 // colfile, the fused, row and interpreted engines produce byte-identical
 // results in identical order — the order of the row path over the cache — at
 // an unbounded budget, at 64 KB and at one byte, and no spill file outlives a
-// query.
+// query. Every map task of windowQueries stops partial aggregation after its
+// window (agg.partial.skipped moves in every mode), and its one-row partials
+// still give the same bytes.
 func TestFusedPartialBlocks(t *testing.T) {
 	queries := append(blockQueries(), probeOrderQueries...)
+	allQueries := append(slices.Clone(queries), windowInexactQuery)
 	golden := NewContextWithConfig(fusedConfig(0, false))
 	setupFusedTables(t, golden, cacheTempTable)
 	setupBlockTables(t, golden, cacheTempTable)
-	want := make(map[string]string, len(queries))
-	for _, q := range queries {
+	want := make(map[string]string, len(allQueries))
+	for _, q := range allQueries {
 		want[q] = rowsText(spillCollect(t, golden, q))
 	}
 	wantCanon := make(map[string]string, len(probeOrderQueries))
@@ -445,8 +493,17 @@ func TestFusedPartialBlocks(t *testing.T) {
 					setupBlockTables(t, ctx, leaf.register)
 					ctx.SpillFS().WriteNanosPerByte = 0
 					ctx.SpillFS().ReadNanosPerByte = 0
-					for _, q := range queries {
+					skipped := ctx.Metrics().Counter("agg.partial.skipped")
+					qs := queries
+					if budget == 0 {
+						qs = allQueries
+					}
+					for _, q := range qs {
+						before := skipped.Load()
 						rows := spillCollect(t, ctx, q)
+						if (slices.Contains(windowQueries, q) || q == windowInexactQuery) && skipped.Load()-before != 2 {
+							t.Errorf("%q: agg.partial.skipped rose by %d, want 2 (a map task per partition)", q, skipped.Load()-before)
+						}
 						got, exp := rowsText(rows), want[q]
 						if canon, ok := wantCanon[q]; ok && budget == 1 {
 							got, exp = canonText(rows), canon

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
+	"repro/internal/metrics"
 	"repro/internal/rdd"
 	"repro/internal/row"
 	"repro/internal/types"
@@ -53,7 +54,11 @@ func (h *HashAggregateExec) String() string { return Format(h) }
 
 // rowChunk is how many input rows a row-at-a-time operator transposes into
 // key vectors per group-table call.
-const rowChunk = 1024
+const (
+	rowChunk         = 1024
+	partialWindow    = 4 * rowChunk           // rows a phase-1 task aggregates before it decides (partialAgg)
+	partialMaxGroups = partialWindow * 9 / 10 // more groups than this in the window: stop probing
+)
 
 // keyChunk is how the row-at-a-time operators (aggregation phase 1, the hash
 // joins' build and probe) reach the group tables the batch operators use: it
@@ -87,13 +92,13 @@ func newKeyChunk(evals []func(row.Row) any, keyTypes []types.DataType, typed boo
 	return c
 }
 
-// keyTable builds the group table that indexes a keyChunk's vectors.
-func keyTable(keyTypes []types.DataType, typed bool, sizeHint int) *groupTable {
-	var native []bool
-	if !typed {
-		native = make([]bool, len(keyTypes))
+// keyNative tells a group table which of a keyChunk's vectors are typed: all
+// of them (nil) with codegen, none without.
+func keyNative(keys int, typed bool) []bool {
+	if typed {
+		return nil
 	}
-	return newGroupTable(keyTypes, native, sizeHint)
+	return make([]bool, keys)
 }
 
 // load evaluates the keys of rows (at most rowChunk of them) and returns the
@@ -135,30 +140,132 @@ func (h *HashAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[
 	keyTypes := h.keyTypes()
 	buckets := h.buckets(ctx)
 	om := h.EnableMetrics(ctx.Metrics)
+	skipped := ctx.RDD.Metrics().Counter("agg.partial.skipped")
 
 	// Phase 1: partial aggregation per partition, emitting the same columnar
 	// blocks as the fused phase 1 (with boxed state lanes). Rows are probed a
 	// key chunk at a time.
 	blocks := rdd.MapPartitions(h.Child.Execute(ctx), func(_ int, in []row.Row) []aggBlock {
 		keys := newKeyChunk(groupEvals, keyTypes, ctx.Codegen, len(in))
-		groups := keyTable(keyTypes, ctx.Codegen, 0)
-		lanes := newLanes()
-		var probe groupProbe
+		agg := newPartialAgg(keyTypes, keyNative(len(keyTypes), ctx.Codegen), newLanes, buckets)
 		for off := 0; off < len(in); off += rowChunk {
 			rows := in[off:min(off+rowChunk, len(in))]
 			kvecs, all := keys.load(rows)
-			gidx := groups.indexBatch(kvecs, all, &probe, true)
-			for i, r := range rows {
-				for _, l := range lanes {
-					l.(*expr.BoxedAggregator).UpdateRow(int(gidx[i]), r)
+			agg.add(kvecs, all, func(lanes []expr.VecAggregator, sel, gidx []int32, _ int) {
+				for k, i := range sel {
+					for _, l := range lanes {
+						l.(*expr.BoxedAggregator).UpdateRow(int(gidx[k]), rows[i])
+					}
 				}
-			}
+			})
 		}
-		om.RecordTable(groups.count(), groups.grows)
-		return splitGroups(groups, lanes, buckets)
+		return agg.finish(om, skipped)
 	})
 
 	return h.finalMerge(ctx, om, blocks, fns, newLanes, resultExprs, sink)
+}
+
+// partialAgg is a map task's partial aggregation in both phase 1s: its first
+// partialWindow rows go into its table, and if they left more than
+// partialMaxGroups groups (keys nearly distinct: a passed row is a shuffle
+// record) every later row leaves as a one-row partial group. It decides once,
+// from the task's rows alone (add splits a batch straddling the window). A
+// key's first partial is still its first row, so rows and order do not change,
+// but a DOUBLE SUM/AVG of a key spanning map tasks re-associates. A global
+// aggregate or a shorter task never skips. All of the task's mutable state is
+// here: one that never skips pays nothing for it.
+type partialAgg struct {
+	groupTable
+	lanes    []expr.VecAggregator
+	probe    groupProbe
+	newLanes func() []expr.VecAggregator
+	window   int32        // rows still to aggregate before deciding; 0 once decided
+	buckets  int32        // hash buckets the output is split into
+	pass     *passThrough // set once the window said stop
+}
+
+// passThrough is a skipping task's output: the table's bucket set, one per passed batch, and the rows.
+type passThrough struct {
+	out  []aggBlock
+	rows int
+}
+
+func newPartialAgg(keyTypes []types.DataType, native []bool, newLanes func() []expr.VecAggregator, buckets int) partialAgg {
+	a := partialAgg{lanes: newLanes(), newLanes: newLanes, buckets: int32(buckets)}
+	if a.init(keyTypes, native, 0); a.cmp != cmpGlobal {
+		a.window = partialWindow
+	}
+	return a
+}
+
+// add aggregates the live rows of a batch whose group keys are vecs (lent
+// until add returns); update folds rows sel into lanes, row sel[k] into group
+// gidx[k] of n — once for the table's rows, once for any passed through.
+func (a *partialAgg) add(vecs []*columnar.Vector, live []int32, update func(lanes []expr.VecAggregator, sel, gidx []int32, n int)) {
+	a.probe.hashRows(vecs, live)
+	if a.pass == nil {
+		n, open := len(live), a.window > 0
+		if open {
+			n = min(n, int(a.window))
+			a.window -= int32(n)
+		}
+		gidx := a.indexHashed(vecs, a.probe.hash, live[:n], a.probe.gidx[:0], true)
+		stop := open && a.window == 0 && a.count() > partialMaxGroups
+		if !stop { // the rest of a batch that closed the window
+			gidx, n = a.indexHashed(vecs, a.probe.hash, live[n:], gidx, true), len(live)
+		}
+		a.probe.gidx = gidx
+		update(a.lanes, live[:n], gidx, a.count())
+		if stop { // the table is final
+			a.pass = &passThrough{out: splitGroups(a.cols, a.hashes, a.lanes, int(a.buckets))}
+		}
+		if live = live[n:]; len(live) == 0 {
+			return
+		}
+	}
+	// One group a row: its key copied out of the lent vectors, its row hash
+	// and a fresh state lane set.
+	n, hashes := len(live), make([]uint64, len(live))
+	for k, i := range live {
+		hashes[k] = a.probe.hash[i]
+	}
+	keys := make([]*columnar.Vector, len(vecs))
+	for j, v := range vecs {
+		if c := a.cols[j]; v.Kind == c.Kind && !v.IsConst() {
+			keys[j] = v.Gather(live)
+		} else { // boxed or constant: converted as the table stores it
+			keys[j] = expr.NewClassVector(c.Type, n)
+			keys[j].Reset(0)
+			for _, i := range live {
+				keys[j].Append(v, int(i))
+			}
+		}
+	}
+	lanes, ident := a.newLanes(), a.probe.gidx[:0]
+	for k := range int32(n) {
+		ident = append(ident, k) // group k is row live[k]
+	}
+	a.probe.gidx = ident
+	update(lanes, live, ident, n)
+	a.pass.out = append(a.pass.out, splitGroups(keys, hashes, lanes, int(a.buckets))...)
+	a.pass.rows += n
+}
+
+// finish records the task on om and returns its map output: k bucket sets,
+// block i bound for bucket i % buckets.
+func (a *partialAgg) finish(om *OperatorMetrics, skipped *metrics.Counter) []aggBlock {
+	om.RecordTable(a.count(), int(a.grows))
+	if a.pass == nil {
+		return splitGroups(a.cols, a.hashes, a.lanes, int(a.buckets))
+	}
+	if a.pass.rows > 0 {
+		skipped.Add(1)
+		if om != nil {
+			om.Skipped.Add(1)
+			om.Passed.Add(int64(a.pass.rows))
+		}
+	}
+	return a.pass.out
 }
 
 func (h *HashAggregateExec) keyTypes() []types.DataType { return exprTypes(h.Grouping) }
@@ -349,7 +456,7 @@ func (m *aggMerge) flushTable() (int64, error) {
 			m.log, m.blocks, bytes, recs = log, m.blocks+blocks, bytes+wrote, recs[:0]
 		}
 	}
-	m.grows += t.groups.grows
+	m.grows += int(t.groups.grows)
 	m.cur = m.newTable(0)
 	return bytes, nil
 }
@@ -416,7 +523,7 @@ func (m *aggMerge) finish() ([]*columnar.Vector, int, error) {
 		}
 		t.fold(b)
 	}
-	m.grows += t.groups.grows
+	m.grows += int(t.groups.grows)
 	cols, n := slices.Clone(t.groups.cols), t.groups.count()
 	if len(cols) == 0 {
 		n = 1 // a global aggregate's one reducer emits its row over an empty input too (SELECT count(*) FROM empty => 0)

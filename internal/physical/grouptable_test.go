@@ -242,7 +242,7 @@ func TestSplitGroupsFollowsKeyHash(t *testing.T) {
 			table.indexBatch(vecs, live, &probe, true)
 		}
 		for _, numPart := range []int{1, 2, 3, 8} {
-			blocks := splitGroups(table, nil, numPart)
+			blocks := splitGroups(table.cols, table.hashes, nil, numPart)
 			seen := 0
 			for r, b := range blocks {
 				byHash := newGroupTable(shape.types, nil, len(b.sel))
@@ -335,7 +335,7 @@ func mapOutput(newLanes func() []expr.VecAggregator, from, to int) aggBlock {
 	for _, l := range lanes {
 		l.Update(&expr.VecBatch{Cols: cols, N: n}, sel, gidx, groups.count())
 	}
-	return splitGroups(groups, lanes, 1)[0]
+	return splitGroups(groups.cols, groups.hashes, lanes, 1)[0]
 }
 
 // A reducer is sized once, from its blocks' group counts: merging them grows

@@ -281,14 +281,14 @@ func newHashJoin(ctx *ExecContext, om *OperatorMetrics, j *EquiJoin, buildRight,
 		h.residual = ctx.predicate(bind(j.Residual, append(append([]*expr.AttributeReference{}, left...), right...)))
 	}
 	if om != nil {
-		om.Table = keyTable(h.keyTypes, typed, 0).cmp.String()
+		om.Table = keyCmpFor(h.keyTypes, keyNative(len(h.keyTypes), typed)).String()
 	}
 	return h
 }
 
 func (h *hashJoin) build(rows []row.Row) *joinTable {
 	t := newJoinTable(rows, newKeyChunk(h.buildEvals, h.keyTypes, h.typed, len(rows)))
-	h.om.RecordTable(t.groups.count(), t.groups.grows)
+	h.om.RecordTable(t.groups.count(), int(t.groups.grows))
 	return t
 }
 

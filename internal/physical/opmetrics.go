@@ -29,13 +29,15 @@ type OperatorMetrics struct {
 	KeptRows   atomic.Int64 // rows its per-partition heaps kept for the merge
 	Groups     atomic.Int64 // groups in its group tables: an aggregate's partial groups, a join's distinct build keys
 	Grows      atomic.Int64 // times those tables (and an aggregate's reducers') doubled their slots
+	Skipped    atomic.Int64 // an aggregate's map tasks that stopped partial aggregation
+	Passed     atomic.Int64 // rows those tasks passed through as one-row partials
 	// Table names the key comparison a hash join's group table runs (i64, str,
 	// pair or generic), Emits what a fused join hands its consumer (rows or batches).
 	// Execute sets them before any task runs.
 	Table, Emits string
 	// RunPartitions and Runs are set on a batch leaf whose partitions the
 	// pipeline cut into fewer tasks: how many partitions, in how many runs.
-	RunPartitions, Runs int
+	RunPartitions, Runs int32
 }
 
 // RecordPartition records one partition's output and elapsed wall time.
@@ -102,6 +104,9 @@ func (m *OperatorMetrics) ActualString() string {
 	// build= says it all when a join's build keys are distinct and non-NULL.
 	if g, w := m.Groups.Load(), m.Grows.Load(); g > 0 && (g != m.BuildRows.Load() || w > 0) {
 		s += fmt.Sprintf(", groups=%d grows=%d", g, w)
+	}
+	if n := m.Skipped.Load(); n > 0 {
+		s += fmt.Sprintf(", partial skipped in %d tasks, %d rows passed through", n, m.Passed.Load())
 	}
 	if m.Emits != "" {
 		s += ", emits " + m.Emits

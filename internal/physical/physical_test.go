@@ -184,7 +184,10 @@ func TestAggregateWithExpressionOverAggs(t *testing.T) {
 // session's bucket count: forcing its reduce tasks through every count from 1
 // to the buckets, over the fused and the row phase 1 (compiled and
 // interpreted), at budgets ∞, 64 KB and 1 B, returns the same rows in the same
-// order — the reducers fold whole buckets, one after another.
+// order — the reducers fold whole buckets, one after another. The wide table's
+// keys are ~90 % distinct over two partitions of 9 000 rows (3 773 and 4 054
+// groups in their windows, over partialMaxGroups), so its map tasks stop
+// partial aggregation after their window and pass one-row partials on.
 func TestAggregateOrderIndependentOfReducers(t *testing.T) {
 	const buckets = 4
 	attrs := attrsOf([]string{"k", "v", "s"}, []types.DataType{types.Long, types.Long, types.String})
@@ -205,11 +208,28 @@ func TestAggregateOrderIndependentOfReducers(t *testing.T) {
 		parts = append(parts, rows[lo:min(lo+n, len(rows))])
 	}
 	scan := NewInMemoryScan(attrs, columnar.BuildTable(schema, parts, 256), nil, nil)
-	shapes := map[string][]expr.Expression{
-		"k":      {attrs[0]},
-		"(k, s)": {expr.Mod(attrs[0], expr.Lit(int64(50))), attrs[2]},
+	wide := make([]row.Row, 18000)
+	for i := range wide {
+		var k any = int64(i)
+		switch {
+		case i%97 == 0:
+			k = nil
+		case i%10 == 0:
+			k = int64(i / 10 % 700 * 13)
+		}
+		wide[i] = row.Row{k, int64(i), fmt.Sprintf("s%d", i*31%13)}
 	}
-	for name, keys := range shapes {
+	wideScan := NewInMemoryScan(attrs, columnar.BuildTable(schema, [][]row.Row{wide[:9000], wide[9000:]}, 1000), nil, nil)
+	shapes := map[string]struct {
+		keys []expr.Expression
+		scan SparkPlan
+	}{
+		"k":           {[]expr.Expression{attrs[0]}, scan},
+		"(k, s)":      {[]expr.Expression{expr.Mod(attrs[0], expr.Lit(int64(50))), attrs[2]}, scan},
+		"k over wide": {[]expr.Expression{attrs[0]}, wideScan},
+	}
+	for name, shape := range shapes {
+		keys := shape.keys
 		aggs := append(slices.Clone(keys),
 			expr.NewAlias(&expr.Sum{Child: attrs[1]}, "sum"), expr.NewAlias(expr.NewCountStar(), "n"),
 			expr.NewAlias(expr.NewMin(attrs[2]), "min"), expr.NewAlias(&expr.First{Child: attrs[1]}, "first"))
@@ -217,7 +237,7 @@ func TestAggregateOrderIndependentOfReducers(t *testing.T) {
 		for _, budget := range []int64{0, 64 << 10, 1} {
 			for _, engine := range []string{"fused", "row", "interpreted"} {
 				for reducers := buckets; reducers >= 1; reducers-- {
-					var p SparkPlan = &HashAggregateExec{Grouping: keys, Aggs: aggs, Child: scan, Partitions: reducers}
+					var p SparkPlan = &HashAggregateExec{Grouping: keys, Aggs: aggs, Child: shape.scan, Partitions: reducers}
 					if engine == "fused" {
 						if p = Fuse(Vectorize(p)); !strings.HasPrefix(p.SimpleString(), "FusedHashAggregate") {
 							t.Fatalf("%s: did not fuse: %s", name, p)
@@ -239,6 +259,9 @@ func TestAggregateOrderIndependentOfReducers(t *testing.T) {
 					}
 					if budget == 1 && ctx.Pool.SpillCount() == 0 {
 						t.Fatalf("%s %s: a one-byte budget spilled nothing", name, engine)
+					}
+					if skipped := ctx.RDD.Metrics().Counter("agg.partial.skipped").Load(); (skipped == 2) != (shape.scan == wideScan) {
+						t.Fatalf("%s %s: %d map tasks skipped partial aggregation", name, engine, skipped)
 					}
 					text := fmt.Sprint(got)
 					if want == "" {

@@ -54,33 +54,28 @@ func (f *FusedAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD
 	vp := f.Pipe.compile(ctx, om, k.refs)
 	keyTypes := h.keyTypes()
 	buckets := h.buckets(ctx)
-	boxedKernels := int64(len(k.fallbacks))
+	newLanes, skipped := k.newLanes, ctx.RDD.Metrics().Counter("agg.partial.skipped")
 
 	blocks := rdd.GenerateCtx(ctx.RDD, "fusedAgg", vp.tasks(), func(jc context.Context, p int) ([]aggBlock, error) {
-		// Per-task mutable state: the group index table and one set of
-		// typed state lanes per aggregate.
-		groups := newGroupTable(keyTypes, k.native, 0)
-		lanes := k.newLanes()
-		var probe groupProbe
+		agg := newPartialAgg(keyTypes, k.native, newLanes, buckets) // all the task's mutable state
 		gvecs := make([]*columnar.Vector, len(k.keyEvals))
 		err := vp.each(jc, p, func(batch *expr.VecBatch, live []int32) {
 			for i, gv := range k.keyEvals {
 				gvecs[i] = gv(batch, live)
 			}
-			gidx := groups.indexBatch(gvecs, live, &probe, true)
-			n := groups.count()
-			for _, l := range lanes {
-				l.Update(batch, live, gidx, n)
-			}
-			if boxedKernels > 0 {
-				vp.fallbackRows.Add(int64(len(live)) * boxedKernels)
+			agg.add(gvecs, live, func(lanes []expr.VecAggregator, sel, gidx []int32, n int) {
+				for _, l := range lanes {
+					l.Update(batch, sel, gidx, n)
+				}
+			})
+			if boxed := len(k.fallbacks); boxed > 0 {
+				vp.fallbackRows.Add(int64(len(live) * boxed))
 			}
 		})
-		om.RecordTable(groups.count(), groups.grows)
-		return splitGroups(groups, lanes, buckets), err
+		return agg.finish(om, skipped), err
 	}).Reads(vp.src.Stages...)
 
-	return h.finalMerge(ctx, om, blocks, k.fns, k.newLanes, k.results, sink)
+	return h.finalMerge(ctx, om, blocks, k.fns, newLanes, k.results, sink)
 }
 
 // aggSink is a fused aggregate's compiled sink: the group-key kernels and
@@ -136,8 +131,9 @@ func (k *aggSink) note(keyTypes []types.DataType) string {
 // hands the exchange instead of one boxed record per group: a dense key
 // column per grouping expression with the keys' row hashes beside them, one
 // state lane set per aggregate, and the selection of group positions in one
-// hash bucket. The blocks a map partition emits (one per bucket) are views
-// over the same columns and lanes, their selections cut from one slice;
+// hash bucket. A map task emits a bucket set for its table, then one for each
+// batch it passes through (partialAgg). A set's blocks are views over the
+// same columns and lanes, their selections cut from one slice;
 // nothing is copied or boxed to split them, and the reducer probes with the
 // hashes instead of hashing a key again. A reducer that spills reads its spill
 // log back as blocks of the same form.
@@ -150,19 +146,19 @@ type aggBlock struct {
 
 func (b aggBlock) groups() int64 { return int64(len(b.sel)) }
 
-// splitGroups flushes a phase-1 group table into one block per hash bucket,
-// partitioning by the hash the table stored: the process-independent hash of
-// the typed key (equal to the hash of the boxed key, so it does not matter
-// which phase 1 ran). The selections are consecutive runs of one slice of the
-// table's n groups, each in ascending group order. An empty table emits
-// nothing.
-func splitGroups(groups *groupTable, lanes []expr.VecAggregator, buckets int) []aggBlock {
-	n := groups.count()
+// splitGroups cuts partial groups — a phase-1 table's, or a passed batch's
+// one-row groups: group g has the keys cols[j][g], the row hash hashes[g] and
+// lanes' state g — into one block per bucket, by that hash: the process-
+// independent hash of the typed key (equal to the hash of the boxed key, so it
+// does not matter which phase 1 ran). The selections are consecutive runs of
+// one slice of the groups, each in ascending group order. No groups, no blocks.
+func splitGroups(cols []*columnar.Vector, hashes []uint64, lanes []expr.VecAggregator, buckets int) []aggBlock {
+	n := len(hashes)
 	if n == 0 {
 		return nil
 	}
 	start := make([]int, buckets+1) // start[b]: where bucket b's run begins
-	for _, h := range groups.hashes {
+	for _, h := range hashes {
 		start[h%uint64(buckets)+1]++
 	}
 	for b := range buckets {
@@ -170,9 +166,9 @@ func splitGroups(groups *groupTable, lanes []expr.VecAggregator, buckets int) []
 	}
 	sel, out := make([]int32, n), make([]aggBlock, buckets)
 	for b := range out {
-		out[b] = aggBlock{keys: groups.cols, hashes: groups.hashes, lanes: lanes, sel: sel[start[b]:start[b]:start[b+1]]}
+		out[b] = aggBlock{keys: cols, hashes: hashes, lanes: lanes, sel: sel[start[b]:start[b]:start[b+1]]}
 	}
-	for g, h := range groups.hashes {
+	for g, h := range hashes {
 		b := &out[h%uint64(buckets)]
 		b.sel = append(b.sel, int32(g)) // within the run's capacity: in place
 	}
@@ -203,9 +199,9 @@ type groupTable struct {
 	cols   []*columnar.Vector
 	hashes []uint64
 	slots  []uint64
-	shift  uint // home slot of hash h: h >> shift
+	shift  uint8 // home slot of hash h: h >> shift
 	cmp    keyCmp
-	grows  int
+	grows  int32
 }
 
 // keyCmp names the key comparison a table runs on a tag hit.
@@ -237,13 +233,19 @@ type groupProbe struct {
 // is). sizeHint pre-sizes it (0 = grow on demand: a phase-1 table over a tiny
 // partition must not pay for capacity it never uses).
 func newGroupTable(keyTypes []types.DataType, native []bool, sizeHint int) *groupTable {
-	t := &groupTable{cols: make([]*columnar.Vector, len(keyTypes)), hashes: make([]uint64, 0, sizeHint), cmp: keyCmpFor(keyTypes, native)}
+	t := new(groupTable)
+	t.init(keyTypes, native, sizeHint)
+	return t
+}
+
+// init makes t the empty table newGroupTable returns, in place.
+func (t *groupTable) init(keyTypes []types.DataType, native []bool, sizeHint int) {
+	*t = groupTable{cols: make([]*columnar.Vector, len(keyTypes)), hashes: make([]uint64, 0, sizeHint), cmp: keyCmpFor(keyTypes, native)}
 	for i, kt := range keyTypes {
 		t.cols[i] = expr.NewClassVector(kt, sizeHint)
 		t.cols[i].Reset(0)
 	}
 	t.resize(2 * sizeHint)
-	return t
 }
 
 func keyCmpFor(keyTypes []types.DataType, native []bool) keyCmp {
@@ -272,17 +274,23 @@ func (t *groupTable) count() int { return len(t.hashes) }
 // key vectors, hashing them a column at a time into p.hash first. With insert
 // a key not seen before becomes the next group.
 func (t *groupTable) indexBatch(vecs []*columnar.Vector, live []int32, p *groupProbe, insert bool) []int32 {
-	if len(vecs) > 0 {
-		p.hash = columnar.GrowLane(p.hash, vecs[0].Len())
-		for _, i := range live {
-			p.hash[i] = row.NewHasher().Sum()
-		}
-		for _, v := range vecs {
-			v.HashInto(p.hash, live)
-		}
-	}
+	p.hashRows(vecs, live)
 	p.gidx = t.indexHashed(vecs, p.hash, live, p.gidx[:0], insert)
 	return p.gidx
+}
+
+// hashRows sets p.hash[i] to live row i's hash, a key column at a time.
+func (p *groupProbe) hashRows(vecs []*columnar.Vector, live []int32) {
+	if len(vecs) == 0 {
+		return
+	}
+	p.hash = columnar.GrowLane(p.hash, vecs[0].Len())
+	for _, i := range live {
+		p.hash[i] = row.NewHasher().Sum()
+	}
+	for _, v := range vecs {
+		v.HashInto(p.hash, live)
+	}
 }
 
 // indexHashed is indexBatch for rows whose hashes the caller already holds:
@@ -373,7 +381,7 @@ func (t *groupTable) add(vecs []*columnar.Vector, i int, h, s uint64) int32 {
 // 16) and places every group in it, by its stored hash.
 func (t *groupTable) resize(n int) {
 	lg := max(4, bits.Len(uint(max(n, 1)-1)))
-	t.slots, t.shift = make([]uint64, 1<<lg), uint(64-lg)
+	t.slots, t.shift = make([]uint64, 1<<lg), uint8(64-lg)
 	mask := uint64(len(t.slots) - 1)
 	for g, h := range t.hashes {
 		s := h >> t.shift

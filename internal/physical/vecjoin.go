@@ -69,7 +69,7 @@ func (j *BroadcastHashJoinExec) compileProbeKeys(input []*expr.AttributeReferenc
 			k.evals[i] = canonFloatKernel(evals[i])
 		}
 	}
-	k.note = fusedNote(keyTable(exprTypes(buildKeys), k.typed, 0).cmp.String(), len(keys), fallbacks)
+	k.note = fusedNote(keyCmpFor(exprTypes(buildKeys), keyNative(len(buildKeys), k.typed)).String(), len(keys), fallbacks)
 	return k
 }
 
@@ -227,7 +227,7 @@ type joinTable struct {
 // a time through keys.
 func newJoinTable(rows []row.Row, keys *keyChunk) *joinTable {
 	t := &joinTable{rows: rows}
-	t.groups = keyTable(keys.types, keys.typed, len(rows))
+	t.groups = newGroupTable(keys.types, keyNative(len(keys.types), keys.typed), len(rows))
 	group := make([]int32, len(rows)) // per build row; -1 = NULL key
 	var probe groupProbe
 	var live []int32

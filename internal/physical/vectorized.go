@@ -176,7 +176,7 @@ func (v *VectorizedPipelineExec) compile(ctx *ExecContext, om *OperatorMetrics, 
 	if vp.tasks() < n {
 		ctx.RDD.Metrics().Counter("scan.partitions.coalesced").Add(int64(n - vp.tasks()))
 		if leaf := v.Scan.(MetricsAnnotated).Runtime(); leaf != nil {
-			leaf.RunPartitions, leaf.Runs = n, vp.tasks()
+			leaf.RunPartitions, leaf.Runs = int32(n), int32(vp.tasks())
 		}
 	}
 	return vp

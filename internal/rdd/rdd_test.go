@@ -701,10 +701,12 @@ func TestParallelBucketingPanicBecomesError(t *testing.T) {
 // element r of every map partition, in map-partition order); with fewer,
 // reducer q receives buckets [q·B/R, (q+1)·B/R) bucket-major, map partitions
 // in order within each bucket, so the reduce partitions concatenate to the
-// same sequence for every reducer count. Empty elements and empty map
-// partitions contribute nothing; shuffle.records counts what records reports;
-// a map partition not split into the buckets, or more reducers than buckets,
-// fails the exchange.
+// same sequence for every reducer count. A map partition may hold several
+// chunks of B elements, element i bound for bucket i % B: within a bucket
+// its chunks follow one another before the next partition's. Empty elements
+// and empty map partitions contribute nothing; shuffle.records counts what
+// records reports; a map partition holding a count of elements that is not a
+// multiple of the buckets, or more reducers than buckets, fails the exchange.
 func TestExchangePresplitTransposes(t *testing.T) {
 	ctx := NewContext(4)
 	// Map partition m emits {"m:0", "", "m:2", "m:3"} (nothing for bucket 1);
@@ -736,13 +738,50 @@ func TestExchangePresplitTransposes(t *testing.T) {
 		}
 	}
 
-	ragged := Generate(ctx, "ragged", 2, func(int) []string { return []string{"x", "y"} })
-	for _, reducers := range []int{3, 1} {
-		if _, err := ExchangePresplit(ragged, 3, reducers, func(string) int64 { return 1 }).Collect(); err == nil {
-			t.Fatalf("%d reducers: a map partition not split into 3 buckets must fail the exchange", reducers)
+	// Map partition m emits m+1 chunks ("m.c:b" for chunk c, bucket b) over 3
+	// buckets; partition 1's second chunk has nothing for bucket 0.
+	const buckets = 3
+	chunked := Generate(ctx, "chunked", 3, func(m int) []string {
+		var out []string
+		for c := 0; c <= m; c++ {
+			for b := range buckets {
+				if m == 1 && c == 1 && b == 0 {
+					out = append(out, "")
+					continue
+				}
+				out = append(out, fmt.Sprintf("%d.%d:%d", m, c, b))
+			}
+		}
+		return out
+	})
+	bucket := [][]string{
+		{"0.0:0", "1.0:0", "2.0:0", "2.1:0", "2.2:0"},
+		{"0.0:1", "1.0:1", "1.1:1", "2.0:1", "2.1:1", "2.2:1"},
+		{"0.0:2", "1.0:2", "1.1:2", "2.0:2", "2.1:2", "2.2:2"},
+	}
+	for reducers := 1; reducers <= buckets; reducers++ {
+		out := ExchangePresplit(chunked, buckets, reducers, func(s string) int64 { return int64(len(s)) })
+		got := make([][]string, reducers)
+		foreachPartition(t, out, func(p int, xs []string) { got[p] = xs })
+		want := make([][]string, reducers)
+		for q := range want {
+			for b := q * buckets / reducers; b < (q+1)*buckets/reducers; b++ {
+				want[q] = append(want[q], bucket[b]...)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d reducers over chunked map output: exchange = %v, want %v", reducers, got, want)
 		}
 	}
-	if _, err := ExchangePresplit(ragged, 2, 3, func(string) int64 { return 1 }).Collect(); err == nil {
+
+	ragged := Generate(ctx, "ragged", 2, func(m int) []string { return []string{"x", "y", "z", "w", "v"}[:2+3*m] })
+	for _, reducers := range []int{3, 1} {
+		if _, err := ExchangePresplit(ragged, 3, reducers, func(string) int64 { return 1 }).Collect(); err == nil {
+			t.Fatalf("%d reducers: a map partition of 2 or 5 records over 3 buckets must fail the exchange", reducers)
+		}
+	}
+	split := Generate(ctx, "split", 2, func(int) []string { return []string{"x", "y"} })
+	if _, err := ExchangePresplit(split, 2, 3, func(string) int64 { return 1 }).Collect(); err == nil {
 		t.Fatal("3 reducers over 2 buckets must fail the exchange")
 	}
 }

@@ -150,14 +150,15 @@ func shuffledPrepCodec[T any](parent *RDD[T], name string, numPartitions int, pr
 }
 
 // ExchangePresplit is the exchange for map output that is already split into
-// buckets: every parent partition holds either nothing or exactly buckets
-// records, record b bound for bucket b. There is no per-record bucketing left
-// to do. Reduce partition q of the reducers (1 ≤ reducers ≤ buckets) receives
-// the contiguous bucket range [q·buckets/reducers, (q+1)·buckets/reducers),
-// bucket-major, map partitions in order within each bucket: the exchange
-// appends the map partitions' records straight into one slice in that order
-// and cuts the reduce partitions out of it. So the reduce partitions
-// concatenate to the same sequence for every reducer count, and with
+// buckets: every parent partition holds a multiple of buckets records — one
+// bucket set per chunk of its output, record i bound for bucket i % buckets.
+// There is no per-record bucketing left to do. Reduce partition q of the
+// reducers (1 ≤ reducers ≤ buckets) receives the contiguous bucket range
+// [q·buckets/reducers, (q+1)·buckets/reducers), bucket-major, then map
+// partitions in order, then each partition's chunks in order: the exchange
+// appends the records straight into one slice in that order and cuts the
+// reduce partitions out of it. So the reduce partitions concatenate to the
+// same sequence for every reducer count, and with one chunk per partition and
 // reducers = buckets the exchange is a plain transpose. records reports how
 // many logical shuffle records one element carries (what shuffle.records and
 // the shuffle span count); elements carrying none are dropped.
@@ -168,7 +169,7 @@ func ExchangePresplit[T any](r *RDD[T], buckets, reducers int, records func(T) i
 		}
 		kept := 0
 		for pi, part := range parts {
-			if len(part) != 0 && len(part) != buckets {
+			if len(part)%buckets != 0 {
 				return nil, 0, fmt.Errorf("rdd: pre-split map partition %d holds %d records for %d buckets", pi, len(part), buckets)
 			}
 			for _, v := range part {
@@ -183,12 +184,11 @@ func ExchangePresplit[T any](r *RDD[T], buckets, reducers int, records func(T) i
 			from := len(all)
 			for b := q * buckets / reducers; b < (q+1)*buckets/reducers; b++ {
 				for _, part := range parts {
-					if len(part) == 0 {
-						continue
-					}
-					if n := records(part[b]); n > 0 {
-						all = append(all, part[b])
-						total += n
+					for i := b; i < len(part); i += buckets {
+						if n := records(part[i]); n > 0 {
+							all = append(all, part[i])
+							total += n
+						}
 					}
 				}
 			}

@@ -402,6 +402,42 @@ func TestLentKernelsAllocatePerTask(t *testing.T) {
 	}
 }
 
+// A low-cardinality aggregate over many small partitions — store_trickle_scan's
+// GROUP BY k % 10 over a table of 300 commits, run as a few tasks of many
+// batches — never stops partial aggregation, and its window costs it nothing:
+// it allocates no more an operation than before the window existed (measured
+// with this exact test body: 694; 690 with the task's group table inside its
+// one state struct). A task whose window state lived in variables its batch
+// callback captures allocates more per task (698 with two of them).
+func TestLowCardinalityAggregateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	const parentAllocs = 694
+	ctx := NewContextWithConfig(fusedConfig(0, true))
+	rows := make([]Row, 100*300)
+	for i := range rows {
+		rows[i] = Row{int64(i), float64(i % 17)}
+	}
+	storeTempTable(t, ctx, StructType{}.Add("k", LongType, false).Add("v", DoubleType, false), rows, "trickle", 300)
+	df, err := ctx.SQL("SELECT k % 10, count(*), sum(v) FROM trickle GROUP BY k % 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := df.Collect(); err != nil || len(rows) != 10 {
+		t.Fatalf("%d rows, %v", len(rows), err)
+	}
+	skipped := ctx.Metrics().Counter("agg.partial.skipped")
+	allocs := testing.AllocsPerRun(20, func() { df.Collect() })
+	if n := skipped.Load(); n != 0 {
+		t.Fatalf("a 10-group aggregate skipped partial aggregation in %d tasks", n)
+	}
+	t.Logf("%.0f allocations an operation", allocs)
+	if allocs > parentAllocs {
+		t.Fatalf("%.0f allocations an operation, more than the %d before the partial-aggregation window", allocs, parentAllocs)
+	}
+}
+
 // A top-K over a batch top boxes only the rows each batch keeps: Q3 — the
 // aggregate of a join, ORDER BY its sum, LIMIT 1 — allocates fewer bytes than
 // collecting the same aggregate, whose every group is boxed at the result
