@@ -405,8 +405,9 @@ func (df *DataFrame) ToRDD() (*rdd.RDD[Row], error) {
 // AdaptedQuery plans the query, replays a coordinator's adaptive decision
 // list over the static physical plan, and returns the result RDD together
 // with the decision-applied plan's fingerprint. Cluster workers use it to
-// execute the exact plan the coordinator adapted — stages materialize once,
-// on the coordinator, and workers only replay the recorded rewrites. An
+// execute the exact plan the coordinator adapted — stages materialize on the
+// coordinator, on a statement's first run over the catalog only (a repeat
+// replays the recorded rewrites there too), and workers only replay them. An
 // empty decision list yields the static plan, identical to ToRDD.
 func (df *DataFrame) AdaptedQuery(decisions []physical.Decision) (*rdd.RDD[Row], uint64, error) {
 	qe, err := df.queryExecution()

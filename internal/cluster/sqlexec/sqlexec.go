@@ -35,6 +35,7 @@ import (
 // (memoized map sides, published buckets) shared across that query's
 // tasks instead of rebuilt per partition.
 type builtQuery struct {
+	cluster.MemoEntry
 	rdd      *rdd.RDD[row.Row]
 	numPart  int
 	planHash uint64
@@ -43,8 +44,8 @@ type builtQuery struct {
 type session struct {
 	epoch uint64
 	ctx   *sparksql.Context
-	mu    sync.Mutex // serializes query planning (shuffle-scope setup)
-	built map[string]*builtQuery
+	mu    sync.Mutex // serializes query planning (shuffle-scope setup) and built
+	built cluster.Memo[*builtQuery]
 }
 
 // Executor holds the sessions a worker has been initialized with and
@@ -92,7 +93,7 @@ func (e *Executor) handleInit(w *cluster.Worker, payload []byte) ([]byte, error)
 		return nil, cluster.Fallback(fmt.Errorf("sqlexec: init session %s epoch %d: %w", spec.ID, spec.Epoch, err))
 	}
 	e.mu.Lock()
-	e.sessions[spec.ID] = &session{epoch: spec.Epoch, ctx: ctx, built: make(map[string]*builtQuery)}
+	e.sessions[spec.ID] = &session{epoch: spec.Epoch, ctx: ctx, built: make(cluster.Memo[*builtQuery])}
 	e.mu.Unlock()
 	return nil, nil
 }
@@ -105,11 +106,12 @@ func buildContext(w *cluster.Worker, spec *sqlwire.SessionSpec) (*sparksql.Conte
 	if err := sqlwire.DecodeConfig(spec.Config, &cfg); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
-	// Workers never adapt: the coordinator materializes stages, takes every
-	// adaptive decision once, and ships the decision list in each task —
-	// this worker replays the rewrites over its statically planned tree. A
-	// worker re-adapting from its own observations could diverge and fail
-	// the plan-hash parity check.
+	// Workers never adapt: the coordinator takes a statement's adaptive
+	// decisions (materializing its stages on the statement's first run over
+	// a catalog, replaying them on later runs) and ships the decision list in
+	// each task — this worker replays the rewrites over its statically
+	// planned tree. A worker re-adapting from its own observations could
+	// diverge and fail the plan-hash parity check.
 	cfg.Adaptive = false
 	ctx := sparksql.NewContextWithConfig(cfg)
 
@@ -349,14 +351,16 @@ func (e *Executor) mergedSamples(pattern string) []sqlwire.CounterSample {
 // derived from session, epoch, query text and decisions only — every
 // worker planning the same adapted query lands on identical shuffle ids,
 // so reduce tasks can fetch map output that a peer already published. The
-// cache is keyed the same way: the static and adapted builds of one SQL
-// text are different plans with different shuffle graphs.
+// memo is keyed the same way: the static and adapted builds of one SQL
+// text are different plans with different shuffle graphs. It holds
+// cluster.MemoCapacity statements; an evicted one is rebuilt on its next
+// task, under the same scope and so with the same shuffle ids.
 func (s *session) query(sessionID, sql string, decisions json.RawMessage) (*builtQuery, error) {
 	dfp := decisionFingerprint(decisions)
 	key := fmt.Sprintf("%s\x00%016x", sql, dfp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if bq, ok := s.built[key]; ok {
+	if bq, ok := s.built.Get(key); ok {
 		return bq, nil
 	}
 	var ds []physical.Decision
@@ -380,7 +384,7 @@ func (s *session) query(sessionID, sql string, decisions json.RawMessage) (*buil
 		return nil, err
 	}
 	bq := &builtQuery{rdd: r, numPart: r.NumPartitions(), planHash: hash}
-	s.built[key] = bq
+	s.built.Put(key, bq)
 	return bq, nil
 }
 

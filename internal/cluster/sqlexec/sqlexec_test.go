@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/sqlexec"
 	"repro/internal/cluster/sqlwire"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/metrics"
 	"repro/internal/row"
@@ -120,6 +121,21 @@ func collect(t *testing.T, ctx *sparksql.Context, q string) []row.Row {
 	return rows
 }
 
+// lastEvent is the newest event of ctx's event log.
+func lastEvent(t *testing.T, ctx *sparksql.Context) core.QueryEvent {
+	t.Helper()
+	evs := ctx.EventLog().Events()
+	if len(evs) == 0 {
+		t.Fatal("the event log is empty")
+	}
+	return evs[len(evs)-1]
+}
+
+// Every query answers as the local engine does, twice: the first run adapts
+// on the coordinator, materializing its exchange inputs there; the second
+// replays the decisions the first took, runs no stage on the coordinator
+// (its tasks are the dispatched partitions alone), and returns the first
+// run's rows under the same plan hash and the same decision notes.
 func TestDistributedMatchesLocal(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		name := "uncached"
@@ -135,12 +151,39 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			golden := sparksql.NewContextWithConfig(localConfig())
 			loadRankings(t, golden, 600, cached)
 
+			reg := dist.Metrics()
+			replayed, tasks, dispatched := reg.Counter("cluster.adaptive.replayed"),
+				reg.Counter("rdd.tasks.run"), reg.Counter("cluster.tasks.dispatched")
+			var stageTasks, notes int64
 			for _, q := range queries {
 				want := formatRows(collect(t, golden, q))
-				got := formatRows(collect(t, dist, q))
-				if got != want {
+				t0, d0 := tasks.Load(), dispatched.Load()
+				rows := collect(t, dist, q)
+				first := lastEvent(t, dist)
+				stageTasks += tasks.Load() - t0 - (dispatched.Load() - d0)
+				notes += int64(len(first.Decisions))
+				if got := formatRows(rows); got != want {
 					t.Fatalf("%q diverged distributed vs local", q)
 				}
+				r0, t0, d0 := replayed.Load(), tasks.Load(), dispatched.Load()
+				again := collect(t, dist, q)
+				second := lastEvent(t, dist)
+				if n := replayed.Load() - r0; n != 1 {
+					t.Fatalf("%q: the second run replayed %d statements, want 1", q, n)
+				}
+				if ran, sent := tasks.Load()-t0, dispatched.Load()-d0; ran != sent {
+					t.Fatalf("%q: the second run ran %d tasks on the coordinator for %d dispatched", q, ran, sent)
+				}
+				if fmt.Sprint(again) != fmt.Sprint(rows) {
+					t.Fatalf("%q: the second run's rows differ from the first's", q)
+				}
+				if second.PlanHash != first.PlanHash || fmt.Sprint(second.Decisions) != fmt.Sprint(first.Decisions) {
+					t.Fatalf("%q: the second run has plan %s and decisions %q, the first %s and %q",
+						q, second.PlanHash, second.Decisions, first.PlanHash, first.Decisions)
+				}
+			}
+			if stageTasks == 0 || notes == 0 {
+				t.Fatalf("first runs ran %d stage tasks on the coordinator and took %d decisions: the replay is untested", stageTasks, notes)
 			}
 			// The work must actually have gone remote...
 			if n := dist.Metrics().Counter("cluster.tasks.completed").Load(); n == 0 {
@@ -233,7 +276,9 @@ func TestExplainAnalyzeShowsCluster(t *testing.T) {
 	defer dist.Close()
 	loadRankings(t, dist, 200, false)
 	startWorkers(t, dist, 2)
-	// Run one distributed query so per-worker counters are non-zero.
+	// Run one distributed query twice so per-worker counters are non-zero
+	// and the statement is adapted once, then replayed.
+	collect(t, dist, queries[0])
 	collect(t, dist, queries[0])
 
 	df, err := dist.SQL("EXPLAIN ANALYZE " + queries[0])
@@ -251,6 +296,13 @@ func TestExplainAnalyzeShowsCluster(t *testing.T) {
 	out := text.String()
 	if !strings.Contains(out, "== Cluster ==") || !strings.Contains(out, "w0") {
 		t.Fatalf("EXPLAIN ANALYZE lacks cluster membership:\n%s", out)
+	}
+	if !strings.Contains(out, " bytes, 1 statements adapted\n") {
+		t.Fatalf("the session line does not count the adapted statement:\n%s", out)
+	}
+	metrics := formatRows(collect(t, dist, "SHOW METRICS LIKE 'cluster.adaptive.*'"))
+	if want := "cluster.adaptive.materialized\t1\ncluster.adaptive.replayed\t1"; metrics != want {
+		t.Fatalf("SHOW METRICS LIKE 'cluster.adaptive.*':\n%s\nwant\n%s", metrics, want)
 	}
 }
 

@@ -76,10 +76,15 @@ type ClusterRuntime struct {
 	fp        uint64
 	specBytes []byte
 	shippable bool
-	status    string                  // tail of the summary's session line
+	status    string                  // ", T tables, B bytes" of the summary's session line
+	degraded  string                  // its tail: why the session cannot ship, what is skipped
 	tables    map[string]shippedTable // by catalog name
 	inited    map[string]uint64       // workerID → epoch it holds
 	initLocks map[string]*sync.Mutex  // serializes init per worker
+	// decisions holds each distributed statement's adaptive decision list over
+	// the catalog in tables: any change RefreshSession finds empties it.
+	decisions              cluster.Memo[*adaptedStatement]
+	replayed, materialized *metrics.Counter
 
 	// Federated observability: the latest counter samples harvested from
 	// (or piggybacked by) each worker, keyed worker id → metric name →
@@ -114,15 +119,18 @@ func EnableCluster(e *Engine, opts ClusterOptions) (*ClusterRuntime, error) {
 		return nil, fmt.Errorf("core: cluster listen: %w", err)
 	}
 	rt := &ClusterRuntime{
-		e:          e,
-		coord:      coord,
-		template:   sqlwire.SessionSpec{Config: knobs},
-		sessionID:  fmt.Sprintf("s%d-%d", os.Getpid(), sessionSeq.Add(1)),
-		stale:      true,
-		tables:     make(map[string]shippedTable),
-		inited:     make(map[string]uint64),
-		initLocks:  make(map[string]*sync.Mutex),
-		obsWorkers: make(map[string]map[string]int64),
+		e:            e,
+		coord:        coord,
+		template:     sqlwire.SessionSpec{Config: knobs},
+		sessionID:    fmt.Sprintf("s%d-%d", os.Getpid(), sessionSeq.Add(1)),
+		stale:        true,
+		tables:       make(map[string]shippedTable),
+		inited:       make(map[string]uint64),
+		initLocks:    make(map[string]*sync.Mutex),
+		decisions:    make(cluster.Memo[*adaptedStatement]),
+		replayed:     e.RDDCtx.Metrics().Counter("cluster.adaptive.replayed"),
+		materialized: e.RDDCtx.Metrics().Counter("cluster.adaptive.materialized"),
+		obsWorkers:   make(map[string]map[string]int64),
 	}
 	e.cluster = rt
 	e.RDDCtx.SetRemoteRunner(rt)
@@ -182,11 +190,12 @@ type shippedTable struct {
 }
 
 // RefreshSession brings the shipped session up to date with the catalog:
-// relations the catalog replaced since the last call are re-encoded, and when
-// the fingerprint (the knobs, each table's name and hash) moves, the spec is
-// marshalled again, the epoch advances and every worker is re-initialized
-// before its next task. Failures only mark the session unshippable — queries
-// then run locally, never wrongly.
+// relations the catalog replaced since the last call are re-encoded, the
+// statements' recorded decisions are dropped, and when the fingerprint (the
+// knobs, each table's name and hash) moves, the spec is marshalled again, the
+// epoch advances and every worker is re-initialized before its next task.
+// Failures only mark the session unshippable — queries then run locally,
+// never wrongly.
 func (rt *ClusterRuntime) RefreshSession() {
 	names := rt.e.Catalog.TableNames()
 	reg := rt.e.RDDCtx.Metrics()
@@ -211,6 +220,7 @@ func (rt *ClusterRuntime) RefreshSession() {
 	if !changed {
 		return
 	}
+	clear(rt.decisions)
 	spec, skipped := rt.template, ""
 	spec.ID = rt.sessionID
 	h := fnv.New64a()
@@ -237,11 +247,12 @@ func (rt *ClusterRuntime) RefreshSession() {
 	}
 	rt.shippable = err == nil
 	rt.status = fmt.Sprintf(", %d tables, %d bytes", len(spec.Tables), len(rt.specBytes))
+	rt.degraded = ""
 	if err != nil {
-		rt.status += ", not shippable: " + err.Error()
+		rt.degraded = ", not shippable: " + err.Error()
 	}
 	if skipped != "" {
-		rt.status += ", skipped: " + skipped[2:]
+		rt.degraded += ", skipped: " + skipped[2:]
 	}
 }
 
@@ -444,10 +455,10 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 		cancel()
 		ec.CleanupSpills()
 	}
-	// Adaptive re-planning runs on the coordinator only: stages materialize
-	// here, decisions are taken once, and the decision list ships in every
+	// Adaptive re-planning runs on the coordinator only (a repeated statement
+	// replays its first run's decisions), and the decision list ships in every
 	// task so workers replay — never re-derive — the adapted plan.
-	pp, err := q.prepare(jc, ec)
+	pp, err := rt.adapt(jc, ec, q, sql)
 	if err != nil {
 		cleanup()
 		return nil, nil, nil, "", false
@@ -496,6 +507,41 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 	return rdd.RemoteOrLocal(local, "sql.partition", payload, decode), cleanup, jc, traceID, true
 }
 
+// adaptedStatement is a distributed statement's adaptive decision list (empty
+// when it adapted to nothing), as its first run over the catalog took it.
+type adaptedStatement struct {
+	cluster.MemoEntry
+	ds []physical.Decision
+}
+
+// adapt resolves the plan a distributed statement runs. One the memo holds (by
+// static plan hash and SQL text) replays its decisions, as a worker does, and
+// runs no stage here; any other adapts, materializing its exchange inputs, and
+// is recorded (concurrent misses both adapt; the last records). A replay changes
+// speed, never an answer; a list that no longer applies is adapted afresh.
+func (rt *ClusterRuntime) adapt(jc context.Context, ec *physical.ExecContext, q *QueryExecution, sql string) (physical.SparkPlan, error) {
+	if !ec.Adaptive || q.Executed != nil {
+		return q.prepare(jc, ec)
+	}
+	key := fmt.Sprintf("%016x %s", q.PlanHash(), sql)
+	rt.mu.Lock()
+	st, ok := rt.decisions.Get(key)
+	rt.mu.Unlock()
+	if ok && q.ApplyDecisions(st.ds) == nil {
+		rt.replayed.Inc()
+		return q.executedPlan(), nil
+	}
+	p, err := q.prepare(jc, ec)
+	if err != nil {
+		return nil, err
+	}
+	rt.mu.Lock()
+	rt.decisions.Put(key, &adaptedStatement{ds: q.Decisions})
+	rt.mu.Unlock()
+	rt.materialized.Inc()
+	return p, nil
+}
+
 // ApplyDecisions replays a coordinator's adaptive decision list over this
 // query's static physical plan, recording the adapted tree as Executed so
 // PlanHash and RDD-building reflect it — the worker-side half of adaptive
@@ -534,7 +580,7 @@ func (rt *ClusterRuntime) ClusterSummaryFor(traceID string) string {
 	fmt.Fprintf(&sb, "fallbacks: %d tasks computed locally\n",
 		reg.Counter("cluster.fallback").Load())
 	rt.mu.Lock()
-	fmt.Fprintf(&sb, "session: epoch %d%s\n", rt.epoch, rt.status)
+	fmt.Fprintf(&sb, "session: epoch %d%s, %d statements adapted%s\n", rt.epoch, rt.status, len(rt.decisions), rt.degraded)
 	rt.mu.Unlock()
 	byWorker := make(map[string]WorkerActual)
 	for _, wa := range workerActuals(rt.e.RDDCtx.Trace().TraceSpans(traceID)) {

@@ -300,9 +300,10 @@ type QueryExecution struct {
 	// SQLText is the statement this execution came from (""
 	// for programmatically built plans); the event log records it.
 	SQLText string
-	// Executed is the adaptively re-planned tree (stage barriers in place)
-	// once a query action has run with Config.Adaptive on; nil means the
-	// static Physical plan is (or will be) what executes. Decisions is the
+	// Executed is the adaptively re-planned tree (stage barriers in place, or
+	// none where recorded decisions were replayed) once a query action has
+	// run with Config.Adaptive on; nil means the static Physical plan is (or
+	// will be) what executes. Decisions is the
 	// rewrite list that derives Executed from Physical — the coordinator
 	// ships it so workers reproduce the identical adapted plan.
 	Executed  physical.SparkPlan

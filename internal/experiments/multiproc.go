@@ -151,7 +151,7 @@ func runUnshippablePhase(dist *sparksql.Context, res *MultiprocResult) error {
 
 var (
 	fallbackLine = regexp.MustCompile(`fallbacks: [1-9]\d* tasks computed locally`)
-	skippedLine  = regexp.MustCompile(`session: epoch [1-9]\d*, \d+ tables, \d+ bytes, skipped: unshippable\n`)
+	skippedLine  = regexp.MustCompile(`session: epoch [1-9]\d*, \d+ tables, \d+ bytes, \d+ statements adapted, skipped: unshippable\n`)
 )
 
 // workerProc is one spawned worker process.

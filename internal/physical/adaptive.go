@@ -24,8 +24,10 @@ package physical
 // Every decision is a pure rewrite of the static tree addressed by the
 // node's post-order ordinal, so the coordinator can ship its decisions in the
 // task spec and workers derive the identical adapted plan without re-adapting
-// (keeping the cluster plan-hash parity check sound). EXPLAIN ANALYZE
-// records each decision as `adapted: <from> -> <to> (<reason>)`.
+// (keeping the cluster plan-hash parity check sound), and the coordinator
+// replays a repeated statement's recorded decisions the same way instead of
+// running its stages again. EXPLAIN ANALYZE records each decision as
+// `adapted: <from> -> <to> (<reason>)`.
 
 import (
 	"cmp"

@@ -27,14 +27,11 @@ go build ./...
 # TestKernelsBorrowVectors, TestNoKeyStringsInExecutor and
 # TestNoGoMapInGroupTable, each with a fixture it fires on.
 # A statement pays for what changed in the catalog: the cluster runtime
-# re-encodes a table only where the catalog published a new relation, and a
-# LocalRelation's flat size comes from its memo cell. An unconditional
-# collectTables() in RefreshSession, or a row loop in plan.Stats' leaf case,
-# is the per-statement walk over every row coming back.
-if sed -n '/^func (rt \*ClusterRuntime) RefreshSession/,/^}/p' internal/core/cluster.go | grep -n 'collectTables()\|EncodeRows('; then
-	echo "internal/core/cluster.go: RefreshSession encodes the catalog on every statement again" >&2
-	exit 1
-fi
+# re-encodes a table only where the catalog published a new relation (an AST
+# gate in internal/archtest, TestRefreshSessionEncodesNothing, fired by
+# TestSessionGatesFire), and a LocalRelation's flat size comes from its memo
+# cell. A row loop in plan.Stats' leaf case is the per-statement walk over
+# every row coming back.
 if sed -n '/^	case \*LocalRelation:/,/^	case \*DataSourceRelation:/p' internal/plan/estimation.go | grep -n 'range n\.Rows'; then
 	echo "internal/plan/estimation.go: plan.Stats walks a LocalRelation's rows again" >&2
 	exit 1
@@ -75,13 +72,10 @@ if grep -rnE 'binary\.(BigEndian|LittleEndian)\.(Put|Append)?Uint(16|32)\(' --in
 	exit 1
 fi
 # A server statement pays only for its own bookkeeping: the event reads its
-# own trace's spans, not a copy of the ring; the server's row cap is the
-# collect's, so the statement is planned once and logs the hash of the plan
-# that ran; and a take is sized to the rows it takes, not to its cap.
-if grep -n 'Trace()\.Snapshot()' internal/core/observability.go internal/core/cluster.go; then
-	echo "internal/core copies the whole trace ring to find one statement's spans" >&2
-	exit 1
-fi
+# own trace's spans, not a copy of the ring (an AST gate in internal/archtest,
+# TestNoTraceRingCopy, fired by TestSessionGatesFire); the server's row cap is
+# the collect's, so the statement is planned once and logs the hash of the
+# plan that ran; and a take is sized to the rows it takes, not to its cap.
 if grep -n '\.Limit(\|\.PlanHash()' internal/sqlserver/server.go; then
 	echo "internal/sqlserver/server.go plans a statement twice again" >&2
 	exit 1
@@ -195,9 +189,13 @@ go test -race -count=3 -run '^TestRuleOffDifferential$|^TestUnconvergedBatchesAr
 
 # Session memo: written by RefreshSession, read by concurrent RunTasks and
 # summaries while the catalog changes — the invalidation contract (what a
-# changed, re-registered, dropped or committed table costs) and the
-# concurrent hammer, repeated for the interleavings.
-go test -race -count=5 -run '^TestSessionInvalidation$|^TestSessionRefreshConcurrent$' -timeout 5m ./internal/core/
+# changed, re-registered, dropped or committed table costs, and which changes
+# drop the statements' recorded decisions) and the concurrent hammer; the
+# statement memos beside it: a repeated distributed statement replays its
+# decisions with no coordinator stage, a stale list answers as the static
+# plan, and a worker's built statements stay bounded — repeated for the
+# interleavings.
+go test -race -count=5 -run '^TestSessionInvalidation$|^TestSessionRefreshConcurrent$|^TestStaleDecisionsReplayByteIdentical$|^TestDistributedMatchesLocal$|^TestWorkerStatementMemoBounded$|^TestMemoEvictsLeastRecentlyUsed$' -timeout 5m ./internal/core/ ./internal/cluster/ ./internal/cluster/sqlexec/
 
 # The session, task and reply decoders read bytes from another process: fuzz
 # the session decoder for a short fixed time (no panic; decode-encode-decode
