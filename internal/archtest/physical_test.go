@@ -60,6 +60,51 @@ func nestedJobs(t *testing.T, root string) []string {
 	}))
 }
 
+// rowSliceSorts returns the calls to sort.Slice, sort.SliceStable or sort.Sort
+// in internal/physical's non-test files: a sort run is an index sort over key
+// lanes extracted once (sortOrder.sort), not a comparison sort moving rows.
+func rowSliceSorts(t *testing.T, root string) []string {
+	t.Helper()
+	files, err := ParseFiles(root, func(rel string) bool { return path.Dir(rel) == "internal/physical" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return callStrings(FindCalls(files, func(f File, call *ast.CallExpr) bool {
+		local := f.ImportName("sort")
+		return local != "" && slices.ContainsFunc([]string{"Slice", "SliceStable", "Sort"}, func(name string) bool {
+			return IsSelector(call.Fun, local, name)
+		})
+	}))
+}
+
+// secondShuffledJoins returns where any Go file, test files included, names a
+// sort-merge join type or the zip it ran on: an identifier holding
+// SortMergeJoin, or ZipPartitionsCtx. A shuffled equi-join is a
+// ShuffledHashJoinExec at every memory budget.
+func secondShuffledJoins(t *testing.T, root string) []string {
+	t.Helper()
+	files, err := parseFiles(root, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return callStrings(FindNodes(files, func(_ File, n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		return ok && (strings.Contains(id.Name, "SortMergeJoin") || id.Name == "ZipPartitionsCtx")
+	}))
+}
+
+func TestNoRowSliceSort(t *testing.T) {
+	if bad := rowSliceSorts(t, "../.."); len(bad) > 0 {
+		t.Fatalf("internal/physical sorts rows with a comparison sort again: %v", bad)
+	}
+}
+
+func TestNoSecondShuffledJoin(t *testing.T) {
+	if bad := secondShuffledJoins(t, "../.."); len(bad) > 0 {
+		t.Fatalf("a second shuffled join is back: %v", bad)
+	}
+}
+
 func TestNoDeletedFusionAdmission(t *testing.T) {
 	if bad := admissionConditions(t, "../.."); len(bad) > 0 {
 		t.Fatalf("internal/physical: a deleted fusion admission condition is back: %v", bad)
@@ -75,8 +120,9 @@ func TestNoJobInsideTask(t *testing.T) {
 // The fixture's physical package holds the parent's join admission (its four
 // reasons, the join-type format, and keyShapeBlocker declared, called and
 // returning a reason) and a build side collected and a partition computed
-// inside a task; its rangejoin package collects its interval tree's build
-// side. Comments, and a test file's collect, are not reported.
+// inside a task, the external sorter's row-slice sorts, and a sort-merge join
+// declared and zipped; its rangejoin package collects its interval tree's
+// build side. Comments, and a test file's collect, are not reported.
 func TestPhysicalGatesFire(t *testing.T) {
 	root := "testdata/fixture"
 	if got, want := admissionConditions(t, root), []string{
@@ -96,5 +142,20 @@ func TestPhysicalGatesFire(t *testing.T) {
 		"internal/rangejoin/strategy.go:4 in IntervalJoinExec.load",
 	}; !slices.Equal(got, want) {
 		t.Errorf("fixture: nested jobs reported %v, want %v", got, want)
+	}
+	if got, want := rowSliceSorts(t, root), []string{
+		"internal/physical/extsort.go:46 in externalSorter.flushRun",
+		"internal/physical/extsort.go:81 in externalSorter.Finish",
+		"internal/physical/extsort.go:237 in sampleBounds",
+	}; !slices.Equal(got, want) {
+		t.Errorf("fixture: row-slice sorts reported %v, want %v", got, want)
+	}
+	if got, want := secondShuffledJoins(t, root), []string{
+		"internal/physical/smj.go:12",
+		"internal/physical/smj.go:16 in SortMergeJoinExec.SimpleString",
+		"internal/physical/smj.go:20 in SortMergeJoinExec.Execute",
+		"internal/physical/smj.go:22 in SortMergeJoinExec.Execute",
+	}; !slices.Equal(got, want) {
+		t.Errorf("fixture: second shuffled joins reported %v, want %v", got, want)
 	}
 }

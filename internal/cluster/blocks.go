@@ -51,12 +51,14 @@ func groupOf(key string) string {
 	return key
 }
 
-// Put stores one block, evicting old groups if needed.
+// Put stores one block, evicting old groups if needed. A key stored again
+// (a retried map task, a statement rebuilt) replaces its block in place.
 func (s *BlockStore) Put(key string, data []byte) {
 	g := groupOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.blocks[key]; ok {
+	old, stored := s.blocks[key]
+	if stored {
 		s.bytes -= int64(len(old))
 		if grp := s.groups[g]; grp != nil {
 			grp.bytes -= int64(len(old))
@@ -71,7 +73,9 @@ func (s *BlockStore) Put(key string, data []byte) {
 		s.groups[g] = grp
 		s.order = append(s.order, g)
 	}
-	grp.keys = append(grp.keys, key)
+	if !stored {
+		grp.keys = append(grp.keys, key)
+	}
 	grp.bytes += int64(len(cp))
 	for s.bytes > s.maxBytes && len(s.order) > 1 {
 		oldest := s.order[0]

@@ -355,6 +355,18 @@ func TestBlockStoreEviction(t *testing.T) {
 	if s.NumBlocks() != 0 || s.Bytes() != 0 {
 		t.Fatalf("after drop: blocks=%d bytes=%d", s.NumBlocks(), s.Bytes())
 	}
+	// A key put three times (a retried map task) is one key of its group,
+	// and evicting the group drops its block once.
+	for _, n := range []int{30, 50, 40} {
+		s.Put("c/0", make([]byte, n))
+	}
+	if grp := s.groups["c"]; len(grp.keys) != 1 || grp.bytes != 40 || s.Bytes() != 40 {
+		t.Fatalf("after three puts of one key: keys=%v group bytes=%d bytes=%d", grp.keys, grp.bytes, s.Bytes())
+	}
+	s.Put("d/0", make([]byte, 70)) // pushes past 100: group c evicts
+	if _, ok := s.Get("c/0"); ok || s.NumBlocks() != 1 || s.Bytes() != 70 || s.groups["c"] != nil {
+		t.Fatalf("after evicting c: blocks=%d bytes=%d", s.NumBlocks(), s.Bytes())
+	}
 }
 
 func TestCoordinatorCloseFailsTasks(t *testing.T) {

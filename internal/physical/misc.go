@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/rdd"
 	"repro/internal/row"
+	"repro/internal/types"
 )
 
 // SortExec orders rows. A global sort range-partitions the input on
@@ -51,38 +53,82 @@ func ordersString(orders []*expr.SortOrder) string {
 	return exprListString(os)
 }
 
-// sortLess binds a sort order over rows of input.
-func sortLess(ctx *ExecContext, orders []*expr.SortOrder, input []*expr.AttributeReference) func(a, b row.Row) bool {
-	evals := make([]func(row.Row) any, len(orders))
-	desc := make([]bool, len(orders))
-	for i, o := range orders {
-		evals[i] = ctx.evaluator(bind(o.Child, input))
-		desc[i] = o.Descending
+// sortOrder is a sort order bound once over rows of its input: per key, its
+// evaluator (ctx.evaluator, so the interpreted engine interprets), its type
+// and whether it descends.
+type sortOrder struct {
+	evals []func(row.Row) any
+	types []types.DataType
+	desc  []bool
+}
+
+func bindOrder(ctx *ExecContext, orders []*expr.SortOrder, input []*expr.AttributeReference) *sortOrder {
+	n := len(orders)
+	o := &sortOrder{evals: make([]func(row.Row) any, n), types: make([]types.DataType, n), desc: make([]bool, n)}
+	for i, so := range orders {
+		e := bind(so.Child, input)
+		o.evals[i], o.types[i], o.desc[i] = ctx.evaluator(e), e.DataType(), so.Descending
 	}
-	return func(a, b row.Row) bool {
-		for i, ev := range evals {
-			c := row.Compare(ev(a), ev(b))
-			if desc[i] {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
+	return o
+}
+
+// compare orders row a against row b, -1, 0 or 1, evaluating each key as far
+// as the first that differs.
+func (o *sortOrder) compare(a, b row.Row) int {
+	for i, ev := range o.evals {
+		c := row.Compare(ev(a), ev(b))
+		if o.desc[i] {
+			c = -c
 		}
-		return false
+		if c != 0 {
+			return c
+		}
 	}
+	return 0
+}
+
+// lanes evaluates each key once per row into a typed lane.
+func (o *sortOrder) lanes(rows []row.Row) keyLanes {
+	l := keyLanes{keys: make([]*columnar.Vector, len(o.evals)), desc: o.desc}
+	for k, ev := range o.evals {
+		l.keys[k] = columnar.NewVector(o.types[k], len(rows))
+		for i, r := range rows {
+			l.keys[k].Set(i, ev(r))
+		}
+	}
+	return l
+}
+
+// sort returns rows in their stable order: an index sort over their key lanes
+// (keyLanes.compare, the position last), the rows gathered once in its order.
+func (o *sortOrder) sort(rows []row.Row) []row.Row {
+	if len(rows) < 2 {
+		return rows
+	}
+	perm := identitySel(len(rows))
+	slices.SortFunc(perm, o.lanes(rows).compare)
+	return gatherRows(rows, perm)
+}
+
+// gatherRows returns the rows at the positions of sel, in its order.
+func gatherRows(rows []row.Row, sel []int32) []row.Row {
+	out := make([]row.Row, len(sel))
+	for i, p := range sel {
+		out[i] = rows[p]
+	}
+	return out
 }
 
 func (s *SortExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	less := sortLess(ctx, s.Orders, s.Child.Output())
+	order := bindOrder(ctx, s.Orders, s.Child.Output())
 	child := s.Child.Execute(ctx)
 	if s.Global {
-		child = rangePartition(ctx, child, less, s.Partitions)
+		child = rangePartition(ctx, child, order, s.Partitions)
 	}
 	om := s.EnableMetrics(ctx.Metrics)
 	return rdd.MapPartitionsCtx(child, func(_ context.Context, _ int, in []row.Row) ([]row.Row, error) {
 		start := time.Now()
-		sorter := newExternalSorter(ctx, "sort", less)
+		sorter := newExternalSorter(ctx, "sort", order)
 		defer sorter.Close()
 		if err := sorter.Add(in...); err != nil {
 			return nil, err
@@ -169,10 +215,10 @@ func (t *TopKExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] { return boxedRow
 // Results implements BatchTop: the merge task hands its at most N rows to
 // sink as one batch.
 func (t *TopKExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Arena] {
-	less := sortLess(ctx, t.Orders, t.Child.Output())
+	order := bindOrder(ctx, t.Orders, t.Child.Output())
 	om := t.EnableMetrics(ctx.Metrics)
 	keep := func(in []row.Row) []row.Row {
-		out := topRows(in, t.N, less)
+		out := topRows(in, t.N, order)
 		if om != nil {
 			om.KeptRows.Add(int64(len(out)))
 		}
@@ -182,7 +228,7 @@ func (t *TopKExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Aren
 	if top, ok := t.Child.(BatchTop); ok {
 		// A partition's batches each box their best N rows, which its task
 		// cuts to the partition's best N.
-		tops = rdd.MapOutput(top.Results(ctx, t.topSink(ctx, om)), func(arenas []expr.Arena) []row.Row {
+		tops = rdd.MapOutput(top.Results(ctx, t.topSink(ctx, om, order.desc)), func(arenas []expr.Arena) []row.Row {
 			return keep(expr.CutRows(arenas))
 		})
 	} else {
@@ -204,7 +250,7 @@ func (t *TopKExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Aren
 		if err != nil {
 			return nil, err
 		}
-		out := topRows(in, t.N, less)
+		out := topRows(in, t.N, order)
 		cols := make([]*columnar.Vector, len(attrs))
 		for j, a := range attrs {
 			cols[j] = columnar.NewAnyVector(a.DataType(), len(out))
@@ -221,12 +267,11 @@ func (t *TopKExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Aren
 // keys over the batch as kernels, selects the batch's N first positions under
 // the order in a bounded heap over the keys' lanes, and boxes those alone, in
 // position order.
-func (t *TopKExec) topSink(ctx *ExecContext, om *OperatorMetrics) ResultSink {
+func (t *TopKExec) topSink(ctx *ExecContext, om *OperatorMetrics, desc []bool) ResultSink {
 	input := t.Child.Output()
 	keys := make([]expr.VecEval, len(t.Orders))
-	desc := make([]bool, len(t.Orders))
 	for i, o := range t.Orders {
-		keys[i], desc[i] = ctx.vecEvaluator(bind(o.Child, input)), o.Descending
+		keys[i] = ctx.vecEvaluator(bind(o.Child, input))
 	}
 	return func(cols []*columnar.Vector, sel []int32) expr.Arena {
 		if om != nil {
@@ -234,7 +279,7 @@ func (t *TopKExec) topSink(ctx *ExecContext, om *OperatorMetrics) ResultSink {
 		}
 		if len(sel) > t.N {
 			batch := &expr.VecBatch{Cols: cols, N: int(sel[len(sel)-1]) + 1}
-			h := &posHeap{keys: make([]*columnar.Vector, len(keys)), desc: desc}
+			h := &posHeap{keyLanes: keyLanes{keys: make([]*columnar.Vector, len(keys)), desc: desc}}
 			for i, ev := range keys {
 				h.keys[i] = ev(batch, sel)
 			}
@@ -244,31 +289,39 @@ func (t *TopKExec) topSink(ctx *ExecContext, om *OperatorMetrics) ResultSink {
 	}
 }
 
-// posHeap holds the batch positions a top-K keeps so far with the worst at
-// its root: the last under the order of the key vectors (desc flips a key),
-// ties broken by position.
-type posHeap struct {
+// keyLanes are a sort order's keys evaluated over a batch or a run, one lane
+// per key, and which of them descend: the one comparator over key lanes, for
+// sort runs and for top-K's batches and candidates alike.
+type keyLanes struct {
 	keys []*columnar.Vector
 	desc []bool
-	pos  []int32
 }
 
-// before reports whether position a comes before position b.
-func (h *posHeap) before(a, b int32) bool {
-	for k, v := range h.keys {
+// compare orders position a against position b: the keys in order (desc flips
+// a key), ties broken by position, so distinct positions never compare equal
+// and any sort under it is the stable sort.
+func (l keyLanes) compare(a, b int32) int {
+	for k, v := range l.keys {
 		c := v.CompareAt(int(a), v, int(b))
-		if h.desc[k] {
+		if l.desc[k] {
 			c = -c
 		}
 		if c != 0 {
-			return c < 0
+			return c
 		}
 	}
-	return a < b
+	return cmp.Compare(a, b)
+}
+
+// posHeap holds the batch positions a top-K keeps so far with the worst at
+// its root: the last under its key lanes.
+type posHeap struct {
+	keyLanes
+	pos []int32
 }
 
 func (h *posHeap) Len() int           { return len(h.pos) }
-func (h *posHeap) Less(i, j int) bool { return h.before(h.pos[j], h.pos[i]) }
+func (h *posHeap) Less(i, j int) bool { return h.compare(h.pos[j], h.pos[i]) < 0 }
 func (h *posHeap) Swap(i, j int)      { h.pos[i], h.pos[j] = h.pos[j], h.pos[i] }
 func (h *posHeap) Push(any)           { panic("posHeap is filled in place") }
 func (h *posHeap) Pop() any           { panic("posHeap is filled in place") }
@@ -283,7 +336,7 @@ func (h *posHeap) top(sel []int32, n int) []int32 {
 	h.pos = slices.Clone(sel[:n])
 	heap.Init(h)
 	for _, i := range sel[n:] {
-		if h.before(i, h.pos[0]) {
+		if h.compare(i, h.pos[0]) < 0 {
 			h.pos[0] = i
 			heap.Fix(h, 0)
 		}
@@ -292,28 +345,17 @@ func (h *posHeap) top(sel []int32, n int) []int32 {
 	return h.pos
 }
 
-// topRows returns the n first rows of in under less, sorted, equal rows in
-// input order. The heap is the external sort's merge heap under the reversed
-// order with the negated position as tie-break, so its root is the worst row
-// kept: a row that does not beat it is dropped, one that does replaces it.
-func topRows(in []row.Row, n int, less func(a, b row.Row) bool) []row.Row {
-	if n <= 0 {
-		return nil
+// topRows returns the n first rows of in under order, sorted, equal rows in
+// input order: the bounded heap over their key lanes keeps n positions, which
+// are then sorted and gathered.
+func topRows(in []row.Row, n int, order *sortOrder) []row.Row {
+	h := &posHeap{keyLanes: order.lanes(in)}
+	kept := identitySel(len(in))
+	if len(in) > n {
+		kept = h.top(kept, n)
 	}
-	h := &mergeHeap{less: func(a, b row.Row) bool { return less(b, a) }}
-	for i, r := range in {
-		if len(h.items) < n {
-			heap.Push(h, &runCursor{head: r, idx: -i})
-		} else if worst := h.items[0]; less(r, worst.head) {
-			worst.head, worst.idx = r, -i
-			heap.Fix(h, 0)
-		}
-	}
-	out := make([]row.Row, len(h.items))
-	for k := len(out) - 1; k >= 0; k-- {
-		out[k] = heap.Pop(h).(*runCursor).head
-	}
-	return out
+	slices.SortFunc(kept, h.compare)
+	return gatherRows(in, kept)
 }
 
 // UnionExec concatenates children partitions.

@@ -53,12 +53,9 @@ if grep -rn 'LazyBuild\|shuffleState\|CollectPartitionsContext' --include='*.go'
 	echo "a second stage mechanism is back" >&2
 	exit 1
 fi
-# One shuffled join: ShuffledHashJoinExec at every memory budget. A sort-merge
-# join, or the zip it ran on, coming back is a second shuffled join.
-if grep -rn 'SortMergeJoin\|ZipPartitionsCtx' --include='*.go' .; then
-	echo "a second shuffled join is back" >&2
-	exit 1
-fi
+# One shuffled join, and sort runs that are index sorts over key lanes: AST
+# gates in internal/archtest, TestNoSecondShuffledJoin and TestNoRowSliceSort,
+# fired by TestPhysicalGatesFire.
 # One framer: internal/frame cuts every record that crosses a process or
 # disk boundary. A second importer of hash/crc32, or a fixed-width length
 # prefix written or read with encoding/binary under the cluster, the store
