@@ -175,3 +175,28 @@ func TestMessageDecodersRejectTruncation(t *testing.T) {
 		t.Fatalf("oversized payload claim: err = %v", err)
 	}
 }
+
+// A decoded payload is the frame's own bytes, not a copy, and is clipped to
+// them: appending to it cannot overwrite what follows it in the buffer.
+func TestDecodedPayloadAliasesFrame(t *testing.T) {
+	for _, c := range []struct {
+		msg    []byte
+		decode func([]byte) ([]byte, error)
+	}{
+		{encodeTask(taskMsg{TaskID: 1, Kind: "k", Payload: []byte("task")}), func(b []byte) ([]byte, error) { m, err := decodeTask(b); return m.Payload, err }},
+		{encodeTaskResult(taskResultMsg{TaskID: 1, Payload: []byte("result")}), func(b []byte) ([]byte, error) { m, err := decodeTaskResult(b); return m.Payload, err }},
+		{encodeBlockData(blockDataMsg{OK: true, Data: []byte("block")}), func(b []byte) ([]byte, error) { m, err := decodeBlockData(b); return m.Data, err }},
+	} {
+		buf := append(c.msg, "after"...)
+		got, err := c.decode(buf[:len(c.msg)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end := len(c.msg) - len(got); &got[0] != &buf[end] {
+			t.Fatalf("payload %q is a copy of the frame's bytes", got)
+		}
+		if _ = append(got, "XXXXX"...); string(buf[len(c.msg):]) != "after" {
+			t.Fatalf("appending to payload %q overwrote the bytes after it: %q", got, buf[len(c.msg):])
+		}
+	}
+}

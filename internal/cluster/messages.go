@@ -78,16 +78,16 @@ func (d *dec) str() (string, error) {
 	return string(s), err
 }
 
+// bytes returns a payload field as a sub-slice of the message, clipped to
+// its length so that an append cannot reach the bytes after it: every
+// message is decoded from a frame frame.Read allocated for it alone.
 func (d *dec) bytes() ([]byte, error) {
 	n, err := d.u64()
 	if err != nil {
 		return nil, err
 	}
 	s, err := d.take(n)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), s...), nil
+	return s[:len(s):len(s)], err
 }
 
 func (d *dec) strs() ([]string, error) {

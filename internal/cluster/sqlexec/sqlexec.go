@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -146,27 +147,19 @@ func loadTable(ctx *sparksql.Context, t sqlwire.TableSpec) error {
 	if err != nil {
 		return err
 	}
-	if !t.Cached {
-		var rows []row.Row
-		for _, blk := range t.Partitions {
-			part, err := row.DecodeRows(blk)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, part...)
+	parts := make([][]row.Row, len(t.Partitions))
+	for i, blk := range t.Partitions {
+		if parts[i], err = columnar.DecodeBlock(blk); err != nil {
+			return err
 		}
-		df, err := ctx.CreateDataFrame(schema, rows)
+	}
+	if !t.Cached {
+		df, err := ctx.CreateDataFrame(schema, slices.Concat(parts...))
 		if err != nil {
 			return err
 		}
 		df.RegisterTempTable(t.Name)
 		return nil
-	}
-	parts := make([][]row.Row, len(t.Partitions))
-	for i, blk := range t.Partitions {
-		if parts[i], err = row.DecodeRows(blk); err != nil {
-			return err
-		}
 	}
 	table := columnar.BuildTable(schema, parts, columnar.DefaultBatchSize)
 	attrs := make([]*expr.AttributeReference, len(schema.Fields))
@@ -222,7 +215,7 @@ func (e *Executor) handlePartition(jc context.Context, w *cluster.Worker, payloa
 		return nil, err
 	}
 	reply := &sqlwire.TaskReply{Worker: w.ID()}
-	if reply.Rows, err = row.EncodeRows(rows); err != nil {
+	if reply.Rows, err = columnar.EncodeBlock(rows); err != nil {
 		return nil, err
 	}
 	if sink != nil {

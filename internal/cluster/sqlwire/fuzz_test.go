@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/columnar"
 	"repro/internal/frame"
 	"repro/internal/metrics"
+	"repro/internal/row"
 )
 
 // The decoders read bytes that crossed a process boundary. Whatever the
@@ -87,7 +89,12 @@ func FuzzDecodeQuery(f *testing.F) {
 }
 
 func FuzzDecodeTaskReply(f *testing.F) {
+	block, err := columnar.EncodeBlock([]row.Row{{"10.0.0.1", 2.5}, {"10.0.0.2", nil}})
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, r := range []*TaskReply{
+		{Worker: "w2", Rows: block},
 		{Worker: "w1", Rows: []byte{1, 2, 3},
 			Spans:    []metrics.Span{{Kind: metrics.SpanTask, Name: "scan", Partition: 2, Trace: "q-1-7", Parent: "q-1-7/p2", Worker: "w1", Records: 10}},
 			Counters: []CounterSample{{Name: "rdd.tasks.run", Value: 5}}},

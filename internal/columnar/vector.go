@@ -457,9 +457,9 @@ func (v *Vector) Get(i int) any {
 // dst[k*stride], so a caller laying rows out back to back in one []any (stride
 // cells each) fills one column of all of them per call, in a loop over the
 // typed lane. dst holds nil at those cells beforehand. A constant is boxed
-// once and shared. A string column's cells, NULLs aside, are boxed from one
-// slab allocated per call (boxStrings); every other cell is boxed on its own,
-// which costs nothing for the small integers the runtime keeps preboxed.
+// once and shared. A string or DOUBLE column's cells, NULLs aside, are boxed
+// from one slab allocated per call (boxSlab); every other cell is boxed on its
+// own, which costs nothing for the small integers the runtime keeps preboxed.
 func (v *Vector) BoxInto(dst []any, stride int, sel []int32) {
 	switch {
 	case v.isConst:
@@ -468,7 +468,9 @@ func (v *Vector) BoxInto(dst []any, stride int, sel []int32) {
 			dst[k*stride] = val
 		}
 	case v.Kind == KindString:
-		boxStrings(dst, stride, v.Str, sel, v.nulls)
+		boxSlab(dst, stride, v.Str, sel, v.nulls, stringType)
+	case v.Kind == KindFloat64:
+		boxSlab(dst, stride, v.F64, sel, v.nulls, float64Type)
 	case v.HasNulls() || v.Kind == KindAny:
 		for k, i := range sel {
 			dst[k*stride] = v.Get(int(i))
@@ -480,10 +482,6 @@ func (v *Vector) BoxInto(dst []any, stride int, sel []int32) {
 	case v.Kind == KindInt64:
 		for k, i := range sel {
 			dst[k*stride] = v.I64[i]
-		}
-	case v.Kind == KindFloat64:
-		for k, i := range sel {
-			dst[k*stride] = v.F64[i]
 		}
 	default:
 		for k, i := range sel {

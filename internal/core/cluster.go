@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cluster/sqlwire"
+	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/frame"
 	"repro/internal/metrics"
@@ -268,14 +269,14 @@ func encodeTable(name string, lp plan.LogicalPlan, reg *metrics.Registry) shippe
 	case *plan.LocalRelation:
 		spec.Partitions = make([][]byte, 1)
 		if spec.Fields, ok = attrFields(t.Attrs); ok {
-			spec.Partitions[0], err = row.EncodeRows(t.Rows)
+			spec.Partitions[0], err = columnar.EncodeBlock(t.Rows)
 		}
 	case *plan.InMemoryRelation:
 		spec.Cached = true
 		spec.Fields, ok = sqlwire.Fields(t.Table.Schema)
 		spec.Partitions = make([][]byte, len(t.Table.Partitions))
 		for p := 0; ok && err == nil && p < len(spec.Partitions); p++ {
-			spec.Partitions[p], err = row.EncodeRows(t.Table.ScanPartition(p, nil, nil))
+			spec.Partitions[p], err = columnar.EncodeBlock(t.Table.ScanPartition(p, nil, nil))
 		}
 	}
 	if !ok || err != nil {
@@ -502,7 +503,7 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 			return nil, err
 		}
 		rt.absorbReply(reply)
-		return row.DecodeRows(reply.Rows)
+		return columnar.DecodeBlock(reply.Rows)
 	}
 	return rdd.RemoteOrLocal(local, "sql.partition", payload, decode), cleanup, jc, traceID, true
 }

@@ -183,7 +183,7 @@ func TestSessionInvalidation(t *testing.T) {
 		!spec.Tables[1].Cached || len(spec.Tables[1].Partitions) != 2 || !spec.Chaos.Enabled || spec.BackoffSeed != 3 {
 		t.Fatalf("shipped spec: epoch %d (want %d), tables %d", spec.Epoch, rt.epoch, len(spec.Tables))
 	}
-	rows, err := row.DecodeRows(spec.Tables[0].Partitions[0])
+	rows, err := columnar.DecodeBlock(spec.Tables[0].Partitions[0])
 	if err != nil || len(rows) != 2000 || rows[5][1] != "x5" {
 		t.Fatalf("table a decodes to %d rows (%v)", len(rows), err)
 	}

@@ -548,7 +548,7 @@ func TestVecAggregatorLanesMatchScalar(t *testing.T) {
 }
 
 // A state lane must survive a reducer's spill file: for every lane type,
-// Buffer -> EncodeBuffer -> the row spill codec -> DecodeBuffer -> SetBuffer
+// Buffer -> EncodeBuffer -> the block codec -> DecodeBuffer -> SetBuffer
 // rebuilds a lane that merges into a fresh accumulator exactly as the original
 // lane does — typed and boxed lanes alike, never-reached groups included.
 func TestVecAggregatorBufferRoundTrip(t *testing.T) {
@@ -595,11 +595,11 @@ func TestVecAggregatorBufferRoundTrip(t *testing.T) {
 			for g := range recs {
 				recs[g] = row.Row{fn.EncodeBuffer(orig.Buffer(g))}
 			}
-			enc, err := row.EncodeRows(recs)
+			enc, err := columnar.EncodeBlock(recs)
 			if err != nil {
 				t.Fatalf("%s: %v", fn, err)
 			}
-			if recs, err = row.DecodeRows(enc); err != nil {
+			if recs, err = columnar.DecodeBlock(enc); err != nil {
 				t.Fatalf("%s: %v", fn, err)
 			}
 			back := lane()

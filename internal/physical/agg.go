@@ -467,7 +467,7 @@ func (m *aggMerge) readBlock(i int) (b aggBlock, err error) {
 	if err != nil {
 		return b, err
 	}
-	recs, err := row.DecodeRows(enc)
+	recs, err := columnar.DecodeBlock(enc)
 	if err != nil {
 		return b, err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/columnar"
 	"repro/internal/memory"
 	"repro/internal/row"
 )
@@ -113,7 +114,7 @@ func (s *spillState) writeRun(name string, rows []row.Row) (path string, blocks 
 	}
 	path = s.prefix + "/" + name
 	for off := 0; off < len(rows); off += spillBlockRows {
-		enc, err := row.EncodeRows(rows[off:min(off+spillBlockRows, len(rows))])
+		enc, err := columnar.EncodeBlock(rows[off:min(off+spillBlockRows, len(rows))])
 		if err != nil {
 			return path, 0, 0, err
 		}

@@ -318,7 +318,7 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RDD
 // PartitionByHashCodec hash-partitions arbitrary records by a
 // caller-supplied hash — the physical layer's row exchanges use this with
 // row hashes — with cross-worker bucket exchange for codec-capable record
-// types (the physical layer passes the row codec so workers fetch each
+// types (the physical layer passes the block codec so workers fetch each
 // other's map outputs instead of recomputing the map side per reduce
 // partition; a nil codec keeps the exchange process-local).
 func PartitionByHashCodec[T any](r *RDD[T], numPartitions int, hash func(T) uint64, codec *Codec[T]) *RDD[T] {

@@ -8,12 +8,12 @@ import (
 	"repro/internal/types"
 )
 
-// Spill codec: a compact tagged binary encoding of rows, used by the
-// external-sort and spillable-aggregation operators to write sorted runs
-// and hash partitions to the simulated DFS and read them back unchanged.
+// Row codec: a compact tagged binary encoding of rows, used by the durable
+// table store's WAL records and checkpoints; its value encoding also carries
+// the cells of internal/columnar's block codec that have no typed lane.
 // Round-tripping is exact for every value the Row data model produces
-// (see the package comment's value mapping), which is what keeps spilled
-// execution byte-identical to the in-memory path.
+// (see the package comment's value mapping), which is what keeps a
+// recovered table byte-identical to the one that was written.
 
 const (
 	tagNil = iota
@@ -120,6 +120,14 @@ func DecodeRows(b []byte) ([]Row, error) {
 		return nil, fmt.Errorf("row: decode: %d trailing bytes", len(d.b)-d.off)
 	}
 	return rows, nil
+}
+
+// DecodeValue decodes the single value AppendValue wrote at the front of b,
+// returning it and the number of bytes it took.
+func DecodeValue(b []byte) (any, int, error) {
+	d := &decoder{b: b}
+	v, err := d.value()
+	return v, d.off, err
 }
 
 type decoder struct {

@@ -58,16 +58,14 @@ fi
 # fired by TestPhysicalGatesFire.
 # One framer: internal/frame cuts every record that crosses a process or
 # disk boundary. A second importer of hash/crc32, or a fixed-width length
-# prefix written or read with encoding/binary under the cluster, the store
-# or the durable file system, is a hand-rolled framer coming back.
-if grep -rl '"hash/crc32"' --include='*.go' . | grep -v '_test\.go$' | grep -v '^\./internal/frame/'; then
-	echo "hash/crc32 is imported outside internal/frame" >&2
-	exit 1
-fi
-if grep -rnE 'binary\.(BigEndian|LittleEndian)\.(Put|Append)?Uint(16|32)\(' --include='*.go' internal/cluster internal/store internal/dfs | grep -v '_test\.go:'; then
-	echo "a record is framed by hand outside internal/frame" >&2
-	exit 1
-fi
+# prefix written or read with encoding/binary under the cluster, the store or
+# the durable file system, is a hand-rolled framer coming back; and rows that
+# cross a process boundary for a while (shuffle buckets, task replies, session
+# tables, spill runs) travel as internal/columnar blocks, the row codec's
+# blocks being the durable store's format alone. AST gates in
+# internal/archtest, run by go test ./... below: TestCRC32OnlyInFrame,
+# TestNoHandRolledFraming and TestRowBlocksOnlyInStore, fired by
+# TestCodecGatesFire.
 # A server statement pays only for its own bookkeeping: the event reads its
 # own trace's spans, not a copy of the ring (an AST gate in internal/archtest,
 # TestNoTraceRingCopy, fired by TestSessionGatesFire); the server's row cap is
@@ -196,8 +194,12 @@ go test -race -count=5 -run '^TestSessionInvalidation$|^TestSessionRefreshConcur
 
 # The session, task and reply decoders read bytes from another process: fuzz
 # the session decoder for a short fixed time (no panic; decode-encode-decode
-# is a fixed point); the other two run their seed corpora with the tests.
+# is a fixed point); the other two run their seed corpora with the tests. The
+# row blocks inside replies, shuffle buckets, session tables and spill runs
+# are fuzzed likewise (no panic, no allocation past what the bytes can hold,
+# a fixed point).
 go test -run '^$' -fuzz=FuzzDecodeSession -fuzztime=10s -timeout 5m ./internal/cluster/sqlwire/
+go test -run '^$' -fuzz=FuzzDecodeBlock -fuzztime=10s -timeout 5m ./internal/columnar/
 
 # Knob parity: every Config field, walked by reflection, reaches a worker
 # through EncodeSession -> DecodeSession -> buildContext as the coordinator
