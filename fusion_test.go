@@ -240,6 +240,51 @@ var fusedCanonQueries = []string{
 	"SELECT DISTINCT word FROM events",
 }
 
+// setupLaneJoinTables adds the build sides the lane build is tested on:
+// `dimd`, 120 rows in which each non-NULL grp key repeats two or three times
+// and every 17th is NULL, with a DOUBLE key x cycling through NaN, -0.0, 0.0,
+// NULL and two plain values; `dime`, a build side with no rows; and `dimk`,
+// ids 0..99, which the probe batches of events past id 99 never match.
+func setupLaneJoinTables(t testing.TB, ctx *Context, register tableLeaf) {
+	t.Helper()
+	doubles := []any{math.NaN(), math.Copysign(0, -1), 0.0, 1.5, nil, -2.25}
+	dimd := make([]Row, 120)
+	for i := range dimd {
+		var grp any = int32(i % 50)
+		if i%17 == 0 {
+			grp = nil
+		}
+		dimd[i] = Row{grp, fmt.Sprintf("t%03d", i), doubles[i%len(doubles)]}
+	}
+	register(t, ctx, StructType{}.Add("grp", IntType, true).Add("tag", StringType, false).Add("x", DoubleType, true), dimd, "dimd", 0)
+	register(t, ctx, StructType{}.Add("grp", IntType, true).Add("label", StringType, false), nil, "dime", 0)
+	dimk := make([]Row, 100)
+	for i := range dimk {
+		dimk[i] = Row{int32(i), fmt.Sprintf("k%02d", i)}
+	}
+	register(t, ctx, StructType{}.Add("id", IntType, false).Add("klabel", StringType, false), dimk, "dimk", 0)
+}
+
+// laneJoinQueries are broadcast joins over the lane build: duplicate build
+// keys (a probe row's matches in build-collect order), NULL keys on both
+// sides, DOUBLE keys holding -0.0 and NaN, an empty build side, probe batches
+// with no match, LEFT OUTER, LEFT SEMI, a residual, and an aggregate on top.
+// Unbudgeted they broadcast, and their output is the row join's byte for
+// byte, order included; under a budget only the row set compares.
+var laneJoinQueries = []string{
+	"SELECT e.id, d.tag, d.grp FROM events e JOIN dimd d ON e.grp = d.grp WHERE e.id < 900",
+	"SELECT e.id, d.tag, d.x FROM events e LEFT JOIN dimd d ON e.grp = d.grp WHERE e.id < 900",
+	"SELECT e.id, e.name FROM events e LEFT SEMI JOIN dimd d ON e.grp = d.grp WHERE e.id < 900",
+	"SELECT e.id, d.tag FROM events e JOIN dimd d ON e.grp = d.grp AND e.sub < d.grp % 7 WHERE e.id < 900",
+	"SELECT a.tag, a.x, b.tag, b.x FROM dimd a JOIN dimd b ON a.x = b.x",
+	"SELECT a.tag, b.tag, b.x FROM dimd a LEFT JOIN dimd b ON a.x = b.x AND a.grp < b.grp",
+	"SELECT e.id, d.label FROM events e JOIN dime d ON e.grp = d.grp",
+	"SELECT e.id, d.label FROM events e LEFT JOIN dime d ON e.grp = d.grp WHERE e.id < 300",
+	"SELECT e.id, k.klabel FROM events e JOIN dimk k ON e.id = k.id",
+	"SELECT e.id, k.klabel FROM events e LEFT JOIN dimk k ON e.id = k.id WHERE e.id % 7 = 0",
+	"SELECT d.tag, count(*), sum(d.x), min(e.name) FROM events e JOIN dimd d ON e.grp = d.grp GROUP BY d.tag",
+}
+
 // randomFusedQueries derives extra grouped-aggregate shapes from a fixed
 // seed: random key shape, random selectivity.
 func randomFusedQueries() []string {
@@ -264,12 +309,13 @@ func TestFusedPipelineByteIdentical(t *testing.T) {
 
 	golden := NewContextWithConfig(fusedConfig(0, false))
 	setupFusedTables(t, golden, cacheTempTable)
-	wantExact := make(map[string]string, len(fusedExactQueries))
-	for _, q := range fusedExactQueries {
+	setupLaneJoinTables(t, golden, cacheTempTable)
+	wantExact := make(map[string]string, len(fusedExactQueries)+len(laneJoinQueries))
+	for _, q := range append(slices.Clone(fusedExactQueries), laneJoinQueries...) {
 		wantExact[q] = rowsText(spillCollect(t, golden, q))
 	}
-	wantCanon := make(map[string]string, len(canonQueries))
-	for _, q := range canonQueries {
+	wantCanon := make(map[string]string, len(canonQueries)+len(laneJoinQueries))
+	for _, q := range append(slices.Clone(canonQueries), laneJoinQueries...) {
 		wantCanon[q] = canonText(spillCollect(t, golden, q))
 	}
 
@@ -288,8 +334,19 @@ func TestFusedPipelineByteIdentical(t *testing.T) {
 				}
 				ctx := NewContextWithConfig(fusedConfig(budget, true))
 				setupFusedTables(t, ctx, leaf.register)
+				setupLaneJoinTables(t, ctx, leaf.register)
 				ctx.SpillFS().WriteNanosPerByte = 0
 				ctx.SpillFS().ReadNanosPerByte = 0
+				for _, q := range laneJoinQueries {
+					rows := spillCollect(t, ctx, q)
+					got, want := rowsText(rows), wantExact[q]
+					if budget > 0 {
+						got, want = canonText(rows), wantCanon[q]
+					}
+					if got != want {
+						t.Errorf("%q diverged from the row path at budget %d:\n got %.300q\nwant %.300q", q, budget, got, want)
+					}
+				}
 				for _, q := range fusedExactQueries {
 					if got := rowsText(spillCollect(t, ctx, q)); got != wantExact[q] {
 						t.Errorf("%q diverged from the row path at budget %d", q, budget)

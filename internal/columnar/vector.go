@@ -457,9 +457,9 @@ func (v *Vector) Get(i int) any {
 // dst[k*stride], so a caller laying rows out back to back in one []any (stride
 // cells each) fills one column of all of them per call, in a loop over the
 // typed lane. dst holds nil at those cells beforehand. A constant is boxed
-// once and shared. A string or DOUBLE column's cells, NULLs aside, are boxed
-// from one slab allocated per call (boxSlab); every other cell is boxed on its
-// own, which costs nothing for the small integers the runtime keeps preboxed.
+// once and shared. A string, DOUBLE or integer column's cells, NULLs and the
+// small integers the runtime keeps preboxed aside, are boxed from one slab
+// allocated per call (boxSlab, boxInts); every other cell is boxed on its own.
 func (v *Vector) BoxInto(dst []any, stride int, sel []int32) {
 	switch {
 	case v.isConst:
@@ -471,17 +471,13 @@ func (v *Vector) BoxInto(dst []any, stride int, sel []int32) {
 		boxSlab(dst, stride, v.Str, sel, v.nulls, stringType)
 	case v.Kind == KindFloat64:
 		boxSlab(dst, stride, v.F64, sel, v.nulls, float64Type)
+	case v.Kind == KindInt64 && narrowInt(v.Type):
+		boxInts[int32](dst, stride, v.I64, sel, v.nulls, int32Type)
+	case v.Kind == KindInt64:
+		boxInts[int64](dst, stride, v.I64, sel, v.nulls, int64Type)
 	case v.HasNulls() || v.Kind == KindAny:
 		for k, i := range sel {
 			dst[k*stride] = v.Get(int(i))
-		}
-	case v.Kind == KindInt64 && narrowInt(v.Type):
-		for k, i := range sel {
-			dst[k*stride] = int32(v.I64[i])
-		}
-	case v.Kind == KindInt64:
-		for k, i := range sel {
-			dst[k*stride] = v.I64[i]
 		}
 	default:
 		for k, i := range sel {
@@ -490,46 +486,92 @@ func (v *Vector) BoxInto(dst []any, stride int, sel []int32) {
 	}
 }
 
-// Gather returns a new (non-constant) vector holding v's positions sel, in
-// order — a copy of all of v when sel is nil. It shares no lane and no NULL
-// bitmap with v: a scan that decodes into scratch it reuses hands over the
-// surviving positions this way.
-func (v *Vector) Gather(sel []int32) *Vector {
-	out := &Vector{Kind: v.Kind, Type: v.Type, n: len(sel)}
-	if sel == nil {
-		out.n, out.nulls = v.n, slices.Clone(v.nulls)
+// GatherInto makes dst a non-constant vector holding v's positions sel, in
+// order, a negative position NULL, and returns it. dst keeps its lanes (a nil
+// dst, or one of another kind, is replaced by a new vector, of exactly
+// len(sel) rows), so a task that gathers batch after batch into one vector
+// allocates only while it grows; it shares no lane and no NULL bitmap with v,
+// so a scan that decodes into scratch it reuses hands over survivors this way.
+func (v *Vector) GatherInto(dst *Vector, sel []int32) *Vector {
+	if dst == nil || dst.Kind != v.Kind || dst.isConst {
+		dst = &Vector{Kind: v.Kind}
 	}
+	dst.Renew(v.Type, len(sel))
 	switch v.Kind {
 	case KindInt64:
-		out.I64 = gatherLane(v.I64[:v.n], sel)
+		gatherLane(dst, dst.I64, v, v.I64, sel)
 	case KindFloat64:
-		out.F64 = gatherLane(v.F64[:v.n], sel)
+		gatherLane(dst, dst.F64, v, v.F64, sel)
 	case KindString:
-		out.Str = gatherLane(v.Str[:v.n], sel)
+		gatherLane(dst, dst.Str, v, v.Str, sel)
 	case KindBool:
-		out.Bool = gatherLane(v.Bool[:v.n], sel)
+		gatherLane(dst, dst.Bool, v, v.Bool, sel)
 	default:
-		out.Any = gatherLane(v.Any[:v.n], sel)
+		gatherLane(dst, dst.Any, v, v.Any, sel)
 	}
-	if v.HasNulls() {
-		for o, i := range sel {
-			if v.IsNull(int(i)) {
-				out.SetNull(o)
+	return dst
+}
+
+// gatherLane writes src's lane value at sel[k] to dst's lane at k, or marks
+// dst's position k NULL (its lane value zero) where sel[k] is negative or
+// src's position NULL.
+func gatherLane[T any](dst *Vector, to []T, src *Vector, from []T, sel []int32) {
+	var zero T
+	m, nulls, to := src.Mask(), src.HasNulls(), to[:len(sel)]
+	for k, i := range sel {
+		if i >= 0 && !(nulls && src.IsNull(int(i))) {
+			to[k] = from[int(i)&m]
+			continue
+		}
+		to[k] = zero
+		dst.SetNull(k)
+	}
+}
+
+// Concat returns parts' rows back to back as one vector of type t, its lane
+// allocated once at their total length. The parts are non-constant vectors
+// of one kind; with none, the vector is t's, of no rows.
+func Concat(t types.DataType, parts []*Vector) *Vector {
+	out, n := &Vector{Kind: KindOf(t), Type: t}, 0
+	for _, p := range parts {
+		out.Kind, n = p.Kind, n+p.n
+	}
+	out.growLane(n)
+	at := 0
+	for _, p := range parts {
+		switch out.Kind {
+		case KindInt64:
+			copy(out.I64[at:], p.I64[:p.n])
+		case KindFloat64:
+			copy(out.F64[at:], p.F64[:p.n])
+		case KindString:
+			copy(out.Str[at:], p.Str[:p.n])
+		case KindBool:
+			copy(out.Bool[at:], p.Bool[:p.n])
+		default:
+			copy(out.Any[at:], p.Any[:p.n])
+		}
+		for i := 0; p.HasNulls() && i < p.n; i++ {
+			if p.IsNull(i) {
+				out.SetNull(at + i)
 			}
 		}
+		at += p.n
 	}
 	return out
 }
 
-func gatherLane[T any](src []T, sel []int32) []T {
-	if sel == nil {
-		return slices.Clone(src)
+// SizeBytes is the vector's approximate in-memory size: 8 bytes a row, a
+// string's or a boxed value's own bytes besides, and its NULL bitmap.
+func (v *Vector) SizeBytes() int64 {
+	s := 8 * int64(v.n+len(v.nulls))
+	for _, x := range v.Str {
+		s += 8 + int64(len(x))
 	}
-	out := make([]T, len(sel))
-	for o, i := range sel {
-		out[o] = src[i]
+	for _, x := range v.Any {
+		s += 8 + row.ObjectSize(x)
 	}
-	return out
+	return s
 }
 
 // narrowInt reports whether the type boxes as int32.

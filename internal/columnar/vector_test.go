@@ -386,8 +386,8 @@ func TestVectorHashIntoEqualAt(t *testing.T) {
 				t.Fatalf("%v vector, position %d: HashInto %x, HashAt %x", v.Type, i, dst[i], want)
 			}
 		}
-		// BoxInto is Get over a selection, strided into a shared arena; Gather
-		// is the selection as a vector of its own (of every position, for nil).
+		// BoxInto is Get over a selection, strided into a shared arena;
+		// GatherInto is the selection as a vector of its own.
 		const stride = 3
 		arena := make([]any, stride*len(live))
 		v.BoxInto(arena[1:], stride, live)
@@ -397,14 +397,12 @@ func TestVectorHashIntoEqualAt(t *testing.T) {
 			}
 		}
 		if !v.IsConst() {
-			for _, sel := range [][]int32{live, nil, {}} {
-				g := v.Gather(sel)
-				if sel == nil {
-					sel = make([]int32, n)
-					for i := range sel {
-						sel[i] = int32(i)
-					}
-				}
+			all := make([]int32, n)
+			for i := range all {
+				all[i] = int32(i)
+			}
+			for _, sel := range [][]int32{live, all, {}} {
+				g := v.GatherInto(nil, sel)
 				if g.Len() != len(sel) || g.Kind != v.Kind {
 					t.Fatalf("%v vector: gathered %d of %d positions as kind %d", v.Type, g.Len(), len(sel), g.Kind)
 				}
@@ -556,6 +554,115 @@ func TestBoxStringsFromOneSlab(t *testing.T) {
 	out := make([]any, n)
 	if allocs := testing.AllocsPerRun(20, func() { v.BoxInto(out, 1, all) }); allocs > 2 {
 		t.Fatalf("boxing %d strings allocated %.0f times", n, allocs)
+	}
+}
+
+// An INT, DATE or BIGINT column's cells box from one slab per call, and each
+// reads back as Get's: int32 for INT and DATE, int64 for BIGINT, NULL as nil,
+// negatives and values on both sides of the preboxed 0–255 range included.
+// Boxing 4 096 cells of which 0–255 hold a fraction allocates once (the slab),
+// and a selection of small values alone allocates nothing.
+func TestBoxIntsFromOneSlab(t *testing.T) {
+	const n = 4096
+	lane := make([]int64, n)
+	nulls := make([]uint64, (n+63)/64)
+	for i := range lane {
+		lane[i] = []int64{int64(i), -int64(i), 255, 256, -1, math.MaxInt32, math.MinInt32, int64(i % 256)}[i%8]
+		if i%13 == 7 {
+			nulls[i/64] |= 1 << (i % 64)
+			lane[i] = 1000 // a NULL's stale lane value takes no slab slot
+		}
+	}
+	var sel, small []int32
+	for i := int32(0); i < n; i += 3 {
+		sel = append(sel, i)
+	}
+	for i := int32(0); i < 256; i++ {
+		small = append(small, i*8+7) // i % 256 when not NULL
+	}
+	const stride = 2
+	for _, typ := range []types.DataType{types.Int, types.Date, types.Long} {
+		v := WrapLanes(typ, lane, nulls)
+		dst := make([]any, len(sel)*stride)
+		v.BoxInto(dst, stride, sel)
+		runtime.GC()
+		for k, i := range sel {
+			cell, want := dst[k*stride], v.Get(int(i))
+			if fmt.Sprintf("%#v", cell) != fmt.Sprintf("%#v", want) || cell != want || row.Compare(cell, want) != 0 {
+				t.Fatalf("%v cell %d (row %d) = %#v, want %#v", typ, k, i, cell, want)
+			}
+			if dst[k*stride+1] != nil {
+				t.Fatalf("%v cell %d: stride slot written: %#v", typ, k, dst[k*stride+1])
+			}
+		}
+		out := make([]any, len(sel))
+		if allocs := testing.AllocsPerRun(20, func() { clear(out); v.BoxInto(out, 1, sel) }); allocs > 1 {
+			t.Fatalf("%v: boxing %d integers allocated %.0f times", typ, len(sel), allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { clear(out); v.BoxInto(out, 1, small) }); allocs > 0 {
+			t.Fatalf("%v: boxing %d values in 0..255 allocated %.0f times", typ, len(small), allocs)
+		}
+	}
+}
+
+// GatherInto reuses its destination from call to call and gathers NULL for a
+// negative position, past a null-bitmap word boundary too, from a source with
+// or without NULLs and from a constant; Concat lays gathered parts back to
+// back in a lane of exactly their total length, NULLs kept.
+func TestGatherIntoAndConcat(t *testing.T) {
+	const n = 200
+	vals, nulls := make([]int64, n), make([]uint64, (n+63)/64)
+	for i := range vals {
+		vals[i] = int64(i * 3)
+		if i%17 == 4 {
+			nulls[i/64] |= 1 << (i % 64)
+		}
+	}
+	sel := make([]int32, 150)
+	for k := range sel {
+		sel[k] = int32(k*7%n - k%3) // every third position stays put, one is -1 or -2
+		if k%3 != 0 {
+			sel[k] = -int32(k % 3)
+		}
+	}
+	sources := []*Vector{WrapLanes(types.Long, vals, nulls), WrapLanes(types.Long, vals, nil), NewConstVector(types.String, "c", n)}
+	for _, src := range sources {
+		var dst *Vector
+		var parts []*Vector
+		for round := 0; round < 3; round++ {
+			dst = src.GatherInto(dst, sel[:len(sel)-round*40])
+			for k, i := range sel[:dst.Len()] {
+				want := any(nil)
+				if i >= 0 {
+					want = src.Get(int(i))
+				}
+				if got := dst.Get(k); got != want {
+					t.Fatalf("%v round %d: position %d (source %d) = %#v, want %#v", src.Type, round, k, i, got, want)
+				}
+			}
+			parts = append(parts, src.GatherInto(nil, sel[:dst.Len()]))
+		}
+		if allocs := testing.AllocsPerRun(10, func() { dst = src.GatherInto(dst, sel) }); allocs > 0 {
+			t.Fatalf("%v: a warm GatherInto allocated %.0f times", src.Type, allocs)
+		}
+		all := Concat(src.Type, parts)
+		at := 0
+		for _, p := range parts {
+			for i := range p.Len() {
+				if got, want := all.Get(at+i), p.Get(i); got != want {
+					t.Fatalf("%v: concatenated position %d = %#v, want %#v", src.Type, at+i, got, want)
+				}
+			}
+			at += p.Len()
+		}
+		// One lane of the total length, rounded up to its allocation size
+		// class: not grown by doubling.
+		if c := cap(all.I64) + cap(all.Str); all.Len() != at || c < at || c > at+at/8 {
+			t.Fatalf("%v: %d rows concatenated into %d, lane capacity %d", src.Type, at, all.Len(), c)
+		}
+	}
+	if empty := Concat(types.Double, nil); empty.Len() != 0 || empty.Kind != KindFloat64 {
+		t.Fatalf("no parts concatenated into %d rows of kind %d", empty.Len(), empty.Kind)
 	}
 }
 

@@ -270,7 +270,7 @@ func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter)
 					break
 				}
 			}
-			kept := len(sel)
+			kept, survivors := len(sel), sel
 			stats.RowsPruned = n - kept
 			if kept == n {
 				sel = nil // every row survives: decoded as it is stored
@@ -279,7 +279,7 @@ func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter)
 			if kept > 0 {
 				for pos, j := range decode[:len(columns)] {
 					if filtered[pos] {
-						cols[pos] = lanes.Cols[pos].Gather(sel)
+						cols[pos] = lanes.Cols[pos].GatherInto(nil, survivors)
 					} else {
 						cols[pos] = rel.decodeChunk(g, j, sel, nil)
 					}

@@ -6,9 +6,11 @@ package experiments_test
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	sparksql "repro"
 	"repro/internal/experiments"
@@ -104,28 +106,53 @@ func TestHarvestUnderLoad(t *testing.T) {
 
 // TestObservabilityGate is the perf gate wired into scripts/check.sh: with
 // PERF_GATE=1 it fails the build when observability-on Q1 throughput on a
-// cached table regresses more than 5% against observability-off. Env-gated
-// because the threshold is meaningless on a machine running other work.
+// cached table regresses more than 5% against observability-off, judged on
+// the median of 24 alternating, collected-before pairs (PairedOverhead).
+// Env-gated because the threshold is meaningless on a machine running other
+// work.
 func TestObservabilityGate(t *testing.T) {
 	if os.Getenv("PERF_GATE") == "" {
 		t.Skip("set PERF_GATE=1 to run the observability-overhead regression gate")
 	}
 	const limit = 0.05
-	// Best of 3: the gate asks whether the overhead CAN stay under the
-	// limit, not whether every noisy sample does.
-	best := 1.0
-	for try := 0; try < 3; try++ {
-		ov, err := experiments.ObservabilityOverhead(200_000, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ov < best {
-			best = ov
+	ov, err := experiments.ObservabilityOverhead(200_000, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("observability overhead on cached Q1: %.2f%%", ov*100)
+	if ov > limit {
+		t.Fatalf("observability overhead is %.2f%%, above the %.0f%% budget", ov*100, limit*100)
+	}
+}
+
+// PairedOverhead still sees a real slowdown: on a synthetic series whose
+// instrumented runs are 10% slower than their pair, with a few pairs wrecked
+// by pauses on either side, it reports more than the gate's 5%; on two
+// copies of one series it reports none.
+func TestPairedOverheadSeesTenPercent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const pairs = 24
+	on, off := make([]time.Duration, pairs), make([]time.Duration, pairs)
+	for i := range pairs {
+		base := time.Duration(8e6 + rng.Intn(4e6)) // 8-12 ms, drifting
+		off[i] = base + time.Duration(rng.Intn(3e5))
+		on[i] = base*11/10 + time.Duration(rng.Intn(3e5))
+		switch i % 8 {
+		case 3:
+			off[i] *= 3 // a pause in the uninstrumented run
+		case 6:
+			on[i] *= 3
 		}
 	}
-	t.Logf("observability overhead on cached Q1: %.2f%%", best*100)
-	if best > limit {
-		t.Fatalf("observability overhead is %.2f%%, above the %.0f%% budget", best*100, limit*100)
+	ov, err := experiments.PairedOverhead(on, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ov <= 0.05 {
+		t.Fatalf("a 10%% slower series reads %.2f%% overhead, not above the 5%% gate", ov*100)
+	}
+	if same, err := experiments.PairedOverhead(off, off); err != nil || same != 0 {
+		t.Fatalf("a series against itself reads %v overhead (%v)", same, err)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -378,11 +379,12 @@ func RunHarvestUnderLoad(workers int, n int64, queries int) error {
 
 // ObservabilityOverhead measures the cost of the observability layer the
 // way MetricsOverheadStudy measures metrics: two local engines, identical
-// cached rankings tables, observability on vs off, interleaved cached-Q1
-// runs. Returns the relative slowdown of the instrumented engine (0.05 =
-// 5%); the acceptance gate is that tracing ids + event-log appends stay
-// within a few percent.
-func ObservabilityOverhead(n int64, iters int) (float64, error) {
+// cached rankings tables, observability on vs off, cached-Q1 runs in pairs.
+// Each pair runs the two engines in turn, alternating which goes first, each
+// run timed after a collection so neither pays for the other's garbage, and
+// the result is PairedOverhead over the pairs (0.05 = 5%); the acceptance
+// gate is that tracing ids + event-log appends stay within a few percent.
+func ObservabilityOverhead(n int64, pairs int) (float64, error) {
 	mk := func(obs bool) (*sparksql.Context, error) {
 		cfg := sparksql.DefaultConfig()
 		cfg.Observability = obs
@@ -406,21 +408,48 @@ func ObservabilityOverhead(n int64, iters int) (float64, error) {
 			return 0, err
 		}
 	}
-	var onNS, offNS int64
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		if _, err := RunSQL(on, Q1(x)); err != nil {
-			return 0, err
+	onT, offT := make([]time.Duration, pairs), make([]time.Duration, pairs)
+	for i := range pairs {
+		order := []*sparksql.Context{on, off}
+		if i%2 == 1 {
+			order[0], order[1] = off, on
 		}
-		onNS += time.Since(start).Nanoseconds()
-		start = time.Now()
-		if _, err := RunSQL(off, Q1(x)); err != nil {
-			return 0, err
+		for _, ctx := range order {
+			runtime.GC()
+			start := time.Now()
+			if _, err := RunSQL(ctx, Q1(x)); err != nil {
+				return 0, err
+			}
+			if ctx == on {
+				onT[i] = time.Since(start)
+			} else {
+				offT[i] = time.Since(start)
+			}
 		}
-		offNS += time.Since(start).Nanoseconds()
 	}
-	if offNS == 0 {
-		return 0, fmt.Errorf("obsfed: zero baseline time")
+	return PairedOverhead(onT, offT)
+}
+
+// PairedOverhead is the relative slowdown of on against off, run i of each
+// being a pair: the median of the per-pair ratios on[i]/off[i], less one. A
+// pair's two runs share the machine's state of the moment, and the median
+// ignores the pairs a pause or a neighbour's burst landed in.
+func PairedOverhead(on, off []time.Duration) (float64, error) {
+	if len(on) != len(off) || len(on) == 0 {
+		return 0, fmt.Errorf("obsfed: %d runs on against %d off", len(on), len(off))
 	}
-	return float64(onNS-offNS) / float64(offNS), nil
+	ratios := make([]float64, len(on))
+	for i := range on {
+		if off[i] <= 0 {
+			return 0, fmt.Errorf("obsfed: zero baseline time")
+		}
+		ratios[i] = float64(on[i]) / float64(off[i])
+	}
+	sort.Float64s(ratios)
+	mid := len(ratios) / 2
+	median := ratios[mid]
+	if len(ratios)%2 == 0 {
+		median = (ratios[mid-1] + ratios[mid]) / 2
+	}
+	return median - 1, nil
 }

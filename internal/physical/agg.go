@@ -71,8 +71,6 @@ const (
 // generic table.
 type keyChunk struct {
 	evals []func(row.Row) any
-	types []types.DataType
-	typed bool
 	vecs  []*columnar.Vector
 	ident []int32
 }
@@ -80,8 +78,7 @@ type keyChunk struct {
 // newKeyChunk sizes the chunk vectors for an input of the given row count.
 func newKeyChunk(evals []func(row.Row) any, keyTypes []types.DataType, typed bool, rows int) *keyChunk {
 	n := min(rowChunk, rows)
-	c := &keyChunk{evals: evals, types: keyTypes, typed: typed,
-		vecs: make([]*columnar.Vector, len(evals)), ident: identitySel(n)}
+	c := &keyChunk{evals: evals, vecs: make([]*columnar.Vector, len(evals)), ident: identitySel(n)}
 	newVec := columnar.NewAnyVector
 	if typed {
 		newVec = expr.NewClassVector
@@ -232,7 +229,7 @@ func (a *partialAgg) add(vecs []*columnar.Vector, live []int32, update func(lane
 	keys := make([]*columnar.Vector, len(vecs))
 	for j, v := range vecs {
 		if c := a.cols[j]; v.Kind == c.Kind && !v.IsConst() {
-			keys[j] = v.Gather(live)
+			keys[j] = v.GatherInto(nil, live)
 		} else { // boxed or constant: converted as the table stores it
 			keys[j] = expr.NewClassVector(c.Type, n)
 			keys[j].Reset(0)

@@ -61,7 +61,7 @@ func Fuse(p SparkPlan) SparkPlan {
 				return nil, false
 			}
 			f := &FusedBroadcastJoinExec{Join: n.withProbeSide(vp)}
-			f.SetFusion(n.compileProbeKeys(vp.Output()).note)
+			f.SetFusion(n.probeNote(vp.Output()))
 			return transferEstimate(f, n), true
 		case *VectorizedPipelineExec:
 			n.SetFusion("fused: true")

@@ -287,8 +287,9 @@ func newHashJoin(ctx *ExecContext, om *OperatorMetrics, j *EquiJoin, buildRight,
 }
 
 func (h *hashJoin) build(rows []row.Row) *joinTable {
-	t := newJoinTable(rows, newKeyChunk(h.buildEvals, h.keyTypes, h.typed, len(rows)))
-	h.om.RecordTable(t.groups.count(), int(t.groups.grows))
+	keys := newKeyChunk(h.buildEvals, h.keyTypes, h.typed, len(rows))
+	t := h.index(len(rows), func(lo, hi int) ([]*columnar.Vector, []int32) { return keys.load(rows[lo:hi]) })
+	t.rows = rows
 	return t
 }
 

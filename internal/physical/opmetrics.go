@@ -32,9 +32,10 @@ type OperatorMetrics struct {
 	Skipped    atomic.Int64 // an aggregate's map tasks that stopped partial aggregation
 	Passed     atomic.Int64 // rows those tasks passed through as one-row partials
 	// Table names the key comparison a hash join's group table runs (i64, str,
-	// pair or generic), Emits what a fused join hands its consumer (rows or batches).
-	// Execute sets them before any task runs.
-	Table, Emits string
+	// pair or generic), Build how a fused join collected its build side
+	// ("lanes", or "boxed: " and why), Emits what a fused join hands its
+	// consumer (rows or batches). Execute sets them before any task runs.
+	Table, Build, Emits string
 	// RunPartitions and Runs are set on a batch leaf whose partitions the
 	// pipeline cut into fewer tasks: how many partitions, in how many runs.
 	RunPartitions, Runs int32
@@ -97,6 +98,9 @@ func (m *OperatorMetrics) ActualString() string {
 		m.OutputRows.Load(), float64(m.WallNanos.Load())/1e6)
 	if b := m.BuildRows.Load(); b > 0 {
 		s += fmt.Sprintf(", build=%d rows", b)
+		if m.Build != "" {
+			s += ", " + m.Build
+		}
 		if m.Table != "" {
 			s += ", table=" + m.Table
 		}

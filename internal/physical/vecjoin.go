@@ -12,20 +12,20 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdd"
 	"repro/internal/row"
-	"repro/internal/types"
 )
 
 // FusedBroadcastJoinExec is the whole-stage fusion of a vectorized pipeline
-// with a broadcast-hash-join probe: the build side is loaded once into a
-// joinTable, and the probe loop reads join keys straight off the pipeline's
-// column vectors. The probe pipeline is whichever input BroadcastHashJoinExec
-// would stream — the left when the build side is the right one, the right
-// otherwise. It is a BatchScan too: a pipeline, a fused aggregate or another
-// fused join on top takes the output as columns and no row is boxed; a row
-// consumer, or the result edge, gets the same columns boxed. Either way the
-// output is the row join's, for every join type a join may broadcast, key
-// shape and residual: left cells before right cells, probe rows in pipeline
-// order, matches in build-collect order.
+// with a broadcast-hash-join probe: the build side is collected once into a
+// joinTable over lanes, and the probe loop reads join keys straight off the
+// pipeline's column vectors. The probe pipeline is whichever input
+// BroadcastHashJoinExec would stream — the left when the build side is the
+// right one, the right otherwise. It is a BatchScan too: a pipeline, a fused
+// aggregate or another fused join on top takes the output as columns, one
+// batch per probed batch, and no row is boxed; a row consumer, or the result
+// edge, gets the same columns boxed. Either way the output is the row join's,
+// for every join type a join may broadcast, key shape and residual: left
+// cells before right cells, probe rows in pipeline order, matches in
+// build-collect order.
 type FusedBroadcastJoinExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -45,32 +45,35 @@ func (f *FusedBroadcastJoinExec) Output() []*expr.AttributeReference { return f.
 func (f *FusedBroadcastJoinExec) SimpleString() string               { return "Fused" + f.Join.SimpleString() }
 func (f *FusedBroadcastJoinExec) String() string                     { return Format(f) }
 
-// probeKeys is a fused join's probe side compiled over the pipeline output.
-type probeKeys struct {
-	evals []expr.VecEval
-	// typed: every key is a native kernel over a value class, so the probe
-	// hands over class lanes and the build side must index the same; otherwise
-	// both sides go through boxed values and the generic table.
-	typed bool
-	boxed int // keys left on the boxed scalar fallback
-	note  string
+// keys are the join's probe and build keys.
+func (j *BroadcastHashJoinExec) keys() (probe, build []expr.Expression) {
+	if j.BuildRight {
+		return j.LeftKeys, j.RightKeys
+	}
+	return j.RightKeys, j.LeftKeys
 }
 
-func (j *BroadcastHashJoinExec) compileProbeKeys(input []*expr.AttributeReference) probeKeys {
-	keys, buildKeys := j.LeftKeys, j.RightKeys
-	if !j.BuildRight {
-		keys, buildKeys = buildKeys, keys
-	}
+// probeNote is a fused join's EXPLAIN annotation: the group table its keys
+// index and its probe key kernels over the pipeline output.
+func (j *BroadcastHashJoinExec) probeNote(input []*expr.AttributeReference) string {
+	probe, build := j.keys()
+	_, typed, fallbacks := joinKernels(probe, input)
+	return fusedNote(keyCmpFor(exprTypes(build), keyNative(len(build), typed)).String(), len(probe), fallbacks)
+}
+
+// joinKernels compiles one side's join keys over its pipeline output, a
+// floating-point key canonicalized as bindKeys does; typed says every key is
+// a native kernel over a value class.
+func joinKernels(keys []expr.Expression, input []*expr.AttributeReference) (evals []expr.VecEval, typed bool, fallbacks []string) {
 	evals, native, fallbacks := keyKernels(keys, input)
-	k := probeKeys{evals: evals, typed: true, boxed: len(fallbacks)}
+	typed = true
 	for i, key := range keys {
-		k.typed = k.typed && native[i] && expr.VecClassOf(key.DataType()) != expr.VecClassNone
+		typed = typed && native[i] && expr.VecClassOf(key.DataType()) != expr.VecClassNone
 		if columnar.KindOf(key.DataType()) == columnar.KindFloat64 {
-			k.evals[i] = canonFloatKernel(evals[i])
+			evals[i] = canonFloatKernel(evals[i])
 		}
 	}
-	k.note = fusedNote(keyCmpFor(exprTypes(buildKeys), keyNative(len(buildKeys), k.typed)).String(), len(keys), fallbacks)
-	return k
+	return evals, typed, fallbacks
 }
 
 // canonFloatKernel is bindKeys' floating-point canonicalization for a key
@@ -116,71 +119,164 @@ func (f *FusedBroadcastJoinExec) Results(ctx *ExecContext, sink ResultSink) *rdd
 	return r
 }
 
-// OpenBatches implements BatchScan: a probe task's output is one partition of
-// one batch, every position selected, holding the columns the consumer marked
-// used.
+// OpenBatches implements BatchScan: a probe task hands its consumer one batch
+// for each probed batch with a match, every position selected, holding the
+// columns the consumer marked used — the probe columns gathered by probe
+// position, the build columns by build ordinal (NULL where there is none) —
+// in vectors the task reuses from batch to batch. The join's time excludes
+// the consumer's, which runs inside the probe loop.
 func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) BatchSource {
-	parts, stages, probe := f.open(ctx, used)
-	return BatchSource{NumPartitions: parts, Stages: stages, Batches: func(jc context.Context, p int, _ *expr.Scratch, fn func(datasource.Batch)) error {
-		pr, err := probe(jc, p)
-		if err != nil {
-			return err
-		}
-		fn(datasource.Batch{Cols: pr.cols, N: len(pr.bo), Sel: identitySel(len(pr.bo))})
-		return nil
-	}}
-}
-
-// open binds the join for one execution and returns its partition count, the
-// stages its probe reads — the probe pipeline's and the build side — and the
-// probe of one partition, whose output is the columns used marks.
-func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, []rdd.Dep, func(context.Context, int) (*joinProbe, error)) {
 	j := f.Join
 	pipe := j.probeSide().(*VectorizedPipelineExec)
 	om := f.EnableMetrics(ctx.Metrics)
 	if om != nil {
 		om.Emits = "batches"
 	}
-	k := j.compileProbeKeys(pipe.Output())
-	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, k.typed)
-	table := BuildStage(j.buildSide().Execute(ctx), om, hj.build)
+	probeKeys, _ := j.keys()
+	evals, typed, fallbacks := joinKernels(probeKeys, pipe.Output())
+	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, typed)
+	table := f.buildStage(ctx, hj, used)
 	vp := pipe.compile(ctx, om, f.probeReads(hj, used))
-	out := f.Output()
-	return vp.tasks(), append(slices.Clip(vp.src.Stages), table), func(jc context.Context, p int) (*joinProbe, error) {
-		ht, err := table.Value(jc)
+	return BatchSource{NumPartitions: vp.tasks(), Stages: append(slices.Clip(vp.src.Stages), table), Batches: func(jc context.Context, p int, _ *expr.Scratch, fn func(datasource.Batch)) error {
+		t, err := table.Value(jc)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		start := time.Now()
+		start, rows := time.Now(), 0
 		var batch *expr.VecBatch
 		// A residual tests the probe cells boxed into a candidate row.
-		probe := hj.newProbe(ht, func(i int, dst row.Row) { batch.RowInto(i, dst) })
-		probe.cols = make([]*columnar.Vector, len(used)) // the probe columns: gather appends to them batch by batch
-		for c := range pipe.Output() {
-			if at := hj.probeAt + c; used[at] {
-				probe.cols[at] = expr.NewClassVector(out[at].DataType(), 0)
-			}
-		}
-		kvecs := make([]*columnar.Vector, len(k.evals))
+		probe := hj.newProbe(t, func(i int, dst row.Row) { batch.RowInto(i, dst) })
+		probe.cols = make([]*columnar.Vector, len(used))
+		kvecs := make([]*columnar.Vector, len(evals))
+		var sel []int32
 		err = vp.each(jc, p, func(b *expr.VecBatch, live []int32) {
-			for i, kv := range k.evals {
+			for i, kv := range evals {
 				kvecs[i] = kv(b, live)
 			}
-			if k.boxed > 0 {
-				vp.fallbackRows.Add(int64(len(live) * k.boxed))
+			if len(fallbacks) > 0 {
+				vp.fallbackRows.Add(int64(len(live) * len(fallbacks)))
 			}
 			batch = b
+			probe.pi, probe.bo = probe.pi[:0], probe.bo[:0]
 			probe.batch(kvecs, live)
-			probe.gather(b.Cols)
+			n := len(probe.bo)
+			if n == 0 {
+				return
+			}
+			for c, out := range probe.cols {
+				switch at := c - hj.probeAt; {
+				case !used[c]:
+				case at >= 0 && at < len(b.Cols): // a probe column
+					probe.cols[c] = b.Cols[at].GatherInto(out, probe.pi)
+				default:
+					probe.cols[c] = t.cols[c-hj.buildAt].GatherInto(out, probe.bo)
+				}
+			}
+			if len(sel) < n {
+				sel = identitySel(n)
+			}
+			in := time.Now()
+			fn(datasource.Batch{Cols: probe.cols, N: n, Sel: sel[:n:n]})
+			start, rows = start.Add(time.Since(in)), rows+n // the consumer's time is not the join's
 		})
-		for c := range used { // the build columns: the rest of the used ones
-			if used[c] && probe.cols[c] == nil {
-				probe.cols[c] = probe.buildColumn(c-hj.buildAt, out[c].DataType())
+		om.RecordPartition(rows, time.Since(start))
+		return err
+	}}
+}
+
+// buildStage is the join's build side run as a stage and indexed. A batch
+// pipeline (or scan) whose keys all have native kernels, with no residual to
+// test, is collected as lanes: its tasks gather their batches' survivors, the
+// stage concatenates them once, exactly sized, and indexes the keys' kernels
+// over them. Any other build side is collected and indexed as rows, each used
+// column unboxed once. EXPLAIN ANALYZE's join line says which build ran.
+func (f *FusedBroadcastJoinExec) buildStage(ctx *ExecContext, hj *hashJoin, outUsed []bool) *rdd.Stage[*joinTable] {
+	j := f.Join
+	_, keys := j.keys()
+	pipe, out := fusablePipe(j.buildSide()), j.buildSide().Output()
+	keep := make([]bool, len(out)) // the lanes: the build columns used, then those the keys read too
+	for c := range keep {
+		keep[c] = hj.buildAt+c < len(outUsed) && outUsed[hj.buildAt+c] // none under LEFT SEMI
+	}
+	var evals []expr.VecEval
+	typed, build := false, "lanes"
+	switch {
+	case pipe == nil:
+		build = "boxed: build side not a batch scan"
+	case j.Residual != nil:
+		build = "boxed: residual"
+	default:
+		if evals, typed, _ = joinKernels(keys, out); !typed {
+			build = "boxed: non-native build key"
+		}
+	}
+	if hj.om != nil {
+		hj.om.Build = build
+	}
+	if build != "lanes" {
+		return BuildStage(j.buildSide().Execute(ctx), hj.om, func(rows []row.Row) *joinTable {
+			t := hj.build(rows)
+			t.cols = make([]*columnar.Vector, len(out))
+			for c, u := range keep {
+				if u {
+					t.cols[c] = expr.NewClassVector(out[c].DataType(), len(rows))
+					for o, r := range rows {
+						t.cols[c].Set(o, r[c])
+					}
+				}
+			}
+			return t
+		})
+	}
+	for _, k := range bindAll(keys, out) {
+		markBoundRefs(k, keep)
+	}
+	var sink []expr.Expression
+	for c, a := range out {
+		if keep[c] {
+			sink = append(sink, bind(a, out))
+		}
+	}
+	pm := pipe.EnableMetrics(ctx.Metrics)
+	vp := pipe.compile(ctx, pm, sink)
+	gathered := rdd.GenerateCtx(ctx.RDD, "joinBuild", vp.tasks(), func(jc context.Context, p int) ([][]*columnar.Vector, error) {
+		start, rows := time.Now(), 0
+		var part [][]*columnar.Vector
+		err := vp.each(jc, p, func(b *expr.VecBatch, live []int32) {
+			cols := make([]*columnar.Vector, len(out))
+			for c, k := range keep {
+				if k {
+					cols[c] = b.Cols[c].GatherInto(nil, live)
+				}
+			}
+			part, rows = append(part, cols), rows+len(live)
+		})
+		pm.RecordPartition(rows, time.Since(start))
+		return part, err
+	}).Reads(vp.src.Stages...)
+	return rdd.NewStage(gathered, func(_ context.Context, parts [][][]*columnar.Vector) (*joinTable, error) {
+		batches := slices.Concat(parts...)
+		all, col, size := make([]*columnar.Vector, len(out)), make([]*columnar.Vector, len(batches)), int64(0)
+		for c, k := range keep {
+			if k {
+				for i, b := range batches {
+					col[i] = b[c]
+				}
+				all[c] = columnar.Concat(out[c].DataType(), col)
+				size += all[c].SizeBytes()
 			}
 		}
-		om.RecordPartition(len(probe.bo)+len(probe.out), time.Since(start))
-		return probe, err
-	}
+		n := all[slices.Index(keep, true)].Len() // every key reads a column
+		hj.om.RecordBuild(n, size)
+		b, sel := &expr.VecBatch{Cols: all, N: n, Scratch: new(expr.Scratch)}, identitySel(n)
+		kvecs := make([]*columnar.Vector, len(evals))
+		for i, ev := range evals {
+			kvecs[i] = ev(b, sel)
+		}
+		t := hj.index(n, func(lo, hi int) ([]*columnar.Vector, []int32) { return kvecs, sel[lo:hi] })
+		t.cols = all
+		return t, nil
+	})
 }
 
 // probeReads is what the join reads of its probe pipeline's output, as the
@@ -188,10 +284,8 @@ func (f *FusedBroadcastJoinExec) open(ctx *ExecContext, used []bool) (int, []rdd
 // and the probe columns the residual tests.
 func (f *FusedBroadcastJoinExec) probeReads(hj *hashJoin, used []bool) []expr.Expression {
 	j := f.Join
-	probeOut, keys := j.Left.Output(), j.LeftKeys
-	if !j.BuildRight {
-		probeOut, keys = j.Right.Output(), j.RightKeys
-	}
+	keys, _ := j.keys()
+	probeOut := j.probeSide().Output()
 	reads := make([]bool, hj.width)
 	copy(reads, used)
 	if j.Residual != nil {
@@ -217,53 +311,59 @@ func (f *FusedBroadcastJoinExec) probeReads(hj *hashJoin, used []bool) []expr.Ex
 // a probe's NULL key looks up as a miss like any other absent key. Once built
 // the table is only read: concurrent probe tasks share it.
 type joinTable struct {
-	groups  *groupTable
+	groups *groupTable
+	// rows are the build rows a row join copies and a residual tests (nil for
+	// a build collected as lanes); cols the build columns as lanes, which a
+	// fused join's probe gathers (nil where none is read).
 	rows    []row.Row
+	cols    []*columnar.Vector
 	offsets []int32
 	ords    []int32
 }
 
-// newJoinTable indexes the collected build side, reading its keys a chunk at
-// a time through keys.
-func newJoinTable(rows []row.Row, keys *keyChunk) *joinTable {
-	t := &joinTable{rows: rows}
-	t.groups = newGroupTable(keys.types, keyNative(len(keys.types), keys.typed), len(rows))
-	group := make([]int32, len(rows)) // per build row; -1 = NULL key
+// index builds the join table over a build side of n rows whose keys load
+// returns a chunk at a time — the key vectors of build rows lo..hi-1 and
+// their positions in them, which run consecutively — and records its groups.
+func (h *hashJoin) index(n int, load func(lo, hi int) ([]*columnar.Vector, []int32)) *joinTable {
+	t := &joinTable{groups: newGroupTable(h.keyTypes, keyNative(len(h.keyTypes), h.typed), n)}
+	group := make([]int32, n) // per build row; -1 = NULL key
 	var probe groupProbe
 	var live []int32
-	for off := 0; off < len(rows); off += rowChunk {
-		vecs, all := keys.load(rows[off:min(off+rowChunk, len(rows))])
+	for lo := 0; lo < n; lo += rowChunk {
+		vecs, all := load(lo, min(lo+rowChunk, n))
+		at := lo - int(all[0]) // position i is build row at+i
 		live = live[:0]
 		for _, i := range all {
 			if anyNull(vecs, int(i)) {
-				group[off+int(i)] = -1
+				group[at+int(i)] = -1
 			} else {
 				live = append(live, i)
 			}
 		}
 		gidx := t.groups.indexBatch(vecs, live, &probe, true)
 		for k, i := range live {
-			group[off+int(i)] = gidx[k]
+			group[at+int(i)] = gidx[k]
 		}
 	}
-	n := t.groups.count()
-	t.offsets = make([]int32, n+1)
+	groups := t.groups.count()
+	t.offsets = make([]int32, groups+1)
 	for _, g := range group {
 		if g >= 0 {
 			t.offsets[g+1]++
 		}
 	}
-	for g := 0; g < n; g++ {
+	for g := 0; g < groups; g++ {
 		t.offsets[g+1] += t.offsets[g]
 	}
-	t.ords = make([]int32, t.offsets[n])
-	next := slices.Clone(t.offsets[:n])
+	t.ords = make([]int32, t.offsets[groups])
+	next := slices.Clone(t.offsets[:groups])
 	for o, g := range group {
 		if g >= 0 {
 			t.ords[next[g]] = int32(o)
 			next[g]++
 		}
 	}
+	h.om.RecordTable(groups, int(t.groups.grows))
 	return t
 }
 
@@ -293,10 +393,10 @@ type joinProbe struct {
 	// candidate a residual tests for a fused pipeline.
 	fill func(i int, dst row.Row)
 	out  []row.Row
-	// cols, when non-nil, are the output columns of a batch consumer (nil
-	// where it reads none). bo holds the build ordinal of every output pair of
-	// the partition, -1 where there is no build row, and pi the probe position
-	// of those of the batch being probed, until gather.
+	// cols, when non-nil, are a batch consumer's output columns (nil where it
+	// reads none), reused from batch to batch; pi and bo hold the probe
+	// position and the build ordinal (-1: no build row) of every output pair
+	// of the batch being probed.
 	cols   []*columnar.Vector
 	pi, bo []int32
 	// matched (FULL OUTER only) marks the build rows some probe row matched;
@@ -368,8 +468,10 @@ func (p *joinProbe) batch(kvecs []*columnar.Vector, live []int32) {
 // batch consumer gets the pair and cand, the residual's scratch row if there is
 // one, stays with the caller; a row consumer gets cand, or a fresh row.
 func (p *joinProbe) emit(i, o int32, cand row.Row) row.Row {
-	if p.cols != nil {
-		p.pi, p.bo = append(p.pi, i), append(p.bo, o)
+	if p.cols != nil { // grown by doubling: append's 1.25x would re-copy them five times over
+		n := len(p.bo)
+		p.pi, p.bo = columnar.GrowLane(p.pi, n+1), columnar.GrowLane(p.bo, n+1)
+		p.pi[n], p.bo[n] = i, o
 		return cand
 	}
 	if cand == nil {
@@ -383,33 +485,6 @@ func (p *joinProbe) emit(i, o int32, cand row.Row) row.Row {
 	}
 	p.out = append(p.out, cand)
 	return nil
-}
-
-// gather appends the probe cells of the batch just probed, through its pairs'
-// positions, to a batch consumer's columns: until the last batch all probe ones.
-func (p *joinProbe) gather(probeCols []*columnar.Vector) {
-	for c, out := range p.cols {
-		if out != nil {
-			for _, i := range p.pi {
-				out.Append(probeCols[c-p.h.probeAt], int(i))
-			}
-		}
-	}
-	p.pi = p.pi[:0]
-}
-
-// buildColumn is build column c of the partition's output pairs: the boxed
-// build cells unboxed into a lane through the ordinals.
-func (p *joinProbe) buildColumn(c int, t types.DataType) *columnar.Vector {
-	v := expr.NewClassVector(t, len(p.bo))
-	for k, o := range p.bo {
-		if o >= 0 {
-			v.Set(k, p.t.rows[o][c])
-		} else {
-			v.SetNull(k)
-		}
-	}
-	return v
 }
 
 // finish appends FULL OUTER's remainder — the build rows nothing matched,

@@ -303,7 +303,9 @@ func TestVectorizedResultsByteIdentical(t *testing.T) {
 
 // Count is len(Collect) for every query, and a batch top's Count boxes
 // nothing: result.rows.boxed — which its Collect moves by every row — stays
-// put, and a pipeline's Count allocates per batch, not per row.
+// put, and a pipeline's Count allocates per batch, not per row. Collect boxes
+// every cell, from one slab a column and batch, so it too allocates per
+// batch; what it pays per row are bytes.
 func TestCountDoesNotBox(t *testing.T) {
 	for _, leaf := range batchLeaves {
 		t.Run(leaf.name, func(t *testing.T) {
@@ -336,6 +338,18 @@ func TestCountDoesNotBox(t *testing.T) {
 				}
 				return testing.AllocsPerRun(3, func() { action(df) })
 			}
+			allocBytes := func(q string, action func(*DataFrame)) float64 {
+				df, err := ctx.SQL(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				action(df)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				action(df)
+				runtime.ReadMemStats(&after)
+				return float64(after.TotalAlloc - before.TotalAlloc)
+			}
 			collect := func(df *DataFrame) { df.Collect() }
 			count := func(df *DataFrame) { df.Count() }
 			const all, none = "SELECT rank + 1000, dur FROM pages WHERE seq >= 0", "SELECT rank + 1000, dur FROM pages WHERE seq < 0"
@@ -345,9 +359,10 @@ func TestCountDoesNotBox(t *testing.T) {
 			}
 			perRowCollect := (allocs(all, collect) - allocs(none, collect)) / 3000
 			perRowCount := (allocs(all, count) - allocs(none, count)) / 3000
-			t.Logf("allocations per row: %.3f to collect, %.3f to count", perRowCollect, perRowCount)
-			if perRowCount > 0.2 || perRowCollect < 1 { // six batches cost Count ~0.06 a row
-				t.Fatalf("Count allocated %.3f times per row (Collect: %.3f)", perRowCount, perRowCollect)
+			bytesCollect := (allocBytes(all, collect) - allocBytes(none, collect)) / 3000
+			t.Logf("allocations per row: %.3f to collect (%.0f B), %.3f to count", perRowCollect, bytesCollect, perRowCount)
+			if perRowCount > 0.2 || bytesCollect < 2*16 { // six batches cost Count ~0.06 a row; Collect boxes two cells a row
+				t.Fatalf("Count allocated %.3f times per row (Collect: %.3f times, %.0f B)", perRowCount, perRowCollect, bytesCollect)
 			}
 			// A string column, NULLs among its cells, is boxed from one slab a
 			// batch: collecting it costs per batch, not per row.
@@ -479,6 +494,43 @@ func TestTopKBoxesOnlyWhatItKeeps(t *testing.T) {
 				t.Fatalf("result.rows.copied moved by %d: a result was copied from row partitions", moved)
 			}
 		})
+	}
+}
+
+// A fused join's EXPLAIN ANALYZE line says how its build side was collected:
+// as lanes when the build side is a batch scan whose keys all have native
+// kernels (Q3 over colfile: rankings, 2 000 rows) — whatever the probe keys —
+// and boxed, with the reason, otherwise: a LocalRelation build side, a
+// residual, a build key with no kernel.
+// Either way the join's answer is the row path's.
+func TestFusedJoinBuildExplained(t *testing.T) {
+	ctx := vecTestContext(t, fusedConfig(0, true), colfileTempTable)
+	ref := vecTestContext(t, fusedConfig(0, false), cacheTempTable)
+	small := make([]Row, 40)
+	for i := range small {
+		small[i] = Row{fmt.Sprintf("url_alpha_%04d", i), int32(i)}
+	}
+	for _, c := range []*Context{ctx, ref} {
+		df, err := c.CreateDataFrame(StructType{}.Add("url", StringType, false).Add("n", IntType, false), small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		df.RegisterTempTable("small")
+	}
+	for _, c := range []struct{ q, want string }{
+		{vecQ3("1981-01-01"), "build=2000 rows, lanes, table=str"},
+		{"SELECT p.seq, s.n FROM pages p JOIN small s ON p.url = s.url", "build=40 rows, boxed: build side not a batch scan, table=str"},
+		{"SELECT p.seq, q.rank FROM pages p JOIN pages q ON p.seq = q.seq AND p.rank < q.dur WHERE q.seq < 50", "build=50 rows, boxed: residual, table=i64"},
+		{"SELECT p.seq, q.seq FROM pages p JOIN pages q ON p.seq = twice(q.rank) WHERE q.seq < 50", "build=50 rows, boxed: non-native build key, table=i64"},
+		// A probe key with no kernel: typed build lanes against boxed probe keys.
+		{"SELECT p.seq, q.url FROM pages p JOIN pages q ON twice(p.rank) = q.seq WHERE q.seq < 50", "build=50 rows, lanes, table=generic"},
+	} {
+		if got := explainAnalyze(t, ctx, c.q); !strings.Contains(got, "FusedBroadcastHashJoin") || !strings.Contains(got, c.want) {
+			t.Errorf("%s: no fused join with %q in\n%s", c.q, c.want, got)
+		}
+		if got, want := canonTypedText(mustRunRows(t, ctx, c.q)), canonTypedText(mustRunRows(t, ref, c.q)); got != want {
+			t.Errorf("%s: the fused join diverged from the row path\n got %.300q\nwant %.300q", c.q, got, want)
+		}
 	}
 }
 
