@@ -29,16 +29,28 @@ import (
 // same grace-partitioned spill merge as the row path's).
 
 // fusedConfig is spillConfig plus the row/vectorized switch: vectorized=false
-// is the golden row-at-a-time engine, vectorized=true runs the fused plans
-// (Fusion defaults on).
+// is the row-at-a-time engine, vectorized=true runs the fused plans (Fusion
+// defaults on).
 func fusedConfig(budget int64, vectorized bool) Config {
 	cfg := spillConfig(budget)
 	cfg.Vectorized = vectorized
 	return cfg
 }
 
+// interpretedConfig is the row-at-a-time engine with codegen off: the
+// interpreter for every expression and the aggregates' own scalar buffers
+// (BoxedAggregator) for every aggregate — the one aggregate implementation
+// that shares no kernel or state lane with the other two modes, and so the
+// golden the fusion suites compare them against.
+func interpretedConfig(budget int64) Config {
+	cfg := fusedConfig(budget, false)
+	cfg.Codegen = false
+	return cfg
+}
+
 // engineModes are the three ways one plan can run: fused batch operators,
-// compiled row-at-a-time operators, and the interpreted (Shark-style) row
+// compiled row-at-a-time operators (an aggregate or a join over rows runs the
+// batch sinks over them transposed), and the interpreted (Shark-style) row
 // operators.
 var engineModes = []struct {
 	name   string
@@ -46,11 +58,7 @@ var engineModes = []struct {
 }{
 	{"fused", func(b int64) Config { return fusedConfig(b, true) }},
 	{"row", func(b int64) Config { return fusedConfig(b, false) }},
-	{"interpreted", func(b int64) Config {
-		cfg := fusedConfig(b, false)
-		cfg.Codegen = false
-		return cfg
-	}},
+	{"interpreted", interpretedConfig},
 }
 
 // A tableLeaf registers rows as a temp table behind one kind of leaf, split
@@ -302,12 +310,12 @@ func randomFusedQueries() []string {
 
 // TestFusedPipelineByteIdentical is the acceptance property: at every budget
 // — unbounded down to one byte — the fused engine's results are byte-identical
-// to the row path's, spilling really happens at the bounded budgets, and no
-// spill file survives any query.
+// to the interpreted engine's, spilling really happens at the bounded budgets,
+// and no spill file survives any query.
 func TestFusedPipelineByteIdentical(t *testing.T) {
 	canonQueries := append(append([]string{}, fusedCanonQueries...), randomFusedQueries()...)
 
-	golden := NewContextWithConfig(fusedConfig(0, false))
+	golden := NewContextWithConfig(interpretedConfig(0))
 	setupFusedTables(t, golden, cacheTempTable)
 	setupLaneJoinTables(t, golden, cacheTempTable)
 	wantExact := make(map[string]string, len(fusedExactQueries)+len(laneJoinQueries))
@@ -344,12 +352,12 @@ func TestFusedPipelineByteIdentical(t *testing.T) {
 						got, want = canonText(rows), wantCanon[q]
 					}
 					if got != want {
-						t.Errorf("%q diverged from the row path at budget %d:\n got %.300q\nwant %.300q", q, budget, got, want)
+						t.Errorf("%q diverged from the interpreted engine at budget %d:\n got %.300q\nwant %.300q", q, budget, got, want)
 					}
 				}
 				for _, q := range fusedExactQueries {
 					if got := rowsText(spillCollect(t, ctx, q)); got != wantExact[q] {
-						t.Errorf("%q diverged from the row path at budget %d", q, budget)
+						t.Errorf("%q diverged from the interpreted engine at budget %d", q, budget)
 					}
 					if nf := ctx.SpillFS().NumFiles(); nf != 0 {
 						t.Fatalf("%q left %d spill files at budget %d", q, nf, budget)
@@ -357,7 +365,7 @@ func TestFusedPipelineByteIdentical(t *testing.T) {
 				}
 				for _, q := range canonQueries {
 					if got := canonText(spillCollect(t, ctx, q)); got != wantCanon[q] {
-						t.Errorf("%q diverged from the row path at budget %d", q, budget)
+						t.Errorf("%q diverged from the interpreted engine at budget %d", q, budget)
 					}
 					if nf := ctx.SpillFS().NumFiles(); nf != 0 {
 						t.Fatalf("%q left %d spill files at budget %d", q, nf, budget)
@@ -519,7 +527,7 @@ var probeOrderQueries = []string{
 // TestFusedPartialBlocks is the property suite for the columnar partial ->
 // final boundary and for the batch leaves under it: over the cache and over
 // colfile, the fused, row and interpreted engines produce byte-identical
-// results in identical order — the order of the row path over the cache — at
+// results in identical order — the interpreted engine's over the cache — at
 // an unbounded budget, at 64 KB and at one byte, and no spill file outlives a
 // query. Every map task of windowQueries stops partial aggregation after its
 // window (agg.partial.skipped moves in every mode), and its one-row partials
@@ -527,7 +535,7 @@ var probeOrderQueries = []string{
 func TestFusedPartialBlocks(t *testing.T) {
 	queries := append(blockQueries(), probeOrderQueries...)
 	allQueries := append(slices.Clone(queries), windowInexactQuery)
-	golden := NewContextWithConfig(fusedConfig(0, false))
+	golden := NewContextWithConfig(interpretedConfig(0))
 	setupFusedTables(t, golden, cacheTempTable)
 	setupBlockTables(t, golden, cacheTempTable)
 	want := make(map[string]string, len(allQueries))
@@ -566,7 +574,7 @@ func TestFusedPartialBlocks(t *testing.T) {
 							got, exp = canonText(rows), canon
 						}
 						if got != exp {
-							t.Errorf("%q diverged from the unbudgeted row path:\n got %.300q\nwant %.300q", q, got, exp)
+							t.Errorf("%q diverged from the unbudgeted interpreted engine:\n got %.300q\nwant %.300q", q, got, exp)
 						}
 						if nf := ctx.SpillFS().NumFiles(); nf != 0 {
 							t.Fatalf("%q left %d spill files", q, nf)
@@ -579,6 +587,114 @@ func TestFusedPartialBlocks(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// rowLeafQueries aggregate a row input: an uncached LocalRelation, another
+// aggregate's output, a shuffled join's. Every engine mode plans each as a
+// HashAggregateExec whose phase 1 runs the batch sink over the rows
+// transposed. The table's DOUBLE column holds NULL, NaN, -0.0, 0.0 and +Inf
+// (group and join keys among them), its STRING column the empty string; the
+// shapes cover DISTINCT, a global aggregate, an aggregate input with no kernel
+// (a UDF) and the boxed-state aggregates FIRST and COUNT(DISTINCT).
+var rowLeafQueries = []string{
+	"SELECT k, count(*), sum(v), min(s), max(x), avg(v) FROM rowleaf GROUP BY k",
+	"SELECT x, count(*), sum(v) FROM rowleaf GROUP BY x",
+	"SELECT k, s, count(x), max(v) FROM rowleaf GROUP BY k, s",
+	"SELECT DISTINCT s, k FROM rowleaf",
+	"SELECT k, sum(twice(v)), first(s), count(DISTINCT s), avg(x) FROM rowleaf GROUP BY k",
+	"SELECT count(*), sum(v), min(x), max(s) FROM rowleaf",
+	"SELECT n, count(*) FROM (SELECT k, count(*) AS n FROM rowleaf GROUP BY k) a GROUP BY n",
+	"SELECT d.label, count(*), sum(r.v) FROM rowleaf r JOIN rowdim d ON r.k = d.k GROUP BY d.label",
+	"SELECT r.x, count(*), min(d.label) FROM rowleaf r JOIN rowdim d ON r.x = d.x GROUP BY r.x",
+}
+
+// setupRowLeafTables registers rowleaf and rowdim as uncached LocalRelations
+// and the UDF twice.
+func setupRowLeafTables(t *testing.T, ctx *Context) {
+	t.Helper()
+	doubles := []any{nil, math.NaN(), math.Copysign(0, -1), 0.0, math.Inf(1), 1.5, 2.25}
+	strs := []any{nil, "", "a", "bb", "ccc"}
+	rows := make([]Row, 5000) // over 1024 rows a partition: several chunks a task
+	for i := range rows {
+		var k, v any = int32(i % 37), int64(i%101) - 50
+		if i%41 == 0 {
+			k = nil
+		}
+		if i%43 == 0 {
+			v = nil
+		}
+		rows[i] = Row{k, strs[(i*7)%len(strs)], v, doubles[(i*3)%len(doubles)]}
+	}
+	leaf := StructType{}.Add("k", IntType, true).Add("s", StringType, true).Add("v", LongType, true).Add("x", DoubleType, true)
+	var dim []Row
+	for k := range 30 {
+		dim = append(dim, Row{int32(k), fmt.Sprintf("label%02d", k%9), doubles[k%len(doubles)]})
+	}
+	for name, tbl := range map[string]struct {
+		schema StructType
+		rows   []Row
+	}{"rowleaf": {leaf, rows}, "rowdim": {StructType{}.Add("k", IntType, false).Add("label", StringType, false).Add("x", DoubleType, true), dim}} {
+		df, err := ctx.CreateDataFrame(tbl.schema, tbl.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		df.RegisterTempTable(name)
+	}
+	if err := ctx.RegisterUDF("twice", func(v int64) int64 { return 2 * v }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRowLeafAggregates holds the row→lane edge to the interpreted engine: an
+// aggregate over rows, in every engine mode and at budgets {∞, 64 KB, 1 B},
+// returns the interpreted engine's unbudgeted rows byte for byte and in
+// order, spills at the bounded budgets and leaves no spill file behind. Joins
+// are shuffled (a 1-byte broadcast threshold), and EXPLAIN shows each
+// aggregate over rows transposed.
+func TestRowLeafAggregates(t *testing.T) {
+	shuffled := func(cfg Config) Config { cfg.BroadcastThreshold = 1; return cfg }
+	golden := NewContextWithConfig(shuffled(interpretedConfig(0)))
+	setupRowLeafTables(t, golden)
+	want := make(map[string]string, len(rowLeafQueries))
+	for _, q := range rowLeafQueries {
+		want[q] = rowsText(spillCollect(t, golden, q))
+	}
+	// The batch engine with codegen off compiles its sinks all the same, the
+	// one over rows included, as their EXPLAIN notes say.
+	modes := append(engineModes[:len(engineModes):len(engineModes)], struct {
+		name   string
+		config func(budget int64) Config
+	}{"fused/codegen=false", func(b int64) Config { cfg := fusedConfig(b, true); cfg.Codegen = false; return cfg }})
+	for _, budget := range []int64{0, 64 << 10, 1} {
+		for _, mode := range modes {
+			t.Run(fmt.Sprintf("budget=%d/%s", budget, mode.name), func(t *testing.T) {
+				ctx := NewContextWithConfig(shuffled(mode.config(budget)))
+				setupRowLeafTables(t, ctx)
+				ctx.SpillFS().WriteNanosPerByte, ctx.SpillFS().ReadNanosPerByte = 0, 0
+				for _, q := range rowLeafQueries {
+					if got := rowsText(spillCollect(t, ctx, q)); got != want[q] {
+						t.Errorf("%q diverged from the interpreted engine:\n got %.300q\nwant %.300q", q, got, want[q])
+					}
+					if nf := ctx.SpillFS().NumFiles(); nf != 0 {
+						t.Fatalf("%q left %d spill files", q, nf)
+					}
+					if !strings.HasPrefix(mode.name, "fused") {
+						continue
+					}
+					df, err := ctx.SQL(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if plan, err := df.Explain(); err != nil || !strings.Contains(plan, "(rows transposed, table=") || strings.Contains(plan, "kernels 0/") || strings.Contains(plan, "FusedHashAggregate") {
+						t.Errorf("%q: no aggregate over rows transposed (err %v) in\n%s", q, err, plan)
+					}
+				}
+				if n := ctx.Metrics().Counter("memory.spill.count").Load(); budget == 1 && n == 0 {
+					t.Fatalf("budget %d forced no spills", budget)
+				}
+			})
 		}
 	}
 }
@@ -693,10 +809,12 @@ func TestFusionExplain(t *testing.T) {
 		"SELECT d.label, sum(e.val) AS total FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label ORDER BY total DESC LIMIT 1": {
 			"TopK n=1 [total#N DESC]", "FusedHashAggregate keys=[label#N]", "FusedBroadcastHashJoin Inner build=right"},
 	}
-	// The fallbacks that remain, each with a plan shape that produces it.
+	// The fallbacks that remain, and the row input an aggregate transposes,
+	// each with a plan shape that produces it.
 	fallbacks := map[string]string{
-		// an aggregate over an aggregate's row output
-		"SELECT a.n, count(*) FROM (SELECT grp, count(*) AS n FROM events GROUP BY grp) a GROUP BY a.n": "HashAggregate keys=[n#N] results=[n#N, count(*) AS count(*)#N]  (fallback: input not vectorized)",
+		// an aggregate over an aggregate's row output: its phase 1 runs the
+		// same sink over the rows transposed
+		"SELECT a.n, count(*) FROM (SELECT grp, count(*) AS n FROM events GROUP BY grp) a GROUP BY a.n": "HashAggregate keys=[n#N] results=[n#N, count(*) AS count(*)#N]  (rows transposed, table=i64, kernels 2/2 native)",
 		// a join probing an aggregate's row output
 		"SELECT a.n, d.label FROM (SELECT grp, count(*) AS n FROM events GROUP BY grp) a JOIN dim d ON a.grp = d.grp": "BroadcastHashJoin Inner build=right keys=[grp#N]=[grp#N]  (fallback: probe side not vectorized)",
 		// a pipeline over a batch leaf none of whose stages has a kernel

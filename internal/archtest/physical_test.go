@@ -60,6 +60,21 @@ func nestedJobs(t *testing.T, root string) []string {
 	}))
 }
 
+// stageMemoizers returns where any non-test Go file names LazyBuild,
+// shuffleState or CollectPartitionsContext: a second memoizer beside
+// rdd.Stage, or the adaptive driver collecting a stage's partitions itself.
+func stageMemoizers(t *testing.T, root string) []string {
+	t.Helper()
+	files, err := ParseFiles(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return callStrings(FindNodes(files, func(_ File, n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		return ok && (id.Name == "LazyBuild" || id.Name == "shuffleState" || id.Name == "CollectPartitionsContext")
+	}))
+}
+
 // rowSliceSorts returns the calls to sort.Slice, sort.SliceStable or sort.Sort
 // in internal/physical's non-test files: a sort run is an index sort over key
 // lanes extracted once (sortOrder.sort), not a comparison sort moving rows.
@@ -111,6 +126,12 @@ func TestNoDeletedFusionAdmission(t *testing.T) {
 	}
 }
 
+func TestOneStageMechanism(t *testing.T) {
+	if bad := stageMemoizers(t, "../.."); len(bad) > 0 {
+		t.Fatalf("a second stage mechanism is back: %v", bad)
+	}
+}
+
 func TestNoJobInsideTask(t *testing.T) {
 	if bad := nestedJobs(t, "../.."); len(bad) > 0 {
 		t.Fatalf("internal/physical or internal/rangejoin runs a job from inside a task: %v", bad)
@@ -122,7 +143,9 @@ func TestNoJobInsideTask(t *testing.T) {
 // returning a reason) and a build side collected and a partition computed
 // inside a task, the external sorter's row-slice sorts, and a sort-merge join
 // declared and zipped; its rangejoin package collects its interval tree's
-// build side. Comments, and a test file's collect, are not reported.
+// build side. Its physical and rdd packages hold the second stage mechanisms:
+// LazyBuild, shuffleState and the partition collector, each declared and
+// used. Comments, and a test file's collect, are not reported.
 func TestPhysicalGatesFire(t *testing.T) {
 	root := "testdata/fixture"
 	if got, want := admissionConditions(t, root), []string{
@@ -157,5 +180,15 @@ func TestPhysicalGatesFire(t *testing.T) {
 		"internal/physical/smj.go:22 in SortMergeJoinExec.Execute",
 	}; !slices.Equal(got, want) {
 		t.Errorf("fixture: second shuffled joins reported %v, want %v", got, want)
+	}
+	if got, want := stageMemoizers(t, root), []string{
+		"internal/physical/lazy.go:5",
+		"internal/physical/lazy.go:12 in LazyBuild.Get",
+		"internal/physical/lazy.go:24 in adaptStage",
+		"internal/rdd/shuffle.go:5",
+		"internal/rdd/shuffle.go:12 in shuffleState.materialize",
+		"internal/rdd/shuffle.go:24 in RDD.CollectPartitionsContext",
+	}; !slices.Equal(got, want) {
+		t.Errorf("fixture: second stage mechanisms reported %v, want %v", got, want)
 	}
 }

@@ -140,7 +140,7 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzDecodeMessages(f *testing.F) {
 	f.Add(encodeRegister(registerMsg{ID: "w1", BlockAddr: "127.0.0.1:9", PID: 42}))
 	f.Add(encodeTask(taskMsg{TaskID: 7, Kind: "sql.partition", Payload: []byte("p")}))
-	f.Add(encodeTaskResult(taskResultMsg{TaskID: 7, Payload: []byte("r")}))
+	f.Add(append(taskResultHead(7, 1), 'r'))
 	f.Add(encodeTaskError(taskErrorMsg{TaskID: 7, Code: CodeRetryable, Message: "boom"}))
 	f.Add(encodeLocate(locateMsg{ReqID: 3, Key: "shuffle/1"}))
 	f.Add(encodeLocated(locatedMsg{ReqID: 3, Addrs: []string{"a", "b"}}))
@@ -184,7 +184,7 @@ func TestDecodedPayloadAliasesFrame(t *testing.T) {
 		decode func([]byte) ([]byte, error)
 	}{
 		{encodeTask(taskMsg{TaskID: 1, Kind: "k", Payload: []byte("task")}), func(b []byte) ([]byte, error) { m, err := decodeTask(b); return m.Payload, err }},
-		{encodeTaskResult(taskResultMsg{TaskID: 1, Payload: []byte("result")}), func(b []byte) ([]byte, error) { m, err := decodeTaskResult(b); return m.Payload, err }},
+		{append(taskResultHead(1, 6), "result"...), func(b []byte) ([]byte, error) { m, err := decodeTaskResult(b); return m.Payload, err }},
 		{encodeBlockData(blockDataMsg{OK: true, Data: []byte("block")}), func(b []byte) ([]byte, error) { m, err := decodeBlockData(b); return m.Data, err }},
 	} {
 		buf := append(c.msg, "after"...)

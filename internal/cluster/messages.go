@@ -181,10 +181,12 @@ type taskResultMsg struct {
 	Payload []byte
 }
 
-func encodeTaskResult(m taskResultMsg) []byte {
+// taskResultHead is a task result's encoding up to its payload of n bytes: a
+// worker hands the payload to the frame beside it instead of copying it in.
+func taskResultHead(id uint64, n int) []byte {
 	var e enc
-	e.u64(m.TaskID)
-	e.bytes(m.Payload)
+	e.u64(id)
+	e.u64(uint64(n))
 	return e.b
 }
 

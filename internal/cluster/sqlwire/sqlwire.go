@@ -17,11 +17,11 @@ package sqlwire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 
-	"repro/internal/frame"
 	"repro/internal/metrics"
 	"repro/internal/types"
 )
@@ -175,7 +175,7 @@ func DecodeQuery(b []byte) (*QueryTask, error) {
 // observability without extra round trips.
 type TaskReply struct {
 	Worker   string          `json:"worker"`
-	Rows     []byte          `json:"-"` // framed raw, not JSON — see EncodeTaskReply
+	Rows     []byte          `json:"-"` // length-prefixed raw, not JSON — see EncodeTaskReply
 	Spans    []metrics.Span  `json:"spans,omitempty"`
 	Counters []CounterSample `json:"counters,omitempty"`
 }
@@ -206,39 +206,36 @@ type ObsReply struct {
 	Spans    []metrics.Span  `json:"spans,omitempty"`
 }
 
-// rowsKind is the frame kind of a task reply's row block.
-const rowsKind byte = 'R'
-
-// EncodeTaskReply marshals a task reply as one frame holding the raw row
-// block, then the JSON observability trailer. The row block stays raw
-// bytes — running it through JSON would base64-inflate the result payload
+// EncodeTaskReply marshals a task reply as the raw row block behind its
+// length (a uvarint), then the JSON observability trailer. The row block stays
+// raw bytes — running it through JSON would base64-inflate the result payload
 // by a third, which is exactly the kind of observability tax the ≤5%
-// overhead gate exists to forbid.
+// overhead gate exists to forbid — and is checksummed once, by the message
+// frame that carries the reply.
 func EncodeTaskReply(r *TaskReply) ([]byte, error) {
 	meta, err := json.Marshal(r)
 	if err != nil {
 		return nil, err
 	}
-	out := frame.Append(make([]byte, 0, frame.HeaderSize+len(r.Rows)+len(meta)), rowsKind, r.Rows)
-	return append(out, meta...), nil
+	out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(r.Rows)+len(meta)), uint64(len(r.Rows)))
+	return append(append(out, r.Rows...), meta...), nil
 }
 
-// DecodeTaskReply is the inverse of EncodeTaskReply, rejecting trailing
-// garbage after the JSON trailer.
+// DecodeTaskReply is the inverse of EncodeTaskReply, rejecting a row block
+// longer than the bytes and trailing garbage after the JSON trailer. The row
+// block aliases b.
 func DecodeTaskReply(b []byte) (*TaskReply, error) {
-	kind, rows, meta, err := frame.Next(b)
-	if err == nil && kind != rowsKind {
-		err = fmt.Errorf("frame kind %d, want %d", kind, rowsKind)
+	n, k := binary.Uvarint(b)
+	if k <= 0 || uint64(len(b)-k) < n {
+		return nil, fmt.Errorf("sqlwire: task reply: row block: bad length in %d bytes", len(b))
 	}
-	if err != nil {
-		return nil, fmt.Errorf("sqlwire: task reply: row block: %w", err)
-	}
+	end := k + int(n)
 	var r TaskReply
-	if err := strictUnmarshal(meta, &r); err != nil {
+	if err := strictUnmarshal(b[end:], &r); err != nil {
 		return nil, fmt.Errorf("sqlwire: task reply: %w", err)
 	}
-	if len(rows) > 0 {
-		r.Rows = rows
+	if n > 0 {
+		r.Rows = b[k:end:end]
 	}
 	return &r, nil
 }

@@ -107,7 +107,7 @@ func (w *Worker) ID() string {
 	return w.id
 }
 
-func (w *Worker) send(frameType byte, payload []byte) error {
+func (w *Worker) send(frameType byte, payload ...[]byte) error {
 	w.mu.Lock()
 	conn := w.conn
 	w.mu.Unlock()
@@ -116,7 +116,7 @@ func (w *Worker) send(frameType byte, payload []byte) error {
 	}
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
-	return frame.Write(conn, frameType, payload)
+	return frame.Write(conn, frameType, payload...)
 }
 
 // Run connects to the coordinator, registers, and serves until ctx is
@@ -303,7 +303,7 @@ func (w *Worker) execute(ctx context.Context, m taskMsg) {
 		w.send(fTaskError, encodeTaskError(taskErrorMsg{TaskID: m.TaskID, Code: code, Message: err.Error()}))
 		return
 	}
-	w.send(fTaskResult, encodeTaskResult(taskResultMsg{TaskID: m.TaskID, Payload: result}))
+	w.send(fTaskResult, taskResultHead(m.TaskID, len(result)), result) // the result is framed where it lies
 }
 
 // Advertise tells the coordinator this worker's block store holds blocks

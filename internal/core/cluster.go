@@ -439,19 +439,19 @@ func (q *QueryExecution) CountDistributedContext(ctx context.Context, sql string
 
 // distributed builds the RemoteOrLocal wrapper for this query, or reports
 // ok=false when the query must run locally. With observability on, the
-// returned trace id tags every span of the query (local and remote) and
+// returned trace's id tags every span of the query (local and remote) and
 // task payloads carry it, so worker replies bring back that task's spans
 // and counters; with it off the trace id is "" and replies carry rows only.
-func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[row.Row], func(), context.Context, string, bool) {
+func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[row.Row], func(), context.Context, queryTrace, bool) {
 	rt := q.engine.cluster
 	if rt == nil || sql == "" {
-		return nil, nil, nil, "", false
+		return nil, nil, nil, queryTrace{}, false
 	}
 	rt.RefreshSession()
 	sessionID, epoch := rt.session()
 	ec := q.engine.ExecContext()
 	jc, cancel := q.engine.queryContext(ctx)
-	jc, traceID := q.engine.beginQuery(jc)
+	jc, trace := q.engine.beginQuery(jc)
 	cleanup := func() {
 		cancel()
 		ec.CleanupSpills()
@@ -462,13 +462,13 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 	pp, err := rt.adapt(jc, ec, q, sql)
 	if err != nil {
 		cleanup()
-		return nil, nil, nil, "", false
+		return nil, nil, nil, queryTrace{}, false
 	}
 	var decisions json.RawMessage
 	if len(q.Decisions) > 0 {
 		if decisions, err = json.Marshal(q.Decisions); err != nil {
 			cleanup()
-			return nil, nil, nil, "", false
+			return nil, nil, nil, queryTrace{}, false
 		}
 	}
 	local := pp.Execute(ec)
@@ -484,9 +484,9 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 			PlanHash:      planHash,
 			Decisions:     decisions,
 		}
-		if traceID != "" {
-			task.TraceID = traceID
-			task.ParentSpan = fmt.Sprintf("%s/p%d", traceID, p)
+		if trace.id != "" {
+			task.TraceID = trace.id
+			task.ParentSpan = fmt.Sprintf("%s/p%d", trace.id, p)
 		}
 		b, err := sqlwire.EncodeQuery(task)
 		if err != nil {
@@ -505,7 +505,7 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 		rt.absorbReply(reply)
 		return columnar.DecodeBlock(reply.Rows)
 	}
-	return rdd.RemoteOrLocal(local, "sql.partition", payload, decode), cleanup, jc, traceID, true
+	return rdd.RemoteOrLocal(local, "sql.partition", payload, decode), cleanup, jc, trace, true
 }
 
 // adaptedStatement is a distributed statement's adaptive decision list (empty
@@ -584,7 +584,7 @@ func (rt *ClusterRuntime) ClusterSummaryFor(traceID string) string {
 	fmt.Fprintf(&sb, "session: epoch %d%s, %d statements adapted%s\n", rt.epoch, rt.status, len(rt.decisions), rt.degraded)
 	rt.mu.Unlock()
 	byWorker := make(map[string]WorkerActual)
-	for _, wa := range workerActuals(rt.e.RDDCtx.Trace().TraceSpans(traceID)) {
+	for _, wa := range workerActuals(rt.e.RDDCtx.Trace().TraceSpans(traceID, 0)) {
 		byWorker[wa.Worker] = wa
 	}
 	for _, w := range ws {

@@ -186,7 +186,7 @@ func TestFinishEventCostsOwnSpans(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			q.finishEvent("q-own", "collect", time.Now(), 4, nil)
+			q.finishEvent(queryTrace{id: "q-own"}, "collect", time.Now(), 4, nil)
 		}
 		runtime.ReadMemStats(&after)
 		return int64(after.TotalAlloc-before.TotalAlloc) / runs

@@ -24,15 +24,23 @@ func (e *Engine) newTraceID() string {
 	return fmt.Sprintf("q-%d-%d", os.Getpid(), e.traceSeq.Add(1))
 }
 
+// queryTrace is one action's observability scope: its trace id ("" with
+// observability off) and the trace ring's span total when it began, after
+// which every span of the trace is appended.
+type queryTrace struct {
+	id    string
+	since int64
+}
+
 // beginQuery opens the observability scope of one action: it allocates the
 // trace id and threads it through the job context so every span the action
 // emits (local or, via the cluster runtime, remote) correlates.
-func (e *Engine) beginQuery(jc context.Context) (context.Context, string) {
+func (e *Engine) beginQuery(jc context.Context) (context.Context, queryTrace) {
 	tid := e.newTraceID()
 	if tid == "" {
-		return jc, ""
+		return jc, queryTrace{}
 	}
-	return rdd.WithTraceContext(jc, tid, "", nil), tid
+	return rdd.WithTraceContext(jc, tid, "", nil), queryTrace{id: tid, since: e.RDDCtx.Trace().Total()}
 }
 
 // SetSQL records the SQL text this execution was parsed from, for the
@@ -40,9 +48,9 @@ func (e *Engine) beginQuery(jc context.Context) (context.Context, string) {
 func (q *QueryExecution) SetSQL(sql string) { q.SQLText = sql }
 
 // finishEvent appends one event-log entry for a completed action. No-op
-// when observability is off (tid == "").
-func (q *QueryExecution) finishEvent(tid, action string, start time.Time, rows int64, err error) {
-	if tid == "" {
+// when observability is off (tr.id == "").
+func (q *QueryExecution) finishEvent(tr queryTrace, action string, start time.Time, rows int64, err error) {
+	if tr.id == "" {
 		return
 	}
 	e := q.engine
@@ -50,7 +58,7 @@ func (q *QueryExecution) finishEvent(tid, action string, start time.Time, rows i
 	p := q.executedPlan()
 	text := p.String()
 	ev := QueryEvent{
-		ID:          tid,
+		ID:          tr.id,
 		SQL:         q.SQLText,
 		Action:      action,
 		PlanHash:    fmt.Sprintf("%016x", q.planHash(p, func() string { return text })),
@@ -65,7 +73,7 @@ func (q *QueryExecution) finishEvent(tid, action string, start time.Time, rows i
 	if err != nil {
 		ev.Err = err.Error()
 	}
-	spans := e.RDDCtx.Trace().TraceSpans(tid)
+	spans := e.RDDCtx.Trace().TraceSpans(tr.id, tr.since)
 	ev.Stages = stageActuals(spans)
 	ev.Workers = workerActuals(spans)
 	e.Events.Record(ev)

@@ -14,8 +14,8 @@ import (
 // slices — COUNT an []int64, SUM a value lane plus a seen lane, AVG sum and
 // count lanes, MIN/MAX a typed value lane plus a seen lane, and a boxed
 // buffer lane for FIRST, COUNT(DISTINCT) and unknown aggregates. Phase 1
-// fills the lanes (from column vectors on the fused path, from boxed rows on
-// the row path); the lanes themselves are what crosses the exchange; the
+// fills the lanes from column vectors — a pipeline's, or a row input's
+// transposed into lanes; the lanes themselves are what crosses the exchange; the
 // reducer merges lanes into lanes and turns them into result columns. Boxed
 // scalar buffers exist only behind Buffer and SetBuffer: the per-group view a
 // reducer encodes into a spilled group record, and its way back into a lane.
@@ -532,7 +532,7 @@ func (a *vecMinMax) SetBuffer(g int, buf any) {
 
 // BoxedAggregator is the boxed buffer lane: one scalar aggregation buffer
 // per group, folded through the aggregate's own Update / Merge / Result. It
-// is the whole accumulator on the row-at-a-time phase 1 (UpdateRow) and for
+// is every accumulator of the interpreted engine, the accumulator of
 // aggregate types this file does not know, and the state behind FIRST and
 // COUNT(DISTINCT), whose buffers have no typed form.
 type BoxedAggregator struct {
@@ -551,12 +551,6 @@ func (a *BoxedAggregator) grow(n int) {
 }
 
 func (a *BoxedAggregator) Reserve(n int) { a.bufs = columnar.ReserveLane(a.bufs, n) }
-
-// UpdateRow folds one boxed input row into group g.
-func (a *BoxedAggregator) UpdateRow(g int, r row.Row) {
-	a.grow(g + 1)
-	a.bufs[g] = a.fn.Update(a.bufs[g], r)
-}
 
 // Update boxes each selected row into a reused scratch and runs the scalar
 // Update — correct for any AggregateFunc, never fast.

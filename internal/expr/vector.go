@@ -25,6 +25,9 @@ type VecBatch struct {
 	// Scratch, when set, lends the kernels their output selections and
 	// vectors instead of each allocating its own; nil allocates.
 	Scratch *Scratch
+	// Rows, when set, are the rows the batch was transposed from, which a
+	// scalar fallback reads instead of boxing the lanes back into rows.
+	Rows []row.Row
 }
 
 // Scratch is a task's memory for one batch at a time, reused batch after
@@ -139,11 +142,15 @@ func (b *VecBatch) scratchRow() row.Row {
 	return s.row
 }
 
-// RowInto boxes row i of the batch into a caller-owned scratch row, so hot
-// fallback loops reuse one allocation per batch instead of one per row; nil
-// vectors contribute NULL (they are unreferenced by the expression being
-// evaluated). The scratch must not be retained past the next RowInto call.
+// RowInto returns row i for a scalar evaluator to read: Rows[i] when the
+// batch carries its rows, else row i boxed into the caller's scratch r, one
+// allocation per batch (a nil vector, which the expression does not
+// reference, leaves NULL). The row is only read, and not kept past the next
+// call.
 func (b *VecBatch) RowInto(i int, r row.Row) row.Row {
+	if b.Rows != nil {
+		return b.Rows[i]
+	}
 	for j, v := range b.Cols {
 		if v != nil {
 			r[j] = v.Get(i)

@@ -1,6 +1,6 @@
 // Package frame is the one record format for bytes that cross a process or
-// disk boundary: cluster wire messages, the durable file system's mirrored
-// blocks and a task reply's row block are all cut by it. A frame is
+// disk boundary: cluster wire messages and the durable file system's mirrored
+// blocks are cut by it. A frame is
 //
 //	[kind u8][len u32][crc32 u32][payload]
 //
@@ -40,13 +40,22 @@ func checksum(head, payload []byte) uint32 {
 	return crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload)
 }
 
-// Append appends one frame holding payload (under 4 GiB) to dst.
-func Append(dst []byte, kind byte, payload []byte) []byte {
-	start := len(dst)
+// Append appends one frame to dst whose payload (under 4 GiB) is the
+// concatenation of parts, each copied once and checksummed once.
+func Append(dst []byte, kind byte, parts ...[]byte) []byte {
+	start, n := len(dst), 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	dst = append(dst, kind, 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(dst[start+1:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(dst[start+5:], checksum(dst[start:start+5], payload))
-	return append(dst, payload...)
+	binary.BigEndian.PutUint32(dst[start+1:], uint32(n))
+	crc := crc32.ChecksumIEEE(dst[start : start+5])
+	for _, p := range parts {
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+		dst = append(dst, p...)
+	}
+	binary.BigEndian.PutUint32(dst[start+5:], crc)
+	return dst
 }
 
 // Next cuts the frame at the head of b, returning its kind, its payload
@@ -90,11 +99,17 @@ func Read(r io.Reader) (kind byte, payload []byte, err error) {
 }
 
 // Write sends one frame in a single Write call, so writers serialized by a
-// mutex never interleave partial frames.
-func Write(w io.Writer, kind byte, payload []byte) error {
-	if len(payload) > MaxSize {
+// mutex never interleave partial frames. Its payload is the concatenation of
+// parts (Append): a message that wraps a body it was handed (a task result
+// around its reply) passes its own head and the body, not a copy of both.
+func Write(w io.Writer, kind byte, parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > MaxSize {
 		return ErrTooLarge
 	}
-	_, err := w.Write(Append(make([]byte, 0, HeaderSize+len(payload)), kind, payload))
+	_, err := w.Write(Append(make([]byte, 0, HeaderSize+n), kind, parts...))
 	return err
 }

@@ -78,3 +78,21 @@ func FuzzFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestWriteParts: Write frames the concatenation of its parts — byte for byte
+// the frame Append writes for the whole payload, which Read reads back.
+func TestWriteParts(t *testing.T) {
+	for _, parts := range [][][]byte{nil, {[]byte("whole")}, {[]byte("head"), nil, []byte("body"), []byte("!")}} {
+		var buf bytes.Buffer
+		if err := Write(&buf, 'T', parts...); err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Join(parts, nil)
+		if want := Append(nil, 'T', payload); !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("Write(%q) = %q, want %q", parts, buf.Bytes(), want)
+		}
+		if kind, got, err := Read(&buf); err != nil || kind != 'T' || !bytes.Equal(got, payload) {
+			t.Fatalf("Read back %c %q %v, want T %q", kind, got, err, payload)
+		}
+	}
+}

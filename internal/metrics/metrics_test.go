@@ -258,25 +258,45 @@ func TestTraceBufferConcurrency(t *testing.T) {
 }
 
 // TraceSpans copies one trace's spans out of the ring, oldest-first across
-// the wrap, and is safe against concurrent appends.
+// the wrap, scanning only the spans appended since the total it is given, and
+// is safe against concurrent appends.
 func TestTraceBufferTraceSpans(t *testing.T) {
 	tb := NewTraceBuffer(5)
 	for i := 0; i < 8; i++ { // wraps: s3..s7 retained, cursor mid-ring
 		tb.Append(Span{Trace: fmt.Sprintf("q%d", i%2), Name: fmt.Sprintf("s%d", i)})
 	}
-	var names []string
-	for _, s := range tb.TraceSpans("q1") {
-		names = append(names, s.Name)
+	names := func(spans []Span) string {
+		var out []string
+		for _, s := range spans {
+			out = append(out, s.Name)
+		}
+		return strings.Join(out, ",")
 	}
-	if got := strings.Join(names, ","); got != "s3,s5,s7" {
-		t.Fatalf("TraceSpans(q1) = %s, want s3,s5,s7", got)
+	if got := names(tb.TraceSpans("q1", 0)); got != "s3,s5,s7" {
+		t.Fatalf("TraceSpans(q1, 0) = %s, want s3,s5,s7", got)
 	}
-	if got := tb.TraceSpans("q9"); got != nil {
+	// Since a total: only the spans appended after it, across the wrap, and
+	// every retained one when more than the ring holds came since.
+	for since, want := range map[int64]string{4: "s5,s7", 5: "s5,s7", 6: "s7", 7: "s7", 8: "", 9: "", 2: "s3,s5,s7"} {
+		if got := names(tb.TraceSpans("q1", since)); got != want {
+			t.Errorf("TraceSpans(q1, %d) = %q, want %q", since, got, want)
+		}
+	}
+	if got := tb.TraceSpans("q9", 0); got != nil {
 		t.Fatalf("unknown trace id returned %v", got)
 	}
 	var nilBuf *TraceBuffer
-	if got := nilBuf.TraceSpans("q1"); got != nil {
+	if got := nilBuf.TraceSpans("q1", 0); got != nil {
 		t.Fatalf("nil buffer returned %v", got)
+	}
+	// A span appended before the total is never read: not even one that
+	// carries the trace's id.
+	short := NewTraceBuffer(8)
+	short.Append(Span{Trace: "q", Name: "stale"})
+	since := short.Total()
+	short.Append(Span{Trace: "q", Name: "own"})
+	if got := names(short.TraceSpans("q", since)); got != "own" {
+		t.Fatalf("TraceSpans(q, %d) = %q, want own", since, got)
 	}
 
 	ring := NewTraceBuffer(64)
@@ -290,7 +310,7 @@ func TestTraceBufferTraceSpans(t *testing.T) {
 				ring.Append(Span{Trace: id, Partition: i})
 				if i%32 == 0 {
 					last := -1
-					for _, s := range ring.TraceSpans(id) {
+					for _, s := range ring.TraceSpans(id, 0) {
 						if s.Trace != id || s.Partition <= last {
 							t.Errorf("%s: span %+v out of order or foreign", id, s)
 							return

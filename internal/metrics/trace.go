@@ -146,15 +146,18 @@ func (t *TraceBuffer) Snapshot() []Span {
 }
 
 // TraceSpans returns the retained spans of one trace id oldest-first, copying
-// only those. Nil-safe; an id with no retained span returns nil.
-func (t *TraceBuffer) TraceSpans(id string) []Span {
+// only those, among the spans appended since Total() read since: a trace's
+// spans all come after it began, so its owner scans those alone, not the whole
+// ring (since 0 scans every retained span). Nil-safe; an id with no such span
+// returns nil.
+func (t *TraceBuffer) TraceSpans(id string, since int64) []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Span
-	for i := range t.buf {
+	for i := len(t.buf) - int(min(max(t.total-since, 0), int64(len(t.buf)))); i < len(t.buf); i++ {
 		if s := &t.buf[(t.next+i)%len(t.buf)]; s.Trace == id {
 			out = append(out, *s)
 		}

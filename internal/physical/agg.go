@@ -52,45 +52,67 @@ func (h *HashAggregateExec) SimpleString() string {
 }
 func (h *HashAggregateExec) String() string { return Format(h) }
 
-// rowChunk is how many input rows a row-at-a-time operator transposes into
-// key vectors per group-table call.
+// rowChunk is how many rows of a row input the transposer moves into lanes
+// per call of the batch body it feeds.
 const (
 	rowChunk         = 1024
 	partialWindow    = 4 * rowChunk           // rows a phase-1 task aggregates before it decides (partialAgg)
 	partialMaxGroups = partialWindow * 9 / 10 // more groups than this in the window: stop probing
 )
 
-// keyChunk is how the row-at-a-time operators (aggregation phase 1, the hash
-// joins' build and probe) reach the group tables the batch operators use: it
-// evaluates the keys of up to rowChunk rows into one reused vector per key.
-// Typed — with codegen — the vectors are class lanes, so the specialized
-// tables hash raw integers and strings and skip per-row key-string
-// allocation: the "avoids expensive allocation of key-value pairs"
-// specialization the paper credits for the Figure 9 DataFrame win. The
-// interpreted baseline keeps the evaluators' boxed values and, with them, the
-// generic table.
-type keyChunk struct {
-	evals []func(row.Row) any
-	vecs  []*columnar.Vector
-	ident []int32
+// transposer is the one row→lane edge, the inverse of expr.BoxValues: it
+// moves the cells of rows into reused lanes, one per column its consumer
+// marked used (nil for the rest). A row input reaches the batch sinks through
+// it: the aggregate's phase 1, the hash joins' key kernels, a fused join's
+// build lanes, TopK's result edge. Typed (under codegen) the lanes are class
+// lanes, which native kernels and the specialized tables read lane-direct;
+// boxed, they hold the cells themselves. The batch keeps its rows too, for
+// the interpreter lifted to batches and any scalar fallback to read.
+type transposer struct {
+	batch   expr.VecBatch
+	scratch expr.Scratch
+	all     []int32
 }
 
-// newKeyChunk sizes the chunk vectors for an input of the given row count.
-func newKeyChunk(evals []func(row.Row) any, keyTypes []types.DataType, typed bool, rows int) *keyChunk {
-	n := min(rowChunk, rows)
-	c := &keyChunk{evals: evals, vecs: make([]*columnar.Vector, len(evals)), ident: identitySel(n)}
-	newVec := columnar.NewAnyVector
-	if typed {
-		newVec = expr.NewClassVector
+// newTransposer transposes rows of the given schema; a nil used marks every
+// column used.
+func newTransposer(attrs []*expr.AttributeReference, used []bool, typed bool) *transposer {
+	t := &transposer{batch: expr.VecBatch{Cols: make([]*columnar.Vector, len(attrs))}}
+	t.batch.Scratch = &t.scratch
+	for c, a := range attrs {
+		switch {
+		case used != nil && !used[c]:
+		case typed:
+			t.batch.Cols[c] = expr.NewClassVector(a.DataType(), 0)
+		default:
+			t.batch.Cols[c] = columnar.NewAnyVector(a.DataType(), 0)
+		}
 	}
-	for j, t := range keyTypes {
-		c.vecs[j] = newVec(t, n)
-	}
-	return c
+	return t
 }
 
-// keyNative tells a group table which of a keyChunk's vectors are typed: all
-// of them (nil) with codegen, none without.
+// load transposes rows into the lanes and returns them as a batch, with the
+// selection of all its rows. The batch, the selection and whatever a kernel
+// borrowed over the batch are overwritten by the next load.
+func (t *transposer) load(rows []row.Row) (*expr.VecBatch, []int32) {
+	for c, v := range t.batch.Cols {
+		if v != nil {
+			v.Reset(len(rows))
+			for i, r := range rows {
+				v.Set(i, r[c])
+			}
+		}
+	}
+	t.scratch.Reset()
+	t.batch.Rows = rows
+	if t.batch.N = len(rows); len(t.all) < len(rows) {
+		t.all = identitySel(len(rows))
+	}
+	return &t.batch, t.all[:len(rows)]
+}
+
+// keyNative tells a join's group table which of its key vectors are typed:
+// all of them (nil) when typed, none otherwise.
 func keyNative(keys int, typed bool) []bool {
 	if typed {
 		return nil
@@ -98,71 +120,32 @@ func keyNative(keys int, typed bool) []bool {
 	return make([]bool, keys)
 }
 
-// load evaluates the keys of rows (at most rowChunk of them) and returns the
-// key vectors with the selection of every row; both are overwritten by the
-// next load.
-func (c *keyChunk) load(rows []row.Row) ([]*columnar.Vector, []int32) {
-	for j, ev := range c.evals {
-		v := c.vecs[j]
-		v.Reset(len(rows))
-		for i, r := range rows {
-			v.Set(i, ev(r))
-		}
-	}
-	return c.vecs, c.ident[:len(rows)]
-}
-
 func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] { return boxedRows(h, ctx) }
 
-// Results implements BatchTop: the reducers' results go to sink.
+// Results implements BatchTop: phase 1 runs its sink over the child's rows
+// transposed a chunk at a time, compiled under codegen or once the Fuse rule
+// annotated it (as its EXPLAIN note states); the reducers' results go to sink.
 func (h *HashAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Arena] {
-	input := h.Child.Output()
-
-	// Bind grouping expressions.
-	groupEvals := make([]func(row.Row) any, len(h.Grouping))
-	for i, g := range h.Grouping {
-		groupEvals[i] = ctx.evaluator(bind(g, input))
+	input, codegen := h.Child.Output(), ctx.Codegen || h.Fusion() != ""
+	k := h.compileSink(input, codegen)
+	used := make([]bool, len(input))
+	for _, e := range k.refs {
+		markBoundRefs(e, used)
 	}
-	// Extract aggregate functions (bound to input) and build result
-	// expressions over the synthetic [groups..., aggValues...] row.
-	unbound, resultExprs := h.splitAggregates()
-	fns := bindFns(unbound, input)
-	newLanes := func() []expr.VecAggregator {
-		lanes := make([]expr.VecAggregator, len(fns))
-		for i, fn := range fns {
-			lanes[i] = expr.NewBoxedAggregator(fn)
-		}
-		return lanes
-	}
-	keyTypes := h.keyTypes()
-	buckets := h.buckets(ctx)
 	om := h.EnableMetrics(ctx.Metrics)
-	skipped := ctx.RDD.Metrics().Counter("agg.partial.skipped")
-
-	// Phase 1: partial aggregation per partition, emitting the same columnar
-	// blocks as the fused phase 1 (with boxed state lanes). Rows are probed a
-	// key chunk at a time.
 	blocks := rdd.MapPartitions(h.Child.Execute(ctx), func(_ int, in []row.Row) []aggBlock {
-		keys := newKeyChunk(groupEvals, keyTypes, ctx.Codegen, len(in))
-		agg := newPartialAgg(keyTypes, keyNative(len(keyTypes), ctx.Codegen), newLanes, buckets)
+		chunks := newTransposer(input, used, codegen)
+		agg := newPartialAgg(h.keyTypes(), k.native, k.newLanes, h.buckets(ctx))
 		for off := 0; off < len(in); off += rowChunk {
-			rows := in[off:min(off+rowChunk, len(in))]
-			kvecs, all := keys.load(rows)
-			agg.add(kvecs, all, func(lanes []expr.VecAggregator, sel, gidx []int32, _ int) {
-				for k, i := range sel {
-					for _, l := range lanes {
-						l.(*expr.BoxedAggregator).UpdateRow(int(gidx[k]), rows[i])
-					}
-				}
-			})
+			b, all := chunks.load(in[off:min(off+rowChunk, len(in))])
+			agg.addBatch(k.keyEvals, b, all)
 		}
-		return agg.finish(om, skipped)
+		return agg.finish(om, ctx.RDD.Metrics().Counter("agg.partial.skipped"))
 	})
-
-	return h.finalMerge(ctx, om, blocks, fns, newLanes, resultExprs, sink)
+	return h.finalMerge(ctx, om, blocks, k, sink)
 }
 
-// partialAgg is a map task's partial aggregation in both phase 1s: its first
+// partialAgg is a map task's partial aggregation, the one phase 1: its first
 // partialWindow rows go into its table, and if they left more than
 // partialMaxGroups groups (keys nearly distinct: a passed row is a shuffle
 // record) every later row leaves as a one-row partial group. It decides once,
@@ -174,6 +157,7 @@ func (h *HashAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[
 type partialAgg struct {
 	groupTable
 	lanes    []expr.VecAggregator
+	keys     []*columnar.Vector // the batch in hand's group keys
 	probe    groupProbe
 	newLanes func() []expr.VecAggregator
 	window   int32        // rows still to aggregate before deciding; 0 once decided
@@ -188,11 +172,25 @@ type passThrough struct {
 }
 
 func newPartialAgg(keyTypes []types.DataType, native []bool, newLanes func() []expr.VecAggregator, buckets int) partialAgg {
-	a := partialAgg{lanes: newLanes(), newLanes: newLanes, buckets: int32(buckets)}
+	a := partialAgg{lanes: newLanes(), keys: make([]*columnar.Vector, len(keyTypes)), newLanes: newLanes, buckets: int32(buckets)}
 	if a.init(keyTypes, native, 0); a.cmp != cmpGlobal {
 		a.window = partialWindow
 	}
 	return a
+}
+
+// addBatch is the one phase-1 body, over a pipeline's batch or a row input's
+// transposed chunk alike: it evaluates the group keys over the batch and folds
+// its live rows into the state lanes.
+func (a *partialAgg) addBatch(keyEvals []expr.VecEval, batch *expr.VecBatch, live []int32) {
+	for i, ev := range keyEvals {
+		a.keys[i] = ev(batch, live)
+	}
+	a.add(a.keys, live, func(lanes []expr.VecAggregator, sel, gidx []int32, n int) {
+		for _, l := range lanes {
+			l.Update(batch, sel, gidx, n)
+		}
+	})
 }
 
 // add aggregates the live rows of a batch whose group keys are vecs (lent
@@ -293,23 +291,22 @@ func (h *HashAggregateExec) reducers(ctx *ExecContext) int {
 	return effectiveParts(h.buckets(ctx), h.Partitions)
 }
 
-// finalMerge is phase 2, shared by the row-at-a-time and fused phase-1
-// implementations: exchange the partial blocks (already split into buckets,
-// so the exchange only hands each reducer its range of buckets), merge state
-// lanes into state lanes per reducer through the same group tables phase 1
-// uses (aggMerge), evaluate the result expressions as vector kernels over
-// [key columns..., aggregate result columns...], and hand the result columns
-// to sink, the result edge. newLanes must build the accumulators the same way
-// phase 1 did. A reducer folds its buckets one after another, and no group is
-// in two buckets, so its output is its buckets' outputs concatenated: the
-// result is the same, in the same order, for every reducer count.
-func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, blocks *rdd.RDD[aggBlock],
-	fns []expr.AggregateFunc, newLanes func() []expr.VecAggregator, resultExprs []expr.Expression, sink ResultSink) *rdd.RDD[expr.Arena] {
+// finalMerge is phase 2, whichever input phase 1 ran over (a row input
+// transposed or a fused pipeline): exchange the partial blocks (already split
+// into buckets, so the exchange only hands each reducer its range of
+// buckets), merge k's state lanes into state lanes per reducer through the
+// same group tables phase 1 uses (aggMerge), evaluate the result expressions
+// as vector kernels over [key columns..., aggregate result columns...], and
+// hand the result columns to sink, the result edge. A reducer folds its
+// buckets one after another, and no group is in two buckets, so its output is
+// its buckets' outputs concatenated: the result is the same, in the same
+// order, for every reducer count.
+func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, blocks *rdd.RDD[aggBlock], k *aggSink, sink ResultSink) *rdd.RDD[expr.Arena] {
 	shuffled := rdd.ExchangePresplit(blocks, h.buckets(ctx), h.reducers(ctx), aggBlock.groups)
 	keyTypes := h.keyTypes()
-	resultEvals := make([]expr.VecEval, len(resultExprs))
-	for i, e := range resultExprs {
-		resultEvals[i] = ctx.vecEvaluator(e)
+	resultEvals := make([]expr.VecEval, len(k.results))
+	for i, e := range k.results {
+		resultEvals[i], _ = vecKernel(e, ctx.Codegen)
 	}
 
 	return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, _ int, in []aggBlock) ([]expr.Arena, error) {
@@ -320,7 +317,7 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, bl
 		for _, b := range in {
 			hint += len(b.sel)
 		}
-		m := newAggMerge(ctx, keyTypes, fns, newLanes, hint)
+		m := newAggMerge(ctx, keyTypes, k.fns, k.newLanes, hint)
 		defer m.Close()
 		for _, b := range in {
 			if err := m.merge(b); err != nil {

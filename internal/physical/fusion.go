@@ -17,10 +17,10 @@ import (
 // EXPLAIN can show exactly what got fused and why the rest did not.
 
 // FusionNote records the Fuse rule's decision on a physical operator
-// ("fused: true" — a fused aggregate or join adds its group table and how
-// many of its key / aggregate-input kernels are native — or
-// "fallback: <reason>"). Operators embed it; EXPLAIN and EXPLAIN ANALYZE
-// print it through the FusionAnnotated interface.
+// ("fused: true" or, on an aggregate over rows, "rows transposed" — a sink
+// adds its group table and how many of its key / aggregate-input kernels are
+// native — or "fallback: <reason>"). Operators embed it; EXPLAIN and EXPLAIN
+// ANALYZE print it through the FusionAnnotated interface.
 type FusionNote struct{ note string }
 
 // SetFusion records the fusion decision.
@@ -37,7 +37,8 @@ type FusionAnnotated interface{ Fusion() string }
 // aggregation or a broadcast-hash-join probe into the batch pipeline feeding
 // it. Admission is one condition — the input (a join's probe side) is a
 // vectorized pipeline or a bare batch scan, and a fused join is itself a
-// batch scan to whatever sits on it — because the sinks cover every shape:
+// batch scan to whatever sits on it; an aggregate over any other input runs
+// the same sink over its rows transposed — because the sinks cover every shape:
 // the generic group table serves any key, a key or aggregate input without a
 // native kernel runs through the boxed per-row fallback, and the probe loop
 // is the row join's own, for every join type and residual. A pipeline over a
@@ -48,11 +49,13 @@ func Fuse(p SparkPlan) SparkPlan {
 		case *HashAggregateExec:
 			vp := fusablePipe(n.Child)
 			if vp == nil {
-				n.SetFusion("fallback: input not vectorized")
+				if n.Fusion() == "" { // compiled once: a rule that matches nothing allocates nothing
+					n.SetFusion(n.compileSink(n.Child.Output(), true).note("rows transposed", n.keyTypes()))
+				}
 				return nil, false
 			}
-			f := &FusedAggregateExec{Agg: n, Pipe: vp, sink: n.compileSink(vp.Output())}
-			f.SetFusion(f.sink.note(n.keyTypes()))
+			f := &FusedAggregateExec{Agg: n, Pipe: vp, sink: n.compileSink(vp.Output(), true)}
+			f.SetFusion(f.sink.note("fused: true", n.keyTypes()))
 			return transferEstimate(f, n), true
 		case *BroadcastHashJoinExec:
 			vp := fusablePipe(n.probeSide())
@@ -96,24 +99,26 @@ func fusablePipe(p SparkPlan) *VectorizedPipelineExec {
 	return nil
 }
 
-// keyKernels compiles a fused sink's key expressions — group keys, or a
-// join's probe keys — over the pipeline output: one kernel per key, whether
-// it is native, and the name of every key left on the boxed scalar fallback.
-func keyKernels(keys []expr.Expression, input []*expr.AttributeReference) (evals []expr.VecEval, native []bool, fallbacks []string) {
+// keyKernels compiles a batch sink's key expressions — group keys, or a
+// join's keys — over its input: one kernel per key, whether it is native, and
+// the name of every key left on the boxed scalar fallback. Without codegen
+// every key is the interpreter lifted to batches, none of them native.
+func keyKernels(keys []expr.Expression, input []*expr.AttributeReference, codegen bool) (evals []expr.VecEval, native []bool, fallbacks []string) {
 	evals, native = make([]expr.VecEval, len(keys)), make([]bool, len(keys))
 	for i, k := range keys {
-		if evals[i], native[i] = expr.CompileVec(bind(k, input)); !native[i] {
+		if evals[i], native[i] = vecKernel(bind(k, input), codegen); codegen && !native[i] {
 			fallbacks = append(fallbacks, k.String())
 		}
 	}
 	return evals, native, fallbacks
 }
 
-// fusedNote is a fused sink's EXPLAIN annotation: what actually runs, not
-// just that the operators fused — the group table, how many of the sink's
-// kernels are native, and the inputs that are not.
-func fusedNote(table string, kernels int, fallbacks []string) string {
-	s := fmt.Sprintf("fused: true, table=%s, kernels %d/%d native", table, kernels-len(fallbacks), kernels)
+// sinkNote is a batch sink's EXPLAIN annotation: how it is fed ("fused: true",
+// or "rows transposed" for a row input) and what actually runs — the group
+// table, how many of the sink's kernels are native, and the inputs that are
+// not.
+func sinkNote(how, table string, kernels int, fallbacks []string) string {
+	s := fmt.Sprintf("%s, table=%s, kernels %d/%d native", how, table, kernels-len(fallbacks), kernels)
 	if len(fallbacks) > 0 {
 		s += ", fallback: " + strings.Join(fallbacks, ", ")
 	}

@@ -54,6 +54,16 @@ type EquiJoin struct {
 }
 
 func (j *EquiJoin) Children() []SparkPlan { return []SparkPlan{j.Left, j.Right} }
+
+// sides are the join's probe and build inputs and keys, the right side
+// building when buildRight.
+func (j *EquiJoin) sides(buildRight bool) (probe, build SparkPlan, probeKeys, buildKeys []expr.Expression) {
+	if buildRight {
+		return j.Left, j.Right, j.LeftKeys, j.RightKeys
+	}
+	return j.Right, j.Left, j.RightKeys, j.LeftKeys
+}
+
 func (j *EquiJoin) Output() []*expr.AttributeReference {
 	return joinOutput(j.Type, j.Left.Output(), j.Right.Output())
 }
@@ -92,9 +102,10 @@ func nullable(attrs []*expr.AttributeReference) []*expr.AttributeReference {
 	return out
 }
 
-// bindKeys binds a join side's key expressions to its input. Equality says
+// bindKeys binds a join side's key expressions to its input as row
+// evaluators, for the shuffled join's exchange hash (keyHash). Equality says
 // NaN = NaN and -0.0 = 0.0 while hashes read the bits, so floating-point keys
-// are canonicalized here, once, for the tables, the exchange and the merge.
+// are canonicalized here, as joinKernels does for the tables.
 func bindKeys(ctx *ExecContext, keys []expr.Expression, input []*expr.AttributeReference) []func(row.Row) any {
 	out := make([]func(row.Row) any, len(keys))
 	for i, k := range keys {
@@ -204,16 +215,12 @@ func (j *BroadcastHashJoinExec) String() string { return Format(j) }
 // probeSide is the input a broadcast join streams; buildSide the one it
 // collects into the hash table.
 func (j *BroadcastHashJoinExec) probeSide() SparkPlan {
-	if j.BuildRight {
-		return j.Left
-	}
-	return j.Right
+	probe, _, _, _ := j.sides(j.BuildRight)
+	return probe
 }
 func (j *BroadcastHashJoinExec) buildSide() SparkPlan {
-	if j.BuildRight {
-		return j.Right
-	}
-	return j.Left
+	_, build, _, _ := j.sides(j.BuildRight)
+	return build
 }
 
 // withProbeSide is the join over a different probe input.
@@ -245,16 +252,23 @@ func (j *BroadcastHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 }
 
 // hashJoin is a hash join bound for execution — what the broadcast, shuffled
-// and fused operators share: both sides' bound keys, the output layout, and
+// and fused operators share: both sides' key kernels, the output layout, and
 // the build and probe steps over a joinTable.
 type hashJoin struct {
-	jt                     plan.JoinType
-	om                     *OperatorMetrics
-	probeEvals, buildEvals []func(row.Row) any
+	jt plan.JoinType
+	om *OperatorMetrics
+	// Each side's key kernels run over its input's batches — a row input's
+	// transposed lanes holding the columns the keys read (probeReads,
+	// buildReads) — a floating-point key canonicalized.
+	probeKeys, buildKeys   []expr.VecEval
+	probeIn, buildIn       []*expr.AttributeReference
+	probeReads, buildReads []bool
+	codegen                bool // native kernels over class lanes; false = the interpreter over boxed lanes
 	// keyTypes (the build keys') types the key vectors of both sides: the
 	// analyzer has made the two sides of every key equality one type.
-	keyTypes []types.DataType
-	typed    bool // class-lane key vectors and the specialized tables; false = boxed keys, generic table
+	keyTypes  []types.DataType
+	typed     bool     // every probe key typed: the specialized tables; false = the generic table
+	fallbacks []string // the probe keys on the boxed scalar fallback
 	// An output row is width cells: the probe row's at probeAt, the build
 	// row's at buildAt (left cells first).
 	width, probeAt, buildAt int
@@ -262,16 +276,20 @@ type hashJoin struct {
 }
 
 // newHashJoin binds j to build the side buildRight names and probe from the
-// other, and tells EXPLAIN ANALYZE which group table the build side will use.
-func newHashJoin(ctx *ExecContext, om *OperatorMetrics, j *EquiJoin, buildRight, typed bool) *hashJoin {
-	probe, build, probeKeys, buildKeys := j.Left, j.Right, j.LeftKeys, j.RightKeys
-	if !buildRight {
-		probe, build, probeKeys, buildKeys = j.Right, j.Left, j.RightKeys, j.LeftKeys
-	}
+// other, and tells EXPLAIN ANALYZE which group table the build side will use:
+// a specialized one when every probe key kernel is typed, whichever join.
+func newHashJoin(ctx *ExecContext, om *OperatorMetrics, j *EquiJoin, buildRight, codegen bool) *hashJoin {
+	probe, build, probeKeys, buildKeys := j.sides(buildRight)
 	probeOut, buildOut := probe.Output(), build.Output()
-	h := &hashJoin{jt: j.Type, om: om, typed: typed, keyTypes: exprTypes(buildKeys),
-		probeEvals: bindKeys(ctx, probeKeys, probeOut), buildEvals: bindKeys(ctx, buildKeys, buildOut),
+	h := &hashJoin{jt: j.Type, om: om, codegen: codegen, keyTypes: exprTypes(buildKeys),
+		probeIn: probeOut, buildIn: buildOut, probeReads: make([]bool, len(probeOut)), buildReads: make([]bool, len(buildOut)),
 		width: len(probeOut) + len(buildOut), buildAt: len(probeOut)}
+	h.probeKeys, h.typed, h.fallbacks = joinKernels(probeKeys, probeOut, codegen)
+	h.buildKeys, _, _ = joinKernels(buildKeys, buildOut, codegen)
+	for i := range probeKeys {
+		markBoundRefs(bind(probeKeys[i], probeOut), h.probeReads)
+		markBoundRefs(bind(buildKeys[i], buildOut), h.buildReads)
+	}
 	left, right := probeOut, buildOut
 	if !buildRight {
 		h.probeAt, h.buildAt = len(buildOut), 0
@@ -281,30 +299,46 @@ func newHashJoin(ctx *ExecContext, om *OperatorMetrics, j *EquiJoin, buildRight,
 		h.residual = ctx.predicate(bind(j.Residual, append(append([]*expr.AttributeReference{}, left...), right...)))
 	}
 	if om != nil {
-		om.Table = keyCmpFor(h.keyTypes, keyNative(len(h.keyTypes), typed)).String()
+		om.Table = keyCmpFor(h.keyTypes, keyNative(len(h.keyTypes), h.typed)).String()
 	}
 	return h
 }
 
+// build indexes the build rows, the columns their keys read transposed a
+// chunk at a time: a row join's probe copies rows.
 func (h *hashJoin) build(rows []row.Row) *joinTable {
-	keys := newKeyChunk(h.buildEvals, h.keyTypes, h.typed, len(rows))
-	t := h.index(len(rows), func(lo, hi int) ([]*columnar.Vector, []int32) { return keys.load(rows[lo:hi]) })
+	chunk := newTransposer(h.buildIn, h.buildReads, h.codegen)
+	kvecs := make([]*columnar.Vector, len(h.buildKeys))
+	t := h.index(len(rows), func(lo, hi int) ([]*columnar.Vector, int) {
+		b, all := chunk.load(rows[lo:hi])
+		return evalKeys(h.buildKeys, kvecs, b, all), lo
+	})
 	t.rows = rows
 	return t
 }
 
-// probe streams one partition of probe rows through the table, a key chunk
-// at a time: probe rows in input order, each one's matches in build-collect
-// order, then (FULL OUTER) the build rows nothing matched.
+// probe streams one partition of probe rows through the table, a transposed
+// chunk at a time: probe rows in input order, each one's matches in
+// build-collect order, then (FULL OUTER) the build rows nothing matched.
 func (h *hashJoin) probe(t *joinTable, in []row.Row) []row.Row {
 	var rows []row.Row // the chunk being probed
 	p := h.newProbe(t, func(i int, dst row.Row) { copy(dst, rows[i]) })
-	keys := newKeyChunk(h.probeEvals, h.keyTypes, h.typed, len(in))
+	chunk := newTransposer(h.probeIn, h.probeReads, h.codegen)
+	kvecs := make([]*columnar.Vector, len(h.probeKeys))
 	for off := 0; off < len(in); off += rowChunk {
 		rows = in[off:min(off+rowChunk, len(in))]
-		p.batch(keys.load(rows))
+		b, all := chunk.load(rows)
+		p.batch(evalKeys(h.probeKeys, kvecs, b, all), all)
 	}
 	return p.finish()
+}
+
+// evalKeys runs key kernels over the live rows of a batch into vecs.
+func evalKeys(evals []expr.VecEval, vecs []*columnar.Vector, b *expr.VecBatch, live []int32) []*columnar.Vector {
+	for i, ev := range evals {
+		vecs[i] = ev(b, live)
+	}
+	return vecs
 }
 
 // ShuffledHashJoinExec hash-partitions both sides on the join keys and
@@ -344,14 +378,11 @@ func (j *ShuffledHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	// The right side builds and the left side probes, except under RIGHT
 	// OUTER, which preserves the right rows: there the roles swap.
 	buildRight := j.Type != plan.RightOuterJoin
-	probePlan, buildPlan := j.Left, j.Right
-	if !buildRight {
-		probePlan, buildPlan = j.Right, j.Left
-	}
 	hj := newHashJoin(ctx, om, &j.EquiJoin, buildRight, ctx.Codegen)
 	n := effectiveParts(ctx.ShufflePartitions, j.Partitions)
-	probeShuf := rdd.PartitionByHashCodec(probePlan.Execute(ctx), n, keyHash(hj.probeEvals), rowShuffleCodec)
-	buildShuf := rdd.PartitionByHashCodec(buildPlan.Execute(ctx), n, keyHash(hj.buildEvals), rowShuffleCodec)
+	probePlan, buildPlan, probeKeys, buildKeys := j.sides(buildRight)
+	probeShuf := rdd.PartitionByHashCodec(probePlan.Execute(ctx), n, keyHash(bindKeys(ctx, probeKeys, probePlan.Output())), rowShuffleCodec)
+	buildShuf := rdd.PartitionByHashCodec(buildPlan.Execute(ctx), n, keyHash(bindKeys(ctx, buildKeys, buildPlan.Output())), rowShuffleCodec)
 
 	probe := func(ps, bs []row.Row) []row.Row {
 		start := time.Now()

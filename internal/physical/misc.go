@@ -251,15 +251,9 @@ func (t *TopKExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Aren
 			return nil, err
 		}
 		out := topRows(in, t.N, order)
-		cols := make([]*columnar.Vector, len(attrs))
-		for j, a := range attrs {
-			cols[j] = columnar.NewAnyVector(a.DataType(), len(out))
-			for i, r := range out {
-				cols[j].Set(i, r[j])
-			}
-		}
+		b, all := newTransposer(attrs, nil, false).load(out)
 		om.RecordPartition(len(out), time.Since(start))
-		return []expr.Arena{sink(cols, identitySel(len(out)))}, nil
+		return []expr.Arena{sink(b.Cols, all)}, nil
 	}).Reads(cands)
 }
 
@@ -271,7 +265,7 @@ func (t *TopKExec) topSink(ctx *ExecContext, om *OperatorMetrics, desc []bool) R
 	input := t.Child.Output()
 	keys := make([]expr.VecEval, len(t.Orders))
 	for i, o := range t.Orders {
-		keys[i] = ctx.vecEvaluator(bind(o.Child, input))
+		keys[i], _ = vecKernel(bind(o.Child, input), ctx.Codegen)
 	}
 	return func(cols []*columnar.Vector, sel []int32) expr.Arena {
 		if om != nil {

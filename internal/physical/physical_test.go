@@ -182,7 +182,7 @@ func TestAggregateWithExpressionOverAggs(t *testing.T) {
 
 // An aggregate's rows and their order depend only on the data and the
 // session's bucket count: forcing its reduce tasks through every count from 1
-// to the buckets, over the fused and the row phase 1 (compiled and
+// to the buckets, over a fused pipeline and over rows transposed (compiled and
 // interpreted), at budgets ∞, 64 KB and 1 B, returns the same rows in the same
 // order — the reducers fold whole buckets, one after another. The wide table's
 // keys are ~90 % distinct over two partitions of 9 000 rows (3 773 and 4 054

@@ -113,14 +113,14 @@ func (ctx *ExecContext) evaluator(e expr.Expression) func(row.Row) any {
 	return e.Eval
 }
 
-// vecEvaluator builds a batch kernel for a bound expression honoring the
-// codegen setting: the interpreter lifted to batches when it is off.
-func (ctx *ExecContext) vecEvaluator(e expr.Expression) expr.VecEval {
-	if ctx.Codegen {
-		ev, _ := expr.CompileVec(e)
-		return ev
+// vecKernel builds a batch kernel for a bound expression, and says whether it
+// is native: compiled under codegen, the interpreter lifted to batches (never
+// native) without it.
+func vecKernel(e expr.Expression, codegen bool) (expr.VecEval, bool) {
+	if codegen {
+		return expr.CompileVec(e)
 	}
-	return expr.VecFromScalar(e.Eval, e.DataType())
+	return expr.VecFromScalar(e.Eval, e.DataType()), false
 }
 
 // predicate builds a filter (NULL = reject) honoring the codegen setting.

@@ -17,9 +17,10 @@ import (
 // rows. The phase-1 group tables are type-specialized on the common key
 // shapes (single int64, single string, (int64, int64)) so grouping never
 // boxes or builds key strings on the hot path, and the partial state leaves
-// as typed columnar blocks (aggBlock); everything after the partial flush —
-// the exchange and the final merge, reserved and spilled under a memory budget
-// — is HashAggregateExec's own phase 2, shared verbatim with the row phase 1.
+// as typed columnar blocks (aggBlock). Its phase-1 body and everything after
+// the partial flush — the exchange and the final merge, reserved and spilled
+// under a memory budget — are HashAggregateExec's own, which runs them over a
+// row input transposed.
 type FusedAggregateExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -49,56 +50,46 @@ func (f *FusedAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD
 	om := f.EnableMetrics(ctx.Metrics)
 	k := f.sink
 	if k == nil {
-		k = h.compileSink(f.Pipe.Output())
+		k = h.compileSink(f.Pipe.Output(), true)
 	}
 	vp := f.Pipe.compile(ctx, om, k.refs)
-	keyTypes := h.keyTypes()
-	buckets := h.buckets(ctx)
-	newLanes, skipped := k.newLanes, ctx.RDD.Metrics().Counter("agg.partial.skipped")
-
 	blocks := rdd.GenerateCtx(ctx.RDD, "fusedAgg", vp.tasks(), func(jc context.Context, p int) ([]aggBlock, error) {
-		agg := newPartialAgg(keyTypes, k.native, newLanes, buckets) // all the task's mutable state
-		gvecs := make([]*columnar.Vector, len(k.keyEvals))
+		agg := newPartialAgg(h.keyTypes(), k.native, k.newLanes, h.buckets(ctx)) // all the task's mutable state
 		err := vp.each(jc, p, func(batch *expr.VecBatch, live []int32) {
-			for i, gv := range k.keyEvals {
-				gvecs[i] = gv(batch, live)
-			}
-			agg.add(gvecs, live, func(lanes []expr.VecAggregator, sel, gidx []int32, n int) {
-				for _, l := range lanes {
-					l.Update(batch, sel, gidx, n)
-				}
-			})
+			agg.addBatch(k.keyEvals, batch, live)
 			if boxed := len(k.fallbacks); boxed > 0 {
 				vp.fallbackRows.Add(int64(len(live) * boxed))
 			}
 		})
-		return agg.finish(om, skipped), err
+		return agg.finish(om, ctx.RDD.Metrics().Counter("agg.partial.skipped")), err
 	}).Reads(vp.src.Stages...)
-
-	return h.finalMerge(ctx, om, blocks, k.fns, newLanes, k.results, sink)
+	return h.finalMerge(ctx, om, blocks, k, sink)
 }
 
-// aggSink is a fused aggregate's compiled sink: the group-key kernels and
-// the aggregate state lanes, with a record of which of them run natively.
+// aggSink is an aggregate's compiled sink over its phase-1 input: the
+// group-key kernels and the aggregate state lanes, with a record of which of
+// them run natively. Without codegen the kernels are the interpreter lifted
+// to batches and every lane is a boxed one.
 type aggSink struct {
 	keyEvals []expr.VecEval
 	native   []bool // per key: compiled to a native kernel
 	fns      []expr.AggregateFunc
 	results  []expr.Expression // result expressions over [keys..., aggregates...]
 	refs     []expr.Expression // everything the sink evaluates per batch
+	codegen  bool
 	// fallbacks names every key and aggregate input that runs through the
 	// boxed scalar fallback instead of a native kernel.
 	fallbacks []string
 }
 
-func (h *HashAggregateExec) compileSink(input []*expr.AttributeReference) *aggSink {
-	k := &aggSink{refs: bindAll(h.Grouping, input)}
+func (h *HashAggregateExec) compileSink(input []*expr.AttributeReference, codegen bool) *aggSink {
+	k := &aggSink{refs: bindAll(h.Grouping, input), codegen: codegen}
 	unbound, results := h.splitAggregates()
 	k.fns, k.results = bindFns(unbound, input), results
-	k.keyEvals, k.native, k.fallbacks = keyKernels(h.Grouping, input)
+	k.keyEvals, k.native, k.fallbacks = keyKernels(h.Grouping, input, codegen)
 	for i, fn := range k.fns {
 		k.refs = append(k.refs, fn)
-		if _, native := expr.NewVecAggregator(fn); !native {
+		if _, native := expr.NewVecAggregator(fn); !native && codegen {
 			// Name the input that has no kernel (the aggregate itself when
 			// it is not a unary built-in).
 			var src expr.Expression = unbound[i]
@@ -114,14 +105,18 @@ func (h *HashAggregateExec) compileSink(input []*expr.AttributeReference) *aggSi
 func (k *aggSink) newLanes() []expr.VecAggregator {
 	lanes := make([]expr.VecAggregator, len(k.fns))
 	for i, fn := range k.fns {
-		lanes[i], _ = expr.NewVecAggregator(fn)
+		if k.codegen {
+			lanes[i], _ = expr.NewVecAggregator(fn)
+		} else {
+			lanes[i] = expr.NewBoxedAggregator(fn)
+		}
 	}
 	return lanes
 }
 
-// note is the EXPLAIN annotation.
-func (k *aggSink) note(keyTypes []types.DataType) string {
-	return fusedNote(keyCmpFor(keyTypes, k.native).String(), len(k.refs), k.fallbacks)
+// note is the EXPLAIN annotation, after how the sink is fed.
+func (k *aggSink) note(how string, keyTypes []types.DataType) string {
+	return sinkNote(how, keyCmpFor(keyTypes, k.native).String(), len(k.refs), k.fallbacks)
 }
 
 // ---------------------------------------------------------------------------
@@ -190,8 +185,8 @@ func splitGroups(cols []*columnar.Vector, hashes []uint64, lanes []expr.VecAggre
 // bucket range. Growing doubles the slots and re-places the groups
 // from their stored hashes, touching no key.
 //
-// It serves aggregation phase 1 (over pipeline batches or chunks of input
-// rows), the reducer (over partial blocks, probing with the hashes phase 1
+// It serves aggregation phase 1 (over pipeline batches or transposed chunks
+// of input rows), the reducer (over partial blocks, probing with the hashes phase 1
 // stored), DISTINCT, and the build and probe sides of the hash joins
 // (joinTable). Without insert it is only read — safe from concurrent tasks,
 // each hashing into its own groupProbe — and an absent key indexes as -1.
@@ -305,9 +300,11 @@ func (t *groupTable) indexHashed(vecs []*columnar.Vector, hashes []uint64, live,
 		}
 		return gidx
 	}
-	// A single typed key with no NULL on either side compares inline.
+	// A single typed key held in its lane, with no NULL on either side,
+	// compares inline (a join's build key left on the boxed fallback, against
+	// a table its probe keys typed, does not).
 	v, c, lane := vecs[0], t.cols[0], cmpGeneric
-	if (t.cmp == cmpI64 || t.cmp == cmpStr) && !v.HasNulls() && !c.HasNulls() {
+	if (t.cmp == cmpI64 || t.cmp == cmpStr) && v.Kind == c.Kind && !v.HasNulls() && !c.HasNulls() {
 		lane = t.cmp
 	}
 	vm := v.Mask()
@@ -348,7 +345,7 @@ func (t *groupTable) indexHashed(vecs []*columnar.Vector, hashes []uint64, live,
 func (t *groupTable) equal(vecs []*columnar.Vector, i, g int) bool {
 	if t.cmp == cmpPair {
 		v, c, w, d := vecs[0], t.cols[0], vecs[1], t.cols[1]
-		if !v.HasNulls() && !c.HasNulls() && !w.HasNulls() && !d.HasNulls() {
+		if v.Kind == c.Kind && w.Kind == d.Kind && !v.HasNulls() && !c.HasNulls() && !w.HasNulls() && !d.HasNulls() {
 			return v.I64[i&v.Mask()] == c.I64[g] && w.I64[i&w.Mask()] == d.I64[g]
 		}
 	}

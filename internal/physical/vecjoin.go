@@ -45,27 +45,19 @@ func (f *FusedBroadcastJoinExec) Output() []*expr.AttributeReference { return f.
 func (f *FusedBroadcastJoinExec) SimpleString() string               { return "Fused" + f.Join.SimpleString() }
 func (f *FusedBroadcastJoinExec) String() string                     { return Format(f) }
 
-// keys are the join's probe and build keys.
-func (j *BroadcastHashJoinExec) keys() (probe, build []expr.Expression) {
-	if j.BuildRight {
-		return j.LeftKeys, j.RightKeys
-	}
-	return j.RightKeys, j.LeftKeys
-}
-
 // probeNote is a fused join's EXPLAIN annotation: the group table its keys
 // index and its probe key kernels over the pipeline output.
 func (j *BroadcastHashJoinExec) probeNote(input []*expr.AttributeReference) string {
-	probe, build := j.keys()
-	_, typed, fallbacks := joinKernels(probe, input)
-	return fusedNote(keyCmpFor(exprTypes(build), keyNative(len(build), typed)).String(), len(probe), fallbacks)
+	_, _, probe, build := j.sides(j.BuildRight)
+	_, typed, fallbacks := joinKernels(probe, input, true)
+	return sinkNote("fused: true", keyCmpFor(exprTypes(build), keyNative(len(build), typed)).String(), len(probe), fallbacks)
 }
 
-// joinKernels compiles one side's join keys over its pipeline output, a
+// joinKernels compiles one side's join keys over its input (keyKernels), a
 // floating-point key canonicalized as bindKeys does; typed says every key is
 // a native kernel over a value class.
-func joinKernels(keys []expr.Expression, input []*expr.AttributeReference) (evals []expr.VecEval, typed bool, fallbacks []string) {
-	evals, native, fallbacks := keyKernels(keys, input)
+func joinKernels(keys []expr.Expression, input []*expr.AttributeReference, codegen bool) (evals []expr.VecEval, typed bool, fallbacks []string) {
+	evals, native, fallbacks := keyKernels(keys, input, codegen)
 	typed = true
 	for i, key := range keys {
 		typed = typed && native[i] && expr.VecClassOf(key.DataType()) != expr.VecClassNone
@@ -132,9 +124,7 @@ func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) Batc
 	if om != nil {
 		om.Emits = "batches"
 	}
-	probeKeys, _ := j.keys()
-	evals, typed, fallbacks := joinKernels(probeKeys, pipe.Output())
-	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, typed)
+	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, true)
 	table := f.buildStage(ctx, hj, used)
 	vp := pipe.compile(ctx, om, f.probeReads(hj, used))
 	return BatchSource{NumPartitions: vp.tasks(), Stages: append(slices.Clip(vp.src.Stages), table), Batches: func(jc context.Context, p int, _ *expr.Scratch, fn func(datasource.Batch)) error {
@@ -145,20 +135,17 @@ func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) Batc
 		start, rows := time.Now(), 0
 		var batch *expr.VecBatch
 		// A residual tests the probe cells boxed into a candidate row.
-		probe := hj.newProbe(t, func(i int, dst row.Row) { batch.RowInto(i, dst) })
+		probe := hj.newProbe(t, func(i int, dst row.Row) { copy(dst, batch.RowInto(i, dst)) })
 		probe.cols = make([]*columnar.Vector, len(used))
-		kvecs := make([]*columnar.Vector, len(evals))
+		kvecs := make([]*columnar.Vector, len(hj.probeKeys))
 		var sel []int32
 		err = vp.each(jc, p, func(b *expr.VecBatch, live []int32) {
-			for i, kv := range evals {
-				kvecs[i] = kv(b, live)
-			}
-			if len(fallbacks) > 0 {
-				vp.fallbackRows.Add(int64(len(live) * len(fallbacks)))
+			if len(hj.fallbacks) > 0 {
+				vp.fallbackRows.Add(int64(len(live) * len(hj.fallbacks)))
 			}
 			batch = b
 			probe.pi, probe.bo = probe.pi[:0], probe.bo[:0]
-			probe.batch(kvecs, live)
+			probe.batch(evalKeys(hj.probeKeys, kvecs, b, live), live)
 			n := len(probe.bo)
 			if n == 0 {
 				return
@@ -186,50 +173,37 @@ func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) Batc
 
 // buildStage is the join's build side run as a stage and indexed. A batch
 // pipeline (or scan) whose keys all have native kernels, with no residual to
-// test, is collected as lanes: its tasks gather their batches' survivors, the
-// stage concatenates them once, exactly sized, and indexes the keys' kernels
-// over them. Any other build side is collected and indexed as rows, each used
-// column unboxed once. EXPLAIN ANALYZE's join line says which build ran.
+// test, is collected as lanes: its tasks gather their batches' survivors, and
+// the stage concatenates them once, exactly sized. Any other build side is
+// collected as rows and transposed once into lanes; it is boxed — its rows
+// kept, or a batch pipeline's boxed into rows — only for a residual or a build
+// key with no native kernel. Either way the keys' kernels are indexed over the
+// lanes. EXPLAIN ANALYZE's join line says which build ran.
 func (f *FusedBroadcastJoinExec) buildStage(ctx *ExecContext, hj *hashJoin, outUsed []bool) *rdd.Stage[*joinTable] {
 	j := f.Join
-	_, keys := j.keys()
+	_, _, _, keys := j.sides(j.BuildRight)
 	pipe, out := fusablePipe(j.buildSide()), j.buildSide().Output()
 	keep := make([]bool, len(out)) // the lanes: the build columns used, then those the keys read too
 	for c := range keep {
-		keep[c] = hj.buildAt+c < len(outUsed) && outUsed[hj.buildAt+c] // none under LEFT SEMI
+		keep[c] = hj.buildAt+c < len(outUsed) && outUsed[hj.buildAt+c] || hj.buildReads[c] // none used under LEFT SEMI
 	}
-	var evals []expr.VecEval
-	typed, build := false, "lanes"
-	switch {
-	case pipe == nil:
-		build = "boxed: build side not a batch scan"
-	case j.Residual != nil:
+	build := "lanes"
+	if j.Residual != nil {
 		build = "boxed: residual"
-	default:
-		if evals, typed, _ = joinKernels(keys, out); !typed {
-			build = "boxed: non-native build key"
-		}
+	} else if _, typed, _ := joinKernels(keys, out, true); !typed {
+		build = "boxed: non-native build key"
 	}
 	if hj.om != nil {
 		hj.om.Build = build
 	}
-	if build != "lanes" {
+	if pipe == nil || build != "lanes" {
 		return BuildStage(j.buildSide().Execute(ctx), hj.om, func(rows []row.Row) *joinTable {
-			t := hj.build(rows)
-			t.cols = make([]*columnar.Vector, len(out))
-			for c, u := range keep {
-				if u {
-					t.cols[c] = expr.NewClassVector(out[c].DataType(), len(rows))
-					for o, r := range rows {
-						t.cols[c].Set(o, r[c])
-					}
-				}
+			t := hj.indexLanes(newTransposer(out, keep, true).load(rows))
+			if j.Residual != nil {
+				t.rows = rows
 			}
 			return t
 		})
-	}
-	for _, k := range bindAll(keys, out) {
-		markBoundRefs(k, keep)
 	}
 	var sink []expr.Expression
 	for c, a := range out {
@@ -268,15 +242,18 @@ func (f *FusedBroadcastJoinExec) buildStage(ctx *ExecContext, hj *hashJoin, outU
 		}
 		n := all[slices.Index(keep, true)].Len() // every key reads a column
 		hj.om.RecordBuild(n, size)
-		b, sel := &expr.VecBatch{Cols: all, N: n, Scratch: new(expr.Scratch)}, identitySel(n)
-		kvecs := make([]*columnar.Vector, len(evals))
-		for i, ev := range evals {
-			kvecs[i] = ev(b, sel)
-		}
-		t := hj.index(n, func(lo, hi int) ([]*columnar.Vector, []int32) { return kvecs, sel[lo:hi] })
-		t.cols = all
-		return t, nil
+		return hj.indexLanes(&expr.VecBatch{Cols: all, N: n, Scratch: new(expr.Scratch)}, identitySel(n)), nil
 	})
+}
+
+// indexLanes indexes a build side held whole as lanes, every row selected:
+// the build keys' kernels run once over all of its rows, and a fused join's
+// probe gathers its columns.
+func (h *hashJoin) indexLanes(b *expr.VecBatch, all []int32) *joinTable {
+	vecs := evalKeys(h.buildKeys, make([]*columnar.Vector, len(h.buildKeys)), b, all)
+	t := h.index(b.N, func(int, int) ([]*columnar.Vector, int) { return vecs, 0 })
+	t.cols = b.Cols
+	return t
 }
 
 // probeReads is what the join reads of its probe pipeline's output, as the
@@ -284,7 +261,7 @@ func (f *FusedBroadcastJoinExec) buildStage(ctx *ExecContext, hj *hashJoin, outU
 // and the probe columns the residual tests.
 func (f *FusedBroadcastJoinExec) probeReads(hj *hashJoin, used []bool) []expr.Expression {
 	j := f.Join
-	keys, _ := j.keys()
+	_, _, keys, _ := j.sides(j.BuildRight)
 	probeOut := j.probeSide().Output()
 	reads := make([]bool, hj.width)
 	copy(reads, used)
@@ -321,28 +298,25 @@ type joinTable struct {
 	ords    []int32
 }
 
-// index builds the join table over a build side of n rows whose keys load
-// returns a chunk at a time — the key vectors of build rows lo..hi-1 and
-// their positions in them, which run consecutively — and records its groups.
-func (h *hashJoin) index(n int, load func(lo, hi int) ([]*columnar.Vector, []int32)) *joinTable {
+// index builds the join table over a build side's n rows, in order, a
+// rowChunk at a time, and records its groups. keys(lo, hi) returns the key
+// vectors of rows lo..hi-1, build row i at position i-at of them.
+func (h *hashJoin) index(n int, keys func(lo, hi int) (vecs []*columnar.Vector, at int)) *joinTable {
 	t := &joinTable{groups: newGroupTable(h.keyTypes, keyNative(len(h.keyTypes), h.typed), n)}
 	group := make([]int32, n) // per build row; -1 = NULL key
 	var probe groupProbe
-	var live []int32
+	live := make([]int32, 0, min(rowChunk, n))
 	for lo := 0; lo < n; lo += rowChunk {
-		vecs, all := load(lo, min(lo+rowChunk, n))
-		at := lo - int(all[0]) // position i is build row at+i
+		hi := min(lo+rowChunk, n)
+		vecs, at := keys(lo, hi)
 		live = live[:0]
-		for _, i := range all {
-			if anyNull(vecs, int(i)) {
-				group[at+int(i)] = -1
-			} else {
-				live = append(live, i)
+		for i := lo; i < hi; i++ {
+			if group[i] = -1; !anyNull(vecs, i-at) {
+				live = append(live, int32(i-at))
 			}
 		}
-		gidx := t.groups.indexBatch(vecs, live, &probe, true)
-		for k, i := range live {
-			group[at+int(i)] = gidx[k]
+		for k, g := range t.groups.indexBatch(vecs, live, &probe, true) {
+			group[int(live[k])+at] = g
 		}
 	}
 	groups := t.groups.count()

@@ -27,15 +27,11 @@ go build ./...
 # TestKernelsBorrowVectors, TestNoKeyStringsInExecutor and
 # TestNoGoMapInGroupTable, each with a fixture it fires on.
 # A statement pays for what changed in the catalog: the cluster runtime
-# re-encodes a table only where the catalog published a new relation (an AST
-# gate in internal/archtest, TestRefreshSessionEncodesNothing, fired by
-# TestSessionGatesFire), and a LocalRelation's flat size comes from its memo
-# cell. A row loop in plan.Stats' leaf case is the per-statement walk over
-# every row coming back.
-if sed -n '/^	case \*LocalRelation:/,/^	case \*DataSourceRelation:/p' internal/plan/estimation.go | grep -n 'range n\.Rows'; then
-	echo "internal/plan/estimation.go: plan.Stats walks a LocalRelation's rows again" >&2
-	exit 1
-fi
+# re-encodes a table only where the catalog published a new relation, and a
+# LocalRelation's flat size comes from its memo cell, so a row loop in
+# plan.Stats' leaf case is the per-statement walk over every row coming back
+# (AST gates in internal/archtest, TestRefreshSessionEncodesNothing and
+# TestStatsWalksNoRows, fired by TestSessionGatesFire).
 # A knob is declared once (core.Config; optimizer.Config and
 # physical.PlannerConfig are views derived from it), and the session spec
 # carries the Config whole: AST gates in internal/archtest, run by go test
@@ -47,12 +43,8 @@ fi
 # shuffleState) or the adaptive driver's partition collector coming back is a
 # second mechanism; a task body in internal/physical or internal/rangejoin
 # that collects or computes another RDD's partition runs a job from inside
-# its slot again (an AST gate in internal/archtest, TestNoJobInsideTask,
-# fired by TestPhysicalGatesFire).
-if grep -rn 'LazyBuild\|shuffleState\|CollectPartitionsContext' --include='*.go' . | grep -v '_test\.go:'; then
-	echo "a second stage mechanism is back" >&2
-	exit 1
-fi
+# its slot again (AST gates in internal/archtest, TestOneStageMechanism and
+# TestNoJobInsideTask, fired by TestPhysicalGatesFire).
 # One shuffled join, and sort runs that are index sorts over key lanes: AST
 # gates in internal/archtest, TestNoSecondShuffledJoin and TestNoRowSliceSort,
 # fired by TestPhysicalGatesFire.
@@ -67,18 +59,11 @@ fi
 # TestNoHandRolledFraming and TestRowBlocksOnlyInStore, fired by
 # TestCodecGatesFire.
 # A server statement pays only for its own bookkeeping: the event reads its
-# own trace's spans, not a copy of the ring (an AST gate in internal/archtest,
-# TestNoTraceRingCopy, fired by TestSessionGatesFire); the server's row cap is
-# the collect's, so the statement is planned once and logs the hash of the
-# plan that ran; and a take is sized to the rows it takes, not to its cap.
-if grep -n '\.Limit(\|\.PlanHash()' internal/sqlserver/server.go; then
-	echo "internal/sqlserver/server.go plans a statement twice again" >&2
-	exit 1
-fi
-if sed -n '/^func TakeContext/,/^}/p' internal/rdd/transform.go | grep -n 'make(\[\]T, 0, n)'; then
-	echo "rdd.TakeContext sizes its result to n again" >&2
-	exit 1
-fi
+# own trace's spans, not a copy of the ring; the server's row cap is the
+# collect's, so the statement is planned once and logs the hash of the plan
+# that ran; and a take is sized to the rows it takes, not to its cap (AST
+# gates in internal/archtest, TestNoTraceRingCopy, TestServerPlansOnce and
+# TestTakeSizedToRows, fired by TestSessionGatesFire).
 # Catalyst's fixed point is node identity: a rule batch stops at the first
 # iteration in which every rule returned the node it was given, and every tree
 # rewrite goes through catalyst's transforms. AST gates in internal/archtest,

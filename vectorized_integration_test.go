@@ -253,13 +253,13 @@ func canonTypedText(rows []Row) string {
 
 // The acceptance contract: over the cache and over colfile, the fused, row
 // and interpreted engines return every query's rows byte-identical and in
-// the order the compiled row engine returns them over plain row partitions —
-// the path that runs no batch leaf and that this engine has always had — at
-// an unbounded and a one-byte budget. What Collect cuts at the result edge
-// is, byte for byte, what the executing plan's row Execute returns (ToRDD).
+// the order the interpreted engine returns them over plain row partitions —
+// the path that runs no batch leaf, no kernel and no state lane — at an
+// unbounded and a one-byte budget. What Collect cuts at the result edge is,
+// byte for byte, what the executing plan's row Execute returns (ToRDD).
 func TestVectorizedResultsByteIdentical(t *testing.T) {
 	queries := append(append([]string{}, vecQueries...), edgeQueries...)
-	ref := vecTestContext(t, fusedConfig(0, false), rowsTempTable)
+	ref := vecTestContext(t, interpretedConfig(0), rowsTempTable)
 	registerNested(t, ref, "rows", rowsTempTable)
 	want, wantRows := make(map[string]string, len(queries)), make(map[string][]Row, len(queries))
 	for _, q := range queries {
@@ -498,10 +498,10 @@ func TestTopKBoxesOnlyWhatItKeeps(t *testing.T) {
 }
 
 // A fused join's EXPLAIN ANALYZE line says how its build side was collected:
-// as lanes when the build side is a batch scan whose keys all have native
-// kernels (Q3 over colfile: rankings, 2 000 rows) — whatever the probe keys —
-// and boxed, with the reason, otherwise: a LocalRelation build side, a
-// residual, a build key with no kernel.
+// as lanes when its keys all have native kernels and no residual is tested —
+// gathered from a batch scan (Q3 over colfile: rankings, 2 000 rows), or a
+// LocalRelation's rows transposed — whatever the probe keys, and boxed, with
+// the reason, otherwise: a residual, a build key with no kernel.
 // Either way the join's answer is the row path's.
 func TestFusedJoinBuildExplained(t *testing.T) {
 	ctx := vecTestContext(t, fusedConfig(0, true), colfileTempTable)
@@ -519,7 +519,7 @@ func TestFusedJoinBuildExplained(t *testing.T) {
 	}
 	for _, c := range []struct{ q, want string }{
 		{vecQ3("1981-01-01"), "build=2000 rows, lanes, table=str"},
-		{"SELECT p.seq, s.n FROM pages p JOIN small s ON p.url = s.url", "build=40 rows, boxed: build side not a batch scan, table=str"},
+		{"SELECT p.seq, s.n FROM pages p JOIN small s ON p.url = s.url", "build=40 rows, lanes, table=str"},
 		{"SELECT p.seq, q.rank FROM pages p JOIN pages q ON p.seq = q.seq AND p.rank < q.dur WHERE q.seq < 50", "build=50 rows, boxed: residual, table=i64"},
 		{"SELECT p.seq, q.seq FROM pages p JOIN pages q ON p.seq = twice(q.rank) WHERE q.seq < 50", "build=50 rows, boxed: non-native build key, table=i64"},
 		// A probe key with no kernel: typed build lanes against boxed probe keys.
