@@ -13,21 +13,17 @@ import (
 // Adaptive query execution tests: each re-planning rule (partition
 // coalescing, shuffled->broadcast promotion, broadcast->shuffled
 // demotion, skew splitting) must both fire — visible as an `adapted:`
-// line in EXPLAIN ANALYZE — and leave query results byte-identical to
-// the static plan.
+// note on an exchange in EXPLAIN ANALYZE — and leave query results
+// byte-identical to the static plan.
 
-// adaptiveConfig pins the knobs the ablations depend on. Counts are
-// fixed so decisions (and row emission order) do not depend on the
-// host's core count, and pipeline collapse is off because fused
-// pipelines are opaque to the re-planner: adaptation happens at the
-// exchange barriers of the row-operator tree.
+// adaptiveConfig is the default engine — pipelines collapsed, vectorized
+// and fused, since adaptation acts at the exchanges of any plan — with its
+// counts fixed so decisions (and row emission order) do not depend on the
+// host's core count.
 func adaptiveConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Parallelism = 4
 	cfg.ShufflePartitions = 8
-	cfg.PipelineCollapse = false
-	cfg.Vectorized = false
-	cfg.Fusion = false
 	return cfg
 }
 
@@ -383,6 +379,55 @@ func TestAdaptiveOffMatchesDefaultPlans(t *testing.T) {
 		}
 		if strings.Contains(query, "LIMIT") != strings.HasPrefix(q.Physical.String(), "TopK n=3 [") {
 			t.Fatalf("%q: only ORDER BY ... LIMIT plans as a TopK:\n%s", query, q.Physical)
+		}
+	}
+}
+
+// The fused plans adapt too: a grouped aggregate over a cached table (Q2a's
+// shape) and a fused broadcast join feeding an aggregate (Q3b's shape) show
+// an `adapted:` or `not adapted:` note on every exchange line under the
+// default config, answer byte for byte as with adaptive execution off at
+// budgets ∞, 64 KB and 1 B, leave no spill file behind, and run each
+// exchange's map stage once: the shuffle records they count equal the static
+// plan's, which runs each map stage once.
+func TestAdaptiveFusedPlans(t *testing.T) {
+	for shape, q := range map[string]string{
+		"Q2a": "SELECT name, SUM(val) FROM events GROUP BY name",
+		"Q3b": "SELECT d.label, SUM(e.val), COUNT(*) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label",
+	} {
+		for _, budget := range []int64{0, 64 << 10, 1} {
+			var got [2]string
+			var records [2]int64
+			for i, adaptive := range []bool{false, true} {
+				cfg := DefaultConfig()
+				cfg.MemoryBudget, cfg.Adaptive = budget, adaptive
+				ctx := NewContextWithConfig(cfg)
+				setupFusedTables(t, ctx, cacheTempTable)
+				shuffled := ctx.Metrics().Counter("rdd.shuffle.records")
+				before := shuffled.Load()
+				got[i], records[i] = rowsText(spillCollect(t, ctx, q)), shuffled.Load()-before
+				if nf := ctx.SpillFS().NumFiles(); nf != 0 {
+					t.Fatalf("%s budget=%d adaptive=%v: %d spill files left", shape, budget, adaptive, nf)
+				}
+				if !adaptive || budget != 0 {
+					continue
+				}
+				ea := explainAnalyze(t, ctx, q)
+				if !fusedAggregate(ea) || shape == "Q3b" && !strings.Contains(ea, "FusedBroadcastHashJoin") {
+					t.Fatalf("%s: the plan is not fused:\n%s", shape, ea)
+				}
+				for _, line := range strings.Split(ea, "\n") {
+					if strings.Contains(line, "Exchange ") && !strings.Contains(line, "adapted: ") {
+						t.Fatalf("%s: an exchange without an adaptive note: %q in\n%s", shape, line, ea)
+					}
+				}
+			}
+			if got[0] != got[1] {
+				t.Fatalf("%s budget=%d: adaptive on/off diverge:\n-- off --\n%.400s\n-- on --\n%.400s", shape, budget, got[0], got[1])
+			}
+			if records[0] == 0 || records[1] != records[0] {
+				t.Fatalf("%s budget=%d: shuffle records %d adaptive, %d static: a map stage ran twice or not at all", shape, budget, records[1], records[0])
+			}
 		}
 	}
 }

@@ -37,6 +37,12 @@ func fusedConfig(budget int64, vectorized bool) Config {
 	return cfg
 }
 
+// fusedAggregate says a plan holds an aggregate whose phase 1, its presplit
+// exchange's map side, is fused into the batch pipeline under it.
+func fusedAggregate(plan string) bool {
+	return regexp.MustCompile(`Exchange (presplit|single)[^\n]*\(fused: true`).MatchString(plan)
+}
+
 // interpretedConfig is the row-at-a-time engine with codegen off: the
 // interpreter for every expression and the aggregates' own scalar buffers
 // (BoxedAggregator) for every aggregate — the one aggregate implementation
@@ -687,7 +693,7 @@ func TestRowLeafAggregates(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if plan, err := df.Explain(); err != nil || !strings.Contains(plan, "(rows transposed, table=") || strings.Contains(plan, "kernels 0/") || strings.Contains(plan, "FusedHashAggregate") {
+					if plan, err := df.Explain(); err != nil || !strings.Contains(plan, "(rows transposed, table=") || strings.Contains(plan, "kernels 0/") || fusedAggregate(plan) {
 						t.Errorf("%q: no aggregate over rows transposed (err %v) in\n%s", q, err, plan)
 					}
 				}
@@ -750,7 +756,7 @@ func TestFusionExplain(t *testing.T) {
 	mustExplain := func(q string) string { t.Helper(); return explainIn(ctx, q) }
 
 	agg := mustExplain("SELECT grp, count(*), sum(val) FROM events GROUP BY grp")
-	if !strings.Contains(agg, "FusedHashAggregate") || !strings.Contains(agg, "(fused: true)") {
+	if !fusedAggregate(agg) || !strings.Contains(agg, "(fused: true)") {
 		t.Fatalf("aggregate plan not fused:\n%s", agg)
 	}
 	// The note says what actually runs: the group table and how many key /
@@ -801,20 +807,20 @@ func TestFusionExplain(t *testing.T) {
 	// operators its physical plan must hold.
 	handoffs := map[string][]string{
 		"SELECT d.label, count(*) FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label": {
-			"FusedHashAggregate keys=[label#N]", "(fused: true, table=str, kernels 2/2 native)", "VectorizedPipeline (1 stages, 1 native)  (fused: true)", "FusedBroadcastHashJoin Inner build=right"},
+			"HashAggregate keys=[label#N]", "Exchange presplit", "(fused: true, table=str, kernels 2/2 native)", "VectorizedPipeline (1 stages, 1 native)  (fused: true)", "FusedBroadcastHashJoin Inner build=right"},
 		"SELECT e.id + d.grp FROM events e JOIN dim d ON e.grp = d.grp": {
 			"VectorizedPipeline (1 stages, 1 native)  (fused: true)", "FusedBroadcastHashJoin Inner build=right"},
 		"SELECT e.id, d.label, w.wlabel FROM events e JOIN dim d ON e.grp = d.grp LEFT JOIN dimw w ON e.word = w.word": {
 			"FusedBroadcastHashJoin LeftOuter build=right keys=[word#N]=[word#N]  (fused: true, table=str, kernels 1/1 native)", "FusedBroadcastHashJoin Inner build=right keys=[grp#N]=[grp#N]"},
 		"SELECT d.label, sum(e.val) AS total FROM events e JOIN dim d ON e.grp = d.grp GROUP BY d.label ORDER BY total DESC LIMIT 1": {
-			"TopK n=1 [total#N DESC]", "FusedHashAggregate keys=[label#N]", "FusedBroadcastHashJoin Inner build=right"},
+			"TopK n=1 [total#N DESC]", "HashAggregate keys=[label#N]", "Exchange presplit", "(fused: true", "FusedBroadcastHashJoin Inner build=right"},
 	}
 	// The fallbacks that remain, and the row input an aggregate transposes,
 	// each with a plan shape that produces it.
 	fallbacks := map[string]string{
 		// an aggregate over an aggregate's row output: its phase 1 runs the
 		// same sink over the rows transposed
-		"SELECT a.n, count(*) FROM (SELECT grp, count(*) AS n FROM events GROUP BY grp) a GROUP BY a.n": "HashAggregate keys=[n#N] results=[n#N, count(*) AS count(*)#N]  (rows transposed, table=i64, kernels 2/2 native)",
+		"SELECT a.n, count(*) FROM (SELECT grp, count(*) AS n FROM events GROUP BY grp) a GROUP BY a.n": "Exchange presplit parts=1  (rows transposed, table=i64, kernels 2/2 native)",
 		// a join probing an aggregate's row output
 		"SELECT a.n, d.label FROM (SELECT grp, count(*) AS n FROM events GROUP BY grp) a JOIN dim d ON a.grp = d.grp": "BroadcastHashJoin Inner build=right keys=[grp#N]=[grp#N]  (fallback: probe side not vectorized)",
 		// a pipeline over a batch leaf none of whose stages has a kernel
@@ -865,7 +871,7 @@ func TestFusionExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(analyzed, "FusedHashAggregate") || !strings.Contains(analyzed, "actual:") {
+	if !fusedAggregate(analyzed) || !strings.Contains(analyzed, "actual:") {
 		t.Fatalf("EXPLAIN ANALYZE missing fused actuals:\n%s", analyzed)
 	}
 	// A fused join says what it handed its consumer, a top-K what it read and

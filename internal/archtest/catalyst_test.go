@@ -15,11 +15,6 @@ import (
 // method back in the TreeNode interface, or an optimizer rule comparing
 // renderings is change detection by copy or by printed text coming back.
 
-// prunedWalks are the hand-written tree walks allowed outside catalyst: the
-// adaptive driver's, which stops at fused operators (they are leaves to it),
-// something a catalyst transform cannot express.
-var prunedWalks = []string{"internal/physical/adaptive.go in adaptiveDriver.adapt"}
-
 // calls reports whether the subtree at n holds a call that match accepts.
 func calls(n ast.Node, match func(call *ast.CallExpr) bool) bool {
 	found := false
@@ -43,8 +38,9 @@ func isStringCall(e ast.Expr) bool {
 }
 
 // handWalks returns the non-test functions outside internal/catalyst that
-// both call themselves and call WithNewChildren: a tree rewrite by hand, with
-// prunedWalks left out. A method calls itself when it calls a method of its
+// both call themselves and call WithNewChildren: a tree rewrite by hand. None
+// is allowed, the adaptive driver's included: it is a catalyst transform that
+// acts at exchanges. A method calls itself when it calls a method of its
 // own name; a WithNewChildren that delegates to the node it wraps is no walk.
 func handWalks(t *testing.T, root string) []string {
 	t.Helper()
@@ -72,12 +68,7 @@ func handWalks(t *testing.T, root string) []string {
 			return ok && sel.Sel.Name == "WithNewChildren"
 		})
 	})
-	return slices.DeleteFunc(callStrings(found), func(c string) bool {
-		return slices.ContainsFunc(prunedWalks, func(w string) bool {
-			file, in, _ := strings.Cut(w, " in ")
-			return strings.HasPrefix(c, file+":") && strings.HasSuffix(c, " in "+in)
-		})
-	})
+	return callStrings(found)
 }
 
 // catalystRenders returns the String() calls and String methods in
@@ -158,14 +149,15 @@ func TestOptimizerComparesNoText(t *testing.T) {
 	}
 }
 
-// The fixture's physical package holds the old preparation transform and the
-// old decision rewrite, each a hand walk, beside the adaptive driver's walk,
-// which is allowed; its catalyst package walks too, renders nodes and puts
+// The fixture's physical package holds the old preparation transform, the
+// old decision rewrite and the old adaptive driver's pruned walk, each a hand
+// walk; its catalyst package walks too, renders nodes and puts
 // String in TreeNode; its optimizer compares renderings twice.
 func TestCatalystGatesFire(t *testing.T) {
 	root := "testdata/fixture"
 	if got, want := handWalks(t, root), []string{
 		"internal/physical/adaptive.go:6 in rewriteAt",
+		"internal/physical/adaptive.go:28 in adaptiveDriver.adapt",
 		"internal/physical/plan.go:12 in transformUp",
 	}; !slices.Equal(got, want) {
 		t.Errorf("fixture: hand walks reported %v, want %v", got, want)

@@ -560,20 +560,21 @@ func (q *QueryExecution) ExplainAnalyzeContext(ctx context.Context) (string, err
 	return sb.String(), nil
 }
 
-// planIDs matches the per-process unique expression IDs (#42) that differ
-// between two plannings of the same query text.
-var planIDs = regexp.MustCompile(`#\d+`)
+// planNoise matches what differs between two renderings of one plan: the
+// per-process expression IDs (#42), and the runtime "(actual: ...)" and
+// adaptive "(adapted: <from> -> <to> (<reason>))" and "(not adapted:
+// <reason>)" annotations. Adaptive reasons nest one paren level (and a skewed
+// join can carry two adapted segments in one annotation), so their body admits
+// any run of non-paren text or single-level groups.
+var planNoise = regexp.MustCompile(`#\d+|  \((?:actual: [^)]*|(?:not )?adapted: (?:[^()]|\([^()]*\))*)\)`)
 
-// planActuals matches the runtime "(actual: ...)" annotations that
-// instrumentation appends to operator strings once a plan has executed;
-// they must not perturb the plan fingerprint.
-var planActuals = regexp.MustCompile(`  \(actual: [^)]*\)`)
-
-// planAdapted matches the adaptive "(adapted: <from> -> <to> (<reason>))"
-// annotations. Unlike actuals, reasons nest one paren level (and a skewed
-// join can carry two adapted segments in one annotation), so the body
-// admits any run of non-paren text or single-level groups.
-var planAdapted = regexp.MustCompile(`  \(adapted: (?:[^()]|\([^()]*\))*\)`)
+// denoise keeps an ID's "#" and drops an annotation.
+func denoise(m string) string {
+	if m[0] == '#' {
+		return "#"
+	}
+	return ""
+}
 
 // PlanHash returns a stable FNV-1a fingerprint of the physical plan with
 // expression IDs normalized out, so identical statements (and identical
@@ -591,9 +592,8 @@ func (q *QueryExecution) PlanHash() uint64 {
 func (q *QueryExecution) planHash(p physical.SparkPlan, text func() string) uint64 {
 	if q.hashOf != p {
 		q.engine.RDDCtx.Metrics().Counter("query.plan.hashed").Inc()
-		norm := planActuals.ReplaceAllString(planIDs.ReplaceAllString(text(), "#"), "")
 		h := fnv.New64a()
-		h.Write([]byte(planAdapted.ReplaceAllString(norm, "")))
+		h.Write([]byte(planNoise.ReplaceAllStringFunc(text(), denoise)))
 		q.hashOf, q.hash = p, h.Sum64()
 	}
 	return q.hash

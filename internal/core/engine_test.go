@@ -121,12 +121,12 @@ func TestConfigKnobsChangePhysicalPlans(t *testing.T) {
 	if !strings.Contains(full, "WholeStagePipeline") {
 		t.Errorf("default config should fuse pipelines:\n%s", full)
 	}
-	if full := build(DefaultConfig(), aggregate); !strings.Contains(full, "VectorizedPipeline") || !strings.Contains(full, "Fused") {
+	if full := build(DefaultConfig(), aggregate); !strings.Contains(full, "VectorizedPipeline") || !strings.Contains(full, "(fused: true") {
 		t.Errorf("default config should vectorize and fuse over the cache:\n%s", full)
 	}
 	for _, lp := range []plan.LogicalPlan{project, aggregate} {
 		shark := build(SharkConfig(), lp)
-		for _, op := range []string{"WholeStagePipeline", "VectorizedPipeline", "Fused"} {
+		for _, op := range []string{"WholeStagePipeline", "VectorizedPipeline", "fused: true"} {
 			if strings.Contains(shark, op) {
 				t.Errorf("shark config must not plan a %s operator:\n%s", op, shark)
 			}

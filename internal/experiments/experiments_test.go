@@ -208,7 +208,7 @@ func TestFusionStudyVerify(t *testing.T) {
 // kernel native (a string-function key once ran the generic boxed table under
 // a bare "fused: true").
 var fusedPlanMarks = map[string]string{
-	FusedAggQuery():          "FusedHashAggregate keys=[avgDuration#",
+	FusedAggQuery():          "(fused: true, table=i64, kernels 4/4 native)",
 	FusedKeyedAggQuery():     "(fused: true, table=str, kernels 2/2 native)",
 	FusedJoinShapes[0].Query: "FusedBroadcastHashJoin Inner build=right",
 	FusedJoinShapes[1].Query: "(fused: true, table=generic, kernels 3/3 native)",

@@ -509,7 +509,7 @@ func RunMultiprocHashExchange(visits int64, cached, broadcast, observe bool) err
 		if err != nil {
 			return err
 		}
-		for _, op := range []string{"TopK n=1 [", "FusedHashAggregate", "FusedBroadcastHashJoin"} {
+		for _, op := range []string{"TopK n=1 [", "Exchange presplit", "(fused: true, table=", "FusedBroadcastHashJoin"} {
 			if !strings.Contains(plan, op) {
 				return fmt.Errorf("multiproc hash exchange: Q3b's plan lacks %s:\n%s", op, plan)
 			}

@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the aggregation state lanes behind both phases of grouped
-// aggregation (physical.HashAggregateExec / FusedAggregateExec): one
+// aggregation (physical.HashAggregateExec and its presplit exchange): one
 // VecAggregator per aggregate function keeps dense per-group state in typed
 // slices — COUNT an []int64, SUM a value lane plus a seen lane, AVG sum and
 // count lanes, MIN/MAX a typed value lane plus a seen lane, and a boxed

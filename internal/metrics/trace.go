@@ -156,8 +156,17 @@ func (t *TraceBuffer) TraceSpans(id string, since int64) []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Span
-	for i := len(t.buf) - int(min(max(t.total-since, 0), int64(len(t.buf)))); i < len(t.buf); i++ {
+	from, n := len(t.buf)-int(min(max(t.total-since, 0), int64(len(t.buf)))), 0
+	for i := from; i < len(t.buf); i++ {
+		if t.buf[(t.next+i)%len(t.buf)].Trace == id {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Span, 0, n) // sized once: a span is a few hundred bytes
+	for i := from; i < len(t.buf); i++ {
 		if s := &t.buf[(t.next+i)%len(t.buf)]; s.Trace == id {
 			out = append(out, *s)
 		}

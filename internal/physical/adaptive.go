@@ -1,33 +1,27 @@
 package physical
 
-// Adaptive query execution (Spark 3.x AQE): instead of executing the
-// statically planned operator tree in one shot, the plan is split at its
-// exchanges into a stage DAG. Each exchange input runs bottom-up as an rdd
-// Stage — the same stage type a shuffle's map side and a join's build side
-// are — and its observed output (rows and bytes, measured once from the
-// stage's partitions) feeds a re-planning step that re-enters the planner's
-// cost rules over actuals instead of estimates:
+// Adaptive query execution (Spark 3.x AQE) over the plan's exchanges: one
+// catalyst transform of the static plan runs each hash, range or presplit
+// exchange's map side once, as an rdd Stage through the ordinary job path,
+// reads what it wrote per bucket (rdd.MapStats), and at the operator above
+// re-enters the planner's cost rules over those actuals:
 //
-//   - exchange partition counts coalesce to ceil(observedBytes/target)
-//     when that is below the statically chosen count; a grouped
-//     aggregate's reduce tasks are re-sized to it up as well as down
-//     (they take ranges of the same hash buckets, so their number never
-//     changes its result or the result's order),
-//   - a broadcast hash join whose build side blows past the broadcast
-//     limit demotes to a shuffled hash join, and a shuffled join whose
-//     input turns out tiny promotes to a broadcast hash join,
-//   - a shuffled hash join reduce partition whose observed input exceeds
-//     SkewFactor x the mean bucket size splits into chunks that join
-//     independently against the full build bucket (order-preserving, so
-//     results are byte-identical to the unsplit plan).
+//   - reduce tasks coalesce to ceil(observedBytes/target) below the planned
+//     count; a grouped aggregate's are re-sized up as well as down;
+//   - a broadcast hash join whose build side blows past the broadcast limit
+//     demotes to a shuffled join over the rows its broadcast collected, and a
+//     shuffled join whose input turns out tiny promotes to a broadcast join
+//     that builds from the build side's buckets and probes the probe side's;
+//   - a shuffled join's reduce task whose probe buckets exceed SkewFactor x
+//     the mean splits into chunks joined against its whole build side.
 //
-// Every decision is a pure rewrite of the static tree addressed by the
-// node's post-order ordinal, so the coordinator can ship its decisions in the
-// task spec and workers derive the identical adapted plan without re-adapting
-// (keeping the cluster plan-hash parity check sound), and the coordinator
-// replays a repeated statement's recorded decisions the same way instead of
-// running its stages again. EXPLAIN ANALYZE records each decision as
-// `adapted: <from> -> <to> (<reason>)`.
+// Reduce tasks read ranges of fixed buckets, so no decision runs or copies a
+// stage again. Each decision rewrites one exchange, addressed by its
+// post-order ordinal in the static plan (its stage id), and a join whose
+// exchanges changed form becomes the join they make (settle): workers and a
+// repeated statement replay the list (ApplyDecisions) without running a stage.
+// EXPLAIN ANALYZE shows `adapted: <from> -> <to> (<reason>)` on a decided
+// exchange and `not adapted: <reason>` on the others.
 
 import (
 	"cmp"
@@ -35,95 +29,30 @@ import (
 	"fmt"
 
 	"repro/internal/catalyst"
-	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/rdd"
-	"repro/internal/row"
 )
 
-// DefaultSkewFactor splits a reduce partition observed at more than 4x the
-// mean bucket size — Spark's skewedPartitionFactor default.
-const DefaultSkewFactor = 4.0
+const (
+	DefaultSkewFactor = 4.0 // split a reduce task over 4x the mean: Spark's skewedPartitionFactor default
+	maxSkewSplits     = 16  // the most chunks one skewed reduce task splits into
+)
 
-// maxSkewSplits bounds how many chunks one skewed bucket splits into.
-const maxSkewSplits = 16
-
-// partitionsFor sizes a coalesced exchange from observed bytes, by the
-// planner's target.
-func (d *adaptiveDriver) partitionsFor(sizeInBytes int64) int {
-	return PartitionsForSize(d.cfg.TargetPartitionBytes, sizeInBytes)
-}
-
-// AdaptiveNote carries the `adapted: ...` annotation onto a physical
-// operator; WithNewChildren copy semantics (c := *n) preserve it across
-// rewrites, like PlanEstimate.
-type AdaptiveNote struct {
-	adapted string
-}
-
-// SetAdapted records the decision annotation.
-func (a *AdaptiveNote) SetAdapted(note string) { a.adapted = note }
-
-// Adapted returns the decision annotation ("" = none).
-func (a *AdaptiveNote) Adapted() string { return a.adapted }
-
-// AdaptiveAnnotated is implemented by operators that can carry an adaptive
-// decision annotation (via AdaptiveNote).
-type AdaptiveAnnotated interface {
-	SetAdapted(string)
-	Adapted() string
-}
-
-// Decision is one adaptive re-planning step, expressed as a pure rewrite
-// of the statically planned tree so the coordinator and every worker
-// derive the identical adapted plan from (static plan, decisions).
+// Decision is one adaptive re-planning step, a pure rewrite of one exchange
+// of the static plan, so the coordinator and every worker derive the same
+// adapted plan from (static plan, decisions).
 type Decision struct {
-	// Stage is the rewritten node's post-order ordinal in the static plan
-	// (children in order, then the node; the root is last). Every rewrite
-	// kind preserves tree shape and child counts, so ordinals stay valid as
-	// decisions apply.
-	Stage int `json:"stage"`
-	// Kind is "coalesce" (set an exchange's partition count), "demote",
-	// "promote" or "skew".
-	Kind string `json:"kind"`
-	// Parts is the new exchange partition count (0 = keep current).
-	Parts int `json:"parts,omitempty"`
-	// BuildRight selects the broadcast build side for "promote".
-	BuildRight bool `json:"buildRight,omitempty"`
-	// Splits is the per-reduce-partition chunk count for "skew" (length =
-	// the exchange's effective partition count).
-	Splits []int `json:"splits,omitempty"`
-	// Note is the EXPLAIN annotation: `adapted: <from> -> <to> (<reason>)`.
-	Note string `json:"note,omitempty"`
+	Stage      int    `json:"stage"`                // the exchange's post-order ordinal in the static plan
+	Kind       string `json:"kind"`                 // "coalesce", "skew", "promote" (hash to broadcast) or "demote"
+	Parts      int    `json:"parts,omitempty"`      // the new reduce task count (0 = keep current)
+	BuildRight bool   `json:"buildRight,omitempty"` // which side a "promote" broadcasts
+	Splits     []int  `json:"splits,omitempty"`     // "skew": chunks per reduce task
+	Note       string `json:"note,omitempty"`       // `adapted: <from> -> <to> (<reason>)`
 }
 
-// QueryStageExec is a materialization barrier: the subtree below an
-// exchange, already run by the adaptive driver as a stage that holds its
-// partitions. It prints as its child — the barrier is an execution detail,
-// which keeps plan strings (and so the cluster plan-hash parity check)
-// identical between the coordinator's stage-materialized tree and a worker's
-// decision-applied live tree — and executes as the stage's partitions, so
-// downstream operators never recompute stage output.
-type QueryStageExec struct {
-	PlanEstimate
-	Child SparkPlan
-	// Rows and Bytes are the stage's observed output statistics.
-	Rows, Bytes int64
-	stage       *rdd.Stage[[][]row.Row]
-}
-
-func (q *QueryStageExec) Children() []SparkPlan { return []SparkPlan{q.Child} }
-func (q *QueryStageExec) WithNewChildren(children []SparkPlan) SparkPlan {
-	c := *q
-	c.Child = children[0]
-	return &c
-}
-func (q *QueryStageExec) Output() []*expr.AttributeReference { return q.Child.Output() }
-
-// ApplyDecisions replays a decision list over the static plan; applying
-// the decisions AdaptPlan returned reproduces its adapted tree exactly —
-// the worker-side half of the coordinator/worker parity contract. A
-// decision naming no node, or a node its kind cannot rewrite, is an error.
+// ApplyDecisions replays a decision list over the static plan, rebuilding
+// the tree AdaptPlan executed (its notes and map outputs aside): the worker's
+// half of the parity contract. A decision naming no node, or one its kind
+// cannot rewrite, is an error.
 func ApplyDecisions(p SparkPlan, ds []Decision) (SparkPlan, error) {
 	var err error
 	ord := 0
@@ -135,7 +64,11 @@ func ApplyDecisions(p SparkPlan, ds []Decision) (SparkPlan, error) {
 			}
 		}
 		ord++
-		return n, n != static && err == nil
+		if err != nil {
+			return nil, false
+		}
+		n = settle(n)
+		return n, n != static
 	})
 	for _, d := range ds {
 		if err == nil && (d.Stage < 0 || d.Stage >= ord) {
@@ -148,72 +81,84 @@ func ApplyDecisions(p SparkPlan, ds []Decision) (SparkPlan, error) {
 	return p, nil
 }
 
-// applyDecision rewrites one node under one decision.
+// applyDecision rewrites one exchange under one decision.
 func applyDecision(p SparkPlan, d Decision) (SparkPlan, error) {
-	switch d.Kind {
-	case "coalesce":
-		c := p.WithNewChildren(p.Children()) // a copy
-		switch n := c.(type) {
-		case *ShuffledHashJoinExec:
-			n.Partitions = d.Parts
-		case *HashAggregateExec:
-			n.Partitions = d.Parts
-		case *SortExec:
-			n.Partitions = d.Parts
-		default:
-			return nil, fmt.Errorf("physical: coalesce decision on %T", p)
-		}
-		c.(AdaptiveAnnotated).SetAdapted(d.Note)
-		return c, nil
-	case "skew":
-		n, ok := p.(*ShuffledHashJoinExec)
-		if !ok {
-			return nil, fmt.Errorf("physical: skew decision on %T", p)
-		}
-		c := *n
-		if d.Parts > 0 {
-			c.Partitions = d.Parts
-		}
-		c.SkewSplits = d.Splits
-		c.SetAdapted(d.Note)
-		return &c, nil
-	case "demote":
-		n, ok := p.(*BroadcastHashJoinExec)
-		if !ok {
-			return nil, fmt.Errorf("physical: demote decision on %T", p)
-		}
-		shj := &ShuffledHashJoinExec{EquiJoin: n.EquiJoin, Partitions: d.Parts}
-		transferEstimate(shj, n)
-		shj.SetAdapted(d.Note)
-		return shj, nil
-	case "promote":
-		n, ok := p.(*ShuffledHashJoinExec)
-		if !ok {
-			return nil, fmt.Errorf("physical: promote decision on %T", p)
-		}
-		bhj := &BroadcastHashJoinExec{EquiJoin: n.EquiJoin, BuildRight: d.BuildRight}
-		transferEstimate(bhj, n)
-		bhj.SetAdapted(d.Note)
-		return bhj, nil
+	e, ok := p.(*ExchangeExec)
+	if !ok {
+		return nil, fmt.Errorf("physical: %s decision on %T", d.Kind, p)
 	}
-	return nil, fmt.Errorf("physical: unknown decision kind %q", d.Kind)
+	c := *e
+	c.adapted = d.Note
+	switch want := HashExchange; d.Kind {
+	case "coalesce":
+		if e.Form == BroadcastExchange {
+			return nil, fmt.Errorf("physical: coalesce decision on a broadcast exchange")
+		}
+		c.Partitions = d.Parts
+	case "skew", "promote":
+		if e.Form != want {
+			return nil, fmt.Errorf("physical: %s decision on a %s exchange", d.Kind, e.Form)
+		}
+		if d.Kind == "skew" {
+			c.Partitions, c.SkewSplits = cmp.Or(d.Parts, c.Partitions), d.Splits
+			break
+		}
+		c.Form, c.Partitions, c.ran = BroadcastExchange, 0, nil
+		if e.ran != nil { // it builds from the buckets its map side wrote
+			c.ran = &exchangeRun{input: e.ran.buckets}
+		}
+	case "demote":
+		if e.Form != BroadcastExchange {
+			return nil, fmt.Errorf("physical: demote decision on a %s exchange", e.Form)
+		}
+		c.Form, c.Partitions, c.ran = HashExchange, d.Parts, nil
+		if e.ran != nil { // it re-partitions the rows its broadcast collected
+			c.ran = &exchangeRun{input: e.ran.input}
+		}
+	default:
+		return nil, fmt.Errorf("physical: unknown decision kind %q", d.Kind)
+	}
+	return &c, nil
 }
 
-// AdaptPlan is the stage-graph driver: it walks the static plan bottom-up,
-// runs each exchange input as a stage held by a QueryStageExec (through the
-// rdd layer's ordinary job path, so retry, speculation and cancellation apply
-// to stage execution exactly as to final execution), and re-plans each
-// exchange from the observed statistics. It returns the executed tree
-// (stage leaves in place, zero recompute) and the decision list to ship
-// to workers. With ctx.Adaptive off the plan is returned untouched.
+// settle makes a join whose exchanges changed form the join they make: a
+// shuffled join with a broadcast side a broadcast join, a broadcast join with a
+// hash build side a shuffled join (keying it, and hashing its probe side).
+func settle(p SparkPlan) SparkPlan {
+	switch j := p.(type) {
+	case *ShuffledHashJoinExec:
+		for _, right := range []bool{true, false} {
+			if _, build, _, _ := j.sides(right); exchangeOf(build).Form == BroadcastExchange {
+				return transferEstimate(&BroadcastHashJoinExec{EquiJoin: j.EquiJoin, BuildRight: right}, j)
+			}
+		}
+	case *BroadcastHashJoinExec:
+		probe, build, probeKeys, buildKeys := j.sides(j.BuildRight)
+		if b := exchangeOf(build); b.Form == HashExchange {
+			ej, keyed := j.EquiJoin, *b
+			keyed.Keys = buildKeys
+			shuffled := newExchange(HashExchange, probe)
+			shuffled.Keys, shuffled.Partitions = probeKeys, b.Partitions
+			if ej.Left, ej.Right = shuffled, &keyed; !j.BuildRight {
+				ej.Left, ej.Right = &keyed, shuffled
+			}
+			return transferEstimate(&ShuffledHashJoinExec{EquiJoin: ej}, j)
+		}
+	}
+	return p
+}
+
+// AdaptPlan is the stage-graph driver. It returns the executed tree — its
+// exchanges holding their map outputs — and the decision list to ship to
+// workers; with ctx.Adaptive off, the plan untouched.
 func AdaptPlan(jc context.Context, ctx *ExecContext, p SparkPlan) (SparkPlan, []Decision, error) {
 	if !ctx.Adaptive {
 		return p, nil, nil
 	}
-	d := &adaptiveDriver{jc: jc, ctx: ctx, cfg: &ctx.Planner}
-	out, err := d.adapt(p)
-	if err != nil {
-		return nil, nil, err
+	d := &adaptiveDriver{jc: jc, ctx: ctx, cfg: &ctx.Planner, ords: map[*ExchangeExec]int{}}
+	out := catalyst.TransformUp(p, d.adapt)
+	if d.err != nil {
+		return nil, nil, d.err
 	}
 	return out, d.decisions, nil
 }
@@ -223,283 +168,226 @@ type adaptiveDriver struct {
 	ctx       *ExecContext
 	cfg       *PlannerConfig
 	decisions []Decision
-	// next is the number of static nodes the walk has finished: one more
-	// than the post-order ordinal of the node being adapted.
-	next int
+	next      int                   // the post-order ordinal of the node visited next
+	ords      map[*ExchangeExec]int // the static ordinal of each exchange passed
+	err       error
 }
 
-// transparent reports whether the driver may rewrite p's children. Fused
-// and vectorized operators are opaque: their children feed batch-native
-// pipelines that a row-partition stage leaf cannot stand in for, so
-// adaptation treats them as leaves (they still materialize fine as stage
-// *inputs* above them).
-func transparent(p SparkPlan) bool {
-	switch p.(type) {
-	case *ProjectExec, *FilterExec, *SortExec, *LimitExec, *TopKExec, *UnionExec, *SampleExec,
-		*HashAggregateExec, *ShuffledHashJoinExec, *BroadcastHashJoinExec, *NestedLoopJoinExec:
-		return true
-	}
-	return false
-}
-
-// effectiveParts is the reducer count an exchange will actually use.
-func effectiveParts(session, override int) int {
-	if override > 0 && override < session {
-		return override
-	}
-	return session
-}
-
-// adapt walks p bottom-up, counting the static nodes as it finishes them.
-// It stops at a node that is not transparent, whose whole subtree it counts.
-func (d *adaptiveDriver) adapt(p SparkPlan) (SparkPlan, error) {
-	if !transparent(p) {
-		catalyst.Foreach(p, func(SparkPlan) { d.next++ })
-		return p, nil
-	}
-	var err error
-	kids, changed := catalyst.MapSlice(p.Children(), func(k SparkPlan) SparkPlan {
-		if err == nil {
-			k, err = d.adapt(k)
-		}
-		return k
-	})
-	if err != nil {
-		return nil, err
-	}
-	if changed {
-		p = p.WithNewChildren(kids)
-	}
+// adapt is the driver's one rule.
+func (d *adaptiveDriver) adapt(p SparkPlan) (SparkPlan, bool) {
+	ord := d.next
 	d.next++
-	return d.adaptNode(p)
-}
-
-// materialize runs one exchange input as a stage and wraps it.
-func (d *adaptiveDriver) materialize(child SparkPlan) (*QueryStageExec, error) {
-	if qs, ok := child.(*QueryStageExec); ok {
-		return qs, nil
+	if d.err != nil {
+		return nil, false
 	}
-	qs := &QueryStageExec{Child: child}
-	qs.stage = rdd.NewStage(child.Execute(d.ctx), func(_ context.Context, parts [][]row.Row) ([][]row.Row, error) {
-		for _, pr := range parts {
-			qs.Rows += int64(len(pr))
-			qs.Bytes += rowsSize(pr)
-		}
-		return parts, nil
-	})
-	if _, err := qs.stage.Value(d.jc); err != nil {
-		return nil, err
-	}
-	transferEstimate(qs, child)
-	return qs, nil
-}
-
-// record addresses a decision to the node being adapted, applies it, logs
-// it for shipping, and returns the rewritten node.
-func (d *adaptiveDriver) record(p SparkPlan, dec Decision) (SparkPlan, error) {
-	dec.Stage = d.next - 1
-	d.decisions = append(d.decisions, dec)
-	return applyDecision(p, dec)
-}
-
-func (d *adaptiveDriver) adaptNode(p SparkPlan) (SparkPlan, error) {
+	var out SparkPlan
 	switch n := p.(type) {
-	case *ShuffledHashJoinExec:
-		return d.adaptShuffledJoin(n)
+	case *ExchangeExec:
+		e := d.run(n)
+		d.ords[e] = ord
+		out = e
 	case *HashAggregateExec:
-		if len(n.Grouping) == 0 {
-			// A global aggregate always reduces to one partition; nothing
-			// to re-plan, and materializing its input buys nothing.
-			return p, nil
-		}
-		return d.adaptAggregate(n)
+		out = d.adaptReduce(n, exchangeOf(n.Child), true)
 	case *SortExec:
-		if !n.Global {
-			return p, nil
+		if n.Global {
+			out = d.adaptReduce(n, exchangeOf(n.Child), false)
 		}
-		return d.adaptCoalesceOnly(p, n.Child, n.Partitions)
+	case *ShuffledHashJoinExec:
+		out = d.adaptShuffledJoin(n)
 	case *BroadcastHashJoinExec:
-		return d.adaptBroadcastJoin(n)
+		out = d.adaptBroadcastJoin(n)
+	case *FusedBroadcastJoinExec:
+		out = d.keep(n, buildIndex(n.Join.BuildRight), "not adapted: a fused join is not demoted")
+	case *NestedLoopJoinExec:
+		out = d.keep(n, 1, "not adapted: a nested-loop join is not re-planned")
 	}
-	return p, nil
+	if d.err != nil || out == nil {
+		return nil, false
+	}
+	return out, true
 }
 
-// adaptCoalesceOnly materializes a single exchange input and re-sizes the
-// downstream partition count from observed bytes.
-func (d *adaptiveDriver) adaptCoalesceOnly(p, child SparkPlan, current int) (SparkPlan, error) {
-	stage, err := d.materialize(child)
-	if err != nil {
-		return nil, err
+// run runs a hash, range or presplit exchange's map side, once, and returns
+// the exchange holding it; a broadcast runs for its join, and one bucket has
+// no reduce side to re-plan.
+func (d *adaptiveDriver) run(e *ExchangeExec) *ExchangeExec {
+	if e.Form == BroadcastExchange || e.Form != HashExchange && e.buckets(d.ctx) == 1 {
+		return e
 	}
-	if p, err = d.coalesce(p, d.coalesced(current, stage.Bytes), stage.Bytes); err != nil {
-		return nil, err
+	c := *e
+	if c.ran = (&exchangeRun{}); e.Form == PresplitExchange {
+		c.ran = c.mapPartials(d.ctx)
+		c.ran.stats, _, d.err = c.ran.blocks.MapStats(d.jc)
+	} else {
+		c.ran.buckets = c.shuffle(d.ctx)
+		c.ran.stats, _, d.err = c.ran.buckets.MapStats(d.jc)
 	}
-	return p.WithNewChildren([]SparkPlan{stage}), nil
+	return &c
 }
 
-// adaptAggregate materializes a grouped aggregate's input and re-sizes its
-// reduce tasks from the observed input bytes, up as well as down: the bytes
-// bound what the reducers will hold, where the planner's output estimate may
-// rest on a guessed group count (RowCount/16 for a key without statistics),
-// and a reducer count never changes an aggregate's result, because its
-// reduce tasks take ranges of the same hash buckets.
-func (d *adaptiveDriver) adaptAggregate(n *HashAggregateExec) (SparkPlan, error) {
-	stage, err := d.materialize(n.Child)
-	if err != nil {
-		return nil, err
+// record addresses a decision to p's exchange child i, applies it, logs it
+// for shipping, and returns p over the rewritten exchange, settled.
+func (d *adaptiveDriver) record(p SparkPlan, i int, dec Decision) SparkPlan {
+	kids := p.Children() // a fresh slice: every operator over an exchange builds one
+	e := kids[i].(*ExchangeExec)
+	dec.Stage = d.ords[e]
+	d.decisions = append(d.decisions, dec)
+	c, err := applyDecision(e, dec)
+	if d.err = err; err != nil {
+		return nil
 	}
-	parts := min(d.partitionsFor(stage.Bytes), n.buckets(d.ctx))
-	if parts == n.reducers(d.ctx) {
-		parts = 0 // already what the input calls for
-	}
-	p, err := d.coalesce(n, parts, stage.Bytes)
-	if err != nil {
-		return nil, err
-	}
-	return p.WithNewChildren([]SparkPlan{stage}), nil
+	kids[i] = c
+	return settle(p.WithNewChildren(kids))
 }
 
-// coalesced is the reducer count observed bytes call for, or 0 when that is
-// not below what the exchange has: coalescing only ever shrinks the
-// statically chosen count, so accurate estimates see no adaptation.
-func (d *adaptiveDriver) coalesced(current int, bytes int64) int {
-	if parts := d.partitionsFor(bytes); parts > 0 && parts < effectiveParts(d.ctx.ShufflePartitions, current) {
+// keep notes on p's exchange child i why it stays as planned: on the copy the
+// driver ran, or a new one.
+func (d *adaptiveDriver) keep(p SparkPlan, i int, note string) SparkPlan {
+	kids := p.Children()
+	e := kids[i].(*ExchangeExec)
+	if e.ran != nil {
+		e.adapted = note
+		return p
+	}
+	c := *e
+	c.adapted = note
+	d.ords[&c] = d.ords[e]
+	kids[i] = &c
+	return p.WithNewChildren(kids)
+}
+
+// coalesced is the reduce task count observed bytes call for, or 0 unless it
+// is below e's: accurate estimates see no adaptation.
+func (d *adaptiveDriver) coalesced(e *ExchangeExec, bytes int64) int {
+	if parts := PartitionsForSize(d.cfg.TargetPartitionBytes, bytes); parts > 0 && parts < e.reducers(d.ctx) {
 		return parts
 	}
 	return 0
 }
 
-// coalesce records p's exchange coalesced to parts, if parts is set.
-func (d *adaptiveDriver) coalesce(p SparkPlan, parts int, bytes int64) (SparkPlan, error) {
-	if parts == 0 {
-		return p, nil
+// resize records p's exchange children, of reducers reduce tasks, coalesced
+// to parts, or notes that they keep theirs when parts is 0.
+func (d *adaptiveDriver) resize(p SparkPlan, reducers, parts int, bytes int64) SparkPlan {
+	for i := range len(p.Children()) {
+		if parts == 0 {
+			p = d.keep(p, i, fmt.Sprintf("not adapted: %d reduce tasks for observed %d B", reducers, bytes))
+		} else if p = d.record(p, i, Decision{Kind: "coalesce", Parts: parts, Note: coalesceNote(parts, bytes)}); p == nil {
+			return nil
+		}
 	}
-	return d.record(p, Decision{Kind: "coalesce", Parts: parts, Note: coalesceNote(parts, bytes)})
+	return p
 }
 
 func coalesceNote(parts int, bytes int64) string {
 	return fmt.Sprintf("adapted: shuffle exchange -> %d partitions (observed %d B)", parts, bytes)
 }
 
-// adaptShuffledJoin runs both inputs of a shuffled hash join as stages and
-// re-plans it from their observed bytes: promote it to a broadcast hash join
-// when a buildable side fits the broadcast limit, otherwise coalesce the
-// reducer count and split skewed reduce buckets.
-func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec) (SparkPlan, error) {
-	ls, err := d.materialize(n.Left)
-	if err != nil {
-		return nil, err
+// adaptReduce re-sizes the reduce tasks of an aggregate's presplit or a
+// global sort's range exchange, e, from the bytes its map side wrote. A sort's
+// only coalesce; an aggregate's go up as well as down (up): its partial blocks
+// bound what its reducers hold, where the planner's estimate may rest on a
+// guessed group count, and its reducer count never changes its result.
+func (d *adaptiveDriver) adaptReduce(p SparkPlan, e *ExchangeExec, up bool) SparkPlan {
+	if e.ran == nil {
+		return d.keep(p, 0, "not adapted: one bucket")
 	}
-	rs, err := d.materialize(n.Right)
-	if err != nil {
-		return nil, err
-	}
-	if dec, ok := d.promotion(n.Type, ls.Bytes, rs.Bytes); ok {
-		p, err := d.record(n, dec)
-		if err != nil {
-			return nil, err
+	_, bytes := e.ran.stats.Total()
+	parts := d.coalesced(e, bytes)
+	if up {
+		if parts = min(PartitionsForSize(d.cfg.TargetPartitionBytes, bytes), e.buckets(d.ctx)); parts == e.reducers(d.ctx) {
+			parts = 0 // already what the input calls for
 		}
-		return p.WithNewChildren([]SparkPlan{ls, rs}), nil
 	}
-	bytes := ls.Bytes + rs.Bytes
-	newParts := d.coalesced(n.Partitions, bytes)
-	splits, maxBytes, meanBytes := d.detectSkew(n, ls, cmp.Or(newParts, effectiveParts(d.ctx.ShufflePartitions, n.Partitions)))
-	var p SparkPlan
+	return d.resize(p, e.reducers(d.ctx), parts, bytes)
+}
+
+// adaptShuffledJoin promotes a shuffled join whose buildable side fits the
+// broadcast limit, or else coalesces its reduce tasks and splits skewed ones.
+func (d *adaptiveDriver) adaptShuffledJoin(n *ShuffledHashJoinExec) SparkPlan {
+	l, r := exchangeOf(n.Left), exchangeOf(n.Right)
+	_, lb := l.ran.stats.Total()
+	_, rb := r.ran.stats.Total()
+	if right, ok := d.cfg.buildSide(n.Type, lb, rb); ok && d.cfg.broadcastLimit() > 0 {
+		bytes := lb
+		if right {
+			bytes = rb
+		}
+		return d.record(n, buildIndex(right), Decision{Kind: "promote", BuildRight: right,
+			Note: fmt.Sprintf("adapted: ShuffledHashJoin -> BroadcastHashJoin (build side %d B observed under %d B limit)",
+				bytes, d.cfg.broadcastLimit())})
+	}
+	bytes := lb + rb
+	newParts := d.coalesced(l, bytes)
+	splits, maxBytes, meanBytes := d.detectSkew(n.Type, l.ran.stats.Bytes, cmp.Or(newParts, l.reducers(d.ctx)))
 	if splits == nil {
-		p, err = d.coalesce(n, newParts, bytes)
-	} else {
-		note := fmt.Sprintf("adapted: uniform reduce -> skew-split buckets (max bucket %d B over %.1fx mean %d B)",
-			maxBytes, d.cfg.skewFactor(), meanBytes)
-		if newParts > 0 {
-			note += "  " + coalesceNote(newParts, bytes)
-		}
-		p, err = d.record(n, Decision{Kind: "skew", Parts: newParts, Splits: splits, Note: note})
+		return d.resize(n, l.reducers(d.ctx), newParts, bytes)
 	}
-	if err != nil {
-		return nil, err
+	note := fmt.Sprintf("adapted: uniform reduce -> skew-split buckets (max bucket %d B over %.1fx mean %d B)",
+		maxBytes, d.cfg.skewFactor(), meanBytes)
+	if newParts > 0 {
+		note += "  " + coalesceNote(newParts, bytes)
 	}
-	return p.WithNewChildren([]SparkPlan{ls, rs}), nil
+	// Skew splits only probe-ordered joins, which probe the left side.
+	p := d.record(n, 0, Decision{Kind: "skew", Parts: newParts, Splits: splits, Note: note})
+	if p != nil && newParts > 0 {
+		return d.record(p, 1, Decision{Kind: "coalesce", Parts: newParts, Note: coalesceNote(newParts, bytes)})
+	}
+	return p
 }
 
-// promotion decides a shuffled-to-broadcast join switch, mirroring the
-// static planner's side preference and build-legality rules over observed
-// bytes instead of estimates.
-func (d *adaptiveDriver) promotion(t plan.JoinType, leftBytes, rightBytes int64) (Decision, bool) {
-	canRight, canLeft := canBuildSides(t)
-	bcast := d.cfg.broadcastLimit()
-	if bcast <= 0 {
-		return Decision{}, false
+// buildIndex is the child position of a broadcast join's build side.
+func buildIndex(buildRight bool) int {
+	if buildRight {
+		return 1
 	}
-	buildRight, bytes := true, rightBytes
-	switch {
-	case canRight && rightBytes <= bcast &&
-		(rightBytes <= leftBytes || !canLeft || leftBytes > bcast):
-	case canLeft && leftBytes <= bcast:
-		buildRight, bytes = false, leftBytes
-	default:
-		return Decision{}, false
-	}
-	return Decision{Kind: "promote", BuildRight: buildRight,
-		Note: fmt.Sprintf("adapted: ShuffledHashJoin -> BroadcastHashJoin (build side %d B observed under %d B limit)",
-			bytes, bcast),
-	}, true
+	return 0
 }
 
-// adaptBroadcastJoin materializes the build side and demotes to a shuffled
-// hash join when the observed build blows past the broadcast limit the static
-// planner believed it fit under.
-func (d *adaptiveDriver) adaptBroadcastJoin(n *BroadcastHashJoinExec) (SparkPlan, error) {
-	stage, err := d.materialize(n.buildSide())
-	if err != nil {
-		return nil, err
+// adaptBroadcastJoin runs a row broadcast join's build stage, the one its
+// probe tasks read, and demotes the join when the build is over the limit.
+func (d *adaptiveDriver) adaptBroadcastJoin(n *BroadcastHashJoinExec) SparkPlan {
+	i, kids := buildIndex(n.BuildRight), n.Children()
+	e := kids[i].(*ExchangeExec)
+	c := *e
+	c.ran = &exchangeRun{}
+	d.ords[&c] = d.ords[e]
+	hj := newHashJoin(d.ctx, n.EnableMetrics(d.ctx.Metrics), &n.EquiJoin, n.BuildRight, d.ctx.Codegen)
+	if _, d.err = broadcastStage(&c, d.ctx, hj.om, hj.build).Value(d.jc); d.err != nil {
+		return nil
 	}
-	var p SparkPlan = n
-	if bcast := d.cfg.broadcastLimit(); stage.Bytes > bcast {
-		dec := Decision{Kind: "demote", Parts: d.partitionsFor(stage.Bytes),
+	kids[i] = &c
+	p := n.WithNewChildren(kids)
+	_, bytes := c.ran.stats.Total()
+	if bcast := d.cfg.broadcastLimit(); bytes > bcast {
+		return d.record(p, i, Decision{Kind: "demote", Parts: PartitionsForSize(d.cfg.TargetPartitionBytes, bytes),
 			Note: fmt.Sprintf("adapted: BroadcastHashJoin -> ShuffledHashJoin (build side %d B observed over %d B limit)",
-				stage.Bytes, bcast),
-		}
-		if p, err = d.record(n, dec); err != nil {
-			return nil, err
-		}
+				bytes, bcast),
+		})
 	}
-	kids := []SparkPlan{p.Children()[0], p.Children()[1]}
-	if n.BuildRight {
-		kids[1] = stage
-	} else {
-		kids[0] = stage
-	}
-	return p.WithNewChildren(kids), nil
+	return d.keep(p, i, fmt.Sprintf("not adapted: build side %d B under %d B limit", bytes, d.cfg.broadcastLimit()))
 }
 
-// detectSkew simulates the exchange's exact bucketing (keyHash % n, as
-// PartitionByHashCodec applies it) over the materialized probe side and
-// proposes per-bucket splits when the largest bucket exceeds
-// skewFactor x mean. Only join types whose reduce output is exactly
-// probe-input order are splittable (Inner/LeftOuter/LeftSemi): chunked
-// probes concatenated in (partition, chunk) order are then byte-identical
-// to the unsplit plan.
-func (d *adaptiveDriver) detectSkew(n *ShuffledHashJoinExec, left *QueryStageExec, eff int) (splits []int, maxBytes, meanBytes int64) {
-	if eff <= 1 || !skewSplittable(n.Type) {
+// detectSkew splits the reduce tasks (ranges of buckets) of a shuffled join's
+// probe side whose bucket bytes exceed skewFactor x the mean, for the join
+// types whose chunks, concatenated in (task, chunk) order, are the unsplit
+// output (skewSplittable).
+func (d *adaptiveDriver) detectSkew(t plan.JoinType, buckets []int64, eff int) (splits []int, maxBytes, meanBytes int64) {
+	if eff <= 1 || !skewSplittable(t) {
 		return nil, 0, 0
 	}
-	hash := keyHash(bindKeys(d.ctx, n.LeftKeys, n.Left.Output()))
-	parts, _ := left.stage.Value(d.jc) // memoized: it ran when left was made
 	bytes := make([]int64, eff)
 	var total int64
-	for _, part := range parts {
-		for _, r := range part {
-			sz := r.ObjectSize()
-			bytes[int(hash(r)%uint64(eff))] += sz
-			total += sz
+	for q := range bytes {
+		for _, b := range buckets[q*len(buckets)/eff : (q+1)*len(buckets)/eff] {
+			bytes[q] += b
 		}
+		total += bytes[q]
 	}
 	mean := total / int64(eff)
 	if mean <= 0 {
 		return nil, 0, 0
 	}
-	factor := d.cfg.skewFactor()
-	threshold := int64(factor * float64(mean))
+	threshold := int64(d.cfg.skewFactor() * float64(mean))
 	splits = make([]int, eff)
 	any := false
 	for i, b := range bytes {
@@ -516,10 +404,8 @@ func (d *adaptiveDriver) detectSkew(n *ShuffledHashJoinExec, left *QueryStageExe
 	return splits, maxBytes, mean
 }
 
-// skewSplittable reports whether a join type's shuffled-hash reduce output
-// is exactly probe-side input order, making contiguous chunk splits
-// order-preserving. RightOuter probes from the right side and FullOuter
-// appends the unmatched build rows — never split those.
+// skewSplittable says a join type's reduce output is its probe side's input
+// order: not RightOuter (it probes the right) nor FullOuter (its remainder).
 func skewSplittable(t plan.JoinType) bool {
 	switch t {
 	case plan.InnerJoin, plan.CrossJoin, plan.LeftOuterJoin, plan.LeftSemiJoin:
@@ -527,13 +413,3 @@ func skewSplittable(t plan.JoinType) bool {
 	}
 	return false
 }
-
-// Execute serves the stage's partitions.
-func (q *QueryStageExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	return rdd.FromStage(q.stage)
-}
-
-func (q *QueryStageExec) SimpleString() string {
-	return fmt.Sprintf("QueryStage (%d rows, %d B)", q.Rows, q.Bytes)
-}
-func (q *QueryStageExec) String() string { return Format(q) }

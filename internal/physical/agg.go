@@ -14,29 +14,18 @@ import (
 	"repro/internal/types"
 )
 
-// HashAggregateExec implements grouped aggregation as two hash phases with
-// a shuffle between them — partial aggregation per input partition (the
-// map-side combine), a hash exchange on the grouping key, and a final merge
-// phase — mirroring Spark SQL's partial/final Aggregate pairs.
-//
-// Aggregate output expressions may embed aggregate functions inside larger
-// expressions (e.g. the DecimalAggregates rewrite produces
-// MakeDecimal(Sum(...))): execution extracts every AggregateFunc subtree,
-// maintains one buffer per function, and evaluates the surrounding
-// expression over [groupValues..., aggResults...] at the end.
+// HashAggregateExec is grouped aggregation's final merge over the presplit
+// ExchangeExec of its partial blocks, which runs phase 1 (the map-side
+// combine) — Spark SQL's partial/final Aggregate pairs.
+// A result may embed aggregate functions in a larger expression (the
+// DecimalAggregates rewrite's MakeDecimal(Sum(...))): each function keeps its
+// state, and the expression is evaluated over [groups..., aggregates...].
 type HashAggregateExec struct {
 	PlanEstimate
 	PlanMetrics
-	FusionNote
-	AdaptiveNote
 	Grouping []expr.Expression
 	Aggs     []expr.Expression // Named result expressions
-	Child    SparkPlan
-	// Partitions, when positive, caps the number of reduce tasks below the
-	// session's bucket count (chosen by the planner from the estimated
-	// output size, coalesced by adaptive execution). It never changes which
-	// bucket a group hashes to, so it never changes the result or its order.
-	Partitions int
+	Child    SparkPlan         // the presplit exchange of its partial blocks
 }
 
 func (h *HashAggregateExec) Children() []SparkPlan { return []SparkPlan{h.Child} }
@@ -122,27 +111,10 @@ func keyNative(keys int, typed bool) []bool {
 
 func (h *HashAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] { return boxedRows(h, ctx) }
 
-// Results implements BatchTop: phase 1 runs its sink over the child's rows
-// transposed a chunk at a time, compiled under codegen or once the Fuse rule
-// annotated it (as its EXPLAIN note states); the reducers' results go to sink.
+// Results implements BatchTop: the reducers' results go to sink.
 func (h *HashAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Arena] {
-	input, codegen := h.Child.Output(), ctx.Codegen || h.Fusion() != ""
-	k := h.compileSink(input, codegen)
-	used := make([]bool, len(input))
-	for _, e := range k.refs {
-		markBoundRefs(e, used)
-	}
-	om := h.EnableMetrics(ctx.Metrics)
-	blocks := rdd.MapPartitions(h.Child.Execute(ctx), func(_ int, in []row.Row) []aggBlock {
-		chunks := newTransposer(input, used, codegen)
-		agg := newPartialAgg(h.keyTypes(), k.native, k.newLanes, h.buckets(ctx))
-		for off := 0; off < len(in); off += rowChunk {
-			b, all := chunks.load(in[off:min(off+rowChunk, len(in))])
-			agg.addBatch(k.keyEvals, b, all)
-		}
-		return agg.finish(om, ctx.RDD.Metrics().Counter("agg.partial.skipped"))
-	})
-	return h.finalMerge(ctx, om, blocks, k, sink)
+	blocks, k := exchangeOf(h.Child).partials(ctx)
+	return h.finalMerge(ctx, h.EnableMetrics(ctx.Metrics), blocks, k, sink)
 }
 
 // partialAgg is a map task's partial aggregation, the one phase 1: its first
@@ -263,8 +235,6 @@ func (a *partialAgg) finish(om *OperatorMetrics, skipped *metrics.Counter) []agg
 	return a.pass.out
 }
 
-func (h *HashAggregateExec) keyTypes() []types.DataType { return exprTypes(h.Grouping) }
-
 func exprTypes(exprs []expr.Expression) []types.DataType {
 	out := make([]types.DataType, len(exprs))
 	for i, e := range exprs {
@@ -273,37 +243,13 @@ func exprTypes(exprs []expr.Expression) []types.DataType {
 	return out
 }
 
-// buckets is how many hash buckets phase 1 splits its groups into: the
-// session's ShufflePartitions, one for a global aggregate. With the data it
-// alone decides the result's rows and order: a bucket's groups come out in
-// first-seen order, bucket after bucket.
-func (h *HashAggregateExec) buckets(ctx *ExecContext) int {
-	if len(h.Grouping) == 0 {
-		return 1
-	}
-	return max(1, ctx.ShufflePartitions)
-}
-
-// reducers is how many reduce tasks merge the buckets, each a contiguous
-// range of them: all of them, capped by the planner's or adaptive
-// execution's Partitions.
-func (h *HashAggregateExec) reducers(ctx *ExecContext) int {
-	return effectiveParts(h.buckets(ctx), h.Partitions)
-}
-
-// finalMerge is phase 2, whichever input phase 1 ran over (a row input
-// transposed or a fused pipeline): exchange the partial blocks (already split
-// into buckets, so the exchange only hands each reducer its range of
-// buckets), merge k's state lanes into state lanes per reducer through the
-// same group tables phase 1 uses (aggMerge), evaluate the result expressions
-// as vector kernels over [key columns..., aggregate result columns...], and
-// hand the result columns to sink, the result edge. A reducer folds its
-// buckets one after another, and no group is in two buckets, so its output is
-// its buckets' outputs concatenated: the result is the same, in the same
-// order, for every reducer count.
-func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, blocks *rdd.RDD[aggBlock], k *aggSink, sink ResultSink) *rdd.RDD[expr.Arena] {
-	shuffled := rdd.ExchangePresplit(blocks, h.buckets(ctx), h.reducers(ctx), aggBlock.groups)
-	keyTypes := h.keyTypes()
+// finalMerge is phase 2: each reducer merges its range of buckets' blocks
+// through the group tables phase 1 uses (aggMerge), evaluates the results as
+// kernels over [key columns..., aggregate columns...] and hands them to sink.
+// It folds its buckets one after another, and no group is in two, so the
+// result is the same, in the same order, for every reducer count.
+func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, shuffled *rdd.RDD[aggBlock], k *aggSink, sink ResultSink) *rdd.RDD[expr.Arena] {
+	keyTypes := exprTypes(h.Grouping)
 	resultEvals := make([]expr.VecEval, len(k.results))
 	for i, e := range k.results {
 		resultEvals[i], _ = vecKernel(e, ctx.Codegen)
@@ -532,17 +478,12 @@ func (m *aggMerge) finish() ([]*columnar.Vector, int, error) {
 // expressions (still unbound: bindFns binds them to an input schema) and
 // rewrites the result expressions over the synthetic row layout
 // [group0..groupG-1, agg0..aggN-1].
-func (h *HashAggregateExec) splitAggregates() ([]expr.AggregateFunc, []expr.Expression) {
+func splitAggregates(grouping, aggs []expr.Expression) ([]expr.AggregateFunc, []expr.Expression) {
 	var fns []expr.AggregateFunc
-
-	// Grouping expressions map to synthetic ordinals by structural match.
-	groupRefs := make([]expr.Expression, len(h.Grouping))
-	copy(groupRefs, h.Grouping)
-
 	rewrite := func(e expr.Expression) expr.Expression {
 		return expr.TransformDown(e, func(x expr.Expression) (expr.Expression, bool) {
 			// Whole-expression match against a grouping expression.
-			for gi, g := range groupRefs {
+			for gi, g := range grouping {
 				if expr.Equivalent(x, g) {
 					return &expr.BoundReference{
 						Ordinal: gi,
@@ -558,7 +499,7 @@ func (h *HashAggregateExec) splitAggregates() ([]expr.AggregateFunc, []expr.Expr
 					fns = append(fns, fn)
 				}
 				return &expr.BoundReference{
-					Ordinal: len(h.Grouping) + idx,
+					Ordinal: len(grouping) + idx,
 					Type:    fn.DataType(),
 					Null:    fn.Nullable(),
 				}, true
@@ -567,8 +508,8 @@ func (h *HashAggregateExec) splitAggregates() ([]expr.AggregateFunc, []expr.Expr
 		})
 	}
 
-	results := make([]expr.Expression, len(h.Aggs))
-	for i, e := range h.Aggs {
+	results := make([]expr.Expression, len(aggs))
+	for i, e := range aggs {
 		// Strip the top-level alias; naming lives in Output().
 		if a, ok := e.(*expr.Alias); ok {
 			results[i] = rewrite(a.Child)

@@ -3,11 +3,9 @@ package physical
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"repro/internal/columnar"
 	"repro/internal/dfs"
-	"repro/internal/rdd"
 	"repro/internal/row"
 )
 
@@ -185,32 +183,6 @@ func (h *mergeHeap) Pop() any {
 	x := old[n-1]
 	h.items = old[:n-1]
 	return x
-}
-
-// rangePartition replaces the old Coalesce(child, 1) under global sorts:
-// it samples sort keys from the materialized map side to pick numPartitions-1
-// boundary rows and range-partitions every row by binary search, so bucket i
-// holds only rows ordering before every row of bucket i+1. Sorting each
-// bucket then yields a total order across partitions in partition order.
-func rangePartition(ctx *ExecContext, child *rdd.RDD[row.Row], order *sortOrder, partitions int) *rdd.RDD[row.Row] {
-	n := ctx.ShufflePartitions
-	if partitions > 0 && partitions < n {
-		n = partitions
-	}
-	if n <= 1 {
-		return rdd.Coalesce(child, 1)
-	}
-	return rdd.PartitionByFuncCodec(child, n, func(parts [][]row.Row) func(row.Row) int {
-		bounds := sampleBounds(parts, n, order)
-		if len(bounds) == 0 {
-			return func(row.Row) int { return 0 }
-		}
-		return func(r row.Row) int {
-			// First boundary strictly greater than r; equal rows share a
-			// bucket, preserving stability within it.
-			return sort.Search(len(bounds), func(i int) bool { return order.compare(r, bounds[i]) < 0 })
-		}
-	}, rowShuffleCodec)
 }
 
 // sampleBounds picks numPartitions-1 boundary rows from a deterministic

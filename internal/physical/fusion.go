@@ -8,19 +8,12 @@ import (
 	"repro/internal/expr"
 )
 
-// Whole-stage fusion (the Flare/Tungsten lesson, translated to Go): past
-// basic vectorization, the next win is running an entire pipeline —
-// scan → filter → project → aggregate-update or join-probe — as ONE loop
-// over columnar batches, with no row materialization at the operator
-// boundary. The Fuse preparation rule below rewrites the plan tree to the
-// fused operators and records its decision on every candidate node so
-// EXPLAIN can show exactly what got fused and why the rest did not.
-
-// FusionNote records the Fuse rule's decision on a physical operator
-// ("fused: true" or, on an aggregate over rows, "rows transposed" — a sink
-// adds its group table and how many of its key / aggregate-input kernels are
-// native — or "fallback: <reason>"). Operators embed it; EXPLAIN and EXPLAIN
-// ANALYZE print it through the FusionAnnotated interface.
+// Whole-stage fusion (the Flare/Tungsten lesson): scan → filter → project →
+// aggregate-update or join-probe as ONE loop over columnar batches, with no
+// row materialized between operators. The Fuse rule records its decision on
+// every candidate in a FusionNote ("fused: true"; on a presplit exchange over
+// rows, "rows transposed" — a sink adds its group table and how many of its
+// kernels are native; or "fallback: <reason>"), which EXPLAIN prints.
 type FusionNote struct{ note string }
 
 // SetFusion records the fusion decision.
@@ -33,30 +26,29 @@ func (f *FusionNote) Fusion() string { return f.note }
 // FusionAnnotated is implemented by operators that carry a fusion decision.
 type FusionAnnotated interface{ Fusion() string }
 
-// Fuse is the preparation rule, run after Vectorize, that absorbs an
-// aggregation or a broadcast-hash-join probe into the batch pipeline feeding
-// it. Admission is one condition — the input (a join's probe side) is a
-// vectorized pipeline or a bare batch scan, and a fused join is itself a
-// batch scan to whatever sits on it; an aggregate over any other input runs
-// the same sink over its rows transposed — because the sinks cover every shape:
-// the generic group table serves any key, a key or aggregate input without a
-// native kernel runs through the boxed per-row fallback, and the probe loop
-// is the row join's own, for every join type and residual. A pipeline over a
-// join fused here vectorizes, and then fuses, in the batch's next iterations.
+// Fuse is the preparation rule, run after Vectorize, that fuses an
+// aggregate's phase 1 (its presplit exchange's map side) or a broadcast join's
+// probe into the vectorized pipeline or bare batch scan feeding it; a fused
+// join is a batch scan to whatever sits on it, and a pipeline over one
+// vectorizes, then fuses, in the batch's next iterations. Phase 1 over any
+// other input runs the same sink over its rows transposed.
 func Fuse(p SparkPlan) SparkPlan {
 	return catalyst.TransformUp(p, func(p SparkPlan) (SparkPlan, bool) {
 		switch n := p.(type) {
-		case *HashAggregateExec:
-			vp := fusablePipe(n.Child)
-			if vp == nil {
-				if n.Fusion() == "" { // compiled once: a rule that matches nothing allocates nothing
-					n.SetFusion(n.compileSink(n.Child.Output(), true).note("rows transposed", n.keyTypes()))
-				}
+		case *ExchangeExec: // a presplit exchange's phase 1 is the aggregate's sink
+			if n.Form != PresplitExchange || n.batches {
 				return nil, false
 			}
-			f := &FusedAggregateExec{Agg: n, Pipe: vp, sink: n.compileSink(vp.Output(), true)}
-			f.SetFusion(f.sink.note("fused: true", n.keyTypes()))
-			return transferEstimate(f, n), true
+			if vp := fusablePipe(n.Child); vp != nil {
+				c := *n
+				c.Child, c.batches, c.sink = vp, true, compileSink(n.Keys, n.Aggs, vp.Output(), true)
+				c.SetFusion(c.sink.note("fused: true", exprTypes(n.Keys)))
+				return &c, true
+			}
+			if n.Fusion() == "" { // compiled once: a rule that matches nothing allocates nothing
+				n.SetFusion(compileSink(n.Keys, n.Aggs, n.Child.Output(), true).note("rows transposed", exprTypes(n.Keys)))
+			}
+			return nil, false
 		case *BroadcastHashJoinExec:
 			vp := fusablePipe(n.probeSide())
 			if vp == nil {

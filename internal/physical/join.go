@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/columnar"
@@ -14,29 +13,6 @@ import (
 	"repro/internal/row"
 	"repro/internal/types"
 )
-
-// rowsSize sums the approximate in-memory size of a materialized build
-// side, for the joins' build-bytes metric.
-func rowsSize(rows []row.Row) int64 {
-	var n int64
-	for _, r := range rows {
-		n += r.ObjectSize()
-	}
-	return n
-}
-
-// BuildStage is a join's build side run as a stage: collected once per query,
-// before any probe task starts, its size recorded for the build metric, and
-// turned by index into the value the probe tasks read.
-func BuildStage[V any](build *rdd.RDD[row.Row], om *OperatorMetrics, index func(rows []row.Row) V) *rdd.Stage[V] {
-	return rdd.NewStage(build, func(_ context.Context, parts [][]row.Row) (V, error) {
-		rows := slices.Concat(parts...)
-		if om != nil {
-			om.RecordBuild(len(rows), rowsSize(rows))
-		}
-		return index(rows), nil
-	})
-}
 
 // Join execution. The planner extracts equi-join keys from the join
 // condition; the residual (non-equi) condition is evaluated on each
@@ -66,16 +42,6 @@ func (j *EquiJoin) sides(buildRight bool) (probe, build SparkPlan, probeKeys, bu
 
 func (j *EquiJoin) Output() []*expr.AttributeReference {
 	return joinOutput(j.Type, j.Left.Output(), j.Right.Output())
-}
-
-// describe renders a shuffled join for EXPLAIN: name, type, key pairs, and the
-// exchange's partition cap when one is set.
-func (j *EquiJoin) describe(name string, parts int) string {
-	s := fmt.Sprintf("%s %s keys=[%s]=[%s]", name, j.Type, exprListString(j.LeftKeys), exprListString(j.RightKeys))
-	if parts > 0 {
-		s += fmt.Sprintf(" parts=%d", parts)
-	}
-	return s
 }
 
 // joinOutput computes the output attributes for a join type.
@@ -191,7 +157,6 @@ type BroadcastHashJoinExec struct {
 	PlanEstimate
 	PlanMetrics
 	FusionNote
-	AdaptiveNote
 	EquiJoin
 	// BuildRight marks which side is collected (true = right).
 	BuildRight bool
@@ -238,7 +203,7 @@ func (j *BroadcastHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	om := j.EnableMetrics(ctx.Metrics)
 	// Build one side, stream the other (right-outer joins stream the right).
 	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, ctx.Codegen)
-	table := BuildStage(j.buildSide().Execute(ctx), om, hj.build)
+	table := broadcastStage(exchangeOf(j.buildSide()), ctx, om, hj.build)
 	return rdd.MapPartitionsCtx(j.probeSide().Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
 		t, err := table.Value(jc)
 		if err != nil {
@@ -341,26 +306,13 @@ func evalKeys(evals []expr.VecEval, vecs []*columnar.Vector, b *expr.VecBatch, l
 	return vecs
 }
 
-// ShuffledHashJoinExec hash-partitions both sides on the join keys and
-// joins partition-by-partition — the general path when neither side is
-// small enough to broadcast.
+// ShuffledHashJoinExec joins two hash exchanges of its sides on the join
+// keys bucket by bucket — the general path when neither side is small enough
+// to broadcast.
 type ShuffledHashJoinExec struct {
 	PlanEstimate
 	PlanMetrics
-	AdaptiveNote
 	EquiJoin
-	// Partitions, when positive, caps the exchange's reducer count below
-	// the session default (chosen by the planner from the estimated input
-	// size).
-	Partitions int
-	// SkewSplits, when set (length = the exchange's effective reducer
-	// count), splits reduce partition i into SkewSplits[i] contiguous
-	// probe-side chunks, each joined against that partition's full build
-	// bucket as its own task. Chunk outputs concatenated in (partition,
-	// chunk) order are byte-identical to the unsplit join for the probe-
-	// order-preserving types (Inner/Cross/LeftOuter/LeftSemi); the
-	// adaptive driver never splits the others.
-	SkewSplits []int
 }
 
 func (j *ShuffledHashJoinExec) WithNewChildren(children []SparkPlan) SparkPlan {
@@ -369,22 +321,19 @@ func (j *ShuffledHashJoinExec) WithNewChildren(children []SparkPlan) SparkPlan {
 	return &c
 }
 func (j *ShuffledHashJoinExec) SimpleString() string {
-	return j.describe("ShuffledHashJoin", j.Partitions)
+	return fmt.Sprintf("ShuffledHashJoin %s keys=[%s]=[%s]", j.Type, exprListString(j.LeftKeys), exprListString(j.RightKeys))
 }
 func (j *ShuffledHashJoinExec) String() string { return Format(j) }
 
+// buildsRight says which side builds: the right, except under RIGHT OUTER,
+// which preserves the right rows: there the roles swap.
+func (j *ShuffledHashJoinExec) buildsRight() bool { return j.Type != plan.RightOuterJoin }
+
 func (j *ShuffledHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	om := j.EnableMetrics(ctx.Metrics)
-	// The right side builds and the left side probes, except under RIGHT
-	// OUTER, which preserves the right rows: there the roles swap.
-	buildRight := j.Type != plan.RightOuterJoin
-	hj := newHashJoin(ctx, om, &j.EquiJoin, buildRight, ctx.Codegen)
-	n := effectiveParts(ctx.ShufflePartitions, j.Partitions)
-	probePlan, buildPlan, probeKeys, buildKeys := j.sides(buildRight)
-	probeShuf := rdd.PartitionByHashCodec(probePlan.Execute(ctx), n, keyHash(bindKeys(ctx, probeKeys, probePlan.Output())), rowShuffleCodec)
-	buildShuf := rdd.PartitionByHashCodec(buildPlan.Execute(ctx), n, keyHash(bindKeys(ctx, buildKeys, buildPlan.Output())), rowShuffleCodec)
-
-	probe := func(ps, bs []row.Row) []row.Row {
+	hj := newHashJoin(ctx, om, &j.EquiJoin, j.buildsRight(), ctx.Codegen)
+	probe, build, _, _ := j.sides(j.buildsRight())
+	return zipBuckets(ctx, exchangeOf(probe), exchangeOf(build), j.Type, func(ps, bs []row.Row) []row.Row {
 		start := time.Now()
 		if om != nil {
 			om.RecordBuild(len(bs), rowsSize(bs))
@@ -392,43 +341,7 @@ func (j *ShuffledHashJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		out := hj.probe(hj.build(bs), ps)
 		om.RecordPartition(len(out), time.Since(start))
 		return out
-	}
-
-	// Skew-split execution: each chunk of an oversized probe bucket joins
-	// against that bucket's full build side as its own task, so one hot key no
-	// longer serializes behind a single reducer.
-	refs := skewChunks(j.SkewSplits, n, j.Type)
-	return rdd.ZipAt(probeShuf, buildShuf, len(refs), func(q int) int { return refs[q].part },
-		func(_ context.Context, q int, ps, bs []row.Row) ([]row.Row, error) {
-			ref := refs[q]
-			return probe(ps[len(ps)*ref.idx/ref.of:len(ps)*(ref.idx+1)/ref.of], bs), nil
-		})
-}
-
-// chunkRef addresses one probe-side chunk of one reduce partition.
-type chunkRef struct {
-	part, idx, of int
-}
-
-// skewChunks is a shuffled join's task list: reduce partition p cut into
-// splits[p] contiguous probe-side chunks, in (partition, chunk) order, or one
-// task per partition when splitting does not apply (no splits, a count
-// mismatch from a diverged config, or a join type whose reduce output is not
-// probe-input-ordered).
-func skewChunks(splits []int, n int, t plan.JoinType) []chunkRef {
-	if len(splits) != n || !skewSplittable(t) || slices.ContainsFunc(splits, func(s int) bool { return s < 1 }) {
-		splits = make([]int, n)
-		for p := range splits {
-			splits[p] = 1
-		}
-	}
-	refs := make([]chunkRef, 0, n)
-	for p, of := range splits {
-		for c := 0; c < of; c++ {
-			refs = append(refs, chunkRef{part: p, idx: c, of: of})
-		}
-	}
-	return refs
+	})
 }
 
 // NestedLoopJoinExec handles joins without equi-keys by collecting the
@@ -462,7 +375,7 @@ func (j *NestedLoopJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	nRight := len(rightOut)
 	t := j.Type
 	om := j.EnableMetrics(ctx.Metrics)
-	build := BuildStage(j.Right.Execute(ctx), om, func(rows []row.Row) []row.Row { return rows })
+	build := broadcastStage(exchangeOf(j.Right), ctx, om, func(rows []row.Row) []row.Row { return rows })
 	return rdd.MapPartitionsCtx(j.Left.Execute(ctx), func(jc context.Context, _ int, in []row.Row) ([]row.Row, error) {
 		rightRows, err := build.Value(jc)
 		if err != nil {

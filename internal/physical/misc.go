@@ -15,22 +15,17 @@ import (
 	"repro/internal/types"
 )
 
-// SortExec orders rows. A global sort range-partitions the input on
-// sampled sort-key boundaries (Spark's range-partitioned sort) so every
-// partition sorts in parallel and partition order is total order; a local
-// sort orders within each partition, through the external sorter: in memory
-// without a memory budget, spilling runs to the DFS under one.
+// SortExec orders each partition of its input through the external sorter:
+// in memory without a memory budget, spilling runs to the DFS under one. A
+// global sort's input is a range exchange on sampled sort-key boundaries
+// (Spark's range-partitioned sort), so every partition sorts in parallel and
+// partition order is total order.
 type SortExec struct {
 	PlanEstimate
 	PlanMetrics
-	AdaptiveNote
 	Orders []*expr.SortOrder
 	Global bool
 	Child  SparkPlan
-	// Partitions, when positive, caps the global sort's range exchange
-	// below the session default (set by adaptive coalescing from the
-	// observed input size).
-	Partitions int
 }
 
 func (s *SortExec) Children() []SparkPlan { return []SparkPlan{s.Child} }
@@ -121,12 +116,8 @@ func gatherRows(rows []row.Row, sel []int32) []row.Row {
 
 func (s *SortExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	order := bindOrder(ctx, s.Orders, s.Child.Output())
-	child := s.Child.Execute(ctx)
-	if s.Global {
-		child = rangePartition(ctx, child, order, s.Partitions)
-	}
 	om := s.EnableMetrics(ctx.Metrics)
-	return rdd.MapPartitionsCtx(child, func(_ context.Context, _ int, in []row.Row) ([]row.Row, error) {
+	return rdd.MapPartitionsCtx(s.Child.Execute(ctx), func(_ context.Context, _ int, in []row.Row) ([]row.Row, error) {
 		start := time.Now()
 		sorter := newExternalSorter(ctx, "sort", order)
 		defer sorter.Close()

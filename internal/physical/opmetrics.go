@@ -1,7 +1,7 @@
 package physical
 
 import (
-	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -94,43 +94,53 @@ func (m *OperatorMetrics) RecordSpill(bytes int64, runs int64) {
 // ActualString renders the EXPLAIN ANALYZE annotation, the runtime
 // counterpart of plan.Statistics.EstString.
 func (m *OperatorMetrics) ActualString() string {
-	s := fmt.Sprintf("actual: %d rows, %.1f ms",
-		m.OutputRows.Load(), float64(m.WallNanos.Load())/1e6)
-	if b := m.BuildRows.Load(); b > 0 {
-		s += fmt.Sprintf(", build=%d rows", b)
-		if m.Build != "" {
-			s += ", " + m.Build
-		}
-		if m.Table != "" {
-			s += ", table=" + m.Table
-		}
+	var buf [192]byte // the string is the one allocation
+	b := appendNum(buf[:0], "actual: ", m.OutputRows.Load())
+	b = strconv.AppendFloat(append(b, " rows, "...), float64(m.WallNanos.Load())/1e6, 'f', 1, 64)
+	b = append(b, " ms"...)
+	if n := m.BuildRows.Load(); n > 0 {
+		b = append(appendNum(b, ", build=", n), " rows"...)
+		b = appendNote(appendNote(b, ", ", m.Build), ", table=", m.Table)
 	}
-	// build= says it all when a join's build keys are distinct and non-NULL.
+	// build= says it all when a join's build keys are distinct and non-NULL;
+	// a reducer's tables hold no partial groups, only doublings.
 	if g, w := m.Groups.Load(), m.Grows.Load(); g > 0 && (g != m.BuildRows.Load() || w > 0) {
-		s += fmt.Sprintf(", groups=%d grows=%d", g, w)
+		b = appendNum(appendNum(b, ", groups=", g), " grows=", w)
+	} else if g == 0 && w > 0 {
+		b = appendNum(b, ", grows=", w)
 	}
 	if n := m.Skipped.Load(); n > 0 {
-		s += fmt.Sprintf(", partial skipped in %d tasks, %d rows passed through", n, m.Passed.Load())
+		b = append(appendNum(appendNum(b, ", partial skipped in ", n), " tasks, ", m.Passed.Load()), " rows passed through"...)
 	}
-	if m.Emits != "" {
-		s += ", emits " + m.Emits
-	}
+	b = appendNote(b, ", emits ", m.Emits)
 	if in := m.InputRows.Load(); in > 0 {
-		s += fmt.Sprintf(", %d rows in, %d kept", in, m.KeptRows.Load())
+		b = append(appendNum(appendNum(b, ", ", in), " rows in, ", m.KeptRows.Load()), " kept"...)
 	}
 	if n := m.Batches.Load(); n > 0 {
-		s += fmt.Sprintf(", %d batches", n)
+		b = append(appendNum(b, ", ", n), " batches"...)
 	}
 	if d := m.Decoded.Load(); d > 0 {
-		s += fmt.Sprintf(", %d rows decoded", d)
+		b = append(appendNum(b, ", ", d), " rows decoded"...)
 	}
 	if r := m.SpillRuns.Load(); r > 0 {
-		s += fmt.Sprintf(", spilled: %d B, %d runs", m.SpillBytes.Load(), r)
+		b = append(appendNum(appendNum(b, ", spilled: ", m.SpillBytes.Load()), " B, ", r), " runs"...)
 	}
 	if m.Runs > 0 {
-		s += fmt.Sprintf(", tasks: %d partitions in %d runs", m.RunPartitions, m.Runs)
+		b = append(appendNum(appendNum(b, ", tasks: ", int64(m.RunPartitions)), " partitions in ", int64(m.Runs)), " runs"...)
 	}
-	return s
+	return string(b)
+}
+
+func appendNum(b []byte, prefix string, n int64) []byte {
+	return strconv.AppendInt(append(b, prefix...), n, 10)
+}
+
+// appendNote appends a set string after its prefix.
+func appendNote(b []byte, prefix, s string) []byte {
+	if s == "" {
+		return b
+	}
+	return append(append(b, prefix...), s...)
 }
 
 // PlanMetrics carries runtime metrics on a physical operator, mirroring

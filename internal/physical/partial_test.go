@@ -7,6 +7,7 @@ import (
 	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/metrics"
+	"repro/internal/row"
 	"repro/internal/types"
 )
 
@@ -100,5 +101,33 @@ func TestPartialAggDecidesOnce(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A grouped aggregate's partial blocks report their size, so its exchange's
+// shuffle span and rdd.shuffle.bytes read what the blocks hold — 8 B a group
+// for the BIGINT key, its row hash, and COUNT's and SUM's state — within 2x,
+// where they read 0 when the blocks could not be sized. Adaptive execution
+// sizes the aggregate's reduce tasks from the same numbers.
+func TestAggregateShuffleReportsBlockBytes(t *testing.T) {
+	attrs := attrsOf([]string{"k", "v"}, []types.DataType{types.Long, types.Long})
+	rows := make([]row.Row, 4000)
+	for i := range rows {
+		rows[i] = row.Row{int64(i % 500), int64(i)}
+	}
+	ctx := execCtx(true)
+	ctx.RDD.SetTracing(true)
+	collect(t, newAggregate([]expr.Expression{attrs[0]}, []expr.Expression{
+		attrs[0], expr.NewAlias(expr.NewCountStar(), "n"), expr.NewAlias(&expr.Sum{Child: attrs[1]}, "s"),
+	}, NewLocalScan(attrs, rows), 0), ctx)
+	var bytes, records int64
+	for _, s := range ctx.RDD.Trace().Snapshot() {
+		if s.Kind == metrics.SpanShuffle {
+			bytes, records = bytes+s.Bytes, records+s.Records
+		}
+	}
+	lanes := 4 * 8 * records
+	if counter := ctx.RDD.Metrics().Counter("rdd.shuffle.bytes").Load(); records == 0 || counter != bytes || bytes < lanes/2 || bytes > 2*lanes {
+		t.Fatalf("%d partial groups shuffled: span %d B, counter %d B; want within 2x of %d B", records, bytes, counter, lanes)
 	}
 }

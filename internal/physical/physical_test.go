@@ -120,16 +120,12 @@ func TestHashAggregateGroupedAndGlobal(t *testing.T) {
 		{int32(2), nil},
 	}
 	scan := NewLocalScan(attrs, rows)
-	agg := &HashAggregateExec{
-		Grouping: []expr.Expression{attrs[0]},
-		Aggs: []expr.Expression{
-			attrs[0],
-			expr.NewAlias(&expr.Sum{Child: attrs[1]}, "s"),
-			expr.NewAlias(&expr.Count{Child: attrs[1]}, "c"),
-			expr.NewAlias(&expr.Avg{Child: attrs[1]}, "a"),
-		},
-		Child: scan,
-	}
+	agg := newAggregate([]expr.Expression{attrs[0]}, []expr.Expression{
+		attrs[0],
+		expr.NewAlias(&expr.Sum{Child: attrs[1]}, "s"),
+		expr.NewAlias(&expr.Count{Child: attrs[1]}, "c"),
+		expr.NewAlias(&expr.Avg{Child: attrs[1]}, "a"),
+	}, scan, 0)
 	for _, codegen := range []bool{true, false} { // covers fast + generic paths
 		got := collect(t, agg, execCtx(codegen))
 		if len(got) != 2 {
@@ -149,13 +145,10 @@ func TestHashAggregateGroupedAndGlobal(t *testing.T) {
 
 	// Global aggregate over empty input yields a single row.
 	empty := NewLocalScan(attrs, nil)
-	global := &HashAggregateExec{
-		Aggs: []expr.Expression{
-			expr.NewAlias(expr.NewCountStar(), "n"),
-			expr.NewAlias(&expr.Sum{Child: attrs[1]}, "s"),
-		},
-		Child: empty,
-	}
+	global := newAggregate(nil, []expr.Expression{
+		expr.NewAlias(expr.NewCountStar(), "n"),
+		expr.NewAlias(&expr.Sum{Child: attrs[1]}, "s"),
+	}, empty, 0)
 	got := collect(t, global, execCtx(true))
 	if len(got) != 1 || got[0][0] != int64(0) || got[0][1] != nil {
 		t.Fatalf("empty global agg = %v", got)
@@ -167,13 +160,9 @@ func TestAggregateWithExpressionOverAggs(t *testing.T) {
 	// the splitAggregates machinery.
 	attrs := attrsOf([]string{"k", "v"}, []types.DataType{types.Int, types.Int})
 	rows := []row.Row{{int32(1), int32(10)}, {int32(1), int32(20)}}
-	agg := &HashAggregateExec{
-		Grouping: []expr.Expression{attrs[0]},
-		Aggs: []expr.Expression{
-			expr.NewAlias(expr.Add(expr.NewCast(attrs[0], types.Double), &expr.Avg{Child: attrs[1]}), "kPlusAvg"),
-		},
-		Child: NewLocalScan(attrs, rows),
-	}
+	agg := newAggregate([]expr.Expression{attrs[0]}, []expr.Expression{
+		expr.NewAlias(expr.Add(expr.NewCast(attrs[0], types.Double), &expr.Avg{Child: attrs[1]}), "kPlusAvg"),
+	}, NewLocalScan(attrs, rows), 0)
 	got := collect(t, agg, execCtx(true))
 	if len(got) != 1 || got[0][0] != 16.0 { // 1 + 15
 		t.Fatalf("got %v", got)
@@ -237,9 +226,9 @@ func TestAggregateOrderIndependentOfReducers(t *testing.T) {
 		for _, budget := range []int64{0, 64 << 10, 1} {
 			for _, engine := range []string{"fused", "row", "interpreted"} {
 				for reducers := buckets; reducers >= 1; reducers-- {
-					var p SparkPlan = &HashAggregateExec{Grouping: keys, Aggs: aggs, Child: shape.scan, Partitions: reducers}
+					var p SparkPlan = newAggregate(keys, aggs, shape.scan, reducers)
 					if engine == "fused" {
-						if p = Fuse(Vectorize(p)); !strings.HasPrefix(p.SimpleString(), "FusedHashAggregate") {
+						if p = Fuse(Vectorize(p)); !strings.HasPrefix(exchangeOf(p.Children()[0]).Fusion(), "fused: true") {
 							t.Fatalf("%s: did not fuse: %s", name, p)
 						}
 					}
@@ -408,7 +397,7 @@ func cachedScan(attrs []*expr.AttributeReference, rows []row.Row) SparkPlan {
 // (the fused one for every type a join may broadcast), compiled and
 // interpreted, with and without a residual predicate — NULL keys on both
 // sides, duplicate build keys and empty sides included. The
-// shuffled joins run a 3-reducer exchange with SkewSplits unset. The fused
+// shuffled joins run over 3-bucket exchanges with SkewSplits unset. The fused
 // join runs for a row consumer and for two batch consumers: a fused aggregate
 // grouping on every output column (its groups are the join's rows, which the
 // id columns keep distinct), and a second fused join probing from its output.
@@ -450,13 +439,13 @@ func TestHashJoinsMatchReference(t *testing.T) {
 						LeftKeys: plan.AttrExprs(leftAttrs[:nk]), RightKeys: plan.AttrExprs(rightAttrs[:nk]),
 						Type: jt, Residual: cond,
 					}
-					check("shuffled", &ShuffledHashJoinExec{EquiJoin: ej}, want)
+					check("shuffled", shuffledJoin(ej, 0), want)
 					canRight, canLeft := canBuildSides(jt)
 					for _, buildRight := range []bool{true, false} {
 						if (buildRight && !canRight) || (!buildRight && !canLeft) {
 							continue
 						}
-						check("broadcast", &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: buildRight}, want)
+						check("broadcast", broadcastJoin(ej, buildRight), want)
 						// The same join probing from a cached leaf: always
 						// fused, the keys read by kernels — NaN and -0.0, the
 						// DECIMAL and the three-column key included.
@@ -466,7 +455,7 @@ func TestHashJoinsMatchReference(t *testing.T) {
 						} else {
 							cached.Right = cachedScan(rightAttrs, rightRows)
 						}
-						p := Fuse(Vectorize(Collapse(&BroadcastHashJoinExec{EquiJoin: cached, BuildRight: buildRight})))
+						p := Fuse(Vectorize(Collapse(broadcastJoin(cached, buildRight))))
 						note := fmt.Sprintf("fused: true, table=%s, kernels %d/%d native", shape.table, nk, nk)
 						if f, fused := p.(*FusedBroadcastJoinExec); !fused || f.Fusion() != note {
 							t.Fatalf("%s %s buildRight=%v residual=%v: want a fused join noting %q\n%s",
@@ -485,14 +474,14 @@ func TestJoinResidualCondition(t *testing.T) {
 	rightAttrs := attrsOf([]string{"rk", "rv"}, []types.DataType{types.Int, types.Int})
 	leftRows := []row.Row{{int32(1), int32(5)}, {int32(1), int32(50)}}
 	rightRows := []row.Row{{int32(1), int32(10)}}
-	j := &ShuffledHashJoinExec{EquiJoin: EquiJoin{
+	j := shuffledJoin(EquiJoin{
 		Left:      NewLocalScan(leftAttrs, leftRows),
 		Right:     NewLocalScan(rightAttrs, rightRows),
 		LeftKeys:  []expr.Expression{leftAttrs[0]},
 		RightKeys: []expr.Expression{rightAttrs[0]},
 		Type:      plan.InnerJoin,
 		Residual:  expr.LT(leftAttrs[1], rightAttrs[1]), // lv < rv
-	}}
+	}, 0)
 	got := collect(t, j, execCtx(true))
 	if len(got) != 1 || got[0][1] != int32(5) {
 		t.Fatalf("residual filter wrong: %v", got)
@@ -505,7 +494,7 @@ func TestNestedLoopJoin(t *testing.T) {
 	left := NewLocalScan(leftAttrs, []row.Row{{int32(1)}, {int32(5)}})
 	right := NewLocalScan(rightAttrs, []row.Row{{int32(3)}, {int32(7)}})
 	j := &NestedLoopJoinExec{
-		Left: left, Right: right,
+		Left: left, Right: broadcast(right),
 		Type: plan.InnerJoin,
 		Cond: expr.LT(leftAttrs[0], rightAttrs[0]),
 	}
@@ -521,11 +510,7 @@ func TestSortExec(t *testing.T) {
 	rows := []row.Row{
 		{int32(3), "c"}, {int32(1), "a"}, {nil, "n"}, {int32(2), "b"}, {int32(1), "z"},
 	}
-	s := &SortExec{
-		Orders: []*expr.SortOrder{expr.Asc(attrs[0]), expr.Desc(attrs[1])},
-		Global: true,
-		Child:  NewLocalScan(attrs, rows),
-	}
+	s := globalSort([]*expr.SortOrder{expr.Asc(attrs[0]), expr.Desc(attrs[1])}, NewLocalScan(attrs, rows))
 	got := collect(t, s, execCtx(true))
 	// NULLS FIRST ascending; ties broken by b DESC.
 	if got[0][0] != nil || got[1][1] != "z" || got[2][1] != "a" || got[4][0] != int32(3) {
@@ -571,7 +556,7 @@ func TestDistinctPlansAsAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(cached.String(), "FusedHashAggregate") || !strings.Contains(cached.String(), "fused: true, table=generic") {
+	if !strings.Contains(cached.String(), "Exchange presplit") || !strings.Contains(cached.String(), "(fused: true, table=generic") {
 		t.Fatalf("DISTINCT over a cached table must fuse and name its table:\n%s", cached)
 	}
 	for _, p := range []SparkPlan{local, cached} {
@@ -693,8 +678,8 @@ func TestPlannerJoinUnderBudget(t *testing.T) {
 	for _, budget := range []int64{1, 64 << 10, 64 << 20} {
 		p := planWith(budget, join(unknown))
 		shj, ok := p.(*ShuffledHashJoinExec)
-		if !ok || shj.Partitions != want.Partitions {
-			t.Fatalf("budget %d: planned %s, want ShuffledHashJoin with parts=%d", budget, p, want.Partitions)
+		if parts := exchangeOf(want.Left).Partitions; !ok || exchangeOf(shj.Left).Partitions != parts {
+			t.Fatalf("budget %d: planned %s, want ShuffledHashJoin with parts=%d", budget, p, parts)
 		}
 	}
 	size := plan.Stats(small).SizeInBytes

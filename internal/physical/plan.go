@@ -175,19 +175,12 @@ func boxedRows(top BatchTop, ctx *ExecContext) *rdd.RDD[row.Row] {
 // Format renders a physical plan subtree with indentation.
 func Format(p SparkPlan) string {
 	var sb strings.Builder
+	sb.Grow(1024) // a plan of a few nodes in one allocation
 	writeTree(&sb, p, 0)
 	return sb.String()
 }
 
 func writeTree(sb *strings.Builder, p SparkPlan, depth int) {
-	if qs, ok := p.(*QueryStageExec); ok {
-		// Materialization barriers are an execution detail: print the
-		// subtree they hold at the same depth, so a stage-materialized
-		// tree and the equivalent live tree render identical strings
-		// (the cluster plan-hash parity check depends on this).
-		writeTree(sb, qs.Child, depth)
-		return
-	}
 	for i := 0; i < depth; i++ {
 		sb.WriteString("  ")
 	}
@@ -210,8 +203,8 @@ func writeTree(sb *strings.Builder, p SparkPlan, depth int) {
 	if ma, ok := p.(MetricsAnnotated); ok && ma.Runtime() != nil {
 		note(ma.Runtime().ActualString())
 	}
-	if aa, ok := p.(AdaptiveAnnotated); ok {
-		note(aa.Adapted())
+	if e, ok := p.(*ExchangeExec); ok {
+		note(e.adapted)
 	}
 	sb.WriteByte('\n')
 	for _, c := range p.Children() {

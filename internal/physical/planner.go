@@ -162,7 +162,10 @@ func (pl *Planner) translateNode(lp plan.LogicalPlan) (SparkPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &SortExec{Orders: n.Orders, Global: n.Global, Child: child}, nil
+		if n.Global {
+			return globalSort(n.Orders, child), nil
+		}
+		return &SortExec{Orders: n.Orders, Child: child}, nil
 	case *plan.Limit:
 		child, err := pl.translate(n.Child)
 		if err != nil {
@@ -170,7 +173,7 @@ func (pl *Planner) translateNode(lp plan.LogicalPlan) (SparkPlan, error) {
 		}
 		// ORDER BY ... LIMIT n, for a small n, is a top-K.
 		if s, ok := child.(*SortExec); ok && s.Global && 0 < n.N && n.N <= topKMax {
-			return &TopKExec{N: n.N, Orders: s.Orders, Child: s.Child}, nil
+			return &TopKExec{N: n.N, Orders: s.Orders, Child: exchangeOf(s.Child).Child}, nil
 		}
 		return &LimitExec{N: n.N, Child: child}, nil
 	case *plan.Union:
@@ -200,15 +203,16 @@ func (pl *Planner) translateNode(lp plan.LogicalPlan) (SparkPlan, error) {
 }
 
 // planAggregate builds the HashAggregateExec for lp, an Aggregate or a
-// Distinct over child. Its reduce tasks hold and emit the aggregate's output,
-// not its input, so they are sized from lp's own estimate.
+// Distinct over child, over the presplit exchange of its partial blocks. Its
+// reduce tasks hold and emit the aggregate's output, not its input, so they
+// are sized from lp's own estimate.
 func (pl *Planner) planAggregate(lp, child plan.LogicalPlan, grouping, aggs []expr.Expression) (SparkPlan, error) {
 	c, err := pl.translate(child)
 	if err != nil {
 		return nil, err
 	}
 	est := plan.Stats(lp)
-	h := &HashAggregateExec{Grouping: grouping, Aggs: aggs, Child: c, Partitions: pl.partitionsFor(est.SizeInBytes)}
+	h := newAggregate(grouping, aggs, c, pl.partitionsFor(est.SizeInBytes))
 	h.SetEstimate(est)
 	return h, nil
 }
@@ -279,28 +283,64 @@ func (pl *Planner) planJoin(j *plan.Join) (SparkPlan, error) {
 	if len(leftKeys) == 0 {
 		switch j.Type {
 		case plan.InnerJoin, plan.CrossJoin, plan.LeftOuterJoin, plan.LeftSemiJoin:
-			return &NestedLoopJoinExec{Left: left, Right: right, Type: j.Type, Cond: j.Cond}, nil
+			return &NestedLoopJoinExec{Left: left, Right: broadcast(right), Type: j.Type, Cond: j.Cond}, nil
 		default:
 			return nil, fmt.Errorf("physical: %s join without equi-keys is not supported", j.Type)
 		}
 	}
 
-	leftSize := plan.Stats(j.Left).SizeInBytes
-	rightSize := plan.Stats(j.Right).SizeInBytes
-	canBuildRight, canBuildLeft := canBuildSides(j.Type)
-	bcast := pl.Cfg.broadcastLimit()
-
+	leftSize, rightSize := plan.Stats(j.Left).SizeInBytes, plan.Stats(j.Right).SizeInBytes
 	ej := EquiJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, Type: j.Type, Residual: residual}
-	switch {
-	case canBuildRight && rightSize <= bcast &&
-		(rightSize <= leftSize || !canBuildLeft || leftSize > bcast):
-		return &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: true}, nil
-	case canBuildLeft && leftSize <= bcast:
-		return &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: false}, nil
-	default:
-		parts := pl.partitionsFor(addKnownSizes(leftSize, rightSize))
-		return &ShuffledHashJoinExec{EquiJoin: ej, Partitions: parts}, nil
+	if buildRight, ok := pl.Cfg.buildSide(j.Type, leftSize, rightSize); ok {
+		return broadcastJoin(ej, buildRight), nil
 	}
+	return shuffledJoin(ej, pl.partitionsFor(addKnownSizes(leftSize, rightSize))), nil
+}
+
+// buildSide picks a join's broadcast build side from its sides' sizes,
+// estimated or observed: the right when that is legal and fits the broadcast
+// limit, unless a smaller left fits too; else the left when legal and fits.
+func (c PlannerConfig) buildSide(t plan.JoinType, left, right int64) (buildRight, ok bool) {
+	canRight, canLeft := canBuildSides(t)
+	bcast := c.broadcastLimit()
+	if canRight && right <= bcast && (right <= left || !canLeft || left > bcast) {
+		return true, true
+	}
+	return false, canLeft && left <= bcast
+}
+
+// shuffledJoin is ej over a hash exchange of each side, capped at parts.
+func shuffledJoin(ej EquiJoin, parts int) *ShuffledHashJoinExec {
+	l, r := newExchange(HashExchange, ej.Left), newExchange(HashExchange, ej.Right)
+	l.Keys, r.Keys, l.Partitions, r.Partitions = ej.LeftKeys, ej.RightKeys, parts, parts
+	ej.Left, ej.Right = l, r
+	return &ShuffledHashJoinExec{EquiJoin: ej}
+}
+
+// broadcastJoin is ej over a broadcast exchange of its build side.
+func broadcastJoin(ej EquiJoin, buildRight bool) *BroadcastHashJoinExec {
+	if buildRight {
+		ej.Right = broadcast(ej.Right)
+	} else {
+		ej.Left = broadcast(ej.Left)
+	}
+	return &BroadcastHashJoinExec{EquiJoin: ej, BuildRight: buildRight}
+}
+
+func broadcast(p SparkPlan) *ExchangeExec { return newExchange(BroadcastExchange, p) }
+
+// newAggregate aggregates child over its presplit exchange, capped at parts.
+func newAggregate(grouping, aggs []expr.Expression, child SparkPlan, parts int) *HashAggregateExec {
+	ex := newExchange(PresplitExchange, child)
+	ex.Keys, ex.Aggs, ex.Partitions = grouping, aggs, parts
+	return &HashAggregateExec{Grouping: grouping, Aggs: aggs, Child: ex}
+}
+
+// globalSort sorts child over its range exchange.
+func globalSort(orders []*expr.SortOrder, child SparkPlan) *SortExec {
+	ex := newExchange(RangeExchange, child)
+	ex.Orders = orders
+	return &SortExec{Orders: orders, Global: true, Child: ex}
 }
 
 // addKnownSizes sums two size estimates, propagating "unknown".

@@ -34,7 +34,8 @@ func TestPrepareReturnsUnmatchedTree(t *testing.T) {
 
 // joinPlan is a global sort over a shuffled join of a filtered scan and a
 // scan. Its static post-order ordinals: left scan 0, left pipeline 1 (after
-// Collapse), right scan 2, join 3, sort 4.
+// Collapse), left hash exchange 2, right scan 3, right hash exchange 4, join 5,
+// range exchange 6, sort 7.
 func joinPlan() SparkPlan {
 	l := attrsOf([]string{"lk", "lv"}, []types.DataType{types.Int, types.Int})
 	r := attrsOf([]string{"rk", "rv"}, []types.DataType{types.Int, types.Int})
@@ -43,19 +44,17 @@ func joinPlan() SparkPlan {
 		lrows = append(lrows, row.Row{int32(i % 7), int32(i)})
 		rrows = append(rrows, row.Row{int32(i % 5), int32(-i)})
 	}
-	return Collapse(&SortExec{Orders: []*expr.SortOrder{expr.Asc(l[1]), expr.Asc(r[1])}, Global: true,
-		Child: &ShuffledHashJoinExec{EquiJoin: EquiJoin{
-			Left:     &FilterExec{Cond: expr.GT(l[1], expr.Lit(int32(3))), Child: NewLocalScan(l, lrows)},
-			Right:    NewLocalScan(r, rrows),
-			LeftKeys: []expr.Expression{l[0]}, RightKeys: []expr.Expression{r[0]},
-			Type: plan.InnerJoin,
-		}}})
+	return Collapse(globalSort([]*expr.SortOrder{expr.Asc(l[1]), expr.Asc(r[1])}, shuffledJoin(EquiJoin{
+		Left:     &FilterExec{Cond: expr.GT(l[1], expr.Lit(int32(3))), Child: NewLocalScan(l, lrows)},
+		Right:    NewLocalScan(r, rrows),
+		LeftKeys: []expr.Expression{l[0]}, RightKeys: []expr.Expression{r[0]},
+		Type: plan.InnerJoin,
+	}, 0)))
 }
 
-// The adaptive driver names each decision by the node's post-order ordinal
-// in the static plan, counting a whole subtree where it stops (the
-// pipeline), and replaying its decisions over the static plan rebuilds the
-// tree it executed.
+// The adaptive driver names each decision by its exchange's post-order
+// ordinal in the static plan, and replaying its decisions over the static
+// plan rebuilds the tree it executed.
 func TestAdaptiveDecisionsReplayByOrdinal(t *testing.T) {
 	static := joinPlan()
 	ctx := execCtx(true)
@@ -64,8 +63,9 @@ func TestAdaptiveDecisionsReplayByOrdinal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds) != 2 || ds[0].Stage != 3 || ds[0].Kind != "coalesce" || ds[1].Stage != 4 || ds[1].Kind != "coalesce" {
-		t.Fatalf("decisions %+v, want coalesces at the join (3) and the sort (4)", ds)
+	if len(ds) != 3 || ds[0].Stage != 2 || ds[1].Stage != 4 || ds[2].Stage != 6 ||
+		ds[0].Kind != "coalesce" || ds[1].Kind != "coalesce" || ds[2].Kind != "coalesce" {
+		t.Fatalf("decisions %+v, want coalesces at the join's exchanges (2, 4) and the sort's (6)", ds)
 	}
 	replayed, err := ApplyDecisions(static, ds)
 	if err != nil {
@@ -85,19 +85,21 @@ func TestApplyDecisionsByOrdinal(t *testing.T) {
 		t.Fatalf("no decisions rebuilt the plan (err %v)", err)
 	}
 	got, err := ApplyDecisions(static, []Decision{
-		{Stage: 3, Kind: "promote", BuildRight: true, Note: "adapted: promoted"},
-		{Stage: 4, Kind: "coalesce", Parts: 1, Note: "adapted: coalesced"},
+		{Stage: 4, Kind: "promote", BuildRight: true, Note: "adapted: promoted"},
+		{Stage: 6, Kind: "coalesce", Parts: 1, Note: "adapted: coalesced"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort := got.(*SortExec)
-	bhj, ok := sort.Child.(*BroadcastHashJoinExec)
-	if !ok || !bhj.BuildRight || bhj.Adapted() != "adapted: promoted" || sort.Partitions != 1 || sort.Adapted() != "adapted: coalesced" {
+	rangeEx := exchangeOf(sort.Child)
+	bhj, ok := rangeEx.Child.(*BroadcastHashJoinExec)
+	if !ok || !bhj.BuildRight || exchangeOf(bhj.Right).Form != BroadcastExchange || exchangeOf(bhj.Right).Adapted() != "adapted: promoted" ||
+		rangeEx.Partitions != 1 || rangeEx.Adapted() != "adapted: coalesced" {
 		t.Fatalf("decisions applied to the wrong nodes:\n%s", Format(got))
 	}
-	shj := static.(*SortExec).Child.(*ShuffledHashJoinExec)
-	if bhj.Left != shj.Left || bhj.Right != shj.Right || static.(*SortExec).Partitions != 0 {
+	shj := exchangeOf(static.(*SortExec).Child).Child.(*ShuffledHashJoinExec)
+	if bhj.Left != shj.Left || exchangeOf(bhj.Right).Child != exchangeOf(shj.Right).Child || exchangeOf(static.(*SortExec).Child).Partitions != 0 {
 		t.Fatal("replay must reuse untouched subtrees and leave the static plan as it was")
 	}
 }
@@ -109,15 +111,15 @@ func TestApplyDecisionsRefuses(t *testing.T) {
 		d    Decision
 		want string
 	}{
-		{Decision{Stage: 5, Kind: "coalesce", Parts: 1}, "coalesce decision names stage 5 of a 5-node plan"},
-		{Decision{Stage: -1, Kind: "skew"}, "skew decision names stage -1 of a 5-node plan"},
+		{Decision{Stage: 8, Kind: "coalesce", Parts: 1}, "coalesce decision names stage 8 of a 8-node plan"},
+		{Decision{Stage: -1, Kind: "skew"}, "skew decision names stage -1 of a 8-node plan"},
 		{Decision{Stage: 0, Kind: "coalesce", Parts: 1}, "coalesce decision on *physical.ScanExec"},
 		{Decision{Stage: 1, Kind: "promote"}, "promote decision on *physical.PipelineExec"},
-		{Decision{Stage: 4, Kind: "skew", Splits: []int{2}}, "skew decision on *physical.SortExec"},
-		{Decision{Stage: 3, Kind: "demote"}, "demote decision on *physical.ShuffledHashJoinExec"},
-		{Decision{Stage: 3, Kind: "reorder"}, `unknown decision kind "reorder"`},
+		{Decision{Stage: 6, Kind: "skew", Splits: []int{2}}, "skew decision on a range exchange"},
+		{Decision{Stage: 2, Kind: "demote"}, "demote decision on a hash exchange"},
+		{Decision{Stage: 2, Kind: "reorder"}, `unknown decision kind "reorder"`},
 	} {
-		ds := []Decision{{Stage: 4, Kind: "coalesce", Parts: 1}, c.d}
+		ds := []Decision{{Stage: 6, Kind: "coalesce", Parts: 1}, c.d}
 		if got, err := ApplyDecisions(joinPlan(), ds); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: got %v, err %v; want an error naming %q", c.d, got, err, c.want)
 		}

@@ -112,7 +112,7 @@ func TestSortMatchesStableReference(t *testing.T) {
 				if budget > 0 {
 					ctx.Pool, ctx.SpillFS = memory.NewPool(budget, nil), dfs.New()
 				}
-				got := collect(t, &SortExec{Orders: orders, Global: true, Child: scan}, ctx)
+				got := collect(t, globalSort(orders, scan), ctx)
 				if !slices.Equal(ids(got), ids(want)) {
 					t.Fatalf("%s codegen=%v budget=%d: SortExec differs from the stable reference", label, codegen, budget)
 				}

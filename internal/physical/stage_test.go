@@ -67,19 +67,22 @@ func TestStageSurvivesCancelledRun(t *testing.T) {
 	cached := physical.NewInMemoryScan(pAttrs, columnar.BuildTable(schema, [][]row.Row{pRows}, 16), nil, nil)
 
 	// Each case joins probe rows against a build side behind the gate.
+	exchange := func(form physical.ExchangeForm, child physical.SparkPlan, keys ...expr.Expression) *physical.ExchangeExec {
+		return &physical.ExchangeExec{Form: form, Child: child, Keys: keys}
+	}
 	cases := map[string]func(build physical.SparkPlan) physical.SparkPlan{
 		"broadcast": func(build physical.SparkPlan) physical.SparkPlan {
 			return &physical.BroadcastHashJoinExec{BuildRight: true, EquiJoin: physical.EquiJoin{
-				Left: physical.NewLocalScan(pAttrs, pRows), Right: build, Type: plan.InnerJoin,
+				Left: physical.NewLocalScan(pAttrs, pRows), Right: exchange(physical.BroadcastExchange, build), Type: plan.InnerJoin,
 				LeftKeys: []expr.Expression{pAttrs[0]}, RightKeys: []expr.Expression{bAttrs[0]}}}
 		},
 		"fused": func(build physical.SparkPlan) physical.SparkPlan {
 			return physical.Fuse(&physical.BroadcastHashJoinExec{BuildRight: true, EquiJoin: physical.EquiJoin{
-				Left: cached, Right: build, Type: plan.InnerJoin,
+				Left: cached, Right: exchange(physical.BroadcastExchange, build), Type: plan.InnerJoin,
 				LeftKeys: []expr.Expression{pAttrs[0]}, RightKeys: []expr.Expression{bAttrs[0]}}})
 		},
 		"nested loop": func(build physical.SparkPlan) physical.SparkPlan {
-			return &physical.NestedLoopJoinExec{Left: physical.NewLocalScan(pAttrs, pRows), Right: build,
+			return &physical.NestedLoopJoinExec{Left: physical.NewLocalScan(pAttrs, pRows), Right: exchange(physical.BroadcastExchange, build),
 				Type: plan.InnerJoin, Cond: expr.LT(pAttrs[0], bAttrs[0])}
 		},
 		"interval": func(build physical.SparkPlan) physical.SparkPlan {
@@ -87,15 +90,17 @@ func TestStageSurvivesCancelledRun(t *testing.T) {
 				LeftStart: bAttrs[0], LeftEnd: bAttrs[1], RightPoint: pAttrs[0]}
 		},
 		"shuffle map side": func(build physical.SparkPlan) physical.SparkPlan {
-			return &physical.SortExec{Global: true, Child: build,
-				Orders: []*expr.SortOrder{{Child: bAttrs[1], Descending: true}}}
+			orders := []*expr.SortOrder{{Child: bAttrs[1], Descending: true}}
+			return &physical.SortExec{Global: true, Orders: orders, Child: &physical.ExchangeExec{Form: physical.RangeExchange, Child: build, Orders: orders}}
 		},
 		"top-K candidates": func(build physical.SparkPlan) physical.SparkPlan {
 			return &physical.TopKExec{N: 3, Child: build, Orders: []*expr.SortOrder{{Child: bAttrs[1]}}}
 		},
 		"skew-split join": func(build physical.SparkPlan) physical.SparkPlan {
-			return &physical.ShuffledHashJoinExec{SkewSplits: []int{2, 2}, EquiJoin: physical.EquiJoin{
-				Left: physical.NewLocalScan(pAttrs, pRows), Right: build, Type: plan.InnerJoin,
+			probe := exchange(physical.HashExchange, physical.NewLocalScan(pAttrs, pRows), pAttrs[0])
+			probe.SkewSplits = []int{2, 2}
+			return &physical.ShuffledHashJoinExec{EquiJoin: physical.EquiJoin{
+				Left: probe, Right: exchange(physical.HashExchange, build, bAttrs[0]), Type: plan.InnerJoin,
 				LeftKeys: []expr.Expression{pAttrs[0]}, RightKeys: []expr.Expression{bAttrs[0]}}}
 		},
 	}

@@ -1,70 +1,13 @@
 package physical
 
 import (
-	"context"
 	"math/bits"
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
-	"repro/internal/rdd"
 	"repro/internal/row"
 	"repro/internal/types"
 )
-
-// FusedAggregateExec is the whole-stage fusion of a vectorized pipeline
-// with its aggregation sink: batches flow scan (or fused join probe) → filter
-// → project → hash-aggregate update without ever materializing intermediate
-// rows. The phase-1 group tables are type-specialized on the common key
-// shapes (single int64, single string, (int64, int64)) so grouping never
-// boxes or builds key strings on the hot path, and the partial state leaves
-// as typed columnar blocks (aggBlock). Its phase-1 body and everything after
-// the partial flush — the exchange and the final merge, reserved and spilled
-// under a memory budget — are HashAggregateExec's own, which runs them over a
-// row input transposed.
-type FusedAggregateExec struct {
-	PlanEstimate
-	PlanMetrics
-	FusionNote
-	Agg  *HashAggregateExec // grouping/aggs/partition cap; Child is unused here
-	Pipe *VectorizedPipelineExec
-	// sink is the compiled sink the Fuse rule built to describe this node;
-	// Execute reuses it (nil after the pipeline was swapped: recompiled).
-	sink *aggSink
-}
-
-func (f *FusedAggregateExec) Children() []SparkPlan { return []SparkPlan{f.Pipe} }
-func (f *FusedAggregateExec) WithNewChildren(children []SparkPlan) SparkPlan {
-	c := *f
-	c.Pipe, c.sink = children[0].(*VectorizedPipelineExec), nil
-	return &c
-}
-func (f *FusedAggregateExec) Output() []*expr.AttributeReference { return f.Agg.Output() }
-func (f *FusedAggregateExec) SimpleString() string               { return "Fused" + f.Agg.SimpleString() }
-func (f *FusedAggregateExec) String() string                     { return Format(f) }
-
-func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] { return boxedRows(f, ctx) }
-
-// Results implements BatchTop: the reducers' results go to sink.
-func (f *FusedAggregateExec) Results(ctx *ExecContext, sink ResultSink) *rdd.RDD[expr.Arena] {
-	h := f.Agg
-	om := f.EnableMetrics(ctx.Metrics)
-	k := f.sink
-	if k == nil {
-		k = h.compileSink(f.Pipe.Output(), true)
-	}
-	vp := f.Pipe.compile(ctx, om, k.refs)
-	blocks := rdd.GenerateCtx(ctx.RDD, "fusedAgg", vp.tasks(), func(jc context.Context, p int) ([]aggBlock, error) {
-		agg := newPartialAgg(h.keyTypes(), k.native, k.newLanes, h.buckets(ctx)) // all the task's mutable state
-		err := vp.each(jc, p, func(batch *expr.VecBatch, live []int32) {
-			agg.addBatch(k.keyEvals, batch, live)
-			if boxed := len(k.fallbacks); boxed > 0 {
-				vp.fallbackRows.Add(int64(len(live) * boxed))
-			}
-		})
-		return agg.finish(om, ctx.RDD.Metrics().Counter("agg.partial.skipped")), err
-	}).Reads(vp.src.Stages...)
-	return h.finalMerge(ctx, om, blocks, k, sink)
-}
 
 // aggSink is an aggregate's compiled sink over its phase-1 input: the
 // group-key kernels and the aggregate state lanes, with a record of which of
@@ -82,11 +25,13 @@ type aggSink struct {
 	fallbacks []string
 }
 
-func (h *HashAggregateExec) compileSink(input []*expr.AttributeReference, codegen bool) *aggSink {
-	k := &aggSink{refs: bindAll(h.Grouping, input), codegen: codegen}
-	unbound, results := h.splitAggregates()
+// compileSink compiles the sink of an aggregate of the given grouping and
+// result expressions over its phase-1 input.
+func compileSink(grouping, aggs []expr.Expression, input []*expr.AttributeReference, codegen bool) *aggSink {
+	k := &aggSink{refs: bindAll(grouping, input), codegen: codegen}
+	unbound, results := splitAggregates(grouping, aggs)
 	k.fns, k.results = bindFns(unbound, input), results
-	k.keyEvals, k.native, k.fallbacks = keyKernels(h.Grouping, input, codegen)
+	k.keyEvals, k.native, k.fallbacks = keyKernels(grouping, input, codegen)
 	for i, fn := range k.fns {
 		k.refs = append(k.refs, fn)
 		if _, native := expr.NewVecAggregator(fn); !native && codegen {
@@ -140,6 +85,18 @@ type aggBlock struct {
 }
 
 func (b aggBlock) groups() int64 { return int64(len(b.sel)) }
+
+// ObjectSize is the block's share of the partial state it views: its
+// selection's fraction of the key columns' bytes (Vector.SizeBytes), and 8 B a
+// group for its row hash and for each aggregate's state.
+func (b aggBlock) ObjectSize() int64 {
+	var keys int64
+	for _, k := range b.keys {
+		keys += k.SizeBytes()
+	}
+	sel := int64(len(b.sel))
+	return keys*sel/max(1, int64(len(b.hashes))) + 8*sel*int64(1+len(b.lanes))
+}
 
 // splitGroups cuts partial groups — a phase-1 table's, or a passed batch's
 // one-row groups: group g has the keys cols[j][g], the row hash hashes[g] and

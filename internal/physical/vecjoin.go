@@ -14,18 +14,13 @@ import (
 	"repro/internal/row"
 )
 
-// FusedBroadcastJoinExec is the whole-stage fusion of a vectorized pipeline
-// with a broadcast-hash-join probe: the build side is collected once into a
-// joinTable over lanes, and the probe loop reads join keys straight off the
-// pipeline's column vectors. The probe pipeline is whichever input
-// BroadcastHashJoinExec would stream — the left when the build side is the
-// right one, the right otherwise. It is a BatchScan too: a pipeline, a fused
-// aggregate or another fused join on top takes the output as columns, one
-// batch per probed batch, and no row is boxed; a row consumer, or the result
-// edge, gets the same columns boxed. Either way the output is the row join's,
-// for every join type a join may broadcast, key shape and residual: left
-// cells before right cells, probe rows in pipeline order, matches in
-// build-collect order.
+// FusedBroadcastJoinExec fuses a broadcast hash join's probe into the
+// vectorized pipeline it streams: its broadcast exchange indexes the build
+// side over lanes, and the probe reads keys off the pipeline's vectors. It is
+// a BatchScan too: a pipeline, an aggregate's phase 1 or another fused join
+// on top takes its output as columns, one batch per probed batch; a row
+// consumer gets them boxed. Either way the output is the row join's: left
+// cells first, probe rows in pipeline order, matches in build-collect order.
 type FusedBroadcastJoinExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -125,7 +120,7 @@ func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) Batc
 		om.Emits = "batches"
 	}
 	hj := newHashJoin(ctx, om, &j.EquiJoin, j.BuildRight, true)
-	table := f.buildStage(ctx, hj, used)
+	table := exchangeOf(j.buildSide()).broadcastTable(ctx, j, hj, used)
 	vp := pipe.compile(ctx, om, f.probeReads(hj, used))
 	return BatchSource{NumPartitions: vp.tasks(), Stages: append(slices.Clip(vp.src.Stages), table), Batches: func(jc context.Context, p int, _ *expr.Scratch, fn func(datasource.Batch)) error {
 		t, err := table.Value(jc)
@@ -169,81 +164,6 @@ func (f *FusedBroadcastJoinExec) OpenBatches(ctx *ExecContext, used []bool) Batc
 		om.RecordPartition(rows, time.Since(start))
 		return err
 	}}
-}
-
-// buildStage is the join's build side run as a stage and indexed. A batch
-// pipeline (or scan) whose keys all have native kernels, with no residual to
-// test, is collected as lanes: its tasks gather their batches' survivors, and
-// the stage concatenates them once, exactly sized. Any other build side is
-// collected as rows and transposed once into lanes; it is boxed — its rows
-// kept, or a batch pipeline's boxed into rows — only for a residual or a build
-// key with no native kernel. Either way the keys' kernels are indexed over the
-// lanes. EXPLAIN ANALYZE's join line says which build ran.
-func (f *FusedBroadcastJoinExec) buildStage(ctx *ExecContext, hj *hashJoin, outUsed []bool) *rdd.Stage[*joinTable] {
-	j := f.Join
-	_, _, _, keys := j.sides(j.BuildRight)
-	pipe, out := fusablePipe(j.buildSide()), j.buildSide().Output()
-	keep := make([]bool, len(out)) // the lanes: the build columns used, then those the keys read too
-	for c := range keep {
-		keep[c] = hj.buildAt+c < len(outUsed) && outUsed[hj.buildAt+c] || hj.buildReads[c] // none used under LEFT SEMI
-	}
-	build := "lanes"
-	if j.Residual != nil {
-		build = "boxed: residual"
-	} else if _, typed, _ := joinKernels(keys, out, true); !typed {
-		build = "boxed: non-native build key"
-	}
-	if hj.om != nil {
-		hj.om.Build = build
-	}
-	if pipe == nil || build != "lanes" {
-		return BuildStage(j.buildSide().Execute(ctx), hj.om, func(rows []row.Row) *joinTable {
-			t := hj.indexLanes(newTransposer(out, keep, true).load(rows))
-			if j.Residual != nil {
-				t.rows = rows
-			}
-			return t
-		})
-	}
-	var sink []expr.Expression
-	for c, a := range out {
-		if keep[c] {
-			sink = append(sink, bind(a, out))
-		}
-	}
-	pm := pipe.EnableMetrics(ctx.Metrics)
-	vp := pipe.compile(ctx, pm, sink)
-	gathered := rdd.GenerateCtx(ctx.RDD, "joinBuild", vp.tasks(), func(jc context.Context, p int) ([][]*columnar.Vector, error) {
-		start, rows := time.Now(), 0
-		var part [][]*columnar.Vector
-		err := vp.each(jc, p, func(b *expr.VecBatch, live []int32) {
-			cols := make([]*columnar.Vector, len(out))
-			for c, k := range keep {
-				if k {
-					cols[c] = b.Cols[c].GatherInto(nil, live)
-				}
-			}
-			part, rows = append(part, cols), rows+len(live)
-		})
-		pm.RecordPartition(rows, time.Since(start))
-		return part, err
-	}).Reads(vp.src.Stages...)
-	return rdd.NewStage(gathered, func(_ context.Context, parts [][][]*columnar.Vector) (*joinTable, error) {
-		batches := slices.Concat(parts...)
-		all, col, size := make([]*columnar.Vector, len(out)), make([]*columnar.Vector, len(batches)), int64(0)
-		for c, k := range keep {
-			if k {
-				for i, b := range batches {
-					col[i] = b[c]
-				}
-				all[c] = columnar.Concat(out[c].DataType(), col)
-				size += all[c].SizeBytes()
-			}
-		}
-		n := all[slices.Index(keep, true)].Len() // every key reads a column
-		hj.om.RecordBuild(n, size)
-		return hj.indexLanes(&expr.VecBatch{Cols: all, N: n, Scratch: new(expr.Scratch)}, identitySel(n)), nil
-	})
 }
 
 // indexLanes indexes a build side held whole as lanes, every row selected:

@@ -223,6 +223,7 @@ func TestFusedBroadcastJoinEitherBuildSide(t *testing.T) {
 	}
 	fusedAs := func(j *BroadcastHashJoinExec, note string) {
 		t.Helper()
+		j = broadcastJoin(j.EquiJoin, j.BuildRight)
 		f, ok := Fuse(Vectorize(Collapse(j))).(*FusedBroadcastJoinExec)
 		if !ok {
 			t.Fatalf("not fused: %s", j)
@@ -347,11 +348,11 @@ func TestFusedJoinProbeDecodesWhatIsRead(t *testing.T) {
 	small, smallAttrs := cachedTableForTest(rng, 40, 1, 64)
 	leaf := &usedRecorder{InMemoryScanExec: NewInMemoryScan(bigAttrs, big, nil, nil)}
 	join := func(residual expr.Expression) *FusedBroadcastJoinExec {
-		j := &BroadcastHashJoinExec{BuildRight: true, EquiJoin: EquiJoin{
+		j := broadcastJoin(EquiJoin{
 			Left: leaf, Right: NewInMemoryScan(smallAttrs, small, nil, nil),
 			LeftKeys: []expr.Expression{bigAttrs[2]}, RightKeys: []expr.Expression{smallAttrs[2]},
 			Type: plan.InnerJoin, Residual: residual,
-		}}
+		}, true)
 		return Fuse(Vectorize(Collapse(j))).(*FusedBroadcastJoinExec)
 	}
 	reads := make([]bool, 8)

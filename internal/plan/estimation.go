@@ -1,8 +1,8 @@
 package plan
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/expr"
@@ -45,11 +45,15 @@ type Statistics struct {
 
 // EstString renders the estimate as it appears in EXPLAIN annotations.
 func (s Statistics) EstString() string {
-	rows := "?"
+	var buf [64]byte // the string is the one allocation
+	b := append(buf[:0], "est: "...)
 	if s.RowCount > 0 {
-		rows = fmt.Sprintf("%d", s.RowCount)
+		b = strconv.AppendInt(b, s.RowCount, 10)
+	} else {
+		b = append(b, '?')
 	}
-	return fmt.Sprintf("est: %s rows, %d B", rows, s.SizeInBytes)
+	b = append(b, " rows, "...)
+	return string(append(strconv.AppendInt(b, s.SizeInBytes, 10), " B"...))
 }
 
 // UnknownSizeInBytes is the "unknown, assume large" estimate — large enough

@@ -320,6 +320,9 @@ type RDD[T any] struct {
 	// stages are the stages compute reads, run by an action before its first
 	// task, in order.
 	stages []Dep
+	// shuffle is the map side of the shuffle whose buckets r serves, a
+	// partition each (nil for any other RDD).
+	shuffle *mapSide[T]
 
 	// cache state; nil when not cached.
 	cacheMu   sync.Mutex

@@ -225,10 +225,10 @@ func TestZipPartitions(t *testing.T) {
 	ctx := NewContext(2)
 	a := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
 	b := Parallelize(ctx, []string{"a", "b", "c", "d"}, 2)
-	zipped := ZipAt(a, b, 2, func(p int) int { return p }, func(_ context.Context, p int, xs []int, ys []string) ([]string, error) {
-		out := make([]string, len(xs))
-		for i := range xs {
-			out[i] = ys[i]
+	zipped := ZipAt(a, b, 2, func(p int) (int, int) { return p, p + 1 }, func(_ context.Context, p int, xs [][]int, ys [][]string) ([]string, error) {
+		out := make([]string, len(xs[0]))
+		for i := range xs[0] {
+			out[i] = ys[0][i]
 		}
 		return out, nil
 	})

@@ -54,9 +54,9 @@ func fnvHash(s string) uint64 {
 
 // bucketize runs the shuffle map side on the stage runner: each map partition
 // is bucketed into per-partition local buckets, which are then concatenated
-// per reducer in partition order, so output order is identical to a
-// sequential pass. A panicking bucket function fails the stage with an error
-// (fail-fast, like computeAll).
+// per bucket in partition order, so output order is identical to a
+// sequential pass, and the buckets lie side by side in one slice. A panicking
+// bucket function fails the stage with an error (fail-fast, like computeAll).
 func bucketize[T any](jc context.Context, ctx *Context, parts [][]T, numPartitions int, bucket func(T) int) ([][]T, error) {
 	locals := make([][][]T, len(parts))
 	_, err := ctx.runStage(jc, len(parts), func(_ context.Context, pi int) (err error) {
@@ -77,50 +77,162 @@ func bucketize[T any](jc context.Context, ctx *Context, parts [][]T, numPartitio
 		return nil, err
 	}
 
-	buckets := make([][]T, numPartitions)
-	for b := 0; b < numPartitions; b++ {
-		n := 0
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	all, buckets := make([]T, 0, n), make([][]T, numPartitions)
+	for b := range buckets {
+		from := len(all)
 		for _, local := range locals {
-			n += len(local[b])
+			all = append(all, local[b]...)
 		}
-		merged := make([]T, 0, n)
-		for _, local := range locals {
-			merged = append(merged, local[b]...)
-		}
-		buckets[b] = merged
+		buckets[b] = all[from:] // a view to the end of all: a range of buckets is one slice
 	}
 	return buckets, nil
 }
 
 // objectSized is implemented by record types that can report an
-// approximate in-memory size (row.Row does); shuffle byte accounting
-// samples it rather than sizing every record.
+// approximate in-memory size (row.Row and a physical aggregate's partial
+// blocks do); shuffle byte accounting samples it rather than sizing every
+// record.
 type objectSized interface{ ObjectSize() int64 }
 
-// sampledSize estimates the total bytes of parts by sizing up to 32 records
-// per partition and extrapolating linearly; it returns 0 when the record
-// type cannot report sizes.
-func sampledSize[T any](parts [][]T) int64 {
-	var total int64
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		k := len(part)
-		if k > 32 {
-			k = 32
-		}
-		var s int64
-		for i := 0; i < k; i++ {
-			sz, ok := any(part[i]).(objectSized)
-			if !ok {
-				return 0
-			}
-			s += sz.ObjectSize()
-		}
-		total += s * int64(len(part)) / int64(k)
+// sampledSize estimates the bytes of one bucket by sizing up to 32 of its
+// records and extrapolating linearly; it returns 0 when the record type cannot
+// report sizes.
+func sampledSize[T any](bucket []T) int64 {
+	if _, ok := any((*T)(nil)).(objectSized); !ok || len(bucket) == 0 {
+		return 0
 	}
-	return total
+	k := min(len(bucket), 32)
+	var s int64
+	for i := range bucket[:k] {
+		s += any(&bucket[i]).(objectSized).ObjectSize() // a pointer: boxing it allocates nothing
+	}
+	return s * int64(len(bucket)) / int64(k)
+}
+
+// MapStats is what a shuffle's map side wrote, bucket by bucket: the records
+// it counts (shuffle.records) and their sampled bytes. An adaptive planner
+// reads it to size the reduce side without running or copying anything again.
+type MapStats struct {
+	Records, Bytes []int64
+}
+
+// Total sums the buckets.
+func (m MapStats) Total() (records, bytes int64) {
+	for b := range m.Records {
+		records, bytes = records+m.Records[b], bytes+m.Bytes[b]
+	}
+	return records, bytes
+}
+
+// shuffleOut is a shuffle's map-side value: the buckets and their stats.
+type shuffleOut[T any] struct {
+	buckets [][]T
+	stats   MapStats
+}
+
+// mapSide is a shuffle's map side as its reduce side reads it: the stage, and
+// bucket b fetched from a peer that published it or read off the stage.
+type mapSide[T any] struct {
+	stage   *Stage[*shuffleOut[T]]
+	buckets int
+	bucket  func(jc context.Context, b int) ([]T, error)
+	remote  bool // buckets may come from peers: a range is read bucket by bucket
+}
+
+// MapStats runs the map side of the shuffle whose buckets r serves, once per
+// RDD graph (a later action reads the same stage without running it again),
+// and returns what it wrote per bucket; ok is false when r serves no
+// shuffle's buckets.
+func (r *RDD[T]) MapStats(jc context.Context) (stats MapStats, ok bool, err error) {
+	if r.shuffle == nil {
+		return stats, false, nil
+	}
+	out, err := r.shuffle.stage.Value(jc)
+	if err != nil {
+		return stats, true, err
+	}
+	return out.stats, true, nil
+}
+
+// Regroup is the reduce side of the shuffle whose buckets r serves, read by
+// reducers tasks (1 ≤ reducers ≤ buckets): task q reads the contiguous bucket
+// range [q·buckets/reducers, (q+1)·buckets/reducers) in bucket order, so the
+// tasks concatenate to the same sequence for every reducer count. It reads the
+// same map side as r, so a map side that ran for r does not run again. Any
+// other r is coalesced.
+func Regroup[T any](r *RDD[T], reducers int) *RDD[T] {
+	if r.shuffle == nil {
+		return Coalesce(r, reducers)
+	}
+	if reducers == r.numPart {
+		return r
+	}
+	return r.shuffle.read(r.ctx, r.name, reducers)
+}
+
+// read is the shuffle's reduce side as reducers tasks, each its range of
+// buckets concatenated.
+func (m *mapSide[T]) read(ctx *Context, name string, reducers int) *RDD[T] {
+	r := newRDD(ctx, name, reducers, func(jc context.Context, q int) ([]T, error) {
+		lo, hi := q*m.buckets/reducers, (q+1)*m.buckets/reducers
+		if hi-lo == 1 {
+			return m.bucket(jc, lo)
+		}
+		if m.remote {
+			var out []T
+			for b := lo; b < hi; b++ {
+				part, err := m.bucket(jc, b)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, part...)
+			}
+			return out, nil
+		}
+		out, err := m.stage.Value(jc)
+		if err != nil {
+			return nil, err
+		}
+		n := 0
+		for _, b := range out.buckets[lo:hi] {
+			n += len(b)
+		}
+		return clip(out.buckets[lo], n), nil // the range's buckets lie side by side
+	}).Reads(m.stage)
+	r.shuffle = m
+	return r
+}
+
+// clip is the first n records of a bucket view, capped so that an append
+// copies rather than writes over the next bucket; nil when there are none.
+func clip[T any](s []T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return s[:n:n]
+}
+
+// bucketRange is partitions lo..hi-1 of r, read in the calling task: a
+// shuffle's buckets straight off its map side (r serving one partition a
+// bucket), any other RDD's partitions as tasks of their own.
+func (r *RDD[T]) bucketRange(jc context.Context, lo, hi int) ([][]T, error) {
+	out := make([][]T, 0, hi-lo)
+	for p := lo; p < hi; p++ {
+		read := r.partition
+		if r.shuffle != nil && r.numPart == r.shuffle.buckets {
+			read = r.shuffle.bucket
+		}
+		part, err := read(jc, p)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, part)
+	}
+	return out, nil
 }
 
 // Codec encodes and decodes record slices for cross-worker transport.
@@ -139,12 +251,12 @@ type Codec[T any] struct {
 // before bucketing, Spark's RangePartitioner two-pass shape collapsed onto
 // one materialization.
 func shuffledPrepCodec[T any](parent *RDD[T], name string, numPartitions int, prep func(parts [][]T) func(T) int, codec *Codec[T]) *RDD[T] {
-	return shuffledScatter(parent, name, numPartitions, func(jc context.Context, parts [][]T) ([][]T, int64, error) {
-		var records int64
-		for _, part := range parts {
-			records += int64(len(part))
-		}
+	return shuffledScatter(parent, name, numPartitions, numPartitions, func(jc context.Context, parts [][]T) ([][]T, []int64, error) {
 		buckets, err := bucketize(jc, parent.ctx, parts, numPartitions, prep(parts))
+		records := make([]int64, len(buckets))
+		for b, bucket := range buckets {
+			records[b] = int64(len(bucket))
+		}
 		return buckets, records, err
 	}, codec)
 }
@@ -163,14 +275,16 @@ func shuffledPrepCodec[T any](parent *RDD[T], name string, numPartitions int, pr
 // many logical shuffle records one element carries (what shuffle.records and
 // the shuffle span count); elements carrying none are dropped.
 func ExchangePresplit[T any](r *RDD[T], buckets, reducers int, records func(T) int64) *RDD[T] {
-	return shuffledScatter(r, r.name+".exchange", reducers, func(_ context.Context, parts [][]T) ([][]T, int64, error) {
-		if reducers < 1 || reducers > buckets {
-			return nil, 0, fmt.Errorf("rdd: %d reducers for %d pre-split buckets", reducers, buckets)
-		}
+	if reducers < 1 || reducers > buckets {
+		return GenerateCtx(r.ctx, r.name+".exchange", 1, func(context.Context, int) ([]T, error) {
+			return nil, fmt.Errorf("rdd: %d reducers for %d pre-split buckets", reducers, buckets)
+		})
+	}
+	return shuffledScatter(r, r.name+".exchange", buckets, reducers, func(_ context.Context, parts [][]T) ([][]T, []int64, error) {
 		kept := 0
 		for pi, part := range parts {
 			if len(part)%buckets != 0 {
-				return nil, 0, fmt.Errorf("rdd: pre-split map partition %d holds %d records for %d buckets", pi, len(part), buckets)
+				return nil, nil, fmt.Errorf("rdd: pre-split map partition %d holds %d records for %d buckets", pi, len(part), buckets)
 			}
 			for _, v := range part {
 				if records(v) > 0 {
@@ -178,38 +292,35 @@ func ExchangePresplit[T any](r *RDD[T], buckets, reducers int, records func(T) i
 				}
 			}
 		}
-		all, out := make([]T, 0, kept), make([][]T, reducers)
-		var total int64
-		for q := range out {
+		// One slice in bucket order, each bucket cut out of it.
+		all, out, counts := make([]T, 0, kept), make([][]T, buckets), make([]int64, buckets)
+		for b := range out {
 			from := len(all)
-			for b := q * buckets / reducers; b < (q+1)*buckets/reducers; b++ {
-				for _, part := range parts {
-					for i := b; i < len(part); i += buckets {
-						if n := records(part[i]); n > 0 {
-							all = append(all, part[i])
-							total += n
-						}
+			for _, part := range parts {
+				for i := b; i < len(part); i += buckets {
+					if n := records(part[i]); n > 0 {
+						all = append(all, part[i])
+						counts[b] += n
 					}
 				}
 			}
-			if len(all) > from {
-				out[q] = all[from:len(all):len(all)]
-			}
+			out[b] = all[from:] // a view to the end of all: a range of buckets is one slice
 		}
-		return out, total, nil
+		return out, counts, nil
 	}, nil)
 }
 
 // shuffledScatter builds the reduce-side RDD over the map stage; scatter
-// turns the map partitions into one bucket per reduce partition and reports
-// the records it moved. With a codec and an installed ShuffleService, the map
+// turns the map partitions into numPartitions buckets and reports the records
+// it moved into each, and reducers tasks read contiguous ranges of them
+// (Regroup). The map stage samples each bucket's bytes (MapStats). With a codec and an installed ShuffleService, the map
 // stage publishes its buckets (best effort) for peers working other partitions
 // of the same query, and a reduce task first tries to fetch its bucket from a
 // peer that already ran this shuffle's map side; a miss (nobody ran it, the
 // owner died, the block was evicted, the bytes do not decode) falls back to
 // the map stage — exactly the lineage-recompute story, so a lost shuffle
 // output costs recompute time, never correctness.
-func shuffledScatter[T any](parent *RDD[T], name string, numPartitions int, scatter func(jc context.Context, parts [][]T) ([][]T, int64, error), codec *Codec[T]) *RDD[T] {
+func shuffledScatter[T any](parent *RDD[T], name string, numPartitions, reducers int, scatter func(jc context.Context, parts [][]T) ([][]T, []int64, error), codec *Codec[T]) *RDD[T] {
 	shuffleID := ""
 	var svc ShuffleService
 	if codec != nil {
@@ -217,11 +328,16 @@ func shuffledScatter[T any](parent *RDD[T], name string, numPartitions int, scat
 			shuffleID = parent.ctx.nextShuffleID()
 		}
 	}
-	mapSide := NewStage(parent, func(jc context.Context, parts [][]T) ([][]T, error) {
+	stage := NewStage(parent, func(jc context.Context, parts [][]T) (*shuffleOut[T], error) {
 		start := time.Now()
 		buckets, records, err := scatter(jc, parts)
+		out := &shuffleOut[T]{buckets: buckets, stats: MapStats{Records: records, Bytes: make([]int64, len(buckets))}}
+		for b, bucket := range buckets {
+			out.stats.Bytes[b] = sampledSize(bucket)
+		}
+		total, bytes := out.stats.Total()
 		if err == nil {
-			parent.ctx.shuffleRecords.Add(records)
+			parent.ctx.shuffleRecords.Add(total)
 		}
 		if parent.ctx.Trace() != nil || traceSink(jc) != nil {
 			span := metrics.Span{
@@ -229,8 +345,8 @@ func shuffledScatter[T any](parent *RDD[T], name string, numPartitions int, scat
 				Name:    name,
 				Start:   metrics.Since(start),
 				DurNS:   time.Since(start).Nanoseconds(),
-				Bytes:   sampledSize(parts),
-				Records: records,
+				Bytes:   bytes,
+				Records: total,
 			}
 			span.Job, _ = jobIDFrom(jc)
 			parent.ctx.shuffleBytes.Add(span.Bytes)
@@ -243,27 +359,28 @@ func shuffledScatter[T any](parent *RDD[T], name string, numPartitions int, scat
 			enc := make([][]byte, len(buckets))
 			for i, b := range buckets {
 				if enc[i], err = codec.Encode(b); err != nil {
-					return buckets, nil // unencodable records: peers recompute instead
+					return out, nil // unencodable records: peers recompute instead
 				}
 			}
 			svc.Publish(jc, shuffleID, enc)
 		}
-		return buckets, err
+		return out, err
 	})
-	return newRDD(parent.ctx, name, numPartitions, func(jc context.Context, p int) ([]T, error) {
+	side := &mapSide[T]{stage: stage, buckets: numPartitions, remote: shuffleID != "", bucket: func(jc context.Context, b int) ([]T, error) {
 		if shuffleID != "" {
-			if data, ok, ferr := svc.FetchBucket(jc, shuffleID, p); ferr == nil && ok {
+			if data, ok, ferr := svc.FetchBucket(jc, shuffleID, b); ferr == nil && ok {
 				if vals, derr := codec.Decode(data); derr == nil {
 					return vals, nil
 				}
 			}
 		}
-		buckets, err := mapSide.Value(jc)
+		out, err := stage.Value(jc)
 		if err != nil {
 			return nil, err
 		}
-		return buckets[p], nil
-	}).Reads(mapSide)
+		return clip(out.buckets[b], len(out.buckets[b])), nil
+	}}
+	return side.read(parent.ctx, name, reducers)
 }
 
 // PartitionByKey hash-partitions a pair RDD into numPartitions partitions

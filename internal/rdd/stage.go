@@ -9,7 +9,8 @@ import (
 )
 
 // Stage is a parent RDD run once per RDD graph, ahead of the tasks that read
-// it: a shuffle's map side, a join's build side, an adaptive query stage. A
+// it: a shuffle's map side (which adaptive execution may run first, once), a
+// join's build side, top-K's candidates. A
 // terminal failure is memoized; a cancellation is not, so a query that timed
 // out does not poison a later run of the same graph (cluster workers keep a
 // statement's graph for the life of their session).
@@ -84,17 +85,6 @@ func runStages(jc context.Context, deps []Dep) error {
 		}
 	}
 	return nil
-}
-
-// FromStage serves a stage of its parent's partitions as they were computed.
-func FromStage[T any](s *Stage[[][]T]) *RDD[T] {
-	return newRDD(s.ctx, "queryStage", s.numPart, func(jc context.Context, p int) ([]T, error) {
-		parts, err := s.Value(jc)
-		if err != nil {
-			return nil, err
-		}
-		return parts[p], nil
-	}).Reads(s)
 }
 
 // Stages returns the stages r's tasks read, in the order an action runs them.

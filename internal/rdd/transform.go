@@ -167,18 +167,22 @@ func TakeContext[T any](jc context.Context, r *RDD[T], n int) ([]T, error) {
 	return slices.Concat(parts...), err
 }
 
-// ZipAt combines partitions of two RDDs hash-partitioned the same way, as an
-// RDD of n partitions of its own: partition q combines partition at(q) of a
-// with the same partition of b — the shuffled hash join's reduce side. Several
-// tasks may split one pair of partitions between them (the skew-split join's
-// chunks); f's errors are retryable task errors.
-func ZipAt[A, B, C any](a *RDD[A], b *RDD[B], n int, at func(q int) int, f func(jc context.Context, q int, left []A, right []B) ([]C, error)) *RDD[C] {
+// ZipAt combines ranges of partitions of two RDDs partitioned the same way
+// (a shuffle's buckets), as an RDD of n partitions of its own: partition q
+// combines partitions lo..hi-1 of a, (lo, hi) = at(q), with the same
+// partitions of b, handing f each side's partitions in order, a shuffle's
+// buckets read straight off its map side — the shuffled hash join's reduce
+// side, a task per range of buckets. Several tasks may
+// split one range between them (the skew-split join's chunks); f's errors are
+// retryable task errors.
+func ZipAt[A, B, C any](a *RDD[A], b *RDD[B], n int, at func(q int) (lo, hi int), f func(jc context.Context, q int, left [][]A, right [][]B) ([]C, error)) *RDD[C] {
 	return newRDD(a.ctx, "zipPartitions", n, func(jc context.Context, q int) ([]C, error) {
-		left, err := a.partition(jc, at(q))
+		lo, hi := at(q)
+		left, err := a.bucketRange(jc, lo, hi)
 		if err != nil {
 			return nil, err
 		}
-		right, err := b.partition(jc, at(q))
+		right, err := b.bucketRange(jc, lo, hi)
 		if err != nil {
 			return nil, err
 		}

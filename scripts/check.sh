@@ -37,14 +37,23 @@ go build ./...
 # carries the Config whole: AST gates in internal/archtest, run by go test
 # ./... below — TestKnobDeclaredOnce and TestSessionSpecCarriesConfigWhole,
 # fired by TestKnobGatesFire.
-# One stage mechanism: a shuffle's map side, a join's build side, top-K's
-# candidates and an adaptive query stage are each an rdd.Stage that an action
-# runs before the tasks that read it. A second memoizer (LazyBuild,
-# shuffleState) or the adaptive driver's partition collector coming back is a
-# second mechanism; a task body in internal/physical or internal/rangejoin
-# that collects or computes another RDD's partition runs a job from inside
-# its slot again (AST gates in internal/archtest, TestOneStageMechanism and
-# TestNoJobInsideTask, fired by TestPhysicalGatesFire).
+# One stage mechanism: a shuffle's map side, a join's build side and top-K's
+# candidates are each an rdd.Stage that an action (or the adaptive driver,
+# once) runs before the tasks that read it. A second memoizer (LazyBuild,
+# shuffleState) or a partition collector coming back is a second mechanism; a
+# task body in internal/physical or internal/rangejoin that collects or
+# computes another RDD's partition runs a job from inside its slot again (AST
+# gates in internal/archtest, TestOneStageMechanism and TestNoJobInsideTask,
+# fired by TestPhysicalGatesFire).
+# One exchange mechanism: every repartitioning of an operator's input is an
+# ExchangeExec plan node (hash, range, presplit, broadcast) in
+# internal/physical/exchange.go, which buckets at the session's bucket count
+# and hands each reduce task a contiguous range of buckets; adaptive execution
+# re-plans from an exchange's map output. An operator calling an rdd exchange
+# primitive (PartitionByHashCodec, PartitionByFuncCodec, ExchangePresplit,
+# Coalesce, Regroup) or BuildStage itself is an operator shuffling inside its
+# own Execute again (AST gate in internal/archtest, TestExchangesOnlyInExchange,
+# fired by TestExchangeGateFires).
 # One shuffled join, and sort runs that are index sorts over key lanes: AST
 # gates in internal/archtest, TestNoSecondShuffledJoin and TestNoRowSliceSort,
 # fired by TestPhysicalGatesFire.
@@ -68,8 +77,8 @@ go build ./...
 # iteration in which every rule returned the node it was given, and every tree
 # rewrite goes through catalyst's transforms. AST gates in internal/archtest,
 # run by go test ./... below: TestTreesRewrittenByCatalyst (no hand-written
-# walk calling WithNewChildren outside internal/catalyst but the adaptive
-# driver's), TestCatalystRendersNoTree (no String() in internal/catalyst or in
+# walk calling WithNewChildren outside internal/catalyst; the adaptive driver
+# is a catalyst transform too), TestCatalystRendersNoTree (no String() in internal/catalyst or in
 # the TreeNode interface) and TestOptimizerComparesNoText (no .String() ==/!=
 # in internal/optimizer), each fired by TestCatalystGatesFire.
 echo "internal/physical + internal/expr non-test lines: $(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) (ROADMAP target: <= 7835)"

@@ -264,12 +264,19 @@ func TestSpillPropertyRandomBudgets(t *testing.T) {
 // aggregateLine returns the HashAggregate line of an EXPLAIN ANALYZE output.
 func aggregateLine(t *testing.T, out string) string {
 	t.Helper()
+	return executedLine(t, out, "HashAggregate")
+}
+
+// executedLine is the first line of an EXPLAIN ANALYZE output naming op that
+// ran.
+func executedLine(t *testing.T, out, op string) string {
+	t.Helper()
 	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "HashAggregate") && strings.Contains(line, "actual:") {
+		if strings.Contains(line, op) && strings.Contains(line, "actual:") {
 			return line
 		}
 	}
-	t.Fatalf("no executed HashAggregate in:\n%s", out)
+	t.Fatalf("no executed %s in:\n%s", op, out)
 	return ""
 }
 
@@ -343,8 +350,14 @@ func TestSpillExplainAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Phase 1's tables are its presplit exchange's, the reducers' growth the
+	// aggregate's.
 	tables := regexp.MustCompile(`groups=\d+ grows=\d+.*`)
-	if got, want := tables.FindString(aggregateLine(t, rout)), tables.FindString(aggregateLine(t, gout)); got != want || want == "" {
+	if got, want := tables.FindString(executedLine(t, rout, "Exchange presplit")), tables.FindString(executedLine(t, gout, "Exchange presplit")); got != want || want == "" {
+		t.Fatalf("phase 1 under a roomy budget reports %q, unbudgeted %q", got, want)
+	}
+	reducers := regexp.MustCompile(`grows=\d+.*`)
+	if got, want := reducers.FindString(aggregateLine(t, rout)), reducers.FindString(aggregateLine(t, gout)); got != want {
 		t.Fatalf("reducer under a roomy budget reports %q, unbudgeted %q", got, want)
 	}
 }

@@ -397,7 +397,7 @@ func TestLentKernelsAllocatePerTask(t *testing.T) {
 		if rows, err := df.Collect(); err != nil || len(rows) != 10 {
 			t.Fatalf("%d rows, %v", len(rows), err)
 		}
-		if plan, err := df.Explain(); err != nil || !strings.Contains(plan, "FusedHashAggregate") {
+		if plan, err := df.Explain(); err != nil || !fusedAggregate(plan) {
 			t.Fatalf("not a fused aggregate (%v):\n%s", err, plan)
 		}
 		ran := ctx.Metrics().Counter("rdd.tasks.run")
